@@ -1,11 +1,14 @@
 # Build and verification entry points. `make verify` is the full CI gate:
-# tier-1 (build + tests), static analysis, and race-enabled tests of the
+# tier-1 (build + tests), static analysis, race-enabled tests of the
 # packages with real concurrency (the TCP transport and the daemon/fault
-# machinery it carries).
+# machinery it carries), the CLI goldens, and the out-of-tree benchmark
+# module's own vet + tests (it imports internal packages through a replace
+# directive, so an internal-API deletion that breaks it fails here rather
+# than in the benchmark run).
 
 GO ?= go
 
-.PHONY: build test vet race verify bench replay-golden perfdb-golden sync-golden wire-golden trend-golden chaos fuzz fuzz-perfdb fuzz-wire
+.PHONY: build test vet race verify bench bench-module replay-golden perfdb-golden sync-golden wire-golden trend-golden chaos fuzz fuzz-perfdb fuzz-wire
 
 build:
 	$(GO) build ./...
@@ -19,7 +22,10 @@ vet:
 race:
 	$(GO) test -race ./internal/wire ./internal/frontend ./internal/daemon ./internal/faults ./internal/trace ./internal/core ./internal/session ./internal/perfdb
 
-verify: build vet test race sync-golden wire-golden trend-golden
+verify: build vet test race bench-module replay-golden perfdb-golden sync-golden wire-golden trend-golden
+
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Opt into the chaos sweep as part of verify with `make verify CHAOS=1`.
 ifeq ($(CHAOS),1)
@@ -67,9 +73,9 @@ replay-golden:
 	@tmp=$$(mktemp -d) && \
 	trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/pperf -prog small-messages -seed 7 -hierarchy -critical-path \
-		-trace "$$tmp/live.json" -record "$$tmp/run.pparch" 2>/dev/null \
+		-trace "$$tmp/live.json" -record "$$tmp/run.ppdb" 2>/dev/null \
 		| sed "s#$$tmp/live.json#TRACE#" > "$$tmp/live.txt" && \
-	$(GO) run ./cmd/pperf -replay "$$tmp/run.pparch" -hierarchy -critical-path \
+	$(GO) run ./cmd/pperf -replay "$$tmp/run.ppdb" -hierarchy -critical-path \
 		-trace "$$tmp/replay.json" 2>/dev/null \
 		| sed "s#$$tmp/replay.json#TRACE#" > "$$tmp/replay.txt" && \
 	diff "$$tmp/live.txt" "$$tmp/replay.txt" && \

@@ -100,7 +100,7 @@ var dbCommands = []*dbCommand{
 	{
 		name: "add", operands: "FILE",
 		summary: []string{
-			"ingest a recorded archive (either format) into the store,",
+			"ingest a recorded archive into the store,",
 			"replaying it once to stamp the Consultant verdict",
 		},
 		flags:   []string{"label"},

@@ -7,9 +7,9 @@
 //
 //	pperf -prog small-messages -impl lam
 //	pperf -prog winscpw-sync -impl mpich2 -iterations 500
-//	pperf -prog small-messages -record run.pparch
-//	pperf -replay run.pparch
-//	pperf -replay run.pparch -what-if-sync 0.05
+//	pperf -prog small-messages -record run.ppdb
+//	pperf -replay run.ppdb
+//	pperf -replay run.ppdb -what-if-sync 0.05
 //	pperf -prog small-messages -db ./experiments -db-label baseline
 //	pperf db -store ./experiments diff r0001 r0002
 //	pperf db -store ./experiments diff -since-fault -format=json r0001 r0002
@@ -69,6 +69,23 @@ func main() {
 	)
 	flag.Parse()
 
+	// Validated before any branch: -replay and -pcl return early, and a bad
+	// value must not silently fall back to the default there.
+	if *traceFmt != "perfetto" && *traceFmt != "csv" {
+		fmt.Fprintf(os.Stderr, "pperf: unknown -trace-format %q (perfetto | csv)\n", *traceFmt)
+		os.Exit(2)
+	}
+	var method daemon.SpawnMethod
+	switch *spawnVia {
+	case "intercept":
+		method = daemon.SpawnIntercept
+	case "attach":
+		method = daemon.SpawnAttach
+	default:
+		fmt.Fprintf(os.Stderr, "pperf: unknown -spawn %q (intercept | attach)\n", *spawnVia)
+		os.Exit(2)
+	}
+
 	whatIf := pperfmark.ReplayOptions{
 		SyncThreshold: *wifSync,
 		IOThreshold:   *wifIO,
@@ -84,8 +101,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "pperf: -record/-db and -replay are mutually exclusive")
 			os.Exit(2)
 		}
-		// LoadAny reads both archive formats: the flat v1 .pparch and the
-		// chunked compacted form -record and the experiment store write.
 		a, err := perfdb.LoadAny(*replay)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pperf:", err)
@@ -131,10 +146,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pperf:", err)
 		os.Exit(2)
 	}
-	method := daemon.SpawnIntercept
-	if *spawnVia == "attach" {
-		method = daemon.SpawnAttach
-	}
 	var plan *faults.Plan
 	if *faultSpec != "" {
 		plan, err = faults.Parse(*faultSpec)
@@ -142,10 +153,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "pperf:", err)
 			os.Exit(2)
 		}
-	}
-	if *traceFmt != "perfetto" && *traceFmt != "csv" {
-		fmt.Fprintf(os.Stderr, "pperf: unknown -trace-format %q (perfetto | csv)\n", *traceFmt)
-		os.Exit(2)
 	}
 	var tcfg *trace.Config
 	if *traceOut != "" || *critPath {

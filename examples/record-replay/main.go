@@ -21,11 +21,14 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	archive := filepath.Join(dir, "run.pparch")
+	archive := filepath.Join(dir, "run.ppdb")
 
-	// Live run: the recorder rides along, capturing every sample batch,
-	// resource update, metric enable, and Consultant read barrier.
-	rec := pperf.NewSessionRecorder()
+	// Live run: the recorder rides along, streaming every sample batch,
+	// resource update, metric enable, and Consultant read barrier to disk.
+	rec, err := pperf.NewStreamRecorder(archive)
+	if err != nil {
+		log.Fatal(err)
+	}
 	live, err := pperf.RunSuiteProgram("small-messages", pperf.SuiteOptions{
 		Impl:   pperf.LAM,
 		Seed:   7,
@@ -34,7 +37,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := rec.Save(archive); err != nil {
+	if err := rec.Close(); err != nil {
 		log.Fatal(err)
 	}
 	fi, _ := os.Stat(archive)
@@ -42,7 +45,7 @@ func main() {
 
 	// Offline replay: the Consultant re-runs against the archive through
 	// the same DataSource interface the live front end implements.
-	a, err := pperf.LoadSessionArchive(archive)
+	a, err := pperf.LoadAnyArchive(archive)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -22,6 +22,7 @@ func TestExamplesRun(t *testing.T) {
 		{"./examples/spawn-monitor", "intercept inflation"},
 		{"./examples/custom-metric", "big sends"},
 		{"./examples/verify-findings", "all three methods agree"},
+		{"./examples/record-replay", "live and replayed reports are byte-identical"},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -63,9 +63,8 @@ type Options struct {
 	Trace *trace.Config
 	// Recorder, when non-nil, is attached to the front end before launch
 	// and captures the full analysis-plane event stream for offline replay
-	// (see internal/session). Either the in-memory session.Recorder or
-	// perfdb's bounded-memory StreamRecorder satisfies it. Nil leaves
-	// every recording hook cold.
+	// (see internal/session; perfdb.StreamRecorder is the implementation).
+	// Nil leaves every recording hook cold.
 	Recorder session.Sink
 }
 
@@ -86,7 +85,7 @@ type Session struct {
 
 	listener   *frontend.Listener
 	transports []*frontend.TCPTransport
-	flaky      map[string]*faults.FlakyTransport // node name → wrapper (fault runs only)
+	inject     map[string]faults.Injectable // node name → live transport's injection points
 	launched   bool
 
 	// Respawn support (supervisor runs only). nodeIdx/byName are the
@@ -141,7 +140,10 @@ func NewSession(opts Options) (*Session, error) {
 		fe.SetRecorder(opts.Recorder)
 	}
 
-	s := &Session{Eng: eng, Spec: spec, World: world, FE: fe, Lib: lib, dcfg: dcfg, plan: plan}
+	s := &Session{
+		Eng: eng, Spec: spec, World: world, FE: fe, Lib: lib, dcfg: dcfg, plan: plan,
+		inject: map[string]faults.Injectable{},
+	}
 
 	if opts.UseTCP {
 		l, err := fe.Listen("127.0.0.1:0")
@@ -166,14 +168,12 @@ func NewSession(opts Options) (*Session, error) {
 				return nil, err
 			}
 			s.transports = append(s.transports, t)
+			s.inject[nodeName] = t
 			tr = t
 		} else if plan != nil {
 			// In-process transport: interpose the injector's failure wrapper.
-			ft := &faults.FlakyTransport{Inner: tr}
-			if s.flaky == nil {
-				s.flaky = map[string]*faults.FlakyTransport{}
-			}
-			s.flaky[nodeName] = ft
+			ft := faults.NewFlakyTransport(tr)
+			s.inject[nodeName] = ft
 			tr = ft
 		}
 		d := daemon.New(eng, node, nodeName, lib, tr, dcfg)
@@ -260,24 +260,8 @@ func (s *Session) armFaults(plan *faults.Plan) {
 			}
 		},
 		DropTransport: func(node string, n int, ch string) {
-			ctl := ch == "" || ch == faults.ChanCtl || ch == faults.ChanBoth
-			bulk := ch == faults.ChanBulk || ch == faults.ChanBoth
-			if i, ok := s.nodeIdx[node]; ok && i < len(s.transports) {
-				if ctl {
-					s.transports[i].InjectFailures(n)
-				}
-				if bulk {
-					s.transports[i].InjectBulkFailures(n)
-				}
-				return
-			}
-			if ft := s.flaky[node]; ft != nil {
-				if ctl {
-					ft.InjectFailures(n)
-				}
-				if bulk {
-					ft.InjectBulkFailures(n)
-				}
+			if t := s.inject[node]; t != nil {
+				faults.ArmDrops(t, n, ch)
 			}
 		},
 	})
@@ -322,13 +306,11 @@ func (s *Session) respawnDaemon(node string, incarnation int) (*daemon.Daemon, e
 		}
 		s.transports[idx].Close() // dead incarnation's channels: fail fast, free the sockets
 		s.transports[idx] = t
+		s.inject[node] = t
 		tr = t
 	} else {
-		ft := &faults.FlakyTransport{Inner: tr}
-		if s.flaky == nil {
-			s.flaky = map[string]*faults.FlakyTransport{}
-		}
-		s.flaky[node] = ft
+		ft := faults.NewFlakyTransport(tr)
+		s.inject[node] = ft
 		tr = ft
 	}
 
@@ -457,9 +439,8 @@ func (s *Session) Close() {
 // WireStats aggregates the session's wire-plane resilience counters per
 // channel (wire.ChanCtl, wire.ChanBulk). TCP sessions merge every daemon
 // transport's sender counters with the listener's receive-side dedupe
-// accounting; in-process fault runs report the flaky-transport injection
-// counters. One uniform wire.Stats block per channel replaces the three
-// bespoke counter sets the stacks used to keep.
+// accounting; in-process fault runs have no wire, so they report their
+// injection points' drop counts. One uniform wire.Stats block per channel.
 func (s *Session) WireStats() map[string]wire.Stats {
 	out := map[string]wire.Stats{}
 	add := func(ch string, st wire.Stats) {
@@ -480,9 +461,11 @@ func (s *Session) WireStats() map[string]wire.Stats {
 			add(ch, ls)
 		}
 	}
-	for _, ft := range s.flaky {
-		for ch, st := range ft.WireStats() {
-			add(ch, st)
+	if s.listener == nil {
+		for _, t := range s.inject {
+			for _, ch := range []string{wire.ChanCtl, wire.ChanBulk} {
+				add(ch, wire.Stats{InjectedDrops: t.Injection(ch).Dropped()})
+			}
 		}
 	}
 	return out

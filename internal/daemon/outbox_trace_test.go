@@ -1,11 +1,10 @@
 package daemon
 
 // Tests for the trace-loss accounting of the resilience layer: spans evicted
-// from the bounded report outbox (legacy TraceSink path) or the bulk queue
-// must surface in the OutboxLost counter shards carry to the timeline, spans
-// stranded by a permanently-down transport must surface as undelivered, and
-// replay must preserve delivery order across interleaved samples, updates and
-// shards.
+// from the bounded bulk queue must surface in the OutboxLost counter shards
+// carry to the timeline, spans stranded by a permanently-down transport must
+// surface as undelivered, and each queue's replay must preserve delivery
+// order.
 
 import (
 	"errors"
@@ -19,15 +18,16 @@ import (
 
 var errSinkDown = errors.New("sink down")
 
-// ctlSink is a Transport+TraceSink with a switchable outage that records
-// every delivery in arrival order — the legacy shared-path transport.
-type ctlSink struct {
-	down   bool
-	events []string
-	shards []trace.Shard
+// chanSink is a Transport with a switchable outage per channel, mirroring the
+// two-channel TCP transport, that records every delivery in arrival order.
+type chanSink struct {
+	down     bool // control channel outage
+	bulkDown bool // bulk channel outage
+	events   []string
+	shards   []trace.Shard
 }
 
-func (s *ctlSink) Samples(batch []Sample) error {
+func (s *chanSink) Samples(batch []Sample) error {
 	if s.down {
 		return errSinkDown
 	}
@@ -35,7 +35,7 @@ func (s *ctlSink) Samples(batch []Sample) error {
 	return nil
 }
 
-func (s *ctlSink) Update(u Update) error {
+func (s *chanSink) Update(u Update) error {
 	if s.down {
 		return errSinkDown
 	}
@@ -43,8 +43,8 @@ func (s *ctlSink) Update(u Update) error {
 	return nil
 }
 
-func (s *ctlSink) TraceShard(sh trace.Shard) error {
-	if s.down {
+func (s *chanSink) Shard(sh trace.Shard) error {
+	if s.bulkDown {
 		return errSinkDown
 	}
 	s.events = append(s.events, fmt.Sprintf("shard:%d", len(sh.Spans)))
@@ -52,65 +52,13 @@ func (s *ctlSink) TraceShard(sh trace.Shard) error {
 	return nil
 }
 
-// bulkSink adds a BulkSink channel with its own outage switch, mirroring the
-// two-channel TCP transport.
-type bulkSink struct {
-	ctlSink
-	bulkDown   bool
-	bulkShards []trace.Shard
-}
-
-func (s *bulkSink) BulkShard(sh trace.Shard) error {
-	if s.bulkDown {
-		return errSinkDown
-	}
-	s.bulkShards = append(s.bulkShards, sh)
-	return nil
-}
-
 func mkShard(n int) trace.Shard {
 	return trace.Shard{Proc: "p{0}", Node: "node0", Spans: make([]trace.Span, n)}
 }
 
-func TestOutboxEvictionCountsShardSpans(t *testing.T) {
-	eng := sim.NewEngine(1)
-	sink := &ctlSink{down: true}
-	cfg := DefaultConfig()
-	cfg.OutboxLimit = 2
-	d := New(eng, 0, "node0", mdl.StdLib(), sink, cfg)
-	d.EnableTracing(trace.New(&trace.Config{FlushWatermark: -1}))
-
-	d.sendShard(mkShard(3))
-	d.sendShard(mkShard(4))
-	d.sendShard(mkShard(5)) // evicts the 3-span shard
-
-	if _, dropped := d.OutboxDepth(); dropped != 1 {
-		t.Errorf("dropped reports = %d, want 1", dropped)
-	}
-	if got := d.LostSpans()["p{0}"]; got != 3 {
-		t.Errorf("lost spans = %d, want 3 (the evicted shard's)", got)
-	}
-
-	sink.down = false
-	d.flushOutbox()
-	if len(sink.shards) != 2 {
-		t.Fatalf("delivered %d shards, want 2", len(sink.shards))
-	}
-	tl := trace.NewTimeline()
-	for _, sh := range sink.shards {
-		if sh.OutboxLost != 3 {
-			t.Errorf("shard OutboxLost = %d, want 3", sh.OutboxLost)
-		}
-		tl.Ingest(sh)
-	}
-	if tl.OutboxLost() != 3 || tl.Lost() != 3 {
-		t.Errorf("timeline OutboxLost = %d, Lost = %d, want 3, 3", tl.OutboxLost(), tl.Lost())
-	}
-}
-
 func TestBulkQueueEvictionCountsSpans(t *testing.T) {
 	eng := sim.NewEngine(1)
-	sink := &bulkSink{bulkDown: true}
+	sink := &chanSink{bulkDown: true}
 	cfg := DefaultConfig()
 	cfg.BulkQueueLimit = 2
 	d := New(eng, 0, "node0", mdl.StdLib(), sink, cfg)
@@ -131,13 +79,18 @@ func TestBulkQueueEvictionCountsSpans(t *testing.T) {
 	if d.BulkDepth() != 0 {
 		t.Errorf("bulk depth after flush = %d, want 0", d.BulkDepth())
 	}
-	if len(sink.bulkShards) != 2 {
-		t.Fatalf("delivered %d bulk shards, want 2", len(sink.bulkShards))
+	if got := fmt.Sprint(sink.events); got != "[shard:4 shard:5]" {
+		t.Fatalf("delivered %s, want the two surviving shards in queue order", got)
 	}
-	for _, sh := range sink.bulkShards {
+	tl := trace.NewTimeline()
+	for _, sh := range sink.shards {
 		if sh.OutboxLost != 3 {
 			t.Errorf("replayed shard OutboxLost = %d, want 3", sh.OutboxLost)
 		}
+		tl.Ingest(sh)
+	}
+	if tl.OutboxLost() != 3 || tl.Lost() != 3 {
+		t.Errorf("timeline OutboxLost = %d, Lost = %d, want 3, 3", tl.OutboxLost(), tl.Lost())
 	}
 	// Bulk-channel trouble must leave no trace of itself in the timeline:
 	// no transport events on the daemon's own track, and nothing in the
@@ -152,7 +105,7 @@ func TestBulkQueueEvictionCountsSpans(t *testing.T) {
 
 func TestFlushTraceCountsUndeliveredSpans(t *testing.T) {
 	eng := sim.NewEngine(1)
-	sink := &bulkSink{ctlSink: ctlSink{down: true}, bulkDown: true}
+	sink := &chanSink{down: true, bulkDown: true}
 	d := New(eng, 0, "node0", mdl.StdLib(), sink, DefaultConfig())
 	tr := trace.New(&trace.Config{FlushWatermark: -1})
 	d.EnableTracing(tr)
@@ -187,52 +140,47 @@ func TestFlushTraceCountsUndeliveredSpans(t *testing.T) {
 
 func TestOutboxReplayPreservesInterleavedOrder(t *testing.T) {
 	eng := sim.NewEngine(1)
-	sink := &ctlSink{down: true}
+	sink := &chanSink{down: true, bulkDown: true}
 	cfg := DefaultConfig()
-	cfg.OutboxLimit = 4
+	cfg.OutboxLimit = 3
 	d := New(eng, 0, "node0", mdl.StdLib(), sink, cfg)
 	d.EnableTracing(trace.New(&trace.Config{FlushWatermark: -1}))
 
-	d.sendShard(mkShard(2)) // evicted below: its 2 spans must be accounted
+	d.sendSamples([]Sample{{Metric: "evicted"}}) // dropped to the bound below
+	d.sendShard(mkShard(2))                      // bulk queue: never competes for outbox slots
 	d.sendUpdate(Update{Kind: UpAddResource, Path: "/Machine/node0/p{0}"})
 	d.sendSamples([]Sample{{Metric: "m"}})
 	d.sendShard(mkShard(3))
-	d.sendUpdate(Update{Kind: UpHeartbeat}) // 5th report: evicts the first
+	d.sendUpdate(Update{Kind: UpHeartbeat}) // 4th report: evicts the first
 
-	if _, dropped := d.OutboxDepth(); dropped != 1 {
-		t.Errorf("dropped reports = %d, want 1", dropped)
+	if queued, dropped := d.OutboxDepth(); queued != 3 || dropped != 1 {
+		t.Errorf("outbox queued=%d dropped=%d, want 3 and 1", queued, dropped)
 	}
-	if got := d.LostSpans()["p{0}"]; got != 2 {
-		t.Errorf("lost spans = %d, want 2", got)
+	if d.BulkDepth() != 2 || len(d.LostSpans()) != 0 {
+		t.Errorf("bulk depth = %d, lost spans = %v; outbox pressure must not evict shards", d.BulkDepth(), d.LostSpans())
 	}
 
-	sink.down = false
+	sink.down, sink.bulkDown = false, false
 	d.flushOutbox()
+	d.flushBulk()
 	want := []string{
 		fmt.Sprintf("update:%d", UpAddResource),
 		"samples",
-		"shard:3",
 		fmt.Sprintf("update:%d", UpHeartbeat),
+		"shard:2",
+		"shard:3",
 	}
-	if len(sink.events) != len(want) {
-		t.Fatalf("delivered %v, want %v", sink.events, want)
+	if fmt.Sprint(sink.events) != fmt.Sprint(want) {
+		t.Fatalf("delivery order %v, want %v", sink.events, want)
 	}
-	for i := range want {
-		if sink.events[i] != want[i] {
-			t.Fatalf("delivery order %v, want %v", sink.events, want)
-		}
-	}
-	if sink.shards[0].OutboxLost != 2 {
-		t.Errorf("surviving shard OutboxLost = %d, want 2", sink.shards[0].OutboxLost)
-	}
-	if queued, _ := d.OutboxDepth(); queued != 0 {
-		t.Errorf("outbox not drained: %d left", queued)
+	if queued, _ := d.OutboxDepth(); queued != 0 || d.BulkDepth() != 0 {
+		t.Errorf("queues not drained: outbox %d, bulk %d", queued, d.BulkDepth())
 	}
 }
 
 func TestFillHookShipsAtWatermark(t *testing.T) {
 	eng := sim.NewEngine(1)
-	sink := &bulkSink{}
+	sink := &chanSink{}
 	d := New(eng, 0, "node0", mdl.StdLib(), sink, DefaultConfig())
 	tr := trace.New(&trace.Config{RingCapacity: 8, FlushWatermark: 4})
 	d.EnableTracing(tr)
@@ -240,33 +188,14 @@ func TestFillHookShipsAtWatermark(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		tr.Mark("p{0}", "node0", "m", eng.Now())
 	}
-	if len(sink.bulkShards) != 0 {
-		t.Fatalf("shipped below the watermark: %d shards", len(sink.bulkShards))
+	if len(sink.shards) != 0 {
+		t.Fatalf("shipped below the watermark: %d shards", len(sink.shards))
 	}
 	tr.Mark("p{0}", "node0", "m", eng.Now()) // 4th span reaches the watermark
-	if len(sink.bulkShards) != 1 || len(sink.bulkShards[0].Spans) != 4 {
-		t.Fatalf("want one 4-span shard at the watermark, got %+v", sink.bulkShards)
+	if len(sink.shards) != 1 || len(sink.shards[0].Spans) != 4 {
+		t.Fatalf("want one 4-span shard at the watermark, got %+v", sink.shards)
 	}
 	if rec := tr.Recorder("p{0}"); rec.Len() != 0 {
 		t.Errorf("recorder not drained by eager ship: %d left", rec.Len())
-	}
-}
-
-func TestFillHookNotInstalledWithoutBulkSink(t *testing.T) {
-	eng := sim.NewEngine(1)
-	sink := &ctlSink{}
-	d := New(eng, 0, "node0", mdl.StdLib(), sink, DefaultConfig())
-	tr := trace.New(&trace.Config{RingCapacity: 8, FlushWatermark: 2})
-	d.EnableTracing(tr)
-
-	for i := 0; i < 6; i++ {
-		tr.Mark("p{0}", "node0", "m", eng.Now())
-	}
-	if len(sink.shards) != 0 {
-		t.Errorf("TraceSink-only transport shipped eagerly: %d shards", len(sink.shards))
-	}
-	d.flushTraceShards() // the tick-coupled path still drains everything
-	if len(sink.shards) != 1 || len(sink.shards[0].Spans) != 6 {
-		t.Errorf("tick flush delivered %+v, want one 6-span shard", sink.shards)
 	}
 }

@@ -50,30 +50,18 @@ const (
 // implementation calls the front end directly; the TCP implementation gob-
 // encodes over a socket. A non-nil error means the report was NOT observed
 // by the front end (after any retries the transport performs internally);
-// the daemon buffers such reports in its outbox and replays them when the
-// transport recovers.
+// the daemon buffers such reports and replays them when the transport
+// recovers.
+//
+// Samples and Update are the control channel; Shard is the bulk
+// trace-streaming channel. Shards move on their own stream (a second TCP
+// connection with its own retry/backoff and dedupe for the wire transport,
+// a direct call in process) and wait in the daemon's separate bounded bulk
+// queue when it is down, so trace volume never sits on the sampling path.
 type Transport interface {
 	Samples(batch []Sample) error
 	Update(u Update) error
-}
-
-// TraceSink is the optional Transport extension for the tracing subsystem:
-// transports that implement it also carry trace shards to the front end.
-// The daemon type-asserts for it, so Transport stubs in tests keep working
-// untouched (their shards are silently discarded).
-type TraceSink interface {
-	TraceShard(sh trace.Shard) error
-}
-
-// BulkSink is the optional Transport extension for the dedicated bulk
-// trace-streaming channel: shards sent through BulkShard move on their own
-// stream (a second TCP connection with its own retry/backoff and dedupe for
-// the wire transport, a direct call in process), so bulk trace volume never
-// sits on the sampling path. When a transport implements BulkSink the
-// daemon queues shards in a separate bounded bulk queue instead of the
-// report outbox; TraceSink-only transports keep the legacy shared path.
-type BulkSink interface {
-	BulkShard(sh trace.Shard) error
+	Shard(sh trace.Shard) error
 }
 
 // SpawnMethod selects how the tool supports MPI_Comm_spawn (§4.2.2).

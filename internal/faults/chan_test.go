@@ -9,6 +9,7 @@ import (
 	"pperf/internal/daemon"
 	"pperf/internal/faults"
 	"pperf/internal/trace"
+	"pperf/internal/wire"
 )
 
 func TestParseDropTransportChan(t *testing.T) {
@@ -51,7 +52,7 @@ func TestParseChanErrors(t *testing.T) {
 	}
 }
 
-// bulkFE is a minimal Transport+BulkSink backend for FlakyTransport tests.
+// bulkFE is a minimal Transport backend for FlakyTransport tests.
 type bulkFE struct {
 	samples int
 	shards  int
@@ -59,35 +60,35 @@ type bulkFE struct {
 
 func (f *bulkFE) Samples([]daemon.Sample) error { f.samples++; return nil }
 func (f *bulkFE) Update(daemon.Update) error    { return nil }
-func (f *bulkFE) BulkShard(trace.Shard) error   { f.shards++; return nil }
+func (f *bulkFE) Shard(trace.Shard) error       { f.shards++; return nil }
 
 func TestFlakyTransportChannelsFailIndependently(t *testing.T) {
 	fe := &bulkFE{}
-	ft := &faults.FlakyTransport{Inner: fe}
+	ft := faults.NewFlakyTransport(fe)
 
-	ft.InjectBulkFailures(2)
-	var bs daemon.BulkSink = ft
-	if err := bs.BulkShard(trace.Shard{}); err == nil {
+	faults.ArmDrops(ft, 2, faults.ChanBulk)
+	if err := ft.Shard(trace.Shard{}); err == nil {
 		t.Fatal("bulk send should fail while bulk budget remains")
 	}
 	if err := ft.Samples(nil); err != nil {
 		t.Fatalf("control send failed under bulk-only faults: %v", err)
 	}
-	if err := bs.BulkShard(trace.Shard{}); err == nil {
+	if err := ft.Shard(trace.Shard{}); err == nil {
 		t.Fatal("second bulk send should consume the remaining budget")
 	}
-	if err := bs.BulkShard(trace.Shard{}); err != nil {
+	if err := ft.Shard(trace.Shard{}); err != nil {
 		t.Fatalf("bulk send after budget drained: %v", err)
 	}
-	if ft.DroppedBulk() != 2 || ft.Dropped() != 0 {
-		t.Errorf("dropped ctl=%d bulk=%d, want 0 and 2", ft.Dropped(), ft.DroppedBulk())
+	ctl, bulk := ft.Injection(wire.ChanCtl), ft.Injection(wire.ChanBulk)
+	if bulk.Dropped() != 2 || ctl.Dropped() != 0 {
+		t.Errorf("dropped ctl=%d bulk=%d, want 0 and 2", ctl.Dropped(), bulk.Dropped())
 	}
 
-	ft.InjectFailures(1)
+	faults.ArmDrops(ft, 1, "")
 	if err := ft.Samples(nil); err == nil {
 		t.Fatal("control send should fail while control budget remains")
 	}
-	if err := bs.BulkShard(trace.Shard{}); err != nil {
+	if err := ft.Shard(trace.Shard{}); err != nil {
 		t.Fatalf("bulk send failed under control-only faults: %v", err)
 	}
 	if fe.samples != 1 || fe.shards != 2 {

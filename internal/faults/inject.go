@@ -157,114 +157,80 @@ func (in *Injector) fire(now sim.Time, f Fault, plan *Plan, eng *sim.Engine, h H
 	}
 }
 
-// FlakyTransport wraps a daemon.Transport so the injector can fail sends on
-// the in-process path (the TCP transport has its own InjectFailures /
-// InjectBulkFailures). Each channel's failure state is a wire.Injection —
-// the same injection point the TCP and sync channels consult — so control
-// and bulk failures are counted separately, mirroring the wire transport's
-// two channels, and a plan can sever the trace stream while samples keep
-// flowing — or vice versa. While failures remain on a channel, every send
-// on it errors; the daemon's outbox (or bulk queue) absorbs the reports and
-// replays them once the flakiness is spent.
-type FlakyTransport struct {
-	Inner daemon.Transport
-
-	once sync.Once
-	ctl  *wire.Injection
-	bulk *wire.Injection
+// Injectable is a daemon transport whose channels expose their wire
+// injection points: frontend.TCPTransport (one per wire.Conn) and the
+// in-process FlakyTransport below. ch is wire.ChanCtl or wire.ChanBulk.
+type Injectable interface {
+	Injection(ch string) *wire.Injection
 }
 
-func (ft *FlakyTransport) init() {
-	ft.once.Do(func() {
-		ft.ctl = wire.NewInjection(wire.ChanCtl)
-		ft.bulk = wire.NewInjection(wire.ChanBulk)
-	})
-}
-
-// InjectFailures makes the next n control-channel sends fail.
-func (ft *FlakyTransport) InjectFailures(n int) {
-	ft.init()
-	ft.ctl.AddDrops(n)
-}
-
-// InjectBulkFailures makes the next n bulk-channel (trace shard) sends
-// fail.
-func (ft *FlakyTransport) InjectBulkFailures(n int) {
-	ft.init()
-	ft.bulk.AddDrops(n)
-}
-
-// Dropped returns how many control-channel sends were failed so far.
-func (ft *FlakyTransport) Dropped() int64 {
-	ft.init()
-	return ft.ctl.Dropped()
-}
-
-// DroppedBulk returns how many bulk-channel sends were failed so far.
-func (ft *FlakyTransport) DroppedBulk() int64 {
-	ft.init()
-	return ft.bulk.Dropped()
-}
-
-// WireStats reports each channel's injection accounting in the wire plane's
-// uniform counter block (keyed wire.ChanCtl / wire.ChanBulk).
-func (ft *FlakyTransport) WireStats() map[string]wire.Stats {
-	ft.init()
-	return map[string]wire.Stats{
-		wire.ChanCtl:  {InjectedDrops: ft.ctl.Dropped()},
-		wire.ChanBulk: {InjectedDrops: ft.bulk.Dropped()},
+// ArmDrops is the one translation of a drop-transport clause onto a report
+// transport: it adds n to the drop budget of each channel the clause's
+// chan= option selects (ctl by default). Budgets add, so overlapping
+// clauses fail the sum of their sends on every stack. ChanSync targets the
+// PerfDB sync plane instead (armed through SyncConfig.Faults) and is
+// ignored here.
+func ArmDrops(t Injectable, n int, ch string) {
+	if ch == "" || ch == ChanCtl || ch == ChanBoth {
+		t.Injection(wire.ChanCtl).AddDrops(n)
+	}
+	if ch == ChanBulk || ch == ChanBoth {
+		t.Injection(wire.ChanBulk).AddDrops(n)
 	}
 }
 
-func (ft *FlakyTransport) fail() bool {
-	ft.init()
-	return ft.ctl.Check() != nil
+// FlakyTransport wraps a daemon.Transport so the injector can fail sends on
+// the in-process path, where there is no wire.Conn to carry the injection
+// points. It holds one wire.Injection per channel — the same state machine
+// the TCP and sync channels consult — so control and bulk failures are
+// counted separately, mirroring the wire transport's two channels, and a
+// plan can sever the trace stream while samples keep flowing — or vice
+// versa. While failures remain on a channel, every send on it errors; the
+// daemon's outbox (or bulk queue) absorbs the reports and replays them once
+// the flakiness is spent.
+type FlakyTransport struct {
+	inner     daemon.Transport
+	ctl, bulk *wire.Injection
 }
 
-func (ft *FlakyTransport) failBulk() bool {
-	ft.init()
-	return ft.bulk.Check() != nil
+// NewFlakyTransport wraps inner with idle injection points.
+func NewFlakyTransport(inner daemon.Transport) *FlakyTransport {
+	return &FlakyTransport{
+		inner: inner,
+		ctl:   wire.NewInjection(wire.ChanCtl),
+		bulk:  wire.NewInjection(wire.ChanBulk),
+	}
+}
+
+// Injection implements Injectable.
+func (ft *FlakyTransport) Injection(ch string) *wire.Injection {
+	if ch == wire.ChanBulk {
+		return ft.bulk
+	}
+	return ft.ctl
 }
 
 // Samples implements daemon.Transport.
 func (ft *FlakyTransport) Samples(batch []daemon.Sample) error {
-	if ft.fail() {
+	if ft.ctl.Check() != nil {
 		return fmt.Errorf("faults: injected transport failure")
 	}
-	return ft.Inner.Samples(batch)
+	return ft.inner.Samples(batch)
 }
 
 // Update implements daemon.Transport.
 func (ft *FlakyTransport) Update(u daemon.Update) error {
-	if ft.fail() {
+	if ft.ctl.Check() != nil {
 		return fmt.Errorf("faults: injected transport failure")
 	}
-	return ft.Inner.Update(u)
+	return ft.inner.Update(u)
 }
 
-// TraceShard implements daemon.TraceSink when the wrapped transport does;
-// injected control failures hit these shards exactly like samples and
-// updates (the legacy shared-path behaviour).
-func (ft *FlakyTransport) TraceShard(sh trace.Shard) error {
-	ts, ok := ft.Inner.(daemon.TraceSink)
-	if !ok {
-		return nil
-	}
-	if ft.fail() {
-		return fmt.Errorf("faults: injected transport failure")
-	}
-	return ts.TraceShard(sh)
-}
-
-// BulkShard implements daemon.BulkSink when the wrapped transport does;
-// injected bulk failures hit only this channel.
-func (ft *FlakyTransport) BulkShard(sh trace.Shard) error {
-	bs, ok := ft.Inner.(daemon.BulkSink)
-	if !ok {
-		return nil
-	}
-	if ft.failBulk() {
+// Shard implements daemon.Transport; injected bulk failures hit only this
+// channel.
+func (ft *FlakyTransport) Shard(sh trace.Shard) error {
+	if ft.bulk.Check() != nil {
 		return fmt.Errorf("faults: injected bulk transport failure")
 	}
-	return bs.BulkShard(sh)
+	return ft.inner.Shard(sh)
 }

@@ -11,6 +11,7 @@ import (
 	"pperf/internal/daemon"
 	"pperf/internal/sim"
 	"pperf/internal/trace"
+	"pperf/internal/wire"
 )
 
 func TestBulkChannelCarriesShardsOffControlPath(t *testing.T) {
@@ -33,17 +34,12 @@ func TestBulkChannelCarriesShardsOffControlPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := trace.Shard{Proc: "p0", Node: "node0", Spans: []trace.Span{{Name: "compute", Start: sim.Time(1)}}}
-	if err := tr.BulkShard(sh); err != nil {
-		t.Fatal(err)
-	}
-	// The legacy TraceSink entry point routes to the bulk channel too.
-	if err := tr.TraceShard(sh); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if err := tr.Shard(sh); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	if got := l.CtlShardFrames(); got != 0 {
-		t.Errorf("shard frames on the control channel = %d, want 0", got)
-	}
 	if got := l.CtlFrames(); got != 2 {
 		t.Errorf("control frames = %d, want 2 (the updates)", got)
 	}
@@ -74,9 +70,9 @@ func TestBulkFaultsLeaveControlFlowing(t *testing.T) {
 	}
 	defer tr.Close()
 
-	tr.InjectBulkFailures(2)
+	tr.Injection(wire.ChanBulk).AddDrops(2)
 	sh := trace.Shard{Proc: "p0", Node: "node0", Spans: []trace.Span{{Name: "compute"}}}
-	if err := tr.BulkShard(sh); err != nil {
+	if err := tr.Shard(sh); err != nil {
 		t.Fatalf("bulk send should survive injected faults via retry: %v", err)
 	}
 	if err := tr.Update(daemon.Update{Kind: daemon.UpHeartbeat}); err != nil {
@@ -109,8 +105,8 @@ func TestControlFaultsLeaveBulkFlowing(t *testing.T) {
 	}
 	defer tr.Close()
 
-	tr.InjectFailures(2)
-	if err := tr.BulkShard(trace.Shard{Proc: "p0", Node: "node0", Spans: make([]trace.Span, 1)}); err != nil {
+	tr.Injection(wire.ChanCtl).AddDrops(2)
+	if err := tr.Shard(trace.Shard{Proc: "p0", Node: "node0", Spans: make([]trace.Span, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := tr.BulkStats().Retries; got != 0 {

@@ -117,10 +117,12 @@ func (fe *FrontEnd) Timeline() *trace.Timeline {
 	return fe.timeline
 }
 
-// TraceShard implements daemon.TraceSink: merge one streamed shard. Shards
-// arriving over TCP before EnableTrace (ordering races are impossible in
-// the simulation, but cheap to tolerate) lazily create the timeline.
-func (fe *FrontEnd) TraceShard(sh trace.Shard) error {
+// Shard implements daemon.Transport's bulk channel: merge one streamed
+// shard (in process there is no wire to keep samples and shards apart on,
+// so it is a direct call). Shards arriving over TCP before EnableTrace
+// (ordering races are impossible in the simulation, but cheap to tolerate)
+// lazily create the timeline.
+func (fe *FrontEnd) Shard(sh trace.Shard) error {
 	fe.tmu.Lock()
 	if fe.timeline == nil {
 		fe.timeline = trace.NewTimeline()
@@ -133,12 +135,6 @@ func (fe *FrontEnd) TraceShard(sh trace.Shard) error {
 	}
 	return nil
 }
-
-// BulkShard implements daemon.BulkSink: the in-process bulk channel is the
-// same direct call as TraceShard — there is no wire to keep samples and
-// shards apart on — but implementing the interface keeps the daemon's
-// shard traffic in its dedicated bulk queue instead of the report outbox.
-func (fe *FrontEnd) BulkShard(sh trace.Shard) error { return fe.TraceShard(sh) }
 
 // NoteUndelivered folds end-of-run undelivered-span accounting into the
 // timeline (and the session archive, when recording).

@@ -102,7 +102,6 @@ type Listener struct {
 	acceptE      int64 // transient accept errors retried
 	ctlFrames    int64
 	bulkFrames   int64
-	ctlShards    int64 // shard frames that arrived on the control channel (should stay 0)
 }
 
 // DefaultReadTimeout is the per-frame read deadline new listeners start
@@ -187,15 +186,6 @@ func (l *Listener) BulkFrames() int64 {
 	return l.bulkFrames
 }
 
-// CtlShardFrames returns how many trace-shard frames arrived on the control
-// channel — the invariant the bulk channel exists to keep at zero, asserted
-// by tests and benchmarks.
-func (l *Listener) CtlShardFrames() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.ctlShards
-}
-
 // WireStats returns the listener-side wire counters for one channel
 // (wire.ChanCtl or wire.ChanBulk): frames received plus the dedupe layer's
 // duplicate/stale accounting.
@@ -260,11 +250,6 @@ func (l *Listener) handle(conn net.Conn) {
 			}
 			return
 		}
-		if msg.Shard != nil && msg.Chan != bulkChannel {
-			l.mu.Lock()
-			l.ctlShards++
-			l.mu.Unlock()
-		}
 		// A frame the daemon re-sent after a lost ack was already applied —
 		// and one a dead incarnation sent must never apply. Both are still
 		// acknowledged so the sender unblocks.
@@ -276,7 +261,7 @@ func (l *Listener) handle(conn net.Conn) {
 				l.fe.Update(*msg.Update)
 			}
 			if msg.Shard != nil {
-				l.fe.TraceShard(*msg.Shard)
+				l.fe.Shard(*msg.Shard)
 			}
 		}
 		if err := enc.Encode(true); err != nil { // ack
@@ -301,9 +286,8 @@ type tcpChannel struct {
 }
 
 // send delivers one frame on channel c through the wire plane's retrying
-// Exchange. hook points at the transport's fault-hook field for this
-// channel, read fresh each attempt so tests can clear it mid-sequence.
-func (c *tcpChannel) send(msg wireMsg, hook *func(attempt int, msg *wireMsg) error) error {
+// Exchange.
+func (c *tcpChannel) send(msg wireMsg) error {
 	var ack bool
 	return c.conn.Exchange(wire.Request{
 		Req: &msg,
@@ -313,13 +297,7 @@ func (c *tcpChannel) send(msg wireMsg, hook *func(attempt int, msg *wireMsg) err
 			msg.Inc = c.inc
 			msg.Seq = seq
 		},
-		Resp: &ack,
-		Fault: func(attempt int) error {
-			if fh := *hook; fh != nil {
-				return fh(attempt, &msg)
-			}
-			return nil
-		},
+		Resp:  &ack,
 		Label: "frontend: send",
 	})
 }
@@ -340,19 +318,6 @@ type TCPTransport struct {
 
 	bulkMu sync.Mutex // guards lazy creation of bulk
 	bulk   *tcpChannel
-
-	// FaultHook, when set, is consulted before each control-channel
-	// attempt; a non-nil return simulates a transport fault for that
-	// attempt. Used by the fault injector and tests to exercise the retry
-	// path deterministically. BulkFaultHook is its bulk-channel twin.
-	FaultHook     func(attempt int, msg *wireMsg) error
-	BulkFaultHook func(attempt int, msg *wireMsg) error
-}
-
-// DialTransport connects a daemon-side transport to a front-end listener
-// with default retry behaviour and no identity (legacy callers).
-func DialTransport(addr string) (*TCPTransport, error) {
-	return DialTransportRetry(addr, "", DefaultRetryConfig())
 }
 
 // DialTransportRetry connects a daemon-side transport with explicit identity
@@ -368,6 +333,7 @@ func DialTransportRetry(addr, name string, cfg RetryConfig) (*TCPTransport, erro
 	if err != nil {
 		return nil, fmt.Errorf("frontend: dial: %w", err)
 	}
+	conn.Injection().Chan = wire.ChanCtl
 	t.ctl = tcpChannel{label: ctlChannel, name: name, inc: cfg.Incarnation, conn: conn}
 	return t, nil
 }
@@ -382,6 +348,7 @@ func (t *TCPTransport) bulkChan() *tcpChannel {
 			label: bulkChannel, name: t.name, inc: t.cfg.Incarnation,
 			conn: wire.NewConn(t.addr, t.cfg, t.cfg.Seed^wire.SaltBulk),
 		}
+		t.bulk.conn.Injection().Chan = wire.ChanBulk
 		t.bulk.conn.TryDial() // a failed dial retries inside send
 	}
 	return t.bulk
@@ -416,43 +383,30 @@ func (t *TCPTransport) BulkStats() TransportStats {
 	return b.conn.Stats()
 }
 
-// InjectFailures makes the next n control-channel attempts fail
-// (deterministic fault injection): each failed attempt consumes one count,
-// exercising timeout, retry and reconnect exactly as a flaky network
-// would. The hook swap happens under the channel's send lock so it can
-// never race an in-flight send reading the hook.
-func (t *TCPTransport) InjectFailures(n int) {
-	t.ctl.conn.Sync(func() { t.FaultHook = countdownHook(n) })
-}
-
-// InjectBulkFailures is InjectFailures for the bulk channel: the next n
-// shard attempts fail while control traffic flows untouched.
-func (t *TCPTransport) InjectBulkFailures(n int) {
-	c := t.bulkChan()
-	c.conn.Sync(func() { t.BulkFaultHook = countdownHook(n) })
-}
-
-func countdownHook(n int) func(int, *wireMsg) error {
-	cd := wire.Countdown(n)
-	return func(attempt int, _ *wireMsg) error { return cd(attempt) }
+// Injection returns the fault-injection point of channel ch (wire.ChanCtl
+// or wire.ChanBulk): each armed failure consumes one attempt, exercising
+// timeout, retry and reconnect exactly as a flaky network would, while the
+// other channel's traffic flows untouched. Asking for the bulk channel's
+// brings the channel up.
+func (t *TCPTransport) Injection(ch string) *wire.Injection {
+	if ch == wire.ChanBulk {
+		return t.bulkChan().conn.Injection()
+	}
+	return t.ctl.conn.Injection()
 }
 
 // Samples implements daemon.Transport.
 func (t *TCPTransport) Samples(batch []daemon.Sample) error {
-	return t.ctl.send(wireMsg{Samples: batch}, &t.FaultHook)
+	return t.ctl.send(wireMsg{Samples: batch})
 }
 
 // Update implements daemon.Transport.
 func (t *TCPTransport) Update(u daemon.Update) error {
-	return t.ctl.send(wireMsg{Update: &u}, &t.FaultHook)
+	return t.ctl.send(wireMsg{Update: &u})
 }
 
-// BulkShard implements daemon.BulkSink: trace shards ride their own
+// Shard implements daemon.Transport: trace shards ride their own
 // acknowledged, deduped, retrying stream — never the sampling path.
-func (t *TCPTransport) BulkShard(sh trace.Shard) error {
-	return t.bulkChan().send(wireMsg{Shard: &sh}, &t.BulkFaultHook)
+func (t *TCPTransport) Shard(sh trace.Shard) error {
+	return t.bulkChan().send(wireMsg{Shard: &sh})
 }
-
-// TraceShard implements daemon.TraceSink for legacy callers; it routes to
-// the bulk channel so shard bytes stay off the control stream either way.
-func (t *TCPTransport) TraceShard(sh trace.Shard) error { return t.BulkShard(sh) }

@@ -39,7 +39,7 @@ func TestTCPTransportDeliversThroughInjectedFailures(t *testing.T) {
 	}
 	defer tr.Close()
 
-	tr.InjectFailures(2)
+	tr.Injection(wire.ChanCtl).AddDrops(2)
 	if err := tr.Update(daemon.Update{Kind: daemon.UpAddResource, Path: "/Machine/node0/p0", Time: 1}); err != nil {
 		t.Fatalf("update after injected failures: %v", err)
 	}
@@ -78,17 +78,15 @@ func TestTCPTransportGivesUpAfterMaxAttempts(t *testing.T) {
 	}
 	defer tr.Close()
 
-	tr.InjectFailures(5)
+	tr.Injection(wire.ChanCtl).AddDrops(cfg.MaxAttempts)
 	if err := tr.Update(daemon.Update{Kind: daemon.UpHeartbeat}); err == nil {
 		t.Fatal("want error after exhausting attempts")
 	}
 	if st := tr.Stats(); st.Failures != 1 {
 		t.Errorf("stats = %+v", st)
 	}
-	// The failure budget drains; the next send succeeds again (outbox-replay
-	// scenario).
-	tr.InjectFailures(0)
-	tr.FaultHook = nil
+	// The failure budget is drained; the next send succeeds again
+	// (outbox-replay scenario).
 	if err := tr.Update(daemon.Update{Kind: daemon.UpHeartbeat}); err != nil {
 		t.Fatalf("send after recovery: %v", err)
 	}
@@ -149,7 +147,7 @@ func TestBackoffScheduleDeterministicBySeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer tr.Close()
-		tr.InjectFailures(3)
+		tr.Injection(wire.ChanCtl).AddDrops(3)
 		if err := tr.Update(daemon.Update{Kind: daemon.UpHeartbeat}); err != nil {
 			t.Fatal(err)
 		}

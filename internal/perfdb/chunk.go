@@ -29,11 +29,17 @@ import (
 // payload][payload], so corruption is detected per chunk instead of
 // garbage-decoded, and a file cut mid-write loads as a Truncated archive
 // holding the complete-chunk prefix (the trailer doubles as the
-// completeness mark, like the v1 format's up-front event count). The
-// final header lives in the trailer because a *streaming* writer does not
-// know Meta/Extra — the run description pperfmark stamps at the end of
-// the run — until the recording finishes.
+// completeness mark). The final header lives in the trailer because a
+// *streaming* writer does not know Meta/Extra — the run description
+// pperfmark stamps at the end of the run — until the recording finishes.
 var chunkMagic = []byte("PPDBA1")
+
+// retiredMagic is the flat v1 format's magic. Nothing writes it any more
+// and nothing reads it; it is recognized only to tell the user what to do.
+var retiredMagic = []byte("PPARCH")
+
+// ErrRetiredFormat is returned for a v1 "PPARCH" archive.
+var ErrRetiredFormat = errors.New("perfdb: v1 PPARCH archive format retired; re-record the run (-record / -db write PPDBA1)")
 
 // ChunkVersion is the chunked-archive format version. The session.Header
 // inside carries session.Version for the event schema; this constant
@@ -368,8 +374,8 @@ func (w *Writer) Close(h session.Header) error {
 	return w.err
 }
 
-// WriteArchive re-encodes a loaded session archive in chunked, compacted
-// form — the store's ingest path for v1 archives.
+// WriteArchive encodes an in-memory session archive in chunked, compacted
+// form.
 func WriteArchive(w io.Writer, a *session.Archive) error {
 	cw, err := NewWriter(w)
 	if err != nil {
@@ -399,10 +405,13 @@ func provisionalHeader(h session.Header) session.Header {
 func ReadArchive(r io.Reader) (*session.Archive, error) {
 	got := make([]byte, len(chunkMagic))
 	if _, err := io.ReadFull(r, got); err != nil {
-		return nil, fmt.Errorf("perfdb: not a chunked pperf archive (short file: %v)", err)
+		return nil, fmt.Errorf("perfdb: not a pperf session archive (short file: %v)", err)
+	}
+	if bytes.Equal(got, retiredMagic) {
+		return nil, ErrRetiredFormat
 	}
 	if !bytes.Equal(got, chunkMagic) {
-		return nil, errors.New("perfdb: not a chunked pperf archive (bad magic)")
+		return nil, errors.New("perfdb: not a pperf session archive (bad magic)")
 	}
 	var (
 		a         session.Archive
@@ -506,34 +515,12 @@ func ReadArchive(r io.Reader) (*session.Archive, error) {
 	}
 }
 
-// LoadArchive reads a chunked archive from path.
-func LoadArchive(path string) (*session.Archive, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadArchive(f)
-}
-
-// LoadAny loads a session archive in either format, sniffing the magic:
-// "PPARCH" (the v1 buffer-everything format) dispatches to session.Load,
-// "PPDBA1" (chunked) to LoadArchive.
+// LoadAny reads a session archive from path.
 func LoadAny(path string) (*session.Archive, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	magic := make([]byte, len(chunkMagic))
-	if _, err := io.ReadFull(f, magic); err != nil {
-		return nil, fmt.Errorf("perfdb: not a pperf archive (short file: %v)", err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	if bytes.Equal(magic, chunkMagic) {
-		return ReadArchive(f)
-	}
-	return session.Read(f)
+	return ReadArchive(f)
 }

@@ -3,8 +3,6 @@ package perfdb
 import (
 	"bytes"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -178,40 +176,6 @@ func TestCorruptChunkRejected(t *testing.T) {
 	bad := append([]byte("NOTFMT"), full[6:]...)
 	if _, err := ReadArchive(bytes.NewReader(bad)); err == nil {
 		t.Error("bad magic loaded cleanly")
-	}
-}
-
-func TestLoadAnyReadsBothFormats(t *testing.T) {
-	a := syntheticArchive(rand.New(rand.NewSource(8)), 120)
-	dir := t.TempDir()
-
-	chunked := filepath.Join(dir, "c.ppdb")
-	var buf bytes.Buffer
-	if err := WriteArchive(&buf, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(chunked, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	flat := filepath.Join(dir, "f.pparch")
-	rec := session.NewRecorder()
-	rec.SetHistogram(a.Header.NumBins, a.Header.BinWidth)
-	for k, v := range a.Header.Meta {
-		rec.SetMeta(k, v)
-	}
-	rec.SetExtra(a.Header.Extra)
-	replayEventsInto(rec, a.Events)
-	if err := rec.Save(flat); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, path := range []string{chunked, flat} {
-		got, err := LoadAny(path)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		archivesEquivalent(t, a, got)
 	}
 }
 

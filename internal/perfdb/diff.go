@@ -153,25 +153,9 @@ func (r *DiffReport) Regressions() []SeriesDelta {
 	return out
 }
 
-// Diff compares two materialized runs, base against new, over the whole
-// run at the default significance level.
-//
-// Deprecated: Diff is the pre-options entry point, kept for
-// compatibility; new callers should use Compare, which adds windowing,
-// fault anchoring, and threshold control. Diff(base, neu) is exactly
-// Compare(base, neu, CompareOptions{}).
-func Diff(base, neu *RunView) *DiffReport {
-	rep, err := Compare(base, neu, CompareOptions{})
-	if err != nil {
-		// Default options have no failing path; a failure here is a
-		// programming error in Compare itself.
-		panic(fmt.Sprintf("perfdb: Diff: %v", err))
-	}
-	return rep
-}
-
 // Compare runs the cross-run comparison of base against new under the
-// given options. The zero CompareOptions reproduce Diff byte for byte.
+// given options. The zero CompareOptions compare the whole run at the
+// default significance level.
 func Compare(base, neu *RunView, opts CompareOptions) (*DiffReport, error) {
 	if _, err := stats.TCritical(1, opts.Alpha); err != nil {
 		return nil, fmt.Errorf("perfdb: %v", err)

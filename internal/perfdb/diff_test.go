@@ -38,6 +38,16 @@ func view(a *session.Archive, id string) *RunView {
 	return NewRunView(a, RunMeta{ID: id})
 }
 
+// compareDefault is Compare over the whole run at the default thresholds.
+func compareDefault(t *testing.T, base, neu *RunView) *DiffReport {
+	t.Helper()
+	rep, err := Compare(base, neu, CompareOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 func flat(n int, v float64) []float64 {
 	out := make([]float64, n)
 	for i := range out {
@@ -51,7 +61,7 @@ func TestDiffDetectsRegressionAndImprovement(t *testing.T) {
 	worse := view(rateArchive("m", 100, flat(40, 2.0)), "worse")
 	better := view(rateArchive("m", 100, flat(40, 0.5)), "better")
 
-	rep := Diff(base, worse)
+	rep := compareDefault(t, base, worse)
 	if len(rep.Deltas) != 1 {
 		t.Fatalf("deltas: %+v", rep.Deltas)
 	}
@@ -66,10 +76,10 @@ func TestDiffDetectsRegressionAndImprovement(t *testing.T) {
 		t.Errorf("Regressions(): %+v", rep.Regressions())
 	}
 
-	if d := Diff(base, better).Deltas[0]; d.Verdict != VerdictImprovement {
+	if d := compareDefault(t, base, better).Deltas[0]; d.Verdict != VerdictImprovement {
 		t.Errorf("halved rate: verdict %s", d.Verdict)
 	}
-	if d := Diff(base, view(rateArchive("m", 100, flat(40, 1.0)), "same")).Deltas[0]; d.Verdict != VerdictUnchanged {
+	if d := compareDefault(t, base, view(rateArchive("m", 100, flat(40, 1.0)), "same")).Deltas[0]; d.Verdict != VerdictUnchanged {
 		t.Errorf("identical rate: verdict %s", d.Verdict)
 	}
 }
@@ -84,7 +94,7 @@ func TestDiffRebinsFoldedHistograms(t *testing.T) {
 	if got := folded.SeriesFor(Pair{Metric: "m", Focus: testFocus}).Histogram().BinWidth(); got != 200*sim.Millisecond {
 		t.Fatalf("folded histogram width %v, want 200ms", got)
 	}
-	rep := Diff(base, folded)
+	rep := compareDefault(t, base, folded)
 	d := rep.Deltas[0]
 	if d.Verdict != VerdictUnchanged {
 		t.Errorf("equal data at different granularities: %s (%+v)", d.Verdict, d)
@@ -97,7 +107,7 @@ func TestDiffRebinsFoldedHistograms(t *testing.T) {
 func TestDiffDisjointPairs(t *testing.T) {
 	base := view(rateArchive("only_base", 100, flat(40, 1.0)), "a")
 	neu := view(rateArchive("only_new", 100, flat(40, 1.0)), "b")
-	rep := Diff(base, neu)
+	rep := compareDefault(t, base, neu)
 	if len(rep.Deltas) != 0 || len(rep.OnlyBase) != 1 || len(rep.OnlyNew) != 1 {
 		t.Errorf("disjoint runs: deltas=%d onlyBase=%v onlyNew=%v", len(rep.Deltas), rep.OnlyBase, rep.OnlyNew)
 	}
@@ -110,7 +120,7 @@ func TestDiffRenderDeterministic(t *testing.T) {
 	mk := func() string {
 		base := view(rateArchive("m", 100, flat(40, 1.0)), "base")
 		worse := view(rateArchive("m", 100, flat(40, 3.0)), "worse")
-		return Diff(base, worse).Render()
+		return compareDefault(t, base, worse).Render()
 	}
 	if mk() != mk() {
 		t.Error("diff render differs across identical rebuilds")
@@ -120,7 +130,7 @@ func TestDiffRenderDeterministic(t *testing.T) {
 func TestDiffTooFewBinsSkips(t *testing.T) {
 	base := view(rateArchive("m", 100, flat(2, 1.0)), "base")
 	neu := view(rateArchive("m", 100, flat(2, 2.0)), "new")
-	d := Diff(base, neu).Deltas[0]
+	d := compareDefault(t, base, neu).Deltas[0]
 	if d.Verdict != VerdictSkipped || d.Skipped == "" {
 		t.Errorf("2-bin series: %s %q", d.Verdict, d.Skipped)
 	}

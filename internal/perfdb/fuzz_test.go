@@ -26,6 +26,7 @@ func FuzzChunkDecoder(f *testing.F) {
 	}
 	f.Add([]byte("PPDBA1"))
 	f.Add([]byte{})
+	f.Add([]byte("PPARCH\x1f\xff\x81\x03\x01\x01\x06Header")) // retired v1 magic + a gob prefix
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := ReadArchive(bytes.NewReader(data))
 		if err == nil && a == nil {

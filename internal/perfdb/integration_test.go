@@ -1,9 +1,10 @@
 package perfdb_test
 
-// Integration against the real harness: compacted archives must replay
-// byte-identically to uncompacted ones, the streaming recorder must
-// capture the same stream as the in-memory recorder, and a store of two
-// recorded runs must produce a deterministic ranked regression report.
+// Integration against the real harness: re-encoded archives must replay
+// byte-identically to the recording they came from, the streaming recorder
+// must capture exactly the state the live run held in memory, and a store
+// of two recorded runs must produce a deterministic ranked regression
+// report.
 
 import (
 	"bytes"
@@ -45,15 +46,36 @@ func fingerprint(t *testing.T, res *pperfmark.Result) string {
 	return b.String()
 }
 
-// record runs a program live with the in-memory recorder attached.
-func record(t *testing.T, prog string, opt pperfmark.RunOptions) *session.Archive {
+// record runs a program live, streaming the session to disk in chunks of
+// chunkEvents (0 = the default), and returns the live result with the
+// loaded recording.
+func record(t *testing.T, prog string, opt pperfmark.RunOptions, chunkEvents int) (*pperfmark.Result, *session.Archive) {
 	t.Helper()
-	rec := session.NewRecorder()
-	opt.Record = rec
-	if _, err := pperfmark.Run(prog, opt); err != nil {
+	path := filepath.Join(t.TempDir(), "run.ppdb")
+	rec, err := perfdb.NewStreamRecorder(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return rec.Archive()
+	if chunkEvents > 0 {
+		rec.SetChunkEvents(chunkEvents)
+	}
+	opt.Record = rec
+	res, err := pperfmark.Run(prog, opt)
+	if err != nil {
+		rec.Abort()
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if chunkEvents > 0 && rec.PeakBufferedEvents() > chunkEvents {
+		t.Errorf("streaming recorder buffered %d events; chunk size is %d", rec.PeakBufferedEvents(), chunkEvents)
+	}
+	a, err := perfdb.LoadAny(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, a
 }
 
 // compact round-trips an archive through the chunked encoder.
@@ -82,9 +104,10 @@ func replayFingerprint(t *testing.T, a *session.Archive) string {
 	return fingerprint(t, res)
 }
 
-// TestCompactionReplayIdentical is the acceptance bar: a delta-encoded
-// chunked archive replays byte-for-byte identically to the uncompacted
-// original — healthy run and fault run both.
+// TestCompactionReplayIdentical is the acceptance bar: an archive
+// re-encoded through WriteArchive (the store's ingest path) replays
+// byte-for-byte identically to the recording it was loaded from — healthy
+// run and fault run both.
 func TestCompactionReplayIdentical(t *testing.T) {
 	cases := []struct {
 		name string
@@ -102,7 +125,7 @@ func TestCompactionReplayIdentical(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			a := record(t, "small-messages", tc.opt)
+			_, a := record(t, "small-messages", tc.opt, 0)
 			orig := replayFingerprint(t, a)
 			comp := replayFingerprint(t, compact(t, a))
 			if orig != comp {
@@ -128,36 +151,18 @@ func tail(s string, i int) string {
 	return s[lo:hi]
 }
 
-// TestStreamRecorderMatchesInMemory: two identically-seeded live runs,
-// one recorded in memory, one streamed to disk in chunks, must replay to
-// the same fingerprint.
+// TestStreamRecorderMatchesInMemory: a run streamed to disk in small
+// chunks must replay to the fingerprint of the state the live run held in
+// memory, whatever the chunk granularity.
 func TestStreamRecorderMatchesInMemory(t *testing.T) {
-	mem := record(t, "small-messages", pperfmark.RunOptions{Impl: mpi.LAM, Seed: 7})
-
-	path := filepath.Join(t.TempDir(), "run.ppdb")
-	srec, err := perfdb.NewStreamRecorder(path)
-	if err != nil {
-		t.Fatal(err)
+	opt := pperfmark.RunOptions{Impl: mpi.LAM, Seed: 7}
+	live, streamed := record(t, "small-messages", opt, 32) // several chunk flushes over the run
+	_, whole := record(t, "small-messages", opt, 0)
+	if streamed.Header.NumEvents != whole.Header.NumEvents {
+		t.Errorf("32-event chunks hold %d events, default chunks %d", streamed.Header.NumEvents, whole.Header.NumEvents)
 	}
-	srec.SetChunkEvents(32) // several chunk flushes over the run
-	if _, err := pperfmark.Run("small-messages", pperfmark.RunOptions{Impl: mpi.LAM, Seed: 7, Record: srec}); err != nil {
-		t.Fatal(err)
-	}
-	if err := srec.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if srec.PeakBufferedEvents() > 32 {
-		t.Errorf("streaming recorder buffered %d events; chunk size is 32", srec.PeakBufferedEvents())
-	}
-	streamed, err := perfdb.LoadArchive(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if streamed.Header.NumEvents != mem.Header.NumEvents {
-		t.Errorf("streamed %d events, in-memory %d", streamed.Header.NumEvents, mem.Header.NumEvents)
-	}
-	if a, b := replayFingerprint(t, mem), replayFingerprint(t, streamed); a != b {
-		t.Error("streamed recording replays differently from the in-memory recording")
+	if a, b := fingerprint(t, live), replayFingerprint(t, streamed); a != b {
+		t.Error("streamed recording replays differently from the live run's in-memory state")
 	}
 }
 

@@ -292,9 +292,7 @@ type AddMeta struct {
 var createRunFile = os.Create
 
 // AddArchive stores a loaded session archive, re-encoding it in chunked
-// compacted form, and appends its index entry. The source archive may be
-// either format — this is how v1 `-record` files are ingested. The run ID
-// is consumed only once the archive is safely on disk: a failed add
+// compacted form, and appends its index entry. The run ID is consumed only once the archive is safely on disk: a failed add
 // followed by a successful one leaves no hole in the ID sequence.
 func (st *Store) AddArchive(a *session.Archive, am AddMeta) (RunMeta, error) {
 	var m RunMeta
@@ -522,7 +520,7 @@ func (st *Store) Load(id string) (*session.Archive, error) {
 	if err != nil {
 		return nil, err
 	}
-	return LoadArchive(st.RunPath(m.ID))
+	return LoadAny(st.RunPath(m.ID))
 }
 
 // OpenRun loads a stored run and materializes its full DataSource view.
@@ -531,7 +529,7 @@ func (st *Store) OpenRun(id string) (*RunView, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, err := LoadArchive(st.RunPath(m.ID))
+	a, err := LoadAny(st.RunPath(m.ID))
 	if err != nil {
 		return nil, err
 	}

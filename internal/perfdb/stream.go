@@ -12,13 +12,11 @@ import (
 	"pperf/internal/trace"
 )
 
-// StreamRecorder is the bounded-memory counterpart of session.Recorder:
-// instead of buffering the whole event stream in RAM and writing it on
-// Save, it streams events through the chunk writer to disk as the run
-// progresses, holding at most one chunk's worth of events (plus the file
-// buffer) regardless of run length. It implements session.Sink, so it
-// plugs into core.Options.Recorder / pperfmark.RunOptions.Record exactly
-// like the in-memory recorder.
+// StreamRecorder is the session recorder: it streams events through the
+// chunk writer to disk as the run progresses, holding at most one chunk's
+// worth of events (plus the file buffer) regardless of run length. It
+// implements session.Sink, so it plugs into core.Options.Recorder /
+// pperfmark.RunOptions.Record.
 //
 // Write errors are latched and surfaced at Close — the recording hooks
 // sit on the front end's ingest path and must not fail mid-run.

@@ -10,9 +10,8 @@ import (
 	"pperf/internal/sim"
 )
 
-// TestStreamRecorderBoundedMemory is the fix for the v1 recorder's
-// unbounded growth: however long the run, the streaming recorder holds at
-// most one chunk of events in memory.
+// TestStreamRecorderBoundedMemory: however long the run, the streaming
+// recorder holds at most one chunk of events in memory.
 func TestStreamRecorderBoundedMemory(t *testing.T) {
 	const chunk = 64
 	path := filepath.Join(t.TempDir(), "run.ppdb")
@@ -38,7 +37,7 @@ func TestStreamRecorderBoundedMemory(t *testing.T) {
 		t.Errorf("recorded %d of %d events", rec.EventCount(), len(src.Events))
 	}
 
-	got, err := LoadArchive(path)
+	got, err := LoadAny(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +64,7 @@ func TestStreamRecorderAbort(t *testing.T) {
 	rec.RecordBarrier()
 	rec.Abort()
 	for _, p := range []string{path, path + ".tmp"} {
-		if _, err := LoadArchive(p); err == nil {
+		if _, err := LoadAny(p); err == nil {
 			t.Errorf("%s exists after Abort", p)
 		}
 	}
@@ -83,7 +82,7 @@ func TestStreamRecorderEmptyRun(t *testing.T) {
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
-	a, err := LoadArchive(path)
+	a, err := LoadAny(path)
 	if err != nil {
 		t.Fatal(err)
 	}

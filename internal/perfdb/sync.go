@@ -165,11 +165,10 @@ func DefaultSyncConfig() SyncConfig {
 type SyncStats = wire.Stats
 
 // syncClient is one retrying, reconnecting frame channel to a sync server:
-// a wire.Conn plus the sync channel's fault-injection point.
+// a wire.Conn whose injection point the configured fault plan arms.
 type syncClient struct {
 	cfg  SyncConfig
 	conn *wire.Conn
-	inj  *wire.Injection
 }
 
 // dialSync connects and handshakes protocol versions. The sync channel
@@ -187,9 +186,6 @@ func dialSync(addr string, cfg SyncConfig) (*syncClient, error) {
 	if cfg.Faults != nil {
 		seed = cfg.Faults.Seed
 	}
-	c := &syncClient{cfg: cfg, inj: wire.NewInjection(wire.ChanSync)}
-	c.inj.SeedBW(seed ^ wire.SaltSync ^ wire.SaltBW)
-	c.armFaults(cfg.Faults)
 	wcfg := wire.Config{
 		MsgTimeout:  cfg.MsgTimeout,
 		MaxAttempts: cfg.MaxAttempts,
@@ -204,7 +200,11 @@ func dialSync(addr string, cfg SyncConfig) (*syncClient, error) {
 	// An injected fault means the server never saw the frame: poison the
 	// connection so the next attempt redials, as a real fault would.
 	conn.SetPoisonOnFault(true)
-	c.conn = conn
+	inj := conn.Injection()
+	inj.Chan = wire.ChanSync
+	inj.SeedBW(seed ^ wire.SaltSync ^ wire.SaltBW)
+	armSyncFaults(inj, cfg.Faults)
+	c := &syncClient{cfg: cfg, conn: conn}
 	resp, err := c.roundTrip(syncReq{Op: opHello, Proto: SyncProtoVersion})
 	if err != nil {
 		c.close()
@@ -217,8 +217,9 @@ func dialSync(addr string, cfg SyncConfig) (*syncClient, error) {
 	return c, nil
 }
 
-// armFaults translates a fault plan into the wire injection point's state.
-func (c *syncClient) armFaults(p *faults.Plan) {
+// armSyncFaults translates a fault plan into the sync channel's injection
+// state.
+func armSyncFaults(inj *wire.Injection, p *faults.Plan) {
 	if p == nil {
 		return
 	}
@@ -226,10 +227,10 @@ func (c *syncClient) armFaults(p *faults.Plan) {
 		switch f.Kind {
 		case faults.DropTransport:
 			if f.Chan == faults.ChanSync {
-				c.inj.AddDrops(f.N)
+				inj.AddDrops(f.N)
 			}
 		case faults.DegradeLink:
-			c.inj.Degrade(time.Duration(f.Lat*float64(time.Millisecond)), f.BW)
+			inj.Degrade(time.Duration(f.Lat*float64(time.Millisecond)), f.BW)
 		}
 	}
 }
@@ -239,30 +240,22 @@ func (c *syncClient) close() { c.conn.Close() }
 // stats snapshots the client's wire counters.
 func (c *syncClient) stats() SyncStats { return c.conn.Stats() }
 
-// faultCheck consults the test hook, then the shared injection point,
-// before one attempt.
-func (c *syncClient) faultCheck(op string, seq uint64, attempt int) error {
-	if c.cfg.FaultHook != nil {
-		if err := c.cfg.FaultHook(op, seq, attempt); err != nil {
-			return err
-		}
-	}
-	return c.inj.Check()
-}
-
 // roundTrip sends one frame and waits for its response through the wire
 // plane's retrying Exchange. A response that arrives with OK=false is a
 // protocol-level refusal, not a transport fault, and is returned as a
 // terminal error.
 func (c *syncClient) roundTrip(req syncReq) (*syncResp, error) {
 	var resp syncResp
-	err := c.conn.Exchange(wire.Request{
+	r := wire.Request{
 		Req:   &req,
 		Stamp: func(seq uint64) { req.Seq = seq },
 		Resp:  &resp,
-		Fault: func(attempt int) error { return c.faultCheck(opName(req.Op), req.Seq, attempt) },
 		Label: "perfdb sync: " + opName(req.Op),
-	})
+	}
+	if hook := c.cfg.FaultHook; hook != nil {
+		r.Fault = func(attempt int) error { return hook(opName(req.Op), req.Seq, attempt) }
+	}
+	err := c.conn.Exchange(r)
 	if err != nil {
 		return nil, err
 	}
@@ -485,7 +478,7 @@ func pullOne(st *Store, c *syncClient, m RunMeta) (PullResult, error) {
 		os.Remove(staging)
 		return res, fmt.Errorf("perfdb sync: pulled run %s fails content verification (want %.12s, got %.12s)", m.ID, m.Hash, gotHash)
 	}
-	if _, err := LoadArchive(staging); err != nil {
+	if _, err := LoadAny(staging); err != nil {
 		os.Remove(staging)
 		return res, fmt.Errorf("perfdb sync: pulled run %s is not a valid archive: %w", m.ID, err)
 	}
@@ -722,7 +715,7 @@ func (s *SyncServer) pushEnd(req *syncReq) *syncResp {
 	if gotHash != req.Hash {
 		return syncErr("push-end: upload fails content verification (want %.12s, got %.12s)", req.Hash, gotHash)
 	}
-	if _, err := LoadArchive(path); err != nil {
+	if _, err := LoadAny(path); err != nil {
 		os.Remove(path)
 		return syncErr("push-end: upload is not a valid archive: %v", err)
 	}

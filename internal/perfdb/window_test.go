@@ -44,9 +44,9 @@ func goldenPair() (*RunView, *RunView) {
 }
 
 // TestCompareDefaultMatchesGolden pins the api_redesign compatibility
-// bar: Compare with zero options (and the deprecated Diff wrapper) must
-// render byte-identically to the report the pre-Compare code produced,
-// captured in testdata/diff_default.golden.
+// bar: Compare with zero options must render byte-identically to the
+// report the pre-Compare code produced, captured in
+// testdata/diff_default.golden.
 func TestCompareDefaultMatchesGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/diff_default.golden")
 	if err != nil {
@@ -59,9 +59,6 @@ func TestCompareDefaultMatchesGolden(t *testing.T) {
 	}
 	if got := rep.Render(); got != string(want) {
 		t.Errorf("Compare(default) diverges from the pre-redesign golden:\ngot:\n%s\nwant:\n%s", got, want)
-	}
-	if got := Diff(base, neu).Render(); got != string(want) {
-		t.Errorf("Diff wrapper diverges from the pre-redesign golden:\n%s", got)
 	}
 }
 

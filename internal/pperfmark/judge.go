@@ -44,9 +44,9 @@ type RunOptions struct {
 	Trace *trace.Config
 	// Record, when non-nil, captures the run's analysis-plane event stream
 	// into a session archive replayable with Replay (nil = no recording,
-	// runs are byte-identical to a build without session support). Either
-	// the in-memory session.Recorder or perfdb's streaming recorder works;
-	// Run finalizes the recorder's header, the caller saves/closes it.
+	// runs are byte-identical to a build without session support). Run
+	// finalizes the recorder's header; the caller closes it
+	// (perfdb.StreamRecorder.Close).
 	// Assign only non-nil concrete recorders (a typed-nil pointer in the
 	// interface would defeat the nil checks).
 	Record session.Sink

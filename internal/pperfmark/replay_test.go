@@ -7,12 +7,14 @@ package pperfmark
 import (
 	"bytes"
 	"fmt"
+	"path/filepath"
 	"sort"
 	"testing"
 
 	"pperf/internal/datasource"
 	"pperf/internal/faults"
 	"pperf/internal/mpi"
+	"pperf/internal/perfdb"
 	"pperf/internal/session"
 	"pperf/internal/trace"
 )
@@ -76,24 +78,36 @@ func snapshot(t *testing.T, res *Result) string {
 	return b.String()
 }
 
+// recordRun runs the program live with a streaming recorder attached and
+// returns the live result with the archive loaded back from disk.
+func recordRun(t *testing.T, name string, opt RunOptions) (*Result, *session.Archive) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "s.ppdb")
+	rec, err := perfdb.NewStreamRecorder(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Record = rec
+	live, err := Run(name, opt)
+	if err != nil {
+		rec.Abort()
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	a, err := perfdb.LoadAny(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return live, a
+}
+
 // recordAndReplay runs the program live with a recorder attached, replays
 // the archive through a save/load cycle, and returns both results.
 func recordAndReplay(t *testing.T, name string, opt RunOptions) (*Result, *Result) {
 	t.Helper()
-	rec := session.NewRecorder()
-	opt.Record = rec
-	live, err := Run(name, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/s.pparch"
-	if err := rec.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	a, err := session.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	live, a := recordRun(t, name, opt)
 	replayed, err := Replay(a)
 	if err != nil {
 		t.Fatal(err)
@@ -200,8 +214,14 @@ func BenchmarkRunRecorderCold(b *testing.B) {
 func BenchmarkRunRecording(b *testing.B) {
 	var events int
 	for i := 0; i < b.N; i++ {
-		rec := session.NewRecorder()
+		rec, err := perfdb.NewStreamRecorder(filepath.Join(b.TempDir(), "s.ppdb"))
+		if err != nil {
+			b.Fatal(err)
+		}
 		if _, err := Run("small-messages", RunOptions{Impl: mpi.LAM, Seed: 7, Record: rec}); err != nil {
+			b.Fatal(err)
+		}
+		if err := rec.Close(); err != nil {
 			b.Fatal(err)
 		}
 		events += rec.EventCount()

@@ -9,15 +9,10 @@ import (
 
 	"pperf/internal/consultant"
 	"pperf/internal/mpi"
-	"pperf/internal/session"
 )
 
 func TestWhatIfThresholdFlipsVerdict(t *testing.T) {
-	rec := session.NewRecorder()
-	if _, err := Run("small-messages", RunOptions{Impl: mpi.LAM, Seed: 7, Record: rec}); err != nil {
-		t.Fatal(err)
-	}
-	a := rec.Archive()
+	_, a := recordRun(t, "small-messages", RunOptions{Impl: mpi.LAM, Seed: 7})
 
 	base, err := Replay(a)
 	if err != nil {

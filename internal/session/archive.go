@@ -1,34 +1,22 @@
-// Package session records and replays the analysis plane's event stream.
+// Package session defines the analysis plane's recordable event stream
+// and replays it.
 //
-// A live run attaches a Recorder to the front end (it implements
-// datasource.Recorder); every report the front end ingests — sample
-// batches, resource updates, metric enables, liveness verdicts, trace
-// shards, undelivered-span accounting — plus the Consultant's read
-// barriers is captured in order into a versioned on-disk archive. A
-// ReplaySource (replay.go) then re-presents the archive through the same
-// DataSource interface the live front end implements, so the Performance
-// Consultant can be re-run offline and reproduce the live findings
-// byte for byte.
+// A live run attaches a Sink to the front end (core.Options.Recorder);
+// every report the front end ingests — sample batches, resource updates,
+// metric enables, liveness verdicts, trace shards, undelivered-span
+// accounting — plus the Consultant's read barriers is captured in order as
+// Events under one Header. A ReplaySource (replay.go) then re-presents a
+// loaded Archive through the same DataSource interface the live front end
+// implements, so the Performance Consultant can be re-run offline and
+// reproduce the live findings byte for byte.
 //
-// Archive format (see REPLAY.md):
-//
-//	6 bytes  magic "PPARCH"
-//	gob      Header{Version, NumEvents, NumBins, BinWidth, Meta, Extra}
-//	gob      Event × NumEvents
-//
-// The header carries the event count so truncation — even truncation that
-// happens to land exactly on an event boundary — is detected at load time
-// instead of silently shortening the session.
+// The package owns the schema only. The one on-disk form (the chunked
+// PPDBA1 format), its streaming recorder and its loader live in
+// internal/perfdb; see PERFDB.md.
 package session
 
 import (
-	"bytes"
-	"encoding/gob"
-	"errors"
 	"fmt"
-	"io"
-	"os"
-	"sync"
 
 	"pperf/internal/datasource"
 	"pperf/internal/resource"
@@ -36,11 +24,8 @@ import (
 	"pperf/internal/trace"
 )
 
-// magic identifies a pperf session archive.
-var magic = []byte("PPARCH")
-
-// Version is the archive format version this build reads and writes.
-// Bump it on any incompatible change to Header or Event; Load refuses
+// Version is the event-schema version this build reads and writes. Bump it
+// on any incompatible change to Header or Event; the archive loader refuses
 // archives whose version differs, with an error naming both versions.
 const Version = 1
 
@@ -48,8 +33,7 @@ const Version = 1
 type Header struct {
 	// Version is the format version the archive was written with.
 	Version int
-	// NumEvents is the number of Event records following the header; a
-	// stream with fewer is truncated, one with more is corrupt.
+	// NumEvents is the number of Event records the archive holds.
 	NumEvents int
 	// NumBins and BinWidth mirror the front end's histogram configuration
 	// so a replayed View folds samples into identical bins.
@@ -113,7 +97,7 @@ func (k EventKind) String() string {
 }
 
 // Event is one record of the analysis-plane stream. Only the fields for
-// its Kind are meaningful; the flat union keeps the gob stream to a
+// its Kind are meaningful; the flat union keeps the encoded stream to a
 // single concrete type.
 type Event struct {
 	Kind EventKind
@@ -140,9 +124,8 @@ type Event struct {
 type Archive struct {
 	Header Header
 	Events []Event
-	// Truncated marks an archive whose stream ended before the header's
-	// declared event count (front end killed mid-run): Events holds only
-	// the complete prefix. Replay proceeds up to the last complete read
+	// Truncated marks an archive whose stream ended before its trailer
+	// (front end killed mid-run): Events holds only the complete prefix. Replay proceeds up to the last complete read
 	// barrier; see TruncationNote.
 	Truncated bool
 }
@@ -157,11 +140,9 @@ func (a *Archive) TruncationNote() string {
 }
 
 // Sink is the full recording surface a session harness drives: the
-// datasource event hooks plus header finalization and accounting. Two
-// implementations exist — the in-memory Recorder below (buffer
-// everything, write on Save) and perfdb's streaming recorder (bounded
-// memory, chunks flushed to disk as the run progresses). core.Options
-// and pperfmark.RunOptions accept either.
+// datasource event hooks plus header finalization and accounting.
+// perfdb.StreamRecorder implements it; core.Options.Recorder and
+// pperfmark.RunOptions.Record accept one.
 type Sink interface {
 	datasource.Recorder
 	// SetHistogram records the front end's histogram configuration so
@@ -173,204 +154,4 @@ type Sink interface {
 	SetExtra(b []byte)
 	// EventCount returns the number of events captured so far.
 	EventCount() int
-}
-
-// Recorder buffers the event stream in memory and writes the archive on
-// Save. It implements datasource.Recorder; attach it with
-// FrontEnd.SetRecorder (core.Options.Recorder does this) before Launch so
-// the stream is complete.
-type Recorder struct {
-	mu     sync.Mutex
-	header Header
-	events []Event
-}
-
-var _ Sink = (*Recorder)(nil)
-
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{header: Header{Version: Version, Meta: map[string]string{}}}
-}
-
-// SetHistogram records the front end's histogram configuration so replay
-// folds into identical bins.
-func (r *Recorder) SetHistogram(numBins int, binWidth sim.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.header.NumBins, r.header.BinWidth = numBins, binWidth
-}
-
-// SetMeta stores one descriptive key/value pair in the header.
-func (r *Recorder) SetMeta(k, v string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.header.Meta[k] = v
-}
-
-// SetExtra stores the harness's opaque payload in the header.
-func (r *Recorder) SetExtra(b []byte) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.header.Extra = b
-}
-
-// EventCount returns the number of events captured so far.
-func (r *Recorder) EventCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.events)
-}
-
-func (r *Recorder) append(ev Event) {
-	r.mu.Lock()
-	r.events = append(r.events, ev)
-	r.mu.Unlock()
-}
-
-// RecordSamples captures a sample batch. The batch is copied: the caller
-// keeps ownership of its slice.
-func (r *Recorder) RecordSamples(batch []datasource.Sample) {
-	cp := make([]datasource.Sample, len(batch))
-	copy(cp, batch)
-	r.append(Event{Kind: EvSamples, Samples: cp})
-}
-
-// RecordUpdate captures one resource-update report.
-func (r *Recorder) RecordUpdate(u datasource.Update) {
-	r.append(Event{Kind: EvUpdate, Update: u})
-}
-
-// RecordEnable captures a metric-enable outcome.
-func (r *Recorder) RecordEnable(metricName string, focus resource.Focus, errMsg string) {
-	r.append(Event{Kind: EvEnable, Metric: metricName, Focus: focus, Err: errMsg})
-}
-
-// RecordStale captures a liveness verdict.
-func (r *Recorder) RecordStale(daemonName string, t sim.Time) {
-	r.append(Event{Kind: EvStale, Daemon: daemonName, Time: t})
-}
-
-// RecordGap captures one unmeasured outage window.
-func (r *Recorder) RecordGap(g datasource.Gap) {
-	r.append(Event{Kind: EvGap, Gap: g})
-}
-
-// RecordShard captures one trace shard.
-func (r *Recorder) RecordShard(sh trace.Shard) {
-	r.append(Event{Kind: EvShard, Shard: sh})
-}
-
-// RecordUndelivered captures undelivered-span accounting.
-func (r *Recorder) RecordUndelivered(proc string, n int64) {
-	r.append(Event{Kind: EvUndelivered, Proc: proc, N: n})
-}
-
-// RecordBarrier stamps a consumer read barrier into the stream.
-func (r *Recorder) RecordBarrier() {
-	r.append(Event{Kind: EvBarrier})
-}
-
-// Archive snapshots the recording as an in-memory archive (the events
-// slice is shared, not copied: do not keep recording into r afterwards).
-func (r *Recorder) Archive() *Archive {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.header
-	h.NumEvents = len(r.events)
-	return &Archive{Header: h, Events: r.events}
-}
-
-// Encode serializes the archive to w.
-func (r *Recorder) Encode(w io.Writer) error {
-	a := r.Archive()
-	if _, err := w.Write(magic); err != nil {
-		return err
-	}
-	enc := gob.NewEncoder(w)
-	if err := enc.Encode(&a.Header); err != nil {
-		return fmt.Errorf("session: encode header: %w", err)
-	}
-	for i := range a.Events {
-		if err := enc.Encode(&a.Events[i]); err != nil {
-			return fmt.Errorf("session: encode event %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// Save writes the archive to path (atomically, via a temp file rename).
-func (r *Recorder) Save(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := r.Encode(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// Read parses a session archive from rd. It validates the magic, the
-// format version, and the event count, returning descriptive errors (not
-// panics) for truncated, corrupt, or incompatible input.
-func Read(rd io.Reader) (*Archive, error) {
-	got := make([]byte, len(magic))
-	if _, err := io.ReadFull(rd, got); err != nil {
-		return nil, fmt.Errorf("session: not a pperf session archive (short file: %v)", err)
-	}
-	if !bytes.Equal(got, magic) {
-		return nil, errors.New("session: not a pperf session archive (bad magic)")
-	}
-	dec := gob.NewDecoder(rd)
-	var h Header
-	if err := dec.Decode(&h); err != nil {
-		return nil, fmt.Errorf("session: corrupt archive header: %v", err)
-	}
-	if h.Version != Version {
-		return nil, fmt.Errorf("session: archive format version %d; this build reads version %d", h.Version, Version)
-	}
-	if h.NumEvents < 0 {
-		return nil, fmt.Errorf("session: corrupt archive header: negative event count %d", h.NumEvents)
-	}
-	a := &Archive{Header: h, Events: make([]Event, 0, h.NumEvents)}
-	for i := 0; i < h.NumEvents; i++ {
-		var ev Event
-		if err := dec.Decode(&ev); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				// The front end died mid-run: the complete prefix is
-				// still a faithful (if shorter) session. Surface it with
-				// the truncation mark instead of refusing the file.
-				a.Truncated = true
-				return a, nil
-			}
-			return nil, fmt.Errorf("session: corrupt archive at event %d of %d: %v", i, h.NumEvents, err)
-		}
-		a.Events = append(a.Events, ev)
-	}
-	// Anything after the declared events means the count lies (or two
-	// archives were concatenated); refuse rather than guess.
-	var extra Event
-	if err := dec.Decode(&extra); err == nil {
-		return nil, fmt.Errorf("session: corrupt archive: data beyond the declared %d events", h.NumEvents)
-	} else if err != io.EOF {
-		return nil, fmt.Errorf("session: corrupt archive trailer: %v", err)
-	}
-	return a, nil
-}
-
-// Load reads a session archive from path.
-func Load(path string) (*Archive, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Read(f)
 }

@@ -1,22 +1,48 @@
-package session
+package session_test
+
+// The session archive's on-disk contract — round trip, truncation handling,
+// and hostile input — exercised through the one codec that implements it:
+// perfdb's streaming recorder and PPDBA1 loader. (An external test package,
+// because perfdb imports session.)
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"pperf/internal/datasource"
+	"pperf/internal/perfdb"
 	"pperf/internal/resource"
+	"pperf/internal/session"
 	"pperf/internal/sim"
 	"pperf/internal/trace"
 )
 
-// testRecorder returns a recorder holding one event of every kind.
-func testRecorder() *Recorder {
-	r := NewRecorder()
+// allKinds is the order recordAll emits one event of every kind in.
+var allKinds = []session.EventKind{
+	session.EvEnable, session.EvUpdate, session.EvSamples, session.EvShard,
+	session.EvBarrier, session.EvStale, session.EvUndelivered,
+}
+
+// recordAll streams one event of every kind to a fresh archive, flushing a
+// chunk every chunkEvents events (0 = the default, one chunk), and returns
+// the file's bytes.
+func recordAll(t *testing.T, chunkEvents int) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "s.ppdb")
+	r, err := perfdb.NewStreamRecorder(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chunkEvents > 0 {
+		r.SetChunkEvents(chunkEvents)
+	}
 	r.SetHistogram(100, 50*sim.Millisecond)
 	r.SetMeta("program", "small-messages")
 	r.SetExtra([]byte{1, 2, 3})
@@ -28,30 +54,58 @@ func testRecorder() *Recorder {
 	r.RecordBarrier()
 	r.RecordStale("paradynd@node1", sim.Time(3*sim.Second))
 	r.RecordUndelivered("p1", 7)
-	return r
-}
-
-func TestArchiveRoundTrip(t *testing.T) {
-	r := testRecorder()
-	path := filepath.Join(t.TempDir(), "s.pparch")
-	if err := r.Save(path); err != nil {
+	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	a, err := Load(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Header.Version != Version || a.Header.NumBins != 100 || a.Header.BinWidth != 50*sim.Millisecond {
+	return data
+}
+
+const magicLen = 6 // "PPDBA1"
+
+// frame builds one PPDBA1 chunk: [kind][len][CRC32-IEEE][payload].
+func frame(kind byte, payload []byte) []byte {
+	out := make([]byte, 9, 9+len(payload))
+	out[0] = kind
+	binary.BigEndian.PutUint32(out[1:5], uint32(len(payload)))
+	binary.BigEndian.PutUint32(out[5:9], crc32.ChecksumIEEE(payload))
+	return append(out, payload...)
+}
+
+// chunkEnds returns the offset just past each chunk of a complete archive.
+func chunkEnds(t *testing.T, full []byte) []int {
+	t.Helper()
+	var ends []int
+	for off := magicLen; off < len(full); {
+		if off+9 > len(full) {
+			t.Fatalf("archive ends inside a chunk frame at %d", off)
+		}
+		off += 9 + int(binary.BigEndian.Uint32(full[off+1:off+5]))
+		ends = append(ends, off)
+	}
+	return ends
+}
+
+func cat(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+
+func TestArchiveRoundTrip(t *testing.T) {
+	a, err := perfdb.ReadArchive(bytes.NewReader(recordAll(t, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Header.Version != session.Version || a.Header.NumBins != 100 || a.Header.BinWidth != 50*sim.Millisecond {
 		t.Errorf("header = %+v", a.Header)
 	}
 	if a.Header.Meta["program"] != "small-messages" || !bytes.Equal(a.Header.Extra, []byte{1, 2, 3}) {
 		t.Errorf("meta/extra = %+v", a.Header)
 	}
-	want := []EventKind{EvEnable, EvUpdate, EvSamples, EvShard, EvBarrier, EvStale, EvUndelivered}
-	if len(a.Events) != len(want) {
-		t.Fatalf("events = %d, want %d", len(a.Events), len(want))
+	if len(a.Events) != len(allKinds) || a.Header.NumEvents != len(allKinds) {
+		t.Fatalf("events = %d (header says %d), want %d", len(a.Events), a.Header.NumEvents, len(allKinds))
 	}
-	for i, k := range want {
+	for i, k := range allKinds {
 		if a.Events[i].Kind != k {
 			t.Errorf("event %d kind = %v, want %v", i, a.Events[i].Kind, k)
 		}
@@ -59,38 +113,41 @@ func TestArchiveRoundTrip(t *testing.T) {
 	if a.Events[2].Samples[0].Delta != 5 {
 		t.Errorf("sample round-trip: %+v", a.Events[2].Samples[0])
 	}
+	if a.Events[3].Shard.Daemon != "paradynd@node0" || a.Events[5].Time != sim.Time(3*sim.Second) || a.Events[6].N != 7 {
+		t.Errorf("shard/stale/undelivered round-trip: %+v %+v %+v", a.Events[3], a.Events[5], a.Events[6])
+	}
 }
 
 func TestRecordSamplesCopiesBatch(t *testing.T) {
-	r := NewRecorder()
+	path := filepath.Join(t.TempDir(), "s.ppdb")
+	r, err := perfdb.NewStreamRecorder(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	batch := []datasource.Sample{{Metric: "m", Proc: "p0", Delta: 1}}
 	r.RecordSamples(batch)
-	batch[0].Delta = 99 // caller reuses its buffer
-	if got := r.Archive().Events[0].Samples[0].Delta; got != 1 {
+	batch[0].Delta = 99 // caller reuses its buffer before the chunk flushes
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	a, err := perfdb.LoadAny(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Events[0].Samples[0].Delta; got != 1 {
 		t.Errorf("recorded delta = %v; recorder aliased the caller's batch", got)
 	}
 }
 
-// encodeArchive serializes the test recorder's archive to bytes.
-func encodeArchive(t *testing.T) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := testRecorder().Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 func TestArchiveRobustness(t *testing.T) {
-	full := encodeArchive(t)
+	full := recordAll(t, 0)
+	magic := full[:magicLen]
+	ends := chunkEnds(t, full)
+	header, rest := full[magicLen:ends[0]], full[ends[0]:]
 
-	versioned := func(v int) []byte {
-		var buf bytes.Buffer
-		buf.Write(magic)
-		if err := gob.NewEncoder(&buf).Encode(&Header{Version: v}); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+	var future bytes.Buffer
+	if err := gob.NewEncoder(&future).Encode(struct{ Version int }{session.Version + 41}); err != nil {
+		t.Fatal(err)
 	}
 
 	cases := []struct {
@@ -100,83 +157,85 @@ func TestArchiveRobustness(t *testing.T) {
 	}{
 		{"empty file", nil, "not a pperf session archive"},
 		{"short magic", full[:3], "not a pperf session archive"},
-		{"bad magic", append([]byte("NOTPPA"), full[6:]...), "bad magic"},
-		{"header cut mid-gob", full[:len(magic)+4], "corrupt archive header"},
-		{"garbage header", append(append([]byte{}, magic...), 0xde, 0xad, 0xbe, 0xef), "corrupt archive header"},
-		{"future version", versioned(Version + 41), "version 42"},
-		{"trailing garbage", append(append([]byte{}, full...), 1, 2, 3), "corrupt archive trailer"},
+		{"bad magic", cat([]byte("NOTPPA"), full[magicLen:]), "bad magic"},
+		{"retired v1 magic", cat([]byte("PPARCH"), full[magicLen:]), "v1 PPARCH archive format retired"},
+		{"header cut mid-gob", full[:magicLen+9+4], "truncated before its header chunk"},
+		{"garbage header", cat(magic, frame('H', []byte{0xde, 0xad, 0xbe, 0xef})), "corrupt archive header"},
+		{"future version", cat(magic, frame('H', future.Bytes())), "version 42"},
+		{"duplicate header", cat(magic, header, header, rest), "duplicate header chunk"},
+		{"events before header", cat(magic, rest), "events before the header chunk"},
+		{"trailing garbage", cat(full, []byte{1, 2, 3}), "data beyond the trailer"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// A decode must fail descriptively, never panic.
-			a, err := Read(bytes.NewReader(tc.data))
-			if err == nil {
-				t.Fatalf("Read accepted %s (header %+v, %d events)", tc.name, a.Header, len(a.Events))
+			path := filepath.Join(t.TempDir(), "bad.ppdb")
+			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+				t.Fatal(err)
 			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Errorf("err = %q, want substring %q", err, tc.wantErr)
+			// Both entry points must fail descriptively, never panic.
+			_, readErr := perfdb.ReadArchive(bytes.NewReader(tc.data))
+			_, loadErr := perfdb.LoadAny(path)
+			for _, err := range []error{readErr, loadErr} {
+				if err == nil {
+					t.Fatalf("accepted %s", tc.name)
+				}
+				if !strings.Contains(err.Error(), tc.wantErr) {
+					t.Errorf("err = %q, want substring %q", err, tc.wantErr)
+				}
+				if retired := errors.Is(err, perfdb.ErrRetiredFormat); retired != (tc.name == "retired v1 magic") {
+					t.Errorf("errors.Is(err, ErrRetiredFormat) = %v for %s", retired, tc.name)
+				}
 			}
 		})
 	}
 }
 
 // TestTruncatedMidEvent verifies that a stream cut in the middle of an
-// event record still loads: the complete prefix is kept and the archive is
-// flagged Truncated (the front end died mid-run; the prefix is a faithful,
-// if shorter, session).
+// event chunk still loads: the complete chunks before it are kept and the
+// archive is flagged Truncated (the front end died mid-run; the prefix is a
+// faithful, if shorter, session).
 func TestTruncatedMidEvent(t *testing.T) {
-	full := encodeArchive(t)
-	a, err := Read(bytes.NewReader(full[:len(full)-15]))
+	full := recordAll(t, 2) // header, four event chunks, trailer
+	ends := chunkEnds(t, full)
+	a, err := perfdb.ReadArchive(bytes.NewReader(full[:ends[2]+5])) // inside the third event chunk
 	if err != nil {
 		t.Fatalf("mid-event truncation refused: %v", err)
 	}
 	if !a.Truncated {
 		t.Error("archive not flagged Truncated")
 	}
-	if len(a.Events) >= a.Header.NumEvents {
-		t.Errorf("events = %d, want fewer than declared %d", len(a.Events), a.Header.NumEvents)
+	if len(a.Events) != 4 {
+		t.Fatalf("events = %d, want the 4 in the two complete chunks", len(a.Events))
 	}
-	want := "[replay truncated after"
-	if note := a.TruncationNote(); !strings.Contains(note, want) {
-		t.Errorf("TruncationNote() = %q, want substring %q", note, want)
+	for i, ev := range a.Events {
+		if ev.Kind != allKinds[i] {
+			t.Errorf("event %d kind = %v, want %v", i, ev.Kind, allKinds[i])
+		}
+	}
+	want := "[replay truncated after 4 events]"
+	if note := a.TruncationNote(); note != want {
+		t.Errorf("TruncationNote() = %q, want %q", note, want)
 	}
 }
 
-// TestTruncationAtEventBoundary covers the case a bare gob stream cannot
-// detect: the file ends cleanly but early. The header's event count catches
-// it, and the archive loads as a flagged-truncated prefix.
+// TestTruncationAtEventBoundary covers the cut no framing error reveals:
+// the file ends cleanly between two chunks. The missing trailer catches it,
+// and the archive loads as a flagged-truncated prefix.
 func TestTruncationAtEventBoundary(t *testing.T) {
-	full := encodeArchive(t)
-	// Build a prefix that decodes some-but-not-all events with a clean EOF
-	// by re-encoding a shorter event stream under the full header.
-	r := testRecorder()
-	a := r.Archive()
-	var buf bytes.Buffer
-	buf.Write(magic)
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(&a.Header); err != nil { // claims len(a.Events) events
-		t.Fatal(err)
-	}
-	for i := 0; i < len(a.Events)-2; i++ {
-		if err := enc.Encode(&a.Events[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := Read(bytes.NewReader(buf.Bytes()))
+	full := recordAll(t, 2)
+	ends := chunkEnds(t, full)
+	got, err := perfdb.ReadArchive(bytes.NewReader(full[:ends[3]])) // header + three event chunks
 	if err != nil {
 		t.Fatalf("boundary truncation refused: %v", err)
 	}
 	if !got.Truncated {
 		t.Error("archive not flagged Truncated")
 	}
-	if len(got.Events) != len(a.Events)-2 {
-		t.Errorf("events = %d, want %d", len(got.Events), len(a.Events)-2)
-	}
-	if len(buf.Bytes()) >= len(full) {
-		t.Fatal("test bug: boundary-truncated stream is not shorter than the full one")
+	if len(got.Events) != 6 {
+		t.Errorf("events = %d, want 6", len(got.Events))
 	}
 	// A complete archive must NOT be flagged.
-	whole, err := Read(bytes.NewReader(full))
+	whole, err := perfdb.ReadArchive(bytes.NewReader(full))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +245,7 @@ func TestTruncationAtEventBoundary(t *testing.T) {
 }
 
 func TestLoadMissingFile(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "absent.pparch")); !os.IsNotExist(err) {
+	if _, err := perfdb.LoadAny(filepath.Join(t.TempDir(), "absent.ppdb")); !os.IsNotExist(err) {
 		t.Errorf("err = %v, want not-exist", err)
 	}
 }

@@ -6,20 +6,36 @@ import (
 
 	"pperf/internal/datasource"
 	"pperf/internal/resource"
+	"pperf/internal/sim"
 	"pperf/internal/trace"
 )
 
+// archiveOf builds a complete in-memory archive holding evs.
+func archiveOf(evs ...Event) *Archive {
+	return &Archive{Header: Header{Version: Version, NumEvents: len(evs)}, Events: evs}
+}
+
+func enableEv(metric string, f resource.Focus, errMsg string) Event {
+	return Event{Kind: EvEnable, Metric: metric, Focus: f, Err: errMsg}
+}
+
+// sampleEv is a one-sample batch of metric "m" from p0.
+func sampleEv(f resource.Focus, at sim.Time, delta float64) Event {
+	return Event{Kind: EvSamples, Samples: []datasource.Sample{{Metric: "m", Focus: f, Proc: "p0", Time: at, Delta: delta}}}
+}
+
+var barrierEv = Event{Kind: EvBarrier}
+
 func TestReplaySyncAppliesUpToBarrier(t *testing.T) {
 	f := resource.WholeProgram()
-	r := NewRecorder()
-	r.RecordEnable("m", f, "")
-	r.RecordSamples([]datasource.Sample{{Metric: "m", Focus: f, Proc: "p0", Time: 1, Delta: 3}})
-	r.RecordBarrier()
-	r.RecordSamples([]datasource.Sample{{Metric: "m", Focus: f, Proc: "p0", Time: 2, Delta: 4}})
-	r.RecordBarrier()
-	r.RecordSamples([]datasource.Sample{{Metric: "m", Focus: f, Proc: "p0", Time: 3, Delta: 5}})
+	a := archiveOf(
+		enableEv("m", f, ""),
+		sampleEv(f, 1, 3), barrierEv,
+		sampleEv(f, 2, 4), barrierEv,
+		sampleEv(f, 3, 5),
+	)
 
-	rs := NewReplaySource(r.Archive())
+	rs := NewReplaySource(a)
 	sr, err := rs.EnableMetric("m", f)
 	if err != nil {
 		t.Fatal(err)
@@ -49,16 +65,13 @@ func TestReplaySyncAppliesUpToBarrier(t *testing.T) {
 // through Drain.
 func TestReplayTruncatedArchiveStopsAtLastBarrier(t *testing.T) {
 	f := resource.WholeProgram()
-	r := NewRecorder()
-	r.RecordEnable("m", f, "")
-	r.RecordSamples([]datasource.Sample{{Metric: "m", Focus: f, Proc: "p0", Time: 1, Delta: 3}})
-	r.RecordBarrier()
-	r.RecordSamples([]datasource.Sample{{Metric: "m", Focus: f, Proc: "p0", Time: 2, Delta: 4}})
-	r.RecordBarrier()
-	r.RecordSamples([]datasource.Sample{{Metric: "m", Focus: f, Proc: "p0", Time: 3, Delta: 5}})
-
-	a := r.Archive()
-	a.Truncated = true // as Read flags a cut stream
+	a := archiveOf(
+		enableEv("m", f, ""),
+		sampleEv(f, 1, 3), barrierEv,
+		sampleEv(f, 2, 4), barrierEv,
+		sampleEv(f, 3, 5),
+	)
+	a.Truncated = true // as the loader flags a cut stream
 	rs := NewReplaySource(a)
 	sr, err := rs.EnableMetric("m", f)
 	if err != nil {
@@ -80,11 +93,7 @@ func TestReplayTruncatedArchiveStopsAtLastBarrier(t *testing.T) {
 // fails on absent data rather than on a refused enable.
 func TestReplayTruncatedArchiveNoBarrier(t *testing.T) {
 	f := resource.WholeProgram()
-	r := NewRecorder()
-	r.RecordEnable("m", f, "")
-	r.RecordSamples([]datasource.Sample{{Metric: "m", Focus: f, Proc: "p0", Time: 1, Delta: 3}})
-
-	a := r.Archive()
+	a := archiveOf(enableEv("m", f, ""), sampleEv(f, 1, 3))
 	a.Truncated = true
 	rs := NewReplaySource(a)
 	sr, err := rs.EnableMetric("m", f)
@@ -100,10 +109,10 @@ func TestReplayTruncatedArchiveNoBarrier(t *testing.T) {
 
 func TestReplayEnableSemantics(t *testing.T) {
 	f := resource.WholeProgram()
-	r := NewRecorder()
-	r.RecordEnable("good", f, "")
-	r.RecordEnable("refused", f, "daemon node1: unknown metric")
-	rs := NewReplaySource(r.Archive())
+	rs := NewReplaySource(archiveOf(
+		enableEv("good", f, ""),
+		enableEv("refused", f, "daemon node1: unknown metric"),
+	))
 
 	if _, err := rs.EnableMetric("good", f); err != nil {
 		t.Errorf("recorded success replayed as error: %v", err)
@@ -128,15 +137,15 @@ func TestReplayEnableSemantics(t *testing.T) {
 }
 
 func TestReplayTimelinePresence(t *testing.T) {
-	r := NewRecorder()
-	r.RecordBarrier()
-	rs := NewReplaySource(r.Archive())
+	rs := NewReplaySource(archiveOf(barrierEv))
 	if rs.Timeline() != nil {
 		t.Error("untraced archive grew a timeline")
 	}
-	r.RecordShard(trace.Shard{Daemon: "paradynd@node0", Proc: "p0", Node: "node0"})
-	r.RecordUndelivered("p0", 2)
-	rs = NewReplaySource(r.Archive())
+	rs = NewReplaySource(archiveOf(
+		barrierEv,
+		Event{Kind: EvShard, Shard: trace.Shard{Daemon: "paradynd@node0", Proc: "p0", Node: "node0"}},
+		Event{Kind: EvUndelivered, Proc: "p0", N: 2},
+	))
 	rs.Drain()
 	tl := rs.Timeline()
 	if tl == nil {

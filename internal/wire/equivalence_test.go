@@ -20,19 +20,69 @@ import (
 	"pperf/internal/wire"
 )
 
-const equivalencePlan = "seed=42; " +
-	"t=0s drop-transport node0 n=2; " +
-	"t=0s drop-transport node0 n=2 chan=bulk; " +
-	"t=0s drop-transport node0 n=2 chan=sync"
+// Each case gives every channel the same total drop budget. The second
+// splits it over two overlapping clauses per channel: budgets add on every
+// stack (the TCP transport used to overwrite the first with the second).
+var equivalenceCases = []struct {
+	name, plan string
+	want       int64 // injected drops per channel
+}{
+	{"one clause per channel", "seed=42; " +
+		"t=0s drop-transport node0 n=2; " +
+		"t=0s drop-transport node0 n=2 chan=bulk; " +
+		"t=0s drop-transport node0 n=2 chan=sync", 2},
+	{"overlapping clauses add", "seed=42; " +
+		"t=0s drop-transport node0 n=2; t=0s drop-transport node0 n=2 chan=both; " +
+		"t=0s drop-transport node0 n=2 chan=bulk; " +
+		"t=0s drop-transport node0 n=2 chan=sync; t=0s drop-transport node0 n=2 chan=sync", 4},
+}
+
+// armReport arms a report transport from the plan's drop-transport clauses
+// through faults.ArmDrops, the translation the live session applies.
+func armReport(tr faults.Injectable, plan *faults.Plan) {
+	for _, f := range plan.Faults {
+		if f.Kind == faults.DropTransport {
+			faults.ArmDrops(tr, f.N, f.Chan)
+		}
+	}
+}
 
 func TestCrossStackFaultPlanEquivalence(t *testing.T) {
-	plan, err := faults.Parse(equivalencePlan)
+	for _, tc := range equivalenceCases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) { crossStack(t, tc.plan, tc.want) })
+	}
+
+	// Receiver side: the same replayed frame sequence through each
+	// channel's dedupe label yields identical per-channel accounting —
+	// one window engine, three labels.
+	d := wire.NewDedupe(0)
+	for _, ch := range []string{wire.ChanCtl, wire.ChanBulk, wire.ChanSync} {
+		d.Seen("peer", ch, 1, 1)
+		d.Seen("peer", ch, 1, 2)
+		d.Seen("peer", ch, 1, 2) // replay after a lost ack
+		d.Seen("peer", ch, 2, 1) // respawned sender
+		d.Seen("peer", ch, 1, 3) // dead-incarnation straggler
+	}
+	want := wire.Stats{Duplicates: 1, StaleFrames: 1}
+	for _, ch := range []string{wire.ChanCtl, wire.ChanBulk, wire.ChanSync} {
+		got := d.ChannelStats(ch)
+		if got.Duplicates != want.Duplicates || got.StaleFrames != want.StaleFrames {
+			t.Errorf("%s dedupe stats = %+v, want %+v", ch, got, want)
+		}
+	}
+}
+
+// crossStack runs one plan over the TCP report transport (ctl + bulk), the
+// sync client, and the in-process report transport, and requires each
+// channel to have failed exactly want sends.
+func crossStack(t *testing.T, planText string, want int64) {
+	plan, err := faults.Parse(planText)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// ctl + bulk: a TCP report transport armed from the plan's clauses,
-	// the same translation the live session applies.
+	// ctl + bulk over TCP: retries absorb every injected drop.
 	fe := frontend.New()
 	l, err := fe.Listen("127.0.0.1:0")
 	if err != nil {
@@ -41,7 +91,7 @@ func TestCrossStackFaultPlanEquivalence(t *testing.T) {
 	defer l.Close()
 	cfg := frontend.RetryConfig{
 		MsgTimeout:  500 * time.Millisecond,
-		MaxAttempts: 4,
+		MaxAttempts: 6,
 		BaseBackoff: 100 * time.Microsecond,
 		MaxBackoff:  time.Millisecond,
 		Seed:        plan.Seed,
@@ -51,25 +101,12 @@ func TestCrossStackFaultPlanEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	for _, f := range plan.Faults {
-		if f.Kind != faults.DropTransport {
-			continue
-		}
-		switch f.Chan {
-		case "", faults.ChanCtl:
-			tr.InjectFailures(f.N)
-		case faults.ChanBulk:
-			tr.InjectBulkFailures(f.N)
-		case faults.ChanBoth:
-			tr.InjectFailures(f.N)
-			tr.InjectBulkFailures(f.N)
-		}
-	}
+	armReport(tr, plan)
 	if err := tr.Update(daemon.Update{Kind: daemon.UpHeartbeat}); err != nil {
 		t.Fatalf("ctl send under plan: %v", err)
 	}
 	sh := trace.Shard{Proc: "p0", Node: "node0", Spans: []trace.Span{{Name: "compute"}}}
-	if err := tr.BulkShard(sh); err != nil {
+	if err := tr.Shard(sh); err != nil {
 		t.Fatalf("bulk send under plan: %v", err)
 	}
 
@@ -90,7 +127,7 @@ func TestCrossStackFaultPlanEquivalence(t *testing.T) {
 	}
 	scfg := perfdb.SyncConfig{
 		MsgTimeout:  500 * time.Millisecond,
-		MaxAttempts: 4,
+		MaxAttempts: 6,
 		BaseBackoff: 100 * time.Microsecond,
 		MaxBackoff:  time.Millisecond,
 		Faults:      plan,
@@ -100,7 +137,7 @@ func TestCrossStackFaultPlanEquivalence(t *testing.T) {
 		t.Fatalf("sync under plan: %v", err)
 	}
 
-	// Every channel consumed its n=2 budget through the shared plane:
+	// Every channel consumed its whole budget through the shared plane:
 	// identical accounting, channel by channel.
 	byChan := map[string]wire.Stats{
 		wire.ChanCtl:  tr.Stats(),
@@ -108,9 +145,9 @@ func TestCrossStackFaultPlanEquivalence(t *testing.T) {
 		wire.ChanSync: *syncStats,
 	}
 	for ch, st := range byChan {
-		if st.Retries != 2 || st.InjectedDrops != 2 || len(st.Backoffs) != 2 {
-			t.Errorf("%s: retries=%d injected=%d backoffs=%d, want 2/2/2",
-				ch, st.Retries, st.InjectedDrops, len(st.Backoffs))
+		if st.Retries != want || st.InjectedDrops != want || int64(len(st.Backoffs)) != want {
+			t.Errorf("%s: retries=%d injected=%d backoffs=%d, want %d of each",
+				ch, st.Retries, st.InjectedDrops, len(st.Backoffs), want)
 		}
 		if st.Failures != 0 || st.Duplicates != 0 || st.StaleFrames != 0 {
 			t.Errorf("%s: failures=%d dups=%d stale=%d, want all 0",
@@ -121,22 +158,22 @@ func TestCrossStackFaultPlanEquivalence(t *testing.T) {
 		}
 	}
 
-	// Receiver side: the same replayed frame sequence through each
-	// channel's dedupe label yields identical per-channel accounting —
-	// one window engine, three labels.
-	d := wire.NewDedupe(0)
-	for _, ch := range []string{wire.ChanCtl, wire.ChanBulk, wire.ChanSync} {
-		d.Seen("peer", ch, 1, 1)
-		d.Seen("peer", ch, 1, 2)
-		d.Seen("peer", ch, 1, 2) // replay after a lost ack
-		d.Seen("peer", ch, 2, 1) // respawned sender
-		d.Seen("peer", ch, 1, 3) // dead-incarnation straggler
+	// In process there is no wire to retry on: each injected drop fails one
+	// send outright (the daemon's queues absorb it), want of them per
+	// channel, and the next send goes through.
+	ft := faults.NewFlakyTransport(frontend.New())
+	armReport(ft, plan)
+	sends := map[string]func() error{
+		wire.ChanCtl:  func() error { return ft.Update(daemon.Update{Kind: daemon.UpHeartbeat}) },
+		wire.ChanBulk: func() error { return ft.Shard(sh) },
 	}
-	want := wire.Stats{Duplicates: 1, StaleFrames: 1}
-	for _, ch := range []string{wire.ChanCtl, wire.ChanBulk, wire.ChanSync} {
-		got := d.ChannelStats(ch)
-		if got.Duplicates != want.Duplicates || got.StaleFrames != want.StaleFrames {
-			t.Errorf("%s dedupe stats = %+v, want %+v", ch, got, want)
+	for ch, send := range sends {
+		var failed int64
+		for send() != nil {
+			failed++
+		}
+		if failed != want || ft.Injection(ch).Dropped() != want {
+			t.Errorf("in-process %s: %d sends failed, %d drops counted, want %d", ch, failed, ft.Injection(ch).Dropped(), want)
 		}
 	}
 }

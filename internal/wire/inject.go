@@ -11,10 +11,10 @@ import (
 
 // Injection is the wire plane's single fault-injection point: every
 // channel (ctl, bulk, sync — in-process or TCP) consults one of these
-// before an attempt, and the fault plan's drop-transport / degrade-link
-// clauses arm it (see faults.Plan.ArmWire). Three independent copies of
-// this state machine used to live in the transport, the bulk channel and
-// the sync client.
+// before an attempt — each Conn owns one, and the in-process
+// faults.FlakyTransport holds one per channel — and the fault plan's
+// drop-transport / degrade-link clauses arm it (faults.ArmDrops for the
+// report channels, the sync client for chan=sync).
 type Injection struct {
 	Chan string // channel label for error messages ("ctl", "bulk", "sync")
 

@@ -170,25 +170,10 @@ func Backoff(base, max time.Duration, n int, rng *sim.RNG) time.Duration {
 // ErrClosed is returned by sends on a Close()d Conn.
 var ErrClosed = errors.New("wire: transport closed")
 
-// Countdown returns a fault hook failing the next n attempts — the
-// deterministic injection used by drop-transport faults on the ctl and bulk
-// channels. Each failed attempt consumes one count, exercising timeout,
-// retry and reconnect exactly as a flaky network would.
-func Countdown(n int) func(attempt int) error {
-	remaining := n
-	return func(int) error {
-		if remaining <= 0 {
-			return nil
-		}
-		remaining--
-		return fmt.Errorf("injected transport fault (%d more)", remaining)
-	}
-}
-
 // A Conn is one retrying, reconnecting, acknowledged gob frame channel to a
-// peer — its own connection, sequence space, jitter RNG and stats. Both the
-// report transport's channels and the sync client are Conns under thin
-// frame-specific wrappers.
+// peer — its own connection, sequence space, jitter RNG, fault-injection
+// point and stats. Both the report transport's channels and the sync client
+// are Conns under thin frame-specific wrappers.
 type Conn struct {
 	mu     sync.Mutex
 	addr   string
@@ -198,6 +183,7 @@ type Conn struct {
 	dec    *gob.Decoder
 	seq    uint64
 	rng    *sim.RNG
+	inj    *Injection
 	closed bool
 	stats  Stats
 
@@ -216,7 +202,7 @@ func NewConn(addr string, cfg Config, seed uint64) *Conn {
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 1
 	}
-	return &Conn{addr: addr, cfg: cfg, rng: sim.NewRNG(seed)}
+	return &Conn{addr: addr, cfg: cfg, rng: sim.NewRNG(seed), inj: NewInjection("")}
 }
 
 // Dial builds the channel and establishes its first connection.
@@ -242,14 +228,10 @@ func (c *Conn) TryDial() {
 // SetPoisonOnFault selects the injected-fault discipline (see the field).
 func (c *Conn) SetPoisonOnFault(on bool) { c.poisonOnFault = on }
 
-// Sync runs fn while holding the channel's send lock. It is the
-// hook-replacement discipline: a fault hook swapped inside Sync can never
-// race an in-flight Exchange reading the hook between attempts.
-func (c *Conn) Sync(fn func()) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	fn()
-}
+// Injection returns the channel's fault-injection point, consulted before
+// every attempt. It starts idle; fault plans arm it (AddDrops, Degrade), and
+// the channel's owner labels it (Injection.Chan) before first use.
+func (c *Conn) Injection() *Injection { return c.inj }
 
 // Config returns the channel's configuration.
 func (c *Conn) Config() Config { return c.cfg }
@@ -329,10 +311,10 @@ type Request struct {
 	// every attempt: gob omits zero fields, so a retried decode into a
 	// dirty struct would otherwise merge stale state.
 	Resp any
-	// Fault, when non-nil, is consulted before each attempt; a non-nil
-	// return fails that attempt as an injected transport fault and is
-	// counted in Stats.InjectedDrops. It is re-evaluated every attempt so
-	// callers can clear their hooks mid-sequence.
+	// Fault, when non-nil, is consulted before each attempt, ahead of the
+	// channel's Injection; a non-nil return fails that attempt as an
+	// injected transport fault and is counted in Stats.InjectedDrops. Tests
+	// use it to fail one exact frame.
 	Fault func(attempt int) error
 	// Label prefixes the exhaustion error, e.g. "frontend: send" or
 	// "perfdb sync: push-chunk".
@@ -367,18 +349,16 @@ func (c *Conn) Exchange(r Request) error {
 			}
 			c.stats.Reconnects++
 		}
-		if r.Fault != nil {
-			if err := r.Fault(attempt); err != nil {
-				lastErr = err
-				c.stats.InjectedDrops++
-				if c.poisonOnFault && c.conn != nil {
-					// The peer never saw the frame; force a redial, as a
-					// real transport fault would.
-					c.conn.Close()
-					c.conn = nil
-				}
-				continue
+		if err := c.injected(r, attempt); err != nil {
+			lastErr = err
+			c.stats.InjectedDrops++
+			if c.poisonOnFault && c.conn != nil {
+				// The peer never saw the frame; force a redial, as a
+				// real transport fault would.
+				c.conn.Close()
+				c.conn = nil
 			}
+			continue
 		}
 		zero(r.Resp)
 		if err := c.attemptLocked(r.Req, r.Resp); err != nil {
@@ -395,4 +375,19 @@ func (c *Conn) Exchange(r Request) error {
 	}
 	c.stats.Failures++
 	return fmt.Errorf("%s failed after %d attempts: %w", r.Label, c.cfg.MaxAttempts, lastErr)
+}
+
+// injected consults the fault sources before one attempt: the request's
+// own hook, then the channel's injection point (skipped while idle, so
+// fault-free runs pay one lock and three compares).
+func (c *Conn) injected(r Request, attempt int) error {
+	if r.Fault != nil {
+		if err := r.Fault(attempt); err != nil {
+			return err
+		}
+	}
+	if c.inj.Idle() {
+		return nil
+	}
+	return c.inj.Check()
 }

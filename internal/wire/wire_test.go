@@ -249,15 +249,18 @@ func TestInjectionDropsThenDegrade(t *testing.T) {
 	}
 }
 
+// TestCountdownMessage pins the drop budget's error text: it names the
+// channel and counts the remaining failures down.
 func TestCountdownMessage(t *testing.T) {
-	cd := Countdown(2)
-	if err := cd(1); err == nil || err.Error() != "injected transport fault (1 more)" {
+	in := NewInjection(ChanCtl)
+	in.AddDrops(2)
+	if err := in.Check(); err == nil || err.Error() != "injected ctl fault (1 more)" {
 		t.Errorf("first countdown error = %v", err)
 	}
-	if err := cd(2); err == nil || err.Error() != "injected transport fault (0 more)" {
+	if err := in.Check(); err == nil || err.Error() != "injected ctl fault (0 more)" {
 		t.Errorf("second countdown error = %v", err)
 	}
-	if err := cd(3); err != nil {
+	if err := in.Check(); err != nil {
 		t.Errorf("spent countdown still fails: %v", err)
 	}
 }

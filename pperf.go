@@ -149,21 +149,12 @@ func JudgeSuiteRun(res *SuiteResult) *SuiteVerdict { return pperfmark.Judge(res)
 
 // Session recording and offline replay (see REPLAY.md).
 type (
-	// SessionRecorder captures the analysis-plane event stream of a live
-	// run into a replayable archive (RunOptions.Record / Options.Recorder).
-	SessionRecorder = session.Recorder
 	// SessionArchive is a loaded session recording.
 	SessionArchive = session.Archive
 	// ReplaySource serves a recorded session through the DataSource
 	// interface the Consultant consumes.
 	ReplaySource = session.ReplaySource
 )
-
-// NewSessionRecorder returns an empty session recorder.
-func NewSessionRecorder() *SessionRecorder { return session.NewRecorder() }
-
-// LoadSessionArchive reads a recorded session archive from disk.
-func LoadSessionArchive(path string) (*SessionArchive, error) { return session.Load(path) }
 
 // ReplaySuiteRun re-runs the analysis plane of a recorded suite run
 // offline, reproducing the live findings without the simulated cluster.
@@ -190,7 +181,8 @@ type (
 	// RunDiff is the ranked comparison of two stored runs.
 	RunDiff = perfdb.DiffReport
 	// StreamRecorder records a live session straight to a chunked
-	// compacted archive in bounded memory.
+	// compacted archive in bounded memory (RunOptions.Record /
+	// Options.Recorder).
 	StreamRecorder = perfdb.StreamRecorder
 )
 
@@ -200,13 +192,15 @@ func OpenExperimentStore(dir string) (*ExperimentStore, error) { return perfdb.O
 // NewStreamRecorder opens a streaming session recorder writing to path.
 func NewStreamRecorder(path string) (*StreamRecorder, error) { return perfdb.NewStreamRecorder(path) }
 
-// LoadAnyArchive reads a session archive in either format: the flat v1
-// .pparch or the chunked compacted form.
+// LoadAnyArchive reads a recorded session archive from disk.
 func LoadAnyArchive(path string) (*SessionArchive, error) { return perfdb.LoadAny(path) }
 
 // DiffRuns compares two stored runs (base first) pair-by-pair with the
-// paper's paired-difference significance test.
-func DiffRuns(base, neu *RunView) *RunDiff { return perfdb.Diff(base, neu) }
+// paper's paired-difference significance test, over the whole run at the
+// default significance level.
+func DiffRuns(base, neu *RunView) (*RunDiff, error) {
+	return perfdb.Compare(base, neu, perfdb.CompareOptions{})
+}
 
 // Comparators.
 type (
