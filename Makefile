@@ -1,5 +1,5 @@
 # Build and verification entry points. `make verify` is the full CI gate:
-# tier-1 (build + tests), static analysis, race-enabled tests of the
+# tier-1 (build + tests), static analysis and gofmt, race-enabled tests of the
 # packages with real concurrency (the TCP transport and the daemon/fault
 # machinery it carries), the CLI goldens, and the out-of-tree benchmark
 # module's own vet + tests (it imports internal packages through a replace
@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race verify bench bench-module replay-golden perfdb-golden sync-golden wire-golden trend-golden chaos fuzz fuzz-perfdb fuzz-wire
+.PHONY: build test vet fmt-check race verify bench bench-module replay-golden perfdb-golden sync-golden wire-golden trend-golden chaos fuzz fuzz-perfdb fuzz-wire
 
 build:
 	$(GO) build ./...
@@ -19,10 +19,15 @@ test:
 vet:
 	$(GO) vet ./...
 
-race:
-	$(GO) test -race ./internal/wire ./internal/frontend ./internal/daemon ./internal/faults ./internal/trace ./internal/core ./internal/session ./internal/perfdb
+# fmt-check fails when any Go file in the tree (bench/ included) is not
+# gofmt-clean, listing the offenders.
+fmt-check:
+	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt -l reports:"; echo "$$out"; exit 1; }
 
-verify: build vet test race bench-module replay-golden perfdb-golden sync-golden wire-golden trend-golden
+race:
+	$(GO) test -race ./internal/wire ./internal/frontend ./internal/daemon ./internal/faults ./internal/trace ./internal/core ./internal/session ./internal/perfdb ./internal/datasource
+
+verify: build vet fmt-check test race bench-module replay-golden perfdb-golden sync-golden wire-golden trend-golden
 
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...

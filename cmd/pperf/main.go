@@ -86,6 +86,28 @@ func main() {
 		os.Exit(2)
 	}
 
+	if *pclFile != "" {
+		onlyFlag("pcl")
+		if err := runFromPCL(*pclFile); err != nil {
+			fmt.Fprintln(os.Stderr, "pperf:", err)
+			os.Exit(1)
+		}
+		return
+	}
+
+	if *list {
+		onlyFlag("list")
+		fmt.Println("MPI-1 programs (Table 2):")
+		for _, n := range pperfmark.MPI1Names() {
+			fmt.Printf("  %-18s %s\n", n, pperfmark.Get(n).Description)
+		}
+		fmt.Println("MPI-2 programs (Table 3):")
+		for _, n := range pperfmark.MPI2Names() {
+			fmt.Printf("  %-18s %s\n", n, pperfmark.Get(n).Description)
+		}
+		return
+	}
+
 	whatIf := pperfmark.ReplayOptions{
 		SyncThreshold: *wifSync,
 		IOThreshold:   *wifIO,
@@ -118,25 +140,6 @@ func main() {
 		return
 	}
 
-	if *pclFile != "" {
-		if err := runFromPCL(*pclFile); err != nil {
-			fmt.Fprintln(os.Stderr, "pperf:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *list {
-		fmt.Println("MPI-1 programs (Table 2):")
-		for _, n := range pperfmark.MPI1Names() {
-			fmt.Printf("  %-18s %s\n", n, pperfmark.Get(n).Description)
-		}
-		fmt.Println("MPI-2 programs (Table 3):")
-		for _, n := range pperfmark.MPI2Names() {
-			fmt.Printf("  %-18s %s\n", n, pperfmark.Get(n).Description)
-		}
-		return
-	}
 	if *prog == "" {
 		fmt.Fprintln(os.Stderr, "pperf: -prog is required (try -list)")
 		os.Exit(2)
@@ -386,6 +389,18 @@ func runFromPCL(path string) error {
 		s.Close()
 	}
 	return nil
+}
+
+// onlyFlag exits 2 if any flag other than name was given: -pcl takes its
+// whole run from the file and -list only prints, so neither reads another
+// flag and a combination is refused rather than silently ignored.
+func onlyFlag(name string) {
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name != name {
+			fmt.Fprintf(os.Stderr, "pperf: -%s cannot be combined with -%s (it reads no other flag)\n", f.Name, name)
+			os.Exit(2)
+		}
+	})
 }
 
 // writeTrace exports the merged timeline in the requested format. The

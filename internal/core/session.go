@@ -408,9 +408,6 @@ func (s *Session) flushTrace() {
 	for _, d := range s.Daemons {
 		d.FlushTrace()
 	}
-	if s.FE.Timeline() == nil {
-		return
-	}
 	for _, d := range s.Daemons {
 		und := d.UndeliveredSpans()
 		procs := make([]string, 0, len(und))

@@ -73,27 +73,3 @@ type DataSource interface {
 	// live read observed.
 	Sync()
 }
-
-// Recorder receives the analysis-plane event stream a live source observes,
-// in arrival order. The front end holds one nil-ably: when no recording is
-// armed every hook is a pointer test, so the sampling path stays cold.
-type Recorder interface {
-	// RecordSamples captures one ingested sample batch.
-	RecordSamples(batch []Sample)
-	// RecordUpdate captures one resource-update report.
-	RecordUpdate(u Update)
-	// RecordEnable captures an EnableMetric outcome ("" errMsg = success),
-	// so replay can answer the same request the same way.
-	RecordEnable(metricName string, focus resource.Focus, errMsg string)
-	// RecordStale captures a liveness-monitor staleness verdict.
-	RecordStale(daemonName string, t sim.Time)
-	// RecordGap captures one unmeasured outage window (daemon death →
-	// re-attach) so replay reproduces the supervisor's gap accounting.
-	RecordGap(g Gap)
-	// RecordShard captures one streamed trace shard.
-	RecordShard(sh trace.Shard)
-	// RecordUndelivered captures end-of-run undelivered-span accounting.
-	RecordUndelivered(proc string, n int64)
-	// RecordBarrier marks a consumer read barrier (see DataSource.Sync).
-	RecordBarrier()
-}

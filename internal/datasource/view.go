@@ -13,10 +13,10 @@ import (
 )
 
 // View is the source-agnostic analysis-plane state: metric series, the
-// mirrored resource hierarchy, the observed call graph, process lifecycle
-// and daemon liveness. The live front end feeds one from daemon reports;
-// the replay source feeds one from a recorded archive. Both expose it as
-// the query half of the DataSource interface.
+// mirrored resource hierarchy, the observed call graph, process lifecycle,
+// daemon liveness and the merged trace timeline. The live front end feeds
+// one from daemon reports; the replay source feeds one from a recorded
+// archive. Both expose it as the query half of the DataSource interface.
 type View struct {
 	mu      sync.Mutex
 	hier    *resource.Hierarchy
@@ -32,6 +32,10 @@ type View struct {
 	// gaps are the unmeasured outage windows recorded by the supervisor
 	// (nil for runs without recoveries).
 	gaps []Gap
+
+	// timeline merges the trace shards the daemons streamed (nil until
+	// EnableTrace, the first shard or the first undelivered note).
+	timeline *trace.Timeline
 
 	// NumBins/BinWidth configure new histograms (defaults are Paradyn's).
 	NumBins  int
@@ -249,6 +253,34 @@ func (v *View) AddGap(g Gap) {
 	defer v.mu.Unlock()
 	v.gaps = append(v.gaps, g)
 }
+
+// EnableTrace returns the merged trace timeline, creating it empty on first
+// use: a traced run has one even when zero shards arrive. v.mu guards only
+// the pointer — the Timeline locks itself — so a TCP listener goroutine
+// merging a shard never holds up queries.
+func (v *View) EnableTrace() *trace.Timeline {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.timeline == nil {
+		v.timeline = trace.NewTimeline()
+	}
+	return v.timeline
+}
+
+// Timeline returns the merged trace timeline (nil when the session never
+// traced).
+func (v *View) Timeline() *trace.Timeline {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.timeline
+}
+
+// ApplyShard merges one streamed trace shard into the timeline.
+func (v *View) ApplyShard(sh trace.Shard) { v.EnableTrace().Ingest(sh) }
+
+// ApplyUndelivered folds proc's end-of-run undelivered-span count into the
+// timeline.
+func (v *View) ApplyUndelivered(proc string, n int64) { v.EnableTrace().NoteUndelivered(proc, n) }
 
 // UnmeasuredGaps returns the recorded outage windows in record order.
 func (v *View) UnmeasuredGaps() []Gap {

@@ -2,9 +2,9 @@
 // implementation of the analysis plane's DataSource interface. It ingests
 // the samples the per-node daemons forward into the shared datasource.View
 // (folding histograms, the mirrored resource hierarchy, the observed call
-// graph, process lifecycle), fans metric enable/disable requests out to the
-// daemons, and — when a session recorder is attached — captures the whole
-// event stream into a replayable archive.
+// graph, process lifecycle, the merged trace timeline), fans metric
+// enable/disable requests out to the daemons, and — when a session recorder
+// is attached — captures the whole event stream into a replayable archive.
 package frontend
 
 import (
@@ -14,40 +14,31 @@ import (
 	"pperf/internal/daemon"
 	"pperf/internal/datasource"
 	"pperf/internal/resource"
+	"pperf/internal/session"
 	"pperf/internal/sim"
 	"pperf/internal/trace"
 )
 
-// Re-exported datasource types, so existing front-end consumers keep
-// reading naturally while the definitions live in the shared plane.
-type (
-	// ProcInfo is what the front end knows about one application process.
-	ProcInfo = datasource.ProcInfo
-	// DaemonHealth is the front end's liveness view of one daemon.
-	DaemonHealth = datasource.DaemonHealth
-	// Series is the collected data of one enabled metric-focus pair.
-	Series = datasource.Series
-)
+// Series is the collected data of one enabled metric-focus pair, re-exported
+// so front-end consumers keep reading naturally while the definition lives
+// in the shared plane.
+type Series = datasource.Series
 
 // FrontEnd is the tool's central state. It embeds the source-agnostic
-// datasource.View (queries, series, hierarchy, liveness) and adds what only
-// the live side has: the daemons to fan instrumentation requests out to,
-// the trace timeline the daemons stream into, and the optional session
-// recorder. It implements daemon.Transport for the in-process connection;
-// the TCP transport delivers into the same methods.
+// datasource.View (queries, series, hierarchy, liveness, trace timeline)
+// and adds what only the live side has: the daemons to fan instrumentation
+// requests out to and the optional session recorder. It implements
+// daemon.Transport for the in-process connection; the TCP transport
+// delivers into the same methods.
 type FrontEnd struct {
 	*datasource.View
 
 	daemons []*daemon.Daemon
 
-	// tmu guards timeline (fe.View has its own lock for the query state).
-	tmu      sync.Mutex
-	timeline *trace.Timeline
-
 	// rec, when non-nil, captures the analysis-plane event stream for
-	// offline replay. Every hook below is a nil test when recording is off,
-	// so a cold recorder costs nothing on the sampling path.
-	rec datasource.Recorder
+	// offline replay. ingest is its only reader: a nil test when recording
+	// is off, so a cold recorder costs nothing on the sampling path.
+	rec session.Sink
 
 	// emu guards active — the currently-enabled metric-focus set, which
 	// the supervisor replays onto respawned daemon incarnations.
@@ -78,7 +69,17 @@ func New() *FrontEnd {
 // SetRecorder attaches a session recorder; every subsequently ingested
 // event is captured. Call before Launch so the archive holds the complete
 // stream. A nil recorder detaches.
-func (fe *FrontEnd) SetRecorder(rec datasource.Recorder) { fe.rec = rec }
+func (fe *FrontEnd) SetRecorder(rec session.Sink) { fe.rec = rec }
+
+// ingest is the one way anything enters the front end's state: fold the
+// event into the View with the same Event.Apply a replay runs, then hand
+// it to the recorder. Replay == live follows from there being no other.
+func (fe *FrontEnd) ingest(ev session.Event) {
+	ev.Apply(fe.View)
+	if fe.rec != nil {
+		fe.rec.Record(ev)
+	}
+}
 
 // AddDaemon registers a daemon the front end controls.
 func (fe *FrontEnd) AddDaemon(d *daemon.Daemon) {
@@ -100,51 +101,18 @@ func (fe *FrontEnd) ReplaceDaemon(d *daemon.Daemon) *daemon.Daemon {
 	return nil
 }
 
-// EnableTrace prepares the front end to merge daemon trace shards.
-func (fe *FrontEnd) EnableTrace() {
-	fe.tmu.Lock()
-	defer fe.tmu.Unlock()
-	if fe.timeline == nil {
-		fe.timeline = trace.NewTimeline()
-	}
-}
-
-// Timeline returns the merged trace timeline (nil when tracing was never
-// enabled).
-func (fe *FrontEnd) Timeline() *trace.Timeline {
-	fe.tmu.Lock()
-	defer fe.tmu.Unlock()
-	return fe.timeline
-}
-
 // Shard implements daemon.Transport's bulk channel: merge one streamed
 // shard (in process there is no wire to keep samples and shards apart on,
-// so it is a direct call). Shards arriving over TCP before EnableTrace
-// (ordering races are impossible in the simulation, but cheap to tolerate)
-// lazily create the timeline.
+// so it is a direct call).
 func (fe *FrontEnd) Shard(sh trace.Shard) error {
-	fe.tmu.Lock()
-	if fe.timeline == nil {
-		fe.timeline = trace.NewTimeline()
-	}
-	tl := fe.timeline
-	fe.tmu.Unlock()
-	tl.Ingest(sh)
-	if fe.rec != nil {
-		fe.rec.RecordShard(sh)
-	}
+	fe.ingest(session.Event{Kind: session.EvShard, Shard: sh})
 	return nil
 }
 
 // NoteUndelivered folds end-of-run undelivered-span accounting into the
 // timeline (and the session archive, when recording).
 func (fe *FrontEnd) NoteUndelivered(proc string, n int64) {
-	if tl := fe.Timeline(); tl != nil {
-		tl.NoteUndelivered(proc, n)
-	}
-	if fe.rec != nil {
-		fe.rec.RecordUndelivered(proc, n)
-	}
+	fe.ingest(session.Event{Kind: session.EvUndelivered, Proc: proc, N: n})
 }
 
 // EnableMetric turns on a metric-focus pair across all daemons, returning
@@ -164,18 +132,14 @@ func (fe *FrontEnd) EnableMetric(metricName string, focus resource.Focus) (*Seri
 				prev.Disable(metricName, focus)
 			}
 			fe.View.DropSeries(metricName, focus)
-			if fe.rec != nil {
-				fe.rec.RecordEnable(metricName, focus, err.Error())
-			}
+			fe.ingest(session.Event{Kind: session.EvEnable, Metric: metricName, Focus: focus, Err: err.Error()})
 			return nil, err
 		}
 	}
 	fe.emu.Lock()
 	fe.active = append(fe.active, activeEnable{metric: metricName, focus: focus})
 	fe.emu.Unlock()
-	if fe.rec != nil {
-		fe.rec.RecordEnable(metricName, focus, "")
-	}
+	fe.ingest(session.Event{Kind: session.EvEnable, Metric: metricName, Focus: focus})
 	return s, nil
 }
 
@@ -227,24 +191,13 @@ func (fe *FrontEnd) resyncDaemon(d *daemon.Daemon) error {
 	return nil
 }
 
-// recordGap folds one unmeasured outage window into the view (and the
-// session archive, when recording).
-func (fe *FrontEnd) recordGap(g datasource.Gap) {
-	fe.View.AddGap(g)
-	if fe.rec != nil {
-		fe.rec.RecordGap(g)
-	}
-}
-
 // Sync implements the DataSource read barrier: consumers (the Performance
 // Consultant) call it before each evaluation pass. Live state is always
 // current, so the only work is stamping the barrier into the session
 // archive — which is what lets a replay reproduce each evaluation's exact
 // input state.
 func (fe *FrontEnd) Sync() {
-	if fe.rec != nil {
-		fe.rec.RecordBarrier()
-	}
+	fe.ingest(session.Event{Kind: session.EvBarrier})
 }
 
 // --- daemon.Transport implementation --------------------------------------
@@ -252,20 +205,14 @@ func (fe *FrontEnd) Sync() {
 // Samples ingests a batch of sampled deltas. It implements
 // daemon.Transport; the in-process path never fails.
 func (fe *FrontEnd) Samples(batch []daemon.Sample) error {
-	fe.View.ApplySamples(batch)
-	if fe.rec != nil {
-		fe.rec.RecordSamples(batch)
-	}
+	fe.ingest(session.Event{Kind: session.EvSamples, Samples: batch})
 	return nil
 }
 
 // Update ingests a resource-update report. It implements daemon.Transport;
 // the in-process path never fails.
 func (fe *FrontEnd) Update(u daemon.Update) error {
-	fe.View.ApplyUpdate(u)
-	if fe.rec != nil {
-		fe.rec.RecordUpdate(u)
-	}
+	fe.ingest(session.Event{Kind: session.EvUpdate, Update: u})
 	return nil
 }
 
@@ -300,10 +247,7 @@ func (fe *FrontEnd) StartLiveness(eng interface {
 // of map layout.
 func (fe *FrontEnd) checkLiveness(now sim.Time, timeout sim.Duration) {
 	for _, name := range fe.View.SilentDaemons(now, timeout) {
-		fe.View.MarkDaemonStale(name, now)
-		if fe.rec != nil {
-			fe.rec.RecordStale(name, now)
-		}
+		fe.ingest(session.Event{Kind: session.EvStale, Daemon: name, Time: now})
 		if fe.sv != nil {
 			fe.sv.NoteDown(datasource.DaemonNode(name))
 		}

@@ -22,6 +22,7 @@ import (
 
 	"pperf/internal/daemon"
 	"pperf/internal/datasource"
+	"pperf/internal/session"
 	"pperf/internal/sim"
 	"pperf/internal/wire"
 )
@@ -256,7 +257,7 @@ func (sv *Supervisor) doRespawn(node string) {
 	// The outage window [downSince, now] is unmeasured: samples for it
 	// were never collected, and histogram zeros across it must not be
 	// mistaken for idleness.
-	sv.fe.recordGap(datasource.Gap{Node: node, From: downSince, To: now})
+	sv.fe.ingest(session.Event{Kind: session.EvGap, Gap: datasource.Gap{Node: node, From: downSince, To: now}})
 	sv.mu.Lock()
 	s = sv.state(node)
 	s.down = false

@@ -72,8 +72,8 @@ func TestListenerFencesStaleIncarnationFrames(t *testing.T) {
 		}
 	}
 
-	sendFrame(t, enc, dec, frame(1, 1, 5)) // incarnation 1 applies
-	sendFrame(t, enc, dec, frame(2, 1, 7)) // incarnation 2: seq space resets, applies
+	sendFrame(t, enc, dec, frame(1, 1, 5))   // incarnation 1 applies
+	sendFrame(t, enc, dec, frame(2, 1, 7))   // incarnation 2: seq space resets, applies
 	sendFrame(t, enc, dec, frame(1, 2, 100)) // dead-incarnation straggler: acked, dropped
 	if got := fe.Series("m", f).Total(); got != 12 {
 		t.Errorf("total = %v, want 12 (stale-incarnation frame applied?)", got)

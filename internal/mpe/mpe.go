@@ -31,11 +31,6 @@ type Interval struct {
 // it is link-time tracing: attach before launching programs.
 type Tracer struct {
 	intervals []Interval
-	// MaxEvents caps the log (the paper had to shorten runs to keep trace
-	// files usable, §5.1.4 — the cap models the same pressure). 0 means
-	// unlimited.
-	MaxEvents int
-	truncated bool
 }
 
 // Attach subscribes an MPE tracer to the world's trace event stream, arming
@@ -53,10 +48,6 @@ func Attach(w *mpi.World) *Tracer {
 		if s.Kind != trace.MPISpan || s.Depth != 0 {
 			return
 		}
-		if t.MaxEvents > 0 && len(t.intervals) >= t.MaxEvents {
-			t.truncated = true
-			return
-		}
 		t.intervals = append(t.intervals, Interval{
 			Proc: s.Proc, State: displayState(s.Name), Start: s.Start, End: s.End,
 		})
@@ -72,9 +63,6 @@ func displayState(fn string) string {
 
 // Intervals returns the logged state intervals.
 func (t *Tracer) Intervals() []Interval { return t.intervals }
-
-// Truncated reports whether the event cap was hit.
-func (t *Tracer) Truncated() bool { return t.truncated }
 
 // Procs lists the traced processes, sorted.
 func (t *Tracer) Procs() []string {
@@ -160,16 +148,7 @@ func (t *Tracer) StatisticalPreview() string {
 		bar := strings.Repeat("█", int(avg/float64(max(n, 1))*40+0.5))
 		fmt.Fprintf(&b, "  %-18s %5.2f %s\n", s, avg, bar)
 	}
-	t.writeTruncated(&b)
 	return b.String()
-}
-
-// writeTruncated appends the truncation notice when the event cap was hit,
-// so the rendered windows never pass silently for a complete log.
-func (t *Tracer) writeTruncated(b *strings.Builder) {
-	if t.truncated {
-		fmt.Fprintf(b, "  [log truncated at %d events]\n", len(t.intervals))
-	}
 }
 
 // StateCalls returns how many intervals (outermost calls) were logged for a
@@ -254,7 +233,6 @@ func (t *Tracer) TimeLines(width int) string {
 		fmt.Fprintf(&b, "  %-14s |%s|\n", p, line)
 	}
 	b.WriteString("  legend: initial letter of dominant MPI state per bucket; '.' = computing\n")
-	t.writeTruncated(&b)
 	return b.String()
 }
 

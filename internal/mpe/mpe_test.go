@@ -132,33 +132,6 @@ func TestTimeLinesRendering(t *testing.T) {
 	}
 }
 
-func TestMaxEventsTruncation(t *testing.T) {
-	eng := sim.NewEngine(5)
-	w := mpi.NewWorld(eng, cluster.DefaultSpec(2, 1), mpi.NewImpl(mpi.LAM))
-	tr := Attach(w)
-	tr.MaxEvents = 10
-	w.Register("main", func(r *mpi.Rank, _ []string) {
-		c := r.World()
-		for i := 0; i < 50; i++ {
-			if r.Rank() == 0 {
-				c.Send(r, nil, 4, mpi.Byte, 1, 0)
-			} else {
-				c.Recv(r, nil, 4, mpi.Byte, 0, 0)
-			}
-		}
-	})
-	if _, err := w.LaunchN("main", 2, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Intervals()) != 10 || !tr.Truncated() {
-		t.Errorf("log should truncate at cap: %d events, truncated=%v",
-			len(tr.Intervals()), tr.Truncated())
-	}
-}
-
 func TestEmptyTrace(t *testing.T) {
 	tr := &Tracer{}
 	if tr.TimeLines(20) != "(empty trace)" {

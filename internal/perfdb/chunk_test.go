@@ -181,25 +181,7 @@ func TestCorruptChunkRejected(t *testing.T) {
 
 // replayEventsInto re-records an event stream through the Sink interface.
 func replayEventsInto(rec session.Sink, events []session.Event) {
-	for i := range events {
-		ev := &events[i]
-		switch ev.Kind {
-		case session.EvSamples:
-			rec.RecordSamples(ev.Samples)
-		case session.EvUpdate:
-			rec.RecordUpdate(ev.Update)
-		case session.EvEnable:
-			rec.RecordEnable(ev.Metric, ev.Focus, ev.Err)
-		case session.EvStale:
-			rec.RecordStale(ev.Daemon, ev.Time)
-		case session.EvShard:
-			rec.RecordShard(ev.Shard)
-		case session.EvUndelivered:
-			rec.RecordUndelivered(ev.Proc, ev.N)
-		case session.EvBarrier:
-			rec.RecordBarrier()
-		case session.EvGap:
-			rec.RecordGap(ev.Gap)
-		}
+	for _, ev := range events {
+		rec.Record(ev)
 	}
 }

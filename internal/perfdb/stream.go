@@ -6,10 +6,8 @@ import (
 	"sync"
 
 	"pperf/internal/datasource"
-	"pperf/internal/resource"
 	"pperf/internal/session"
 	"pperf/internal/sim"
-	"pperf/internal/trace"
 )
 
 // StreamRecorder is the session recorder: it streams events through the
@@ -63,9 +61,9 @@ func (r *StreamRecorder) SetChunkEvents(n int) {
 	r.w.FlushEvents = n
 }
 
-// SetHistogram records the front end's histogram configuration. Called by
-// core.NewSession before any event, it also triggers the provisional
-// header chunk so truncated archives replay with the right bin layout.
+// SetHistogram records the front end's histogram configuration.
+// core.NewSession calls it before any event, so the provisional header
+// chunk Record writes ahead of the first event already carries it.
 func (r *StreamRecorder) SetHistogram(numBins int, binWidth sim.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -103,8 +101,16 @@ func (r *StreamRecorder) PeakBufferedEvents() int {
 	return r.w.PeakBuffered()
 }
 
-// append streams one event, emitting the provisional header chunk first.
-func (r *StreamRecorder) append(ev session.Event) {
+// Record streams one event, emitting the provisional header chunk first so
+// a truncated archive still replays with the right bin layout. A sample
+// batch is copied: the front end keeps ownership of its slice, and the copy
+// lives only until its chunk flushes.
+func (r *StreamRecorder) Record(ev session.Event) {
+	if ev.Kind == session.EvSamples {
+		cp := make([]datasource.Sample, len(ev.Samples))
+		copy(cp, ev.Samples)
+		ev.Samples = cp
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.err != nil || r.closed {
@@ -119,50 +125,6 @@ func (r *StreamRecorder) append(ev session.Event) {
 	if err := r.w.Append(ev); err != nil {
 		r.err = err
 	}
-}
-
-// RecordSamples captures a sample batch. The batch is copied: the front
-// end keeps ownership of its slice, and the copy lives only until its
-// chunk flushes.
-func (r *StreamRecorder) RecordSamples(batch []datasource.Sample) {
-	cp := make([]datasource.Sample, len(batch))
-	copy(cp, batch)
-	r.append(session.Event{Kind: session.EvSamples, Samples: cp})
-}
-
-// RecordUpdate captures one resource-update report.
-func (r *StreamRecorder) RecordUpdate(u datasource.Update) {
-	r.append(session.Event{Kind: session.EvUpdate, Update: u})
-}
-
-// RecordEnable captures a metric-enable outcome.
-func (r *StreamRecorder) RecordEnable(metricName string, focus resource.Focus, errMsg string) {
-	r.append(session.Event{Kind: session.EvEnable, Metric: metricName, Focus: focus, Err: errMsg})
-}
-
-// RecordStale captures a liveness verdict.
-func (r *StreamRecorder) RecordStale(daemonName string, t sim.Time) {
-	r.append(session.Event{Kind: session.EvStale, Daemon: daemonName, Time: t})
-}
-
-// RecordGap captures one unmeasured outage window.
-func (r *StreamRecorder) RecordGap(g datasource.Gap) {
-	r.append(session.Event{Kind: session.EvGap, Gap: g})
-}
-
-// RecordShard captures one trace shard.
-func (r *StreamRecorder) RecordShard(sh trace.Shard) {
-	r.append(session.Event{Kind: session.EvShard, Shard: sh})
-}
-
-// RecordUndelivered captures undelivered-span accounting.
-func (r *StreamRecorder) RecordUndelivered(proc string, n int64) {
-	r.append(session.Event{Kind: session.EvUndelivered, Proc: proc, N: n})
-}
-
-// RecordBarrier stamps a consumer read barrier into the stream.
-func (r *StreamRecorder) RecordBarrier() {
-	r.append(session.Event{Kind: session.EvBarrier})
 }
 
 // Header returns the finalized header (valid after Close).

@@ -61,7 +61,7 @@ func TestStreamRecorderAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec.SetHistogram(0, 0)
-	rec.RecordBarrier()
+	rec.Record(session.Event{Kind: session.EvBarrier})
 	rec.Abort()
 	for _, p := range []string{path, path + ".tmp"} {
 		if _, err := LoadAny(p); err == nil {

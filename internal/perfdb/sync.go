@@ -437,7 +437,16 @@ func pullOne(st *Store, c *syncClient, m RunMeta) (PullResult, error) {
 	if err != nil {
 		return res, err
 	}
-	for done := false; !done; {
+	// As in Push, the guard (sized from the peer's advertised m.Bytes) bounds
+	// no-progress exchanges — a chunk that fails its CRC every time, a peer
+	// that never advances — so a corrupt or hostile server cannot hang us.
+	done := false
+	for guard := 4*(int(m.Bytes)/c.cfg.ChunkBytes+1) + 16; !done; guard-- {
+		if guard <= 0 {
+			f.Close()
+			os.Remove(staging)
+			return res, fmt.Errorf("perfdb sync: pull of %s stalled at offset %d/%d; partial discarded", m.ID, offset, m.Bytes)
+		}
 		resp, err := c.roundTrip(syncReq{
 			Op: opPullChunk, ID: m.ID, Hash: m.Hash,
 			Offset: offset, Size: int64(c.cfg.ChunkBytes),

@@ -6,11 +6,16 @@ package perfdb
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"os"
+	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -393,5 +398,67 @@ func TestSyncChunkReplayIdempotent(t *testing.T) {
 	// Bad content addresses never touch the filesystem.
 	if resp := srv.pushBegin(&syncReq{Hash: "../../etc/passwd", Size: 1}); resp.OK {
 		t.Fatal("path-traversal hash accepted")
+	}
+}
+
+// TestSyncPullStallGuard: a peer that answers every pull-chunk with a wrong
+// CRC, or with an empty payload that never reaches EOF, makes no progress.
+// Pull must give up within its guard, discard the partial and return an
+// error — not spin forever.
+func TestSyncPullStallGuard(t *testing.T) {
+	run := RunMeta{ID: "r0001", Bytes: 4096, Hash: strings.Repeat("ab", 32)}
+	for _, tc := range []struct {
+		name  string
+		chunk syncResp
+	}{
+		{"bad CRC", syncResp{OK: true, Data: []byte("payload"), CRC: wire.Checksum([]byte("payload")) + 1, Size: run.Bytes}},
+		{"never advances", syncResp{OK: true, CRC: wire.Checksum(nil), Size: run.Bytes}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			var pulls atomic.Int64
+			go wire.AcceptLoop(ln, func() bool { return false }, nil, &wg, func(conn net.Conn) {
+				dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
+				for {
+					var req syncReq
+					if _, err := wire.ReadFrame(conn, dec, time.Second, &req); err != nil {
+						return
+					}
+					resp := syncResp{OK: true, Proto: SyncProtoVersion, Runs: []RunMeta{run}}
+					if req.Op == opPullChunk {
+						pulls.Add(1)
+						resp = tc.chunk
+						resp.Offset = req.Offset
+					}
+					if enc.Encode(&resp) != nil {
+						return
+					}
+				}
+			})
+			defer func() {
+				ln.Close()
+				wg.Wait()
+			}()
+
+			st, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := testSyncConfig()
+			_, _, err = Pull(st, ln.Addr().String(), run.ID, cfg)
+			if err == nil || !strings.Contains(err.Error(), "stalled") {
+				t.Fatalf("Pull from a no-progress peer: err = %v, want a stall error", err)
+			}
+			if want := int64(4*(int(run.Bytes)/cfg.ChunkBytes+1) + 16); pulls.Load() != want {
+				t.Errorf("peer saw %d pull-chunk requests, want exactly the guard (%d)", pulls.Load(), want)
+			}
+			if _, err := os.Stat(filepath.Join(st.syncDir(), run.Hash+".partial")); !os.IsNotExist(err) {
+				t.Errorf("stalled pull left its partial behind (stat err = %v)", err)
+			}
+		})
 	}
 }

@@ -12,9 +12,9 @@ import (
 	"pperf/internal/trace"
 )
 
-func runWithTrace(t *testing.T, name string) *Result {
+func runWithTrace(t *testing.T, name string, params Params) *Result {
 	t.Helper()
-	res, err := Run(name, RunOptions{Impl: mpi.LAM, Trace: &trace.Config{}})
+	res, err := Run(name, RunOptions{Impl: mpi.LAM, Trace: &trace.Config{}, Params: params})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func runWithTrace(t *testing.T, name string) *Result {
 }
 
 func TestCriticalPathAgreesWithConsultantSmallMessages(t *testing.T) {
-	res := runWithTrace(t, "small-messages")
+	res := runWithTrace(t, "small-messages", shortSmallMessages)
 	cp := trace.Analyze(res.Timeline)
 	if cp.Truncated {
 		t.Error("walk hit the step cap")
@@ -44,7 +44,7 @@ func TestCriticalPathAgreesWithConsultantSmallMessages(t *testing.T) {
 }
 
 func TestCriticalPathIntensiveServer(t *testing.T) {
-	res := runWithTrace(t, "intensive-server")
+	res := runWithTrace(t, "intensive-server", Params{})
 	cp := trace.Analyze(res.Timeline)
 	fn, d := cp.Dominant()
 	switch fn {

@@ -99,6 +99,44 @@ type Result struct {
 	Unsupported error
 }
 
+// enableVerification turns on, in a fixed order, the whole-program series
+// a run is judged by — one per total the program's entry knows the expected
+// value of — then the caller's extra metrics. Run calls it on the live front
+// end and ReplayWith on the replay source, which answers each request from
+// the recorded enables; sharing it keeps the two request orders identical.
+func enableVerification(src datasource.DataSource, entry *Entry, metrics []string, res *Result) error {
+	whole := resource.WholeProgram()
+	for _, e := range []struct {
+		dst    **frontend.Series
+		expect func(Params) float64
+		metric string
+	}{
+		{&res.BytesSent, entry.ExpectedBytesSent, "msg_bytes_sent"},
+		{&res.PutOps, entry.ExpectedPutOps, "rma_put_ops"},
+		{&res.GetOps, entry.ExpectedGetOps, "rma_get_ops"},
+		{&res.AccOps, entry.ExpectedAccOps, "rma_acc_ops"},
+		{&res.RMABytes, entry.ExpectedRMABytes, "rma_bytes"},
+	} {
+		if e.expect == nil {
+			continue
+		}
+		sr, err := src.EnableMetric(e.metric, whole)
+		if err != nil {
+			return err
+		}
+		*e.dst = sr
+	}
+	res.Extra = map[string]*frontend.Series{}
+	for _, m := range metrics {
+		sr, err := src.EnableMetric(m, whole)
+		if err != nil {
+			return err
+		}
+		res.Extra[m] = sr
+	}
+	return nil
+}
+
 // Run executes one suite program under the full tool (daemons, front end,
 // Performance Consultant) and returns the observed results.
 func Run(name string, opt RunOptions) (*Result, error) {
@@ -179,30 +217,8 @@ func Run(name string, opt RunOptions) (*Result, error) {
 
 	s.Register(name, prog)
 
-	// Verification instrumentation for the program's known totals.
-	whole := resource.WholeProgram()
-	if entry.ExpectedBytesSent != nil {
-		res.BytesSent = s.MustEnable("msg_bytes_sent", whole)
-	}
-	if entry.ExpectedPutOps != nil {
-		res.PutOps = s.MustEnable("rma_put_ops", whole)
-	}
-	if entry.ExpectedGetOps != nil {
-		res.GetOps = s.MustEnable("rma_get_ops", whole)
-	}
-	if entry.ExpectedAccOps != nil {
-		res.AccOps = s.MustEnable("rma_acc_ops", whole)
-	}
-	if entry.ExpectedRMABytes != nil {
-		res.RMABytes = s.MustEnable("rma_bytes", whole)
-	}
-	res.Extra = map[string]*frontend.Series{}
-	for _, m := range opt.Metrics {
-		sr, err := s.Enable(m, whole)
-		if err != nil {
-			return nil, err
-		}
-		res.Extra[m] = sr
+	if err := enableVerification(s.FE, entry, opt.Metrics, res); err != nil {
+		return nil, err
 	}
 
 	if err := s.Launch(name, params.Procs, nil); err != nil {

@@ -7,9 +7,7 @@ import (
 	"strings"
 
 	"pperf/internal/consultant"
-	"pperf/internal/frontend"
 	"pperf/internal/mpi"
-	"pperf/internal/resource"
 	"pperf/internal/session"
 	"pperf/internal/sim"
 )
@@ -158,46 +156,12 @@ func ReplayWith(a *session.Archive, o ReplayOptions) (*Result, error) {
 	rs := session.NewReplaySource(a)
 	if info.Traced {
 		// A traced live run has a timeline even if no shards arrived.
-		rs.EnsureTimeline()
+		rs.EnableTrace()
 	}
 	res.Source = rs
 
-	// Re-enable the verification instrumentation in the live order; the
-	// replay source serves each request from the recorded enables.
-	whole := resource.WholeProgram()
-	enable := func(dst **frontend.Series, expect func(Params) float64, metricName string) error {
-		if expect == nil {
-			return nil
-		}
-		sr, err := rs.EnableMetric(metricName, whole)
-		if err != nil {
-			return err
-		}
-		*dst = sr
-		return nil
-	}
-	for _, e := range []struct {
-		dst    **frontend.Series
-		expect func(Params) float64
-		metric string
-	}{
-		{&res.BytesSent, entry.ExpectedBytesSent, "msg_bytes_sent"},
-		{&res.PutOps, entry.ExpectedPutOps, "rma_put_ops"},
-		{&res.GetOps, entry.ExpectedGetOps, "rma_get_ops"},
-		{&res.AccOps, entry.ExpectedAccOps, "rma_acc_ops"},
-		{&res.RMABytes, entry.ExpectedRMABytes, "rma_bytes"},
-	} {
-		if err := enable(e.dst, e.expect, e.metric); err != nil {
-			return nil, err
-		}
-	}
-	res.Extra = map[string]*frontend.Series{}
-	for _, m := range info.Metrics {
-		sr, err := rs.EnableMetric(m, whole)
-		if err != nil {
-			return nil, err
-		}
-		res.Extra[m] = sr
+	if err := enableVerification(rs, entry, info.Metrics, res); err != nil {
+		return nil, err
 	}
 
 	// A fresh engine paces the Consultant exactly as the live one did:

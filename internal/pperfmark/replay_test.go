@@ -11,6 +11,7 @@ import (
 	"sort"
 	"testing"
 
+	"pperf/internal/consultant"
 	"pperf/internal/datasource"
 	"pperf/internal/faults"
 	"pperf/internal/mpi"
@@ -138,12 +139,23 @@ func diffSnapshots(t *testing.T, what, live, replayed string) {
 	t.Errorf("%s: replay diverges from live at byte %d:\nlive    …%q\nreplay  …%q", what, i, end(live), end(replayed))
 }
 
+// shortSmallMessages scales the traced small-messages runs down to what
+// tier-1 can afford. 15000 iterations is the floor: at 10000 the run ends
+// before the Consultant confirms its sync finding. `make replay-golden`
+// covers the full-size run.
+var shortSmallMessages = Params{Iterations: 15000}
+
 func TestReplayReproducesHealthyRun(t *testing.T) {
 	live, replayed := recordAndReplay(t, "small-messages", RunOptions{
 		Impl: mpi.LAM, Seed: 7, Trace: &trace.Config{},
-		Metrics: []string{"msgs_sent"},
+		Metrics: []string{"msgs_sent"}, Params: shortSmallMessages,
 	})
 	diffSnapshots(t, "small-messages", snapshot(t, live), snapshot(t, replayed))
+	// The equivalence must not be vacuous: the shortened run still has to
+	// drive the Consultant to its finding, and the replay has to keep it.
+	if !replayed.PC.TopLevelTrue(consultant.HypSync) || !replayed.PC.HasFinding(consultant.HypSync, "MPI_Send") {
+		t.Errorf("replayed run lost the sync finding:\n%s", replayed.PC.Render())
+	}
 	if replayed.Session != nil {
 		t.Error("replayed result claims a live session")
 	}
@@ -191,7 +203,7 @@ func TestReplayUnsupportedRun(t *testing.T) {
 // report, Perfetto export) — no map-iteration order may leak through.
 func TestQueryPlaneDeterministic(t *testing.T) {
 	run := func() string {
-		res, err := Run("small-messages", RunOptions{Impl: mpi.LAM, Seed: 7, Trace: &trace.Config{}})
+		res, err := Run("small-messages", RunOptions{Impl: mpi.LAM, Seed: 7, Trace: &trace.Config{}, Params: shortSmallMessages})
 		if err != nil {
 			t.Fatal(err)
 		}

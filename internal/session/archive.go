@@ -120,6 +120,28 @@ type Event struct {
 	Gap datasource.Gap // EvGap
 }
 
+// Apply folds the event into a View. It is the only code that does — the
+// live front end runs it on every event it ingests, a ReplaySource on the
+// recorded stream — so the two build the same state by construction.
+// EvEnable and EvBarrier carry no View state: enables are answered from the
+// series registry (live) or the replay index, and barriers only pace replay.
+func (ev *Event) Apply(v *datasource.View) {
+	switch ev.Kind {
+	case EvSamples:
+		v.ApplySamples(ev.Samples)
+	case EvUpdate:
+		v.ApplyUpdate(ev.Update)
+	case EvStale:
+		v.MarkDaemonStale(ev.Daemon, ev.Time)
+	case EvShard:
+		v.ApplyShard(ev.Shard)
+	case EvUndelivered:
+		v.ApplyUndelivered(ev.Proc, ev.N)
+	case EvGap:
+		v.AddGap(ev.Gap)
+	}
+}
+
 // Archive is a fully loaded session recording.
 type Archive struct {
 	Header Header
@@ -139,12 +161,14 @@ func (a *Archive) TruncationNote() string {
 	return fmt.Sprintf("[replay truncated after %d events]", len(a.Events))
 }
 
-// Sink is the full recording surface a session harness drives: the
-// datasource event hooks plus header finalization and accounting.
-// perfdb.StreamRecorder implements it; core.Options.Recorder and
-// pperfmark.RunOptions.Record accept one.
+// Sink is the full recording surface a session harness drives: the event
+// stream plus header finalization and accounting. perfdb.StreamRecorder
+// implements it; core.Options.Recorder and pperfmark.RunOptions.Record
+// accept one.
 type Sink interface {
-	datasource.Recorder
+	// Record captures one analysis-plane event, in arrival order. The
+	// caller keeps ownership of ev.Samples' backing array.
+	Record(ev Event)
 	// SetHistogram records the front end's histogram configuration so
 	// replay folds samples into identical bins.
 	SetHistogram(numBins int, binWidth sim.Duration)

@@ -47,13 +47,17 @@ func recordAll(t *testing.T, chunkEvents int) []byte {
 	r.SetMeta("program", "small-messages")
 	r.SetExtra([]byte{1, 2, 3})
 	f := resource.WholeProgram()
-	r.RecordEnable("msg_bytes_sent", f, "")
-	r.RecordUpdate(datasource.Update{Kind: datasource.UpAddResource, Path: "/Machine/node0/p0", Time: 1})
-	r.RecordSamples([]datasource.Sample{{Metric: "msg_bytes_sent", Focus: f, Proc: "p0", Time: 2, Delta: 5}})
-	r.RecordShard(trace.Shard{Daemon: "paradynd@node0", Proc: "p0", Node: "node0"})
-	r.RecordBarrier()
-	r.RecordStale("paradynd@node1", sim.Time(3*sim.Second))
-	r.RecordUndelivered("p1", 7)
+	for _, ev := range []session.Event{
+		{Kind: session.EvEnable, Metric: "msg_bytes_sent", Focus: f},
+		{Kind: session.EvUpdate, Update: datasource.Update{Kind: datasource.UpAddResource, Path: "/Machine/node0/p0", Time: 1}},
+		{Kind: session.EvSamples, Samples: []datasource.Sample{{Metric: "msg_bytes_sent", Focus: f, Proc: "p0", Time: 2, Delta: 5}}},
+		{Kind: session.EvShard, Shard: trace.Shard{Daemon: "paradynd@node0", Proc: "p0", Node: "node0"}},
+		{Kind: session.EvBarrier},
+		{Kind: session.EvStale, Daemon: "paradynd@node1", Time: sim.Time(3 * sim.Second)},
+		{Kind: session.EvUndelivered, Proc: "p1", N: 7},
+	} {
+		r.Record(ev)
+	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -118,14 +122,14 @@ func TestArchiveRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRecordSamplesCopiesBatch(t *testing.T) {
+func TestRecordCopiesSampleBatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.ppdb")
 	r, err := perfdb.NewStreamRecorder(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	batch := []datasource.Sample{{Metric: "m", Proc: "p0", Delta: 1}}
-	r.RecordSamples(batch)
+	r.Record(session.Event{Kind: session.EvSamples, Samples: batch})
 	batch[0].Delta = 99 // caller reuses its buffer before the chunk flushes
 	if err := r.Close(); err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 
 	"pperf/internal/datasource"
 	"pperf/internal/resource"
-	"pperf/internal/trace"
 )
 
 // ReplaySource re-presents a recorded session through the DataSource
@@ -30,8 +29,6 @@ type ReplaySource struct {
 	// (first occurrence wins): "" means the live enable succeeded, any
 	// other value is the error the live daemons returned.
 	enables map[string]string
-
-	timeline *trace.Timeline
 }
 
 // ReplaySource must satisfy the same contract the live front end does.
@@ -74,21 +71,6 @@ func NewReplaySource(a *Archive) *ReplaySource {
 	return rs
 }
 
-// EnsureTimeline creates the (initially empty) trace timeline, matching a
-// live run that armed tracing: the live front end's timeline exists even
-// when zero shards arrive, so a replay of a traced run must expose one
-// too. Replay of an untraced run leaves Timeline nil — unless the archive
-// holds shard events, which lazily create it.
-func (rs *ReplaySource) EnsureTimeline() {
-	if rs.timeline == nil {
-		rs.timeline = trace.NewTimeline()
-	}
-}
-
-// Timeline returns the replayed trace timeline (nil when the recorded
-// session did not trace).
-func (rs *ReplaySource) Timeline() *trace.Timeline { return rs.timeline }
-
 // EnableMetric replays a metric enable. There are no daemons to
 // instrument: a request the live session answered is answered identically
 // (success registers the series, which subsequent Syncs fill from the
@@ -124,7 +106,7 @@ func (rs *ReplaySource) Sync() {
 		if ev.Kind == EvBarrier {
 			return
 		}
-		rs.apply(ev)
+		ev.Apply(rs.View)
 	}
 }
 
@@ -133,29 +115,7 @@ func (rs *ReplaySource) Sync() {
 // final sample batches). Call it after the replay clock finishes.
 func (rs *ReplaySource) Drain() {
 	for rs.pos < len(rs.events) {
-		rs.apply(&rs.events[rs.pos])
+		rs.events[rs.pos].Apply(rs.View)
 		rs.pos++
-	}
-}
-
-func (rs *ReplaySource) apply(ev *Event) {
-	switch ev.Kind {
-	case EvSamples:
-		rs.View.ApplySamples(ev.Samples)
-	case EvUpdate:
-		rs.View.ApplyUpdate(ev.Update)
-	case EvStale:
-		rs.View.MarkDaemonStale(ev.Daemon, ev.Time)
-	case EvShard:
-		rs.EnsureTimeline()
-		rs.timeline.Ingest(ev.Shard)
-	case EvUndelivered:
-		rs.EnsureTimeline()
-		rs.timeline.NoteUndelivered(ev.Proc, ev.N)
-	case EvGap:
-		rs.View.AddGap(ev.Gap)
-	case EvEnable, EvBarrier:
-		// EvEnable is consumed through the prebuilt index; a stray
-		// barrier here (inside Drain) carries no state.
 	}
 }

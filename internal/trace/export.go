@@ -162,8 +162,8 @@ func WriteChromeWith(w io.Writer, tl *Timeline, counters []CounterTrack) error {
 	}
 
 	if notice := incompleteNotice(tl); notice != "" {
-		// Mirror mpe's "[log truncated]": a run that ended with spans
-		// stranded in daemon queues must never export as a complete trace.
+		// A run that ended with spans stranded in daemon queues must never
+		// export as a complete trace.
 		events = append(events, chromeEvent{
 			Ph: "i", S: "g", Cat: "notice", Pid: toolPid,
 			Name: notice,
