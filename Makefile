@@ -1,14 +1,15 @@
 # Build and verification entry points. `make verify` is the full CI gate:
 # tier-1 (build + tests), static analysis and gofmt, race-enabled tests of the
 # packages with real concurrency (the TCP transport and the daemon/fault
-# machinery it carries), the CLI goldens, and the out-of-tree benchmark
+# machinery it carries), a five-second smoke of each fuzz target, the CLI
+# goldens, and the out-of-tree benchmark
 # module's own vet + tests (it imports internal packages through a replace
 # directive, so an internal-API deletion that breaks it fails here rather
 # than in the benchmark run).
 
 GO ?= go
 
-.PHONY: build test vet fmt-check race verify bench bench-module replay-golden perfdb-golden sync-golden wire-golden trend-golden chaos fuzz fuzz-perfdb fuzz-wire
+.PHONY: build test vet fmt-check race verify bench bench-module replay-golden perfdb-golden sync-golden wire-golden trend-golden chaos fuzz fuzz-perfdb fuzz-wire fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -27,7 +28,7 @@ fmt-check:
 race:
 	$(GO) test -race ./internal/wire ./internal/frontend ./internal/daemon ./internal/faults ./internal/trace ./internal/core ./internal/session ./internal/perfdb ./internal/datasource
 
-verify: build vet fmt-check test race bench-module replay-golden perfdb-golden sync-golden wire-golden trend-golden
+verify: build vet fmt-check test race fuzz-smoke bench-module replay-golden perfdb-golden sync-golden wire-golden trend-golden
 
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
@@ -60,6 +61,16 @@ wire-golden:
 # path: garbage, truncations and bit flips must error, never panic or hang.
 fuzz-wire:
 	$(GO) test -fuzz=FuzzWireFrame -fuzztime=30s ./internal/wire
+
+# fuzz-smoke gives each fuzz target five seconds of mutation in the CI gate
+# (plain `go test` only replays their seed corpora); the 30 s targets above
+# and below are the longer soak. -run '^$$' skips the packages' unit tests,
+# which `test` has already run.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz=FuzzWireFrame -fuzztime=5s ./internal/wire
+	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=5s ./internal/faults
+	$(GO) test -run '^$$' -fuzz=FuzzChunkDecoder -fuzztime=5s ./internal/perfdb
+	$(GO) test -run '^$$' -fuzz=FuzzUnpackSamples -fuzztime=5s ./internal/perfdb
 
 # fuzz-perfdb holds the chunked-archive and sample-delta decoders total:
 # arbitrary bytes must produce an archive or an error, never a panic.

@@ -584,7 +584,6 @@ func syncConfig(faultSpec string, chunkBytes int) (perfdb.SyncConfig, bool) {
 			return cfg, false
 		}
 		cfg.Faults = plan
-		cfg.Seed = plan.Seed
 	}
 	return cfg, true
 }

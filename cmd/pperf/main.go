@@ -69,8 +69,37 @@ func main() {
 	)
 	flag.Parse()
 
-	// Validated before any branch: -replay and -pcl return early, and a bad
-	// value must not silently fall back to the default there.
+	// The mode is the mode flag that is present; each mode reads only its
+	// own flags, and any other flag given is refused, not silently ignored.
+	mode := "prog"
+	switch {
+	case *pclFile != "":
+		mode = "pcl"
+	case *list:
+		mode = "list"
+	case *replay != "":
+		mode = "replay"
+	case *prog == "":
+		fmt.Fprintln(os.Stderr, "pperf: -prog is required (try -list)")
+		os.Exit(2)
+	}
+	reads := "no other flag"
+	if modeFlags[mode] != "" {
+		reads = "only:" + strings.TrimRight(modeFlags[mode], " ")
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name != mode && !strings.Contains(modeFlags[mode], " "+f.Name+" ") {
+			fmt.Fprintf(os.Stderr, "pperf: -%s cannot be combined with -%s (it reads %s)\n", f.Name, mode, reads)
+			os.Exit(2)
+		}
+		if v, ok := f.Value.(flag.Getter).Get().(float64); ok && v < 0 && strings.HasPrefix(f.Name, "what-if-") {
+			fmt.Fprintf(os.Stderr, "pperf: -%s %v: a threshold must be positive\n", f.Name, v)
+			os.Exit(2)
+		}
+	})
+
+	// Validated before any branch: -replay returns early, and a bad value
+	// must not silently fall back to the default there.
 	if *traceFmt != "perfetto" && *traceFmt != "csv" {
 		fmt.Fprintf(os.Stderr, "pperf: unknown -trace-format %q (perfetto | csv)\n", *traceFmt)
 		os.Exit(2)
@@ -86,8 +115,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *pclFile != "" {
-		onlyFlag("pcl")
+	if mode == "pcl" {
 		if err := runFromPCL(*pclFile); err != nil {
 			fmt.Fprintln(os.Stderr, "pperf:", err)
 			os.Exit(1)
@@ -95,8 +123,7 @@ func main() {
 		return
 	}
 
-	if *list {
-		onlyFlag("list")
+	if mode == "list" {
 		fmt.Println("MPI-1 programs (Table 2):")
 		for _, n := range pperfmark.MPI1Names() {
 			fmt.Printf("  %-18s %s\n", n, pperfmark.Get(n).Description)
@@ -108,21 +135,8 @@ func main() {
 		return
 	}
 
-	whatIf := pperfmark.ReplayOptions{
-		SyncThreshold: *wifSync,
-		IOThreshold:   *wifIO,
-		CPUThreshold:  *wifCPU,
-	}
-	if whatIf != (pperfmark.ReplayOptions{}) && *replay == "" {
-		fmt.Fprintln(os.Stderr, "pperf: -what-if-* flags only apply to -replay (the live run's thresholds are set by PCL or defaults)")
-		os.Exit(2)
-	}
-
-	if *replay != "" {
-		if *record != "" || *dbDir != "" {
-			fmt.Fprintln(os.Stderr, "pperf: -record/-db and -replay are mutually exclusive")
-			os.Exit(2)
-		}
+	if mode == "replay" {
+		whatIf := pperfmark.ReplayOptions{SyncThreshold: *wifSync, IOThreshold: *wifIO, CPUThreshold: *wifCPU}
 		a, err := perfdb.LoadAny(*replay)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pperf:", err)
@@ -140,10 +154,6 @@ func main() {
 		return
 	}
 
-	if *prog == "" {
-		fmt.Fprintln(os.Stderr, "pperf: -prog is required (try -list)")
-		os.Exit(2)
-	}
 	impl, err := parseImpl(*implName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pperf:", err)
@@ -176,6 +186,10 @@ func main() {
 	}
 	if *record != "" && *dbDir != "" {
 		fmt.Fprintln(os.Stderr, "pperf: -record and -db are mutually exclusive (the store holds the recording)")
+		os.Exit(2)
+	}
+	if *dbLabel != "" && *dbDir == "" {
+		fmt.Fprintln(os.Stderr, "pperf: -db-label requires -db (it labels the stored run)")
 		os.Exit(2)
 	}
 	// Recording streams through the chunked writer in both cases: events
@@ -391,16 +405,17 @@ func runFromPCL(path string) error {
 	return nil
 }
 
-// onlyFlag exits 2 if any flag other than name was given: -pcl takes its
-// whole run from the file and -list only prints, so neither reads another
-// flag and a combination is refused rather than silently ignored.
-func onlyFlag(name string) {
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name != name {
-			fmt.Fprintf(os.Stderr, "pperf: -%s cannot be combined with -%s (it reads no other flag)\n", f.Name, name)
-			os.Exit(2)
-		}
-	})
+// modeFlags lists, per mode flag, the other flags that mode reads (space
+// delimited). -pcl takes its whole run from the file and -list only prints;
+// -replay re-analyzes a recording, so everything that shapes a live run
+// (-seed, -impl, -np, -faults, -db, ...) has no meaning there, and the
+// -what-if-* thresholds have none on a live run.
+var modeFlags = map[string]string{
+	"pcl":    "",
+	"list":   "",
+	"replay": " hierarchy judge trace trace-format critical-path what-if-sync what-if-io what-if-cpu ",
+	"prog": " impl iterations np ttw spawn seed faults hierarchy judge trace trace-format critical-path" +
+		" record db db-label transport-stats ",
 }
 
 // writeTrace exports the merged timeline in the requested format. The

@@ -154,29 +154,16 @@ func NewSession(opts Options) (*Session, error) {
 	}
 
 	for node := range spec.Nodes {
-		nodeName := spec.Nodes[node].Name
-		var tr daemon.Transport = fe
-		if opts.UseTCP {
-			rcfg := frontend.DefaultRetryConfig()
-			if plan != nil {
-				rcfg.Seed = plan.Seed + uint64(node) // per-daemon jitter streams
-			}
-			rcfg.Incarnation = 1
-			t, err := frontend.DialTransportRetry(s.listener.Addr(), daemon.NameFor(nodeName), rcfg)
-			if err != nil {
-				s.Close()
-				return nil, err
-			}
-			s.transports = append(s.transports, t)
-			s.inject[nodeName] = t
-			tr = t
-		} else if plan != nil {
-			// In-process transport: interpose the injector's failure wrapper.
-			ft := faults.NewFlakyTransport(tr)
-			s.inject[nodeName] = ft
-			tr = ft
+		seed := wire.DefaultConfig().Seed
+		if plan != nil {
+			seed = plan.Seed + uint64(node) // per-daemon jitter streams
 		}
-		d := daemon.New(eng, node, nodeName, lib, tr, dcfg)
+		tr, err := s.newTransport(node, 1, seed)
+		if err != nil {
+			s.Close()
+			return nil, err
+		}
+		d := daemon.New(eng, node, spec.Nodes[node].Name, lib, tr, dcfg)
 		s.Daemons = append(s.Daemons, d)
 		fe.AddDaemon(d)
 	}
@@ -275,6 +262,38 @@ func (s *Session) armFaults(plan *faults.Plan) {
 	}
 }
 
+// newTransport builds the transport of one daemon incarnation on node idx
+// and makes it the node's fault-injection target: over TCP a fresh dial to
+// the listener (control and bulk channels, fresh seq spaces, jitter drawn
+// from seed) replacing any previous incarnation's transport; in process the
+// front end itself, behind the injector's failure wrapper when a plan is
+// armed.
+func (s *Session) newTransport(idx, incarnation int, seed uint64) (daemon.Transport, error) {
+	node := s.Spec.Nodes[idx].Name
+	if s.listener == nil {
+		if s.plan == nil {
+			return s.FE, nil
+		}
+		ft := faults.NewFlakyTransport(s.FE)
+		s.inject[node] = ft
+		return ft, nil
+	}
+	cfg := wire.DefaultConfig()
+	cfg.Seed = seed
+	t, err := frontend.DialTransportRetry(s.listener.Addr(), daemon.NameFor(node), uint64(incarnation), cfg)
+	if err != nil {
+		return nil, err
+	}
+	if idx < len(s.transports) {
+		s.transports[idx].Close() // dead incarnation's channels: fail fast, free the sockets
+		s.transports[idx] = t
+	} else {
+		s.transports = append(s.transports, t)
+	}
+	s.inject[node] = t
+	return t, nil
+}
+
 // respawnDaemon is the supervisor's RespawnFunc: build a fresh daemon
 // incarnation for the node and re-attach it to the node's still-running
 // application processes. The previous incarnation is crashed first (a
@@ -295,25 +314,11 @@ func (s *Session) respawnDaemon(node string, incarnation int) (*daemon.Daemon, e
 		old.Crash()
 	}
 
-	var tr daemon.Transport = s.FE
-	if s.listener != nil {
-		rcfg := frontend.DefaultRetryConfig()
-		rcfg.Seed = s.plan.Seed + uint64(idx) + uint64(incarnation)<<16 // own jitter stream per incarnation
-		rcfg.Incarnation = uint64(incarnation)
-		t, err := frontend.DialTransportRetry(s.listener.Addr(), daemon.NameFor(node), rcfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: respawn dial: %w", err)
-		}
-		s.transports[idx].Close() // dead incarnation's channels: fail fast, free the sockets
-		s.transports[idx] = t
-		s.inject[node] = t
-		tr = t
-	} else {
-		ft := faults.NewFlakyTransport(tr)
-		s.inject[node] = ft
-		tr = ft
+	// Own jitter stream per incarnation.
+	tr, err := s.newTransport(idx, incarnation, s.plan.Seed+uint64(idx)+uint64(incarnation)<<16)
+	if err != nil {
+		return nil, fmt.Errorf("core: respawn dial: %w", err)
 	}
-
 	d := daemon.New(s.Eng, idx, node, s.Lib, tr, s.dcfg)
 	d.SetIncarnation(incarnation)
 	if s.Tracer != nil {

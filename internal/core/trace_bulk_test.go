@@ -52,12 +52,12 @@ func TestTraceBytesStayOffControlChannel(t *testing.T) {
 	untraced := runTracedSession(t, true, nil, nil)
 	traced := runTracedSession(t, true, &trace.Config{}, nil)
 
-	if got := traced.listener.BulkFrames(); got == 0 {
+	if got := traced.listener.WireStats(wire.ChanBulk).Frames; got == 0 {
 		t.Error("no bulk frames despite armed tracing")
 	}
 	// Arming tracing must not change what the sampling path sends: the
 	// control channel carries exactly the frames of the untraced run.
-	if tc, uc := traced.listener.CtlFrames(), untraced.listener.CtlFrames(); tc != uc {
+	if tc, uc := traced.listener.WireStats(wire.ChanCtl).Frames, untraced.listener.WireStats(wire.ChanCtl).Frames; tc != uc {
 		t.Errorf("control frames with tracing = %d, without = %d — trace load leaked into the sampling path", tc, uc)
 	}
 	if traced.FE.Timeline().Lost() != 0 {
@@ -131,8 +131,8 @@ func benchSession(b *testing.B, tcfg *trace.Config) {
 	var ctlFrames, bulkFrames int64
 	for i := 0; i < b.N; i++ {
 		s := runTracedSession(b, true, tcfg, nil)
-		ctlFrames += s.listener.CtlFrames()
-		bulkFrames += s.listener.BulkFrames()
+		ctlFrames += s.listener.WireStats(wire.ChanCtl).Frames
+		bulkFrames += s.listener.WireStats(wire.ChanBulk).Frames
 		s.Close()
 	}
 	b.ReportMetric(float64(ctlFrames)/float64(b.N), "ctl-frames/op")

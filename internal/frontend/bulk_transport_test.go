@@ -21,7 +21,7 @@ func TestBulkChannelCarriesShardsOffControlPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	tr, err := DialTransportRetry(l.Addr(), "paradynd@node0", testRetryConfig())
+	tr, err := DialTransportRetry(l.Addr(), "paradynd@node0", 0, testRetryConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,15 +40,15 @@ func TestBulkChannelCarriesShardsOffControlPath(t *testing.T) {
 		}
 	}
 
-	if got := l.CtlFrames(); got != 2 {
+	if got := l.WireStats(wire.ChanCtl).Frames; got != 2 {
 		t.Errorf("control frames = %d, want 2 (the updates)", got)
 	}
-	if got := l.BulkFrames(); got != 2 {
+	if got := l.WireStats(wire.ChanBulk).Frames; got != 2 {
 		t.Errorf("bulk frames = %d, want 2 (the shards)", got)
 	}
 	// Both channels numbered their first frame Seq 1; per-(daemon,channel)
 	// dedupe must not confuse them.
-	if got := l.Duplicates(); got != 0 {
+	if got := l.WireStats(wire.ChanCtl).Duplicates + l.WireStats(wire.ChanBulk).Duplicates; got != 0 {
 		t.Errorf("cross-channel frames misread as duplicates: %d", got)
 	}
 	tl := fe.Timeline()
@@ -64,7 +64,7 @@ func TestBulkFaultsLeaveControlFlowing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	tr, err := DialTransportRetry(l.Addr(), "paradynd@node0", testRetryConfig())
+	tr, err := DialTransportRetry(l.Addr(), "paradynd@node0", 0, testRetryConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestControlFaultsLeaveBulkFlowing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	tr, err := DialTransportRetry(l.Addr(), "paradynd@node0", testRetryConfig())
+	tr, err := DialTransportRetry(l.Addr(), "paradynd@node0", 0, testRetryConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

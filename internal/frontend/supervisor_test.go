@@ -4,11 +4,11 @@ import (
 	"encoding/gob"
 	"net"
 	"testing"
-	"time"
 
 	"pperf/internal/daemon"
 	"pperf/internal/resource"
 	"pperf/internal/sim"
+	"pperf/internal/wire"
 )
 
 // A daemon silent for EXACTLY the detection timeout is not yet stale: the
@@ -78,8 +78,8 @@ func TestListenerFencesStaleIncarnationFrames(t *testing.T) {
 	if got := fe.Series("m", f).Total(); got != 12 {
 		t.Errorf("total = %v, want 12 (stale-incarnation frame applied?)", got)
 	}
-	if l.StaleIncarnationFrames() != 1 {
-		t.Errorf("stale frames = %d, want 1", l.StaleIncarnationFrames())
+	if got := l.WireStats(wire.ChanCtl).StaleFrames; got != 1 {
+		t.Errorf("stale frames = %d, want 1", got)
 	}
 
 	// Within the new incarnation, plain seq dedupe still works.
@@ -87,39 +87,7 @@ func TestListenerFencesStaleIncarnationFrames(t *testing.T) {
 	if got := fe.Series("m", f).Total(); got != 12 {
 		t.Errorf("total = %v, want 12 (replayed frame applied twice?)", got)
 	}
-	if l.Duplicates() != 1 {
-		t.Errorf("duplicates = %d, want 1", l.Duplicates())
-	}
-}
-
-// A peer that connects and then goes mute must be dropped by the per-frame
-// read deadline instead of parking a handler goroutine forever.
-func TestListenerReadDeadlineDropsWedgedPeer(t *testing.T) {
-	fe := New()
-	l, err := fe.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	l.SetReadTimeout(30 * time.Millisecond)
-
-	conn, err := net.Dial("tcp", l.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	// Send nothing; the listener must cut us loose.
-	deadline := time.Now().Add(5 * time.Second)
-	for l.ReadTimeouts() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("read deadline never fired for a mute peer")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// The listener closed its end: our next read observes it.
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := conn.Read(make([]byte, 1)); err == nil {
-		t.Error("connection still open after the read deadline fired")
+	if got := l.WireStats(wire.ChanCtl).Duplicates; got != 1 {
+		t.Errorf("duplicates = %d, want 1", got)
 	}
 }

@@ -1,11 +1,8 @@
 package frontend
 
 import (
-	"encoding/gob"
 	"fmt"
-	"net"
 	"sync"
-	"time"
 
 	"pperf/internal/daemon"
 	"pperf/internal/trace"
@@ -63,197 +60,55 @@ type wireMsg struct {
 	Shard   *trace.Shard
 }
 
-// RetryConfig tunes the daemon-side transport's robustness behaviour. It is
-// the wire plane's Config: equal seeds give identical retry schedules, and
-// the bulk channel derives its own jitter stream from the same seed.
-type RetryConfig = wire.Config
-
-// DefaultRetryConfig returns production-shaped retry behaviour.
-func DefaultRetryConfig() RetryConfig { return wire.DefaultConfig() }
-
-// TransportStats counts one channel's resilience activity — the wire
-// plane's uniform Stats block.
-type TransportStats = wire.Stats
-
-// Listener accepts daemon connections for a front end. Control and bulk
-// connections land on the same listening socket; frames declare their
-// channel, and dedupe state is kept per (daemon, channel) in a bounded
-// wire.Dedupe window table.
+// Listener accepts daemon connections for a front end: a wire.Server whose
+// frames are wireMsgs. Control and bulk connections land on the same
+// listening socket; frames declare their channel.
 type Listener struct {
+	*wire.Server
 	fe *FrontEnd
-	ln net.Listener
-	wg sync.WaitGroup
 
 	// dedupe fences replays and dead-incarnation stragglers per
 	// (daemon, channel); its window table is bounded, so a long-lived
 	// listener fed ever-fresh daemon identities reaches a steady state.
 	dedupe *wire.Dedupe
-
-	// readTimeout bounds the wait for each incoming frame; a peer that
-	// connects and then wedges is dropped instead of parking the handler
-	// goroutine forever. Healthy-but-idle daemons that get dropped simply
-	// redial on their next send (gob streams are per-connection, and the
-	// dedupe layer absorbs any replays).
-	readTimeout time.Duration
-
-	mu           sync.Mutex
-	closed       bool
-	readTimeouts int64
-	acceptE      int64 // transient accept errors retried
-	ctlFrames    int64
-	bulkFrames   int64
 }
-
-// DefaultReadTimeout is the per-frame read deadline new listeners start
-// with — generous enough that an idle-but-healthy daemon is rarely cut,
-// tight enough that a wedged peer cannot hold a handler goroutine forever.
-const DefaultReadTimeout = wire.DefaultReadTimeout
 
 // Listen starts a TCP listener feeding the front end. Use addr "127.0.0.1:0"
 // to pick a free port; Addr reports the chosen address.
 func (fe *FrontEnd) Listen(addr string) (*Listener, error) {
-	ln, err := net.Listen("tcp", addr)
+	l := &Listener{fe: fe, dedupe: wire.NewDedupe(0)}
+	srv, err := wire.Listen(addr, l.serve)
 	if err != nil {
 		return nil, fmt.Errorf("frontend: listen: %w", err)
 	}
-	l := &Listener{
-		fe: fe, ln: ln,
-		dedupe:      wire.NewDedupe(0),
-		readTimeout: DefaultReadTimeout,
-	}
-	l.wg.Add(1)
-	go func() {
-		defer l.wg.Done()
-		wire.AcceptLoop(l.ln, l.isClosed, l.noteTransientAccept, &l.wg, l.handle)
-	}()
+	l.Server = srv
 	return l, nil
-}
-
-// SetReadTimeout adjusts the per-frame read deadline (0 disables it).
-// Affects connections accepted after the call.
-func (l *Listener) SetReadTimeout(d time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.readTimeout = d
-}
-
-// Addr returns the listening address.
-func (l *Listener) Addr() string { return l.ln.Addr().String() }
-
-// Close stops accepting and waits for connection handlers to finish.
-func (l *Listener) Close() error {
-	l.mu.Lock()
-	l.closed = true
-	l.mu.Unlock()
-	err := l.ln.Close()
-	l.wg.Wait()
-	return err
-}
-
-// Duplicates returns how many replayed frames the dedupe layer skipped.
-func (l *Listener) Duplicates() int64 { return l.dedupe.Duplicates() }
-
-// StaleIncarnationFrames returns how many frames were fenced out because
-// they came from a dead daemon incarnation.
-func (l *Listener) StaleIncarnationFrames() int64 { return l.dedupe.StaleFrames() }
-
-// ReadTimeouts returns how many connections the per-frame read deadline
-// dropped.
-func (l *Listener) ReadTimeouts() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.readTimeouts
-}
-
-// TransientAcceptErrors returns how many Accept errors were retried.
-func (l *Listener) TransientAcceptErrors() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.acceptE
-}
-
-// CtlFrames returns how many frames arrived on the control channel.
-func (l *Listener) CtlFrames() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.ctlFrames
-}
-
-// BulkFrames returns how many frames arrived on the bulk channel.
-func (l *Listener) BulkFrames() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.bulkFrames
 }
 
 // WireStats returns the listener-side wire counters for one channel
 // (wire.ChanCtl or wire.ChanBulk): frames received plus the dedupe layer's
-// duplicate/stale accounting.
+// duplicate/stale accounting. Connections are not per channel, so the
+// server's dropped-connection and accept counters are reported with ctl.
 func (l *Listener) WireStats(ch string) wire.Stats {
 	s := l.dedupe.ChannelStats(ch)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if ch == wire.ChanBulk {
-		s.Frames = l.bulkFrames
-	} else {
-		s.Frames = l.ctlFrames
-		s.ReadTimeouts = l.readTimeouts
+	if ch != wire.ChanBulk {
+		srv := l.Stats()
+		s.ReadTimeouts, s.AcceptRetries = srv.ReadTimeouts, srv.AcceptRetries
 	}
 	return s
 }
 
-func (l *Listener) isClosed() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.closed
-}
-
-func (l *Listener) noteTransientAccept() {
-	l.mu.Lock()
-	l.acceptE++
-	l.mu.Unlock()
-}
-
-// seen counts the frame for its channel and reports (via the wire dedupe
-// table) whether it must be skipped — either a replay the front end already
-// applied, or a straggler from a dead daemon incarnation. A frame from a
-// newer incarnation resets the channel's seq space: the respawned daemon
-// numbers its frames from 1 again.
-func (l *Listener) seen(daemonName, ch string, inc, seq uint64) bool {
-	l.mu.Lock()
-	if ch == bulkChannel {
-		l.bulkFrames++
-	} else {
-		l.ctlFrames++
-	}
-	l.mu.Unlock()
-	return l.dedupe.Seen(daemonName, ch, inc, seq)
-}
-
-func (l *Listener) handle(conn net.Conn) {
-	l.mu.Lock()
-	readTimeout := l.readTimeout
-	l.mu.Unlock()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+// serve applies one daemon connection's frames to the front end.
+func (l *Listener) serve(c *wire.ServerConn) {
 	for {
 		var msg wireMsg
-		if timedOut, err := wire.ReadFrame(conn, dec, readTimeout, &msg); err != nil {
-			if timedOut {
-				// Wedged (or merely idle) peer: drop the connection
-				// instead of parking this goroutine forever. A live
-				// daemon redials on its next send and the dedupe layer
-				// absorbs any replays.
-				l.mu.Lock()
-				l.readTimeouts++
-				l.mu.Unlock()
-			}
+		if c.Read(&msg) != nil {
 			return
 		}
 		// A frame the daemon re-sent after a lost ack was already applied —
 		// and one a dead incarnation sent must never apply. Both are still
 		// acknowledged so the sender unblocks.
-		if !l.seen(msg.Daemon, msg.Chan, msg.Inc, msg.Seq) {
+		if !l.dedupe.Seen(msg.Daemon, msg.Chan, msg.Inc, msg.Seq) {
 			if msg.Samples != nil {
 				l.fe.Samples(msg.Samples)
 			}
@@ -264,14 +119,11 @@ func (l *Listener) handle(conn net.Conn) {
 				l.fe.Shard(*msg.Shard)
 			}
 		}
-		if err := enc.Encode(true); err != nil { // ack
+		if c.Reply(true) != nil { // ack
 			return
 		}
 	}
 }
-
-// ErrTransportClosed is returned by sends on a Close()d transport.
-var ErrTransportClosed = wire.ErrClosed
 
 // tcpChannel is one independent acknowledged gob stream to the front end: a
 // wire.Conn plus the identity (daemon name, channel label, incarnation) it
@@ -311,8 +163,7 @@ func (c *tcpChannel) send(msg wireMsg) error {
 // is independent of trace volume.
 type TCPTransport struct {
 	addr string
-	name string
-	cfg  RetryConfig
+	cfg  wire.Config
 
 	ctl tcpChannel
 
@@ -322,19 +173,21 @@ type TCPTransport struct {
 
 // DialTransportRetry connects a daemon-side transport with explicit identity
 // and retry configuration. name is the daemon identity used for reconnect
-// dedupe; empty disables dedupe (every frame applies). Only the control
-// channel is dialed here; the bulk channel comes up lazily on the first
-// trace shard. The control channel draws jitter from the seed unsalted; the
-// bulk channel salts it, so the two schedules are independent yet each
-// deterministic.
-func DialTransportRetry(addr, name string, cfg RetryConfig) (*TCPTransport, error) {
-	t := &TCPTransport{addr: addr, name: name, cfg: cfg}
+// dedupe; empty disables dedupe (every frame applies). incarnation is
+// stamped on every frame so the listener can fence out stragglers from dead
+// incarnations of that daemon; 0 sends legacy frames with pure-seq dedupe.
+// Only the control channel is dialed here; the bulk channel comes up lazily
+// on the first trace shard. The control channel draws jitter from the seed
+// unsalted; the bulk channel salts it, so the two schedules are independent
+// yet each deterministic.
+func DialTransportRetry(addr, name string, incarnation uint64, cfg wire.Config) (*TCPTransport, error) {
+	t := &TCPTransport{addr: addr, cfg: cfg}
 	conn, err := wire.Dial(addr, cfg, cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("frontend: dial: %w", err)
 	}
 	conn.Injection().Chan = wire.ChanCtl
-	t.ctl = tcpChannel{label: ctlChannel, name: name, inc: cfg.Incarnation, conn: conn}
+	t.ctl = tcpChannel{label: ctlChannel, name: name, inc: incarnation, conn: conn}
 	return t, nil
 }
 
@@ -345,7 +198,7 @@ func (t *TCPTransport) bulkChan() *tcpChannel {
 	defer t.bulkMu.Unlock()
 	if t.bulk == nil {
 		t.bulk = &tcpChannel{
-			label: bulkChannel, name: t.name, inc: t.cfg.Incarnation,
+			label: bulkChannel, name: t.ctl.name, inc: t.ctl.inc,
 			conn: wire.NewConn(t.addr, t.cfg, t.cfg.Seed^wire.SaltBulk),
 		}
 		t.bulk.conn.Injection().Chan = wire.ChanBulk
@@ -369,16 +222,16 @@ func (t *TCPTransport) Close() error {
 }
 
 // Stats returns a snapshot of the control channel's resilience counters.
-func (t *TCPTransport) Stats() TransportStats { return t.ctl.conn.Stats() }
+func (t *TCPTransport) Stats() wire.Stats { return t.ctl.conn.Stats() }
 
 // BulkStats returns a snapshot of the bulk channel's resilience counters
 // (all zero if no shard was ever sent).
-func (t *TCPTransport) BulkStats() TransportStats {
+func (t *TCPTransport) BulkStats() wire.Stats {
 	t.bulkMu.Lock()
 	b := t.bulk
 	t.bulkMu.Unlock()
 	if b == nil {
-		return TransportStats{}
+		return wire.Stats{}
 	}
 	return b.conn.Stats()
 }

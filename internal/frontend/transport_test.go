@@ -4,7 +4,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -15,8 +14,8 @@ import (
 )
 
 // testRetryConfig keeps wall-clock waits negligible in tests.
-func testRetryConfig() RetryConfig {
-	return RetryConfig{
+func testRetryConfig() wire.Config {
+	return wire.Config{
 		MsgTimeout:  500 * time.Millisecond,
 		MaxAttempts: 4,
 		BaseBackoff: 100 * time.Microsecond,
@@ -33,7 +32,7 @@ func TestTCPTransportDeliversThroughInjectedFailures(t *testing.T) {
 	}
 	defer l.Close()
 
-	tr, err := DialTransportRetry(l.Addr(), "paradynd@node0", testRetryConfig())
+	tr, err := DialTransportRetry(l.Addr(), "paradynd@node0", 0, testRetryConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +71,7 @@ func TestTCPTransportGivesUpAfterMaxAttempts(t *testing.T) {
 
 	cfg := testRetryConfig()
 	cfg.MaxAttempts = 2
-	tr, err := DialTransportRetry(l.Addr(), "paradynd@node0", cfg)
+	tr, err := DialTransportRetry(l.Addr(), "paradynd@node0", 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +126,8 @@ func TestListenerDedupesReplayedFrames(t *testing.T) {
 	if got := fe.Series("m", f).Total(); got != 5 {
 		t.Errorf("total = %v, want 5 (replay applied twice?)", got)
 	}
-	if l.Duplicates() != 1 {
-		t.Errorf("duplicates = %d, want 1", l.Duplicates())
+	if got := l.WireStats(wire.ChanCtl).Duplicates; got != 1 {
+		t.Errorf("duplicates = %d, want 1", got)
 	}
 }
 
@@ -142,7 +141,7 @@ func TestBackoffScheduleDeterministicBySeed(t *testing.T) {
 		defer l.Close()
 		cfg := testRetryConfig()
 		cfg.Seed = seed
-		tr, err := DialTransportRetry(l.Addr(), "d", cfg)
+		tr, err := DialTransportRetry(l.Addr(), "d", 0, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,60 +173,6 @@ func TestBackoffScheduleDeterministicBySeed(t *testing.T) {
 	}
 }
 
-// fakeListener scripts Accept results: a sequence of transient errors, then
-// closure.
-type fakeListener struct {
-	mu     sync.Mutex
-	errs   []error
-	closed chan struct{}
-	once   sync.Once
-}
-
-func (f *fakeListener) Accept() (net.Conn, error) {
-	f.mu.Lock()
-	if len(f.errs) > 0 {
-		e := f.errs[0]
-		f.errs = f.errs[1:]
-		f.mu.Unlock()
-		return nil, e
-	}
-	f.mu.Unlock()
-	<-f.closed
-	return nil, net.ErrClosed
-}
-
-func (f *fakeListener) Close() error {
-	f.once.Do(func() { close(f.closed) })
-	return nil
-}
-
-func (f *fakeListener) Addr() net.Addr { return &net.TCPAddr{IP: net.IPv4zero} }
-
-func TestAcceptLoopRetriesTransientErrors(t *testing.T) {
-	fl := &fakeListener{
-		errs:   []error{errors.New("accept: too many open files"), errors.New("accept: connection aborted")},
-		closed: make(chan struct{}),
-	}
-	l := &Listener{fe: New(), ln: fl, dedupe: wire.NewDedupe(0)}
-	l.wg.Add(1)
-	go func() {
-		defer l.wg.Done()
-		wire.AcceptLoop(l.ln, l.isClosed, l.noteTransientAccept, &l.wg, l.handle)
-	}()
-
-	deadline := time.Now().Add(2 * time.Second)
-	for l.TransientAcceptErrors() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("transient errors retried = %d, want 2", l.TransientAcceptErrors())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Closing ends the loop despite earlier errors.
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestHalfClosedSocketSurfacesErrorNotHang(t *testing.T) {
 	// A server that accepts and never acknowledges: the per-message deadline
 	// must surface an error instead of wedging the daemon.
@@ -249,7 +194,7 @@ func TestHalfClosedSocketSurfacesErrorNotHang(t *testing.T) {
 	cfg := testRetryConfig()
 	cfg.MsgTimeout = 50 * time.Millisecond
 	cfg.MaxAttempts = 2
-	tr, err := DialTransportRetry(ln.Addr().String(), "d", cfg)
+	tr, err := DialTransportRetry(ln.Addr().String(), "d", 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,12 +219,12 @@ func TestSendOnClosedTransportFailsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	tr, err := DialTransportRetry(l.Addr(), "d", testRetryConfig())
+	tr, err := DialTransportRetry(l.Addr(), "d", 0, testRetryConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr.Close()
-	if err := tr.Update(daemon.Update{Kind: daemon.UpHeartbeat}); !errors.Is(err, ErrTransportClosed) {
-		t.Errorf("err = %v, want ErrTransportClosed", err)
+	if err := tr.Update(daemon.Update{Kind: daemon.UpHeartbeat}); !errors.Is(err, wire.ErrClosed) {
+		t.Errorf("err = %v, want wire.ErrClosed", err)
 	}
 }

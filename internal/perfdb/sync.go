@@ -35,14 +35,12 @@ package perfdb
 // per-frame failure probability (see FAULTS.md).
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"path/filepath"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"pperf/internal/faults"
@@ -119,20 +117,13 @@ type syncResp struct {
 	Warning string    // opPushEnd: label collision note etc.
 }
 
-// SyncConfig tunes the client side of Push/Pull. The retry knobs mirror
-// wire.Config: equal seeds give identical retry schedules.
+// SyncConfig tunes the client side of Push/Pull.
 type SyncConfig struct {
-	// MsgTimeout is the wall-clock deadline for one frame exchange.
-	MsgTimeout time.Duration
-	// MaxAttempts bounds tries per frame (first send included).
-	MaxAttempts int
-	// BaseBackoff/MaxBackoff bound the exponential delay between
-	// attempts.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// Seed drives the jitter RNG (and the degrade-link failure draw when
-	// no plan seed overrides it).
-	Seed uint64
+	// Config is the wire plane's retry behaviour (MsgTimeout, MaxAttempts,
+	// BaseBackoff, MaxBackoff, Seed): equal seeds give identical retry
+	// schedules. Seed also drives the degrade-link failure draw when no
+	// plan seed overrides it.
+	wire.Config
 	// ChunkBytes is the transfer granularity (0 = DefaultSyncChunkBytes).
 	ChunkBytes int
 	// Faults optionally shapes sync traffic from a fault plan:
@@ -150,19 +141,8 @@ type SyncConfig struct {
 
 // DefaultSyncConfig returns production-shaped sync behaviour.
 func DefaultSyncConfig() SyncConfig {
-	return SyncConfig{
-		MsgTimeout:  2 * time.Second,
-		MaxAttempts: 5,
-		BaseBackoff: 5 * time.Millisecond,
-		MaxBackoff:  250 * time.Millisecond,
-		Seed:        1,
-		ChunkBytes:  DefaultSyncChunkBytes,
-	}
+	return SyncConfig{Config: wire.DefaultConfig(), ChunkBytes: DefaultSyncChunkBytes}
 }
-
-// SyncStats counts one sync session's resilience activity — the wire
-// plane's uniform Stats block.
-type SyncStats = wire.Stats
 
 // syncClient is one retrying, reconnecting frame channel to a sync server:
 // a wire.Conn whose injection point the configured fault plan arms.
@@ -182,18 +162,10 @@ func dialSync(addr string, cfg SyncConfig) (*syncClient, error) {
 	if cfg.MsgTimeout <= 0 {
 		cfg.MsgTimeout = 2 * time.Second
 	}
-	seed := cfg.Seed
 	if cfg.Faults != nil {
-		seed = cfg.Faults.Seed
+		cfg.Seed = cfg.Faults.Seed
 	}
-	wcfg := wire.Config{
-		MsgTimeout:  cfg.MsgTimeout,
-		MaxAttempts: cfg.MaxAttempts,
-		BaseBackoff: cfg.BaseBackoff,
-		MaxBackoff:  cfg.MaxBackoff,
-		Seed:        seed,
-	}
-	conn, err := wire.Dial(addr, wcfg, seed^wire.SaltSync)
+	conn, err := wire.Dial(addr, cfg.Config, cfg.Seed^wire.SaltSync)
 	if err != nil {
 		return nil, fmt.Errorf("perfdb sync: dial %s: %w", addr, err)
 	}
@@ -202,7 +174,7 @@ func dialSync(addr string, cfg SyncConfig) (*syncClient, error) {
 	conn.SetPoisonOnFault(true)
 	inj := conn.Injection()
 	inj.Chan = wire.ChanSync
-	inj.SeedBW(seed ^ wire.SaltSync ^ wire.SaltBW)
+	inj.SeedBW(cfg.Seed ^ wire.SaltSync ^ wire.SaltBW)
 	armSyncFaults(inj, cfg.Faults)
 	c := &syncClient{cfg: cfg, conn: conn}
 	resp, err := c.roundTrip(syncReq{Op: opHello, Proto: SyncProtoVersion})
@@ -238,7 +210,7 @@ func armSyncFaults(inj *wire.Injection, p *faults.Plan) {
 func (c *syncClient) close() { c.conn.Close() }
 
 // stats snapshots the client's wire counters.
-func (c *syncClient) stats() SyncStats { return c.conn.Stats() }
+func (c *syncClient) stats() wire.Stats { return c.conn.Stats() }
 
 // roundTrip sends one frame and waits for its response through the wire
 // plane's retrying Exchange. A response that arrives with OK=false is a
@@ -273,7 +245,7 @@ type PushResult struct {
 	ResumedAt int64  // byte offset the transfer resumed from (0 = fresh)
 	Bytes     int64  // payload bytes actually transferred this invocation
 	Warning   string // peer-side note (label collision, dedupe)
-	Stats     SyncStats
+	Stats     wire.Stats
 }
 
 // Push streams one stored run (ID or label) to the store served at addr.
@@ -372,7 +344,7 @@ type PullResult struct {
 // is CRC-checked per chunk in transit, verified whole against its content
 // hash, parsed for structural validity, and only then ingested under a
 // fresh local ID.
-func Pull(st *Store, addr, runID string, cfg SyncConfig) ([]PullResult, *SyncStats, error) {
+func Pull(st *Store, addr, runID string, cfg SyncConfig) ([]PullResult, *wire.Stats, error) {
 	if err := st.EnsureHashes(); err != nil {
 		return nil, nil, err
 	}
@@ -381,7 +353,7 @@ func Pull(st *Store, addr, runID string, cfg SyncConfig) ([]PullResult, *SyncSta
 		return nil, nil, err
 	}
 	defer c.close()
-	fail := func(results []PullResult, err error) ([]PullResult, *SyncStats, error) {
+	fail := func(results []PullResult, err error) ([]PullResult, *wire.Stats, error) {
 		s := c.stats()
 		return results, &s, err
 	}
@@ -499,21 +471,16 @@ func pullOne(st *Store, c *syncClient, m RunMeta) (PullResult, error) {
 	return res, nil
 }
 
-// A SyncServer exposes one store to db push/pull peers over TCP.
+// A SyncServer exposes one store to db push/pull peers over TCP: a
+// wire.Server whose frames are syncReqs.
 type SyncServer struct {
+	*wire.Server
 	st *Store
-	ln net.Listener
-	wg sync.WaitGroup
-
-	mu          sync.Mutex
-	closed      bool
-	readTimeout time.Duration
 	// uploads serializes writers of one partial upload by content hash;
 	// the wire lock table reaps entries as soon as the last holder
 	// releases, so redial churn cannot grow it without bound.
 	uploads *wire.LockTable
-	frames  int64
-	dups    int64
+	dups    atomic.Int64
 }
 
 // Serve listens on addr ("127.0.0.1:0" picks a free port) and serves the
@@ -524,75 +491,34 @@ func Serve(st *Store, addr string) (*SyncServer, error) {
 	if err := st.EnsureHashes(); err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", addr)
+	s := &SyncServer{st: st, uploads: wire.NewLockTable()}
+	srv, err := wire.Listen(addr, s.serve)
 	if err != nil {
 		return nil, fmt.Errorf("perfdb sync: listen: %w", err)
 	}
-	s := &SyncServer{
-		st: st, ln: ln,
-		readTimeout: 30 * time.Second,
-		uploads:     wire.NewLockTable(),
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		wire.AcceptLoop(s.ln, s.isClosed, nil, &s.wg, s.handle)
-	}()
+	s.Server = srv
 	return s, nil
 }
 
-// Addr returns the listening address.
-func (s *SyncServer) Addr() string { return s.ln.Addr().String() }
-
-// Close stops accepting and waits for connection handlers to finish.
-func (s *SyncServer) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
-}
-
 // Frames returns how many request frames the server has processed.
-func (s *SyncServer) Frames() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.frames
-}
+func (s *SyncServer) Frames() int64 { return s.Stats().Frames }
 
 // DuplicateFrames returns how many chunk frames re-asserted bytes the
 // server already held — replays after lost acks, absorbed idempotently.
-func (s *SyncServer) DuplicateFrames() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dups
-}
+func (s *SyncServer) DuplicateFrames() int64 { return s.dups.Load() }
 
 // UploadLocks returns how many per-content-hash upload locks are currently
 // live — held or awaited right now; released entries are reaped.
 func (s *SyncServer) UploadLocks() int { return s.uploads.Len() }
 
-func (s *SyncServer) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
-// handle serves one connection: a request/response loop with per-frame
-// read deadlines so a wedged peer cannot park the goroutine forever.
-func (s *SyncServer) handle(conn net.Conn) {
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+// serve answers one connection's requests.
+func (s *SyncServer) serve(c *wire.ServerConn) {
 	var lastSeq uint64
 	for {
 		var req syncReq
-		if _, err := wire.ReadFrame(conn, dec, s.readTimeout, &req); err != nil {
+		if c.Read(&req) != nil {
 			return
 		}
-		s.mu.Lock()
-		s.frames++
-		s.mu.Unlock()
 		if req.Seq != 0 && req.Seq <= lastSeq {
 			// A desynchronized stream replaying old frames; the ops are
 			// idempotent, but a non-monotonic stream means the codec state
@@ -600,8 +526,7 @@ func (s *SyncServer) handle(conn net.Conn) {
 			return
 		}
 		lastSeq = req.Seq
-		resp := s.dispatch(&req)
-		if err := enc.Encode(resp); err != nil {
+		if c.Reply(s.dispatch(&req)) != nil {
 			return
 		}
 	}
@@ -667,6 +592,9 @@ func (s *SyncServer) pushChunk(req *syncReq) *syncResp {
 	if !wire.ValidHash(req.Hash) {
 		return syncErr("push-chunk: bad content hash %q", req.Hash)
 	}
+	if req.Offset < 0 {
+		return syncErr("push-chunk: negative offset %d", req.Offset)
+	}
 	if wire.Checksum(req.Data) != req.CRC {
 		return syncErr("push-chunk: CRC mismatch at offset %d", req.Offset)
 	}
@@ -681,9 +609,7 @@ func (s *SyncServer) pushChunk(req *syncReq) *syncResp {
 	if end <= cur {
 		// Replay of bytes already held (a lost ack); answer with the
 		// authoritative offset instead of double-applying.
-		s.mu.Lock()
-		s.dups++
-		s.mu.Unlock()
+		s.dups.Add(1)
 		return &syncResp{OK: true, Offset: cur}
 	}
 	if req.Offset > cur {
@@ -722,7 +648,9 @@ func (s *SyncServer) pushEnd(req *syncReq) *syncResp {
 		return syncErr("push-end: no complete upload for %.12s: %v", req.Hash, err)
 	}
 	if gotHash != req.Hash {
-		return syncErr("push-end: upload fails content verification (want %.12s, got %.12s)", req.Hash, gotHash)
+		// Resuming a corrupt partial would fail the same way forever.
+		os.Remove(path)
+		return syncErr("push-end: upload fails content verification (want %.12s, got %.12s); partial discarded, retry", req.Hash, gotHash)
 	}
 	if _, err := LoadAny(path); err != nil {
 		os.Remove(path)

@@ -6,15 +6,12 @@ package perfdb
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -237,6 +234,71 @@ func TestSyncPushResume(t *testing.T) {
 	}
 }
 
+// TestSyncPushDiscardsCorruptPartial: a server-side partial that is complete
+// in length but wrong in content fails verification once — and is discarded,
+// so the retry restarts clean instead of resuming at offset == size, sending
+// nothing and failing the same way until GC ages the partial out.
+func TestSyncPushDiscardsCorruptPartial(t *testing.T) {
+	src, m := storeWithRun(t, 7, 600, "")
+	peer, srv := serveStore(t)
+	want := mustReadFile(t, src.RunPath(m.ID))
+	corrupt := append([]byte(nil), want...)
+	corrupt[len(corrupt)/2] ^= 0x01
+	partial := filepath.Join(peer.syncDir(), m.Hash+".partial")
+	if err := os.MkdirAll(peer.syncDir(), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(partial, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := Push(src, m.ID, srv.Addr(), testSyncConfig()); err == nil || !strings.Contains(err.Error(), "content verification") {
+		t.Fatalf("push onto a corrupt partial: err = %v, want a content-verification error", err)
+	}
+	if _, err := os.Stat(partial); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("corrupt partial still on disk after failing verification (stat err = %v)", err)
+	}
+	res, err := Push(src, m.ID, srv.Addr(), testSyncConfig())
+	if err != nil {
+		t.Fatalf("retry after the corrupt partial was discarded: %v", err)
+	}
+	if res.ResumedAt != 0 || res.Bytes != int64(len(want)) {
+		t.Errorf("retry resumed at %d and sent %d bytes; want a clean restart of %d", res.ResumedAt, res.Bytes, len(want))
+	}
+	if got := mustReadFile(t, peer.RunPath(res.RemoteID)); !bytes.Equal(want, got) {
+		t.Fatal("archive pushed after a corrupt partial differs from the original")
+	}
+}
+
+// TestSyncPushChunkRejectsNegativeOffset sends the raw frame a hostile or
+// broken client could: a push-chunk whose offset is negative. The server
+// must answer with an error and leave the partial as it was — it used to
+// write the frame's tail at the wrong position.
+func TestSyncPushChunkRejectsNegativeOffset(t *testing.T) {
+	peer, srv := serveStore(t)
+	c, err := dialSync(srv.Addr(), testSyncConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.close()
+	hash := strings.Repeat("cd", 32)
+	held := []byte("0123456789abcdef")
+	if _, err := c.roundTrip(syncReq{Op: opPushBegin, Hash: hash, Size: 64}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.roundTrip(syncReq{Op: opPushChunk, Hash: hash, Data: held, CRC: wire.Checksum(held)}); err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte("X"), 32)
+	_, err = c.roundTrip(syncReq{Op: opPushChunk, Hash: hash, Offset: -4, Data: data, CRC: wire.Checksum(data)})
+	if err == nil || !strings.Contains(err.Error(), "negative offset") {
+		t.Fatalf("negative-offset push-chunk: err = %v, want a negative-offset refusal", err)
+	}
+	if got := mustReadFile(t, filepath.Join(peer.syncDir(), hash+".partial")); !bytes.Equal(got, held) {
+		t.Errorf("partial after the refused frame = %q, want it untouched (%q)", got, held)
+	}
+}
+
 // TestSyncPullResume: the client-side mirror of push resume.
 func TestSyncPullResume(t *testing.T) {
 	src, m := storeWithRun(t, 4, 2000, "")
@@ -415,17 +477,11 @@ func TestSyncPullStallGuard(t *testing.T) {
 		{"never advances", syncResp{OK: true, CRC: wire.Checksum(nil), Size: run.Bytes}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wg sync.WaitGroup
 			var pulls atomic.Int64
-			go wire.AcceptLoop(ln, func() bool { return false }, nil, &wg, func(conn net.Conn) {
-				dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
+			srv, err := wire.Listen("127.0.0.1:0", func(c *wire.ServerConn) {
 				for {
 					var req syncReq
-					if _, err := wire.ReadFrame(conn, dec, time.Second, &req); err != nil {
+					if c.Read(&req) != nil {
 						return
 					}
 					resp := syncResp{OK: true, Proto: SyncProtoVersion, Runs: []RunMeta{run}}
@@ -434,22 +490,22 @@ func TestSyncPullStallGuard(t *testing.T) {
 						resp = tc.chunk
 						resp.Offset = req.Offset
 					}
-					if enc.Encode(&resp) != nil {
+					if c.Reply(&resp) != nil {
 						return
 					}
 				}
 			})
-			defer func() {
-				ln.Close()
-				wg.Wait()
-			}()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
 
 			st, err := Open(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
 			cfg := testSyncConfig()
-			_, _, err = Pull(st, ln.Addr().String(), run.ID, cfg)
+			_, _, err = Pull(st, srv.Addr(), run.ID, cfg)
 			if err == nil || !strings.Contains(err.Error(), "stalled") {
 				t.Fatalf("Pull from a no-progress peer: err = %v, want a stall error", err)
 			}

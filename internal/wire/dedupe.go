@@ -35,11 +35,7 @@ type Dedupe struct {
 	limit int
 	tick  uint64
 	wins  map[string]*dedupeWin
-
-	dups    int64
-	stale   int64
-	dupsBy  map[string]int64
-	staleBy map[string]int64
+	by    map[string]*Stats // per reporting channel name: Frames, Duplicates, StaleFrames
 }
 
 // NewDedupe returns a window table bounded to limit (0 or negative selects
@@ -48,24 +44,26 @@ func NewDedupe(limit int) *Dedupe {
 	if limit <= 0 {
 		limit = DefaultDedupeWindows
 	}
-	return &Dedupe{
-		limit:   limit,
-		wins:    map[string]*dedupeWin{},
-		dupsBy:  map[string]int64{},
-		staleBy: map[string]int64{},
-	}
+	return &Dedupe{limit: limit, wins: map[string]*dedupeWin{}, by: map[string]*Stats{}}
 }
 
-// Seen reports (and records) whether the frame must be skipped — either a
-// replay the receiver already applied, or a straggler from a dead sender
-// incarnation. Frames with no peer identity or seq 0 (legacy senders)
-// bypass dedupe and always apply.
+// Seen counts the frame for its channel and reports (and records) whether
+// it must be skipped — either a replay the receiver already applied, or a
+// straggler from a dead sender incarnation. Frames with no peer identity or
+// seq 0 (legacy senders) bypass dedupe and always apply.
 func (d *Dedupe) Seen(peer, ch string, inc, seq uint64) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	name := chanName(ch)
+	st := d.by[name]
+	if st == nil {
+		st = &Stats{}
+		d.by[name] = st
+	}
+	st.Frames++
 	if peer == "" || seq == 0 {
 		return false
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.tick++
 	key := peer + "\x00" + ch
 	w := d.wins[key]
@@ -77,16 +75,14 @@ func (d *Dedupe) Seen(peer, ch string, inc, seq uint64) bool {
 	w.used = d.tick
 	switch {
 	case inc < w.inc:
-		d.stale++
-		d.staleBy[chanName(ch)]++
+		st.StaleFrames++
 		return true
 	case inc > w.inc:
 		w.inc = inc
 		w.seq = 0
 	}
 	if seq <= w.seq {
-		d.dups++
-		d.dupsBy[chanName(ch)]++
+		st.Duplicates++
 		return true
 	}
 	w.seq = seq
@@ -116,27 +112,16 @@ func (d *Dedupe) Windows() int {
 	return len(d.wins)
 }
 
-// Duplicates returns how many replayed frames were skipped.
-func (d *Dedupe) Duplicates() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.dups
-}
-
-// StaleFrames returns how many frames were fenced out as dead-incarnation
-// stragglers.
-func (d *Dedupe) StaleFrames() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stale
-}
-
 // ChannelStats returns the receiver-side counters for one channel name
-// (ChanCtl, ChanBulk, ChanSync).
+// (ChanCtl, ChanBulk, ChanSync): frames presented, replays skipped, and
+// dead-incarnation stragglers fenced out.
 func (d *Dedupe) ChannelStats(ch string) Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return Stats{Duplicates: d.dupsBy[chanName(ch)], StaleFrames: d.staleBy[chanName(ch)]}
+	if st := d.by[chanName(ch)]; st != nil {
+		return *st
+	}
+	return Stats{}
 }
 
 // chanName normalizes the on-wire channel label ("" for the legacy control

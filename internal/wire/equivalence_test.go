@@ -64,10 +64,10 @@ func TestCrossStackFaultPlanEquivalence(t *testing.T) {
 		d.Seen("peer", ch, 2, 1) // respawned sender
 		d.Seen("peer", ch, 1, 3) // dead-incarnation straggler
 	}
-	want := wire.Stats{Duplicates: 1, StaleFrames: 1}
+	want := wire.Stats{Frames: 5, Duplicates: 1, StaleFrames: 1}
 	for _, ch := range []string{wire.ChanCtl, wire.ChanBulk, wire.ChanSync} {
 		got := d.ChannelStats(ch)
-		if got.Duplicates != want.Duplicates || got.StaleFrames != want.StaleFrames {
+		if got.Frames != want.Frames || got.Duplicates != want.Duplicates || got.StaleFrames != want.StaleFrames {
 			t.Errorf("%s dedupe stats = %+v, want %+v", ch, got, want)
 		}
 	}
@@ -89,14 +89,14 @@ func crossStack(t *testing.T, planText string, want int64) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	cfg := frontend.RetryConfig{
+	cfg := wire.Config{
 		MsgTimeout:  500 * time.Millisecond,
 		MaxAttempts: 6,
 		BaseBackoff: 100 * time.Microsecond,
 		MaxBackoff:  time.Millisecond,
 		Seed:        plan.Seed,
 	}
-	tr, err := frontend.DialTransportRetry(l.Addr(), "paradynd@node0", cfg)
+	tr, err := frontend.DialTransportRetry(l.Addr(), "paradynd@node0", 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,14 +125,7 @@ func crossStack(t *testing.T, planText string, want int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scfg := perfdb.SyncConfig{
-		MsgTimeout:  500 * time.Millisecond,
-		MaxAttempts: 6,
-		BaseBackoff: 100 * time.Microsecond,
-		MaxBackoff:  time.Millisecond,
-		Faults:      plan,
-	}
-	_, syncStats, err := perfdb.Pull(local, srv.Addr(), "", scfg)
+	_, syncStats, err := perfdb.Pull(local, srv.Addr(), "", perfdb.SyncConfig{Config: cfg, Faults: plan})
 	if err != nil {
 		t.Fatalf("sync under plan: %v", err)
 	}

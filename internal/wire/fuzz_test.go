@@ -20,9 +20,10 @@ type fuzzFrame struct {
 }
 
 // FuzzWireFrame feeds arbitrary byte streams through the server-side frame
-// read path (the same ReadFrame every listener runs): garbage, truncations
-// and bit flips must surface as decode errors or checksum mismatches —
-// never a panic, never a hang past the read deadline.
+// read path (the ServerConn.Read every listener's serve loop runs on an
+// accepted connection): garbage, truncations and bit flips must surface as
+// decode errors or checksum mismatches — never a panic, never a hang past
+// the read deadline.
 func FuzzWireFrame(f *testing.F) {
 	payload := []byte("span data")
 	valid := fuzzFrame{
@@ -41,6 +42,13 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x7f}) // absurd gob length prefix
+	// What an accepted connection carries: frames back to back on one gob
+	// stream (type descriptor once), the second cut short by a hang-up.
+	buf.Reset()
+	stream := gob.NewEncoder(&buf)
+	stream.Encode(&valid)
+	stream.Encode(&valid)
+	f.Add(append([]byte(nil), buf.Bytes()[:buf.Len()-3]...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		client, server := net.Pipe()
@@ -48,17 +56,20 @@ func FuzzWireFrame(f *testing.F) {
 			client.Write(data)
 			client.Close() // sender gone: reader sees EOF, not a hang
 		}()
-		dec := gob.NewDecoder(server)
-		var fr fuzzFrame
-		_, err := ReadFrame(server, dec, 2*time.Second, &fr)
-		server.Close()
-		if err != nil {
-			return // rejected cleanly
+		defer server.Close()
+		srv := &Server{readTimeout: 2 * time.Second}
+		c := srv.newConn(server)
+		for {
+			var fr fuzzFrame
+			if c.Read(&fr) != nil {
+				break // rejected cleanly
+			}
+			// Whatever decoded, the checksum the stacks verify before
+			// applying a chunk must be computable over it.
+			Checksum(fr.Data)
 		}
-		// Decoded frames with corrupted payloads must be catchable by the
-		// checksum the stacks verify before applying a chunk.
-		if Checksum(fr.Data) != fr.CRC {
-			return
+		if st := srv.Stats(); st.ReadTimeouts != 0 {
+			t.Errorf("a closed stream was counted as a wedged peer: %+v", st)
 		}
 	})
 }

@@ -17,6 +17,8 @@
 //     bounded so a long-lived listener cannot accumulate state forever;
 //   - deterministic fault injection (Injection) keyed by the same plan
 //     language every channel shares (chan=ctl|bulk|sync);
+//   - one receive side (Server, ServerConn): the listening socket, accept
+//     loop, per-frame read deadline and gob codecs of every service;
 //   - one uniform Stats block (frames, retries, reconnects, duplicates,
 //     stale-incarnation drops, read timeouts, injected drops) so every
 //     channel reports resilience activity the same way.
@@ -61,7 +63,8 @@ const (
 // archive chunk format): CRC32 with the IEEE polynomial.
 func Checksum(data []byte) uint32 { return crc32.ChecksumIEEE(data) }
 
-// Config tunes a Conn's robustness behaviour.
+// Config tunes a Conn's retry behaviour — nothing else, so a stack's own
+// config can embed it whole.
 type Config struct {
 	// MsgTimeout is the wall-clock deadline for one attempt (encode + reply).
 	MsgTimeout time.Duration
@@ -76,11 +79,6 @@ type Config struct {
 	// schedules (deterministic retries). Channels salt it (SaltBulk,
 	// SaltSync) to decorrelate their streams.
 	Seed uint64
-	// Incarnation is stamped on every frame by senders that participate in
-	// incarnation fencing, so a receiver can fence out stragglers from dead
-	// sender incarnations. 0 (the default) sends legacy frames with
-	// pure-seq dedupe.
-	Incarnation uint64
 }
 
 // DefaultConfig returns production-shaped retry behaviour.
@@ -95,8 +93,8 @@ func DefaultConfig() Config {
 }
 
 // Stats is the uniform resilience-counter block every channel reports.
-// Sender-side Conns fill the send counters; receiver-side Dedupe windows
-// and listeners fill the receive counters; summaries merge the two views.
+// Sender-side Conns fill the send counters; receiver-side Servers and Dedupe
+// windows fill the receive counters; summaries merge the two views.
 type Stats struct {
 	Frames        int64 // frame exchanges acknowledged (sender) or applied (receiver)
 	Retries       int64 // attempts beyond the first
@@ -105,6 +103,7 @@ type Stats struct {
 	Duplicates    int64 // receiver: replayed frames skipped by dedupe
 	StaleFrames   int64 // receiver: frames fenced out as dead-incarnation stragglers
 	ReadTimeouts  int64 // receiver: connections dropped by the per-frame read deadline
+	AcceptRetries int64 // receiver: transient Accept errors retried
 	InjectedDrops int64 // attempts failed by fault injection
 	// Backoffs records every retry delay chosen, in order — the observable
 	// surface for determinism tests.
@@ -120,6 +119,7 @@ func (s *Stats) Add(o Stats) {
 	s.Duplicates += o.Duplicates
 	s.StaleFrames += o.StaleFrames
 	s.ReadTimeouts += o.ReadTimeouts
+	s.AcceptRetries += o.AcceptRetries
 	s.InjectedDrops += o.InjectedDrops
 	s.Backoffs = append(s.Backoffs, o.Backoffs...)
 }
@@ -140,6 +140,9 @@ func (s Stats) Summary() string {
 	}
 	if s.ReadTimeouts > 0 {
 		line += fmt.Sprintf(" read-timeouts=%d", s.ReadTimeouts)
+	}
+	if s.AcceptRetries > 0 {
+		line += fmt.Sprintf(" accept-retries=%d", s.AcceptRetries)
 	}
 	return line
 }
@@ -172,8 +175,9 @@ var ErrClosed = errors.New("wire: transport closed")
 
 // A Conn is one retrying, reconnecting, acknowledged gob frame channel to a
 // peer — its own connection, sequence space, jitter RNG, fault-injection
-// point and stats. Both the report transport's channels and the sync client
-// are Conns under thin frame-specific wrappers.
+// point and stats: the send half of the plane (Server is the receive half).
+// Both the report transport's channels and the sync client are Conns under
+// thin frame-specific wrappers.
 type Conn struct {
 	mu     sync.Mutex
 	addr   string

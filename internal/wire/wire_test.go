@@ -126,12 +126,13 @@ func TestDedupeSemantics(t *testing.T) {
 	if d.Seen("", ChanCtl, 0, 5) || d.Seen("d0", ChanCtl, 0, 0) {
 		t.Error("legacy frame blocked by dedupe")
 	}
-	if d.Duplicates() != 1 || d.StaleFrames() != 1 {
-		t.Errorf("dups=%d stale=%d, want 1/1", d.Duplicates(), d.StaleFrames())
+	// Every frame presented is counted on its channel, legacy ones included;
+	// the one replay and the one straggler were both on bulk.
+	if bulk := d.ChannelStats(ChanBulk); bulk.Frames != 6 || bulk.Duplicates != 1 || bulk.StaleFrames != 1 {
+		t.Errorf("bulk channel stats = %+v, want 6 frames, 1 dup, 1 stale", bulk)
 	}
-	bulk := d.ChannelStats(ChanBulk)
-	if bulk.Duplicates != 1 || bulk.StaleFrames != 1 {
-		t.Errorf("bulk channel stats = %+v, want 1 dup, 1 stale", bulk)
+	if ctl := d.ChannelStats(ChanCtl); ctl.Frames != 3 || ctl.Duplicates != 0 || ctl.StaleFrames != 0 {
+		t.Errorf("ctl channel stats = %+v, want 3 frames, 0 dups, 0 stale", ctl)
 	}
 }
 
