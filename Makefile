@@ -161,7 +161,9 @@ trend-golden:
 # record a run into store a, serve empty store b, push the run under a
 # seeded fault plan (dropped frames + degraded link), check a re-push
 # dedupes, pull into store c, and require all three archives to be
-# byte-identical.
+# byte-identical — and `db list` of all three stores to print the same: the
+# pushed and pulled index entries are read from the archive header on
+# arrival, so they must say exactly what the recording store says.
 sync-golden:
 	@set -e; tmp=$$(mktemp -d); \
 	$(GO) build -o "$$tmp/pperf" ./cmd/pperf; \
@@ -179,4 +181,7 @@ sync-golden:
 	"$$tmp/pperf" db -store "$$tmp/c" pull "$$addr" --all >/dev/null; \
 	cmp "$$tmp/a/runs/r0001.ppdb" "$$tmp/b/runs/r0001.ppdb"; \
 	cmp "$$tmp/a/runs/r0001.ppdb" "$$tmp/c/runs/r0001.ppdb"; \
-	echo "sync-golden: pushed and pulled archives are byte-identical under a seeded fault plan"
+	for s in a b c; do "$$tmp/pperf" db -store "$$tmp/$$s" list > "$$tmp/list.$$s"; done; \
+	cmp "$$tmp/list.a" "$$tmp/list.b"; \
+	cmp "$$tmp/list.a" "$$tmp/list.c"; \
+	echo "sync-golden: pushed and pulled archives and index entries are identical under a seeded fault plan"

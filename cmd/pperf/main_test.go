@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"pperf/internal/perfdb"
 )
 
 // TestCLIExitCodes drives the built binary over argument lists that must be
@@ -28,6 +30,10 @@ func TestCLIExitCodes(t *testing.T) {
 	}
 	v1 := write("old.pparch", "PPARCH\x1f\xff\x81\x03\x01\x01\x06Header")
 	garbage := write("garbage.ppdb", "definitely not an archive")
+	empty := filepath.Join(dir, "empty.ppdb") // a valid archive of an eventless run
+	if rec, err := perfdb.NewStreamRecorder(empty); err != nil || rec.Close() != nil {
+		t.Fatalf("recording %s failed", empty)
+	}
 	store := filepath.Join(dir, "store")
 	pclFile := filepath.Join("..", "..", "testdata", "example.pcl")
 
@@ -57,6 +63,7 @@ func TestCLIExitCodes(t *testing.T) {
 		{"replay of a retired v1 archive", []string{"-replay", v1}, 1, "v1 PPARCH archive format retired"},
 		{"db add of a retired v1 archive", []string{"db", "-store", store, "add", v1}, 1, "v1 PPARCH archive format retired"},
 		{"replay of garbage", []string{"-replay", garbage}, 1, "not a pperf session archive"},
+		{"db add with an ID-shaped label", []string{"db", "-store", store, "add", "-label", "r0001", empty}, 1, "shape of a run ID"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

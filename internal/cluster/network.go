@@ -18,13 +18,6 @@ type LinkState struct {
 	DownUntil sim.Time
 }
 
-// degraded reports whether the state differs from a healthy link.
-func (ls LinkState) degraded() bool {
-	return (ls.LatFactor != 0 && ls.LatFactor != 1) ||
-		(ls.BWFactor != 0 && ls.BWFactor != 1) ||
-		ls.DownUntil != 0
-}
-
 // Network overlays fault-injected link conditions on a cluster. A nil
 // *Network means no faults; the cost-model fast path is unchanged. Keys are
 // unordered node-index pairs; the special pair (-1,-1) applies to every
@@ -56,11 +49,6 @@ func (n *Network) SetAll(st LinkState) {
 	n.links[linkKey(-1, -1)] = st
 }
 
-// ClearLink restores the a↔b link to health.
-func (n *Network) ClearLink(a, b int) {
-	delete(n.links, linkKey(a, b))
-}
-
 // State returns the fault state of the a↔b link (pair-specific state wins
 // over an all-links state).
 func (n *Network) State(a, b int) (LinkState, bool) {
@@ -69,16 +57,6 @@ func (n *Network) State(a, b int) (LinkState, bool) {
 	}
 	st, ok := n.links[linkKey(-1, -1)]
 	return st, ok
-}
-
-// Degraded reports whether any link currently carries a fault state.
-func (n *Network) Degraded() bool {
-	for _, st := range n.links {
-		if st.degraded() {
-			return true
-		}
-	}
-	return false
 }
 
 // Apply adjusts a message's base latency and bandwidth for the a↔b link at

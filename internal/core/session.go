@@ -46,10 +46,6 @@ type Options struct {
 	// UseTCP routes daemon traffic over a real localhost TCP socket with
 	// gob encoding instead of in-process calls.
 	UseTCP bool
-	// DiscoverTags enables the daemons' message-tag discovery
-	// instrumentation (on by default), which populates
-	// /SyncObject/Message/<comm>/<tag> resources.
-	DiscoverTags *bool
 	// Faults arms a fault-injection plan: heartbeats and the liveness
 	// monitor switch on, the network overlay is installed, and the plan's
 	// faults are scheduled. Nil (the default) leaves every fault hook cold —
@@ -176,9 +172,7 @@ func NewSession(opts Options) (*Session, error) {
 			d.EnableTracing(s.Tracer)
 		}
 	}
-	if opts.DiscoverTags == nil || *opts.DiscoverTags {
-		installTagDiscovery(s)
-	}
+	installTagDiscovery(s)
 	if plan != nil {
 		s.armFaults(plan)
 	}

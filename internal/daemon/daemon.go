@@ -146,9 +146,6 @@ func (reg *Registry) Replace(d *Daemon) *Daemon {
 	return old
 }
 
-// Current returns the node's current daemon, or nil.
-func (reg *Registry) Current(node int) *Daemon { return reg.byNode[node] }
-
 // AttachAll wires a set of daemons (one per node) into the world's
 // resource-discovery hooks, including spawn support with the configured
 // method. Call once before launching programs. The returned registry lets

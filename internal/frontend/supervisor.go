@@ -27,37 +27,29 @@ import (
 	"pperf/internal/wire"
 )
 
-// SupervisorConfig tunes the restart policy.
+// SupervisorConfig is what a fault plan sets of the restart policy.
 type SupervisorConfig struct {
 	// MaxRestarts bounds respawn attempts per node (the plan's restarts=K).
 	MaxRestarts int
-	// BaseBackoff/MaxBackoff bound the exponential delay before each
-	// respawn attempt (virtual time).
-	BaseBackoff sim.Duration
-	MaxBackoff  sim.Duration
 	// Seed drives the backoff jitter RNG; equal seeds give identical
 	// schedules.
 	Seed uint64
-	// FlapWindow/FlapMax implement the flap-quarantine: FlapMax failures
-	// within FlapWindow quarantine the node (give up, permanent loss).
-	// FlapMax 0 disables quarantine.
-	FlapWindow sim.Duration
-	FlapMax    int
 }
 
-// DefaultSupervisorConfig returns the policy a plan's restarts=K arms:
-// quick first retry, bounded growth, quarantine after maxRestarts+2 rapid
-// failures (so quarantine only triggers on pathological flapping, not on a
-// plan that legitimately uses its whole restart budget).
+// The rest of the policy is fixed: a quick first retry with bounded
+// exponential growth (virtual time), and flap-quarantine — MaxRestarts+2
+// failures within flapWindow give the node up for good, so quarantine only
+// triggers on pathological flapping, not on a plan that legitimately uses
+// its whole restart budget.
+const (
+	respawnBaseBackoff = 50 * sim.Millisecond
+	respawnMaxBackoff  = sim.Second
+	flapWindow         = 5 * sim.Second
+)
+
+// DefaultSupervisorConfig returns the policy a plan's restarts=K arms.
 func DefaultSupervisorConfig(maxRestarts int, seed uint64) SupervisorConfig {
-	return SupervisorConfig{
-		MaxRestarts: maxRestarts,
-		BaseBackoff: 50 * sim.Millisecond,
-		MaxBackoff:  sim.Second,
-		Seed:        seed,
-		FlapWindow:  5 * sim.Second,
-		FlapMax:     maxRestarts + 2,
-	}
+	return SupervisorConfig{MaxRestarts: maxRestarts, Seed: seed}
 }
 
 // RespawnFunc builds, attaches and returns a new daemon incarnation for a
@@ -179,20 +171,18 @@ func (sv *Supervisor) NoteDown(node string) {
 	now := sv.eng.Now()
 
 	// Flap-quarantine: count failures inside the sliding window.
-	if sv.cfg.FlapMax > 0 {
-		kept := s.failures[:0]
-		for _, t := range s.failures {
-			if now.Sub(t) <= sv.cfg.FlapWindow {
-				kept = append(kept, t)
-			}
+	kept := s.failures[:0]
+	for _, t := range s.failures {
+		if now.Sub(t) <= flapWindow {
+			kept = append(kept, t)
 		}
-		s.failures = append(kept, now)
-		if len(s.failures) >= sv.cfg.FlapMax {
-			s.quarantined = true
-			sv.mu.Unlock()
-			sv.note("supervisor: quarantine %s (%d failures within %v); giving up", node, len(s.failures), sv.cfg.FlapWindow)
-			return
-		}
+	}
+	s.failures = append(kept, now)
+	if len(s.failures) >= sv.cfg.MaxRestarts+2 {
+		s.quarantined = true
+		sv.mu.Unlock()
+		sv.note("supervisor: quarantine %s (%d failures within %v); giving up", node, len(s.failures), flapWindow)
+		return
 	}
 
 	if s.restarts >= sv.cfg.MaxRestarts {
@@ -212,7 +202,7 @@ func (sv *Supervisor) NoteDown(node string) {
 	// Bounded exponential delay with seeded jitter, over virtual time — the
 	// same wire-plane schedule the transports use over wall-clock time, so
 	// respawn timing under simulated faults is exactly reproducible.
-	delay := wire.Backoff(sv.cfg.BaseBackoff, sv.cfg.MaxBackoff, attempt, sv.rng)
+	delay := wire.Backoff(respawnBaseBackoff, respawnMaxBackoff, attempt, sv.rng)
 	sv.mu.Unlock()
 
 	sv.note("supervisor: daemon on %s down; respawn attempt %d in %v", node, attempt+1, delay)

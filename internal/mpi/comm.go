@@ -50,9 +50,6 @@ func (c *Comm) Name() string {
 	return fmt.Sprintf("comm-%d", c.id)
 }
 
-// IsInter reports whether this is an intercommunicator.
-func (c *Comm) IsInter() bool { return c.remote != nil }
-
 // Size returns the local group size.
 func (c *Comm) Size() int { return len(c.local) }
 

@@ -77,13 +77,3 @@ func (im *Impl) fn(name string) *probe.Function {
 	}
 	return f
 }
-
-// AllFunctionNames returns every traced MPI function symbol (MPI_ and PMPI_
-// variants), used by the tool's metric definitions to build function sets.
-func AllFunctionNames() []string {
-	out := make([]string, 0, 2*len(mpiFuncNames))
-	for _, n := range mpiFuncNames {
-		out = append(out, n, "P"+n)
-	}
-	return out
-}

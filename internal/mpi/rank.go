@@ -61,9 +61,6 @@ func (r *Rank) Node() int { return r.node }
 // NodeName returns the cluster node's hostname.
 func (r *Rank) NodeName() string { return r.w.Spec.Nodes[r.node].Name }
 
-// ProgName returns the program name this rank runs.
-func (r *Rank) ProgName() string { return r.progName }
-
 // World returns the process's MPI_COMM_WORLD.
 func (r *Rank) World() *Comm { return r.world }
 
@@ -232,15 +229,6 @@ func (r *Rank) Finalize() {
 	r.finalized = true
 }
 
-// TypeSize is MPI_Type_size, traced like the real call (the MDL byte-count
-// metrics invoke it on probe arguments).
-func (r *Rank) TypeSize(dt Datatype) int {
-	f := r.beginMPI("MPI_Type_size", dt)
-	sz := dt.Size()
-	r.endMPI(f, dt)
-	return sz
-}
-
 // ParentComm returns the spawn-parent intercommunicator without tracing —
 // for tool-side inspection (the traced application call is GetParent).
 func (r *Rank) ParentComm() *Comm { return r.parentComm }
@@ -294,7 +282,3 @@ func (r *Rank) Abort(reason string) bool {
 func (r *Rank) String() string {
 	return fmt.Sprintf("rank %d (%s on %s)", r.rank, r.progName, r.NodeName())
 }
-
-// ProcStatus reports the underlying process's scheduling state for
-// diagnostics ("done", "ready", "running", or "waiting: <reason>").
-func (r *Rank) ProcStatus() string { return r.proc.Status() }

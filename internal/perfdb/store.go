@@ -42,6 +42,10 @@ type Store struct {
 
 	mu    sync.Mutex // serializes in-process access to index
 	index storeIndex
+
+	// failAt, set only by tests, is consulted at each step of admitting a
+	// run ("create", "write", "rename", "index") and may fail or panic there.
+	failAt func(step string) error
 }
 
 // indexVersion versions index.json; Open refuses a newer index rather
@@ -164,7 +168,11 @@ func (st *Store) withLock(fn func() error) error {
 	if err := st.loadIndex(); err != nil {
 		return err
 	}
-	return fn()
+	err = fn()
+	if err != nil {
+		st.loadIndex() // memory must not keep what the disk never got
+	}
+	return err
 }
 
 // Dir returns the store's directory.
@@ -249,34 +257,19 @@ func (st *Store) saveIndex() error {
 	return os.Rename(tmp, st.indexPath())
 }
 
-// metaFromHeader fills the descriptive fields from an archive header.
-func metaFromHeader(m *RunMeta, h session.Header) {
-	m.Program = h.Meta["program"]
-	m.Impl = h.Meta["impl"]
-	m.Seed = h.Meta["seed"]
-	m.Procs = h.Meta["procs"]
-	m.Nodes = h.Meta["nodes"]
-	m.Faults = h.Meta["faults"]
-	m.Runtime = h.Meta["runtime"]
-}
-
-// peekID formats the next sequential run ID without consuming it.
-func (st *Store) peekID() string {
-	return fmt.Sprintf("r%04d", st.index.NextID)
-}
-
-// fileSHA256 returns the hex SHA-256 of the file at path.
-func fileSHA256(path string) (string, error) {
+// fileSHA256 returns the hex SHA-256 and the length of the file at path.
+func fileSHA256(path string) (string, int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return "", err
+		return "", 0, err
 	}
 	defer f.Close()
 	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "", err
+	n, err := io.Copy(h, f)
+	if err != nil {
+		return "", 0, err
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return hex.EncodeToString(h.Sum(nil)), n, nil
 }
 
 // AddMeta carries the caller-supplied parts of an index entry.
@@ -287,44 +280,117 @@ type AddMeta struct {
 	Verdict string
 }
 
-// createRunFile creates an archive temp file; a test seam for exercising
-// the add-failure path.
-var createRunFile = os.Create
+func (st *Store) at(step string) error {
+	if st.failAt == nil {
+		return nil
+	}
+	return st.failAt(step)
+}
+
+// takeID consumes the next sequential run ID. It is spent only once the
+// index is saved: a failed add leaves no hole in the sequence.
+func (st *Store) takeID() string {
+	id := fmt.Sprintf("r%04d", st.index.NextID)
+	st.index.NextID++
+	return id
+}
+
+// An admission is one complete archive file at the store's door.
+type admission struct {
+	AddMeta
+	// src is the file, already on the store's filesystem; id is the
+	// reservation it was recorded under, or "" to take the next free ID.
+	src, id string
+	// What the archive says about itself — the only descriptive input.
+	header    session.Header
+	events    int
+	truncated bool
+	// onlyCopy: nobody else holds the run, so a refused label stores it
+	// unlabeled with a warning instead of refusing the run.
+	onlyCopy bool
+}
+
+// admitLocked is the one door into the store: it settles the label, moves
+// the file into runs/ under its ID, derives the index entry from the
+// archive's header and bytes, appends it and persists the index. The caller
+// holds the store lock. On error nothing is indexed; a file the failure
+// stranded in runs/ is unreferenced, so GC sweeps it.
+func (st *Store) admitLocked(in admission) (RunMeta, string, error) {
+	label, warning := in.Label, ""
+	if err := st.checkLabel(label); err != nil {
+		if !in.onlyCopy {
+			return RunMeta{}, "", err
+		}
+		label, warning = "", fmt.Sprintf("%v; run stored unlabeled", err)
+	}
+	hash, size, err := fileSHA256(in.src)
+	if err != nil {
+		return RunMeta{}, "", err
+	}
+	id := in.id
+	if id == "" {
+		id = st.takeID()
+	}
+	if err = st.at("rename"); err == nil {
+		err = os.Rename(in.src, st.RunPath(id))
+	}
+	if err != nil {
+		return RunMeta{}, "", err
+	}
+	h := in.header.Meta
+	m := RunMeta{
+		ID: id, Label: label, Verdict: in.Verdict,
+		Program: h["program"], Impl: h["impl"], Seed: h["seed"], Procs: h["procs"],
+		Nodes: h["nodes"], Faults: h["faults"], Runtime: h["runtime"],
+		Events: in.events, Truncated: in.truncated, Bytes: size, Hash: hash,
+	}
+	st.dropReservationLocked(id)
+	st.index.Runs = append(st.index.Runs, m)
+	if err = st.at("index"); err == nil {
+		err = st.saveIndex()
+	}
+	if err != nil {
+		return RunMeta{}, "", err
+	}
+	return m, warning, nil
+}
 
 // AddArchive stores a loaded session archive, re-encoding it in chunked
-// compacted form, and appends its index entry. The run ID is consumed only once the archive is safely on disk: a failed add
-// followed by a successful one leaves no hole in the ID sequence.
+// compacted form. The caller still holds the source, so a refused label
+// refuses the add and nothing is stored.
 func (st *Store) AddArchive(a *session.Archive, am AddMeta) (RunMeta, error) {
 	var m RunMeta
 	err := st.withLock(func() error {
-		if err := st.checkLabel(am.Label); err != nil {
-			return err
+		tmp := filepath.Join(st.dir, "runs", "add.tmp")
+		err := st.writeArchive(tmp, a)
+		if err == nil {
+			m, _, err = st.admitLocked(admission{AddMeta: am, src: tmp,
+				header: a.Header, events: len(a.Events), truncated: a.Truncated})
 		}
-		id := st.peekID()
-		path := st.RunPath(id)
-		tmp := path + ".tmp"
-		f, err := createRunFile(tmp)
 		if err != nil {
-			return err
-		}
-		if err := WriteArchive(f, a); err != nil {
-			f.Close()
 			os.Remove(tmp)
-			return err
 		}
-		if err := f.Close(); err != nil {
-			os.Remove(tmp)
-			return err
-		}
-		if err := os.Rename(tmp, path); err != nil {
-			os.Remove(tmp)
-			return err
-		}
-		st.index.NextID++
-		m, err = st.commitMetaLocked(id, path, a.Header, len(a.Events), a.Truncated, am.Label, am.Verdict)
 		return err
 	})
 	return m, err
+}
+
+// writeArchive renders a into a fresh file at path.
+func (st *Store) writeArchive(path string, a *session.Archive) error {
+	if err := st.at("create"); err != nil {
+		return err
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err = st.at("write"); err == nil {
+		err = WriteArchive(f, a)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // NewRecorder opens a streaming recorder that records straight into the
@@ -337,14 +403,15 @@ func (st *Store) AddArchive(a *session.Archive, am AddMeta) (RunMeta, error) {
 func (st *Store) NewRecorder() (*StreamRecorder, error) {
 	var rec *StreamRecorder
 	err := st.withLock(func() error {
-		id := st.peekID()
-		st.index.NextID++
+		id := st.takeID()
 		st.index.Reserved = append(st.index.Reserved, id)
-		if err := st.saveIndex(); err != nil {
-			return err
+		err := st.saveIndex()
+		if err == nil {
+			err = st.at("create")
 		}
-		var err error
-		rec, err = NewStreamRecorder(st.RunPath(id))
+		if err == nil {
+			rec, err = NewStreamRecorder(st.RunPath(id))
+		}
 		return err
 	})
 	return rec, err
@@ -356,36 +423,23 @@ func recorderID(rec *StreamRecorder) string {
 	return strings.TrimSuffix(filepath.Base(rec.Path()), ".ppdb")
 }
 
-// Commit finalizes a recorder obtained from NewRecorder, releases its
-// reservation, and appends the run's index entry. A label that collides
-// with an existing run does not discard the recording: the run is
-// committed unlabeled and the returned warning explains why — a CLI typo
-// must never destroy a fully recorded run.
-func (st *Store) Commit(rec *StreamRecorder, am AddMeta) (RunMeta, string, error) {
-	id := recorderID(rec)
-	if err := rec.Close(); err != nil {
-		// The recorder already removed its temp file; release the
-		// reservation so the dead ID does not pin GC state forever.
-		st.withLock(func() error {
-			if st.dropReservationLocked(id) {
-				return st.saveIndex()
-			}
-			return nil
-		})
-		return RunMeta{}, "", err
+// Commit finishes a recorder obtained from NewRecorder and admits its file
+// under the reserved ID. The file is the only copy of the run, so a refused
+// label commits it unlabeled and the returned warning explains why — a CLI
+// typo must never destroy a fully recorded run.
+func (st *Store) Commit(rec *StreamRecorder, am AddMeta) (m RunMeta, warning string, err error) {
+	if err = st.at("write"); err == nil {
+		err = rec.finish(false)
 	}
-	var (
-		m       RunMeta
-		warning string
-	)
-	err := st.withLock(func() error {
-		label := am.Label
-		if err := st.checkLabel(label); err != nil {
-			warning = fmt.Sprintf("%v; run committed unlabeled", err)
-			label = ""
-		}
-		var err error
-		m, err = st.commitMetaLocked(id, rec.Path(), rec.Header(), rec.EventCount(), false, label, am.Verdict)
+	if err != nil {
+		// The recording is lost; release its reservation so the dead ID
+		// does not pin GC state forever.
+		st.Discard(rec)
+		return m, "", err
+	}
+	err = st.withLock(func() error {
+		m, warning, err = st.admitLocked(admission{AddMeta: am, src: rec.tmp, id: recorderID(rec),
+			header: rec.Header(), events: rec.EventCount(), onlyCopy: true})
 		return err
 	})
 	return m, warning, err
@@ -416,67 +470,6 @@ func (st *Store) dropReservationLocked(id string) bool {
 	return false
 }
 
-// commitMetaLocked appends one run's index entry (stamping size and
-// content hash from the on-disk archive) and persists the index. The
-// caller holds the store lock.
-func (st *Store) commitMetaLocked(id, path string, h session.Header, events int, truncated bool, label, verdict string) (RunMeta, error) {
-	m := RunMeta{ID: id, Label: label, Verdict: verdict, Events: events, Truncated: truncated}
-	metaFromHeader(&m, h)
-	if fi, err := os.Stat(path); err == nil {
-		m.Bytes = fi.Size()
-	}
-	if hash, err := fileSHA256(path); err == nil {
-		m.Hash = hash
-	}
-	st.dropReservationLocked(id)
-	st.index.Runs = append(st.index.Runs, m)
-	if err := st.saveIndex(); err != nil {
-		return RunMeta{}, err
-	}
-	return m, nil
-}
-
-// IngestFile moves a verified chunked archive already on the store's
-// filesystem (a completed sync transfer) into the store under a fresh
-// local ID, carrying the peer's descriptive metadata instead of replaying.
-// Content identical to an existing run is a no-op returning that run. The
-// peer's label is kept unless it collides locally, in which case the run
-// lands unlabeled and the returned warning says so.
-func (st *Store) IngestFile(src string, meta RunMeta) (RunMeta, string, error) {
-	var (
-		m       RunMeta
-		warning string
-	)
-	err := st.withLock(func() error {
-		if existing, ok := st.findByHashLocked(meta.Hash); ok {
-			m = existing
-			warning = fmt.Sprintf("identical content already stored as %s", existing.ID)
-			os.Remove(src)
-			return nil
-		}
-		label := meta.Label
-		if err := st.checkLabel(label); err != nil {
-			warning = fmt.Sprintf("%v; run ingested unlabeled", err)
-			label = ""
-		}
-		id := st.peekID()
-		path := st.RunPath(id)
-		if err := os.Rename(src, path); err != nil {
-			return err
-		}
-		st.index.NextID++
-		m = meta
-		m.ID = id
-		m.Label = label
-		if fi, err := os.Stat(path); err == nil {
-			m.Bytes = fi.Size()
-		}
-		st.index.Runs = append(st.index.Runs, m)
-		return st.saveIndex()
-	})
-	return m, warning, err
-}
-
 // EnsureHashes backfills content hashes for runs stored by builds that
 // predate content addressing; sync dedupe keys on them.
 func (st *Store) EnsureHashes() error {
@@ -486,7 +479,7 @@ func (st *Store) EnsureHashes() error {
 			if st.index.Runs[i].Hash != "" {
 				continue
 			}
-			h, err := fileSHA256(st.RunPath(st.index.Runs[i].ID))
+			h, _, err := fileSHA256(st.RunPath(st.index.Runs[i].ID))
 			if err != nil {
 				return fmt.Errorf("perfdb: hash %s: %w", st.index.Runs[i].ID, err)
 			}
@@ -500,14 +493,18 @@ func (st *Store) EnsureHashes() error {
 	})
 }
 
-// checkLabel refuses a label that collides with an existing ID or label,
-// keeping Get unambiguous.
+// checkLabel keeps Get unambiguous: it refuses a label another run holds,
+// and any label of the run-ID shape (r + digits) — free today or not, it
+// would shadow that ID's run once the sequence reaches it.
 func (st *Store) checkLabel(label string) error {
 	if label == "" {
 		return nil
 	}
+	if len(label) > 1 && label[0] == 'r' && strings.Trim(label[1:], "0123456789") == "" {
+		return fmt.Errorf("perfdb: label %q has the shape of a run ID, which only the store assigns", label)
+	}
 	for _, m := range st.index.Runs {
-		if m.ID == label || m.Label == label {
+		if m.Label == label {
 			return fmt.Errorf("perfdb: label %q collides with stored run %s", label, m.ID)
 		}
 	}

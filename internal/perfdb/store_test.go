@@ -1,10 +1,14 @@
 package perfdb
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -265,46 +269,170 @@ func TestCommitLabelCollisionPreservesRun(t *testing.T) {
 	}
 }
 
-// TestFailedAddKeepsIDsSequential is the regression test for AddArchive
-// consuming an ID on a failed write: the next successful add must get the
-// very ID the failed one would have, leaving no hole.
-func TestFailedAddKeepsIDsSequential(t *testing.T) {
+// TestIDShapedLabelRefused is the regression test for a label of the run-ID
+// shape shadowing the real run once the sequence reached it: labelled
+// "r0002", the first run of a store used to answer Get("r0002") in place of
+// the second (so `db rm r0002` deleted the wrong archive).
+func TestIDShapedLabelRefused(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(5))
-	a := syntheticArchive(rng, 30)
-	if m, err := st.AddArchive(a, AddMeta{}); err != nil || m.ID != "r0001" {
-		t.Fatalf("first add: %+v, %v", m, err)
+	a := syntheticArchive(rand.New(rand.NewSource(6)), 30)
+	// An add whose source the caller still holds is refused, nothing stored.
+	if _, err := st.AddArchive(a, AddMeta{Label: "r0009"}); err == nil || !strings.Contains(err.Error(), "shape of a run ID") {
+		t.Fatalf("AddArchive with an ID-shaped label: err = %v, want a refusal", err)
 	}
-	createRunFile = func(string) (*os.File, error) { return nil, errors.New("injected: disk full") }
-	_, failErr := st.AddArchive(a, AddMeta{})
-	createRunFile = os.Create
-	if failErr == nil {
-		t.Fatal("injected create failure did not fail the add")
+	if entries, _ := os.ReadDir(filepath.Join(dir, "runs")); len(st.Runs()) != 0 || len(entries) != 0 {
+		t.Fatalf("refused add stored something: runs %+v, files %v", st.Runs(), entries)
 	}
-	m, err := st.AddArchive(a, AddMeta{})
+	// A recording is the only copy: it lands unlabeled with a warning.
+	rec, err := st.NewRecorder()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.ID != "r0002" {
-		t.Errorf("add after a failed add got ID %q; want r0002 (no hole)", m.ID)
+	replayEventsInto(rec, a.Events)
+	first, warn, err := st.Commit(rec, AddMeta{Label: "r0002"})
+	if err != nil || first.ID != "r0001" || first.Label != "" || !strings.Contains(warn, "unlabeled") {
+		t.Fatalf("Commit with an ID-shaped label: %+v, warning %q, err %v; want r0001 unlabeled with a warning", first, warn, err)
 	}
-	st2, err := Open(dir)
-	if err != nil {
+	if _, err := st.AddArchive(a, AddMeta{}); err != nil {
 		t.Fatal(err)
 	}
-	if runs := st2.Runs(); len(runs) != 2 || runs[0].ID != "r0001" || runs[1].ID != "r0002" {
-		t.Errorf("reopened runs: %+v", runs)
+	if got, err := st.Get("r0002"); err != nil || got.ID != "r0002" {
+		t.Errorf("Get(r0002) = %+v, %v; want the run whose ID that is", got, err)
 	}
-	entries, err := os.ReadDir(filepath.Join(dir, "runs"))
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestAdmissionCrashTable fails every step of admitting a run (temp create,
+// archive write, rename into runs/, index save) under every entry point, both
+// as an error the code gets to handle and as a crash — a panic at the
+// boundary, so no cleanup runs, as when the process is killed there. Either
+// way the store must reopen with every earlier run intact and no trace of
+// the half-admitted one, GC must sweep the debris, and the next add must get
+// an ID nothing else has — for AddArchive the very ID the failed add would
+// have had (a failed add once burned it).
+func TestAdmissionCrashTable(t *testing.T) {
+	type crash struct{ step string }
+	second := syntheticArchive(rand.New(rand.NewSource(8)), 60)
+	entries := []struct {
+		name   string
+		nextID string // what the add after the failure must get
+		admit  func(st *Store) error
+	}{
+		{"AddArchive", "r0002", func(st *Store) error {
+			_, err := st.AddArchive(second, AddMeta{Label: "second"})
+			return err
+		}},
+		{"Commit", "r0003", func(st *Store) error { // the failed recording's reservation is spent
+			rec, err := st.NewRecorder()
+			if err != nil {
+				return err
+			}
+			replayEventsInto(rec, second.Events)
+			_, _, err = st.Commit(rec, AddMeta{Label: "second"})
+			return err
+		}},
+		{"sync ingest", "r0002", func(st *Store) error {
+			var buf bytes.Buffer
+			if err := WriteArchive(&buf, second); err != nil {
+				return err
+			}
+			sum := sha256.Sum256(buf.Bytes())
+			p, err := st.partial(hex.EncodeToString(sum[:]))
+			if err != nil {
+				return err
+			}
+			half := int64(buf.Len() / 2)
+			if _, _, err := p.write(0, buf.Bytes()[:half]); err != nil {
+				return err
+			}
+			if _, _, err := p.write(half, buf.Bytes()[half:]); err != nil {
+				return err
+			}
+			_, _, err = p.finish(AddMeta{Label: "second"})
+			return err
+		}},
 	}
-	if len(entries) != 2 {
-		t.Errorf("runs/ holds %d files; the failed add left debris", len(entries))
+	for _, e := range entries {
+		for _, step := range []string{"create", "write", "rename", "index"} {
+			for _, mode := range []string{"error", "crash"} {
+				t.Run(e.name+"/"+step+"/"+mode, func(t *testing.T) {
+					dir := t.TempDir()
+					st, err := Open(dir)
+					if err != nil {
+						t.Fatal(err)
+					}
+					first, err := st.AddArchive(syntheticArchive(rand.New(rand.NewSource(7)), 40), AddMeta{Label: "first"})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := mustReadFile(t, st.RunPath(first.ID))
+
+					st.failAt = func(s string) error {
+						if s != step {
+							return nil
+						}
+						if mode == "crash" {
+							panic(crash{s})
+						}
+						return errors.New("injected: " + s + " failed")
+					}
+					func() {
+						defer func() {
+							if r := recover(); r != nil {
+								if _, ok := r.(crash); !ok {
+									panic(r)
+								}
+								err = errors.New("crashed")
+							}
+						}()
+						err = e.admit(st)
+					}()
+					if err == nil {
+						t.Fatalf("step %q never failed the admission", step)
+					}
+
+					st, err = Open(dir)
+					if err != nil {
+						t.Fatalf("store does not reopen: %v", err)
+					}
+					if runs := st.Runs(); len(runs) != 1 || runs[0] != first {
+						t.Fatalf("index after the failure: %+v; want only %+v", runs, first)
+					}
+					if _, err := st.Load("first"); err != nil || !bytes.Equal(mustReadFile(t, st.RunPath(first.ID)), want) {
+						t.Fatalf("earlier run damaged (load err %v)", err)
+					}
+					st.GCTmpAge = time.Nanosecond
+					if _, err := st.GC(); err != nil {
+						t.Fatal(err)
+					}
+					var left []string
+					filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+						if err == nil && !d.IsDir() {
+							rel, _ := filepath.Rel(dir, path)
+							left = append(left, rel)
+						}
+						return nil
+					})
+					sort.Strings(left)
+					if got := strings.Join(left, " "); got != ".lock index.json runs/r0001.ppdb" {
+						t.Errorf("files after GC: %s; debris survived", got)
+					}
+					if strings.Contains(string(mustReadFile(t, filepath.Join(dir, "index.json"))), "reserved") {
+						t.Error("GC left the dead recording's reservation in the index")
+					}
+					m, err := st.AddArchive(second, AddMeta{Label: "second"})
+					if err != nil || m.ID != e.nextID {
+						t.Fatalf("add after the failure: %+v, %v; want ID %s", m, err, e.nextID)
+					}
+					if a, err := st.Load("second"); err != nil || len(a.Events) != len(second.Events) {
+						t.Errorf("run added after the failure does not load: %v", err)
+					}
+				})
+			}
+		}
 	}
 }
 

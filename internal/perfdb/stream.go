@@ -138,9 +138,16 @@ func (r *StreamRecorder) Header() session.Header {
 func (r *StreamRecorder) Path() string { return r.path }
 
 // Close flushes the final chunk, writes the trailer with the finalized
-// header, syncs the temp file, and renames it into place. It reports the
-// first error from anywhere in the recording.
-func (r *StreamRecorder) Close() error {
+// header, closes the temp file and renames it into place. It reports the
+// first error from anywhere in the recording. Temp file plus atomic rename
+// protects against process death — a killed run never leaves a file that
+// parses as complete; the file is not fsynced, so durability across power
+// loss is not claimed.
+func (r *StreamRecorder) Close() error { return r.finish(true) }
+
+// finish is Close with the rename optional: Store.Commit leaves the complete
+// archive at its temp path for the store's admission routine to move.
+func (r *StreamRecorder) finish(rename bool) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -163,11 +170,10 @@ func (r *StreamRecorder) Close() error {
 		os.Remove(r.tmp)
 		return fmt.Errorf("perfdb: stream recording failed: %w", r.err)
 	}
-	if err := os.Rename(r.tmp, r.path); err != nil {
-		r.err = err
-		return err
+	if rename {
+		r.err = os.Rename(r.tmp, r.path)
 	}
-	return nil
+	return r.err
 }
 
 // Abort discards the recording, removing the temp file.

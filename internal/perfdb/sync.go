@@ -25,8 +25,9 @@ package perfdb
 // continues from there. Runs are content-addressed by the SHA-256 of the
 // archive file (the chunked encoding is byte-deterministic), so re-pushing
 // or re-pulling an identical run is a no-op, and a completed transfer is
-// verified hash-whole before it is ingested — ingest assigns a fresh local
-// ID and merges the peer's descriptive metadata into the local index.
+// verified hash-whole and parsed before it is admitted under a fresh local
+// ID — its index entry read from the archive itself; a peer contributes the
+// label and the verdict, nothing else.
 //
 // Sync traffic is fault-injectable from the same plan language as the
 // report transport, through the wire plane's shared injection point:
@@ -65,20 +66,12 @@ const (
 	opPullChunk
 )
 
+var opNames = [...]string{opHello: "hello", opList: "list", opPushBegin: "push-begin",
+	opPushChunk: "push-chunk", opPushEnd: "push-end", opPullChunk: "pull-chunk"}
+
 func opName(op int) string {
-	switch op {
-	case opHello:
-		return "hello"
-	case opList:
-		return "list"
-	case opPushBegin:
-		return "push-begin"
-	case opPushChunk:
-		return "push-chunk"
-	case opPushEnd:
-		return "push-end"
-	case opPullChunk:
-		return "pull-chunk"
+	if op > 0 && op < len(opNames) {
+		return opNames[op]
 	}
 	return fmt.Sprintf("op(%d)", op)
 }
@@ -393,30 +386,19 @@ func pullOne(st *Store, c *syncClient, m RunMeta) (PullResult, error) {
 		res.Skipped, res.LocalID = true, existing.ID
 		return res, nil
 	}
-	if m.Hash == "" {
-		return res, fmt.Errorf("perfdb sync: remote run %s has no content hash", m.ID)
-	}
-	if err := os.MkdirAll(st.syncDir(), 0o755); err != nil {
-		return res, err
-	}
-	staging := filepath.Join(st.syncDir(), m.Hash+".partial")
-	var offset int64
-	if fi, err := os.Stat(staging); err == nil {
-		offset = fi.Size()
-	}
-	res.ResumedAt = offset
-	f, err := os.OpenFile(staging, os.O_CREATE|os.O_WRONLY, 0o644)
+	p, err := st.partial(m.Hash)
 	if err != nil {
-		return res, err
+		return res, fmt.Errorf("perfdb sync: remote run %s: %w", m.ID, err)
 	}
+	offset := p.size()
+	res.ResumedAt = offset
 	// As in Push, the guard (sized from the peer's advertised m.Bytes) bounds
-	// no-progress exchanges — a chunk that fails its CRC every time, a peer
-	// that never advances — so a corrupt or hostile server cannot hang us.
+	// no-progress exchanges — a CRC that fails every time, offsets the partial
+	// cannot take — so a corrupt or hostile server cannot hang us.
 	done := false
 	for guard := 4*(int(m.Bytes)/c.cfg.ChunkBytes+1) + 16; !done; guard-- {
 		if guard <= 0 {
-			f.Close()
-			os.Remove(staging)
+			p.discard()
 			return res, fmt.Errorf("perfdb sync: pull of %s stalled at offset %d/%d; partial discarded", m.ID, offset, m.Bytes)
 		}
 		resp, err := c.roundTrip(syncReq{
@@ -424,51 +406,122 @@ func pullOne(st *Store, c *syncClient, m RunMeta) (PullResult, error) {
 			Offset: offset, Size: int64(c.cfg.ChunkBytes),
 		})
 		if err != nil {
-			f.Close()
 			return res, err
 		}
 		if wire.Checksum(resp.Data) != resp.CRC {
 			// Payload corrupted in transit: re-request the same chunk.
 			continue
 		}
-		if resp.Offset < offset {
-			// Our partial outran the remote file (stale staging from a
-			// different epoch); restart clean.
-			f.Close()
-			os.Remove(staging)
-			return res, fmt.Errorf("perfdb sync: remote run %s shrank mid-pull; stale partial discarded, retry", m.ID)
+		var applied int
+		if offset, applied, err = p.write(resp.Offset, resp.Data); err != nil {
+			return res, fmt.Errorf("perfdb sync: pull of %s: %w", m.ID, err)
 		}
-		if len(resp.Data) > 0 {
-			if _, err := f.WriteAt(resp.Data, resp.Offset); err != nil {
-				f.Close()
-				return res, err
-			}
-			res.Bytes += int64(len(resp.Data))
-			offset = resp.Offset + int64(len(resp.Data))
-		}
+		res.Bytes += int64(applied)
 		done = resp.EOF
 	}
-	if err := f.Close(); err != nil {
-		return res, err
-	}
-	gotHash, err := fileSHA256(staging)
+	lm, warn, err := p.finish(AddMeta{Label: m.Label, Verdict: m.Verdict})
 	if err != nil {
-		return res, err
-	}
-	if gotHash != m.Hash {
-		os.Remove(staging)
-		return res, fmt.Errorf("perfdb sync: pulled run %s fails content verification (want %.12s, got %.12s)", m.ID, m.Hash, gotHash)
-	}
-	if _, err := LoadAny(staging); err != nil {
-		os.Remove(staging)
-		return res, fmt.Errorf("perfdb sync: pulled run %s is not a valid archive: %w", m.ID, err)
-	}
-	lm, warn, err := st.IngestFile(staging, m)
-	if err != nil {
-		return res, err
+		return res, fmt.Errorf("perfdb sync: pull of %s: %w", m.ID, err)
 	}
 	res.LocalID, res.Label, res.Warning = lm.ID, lm.Label, warn
 	return res, nil
+}
+
+// A partial is one content-addressed transfer staged at
+// <store>/sync/<hash>.partial — the receive side of both directions: the
+// server stages a push in it, the client a pull.
+type partial struct {
+	st         *Store
+	hash, path string
+}
+
+// partial names the staging file for hash, refusing anything but a
+// well-formed content address: it becomes a file name.
+func (st *Store) partial(hash string) (partial, error) {
+	if !wire.ValidHash(hash) {
+		return partial{}, fmt.Errorf("bad content hash %q", hash)
+	}
+	return partial{st, hash, filepath.Join(st.syncDir(), hash+".partial")}, nil
+}
+
+// size returns how many bytes are staged (0 when nothing is).
+func (p partial) size() int64 {
+	fi, err := os.Stat(p.path)
+	if err != nil {
+		return 0
+	}
+	return fi.Size()
+}
+
+func (p partial) discard() { os.Remove(p.path) }
+
+// write applies a frame's bytes and answers the authoritative staged count
+// and how many bytes it applied. Only the unseen suffix is written, where it
+// belongs: a replay of bytes already held (a lost ack) and a frame starting
+// past them (the sender outran a swept partial) apply nothing, so the sender
+// converges on the count and the file never has a hole.
+func (p partial) write(offset int64, data []byte) (held int64, applied int, err error) {
+	if offset < 0 {
+		return 0, 0, fmt.Errorf("negative offset %d", offset)
+	}
+	held = p.size()
+	if end := offset + int64(len(data)); end <= held || offset > held {
+		return held, 0, nil
+	}
+	step := "write"
+	if held == 0 {
+		step = "create"
+	}
+	if err := p.st.at(step); err != nil {
+		return held, 0, err
+	}
+	if err := os.MkdirAll(p.st.syncDir(), 0o755); err != nil {
+		return held, 0, err
+	}
+	f, err := os.OpenFile(p.path, os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		return held, 0, err
+	}
+	unseen := data[held-offset:]
+	_, err = f.WriteAt(unseen, held)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return held, 0, err
+	}
+	return held + int64(len(unseen)), len(unseen), nil
+}
+
+// finish admits a completed transfer once the staged bytes hash to the
+// content address and parse as an archive. A transfer that fails either
+// check is discarded — resuming it would fail the same way forever. Content
+// another transfer stored meanwhile is a no-op returning that run.
+func (p partial) finish(am AddMeta) (m RunMeta, warning string, err error) {
+	got, _, err := fileSHA256(p.path)
+	if err != nil {
+		return m, "", fmt.Errorf("no complete transfer of %.12s: %w", p.hash, err)
+	}
+	if got != p.hash {
+		p.discard()
+		return m, "", fmt.Errorf("transfer fails content verification (want %.12s, got %.12s); partial discarded, retry", p.hash, got)
+	}
+	a, err := LoadAny(p.path)
+	if err != nil {
+		p.discard()
+		return m, "", fmt.Errorf("transfer is not a valid archive: %w", err)
+	}
+	err = p.st.withLock(func() error {
+		if existing, ok := p.st.findByHashLocked(p.hash); ok {
+			m, warning = existing, fmt.Sprintf("identical content already stored as %s", existing.ID)
+			p.discard()
+			return nil
+		}
+		m, warning, err = p.st.admitLocked(admission{AddMeta: am, src: p.path,
+			header: a.Header, events: len(a.Events), truncated: a.Truncated, onlyCopy: true})
+		return err
+	})
+	return m, warning, err
 }
 
 // A SyncServer exposes one store to db push/pull peers over TCP: a
@@ -557,110 +610,60 @@ func (s *SyncServer) dispatch(req *syncReq) *syncResp {
 	return syncErr("unknown op %d", req.Op)
 }
 
-// partialPath is where an in-flight upload of the given content lives.
-func (s *SyncServer) partialPath(hash string) string {
-	return filepath.Join(s.st.syncDir(), hash+".partial")
-}
-
 func (s *SyncServer) pushBegin(req *syncReq) *syncResp {
-	if !wire.ValidHash(req.Hash) {
-		return syncErr("push-begin: bad content hash %q", req.Hash)
+	p, err := s.st.partial(req.Hash)
+	if err != nil {
+		return syncErr("push-begin: %v", err)
 	}
 	if m, ok := s.st.FindByHash(req.Hash); ok {
 		return &syncResp{OK: true, Have: true, ID: m.ID, Warning: fmt.Sprintf("identical content already stored as %s", m.ID)}
 	}
 	release := s.uploads.Acquire(req.Hash)
 	defer release()
-	if err := os.MkdirAll(s.st.syncDir(), 0o755); err != nil {
-		return syncErr("push-begin: %v", err)
-	}
-	var offset int64
-	if fi, err := os.Stat(s.partialPath(req.Hash)); err == nil {
-		offset = fi.Size()
-		if offset > req.Size {
-			// A stale partial from different content that happened to
-			// collide is impossible (hash-named), but a corrupt oversized
-			// one is not worth salvaging.
-			os.Remove(s.partialPath(req.Hash))
-			offset = 0
-		}
+	offset := p.size()
+	if offset > req.Size { // hash-named, so never other content: corrupt
+		p.discard()
+		offset = 0
 	}
 	return &syncResp{OK: true, Offset: offset}
 }
 
 func (s *SyncServer) pushChunk(req *syncReq) *syncResp {
-	if !wire.ValidHash(req.Hash) {
-		return syncErr("push-chunk: bad content hash %q", req.Hash)
-	}
-	if req.Offset < 0 {
-		return syncErr("push-chunk: negative offset %d", req.Offset)
+	p, err := s.st.partial(req.Hash)
+	if err != nil {
+		return syncErr("push-chunk: %v", err)
 	}
 	if wire.Checksum(req.Data) != req.CRC {
 		return syncErr("push-chunk: CRC mismatch at offset %d", req.Offset)
 	}
 	release := s.uploads.Acquire(req.Hash)
 	defer release()
-	path := s.partialPath(req.Hash)
-	var cur int64
-	if fi, err := os.Stat(path); err == nil {
-		cur = fi.Size()
-	}
-	end := req.Offset + int64(len(req.Data))
-	if end <= cur {
-		// Replay of bytes already held (a lost ack); answer with the
-		// authoritative offset instead of double-applying.
-		s.dups.Add(1)
-		return &syncResp{OK: true, Offset: cur}
-	}
-	if req.Offset > cur {
-		// A gap: the client is ahead of us (our partial was GC'd between
-		// its frames, say). Answer with where we actually are; the client
-		// rewinds.
-		return &syncResp{OK: true, Offset: cur}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
+	held, applied, err := p.write(req.Offset, req.Data)
 	if err != nil {
 		return syncErr("push-chunk: %v", err)
 	}
-	defer f.Close()
-	// Write only the unseen suffix, at the position it belongs.
-	if _, err := f.WriteAt(req.Data[cur-req.Offset:], cur); err != nil {
-		return syncErr("push-chunk: %v", err)
+	if applied == 0 && req.Offset <= held {
+		s.dups.Add(1) // a replay, absorbed; the client gets the authoritative offset
 	}
-	return &syncResp{OK: true, Offset: end}
+	return &syncResp{OK: true, Offset: held}
 }
 
 func (s *SyncServer) pushEnd(req *syncReq) *syncResp {
-	if !wire.ValidHash(req.Hash) {
-		return syncErr("push-end: bad content hash %q", req.Hash)
+	p, err := s.st.partial(req.Hash)
+	if err != nil {
+		return syncErr("push-end: %v", err)
 	}
 	release := s.uploads.Acquire(req.Hash)
 	defer release()
 	// A replayed push-end after the ingest already happened dedupes via
 	// the content address.
 	if m, ok := s.st.FindByHash(req.Hash); ok {
-		os.Remove(s.partialPath(req.Hash))
+		p.discard()
 		return &syncResp{OK: true, Have: true, ID: m.ID}
 	}
-	path := s.partialPath(req.Hash)
-	gotHash, err := fileSHA256(path)
+	m, warn, err := p.finish(AddMeta{Label: req.Meta.Label, Verdict: req.Meta.Verdict})
 	if err != nil {
-		return syncErr("push-end: no complete upload for %.12s: %v", req.Hash, err)
-	}
-	if gotHash != req.Hash {
-		// Resuming a corrupt partial would fail the same way forever.
-		os.Remove(path)
-		return syncErr("push-end: upload fails content verification (want %.12s, got %.12s); partial discarded, retry", req.Hash, gotHash)
-	}
-	if _, err := LoadAny(path); err != nil {
-		os.Remove(path)
-		return syncErr("push-end: upload is not a valid archive: %v", err)
-	}
-	meta := req.Meta
-	meta.Hash = req.Hash
-	m, warn, err := s.st.IngestFile(path, meta)
-	if err != nil {
-		return syncErr("push-end: ingest: %v", err)
+		return syncErr("push-end: %v", err)
 	}
 	return &syncResp{OK: true, ID: m.ID, Warning: warn}
 }

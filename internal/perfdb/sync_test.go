@@ -299,6 +299,58 @@ func TestSyncPushChunkRejectsNegativeOffset(t *testing.T) {
 	}
 }
 
+// TestSyncPushEndIgnoresForgedMeta sends the frames a hostile client could:
+// an honest upload whose push-end claims to be a different program with
+// different counts. The served index must describe the archive that arrived
+// — read from its own header and bytes — and take only the label (refused
+// here: it has the run-ID shape) and the verdict from the peer. The forged
+// entry used to land verbatim, so `db trend big-message` fitted a foreign run.
+func TestSyncPushEndIgnoresForgedMeta(t *testing.T) {
+	src, m := storeWithRun(t, 8, 300, "")
+	peer, srv := serveStore(t)
+	data := mustReadFile(t, src.RunPath(m.ID))
+	a, err := LoadAny(src.RunPath(m.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := dialSync(srv.Addr(), testSyncConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.close()
+	if _, err := c.roundTrip(syncReq{Op: opPushBegin, Hash: m.Hash, Size: int64(len(data))}); err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off < len(data); off += 4096 {
+		chunk := data[off:min(off+4096, len(data))]
+		if _, err := c.roundTrip(syncReq{Op: opPushChunk, Hash: m.Hash, Offset: int64(off), Data: chunk, CRC: wire.Checksum(chunk)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	end, err := c.roundTrip(syncReq{Op: opPushEnd, Hash: m.Hash, Meta: RunMeta{
+		ID: "r0042", Label: "r0007", Verdict: "sync=true(0.9)",
+		Program: "big-message", Impl: "forged", Seed: "999", Events: 123456, Bytes: 1, Truncated: true,
+		Hash: strings.Repeat("0", 64),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(end.Warning, "shape of a run ID") {
+		t.Errorf("warning %q; want the ID-shaped label refused", end.Warning)
+	}
+	want := RunMeta{
+		ID: "r0001", Verdict: "sync=true(0.9)",
+		Program: a.Header.Meta["program"], Impl: a.Header.Meta["impl"], Seed: a.Header.Meta["seed"],
+		Events: len(a.Events), Bytes: int64(len(data)), Hash: m.Hash,
+	}
+	if got, err := peer.Get(end.ID); err != nil || got != want {
+		t.Errorf("served index entry:\n got %+v (%v)\nwant %+v", got, err, want)
+	}
+	if foreign := peer.RunsFor("big-message"); len(foreign) != 0 {
+		t.Errorf("forged program name reached the index: %+v", foreign)
+	}
+}
+
 // TestSyncPullResume: the client-side mirror of push resume.
 func TestSyncPullResume(t *testing.T) {
 	src, m := storeWithRun(t, 4, 2000, "")
@@ -464,20 +516,37 @@ func TestSyncChunkReplayIdempotent(t *testing.T) {
 }
 
 // TestSyncPullStallGuard: a peer that answers every pull-chunk with a wrong
-// CRC, or with an empty payload that never reaches EOF, makes no progress.
+// CRC, with an empty payload that never reaches EOF, or with an offset the
+// client's partial cannot take (past its end, or negative) makes no progress.
 // Pull must give up within its guard, discard the partial and return an
-// error — not spin forever.
+// error — not spin forever, and not write the payload where the peer says.
 func TestSyncPullStallGuard(t *testing.T) {
 	run := RunMeta{ID: "r0001", Bytes: 4096, Hash: strings.Repeat("ab", 32)}
+	payload := []byte("payload")
 	for _, tc := range []struct {
-		name  string
-		chunk syncResp
+		name   string
+		chunk  syncResp
+		skew   int64  // added to the requested offset in the answer
+		hash   string // listed content address, when not run.Hash
+		errStr string
 	}{
-		{"bad CRC", syncResp{OK: true, Data: []byte("payload"), CRC: wire.Checksum([]byte("payload")) + 1, Size: run.Bytes}},
-		{"never advances", syncResp{OK: true, CRC: wire.Checksum(nil), Size: run.Bytes}},
+		{"bad CRC", syncResp{Data: payload, CRC: wire.Checksum(payload) + 1}, 0, "", "stalled"},
+		{"never advances", syncResp{CRC: wire.Checksum(nil)}, 0, "", "stalled"},
+		{"offset past the partial", syncResp{Data: payload, CRC: wire.Checksum(payload)}, 1 << 20, "", "stalled"},
+		{"negative offset", syncResp{Data: payload, CRC: wire.Checksum(payload)}, -4, "", "negative offset"},
+		{"path-traversal hash", syncResp{Data: payload, CRC: wire.Checksum(payload), EOF: true}, 0, "../../escape", "content hash"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var pulls atomic.Int64
+			run := run
+			if tc.hash != "" {
+				run.Hash = tc.hash
+			}
+			st, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			partial := filepath.Join(st.syncDir(), run.Hash+".partial")
+			var pulls, staged atomic.Int64
 			srv, err := wire.Listen("127.0.0.1:0", func(c *wire.ServerConn) {
 				for {
 					var req syncReq
@@ -487,8 +556,11 @@ func TestSyncPullStallGuard(t *testing.T) {
 					resp := syncResp{OK: true, Proto: SyncProtoVersion, Runs: []RunMeta{run}}
 					if req.Op == opPullChunk {
 						pulls.Add(1)
+						if fi, err := os.Stat(partial); err == nil {
+							staged.Store(max(staged.Load(), fi.Size()))
+						}
 						resp = tc.chunk
-						resp.Offset = req.Offset
+						resp.OK, resp.Size, resp.Offset = true, run.Bytes, req.Offset+tc.skew
 					}
 					if c.Reply(&resp) != nil {
 						return
@@ -500,20 +572,19 @@ func TestSyncPullStallGuard(t *testing.T) {
 			}
 			defer srv.Close()
 
-			st, err := Open(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
 			cfg := testSyncConfig()
 			_, _, err = Pull(st, srv.Addr(), run.ID, cfg)
-			if err == nil || !strings.Contains(err.Error(), "stalled") {
-				t.Fatalf("Pull from a no-progress peer: err = %v, want a stall error", err)
+			if err == nil || !strings.Contains(err.Error(), tc.errStr) {
+				t.Fatalf("Pull from a no-progress peer: err = %v, want a %q error", err, tc.errStr)
 			}
-			if want := int64(4*(int(run.Bytes)/cfg.ChunkBytes+1) + 16); pulls.Load() != want {
+			if want := int64(4*(int(run.Bytes)/cfg.ChunkBytes+1) + 16); tc.errStr == "stalled" && pulls.Load() != want {
 				t.Errorf("peer saw %d pull-chunk requests, want exactly the guard (%d)", pulls.Load(), want)
 			}
-			if _, err := os.Stat(filepath.Join(st.syncDir(), run.Hash+".partial")); !os.IsNotExist(err) {
-				t.Errorf("stalled pull left its partial behind (stat err = %v)", err)
+			if staged.Load() != 0 {
+				t.Errorf("the client staged %d bytes at an offset of the peer's choosing; no answer here extends an empty partial", staged.Load())
+			}
+			if _, err := os.Stat(partial); !os.IsNotExist(err) {
+				t.Errorf("pull left a partial behind (stat err = %v)", err)
 			}
 		})
 	}

@@ -46,9 +46,6 @@ type Config struct {
 	Epochs      int
 }
 
-// PaperConfig returns the paper's parameters.
-func PaperConfig() Config { return Config{Bytes: 1024, OpsPerEpoch: 3000, Epochs: 200} }
-
 // Report is the benchmark's self-measured output for one mode.
 type Report struct {
 	Mode   Mode

@@ -9,7 +9,6 @@ package resource
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -217,16 +216,4 @@ func (h *Hierarchy) Count(includeRetired bool) int {
 		}
 	})
 	return n
-}
-
-// Sorted returns all paths in the hierarchy, sorted (handy for tests).
-func (h *Hierarchy) Sorted() []string {
-	var out []string
-	h.root.Walk(func(m *Node) {
-		if m != h.root {
-			out = append(out, m.Path())
-		}
-	})
-	sort.Strings(out)
-	return out
 }

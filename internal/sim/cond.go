@@ -41,7 +41,3 @@ func (c *Cond) Broadcast(t Time) int {
 	c.waiters = c.waiters[:0]
 	return n
 }
-
-// Waiting returns the number of processes currently registered on the
-// condition (some may already have been woken through other means).
-func (c *Cond) Waiting() int { return len(c.waiters) }

@@ -122,10 +122,6 @@ func (p *Proc) Sleep(d Duration) {
 	p.switchOut()
 }
 
-// Yield gives other ready processes and events at the current time a chance
-// to run, without advancing this process's clock.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Wait blocks the process until another party calls WakeAt. what is a short
 // description used in deadlock reports. Wait returns the (possibly advanced)
 // local time at wake-up.
@@ -179,9 +175,6 @@ func (p *Proc) Kill(reason string) bool {
 	p.state = stateReady
 	return true
 }
-
-// Killed reports whether the process was terminated with Kill, and why.
-func (p *Proc) Killed() (bool, string) { return p.killed, p.killReason }
 
 // switchOut transfers control back to the scheduler and blocks until the
 // scheduler dispatches this process again.
