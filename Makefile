@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt-check race verify bench bench-module replay-golden perfdb-golden sync-golden wire-golden trend-golden chaos fuzz fuzz-perfdb fuzz-wire fuzz-smoke
+.PHONY: build test vet fmt-check race verify loc bench bench-module replay-golden perfdb-golden sync-golden wire-golden trend-golden chaos fuzz fuzz-perfdb fuzz-wire fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,14 @@ race:
 	$(GO) test -race ./internal/wire ./internal/frontend ./internal/daemon ./internal/faults ./internal/trace ./internal/core ./internal/session ./internal/perfdb ./internal/datasource
 
 verify: build vet fmt-check test race fuzz-smoke bench-module replay-golden perfdb-golden sync-golden wire-golden trend-golden
+
+# loc prints the size figure simplicity PRs quote: non-test Go lines outside
+# bench/, then the same count per internal package. Not part of verify.
+loc:
+	@printf '%6d  non-test Go outside bench/\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)
+	@for d in internal/*/; do \
+		printf '%6d  %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $${d%/}; \
+	done
 
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...

@@ -444,12 +444,11 @@ func (s *Session) WireStats() map[string]wire.Stats {
 		cur.Add(st)
 		out[ch] = cur
 	}
-	for _, t := range s.transports {
-		add(wire.ChanCtl, t.Stats())
-		add(wire.ChanBulk, t.BulkStats())
-	}
-	if s.listener != nil {
-		for _, ch := range []string{wire.ChanCtl, wire.ChanBulk} {
+	for _, ch := range []string{wire.ChanCtl, wire.ChanBulk} {
+		for _, t := range s.transports {
+			add(ch, t.Stats(ch))
+		}
+		if s.listener != nil {
 			ls := s.listener.WireStats(ch)
 			// Sender side already counts acknowledged frames; take only the
 			// receiver-side accounting from the listener.

@@ -6,6 +6,7 @@ import (
 	"pperf/internal/daemon"
 	"pperf/internal/mpi"
 	"pperf/internal/probe"
+	"pperf/internal/session"
 )
 
 // maxTagsPerComm bounds the number of message-tag resources discovered per
@@ -32,9 +33,9 @@ func installTagDiscovery(s *Session) {
 		}
 		reported[full] = true
 		seen[commPath]++
-		s.FE.Update(daemon.Update{
+		s.FE.Report(session.Event{Kind: session.EvUpdate, Update: daemon.Update{
 			Kind: daemon.UpAddResource, Time: s.Eng.Now(), Path: full,
-		})
+		}})
 	}
 	asComm := func(v any) *mpi.Comm {
 		c, _ := v.(*mpi.Comm)

@@ -9,6 +9,7 @@ import (
 	"pperf/internal/mpi"
 	"pperf/internal/probe"
 	"pperf/internal/resource"
+	"pperf/internal/session"
 	"pperf/internal/sim"
 	"pperf/internal/trace"
 )
@@ -45,13 +46,11 @@ type Daemon struct {
 	crashed     bool
 	hungUntil   sim.Time
 	attachUntil sim.Time
-	outbox      []outMsg
-	dropped     int64
 
-	// Bulk trace-streaming state (see outbox.go): shards waiting for the
-	// bulk channel to recover, plus the span-level loss accounting for
-	// queue eviction and end-of-run stranding.
-	bulkQ       []trace.Shard
+	// ctl and bulk queue the reports their channel could not carry (see
+	// outbox.go); lostSpans and undelivered are the span-level loss
+	// accounting for bulk-queue eviction and end-of-run stranding.
+	ctl, bulk   queue
 	lostSpans   map[string]int64
 	undelivered map[string]int64
 }
@@ -95,7 +94,7 @@ func NameFor(nodeName string) string { return "paradynd@" + nodeName }
 
 // New creates the daemon for one node (incarnation 1).
 func New(eng *sim.Engine, node int, nodeName string, lib *mdl.Library, tr Transport, cfg Config) *Daemon {
-	return &Daemon{
+	d := &Daemon{
 		name:        NameFor(nodeName),
 		node:        node,
 		nodeName:    nodeName,
@@ -104,7 +103,16 @@ func New(eng *sim.Engine, node int, nodeName string, lib *mdl.Library, tr Transp
 		tr:          tr,
 		cfg:         cfg,
 		incarnation: 1,
+		ctl:         queue{limit: ctlQueueLimit},
+		bulk:        queue{limit: bulkQueueLimit},
 	}
+	// Evicted shards' spans were already drained from their recorder, so the
+	// loss is folded into the per-track OutboxLost counter later shards
+	// carry to the timeline.
+	d.bulk.onEvict = func(ev session.Event) {
+		d.noteLostSpans(ev.Shard.Proc, int64(len(ev.Shard.Spans)))
+	}
+	return d
 }
 
 // SetIncarnation overrides the daemon's incarnation number — used when the
@@ -324,7 +332,7 @@ func (d *Daemon) sampleRank(rc *rankCtx) {
 		})
 	}
 	if len(batch) > 0 {
-		d.sendSamples(batch)
+		d.send(session.Event{Kind: session.EvSamples, Samples: batch})
 	}
 	rc.flushEdges(now)
 }
@@ -491,7 +499,7 @@ func (d *Daemon) tick() {
 	if d.Hung() {
 		return
 	}
-	d.flushOutbox()
+	d.flush(&d.ctl)
 	n := 0
 	for _, rc := range d.ranks {
 		if !rc.exited {
@@ -501,7 +509,7 @@ func (d *Daemon) tick() {
 	}
 	if d.tracer != nil {
 		d.tracer.DaemonSample(d.name, d.nodeName, d.eng.Now(), n)
-		d.flushBulk()
+		d.flush(&d.bulk)
 		d.flushTraceShards()
 	}
 }

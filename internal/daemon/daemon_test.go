@@ -7,8 +7,8 @@ import (
 	"pperf/internal/mdl"
 	"pperf/internal/mpi"
 	"pperf/internal/resource"
+	"pperf/internal/session"
 	"pperf/internal/sim"
-	"pperf/internal/trace"
 )
 
 // recorder captures everything a daemon forwards.
@@ -17,17 +17,15 @@ type recorder struct {
 	updates []Update
 }
 
-func (r *recorder) Samples(batch []Sample) error {
-	r.samples = append(r.samples, batch...)
+func (r *recorder) Report(ev session.Event) error {
+	switch ev.Kind {
+	case session.EvSamples:
+		r.samples = append(r.samples, ev.Samples...)
+	case session.EvUpdate:
+		r.updates = append(r.updates, ev.Update)
+	}
 	return nil
 }
-
-func (r *recorder) Update(u Update) error {
-	r.updates = append(r.updates, u)
-	return nil
-}
-
-func (r *recorder) Shard(trace.Shard) error { return nil }
 
 // rig builds a 2-node world with one daemon per node wired to a recorder.
 func rig(t *testing.T, impl mpi.ImplKind, cfg Config) (*sim.Engine, *mpi.World, []*Daemon, *recorder) {

@@ -12,8 +12,10 @@ import (
 	"testing"
 
 	"pperf/internal/mdl"
+	"pperf/internal/session"
 	"pperf/internal/sim"
 	"pperf/internal/trace"
+	"pperf/internal/wire"
 )
 
 var errSinkDown = errors.New("sink down")
@@ -27,46 +29,41 @@ type chanSink struct {
 	shards   []trace.Shard
 }
 
-func (s *chanSink) Samples(batch []Sample) error {
-	if s.down {
+func (s *chanSink) Report(ev session.Event) error {
+	ch, _ := ChannelOf(ev.Kind)
+	if (ch == wire.ChanBulk && s.bulkDown) || (ch == wire.ChanCtl && s.down) {
 		return errSinkDown
 	}
-	s.events = append(s.events, "samples")
+	switch ev.Kind {
+	case session.EvSamples:
+		s.events = append(s.events, "samples")
+	case session.EvUpdate:
+		s.events = append(s.events, fmt.Sprintf("update:%d", ev.Update.Kind))
+	case session.EvShard:
+		s.events = append(s.events, fmt.Sprintf("shard:%d", len(ev.Shard.Spans)))
+		s.shards = append(s.shards, ev.Shard)
+	}
 	return nil
 }
 
-func (s *chanSink) Update(u Update) error {
-	if s.down {
-		return errSinkDown
-	}
-	s.events = append(s.events, fmt.Sprintf("update:%d", u.Kind))
-	return nil
+func mkShard(n int) session.Event {
+	return session.Event{Kind: session.EvShard, Shard: trace.Shard{Proc: "p{0}", Node: "node0", Spans: make([]trace.Span, n)}}
 }
 
-func (s *chanSink) Shard(sh trace.Shard) error {
-	if s.bulkDown {
-		return errSinkDown
-	}
-	s.events = append(s.events, fmt.Sprintf("shard:%d", len(sh.Spans)))
-	s.shards = append(s.shards, sh)
-	return nil
-}
-
-func mkShard(n int) trace.Shard {
-	return trace.Shard{Proc: "p{0}", Node: "node0", Spans: make([]trace.Span, n)}
+func mkSamples(metric string) session.Event {
+	return session.Event{Kind: session.EvSamples, Samples: []Sample{{Metric: metric}}}
 }
 
 func TestBulkQueueEvictionCountsSpans(t *testing.T) {
 	eng := sim.NewEngine(1)
 	sink := &chanSink{bulkDown: true}
-	cfg := DefaultConfig()
-	cfg.BulkQueueLimit = 2
-	d := New(eng, 0, "node0", mdl.StdLib(), sink, cfg)
+	d := New(eng, 0, "node0", mdl.StdLib(), sink, DefaultConfig())
+	d.bulk.limit = 2
 	d.EnableTracing(trace.New(&trace.Config{FlushWatermark: -1}))
 
-	d.sendShard(mkShard(3))
-	d.sendShard(mkShard(4))
-	d.sendShard(mkShard(5)) // bulk queue bound evicts the 3-span shard
+	d.send(mkShard(3))
+	d.send(mkShard(4))
+	d.send(mkShard(5)) // bulk queue bound evicts the 3-span shard
 	if d.BulkDepth() != 2 {
 		t.Errorf("bulk depth = %d, want 2", d.BulkDepth())
 	}
@@ -75,7 +72,7 @@ func TestBulkQueueEvictionCountsSpans(t *testing.T) {
 	}
 
 	sink.bulkDown = false
-	d.flushBulk()
+	d.flush(&d.bulk)
 	if d.BulkDepth() != 0 {
 		t.Errorf("bulk depth after flush = %d, want 0", d.BulkDepth())
 	}
@@ -141,16 +138,15 @@ func TestFlushTraceCountsUndeliveredSpans(t *testing.T) {
 func TestOutboxReplayPreservesInterleavedOrder(t *testing.T) {
 	eng := sim.NewEngine(1)
 	sink := &chanSink{down: true, bulkDown: true}
-	cfg := DefaultConfig()
-	cfg.OutboxLimit = 3
-	d := New(eng, 0, "node0", mdl.StdLib(), sink, cfg)
+	d := New(eng, 0, "node0", mdl.StdLib(), sink, DefaultConfig())
+	d.ctl.limit = 3
 	d.EnableTracing(trace.New(&trace.Config{FlushWatermark: -1}))
 
-	d.sendSamples([]Sample{{Metric: "evicted"}}) // dropped to the bound below
-	d.sendShard(mkShard(2))                      // bulk queue: never competes for outbox slots
+	d.send(mkSamples("evicted")) // dropped to the bound below
+	d.send(mkShard(2))           // bulk queue: never competes for outbox slots
 	d.sendUpdate(Update{Kind: UpAddResource, Path: "/Machine/node0/p{0}"})
-	d.sendSamples([]Sample{{Metric: "m"}})
-	d.sendShard(mkShard(3))
+	d.send(mkSamples("m"))
+	d.send(mkShard(3))
 	d.sendUpdate(Update{Kind: UpHeartbeat}) // 4th report: evicts the first
 
 	if queued, dropped := d.OutboxDepth(); queued != 3 || dropped != 1 {
@@ -161,8 +157,8 @@ func TestOutboxReplayPreservesInterleavedOrder(t *testing.T) {
 	}
 
 	sink.down, sink.bulkDown = false, false
-	d.flushOutbox()
-	d.flushBulk()
+	d.flush(&d.ctl)
+	d.flush(&d.bulk)
 	want := []string{
 		fmt.Sprintf("update:%d", UpAddResource),
 		"samples",
@@ -197,5 +193,63 @@ func TestFillHookShipsAtWatermark(t *testing.T) {
 	}
 	if rec := tr.Recorder("p{0}"); rec.Len() != 0 {
 		t.Errorf("recorder not drained by eager ship: %d left", rec.Len())
+	}
+}
+
+// TestQueue pins the bounded FIFO on its own: pushes past the bound evict
+// oldest-first and tell the eviction callback once per evicted report, a
+// drain stops at the first failed send leaving that report and everything
+// behind it queued in order, and the counters follow.
+func TestQueue(t *testing.T) {
+	names := func(evs []session.Event) string {
+		var out []string
+		for _, ev := range evs {
+			out = append(out, ev.Samples[0].Metric)
+		}
+		return fmt.Sprint(out)
+	}
+	for _, tc := range []struct {
+		name        string
+		pushes      int // reports m0, m1, … pushed into a limit-3 queue
+		failAt      int // 1-based drain send that fails; 0 = none
+		wantEvicted string
+		wantSent    string
+		wantQueued  string
+		wantHigh    int
+	}{
+		{"under the bound", 2, 0, "[]", "[m0 m1]", "[]", 2},
+		{"at the bound", 3, 0, "[]", "[m0 m1 m2]", "[]", 3},
+		{"past the bound evicts oldest first", 5, 0, "[m0 m1]", "[m2 m3 m4]", "[]", 3},
+		{"drain fails on the first send", 3, 1, "[]", "[]", "[m0 m1 m2]", 3},
+		{"drain fails on the second send", 5, 2, "[m0 m1]", "[m2]", "[m3 m4]", 3},
+		{"drain fails on the last send", 4, 3, "[m0]", "[m1 m2]", "[m3]", 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var evicted, sent []session.Event
+			q := queue{limit: 3, onEvict: func(ev session.Event) { evicted = append(evicted, ev) }}
+			for i := 0; i < tc.pushes; i++ {
+				q.push(mkSamples(fmt.Sprintf("m%d", i)))
+			}
+			if got := names(evicted); got != tc.wantEvicted || q.evicted != int64(len(evicted)) {
+				t.Errorf("evicted %s (counter %d), want %s", got, q.evicted, tc.wantEvicted)
+			}
+			calls := 0
+			n := q.drain(func(ev session.Event) error {
+				if calls++; calls == tc.failAt {
+					return errSinkDown
+				}
+				sent = append(sent, ev)
+				return nil
+			})
+			if got := names(sent); got != tc.wantSent || n != len(sent) {
+				t.Errorf("drain delivered %s (returned %d), want %s", got, n, tc.wantSent)
+			}
+			if got := names(q.evs); got != tc.wantQueued {
+				t.Errorf("left queued %s, want %s", got, tc.wantQueued)
+			}
+			if q.high != tc.wantHigh {
+				t.Errorf("high-water = %d, want %d", q.high, tc.wantHigh)
+			}
+		})
 	}
 }

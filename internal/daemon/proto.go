@@ -9,8 +9,9 @@ package daemon
 
 import (
 	"pperf/internal/datasource"
+	"pperf/internal/session"
 	"pperf/internal/sim"
-	"pperf/internal/trace"
+	"pperf/internal/wire"
 )
 
 // The report types daemons emit are defined in internal/datasource — the
@@ -46,22 +47,31 @@ const (
 	UpHeartbeat = datasource.UpHeartbeat
 )
 
-// Transport carries daemon reports to the front end. The in-process
-// implementation calls the front end directly; the TCP implementation gob-
-// encodes over a socket. A non-nil error means the report was NOT observed
-// by the front end (after any retries the transport performs internally);
-// the daemon buffers such reports and replays them when the transport
-// recovers.
-//
-// Samples and Update are the control channel; Shard is the bulk
-// trace-streaming channel. Shards move on their own stream (a second TCP
-// connection with its own retry/backoff and dedupe for the wire transport,
-// a direct call in process) and wait in the daemon's separate bounded bulk
-// queue when it is down, so trace volume never sits on the sampling path.
+// Transport carries daemon reports to the front end: one report is one
+// session.Event (samples, an update or a trace shard), the same value the
+// front end folds into its View and records. The in-process implementation
+// is the front end itself; the TCP implementation gob-encodes the event over
+// a socket. A non-nil error means the report was NOT observed by the front
+// end (after any retries the transport performs internally); the daemon
+// queues such reports and replays them when the transport recovers.
 type Transport interface {
-	Samples(batch []Sample) error
-	Update(u Update) error
-	Shard(sh trace.Shard) error
+	Report(ev session.Event) error
+}
+
+// ChannelOf is the one statement of which channel a report rides: trace
+// shards ride bulk — their own stream (a second TCP connection with its own
+// retry/backoff and dedupe, a separate injection point in process) and their
+// own daemon-side queue, so trace volume never sits on the sampling path —
+// and every other report rides ctl. ok is false for the event kinds daemons
+// never send (enables, verdicts, barriers, gaps: the front end's own).
+func ChannelOf(k session.EventKind) (ch string, ok bool) {
+	switch k {
+	case session.EvShard:
+		return wire.ChanBulk, true
+	case session.EvSamples, session.EvUpdate:
+		return wire.ChanCtl, true
+	}
+	return "", false
 }
 
 // SpawnMethod selects how the tool supports MPI_Comm_spawn (§4.2.2).
@@ -101,23 +111,15 @@ type Config struct {
 	// fault-free runs schedule no extra events and stay byte-identical with
 	// historical behaviour; the fault subsystem turns it on.
 	Heartbeat sim.Duration
-	// OutboxLimit bounds the number of reports buffered while the front-end
-	// transport is down; beyond it the oldest reports are dropped (counted
-	// in Dropped). Zero means DefaultOutboxLimit.
-	OutboxLimit int
-	// BulkQueueLimit bounds the number of trace shards buffered while the
-	// bulk channel is down; beyond it the oldest shards are evicted and
-	// their span counts folded into the per-track OutboxLost counter. Zero
-	// means DefaultBulkQueueLimit.
-	BulkQueueLimit int
 }
 
-// DefaultOutboxLimit is the outbox bound used when Config.OutboxLimit is 0.
-const DefaultOutboxLimit = 4096
-
-// DefaultBulkQueueLimit is the bulk-queue bound used when
-// Config.BulkQueueLimit is 0.
-const DefaultBulkQueueLimit = 1024
+// The daemon-side queue bounds: how many reports wait for a down ctl
+// channel, and how many trace shards for a down bulk channel, before the
+// oldest are evicted.
+const (
+	ctlQueueLimit  = 4096
+	bulkQueueLimit = 1024
+)
 
 // DefaultConfig returns the standard daemon configuration.
 func DefaultConfig() Config {

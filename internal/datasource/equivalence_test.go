@@ -94,12 +94,20 @@ func TestLiveAndReplayBuildTheSameView(t *testing.T) {
 		do   func(*frontend.FrontEnd)
 		want session.Event
 	}
+	// report is a daemon report entering through the transport method.
+	report := func(at int, name string, ev session.Event) step {
+		return step{at, name, func(fe *frontend.FrontEnd) {
+			if err := fe.Report(ev); err != nil {
+				t.Errorf("live report %s: %v", name, err)
+			}
+		}, ev}
+	}
 	update := func(at int, name string, u datasource.Update) step {
 		u.Time = ms(at)
-		return step{at, name, func(fe *frontend.FrontEnd) { fe.Update(u) }, session.Event{Kind: session.EvUpdate, Update: u}}
+		return report(at, name, session.Event{Kind: session.EvUpdate, Update: u})
 	}
 	samples := func(at int, batch ...datasource.Sample) step {
-		return step{at, "samples", func(fe *frontend.FrontEnd) { fe.Samples(batch) }, session.Event{Kind: session.EvSamples, Samples: batch}}
+		return report(at, "samples", session.Event{Kind: session.EvSamples, Samples: batch})
 	}
 	sample := func(metric, proc string, at int, delta float64) datasource.Sample {
 		return datasource.Sample{Metric: metric, Focus: whole, Proc: proc, Time: ms(at), Delta: delta, Value: delta}
@@ -135,7 +143,7 @@ func TestLiveAndReplayBuildTheSameView(t *testing.T) {
 		update(10, "call edge", datasource.Update{Kind: datasource.UpCallEdge, Caller: "main", Callee: "MPI_Send"}),
 		samples(55, sample("msgs_sent", "p0", 50, 3), sample("msgs_sent", "p1", 50, 4),
 			sample("msg_bytes_sent", "p0", 50, 99)), // never enabled: skipped in both modes
-		{60, "shard", func(fe *frontend.FrontEnd) { fe.Shard(shard) }, session.Event{Kind: session.EvShard, Shard: shard}},
+		report(60, "shard", session.Event{Kind: session.EvShard, Shard: shard}),
 		samples(150, sample("msgs_sent", "p0", 150, 5), sample("msgs_sent", "p1", 150, 6)),
 		update(210, "heartbeat node0", datasource.Update{Kind: datasource.UpHeartbeat, Daemon: d0}),
 		barrier(250, "barrier"),

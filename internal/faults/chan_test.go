@@ -6,9 +6,8 @@ package faults_test
 import (
 	"testing"
 
-	"pperf/internal/daemon"
 	"pperf/internal/faults"
-	"pperf/internal/trace"
+	"pperf/internal/session"
 	"pperf/internal/wire"
 )
 
@@ -58,25 +57,36 @@ type bulkFE struct {
 	shards  int
 }
 
-func (f *bulkFE) Samples([]daemon.Sample) error { f.samples++; return nil }
-func (f *bulkFE) Update(daemon.Update) error    { return nil }
-func (f *bulkFE) Shard(trace.Shard) error       { f.shards++; return nil }
+func (f *bulkFE) Report(ev session.Event) error {
+	switch ev.Kind {
+	case session.EvSamples:
+		f.samples++
+	case session.EvShard:
+		f.shards++
+	}
+	return nil
+}
+
+var (
+	aShard   = session.Event{Kind: session.EvShard}
+	aSamples = session.Event{Kind: session.EvSamples}
+)
 
 func TestFlakyTransportChannelsFailIndependently(t *testing.T) {
 	fe := &bulkFE{}
 	ft := faults.NewFlakyTransport(fe)
 
 	faults.ArmDrops(ft, 2, faults.ChanBulk)
-	if err := ft.Shard(trace.Shard{}); err == nil {
+	if err := ft.Report(aShard); err == nil {
 		t.Fatal("bulk send should fail while bulk budget remains")
 	}
-	if err := ft.Samples(nil); err != nil {
+	if err := ft.Report(aSamples); err != nil {
 		t.Fatalf("control send failed under bulk-only faults: %v", err)
 	}
-	if err := ft.Shard(trace.Shard{}); err == nil {
+	if err := ft.Report(aShard); err == nil {
 		t.Fatal("second bulk send should consume the remaining budget")
 	}
-	if err := ft.Shard(trace.Shard{}); err != nil {
+	if err := ft.Report(aShard); err != nil {
 		t.Fatalf("bulk send after budget drained: %v", err)
 	}
 	ctl, bulk := ft.Injection(wire.ChanCtl), ft.Injection(wire.ChanBulk)
@@ -85,10 +95,10 @@ func TestFlakyTransportChannelsFailIndependently(t *testing.T) {
 	}
 
 	faults.ArmDrops(ft, 1, "")
-	if err := ft.Samples(nil); err == nil {
+	if err := ft.Report(aSamples); err == nil {
 		t.Fatal("control send should fail while control budget remains")
 	}
-	if err := ft.Shard(trace.Shard{}); err != nil {
+	if err := ft.Report(aShard); err != nil {
 		t.Fatalf("bulk send failed under control-only faults: %v", err)
 	}
 	if fe.samples != 1 || fe.shards != 2 {

@@ -5,8 +5,8 @@ import (
 	"sync"
 
 	"pperf/internal/daemon"
+	"pperf/internal/session"
 	"pperf/internal/sim"
-	"pperf/internal/trace"
 	"pperf/internal/wire"
 )
 
@@ -185,9 +185,9 @@ func ArmDrops(t Injectable, n int, ch string) {
 // the TCP and sync channels consult — so control and bulk failures are
 // counted separately, mirroring the wire transport's two channels, and a
 // plan can sever the trace stream while samples keep flowing — or vice
-// versa. While failures remain on a channel, every send on it errors; the
-// daemon's outbox (or bulk queue) absorbs the reports and replays them once
-// the flakiness is spent.
+// versa. While failures remain on a channel, every report riding it errors;
+// the daemon's queue for that channel absorbs the reports and replays them
+// once the flakiness is spent.
 type FlakyTransport struct {
 	inner     daemon.Transport
 	ctl, bulk *wire.Injection
@@ -210,27 +210,12 @@ func (ft *FlakyTransport) Injection(ch string) *wire.Injection {
 	return ft.ctl
 }
 
-// Samples implements daemon.Transport.
-func (ft *FlakyTransport) Samples(batch []daemon.Sample) error {
-	if ft.ctl.Check() != nil {
-		return fmt.Errorf("faults: injected transport failure")
+// Report implements daemon.Transport: an injected failure on the channel
+// the report rides fails it; the other channel is untouched.
+func (ft *FlakyTransport) Report(ev session.Event) error {
+	ch, _ := daemon.ChannelOf(ev.Kind)
+	if ft.Injection(ch).Check() != nil {
+		return fmt.Errorf("faults: injected %s transport failure", ch)
 	}
-	return ft.inner.Samples(batch)
-}
-
-// Update implements daemon.Transport.
-func (ft *FlakyTransport) Update(u daemon.Update) error {
-	if ft.ctl.Check() != nil {
-		return fmt.Errorf("faults: injected transport failure")
-	}
-	return ft.inner.Update(u)
-}
-
-// Shard implements daemon.Transport; injected bulk failures hit only this
-// channel.
-func (ft *FlakyTransport) Shard(sh trace.Shard) error {
-	if ft.bulk.Check() != nil {
-		return fmt.Errorf("faults: injected bulk transport failure")
-	}
-	return ft.inner.Shard(sh)
+	return ft.inner.Report(ev)
 }

@@ -27,15 +27,15 @@ func TestBulkChannelCarriesShardsOffControlPath(t *testing.T) {
 	}
 	defer tr.Close()
 
-	if err := tr.Update(daemon.Update{Kind: daemon.UpAddResource, Path: "/Machine/node0/p0"}); err != nil {
+	if err := tr.Report(update(daemon.Update{Kind: daemon.UpAddResource, Path: "/Machine/node0/p0"})); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Update(daemon.Update{Kind: daemon.UpHeartbeat}); err != nil {
+	if err := tr.Report(update(daemon.Update{Kind: daemon.UpHeartbeat})); err != nil {
 		t.Fatal(err)
 	}
 	sh := trace.Shard{Proc: "p0", Node: "node0", Spans: []trace.Span{{Name: "compute", Start: sim.Time(1)}}}
 	for i := 0; i < 2; i++ {
-		if err := tr.Shard(sh); err != nil {
+		if err := tr.Report(shard(sh)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -72,18 +72,18 @@ func TestBulkFaultsLeaveControlFlowing(t *testing.T) {
 
 	tr.Injection(wire.ChanBulk).AddDrops(2)
 	sh := trace.Shard{Proc: "p0", Node: "node0", Spans: []trace.Span{{Name: "compute"}}}
-	if err := tr.Shard(sh); err != nil {
+	if err := tr.Report(shard(sh)); err != nil {
 		t.Fatalf("bulk send should survive injected faults via retry: %v", err)
 	}
-	if err := tr.Update(daemon.Update{Kind: daemon.UpHeartbeat}); err != nil {
+	if err := tr.Report(update(daemon.Update{Kind: daemon.UpHeartbeat})); err != nil {
 		t.Fatal(err)
 	}
 
-	bst := tr.BulkStats()
+	bst := tr.Stats(wire.ChanBulk)
 	if bst.Frames != 1 || bst.Retries < 2 {
 		t.Errorf("bulk stats = %+v, want Frames 1 with ≥2 retries", bst)
 	}
-	cst := tr.Stats()
+	cst := tr.Stats(wire.ChanCtl)
 	if cst.Frames != 1 || cst.Retries != 0 {
 		t.Errorf("control stats = %+v — bulk faults leaked into the control channel", cst)
 	}
@@ -106,16 +106,16 @@ func TestControlFaultsLeaveBulkFlowing(t *testing.T) {
 	defer tr.Close()
 
 	tr.Injection(wire.ChanCtl).AddDrops(2)
-	if err := tr.Shard(trace.Shard{Proc: "p0", Node: "node0", Spans: make([]trace.Span, 1)}); err != nil {
+	if err := tr.Report(shard(trace.Shard{Proc: "p0", Node: "node0", Spans: make([]trace.Span, 1)})); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.BulkStats().Retries; got != 0 {
+	if got := tr.Stats(wire.ChanBulk).Retries; got != 0 {
 		t.Errorf("control faults leaked into the bulk channel: %d retries", got)
 	}
-	if err := tr.Update(daemon.Update{Kind: daemon.UpHeartbeat}); err != nil {
+	if err := tr.Report(update(daemon.Update{Kind: daemon.UpHeartbeat})); err != nil {
 		t.Fatalf("control send should survive via retry: %v", err)
 	}
-	if got := tr.Stats().Retries; got < 2 {
+	if got := tr.Stats(wire.ChanCtl).Retries; got < 2 {
 		t.Errorf("control retries = %d, want ≥2", got)
 	}
 }

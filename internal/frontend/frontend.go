@@ -16,7 +16,6 @@ import (
 	"pperf/internal/resource"
 	"pperf/internal/session"
 	"pperf/internal/sim"
-	"pperf/internal/trace"
 )
 
 // Series is the collected data of one enabled metric-focus pair, re-exported
@@ -27,9 +26,8 @@ type Series = datasource.Series
 // FrontEnd is the tool's central state. It embeds the source-agnostic
 // datasource.View (queries, series, hierarchy, liveness, trace timeline)
 // and adds what only the live side has: the daemons to fan instrumentation
-// requests out to and the optional session recorder. It implements
-// daemon.Transport for the in-process connection; the TCP transport
-// delivers into the same methods.
+// requests out to and the optional session recorder. It is the in-process
+// daemon.Transport; the TCP listener delivers into the same Report.
 type FrontEnd struct {
 	*datasource.View
 
@@ -101,11 +99,14 @@ func (fe *FrontEnd) ReplaceDaemon(d *daemon.Daemon) *daemon.Daemon {
 	return nil
 }
 
-// Shard implements daemon.Transport's bulk channel: merge one streamed
-// shard (in process there is no wire to keep samples and shards apart on,
-// so it is a direct call).
-func (fe *FrontEnd) Shard(sh trace.Shard) error {
-	fe.ingest(session.Event{Kind: session.EvShard, Shard: sh})
+// Report implements daemon.Transport: ingest one daemon report — samples,
+// an update or a trace shard. In process there is no wire, so it is a direct
+// call that fails only for an event kind daemons never send.
+func (fe *FrontEnd) Report(ev session.Event) error {
+	if _, ok := daemon.ChannelOf(ev.Kind); !ok {
+		return fmt.Errorf("frontend: %v event is not a daemon report", ev.Kind)
+	}
+	fe.ingest(ev)
 	return nil
 }
 
@@ -200,22 +201,6 @@ func (fe *FrontEnd) Sync() {
 	fe.ingest(session.Event{Kind: session.EvBarrier})
 }
 
-// --- daemon.Transport implementation --------------------------------------
-
-// Samples ingests a batch of sampled deltas. It implements
-// daemon.Transport; the in-process path never fails.
-func (fe *FrontEnd) Samples(batch []daemon.Sample) error {
-	fe.ingest(session.Event{Kind: session.EvSamples, Samples: batch})
-	return nil
-}
-
-// Update ingests a resource-update report. It implements daemon.Transport;
-// the in-process path never fails.
-func (fe *FrontEnd) Update(u daemon.Update) error {
-	fe.ingest(session.Event{Kind: session.EvUpdate, Update: u})
-	return nil
-}
-
 // --- liveness ---------------------------------------------------------------
 
 // StartLiveness arms the periodic liveness monitor: every interval of
@@ -223,7 +208,7 @@ func (fe *FrontEnd) Update(u daemon.Update) error {
 // been silent longer than timeout is marked stale with all its un-exited
 // processes lost. Daemons registered with AddDaemon are pre-seeded so a
 // daemon that dies before its first report is still detected. The pre-seed
-// flows through Update as a heartbeat report, so a recording session
+// flows through Report as a heartbeat update, so a recording session
 // captures it like any other liveness evidence.
 func (fe *FrontEnd) StartLiveness(eng interface {
 	After(d sim.Duration, fn func())
@@ -231,7 +216,9 @@ func (fe *FrontEnd) StartLiveness(eng interface {
 }, interval, timeout sim.Duration) {
 	now := eng.Now()
 	for _, d := range fe.daemons {
-		fe.Update(daemon.Update{Kind: daemon.UpHeartbeat, Daemon: d.Name(), Time: now})
+		fe.Report(session.Event{Kind: session.EvUpdate, Update: daemon.Update{
+			Kind: daemon.UpHeartbeat, Daemon: d.Name(), Time: now,
+		}})
 	}
 	var tick func()
 	tick = func() {

@@ -6,12 +6,21 @@ import (
 
 	"pperf/internal/daemon"
 	"pperf/internal/resource"
+	"pperf/internal/session"
 	"pperf/internal/sim"
+	"pperf/internal/trace"
 )
 
 func sample(metric string, f resource.Focus, proc string, t sim.Time, delta float64) daemon.Sample {
 	return daemon.Sample{Metric: metric, Focus: f, Proc: proc, Time: t, Delta: delta}
 }
+
+// The three daemon reports, as the events a transport carries.
+func samples(batch ...daemon.Sample) session.Event {
+	return session.Event{Kind: session.EvSamples, Samples: batch}
+}
+func update(u daemon.Update) session.Event { return session.Event{Kind: session.EvUpdate, Update: u} }
+func shard(sh trace.Shard) session.Event   { return session.Event{Kind: session.EvShard, Shard: sh} }
 
 func TestSamplesAggregateAndPerProc(t *testing.T) {
 	fe := New()
@@ -19,11 +28,11 @@ func TestSamplesAggregateAndPerProc(t *testing.T) {
 	// Register the series without daemons via the view (the daemon fan-out
 	// of EnableMetric is irrelevant to ingest behaviour).
 	fe.RegisterSeries("m", f)
-	fe.Samples([]daemon.Sample{
+	fe.Report(samples(
 		sample("m", f, "p0", sim.Time(1*sim.Second), 5),
 		sample("m", f, "p1", sim.Time(1*sim.Second), 3),
 		sample("m", f, "p0", sim.Time(2*sim.Second), 2),
-	})
+	))
 	sr := fe.Series("m", f)
 	if sr.Total() != 10 {
 		t.Errorf("aggregate total = %v", sr.Total())
@@ -38,18 +47,18 @@ func TestSamplesAggregateAndPerProc(t *testing.T) {
 		t.Errorf("last sample = %v", sr.LastSampleTime())
 	}
 	// Samples for an unknown series are dropped harmlessly.
-	fe.Samples([]daemon.Sample{sample("ghost", f, "p0", 0, 1)})
+	fe.Report(samples(sample("ghost", f, "p0", 0, 1)))
 }
 
 func TestUpdatesBuildHierarchy(t *testing.T) {
 	fe := New()
-	fe.Update(daemon.Update{Kind: daemon.UpAddResource, Path: "/Machine/node0/p0", Time: 1})
-	fe.Update(daemon.Update{Kind: daemon.UpAddResource, Path: "/SyncObject/Window/0-1"})
-	fe.Update(daemon.Update{Kind: daemon.UpSetName, Path: "/SyncObject/Window/0-1", Display: "MyWin"})
-	fe.Update(daemon.Update{Kind: daemon.UpRetire, Path: "/SyncObject/Window/0-1"})
-	fe.Update(daemon.Update{Kind: daemon.UpCallEdge, Caller: "a", Callee: "b"})
-	fe.Update(daemon.Update{Kind: daemon.UpCallEdge, Caller: "a", Callee: "c"})
-	fe.Update(daemon.Update{Kind: daemon.UpProcessExit, Proc: "p0", Path: "/Machine/node0/p0", Time: 9})
+	fe.Report(update(daemon.Update{Kind: daemon.UpAddResource, Path: "/Machine/node0/p0", Time: 1}))
+	fe.Report(update(daemon.Update{Kind: daemon.UpAddResource, Path: "/SyncObject/Window/0-1"}))
+	fe.Report(update(daemon.Update{Kind: daemon.UpSetName, Path: "/SyncObject/Window/0-1", Display: "MyWin"}))
+	fe.Report(update(daemon.Update{Kind: daemon.UpRetire, Path: "/SyncObject/Window/0-1"}))
+	fe.Report(update(daemon.Update{Kind: daemon.UpCallEdge, Caller: "a", Callee: "b"}))
+	fe.Report(update(daemon.Update{Kind: daemon.UpCallEdge, Caller: "a", Callee: "c"}))
+	fe.Report(update(daemon.Update{Kind: daemon.UpProcessExit, Proc: "p0", Path: "/Machine/node0/p0", Time: 9}))
 
 	n := fe.Hierarchy().FindPath("/SyncObject/Window/0-1")
 	if n == nil || n.DisplayName() != "MyWin" || !n.Retired() {
@@ -77,10 +86,10 @@ func TestExportCSV(t *testing.T) {
 	fe := New()
 	f := resource.WholeProgram()
 	fe.RegisterSeries("m", f)
-	fe.Samples([]daemon.Sample{
+	fe.Report(samples(
 		sample("m", f, "p0", sim.Time(100*sim.Millisecond), 4),
 		sample("m", f, "p1", sim.Time(300*sim.Millisecond), 6),
-	})
+	))
 	csv := fe.ExportCSV(fe.Series("m", f))
 	lines := strings.Split(strings.TrimSpace(csv), "\n")
 	if lines[0] != "bin_start_s,all,p0,p1" {

@@ -16,7 +16,7 @@ import (
 // the daemon healthy and only the next one condemns it.
 func TestLivenessExactTimeoutNotStale(t *testing.T) {
 	fe := New()
-	fe.Update(daemon.Update{Kind: daemon.UpHeartbeat, Daemon: "paradynd@node0", Time: 0})
+	fe.Report(update(daemon.Update{Kind: daemon.UpHeartbeat, Daemon: "paradynd@node0", Time: 0}))
 	timeout := 500 * sim.Millisecond
 
 	fe.checkLiveness(sim.Time(timeout), timeout) // silence == timeout exactly
@@ -31,8 +31,8 @@ func TestLivenessExactTimeoutNotStale(t *testing.T) {
 	}
 }
 
-// sendFrame pushes one wireMsg and waits for the ack.
-func sendFrame(t *testing.T, enc *gob.Encoder, dec *gob.Decoder, msg wireMsg) {
+// sendFrame pushes one frame and waits for the ack.
+func sendFrame(t *testing.T, enc *gob.Encoder, dec *gob.Decoder, msg frame) {
 	t.Helper()
 	if err := enc.Encode(&msg); err != nil {
 		t.Fatal(err)
@@ -63,18 +63,19 @@ func TestListenerFencesStaleIncarnationFrames(t *testing.T) {
 	}
 	defer conn.Close()
 	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-	frame := func(inc, seq uint64, delta float64) wireMsg {
-		return wireMsg{
-			Daemon:  "paradynd@node0",
-			Inc:     inc,
-			Seq:     seq,
-			Samples: []daemon.Sample{sample("m", f, "p0", sim.Time(sim.Second), delta)},
+	mk := func(inc, seq uint64, delta float64) frame {
+		return frame{
+			Daemon: "paradynd@node0",
+			Chan:   wire.ChanCtl,
+			Inc:    inc,
+			Seq:    seq,
+			Event:  samples(sample("m", f, "p0", sim.Time(sim.Second), delta)),
 		}
 	}
 
-	sendFrame(t, enc, dec, frame(1, 1, 5))   // incarnation 1 applies
-	sendFrame(t, enc, dec, frame(2, 1, 7))   // incarnation 2: seq space resets, applies
-	sendFrame(t, enc, dec, frame(1, 2, 100)) // dead-incarnation straggler: acked, dropped
+	sendFrame(t, enc, dec, mk(1, 1, 5))   // incarnation 1 applies
+	sendFrame(t, enc, dec, mk(2, 1, 7))   // incarnation 2: seq space resets, applies
+	sendFrame(t, enc, dec, mk(1, 2, 100)) // dead-incarnation straggler: acked, dropped
 	if got := fe.Series("m", f).Total(); got != 12 {
 		t.Errorf("total = %v, want 12 (stale-incarnation frame applied?)", got)
 	}
@@ -83,7 +84,7 @@ func TestListenerFencesStaleIncarnationFrames(t *testing.T) {
 	}
 
 	// Within the new incarnation, plain seq dedupe still works.
-	sendFrame(t, enc, dec, frame(2, 1, 3))
+	sendFrame(t, enc, dec, mk(2, 1, 3))
 	if got := fe.Series("m", f).Total(); got != 12 {
 		t.Errorf("total = %v, want 12 (replayed frame applied twice?)", got)
 	}

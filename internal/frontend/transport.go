@@ -3,65 +3,70 @@ package frontend
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"pperf/internal/daemon"
-	"pperf/internal/trace"
+	"pperf/internal/session"
 	"pperf/internal/wire"
 )
 
 // The TCP transport carries daemon reports to the front end over real
 // sockets with gob encoding — the shape of a deployment where daemons run on
-// cluster nodes and the front end on the user's workstation. Each message is
+// cluster nodes and the front end on the user's workstation. Each report is
 // acknowledged before the daemon proceeds, so delivery order (and therefore
 // front-end state) stays deterministic even though the listener runs on its
 // own goroutine.
 //
-// Each daemon holds up to two independent channels to the front end:
+// Each daemon holds two independent channels to the front end, and
+// daemon.ChannelOf says which one a report rides:
 //
-//   - the control channel carries sample batches and resource updates — the
+//   - ctl carries sample batches and resource updates — the
 //     latency-sensitive sampling path;
-//   - the bulk channel (dialed lazily on the first trace shard) carries
-//     trace.Shard traffic, so arbitrarily large trace volume never queues
-//     behind — or delays — a sample batch.
+//   - bulk (dialed lazily on the first trace shard) carries trace shards, so
+//     arbitrarily large trace volume never queues behind — or delays — a
+//     sample batch.
 //
-// Both channels are wire.Conns (see internal/wire): every message carries
-// the sending daemon's identity, its channel, and a per-channel sequence
-// number, each send has a wall-clock deadline, failures trigger bounded
-// seeded-jitter retry with a reconnect, and the front end dedupes replayed
-// messages per (daemon, channel) — so an ack lost to a half-closed socket
-// cannot double-apply a sample batch or a shard, and a reconnect resyncs
-// without disturbing determinism. This file owns only what the frames mean;
-// the reliability discipline lives in the wire plane.
+// Both channels are wire.Conns (see internal/wire): every frame carries the
+// sending daemon's identity and incarnation, its channel, and a per-channel
+// sequence number, each send has a wall-clock deadline, failures trigger
+// bounded seeded-jitter retry with a reconnect, and the front end dedupes
+// replayed frames per (daemon, channel) — so an ack lost to a half-closed
+// socket cannot double-apply a sample batch or a shard, and a reconnect
+// resyncs without disturbing determinism. This file owns only what the
+// frames mean; the reliability discipline lives in the wire plane.
 
-// Channel labels stamped on wire frames. The control channel uses the empty
-// string so pre-bulk-channel captures decode (and dedupe) unchanged.
-const (
-	ctlChannel  = ""
-	bulkChannel = wire.ChanBulk
-)
-
-// wireMsg is the single message frame exchanged on the wire.
-type wireMsg struct {
+// frame is the single message exchanged on the wire: one report plus the
+// envelope that identifies and orders it.
+type frame struct {
 	// Daemon, Chan and Seq identify and order the frame for reconnect
-	// dedupe. Seq is per-daemon-per-channel and strictly increasing; Seq 0
-	// (legacy senders) bypasses dedupe.
+	// dedupe. Seq is per-daemon-per-channel, starts at 1 and strictly
+	// increases.
 	Daemon string
 	Chan   string
 	Seq    uint64
 	// Inc is the sending daemon incarnation. A frame from an incarnation
 	// older than the newest one seen is a straggler from a dead daemon:
 	// the listener acknowledges it (so the sender unblocks) but never
-	// applies it. A newer incarnation resets the channel's seq space. Inc
-	// 0 (legacy senders) keeps pure-seq dedupe.
+	// applies it. A newer incarnation resets the channel's seq space.
 	Inc uint64
 
-	Samples []daemon.Sample
-	Update  *daemon.Update
-	Shard   *trace.Shard
+	Event session.Event
+}
+
+// wellFormed reports whether a received frame is one a daemon transport
+// could have sent: a named sender, a sequence number from the numbered
+// space, a report kind, and the channel that kind rides. The frame type can
+// express any session.Event on any channel, so the listener must not apply
+// one that fails this — a forged verdict, barrier or gap would otherwise
+// land in the analysis state (and the archive) as if the front end had
+// produced it.
+func (f *frame) wellFormed() bool {
+	ch, ok := daemon.ChannelOf(f.Event.Kind)
+	return ok && ch == f.Chan && f.Daemon != "" && f.Seq != 0
 }
 
 // Listener accepts daemon connections for a front end: a wire.Server whose
-// frames are wireMsgs. Control and bulk connections land on the same
+// frames are report frames. Control and bulk connections land on the same
 // listening socket; frames declare their channel.
 type Listener struct {
 	*wire.Server
@@ -71,6 +76,9 @@ type Listener struct {
 	// (daemon, channel); its window table is bounded, so a long-lived
 	// listener fed ever-fresh daemon identities reaches a steady state.
 	dedupe *wire.Dedupe
+	// refused counts connections dropped for sending a frame no daemon
+	// transport produces.
+	refused atomic.Int64
 }
 
 // Listen starts a TCP listener feeding the front end. Use addr "127.0.0.1:0"
@@ -98,26 +106,28 @@ func (l *Listener) WireStats(ch string) wire.Stats {
 	return s
 }
 
+// Refused returns how many connections the listener dropped for a malformed
+// frame (see frame.wellFormed).
+func (l *Listener) Refused() int64 { return l.refused.Load() }
+
 // serve applies one daemon connection's frames to the front end.
 func (l *Listener) serve(c *wire.ServerConn) {
 	for {
-		var msg wireMsg
-		if c.Read(&msg) != nil {
+		var f frame
+		if c.Read(&f) != nil {
+			return
+		}
+		if !f.wellFormed() {
+			// Not a daemon: drop the connection with the frame neither
+			// applied nor acknowledged.
+			l.refused.Add(1)
 			return
 		}
 		// A frame the daemon re-sent after a lost ack was already applied —
 		// and one a dead incarnation sent must never apply. Both are still
 		// acknowledged so the sender unblocks.
-		if !l.dedupe.Seen(msg.Daemon, msg.Chan, msg.Inc, msg.Seq) {
-			if msg.Samples != nil {
-				l.fe.Samples(msg.Samples)
-			}
-			if msg.Update != nil {
-				l.fe.Update(*msg.Update)
-			}
-			if msg.Shard != nil {
-				l.fe.Shard(*msg.Shard)
-			}
+		if !l.dedupe.Seen(f.Daemon, f.Chan, f.Inc, f.Seq) {
+			l.fe.Report(f.Event)
 		}
 		if c.Reply(true) != nil { // ack
 			return
@@ -125,115 +135,66 @@ func (l *Listener) serve(c *wire.ServerConn) {
 	}
 }
 
-// tcpChannel is one independent acknowledged gob stream to the front end: a
-// wire.Conn plus the identity (daemon name, channel label, incarnation) it
-// stamps on every frame. The control and bulk channels of a TCPTransport
-// are two of these, locked separately inside their Conns so a slow bulk
-// send never blocks a sample send.
-type tcpChannel struct {
-	label string
-	name  string
-	inc   uint64
-	conn  *wire.Conn
-}
-
-// send delivers one frame on channel c through the wire plane's retrying
-// Exchange.
-func (c *tcpChannel) send(msg wireMsg) error {
-	var ack bool
-	return c.conn.Exchange(wire.Request{
-		Req: &msg,
-		Stamp: func(seq uint64) {
-			msg.Daemon = c.name
-			msg.Chan = c.label
-			msg.Inc = c.inc
-			msg.Seq = seq
-		},
-		Resp:  &ack,
-		Label: "frontend: send",
-	})
-}
-
 // TCPTransport is the daemon-side transport: it gob-encodes each report,
 // waits (with a deadline) for the front end's acknowledgement, and on
 // failure retries through the wire plane, redialling as needed. When every
-// attempt fails the error surfaces to the daemon, whose outbox (control) or
-// bulk queue (trace shards) buffers the report for later replay. Trace
-// shards move on a dedicated bulk connection so the sampling path's latency
-// is independent of trace volume.
+// attempt fails the error surfaces to the daemon, whose ctl or bulk queue
+// holds the report for later replay. The two channels are two wire.Conns,
+// locked separately, so a slow bulk send never blocks a sample send.
 type TCPTransport struct {
-	addr string
-	cfg  wire.Config
+	// name and inc are the identity stamped on every frame.
+	name string
+	inc  uint64
 
-	ctl tcpChannel
-
-	bulkMu sync.Mutex // guards lazy creation of bulk
-	bulk   *tcpChannel
+	ctl, bulk *wire.Conn
+	bulkDial  sync.Once // bulk's first connection waits for its first use
 }
 
 // DialTransportRetry connects a daemon-side transport with explicit identity
 // and retry configuration. name is the daemon identity used for reconnect
-// dedupe; empty disables dedupe (every frame applies). incarnation is
-// stamped on every frame so the listener can fence out stragglers from dead
-// incarnations of that daemon; 0 sends legacy frames with pure-seq dedupe.
-// Only the control channel is dialed here; the bulk channel comes up lazily
-// on the first trace shard. The control channel draws jitter from the seed
-// unsalted; the bulk channel salts it, so the two schedules are independent
-// yet each deterministic.
+// dedupe; incarnation is stamped on every frame so the listener can fence
+// out stragglers from dead incarnations of that daemon. Only the control
+// channel is dialed here; the bulk channel comes up on its first use. The
+// control channel draws jitter from the seed unsalted; the bulk channel
+// salts it, so the two schedules are independent yet each deterministic.
 func DialTransportRetry(addr, name string, incarnation uint64, cfg wire.Config) (*TCPTransport, error) {
-	t := &TCPTransport{addr: addr, cfg: cfg}
-	conn, err := wire.Dial(addr, cfg, cfg.Seed)
+	ctl, err := wire.Dial(addr, cfg, cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("frontend: dial: %w", err)
 	}
-	conn.Injection().Chan = wire.ChanCtl
-	t.ctl = tcpChannel{label: ctlChannel, name: name, inc: incarnation, conn: conn}
+	t := &TCPTransport{name: name, inc: incarnation, ctl: ctl, bulk: wire.NewConn(addr, cfg, cfg.Seed^wire.SaltBulk)}
+	t.ctl.Injection().Chan = wire.ChanCtl
+	t.bulk.Injection().Chan = wire.ChanBulk
 	return t, nil
 }
 
-// bulkChan returns the bulk channel, creating (and best-effort dialing) it
-// on first use.
-func (t *TCPTransport) bulkChan() *tcpChannel {
-	t.bulkMu.Lock()
-	defer t.bulkMu.Unlock()
-	if t.bulk == nil {
-		t.bulk = &tcpChannel{
-			label: bulkChannel, name: t.ctl.name, inc: t.ctl.inc,
-			conn: wire.NewConn(t.addr, t.cfg, t.cfg.Seed^wire.SaltBulk),
-		}
-		t.bulk.conn.Injection().Chan = wire.ChanBulk
-		t.bulk.conn.TryDial() // a failed dial retries inside send
+// conn returns channel ch's Conn (wire.ChanBulk, else ctl), bringing bulk up
+// (best effort: a failed dial retries inside Exchange) on first use. A
+// closed transport stays down: TryDial does not resurrect a closed Conn.
+func (t *TCPTransport) conn(ch string) *wire.Conn {
+	if ch != wire.ChanBulk {
+		return t.ctl
 	}
+	t.bulkDial.Do(t.bulk.TryDial)
 	return t.bulk
 }
 
-// Close shuts both channels; subsequent sends fail fast.
+// Close shuts both channels; subsequent sends fail fast with wire.ErrClosed.
 func (t *TCPTransport) Close() error {
-	err := t.ctl.conn.Close()
-	t.bulkMu.Lock()
-	b := t.bulk
-	t.bulkMu.Unlock()
-	if b != nil {
-		if berr := b.conn.Close(); err == nil {
-			err = berr
-		}
+	err := t.ctl.Close()
+	if berr := t.bulk.Close(); err == nil {
+		err = berr
 	}
 	return err
 }
 
-// Stats returns a snapshot of the control channel's resilience counters.
-func (t *TCPTransport) Stats() wire.Stats { return t.ctl.conn.Stats() }
-
-// BulkStats returns a snapshot of the bulk channel's resilience counters
-// (all zero if no shard was ever sent).
-func (t *TCPTransport) BulkStats() wire.Stats {
-	t.bulkMu.Lock()
-	b := t.bulk
-	t.bulkMu.Unlock()
-	if b == nil {
-		return wire.Stats{}
+// Stats returns a snapshot of channel ch's resilience counters (all zero
+// for a bulk channel no shard was ever sent on).
+func (t *TCPTransport) Stats(ch string) wire.Stats {
+	if ch == wire.ChanBulk {
+		return t.bulk.Stats()
 	}
-	return b.conn.Stats()
+	return t.ctl.Stats()
 }
 
 // Injection returns the fault-injection point of channel ch (wire.ChanCtl
@@ -242,24 +203,19 @@ func (t *TCPTransport) BulkStats() wire.Stats {
 // other channel's traffic flows untouched. Asking for the bulk channel's
 // brings the channel up.
 func (t *TCPTransport) Injection(ch string) *wire.Injection {
-	if ch == wire.ChanBulk {
-		return t.bulkChan().conn.Injection()
-	}
-	return t.ctl.conn.Injection()
+	return t.conn(ch).Injection()
 }
 
-// Samples implements daemon.Transport.
-func (t *TCPTransport) Samples(batch []daemon.Sample) error {
-	return t.ctl.send(wireMsg{Samples: batch})
-}
-
-// Update implements daemon.Transport.
-func (t *TCPTransport) Update(u daemon.Update) error {
-	return t.ctl.send(wireMsg{Update: &u})
-}
-
-// Shard implements daemon.Transport: trace shards ride their own
-// acknowledged, deduped, retrying stream — never the sampling path.
-func (t *TCPTransport) Shard(sh trace.Shard) error {
-	return t.bulkChan().send(wireMsg{Shard: &sh})
+// Report implements daemon.Transport: one report is one acknowledged frame
+// on the channel its kind rides.
+func (t *TCPTransport) Report(ev session.Event) error {
+	ch, _ := daemon.ChannelOf(ev.Kind)
+	f := frame{Daemon: t.name, Chan: ch, Inc: t.inc, Event: ev}
+	var ack bool
+	return t.conn(ch).Exchange(wire.Request{
+		Req:   &f,
+		Stamp: func(seq uint64) { f.Seq = seq },
+		Resp:  &ack,
+		Label: "frontend: send",
+	})
 }

@@ -3,13 +3,17 @@ package frontend
 import (
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
 
 	"pperf/internal/daemon"
+	"pperf/internal/datasource"
 	"pperf/internal/resource"
+	"pperf/internal/session"
 	"pperf/internal/sim"
+	"pperf/internal/trace"
 	"pperf/internal/wire"
 )
 
@@ -39,10 +43,10 @@ func TestTCPTransportDeliversThroughInjectedFailures(t *testing.T) {
 	defer tr.Close()
 
 	tr.Injection(wire.ChanCtl).AddDrops(2)
-	if err := tr.Update(daemon.Update{Kind: daemon.UpAddResource, Path: "/Machine/node0/p0", Time: 1}); err != nil {
+	if err := tr.Report(update(daemon.Update{Kind: daemon.UpAddResource, Path: "/Machine/node0/p0", Time: 1})); err != nil {
 		t.Fatalf("update after injected failures: %v", err)
 	}
-	if err := tr.Update(daemon.Update{Kind: daemon.UpCallEdge, Caller: "a", Callee: "b"}); err != nil {
+	if err := tr.Report(update(daemon.Update{Kind: daemon.UpCallEdge, Caller: "a", Callee: "b"})); err != nil {
 		t.Fatal(err)
 	}
 
@@ -52,7 +56,7 @@ func TestTCPTransportDeliversThroughInjectedFailures(t *testing.T) {
 	if !fe.IsCallee("b") {
 		t.Error("second update not applied")
 	}
-	st := tr.Stats()
+	st := tr.Stats(wire.ChanCtl)
 	if st.Frames != 2 || st.Retries < 2 || st.Failures != 0 {
 		t.Errorf("stats = %+v", st)
 	}
@@ -78,15 +82,15 @@ func TestTCPTransportGivesUpAfterMaxAttempts(t *testing.T) {
 	defer tr.Close()
 
 	tr.Injection(wire.ChanCtl).AddDrops(cfg.MaxAttempts)
-	if err := tr.Update(daemon.Update{Kind: daemon.UpHeartbeat}); err == nil {
+	if err := tr.Report(update(daemon.Update{Kind: daemon.UpHeartbeat})); err == nil {
 		t.Fatal("want error after exhausting attempts")
 	}
-	if st := tr.Stats(); st.Failures != 1 {
+	if st := tr.Stats(wire.ChanCtl); st.Failures != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 	// The failure budget is drained; the next send succeeds again
 	// (outbox-replay scenario).
-	if err := tr.Update(daemon.Update{Kind: daemon.UpHeartbeat}); err != nil {
+	if err := tr.Report(update(daemon.Update{Kind: daemon.UpHeartbeat})); err != nil {
 		t.Fatalf("send after recovery: %v", err)
 	}
 }
@@ -107,10 +111,11 @@ func TestListenerDedupesReplayedFrames(t *testing.T) {
 	}
 	defer conn.Close()
 	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-	msg := wireMsg{
-		Daemon:  "paradynd@node0",
-		Seq:     1,
-		Samples: []daemon.Sample{sample("m", f, "p0", sim.Time(sim.Second), 5)},
+	msg := frame{
+		Daemon: "paradynd@node0",
+		Chan:   wire.ChanCtl,
+		Seq:    1,
+		Event:  samples(sample("m", f, "p0", sim.Time(sim.Second), 5)),
 	}
 	var ack bool
 	// A daemon that lost the ack re-sends the same frame after reconnecting;
@@ -147,10 +152,10 @@ func TestBackoffScheduleDeterministicBySeed(t *testing.T) {
 		}
 		defer tr.Close()
 		tr.Injection(wire.ChanCtl).AddDrops(3)
-		if err := tr.Update(daemon.Update{Kind: daemon.UpHeartbeat}); err != nil {
+		if err := tr.Report(update(daemon.Update{Kind: daemon.UpHeartbeat})); err != nil {
 			t.Fatal(err)
 		}
-		return tr.Stats().Backoffs
+		return tr.Stats(wire.ChanCtl).Backoffs
 	}
 	a, b := run(7), run(7)
 	if len(a) != 3 || len(b) != 3 {
@@ -201,7 +206,7 @@ func TestHalfClosedSocketSurfacesErrorNotHang(t *testing.T) {
 	defer tr.Close()
 
 	done := make(chan error, 1)
-	go func() { done <- tr.Update(daemon.Update{Kind: daemon.UpHeartbeat}) }()
+	go func() { done <- tr.Report(update(daemon.Update{Kind: daemon.UpHeartbeat})) }()
 	select {
 	case err := <-done:
 		if err == nil {
@@ -224,7 +229,84 @@ func TestSendOnClosedTransportFailsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Close()
-	if err := tr.Update(daemon.Update{Kind: daemon.UpHeartbeat}); !errors.Is(err, wire.ErrClosed) {
-		t.Errorf("err = %v, want wire.ErrClosed", err)
+	// The bulk row is the one that bites: no shard was sent before Close, so
+	// the lazily dialed channel must not come up afterwards and deliver.
+	for _, ev := range []session.Event{
+		update(daemon.Update{Kind: daemon.UpHeartbeat}),
+		shard(trace.Shard{Proc: "p0", Node: "node0", Spans: make([]trace.Span, 1)}),
+	} {
+		if err := tr.Report(ev); !errors.Is(err, wire.ErrClosed) {
+			t.Errorf("%v on a closed transport: err = %v, want wire.ErrClosed", ev.Kind, err)
+		}
+	}
+	tr.Injection(wire.ChanBulk) // asking for the injection point must not dial either
+	if got := l.WireStats(wire.ChanBulk).Frames; got != 0 {
+		t.Errorf("closed transport delivered %d bulk frames", got)
+	}
+	if fe.Timeline() != nil {
+		t.Error("closed transport's shard reached the timeline")
+	}
+}
+
+// The frame type can carry any session.Event on any channel under any
+// envelope; only what a daemon transport produces may reach the front end.
+// Everything else costs the sender its connection — no apply, no ack — and
+// leaves the analysis state and the recorded stream exactly as they were.
+func TestListenerRefusesForgedFrames(t *testing.T) {
+	const d0 = "paradynd@node0"
+	aShard := shard(trace.Shard{Daemon: d0, Proc: "p0", Node: "node0", Spans: make([]trace.Span, 2)})
+	someSamples := samples(sample("m", resource.WholeProgram(), "p0", sim.Time(sim.Second), 5))
+	for _, tc := range []struct {
+		name string
+		f    frame
+	}{
+		{"empty daemon", frame{Chan: wire.ChanCtl, Seq: 1, Event: someSamples}},
+		{"seq 0", frame{Daemon: d0, Chan: wire.ChanCtl, Event: someSamples}},
+		{"stale verdict", frame{Daemon: d0, Chan: wire.ChanCtl, Seq: 1,
+			Event: session.Event{Kind: session.EvStale, Daemon: d0, Time: sim.Time(sim.Second)}}},
+		{"barrier", frame{Daemon: d0, Chan: wire.ChanCtl, Seq: 1, Event: session.Event{Kind: session.EvBarrier}}},
+		{"gap", frame{Daemon: d0, Chan: wire.ChanCtl, Seq: 1,
+			Event: session.Event{Kind: session.EvGap, Gap: datasource.Gap{Node: "node0", From: 1, To: 2}}}},
+		{"shard labelled ctl", frame{Daemon: d0, Chan: wire.ChanCtl, Seq: 1, Event: aShard}},
+		{"samples labelled bulk", frame{Daemon: d0, Chan: wire.ChanBulk, Seq: 1, Event: someSamples}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fe := New()
+			fe.RegisterSeries("m", resource.WholeProgram())
+			fe.EnableTrace()
+			sink := &captureSink{}
+			fe.SetRecorder(sink)
+			fe.Report(update(daemon.Update{Kind: daemon.UpAddResource, Path: "/Machine/node0/p0", Daemon: d0, Time: 1}))
+			snapshot := func() string {
+				tl := fe.Timeline()
+				return fmt.Sprintf("%s%+v gaps=%v total=%g shards=%d spans=%d recorded=%d",
+					fe.Hierarchy().Render(), fe.DaemonHealths(), fe.UnmeasuredGaps(),
+					fe.Series("m", resource.WholeProgram()).Total(), tl.Shards(), len(tl.Spans()), sink.EventCount())
+			}
+			before := snapshot()
+
+			l, err := fe.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			cfg := testRetryConfig()
+			cfg.MaxAttempts = 1
+			c, err := wire.Dial(l.Addr(), cfg, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			var ack bool
+			if err := c.Exchange(wire.Request{Req: &tc.f, Resp: &ack, Label: "forged"}); err == nil {
+				t.Error("forged frame was acknowledged")
+			}
+			if got := l.Refused(); got != 1 {
+				t.Errorf("refused = %d, want 1", got)
+			}
+			if after := snapshot(); after != before {
+				t.Errorf("forged frame changed front-end state:\nbefore %s\nafter  %s", before, after)
+			}
+		})
 	}
 }

@@ -34,7 +34,7 @@ func (c *Comm) Ssend(r *Rank, data []byte, count int, dt Datatype, dest, tag int
 	m.sentAt = r.Now()
 	m.arrival = r.Now().Add(c.w.MsgTime(r.Now(), r.node, peer.node, 0))
 	r.w.Eng.At(m.arrival, m.deliver)
-	r.waitInternal(rq, r.waitDescr(rq))
+	r.waitInternal(rq)
 	return nil
 }
 

@@ -106,7 +106,7 @@ func (r *Rank) hasPendingTo(dstGID int) bool {
 // transport blocks in socket system calls, the waiting portion is wrapped in
 // a visible read/write call, which is how MPICH's message waiting also
 // accrues I/O blocking time (§5.1.2).
-func (r *Rank) waitInternal(rq *Request, what string) {
+func (r *Rank) waitInternal(rq *Request) {
 	if rq.done && rq.completeAt <= r.Now() {
 		return
 	}
@@ -121,7 +121,11 @@ func (r *Rank) waitInternal(rq *Request, what string) {
 	}
 	r.enterLibraryWait()
 	defer r.exitLibraryWait()
+	what := "" // the deadlock-report description, formatted only if the wait blocks
 	for !rq.done {
+		if what == "" {
+			what = r.waitDescr(rq)
+		}
 		r.block(what)
 	}
 }
@@ -147,7 +151,7 @@ func (c *Comm) Send(r *Rank, data []byte, count int, dt Datatype, dest, tag int)
 	if err != nil {
 		return err
 	}
-	r.waitInternal(rq, r.waitDescr(rq))
+	r.waitInternal(rq)
 	return nil
 }
 
@@ -161,7 +165,7 @@ func (c *Comm) Recv(r *Rank, buf []byte, count int, dt Datatype, src, tag int) (
 	if err != nil {
 		return nil, err
 	}
-	r.waitInternal(rq, r.waitDescr(rq))
+	r.waitInternal(rq)
 	return rq, nil
 }
 
@@ -185,7 +189,7 @@ func (c *Comm) Irecv(r *Rank, buf []byte, count int, dt Datatype, src, tag int) 
 func (r *Rank) Wait(rq *Request) {
 	f := r.beginMPI("MPI_Wait", rq)
 	defer r.endMPI(f, rq)
-	r.waitInternal(rq, r.waitDescr(rq))
+	r.waitInternal(rq)
 }
 
 // Test is MPI_Test: non-blocking completion check of a request.
@@ -200,7 +204,7 @@ func (r *Rank) Waitall(rqs []*Request) {
 	f := r.beginMPI("MPI_Waitall", len(rqs), rqs)
 	defer r.endMPI(f, len(rqs), rqs)
 	for _, rq := range rqs {
-		r.waitInternal(rq, r.waitDescr(rq))
+		r.waitInternal(rq)
 	}
 }
 
@@ -220,8 +224,8 @@ func (c *Comm) Sendrecv(r *Rank, sdata []byte, scount int, sdt Datatype, dest, s
 	if err != nil {
 		return nil, err
 	}
-	r.waitInternal(srq, r.waitDescr(srq))
-	r.waitInternal(rrq, r.waitDescr(rrq))
+	r.waitInternal(srq)
+	r.waitInternal(rrq)
 	return rrq, nil
 }
 

@@ -1,14 +1,18 @@
 // Package session defines the analysis plane's recordable event stream
 // and replays it.
 //
-// A live run attaches a Sink to the front end (core.Options.Recorder);
-// every report the front end ingests — sample batches, resource updates,
-// metric enables, liveness verdicts, trace shards, undelivered-span
-// accounting — plus the Consultant's read barriers is captured in order as
-// Events under one Header. A ReplaySource (replay.go) then re-presents a
-// loaded Archive through the same DataSource interface the live front end
-// implements, so the Performance Consultant can be re-run offline and
-// reproduce the live findings byte for byte.
+// An Event is the tool's one report type, end to end: a daemon builds its
+// reports (sample batches, resource updates, trace shards) as Events and
+// hands them to its daemon.Transport, the TCP frame carries the Event
+// whole, and the front end folds it into its View with Apply — alongside
+// the events it produces itself (metric enables, liveness verdicts, outage
+// gaps, undelivered-span accounting, the Consultant's read barriers). A
+// live run attaches a Sink to the front end (core.Options.Recorder) and
+// every one of them is captured in order under one Header. A ReplaySource
+// (replay.go) then re-presents a loaded Archive through the same
+// DataSource interface the live front end implements, so the Performance
+// Consultant can be re-run offline and reproduce the live findings byte
+// for byte.
 //
 // The package owns the schema only. The one on-disk form (the chunked
 // PPDBA1 format), its streaming recorder and its loader live in

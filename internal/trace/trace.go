@@ -119,7 +119,7 @@ type Shard struct {
 	Dropped int64
 	// OutboxLost is the cumulative count of the track's spans that had been
 	// drained from the recorder but were then evicted from the daemon's
-	// bounded outbox/bulk queue before delivery. Like Dropped it is a
+	// bounded bulk queue before delivery. Like Dropped it is a
 	// monotone per-track counter; the timeline keeps the maximum seen.
 	OutboxLost int64
 }

@@ -35,7 +35,7 @@ type Dedupe struct {
 	limit int
 	tick  uint64
 	wins  map[string]*dedupeWin
-	by    map[string]*Stats // per reporting channel name: Frames, Duplicates, StaleFrames
+	by    map[string]*Stats // per channel: Frames, Duplicates, StaleFrames
 }
 
 // NewDedupe returns a window table bounded to limit (0 or negative selects
@@ -49,21 +49,18 @@ func NewDedupe(limit int) *Dedupe {
 
 // Seen counts the frame for its channel and reports (and records) whether
 // it must be skipped — either a replay the receiver already applied, or a
-// straggler from a dead sender incarnation. Frames with no peer identity or
-// seq 0 (legacy senders) bypass dedupe and always apply.
+// straggler from a dead sender incarnation. Senders number frames from 1
+// (Conn.Exchange), so seq 0 is at or below every window's mark and is
+// always skipped.
 func (d *Dedupe) Seen(peer, ch string, inc, seq uint64) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	name := chanName(ch)
-	st := d.by[name]
+	st := d.by[ch]
 	if st == nil {
 		st = &Stats{}
-		d.by[name] = st
+		d.by[ch] = st
 	}
 	st.Frames++
-	if peer == "" || seq == 0 {
-		return false
-	}
 	d.tick++
 	key := peer + "\x00" + ch
 	w := d.wins[key]
@@ -112,23 +109,14 @@ func (d *Dedupe) Windows() int {
 	return len(d.wins)
 }
 
-// ChannelStats returns the receiver-side counters for one channel name
-// (ChanCtl, ChanBulk, ChanSync): frames presented, replays skipped, and
+// ChannelStats returns the receiver-side counters for one channel (ChanCtl,
+// ChanBulk, ChanSync): frames presented, replays skipped, and
 // dead-incarnation stragglers fenced out.
 func (d *Dedupe) ChannelStats(ch string) Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if st := d.by[chanName(ch)]; st != nil {
+	if st := d.by[ch]; st != nil {
 		return *st
 	}
 	return Stats{}
-}
-
-// chanName normalizes the on-wire channel label ("" for the legacy control
-// channel) to its reporting name.
-func chanName(ch string) string {
-	if ch == "" {
-		return ChanCtl
-	}
-	return ch
 }

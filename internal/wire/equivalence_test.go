@@ -16,6 +16,7 @@ import (
 	"pperf/internal/faults"
 	"pperf/internal/frontend"
 	"pperf/internal/perfdb"
+	"pperf/internal/session"
 	"pperf/internal/trace"
 	"pperf/internal/wire"
 )
@@ -102,11 +103,12 @@ func crossStack(t *testing.T, planText string, want int64) {
 	}
 	defer tr.Close()
 	armReport(tr, plan)
-	if err := tr.Update(daemon.Update{Kind: daemon.UpHeartbeat}); err != nil {
+	hb := session.Event{Kind: session.EvUpdate, Update: daemon.Update{Kind: daemon.UpHeartbeat}}
+	if err := tr.Report(hb); err != nil {
 		t.Fatalf("ctl send under plan: %v", err)
 	}
-	sh := trace.Shard{Proc: "p0", Node: "node0", Spans: []trace.Span{{Name: "compute"}}}
-	if err := tr.Shard(sh); err != nil {
+	sh := session.Event{Kind: session.EvShard, Shard: trace.Shard{Proc: "p0", Node: "node0", Spans: []trace.Span{{Name: "compute"}}}}
+	if err := tr.Report(sh); err != nil {
 		t.Fatalf("bulk send under plan: %v", err)
 	}
 
@@ -133,8 +135,8 @@ func crossStack(t *testing.T, planText string, want int64) {
 	// Every channel consumed its whole budget through the shared plane:
 	// identical accounting, channel by channel.
 	byChan := map[string]wire.Stats{
-		wire.ChanCtl:  tr.Stats(),
-		wire.ChanBulk: tr.BulkStats(),
+		wire.ChanCtl:  tr.Stats(wire.ChanCtl),
+		wire.ChanBulk: tr.Stats(wire.ChanBulk),
 		wire.ChanSync: *syncStats,
 	}
 	for ch, st := range byChan {
@@ -157,8 +159,8 @@ func crossStack(t *testing.T, planText string, want int64) {
 	ft := faults.NewFlakyTransport(frontend.New())
 	armReport(ft, plan)
 	sends := map[string]func() error{
-		wire.ChanCtl:  func() error { return ft.Update(daemon.Update{Kind: daemon.UpHeartbeat}) },
-		wire.ChanBulk: func() error { return ft.Shard(sh) },
+		wire.ChanCtl:  func() error { return ft.Report(hb) },
+		wire.ChanBulk: func() error { return ft.Report(sh) },
 	}
 	for ch, send := range sends {
 		var failed int64

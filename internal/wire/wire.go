@@ -24,7 +24,7 @@
 //     channel reports resilience activity the same way.
 //
 // The package deliberately knows nothing about what the frames mean: frame
-// types stay with their stacks (frontend's wireMsg, perfdb's syncReq), and
+// types stay with their stacks (frontend's frame, perfdb's syncReq), and
 // wire moves them reliably.
 package wire
 
@@ -40,8 +40,8 @@ import (
 	"pperf/internal/sim"
 )
 
-// Channel name constants shared across the planes. Ctl is the empty string
-// on the wire (legacy frames), but reported as "ctl" in summaries.
+// Channel names shared across the planes: the label frames carry on the wire
+// and the key summaries report under.
 const (
 	ChanCtl  = "ctl"
 	ChanBulk = "bulk"
@@ -222,10 +222,13 @@ func Dial(addr string, cfg Config, seed uint64) (*Conn, error) {
 }
 
 // TryDial attempts the first connection but keeps the channel usable on
-// failure: the first Exchange retries from scratch.
+// failure: the first Exchange retries from scratch. A closed channel stays
+// closed.
 func (c *Conn) TryDial() {
 	c.mu.Lock()
-	c.redialLocked()
+	if !c.closed {
+		c.redialLocked()
+	}
 	c.mu.Unlock()
 }
 

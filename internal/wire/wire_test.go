@@ -122,17 +122,25 @@ func TestDedupeSemantics(t *testing.T) {
 	if !d.Seen("d0", ChanBulk, 1, 4) {
 		t.Error("stale-incarnation frame applied")
 	}
-	// Legacy frames (no identity / seq 0) bypass dedupe.
-	if d.Seen("", ChanCtl, 0, 5) || d.Seen("d0", ChanCtl, 0, 0) {
-		t.Error("legacy frame blocked by dedupe")
+	// Nothing bypasses dedupe. An unnamed peer is a peer like any other: its
+	// replay is recognized. Senders number from 1, so seq 0 is never fresh,
+	// even as the first frame of a window.
+	if d.Seen("", ChanCtl, 0, 5) {
+		t.Error("unnamed peer's fresh frame treated as seen")
 	}
-	// Every frame presented is counted on its channel, legacy ones included;
-	// the one replay and the one straggler were both on bulk.
+	if !d.Seen("", ChanCtl, 0, 5) {
+		t.Error("unnamed peer's replay applied twice")
+	}
+	if !d.Seen("d1", ChanCtl, 0, 0) {
+		t.Error("seq 0 frame applied")
+	}
+	// Every frame presented is counted on its channel; bulk saw the one
+	// replay and the one straggler, ctl the unnamed replay and the seq 0.
 	if bulk := d.ChannelStats(ChanBulk); bulk.Frames != 6 || bulk.Duplicates != 1 || bulk.StaleFrames != 1 {
 		t.Errorf("bulk channel stats = %+v, want 6 frames, 1 dup, 1 stale", bulk)
 	}
-	if ctl := d.ChannelStats(ChanCtl); ctl.Frames != 3 || ctl.Duplicates != 0 || ctl.StaleFrames != 0 {
-		t.Errorf("ctl channel stats = %+v, want 3 frames, 0 dups, 0 stale", ctl)
+	if ctl := d.ChannelStats(ChanCtl); ctl.Frames != 4 || ctl.Duplicates != 2 || ctl.StaleFrames != 0 {
+		t.Errorf("ctl channel stats = %+v, want 4 frames, 2 dups, 0 stale", ctl)
 	}
 }
 
