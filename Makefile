@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt-check race verify loc bench bench-module replay-golden perfdb-golden sync-golden wire-golden trend-golden chaos fuzz fuzz-perfdb fuzz-wire fuzz-smoke
+.PHONY: build test vet fmt-check race verify loc bench bench-module replay-golden perfdb-golden sync-golden wire-golden trend-golden chaos experiments-golden fuzz fuzz-perfdb fuzz-wire fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,15 @@ endif
 chaos:
 	CHAOS=1 $(GO) test -race -run TestChaosPlans ./internal/faults
 
+# experiments-golden regenerates every table and figure of the paper's
+# evaluation (deterministic, about a minute — too slow for verify) and fails
+# unless the output is byte-identical to the checked-in report. A PR that
+# means to change the report regenerates the file with
+# `go run ./cmd/experiments > results/experiments_report.txt`.
+experiments-golden:
+	$(GO) run ./cmd/experiments | cmp - results/experiments_report.txt
+	@echo "experiments-golden: regenerated report matches results/experiments_report.txt"
+
 # fuzz hammers the fault-plan parser: no input may panic it, and every
 # accepted plan must round-trip through its canonical String form.
 fuzz:
@@ -86,6 +95,10 @@ fuzz-perfdb:
 	$(GO) test -fuzz=FuzzChunkDecoder -fuzztime=30s ./internal/perfdb
 	$(GO) test -fuzz=FuzzUnpackSamples -fuzztime=30s ./internal/perfdb
 
+# bench runs the root package's figure/table/ablation benchmarks and the
+# fault/trace zero-cost guards. Per-layer numbers (engine switch, eager
+# message, probe fire, MDL compile, histogram add, …) come from the micro
+# drivers of `bash bench/run.sh`.
 bench:
 	$(GO) test -bench=. -benchmem
 

@@ -12,6 +12,7 @@ import (
 
 	"pperf/internal/cluster"
 	"pperf/internal/daemon"
+	"pperf/internal/datasource"
 	"pperf/internal/faults"
 	"pperf/internal/frontend"
 	"pperf/internal/mdl"
@@ -66,12 +67,11 @@ type Options struct {
 
 // Session is a live tool instance around one simulated cluster.
 type Session struct {
-	Eng     *sim.Engine
-	Spec    *cluster.Spec
-	World   *mpi.World
-	FE      *frontend.FrontEnd
-	Daemons []*daemon.Daemon
-	Lib     *mdl.Library
+	Eng   *sim.Engine
+	Spec  *cluster.Spec
+	World *mpi.World
+	FE    *frontend.FrontEnd
+	Lib   *mdl.Library
 
 	// Injector is non-nil when a fault plan is armed; its Log records what
 	// fired.
@@ -79,20 +79,18 @@ type Session struct {
 	// Tracer is non-nil when tracing is armed (Options.Trace).
 	Tracer *trace.Tracer
 
+	// daemons is the roster of which daemon serves which node: the world's
+	// discovery hooks, the front end's fan-out and the fault hooks all read
+	// it, so a fault targeting a respawned node reaches the live incarnation.
+	daemons    *daemon.Registry
 	listener   *frontend.Listener
 	transports []*frontend.TCPTransport
 	inject     map[string]faults.Injectable // node name → live transport's injection points
 	launched   bool
 
-	// Respawn support (supervisor runs only). nodeIdx/byName are the
-	// mutable routing maps the fault hooks read through, so a fault
-	// targeting a respawned node reaches the live incarnation, and
-	// registry re-routes the world's discovery hooks the same way.
-	dcfg     daemon.Config
-	plan     *faults.Plan
-	registry *daemon.Registry
-	nodeIdx  map[string]int
-	byName   map[string]*daemon.Daemon
+	// Respawn support (supervisor runs only).
+	dcfg daemon.Config
+	plan *faults.Plan
 }
 
 // NewSession builds the cluster, world, front end and daemons.
@@ -110,7 +108,6 @@ func NewSession(opts Options) (*Session, error) {
 	if opts.Daemon != nil {
 		dcfg = *opts.Daemon
 	}
-	dcfg.MPIImplName = opts.Impl.String()
 	plan := opts.Faults
 	if plan != nil && plan.Heartbeat > 0 {
 		dcfg.Heartbeat = plan.Heartbeat
@@ -149,6 +146,7 @@ func NewSession(opts Options) (*Session, error) {
 		s.listener = l
 	}
 
+	var ds []*daemon.Daemon
 	for node := range spec.Nodes {
 		seed := wire.DefaultConfig().Seed
 		if plan != nil {
@@ -159,16 +157,15 @@ func NewSession(opts Options) (*Session, error) {
 			s.Close()
 			return nil, err
 		}
-		d := daemon.New(eng, node, spec.Nodes[node].Name, lib, tr, dcfg)
-		s.Daemons = append(s.Daemons, d)
-		fe.AddDaemon(d)
+		ds = append(ds, daemon.New(eng, node, spec.Nodes[node].Name, lib, tr, dcfg))
 	}
-	s.registry = daemon.AttachAll(world, s.Daemons)
+	s.daemons = daemon.AttachAll(world, ds)
+	fe.SetDaemons(s.daemons)
 	if opts.Trace != nil {
 		s.Tracer = trace.New(opts.Trace)
 		world.Tracer = s.Tracer
 		fe.EnableTrace()
-		for _, d := range s.Daemons {
+		for _, d := range ds {
 			d.EnableTracing(s.Tracer)
 		}
 	}
@@ -181,19 +178,13 @@ func NewSession(opts Options) (*Session, error) {
 
 // armFaults switches on the resilience machinery and schedules the plan.
 func (s *Session) armFaults(plan *faults.Plan) {
-	s.nodeIdx = map[string]int{}
-	s.byName = map[string]*daemon.Daemon{}
-	for i := range s.Spec.Nodes {
-		s.nodeIdx[s.Spec.Nodes[i].Name] = i
-		s.byName[s.Spec.Nodes[i].Name] = s.Daemons[i]
-	}
 	if plan.Heartbeat > 0 {
 		s.FE.StartLiveness(s.Eng, plan.Heartbeat, plan.Detect)
 	}
 	s.Injector = faults.Arm(plan, s.Eng, faults.Hooks{
 		KillNode: func(node, reason string) {
 			s.World.KillNode(node, reason)
-			if d := s.byName[node]; d != nil {
+			if d := s.daemons.Named(node); d != nil {
 				d.Crash() // the node's daemon dies with it
 			}
 			if sv := s.FE.Supervisor(); sv != nil {
@@ -202,7 +193,7 @@ func (s *Session) armFaults(plan *faults.Plan) {
 		},
 		Abort: func(reason string) { s.World.AbortAll(reason) },
 		CrashDaemon: func(node string, restartable bool) {
-			if d := s.byName[node]; d != nil {
+			if d := s.daemons.Named(node); d != nil {
 				d.Crash()
 			}
 			if sv := s.FE.Supervisor(); sv != nil {
@@ -216,7 +207,7 @@ func (s *Session) armFaults(plan *faults.Plan) {
 			}
 		},
 		HangDaemon: func(node string, dur sim.Duration) {
-			if d := s.byName[node]; d != nil {
+			if d := s.daemons.Named(node); d != nil {
 				d.Hang(dur)
 			}
 		},
@@ -229,14 +220,12 @@ func (s *Session) armFaults(plan *faults.Plan) {
 				s.World.Net.SetAll(st)
 				return
 			}
-			ai, aok := s.nodeIdx[a]
-			bi, bok := s.nodeIdx[b]
-			if aok && bok {
-				s.World.Net.SetLink(ai, bi, st)
+			if da, db := s.daemons.Named(a), s.daemons.Named(b); da != nil && db != nil {
+				s.World.Net.SetLink(da.Node(), db.Node(), st)
 			}
 		},
 		DelayAttach: func(node string, dur sim.Duration) {
-			if d := s.byName[node]; d != nil {
+			if d := s.daemons.Named(node); d != nil {
 				d.DelayAttachUntil(s.Eng.Now().Add(dur))
 			}
 		},
@@ -250,8 +239,7 @@ func (s *Session) armFaults(plan *faults.Plan) {
 		// The supervisor is constructed only when the plan budgets
 		// restarts; every other run keeps a nil supervisor pointer and
 		// today's permanent-loss semantics, byte for byte.
-		frontend.NewSupervisor(s.FE, s.Eng, frontend.DefaultSupervisorConfig(plan.Restarts, plan.Seed),
-			s.respawnDaemon,
+		frontend.NewSupervisor(s.FE, s.Eng, plan.Restarts, plan.Seed, s.respawnDaemon,
 			func(now sim.Time, format string, args ...any) { s.Injector.Notef(now, format, args...) })
 	}
 }
@@ -293,20 +281,19 @@ func (s *Session) newTransport(idx, incarnation int, seed uint64) (daemon.Transp
 // application processes. The previous incarnation is crashed first (a
 // supervisor kills a wedged process before starting its replacement), the
 // replacement gets its own transport stamped with the incarnation number
-// (fresh control and bulk channels, fresh seq spaces), and the session's
-// routing state — world hooks, fault-hook maps, Daemons slice — is
-// re-pointed so everything downstream reaches the live incarnation.
-// Adoption re-reports the node's resources, which is what clears the front
-// end's lost marks and recovers Coverage. The supervisor starts the daemon
-// itself after resynchronization succeeds.
+// (fresh control and bulk channels, fresh seq spaces), and one Replace on
+// the roster re-points everything downstream — world hooks, front-end
+// fan-out, fault hooks — at the live incarnation. Adoption re-reports the
+// node's resources, which is what clears the front end's lost marks and
+// recovers Coverage. The supervisor starts the daemon itself after
+// resynchronization succeeds.
 func (s *Session) respawnDaemon(node string, incarnation int) (*daemon.Daemon, error) {
-	idx, ok := s.nodeIdx[node]
-	if !ok {
+	old := s.daemons.Named(node)
+	if old == nil {
 		return nil, fmt.Errorf("core: respawn on unknown node %q", node)
 	}
-	if old := s.byName[node]; old != nil {
-		old.Crash()
-	}
+	old.Crash()
+	idx := old.Node()
 
 	// Own jitter stream per incarnation.
 	tr, err := s.newTransport(idx, incarnation, s.plan.Seed+uint64(idx)+uint64(incarnation)<<16)
@@ -321,9 +308,7 @@ func (s *Session) respawnDaemon(node string, incarnation int) (*daemon.Daemon, e
 		// channel.
 		d.EnableTracing(s.Tracer)
 	}
-	s.registry.Replace(d)
-	s.byName[node] = d
-	s.Daemons[idx] = d
+	s.daemons.Replace(d)
 
 	// Re-attach: adopt every application process on the node that is still
 	// running. Lost or finished ranks stay with their (retired) records.
@@ -363,18 +348,18 @@ func (s *Session) startSampling() {
 		return
 	}
 	s.launched = true
-	for _, d := range s.Daemons {
+	for _, d := range s.daemons.All() {
 		d.Start()
 	}
 }
 
 // Enable turns on a metric-focus pair and returns its series.
-func (s *Session) Enable(metricName string, focus resource.Focus) (*frontend.Series, error) {
+func (s *Session) Enable(metricName string, focus resource.Focus) (*datasource.Series, error) {
 	return s.FE.EnableMetric(metricName, focus)
 }
 
 // MustEnable is Enable for known-good pairs (panics on error).
-func (s *Session) MustEnable(metricName string, focus resource.Focus) *frontend.Series {
+func (s *Session) MustEnable(metricName string, focus resource.Focus) *datasource.Series {
 	sr, err := s.Enable(metricName, focus)
 	if err != nil {
 		panic(fmt.Sprintf("core: enable %s %s: %v", metricName, focus, err))
@@ -404,10 +389,10 @@ func (s *Session) flushTrace() {
 	if s.Tracer == nil {
 		return
 	}
-	for _, d := range s.Daemons {
+	for _, d := range s.daemons.All() {
 		d.FlushTrace()
 	}
-	for _, d := range s.Daemons {
+	for _, d := range s.daemons.All() {
 		und := d.UndeliveredSpans()
 		procs := make([]string, 0, len(und))
 		for proc := range und {
@@ -469,7 +454,7 @@ func (s *Session) WireStats() map[string]wire.Stats {
 // ProbeExecutions totals probe executions across daemons.
 func (s *Session) ProbeExecutions() int64 {
 	var n int64
-	for _, d := range s.Daemons {
+	for _, d := range s.daemons.All() {
 		n += d.ProbeExecutions()
 	}
 	return n

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 
-	"pperf/internal/daemon"
+	"pperf/internal/datasource"
 	"pperf/internal/mpi"
 	"pperf/internal/probe"
 	"pperf/internal/session"
@@ -20,37 +20,33 @@ const maxTagsPerComm = 32
 // Consultant refine a message-passing bottleneck down to the tag, as in
 // Figs 3 and 9.
 func installTagDiscovery(s *Session) {
-	seen := map[string]int{} // comm path → #tags discovered
-	reported := map[string]bool{}
-	report := func(c *mpi.Comm, tag int) {
-		if c == nil || tag < 0 {
+	// The probe runs at the entry of every point-to-point call, so the
+	// already-reported test is two integer-keyed lookups; the resource path
+	// is formatted only on a pair's first sight.
+	type commTag struct{ comm, tag int }
+	seen := map[int]int{} // comm id → #tags discovered
+	reported := map[commTag]bool{}
+	report := func(comm, tagArg any) {
+		c, _ := comm.(*mpi.Comm)
+		tag, ok := tagArg.(int)
+		if c == nil || !ok || tag < 0 {
 			return
 		}
-		commPath := fmt.Sprintf("/SyncObject/Message/comm-%d", c.ID())
-		full := fmt.Sprintf("%s/tag-%d", commPath, tag)
-		if reported[full] || seen[commPath] >= maxTagsPerComm {
+		k := commTag{c.ID(), tag}
+		if reported[k] || seen[k.comm] >= maxTagsPerComm {
 			return
 		}
-		reported[full] = true
-		seen[commPath]++
-		s.FE.Report(session.Event{Kind: session.EvUpdate, Update: daemon.Update{
-			Kind: daemon.UpAddResource, Time: s.Eng.Now(), Path: full,
+		reported[k] = true
+		seen[k.comm]++
+		s.FE.Report(session.Event{Kind: session.EvUpdate, Update: datasource.Update{
+			Kind: datasource.UpAddResource, Time: s.Eng.Now(),
+			Path: fmt.Sprintf("/SyncObject/Message/comm-%d/tag-%d", k.comm, k.tag),
 		}})
 	}
-	asComm := func(v any) *mpi.Comm {
-		c, _ := v.(*mpi.Comm)
-		return c
-	}
-	asInt := func(v any) int {
-		if n, ok := v.(int); ok {
-			return n
-		}
-		return -1
-	}
-	p2p := func(ev *probe.Event) { report(asComm(ev.Arg(5)), asInt(ev.Arg(4))) }
+	p2p := func(ev *probe.Event) { report(ev.Arg(5), ev.Arg(4)) }
 	sendrecv := func(ev *probe.Event) {
-		report(asComm(ev.Arg(10)), asInt(ev.Arg(4)))
-		report(asComm(ev.Arg(10)), asInt(ev.Arg(9)))
+		report(ev.Arg(10), ev.Arg(4))
+		report(ev.Arg(10), ev.Arg(9))
 	}
 	s.World.AddHooks(&mpi.Hooks{
 		ProcessStarted: func(r *mpi.Rank) {

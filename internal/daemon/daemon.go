@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"sort"
 
+	"pperf/internal/datasource"
 	"pperf/internal/mdl"
-	"pperf/internal/metric"
 	"pperf/internal/mpi"
 	"pperf/internal/probe"
 	"pperf/internal/resource"
@@ -36,9 +36,9 @@ type Daemon struct {
 	incarnation int
 
 	ranks []*rankCtx
-	// enabled remembers every metric-focus enable request so processes
+	// enabled remembers every enabled metric-focus pair so processes
 	// adopted later (spawn) are instrumented too.
-	enabled []enableReq
+	enabled []datasource.Pair
 
 	stopped bool
 
@@ -55,11 +55,6 @@ type Daemon struct {
 	undelivered map[string]int64
 }
 
-type enableReq struct {
-	metricName string
-	focus      resource.Focus
-}
-
 // rankCtx is the daemon's per-process state; it implements mdl.Target.
 type rankCtx struct {
 	d       *Daemon
@@ -67,14 +62,17 @@ type rankCtx struct {
 	modules map[string][]string // module → discovered functions
 	// edges already reported to the front end.
 	sentEdges map[[2]string]bool
-	insts     []*liveInst
+	insts     []liveInst
 	exited    bool
 }
 
+// liveInst is one metric-focus pair enabled on one process: the compiled
+// instance whose accumulator the instrumentation writes, plus the daemon's
+// sampling cursor (the accumulator's value at the previous sample).
 type liveInst struct {
-	req  enableReq
-	mi   *metric.Instance
+	pair datasource.Pair
 	mdli *mdl.Instance
+	last float64
 }
 
 // mdl.Target implementation. The clock accessors use the engine's global
@@ -138,30 +136,67 @@ func (d *Daemon) Name() string { return d.name }
 // NumProcesses returns how many application processes the daemon owns.
 func (d *Daemon) NumProcesses() int { return len(d.ranks) }
 
-// Registry routes world hooks to the current daemon of each node. The
-// supervisor swaps in respawned incarnations with Replace; the hook
-// closures read through the map, so discovery events always reach the
-// live incarnation.
+// Node returns the index of the cluster node the daemon serves.
+func (d *Daemon) Node() int { return d.node }
+
+// Registry is the roster of which daemon serves which node — the one table
+// the world's discovery hooks, the front end's enable/disable/liveness
+// fan-out and the session's fault hooks all read, so a respawn re-points
+// everything with one Replace. The zero value is an empty roster.
 type Registry struct {
-	byNode map[int]*Daemon
+	ds []*Daemon // attach order
 }
 
-// Replace installs d as its node's current daemon (keyed by d's node
-// index) and returns the daemon it displaced (nil if none).
-func (reg *Registry) Replace(d *Daemon) *Daemon {
-	old := reg.byNode[d.node]
-	reg.byNode[d.node] = d
-	return old
+// At returns the current daemon of the node with that index (nil if none).
+func (reg *Registry) At(node int) *Daemon {
+	for _, d := range reg.All() {
+		if d.node == node {
+			return d
+		}
+	}
+	return nil
+}
+
+// Named returns the current daemon of the named node (nil if none).
+func (reg *Registry) Named(nodeName string) *Daemon {
+	for _, d := range reg.All() {
+		if d.nodeName == nodeName {
+			return d
+		}
+	}
+	return nil
+}
+
+// All returns the current daemons in attach order (the roster's own slice:
+// read it, do not keep or modify it). A nil roster has none.
+func (reg *Registry) All() []*Daemon {
+	if reg == nil {
+		return nil
+	}
+	return reg.ds
+}
+
+// Replace installs d as its node's current daemon, in its predecessor's
+// place (at the end when the node had none).
+func (reg *Registry) Replace(d *Daemon) {
+	for i, old := range reg.ds {
+		if old.node == d.node {
+			reg.ds[i] = d
+			return
+		}
+	}
+	reg.ds = append(reg.ds, d)
 }
 
 // AttachAll wires a set of daemons (one per node) into the world's
 // resource-discovery hooks, including spawn support with the configured
-// method. Call once before launching programs. The returned registry lets
-// the supervisor re-route the hooks to respawned incarnations.
+// method. Call once before launching programs. The hooks read through the
+// returned roster, so discovery events always reach a node's live
+// incarnation.
 func AttachAll(w *mpi.World, daemons []*Daemon) *Registry {
-	byNode := map[int]*Daemon{}
+	reg := &Registry{}
 	for _, d := range daemons {
-		byNode[d.node] = d
+		reg.Replace(d)
 		if d.cfg.Spawn == SpawnIntercept {
 			cfg := d.cfg
 			w.SpawnInterceptor = func(parent *mpi.Rank, maxprocs int) sim.Duration {
@@ -171,43 +206,43 @@ func AttachAll(w *mpi.World, daemons []*Daemon) *Registry {
 	}
 	hooks := &mpi.Hooks{
 		ProcessStarted: func(r *mpi.Rank) {
-			if d := byNode[r.Node()]; d != nil {
+			if d := reg.At(r.Node()); d != nil {
 				d.adopt(r)
 			}
 		},
 		ProcessExited: func(r *mpi.Rank) {
-			if d := byNode[r.Node()]; d != nil {
+			if d := reg.At(r.Node()); d != nil {
 				d.processExited(r)
 			}
 		},
 		CommCreated: func(r *mpi.Rank, c *mpi.Comm) {
-			if d := byNode[r.Node()]; d != nil {
+			if d := reg.At(r.Node()); d != nil {
 				d.commCreated(c)
 			}
 		},
 		WinCreated: func(r *mpi.Rank, win *mpi.Win) {
-			if d := byNode[r.Node()]; d != nil {
+			if d := reg.At(r.Node()); d != nil {
 				d.winCreated(r, win)
 			}
 		},
 		WinFreed: func(r *mpi.Rank, win *mpi.Win) {
-			if d := byNode[r.Node()]; d != nil {
+			if d := reg.At(r.Node()); d != nil {
 				d.winFreed(win)
 			}
 		},
 		NameSet: func(r *mpi.Rank, obj any, name string) {
-			if d := byNode[r.Node()]; d != nil {
+			if d := reg.At(r.Node()); d != nil {
 				d.nameSet(obj, name)
 			}
 		},
 		ProcessLost: func(r *mpi.Rank, reason string) {
-			if d := byNode[r.Node()]; d != nil && !d.crashed {
+			if d := reg.At(r.Node()); d != nil && !d.crashed {
 				d.processLost(r.Probes().Name(), r.NodeName(), reason)
 			}
 		},
 	}
 	w.AddHooks(hooks)
-	return &Registry{byNode: byNode}
+	return reg
 }
 
 // Adopt attaches the daemon to an already-running process — the
@@ -262,8 +297,8 @@ func (d *Daemon) adoptNow(r *mpi.Rank) {
 		}
 	}
 
-	d.sendUpdate(Update{
-		Kind: UpAddResource, Time: d.eng.Now(),
+	d.sendUpdate(datasource.Update{
+		Kind: datasource.UpAddResource, Time: d.eng.Now(),
 		Path: machinePath(r.NodeName(), r.Probes().Name()),
 	})
 	// Seed with functions already seen before adoption (attach method).
@@ -271,8 +306,8 @@ func (d *Daemon) adoptNow(r *mpi.Rank) {
 		rc.functionDiscovered(f)
 	}
 	// Apply pending metric-focus enables to the new process.
-	for _, req := range d.enabled {
-		d.instrumentRank(rc, req)
+	for _, p := range d.enabled {
+		d.instrumentRank(rc, p)
 	}
 }
 
@@ -286,8 +321,8 @@ func (rc *rankCtx) functionDiscovered(f *probe.Function) {
 		}
 	}
 	rc.modules[f.Module] = append(fns, f.Name)
-	rc.d.sendUpdate(Update{
-		Kind: UpAddResource, Time: rc.d.eng.Now(),
+	rc.d.sendUpdate(datasource.Update{
+		Kind: datasource.UpAddResource, Time: rc.d.eng.Now(),
 		Path: "/Code/" + f.Module + "/" + f.Name,
 	})
 	// Extend module-watching instances (module-level Code foci pick up
@@ -309,8 +344,8 @@ func (d *Daemon) processExited(r *mpi.Rank) {
 			rc.exited = true
 		}
 	}
-	d.sendUpdate(Update{
-		Kind: UpProcessExit, Time: d.eng.Now(),
+	d.sendUpdate(datasource.Update{
+		Kind: datasource.UpProcessExit, Time: d.eng.Now(),
 		Proc: r.Probes().Name(),
 		Path: machinePath(r.NodeName(), r.Probes().Name()),
 	})
@@ -320,16 +355,19 @@ func (d *Daemon) processExited(r *mpi.Rank) {
 func (d *Daemon) sampleRank(rc *rankCtx) {
 	now := d.eng.Now()
 	cpu := rc.r.CPUTimeAt(now)
-	var batch []Sample
-	for _, li := range rc.insts {
-		batch = append(batch, Sample{
-			Metric: li.req.metricName,
-			Focus:  li.req.focus,
+	batch := make([]datasource.Sample, 0, len(rc.insts))
+	for i := range rc.insts {
+		li := &rc.insts[i]
+		v := li.mdli.Acc.Sample(now, cpu)
+		batch = append(batch, datasource.Sample{
+			Metric: li.pair.Metric,
+			Focus:  li.pair.Focus,
 			Proc:   rc.r.Probes().Name(),
 			Time:   now,
-			Delta:  li.mi.SampleDelta(now, cpu),
-			Value:  li.mi.SampleValue(now, cpu),
+			Delta:  v - li.last,
+			Value:  v,
 		})
+		li.last = v
 	}
 	if len(batch) > 0 {
 		d.send(session.Event{Kind: session.EvSamples, Samples: batch})
@@ -341,8 +379,8 @@ func (rc *rankCtx) flushEdges(now sim.Time) {
 	for _, e := range rc.r.Probes().CallEdges() {
 		if !rc.sentEdges[e] {
 			rc.sentEdges[e] = true
-			rc.d.sendUpdate(Update{
-				Kind: UpCallEdge, Time: now,
+			rc.d.sendUpdate(datasource.Update{
+				Kind: datasource.UpCallEdge, Time: now,
 				Proc: rc.r.Probes().Name(), Caller: e[0], Callee: e[1],
 			})
 		}
@@ -350,8 +388,8 @@ func (rc *rankCtx) flushEdges(now sim.Time) {
 }
 
 func (d *Daemon) commCreated(c *mpi.Comm) {
-	d.sendUpdate(Update{
-		Kind: UpAddResource, Time: d.eng.Now(),
+	d.sendUpdate(datasource.Update{
+		Kind: datasource.UpAddResource, Time: d.eng.Now(),
 		Path:    "/SyncObject/Message/" + fmt.Sprintf("comm-%d", c.ID()),
 		Display: c.Name(),
 	})
@@ -365,8 +403,8 @@ func (d *Daemon) winCreated(r *mpi.Rank, win *mpi.Win) {
 	if win.Comm().RankOf(r) != 0 {
 		return
 	}
-	d.sendUpdate(Update{
-		Kind: UpAddResource, Time: d.eng.Now(),
+	d.sendUpdate(datasource.Update{
+		Kind: datasource.UpAddResource, Time: d.eng.Now(),
 		Path: "/SyncObject/Window/" + win.UniqueID(),
 	})
 	if ic := win.InternalComm(); ic != nil {
@@ -376,8 +414,8 @@ func (d *Daemon) winCreated(r *mpi.Rank, win *mpi.Win) {
 }
 
 func (d *Daemon) winFreed(win *mpi.Win) {
-	d.sendUpdate(Update{
-		Kind: UpRetire, Time: d.eng.Now(),
+	d.sendUpdate(datasource.Update{
+		Kind: datasource.UpRetire, Time: d.eng.Now(),
 		Path: "/SyncObject/Window/" + win.UniqueID(),
 	})
 }
@@ -385,18 +423,18 @@ func (d *Daemon) winFreed(win *mpi.Win) {
 func (d *Daemon) nameSet(obj any, name string) {
 	switch o := obj.(type) {
 	case *mpi.Comm:
-		d.sendUpdate(Update{
-			Kind: UpSetName, Time: d.eng.Now(),
+		d.sendUpdate(datasource.Update{
+			Kind: datasource.UpSetName, Time: d.eng.Now(),
 			Path: "/SyncObject/Message/" + fmt.Sprintf("comm-%d", o.ID()), Display: name,
 		})
 	case *mpi.Win:
-		d.sendUpdate(Update{
-			Kind: UpSetName, Time: d.eng.Now(),
+		d.sendUpdate(datasource.Update{
+			Kind: datasource.UpSetName, Time: d.eng.Now(),
 			Path: "/SyncObject/Window/" + o.UniqueID(), Display: name,
 		})
 		if ic := o.InternalComm(); ic != nil {
-			d.sendUpdate(Update{
-				Kind: UpSetName, Time: d.eng.Now(),
+			d.sendUpdate(datasource.Update{
+				Kind: datasource.UpSetName, Time: d.eng.Now(),
 				Path: "/SyncObject/Message/" + fmt.Sprintf("comm-%d", ic.ID()), Display: name,
 			})
 		}
@@ -407,15 +445,14 @@ func (d *Daemon) nameSet(obj any, name string) {
 // the focus's Machine selection, and remembers the request for processes
 // adopted later. Returns how many processes were instrumented.
 func (d *Daemon) Enable(metricName string, focus resource.Focus) (int, error) {
-	cm := d.lib.Metric(metricName)
-	if cm == nil {
+	if d.lib.Metric(metricName) == nil {
 		return 0, fmt.Errorf("daemon: unknown metric %q", metricName)
 	}
-	req := enableReq{metricName: metricName, focus: focus}
-	d.enabled = append(d.enabled, req)
+	p := datasource.Pair{Metric: metricName, Focus: focus}
+	d.enabled = append(d.enabled, p)
 	n := 0
 	for _, rc := range d.ranks {
-		if d.instrumentRank(rc, req) {
+		if d.instrumentRank(rc, p) {
 			n++
 		}
 	}
@@ -424,9 +461,11 @@ func (d *Daemon) Enable(metricName string, focus resource.Focus) (int, error) {
 
 // Disable removes the metric-focus pair's instrumentation everywhere.
 func (d *Daemon) Disable(metricName string, focus resource.Focus) {
+	// Metric first: the focus key is a string built per comparison, so it is
+	// built only for the same metric's pairs.
 	key := focus.Key()
-	for i, req := range d.enabled {
-		if req.metricName == metricName && req.focus.Key() == key {
+	for i, p := range d.enabled {
+		if p.Metric == metricName && p.Focus.Key() == key {
 			d.enabled = append(d.enabled[:i], d.enabled[i+1:]...)
 			break
 		}
@@ -434,7 +473,7 @@ func (d *Daemon) Disable(metricName string, focus resource.Focus) {
 	for _, rc := range d.ranks {
 		kept := rc.insts[:0]
 		for _, li := range rc.insts {
-			if li.req.metricName == metricName && li.req.focus.Key() == key {
+			if li.pair.Metric == metricName && li.pair.Focus.Key() == key {
 				li.mdli.Remove()
 			} else {
 				kept = append(kept, li)
@@ -444,30 +483,22 @@ func (d *Daemon) Disable(metricName string, focus resource.Focus) {
 	}
 }
 
-// instrumentRank applies one enable request to one process if the focus's
-// machine selection covers it.
-func (d *Daemon) instrumentRank(rc *rankCtx, req enableReq) bool {
-	if node := req.focus.MachineNode(); node != "" && node != rc.r.NodeName() {
+// instrumentRank enables one pair on one process if the focus's machine
+// selection covers it.
+func (d *Daemon) instrumentRank(rc *rankCtx, p datasource.Pair) bool {
+	if node := p.Focus.MachineNode(); node != "" && node != rc.r.NodeName() {
 		return false
 	}
-	if proc := req.focus.MachineProcess(); proc != "" && proc != rc.r.Probes().Name() {
+	if proc := p.Focus.MachineProcess(); proc != "" && proc != rc.r.Probes().Name() {
 		return false
 	}
-	cm := d.lib.Metric(req.metricName)
-	mdli, err := cm.Instantiate(rc, req.focus)
+	mdli, err := d.lib.Metric(p.Metric).Instantiate(rc, p.Focus)
 	if err != nil {
 		// Unconstrainable combinations are skipped silently, as Paradyn
 		// refuses such pairs in its UI.
 		return false
 	}
-	li := &liveInst{
-		req:  req,
-		mdli: mdli,
-		mi: &metric.Instance{
-			Def: cm.Def(), Focus: req.focus, Proc: rc.r.Probes().Name(), Acc: mdli.Acc,
-		},
-	}
-	rc.insts = append(rc.insts, li)
+	rc.insts = append(rc.insts, liveInst{pair: p, mdli: mdli})
 	return true
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pperf/internal/cluster"
+	"pperf/internal/datasource"
 	"pperf/internal/mdl"
 	"pperf/internal/mpi"
 	"pperf/internal/resource"
@@ -13,8 +14,8 @@ import (
 
 // recorder captures everything a daemon forwards.
 type recorder struct {
-	samples []Sample
-	updates []Update
+	samples []datasource.Sample
+	updates []datasource.Update
 }
 
 func (r *recorder) Report(ev session.Event) error {
@@ -103,13 +104,13 @@ func TestDaemonResourceUpdates(t *testing.T) {
 	var sawProc, sawFunc, sawEdge, sawExit bool
 	for _, u := range rec.updates {
 		switch {
-		case u.Kind == UpAddResource && u.Path == "/Machine/node0/p{0}":
+		case u.Kind == datasource.UpAddResource && u.Path == "/Machine/node0/p{0}":
 			sawProc = true
-		case u.Kind == UpAddResource && u.Path == "/Code/app.c/produce":
+		case u.Kind == datasource.UpAddResource && u.Path == "/Code/app.c/produce":
 			sawFunc = true
-		case u.Kind == UpCallEdge && u.Caller == "produce":
+		case u.Kind == datasource.UpCallEdge && u.Caller == "produce":
 			sawEdge = true
-		case u.Kind == UpProcessExit:
+		case u.Kind == datasource.UpProcessExit:
 			sawExit = true
 		}
 	}
@@ -241,5 +242,99 @@ func TestModuleWatchExtendsInstrumentation(t *testing.T) {
 	}
 	if cpu < 0.55 { // both functions' compute, not just the first
 		t.Errorf("module cpu = %v, want ≈0.6 (both functions)", cpu)
+	}
+}
+
+// baseKindsMDL defines one metric per base kind, all over one user function.
+const baseKindsMDL = `
+resourceList t_work is procedure { "work" };
+metric t_counter { name "t_counter"; units ops;
+    base is counter { foreach func in t_work { append preinsn func.entry (* t_counter++; *) } } }
+metric t_wall { name "t_wall"; units CPUs;
+    base is walltimer { foreach func in t_work {
+        append preinsn func.entry (* startWalltimer(t_wall); *)
+        prepend preinsn func.return (* stopWalltimer(t_wall); *) } } }
+metric t_proc { name "t_proc"; units CPUs;
+    base is processtimer { foreach func in t_work {
+        append preinsn func.entry (* startProcessTimer(t_proc); *)
+        prepend preinsn func.return (* stopProcessTimer(t_proc); *) } } }
+metric t_cpu { name "t_cpu"; units CPUs; base is cpuclock { } }
+`
+
+// The daemon reads each accumulator once per tick and ships both the
+// cumulative value and its growth since the previous tick, so for every
+// instance the shipped stream telescopes: Delta[0] == Value[0] and
+// Value[k] - Value[k-1] == Delta[k], exactly — for counters, for timers
+// sampled mid-interval, and for direct clock reads.
+func TestSampleDeltasTelescopeToValues(t *testing.T) {
+	lib, err := mdl.NewLibraryWithStd(baseKindsMDL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sim.NewEngine(13)
+	spec := cluster.DefaultSpec(1, 1)
+	w := mpi.NewWorld(eng, spec, mpi.NewImpl(mpi.LAM))
+	rec := &recorder{}
+	cfg := DefaultConfig()
+	cfg.SampleInterval = 100 * sim.Millisecond
+	d := New(eng, 0, spec.Nodes[0].Name, lib, rec, cfg)
+	AttachAll(w, []*Daemon{d})
+	// Each call computes for 130 ms and then blocks for 40 ms inside the
+	// function, so every 100 ms tick but the first lands at a different
+	// phase of a call and the timers are running across most boundaries.
+	w.Register("p", func(r *mpi.Rank, _ []string) {
+		for i := 0; i < 5; i++ {
+			r.Call("app.c", "work", func() {
+				r.Compute(130 * sim.Millisecond)
+				r.IdleWait(40 * sim.Millisecond)
+			})
+		}
+	})
+	if _, err := w.LaunchN("p", 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	kinds := []string{"t_counter", "t_wall", "t_proc", "t_cpu"}
+	for _, m := range kinds {
+		if _, err := d.Enable(m, resource.WholeProgram()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Start()
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	final := map[string]float64{}
+	for _, m := range kinds {
+		var prev float64
+		n := 0
+		for _, s := range rec.samples {
+			if s.Metric != m {
+				continue
+			}
+			if s.Value-prev != s.Delta {
+				t.Errorf("%s sample %d at %v: Value %v - previous Value %v != Delta %v", m, n, s.Time, s.Value, prev, s.Delta)
+			}
+			if m == "t_wall" && n == 0 && (s.Time >= sim.Time(130*sim.Millisecond) || s.Value <= 0) {
+				t.Errorf("first t_wall sample (t=%v, value %v) should catch the timer running inside the first call", s.Time, s.Value)
+			}
+			prev = s.Value
+			n++
+		}
+		if n < 5 {
+			t.Errorf("%s shipped %d samples, want at least 5 ticks", m, n)
+		}
+		final[m] = prev
+	}
+	if final["t_counter"] != 5 {
+		t.Errorf("t_counter = %v, want 5 calls", final["t_counter"])
+	}
+	// Wall time in work is 5 × 170 ms; CPU time in work excludes the blocked
+	// 40 ms per call and is what the process clock read in total.
+	if got := final["t_wall"]; got < 0.85 || got > 0.86 {
+		t.Errorf("t_wall = %v, want ≈0.85 s", got)
+	}
+	if got := final["t_proc"]; got < 0.65 || got > 0.66 || got > final["t_cpu"] {
+		t.Errorf("t_proc = %v (t_cpu %v), want ≈0.65 s and no more than the process clock", got, final["t_cpu"])
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"testing"
 
+	"pperf/internal/datasource"
 	"pperf/internal/mdl"
 	"pperf/internal/session"
 	"pperf/internal/sim"
@@ -51,7 +52,7 @@ func mkShard(n int) session.Event {
 }
 
 func mkSamples(metric string) session.Event {
-	return session.Event{Kind: session.EvSamples, Samples: []Sample{{Metric: metric}}}
+	return session.Event{Kind: session.EvSamples, Samples: []datasource.Sample{{Metric: metric}}}
 }
 
 func TestBulkQueueEvictionCountsSpans(t *testing.T) {
@@ -144,10 +145,10 @@ func TestOutboxReplayPreservesInterleavedOrder(t *testing.T) {
 
 	d.send(mkSamples("evicted")) // dropped to the bound below
 	d.send(mkShard(2))           // bulk queue: never competes for outbox slots
-	d.sendUpdate(Update{Kind: UpAddResource, Path: "/Machine/node0/p{0}"})
+	d.sendUpdate(datasource.Update{Kind: datasource.UpAddResource, Path: "/Machine/node0/p{0}"})
 	d.send(mkSamples("m"))
 	d.send(mkShard(3))
-	d.sendUpdate(Update{Kind: UpHeartbeat}) // 4th report: evicts the first
+	d.sendUpdate(datasource.Update{Kind: datasource.UpHeartbeat}) // 4th report: evicts the first
 
 	if queued, dropped := d.OutboxDepth(); queued != 3 || dropped != 1 {
 		t.Errorf("outbox queued=%d dropped=%d, want 3 and 1", queued, dropped)
@@ -160,9 +161,9 @@ func TestOutboxReplayPreservesInterleavedOrder(t *testing.T) {
 	d.flush(&d.ctl)
 	d.flush(&d.bulk)
 	want := []string{
-		fmt.Sprintf("update:%d", UpAddResource),
+		fmt.Sprintf("update:%d", datasource.UpAddResource),
 		"samples",
-		fmt.Sprintf("update:%d", UpHeartbeat),
+		fmt.Sprintf("update:%d", datasource.UpHeartbeat),
 		"shard:2",
 		"shard:3",
 	}

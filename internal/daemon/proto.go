@@ -3,48 +3,13 @@
 // instrumentation on request, samples metric values on a fixed cadence,
 // discovers resources at run time (processes, functions, communicators, RMA
 // windows, spawned children), and forwards everything to the front end over
-// a transport. A daemon definition carries the MPI implementation attribute
-// that §4.1 adds for non-shared-filesystem starts.
+// a transport.
 package daemon
 
 import (
-	"pperf/internal/datasource"
 	"pperf/internal/session"
 	"pperf/internal/sim"
 	"pperf/internal/wire"
-)
-
-// The report types daemons emit are defined in internal/datasource — the
-// analysis plane ingests them from live transports and recorded session
-// archives alike — and aliased here so daemon code and the gob wire
-// encoding read unchanged.
-type (
-	// Sample is one sampled metric delta for one process.
-	Sample = datasource.Sample
-	// UpdateKind enumerates resource-update reports (§4.2.3).
-	UpdateKind = datasource.UpdateKind
-	// Update is a resource-update report from daemon to front end.
-	Update = datasource.Update
-)
-
-const (
-	// UpAddResource announces a new resource at Path.
-	UpAddResource = datasource.UpAddResource
-	// UpRetire marks the resource at Path deallocated.
-	UpRetire = datasource.UpRetire
-	// UpSetName attaches a user-friendly display name to Path.
-	UpSetName = datasource.UpSetName
-	// UpCallEdge reports an observed caller→callee pair.
-	UpCallEdge = datasource.UpCallEdge
-	// UpProcessExit reports that the process named Proc finished.
-	UpProcessExit = datasource.UpProcessExit
-	// UpProcessLost reports that the process named Proc was forcibly
-	// terminated (node crash, job abort) without exiting cleanly.
-	UpProcessLost = datasource.UpProcessLost
-	// UpHeartbeat is a periodic liveness beacon carrying no resource change;
-	// the front end uses it (and any other report stamped with Daemon) to
-	// detect crashed or hung daemons.
-	UpHeartbeat = datasource.UpHeartbeat
 )
 
 // Transport carries daemon reports to the front end: one report is one
@@ -103,9 +68,6 @@ type Config struct {
 	// InterceptPerProc is the daemon-startup overhead the intercept method
 	// adds to each spawned process.
 	InterceptPerProc sim.Duration
-	// MPIImplName is the daemon-definition attribute naming the MPI
-	// implementation (LAM or MPICH), required on non-shared filesystems.
-	MPIImplName string
 	// Heartbeat, when nonzero, makes the daemon emit a liveness beacon on
 	// that virtual-time cadence. Zero (the default) disables heartbeats so
 	// fault-free runs schedule no extra events and stay byte-identical with

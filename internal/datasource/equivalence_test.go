@@ -29,7 +29,6 @@ func (c *captureSink) Record(ev session.Event)        { c.events = append(c.even
 func (c *captureSink) SetHistogram(int, sim.Duration) {}
 func (c *captureSink) SetMeta(string, string)         {}
 func (c *captureSink) SetExtra([]byte)                {}
-func (c *captureSink) EventCount() int                { return len(c.events) }
 func (c *captureSink) count(k session.EventKind) (n int) {
 	for i := range c.events {
 		if c.events[i].Kind == k {
@@ -171,13 +170,16 @@ func TestLiveAndReplayBuildTheSameView(t *testing.T) {
 	fe := frontend.New()
 	fe.SetRecorder(sink)
 	lib := mdl.StdLib()
+	roster := &daemon.Registry{}
 	for node, name := range []string{"node0", "node1"} {
-		fe.AddDaemon(daemon.New(eng, node, name, lib, fe, daemon.DefaultConfig()))
+		roster.Replace(daemon.New(eng, node, name, lib, fe, daemon.DefaultConfig()))
 	}
-	frontend.NewSupervisor(fe, eng, frontend.DefaultSupervisorConfig(1, 7),
+	fe.SetDaemons(roster)
+	frontend.NewSupervisor(fe, eng, 1, 7,
 		func(node string, incarnation int) (*daemon.Daemon, error) {
 			d := daemon.New(eng, 1, node, lib, fe, daemon.DefaultConfig())
 			d.SetIncarnation(incarnation)
+			roster.Replace(d)
 			return d, nil
 		}, nil)
 	fe.StartLiveness(eng, 100*sim.Millisecond, 250*sim.Millisecond)

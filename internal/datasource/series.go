@@ -14,7 +14,6 @@ import (
 // daemons or out of a recorded session archive.
 type Series struct {
 	Metric  string
-	Def     *metric.Def
 	Focus   resource.Focus
 	agg     *metric.Histogram
 	perProc map[string]*metric.Histogram
@@ -47,3 +46,14 @@ func (s *Series) Total() float64 { return s.agg.Total() }
 
 // SeriesKey is the registry key of a metric-focus pair.
 func SeriesKey(m string, f resource.Focus) string { return m + "\x00" + f.Key() }
+
+// Pair names one metric-focus pair: what a daemon instruments, what the
+// front end keeps enabled, what a stored run collected.
+type Pair struct {
+	Metric string
+	Focus  resource.Focus
+}
+
+// Key returns the pair's registry key — its identity in a set of pairs and
+// the unit of cross-run alignment.
+func (p Pair) Key() string { return SeriesKey(p.Metric, p.Focus) }

@@ -2,8 +2,7 @@ package datasource
 
 // The wire report types daemons send and every data source ingests. They
 // live here (rather than in internal/daemon) so the replay machinery can
-// decode an archive without linking the daemon; internal/daemon aliases
-// them, keeping daemon call sites and the gob wire encoding unchanged.
+// decode an archive without linking the daemon.
 
 import (
 	"strings"

@@ -6,7 +6,7 @@ import (
 
 	"pperf/internal/core"
 	"pperf/internal/daemon"
-	"pperf/internal/frontend"
+	"pperf/internal/datasource"
 	"pperf/internal/mdl"
 	"pperf/internal/mpe"
 	"pperf/internal/mpi"
@@ -37,7 +37,7 @@ type metricPair struct {
 
 // runWithSeries runs a PPerfMark program under the tool without the PC,
 // collecting the requested metric-focus series.
-func runWithSeries(name string, impl mpi.ImplKind, p pperfmark.Params, pairs []metricPair) (map[string]*frontend.Series, sim.Time) {
+func runWithSeries(name string, impl mpi.ImplKind, p pperfmark.Params, pairs []metricPair) (map[string]*datasource.Series, sim.Time) {
 	prog, params, err := pperfmark.Program(name, p)
 	if err != nil {
 		panic(err)
@@ -57,7 +57,7 @@ func runWithSeries(name string, impl mpi.ImplKind, p pperfmark.Params, pairs []m
 	}
 	defer s.Close()
 	s.Register(name, prog)
-	out := map[string]*frontend.Series{}
+	out := map[string]*datasource.Series{}
 	for _, pr := range pairs {
 		out[pr.key] = s.MustEnable(pr.metric, pr.focus)
 	}

@@ -44,8 +44,8 @@ func table1() *Result {
 		r.ok(m != nil, "metric %s missing", row.name)
 		if m != nil {
 			found++
-			r.ok(m.Def().Units == row.units, "metric %s units %q, want %q", row.name, m.Def().Units, row.units)
-			fmt.Fprintf(&b, "%-20s %s\n", row.name, m.Def().Units)
+			r.ok(m.Units() == row.units, "metric %s units %q, want %q", row.name, m.Units(), row.units)
+			fmt.Fprintf(&b, "%-20s %s\n", row.name, m.Units())
 		}
 	}
 	r.Measured = fmt.Sprintf("%d/12 Table-1 metrics compiled from MDL", found)

@@ -8,7 +8,7 @@ package frontend
 import (
 	"testing"
 
-	"pperf/internal/daemon"
+	"pperf/internal/datasource"
 	"pperf/internal/sim"
 	"pperf/internal/trace"
 	"pperf/internal/wire"
@@ -27,10 +27,10 @@ func TestBulkChannelCarriesShardsOffControlPath(t *testing.T) {
 	}
 	defer tr.Close()
 
-	if err := tr.Report(update(daemon.Update{Kind: daemon.UpAddResource, Path: "/Machine/node0/p0"})); err != nil {
+	if err := tr.Report(update(datasource.Update{Kind: datasource.UpAddResource, Path: "/Machine/node0/p0"})); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Report(update(daemon.Update{Kind: daemon.UpHeartbeat})); err != nil {
+	if err := tr.Report(update(datasource.Update{Kind: datasource.UpHeartbeat})); err != nil {
 		t.Fatal(err)
 	}
 	sh := trace.Shard{Proc: "p0", Node: "node0", Spans: []trace.Span{{Name: "compute", Start: sim.Time(1)}}}
@@ -75,7 +75,7 @@ func TestBulkFaultsLeaveControlFlowing(t *testing.T) {
 	if err := tr.Report(shard(sh)); err != nil {
 		t.Fatalf("bulk send should survive injected faults via retry: %v", err)
 	}
-	if err := tr.Report(update(daemon.Update{Kind: daemon.UpHeartbeat})); err != nil {
+	if err := tr.Report(update(datasource.Update{Kind: datasource.UpHeartbeat})); err != nil {
 		t.Fatal(err)
 	}
 
@@ -112,7 +112,7 @@ func TestControlFaultsLeaveBulkFlowing(t *testing.T) {
 	if got := tr.Stats(wire.ChanBulk).Retries; got != 0 {
 		t.Errorf("control faults leaked into the bulk channel: %d retries", got)
 	}
-	if err := tr.Report(update(daemon.Update{Kind: daemon.UpHeartbeat})); err != nil {
+	if err := tr.Report(update(datasource.Update{Kind: datasource.UpHeartbeat})); err != nil {
 		t.Fatalf("control send should survive via retry: %v", err)
 	}
 	if got := tr.Stats(wire.ChanCtl).Retries; got < 2 {

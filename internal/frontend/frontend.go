@@ -18,11 +18,6 @@ import (
 	"pperf/internal/sim"
 )
 
-// Series is the collected data of one enabled metric-focus pair, re-exported
-// so front-end consumers keep reading naturally while the definition lives
-// in the shared plane.
-type Series = datasource.Series
-
 // FrontEnd is the tool's central state. It embeds the source-agnostic
 // datasource.View (queries, series, hierarchy, liveness, trace timeline)
 // and adds what only the live side has: the daemons to fan instrumentation
@@ -31,7 +26,9 @@ type Series = datasource.Series
 type FrontEnd struct {
 	*datasource.View
 
-	daemons []*daemon.Daemon
+	// daemons is the roster of which daemon serves which node, shared with
+	// the world hooks and the session's fault hooks (nil: no daemons).
+	daemons *daemon.Registry
 
 	// rec, when non-nil, captures the analysis-plane event stream for
 	// offline replay. ingest is its only reader: a nil test when recording
@@ -41,18 +38,12 @@ type FrontEnd struct {
 	// emu guards active — the currently-enabled metric-focus set, which
 	// the supervisor replays onto respawned daemon incarnations.
 	emu    sync.Mutex
-	active []activeEnable
+	active []datasource.Pair
 
 	// sv, when non-nil, is the daemon supervisor; the liveness monitor
 	// feeds it detection verdicts. Nil (the default) keeps today's
 	// permanent-loss semantics and costs one pointer test.
 	sv *Supervisor
-}
-
-// activeEnable is one member of the active metric-focus set.
-type activeEnable struct {
-	metric string
-	focus  resource.Focus
 }
 
 // FrontEnd must satisfy the full DataSource contract (the Consultant and
@@ -79,25 +70,10 @@ func (fe *FrontEnd) ingest(ev session.Event) {
 	}
 }
 
-// AddDaemon registers a daemon the front end controls.
-func (fe *FrontEnd) AddDaemon(d *daemon.Daemon) {
-	fe.daemons = append(fe.daemons, d)
-}
-
-// ReplaceDaemon swaps a respawned daemon incarnation in for its dead
-// predecessor (matched by daemon identity), returning the daemon it
-// displaced (nil if the identity is unknown — the replacement is then
-// appended).
-func (fe *FrontEnd) ReplaceDaemon(d *daemon.Daemon) *daemon.Daemon {
-	for i, old := range fe.daemons {
-		if old.Name() == d.Name() {
-			fe.daemons[i] = d
-			return old
-		}
-	}
-	fe.daemons = append(fe.daemons, d)
-	return nil
-}
+// SetDaemons hands the front end the roster of daemons it controls. The
+// roster is read on every fan-out, so an incarnation swapped in with
+// Registry.Replace is the one later requests reach.
+func (fe *FrontEnd) SetDaemons(reg *daemon.Registry) { fe.daemons = reg }
 
 // Report implements daemon.Transport: ingest one daemon report — samples,
 // an update or a trace shard. In process there is no wire, so it is a direct
@@ -122,14 +98,15 @@ func (fe *FrontEnd) NoteUndelivered(proc string, n int64) {
 // series is unregistered before the error returns, so a failed enable
 // leaves no partially-enabled state behind (no orphaned probes charging
 // overhead, no registered series silently collecting a subset of nodes).
-func (fe *FrontEnd) EnableMetric(metricName string, focus resource.Focus) (*Series, error) {
+func (fe *FrontEnd) EnableMetric(metricName string, focus resource.Focus) (*datasource.Series, error) {
 	s, existed := fe.View.RegisterSeries(metricName, focus)
 	if existed {
 		return s, nil
 	}
-	for i, d := range fe.daemons {
+	ds := fe.daemons.All()
+	for i, d := range ds {
 		if _, err := d.Enable(metricName, focus); err != nil {
-			for _, prev := range fe.daemons[:i] {
+			for _, prev := range ds[:i] {
 				prev.Disable(metricName, focus)
 			}
 			fe.View.DropSeries(metricName, focus)
@@ -138,7 +115,7 @@ func (fe *FrontEnd) EnableMetric(metricName string, focus resource.Focus) (*Seri
 		}
 	}
 	fe.emu.Lock()
-	fe.active = append(fe.active, activeEnable{metric: metricName, focus: focus})
+	fe.active = append(fe.active, datasource.Pair{Metric: metricName, Focus: focus})
 	fe.emu.Unlock()
 	fe.ingest(session.Event{Kind: session.EvEnable, Metric: metricName, Focus: focus})
 	return s, nil
@@ -147,26 +124,18 @@ func (fe *FrontEnd) EnableMetric(metricName string, focus resource.Focus) (*Seri
 // DisableMetric removes a metric-focus pair's instrumentation. The
 // collected series remains queryable.
 func (fe *FrontEnd) DisableMetric(metricName string, focus resource.Focus) {
-	for _, d := range fe.daemons {
+	for _, d := range fe.daemons.All() {
 		d.Disable(metricName, focus)
 	}
 	fe.emu.Lock()
 	key := focus.Key()
-	for i, e := range fe.active {
-		if e.metric == metricName && e.focus.Key() == key {
+	for i, p := range fe.active {
+		if p.Metric == metricName && p.Focus.Key() == key {
 			fe.active = append(fe.active[:i], fe.active[i+1:]...)
 			break
 		}
 	}
 	fe.emu.Unlock()
-}
-
-// activeEnables returns the currently-enabled metric-focus set in enable
-// order — the state a respawned daemon incarnation must resynchronize to.
-func (fe *FrontEnd) activeEnables() []activeEnable {
-	fe.emu.Lock()
-	defer fe.emu.Unlock()
-	return append([]activeEnable(nil), fe.active...)
 }
 
 // resyncDaemon replays the active metric-focus set onto a freshly
@@ -178,12 +147,15 @@ func (fe *FrontEnd) activeEnables() []activeEnable {
 // re-enters backoff with a brand-new incarnation, so no daemon object is
 // ever enabled twice.
 func (fe *FrontEnd) resyncDaemon(d *daemon.Daemon) error {
-	for _, e := range fe.activeEnables() {
+	fe.emu.Lock()
+	active := append([]datasource.Pair(nil), fe.active...)
+	fe.emu.Unlock()
+	for _, p := range active {
 		if d.Crashed() {
 			return fmt.Errorf("frontend: daemon %s died during resynchronization", d.Name())
 		}
-		if _, err := d.Enable(e.metric, e.focus); err != nil {
-			return fmt.Errorf("frontend: resync enable %s %s: %w", e.metric, e.focus, err)
+		if _, err := d.Enable(p.Metric, p.Focus); err != nil {
+			return fmt.Errorf("frontend: resync enable %s %s: %w", p.Metric, p.Focus, err)
 		}
 	}
 	if d.Crashed() {
@@ -206,7 +178,7 @@ func (fe *FrontEnd) Sync() {
 // StartLiveness arms the periodic liveness monitor: every interval of
 // virtual time it checks each known daemon's last contact, and one that has
 // been silent longer than timeout is marked stale with all its un-exited
-// processes lost. Daemons registered with AddDaemon are pre-seeded so a
+// processes lost. The roster's daemons are pre-seeded so a
 // daemon that dies before its first report is still detected. The pre-seed
 // flows through Report as a heartbeat update, so a recording session
 // captures it like any other liveness evidence.
@@ -215,9 +187,9 @@ func (fe *FrontEnd) StartLiveness(eng interface {
 	Now() sim.Time
 }, interval, timeout sim.Duration) {
 	now := eng.Now()
-	for _, d := range fe.daemons {
-		fe.Report(session.Event{Kind: session.EvUpdate, Update: daemon.Update{
-			Kind: daemon.UpHeartbeat, Daemon: d.Name(), Time: now,
+	for _, d := range fe.daemons.All() {
+		fe.Report(session.Event{Kind: session.EvUpdate, Update: datasource.Update{
+			Kind: datasource.UpHeartbeat, Daemon: d.Name(), Time: now,
 		}})
 	}
 	var tick func()

@@ -4,23 +4,25 @@ import (
 	"strings"
 	"testing"
 
-	"pperf/internal/daemon"
+	"pperf/internal/datasource"
 	"pperf/internal/resource"
 	"pperf/internal/session"
 	"pperf/internal/sim"
 	"pperf/internal/trace"
 )
 
-func sample(metric string, f resource.Focus, proc string, t sim.Time, delta float64) daemon.Sample {
-	return daemon.Sample{Metric: metric, Focus: f, Proc: proc, Time: t, Delta: delta}
+func sample(metric string, f resource.Focus, proc string, t sim.Time, delta float64) datasource.Sample {
+	return datasource.Sample{Metric: metric, Focus: f, Proc: proc, Time: t, Delta: delta}
 }
 
 // The three daemon reports, as the events a transport carries.
-func samples(batch ...daemon.Sample) session.Event {
+func samples(batch ...datasource.Sample) session.Event {
 	return session.Event{Kind: session.EvSamples, Samples: batch}
 }
-func update(u daemon.Update) session.Event { return session.Event{Kind: session.EvUpdate, Update: u} }
-func shard(sh trace.Shard) session.Event   { return session.Event{Kind: session.EvShard, Shard: sh} }
+func update(u datasource.Update) session.Event {
+	return session.Event{Kind: session.EvUpdate, Update: u}
+}
+func shard(sh trace.Shard) session.Event { return session.Event{Kind: session.EvShard, Shard: sh} }
 
 func TestSamplesAggregateAndPerProc(t *testing.T) {
 	fe := New()
@@ -52,13 +54,13 @@ func TestSamplesAggregateAndPerProc(t *testing.T) {
 
 func TestUpdatesBuildHierarchy(t *testing.T) {
 	fe := New()
-	fe.Report(update(daemon.Update{Kind: daemon.UpAddResource, Path: "/Machine/node0/p0", Time: 1}))
-	fe.Report(update(daemon.Update{Kind: daemon.UpAddResource, Path: "/SyncObject/Window/0-1"}))
-	fe.Report(update(daemon.Update{Kind: daemon.UpSetName, Path: "/SyncObject/Window/0-1", Display: "MyWin"}))
-	fe.Report(update(daemon.Update{Kind: daemon.UpRetire, Path: "/SyncObject/Window/0-1"}))
-	fe.Report(update(daemon.Update{Kind: daemon.UpCallEdge, Caller: "a", Callee: "b"}))
-	fe.Report(update(daemon.Update{Kind: daemon.UpCallEdge, Caller: "a", Callee: "c"}))
-	fe.Report(update(daemon.Update{Kind: daemon.UpProcessExit, Proc: "p0", Path: "/Machine/node0/p0", Time: 9}))
+	fe.Report(update(datasource.Update{Kind: datasource.UpAddResource, Path: "/Machine/node0/p0", Time: 1}))
+	fe.Report(update(datasource.Update{Kind: datasource.UpAddResource, Path: "/SyncObject/Window/0-1"}))
+	fe.Report(update(datasource.Update{Kind: datasource.UpSetName, Path: "/SyncObject/Window/0-1", Display: "MyWin"}))
+	fe.Report(update(datasource.Update{Kind: datasource.UpRetire, Path: "/SyncObject/Window/0-1"}))
+	fe.Report(update(datasource.Update{Kind: datasource.UpCallEdge, Caller: "a", Callee: "b"}))
+	fe.Report(update(datasource.Update{Kind: datasource.UpCallEdge, Caller: "a", Callee: "c"}))
+	fe.Report(update(datasource.Update{Kind: datasource.UpProcessExit, Proc: "p0", Path: "/Machine/node0/p0", Time: 9}))
 
 	n := fe.Hierarchy().FindPath("/SyncObject/Window/0-1")
 	if n == nil || n.DisplayName() != "MyWin" || !n.Retired() {

@@ -49,11 +49,9 @@ func TestEnableMetricRollsBackPartialEnable(t *testing.T) {
 	libs := []*mdl.Library{mdl.StdLib(), limited}
 	var ds []*daemon.Daemon
 	for node := range spec.Nodes {
-		d := daemon.New(eng, node, spec.Nodes[node].Name, libs[node], fe, daemon.DefaultConfig())
-		ds = append(ds, d)
-		fe.AddDaemon(d)
+		ds = append(ds, daemon.New(eng, node, spec.Nodes[node].Name, libs[node], fe, daemon.DefaultConfig()))
 	}
-	daemon.AttachAll(w, ds)
+	fe.SetDaemons(daemon.AttachAll(w, ds))
 	w.Register("p", func(r *mpi.Rank, _ []string) {
 		c := r.World()
 		for i := 0; i < 50; i++ {

@@ -15,6 +15,7 @@ import (
 
 	"pperf/internal/cluster"
 	"pperf/internal/daemon"
+	"pperf/internal/datasource"
 	"pperf/internal/faults"
 	"pperf/internal/mdl"
 	"pperf/internal/mpi"
@@ -68,8 +69,7 @@ func TestReportStreamIdenticalAcrossTransports(t *testing.T) {
 		cfg := daemon.DefaultConfig()
 		cfg.Heartbeat = 50 * sim.Millisecond
 		d := daemon.New(eng, 0, node, mdl.StdLib(), tr, cfg)
-		fe.AddDaemon(d)
-		daemon.AttachAll(w, []*daemon.Daemon{d})
+		fe.SetDaemons(daemon.AttachAll(w, []*daemon.Daemon{d}))
 		w.Register("pp", func(r *mpi.Rank, _ []string) {
 			c := r.World()
 			for i := 0; i < 40; i++ {
@@ -148,7 +148,7 @@ func TestReportStreamIdenticalAcrossTransports(t *testing.T) {
 	heartbeats := 0
 	for _, ev := range inProcess {
 		kinds[ev.Kind]++
-		if ev.Kind == session.EvUpdate && ev.Update.Kind == daemon.UpHeartbeat {
+		if ev.Kind == session.EvUpdate && ev.Update.Kind == datasource.UpHeartbeat {
 			heartbeats++
 		}
 	}

@@ -12,7 +12,7 @@ package frontend
 //	(replay the active metric-focus set, restart heartbeats, fresh bulk
 //	channel) → account the outage as an unmeasured gap.
 //
-// Bounded attempts (MaxRestarts) and a flap-quarantine (too many failures
+// Bounded attempts (maxRestarts) and a flap-quarantine (too many failures
 // inside a sliding window) guarantee termination: a node that exhausts its
 // budget falls back to the pre-supervisor permanent-loss semantics the
 // liveness monitor already implements.
@@ -27,36 +27,24 @@ import (
 	"pperf/internal/wire"
 )
 
-// SupervisorConfig is what a fault plan sets of the restart policy.
-type SupervisorConfig struct {
-	// MaxRestarts bounds respawn attempts per node (the plan's restarts=K).
-	MaxRestarts int
-	// Seed drives the backoff jitter RNG; equal seeds give identical
-	// schedules.
-	Seed uint64
-}
-
-// The rest of the policy is fixed: a quick first retry with bounded
-// exponential growth (virtual time), and flap-quarantine — MaxRestarts+2
-// failures within flapWindow give the node up for good, so quarantine only
-// triggers on pathological flapping, not on a plan that legitimately uses
-// its whole restart budget.
+// A fault plan sets the restart budget and the jitter seed (NewSupervisor's
+// maxRestarts and seed); the rest of the policy is fixed: a quick first retry
+// with bounded exponential growth (virtual time), and flap-quarantine —
+// maxRestarts+2 failures within flapWindow give the node up for good, so
+// quarantine only triggers on pathological flapping, not on a plan that
+// legitimately uses its whole restart budget.
 const (
 	respawnBaseBackoff = 50 * sim.Millisecond
 	respawnMaxBackoff  = sim.Second
 	flapWindow         = 5 * sim.Second
 )
 
-// DefaultSupervisorConfig returns the policy a plan's restarts=K arms.
-func DefaultSupervisorConfig(maxRestarts int, seed uint64) SupervisorConfig {
-	return SupervisorConfig{MaxRestarts: maxRestarts, Seed: seed}
-}
-
 // RespawnFunc builds, attaches and returns a new daemon incarnation for a
 // node: the session layer implements it (crash the previous incarnation,
-// dial a fresh transport stamped with the incarnation number, adopt the
-// node's still-running processes, re-arm tracing). It must NOT start the
-// daemon — the supervisor starts it only after resynchronization succeeds.
+// dial a fresh transport stamped with the incarnation number, install the
+// replacement in the daemon roster, adopt the node's still-running
+// processes, re-arm tracing). It must NOT start the daemon — the supervisor
+// starts it only after resynchronization succeeds.
 type RespawnFunc func(node string, incarnation int) (*daemon.Daemon, error)
 
 // svEngine is the slice of the simulation engine the supervisor needs.
@@ -67,11 +55,12 @@ type svEngine interface {
 
 // Supervisor owns the per-node restart state machine.
 type Supervisor struct {
-	fe      *FrontEnd
-	eng     svEngine
-	cfg     SupervisorConfig
-	respawn RespawnFunc
-	rng     *sim.RNG
+	fe  *FrontEnd
+	eng svEngine
+	// maxRestarts bounds respawn attempts per node (the plan's restarts=K).
+	maxRestarts int
+	respawn     RespawnFunc
+	rng         *sim.RNG
 	// notef, when non-nil, lands supervisor decisions in the fault
 	// injector's audit log (the same trail the faults appear in).
 	notef func(now sim.Time, format string, args ...any)
@@ -96,12 +85,14 @@ type nodeState struct {
 	failures  []sim.Time // failure times inside the flap window
 }
 
-// NewSupervisor arms a supervisor on the front end. notef may be nil.
-func NewSupervisor(fe *FrontEnd, eng svEngine, cfg SupervisorConfig, respawn RespawnFunc,
+// NewSupervisor arms a supervisor on the front end with a per-node budget of
+// maxRestarts respawn attempts; seed drives the backoff jitter (equal seeds
+// give identical schedules). notef may be nil.
+func NewSupervisor(fe *FrontEnd, eng svEngine, maxRestarts int, seed uint64, respawn RespawnFunc,
 	notef func(now sim.Time, format string, args ...any)) *Supervisor {
 	sv := &Supervisor{
-		fe: fe, eng: eng, cfg: cfg, respawn: respawn,
-		rng:   sim.NewRNG(cfg.Seed ^ 0x73757076), // "supv": own jitter stream
+		fe: fe, eng: eng, maxRestarts: maxRestarts, respawn: respawn,
+		rng:   sim.NewRNG(seed ^ 0x73757076), // "supv": own jitter stream
 		notef: notef,
 		nodes: map[string]*nodeState{},
 	}
@@ -178,14 +169,14 @@ func (sv *Supervisor) NoteDown(node string) {
 		}
 	}
 	s.failures = append(kept, now)
-	if len(s.failures) >= sv.cfg.MaxRestarts+2 {
+	if len(s.failures) >= sv.maxRestarts+2 {
 		s.quarantined = true
 		sv.mu.Unlock()
 		sv.note("supervisor: quarantine %s (%d failures within %v); giving up", node, len(s.failures), flapWindow)
 		return
 	}
 
-	if s.restarts >= sv.cfg.MaxRestarts {
+	if s.restarts >= sv.maxRestarts {
 		s.exhausted = true
 		sv.mu.Unlock()
 		sv.note("supervisor: restart budget exhausted for %s (%d used); giving up", node, s.restarts)
@@ -232,7 +223,6 @@ func (sv *Supervisor) doRespawn(node string) {
 		return
 	}
 
-	sv.fe.ReplaceDaemon(d)
 	if err := sv.fe.resyncDaemon(d); err != nil {
 		// The daemon died (or refused an enable) during the
 		// resynchronization protocol: treat the whole respawn as failed.

@@ -26,11 +26,10 @@ func TestSupervisorRetriesAfterResyncFailure(t *testing.T) {
 	lib := mdl.StdLib()
 	var ds []*daemon.Daemon
 	for node := range spec.Nodes {
-		d := daemon.New(eng, node, spec.Nodes[node].Name, lib, fe, daemon.DefaultConfig())
-		ds = append(ds, d)
-		fe.AddDaemon(d)
+		ds = append(ds, daemon.New(eng, node, spec.Nodes[node].Name, lib, fe, daemon.DefaultConfig()))
 	}
-	daemon.AttachAll(w, ds)
+	roster := daemon.AttachAll(w, ds)
+	fe.SetDaemons(roster)
 	w.Register("busy", func(r *mpi.Rank, _ []string) {
 		r.Compute(2 * sim.Second)
 	})
@@ -56,9 +55,10 @@ func TestSupervisorRetriesAfterResyncFailure(t *testing.T) {
 			d.Crash()
 		}
 		spawned = append(spawned, d)
+		roster.Replace(d)
 		return d, nil
 	}
-	sv := frontend.NewSupervisor(fe, eng, frontend.DefaultSupervisorConfig(2, 7), respawn, nil)
+	sv := frontend.NewSupervisor(fe, eng, 2, 7, respawn, nil)
 
 	crashAt := sim.Time(100 * sim.Millisecond)
 	eng.After(100*sim.Millisecond, func() {

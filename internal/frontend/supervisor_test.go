@@ -5,7 +5,7 @@ import (
 	"net"
 	"testing"
 
-	"pperf/internal/daemon"
+	"pperf/internal/datasource"
 	"pperf/internal/resource"
 	"pperf/internal/sim"
 	"pperf/internal/wire"
@@ -16,7 +16,7 @@ import (
 // the daemon healthy and only the next one condemns it.
 func TestLivenessExactTimeoutNotStale(t *testing.T) {
 	fe := New()
-	fe.Report(update(daemon.Update{Kind: daemon.UpHeartbeat, Daemon: "paradynd@node0", Time: 0}))
+	fe.Report(update(datasource.Update{Kind: datasource.UpHeartbeat, Daemon: "paradynd@node0", Time: 0}))
 	timeout := 500 * sim.Millisecond
 
 	fe.checkLiveness(sim.Time(timeout), timeout) // silence == timeout exactly

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"pperf/internal/daemon"
 	"pperf/internal/datasource"
 	"pperf/internal/resource"
 	"pperf/internal/session"
@@ -43,10 +42,10 @@ func TestTCPTransportDeliversThroughInjectedFailures(t *testing.T) {
 	defer tr.Close()
 
 	tr.Injection(wire.ChanCtl).AddDrops(2)
-	if err := tr.Report(update(daemon.Update{Kind: daemon.UpAddResource, Path: "/Machine/node0/p0", Time: 1})); err != nil {
+	if err := tr.Report(update(datasource.Update{Kind: datasource.UpAddResource, Path: "/Machine/node0/p0", Time: 1})); err != nil {
 		t.Fatalf("update after injected failures: %v", err)
 	}
-	if err := tr.Report(update(daemon.Update{Kind: daemon.UpCallEdge, Caller: "a", Callee: "b"})); err != nil {
+	if err := tr.Report(update(datasource.Update{Kind: datasource.UpCallEdge, Caller: "a", Callee: "b"})); err != nil {
 		t.Fatal(err)
 	}
 
@@ -82,7 +81,7 @@ func TestTCPTransportGivesUpAfterMaxAttempts(t *testing.T) {
 	defer tr.Close()
 
 	tr.Injection(wire.ChanCtl).AddDrops(cfg.MaxAttempts)
-	if err := tr.Report(update(daemon.Update{Kind: daemon.UpHeartbeat})); err == nil {
+	if err := tr.Report(update(datasource.Update{Kind: datasource.UpHeartbeat})); err == nil {
 		t.Fatal("want error after exhausting attempts")
 	}
 	if st := tr.Stats(wire.ChanCtl); st.Failures != 1 {
@@ -90,7 +89,7 @@ func TestTCPTransportGivesUpAfterMaxAttempts(t *testing.T) {
 	}
 	// The failure budget is drained; the next send succeeds again
 	// (outbox-replay scenario).
-	if err := tr.Report(update(daemon.Update{Kind: daemon.UpHeartbeat})); err != nil {
+	if err := tr.Report(update(datasource.Update{Kind: datasource.UpHeartbeat})); err != nil {
 		t.Fatalf("send after recovery: %v", err)
 	}
 }
@@ -152,7 +151,7 @@ func TestBackoffScheduleDeterministicBySeed(t *testing.T) {
 		}
 		defer tr.Close()
 		tr.Injection(wire.ChanCtl).AddDrops(3)
-		if err := tr.Report(update(daemon.Update{Kind: daemon.UpHeartbeat})); err != nil {
+		if err := tr.Report(update(datasource.Update{Kind: datasource.UpHeartbeat})); err != nil {
 			t.Fatal(err)
 		}
 		return tr.Stats(wire.ChanCtl).Backoffs
@@ -206,7 +205,7 @@ func TestHalfClosedSocketSurfacesErrorNotHang(t *testing.T) {
 	defer tr.Close()
 
 	done := make(chan error, 1)
-	go func() { done <- tr.Report(update(daemon.Update{Kind: daemon.UpHeartbeat})) }()
+	go func() { done <- tr.Report(update(datasource.Update{Kind: datasource.UpHeartbeat})) }()
 	select {
 	case err := <-done:
 		if err == nil {
@@ -232,7 +231,7 @@ func TestSendOnClosedTransportFailsFast(t *testing.T) {
 	// The bulk row is the one that bites: no shard was sent before Close, so
 	// the lazily dialed channel must not come up afterwards and deliver.
 	for _, ev := range []session.Event{
-		update(daemon.Update{Kind: daemon.UpHeartbeat}),
+		update(datasource.Update{Kind: datasource.UpHeartbeat}),
 		shard(trace.Shard{Proc: "p0", Node: "node0", Spans: make([]trace.Span, 1)}),
 	} {
 		if err := tr.Report(ev); !errors.Is(err, wire.ErrClosed) {
@@ -276,7 +275,7 @@ func TestListenerRefusesForgedFrames(t *testing.T) {
 			fe.EnableTrace()
 			sink := &captureSink{}
 			fe.SetRecorder(sink)
-			fe.Report(update(daemon.Update{Kind: daemon.UpAddResource, Path: "/Machine/node0/p0", Daemon: d0, Time: 1}))
+			fe.Report(update(datasource.Update{Kind: datasource.UpAddResource, Path: "/Machine/node0/p0", Daemon: d0, Time: 1}))
 			snapshot := func() string {
 				tl := fe.Timeline()
 				return fmt.Sprintf("%s%+v gaps=%v total=%g shards=%d spans=%d recorded=%d",

@@ -87,7 +87,7 @@ func Compile(f *File) (*Library, error) {
 				}
 			}
 		}
-		cm := &CompiledMetric{lib: lib, decl: m, def: defFromDecl(m)}
+		cm := &CompiledMetric{lib: lib, decl: m}
 		lib.metrics[m.DisplayName] = cm
 		lib.order = append(lib.order, m.DisplayName)
 	}
@@ -140,48 +140,23 @@ func (lib *Library) MergeFrom(other *Library) error {
 		if _, dup := lib.metrics[name]; dup {
 			return fmt.Errorf("mdl: duplicate metric %s", name)
 		}
-		cm := other.metrics[name]
-		lib.metrics[name] = &CompiledMetric{lib: lib, decl: cm.decl, def: cm.def}
+		lib.metrics[name] = &CompiledMetric{lib: lib, decl: other.metrics[name].decl}
 		lib.order = append(lib.order, name)
 	}
 	return nil
-}
-
-func defFromDecl(m *MetricDecl) *metric.Def {
-	d := &metric.Def{Name: m.DisplayName, Units: m.Units}
-	switch strings.ToLower(m.UnitsType) {
-	case "normalized":
-		d.UnitsType = metric.Normalized
-	case "sampled":
-		d.UnitsType = metric.Sampled
-	default:
-		d.UnitsType = metric.Unnormalized
-	}
-	switch strings.ToLower(m.AggOp) {
-	case "avg":
-		d.Agg = metric.AggAvg
-	case "min":
-		d.Agg = metric.AggMin
-	case "max":
-		d.Agg = metric.AggMax
-	default:
-		d.Agg = metric.AggSum
-	}
-	if strings.EqualFold(m.Style, "SampledFunction") {
-		d.Style = metric.SampledFunction
-	}
-	return d
 }
 
 // CompiledMetric is an instantiable metric.
 type CompiledMetric struct {
 	lib  *Library
 	decl *MetricDecl
-	def  *metric.Def
 }
 
-// Def returns the metric's metadata.
-func (cm *CompiledMetric) Def() *metric.Def { return cm.def }
+// Name returns the metric's display name, the one it is enabled by.
+func (cm *CompiledMetric) Name() string { return cm.decl.DisplayName }
+
+// Units returns the metric's declared units (Table 1's column).
+func (cm *CompiledMetric) Units() string { return cm.decl.Units }
 
 // Instance is a live metric-focus pair on one process: the accumulator
 // instrumentation feeds and the probes to remove on disable.
@@ -264,12 +239,12 @@ func (cm *CompiledMetric) Instantiate(t Target, f resource.Focus) (*Instance, er
 	if !cm.usesFocusCode() {
 		if fn := f.CodeFunction(); fn != "" {
 			if !cm.hasConstraint("procedureConstraint") {
-				return nil, fmt.Errorf("mdl: metric %s cannot be constrained to a procedure", cm.def.Name)
+				return nil, fmt.Errorf("mdl: metric %s cannot be constrained to a procedure", cm.Name())
 			}
 			e.preds = append(e.preds, func(ev *probe.Event) bool { return ev.Proc.InFunction(fn) })
 		} else if mod := f.CodeModule(); mod != "" {
 			if !cm.hasConstraint("moduleConstraint") {
-				return nil, fmt.Errorf("mdl: metric %s cannot be constrained to a module", cm.def.Name)
+				return nil, fmt.Errorf("mdl: metric %s cannot be constrained to a module", cm.Name())
 			}
 			e.preds = append(e.preds, func(ev *probe.Event) bool { return inModule(ev.Proc, mod) })
 		}
@@ -385,7 +360,7 @@ func (cm *CompiledMetric) applySyncConstraints(e *env, in *Instance, f resource.
 		bound++
 	}
 	if bound == 0 {
-		return fmt.Errorf("mdl: metric %s cannot be constrained to %s", cm.def.Name, f.SyncPath)
+		return fmt.Errorf("mdl: metric %s cannot be constrained to %s", cm.Name(), f.SyncPath)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package mdl
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -123,6 +124,62 @@ func TestParseErrors(t *testing.T) {
 		}
 		if _, err := Parse(src); err == nil {
 			t.Errorf("case %d should fail to parse: %s", i, src)
+		}
+	}
+}
+
+// The four scalar attributes go through one parser case: any order, a
+// repeated attribute keeps its last value, and a missing ';' is an error
+// naming the line.
+func TestParseScalarAttributes(t *testing.T) {
+	const base = `base is counter { }`
+	want := MetricDecl{Units: "ops", UnitsType: "unnormalized", AggOp: "sum", Style: "EventCounter"}
+	for _, src := range []string{
+		`metric m { units ops; unitstype unnormalized; aggregateOperator sum; style EventCounter; ` + base + ` }`,
+		`metric m { style EventCounter; aggregateoperator sum; ` + base + ` unitstype unnormalized; units ops; }`,
+		`metric m { units bytes; style SampledFunction; units ops; style EventCounter; unitstype unnormalized; aggregateOperator sum; ` + base + ` }`,
+	} {
+		f, err := Parse(src)
+		if err != nil {
+			t.Errorf("%s: %v", src, err)
+			continue
+		}
+		d := f.Metrics[0]
+		if got := (MetricDecl{Units: d.Units, UnitsType: d.UnitsType, AggOp: d.AggOp, Style: d.Style}); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s:\n got %+v\nwant %+v", src, got, want)
+		}
+	}
+	for _, attr := range []string{"units", "unitstype", "aggregateOperator", "style"} {
+		src := "metric m {\n  name \"m\";\n  " + attr + " x\n  " + base + "\n}"
+		if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), "mdl:4:") || !strings.Contains(err.Error(), `expected ;`) {
+			t.Errorf("%s without ';': err = %v, want an 'expected ;' error at line 4 (the next token's)", attr, err)
+		}
+		if _, err := Parse("metric m { " + attr + ` "x"; ` + base + " }"); err == nil {
+			t.Errorf("%s with a string value parsed; it takes an identifier", attr)
+		}
+	}
+	// A string that merely spells an attribute is not one.
+	if _, err := Parse(`metric m { "units" ops; ` + base + ` }`); err == nil {
+		t.Error(`"units" as a string literal was taken for the attribute`)
+	}
+}
+
+// Every standard metric declares units, and the RMA metrics declare the
+// ones Table 1 lists.
+func TestStdLibUnits(t *testing.T) {
+	lib := StdLib()
+	for _, name := range lib.MetricNames() {
+		if cm := lib.Metric(name); cm.Name() != name || cm.Units() == "" {
+			t.Errorf("metric %s: Name() = %q, Units() = %q", name, cm.Name(), cm.Units())
+		}
+	}
+	for name, units := range map[string]string{
+		"rma_put_ops": "ops", "rma_get_ops": "ops", "rma_acc_ops": "ops", "rma_ops": "ops",
+		"rma_put_bytes": "bytes", "rma_get_bytes": "bytes", "rma_acc_bytes": "bytes", "rma_bytes": "bytes",
+		"at_rma_sync_wait": "CPUs", "pt_rma_sync_wait": "CPUs", "rma_sync_wait": "CPUs", "rma_sync_ops": "ops",
+	} {
+		if got := lib.Metric(name).Units(); got != units {
+			t.Errorf("%s units = %q, want %q", name, got, units)
 		}
 	}
 }
@@ -540,12 +597,23 @@ func TestUnconstrainableFocusErrors(t *testing.T) {
 	}
 }
 
+// An event counter is shipped as the growth of its accumulator between two
+// samples; the sampler (the daemon) keeps the cursor, the instance only has
+// to answer Sample with the cumulative value each time.
 func TestEventCounterDeltaSampling(t *testing.T) {
 	var c metric.Counter
-	c.Add(3)
-	in := &metric.Instance{Def: &metric.Def{Name: "x"}, Acc: &c}
-	if d := in.SampleDelta(0, 0); d != 3 {
-		t.Errorf("delta = %v", d)
+	in := &Instance{Acc: &c}
+	last := 0.0
+	for _, add := range []float64{3, 0, 5} {
+		c.Add(add)
+		v := in.Acc.Sample(0, 0)
+		if d := v - last; d != add {
+			t.Errorf("delta after adding %v = %v", add, d)
+		}
+		last = v
+	}
+	if last != 8 {
+		t.Errorf("cumulative value = %v, want 8", last)
 	}
 }
 

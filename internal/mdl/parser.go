@@ -196,6 +196,11 @@ func (p *parser) metric() (*MetricDecl, error) {
 		return nil, err
 	}
 	d := &MetricDecl{ID: id, Line: line}
+	// The four scalar attributes share one shape: attr ident ";".
+	scalars := map[string]*string{
+		"units": &d.Units, "unitstype": &d.UnitsType, "style": &d.Style,
+		"aggregateOperator": &d.AggOp, "aggregateoperator": &d.AggOp,
+	}
 	for !p.at(tokRBrace) {
 		switch {
 		case p.atIdent("name"):
@@ -208,43 +213,13 @@ func (p *parser) metric() (*MetricDecl, error) {
 			if _, err := p.expect(tokSemi, ";"); err != nil {
 				return nil, err
 			}
-		case p.atIdent("units"):
-			p.advance()
-			u, err := p.ident()
+		case p.at(tokIdent) && scalars[p.cur().text] != nil:
+			dst := scalars[p.advance().text]
+			v, err := p.ident()
 			if err != nil {
 				return nil, err
 			}
-			d.Units = u
-			if _, err := p.expect(tokSemi, ";"); err != nil {
-				return nil, err
-			}
-		case p.atIdent("unitstype"):
-			p.advance()
-			u, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			d.UnitsType = u
-			if _, err := p.expect(tokSemi, ";"); err != nil {
-				return nil, err
-			}
-		case p.atIdent("aggregateOperator") || p.atIdent("aggregateoperator"):
-			p.advance()
-			u, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			d.AggOp = u
-			if _, err := p.expect(tokSemi, ";"); err != nil {
-				return nil, err
-			}
-		case p.atIdent("style"):
-			p.advance()
-			u, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			d.Style = u
+			*dst = v
 			if _, err := p.expect(tokSemi, ";"); err != nil {
 				return nil, err
 			}

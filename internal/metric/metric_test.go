@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"pperf/internal/resource"
 	"pperf/internal/sim"
 )
 
@@ -170,42 +169,6 @@ func TestProcessTimerIgnoresBlockedTime(t *testing.T) {
 	p.Stop(5 * sim.Second)
 	if got := p.Sample(sim.Time(200*sim.Second), 5*sim.Second); got != 3 {
 		t.Errorf("process timer = %v, want 3", got)
-	}
-}
-
-func TestAggregate(t *testing.T) {
-	vals := []float64{1, 2, 3, 4}
-	cases := []struct {
-		op   AggOp
-		want float64
-	}{{AggSum, 10}, {AggAvg, 2.5}, {AggMin, 1}, {AggMax, 4}}
-	for _, tc := range cases {
-		if got := Aggregate(tc.op, vals); got != tc.want {
-			t.Errorf("op %v = %v, want %v", tc.op, got, tc.want)
-		}
-	}
-	if Aggregate(AggSum, nil) != 0 {
-		t.Error("empty aggregate should be 0")
-	}
-}
-
-func TestInstanceSampleDelta(t *testing.T) {
-	var c Counter
-	in := &Instance{
-		Def:   &Def{Name: "ops", Agg: AggSum, Style: EventCounter},
-		Focus: resource.WholeProgram(),
-		Acc:   &c,
-	}
-	c.Add(10)
-	if d := in.SampleDelta(0, 0); d != 10 {
-		t.Errorf("first delta = %v", d)
-	}
-	c.Add(5)
-	if d := in.SampleDelta(0, 0); d != 5 {
-		t.Errorf("second delta = %v", d)
-	}
-	if v := in.SampleValue(0, 0); v != 15 {
-		t.Errorf("value = %v", v)
 	}
 }
 

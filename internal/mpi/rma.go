@@ -72,8 +72,7 @@ type Win struct {
 }
 
 type rmaOp struct {
-	done   bool
-	doneAt sim.Time
+	done bool
 }
 
 // UniqueID returns the tool-facing window identifier ("N-M"): N is the id

@@ -34,7 +34,6 @@ func (w *Win) issueTransfer(targetRank, bytes int, apply func()) {
 			apply()
 		}
 		op.done = true
-		op.doneAt = at
 		r.wakeAt(at)
 	})
 }

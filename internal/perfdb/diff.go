@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"pperf/internal/datasource"
 	"pperf/internal/faults"
 	"pperf/internal/metric"
 	"pperf/internal/sim"
@@ -94,7 +95,7 @@ type CompareOptions struct {
 
 // SeriesDelta is the comparison of one metric-focus pair across two runs.
 type SeriesDelta struct {
-	Pair    Pair
+	Pair    datasource.Pair
 	Verdict Verdict
 	// Skipped holds the reason when Verdict is VerdictSkipped or
 	// VerdictNotComparable.
@@ -139,7 +140,7 @@ type DiffReport struct {
 	Deltas []SeriesDelta
 
 	// OnlyBase and OnlyNew list pairs enabled in just one of the runs.
-	OnlyBase, OnlyNew []Pair
+	OnlyBase, OnlyNew []datasource.Pair
 }
 
 // Regressions returns the deltas with a regression verdict, in rank order.
@@ -213,7 +214,7 @@ func Compare(base, neu *RunView, opts CompareOptions) (*DiffReport, error) {
 
 // comparePair runs the paired-difference test over one pair's two
 // histograms, restricted to the window's bins.
-func comparePair(p Pair, hb, hn *metric.Histogram, win Window, alpha, minEffect float64) SeriesDelta {
+func comparePair(p datasource.Pair, hb, hn *metric.Histogram, win Window, alpha, minEffect float64) SeriesDelta {
 	d := SeriesDelta{Pair: p}
 	rb, rn, width, reason, excluded := alignRates(hb, hn, win)
 	if reason != "" {

@@ -91,7 +91,7 @@ func TestDiffRebinsFoldedHistograms(t *testing.T) {
 	// totals.
 	base := view(rateArchive("m", 100, flat(40, 1.0)), "base")
 	folded := view(rateArchive("m", 10, flat(40, 1.0)), "folded")
-	if got := folded.SeriesFor(Pair{Metric: "m", Focus: testFocus}).Histogram().BinWidth(); got != 200*sim.Millisecond {
+	if got := folded.SeriesFor(datasource.Pair{Metric: "m", Focus: testFocus}).Histogram().BinWidth(); got != 200*sim.Millisecond {
 		t.Fatalf("folded histogram width %v, want 200ms", got)
 	}
 	rep := compareDefault(t, base, folded)

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"math"
 
+	"pperf/internal/datasource"
 	"pperf/internal/stats"
 )
 
@@ -69,7 +70,7 @@ func finite(v float64) *float64 {
 
 func ciArray(ci stats.Interval) [2]float64 { return [2]float64{ci.Lo, ci.Hi} }
 
-func pairJSON(p Pair) jsonPair {
+func pairJSON(p datasource.Pair) jsonPair {
 	return jsonPair{Metric: p.Metric, Focus: p.Focus.String()}
 }
 

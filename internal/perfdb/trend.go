@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"pperf/internal/datasource"
 	"pperf/internal/stats"
 )
 
@@ -56,7 +57,7 @@ const DefaultTrendEffect = 0.10
 
 // SeriesTrend is one metric-focus pair's movement across the runs.
 type SeriesTrend struct {
-	Pair    Pair
+	Pair    datasource.Pair
 	Verdict TrendVerdict
 	// Skipped holds the reason when Verdict == TrendSkipped.
 	Skipped string
@@ -139,7 +140,7 @@ func Trend(views []*RunView, opts TrendOptions) (*TrendReport, error) {
 	// Pair universe: everything any run enabled, keyed for alignment;
 	// pairs missing from some runs are reported, not silently dropped.
 	type presence struct {
-		pair Pair
+		pair datasource.Pair
 		runs int
 	}
 	seen := map[string]*presence{}

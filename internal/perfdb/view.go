@@ -5,45 +5,32 @@ import (
 	"strings"
 
 	"pperf/internal/datasource"
-	"pperf/internal/resource"
 	"pperf/internal/session"
 )
-
-// Pair names one enabled metric-focus pair of a stored run.
-type Pair struct {
-	Metric string
-	Focus  resource.Focus
-}
-
-// Key returns the pair's registry key, the unit of cross-run alignment.
-func (p Pair) Key() string { return datasource.SeriesKey(p.Metric, p.Focus) }
 
 // RunView is a stored run materialized for querying: the full recorded
 // event stream applied to a datasource.View (the same query plane the
 // live front end exposes), plus the run's index entry. Unlike
 // session.ReplaySource — which replays incrementally so a re-driven
 // Consultant sees the live evaluation windows — a RunView is the run's
-// end state: every recorded pair enabled, every event applied.
+// end state: every recorded pair enabled, every event applied. It holds
+// that folded state only; the decoded event stream is not kept.
 type RunView struct {
-	*session.ReplaySource
+	*datasource.View
 	Meta RunMeta
 
-	pairs    []Pair
+	pairs    []datasource.Pair
 	faultLog []string
 }
-
-// RunView serves DataSource queries like any other source.
-var _ datasource.DataSource = (*RunView)(nil)
 
 // NewRunView materializes an archive's end state. Pairs whose live
 // enable failed are left out — they never collected data.
 func NewRunView(a *session.Archive, m RunMeta) *RunView {
 	rs := session.NewReplaySource(a)
-	rv := &RunView{ReplaySource: rs, Meta: m}
+	rv := &RunView{View: rs.View, Meta: m}
 	if log := a.Header.Meta["fault-log"]; log != "" {
 		rv.faultLog = strings.Split(log, "\n")
 	}
-	seen := map[string]bool{}
 	// Register every successfully-enabled pair before applying events:
 	// the view drops samples for unregistered pairs.
 	for i := range a.Events {
@@ -51,21 +38,17 @@ func NewRunView(a *session.Archive, m RunMeta) *RunView {
 		if ev.Kind != session.EvEnable || ev.Err != "" {
 			continue
 		}
-		p := Pair{Metric: ev.Metric, Focus: ev.Focus}
-		if seen[p.Key()] {
-			continue
+		p := datasource.Pair{Metric: ev.Metric, Focus: ev.Focus}
+		if rv.SeriesFor(p) != nil {
+			continue // enabled again later in the run: one pair
 		}
-		seen[p.Key()] = true
-		if _, err := rs.EnableMetric(ev.Metric, ev.Focus); err == nil {
+		if _, err := rs.EnableMetric(p.Metric, p.Focus); err == nil {
 			rv.pairs = append(rv.pairs, p)
 		}
 	}
 	sort.Slice(rv.pairs, func(i, j int) bool {
 		a, b := rv.pairs[i], rv.pairs[j]
-		if a.Metric != b.Metric {
-			return a.Metric < b.Metric
-		}
-		return a.Focus.Key() < b.Focus.Key()
+		return a.Metric < b.Metric || a.Metric == b.Metric && a.Focus.Key() < b.Focus.Key()
 	})
 	rs.Drain()
 	return rv
@@ -73,13 +56,13 @@ func NewRunView(a *session.Archive, m RunMeta) *RunView {
 
 // Pairs returns the run's enabled metric-focus pairs, sorted by metric
 // then focus.
-func (rv *RunView) Pairs() []Pair {
-	return append([]Pair(nil), rv.pairs...)
+func (rv *RunView) Pairs() []datasource.Pair {
+	return append([]datasource.Pair(nil), rv.pairs...)
 }
 
 // SeriesFor returns the collected series of one pair (nil if the run
 // never enabled it).
-func (rv *RunView) SeriesFor(p Pair) *datasource.Series {
+func (rv *RunView) SeriesFor(p datasource.Pair) *datasource.Series {
 	return rv.Series(p.Metric, p.Focus)
 }
 

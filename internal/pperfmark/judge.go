@@ -10,7 +10,6 @@ import (
 	"pperf/internal/daemon"
 	"pperf/internal/datasource"
 	"pperf/internal/faults"
-	"pperf/internal/frontend"
 	"pperf/internal/mpi"
 	"pperf/internal/resource"
 	"pperf/internal/session"
@@ -75,13 +74,13 @@ type Result struct {
 	Source datasource.DataSource
 	PC     *consultant.Consultant
 	// Verification series enabled for the program's expected totals.
-	BytesSent *frontend.Series
-	PutOps    *frontend.Series
-	GetOps    *frontend.Series
-	AccOps    *frontend.Series
-	RMABytes  *frontend.Series
+	BytesSent *datasource.Series
+	PutOps    *datasource.Series
+	GetOps    *datasource.Series
+	AccOps    *datasource.Series
+	RMABytes  *datasource.Series
 	// Extra holds the series requested via RunOptions.Metrics.
-	Extra map[string]*frontend.Series
+	Extra map[string]*datasource.Series
 	// RunTime is the program's virtual wall-clock duration.
 	RunTime sim.Time
 	// ProbeExecs totals probe executions across daemons (carried on the
@@ -107,7 +106,7 @@ type Result struct {
 func enableVerification(src datasource.DataSource, entry *Entry, metrics []string, res *Result) error {
 	whole := resource.WholeProgram()
 	for _, e := range []struct {
-		dst    **frontend.Series
+		dst    **datasource.Series
 		expect func(Params) float64
 		metric string
 	}{
@@ -126,7 +125,7 @@ func enableVerification(src datasource.DataSource, entry *Entry, metrics []strin
 		}
 		*e.dst = sr
 	}
-	res.Extra = map[string]*frontend.Series{}
+	res.Extra = map[string]*datasource.Series{}
 	for _, m := range metrics {
 		sr, err := src.EnableMetric(m, whole)
 		if err != nil {
@@ -280,7 +279,7 @@ func Judge(res *Result) *Verdict {
 	}
 	findSync := func(substr string) bool { return pc.HasFinding(consultant.HypSync, substr) }
 	findCPU := func(substr string) bool { return pc.HasFinding(consultant.HypCPU, substr) }
-	checkTotal := func(series *frontend.Series, expect func(Params) float64, what string) {
+	checkTotal := func(series *datasource.Series, expect func(Params) float64, what string) {
 		if series == nil || expect == nil {
 			return
 		}

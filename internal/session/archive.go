@@ -166,7 +166,7 @@ func (a *Archive) TruncationNote() string {
 }
 
 // Sink is the full recording surface a session harness drives: the event
-// stream plus header finalization and accounting. perfdb.StreamRecorder
+// stream plus header finalization. perfdb.StreamRecorder
 // implements it; core.Options.Recorder and pperfmark.RunOptions.Record
 // accept one.
 type Sink interface {
@@ -180,6 +180,4 @@ type Sink interface {
 	SetMeta(k, v string)
 	// SetExtra stores the harness's opaque run-description payload.
 	SetExtra(b []byte)
-	// EventCount returns the number of events captured so far.
-	EventCount() int
 }

@@ -112,10 +112,12 @@ func (rs *ReplaySource) Sync() {
 
 // Drain applies every remaining event — the tail recorded after the last
 // consumer barrier (end-of-run trace flushes, undelivered-span counts,
-// final sample batches). Call it after the replay clock finishes.
+// final sample batches) — and releases the decoded stream: the View now
+// holds everything it said, so a later Sync or Drain is a no-op. Call it
+// after the replay clock finishes.
 func (rs *ReplaySource) Drain() {
-	for rs.pos < len(rs.events) {
+	for ; rs.pos < len(rs.events); rs.pos++ {
 		rs.events[rs.pos].Apply(rs.View)
-		rs.pos++
 	}
+	rs.events, rs.pos = nil, 0
 }

@@ -63,6 +63,44 @@ func TestReplaySyncAppliesUpToBarrier(t *testing.T) {
 // the tail fragment past it belongs to an evaluation window no live
 // consumer ever observed, and must not leak into replayed state — not even
 // through Drain.
+// Drain applies the whole remaining stream — barriers do not stop it — and
+// then lets go of the decoded events: the source keeps answering queries and
+// enables from the View and the enable index, a later Sync or Drain finds
+// nothing to apply, and the caller's Archive is not touched.
+func TestReplayDrainReleasesTheStream(t *testing.T) {
+	f := resource.WholeProgram()
+	a := archiveOf(
+		enableEv("m", f, ""), enableEv("late", f, ""),
+		sampleEv(f, 1, 3), barrierEv,
+		sampleEv(f, 2, 4), barrierEv,
+		sampleEv(f, 3, 5),
+	)
+	rs := NewReplaySource(a)
+	sr, err := rs.EnableMetric("m", f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs.Sync()
+	rs.Drain()
+	if sr.Total() != 12 {
+		t.Errorf("after drain: total = %v, want 12", sr.Total())
+	}
+	if rs.events != nil || rs.pos != 0 {
+		t.Errorf("drained source still holds %d events at pos %d", len(rs.events), rs.pos)
+	}
+	rs.Sync()
+	rs.Drain()
+	if sr.Total() != 12 {
+		t.Errorf("sync+drain after release: total = %v, want 12 (stream re-applied?)", sr.Total())
+	}
+	if _, err := rs.EnableMetric("late", f); err != nil {
+		t.Errorf("enable index lost with the stream: %v", err)
+	}
+	if len(a.Events) != 7 {
+		t.Errorf("caller's archive now has %d events, want its 7", len(a.Events))
+	}
+}
+
 func TestReplayTruncatedArchiveStopsAtLastBarrier(t *testing.T) {
 	f := resource.WholeProgram()
 	a := archiveOf(

@@ -12,7 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"pperf/internal/daemon"
+	"pperf/internal/datasource"
 	"pperf/internal/faults"
 	"pperf/internal/frontend"
 	"pperf/internal/perfdb"
@@ -103,7 +103,7 @@ func crossStack(t *testing.T, planText string, want int64) {
 	}
 	defer tr.Close()
 	armReport(tr, plan)
-	hb := session.Event{Kind: session.EvUpdate, Update: daemon.Update{Kind: daemon.UpHeartbeat}}
+	hb := session.Event{Kind: session.EvUpdate, Update: datasource.Update{Kind: datasource.UpHeartbeat}}
 	if err := tr.Report(hb); err != nil {
 		t.Fatalf("ctl send under plan: %v", err)
 	}

@@ -24,7 +24,7 @@ import (
 	"pperf/internal/consultant"
 	"pperf/internal/core"
 	"pperf/internal/daemon"
-	"pperf/internal/frontend"
+	"pperf/internal/datasource"
 	"pperf/internal/gprofsim"
 	"pperf/internal/mdl"
 	"pperf/internal/metric"
@@ -53,7 +53,7 @@ type (
 	// DaemonConfig tunes the per-node daemons.
 	DaemonConfig = daemon.Config
 	// Series is one collected metric-focus data stream.
-	Series = frontend.Series
+	Series = datasource.Series
 	// Focus selects what part of the program a metric measures.
 	Focus = resource.Focus
 	// Histogram is the fixed-memory folding histogram.
