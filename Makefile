@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt-check race verify loc bench bench-module replay-golden perfdb-golden sync-golden wire-golden trend-golden chaos experiments-golden fuzz fuzz-perfdb fuzz-wire fuzz-smoke
+.PHONY: build test vet fmt-check race verify loc alloc-profile bench bench-module replay-golden perfdb-golden sync-golden wire-golden trend-golden chaos experiments-golden fuzz fuzz-perfdb fuzz-wire fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,17 @@ loc:
 	@for d in internal/*/; do \
 		printf '%6d  %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $${d%/}; \
 	done
+
+# alloc-profile prints where the heap objects of the paper's Figure 3 run
+# (small-messages under the full tool — the `p2p-flood` benchmark workload)
+# come from: every allocation sampled, top 25 sites by object count. Not part
+# of verify.
+alloc-profile:
+	@tmp=$$(mktemp -d) && \
+	trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) test -run '^$$' -bench 'BenchmarkFigure3SmallMessagesPC$$' -benchtime=1x \
+		-memprofile "$$tmp/mem.prof" -memprofilerate=1 -o "$$tmp/pperf.test" . >/dev/null && \
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 "$$tmp/pperf.test" "$$tmp/mem.prof"
 
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...

@@ -254,6 +254,27 @@ metric barrier_count {
 	}
 }
 
+// A user metric that could not execute stops the session from being built:
+// nothing has run yet, and the error names the line, the metric and the
+// culprit.
+func TestSessionRejectsBrokenUserMDL(t *testing.T) {
+	s, err := NewSession(Options{Impl: mpi.LAM, Nodes: 1, CPUsPerNode: 1, UserMDL: `
+resourceList barrier_fns is procedure { "MPI_Barrier" };
+metric broken {
+    name "broken"; units ops;
+    base is counter {
+        foreach func in barrier_fns { append preinsn func.entry (* ghost++; *) }
+    }
+}`})
+	if err == nil {
+		s.Close()
+		t.Fatal("session built with a metric that names an undeclared counter")
+	}
+	if want := `mdl:6: metric broken: unknown counter "ghost"`; !strings.Contains(err.Error(), want) {
+		t.Errorf("NewSession error = %v, want it to contain %q", err, want)
+	}
+}
+
 func TestSessionPerProcessHistograms(t *testing.T) {
 	s := newTestSession(t, Options{Impl: mpi.LAM, Nodes: 2, CPUsPerNode: 1})
 	s.Register("pp", pingPong(100, 20*sim.Millisecond))

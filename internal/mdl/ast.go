@@ -64,8 +64,9 @@ type ProbeSpec struct {
 
 // --- statements inside (* ... *) blocks -----------------------------------
 
-// Stmt is an instrumentation statement.
-type Stmt interface{ stmt() }
+// Stmt is an instrumentation statement; compile (snippet.go) turns it into
+// a closure over one instance's variables.
+type Stmt interface{ compile(e *env) op }
 
 // IncStmt is `x++;`.
 type IncStmt struct{ Var string }
@@ -96,17 +97,11 @@ type IfStmt struct {
 	Then Stmt
 }
 
-func (*IncStmt) stmt()       {}
-func (*AddAssignStmt) stmt() {}
-func (*AssignStmt) stmt()    {}
-func (*CallStmt) stmt()      {}
-func (*IfStmt) stmt()        {}
-
 // --- expressions ----------------------------------------------------------
 
-// Expr is an instrumentation expression; evaluation yields float64 or
-// string.
-type Expr interface{ expr() }
+// Expr is an instrumentation expression; compile types it — number, truth
+// value, string or object — and turns it into a closure yielding that.
+type Expr interface{ compile(e *env) value }
 
 // NumExpr is a numeric literal.
 type NumExpr struct{ V float64 }
@@ -135,11 +130,3 @@ type BinExpr struct {
 	Op   string
 	L, R Expr
 }
-
-func (*NumExpr) expr()        {}
-func (*StrExpr) expr()        {}
-func (*VarExpr) expr()        {}
-func (*ArgExpr) expr()        {}
-func (*ConstraintExpr) expr() {}
-func (*CallExpr) expr()       {}
-func (*BinExpr) expr()        {}

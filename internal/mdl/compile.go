@@ -44,7 +44,10 @@ func CompileSource(src string) (*Library, error) {
 }
 
 // Compile builds a Library from a parsed file, checking set and constraint
-// references.
+// references and every snippet: each is compiled once against a throw-away
+// instance of its metric or constraint, so an undeclared counter or timer,
+// an unknown call or a wrong arity is an error here, not a panic inside a
+// traced process.
 func Compile(f *File) (*Library, error) {
 	lib := &Library{
 		sets:        map[string][]string{},
@@ -65,6 +68,9 @@ func Compile(f *File) (*Library, error) {
 			if err := lib.checkSet(fe.SetName, c.Line); err != nil {
 				return nil, err
 			}
+		}
+		if err := checkSnippets(constraintEnv(c, nil), c.Foreachs, "constraint "+c.Name); err != nil {
+			return nil, err
 		}
 		lib.constraints[c.Name] = c
 	}
@@ -88,10 +94,35 @@ func Compile(f *File) (*Library, error) {
 			}
 		}
 		cm := &CompiledMetric{lib: lib, decl: m}
+		e, acc := cm.newEnv(nil)
+		if acc == nil {
+			return nil, fmt.Errorf("mdl:%d: metric %s: unknown base kind %q", m.Line, m.ID, m.BaseKind)
+		}
+		if err := checkSnippets(e, m.Foreachs, "metric "+m.ID); err != nil {
+			return nil, err
+		}
 		lib.metrics[m.DisplayName] = cm
 		lib.order = append(lib.order, m.DisplayName)
 	}
 	return lib, nil
+}
+
+// checkSnippets compiles every probe spec of the foreachs against e for its
+// errors alone.
+func checkSnippets(e *env, foreachs []*Foreach, owner string) error {
+	check := func(ps *ProbeSpec) (err error) {
+		defer catch(&err)
+		e.compile(ps)
+		return nil
+	}
+	for _, fe := range foreachs {
+		for _, ps := range fe.Probes {
+			if err := check(ps); err != nil {
+				return fmt.Errorf("mdl:%d: %s: %v", ps.Line, owner, err)
+			}
+		}
+	}
+	return nil
 }
 
 // checkSet validates a function-set reference; "focusCode" is the magic set
@@ -202,35 +233,8 @@ func (in *Instance) insertSpec(fname string, ps *ProbeSpec) probe.ID {
 // its counters/timers, instantiates the applicable constraints, and inserts
 // all probes. The returned instance is live immediately.
 func (cm *CompiledMetric) Instantiate(t Target, f resource.Focus) (*Instance, error) {
-	e := newEnv(t)
-	in := &Instance{target: t, env: e}
-
-	// Primary accumulator named by the metric id.
-	switch strings.ToLower(cm.decl.BaseKind) {
-	case "counter":
-		c := &metric.Counter{}
-		e.counters[cm.decl.ID] = c
-		in.Acc = c
-	case "walltimer":
-		w := &metric.WallTimer{}
-		e.wallTimers[cm.decl.ID] = w
-		in.Acc = w
-	case "processtimer":
-		p := &metric.ProcessTimer{}
-		e.procTimers[cm.decl.ID] = p
-		in.Acc = p
-	case "cpuclock":
-		in.Acc = funcAcc(func() float64 { return t.CPUNow().Seconds() })
-	case "wallclock":
-		in.Acc = funcAcc(func() float64 { return t.WallNow().Seconds() })
-	case "sysclock":
-		in.Acc = funcAcc(func() float64 { return t.SystemNow().Seconds() })
-	default:
-		return nil, fmt.Errorf("mdl: metric %s: unknown base kind %q", cm.decl.ID, cm.decl.BaseKind)
-	}
-	for _, cn := range cm.decl.Counters {
-		e.counters[cn] = &metric.Counter{}
-	}
+	e, acc := cm.newEnv(t)
+	in := &Instance{target: t, env: e, Acc: acc}
 
 	// Code-hierarchy constraints (native): restrict constrained statements
 	// to when the selected function/module is on the call stack. Metrics
@@ -283,6 +287,38 @@ func (cm *CompiledMetric) Instantiate(t Target, f resource.Focus) (*Instance, er
 		}
 	}
 	return in, nil
+}
+
+// newEnv allocates one instance's variables: the accumulator the metric id
+// names, of the declared base kind (nil if there is no such kind), and the
+// auxiliary counters. t may be nil when the env is only compiled against.
+func (cm *CompiledMetric) newEnv(t Target) (*env, metric.Accumulator) {
+	e := &env{
+		counters:   map[string]*metric.Counter{},
+		wallTimers: map[string]*metric.WallTimer{},
+		procTimers: map[string]*metric.ProcessTimer{},
+	}
+	for _, cn := range cm.decl.Counters {
+		e.counters[cn] = &metric.Counter{}
+	}
+	switch id := cm.decl.ID; strings.ToLower(cm.decl.BaseKind) {
+	case "counter":
+		e.counters[id] = &metric.Counter{}
+		return e, e.counters[id]
+	case "walltimer":
+		e.wallTimers[id] = &metric.WallTimer{}
+		return e, e.wallTimers[id]
+	case "processtimer":
+		e.procTimers[id] = &metric.ProcessTimer{}
+		return e, e.procTimers[id]
+	case "cpuclock":
+		return e, funcAcc(func() float64 { return t.CPUNow().Seconds() })
+	case "wallclock":
+		return e, funcAcc(func() float64 { return t.WallNow().Seconds() })
+	case "sysclock":
+		return e, funcAcc(func() float64 { return t.SystemNow().Seconds() })
+	}
+	return e, nil
 }
 
 // resolveSet expands a function-set name. For the magic focusCode set it
@@ -368,10 +404,8 @@ func (cm *CompiledMetric) applySyncConstraints(e *env, in *Instance, f resource.
 // instantiateConstraint allocates the constraint's flag counter, binds its
 // $constraint arguments, and inserts its probes.
 func (cm *CompiledMetric) instantiateConstraint(e *env, in *Instance, cd *ConstraintDecl, args []string) error {
-	flag := &metric.Counter{}
-	e.counters[cd.Name] = flag
-	e.flags = append(e.flags, flag)
-	cenv := e.scoped(args)
+	cenv := constraintEnv(cd, args)
+	e.flags = append(e.flags, cenv.counters[cd.Name])
 	for _, fe := range cd.Foreachs {
 		fns := cm.lib.sets[fe.SetName]
 		for _, fname := range fns {
@@ -382,6 +416,12 @@ func (cm *CompiledMetric) instantiateConstraint(e *env, in *Instance, cd *Constr
 		}
 	}
 	return nil
+}
+
+// constraintEnv is the env a constraint's snippets compile against: its flag
+// counter, named by the constraint, and the bound $constraint components.
+func constraintEnv(cd *ConstraintDecl, args []string) *env {
+	return &env{counters: map[string]*metric.Counter{cd.Name: {}}, cargs: args}
 }
 
 // syncCategoryFunctions maps SyncObject categories to the traced functions

@@ -652,34 +652,43 @@ func TestIOOpsMetric(t *testing.T) {
 	}
 }
 
-func TestBrokenMetricSurfacesAsSimError(t *testing.T) {
-	// A metric whose snippet references an undeclared counter fails at
-	// probe execution; the engine surfaces the panic as a run error with
-	// context instead of silently miscounting.
-	lib, err := NewLibraryWithStd(`
-resourceList bfns is procedure { "MPI_Barrier" };
+// A snippet that cannot execute — an undeclared counter or timer, an unknown
+// call, a wrong arity — is a compile error naming the line, the metric or
+// constraint and the culprit; it used to compile and panic inside the traced
+// process at its first probe execution.
+func TestCompileRejectsBrokenSnippets(t *testing.T) {
+	metricWith := func(snippet string) string {
+		return `resourceList bfns is procedure { "MPI_Barrier" };
 metric broken {
-    name "broken"; units ops; unitstype unnormalized;
-    aggregateOperator sum; style EventCounter;
+    name "b"; units ops; counter aux;
     base is counter {
-        foreach func in bfns { append preinsn func.entry constrained (* ghost++; *) }
+        foreach func in bfns { append preinsn func.entry constrained (* ` + snippet + ` *) }
     }
-}`)
-	if err != nil {
-		t.Fatal(err)
+}`
 	}
-	eng := sim.NewEngine(1)
-	w := mpi.NewWorld(eng, cluster.DefaultSpec(2, 1), mpi.NewImpl(mpi.LAM))
-	w.Register("main", func(r *mpi.Rank, _ []string) { r.World().Barrier(r) })
-	if _, err := w.LaunchN("main", 2, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lib.Metric("broken").Instantiate(rankTarget{w.Ranks()[0]}, resource.WholeProgram()); err != nil {
-		t.Fatal(err)
-	}
-	err = eng.Run()
-	if err == nil || !strings.Contains(err.Error(), "ghost") {
-		t.Errorf("run error = %v, want unknown-counter panic surfaced", err)
+	for _, c := range []struct{ src, want string }{
+		{metricWith(`ghost++;`), `mdl:5: metric broken: unknown counter "ghost"`},
+		{metricWith(`broken += ghost;`), `mdl:5: metric broken: unknown counter "ghost"`},
+		{metricWith(`if (aux == 0) ghost = 1;`), `unknown counter "ghost"`},
+		{metricWith(`startWalltimer(ghost);`), `mdl:5: metric broken: unknown walltimer "ghost"`},
+		{metricWith(`stopProcessTimer(broken);`), `unknown processtimer "broken"`},
+		{metricWith(`startWalltimer();`), `startWalltimer needs one timer argument`},
+		{metricWith(`startWalltimer(1 + 2);`), `startWalltimer argument must be a timer name`},
+		{metricWith(`frobnicate(aux);`), `unknown call "frobnicate"`},
+		{metricWith(`aux = frobnicate($arg[0]);`), `unknown builtin "frobnicate"`},
+		{metricWith(`aux = MPI_Type_size($arg[0], $arg[1]);`), `MPI_Type_size needs one argument, has 2`},
+		{metricWith(`MPI_Type_size($arg[2]);`), `MPI_Type_size needs (datatype, &out)`},
+		{metricWith(`MPI_Type_size($arg[2], &ghost);`), `unknown counter "ghost"`},
+		{`metric m { name "m"; base is sundial { } }`, `mdl:1: metric m: unknown base kind "sundial"`},
+		{`resourceList s is procedure { "f" };
+constraint c /SyncObject/Message is counter {
+    foreach func in s { prepend preinsn func.entry (* if ($constraint[0] == "x") other = 1; *) }
+}`, `mdl:3: constraint c: unknown counter "other"`},
+	} {
+		_, err := NewLibraryWithStd(c.src)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("compile error = %v, want %q\n%s", err, c.want, c.src)
+		}
 	}
 }
 

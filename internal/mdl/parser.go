@@ -9,35 +9,24 @@ import (
 )
 
 // Parse turns MDL source into a File.
-func Parse(src string) (*File, error) {
+func Parse(src string) (f *File, err error) {
+	defer catch(&err)
 	toks, err := lexAll(src, false)
 	if err != nil {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	f := &File{}
+	f = &File{}
 	for !p.at(tokEOF) {
 		switch {
 		case p.atIdent("resourceList"):
-			d, err := p.resourceList()
-			if err != nil {
-				return nil, err
-			}
-			f.ResourceLists = append(f.ResourceLists, d)
+			f.ResourceLists = append(f.ResourceLists, p.resourceList())
 		case p.atIdent("constraint"):
-			d, err := p.constraint()
-			if err != nil {
-				return nil, err
-			}
-			f.Constraints = append(f.Constraints, d)
+			f.Constraints = append(f.Constraints, p.constraint())
 		case p.atIdent("metric"):
-			d, err := p.metric()
-			if err != nil {
-				return nil, err
-			}
-			f.Metrics = append(f.Metrics, d)
+			f.Metrics = append(f.Metrics, p.metric())
 		default:
-			return nil, p.errf("expected resourceList, constraint, or metric, got %q", p.cur().text)
+			p.failf("expected resourceList, constraint, or metric, got %q", p.cur().text)
 		}
 	}
 	return f, nil
@@ -46,6 +35,9 @@ func Parse(src string) (*File, error) {
 type parser struct {
 	toks []token
 	pos  int
+	// snippetAt is the line the (* ... *) block being parsed starts on (0
+	// outside one): token lines inside a block count from the block's start.
+	snippetAt int
 }
 
 func (p *parser) cur() token        { return p.toks[p.pos] }
@@ -55,146 +47,118 @@ func (p *parser) atIdent(s string) bool {
 }
 func (p *parser) advance() token { t := p.cur(); p.pos++; return t }
 
-func (p *parser) errf(format string, args ...any) error {
-	return fmt.Errorf("mdl:%d: %s", p.cur().line, fmt.Sprintf(format, args...))
-}
+// abort carries an error up out of the parser's, or the snippet compiler's,
+// recursive descent; catch, deferred at the package's entry points, turns it
+// back into the returned error.
+type abort struct{ err error }
 
-func (p *parser) expect(k tokKind, what string) (token, error) {
-	if !p.at(k) {
-		return token{}, p.errf("expected %s, got %q", what, p.cur().text)
+func catch(err *error) {
+	switch r := recover().(type) {
+	case nil:
+	case abort:
+		*err = r.err
+	default:
+		panic(r)
 	}
-	return p.advance(), nil
 }
 
-func (p *parser) expectIdent(s string) error {
+// failAt aborts the parse with an error at the given line; failf, at the
+// current token's.
+func (p *parser) failAt(line int, format string, args ...any) {
+	err := fmt.Errorf("mdl:%d: %s", line, fmt.Sprintf(format, args...))
+	if p.snippetAt > 0 {
+		err = fmt.Errorf("%w (in snippet starting line %d)", err, p.snippetAt)
+	}
+	panic(abort{err})
+}
+
+func (p *parser) failf(format string, args ...any) { p.failAt(p.cur().line, format, args...) }
+
+func (p *parser) expect(k tokKind, what string) token {
+	if !p.at(k) {
+		p.failf("expected %s, got %q", what, p.cur().text)
+	}
+	return p.advance()
+}
+
+func (p *parser) expectIdent(s string) {
 	if !p.atIdent(s) {
-		return p.errf("expected %q, got %q", s, p.cur().text)
+		p.failf("expected %q, got %q", s, p.cur().text)
 	}
 	p.advance()
-	return nil
 }
 
-func (p *parser) ident() (string, error) {
-	t, err := p.expect(tokIdent, "identifier")
-	return t.text, err
-}
+func (p *parser) ident() string { return p.expect(tokIdent, "identifier").text }
 
 // resourceList := "resourceList" id "is" kind "{" str ("," str)* "}"
 //
 //	["flavor" "{" id ("," id)* "}"] ";"
-func (p *parser) resourceList() (*ResourceListDecl, error) {
+func (p *parser) resourceList() *ResourceListDecl {
 	line := p.cur().line
 	p.advance() // resourceList
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectIdent("is"); err != nil {
-		return nil, err
-	}
-	kind, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
+	name := p.ident()
+	p.expectIdent("is")
+	kind := p.ident()
 	if kind != "procedure" {
-		return nil, p.errf("unsupported resourceList kind %q", kind)
+		p.failf("unsupported resourceList kind %q", kind)
 	}
-	if _, err := p.expect(tokLBrace, "{"); err != nil {
-		return nil, err
-	}
+	p.expect(tokLBrace, "{")
 	d := &ResourceListDecl{Name: name, Kind: kind, Line: line}
 	for !p.at(tokRBrace) {
-		t, err := p.expect(tokString, "string")
-		if err != nil {
-			return nil, err
-		}
-		d.Items = append(d.Items, t.text)
+		d.Items = append(d.Items, p.expect(tokString, "string").text)
 		if p.at(tokComma) {
 			p.advance()
 		}
 	}
 	p.advance() // }
 	if p.atIdent("flavor") {
-		fl, err := p.flavor()
-		if err != nil {
-			return nil, err
-		}
-		d.Flavor = fl
+		d.Flavor = p.flavor()
 	}
-	if _, err := p.expect(tokSemi, ";"); err != nil {
-		return nil, err
-	}
-	return d, nil
+	p.expect(tokSemi, ";")
+	return d
 }
 
-func (p *parser) flavor() ([]string, error) {
+func (p *parser) flavor() []string {
 	p.advance() // flavor
-	if _, err := p.expect(tokLBrace, "{"); err != nil {
-		return nil, err
-	}
+	p.expect(tokLBrace, "{")
 	var out []string
 	for !p.at(tokRBrace) {
-		id, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, id)
+		out = append(out, p.ident())
 		if p.at(tokComma) {
 			p.advance()
 		}
 	}
 	p.advance()
-	return out, nil
+	return out
 }
 
 // constraint := "constraint" id path "is" "counter" "{" foreach* "}"
-func (p *parser) constraint() (*ConstraintDecl, error) {
+func (p *parser) constraint() *ConstraintDecl {
 	line := p.cur().line
 	p.advance()
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	pt, err := p.expect(tokPath, "resource path")
-	if err != nil {
-		return nil, err
-	}
+	name := p.ident()
+	pt := p.expect(tokPath, "resource path")
 	d := &ConstraintDecl{Name: name, Path: pt.text, Line: line}
 	if strings.HasSuffix(d.Path, "/*") {
 		d.Path = strings.TrimSuffix(d.Path, "/*")
 		d.Deep = true
 	}
-	if err := p.expectIdent("is"); err != nil {
-		return nil, err
-	}
-	if err := p.expectIdent("counter"); err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokLBrace, "{"); err != nil {
-		return nil, err
-	}
+	p.expectIdent("is")
+	p.expectIdent("counter")
+	p.expect(tokLBrace, "{")
 	for !p.at(tokRBrace) {
-		fe, err := p.foreach()
-		if err != nil {
-			return nil, err
-		}
-		d.Foreachs = append(d.Foreachs, fe)
+		d.Foreachs = append(d.Foreachs, p.foreach())
 	}
 	p.advance()
-	return d, nil
+	return d
 }
 
 // metric := "metric" id "{" attr* base "}"
-func (p *parser) metric() (*MetricDecl, error) {
+func (p *parser) metric() *MetricDecl {
 	line := p.cur().line
 	p.advance()
-	id, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokLBrace, "{"); err != nil {
-		return nil, err
-	}
+	id := p.ident()
+	p.expect(tokLBrace, "{")
 	d := &MetricDecl{ID: id, Line: line}
 	// The four scalar attributes share one shape: attr ident ";".
 	scalars := map[string]*string{
@@ -205,120 +169,63 @@ func (p *parser) metric() (*MetricDecl, error) {
 		switch {
 		case p.atIdent("name"):
 			p.advance()
-			t, err := p.expect(tokString, "string")
-			if err != nil {
-				return nil, err
-			}
-			d.DisplayName = t.text
-			if _, err := p.expect(tokSemi, ";"); err != nil {
-				return nil, err
-			}
+			d.DisplayName = p.expect(tokString, "string").text
+			p.expect(tokSemi, ";")
 		case p.at(tokIdent) && scalars[p.cur().text] != nil:
 			dst := scalars[p.advance().text]
-			v, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			*dst = v
-			if _, err := p.expect(tokSemi, ";"); err != nil {
-				return nil, err
-			}
+			*dst = p.ident()
+			p.expect(tokSemi, ";")
 		case p.atIdent("flavor"):
-			fl, err := p.flavor()
-			if err != nil {
-				return nil, err
-			}
-			d.Flavor = fl
-			if _, err := p.expect(tokSemi, ";"); err != nil {
-				return nil, err
-			}
+			d.Flavor = p.flavor()
+			p.expect(tokSemi, ";")
 		case p.atIdent("constraint"):
 			p.advance()
-			c, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			d.Constraints = append(d.Constraints, c)
-			if _, err := p.expect(tokSemi, ";"); err != nil {
-				return nil, err
-			}
+			d.Constraints = append(d.Constraints, p.ident())
+			p.expect(tokSemi, ";")
 		case p.atIdent("counter"):
 			p.advance()
-			c, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			d.Counters = append(d.Counters, c)
-			if _, err := p.expect(tokSemi, ";"); err != nil {
-				return nil, err
-			}
+			d.Counters = append(d.Counters, p.ident())
+			p.expect(tokSemi, ";")
 		case p.atIdent("base"):
 			p.advance()
-			if err := p.expectIdent("is"); err != nil {
-				return nil, err
-			}
-			kind, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			d.BaseKind = kind
-			if _, err := p.expect(tokLBrace, "{"); err != nil {
-				return nil, err
-			}
+			p.expectIdent("is")
+			d.BaseKind = p.ident()
+			p.expect(tokLBrace, "{")
 			for !p.at(tokRBrace) {
-				fe, err := p.foreach()
-				if err != nil {
-					return nil, err
-				}
-				d.Foreachs = append(d.Foreachs, fe)
+				d.Foreachs = append(d.Foreachs, p.foreach())
 			}
 			p.advance() // }
 		default:
-			return nil, p.errf("unexpected %q in metric body", p.cur().text)
+			p.failf("unexpected %q in metric body", p.cur().text)
 		}
 	}
 	p.advance() // }
 	if d.BaseKind == "" {
-		return nil, fmt.Errorf("mdl:%d: metric %s has no base", line, id)
+		p.failAt(line, "metric %s has no base", id)
 	}
-	return d, nil
+	return d
 }
 
 // foreach := "foreach" "func" "in" set "{" probeSpec* "}"
-func (p *parser) foreach() (*Foreach, error) {
+func (p *parser) foreach() *Foreach {
 	line := p.cur().line
-	if err := p.expectIdent("foreach"); err != nil {
-		return nil, err
-	}
-	if err := p.expectIdent("func"); err != nil {
-		return nil, err
-	}
-	if err := p.expectIdent("in"); err != nil {
-		return nil, err
-	}
-	set, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokLBrace, "{"); err != nil {
-		return nil, err
-	}
+	p.expectIdent("foreach")
+	p.expectIdent("func")
+	p.expectIdent("in")
+	set := p.ident()
+	p.expect(tokLBrace, "{")
 	fe := &Foreach{SetName: set, Line: line}
 	for !p.at(tokRBrace) {
-		ps, err := p.probeSpec()
-		if err != nil {
-			return nil, err
-		}
-		fe.Probes = append(fe.Probes, ps)
+		fe.Probes = append(fe.Probes, p.probeSpec())
 	}
 	p.advance()
-	return fe, nil
+	return fe
 }
 
 // probeSpec := ("append"|"prepend") "preinsn" "func" "." ("entry"|"return")
 //
 //	["constrained"] snippet
-func (p *parser) probeSpec() (*ProbeSpec, error) {
+func (p *parser) probeSpec() *ProbeSpec {
 	line := p.cur().line
 	ps := &ProbeSpec{Line: line}
 	switch {
@@ -327,265 +234,169 @@ func (p *parser) probeSpec() (*ProbeSpec, error) {
 	case p.atIdent("prepend"):
 		ps.Order = probe.Prepend
 	default:
-		return nil, p.errf("expected append or prepend, got %q", p.cur().text)
+		p.failf("expected append or prepend, got %q", p.cur().text)
 	}
 	p.advance()
-	if err := p.expectIdent("preinsn"); err != nil {
-		return nil, err
-	}
-	if err := p.expectIdent("func"); err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokDot, "."); err != nil {
-		return nil, err
-	}
+	p.expectIdent("preinsn")
+	p.expectIdent("func")
+	p.expect(tokDot, ".")
 	switch {
 	case p.atIdent("entry"):
 		ps.Where = probe.Entry
 	case p.atIdent("return"):
 		ps.Where = probe.Return
 	default:
-		return nil, p.errf("expected entry or return, got %q", p.cur().text)
+		p.failf("expected entry or return, got %q", p.cur().text)
 	}
 	p.advance()
 	if p.atIdent("constrained") {
 		ps.Constrained = true
 		p.advance()
 	}
-	sn, err := p.expect(tokSnippet, "(* ... *) block")
+	sn := p.expect(tokSnippet, "(* ... *) block")
+	toks, err := lexAll(sn.text, true)
 	if err != nil {
-		return nil, err
+		panic(abort{err})
 	}
-	stmts, err := parseSnippet(sn.text, sn.line)
-	if err != nil {
-		return nil, err
+	sp := &parser{toks: toks, snippetAt: sn.line}
+	for !sp.at(tokEOF) {
+		ps.Stmts = append(ps.Stmts, sp.stmt())
 	}
-	ps.Stmts = stmts
-	return ps, nil
+	return ps
 }
 
 // --- snippet (statement) parsing ------------------------------------------
 
-func parseSnippet(src string, line int) ([]Stmt, error) {
-	toks, err := lexAll(src, true)
-	if err != nil {
-		return nil, err
-	}
-	sp := &parser{toks: toks}
-	var stmts []Stmt
-	for !sp.at(tokEOF) {
-		s, err := sp.stmt()
-		if err != nil {
-			return nil, fmt.Errorf("%w (in snippet starting line %d)", err, line)
-		}
-		stmts = append(stmts, s)
-	}
-	return stmts, nil
-}
-
-func (p *parser) stmt() (Stmt, error) {
+func (p *parser) stmt() Stmt {
 	if p.atIdent("if") {
 		p.advance()
-		if _, err := p.expect(tokLParen, "("); err != nil {
-			return nil, err
-		}
-		cond, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokRParen, ")"); err != nil {
-			return nil, err
-		}
-		then, err := p.stmt()
-		if err != nil {
-			return nil, err
-		}
-		return &IfStmt{Cond: cond, Then: then}, nil
+		p.expect(tokLParen, "(")
+		cond := p.expr()
+		p.expect(tokRParen, ")")
+		then := p.stmt()
+		return &IfStmt{Cond: cond, Then: then}
 	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
+	name := p.ident()
 	switch p.cur().kind {
 	case tokPlusPlus:
 		p.advance()
-		if _, err := p.expect(tokSemi, ";"); err != nil {
-			return nil, err
-		}
-		return &IncStmt{Var: name}, nil
+		p.expect(tokSemi, ";")
+		return &IncStmt{Var: name}
 	case tokPlusEq:
 		p.advance()
-		v, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokSemi, ";"); err != nil {
-			return nil, err
-		}
-		return &AddAssignStmt{Var: name, Val: v}, nil
+		v := p.expr()
+		p.expect(tokSemi, ";")
+		return &AddAssignStmt{Var: name, Val: v}
 	case tokAssign:
 		p.advance()
-		v, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokSemi, ";"); err != nil {
-			return nil, err
-		}
-		return &AssignStmt{Var: name, Val: v}, nil
+		v := p.expr()
+		p.expect(tokSemi, ";")
+		return &AssignStmt{Var: name, Val: v}
 	case tokLParen:
 		p.advance()
 		cs := &CallStmt{Fn: name}
 		for !p.at(tokRParen) {
 			if p.at(tokAmp) {
 				p.advance()
-				out, err := p.ident()
-				if err != nil {
-					return nil, err
-				}
-				cs.Out = out
+				cs.Out = p.ident()
 			} else {
-				a, err := p.expr()
-				if err != nil {
-					return nil, err
-				}
-				cs.Args = append(cs.Args, a)
+				cs.Args = append(cs.Args, p.expr())
 			}
 			if p.at(tokComma) {
 				p.advance()
 			}
 		}
 		p.advance() // )
-		if _, err := p.expect(tokSemi, ";"); err != nil {
-			return nil, err
-		}
-		return cs, nil
-	default:
-		return nil, p.errf("expected statement after %q", name)
+		p.expect(tokSemi, ";")
+		return cs
 	}
+	p.failf("expected statement after %q", name)
+	return nil
 }
 
 // expr := cmp ( ("=="|"!="|">="|"<="|">"|"<") cmp )?
-func (p *parser) expr() (Expr, error) {
-	l, err := p.addExpr()
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) expr() Expr {
+	l := p.addExpr()
 	switch p.cur().kind {
 	case tokEq, tokNe, tokGe, tokLe, tokGt, tokLt:
 		op := p.advance().text
-		r, err := p.addExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &BinExpr{Op: op, L: l, R: r}, nil
+		r := p.addExpr()
+		return &BinExpr{Op: op, L: l, R: r}
 	}
-	return l, nil
+	return l
 }
 
 // addExpr := mulExpr ( "+" mulExpr )*
-func (p *parser) addExpr() (Expr, error) {
-	l, err := p.mulExpr()
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) addExpr() Expr {
+	l := p.mulExpr()
 	for p.at(tokPlus) {
 		p.advance()
-		r, err := p.mulExpr()
-		if err != nil {
-			return nil, err
-		}
+		r := p.mulExpr()
 		l = &BinExpr{Op: "+", L: l, R: r}
 	}
-	return l, nil
+	return l
 }
 
 // mulExpr := primary ( "*" primary )*
-func (p *parser) mulExpr() (Expr, error) {
-	l, err := p.primary()
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) mulExpr() Expr {
+	l := p.primary()
 	for p.at(tokStar) {
 		p.advance()
-		r, err := p.primary()
-		if err != nil {
-			return nil, err
-		}
+		r := p.primary()
 		l = &BinExpr{Op: "*", L: l, R: r}
 	}
-	return l, nil
+	return l
 }
 
-func (p *parser) primary() (Expr, error) {
+func (p *parser) primary() Expr {
 	switch p.cur().kind {
 	case tokNumber:
 		t := p.advance()
 		v, err := strconv.ParseFloat(t.text, 64)
 		if err != nil {
-			return nil, fmt.Errorf("mdl:%d: bad number %q", t.line, t.text)
+			p.failAt(t.line, "bad number %q", t.text)
 		}
-		return &NumExpr{V: v}, nil
+		return &NumExpr{V: v}
 	case tokString:
-		return &StrExpr{V: p.advance().text}, nil
+		return &StrExpr{V: p.advance().text}
 	case tokDollar:
 		p.advance()
-		kind, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokLBracket, "["); err != nil {
-			return nil, err
-		}
-		idx, err := p.expect(tokNumber, "index")
-		if err != nil {
-			return nil, err
-		}
+		kind := p.ident()
+		p.expect(tokLBracket, "[")
+		idx := p.expect(tokNumber, "index")
 		n, err := strconv.Atoi(idx.text)
 		if err != nil {
-			return nil, fmt.Errorf("mdl:%d: bad index %q", idx.line, idx.text)
+			p.failAt(idx.line, "bad index %q", idx.text)
 		}
-		if _, err := p.expect(tokRBracket, "]"); err != nil {
-			return nil, err
-		}
+		p.expect(tokRBracket, "]")
 		switch kind {
 		case "arg":
-			return &ArgExpr{Index: n}, nil
+			return &ArgExpr{Index: n}
 		case "constraint":
-			return &ConstraintExpr{Index: n}, nil
-		default:
-			return nil, p.errf("unknown $%s", kind)
+			return &ConstraintExpr{Index: n}
 		}
+		p.failf("unknown $%s", kind)
 	case tokLParen:
 		p.advance()
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokRParen, ")"); err != nil {
-			return nil, err
-		}
-		return e, nil
+		e := p.expr()
+		p.expect(tokRParen, ")")
+		return e
 	case tokIdent:
 		name := p.advance().text
 		if p.at(tokLParen) {
 			p.advance()
 			ce := &CallExpr{Fn: name}
 			for !p.at(tokRParen) {
-				a, err := p.expr()
-				if err != nil {
-					return nil, err
-				}
-				ce.Args = append(ce.Args, a)
+				ce.Args = append(ce.Args, p.expr())
 				if p.at(tokComma) {
 					p.advance()
 				}
 			}
 			p.advance()
-			return ce, nil
+			return ce
 		}
-		return &VarExpr{Name: name}, nil
-	default:
-		return nil, p.errf("unexpected %q in expression", p.cur().text)
+		return &VarExpr{Name: name}
 	}
+	p.failf("unexpected %q in expression", p.cur().text)
+	return nil
 }

@@ -16,24 +16,12 @@ const (
 // matching receive has started, regardless of message size (i.e. it always
 // uses the rendezvous path). Probe args match MPI_Send.
 func (c *Comm) Ssend(r *Rank, data []byte, count int, dt Datatype, dest, tag int) error {
-	f := r.beginMPI("MPI_Ssend", data, count, dt, dest, tag, c)
-	defer r.endMPI(f, data, count, dt, dest, tag, c)
+	defer r.endMPI(r.beginMPI("MPI_Ssend", data, count, dt, dest, tag, c))
 	r.SystemCompute(c.w.Impl.Cost.SendOverhead)
-	peer, err := c.peer(r, dest)
+	rq, err := r.isendInternal(c, dest, tag, count, dt, data, true)
 	if err != nil {
 		return err
 	}
-	rq := &Request{
-		owner: r, isSend: true, dst: peer, commID: c.id,
-		srcRank: c.RankOf(r), sendTag: tag, bytes: count * dt.Size(), data: data,
-	}
-	m := &message{
-		src: r, dst: peer, commID: c.id, srcRank: rq.srcRank,
-		tag: tag, bytes: rq.bytes, rendezvous: true, sreq: rq,
-	}
-	m.sentAt = r.Now()
-	m.arrival = r.Now().Add(c.w.MsgTime(r.Now(), r.node, peer.node, 0))
-	r.w.Eng.At(m.arrival, m.deliver)
 	r.waitInternal(rq)
 	return nil
 }
@@ -42,8 +30,7 @@ func (c *Comm) Ssend(r *Rank, data []byte, count int, dt Datatype, dest, tag int
 // returns the concatenation in rank order (nil elsewhere). Probe args:
 // (sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype, root, comm).
 func (c *Comm) Gather(r *Rank, data []byte, count int, dt Datatype, root int) ([]byte, error) {
-	f := r.beginMPI("MPI_Gather", data, count, dt, nil, count, dt, root, c)
-	defer r.endMPI(f, data, count, dt, nil, count, dt, root, c)
+	defer r.endMPI(r.beginMPI("MPI_Gather", data, count, dt, nil, count, dt, root, c))
 	r.SystemCompute(c.w.Impl.CollectiveOverhead)
 	sh := c.shadowComm()
 	n := len(c.localGroup(r))
@@ -71,8 +58,7 @@ func (c *Comm) Gather(r *Rank, data []byte, count int, dt Datatype, root int) ([
 // slices of data to each rank; everyone returns their slice. Probe args:
 // (sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype, root, comm).
 func (c *Comm) Scatter(r *Rank, data []byte, count int, dt Datatype, root int) ([]byte, error) {
-	f := r.beginMPI("MPI_Scatter", data, count, dt, nil, count, dt, root, c)
-	defer r.endMPI(f, data, count, dt, nil, count, dt, root, c)
+	defer r.endMPI(r.beginMPI("MPI_Scatter", data, count, dt, nil, count, dt, root, c))
 	r.SystemCompute(c.w.Impl.CollectiveOverhead)
 	sh := c.shadowComm()
 	n := len(c.localGroup(r))
@@ -101,8 +87,7 @@ func (c *Comm) Scatter(r *Rank, data []byte, count int, dt Datatype, root int) (
 // straightforward implementation. Probe args: (sendbuf, sendcount,
 // sendtype, recvbuf, recvcount, recvtype, comm).
 func (c *Comm) Allgather(r *Rank, data []byte, count int, dt Datatype) ([]byte, error) {
-	f := r.beginMPI("MPI_Allgather", data, count, dt, nil, count, dt, c)
-	defer r.endMPI(f, data, count, dt, nil, count, dt, c)
+	defer r.endMPI(r.beginMPI("MPI_Allgather", data, count, dt, nil, count, dt, c))
 	r.SystemCompute(c.w.Impl.CollectiveOverhead)
 	n := len(c.localGroup(r))
 	gathered, err := c.gatherInternal(r, data, count, dt)
@@ -156,8 +141,7 @@ func (c *Comm) gatherInternal(r *Rank, data []byte, count int, dt Datatype) ([]b
 // pairwise-exchanged with Sendrecv. Probe args: (sendbuf, sendcount,
 // sendtype, recvbuf, recvcount, recvtype, comm).
 func (c *Comm) Alltoall(r *Rank, data []byte, count int, dt Datatype) ([]byte, error) {
-	f := r.beginMPI("MPI_Alltoall", data, count, dt, nil, count, dt, c)
-	defer r.endMPI(f, data, count, dt, nil, count, dt, c)
+	defer r.endMPI(r.beginMPI("MPI_Alltoall", data, count, dt, nil, count, dt, c))
 	r.SystemCompute(c.w.Impl.CollectiveOverhead)
 	sh := c.shadowComm()
 	n := len(c.localGroup(r))

@@ -148,8 +148,7 @@ func (c *Comm) collectiveSync() *syncPoint {
 // processes). The local group of the side calling with high=false comes
 // first in the new ranking.
 func (c *Comm) Merge(r *Rank, high bool) (*Comm, error) {
-	f := r.beginMPI("MPI_Intercomm_merge", c, high, nil)
-	defer r.endMPI(f, c, high, nil)
+	defer r.endMPI(r.beginMPI("MPI_Intercomm_merge", c, high, nil))
 	if c.remote == nil {
 		return nil, fmt.Errorf("mpi: MPI_Intercomm_merge on intracommunicator %s", c.Name())
 	}
@@ -178,5 +177,5 @@ func (c *Comm) SetName(r *Rank, name string) {
 			h.NameSet(r, c, name)
 		}
 	}
-	r.endMPI(f, c, name)
+	r.endMPI(f)
 }

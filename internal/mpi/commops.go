@@ -38,7 +38,7 @@ func (c *Comm) commOp() *commOpState {
 func (c *Comm) Dup(r *Rank) (*Comm, error) {
 	f := r.beginMPI("MPI_Comm_dup", c, nil)
 	if c.remote != nil {
-		r.endMPI(f, c, nil)
+		r.endMPI(f)
 		return nil, fmt.Errorf("mpi: MPI_Comm_dup of intercommunicator %s not supported", c.Name())
 	}
 	r.SystemCompute(c.w.Impl.CollectiveOverhead)
@@ -49,17 +49,13 @@ func (c *Comm) Dup(r *Rank) (*Comm, error) {
 		c.w.fireCommCreated(r, st.dup)
 	}
 	st.arrived++
-	if st.arrived == len(c.local) {
-		st.arrived = 0
-		dup := st.dup
-		st.dup = nil
-		st.sync.wait(r, "MPI_Comm_dup")
-		r.endMPI(f, c, dup)
-		return dup, nil
-	}
 	dup := st.dup
+	if st.arrived == len(c.local) {
+		st.arrived, st.dup = 0, nil
+	}
 	st.sync.wait(r, "MPI_Comm_dup")
-	r.endMPI(f, c, dup)
+	r.probes.SetArg(1, dup)
+	r.endMPI(f)
 	return dup, nil
 }
 
@@ -70,7 +66,7 @@ func (c *Comm) Dup(r *Rank) (*Comm, error) {
 func (c *Comm) Split(r *Rank, color, key int) (*Comm, error) {
 	f := r.beginMPI("MPI_Comm_split", c, color, key, nil)
 	if c.remote != nil {
-		r.endMPI(f, c, color, key, nil)
+		r.endMPI(f)
 		return nil, fmt.Errorf("mpi: MPI_Comm_split of intercommunicator %s not supported", c.Name())
 	}
 	r.SystemCompute(c.w.Impl.CollectiveOverhead)
@@ -86,7 +82,8 @@ func (c *Comm) Split(r *Rank, color, key int) (*Comm, error) {
 	}
 	st.sync.wait(r, "MPI_Comm_split")
 	out := st.results[me]
-	r.endMPI(f, c, color, key, out)
+	r.probes.SetArg(3, out)
+	r.endMPI(f)
 	return out, nil
 }
 

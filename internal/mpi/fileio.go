@@ -27,22 +27,23 @@ type File struct {
 	read    int64
 }
 
-// FileOpen is MPI_File_open: collective over comm. Probe args: (comm,
-// filename, amode, info).
+// FileOpen is MPI_File_open: collective over comm. Probe args mirror C MPI:
+// (comm, filename, amode, info, fh) — the file handle is visible at the
+// return probe.
 func (c *Comm) FileOpen(r *Rank, filename string, amode int, info Info) (*File, error) {
-	f := r.beginMPI("MPI_File_open", c, filename, amode, info)
-	defer r.endMPI(f, c, filename, amode, info)
+	defer r.endMPI(r.beginMPI("MPI_File_open", c, filename, amode, info, nil))
 	c.collectiveSync().wait(r, "MPI_File_open")
 	r.IdleWait(c.w.Impl.IOLatency)
-	return &File{comm: c, name: filename, amode: amode, open: true}, nil
+	fl := &File{comm: c, name: filename, amode: amode, open: true}
+	r.probes.SetArg(4, fl)
+	return fl, nil
 }
 
 // WriteAt is MPI_File_write_at: write count elements of dt at the given
 // offset. The wall time spent here is I/O blocking time, not CPU. Probe
 // args: (file, offset, buf, count, datatype).
 func (fl *File) WriteAt(r *Rank, offset int64, buf []byte, count int, dt Datatype) error {
-	f := r.beginMPI("MPI_File_write_at", fl, offset, buf, count, dt)
-	defer r.endMPI(f, fl, offset, buf, count, dt)
+	defer r.endMPI(r.beginMPI("MPI_File_write_at", fl, offset, buf, count, dt))
 	if err := fl.check("MPI_File_write_at"); err != nil {
 		return err
 	}
@@ -55,8 +56,7 @@ func (fl *File) WriteAt(r *Rank, offset int64, buf []byte, count int, dt Datatyp
 // ReadAt is MPI_File_read_at. Probe args: (file, offset, buf, count,
 // datatype).
 func (fl *File) ReadAt(r *Rank, offset int64, buf []byte, count int, dt Datatype) error {
-	f := r.beginMPI("MPI_File_read_at", fl, offset, buf, count, dt)
-	defer r.endMPI(f, fl, offset, buf, count, dt)
+	defer r.endMPI(r.beginMPI("MPI_File_read_at", fl, offset, buf, count, dt))
 	if err := fl.check("MPI_File_read_at"); err != nil {
 		return err
 	}
@@ -68,8 +68,7 @@ func (fl *File) ReadAt(r *Rank, offset int64, buf []byte, count int, dt Datatype
 
 // Close is MPI_File_close: collective. Probe args: (file).
 func (fl *File) Close(r *Rank) error {
-	f := r.beginMPI("MPI_File_close", fl)
-	defer r.endMPI(f, fl)
+	defer r.endMPI(r.beginMPI("MPI_File_close", fl))
 	if err := fl.check("MPI_File_close"); err != nil {
 		return err
 	}

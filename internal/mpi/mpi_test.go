@@ -163,12 +163,12 @@ func TestMessageOrderFIFO(t *testing.T) {
 		c := r.World()
 		if r.Rank() == 0 {
 			for i := 0; i < 10; i++ {
-				c.Send(r, nil, 1, Byte, 1, i)
+				c.Send(r, []byte{byte(i)}, 1, Byte, 1, i) // payload = tag
 			}
 		} else {
 			for i := 0; i < 10; i++ {
 				rq, _ := c.Recv(r, nil, 1, Byte, 0, AnyTag)
-				tags = append(tags, rq.msg.tag)
+				tags = append(tags, int(rq.Data()[0]))
 			}
 		}
 	})

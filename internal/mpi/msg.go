@@ -1,6 +1,9 @@
 package mpi
 
 import (
+	"fmt"
+	"slices"
+
 	"pperf/internal/sim"
 )
 
@@ -17,12 +20,55 @@ type message struct {
 	sentAt     sim.Time // injection time, for trace message edges
 	arrival    sim.Time
 	rendezvous bool
-	sreq       *Request // sender's request (rendezvous completion, credits)
-	internal   bool     // exempt from eager flow control (library traffic)
-	seq        uint64   // per-receiver arrival order, for FIFO matching
+	sreq       *Request // rendezvous: the sender's request, completed by the transfer
 	// creditBytes, when nonzero, is the flow-window charge still owed back
-	// to the sender (returned on consume or library drain).
+	// to the sender (returned on consume or library drain). Once released it
+	// travels back as creditBack, released at creditAt; the message itself
+	// is the event that carries it.
 	creditBytes int
+	creditBack  int
+	creditAt    sim.Time
+	matched     bool // a receive has taken it: it is out of every mailbox
+}
+
+// inject puts msg on the wire: it goes into a recycled message if there is
+// one (the engine runs one thing at a time, so the free list needs no lock),
+// scheduled to arrive at its destination.
+func (w *World) inject(msg message) {
+	var m *message
+	if n := len(w.freeMsgs); n > 0 {
+		m, w.freeMsgs[n-1] = w.freeMsgs[n-1], nil
+		w.freeMsgs = w.freeMsgs[:n-1]
+	} else {
+		m = new(message)
+	}
+	*m = msg
+	w.Eng.Schedule(m.arrival, m)
+}
+
+// recycle returns the message to the world's free list once nothing can
+// reach it again: a receive has matched it (the request copied out what it
+// keeps) and no credit event is still carrying it.
+func (m *message) recycle() {
+	if m.matched && m.creditBack == 0 {
+		w := m.dst.w
+		*m = message{}
+		w.freeMsgs = append(w.freeMsgs, m)
+	}
+}
+
+// Fire is the message's scheduled event (sim.Target): first its arrival at
+// the destination, then — for an eager message whose flow-window bytes the
+// receiver has released — those bytes' arrival back at the sender.
+func (m *message) Fire() {
+	if m.creditBack == 0 {
+		m.deliver()
+		return
+	}
+	bytes := m.creditBack
+	m.creditBack = 0
+	m.src.addCredit(m.dst.global, bytes, m.creditAt)
+	m.recycle()
 }
 
 // Request is a nonblocking operation handle (from Isend/Irecv), completed
@@ -33,20 +79,20 @@ type Request struct {
 	done       bool
 	completeAt sim.Time
 
-	// Receive-side match pattern and result.
+	// Receive-side match pattern. A matched receive owns what it keeps of
+	// the message — the source rank and the payload (in data) — so the
+	// message can be recycled while the request lives on.
 	commID  int
 	srcRank int // AnySource allowed
 	tag     int // AnyTag allowed
-	msg     *message
+	source  int
 	buf     []byte // destination buffer; filled on completion if non-nil
 
 	// Send side.
-	dst      *Rank
-	bytes    int
-	data     []byte
-	sendTag  int
-	internal bool
-	pending  bool // waiting for an eager flow-control credit
+	dst     *Rank
+	bytes   int
+	data    []byte // payload: to send, or (receive side) as matched
+	sendTag int
 }
 
 // Done reports whether the request has completed.
@@ -54,8 +100,8 @@ func (rq *Request) Done() bool { return rq.done }
 
 // Data returns the received payload (nil until completion or for sends).
 func (rq *Request) Data() []byte {
-	if rq.msg != nil {
-		return rq.msg.data
+	if rq.done && !rq.isSend {
+		return rq.data
 	}
 	return nil
 }
@@ -63,37 +109,49 @@ func (rq *Request) Data() []byte {
 // Source returns the matched source rank for receive requests (useful with
 // AnySource), or -1 before completion.
 func (rq *Request) Source() int {
-	if rq.msg != nil {
-		return rq.msg.srcRank
+	if rq.done && !rq.isSend {
+		return rq.source
 	}
 	return -1
 }
 
 // matches reports whether a posted receive pattern matches a message.
 func (rq *Request) matches(m *message) bool {
-	return !rq.isSend && !rq.done && rq.msg == nil &&
+	return !rq.isSend && !rq.done &&
 		rq.commID == m.commID &&
 		(rq.srcRank == AnySource || rq.srcRank == m.srcRank) &&
 		(rq.tag == AnyTag || rq.tag == m.tag)
 }
 
-// complete marks a receive request matched by m, completing at time t, and
-// wakes the owner if it is blocked.
-func (rq *Request) complete(m *message, t sim.Time) {
-	rq.msg = m
+// complete finishes the request at time t and wakes the owner if it is
+// blocked. For a receive, match has already copied the source rank and the
+// payload out of the message; the payload lands in the caller's buffer now.
+func (rq *Request) complete(t sim.Time) {
 	rq.done = true
 	rq.completeAt = t
-	if rq.buf != nil && m != nil && m.data != nil {
-		copy(rq.buf, m.data)
+	if rq.buf != nil && rq.data != nil {
+		copy(rq.buf, rq.data)
 	}
 	rq.owner.wakeAt(t)
 }
 
-// completeSend marks a send request finished at t and wakes the owner.
-func (rq *Request) completeSend(t sim.Time) {
-	rq.done = true
-	rq.completeAt = t
-	rq.owner.wakeAt(t)
+// transferEnd is a *Request as a scheduled event (sim.Target): the end of a
+// rendezvous transfer, at the completeAt match set — the payload drained
+// for the send side, landed for the receive side. A type of its own keeps
+// Fire off the exported Request.
+type transferEnd Request
+
+func (rq *transferEnd) Fire() { (*Request)(rq).complete(rq.completeAt) }
+
+// waitingOn is a *Request as the description of a blocking wait on it; sim
+// asks for the text only when it prints a deadlock report.
+type waitingOn Request
+
+func (rq *waitingOn) String() string {
+	if rq.isSend {
+		return fmt.Sprintf("MPI_Send(tag=%d, comm=%d) on rank %d", rq.sendTag, rq.commID, rq.owner.rank)
+	}
+	return fmt.Sprintf("MPI_Recv(tag=%d, comm=%d) on rank %d", rq.tag, rq.commID, rq.owner.rank)
 }
 
 // deliver runs in scheduler (event) context when a message or
@@ -101,11 +159,9 @@ func (rq *Request) completeSend(t sim.Time) {
 // or queue as unexpected.
 func (m *message) deliver() {
 	dst := m.dst
-	dst.msgSeq++
-	m.seq = dst.msgSeq
 	for i, rq := range dst.posted {
 		if rq.matches(m) {
-			dst.posted = append(dst.posted[:i], dst.posted[i+1:]...)
+			dst.posted = slices.Delete(dst.posted, i, i+1) // clears the vacated slot
 			// The receive was already posted, so the receiver was (or will
 			// be) blocked on this message: a wait edge.
 			m.match(rq, m.arrival, true)
@@ -130,11 +186,9 @@ func (m *message) returnCredit(t sim.Time) {
 	if m.creditBytes == 0 {
 		return
 	}
-	bytes := m.creditBytes
-	m.creditBytes = 0
-	src, dstGID := m.src, m.dst.global
+	m.creditBack, m.creditBytes, m.creditAt = m.creditBytes, 0, t
 	lat := m.dst.w.MsgTime(t, m.dst.node, m.src.node, 0)
-	m.dst.w.Eng.At(t.Add(lat), func() { src.addCredit(dstGID, bytes, t) })
+	m.dst.w.Eng.Schedule(t.Add(lat), m)
 }
 
 // match completes the handshake between message m and receive request rq,
@@ -144,12 +198,16 @@ func (m *message) returnCredit(t sim.Time) {
 func (m *message) match(rq *Request, tm sim.Time, waited bool) {
 	w := m.dst.w
 	lat := w.MsgTime(tm, m.src.node, m.dst.node, 0) // pure latency
+	m.matched = true
+	rq.source = m.srcRank
 	if !m.rendezvous {
 		if tr := w.Tracer; tr != nil {
 			w.traceEdge("msg", m.src, m.dst, m.sentAt, tm, m.tag, m.bytes, tr.NewFlow(), waited)
 		}
-		rq.complete(m, tm)
+		rq.data = m.data
+		rq.complete(tm)
 		m.returnCredit(tm)
+		m.recycle()
 		return
 	}
 	// Rendezvous: clear-to-send travels back, then the payload crosses.
@@ -164,11 +222,10 @@ func (m *message) match(rq *Request, tm sim.Time, waited bool) {
 		w.traceEdge("rendezvous", m.dst, m.src, tm, sendDone, m.tag, 0, 0, true)
 		w.traceEdge("msg", m.src, m.dst, sendDone, recvDone, m.tag, m.bytes, tr.NewFlow(), true)
 	}
-	w.Eng.At(sendDone, func() { sreq.completeSend(sendDone) })
-	w.Eng.At(recvDone, func() {
-		m.data = sreq.data
-		rq.complete(m, recvDone)
-	})
+	sreq.completeAt, rq.completeAt, rq.data = sendDone, recvDone, sreq.data
+	w.Eng.Schedule(sendDone, (*transferEnd)(sreq))
+	w.Eng.Schedule(recvDone, (*transferEnd)(rq))
+	m.recycle()
 }
 
 // addCredit returns flow-window bytes for sends to destination global id
@@ -194,8 +251,7 @@ func (r *Rank) addCredit(dstGID int, bytes int, sentAt sim.Time) {
 		if r.credits[dstGID] < charge {
 			return // head-of-line blocks until enough window frees
 		}
-		r.pendingSends = append(r.pendingSends[:idx], r.pendingSends[idx+1:]...)
-		rq.pending = false
+		r.pendingSends = slices.Delete(r.pendingSends, idx, idx+1)
 		r.credits[dstGID] -= charge
 		if tr := r.w.Tracer; tr != nil {
 			// The blocked send was released by the peer freeing flow-window
@@ -203,22 +259,20 @@ func (r *Rank) addCredit(dstGID int, bytes int, sentAt sim.Time) {
 			r.w.traceEdge("credit", r.w.ranks[dstGID], r, sentAt, now, 0, charge, 0, true)
 		}
 		r.dispatchEager(rq, now, charge)
-		rq.completeSend(now)
+		rq.complete(now)
 	}
 }
 
 // dispatchEager injects an eager message into the network at time t,
-// charging creditBytes against the flow window (0 for internal traffic).
+// charging creditBytes against the flow window (0 for a message that
+// bypasses windowing).
 func (r *Rank) dispatchEager(rq *Request, t sim.Time, creditBytes int) {
-	m := &message{
+	r.w.inject(message{
 		src: r, dst: rq.dst, commID: rq.commID, srcRank: rq.srcRank,
-		tag: rq.sendTag, bytes: rq.bytes, data: rq.data,
-		sentAt:   t,
-		arrival:  t.Add(r.w.MsgTime(t, r.node, rq.dst.node, rq.bytes)),
-		internal: rq.internal, sreq: rq,
-		creditBytes: creditBytes,
-	}
-	r.w.Eng.At(m.arrival, m.deliver)
+		tag: rq.sendTag, bytes: rq.bytes, data: rq.data, creditBytes: creditBytes,
+		sentAt:  t,
+		arrival: t.Add(r.w.MsgTime(t, r.node, rq.dst.node, rq.bytes)),
+	})
 }
 
 // findUnexpected scans the unexpected queue (in arrival order) for the first
@@ -226,7 +280,9 @@ func (r *Rank) dispatchEager(rq *Request, t sim.Time, creditBytes int) {
 func (r *Rank) findUnexpected(rq *Request) *message {
 	for i, m := range r.unexpected {
 		if rq.matches(m) {
-			r.unexpected = append(r.unexpected[:i], r.unexpected[i+1:]...)
+			// Delete clears the vacated slot, so the queue does not pin a
+			// message that goes on to be recycled.
+			r.unexpected = slices.Delete(r.unexpected, i, i+1)
 			return m
 		}
 	}

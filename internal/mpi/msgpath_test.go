@@ -1,0 +1,135 @@
+package mpi
+
+import (
+	"strings"
+	"testing"
+
+	"pperf/internal/sim"
+)
+
+// A rendezvous send nobody receives deadlocks; the report must name the
+// send's own tag (a send request's receive pattern is always 0).
+func TestDeadlockReportNamesTheSendTag(t *testing.T) {
+	w := newTestWorld(t, LAM, 2, 1)
+	w.Register("main", func(r *Rank, _ []string) {
+		if r.Rank() == 0 {
+			r.World().Send(r, nil, 1<<20, Byte, 1, 7)
+		}
+	})
+	if _, err := w.LaunchN("main", 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	err := w.Eng.Run()
+	if err == nil || !strings.Contains(err.Error(), "MPI_Send(tag=7, comm=1) on rank 0") {
+		t.Errorf("run error = %v, want a deadlock naming MPI_Send(tag=7, comm=1) on rank 0", err)
+	}
+}
+
+// A request owns what it keeps of its message: Data and Source must stay
+// right after the message has gone back to the free list and carried other
+// traffic — for an eager and for a rendezvous receive.
+func TestRequestOutlivesItsRecycledMessage(t *testing.T) {
+	w := newTestWorld(t, LAM, 3, 1)
+	big := make([]byte, 100000) // over the eager threshold
+	big[0], big[len(big)-1] = 'B', 'E'
+	const rounds = 50
+	runProgram(t, w, 3, func(r *Rank, _ []string) {
+		c := r.World()
+		switch r.Rank() {
+		case 1:
+			c.Send(r, []byte("first"), 5, Byte, 0, 1)
+			c.Send(r, big, len(big), Byte, 0, 2)
+		case 2:
+			for i := 0; i < rounds; i++ { // lock-step, so few messages are live at once
+				c.Recv(r, nil, 0, Byte, 0, 4)
+				c.Send(r, []byte{byte(i)}, 1, Byte, 0, 3)
+			}
+		case 0:
+			small, _ := c.Recv(r, nil, 5, Byte, AnySource, 1)
+			large, _ := c.Recv(r, nil, len(big), Byte, AnySource, 2)
+			r.Compute(sim.Millisecond) // the eager message's credit gets home
+			if len(w.freeMsgs) != 2 {
+				t.Errorf("%d messages on the free list after two completed receives, want both", len(w.freeMsgs))
+			}
+			for i := 0; i < rounds; i++ {
+				c.Send(r, nil, 0, Byte, 2, 4)
+				rq, _ := c.Recv(r, nil, 1, Byte, AnySource, 3)
+				if d := rq.Data(); len(d) != 1 || d[0] != byte(i) || rq.Source() != 2 {
+					t.Errorf("round %d: data %v from %d", i, d, rq.Source())
+				}
+			}
+			if string(small.Data()) != "first" || small.Source() != 1 {
+				t.Errorf("eager request now reads %q from %d", small.Data(), small.Source())
+			}
+			if d := large.Data(); len(d) != len(big) || d[0] != 'B' || d[len(d)-1] != 'E' || large.Source() != 1 {
+				t.Errorf("rendezvous request now reads %d bytes from %d", len(d), large.Source())
+			}
+		}
+	})
+	// 2 + 2*rounds messages were sent; had none been reused, as many would
+	// have been allocated.
+	if n := len(w.freeMsgs); n > 6 {
+		t.Errorf("free list holds %d messages: the recycled ones were not reused", n)
+	}
+}
+
+// The allocation budget of the simulated message path, tool-less: one eager
+// Send/Recv pair costs the two Requests and nothing else (the receive's is
+// handed to the caller; the message, its events, the argument vectors and
+// the wait descriptions cost nothing), and a traced application call costs
+// nothing at all.
+func TestMessagePathAllocationBudget(t *testing.T) {
+	const rounds = 200
+	w := newTestWorld(t, LAM, 1, 2)
+	var perPair, perCall float64
+	runProgram(t, w, 2, func(r *Rank, _ []string) {
+		c := r.World()
+		if r.Rank() == 1 {
+			for i := 0; i < 2*(rounds+1); i++ {
+				c.Send(r, nil, 8, Byte, 0, 0)
+			}
+			return
+		}
+		recv := func() { c.Recv(r, nil, 8, Byte, 1, 0) }
+		perPair = testing.AllocsPerRun(rounds, recv) // receiver blocks: posted-first matches
+		r.Compute(sim.Second)                        // let the sender run ahead
+		if r.UnexpectedCount() == 0 {
+			t.Error("second half should find its messages already queued")
+		}
+		if n := testing.AllocsPerRun(rounds, recv); n > perPair {
+			perPair = n // unexpected-first matches
+		}
+		body := func() {}
+		perCall = testing.AllocsPerRun(rounds, func() { r.Call("app.c", "work", body) })
+	})
+	if perPair > 2 {
+		t.Errorf("eager Send/Recv pair: %v allocs, budget 2 (the Requests)", perPair)
+	}
+	if perCall != 0 {
+		t.Errorf("Rank.Call: %v allocs, want 0", perCall)
+	}
+}
+
+// A rank parked at a collective's sync point hands sim the routine's name
+// for a deadlock report that is almost never printed; that must not cost an
+// allocation per wait.
+func TestBlockedSyncWaitAllocatesNothing(t *testing.T) {
+	const rounds = 200
+	w := newTestWorld(t, LAM, 1, 2)
+	sp := &syncPoint{n: 2}
+	var perWait float64
+	runProgram(t, w, 2, func(r *Rank, _ []string) {
+		if r.Rank() == 1 {
+			for i := 0; i < rounds+2; i++ {
+				r.Compute(sim.Microsecond) // arrive last: rank 0 blocks every round
+				sp.wait(r, "MPI_Barrier")
+			}
+			return
+		}
+		sp.wait(r, "MPI_Barrier")
+		perWait = testing.AllocsPerRun(rounds, func() { sp.wait(r, "MPI_Barrier") })
+	})
+	if perWait != 0 {
+		t.Errorf("blocked sync-point wait: %v allocs, want 0", perWait)
+	}
+}

@@ -1,7 +1,5 @@
 package mpi
 
-import "fmt"
-
 // --- internal (untraced) primitives --------------------------------------
 //
 // The traced MPI routines below are thin wrappers over these. Collectives
@@ -10,8 +8,9 @@ import "fmt"
 // probes.
 
 // isendInternal starts a send of bytes to dst (a rank number resolved
-// against comm from r's perspective).
-func (r *Rank) isendInternal(comm *Comm, dst, tag, count int, dt Datatype, data []byte, internal bool) (*Request, error) {
+// against comm from r's perspective). A synchronous send takes the
+// rendezvous path whatever its size.
+func (r *Rank) isendInternal(comm *Comm, dst, tag, count int, dt Datatype, data []byte, synchronous bool) (*Request, error) {
 	peer, err := comm.peer(r, dst)
 	if err != nil {
 		return nil, err
@@ -21,51 +20,38 @@ func (r *Rank) isendInternal(comm *Comm, dst, tag, count int, dt Datatype, data 
 	rq := &Request{
 		owner: r, isSend: true, dst: peer, commID: comm.id,
 		srcRank: comm.RankOf(r), sendTag: tag, bytes: bytes, data: data,
-		internal: internal,
 	}
-	if bytes > cost.EagerThreshold {
+	if synchronous || bytes > cost.EagerThreshold {
 		// Rendezvous: post a ready-to-send notice; the transfer starts when
 		// the receiver matches it.
-		m := &message{
-			src: r, dst: peer, commID: comm.id, srcRank: rq.srcRank,
-			tag: tag, bytes: bytes, rendezvous: true, sreq: rq, internal: internal,
-		}
-		m.sentAt = r.Now()
-		m.arrival = r.Now().Add(r.w.MsgTime(r.Now(), r.node, peer.node, 0))
-		r.w.Eng.At(m.arrival, m.deliver)
-		return rq, nil
-	}
-	if internal {
-		r.dispatchEager(rq, r.Now(), 0)
-		rq.done = true
-		rq.completeAt = r.Now()
+		r.w.inject(message{
+			src: r, dst: peer, commID: comm.id, srcRank: rq.srcRank, tag: tag, bytes: bytes,
+			rendezvous: true, sreq: rq, sentAt: r.Now(),
+			arrival: r.Now().Add(r.w.MsgTime(r.Now(), r.node, peer.node, 0)),
+		})
 		return rq, nil
 	}
 	if _, seen := r.credits[peer.global]; !seen {
 		r.credits[peer.global] = cost.FlowCreditBytes
 	}
 	charge := bytes + cost.MsgHeaderBytes
-	if charge > cost.FlowCreditBytes {
+	switch {
+	case charge > cost.FlowCreditBytes:
 		// An eager message larger than the whole flow window (possible when
 		// the eager threshold exceeds the buffer size) bypasses windowing:
 		// real transports grow their buffers rather than deadlock.
-		r.dispatchEager(rq, r.Now(), 0)
-		rq.done = true
-		rq.completeAt = r.Now()
-		return rq, nil
-	}
-	if r.credits[peer.global] >= charge && !r.hasPendingTo(peer.global) {
+		charge = 0
+	case r.credits[peer.global] >= charge && !r.hasPendingTo(peer.global):
 		r.credits[peer.global] -= charge
-		r.dispatchEager(rq, r.Now(), charge)
-		rq.done = true
-		rq.completeAt = r.Now()
+	default:
+		// No window space: the send waits its turn (finite eager buffering
+		// — this is where small-messages' clients accumulate MPI_Send
+		// waiting time).
+		r.pendingSends = append(r.pendingSends, rq)
 		return rq, nil
 	}
-	// No window space: the send waits its turn (finite eager buffering —
-	// this is where small-messages' clients accumulate MPI_Send waiting
-	// time).
-	rq.pending = true
-	r.pendingSends = append(r.pendingSends, rq)
+	r.dispatchEager(rq, r.Now(), charge)
+	rq.done, rq.completeAt = true, r.Now()
 	return rq, nil
 }
 
@@ -121,21 +107,9 @@ func (r *Rank) waitInternal(rq *Request) {
 	}
 	r.enterLibraryWait()
 	defer r.exitLibraryWait()
-	what := "" // the deadlock-report description, formatted only if the wait blocks
 	for !rq.done {
-		if what == "" {
-			what = r.waitDescr(rq)
-		}
-		r.block(what)
+		r.block((*waitingOn)(rq))
 	}
-}
-
-func (r *Rank) waitDescr(rq *Request) string {
-	kind := "MPI_Recv"
-	if rq.isSend {
-		kind = "MPI_Send"
-	}
-	return fmt.Sprintf("%s(tag=%d, comm=%d) on rank %d", kind, rq.tag, rq.commID, r.rank)
 }
 
 // --- traced point-to-point API --------------------------------------------
@@ -144,8 +118,7 @@ func (r *Rank) waitDescr(rq *Request) string {
 // data may be nil for synthetic payloads. Argument positions in the fired
 // probe mirror C MPI: (buf, count, datatype, dest, tag, comm).
 func (c *Comm) Send(r *Rank, data []byte, count int, dt Datatype, dest, tag int) error {
-	f := r.beginMPI("MPI_Send", data, count, dt, dest, tag, c)
-	defer r.endMPI(f, data, count, dt, dest, tag, c)
+	defer r.endMPI(r.beginMPI("MPI_Send", data, count, dt, dest, tag, c))
 	r.SystemCompute(c.w.Impl.Cost.SendOverhead)
 	rq, err := r.isendInternal(c, dest, tag, count, dt, data, false)
 	if err != nil {
@@ -158,8 +131,7 @@ func (c *Comm) Send(r *Rank, data []byte, count int, dt Datatype, dest, tag int)
 // Recv is MPI_Recv: blocking receive. src may be AnySource, tag AnyTag.
 // Probe args: (buf, count, datatype, source, tag, comm).
 func (c *Comm) Recv(r *Rank, buf []byte, count int, dt Datatype, src, tag int) (*Request, error) {
-	f := r.beginMPI("MPI_Recv", buf, count, dt, src, tag, c)
-	defer r.endMPI(f, buf, count, dt, src, tag, c)
+	defer r.endMPI(r.beginMPI("MPI_Recv", buf, count, dt, src, tag, c))
 	r.SystemCompute(c.w.Impl.Cost.RecvOverhead)
 	rq, err := r.irecvInternal(c, src, tag, count, dt, buf)
 	if err != nil {
@@ -171,38 +143,33 @@ func (c *Comm) Recv(r *Rank, buf []byte, count int, dt Datatype, src, tag int) (
 
 // Isend is MPI_Isend: nonblocking send; complete with Wait.
 func (c *Comm) Isend(r *Rank, data []byte, count int, dt Datatype, dest, tag int) (*Request, error) {
-	f := r.beginMPI("MPI_Isend", data, count, dt, dest, tag, c)
-	defer r.endMPI(f, data, count, dt, dest, tag, c)
+	defer r.endMPI(r.beginMPI("MPI_Isend", data, count, dt, dest, tag, c))
 	r.SystemCompute(c.w.Impl.Cost.SendOverhead)
 	return r.isendInternal(c, dest, tag, count, dt, data, false)
 }
 
 // Irecv is MPI_Irecv: nonblocking receive; complete with Wait.
 func (c *Comm) Irecv(r *Rank, buf []byte, count int, dt Datatype, src, tag int) (*Request, error) {
-	f := r.beginMPI("MPI_Irecv", buf, count, dt, src, tag, c)
-	defer r.endMPI(f, buf, count, dt, src, tag, c)
+	defer r.endMPI(r.beginMPI("MPI_Irecv", buf, count, dt, src, tag, c))
 	r.SystemCompute(c.w.Impl.Cost.RecvOverhead)
 	return r.irecvInternal(c, src, tag, count, dt, buf)
 }
 
 // Wait is MPI_Wait.
 func (r *Rank) Wait(rq *Request) {
-	f := r.beginMPI("MPI_Wait", rq)
-	defer r.endMPI(f, rq)
+	defer r.endMPI(r.beginMPI("MPI_Wait", rq))
 	r.waitInternal(rq)
 }
 
 // Test is MPI_Test: non-blocking completion check of a request.
 func (r *Rank) Test(rq *Request) bool {
-	f := r.beginMPI("MPI_Test", rq, nil)
-	defer r.endMPI(f, rq, nil)
+	defer r.endMPI(r.beginMPI("MPI_Test", rq, nil))
 	return rq.done && rq.completeAt <= r.Now()
 }
 
 // Waitall is MPI_Waitall.
 func (r *Rank) Waitall(rqs []*Request) {
-	f := r.beginMPI("MPI_Waitall", len(rqs), rqs)
-	defer r.endMPI(f, len(rqs), rqs)
+	defer r.endMPI(r.beginMPI("MPI_Waitall", len(rqs), rqs))
 	for _, rq := range rqs {
 		r.waitInternal(rq)
 	}
@@ -213,8 +180,7 @@ func (r *Rank) Waitall(rqs []*Request) {
 // recvbuf, recvcount, recvtype, source, recvtag, comm).
 func (c *Comm) Sendrecv(r *Rank, sdata []byte, scount int, sdt Datatype, dest, stag int,
 	rbuf []byte, rcount int, rdt Datatype, src, rtag int) (*Request, error) {
-	f := r.beginMPI("MPI_Sendrecv", sdata, scount, sdt, dest, stag, rbuf, rcount, rdt, src, rtag, c)
-	defer r.endMPI(f, sdata, scount, sdt, dest, stag, rbuf, rcount, rdt, src, rtag, c)
+	defer r.endMPI(r.beginMPI("MPI_Sendrecv", sdata, scount, sdt, dest, stag, rbuf, rcount, rdt, src, rtag, c))
 	r.SystemCompute(c.w.Impl.Cost.SendOverhead + c.w.Impl.Cost.RecvOverhead)
 	rrq, err := r.irecvInternal(c, src, rtag, rcount, rdt, rbuf)
 	if err != nil {

@@ -37,8 +37,7 @@ func (r *Rank) findUnexpectedPeek(commID, src, tag int) *message {
 // Iprobe is MPI_Iprobe: a non-blocking check for a matching pending
 // message. Probe args: (source, tag, comm, flag, status).
 func (c *Comm) Iprobe(r *Rank, src, tag int) (bool, *Status, error) {
-	f := r.beginMPI("MPI_Iprobe", src, tag, c, nil, nil)
-	defer r.endMPI(f, src, tag, c, nil, nil)
+	defer r.endMPI(r.beginMPI("MPI_Iprobe", src, tag, c, nil, nil))
 	r.SystemCompute(c.w.Impl.Cost.RecvOverhead / 4)
 	if m := r.findUnexpectedPeek(c.id, src, tag); m != nil {
 		return true, &Status{Source: m.srcRank, Tag: m.tag, bytes: m.bytes}, nil
@@ -49,8 +48,7 @@ func (c *Comm) Iprobe(r *Rank, src, tag int) (bool, *Status, error) {
 // ProbeMsg is MPI_Probe: block until a matching message is pending, without
 // receiving it. Probe args: (source, tag, comm, status).
 func (c *Comm) ProbeMsg(r *Rank, src, tag int) (*Status, error) {
-	f := r.beginMPI("MPI_Probe", src, tag, c, nil)
-	defer r.endMPI(f, src, tag, c, nil)
+	defer r.endMPI(r.beginMPI("MPI_Probe", src, tag, c, nil))
 	r.SystemCompute(c.w.Impl.Cost.RecvOverhead / 4)
 	r.enterLibraryWait()
 	defer r.exitLibraryWait()

@@ -32,7 +32,6 @@ type Rank struct {
 	// Mailbox.
 	unexpected []*message
 	posted     []*Request
-	msgSeq     uint64
 
 	// Eager flow control: available flow-window bytes per destination
 	// global id, and sends queued awaiting window space.
@@ -167,7 +166,9 @@ func (r *Rank) Call(module, name string, body func()) {
 // --- traced MPI call helpers --------------------------------------------
 
 // beginMPI fires the entry probe of the named MPI routine (resolved through
-// the personality's symbol naming) and returns the function for endMPI.
+// the personality's symbol naming) and returns the function for endMPI. args
+// mirror the C signature; the probe layer carries them to the return probe,
+// where an out-parameter is filled in with Probes().SetArg first.
 func (r *Rank) beginMPI(name string, args ...any) *probe.Function {
 	if tr := r.w.Tracer; tr != nil {
 		peer, tag, bytes, obj := traceMeta(name, args)
@@ -179,15 +180,16 @@ func (r *Rank) beginMPI(name string, args ...any) *probe.Function {
 }
 
 // endMPI fires the return probe.
-func (r *Rank) endMPI(f *probe.Function, args ...any) {
-	r.probes.Leave(f, args...)
+func (r *Rank) endMPI(f *probe.Function) {
+	r.probes.Leave(f)
 	if tr := r.w.Tracer; tr != nil {
 		tr.EndMPI(r.probes.Name(), r.Now())
 	}
 }
 
-// block suspends the process until woken; what appears in deadlock reports.
-func (r *Rank) block(what string) { r.proc.Wait(what) }
+// block suspends the process until woken; what appears in deadlock reports
+// (a string or a fmt.Stringer, as sim.Proc.Wait takes it).
+func (r *Rank) block(what any) { r.proc.Wait(what) }
 
 // enterLibraryWait marks the process as blocked inside the MPI library: its
 // transport drains arriving eager messages, returning their flow-window
@@ -236,8 +238,7 @@ func (r *Rank) ParentComm() *Comm { return r.parentComm }
 // GetParent is MPI_Comm_get_parent: the intercommunicator to the group that
 // spawned this process, or nil for initially launched processes.
 func (r *Rank) GetParent() *Comm {
-	f := r.beginMPI("MPI_Comm_get_parent")
-	defer r.endMPI(f)
+	defer r.endMPI(r.beginMPI("MPI_Comm_get_parent"))
 	return r.parentComm
 }
 

@@ -133,7 +133,8 @@ func (c *Comm) WinCreate(r *Rank, size int, dispUnit int, info Info) (*Win, erro
 	sync.wait(r, "MPI_Win_create")
 
 	win := &Win{shared: ws, r: r, myRank: c.RankOf(r), lockedOn: map[int]bool{}}
-	r.endMPI(f, nil, size, dispUnit, info, c, win)
+	r.probes.SetArg(5, win)
+	r.endMPI(f)
 	for _, h := range c.w.hooks {
 		if h.WinCreated != nil {
 			h.WinCreated(r, win)
@@ -150,8 +151,7 @@ func (c *Comm) WinCreate(r *Rank, size int, dispUnit int, info Info) (*Win, erro
 // (§4.2.1's rma_sync_wait includes it). Probe args: (win).
 func (w *Win) Free() error {
 	r := w.r
-	f := r.beginMPI("MPI_Win_free", w)
-	defer r.endMPI(f, w)
+	defer r.endMPI(r.beginMPI("MPI_Win_free", w))
 	w.waitMyOps()
 	w.shared.fenceSync.wait(r, "MPI_Win_free")
 	if !w.shared.freed {
@@ -181,7 +181,7 @@ func (w *Win) SetName(name string) {
 			h.NameSet(r, w, name)
 		}
 	}
-	r.endMPI(f, w, name)
+	r.endMPI(f)
 }
 
 // waitMyOps blocks until all transfers this rank issued in the current
@@ -203,8 +203,7 @@ func (w *Win) waitMyOps() {
 // Fig 22); MPICH2 synchronizes internally. Probe args: (assert, win).
 func (w *Win) Fence(assert int) error {
 	r := w.r
-	f := r.beginMPI("MPI_Win_fence", assert, w)
-	defer r.endMPI(f, assert, w)
+	defer r.endMPI(r.beginMPI("MPI_Win_fence", assert, w))
 	if w.shared.freed {
 		return fmt.Errorf("mpi: MPI_Win_fence on freed window %s", w.UniqueID())
 	}
@@ -220,8 +219,7 @@ func (w *Win) Fence(assert int) error {
 // (comm ranks) for one PSCW epoch. Probe args: (group, assert, win).
 func (w *Win) Post(group []int, assert int) error {
 	r := w.r
-	f := r.beginMPI("MPI_Win_post", group, assert, w)
-	defer r.endMPI(f, group, assert, w)
+	defer r.endMPI(r.beginMPI("MPI_Win_post", group, assert, w))
 	r.SystemCompute(w.shared.w.Impl.CollectiveOverhead)
 	me := w.myRank
 	ws := w.shared
@@ -252,8 +250,7 @@ func (w *Win) Post(group []int, assert int) error {
 // (§5.2.1.1). Probe args: (group, assert, win).
 func (w *Win) Start(group []int, assert int) error {
 	r := w.r
-	f := r.beginMPI("MPI_Win_start", group, assert, w)
-	defer r.endMPI(f, group, assert, w)
+	defer r.endMPI(r.beginMPI("MPI_Win_start", group, assert, w))
 	r.SystemCompute(w.shared.w.Impl.CollectiveOverhead)
 	w.startGroup = append([]int(nil), group...)
 	w.inAccess = true
@@ -283,8 +280,7 @@ func (w *Win) waitPosts() {
 // until the matching posts have happened). Probe args: (win).
 func (w *Win) Complete() error {
 	r := w.r
-	f := r.beginMPI("MPI_Win_complete", w)
-	defer r.endMPI(f, w)
+	defer r.endMPI(r.beginMPI("MPI_Win_complete", w))
 	if !w.inAccess {
 		return fmt.Errorf("mpi: MPI_Win_complete without MPI_Win_start on %s", w.UniqueID())
 	}
@@ -315,8 +311,7 @@ func (w *Win) Complete() error {
 // have called MPI_Win_complete. Probe args: (win).
 func (w *Win) WaitEpoch() error {
 	r := w.r
-	f := r.beginMPI("MPI_Win_wait", w)
-	defer r.endMPI(f, w)
+	defer r.endMPI(r.beginMPI("MPI_Win_wait", w))
 	ws := w.shared
 	me := w.myRank
 	r.enterLibraryWait()
@@ -335,8 +330,7 @@ func (w *Win) WaitEpoch() error {
 // personality provides it. Probe args: (lock_type, rank, assert, win).
 func (w *Win) Lock(lockType, rank, assert int) error {
 	r := w.r
-	f := r.beginMPI("MPI_Win_lock", lockType, rank, assert, w)
-	defer r.endMPI(f, lockType, rank, assert, w)
+	defer r.endMPI(r.beginMPI("MPI_Win_lock", lockType, rank, assert, w))
 	if !w.shared.w.Impl.SupportsPassiveTarget {
 		return &ErrUnsupported{w.shared.w.Impl.Kind, "passive target synchronization"}
 	}
@@ -366,8 +360,7 @@ func (w *Win) Lock(lockType, rank, assert int) error {
 // (rank, win).
 func (w *Win) Unlock(rank int) error {
 	r := w.r
-	f := r.beginMPI("MPI_Win_unlock", rank, w)
-	defer r.endMPI(f, rank, w)
+	defer r.endMPI(r.beginMPI("MPI_Win_unlock", rank, w))
 	if !w.shared.w.Impl.SupportsPassiveTarget {
 		return &ErrUnsupported{w.shared.w.Impl.Kind, "passive target synchronization"}
 	}

@@ -24,16 +24,16 @@ func (c *Comm) Spawn(r *Rank, command string, argv []string, maxprocs int, info 
 	w := c.w
 
 	if !w.Impl.SupportsSpawn {
-		r.endMPI(f, command, argv, maxprocs, info, root, c, nil)
+		r.endMPI(f)
 		return nil, &ErrUnsupported{w.Impl.Kind, "dynamic process creation"}
 	}
 	if maxprocs < 1 {
-		r.endMPI(f, command, argv, maxprocs, info, root, c, nil)
+		r.endMPI(f)
 		return nil, fmt.Errorf("mpi: MPI_Comm_spawn: maxprocs must be >= 1, got %d", maxprocs)
 	}
 	prog, ok := w.programs[command]
 	if !ok {
-		r.endMPI(f, command, argv, maxprocs, info, root, c, nil)
+		r.endMPI(f)
 		return nil, fmt.Errorf("mpi: MPI_Comm_spawn: no program registered as %q", command)
 	}
 
@@ -79,7 +79,8 @@ func (c *Comm) Spawn(r *Rank, command string, argv []string, maxprocs int, info 
 
 	sync.wait(r, "MPI_Comm_spawn (exit)")
 	inter, err := c.spawnResult, c.spawnErr
-	r.endMPI(f, command, argv, maxprocs, info, root, c, inter)
+	r.probes.SetArg(6, inter)
+	r.endMPI(f)
 	return inter, err
 }
 

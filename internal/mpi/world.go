@@ -73,7 +73,8 @@ type World struct {
 	programs  map[string]Program
 	hooks     []*Hooks
 	ranks     []*Rank
-	appFuncs  map[string]*probe.Function
+	appFuncs  map[[2]string]*probe.Function // by (module, name)
+	freeMsgs  []*message                    // recycled messages, see message.recycle
 	nextComm  int
 	winFree   []int // freed implementation window ids (reused by LAM-like impls)
 	winNext   int
@@ -90,7 +91,7 @@ func NewWorld(eng *sim.Engine, spec *cluster.Spec, impl *Impl) *World {
 		Impl:     impl,
 		FS:       map[string]string{},
 		programs: map[string]Program{},
-		appFuncs: map[string]*probe.Function{},
+		appFuncs: map[[2]string]*probe.Function{},
 	}
 }
 
@@ -274,7 +275,7 @@ func (w *World) freeWinID(id int) {
 // appFunc returns (creating once) the probe.Function for an application
 // procedure in the given source module.
 func (w *World) appFunc(module, name string) *probe.Function {
-	key := module + "\x00" + name
+	key := [2]string{module, name}
 	f, ok := w.appFuncs[key]
 	if !ok {
 		f = &probe.Function{Name: name, Module: module}
@@ -304,8 +305,10 @@ type syncPoint struct {
 }
 
 // wait blocks the rank until all n parties have arrived; everyone resumes at
-// the latest arrival time.
-func (sp *syncPoint) wait(r *Rank, what string) {
+// the latest arrival time. what is the routine's name, a string constant at
+// every call site, taken already boxed: sim.Cond.Wait wants it as an
+// interface, and boxing a string variable would allocate on every wait.
+func (sp *syncPoint) wait(r *Rank, what any) {
 	if sp.n <= 1 {
 		return
 	}
@@ -323,7 +326,7 @@ func (sp *syncPoint) wait(r *Rank, what string) {
 		sp.maxT = 0
 		sp.gen++
 		if tr := r.w.Tracer; tr != nil {
-			tr.SyncRelease(sp, what, r.probes.Name(), release)
+			tr.SyncRelease(sp, what.(string), r.probes.Name(), release)
 		}
 		sp.cond.Broadcast(release)
 		return

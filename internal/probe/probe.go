@@ -73,7 +73,10 @@ func (ev *Event) Arg(i int) any {
 }
 
 // Handler is a probe body. Handlers run synchronously in the traced
-// process's context.
+// process's context. The Event is the process's one reusable record and
+// Args is the call frame's own vector: both are valid only during the call,
+// so a handler that wants something later copies it out (an argument value
+// may be kept; the *Event and the Args slice may not).
 type Handler func(ev *Event)
 
 // ID identifies an inserted probe so it can be deleted.
@@ -118,8 +121,14 @@ type Process struct {
 	Executions int64
 
 	// stack is the dynamic call stack of traced functions, used for
-	// call-graph discovery and inclusive-metric constraints.
+	// call-graph discovery and inclusive-metric constraints; args[i] is the
+	// argument vector of the call at stack[i], carried from its Enter to its
+	// Leave. A popped slot keeps its backing array, so a call at a depth the
+	// process has reached before copies its arguments without allocating.
 	stack []*Function
+	args  [][]any
+	// ev is the record every probe execution is handed (see Handler).
+	ev Event
 
 	// edges records observed caller→callee pairs for the Performance
 	// Consultant's call-graph-based search.
@@ -219,16 +228,36 @@ func (p *Process) Enter(f *Function, args ...any) {
 	if n := len(p.stack); n > 0 {
 		p.edges[[2]string{p.stack[n-1].Name, f.Name}] = true
 	}
+	n := len(p.stack)
 	p.stack = append(p.stack, f)
-	p.fire(f, Entry, args)
+	if n == len(p.args) {
+		p.args = append(p.args, nil)
+	}
+	p.args[n] = append(p.args[n][:0], args...)
+	p.fire(f, Entry, p.args[n])
 }
 
-// Leave fires the return point of f and pops the call stack.
-func (p *Process) Leave(f *Function, args ...any) {
-	p.fire(f, Return, args)
-	if n := len(p.stack); n > 0 && p.stack[n-1] == f {
-		p.stack = p.stack[:n-1]
+// SetArg sets argument i of the innermost traced call — an out-parameter
+// whose value exists only once the call has run (the new communicator of
+// MPI_Comm_dup, the window of MPI_Win_create), so that the return point
+// sees it. Out of range is a no-op.
+func (p *Process) SetArg(i int, v any) {
+	if n := len(p.stack); n > 0 && i >= 0 && i < len(p.args[n-1]) {
+		p.args[n-1][i] = v
 	}
+}
+
+// Leave fires the return point of f — its handlers see the argument vector
+// the call entered with — and pops the call stack.
+func (p *Process) Leave(f *Function) {
+	n := len(p.stack) - 1
+	if n < 0 || p.stack[n] != f {
+		p.fire(f, Return, nil)
+		return
+	}
+	p.fire(f, Return, p.args[n])
+	p.stack = p.stack[:n]
+	clear(p.args[n]) // the idle slot must not pin the call's buffers and handles
 }
 
 // fire runs the probes installed at (f, w).
@@ -244,12 +273,12 @@ func (p *Process) fire(f *Function, w Where, args []any) {
 	if len(list) == 0 {
 		return
 	}
-	ev := Event{
+	p.ev = Event{
 		Proc: p, Func: f, Where: w, Args: args,
 		Time: p.clock.Now(), CPUTime: p.clock.CPUTime(),
 	}
 	for _, r := range list {
-		r.fn(&ev)
+		r.fn(&p.ev)
 		p.Executions++
 	}
 	if p.PerProbeCost > 0 {

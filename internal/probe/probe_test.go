@@ -1,6 +1,8 @@
 package probe
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -27,7 +29,7 @@ func TestInsertFireRemove(t *testing.T) {
 	count := 0
 	id := p.Insert("MPI_Send", Entry, Append, func(ev *Event) { count++ })
 	p.Enter(fSend, nil, 10)
-	p.Leave(fSend, nil, 10)
+	p.Leave(fSend)
 	if count != 1 {
 		t.Fatalf("count = %d, want 1", count)
 	}
@@ -220,5 +222,65 @@ func TestPropertyInsertRemoveBalance(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// The call frame carries the argument vector from Enter to Leave: the return
+// point sees what the call entered with plus the out-parameters SetArg
+// filled in, nested calls keep their own vectors, and an unmatched Leave
+// sees none.
+func TestFrameCarriesArgsToReturn(t *testing.T) {
+	p := NewProcess("p0", &fakeClock{})
+	var got []string
+	record := func(ev *Event) {
+		got = append(got, fmt.Sprint(ev.Func.Name, ".", ev.Where, " ", ev.Args))
+	}
+	for _, fn := range []string{fApp.Name, fSend.Name} {
+		p.Insert(fn, Entry, Append, record)
+		p.Insert(fn, Return, Append, record)
+	}
+	p.Enter(fApp, "outer", nil)
+	p.Enter(fSend, "buf", 42, nil)
+	p.SetArg(2, "handle")
+	p.SetArg(9, "out of range") // no-op
+	p.Leave(fSend)
+	p.SetArg(1, "outer-out")
+	p.Leave(fApp)
+	p.Leave(fApp)                      // not on the stack any more
+	p.SetArg(0, "no call in progress") // no-op
+	want := []string{
+		"Gsend_message.entry [outer <nil>]",
+		"MPI_Send.entry [buf 42 <nil>]",
+		"MPI_Send.return [buf 42 handle]",
+		"Gsend_message.return [outer outer-out]",
+		"Gsend_message.return []",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("probe points saw\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// The allocation budget of a traced call: six arguments and a handler on
+// each point, at a call depth the process has reached before.
+func TestEnterLeaveAllocateNothing(t *testing.T) {
+	p := NewProcess("p0", &fakeClock{})
+	p.PerProbeCost = 100 * sim.Nanosecond
+	sum := 0
+	h := func(ev *Event) { sum += ev.Arg(1).(int) }
+	p.Insert("MPI_Send", Entry, Append, h)
+	p.Insert("MPI_Send", Return, Append, h)
+	comm := &struct{ id int }{1}
+	call := func() {
+		p.Enter(fApp)
+		p.Enter(fSend, nil, 8, 1, 0, 7, comm)
+		p.Leave(fSend)
+		p.Leave(fApp)
+	}
+	call()
+	if n := testing.AllocsPerRun(200, call); n != 0 {
+		t.Errorf("Enter/Leave with six arguments and a handler per point: %v allocs, want 0", n)
+	}
+	if sum != 2*8*202 {
+		t.Errorf("handlers saw %d, want %d", sum, 2*8*202)
 	}
 }

@@ -10,8 +10,8 @@ type Cond struct {
 // Wait blocks the calling process on the condition. As with sync.Cond, the
 // caller must re-check its predicate in a loop, because another process may
 // run between the wake-up and the resumption. what describes the wait for
-// deadlock reports.
-func (c *Cond) Wait(p *Proc, what string) {
+// deadlock reports, as in Proc.Wait.
+func (c *Cond) Wait(p *Proc, what any) {
 	c.waiters = append(c.waiters, p)
 	p.Wait(what)
 }
@@ -21,6 +21,7 @@ func (c *Cond) Wait(p *Proc, what string) {
 func (c *Cond) Signal(t Time) *Proc {
 	for len(c.waiters) > 0 {
 		p := c.waiters[0]
+		c.waiters[0] = nil // the vacated slot must not pin the process
 		c.waiters = c.waiters[1:]
 		if p.WakeAt(t) {
 			return p

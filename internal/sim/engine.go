@@ -48,17 +48,21 @@ func (e *Engine) RNG() *RNG { return e.rng }
 // Procs returns all processes ever started, in start order.
 func (e *Engine) Procs() []*Proc { return e.procs }
 
-// At schedules fn to run at virtual time t. If t is before the current time,
-// it runs at the current time (events cannot fire in the past). Events run in
-// scheduler context: they must not block, but may wake processes, schedule
-// further events, and start new processes.
-func (e *Engine) At(t Time, fn func()) {
+// Schedule arranges for tg.Fire to run at virtual time t. If t is before the
+// current time, it runs at the current time (events cannot fire in the past).
+// Events run in scheduler context: they must not block, but may wake
+// processes, schedule further events, and start new processes. Events due at
+// the same time fire in the order they were scheduled.
+func (e *Engine) Schedule(t Time, tg Target) {
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	e.evq.push(&event{at: t, seq: e.seq, fn: fn})
+	e.evq.push(event{at: t, seq: e.seq, tgt: tg})
 }
+
+// At schedules fn to run at virtual time t, as Schedule does a Target.
+func (e *Engine) At(t Time, fn func()) { e.Schedule(t, funcTarget(fn)) }
 
 // After schedules fn to run d after the current time.
 func (e *Engine) After(d Duration, fn func()) { e.At(e.Now().Add(d), fn) }
@@ -81,15 +85,14 @@ func (e *Engine) Run() error {
 
 	for !e.stopped && e.err == nil && e.live > 0 {
 		p := e.nextReadyProc()
-		ev := e.evq.peek()
 
 		switch {
-		case p == nil && ev == nil:
+		case p == nil && len(e.evq) == 0:
 			return e.deadlock()
-		case p == nil || (ev != nil && ev.at <= p.readyAt):
-			e.evq.pop()
+		case p == nil || (len(e.evq) > 0 && e.evq[0].at <= p.readyAt):
+			ev := e.evq.pop()
 			e.now = ev.at
-			ev.fn()
+			ev.tgt.Fire()
 		default:
 			e.now = p.readyAt
 			p.now = p.readyAt
@@ -146,7 +149,7 @@ func (e *Engine) deadlock() error {
 	var waiting []string
 	for _, p := range e.procs {
 		if p.state == stateWaiting {
-			waiting = append(waiting, fmt.Sprintf("%s (since %v, in %s)", p.name, p.waitSince, p.waitWhat))
+			waiting = append(waiting, fmt.Sprintf("%s (since %v, in %v)", p.name, p.waitSince, p.waitWhat))
 		}
 	}
 	sort.Strings(waiting)

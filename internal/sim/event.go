@@ -1,46 +1,73 @@
 package sim
 
-import "container/heap"
+// Target is the action of a scheduled event: Fire runs in scheduler context
+// at the event's time. A layer that schedules an event per message
+// implements it on a value it already owns (mpi's messages and requests),
+// so scheduling allocates nothing; At adapts a plain func() for everyone
+// else.
+type Target interface{ Fire() }
 
-// event is a scheduled callback in virtual time.
+// funcTarget adapts a func() to Target. A func value is pointer-shaped, so
+// converting it to the interface does not allocate.
+type funcTarget func()
+
+func (f funcTarget) Fire() { f() }
+
+// event is a scheduled action in virtual time.
 type event struct {
 	at  Time
 	seq uint64 // tie-break: earlier-scheduled events fire first
-	fn  func()
+	tgt Target
 }
 
-// eventHeap is a min-heap of events ordered by (at, seq).
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (ev *event) before(o *event) bool {
+	if ev.at != o.at {
+		return ev.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return ev.seq < o.seq
 }
 
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+// eventHeap is a binary min-heap of event values ordered by (at, seq) — a
+// total order, seq being unique, so the firing order does not depend on the
+// heap's layout. It is sifted by hand because container/heap moves elements
+// through `any`, which would put every event on the Go heap.
+type eventHeap []event
 
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(*event)) }
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
-}
-
-func (h *eventHeap) push(ev *event) { heap.Push(h, ev) }
-
-func (h *eventHeap) pop() *event { return heap.Pop(h).(*event) }
-
-func (h eventHeap) peek() *event {
-	if len(h) == 0 {
-		return nil
+func (h *eventHeap) push(ev event) {
+	q := append(*h, ev)
+	*h = q
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q[i].before(&q[parent]) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
 	}
-	return h[0]
+}
+
+// pop removes and returns the earliest event; the heap must not be empty.
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q[n] = event{} // the vacated slot must not pin the fired target
+	q = q[:n]
+	*h = q
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&q[i]) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	return top
 }

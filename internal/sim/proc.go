@@ -31,7 +31,7 @@ type Proc struct {
 	yield  chan struct{}
 
 	waitSince Time
-	waitWhat  string // description of what the proc is waiting for
+	waitWhat  any // what the proc is waiting for; formatted only for a report
 	panicErr  error
 
 	killed     bool
@@ -122,10 +122,12 @@ func (p *Proc) Sleep(d Duration) {
 	p.switchOut()
 }
 
-// Wait blocks the process until another party calls WakeAt. what is a short
-// description used in deadlock reports. Wait returns the (possibly advanced)
-// local time at wake-up.
-func (p *Proc) Wait(what string) Time {
+// Wait blocks the process until another party calls WakeAt. what describes
+// the wait in deadlock reports: a string, or a fmt.Stringer, which is asked
+// for its text only if a report is actually printed — so a hot caller hands
+// over a value it already has instead of formatting one per wait. Wait
+// returns the (possibly advanced) local time at wake-up.
+func (p *Proc) Wait(what any) Time {
 	p.state = stateWaiting
 	p.waitSince = p.now
 	p.waitWhat = what
@@ -199,7 +201,7 @@ func (p *Proc) Status() string {
 	case stateRunning:
 		return "running"
 	case stateWaiting:
-		return "waiting: " + p.waitWhat
+		return "waiting: " + fmt.Sprint(p.waitWhat)
 	default:
 		return "ready"
 	}
