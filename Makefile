@@ -38,14 +38,17 @@ loc:
 		printf '%6d  %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $${d%/}; \
 	done
 
-# alloc-profile prints where the heap objects of the paper's Figure 3 run
-# (small-messages under the full tool — the `p2p-flood` benchmark workload)
-# come from: every allocation sampled, top 25 sites by object count. Not part
-# of verify.
+# alloc-profile prints where the heap objects of one root benchmark come
+# from: every allocation sampled, top 25 sites by object count. BENCH names
+# the benchmark — by default the paper's Figure 3 run (small-messages under
+# the full tool, the `p2p-flood` workload); BENCH=BenchmarkReplayWhatIf is the
+# `replay-whatif` workload's read side. For bytes instead of objects, run the
+# same two commands by hand with -sample_index=alloc_space. Not part of verify.
+BENCH ?= BenchmarkFigure3SmallMessagesPC
 alloc-profile:
 	@tmp=$$(mktemp -d) && \
 	trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) test -run '^$$' -bench 'BenchmarkFigure3SmallMessagesPC$$' -benchtime=1x \
+	$(GO) test -run '^$$' -bench '^$(BENCH)$$' -benchtime=1x \
 		-memprofile "$$tmp/mem.prof" -memprofilerate=1 -o "$$tmp/pperf.test" . >/dev/null && \
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 "$$tmp/pperf.test" "$$tmp/mem.prof"
 

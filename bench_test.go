@@ -16,6 +16,7 @@ package pperf
 // whole artifact, so ns/op is the cost of reproducing that figure.
 
 import (
+	"path/filepath"
 	"testing"
 
 	"pperf/internal/cluster"
@@ -25,6 +26,7 @@ import (
 	"pperf/internal/mdl"
 	"pperf/internal/metric"
 	"pperf/internal/mpi"
+	"pperf/internal/perfdb"
 	"pperf/internal/pperfmark"
 	"pperf/internal/probe"
 	"pperf/internal/resource"
@@ -78,6 +80,50 @@ func BenchmarkFigure22OnedPC(b *testing.B)                  { benchExperiment(b,
 func BenchmarkFigure23SpawnResourceHierarchy(b *testing.B)  { benchExperiment(b, "fig23") }
 func BenchmarkFigure24SpawnPC(b *testing.B)                 { benchExperiment(b, "fig24") }
 func BenchmarkPrestaComparison(b *testing.B)                { benchExperiment(b, "presta") }
+
+// --- what-if replay ----------------------------------------------------------
+
+// BenchmarkReplayWhatIf is the `replay-whatif` benchmark workload as a root
+// benchmark, so `make alloc-profile BENCH=BenchmarkReplayWhatIf` sizes the
+// read side (archive load → ReplaySource → View → Consultant) the way the
+// Figure 3 benchmark sizes the simulated message path: record random-barrier
+// once, load it, then replay it per iteration under the eight threshold
+// overrides the workload uses.
+func BenchmarkReplayWhatIf(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "random-barrier.ppdb")
+	rec, err := perfdb.NewStreamRecorder(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := pperfmark.Run("random-barrier", pperfmark.RunOptions{Impl: mpi.LAM, Seed: 7, Record: rec}); err != nil {
+		b.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		b.Fatal(err)
+	}
+	a, err := perfdb.LoadAny(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	grid := []pperfmark.ReplayOptions{
+		{}, {SyncThreshold: 0.1}, {SyncThreshold: 0.4}, {SyncThreshold: 0.999999},
+		{IOThreshold: 0.05}, {CPUThreshold: 0.1}, {CPUThreshold: 0.6},
+		{SyncThreshold: 0.05, IOThreshold: 0.05, CPUThreshold: 0.05},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, o := range grid {
+			res, err := pperfmark.ReplayWith(a, o)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.PC == nil {
+				b.Fatal("replay ran no Consultant")
+			}
+		}
+	}
+}
 
 // --- ablations (DESIGN.md) ---------------------------------------------------
 

@@ -105,8 +105,14 @@ type Consultant struct {
 	// seen dedupes (hypothesis, focus) across refinement paths: the same
 	// focus is reachable by refining axes in different orders, and testing
 	// it once suffices.
-	seen    map[string]bool
+	seen    map[tested]bool
 	stopped bool
+}
+
+// tested names one (hypothesis, canonical focus) the search has armed.
+type tested struct {
+	hypothesis string
+	focus      resource.Focus
 }
 
 // Node is one point of the search: a hypothesis tested at a focus.
@@ -119,6 +125,7 @@ type Node struct {
 	series   *datasource.Series
 	lastVals map[string]float64 // per-proc cumulative cursor
 	lastTime sim.Time           // sample-aligned cursor
+	fracs    []float64          // update's per-process buffer, reused
 	evals    int
 	falseRun int
 	trueRun  int
@@ -154,7 +161,7 @@ type Node struct {
 // New creates a Consultant over any data source — the live front end or a
 // session replay.
 func New(ds datasource.DataSource, eng Engine, cfg Config) *Consultant {
-	return &Consultant{ds: ds, eng: eng, cfg: cfg, seen: map[string]bool{}}
+	return &Consultant{ds: ds, eng: eng, cfg: cfg, seen: map[tested]bool{}}
 }
 
 // specs returns the top-level hypothesis set.
@@ -196,7 +203,7 @@ func (c *Consultant) schedule() {
 }
 
 func (c *Consultant) newNode(hs hypoSpec, f resource.Focus, label string, parent *Node) (*Node, error) {
-	key := hs.name + "\x00" + f.Key()
+	key := tested{hs.name, f.Canon()}
 	if c.seen[key] {
 		return nil, nil
 	}
@@ -238,25 +245,26 @@ func (c *Consultant) newNode(hs hypoSpec, f resource.Focus, label string, parent
 func (c *Consultant) evaluate() {
 	c.ds.Sync()
 	now := c.eng.Now()
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		for _, ch := range n.Children {
-			walk(ch)
-		}
-		if n.Pruned {
-			return
-		}
-		n.update(now)
-		if n.True && !n.expanded {
-			c.expand(n)
-		}
-		if !n.True && n.falseRun >= c.cfg.PruneEvals {
-			n.Pruned = true
-			c.ds.DisableMetric(n.spec.metricName, n.Focus)
-		}
-	}
 	for _, r := range c.roots {
-		walk(r)
+		c.walk(r, now)
+	}
+}
+
+// walk evaluates n's subtree, children first.
+func (c *Consultant) walk(n *Node, now sim.Time) {
+	for _, ch := range n.Children {
+		c.walk(ch, now)
+	}
+	if n.Pruned {
+		return
+	}
+	n.update(now)
+	if n.True && !n.expanded {
+		c.expand(n)
+	}
+	if !n.True && n.falseRun >= c.cfg.PruneEvals {
+		n.Pruned = true
+		c.ds.DisableMetric(n.spec.metricName, n.Focus)
 	}
 }
 
@@ -274,7 +282,7 @@ func (n *Node) update(now sim.Time) {
 	if n.c.ds.GapOverlaps(n.lastTime, upto) {
 		n.GapPartial = true
 	}
-	var fractions []float64
+	fractions := n.fracs[:0]
 	for _, proc := range n.series.Procs() {
 		h := n.series.ProcHistogram(proc)
 		cum := h.Total()
@@ -282,6 +290,7 @@ func (n *Node) update(now sim.Time) {
 		n.lastVals[proc] = cum
 		fractions = append(fractions, delta/interval)
 	}
+	n.fracs = fractions
 	n.lastTime = now
 	n.evals++
 	if n.c.ds.LostProcessCount() > 0 {

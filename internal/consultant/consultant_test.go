@@ -6,6 +6,7 @@ import (
 
 	"pperf/internal/consultant"
 	"pperf/internal/core"
+	"pperf/internal/datasource"
 	"pperf/internal/mpi"
 	"pperf/internal/sim"
 )
@@ -273,10 +274,10 @@ func TestPCDedupesConvergentFoci(t *testing.T) {
 	// The same focus is reachable by refining axes in different orders; it
 	// must be tested once. Every (hypothesis, focus) in the tree is unique.
 	pc := runPC(t, mpi.LAM, 4, consultant.DefaultConfig(), intensiveServerProg(400))
-	seen := map[string]int{}
+	seen := map[datasource.Pair]int{}
 	var walk func(n *consultant.Node)
 	walk = func(n *consultant.Node) {
-		seen[n.Hypothesis+n.Focus.Key()]++
+		seen[datasource.Pair{Metric: n.Hypothesis, Focus: n.Focus.Canon()}]++
 		for _, ch := range n.Children {
 			walk(ch)
 		}
@@ -286,7 +287,7 @@ func TestPCDedupesConvergentFoci(t *testing.T) {
 	}
 	for k, count := range seen {
 		if count > 1 {
-			t.Errorf("focus tested %d times: %s", count, k)
+			t.Errorf("focus tested %d times: %v", count, k)
 		}
 	}
 }

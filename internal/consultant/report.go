@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"pperf/internal/resource"
 )
 
 // Finding is one true hypothesis node, for programmatic inspection.
@@ -199,10 +201,10 @@ func boolWord(v bool) string {
 // refinement step, with duplicate foci collapsed.
 func renderTrueChildren(b *strings.Builder, n *Node, indent string) {
 	var kids []*Node
-	seen := map[string]bool{}
+	seen := map[resource.Focus]bool{}
 	for _, ch := range n.Children {
-		if ch.True && !seen[ch.Focus.Key()] {
-			seen[ch.Focus.Key()] = true
+		if f := ch.Focus.Canon(); ch.True && !seen[f] {
+			seen[f] = true
 			kids = append(kids, ch)
 		}
 	}

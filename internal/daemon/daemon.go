@@ -461,11 +461,9 @@ func (d *Daemon) Enable(metricName string, focus resource.Focus) (int, error) {
 
 // Disable removes the metric-focus pair's instrumentation everywhere.
 func (d *Daemon) Disable(metricName string, focus resource.Focus) {
-	// Metric first: the focus key is a string built per comparison, so it is
-	// built only for the same metric's pairs.
-	key := focus.Key()
+	want := datasource.Pair{Metric: metricName, Focus: focus}.Canon()
 	for i, p := range d.enabled {
-		if p.Metric == metricName && p.Focus.Key() == key {
+		if p.Canon() == want {
 			d.enabled = append(d.enabled[:i], d.enabled[i+1:]...)
 			break
 		}
@@ -473,7 +471,7 @@ func (d *Daemon) Disable(metricName string, focus resource.Focus) {
 	for _, rc := range d.ranks {
 		kept := rc.insts[:0]
 		for _, li := range rc.insts {
-			if li.pair.Metric == metricName && li.pair.Focus.Key() == key {
+			if li.pair.Canon() == want {
 				li.mdli.Remove()
 			} else {
 				kept = append(kept, li)

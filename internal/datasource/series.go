@@ -1,7 +1,8 @@
 package datasource
 
 import (
-	"sort"
+	"cmp"
+	"strings"
 
 	"pperf/internal/metric"
 	"pperf/internal/resource"
@@ -17,6 +18,7 @@ type Series struct {
 	Focus   resource.Focus
 	agg     *metric.Histogram
 	perProc map[string]*metric.Histogram
+	procs   []string // perProc's keys, kept sorted as first samples arrive
 	lastT   sim.Time
 }
 
@@ -31,29 +33,32 @@ func (s *Series) Histogram() *metric.Histogram { return s.agg }
 // reported).
 func (s *Series) ProcHistogram(proc string) *metric.Histogram { return s.perProc[proc] }
 
-// Procs lists the processes that have reported samples, sorted.
-func (s *Series) Procs() []string {
-	out := make([]string, 0, len(s.perProc))
-	for p := range s.perProc {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
+// Procs lists the processes that have reported samples, sorted. The slice is
+// the series' own: read it, do not keep or modify it.
+func (s *Series) Procs() []string { return s.procs }
 
 // Total returns the cumulative metric value across all samples.
 func (s *Series) Total() float64 { return s.agg.Total() }
 
-// SeriesKey is the registry key of a metric-focus pair.
-func SeriesKey(m string, f resource.Focus) string { return m + "\x00" + f.Key() }
-
 // Pair names one metric-focus pair: what a daemon instruments, what the
-// front end keeps enabled, what a stored run collected.
+// front end keeps enabled, what a stored run collected. A pair is a value:
+// two pairs are the same pair exactly when their canonical forms are ==, so
+// the canonical pair itself keys the series registry, the replay enable
+// index and cross-run alignment. Canon is applied where a pair is looked up
+// or compared; what is stored and recorded keeps the focus the caller gave.
 type Pair struct {
 	Metric string
 	Focus  resource.Focus
 }
 
-// Key returns the pair's registry key — its identity in a set of pairs and
-// the unit of cross-run alignment.
-func (p Pair) Key() string { return SeriesKey(p.Metric, p.Focus) }
+// Canon returns the pair with its focus in canonical form.
+func (p Pair) Canon() Pair { p.Focus = p.Focus.Canon(); return p }
+
+// ComparePairs orders pairs by metric, then by the canonical focus's Code,
+// Machine and SyncObject paths: negative when a sorts first, zero for the
+// same pair.
+func ComparePairs(a, b Pair) int {
+	f, g := a.Focus.Canon(), b.Focus.Canon()
+	return cmp.Or(strings.Compare(a.Metric, b.Metric), strings.Compare(f.CodePath, g.CodePath),
+		strings.Compare(f.MachinePath, g.MachinePath), strings.Compare(f.SyncPath, g.SyncPath))
+}

@@ -2,6 +2,7 @@ package datasource
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -20,7 +21,7 @@ import (
 type View struct {
 	mu      sync.Mutex
 	hier    *resource.Hierarchy
-	series  map[string]*Series
+	series  map[Pair]*Series // keyed by the canonical pair
 	edges   map[string]map[string]bool
 	callees map[string]bool
 	procs   map[string]*ProcInfo
@@ -46,7 +47,7 @@ type View struct {
 func NewView() *View {
 	return &View{
 		hier:    resource.New(),
-		series:  map[string]*Series{},
+		series:  map[Pair]*Series{},
 		edges:   map[string]map[string]bool{},
 		callees: map[string]bool{},
 		procs:   map[string]*ProcInfo{},
@@ -59,7 +60,7 @@ func NewView() *View {
 func (v *View) Series(metricName string, focus resource.Focus) *Series {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.series[SeriesKey(metricName, focus)]
+	return v.series[Pair{metricName, focus}.Canon()]
 }
 
 // RegisterSeries returns the pair's series, creating it if needed. The
@@ -67,7 +68,8 @@ func (v *View) Series(metricName string, focus resource.Focus) *Series {
 func (v *View) RegisterSeries(metricName string, focus resource.Focus) (*Series, bool) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if s, ok := v.series[SeriesKey(metricName, focus)]; ok {
+	key := Pair{metricName, focus}.Canon()
+	if s, ok := v.series[key]; ok {
 		return s, true
 	}
 	s := &Series{
@@ -76,7 +78,7 @@ func (v *View) RegisterSeries(metricName string, focus resource.Focus) (*Series,
 		agg:     metric.NewHistogram(v.NumBins, v.BinWidth),
 		perProc: map[string]*metric.Histogram{},
 	}
-	v.series[SeriesKey(metricName, focus)] = s
+	v.series[key] = s
 	return s, false
 }
 
@@ -85,7 +87,7 @@ func (v *View) RegisterSeries(metricName string, focus resource.Focus) (*Series,
 func (v *View) DropSeries(metricName string, focus resource.Focus) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	delete(v.series, SeriesKey(metricName, focus))
+	delete(v.series, Pair{metricName, focus}.Canon())
 }
 
 // --- ingest -----------------------------------------------------------------
@@ -96,7 +98,7 @@ func (v *View) ApplySamples(batch []Sample) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	for _, sm := range batch {
-		s, ok := v.series[SeriesKey(sm.Metric, sm.Focus)]
+		s, ok := v.series[Pair{sm.Metric, sm.Focus}.Canon()]
 		if !ok {
 			continue // disabled while in flight
 		}
@@ -108,6 +110,8 @@ func (v *View) ApplySamples(batch []Sample) {
 		if !ok {
 			ph = metric.NewHistogram(v.NumBins, v.BinWidth)
 			s.perProc[sm.Proc] = ph
+			i, _ := slices.BinarySearch(s.procs, sm.Proc)
+			s.procs = slices.Insert(s.procs, i, sm.Proc)
 		}
 		ph.Add(sm.Time, sm.Delta)
 	}
@@ -432,11 +436,7 @@ func (v *View) DegradationSummary() string {
 func (v *View) ExportCSV(s *Series) string {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	procs := make([]string, 0, len(s.perProc))
-	for p := range s.perProc {
-		procs = append(procs, p)
-	}
-	sort.Strings(procs)
+	procs := s.procs
 	var b strings.Builder
 	b.WriteString("bin_start_s,all")
 	for _, p := range procs {
@@ -489,16 +489,15 @@ func (v *View) RenderSeries(s *Series, width int) string {
 func (v *View) CounterTracks() []trace.CounterTrack {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	keys := make([]string, 0, len(v.series))
-	for k, s := range v.series {
+	var whole []*Series
+	for _, s := range v.series {
 		if s.Focus.IsWholeProgram() {
-			keys = append(keys, k)
+			whole = append(whole, s)
 		}
 	}
-	sort.Strings(keys)
-	out := make([]trace.CounterTrack, 0, len(keys))
-	for _, k := range keys {
-		s := v.series[k]
+	sort.Slice(whole, func(i, j int) bool { return whole[i].Metric < whole[j].Metric })
+	out := make([]trace.CounterTrack, 0, len(whole))
+	for _, s := range whole {
 		ct := trace.CounterTrack{Name: s.Metric}
 		h := s.agg
 		width := h.BinWidth()

@@ -9,6 +9,7 @@ package frontend
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"pperf/internal/daemon"
@@ -93,14 +94,19 @@ func (fe *FrontEnd) NoteUndelivered(proc string, n int64) {
 }
 
 // EnableMetric turns on a metric-focus pair across all daemons, returning
-// its (possibly pre-existing) series. Enabling is all-or-nothing: if any
-// daemon refuses, the daemons already instrumented are rolled back and the
-// series is unregistered before the error returns, so a failed enable
-// leaves no partially-enabled state behind (no orphaned probes charging
-// overhead, no registered series silently collecting a subset of nodes).
+// its series. A pair in the active set is already on; one disabled since it
+// last collected is instrumented again and fills the same series. Enabling
+// is all-or-nothing: if any daemon refuses, the daemons already instrumented
+// are rolled back and a series this call registered is unregistered before
+// the error returns (one with history stays), so a failed enable leaves no
+// partially-enabled state behind (no orphaned probes charging overhead, no
+// registered series silently collecting a subset of nodes).
 func (fe *FrontEnd) EnableMetric(metricName string, focus resource.Focus) (*datasource.Series, error) {
 	s, existed := fe.View.RegisterSeries(metricName, focus)
-	if existed {
+	fe.emu.Lock()
+	on := fe.activeIndex(metricName, focus) >= 0
+	fe.emu.Unlock()
+	if on {
 		return s, nil
 	}
 	ds := fe.daemons.All()
@@ -109,7 +115,9 @@ func (fe *FrontEnd) EnableMetric(metricName string, focus resource.Focus) (*data
 			for _, prev := range ds[:i] {
 				prev.Disable(metricName, focus)
 			}
-			fe.View.DropSeries(metricName, focus)
+			if !existed {
+				fe.View.DropSeries(metricName, focus)
+			}
 			fe.ingest(session.Event{Kind: session.EvEnable, Metric: metricName, Focus: focus, Err: err.Error()})
 			return nil, err
 		}
@@ -121,6 +129,13 @@ func (fe *FrontEnd) EnableMetric(metricName string, focus resource.Focus) (*data
 	return s, nil
 }
 
+// activeIndex returns the pair's position in the active set, or -1. Caller
+// holds fe.emu.
+func (fe *FrontEnd) activeIndex(metricName string, focus resource.Focus) int {
+	want := datasource.Pair{Metric: metricName, Focus: focus}.Canon()
+	return slices.IndexFunc(fe.active, func(p datasource.Pair) bool { return p.Canon() == want })
+}
+
 // DisableMetric removes a metric-focus pair's instrumentation. The
 // collected series remains queryable.
 func (fe *FrontEnd) DisableMetric(metricName string, focus resource.Focus) {
@@ -128,12 +143,8 @@ func (fe *FrontEnd) DisableMetric(metricName string, focus resource.Focus) {
 		d.Disable(metricName, focus)
 	}
 	fe.emu.Lock()
-	key := focus.Key()
-	for i, p := range fe.active {
-		if p.Metric == metricName && p.Focus.Key() == key {
-			fe.active = append(fe.active[:i], fe.active[i+1:]...)
-			break
-		}
+	if i := fe.activeIndex(metricName, focus); i >= 0 {
+		fe.active = slices.Delete(fe.active, i, i+1)
 	}
 	fe.emu.Unlock()
 }

@@ -1,9 +1,9 @@
 // Package metric implements the tool's data side: accumulating counters and
 // timers fed by instrumentation, metric definitions and metric-focus
-// instances, and the fixed-memory folding histogram Paradyn stores
+// instances, and the bounded-memory folding histogram Paradyn stores
 // performance data in (§5: bins start at 0.2 s of granularity and fold —
 // neighbouring bins combine and the bin width doubles — whenever the
-// preallocated array fills, so long runs fit in constant space at
+// fixed-size array fills, so long runs fit in bounded space at
 // progressively coarser granularity).
 package metric
 
@@ -14,7 +14,7 @@ import (
 	"pperf/internal/sim"
 )
 
-// DefaultNumBins matches Paradyn's preallocated histogram size.
+// DefaultNumBins matches Paradyn's histogram size.
 const DefaultNumBins = 1000
 
 // DefaultBinWidth is the starting bin granularity (0.2 s, §5).
@@ -24,8 +24,14 @@ const DefaultBinWidth = 200 * sim.Millisecond
 // stored in a bin is the amount that occurred during the bin's interval
 // (operations, bytes, seconds of waiting, ...); dividing by the bin width
 // gives the rate the tool displays (ops/s, bytes/s, CPUs).
+//
+// The histogram's logical size is fixed at numBins — that is what decides
+// when it folds — but the array behind it is allocated on demand: bins holds
+// the prefix written so far and every bin beyond it reads zero, so a series
+// that never outlives a few seconds never pays for a thousand bins.
 type Histogram struct {
-	bins     []float64
+	bins     []float64 // allocated prefix of the numBins logical bins
+	numBins  int
 	binWidth sim.Duration
 	folds    int
 	lastBin  int // highest bin index written
@@ -41,7 +47,7 @@ func NewHistogram(numBins int, binWidth sim.Duration) *Histogram {
 	if binWidth <= 0 {
 		binWidth = DefaultBinWidth
 	}
-	return &Histogram{bins: make([]float64, numBins), binWidth: binWidth}
+	return &Histogram{numBins: numBins, binWidth: binWidth}
 }
 
 // Add accumulates value v at time t, folding first if t falls beyond the
@@ -50,10 +56,13 @@ func (h *Histogram) Add(t sim.Time, v float64) {
 	if t < 0 {
 		t = 0
 	}
-	for int(sim.Duration(t)/h.binWidth) >= len(h.bins) {
+	for int(sim.Duration(t)/h.binWidth) >= h.numBins {
 		h.fold()
 	}
 	idx := int(sim.Duration(t) / h.binWidth)
+	if idx >= len(h.bins) {
+		h.grow(idx + 1)
+	}
 	h.bins[idx] += v
 	if idx > h.lastBin {
 		h.lastBin = idx
@@ -61,15 +70,24 @@ func (h *Histogram) Add(t sim.Time, v float64) {
 	h.any = true
 }
 
+// grow extends the allocated prefix to hold at least need bins, never past
+// the logical size: it starts at an eighth of numBins and doubles, so a
+// histogram is reallocated at most three times on its way to the bound.
+func (h *Histogram) grow(need int) {
+	grown := make([]float64, min(max(need, 2*len(h.bins), h.numBins/8), h.numBins))
+	copy(grown, h.bins)
+	h.bins = grown
+}
+
 // fold halves the resolution: neighbouring bins combine and the width
 // doubles, freeing the upper half of the array (§5).
 func (h *Histogram) fold() {
-	n := len(h.bins)
-	for i := 0; i < n/2; i++ {
-		h.bins[i] = h.bins[2*i] + h.bins[2*i+1]
-	}
-	for i := n / 2; i < n; i++ {
-		h.bins[i] = 0
+	for i := range h.bins {
+		if i < h.numBins/2 {
+			h.bins[i] = h.Bin(2*i) + h.Bin(2*i+1)
+		} else {
+			h.bins[i] = 0
+		}
 	}
 	h.binWidth *= 2
 	h.lastBin /= 2
@@ -91,7 +109,8 @@ func (h *Histogram) NumFilled() int {
 	return h.lastBin + 1
 }
 
-// Bin returns the accumulated value of bin i.
+// Bin returns the accumulated value of bin i (zero outside the array and
+// beyond its allocated prefix).
 func (h *Histogram) Bin(i int) float64 {
 	if i < 0 || i >= len(h.bins) {
 		return 0
@@ -115,7 +134,7 @@ func (h *Histogram) Rates() []float64 {
 	return vals
 }
 
-// Total returns the sum over all bins.
+// Total returns the sum over all bins (the unallocated ones hold zero).
 func (h *Histogram) Total() float64 {
 	s := 0.0
 	for _, v := range h.bins {

@@ -133,3 +133,50 @@ func TestBlockedSyncWaitAllocatesNothing(t *testing.T) {
 		t.Errorf("blocked sync-point wait: %v allocs, want 0", perWait)
 	}
 }
+
+// The RMA synchronization waits describe themselves through a Stringer the
+// rank's window handle already is, so a blocking iteration formats nothing;
+// the deadlock report must still read exactly as it did when every iteration
+// built the string.
+func TestDeadlockReportNamesTheRMAWait(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		prog func(r *Rank, win *Win)
+		want string
+	}{
+		{"post", func(r *Rank, win *Win) {
+			if r.Rank() == 0 { // rank 1 never posts
+				win.Start([]int{1}, 0)
+				win.Complete()
+			}
+		}, "MPI_Win_post from rank 1 on window 0-1"},
+		{"complete", func(r *Rank, win *Win) {
+			if r.Rank() == 1 { // rank 0 never starts an access epoch
+				win.Post([]int{0}, 0)
+				win.WaitEpoch()
+			}
+		}, "MPI_Win_complete notices on window 0-1 (0/1)"},
+		{"lock", func(r *Rank, win *Win) {
+			if r.Rank() == 1 {
+				r.Compute(sim.Millisecond)
+			}
+			win.Lock(LockExclusive, 0, 0) // rank 0 takes it and never unlocks
+		}, "MPI_Win_lock on rank 0 of 0-1"},
+	} {
+		w := newTestWorld(t, Reference, 2, 1)
+		w.Register("main", func(r *Rank, _ []string) {
+			win, err := r.World().WinCreate(r, 8, 1, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			tc.prog(r, win)
+		})
+		if _, err := w.LaunchN("main", 2, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Eng.Run(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: run error = %v, want a deadlock naming %q", tc.name, err, tc.want)
+		}
+	}
+}

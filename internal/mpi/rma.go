@@ -69,6 +69,28 @@ type Win struct {
 	startGroup []int
 	inAccess   bool
 	lockedOn   map[int]bool
+
+	// waitFor and waitRank say which synchronization call the rank is
+	// blocked in and the peer it waits on (see winWait).
+	waitFor  string
+	waitRank int
+}
+
+// winWait is a *Win as the description of the blocking wait its rank is in;
+// sim asks for the text only when it prints a deadlock report, so a blocking
+// iteration sets two fields instead of formatting a string.
+type winWait Win
+
+func (ww *winWait) String() string {
+	w := (*Win)(ww)
+	switch w.waitFor {
+	case "MPI_Win_post":
+		return fmt.Sprintf("MPI_Win_post from rank %d on window %s", w.waitRank, w.UniqueID())
+	case "MPI_Win_complete":
+		return fmt.Sprintf("MPI_Win_complete notices on window %s (%d/%d)",
+			w.UniqueID(), w.shared.completeArrived[w.myRank], w.shared.expectComplete[w.myRank])
+	}
+	return fmt.Sprintf("MPI_Win_lock on rank %d of %s", w.waitRank, w.UniqueID())
 }
 
 type rmaOp struct {
@@ -266,9 +288,11 @@ func (w *Win) Start(group []int, assert int) error {
 func (w *Win) waitPosts() {
 	me := w.myRank
 	w.r.enterLibraryWait()
+	w.waitFor = "MPI_Win_post"
 	for _, t := range w.startGroup {
+		w.waitRank = t
 		for w.shared.posted[t] == nil || !w.shared.posted[t][me] {
-			w.r.block(fmt.Sprintf("MPI_Win_post from rank %d on window %s", t, w.UniqueID()))
+			w.r.block((*winWait)(w))
 		}
 		delete(w.shared.posted[t], me)
 	}
@@ -315,9 +339,9 @@ func (w *Win) WaitEpoch() error {
 	ws := w.shared
 	me := w.myRank
 	r.enterLibraryWait()
+	w.waitFor = "MPI_Win_complete"
 	for ws.completeArrived[me] < ws.expectComplete[me] {
-		r.block(fmt.Sprintf("MPI_Win_complete notices on window %s (%d/%d)",
-			w.UniqueID(), ws.completeArrived[me], ws.expectComplete[me]))
+		r.block((*winWait)(w))
 	}
 	r.exitLibraryWait()
 	ws.completeArrived[me] = 0
@@ -341,8 +365,9 @@ func (w *Win) Lock(lockType, rank, assert int) error {
 		ws.locks[rank] = ls
 	}
 	r.enterLibraryWait()
+	w.waitFor, w.waitRank = "MPI_Win_lock", rank
 	for ls.holders > 0 && (ls.exclusive || lockType == LockExclusive) {
-		ls.waiters.Wait(r.proc, fmt.Sprintf("MPI_Win_lock on rank %d of %s", rank, w.UniqueID()))
+		ls.waiters.Wait(r.proc, (*winWait)(w))
 	}
 	r.exitLibraryWait()
 	ls.holders++

@@ -115,9 +115,10 @@ type trailer struct {
 	NumChunks int // event chunks written
 }
 
-// eventsChunk is the intermediate form of an 'E' chunk: sample batches
-// ride as delta-packed blobs, everything else as gob of session.Event
-// (one encoder per chunk, so chunks stay independently decodable).
+// pendingChunk is an 'E' chunk being assembled: sample batches ride as
+// delta-packed blobs, everything else as gob of session.Event (one encoder
+// per chunk, so chunks stay independently decodable). A batch is packed the
+// moment it is appended, so the chunk never holds a caller's sample slice.
 //
 // Payload layout:
 //
@@ -125,40 +126,48 @@ type trailer struct {
 //	nEvents bytes: 1 = next event is a packed sample batch, 0 = from gob
 //	uvarint nPacked; per blob: uvarint len + bytes
 //	remaining: gob of []session.Event (the non-sample events, in order)
-func encodeEventsChunk(events []session.Event) ([]byte, error) {
-	var out []byte
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		out = append(out, tmp[:n]...)
-	}
-	put(uint64(len(events)))
-	var rest []session.Event
-	var packed [][]byte
-	for i := range events {
-		if events[i].Kind == session.EvSamples {
-			out = append(out, 1)
-			packed = append(packed, packSamples(events[i].Samples))
-		} else {
-			out = append(out, 0)
-			rest = append(rest, events[i])
-		}
-	}
-	put(uint64(len(packed)))
-	for _, b := range packed {
-		put(uint64(len(b)))
-		out = append(out, b...)
-	}
-	var gobBuf bytes.Buffer
-	if err := gob.NewEncoder(&gobBuf).Encode(rest); err != nil {
-		return nil, fmt.Errorf("perfdb: encode events chunk: %w", err)
-	}
-	return append(out, gobBuf.Bytes()...), nil
+type pendingChunk struct {
+	flags   []byte          // one per event, in order
+	nPacked int             // sample batches among them
+	packed  []byte          // their blobs, each behind its uvarint length
+	rest    []session.Event // the non-sample events
+	pk      packer
+	blob    []byte // one batch, packed, before its length is known
 }
 
-// decodeEventsChunk reverses encodeEventsChunk. Corrupt input yields an
-// error, never a panic.
-func decodeEventsChunk(data []byte) ([]session.Event, error) {
+func (c *pendingChunk) add(ev session.Event) {
+	if ev.Kind != session.EvSamples {
+		c.flags = append(c.flags, 0)
+		c.rest = append(c.rest, ev)
+		return
+	}
+	c.flags = append(c.flags, 1)
+	c.nPacked++
+	c.blob = c.pk.pack(c.blob[:0], ev.Samples)
+	c.packed = binary.AppendUvarint(c.packed, uint64(len(c.blob)))
+	c.packed = append(c.packed, c.blob...)
+}
+
+// encode renders the payload and empties the chunk, keeping its buffers.
+func (c *pendingChunk) encode() ([]byte, error) {
+	var gobBuf bytes.Buffer
+	if err := gob.NewEncoder(&gobBuf).Encode(c.rest); err != nil {
+		return nil, fmt.Errorf("perfdb: encode events chunk: %w", err)
+	}
+	out := make([]byte, 0, 2*binary.MaxVarintLen64+len(c.flags)+len(c.packed)+gobBuf.Len())
+	out = binary.AppendUvarint(out, uint64(len(c.flags)))
+	out = append(out, c.flags...)
+	out = binary.AppendUvarint(out, uint64(c.nPacked))
+	out = append(out, c.packed...)
+	out = append(out, gobBuf.Bytes()...)
+	clear(c.rest) // the events' shards and strings are encoded; let them go
+	c.flags, c.nPacked, c.packed, c.rest = c.flags[:0], 0, c.packed[:0], c.rest[:0]
+	return out, nil
+}
+
+// decodeEventsChunk reverses pendingChunk.encode, resolving sample strings
+// through the reader's table. Corrupt input yields an error, never a panic.
+func decodeEventsChunk(data []byte, tab *strtab) ([]session.Event, error) {
 	pos := 0
 	getU := func() (uint64, error) {
 		v, n := binary.Uvarint(data[pos:])
@@ -224,7 +233,7 @@ func decodeEventsChunk(data []byte) ([]session.Event, error) {
 	pi, ri := 0, 0
 	for _, f := range flags {
 		if f == 1 {
-			batch, err := unpackSamples(samples[pi])
+			batch, err := unpackSamples(samples[pi], tab)
 			pi++
 			if err != nil {
 				return nil, err
@@ -248,7 +257,7 @@ func decodeEventsChunk(data []byte) ([]session.Event, error) {
 // bounded by the chunk size, not the run length.
 type Writer struct {
 	w   *bufio.Writer
-	buf []session.Event
+	buf pendingChunk
 
 	// FlushEvents is the chunk granularity (events per chunk). Smaller
 	// chunks bound memory tighter and localize corruption; larger ones
@@ -302,19 +311,19 @@ func (w *Writer) writeHeaderChunk(h session.Header) error {
 	return w.writeChunk(chunkHeader, buf.Bytes())
 }
 
-// Append adds one event to the pending chunk, flushing it when full. The
-// event is stored as given: callers that reuse slices must copy first
-// (StreamRecorder does).
+// Append adds one event to the pending chunk, flushing it when full. A
+// sample batch is packed before Append returns, so the caller keeps its
+// slice; any other event is held as given until its chunk flushes.
 func (w *Writer) Append(ev session.Event) error {
 	if w.err != nil {
 		return w.err
 	}
-	w.buf = append(w.buf, ev)
+	w.buf.add(ev)
 	w.events++
-	if len(w.buf) > w.peak {
-		w.peak = len(w.buf)
+	if n := len(w.buf.flags); n > w.peak {
+		w.peak = n
 	}
-	if len(w.buf) >= w.flushEvents() {
+	if len(w.buf.flags) >= w.flushEvents() {
 		w.err = w.flush()
 	}
 	return w.err
@@ -328,16 +337,13 @@ func (w *Writer) flushEvents() int {
 }
 
 func (w *Writer) flush() error {
-	if len(w.buf) == 0 {
+	if len(w.buf.flags) == 0 {
 		return nil
 	}
-	payload, err := encodeEventsChunk(w.buf)
+	payload, err := w.buf.encode()
 	if err != nil {
 		return err
 	}
-	// Release the buffered events before writing: the writer never holds
-	// events and encoded bytes at once longer than necessary.
-	w.buf = w.buf[:0]
 	w.chunks++
 	return w.writeChunk(chunkEvents, payload)
 }
@@ -415,6 +421,7 @@ func ReadArchive(r io.Reader) (*session.Archive, error) {
 	}
 	var (
 		a         session.Archive
+		tab       strtab // one string table for the whole read
 		gotHeader bool
 		chunks    int
 		err2      error
@@ -476,7 +483,7 @@ func ReadArchive(r io.Reader) (*session.Archive, error) {
 			if !gotHeader {
 				return nil, errors.New("perfdb: corrupt archive: events before the header chunk")
 			}
-			evs, err := decodeEventsChunk(payload)
+			evs, err := decodeEventsChunk(payload, &tab)
 			if err != nil {
 				return nil, err
 			}

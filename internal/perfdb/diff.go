@@ -186,22 +186,13 @@ func Compare(base, neu *RunView, opts CompareOptions) (*DiffReport, error) {
 	if rep.Alpha == 0 {
 		rep.Alpha = 0.05
 	}
-	basePairs := base.Pairs()
-	newKeys := map[string]bool{}
 	for _, p := range neu.Pairs() {
-		newKeys[p.Key()] = true
-	}
-	baseKeys := map[string]bool{}
-	for _, p := range basePairs {
-		baseKeys[p.Key()] = true
-	}
-	for _, p := range neu.Pairs() {
-		if !baseKeys[p.Key()] {
+		if base.SeriesFor(p) == nil {
 			rep.OnlyNew = append(rep.OnlyNew, p)
 		}
 	}
-	for _, p := range basePairs {
-		if !newKeys[p.Key()] {
+	for _, p := range base.Pairs() {
+		if neu.SeriesFor(p) == nil {
 			rep.OnlyBase = append(rep.OnlyBase, p)
 			continue
 		}
@@ -374,7 +365,7 @@ func rankDeltas(ds []SeriesDelta) {
 				return mi > mj
 			}
 		}
-		return ds[i].Pair.Key() < ds[j].Pair.Key()
+		return datasource.ComparePairs(ds[i].Pair, ds[j].Pair) < 0
 	})
 }
 

@@ -43,12 +43,20 @@ func FuzzUnpackSamples(f *testing.F) {
 	}
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		batch, err := unpackSamples(data)
+		var tab strtab
+		batch, err := unpackSamples(data, &tab)
 		if err == nil {
-			// A clean decode must re-encode losslessly (bit-exact floats).
-			again, err2 := unpackSamples(packSamples(batch))
+			// A clean decode must re-encode losslessly (bit-exact floats),
+			// and decode the same when every string is already in the
+			// reader's table.
+			again, err2 := unpackSamples(packSamples(batch), &tab)
 			if err2 != nil || len(again) != len(batch) {
-				t.Errorf("re-encode of a clean decode failed: %v (%d vs %d samples)", err2, len(again), len(batch))
+				t.Fatalf("re-encode of a clean decode failed: %v (%d vs %d samples)", err2, len(again), len(batch))
+			}
+			for i := range batch {
+				if !sampleEqual(batch[i], again[i]) {
+					t.Errorf("sample %d: %+v decoded as %+v through a warm table", i, batch[i], again[i])
+				}
 			}
 		}
 	})

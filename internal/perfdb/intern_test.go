@@ -1,0 +1,139 @@
+package perfdb
+
+import (
+	"bytes"
+	"encoding/binary"
+	"io"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+	"unsafe"
+
+	"pperf/internal/datasource"
+	"pperf/internal/session"
+)
+
+// finiteArchive is syntheticArchive with its NaN samples zeroed, so that
+// reflect.DeepEqual can compare two decodes of it.
+func finiteArchive(rng *rand.Rand, nEvents int) *session.Archive {
+	a := syntheticArchive(rng, nEvents)
+	for _, ev := range a.Events {
+		for i := range ev.Samples {
+			if sm := &ev.Samples[i]; math.IsNaN(sm.Delta) || math.IsNaN(sm.Value) {
+				sm.Delta, sm.Value = 0, 0
+			}
+		}
+	}
+	return a
+}
+
+// eventsChunkByChunk decodes an archive's event chunks the way the reader
+// did before it owned a string table: nothing is shared from one chunk to
+// the next.
+func eventsChunkByChunk(t *testing.T, data []byte) []session.Event {
+	t.Helper()
+	var out []session.Event
+	for data = data[len(chunkMagic):]; len(data) > 0; {
+		kind, n := data[0], int(binary.BigEndian.Uint32(data[1:5]))
+		payload := data[9 : 9+n]
+		data = data[9+n:]
+		if kind != chunkEvents {
+			continue
+		}
+		evs, err := decodeEventsChunk(payload, new(strtab))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, evs...)
+	}
+	return out
+}
+
+// Reading through the one string table changes where the strings live and
+// nothing about what they say.
+func TestInternedReadEqualsUnsharedRead(t *testing.T) {
+	var buf bytes.Buffer
+	cw, err := NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cw.FlushEvents = 16 // many chunks, so the table is carried across them
+	src := finiteArchive(rand.New(rand.NewSource(5)), 400)
+	if err := cw.writeHeaderChunk(provisionalHeader(src.Header)); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range src.Events {
+		if err := cw.Append(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cw.Close(src.Header); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadArchive(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := eventsChunkByChunk(t, buf.Bytes()); !reflect.DeepEqual(got.Events, want) {
+		t.Fatal("an archive read through the string table differs from the same archive read without one")
+	}
+	archivesEquivalent(t, src, got)
+
+	// Every sample of the whole read that names a metric names it with the
+	// same bytes in memory.
+	where := map[string]*byte{}
+	for _, ev := range got.Events {
+		for _, sm := range ev.Samples {
+			for _, s := range []string{sm.Metric, sm.Proc, sm.Focus.CodePath, sm.Focus.MachinePath, sm.Focus.SyncPath} {
+				if s == "" {
+					continue
+				}
+				if p, ok := where[s]; ok && p != unsafe.StringData(s) {
+					t.Fatalf("%q decoded into two places", s)
+				}
+				where[s] = unsafe.StringData(s)
+			}
+		}
+	}
+	if len(where) == 0 {
+		t.Fatal("archive held no named samples")
+	}
+}
+
+// The allocation budgets of the codec in steady state: a batch whose
+// strings the reader has met costs its sample slice and nothing else; a
+// batch packed through a warmed writer costs nothing at all until its chunk
+// flushes.
+func TestCodecAllocationBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	first, second := packSamples(randomBatch(rng, 24)), packSamples(randomBatch(rng, 24))
+	var tab strtab
+	for _, b := range [][]byte{first, second} {
+		if _, err := unpackSamples(b, &tab); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var batch []datasource.Sample
+	if n := testing.AllocsPerRun(100, func() { batch, _ = unpackSamples(second, &tab) }); n != 1 || len(batch) != 24 {
+		t.Errorf("unpacking a batch of known strings: %v allocs for %d samples, want 1 (the batch slice)", n, len(batch))
+	}
+
+	cw, err := NewWriter(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cw.FlushEvents = 64
+	ev := session.Event{Kind: session.EvSamples, Samples: randomBatch(rng, 24)}
+	for i := 0; i < 64; i++ { // one full chunk warms every buffer
+		if err := cw.Append(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(50, func() { cw.Append(ev) }); n != 0 { // 51 appends: no flush inside
+		t.Errorf("packing a batch through a warmed writer: %v allocs, want 0", n)
+	}
+	if cw.PeakBuffered() != 64 || cw.EventCount() != 64+51 {
+		t.Errorf("writer buffered %d events at peak over %d appends, want 64 over 115", cw.PeakBuffered(), cw.EventCount())
+	}
+}

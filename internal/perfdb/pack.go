@@ -26,7 +26,26 @@ import (
 // not). The result typically shrinks a batch several-fold before the
 // chunk even reaches gob.
 
-// packSamples encodes one sample batch:
+// packer is the scratch one Writer packs its sample batches through: the
+// dictionary index and the per-sample index records are reused from batch to
+// batch, so packing costs nothing beyond the bytes it appends.
+type packer struct {
+	idx  map[string]uint64
+	dict []string
+	recs [][5]uint64 // metric, code, machine, sync, proc dictionary indexes
+}
+
+func (p *packer) intern(s string) uint64 {
+	if i, ok := p.idx[s]; ok {
+		return i
+	}
+	i := uint64(len(p.dict))
+	p.idx[s] = i
+	p.dict = append(p.dict, s)
+	return i
+}
+
+// pack appends one encoded sample batch to out:
 //
 //	uvarint n
 //	uvarint dictLen; dict entries: uvarint len + bytes (first-use order)
@@ -35,43 +54,28 @@ import (
 //	  zigzag-varint delta of Time vs the previous sample (first vs 0)
 //	  uvarint Float64bits(Delta) XOR previous sample's Delta bits
 //	  uvarint Float64bits(Value) XOR previous sample's Value bits
-func packSamples(batch []datasource.Sample) []byte {
-	var (
-		out  []byte
-		tmp  [binary.MaxVarintLen64]byte
-		dict []string
-		idx  = map[string]uint64{}
-	)
-	put := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		out = append(out, tmp[:n]...)
+func (p *packer) pack(out []byte, batch []datasource.Sample) []byte {
+	if p.idx == nil {
+		p.idx = map[string]uint64{}
 	}
-	intern := func(s string) uint64 {
-		if i, ok := idx[s]; ok {
-			return i
-		}
-		i := uint64(len(dict))
-		idx[s] = i
-		dict = append(dict, s)
-		return i
-	}
+	clear(p.idx)
+	p.dict, p.recs = p.dict[:0], p.recs[:0]
 	// First pass interns every string so the dictionary can be emitted
 	// before the sample records.
-	type packed struct{ m, c, ma, sy, p uint64 }
-	recs := make([]packed, len(batch))
-	for i, sm := range batch {
-		recs[i] = packed{
-			m:  intern(sm.Metric),
-			c:  intern(sm.Focus.CodePath),
-			ma: intern(sm.Focus.MachinePath),
-			sy: intern(sm.Focus.SyncPath),
-			p:  intern(sm.Proc),
-		}
+	for i := range batch {
+		sm := &batch[i]
+		p.recs = append(p.recs, [5]uint64{
+			p.intern(sm.Metric),
+			p.intern(sm.Focus.CodePath),
+			p.intern(sm.Focus.MachinePath),
+			p.intern(sm.Focus.SyncPath),
+			p.intern(sm.Proc),
+		})
 	}
-	put(uint64(len(batch)))
-	put(uint64(len(dict)))
-	for _, s := range dict {
-		put(uint64(len(s)))
+	out = binary.AppendUvarint(out, uint64(len(batch)))
+	out = binary.AppendUvarint(out, uint64(len(p.dict)))
+	for _, s := range p.dict {
+		out = binary.AppendUvarint(out, uint64(len(s)))
 		out = append(out, s...)
 	}
 	var (
@@ -79,31 +83,51 @@ func packSamples(batch []datasource.Sample) []byte {
 		prevDelta uint64
 		prevValue uint64
 	)
-	for i, sm := range batch {
-		r := recs[i]
-		put(r.m)
-		put(r.c)
-		put(r.ma)
-		put(r.sy)
-		put(r.p)
+	for i := range batch {
+		sm := &batch[i]
+		for _, x := range p.recs[i] {
+			out = binary.AppendUvarint(out, x)
+		}
 		t := int64(sm.Time)
-		n := binary.PutVarint(tmp[:], t-prevT)
-		out = append(out, tmp[:n]...)
+		out = binary.AppendVarint(out, t-prevT)
 		prevT = t
 		db := math.Float64bits(sm.Delta)
-		put(db ^ prevDelta)
+		out = binary.AppendUvarint(out, db^prevDelta)
 		prevDelta = db
 		vb := math.Float64bits(sm.Value)
-		put(vb ^ prevValue)
+		out = binary.AppendUvarint(out, vb^prevValue)
 		prevValue = vb
 	}
 	return out
 }
 
-// unpackSamples decodes a packSamples blob. Every read is bounds-checked:
-// corrupt or truncated input yields an error, never a panic and never an
-// oversized allocation.
-func unpackSamples(data []byte) ([]datasource.Sample, error) {
+// strtab is the string table of one archive read. Every dictionary entry of
+// every batch resolves through it, so the decoded samples of a whole archive
+// share one copy of each metric, path and process name, and a batch whose
+// strings the reader has met allocates nothing for them (a map lookup keyed
+// by string(b) does not materialise the string). dict is the per-batch
+// dictionary, reused. The zero value is ready to use.
+type strtab struct {
+	strs map[string]string
+	dict []string
+}
+
+func (t *strtab) intern(b []byte) string {
+	if s, ok := t.strs[string(b)]; ok {
+		return s
+	}
+	if t.strs == nil {
+		t.strs = map[string]string{}
+	}
+	s := string(b)
+	t.strs[s] = s
+	return s
+}
+
+// unpackSamples decodes a packed batch, resolving its strings through tab.
+// Every read is bounds-checked: corrupt or truncated input yields an error,
+// never a panic and never an oversized allocation.
+func unpackSamples(data []byte, tab *strtab) ([]datasource.Sample, error) {
 	pos := 0
 	getU := func() (uint64, error) {
 		v, n := binary.Uvarint(data[pos:])
@@ -138,8 +162,8 @@ func unpackSamples(data []byte) ([]datasource.Sample, error) {
 	if n64 > uint64(len(data)) {
 		return nil, fmt.Errorf("perfdb: corrupt sample batch: %d samples in %d bytes", n64, len(data))
 	}
-	dict := make([]string, dictLen)
-	for i := range dict {
+	dict := tab.dict[:0]
+	for i := uint64(0); i < dictLen; i++ {
 		l, err := getU()
 		if err != nil {
 			return nil, err
@@ -147,9 +171,10 @@ func unpackSamples(data []byte) ([]datasource.Sample, error) {
 		if l > uint64(len(data)-pos) {
 			return nil, fmt.Errorf("perfdb: corrupt sample batch: dictionary entry %d overruns input", i)
 		}
-		dict[i] = string(data[pos : pos+int(l)])
+		dict = append(dict, tab.intern(data[pos:pos+int(l)]))
 		pos += int(l)
 	}
+	tab.dict = dict
 	str := func() (string, error) {
 		i, err := getU()
 		if err != nil {

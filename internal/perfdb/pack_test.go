@@ -46,6 +46,9 @@ func randomBatch(rng *rand.Rand, n int) []datasource.Sample {
 	return batch
 }
 
+// packSamples packs one batch through a fresh packer.
+func packSamples(batch []datasource.Sample) []byte { return new(packer).pack(nil, batch) }
+
 // sampleEqual compares samples treating NaN as equal to NaN — the codec
 // must round-trip the exact bits, which reflect.DeepEqual on floats
 // rejects for NaN.
@@ -61,7 +64,7 @@ func TestPackSamplesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
 		batch := randomBatch(rng, rng.Intn(64))
-		got, err := unpackSamples(packSamples(batch))
+		got, err := unpackSamples(packSamples(batch), new(strtab))
 		if err != nil {
 			t.Fatalf("trial %d: unpack: %v", trial, err)
 		}
@@ -77,7 +80,7 @@ func TestPackSamplesRoundTrip(t *testing.T) {
 }
 
 func TestPackSamplesEmpty(t *testing.T) {
-	got, err := unpackSamples(packSamples(nil))
+	got, err := unpackSamples(packSamples(nil), new(strtab))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +107,7 @@ func TestUnpackSamplesRejectsCorruption(t *testing.T) {
 	// never panic. (Most lengths error; a prefix that happens to parse is
 	// impossible because the trailing-bytes check requires exact length.)
 	for n := 0; n < len(valid); n++ {
-		if _, err := unpackSamples(valid[:n]); err == nil {
+		if _, err := unpackSamples(valid[:n], new(strtab)); err == nil {
 			t.Fatalf("truncation to %d bytes decoded cleanly", n)
 		}
 	}
@@ -113,6 +116,6 @@ func TestUnpackSamplesRejectsCorruption(t *testing.T) {
 	for i := 0; i < len(valid); i++ {
 		mut := append([]byte(nil), valid...)
 		mut[i] ^= 0xff
-		unpackSamples(mut)
+		unpackSamples(mut, new(strtab))
 	}
 }

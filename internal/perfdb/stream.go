@@ -5,7 +5,6 @@ import (
 	"os"
 	"sync"
 
-	"pperf/internal/datasource"
 	"pperf/internal/session"
 	"pperf/internal/sim"
 )
@@ -102,15 +101,10 @@ func (r *StreamRecorder) PeakBufferedEvents() int {
 }
 
 // Record streams one event, emitting the provisional header chunk first so
-// a truncated archive still replays with the right bin layout. A sample
-// batch is copied: the front end keeps ownership of its slice, and the copy
-// lives only until its chunk flushes.
+// a truncated archive still replays with the right bin layout. The front end
+// keeps ownership of a sample batch's slice: the writer packs it before
+// Append returns and keeps only the bytes.
 func (r *StreamRecorder) Record(ev session.Event) {
-	if ev.Kind == session.EvSamples {
-		cp := make([]datasource.Sample, len(ev.Samples))
-		copy(cp, ev.Samples)
-		ev.Samples = cp
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.err != nil || r.closed {

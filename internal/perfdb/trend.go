@@ -143,21 +143,22 @@ func Trend(views []*RunView, opts TrendOptions) (*TrendReport, error) {
 		pair datasource.Pair
 		runs int
 	}
-	seen := map[string]*presence{}
-	var order []string
+	seen := map[datasource.Pair]*presence{}
+	var order []*presence
 	for _, v := range views {
 		for _, p := range v.Pairs() {
-			k := p.Key()
+			k := p.Canon()
 			if seen[k] == nil {
 				seen[k] = &presence{pair: p}
-				order = append(order, k)
+				order = append(order, seen[k])
 			}
 			seen[k].runs++
 		}
 	}
-	sort.Strings(order)
-	for _, k := range order {
-		pr := seen[k]
+	sort.Slice(order, func(i, j int) bool {
+		return datasource.ComparePairs(order[i].pair, order[j].pair) < 0
+	})
+	for _, pr := range order {
 		st := SeriesTrend{Pair: pr.pair}
 		if pr.runs < len(views) {
 			st.Verdict = TrendSkipped
@@ -262,7 +263,7 @@ func rankTrends(ss []SeriesTrend) {
 				return mi > mj
 			}
 		}
-		return ss[i].Pair.Key() < ss[j].Pair.Key()
+		return datasource.ComparePairs(ss[i].Pair, ss[j].Pair) < 0
 	})
 }
 

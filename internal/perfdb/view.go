@@ -47,8 +47,7 @@ func NewRunView(a *session.Archive, m RunMeta) *RunView {
 		}
 	}
 	sort.Slice(rv.pairs, func(i, j int) bool {
-		a, b := rv.pairs[i], rv.pairs[j]
-		return a.Metric < b.Metric || a.Metric == b.Metric && a.Focus.Key() < b.Focus.Key()
+		return datasource.ComparePairs(rv.pairs[i], rv.pairs[j]) < 0
 	})
 	rs.Drain()
 	return rv

@@ -1,0 +1,151 @@
+package probe
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// Edits made from inside a running handler loop do not disturb it: the loop
+// finishes the list it started with — a probe removed mid-fire still runs
+// this once, a probe inserted mid-fire does not run yet — and the next
+// execution of the point sees every edit. This is what the copy-on-write
+// lists did for every edit; the in-place lists must do it for the edits that
+// arrive while the process is inside fire.
+func TestEditsInsideFireKeepTheRunningSnapshot(t *testing.T) {
+	p := NewProcess("p0", &fakeClock{})
+	f, g := &Function{Name: "f"}, &Function{Name: "g"}
+	var seq []string
+	note := func(s string) Handler { return func(*Event) { seq = append(seq, s) } }
+	var a, c, d, e ID
+	a = p.Insert("f", Entry, Append, func(*Event) {
+		seq = append(seq, "a")
+		p.Remove(a) // removes itself
+	})
+	p.Insert("f", Entry, Append, func(*Event) {
+		seq = append(seq, "b")
+		p.Remove(c) // the next probe
+		p.Remove(e) // the last probe
+	})
+	c = p.Insert("f", Entry, Append, note("c"))
+	d = p.Insert("f", Entry, Append, func(*Event) {
+		seq = append(seq, "d")
+		p.Insert("f", Entry, Prepend, note("first"))
+		p.Insert("f", Entry, Append, note("last"))
+		p.Remove(d)
+		// A nested traced call fires another point, whose handler edits the
+		// list the outer loop is still running over.
+		p.Enter(g)
+		p.Leave(g)
+	})
+	e = p.Insert("f", Entry, Append, note("e"))
+	p.Insert("g", Entry, Append, func(*Event) {
+		seq = append(seq, "g")
+		p.Insert("f", Entry, Prepend, note("nested"))
+	})
+
+	p.Enter(f)
+	p.Leave(f)
+	if want := []string{"a", "b", "c", "d", "g", "e"}; !slices.Equal(seq, want) {
+		t.Errorf("first execution ran %v, want the snapshot %v", seq, want)
+	}
+	if p.firing != 0 {
+		t.Fatalf("firing depth %d after the calls returned", p.firing)
+	}
+	seq = nil
+	p.Enter(f)
+	p.Leave(f)
+	if want := []string{"nested", "first", "b", "last"}; !slices.Equal(seq, want) {
+		t.Errorf("second execution ran %v, want every edit applied: %v", seq, want)
+	}
+	if p.ActiveProbes() != 5 { // nested, first, b, last on f; one on g
+		t.Errorf("ActiveProbes = %d, want 5", p.ActiveProbes())
+	}
+}
+
+// Property: 1 000 random steps — append, prepend, remove, and executions of
+// the point during which one handler makes a further random edit — against
+// a plain slice model. Every execution runs exactly the model's list as it
+// stood when the execution began, in order.
+func TestInPlaceEditsMatchSliceModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	p := NewProcess("p0", &fakeClock{})
+	f := &Function{Name: "f"}
+	var (
+		model []ID // the probe list, in execution order
+		ran   []ID
+		edit  func() // a pending edit the next handler to run performs
+	)
+	insert := func(ord Order) {
+		var id ID
+		id = p.Insert("f", Entry, ord, func(*Event) {
+			ran = append(ran, id)
+			if edit != nil {
+				e := edit
+				edit = nil
+				e()
+			}
+		})
+		if ord == Prepend {
+			model = slices.Insert(model, 0, id)
+		} else {
+			model = append(model, id)
+		}
+	}
+	remove := func() {
+		if len(model) == 0 {
+			return
+		}
+		i := rng.Intn(len(model))
+		p.Remove(model[i])
+		model = slices.Delete(model, i, i+1)
+	}
+	randomEdit := func() {
+		switch rng.Intn(3) {
+		case 0:
+			insert(Append)
+		case 1:
+			insert(Prepend)
+		default:
+			remove()
+		}
+	}
+	for step := 0; step < 1000; step++ {
+		if rng.Intn(4) != 0 {
+			randomEdit()
+			continue
+		}
+		want := slices.Clone(model)
+		if rng.Intn(2) == 0 {
+			edit = randomEdit
+		}
+		ran = nil
+		p.Enter(f)
+		p.Leave(f)
+		if !slices.Equal(ran, want) {
+			t.Fatalf("step %d: execution ran %v, model held %v", step, ran, want)
+		}
+		edit = nil
+	}
+	if p.ActiveProbes() != len(model) {
+		t.Errorf("ActiveProbes = %d, model holds %d", p.ActiveProbes(), len(model))
+	}
+}
+
+// The allocation budget of the Consultant's enable/disable traffic: editing
+// a point that already holds 64 probes costs nothing, at either end.
+func TestInsertRemoveAllocateNothing(t *testing.T) {
+	p := NewProcess("p0", &fakeClock{})
+	h := func(*Event) {}
+	for i := 0; i < 64; i++ {
+		p.Insert("f", Entry, Append, h)
+	}
+	for _, ord := range []Order{Append, Prepend} {
+		if n := testing.AllocsPerRun(200, func() { p.Remove(p.Insert("f", Entry, ord, h)) }); n != 0 {
+			t.Errorf("Remove(Insert(order %d)) on a 64-probe list: %v allocs, want 0", ord, n)
+		}
+	}
+	if p.ActiveProbes() != 64 {
+		t.Errorf("ActiveProbes = %d, want 64", p.ActiveProbes())
+	}
+}

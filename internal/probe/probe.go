@@ -9,6 +9,7 @@ package probe
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"pperf/internal/sim"
@@ -129,6 +130,11 @@ type Process struct {
 	args  [][]any
 	// ev is the record every probe execution is handed (see Handler).
 	ev Event
+	// firing counts the fire calls in progress. While it is zero nothing
+	// holds a probe list, so Insert and Remove edit the list in place; a
+	// running handler loop iterates a snapshot, so an edit made from inside
+	// one builds a new list instead and the loop finishes the old one.
+	firing int
 
 	// edges records observed caller→callee pairs for the Performance
 	// Consultant's call-graph-based search.
@@ -179,10 +185,13 @@ func (p *Process) Insert(fn string, w Where, ord Order, h Handler) ID {
 	if w == Return {
 		list = &fi.ret
 	}
-	if ord == Prepend {
+	switch {
+	case ord == Append:
+		*list = append(*list, rec) // past the end of any snapshot
+	case p.firing > 0:
 		*list = append([]probeRec{rec}, *list...)
-	} else {
-		*list = append(*list, rec)
+	default:
+		*list = slices.Insert(*list, 0, rec)
 	}
 	p.where[id] = fn
 	return id
@@ -200,15 +209,22 @@ func (p *Process) Remove(id ID) {
 	if fi == nil {
 		return
 	}
-	fi.entry = removeRec(fi.entry, id)
-	fi.ret = removeRec(fi.ret, id)
+	fi.entry = p.removeRec(fi.entry, id)
+	fi.ret = p.removeRec(fi.ret, id)
 }
 
-func removeRec(list []probeRec, id ID) []probeRec {
+// removeRec deletes the probe from the list: in place, clearing the vacated
+// slot so the dropped handler is not pinned, or into a new list while a
+// handler loop may be running over this one.
+func (p *Process) removeRec(list []probeRec, id ID) []probeRec {
 	for i, r := range list {
-		if r.id == id {
+		if r.id != id {
+			continue
+		}
+		if p.firing > 0 {
 			return append(list[:i:i], list[i+1:]...)
 		}
+		return slices.Delete(list, i, i+1)
 	}
 	return list
 }
@@ -277,10 +293,12 @@ func (p *Process) fire(f *Function, w Where, args []any) {
 		Proc: p, Func: f, Where: w, Args: args,
 		Time: p.clock.Now(), CPUTime: p.clock.CPUTime(),
 	}
+	p.firing++
 	for _, r := range list {
 		r.fn(&p.ev)
 		p.Executions++
 	}
+	p.firing--
 	if p.PerProbeCost > 0 {
 		p.clock.AddOverhead(sim.Duration(len(list)) * p.PerProbeCost)
 	}

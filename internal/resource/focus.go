@@ -23,8 +23,11 @@ func WholeProgram() Focus {
 	return Focus{CodePath: "/Code", MachinePath: "/Machine", SyncPath: "/SyncObject"}
 }
 
-// normalize fills empty components with the hierarchy roots.
-func (f Focus) normalize() Focus {
+// Canon returns the focus's canonical form: empty components filled with
+// the hierarchy roots. Two foci select the same resources exactly when their
+// canonical forms are ==, so the canonical focus is what sets and maps of
+// foci are keyed by.
+func (f Focus) Canon() Focus {
 	if f.CodePath == "" {
 		f.CodePath = "/Code"
 	}
@@ -39,7 +42,7 @@ func (f Focus) normalize() Focus {
 
 // IsWholeProgram reports whether the focus places no restriction.
 func (f Focus) IsWholeProgram() bool {
-	f = f.normalize()
+	f = f.Canon()
 	return f.CodePath == "/Code" && f.MachinePath == "/Machine" && f.SyncPath == "/SyncObject"
 }
 
@@ -51,19 +54,13 @@ func (f Focus) WithSync(path string) Focus    { f.SyncPath = path; return f }
 
 // String renders the focus in Paradyn's angle-bracket notation.
 func (f Focus) String() string {
-	f = f.normalize()
+	f = f.Canon()
 	return fmt.Sprintf("<%s,%s,%s>", f.CodePath, f.MachinePath, f.SyncPath)
-}
-
-// Key returns a canonical map key for the focus.
-func (f Focus) Key() string {
-	f = f.normalize()
-	return f.CodePath + "\x00" + f.MachinePath + "\x00" + f.SyncPath
 }
 
 // Label renders a short human label: the non-root components only.
 func (f Focus) Label() string {
-	f = f.normalize()
+	f = f.Canon()
 	var parts []string
 	for _, p := range []string{f.CodePath, f.MachinePath, f.SyncPath} {
 		if p != "/Code" && p != "/Machine" && p != "/SyncObject" {
@@ -80,45 +77,54 @@ func (f Focus) Label() string {
 // ("/Code/<module>/<function>"), or "" if the focus selects a whole module
 // or all code.
 func (f Focus) CodeFunction() string {
-	comps := splitPath(f.normalize().CodePath)
-	if len(comps) == 3 {
-		return comps[2]
+	if c, n := component(f.Canon().CodePath, 2); n == 3 {
+		return c
 	}
 	return ""
 }
 
 // CodeModule returns the module selected by the Code path, or "".
 func (f Focus) CodeModule() string {
-	comps := splitPath(f.normalize().CodePath)
-	if len(comps) >= 2 {
-		return comps[1]
-	}
-	return ""
+	c, _ := component(f.Canon().CodePath, 1)
+	return c
 }
 
 // MachineNode returns the node name selected by the Machine path, or "".
 func (f Focus) MachineNode() string {
-	comps := splitPath(f.normalize().MachinePath)
-	if len(comps) >= 2 {
-		return comps[1]
-	}
-	return ""
+	c, _ := component(f.Canon().MachinePath, 1)
+	return c
 }
 
 // MachineProcess returns the process name selected by the Machine path
 // ("/Machine/<node>/<process>"), or "".
 func (f Focus) MachineProcess() string {
-	comps := splitPath(f.normalize().MachinePath)
-	if len(comps) == 3 {
-		return comps[2]
+	if c, n := component(f.Canon().MachinePath, 2); n == 3 {
+		return c
 	}
 	return ""
+}
+
+// component cuts the i-th non-empty component out of a slash-separated path
+// by index ("" when there is none) and counts the path's components — what
+// splitPath(path)[i] and len(splitPath(path)) say, without the split.
+func component(path string, i int) (comp string, n int) {
+	for path != "" {
+		c, rest, _ := strings.Cut(path, "/")
+		if c != "" {
+			if n == i {
+				comp = c
+			}
+			n++
+		}
+		path = rest
+	}
+	return comp, n
 }
 
 // SyncParts returns the components of the SyncObject path after the root:
 // e.g. ["Window", "3-1"] or ["Message", "comm-1", "tag-5"].
 func (f Focus) SyncParts() []string {
-	comps := splitPath(f.normalize().SyncPath)
+	comps := splitPath(f.Canon().SyncPath)
 	if len(comps) <= 1 {
 		return nil
 	}

@@ -157,11 +157,11 @@ func TestFocusMachineParts(t *testing.T) {
 func TestFocusKeyDistinguishes(t *testing.T) {
 	a := WholeProgram().WithCode("/Code/x")
 	b := WholeProgram().WithSync("/SyncObject/Barrier")
-	if a.Key() == b.Key() {
-		t.Error("different foci must have different keys")
+	if a.Canon() == b.Canon() {
+		t.Error("different foci must have different canonical forms")
 	}
-	if a.Key() != WholeProgram().WithCode("/Code/x").Key() {
-		t.Error("equal foci must share a key")
+	if a.Canon() != (Focus{CodePath: "/Code/x"}).Canon() {
+		t.Error("equal foci must share a canonical form")
 	}
 }
 
@@ -192,5 +192,38 @@ func TestPropertyPathRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// The component accessors cut their answer out of the path by index; they
+// must say exactly what splitting the path said, on tidy paths and on ones
+// with doubled, leading or trailing slashes.
+func TestFocusPartsMatchSplitPath(t *testing.T) {
+	at := func(comps []string, i int, exact bool) string {
+		if len(comps) > i && (!exact || len(comps) == i+1) {
+			return comps[i]
+		}
+		return ""
+	}
+	for _, tail := range []string{"", "/", "/a", "/a/", "//a", "/a/b", "/a//b/", "/a/b/c", "a", "/a/b/c/d"} {
+		for _, f := range []Focus{{}, {CodePath: "/Code" + tail, MachinePath: "/Machine" + tail}, {CodePath: tail, MachinePath: tail}} {
+			code, machine := splitPath(f.Canon().CodePath), splitPath(f.Canon().MachinePath)
+			if got, want := f.CodeModule(), at(code, 1, false); got != want {
+				t.Errorf("%v: CodeModule = %q, want %q", f, got, want)
+			}
+			if got, want := f.CodeFunction(), at(code, 2, true); got != want {
+				t.Errorf("%v: CodeFunction = %q, want %q", f, got, want)
+			}
+			if got, want := f.MachineNode(), at(machine, 1, false); got != want {
+				t.Errorf("%v: MachineNode = %q, want %q", f, got, want)
+			}
+			if got, want := f.MachineProcess(), at(machine, 2, true); got != want {
+				t.Errorf("%v: MachineProcess = %q, want %q", f, got, want)
+			}
+		}
+	}
+	f := WholeProgram().WithCode("/Code/app.c/work").WithMachine("/Machine/node0/p0")
+	if n := testing.AllocsPerRun(100, func() { _, _, _, _ = f.CodeModule(), f.CodeFunction(), f.MachineNode(), f.MachineProcess() }); n != 0 {
+		t.Errorf("component accessors: %v allocs, want 0", n)
 	}
 }

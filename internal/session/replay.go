@@ -25,10 +25,10 @@ type ReplaySource struct {
 	events []Event
 	pos    int
 
-	// enables indexes the recorded enable outcomes by series key
+	// enables indexes the recorded enable outcomes by canonical pair
 	// (first occurrence wins): "" means the live enable succeeded, any
 	// other value is the error the live daemons returned.
-	enables map[string]string
+	enables map[datasource.Pair]string
 }
 
 // ReplaySource must satisfy the same contract the live front end does.
@@ -53,7 +53,7 @@ func NewReplaySource(a *Archive) *ReplaySource {
 		}
 		events = events[:last]
 	}
-	rs := &ReplaySource{View: v, events: events, enables: make(map[string]string)}
+	rs := &ReplaySource{View: v, events: events, enables: make(map[datasource.Pair]string)}
 	// The enable index is built from the FULL stream, trimmed or not: an
 	// enable outcome is metadata about what the live session requested, so
 	// a request that succeeded live still succeeds on a truncated replay —
@@ -63,7 +63,7 @@ func NewReplaySource(a *Archive) *ReplaySource {
 		if ev.Kind != EvEnable {
 			continue
 		}
-		k := datasource.SeriesKey(ev.Metric, ev.Focus)
+		k := datasource.Pair{Metric: ev.Metric, Focus: ev.Focus}.Canon()
 		if _, ok := rs.enables[k]; !ok {
 			rs.enables[k] = ev.Err
 		}
@@ -81,7 +81,7 @@ func (rs *ReplaySource) EnableMetric(metricName string, focus resource.Focus) (*
 	if s := rs.View.Series(metricName, focus); s != nil {
 		return s, nil
 	}
-	errMsg, ok := rs.enables[datasource.SeriesKey(metricName, focus)]
+	errMsg, ok := rs.enables[datasource.Pair{Metric: metricName, Focus: focus}.Canon()]
 	if !ok {
 		return nil, fmt.Errorf("session: metric %s at focus %s was not enabled in the recorded session", metricName, focus)
 	}
