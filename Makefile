@@ -42,8 +42,10 @@ loc:
 # from: every allocation sampled, top 25 sites by object count. BENCH names
 # the benchmark — by default the paper's Figure 3 run (small-messages under
 # the full tool, the `p2p-flood` workload); BENCH=BenchmarkReplayWhatIf is the
-# `replay-whatif` workload's read side. For bytes instead of objects, run the
-# same two commands by hand with -sample_index=alloc_space. Not part of verify.
+# `replay-whatif` workload's read side, BENCH=BenchmarkTracedTCP one traced
+# session of `traced-tcp` (rings, packed shards over TCP, merge, export). For
+# bytes instead of objects, run the same two commands by hand with
+# -sample_index=alloc_space. Not part of verify.
 BENCH ?= BenchmarkFigure3SmallMessagesPC
 alloc-profile:
 	@tmp=$$(mktemp -d) && \
@@ -101,13 +103,16 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzWireFrame -fuzztime=5s ./internal/wire
 	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=5s ./internal/faults
 	$(GO) test -run '^$$' -fuzz=FuzzChunkDecoder -fuzztime=5s ./internal/perfdb
-	$(GO) test -run '^$$' -fuzz=FuzzUnpackSamples -fuzztime=5s ./internal/perfdb
+	$(GO) test -run '^$$' -fuzz=FuzzUnpackSamples -fuzztime=5s ./internal/session
+	$(GO) test -run '^$$' -fuzz=FuzzUnpackShard -fuzztime=5s ./internal/session
 
-# fuzz-perfdb holds the chunked-archive and sample-delta decoders total:
-# arbitrary bytes must produce an archive or an error, never a panic.
+# fuzz-perfdb holds the chunked-archive decoder and the packed sample-batch
+# and trace-shard decoders under it (internal/session) total: arbitrary bytes
+# must produce an archive, a batch, a shard or an error, never a panic.
 fuzz-perfdb:
 	$(GO) test -fuzz=FuzzChunkDecoder -fuzztime=30s ./internal/perfdb
-	$(GO) test -fuzz=FuzzUnpackSamples -fuzztime=30s ./internal/perfdb
+	$(GO) test -fuzz=FuzzUnpackSamples -fuzztime=30s ./internal/session
+	$(GO) test -fuzz=FuzzUnpackShard -fuzztime=30s ./internal/session
 
 # bench runs the root package's figure/table/ablation benchmarks and the
 # fault/trace zero-cost guards. Per-layer numbers (engine switch, eager

@@ -16,10 +16,13 @@ package pperf
 // whole artifact, so ns/op is the cost of reproducing that figure.
 
 import (
+	"io"
 	"path/filepath"
 	"testing"
 
 	"pperf/internal/cluster"
+	"pperf/internal/consultant"
+	"pperf/internal/core"
 	"pperf/internal/daemon"
 	"pperf/internal/experiments"
 	"pperf/internal/faults"
@@ -121,6 +124,55 @@ func BenchmarkReplayWhatIf(b *testing.B) {
 			if res.PC == nil {
 				b.Fatal("replay ran no Consultant")
 			}
+		}
+	}
+}
+
+// --- traced session over TCP --------------------------------------------------
+
+// BenchmarkTracedTCP is one session of the `traced-tcp` benchmark workload as
+// a root benchmark, so `make alloc-profile BENCH=BenchmarkTracedTCP` sizes the
+// trace plane (span rings → packed shards over loopback TCP → timeline merge
+// → Perfetto export → critical path) and the live wire channels: sstwod under
+// the Consultant in a session with tracing armed and daemon traffic on TCP,
+// then everything the workload does with the timeline.
+func BenchmarkTracedTCP(b *testing.B) {
+	prog, params, err := pperfmark.Program("sstwod", pperfmark.Params{Iterations: 300})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dcfg := daemon.DefaultConfig()
+	dcfg.SampleInterval = 50 * sim.Millisecond
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s, err := core.NewSession(core.Options{
+			Impl: mpi.LAM, Nodes: (params.Procs + 1) / 2, CPUsPerNode: 2, Seed: 7,
+			Daemon: &dcfg, BinWidth: 50 * sim.Millisecond,
+			UseTCP: true, Trace: &trace.Config{},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.Register("sstwod", prog)
+		if err := s.Launch("sstwod", params.Procs, nil); err != nil {
+			b.Fatal(err)
+		}
+		if err := consultant.New(s.FE, s.Eng, pperfmark.ScaledPCConfig()).Start(); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+		tl := s.FE.Timeline()
+		s.Close()
+		if spans := tl.Spans(); len(spans) == 0 || tl.Lost() != 0 {
+			b.Fatalf("timeline holds %d spans, lost %d", len(spans), tl.Lost())
+		}
+		if err := trace.WriteChrome(io.Discard, tl); err != nil {
+			b.Fatal(err)
+		}
+		if trace.Analyze(tl).Render() == "" {
+			b.Fatal("empty critical-path report")
 		}
 	}
 }

@@ -15,10 +15,10 @@ import (
 // Transport carries daemon reports to the front end: one report is one
 // session.Event (samples, an update or a trace shard), the same value the
 // front end folds into its View and records. The in-process implementation
-// is the front end itself; the TCP implementation gob-encodes the event over
-// a socket. A non-nil error means the report was NOT observed by the front
-// end (after any retries the transport performs internally); the daemon
-// queues such reports and replays them when the transport recovers.
+// is the front end itself; the TCP implementation frames the event (a batch
+// or shard packed) over a socket. A non-nil error means the report was NOT
+// observed by the front end (after any retries the transport performs
+// internally); the daemon queues such reports and replays them on recovery.
 type Transport interface {
 	Report(ev session.Event) error
 }

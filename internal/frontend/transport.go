@@ -7,15 +7,18 @@ import (
 
 	"pperf/internal/daemon"
 	"pperf/internal/session"
+	"pperf/internal/trace"
 	"pperf/internal/wire"
 )
 
 // The TCP transport carries daemon reports to the front end over real
-// sockets with gob encoding — the shape of a deployment where daemons run on
-// cluster nodes and the front end on the user's workstation. Each report is
-// acknowledged before the daemon proceeds, so delivery order (and therefore
-// front-end state) stays deterministic even though the listener runs on its
-// own goroutine.
+// sockets — the shape of a deployment where daemons run on cluster nodes and
+// the front end on the user's workstation. Each report is acknowledged
+// before the daemon proceeds, so delivery order (and therefore front-end
+// state) stays deterministic even though the listener runs on its own
+// goroutine. The frame is gob; the two bulky report kinds, sample batches
+// and trace shards, ride inside it in session's packed form, so gob moves
+// their bytes and never reflects over a []Sample or a []Span.
 //
 // Each daemon holds two independent channels to the front end, and
 // daemon.ChannelOf says which one a report rides:
@@ -50,19 +53,39 @@ type frame struct {
 	// applies it. A newer incarnation resets the channel's seq space.
 	Inc uint64
 
-	Event session.Event
+	// Event is the report. A sample batch or a trace shard travels with
+	// only its Kind set here and the rest in Packed, its session.Packer
+	// form; no other kind has one.
+	Event  session.Event
+	Packed []byte
 }
 
-// wellFormed reports whether a received frame is one a daemon transport
-// could have sent: a named sender, a sequence number from the numbered
-// space, a report kind, and the channel that kind rides. The frame type can
-// express any session.Event on any channel, so the listener must not apply
-// one that fails this — a forged verdict, barrier or gap would otherwise
+// open unpacks a received frame's report and reports whether the frame is
+// one a daemon transport could have sent: a named sender, a sequence number
+// from the numbered space, a report kind on the channel that kind rides, a
+// packed form on exactly the kinds that have one (and one that unpacks), and
+// no inner sender stamp naming anyone but the envelope's daemon. The frame
+// type can express any session.Event on any channel, so the listener must
+// not apply one that fails this — a forged verdict, barrier or gap would
 // land in the analysis state (and the archive) as if the front end had
-// produced it.
-func (f *frame) wellFormed() bool {
+// produced it, a forged stamp would keep a dead daemon alive.
+func (f *frame) open(up *session.Unpacker) bool {
 	ch, ok := daemon.ChannelOf(f.Event.Kind)
-	return ok && ch == f.Chan && f.Daemon != "" && f.Seq != 0
+	if !ok || ch != f.Chan || f.Daemon == "" || f.Seq == 0 {
+		return false
+	}
+	var err error
+	stamp := f.Event.Update.Daemon
+	switch f.Event.Kind {
+	case session.EvSamples:
+		f.Event.Samples, err = up.UnpackSamples(f.Packed)
+	case session.EvShard:
+		f.Event.Shard, err = up.UnpackShard(f.Packed)
+		stamp = f.Event.Shard.Daemon
+	default:
+		ok = len(f.Packed) == 0
+	}
+	return ok && err == nil && (stamp == "" || stamp == f.Daemon)
 }
 
 // Listener accepts daemon connections for a front end: a wire.Server whose
@@ -107,17 +130,24 @@ func (l *Listener) WireStats(ch string) wire.Stats {
 }
 
 // Refused returns how many connections the listener dropped for a malformed
-// frame (see frame.wellFormed).
+// frame (see frame.open).
 func (l *Listener) Refused() int64 { return l.refused.Load() }
 
 // serve applies one daemon connection's frames to the front end.
 func (l *Listener) serve(c *wire.ServerConn) {
+	var (
+		up session.Unpacker // this connection's string table
+		f  frame
+	)
 	for {
-		var f frame
+		// gob leaves absent fields alone, so each frame decodes into a zeroed
+		// one; only the packed bytes' buffer is kept (nothing unpacked from
+		// it points into it).
+		f = frame{Packed: f.Packed[:0]}
 		if c.Read(&f) != nil {
 			return
 		}
-		if !f.wellFormed() {
+		if !f.open(&up) {
 			// Not a daemon: drop the connection with the frame neither
 			// applied nor acknowledged.
 			l.refused.Add(1)
@@ -135,19 +165,40 @@ func (l *Listener) serve(c *wire.ServerConn) {
 	}
 }
 
-// TCPTransport is the daemon-side transport: it gob-encodes each report,
-// waits (with a deadline) for the front end's acknowledgement, and on
-// failure retries through the wire plane, redialling as needed. When every
-// attempt fails the error surfaces to the daemon, whose ctl or bulk queue
-// holds the report for later replay. The two channels are two wire.Conns,
-// locked separately, so a slow bulk send never blocks a sample send.
+// TCPTransport is the daemon-side transport: it frames each report, waits
+// (with a deadline) for the front end's acknowledgement, and on failure
+// retries through the wire plane, redialling as needed. When every attempt
+// fails the error surfaces to the daemon, whose ctl or bulk queue holds the
+// report for later replay. The two channels are two wire.Conns, locked
+// separately, so a slow bulk send never blocks a sample send.
 type TCPTransport struct {
 	// name and inc are the identity stamped on every frame.
 	name string
 	inc  uint64
 
-	ctl, bulk *wire.Conn
+	ctl, bulk channel
 	bulkDial  sync.Once // bulk's first connection waits for its first use
+}
+
+// channel is one wire.Conn plus the scratch its reports are packed through,
+// used only under the Conn's send lock.
+type channel struct {
+	*wire.Conn
+	pk     session.Packer
+	packed []byte
+}
+
+// seal moves a sample batch or trace shard out of f.Event into its packed
+// form, built in the channel's scratch. Any other report travels in Event.
+func (c *channel) seal(f *frame) {
+	switch f.Event.Kind {
+	case session.EvSamples:
+		c.packed = c.pk.PackSamples(c.packed[:0], f.Event.Samples)
+		f.Packed, f.Event.Samples = c.packed, nil
+	case session.EvShard:
+		c.packed = c.pk.PackShard(c.packed[:0], &f.Event.Shard)
+		f.Packed, f.Event.Shard = c.packed, trace.Shard{}
+	}
 }
 
 // DialTransportRetry connects a daemon-side transport with explicit identity
@@ -162,21 +213,22 @@ func DialTransportRetry(addr, name string, incarnation uint64, cfg wire.Config) 
 	if err != nil {
 		return nil, fmt.Errorf("frontend: dial: %w", err)
 	}
-	t := &TCPTransport{name: name, inc: incarnation, ctl: ctl, bulk: wire.NewConn(addr, cfg, cfg.Seed^wire.SaltBulk)}
+	t := &TCPTransport{name: name, inc: incarnation}
+	t.ctl.Conn, t.bulk.Conn = ctl, wire.NewConn(addr, cfg, cfg.Seed^wire.SaltBulk)
 	t.ctl.Injection().Chan = wire.ChanCtl
 	t.bulk.Injection().Chan = wire.ChanBulk
 	return t, nil
 }
 
-// conn returns channel ch's Conn (wire.ChanBulk, else ctl), bringing bulk up
-// (best effort: a failed dial retries inside Exchange) on first use. A
-// closed transport stays down: TryDial does not resurrect a closed Conn.
-func (t *TCPTransport) conn(ch string) *wire.Conn {
+// conn returns channel ch (wire.ChanBulk, else ctl), bringing bulk up (best
+// effort: a failed dial retries inside Exchange) on first use. A closed
+// transport stays down: TryDial does not resurrect a closed Conn.
+func (t *TCPTransport) conn(ch string) *channel {
 	if ch != wire.ChanBulk {
-		return t.ctl
+		return &t.ctl
 	}
 	t.bulkDial.Do(t.bulk.TryDial)
-	return t.bulk
+	return &t.bulk
 }
 
 // Close shuts both channels; subsequent sends fail fast with wire.ErrClosed.
@@ -207,14 +259,20 @@ func (t *TCPTransport) Injection(ch string) *wire.Injection {
 }
 
 // Report implements daemon.Transport: one report is one acknowledged frame
-// on the channel its kind rides.
+// on the channel its kind rides. The frame is sealed when it is stamped —
+// under the channel's send lock, through the channel's scratch; ev's slices
+// are only read.
 func (t *TCPTransport) Report(ev session.Event) error {
 	ch, _ := daemon.ChannelOf(ev.Kind)
+	c := t.conn(ch)
 	f := frame{Daemon: t.name, Chan: ch, Inc: t.inc, Event: ev}
 	var ack bool
-	return t.conn(ch).Exchange(wire.Request{
-		Req:   &f,
-		Stamp: func(seq uint64) { f.Seq = seq },
+	return c.Exchange(wire.Request{
+		Req: &f,
+		Stamp: func(seq uint64) {
+			f.Seq = seq
+			c.seal(&f)
+		},
 		Resp:  &ack,
 		Label: "frontend: send",
 	})

@@ -94,6 +94,13 @@ func TestTCPTransportGivesUpAfterMaxAttempts(t *testing.T) {
 	}
 }
 
+// sealed returns the frame as the transport puts it on the wire: a sample
+// batch or trace shard in its packed form.
+func sealed(f frame) frame {
+	new(channel).seal(&f)
+	return f
+}
+
 func TestListenerDedupesReplayedFrames(t *testing.T) {
 	fe := New()
 	f := resource.WholeProgram()
@@ -110,12 +117,12 @@ func TestListenerDedupesReplayedFrames(t *testing.T) {
 	}
 	defer conn.Close()
 	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-	msg := frame{
+	msg := sealed(frame{
 		Daemon: "paradynd@node0",
 		Chan:   wire.ChanCtl,
 		Seq:    1,
 		Event:  samples(sample("m", f, "p0", sim.Time(sim.Second), 5)),
-	}
+	})
 	var ack bool
 	// A daemon that lost the ack re-sends the same frame after reconnecting;
 	// the listener must ack it again without re-applying.
@@ -250,24 +257,42 @@ func TestSendOnClosedTransportFailsFast(t *testing.T) {
 // The frame type can carry any session.Event on any channel under any
 // envelope; only what a daemon transport produces may reach the front end.
 // Everything else costs the sender its connection — no apply, no ack — and
-// leaves the analysis state and the recorded stream exactly as they were.
+// leaves the analysis state and the recorded stream exactly as they were;
+// the next well-formed connection is served as if nothing had happened.
 func TestListenerRefusesForgedFrames(t *testing.T) {
-	const d0 = "paradynd@node0"
+	const d0, d1 = "paradynd@node0", "paradynd@node1"
 	aShard := shard(trace.Shard{Daemon: d0, Proc: "p0", Node: "node0", Spans: make([]trace.Span, 2)})
 	someSamples := samples(sample("m", resource.WholeProgram(), "p0", sim.Time(sim.Second), 5))
+	packedSamples := sealed(frame{Event: someSamples}).Packed
+	corrupt := append([]byte(nil), packedSamples...)
+	corrupt[0] = 0x7f // 127 samples in a dozen bytes
 	for _, tc := range []struct {
 		name string
 		f    frame
 	}{
-		{"empty daemon", frame{Chan: wire.ChanCtl, Seq: 1, Event: someSamples}},
-		{"seq 0", frame{Daemon: d0, Chan: wire.ChanCtl, Event: someSamples}},
+		{"empty daemon", sealed(frame{Chan: wire.ChanCtl, Seq: 1, Event: someSamples})},
+		{"seq 0", sealed(frame{Daemon: d0, Chan: wire.ChanCtl, Event: someSamples})},
 		{"stale verdict", frame{Daemon: d0, Chan: wire.ChanCtl, Seq: 1,
 			Event: session.Event{Kind: session.EvStale, Daemon: d0, Time: sim.Time(sim.Second)}}},
 		{"barrier", frame{Daemon: d0, Chan: wire.ChanCtl, Seq: 1, Event: session.Event{Kind: session.EvBarrier}}},
 		{"gap", frame{Daemon: d0, Chan: wire.ChanCtl, Seq: 1,
 			Event: session.Event{Kind: session.EvGap, Gap: datasource.Gap{Node: "node0", From: 1, To: 2}}}},
-		{"shard labelled ctl", frame{Daemon: d0, Chan: wire.ChanCtl, Seq: 1, Event: aShard}},
-		{"samples labelled bulk", frame{Daemon: d0, Chan: wire.ChanBulk, Seq: 1, Event: someSamples}},
+		{"shard labelled ctl", sealed(frame{Daemon: d0, Chan: wire.ChanCtl, Seq: 1, Event: aShard})},
+		{"samples labelled bulk", sealed(frame{Daemon: d0, Chan: wire.ChanBulk, Seq: 1, Event: someSamples})},
+		// The packed form: only on the kinds that have one, never absent on
+		// those, and it has to unpack.
+		{"packed bytes on an update", frame{Daemon: d0, Chan: wire.ChanCtl, Seq: 1, Packed: packedSamples,
+			Event: update(datasource.Update{Kind: datasource.UpHeartbeat, Daemon: d0, Time: sim.Time(5 * sim.Second)})}},
+		{"corrupt packed samples", frame{Daemon: d0, Chan: wire.ChanCtl, Seq: 1, Packed: corrupt,
+			Event: session.Event{Kind: session.EvSamples}}},
+		{"samples left unpacked", frame{Daemon: d0, Chan: wire.ChanCtl, Seq: 1, Event: someSamples}},
+		{"shard left unpacked", frame{Daemon: d0, Chan: wire.ChanBulk, Seq: 1, Event: aShard}},
+		// The inner sender stamp must agree with the envelope: node0's
+		// connection cannot speak for node1.
+		{"heartbeat stamped by another daemon", frame{Daemon: d0, Chan: wire.ChanCtl, Seq: 1,
+			Event: update(datasource.Update{Kind: datasource.UpHeartbeat, Daemon: d1, Time: sim.Time(5 * sim.Second)})}},
+		{"shard stamped by another daemon", sealed(frame{Daemon: d0, Chan: wire.ChanBulk, Seq: 1,
+			Event: shard(trace.Shard{Daemon: d1, Proc: "p0", Node: "node0", Spans: make([]trace.Span, 2)})})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fe := New()
@@ -305,6 +330,20 @@ func TestListenerRefusesForgedFrames(t *testing.T) {
 			}
 			if after := snapshot(); after != before {
 				t.Errorf("forged frame changed front-end state:\nbefore %s\nafter  %s", before, after)
+			}
+
+			tr, err := DialTransportRetry(l.Addr(), d0, 0, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			for _, ev := range []session.Event{someSamples, aShard} {
+				if err := tr.Report(ev); err != nil {
+					t.Fatalf("well-formed %v after the refusal: %v", ev.Kind, err)
+				}
+			}
+			if total, spans := fe.Series("m", resource.WholeProgram()).Total(), len(fe.Timeline().Spans()); total != 5 || spans != 2 || l.Refused() != 1 {
+				t.Errorf("after the refusal a daemon's reports gave total %g, %d spans, %d refusals; want 5, 2, 1", total, spans, l.Refused())
 			}
 		})
 	}

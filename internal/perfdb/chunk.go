@@ -1,3 +1,10 @@
+// Package perfdb is the multi-run performance experiment store: chunked
+// streaming session archives whose sample batches and trace shards ride in
+// session's packed forms under a per-chunk CRC32 (this file), a
+// bounded-memory recorder the live front end writes through (stream.go), an
+// on-disk run index (store.go), and a cross-run diff engine that compares
+// stored runs with the paper's §5.2.1.3 confidence-interval significance
+// test (diff.go). See PERFDB.md.
 package perfdb
 
 import (
@@ -21,7 +28,7 @@ import (
 //	6 bytes  magic "PPDBA1"
 //	chunk 'H'  provisional header (gob session.Header: version + histogram
 //	           config — everything known before the first event)
-//	chunk 'E'* event chunks (delta-packed sample batches + gob rest)
+//	chunk 'E'* event chunks (packed sample batches and trace shards + gob rest)
 //	chunk 'T'  trailer (gob: final session.Header with Meta/Extra,
 //	           NumEvents, NumChunks)
 //
@@ -115,35 +122,57 @@ type trailer struct {
 	NumChunks int // event chunks written
 }
 
-// pendingChunk is an 'E' chunk being assembled: sample batches ride as
-// delta-packed blobs, everything else as gob of session.Event (one encoder
-// per chunk, so chunks stay independently decodable). A batch is packed the
-// moment it is appended, so the chunk never holds a caller's sample slice.
+// The flag byte an 'E' chunk holds per event: where the event's bytes are.
+const (
+	flagGob     = 0 // in the chunk's gob section
+	flagSamples = 1 // the next packed blob, a sample batch
+	flagShard   = 2 // the next packed blob, a trace shard
+)
+
+// maxPendingPacked is the byte bound of a pending chunk: once its packed
+// blobs pass it the chunk is flushed, however few events that is. Sample
+// batches never get near it (DefaultFlushEvents of them pack to well under
+// 1 MiB); 512 full trace shards made chunks of tens of megabytes.
+const maxPendingPacked = 4 << 20
+
+// pendingChunk is an 'E' chunk being assembled: sample batches and trace
+// shards ride as packed blobs (session.Packer), everything else as gob of
+// session.Event (one encoder per chunk, so chunks stay independently
+// decodable). A batch or shard is packed the moment it is appended, so the
+// chunk never holds a caller's sample or span slice.
 //
 // Payload layout:
 //
 //	uvarint nEvents
-//	nEvents bytes: 1 = next event is a packed sample batch, 0 = from gob
-//	uvarint nPacked; per blob: uvarint len + bytes
-//	remaining: gob of []session.Event (the non-sample events, in order)
+//	nEvents flag bytes, one per event
+//	uvarint nPacked; per blob, in event order: uvarint len + bytes
+//	remaining: gob of []session.Event (the flagGob events, in order)
+//
+// Archives written before shards were packed hold flags 0 and 1 only, their
+// shards in the gob section; they load through the same decoder.
 type pendingChunk struct {
 	flags   []byte          // one per event, in order
-	nPacked int             // sample batches among them
-	packed  []byte          // their blobs, each behind its uvarint length
-	rest    []session.Event // the non-sample events
-	pk      packer
-	blob    []byte // one batch, packed, before its length is known
+	nPacked int             // packed blobs among them
+	packed  []byte          // the blobs, each behind its uvarint length
+	rest    []session.Event // the gob-section events
+	pk      session.Packer
+	blob    []byte // one blob, packed, before its length is known
 }
 
 func (c *pendingChunk) add(ev session.Event) {
-	if ev.Kind != session.EvSamples {
-		c.flags = append(c.flags, 0)
+	switch ev.Kind {
+	case session.EvSamples:
+		c.flags = append(c.flags, flagSamples)
+		c.blob = c.pk.PackSamples(c.blob[:0], ev.Samples)
+	case session.EvShard:
+		c.flags = append(c.flags, flagShard)
+		c.blob = c.pk.PackShard(c.blob[:0], &ev.Shard)
+	default:
+		c.flags = append(c.flags, flagGob)
 		c.rest = append(c.rest, ev)
 		return
 	}
-	c.flags = append(c.flags, 1)
 	c.nPacked++
-	c.blob = c.pk.pack(c.blob[:0], ev.Samples)
 	c.packed = binary.AppendUvarint(c.packed, uint64(len(c.blob)))
 	c.packed = append(c.packed, c.blob...)
 }
@@ -160,14 +189,14 @@ func (c *pendingChunk) encode() ([]byte, error) {
 	out = binary.AppendUvarint(out, uint64(c.nPacked))
 	out = append(out, c.packed...)
 	out = append(out, gobBuf.Bytes()...)
-	clear(c.rest) // the events' shards and strings are encoded; let them go
+	clear(c.rest) // the events' strings are encoded; let them go
 	c.flags, c.nPacked, c.packed, c.rest = c.flags[:0], 0, c.packed[:0], c.rest[:0]
 	return out, nil
 }
 
-// decodeEventsChunk reverses pendingChunk.encode, resolving sample strings
+// decodeEventsChunk reverses pendingChunk.encode, resolving packed strings
 // through the reader's table. Corrupt input yields an error, never a panic.
-func decodeEventsChunk(data []byte, tab *strtab) ([]session.Event, error) {
+func decodeEventsChunk(data []byte, up *session.Unpacker) ([]session.Event, error) {
 	pos := 0
 	getU := func() (uint64, error) {
 		v, n := binary.Uvarint(data[pos:])
@@ -191,9 +220,11 @@ func decodeEventsChunk(data []byte, tab *strtab) ([]session.Event, error) {
 	pos += int(nEvents)
 	wantPacked := 0
 	for _, f := range flags {
-		if f == 1 {
+		switch f {
+		case flagGob:
+		case flagSamples, flagShard:
 			wantPacked++
-		} else if f != 0 {
+		default:
 			return nil, fmt.Errorf("perfdb: corrupt events chunk: bad event flag %d", f)
 		}
 	}
@@ -202,59 +233,60 @@ func decodeEventsChunk(data []byte, tab *strtab) ([]session.Event, error) {
 		return nil, err
 	}
 	if nPacked != uint64(wantPacked) {
-		return nil, fmt.Errorf("perfdb: corrupt events chunk: %d packed batches, flags promise %d", nPacked, wantPacked)
+		return nil, fmt.Errorf("perfdb: corrupt events chunk: %d packed blobs, flags promise %d", nPacked, wantPacked)
 	}
-	samples := make([][]byte, nPacked)
-	for i := range samples {
+	blobs := make([][]byte, nPacked)
+	for i := range blobs {
 		l, err := getU()
 		if err != nil {
 			return nil, err
 		}
 		if l > uint64(len(data)-pos) {
-			return nil, fmt.Errorf("perfdb: corrupt events chunk: packed batch %d overruns input", i)
+			return nil, fmt.Errorf("perfdb: corrupt events chunk: packed blob %d overruns input", i)
 		}
-		samples[i] = data[pos : pos+int(l)]
+		blobs[i] = data[pos : pos+int(l)]
 		pos += int(l)
 	}
 	var rest []session.Event
 	if err := gob.NewDecoder(bytes.NewReader(data[pos:])).Decode(&rest); err != nil {
 		return nil, fmt.Errorf("perfdb: corrupt events chunk: %v", err)
 	}
-	nRest := 0
-	for _, f := range flags {
-		if f == 0 {
-			nRest++
-		}
-	}
-	if len(rest) != nRest {
+	if nRest := len(flags) - wantPacked; len(rest) != nRest {
 		return nil, fmt.Errorf("perfdb: corrupt events chunk: %d gob events, flags promise %d", len(rest), nRest)
 	}
 	out := make([]session.Event, 0, nEvents)
 	pi, ri := 0, 0
 	for _, f := range flags {
-		if f == 1 {
-			batch, err := unpackSamples(samples[pi], tab)
+		var ev session.Event
+		switch f {
+		case flagSamples:
+			ev.Kind = session.EvSamples
+			ev.Samples, err = up.UnpackSamples(blobs[pi])
 			pi++
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, session.Event{Kind: session.EvSamples, Samples: batch})
-		} else {
-			ev := rest[ri]
+		case flagShard:
+			ev.Kind = session.EvShard
+			ev.Shard, err = up.UnpackShard(blobs[pi])
+			pi++
+		default:
+			ev = rest[ri]
 			ri++
 			if ev.Kind == session.EvSamples {
-				return nil, errors.New("perfdb: corrupt events chunk: sample event outside the packed section")
+				err = errors.New("perfdb: corrupt events chunk: sample event outside the packed section")
 			}
-			out = append(out, ev)
 		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, ev)
 	}
 	return out, nil
 }
 
 // Writer streams session events into a chunked archive. It buffers at
-// most FlushEvents events before encoding them as one CRC'd chunk and
-// handing the bytes to the underlying writer — the recorder's memory is
-// bounded by the chunk size, not the run length.
+// most FlushEvents events, or maxPendingPacked bytes of packed blobs plus one
+// event, before encoding them as one CRC'd chunk and handing the bytes to the
+// underlying writer — the recorder's memory is bounded by the chunk size,
+// not the run length.
 type Writer struct {
 	w   *bufio.Writer
 	buf pendingChunk
@@ -312,8 +344,8 @@ func (w *Writer) writeHeaderChunk(h session.Header) error {
 }
 
 // Append adds one event to the pending chunk, flushing it when full. A
-// sample batch is packed before Append returns, so the caller keeps its
-// slice; any other event is held as given until its chunk flushes.
+// sample batch or trace shard is packed before Append returns, so the caller
+// keeps its slice; any other event is held as given until its chunk flushes.
 func (w *Writer) Append(ev session.Event) error {
 	if w.err != nil {
 		return w.err
@@ -323,7 +355,7 @@ func (w *Writer) Append(ev session.Event) error {
 	if n := len(w.buf.flags); n > w.peak {
 		w.peak = n
 	}
-	if len(w.buf.flags) >= w.flushEvents() {
+	if len(w.buf.flags) >= w.flushEvents() || len(w.buf.packed) >= maxPendingPacked {
 		w.err = w.flush()
 	}
 	return w.err
@@ -421,7 +453,7 @@ func ReadArchive(r io.Reader) (*session.Archive, error) {
 	}
 	var (
 		a         session.Archive
-		tab       strtab // one string table for the whole read
+		up        session.Unpacker // one string table for the whole read
 		gotHeader bool
 		chunks    int
 		err2      error
@@ -483,7 +515,7 @@ func ReadArchive(r io.Reader) (*session.Archive, error) {
 			if !gotHeader {
 				return nil, errors.New("perfdb: corrupt archive: events before the header chunk")
 			}
-			evs, err := decodeEventsChunk(payload, &tab)
+			evs, err := decodeEventsChunk(payload, &up)
 			if err != nil {
 				return nil, err
 			}

@@ -2,6 +2,7 @@ package perfdb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -11,7 +12,28 @@ import (
 	"pperf/internal/resource"
 	"pperf/internal/session"
 	"pperf/internal/sim"
+	"pperf/internal/trace"
 )
+
+// randomShard generates a trace shard of n spans on one track: a small
+// vocabulary, times that mostly advance, the odd negative tag and backward
+// step.
+func randomShard(rng *rand.Rand, n int) trace.Shard {
+	names := []string{"MPI_Send", "MPI_Recv", "compute", "msg"}
+	sh := trace.Shard{Daemon: "paradynd@node0", Proc: "app{0}", Node: "node0", Dropped: int64(rng.Intn(3))}
+	at := sim.Time(rng.Intn(1e9))
+	for i := 0; i < n; i++ {
+		at += sim.Time(rng.Intn(50_000) - 5_000)
+		sh.Spans = append(sh.Spans, trace.Span{
+			Seq: uint64(rng.Intn(1e6)), Kind: trace.Kind(rng.Intn(int(trace.MarkEvent) + 1)),
+			Proc: sh.Proc, Node: sh.Node, Name: names[rng.Intn(len(names))],
+			Start: at, End: at + sim.Time(rng.Intn(9_000)), Depth: rng.Intn(3),
+			Peer: "app{1}", Tag: rng.Intn(9) - 2, Bytes: rng.Intn(1 << 16), Obj: "MPI_COMM_WORLD",
+			Flow: uint64(rng.Intn(4)), Wait: rng.Intn(2) == 0,
+		})
+	}
+	return sh
+}
 
 // syntheticArchive builds an archive exercising every event kind.
 func syntheticArchive(rng *rand.Rand, nEvents int) *session.Archive {
@@ -28,7 +50,7 @@ func syntheticArchive(rng *rand.Rand, nEvents int) *session.Archive {
 		session.Event{Kind: session.EvEnable, Metric: "m2", Focus: focus, Err: "daemon refused"},
 	)
 	for len(a.Events) < nEvents {
-		switch rng.Intn(6) {
+		switch rng.Intn(8) {
 		case 0, 1, 2:
 			a.Events = append(a.Events, session.Event{Kind: session.EvSamples, Samples: randomBatch(rng, 1+rng.Intn(16))})
 		case 3:
@@ -37,6 +59,12 @@ func syntheticArchive(rng *rand.Rand, nEvents int) *session.Archive {
 			}})
 		case 4:
 			a.Events = append(a.Events, session.Event{Kind: session.EvBarrier})
+		case 5:
+			a.Events = append(a.Events, session.Event{Kind: session.EvShard, Shard: randomShard(rng, rng.Intn(40))})
+		case 6:
+			a.Events = append(a.Events,
+				session.Event{Kind: session.EvStale, Daemon: "paradynd@node1", Time: sim.Time(rng.Intn(1e9))},
+				session.Event{Kind: session.EvUndelivered, Proc: "app{1}", N: int64(rng.Intn(9))})
 		default:
 			a.Events = append(a.Events, session.Event{Kind: session.EvGap, Gap: datasource.Gap{Node: "node1", From: 1, To: 2}})
 		}
@@ -176,6 +204,84 @@ func TestCorruptChunkRejected(t *testing.T) {
 	bad := append([]byte("NOTFMT"), full[6:]...)
 	if _, err := ReadArchive(bytes.NewReader(bad)); err == nil {
 		t.Error("bad magic loaded cleanly")
+	}
+}
+
+// eachEventsChunk calls fn with the payload of every 'E' chunk of an encoded
+// archive, in order.
+func eachEventsChunk(data []byte, fn func(payload []byte)) {
+	for data = data[len(chunkMagic):]; len(data) > 0; {
+		kind, n := data[0], int(binary.BigEndian.Uint32(data[1:5]))
+		if kind == chunkEvents {
+			fn(data[9 : 9+n])
+		}
+		data = data[9+n:]
+	}
+}
+
+// eventChunks returns, per 'E' chunk of an encoded archive, how many events
+// it holds and how long its payload is.
+func eventChunks(data []byte) (events, payload []int) {
+	eachEventsChunk(data, func(p []byte) {
+		nEvents, _ := binary.Uvarint(p)
+		events, payload = append(events, int(nEvents)), append(payload, len(p))
+	})
+	return events, payload
+}
+
+// A pending chunk is flushed by its weight as well as by its event count:
+// 512 full trace shards used to make one chunk of tens of megabytes, which
+// the reader then allocated as one buffer.
+func TestPendingChunkIsBoundedInBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	full := session.Event{Kind: session.EvShard, Shard: randomShard(rng, 16384)}
+	oneShard := len(new(session.Packer).PackShard(nil, &full.Shard))
+	a := &session.Archive{Header: session.Header{Version: session.Version, NumBins: 100, BinWidth: sim.Millisecond}}
+	for i := 0; i < 60; i++ {
+		a.Events = append(a.Events, full,
+			session.Event{Kind: session.EvSamples, Samples: randomBatch(rng, 8)},
+			session.Event{Kind: session.EvBarrier})
+	}
+	var buf bytes.Buffer
+	if err := WriteArchive(&buf, a); err != nil {
+		t.Fatal(err)
+	}
+	events, payload := eventChunks(buf.Bytes())
+	if len(events) < 60*oneShard/(maxPendingPacked+oneShard) {
+		t.Fatalf("%d MB of packed shards landed in %d chunks", 60*oneShard>>20, len(events))
+	}
+	for i, n := range payload {
+		// The bound, the blob that crossed it, and the chunk's few gob
+		// events and flag bytes.
+		if limit := maxPendingPacked + oneShard + 4096; n > limit || events[i] >= DefaultFlushEvents {
+			t.Errorf("chunk %d: %d events in %d bytes, want fewer than %d events in at most %d bytes", i, events[i], n, DefaultFlushEvents, limit)
+		}
+	}
+	got, err := ReadArchive(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Header.NumEvents = len(a.Events)
+	archivesEquivalent(t, a, got)
+
+	// Sample batches never get near the bound, so an untraced archive is
+	// cut exactly where it always was: every DefaultFlushEvents events.
+	b := &session.Archive{Header: a.Header}
+	for i := 0; i < 3*DefaultFlushEvents+10; i++ {
+		b.Events = append(b.Events, session.Event{Kind: session.EvSamples, Samples: randomBatch(rng, 64)})
+	}
+	buf.Reset()
+	if err := WriteArchive(&buf, b); err != nil {
+		t.Fatal(err)
+	}
+	events, payload = eventChunks(buf.Bytes())
+	if want := []int{DefaultFlushEvents, DefaultFlushEvents, DefaultFlushEvents, 10}; !reflect.DeepEqual(events, want) {
+		t.Errorf("untraced archive chunked as %v events, want %v", events, want)
+	}
+	for i, n := range payload {
+		if n > maxPendingPacked/2 {
+			t.Errorf("untraced chunk %d is %d bytes: 64-sample batches should stay far below the %d-byte bound", i, n, maxPendingPacked)
+		}
 	}
 }
 

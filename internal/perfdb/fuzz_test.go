@@ -34,30 +34,3 @@ func FuzzChunkDecoder(f *testing.F) {
 		}
 	})
 }
-
-// FuzzUnpackSamples: the delta codec's decoder must be total.
-func FuzzUnpackSamples(f *testing.F) {
-	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{0, 1, 30} {
-		f.Add(packSamples(randomBatch(rng, n)))
-	}
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var tab strtab
-		batch, err := unpackSamples(data, &tab)
-		if err == nil {
-			// A clean decode must re-encode losslessly (bit-exact floats),
-			// and decode the same when every string is already in the
-			// reader's table.
-			again, err2 := unpackSamples(packSamples(batch), &tab)
-			if err2 != nil || len(again) != len(batch) {
-				t.Fatalf("re-encode of a clean decode failed: %v (%d vs %d samples)", err2, len(again), len(batch))
-			}
-			for i := range batch {
-				if !sampleEqual(batch[i], again[i]) {
-					t.Errorf("sample %d: %+v decoded as %+v through a warm table", i, batch[i], again[i])
-				}
-			}
-		}
-	})
-}

@@ -8,7 +8,9 @@ package perfdb_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -70,6 +72,22 @@ func record(t *testing.T, prog string, opt pperfmark.RunOptions, chunkEvents int
 	}
 	if chunkEvents > 0 && rec.PeakBufferedEvents() > chunkEvents {
 		t.Errorf("streaming recorder buffered %d events; chunk size is %d", rec.PeakBufferedEvents(), chunkEvents)
+	}
+	if opt.Trace == nil {
+		// The writer's 4 MiB byte bound must never be what cuts an untraced
+		// chunk (those stay byte-identical to what they always were): the
+		// largest frame of a real untraced recording is nowhere near it.
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pos := len("PPDBA1"); pos < len(data); {
+			n := int(binary.BigEndian.Uint32(data[pos+1 : pos+5]))
+			if n > 1<<20 {
+				t.Errorf("untraced recording of %s holds a %q chunk of %d bytes", prog, data[pos], n)
+			}
+			pos += 9 + n
+		}
 	}
 	a, err := perfdb.LoadAny(path)
 	if err != nil {

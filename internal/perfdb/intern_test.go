@@ -2,7 +2,6 @@ package perfdb
 
 import (
 	"bytes"
-	"encoding/binary"
 	"io"
 	"math"
 	"math/rand"
@@ -34,19 +33,13 @@ func finiteArchive(rng *rand.Rand, nEvents int) *session.Archive {
 func eventsChunkByChunk(t *testing.T, data []byte) []session.Event {
 	t.Helper()
 	var out []session.Event
-	for data = data[len(chunkMagic):]; len(data) > 0; {
-		kind, n := data[0], int(binary.BigEndian.Uint32(data[1:5]))
-		payload := data[9 : 9+n]
-		data = data[9+n:]
-		if kind != chunkEvents {
-			continue
-		}
-		evs, err := decodeEventsChunk(payload, new(strtab))
+	eachEventsChunk(data, func(payload []byte) {
+		evs, err := decodeEventsChunk(payload, new(session.Unpacker))
 		if err != nil {
 			t.Fatal(err)
 		}
 		out = append(out, evs...)
-	}
+	})
 	return out
 }
 
@@ -108,14 +101,14 @@ func TestInternedReadEqualsUnsharedRead(t *testing.T) {
 func TestCodecAllocationBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	first, second := packSamples(randomBatch(rng, 24)), packSamples(randomBatch(rng, 24))
-	var tab strtab
+	var up session.Unpacker
 	for _, b := range [][]byte{first, second} {
-		if _, err := unpackSamples(b, &tab); err != nil {
+		if _, err := up.UnpackSamples(b); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var batch []datasource.Sample
-	if n := testing.AllocsPerRun(100, func() { batch, _ = unpackSamples(second, &tab) }); n != 1 || len(batch) != 24 {
+	if n := testing.AllocsPerRun(100, func() { batch, _ = up.UnpackSamples(second) }); n != 1 || len(batch) != 24 {
 		t.Errorf("unpacking a batch of known strings: %v allocs for %d samples, want 1 (the batch slice)", n, len(batch))
 	}
 

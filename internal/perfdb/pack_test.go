@@ -1,5 +1,9 @@
 package perfdb
 
+// The sample codec lives beside the event schema (session/pack.go); these
+// tests pin what the archive format depends on it for: every batch
+// round-trips bit for bit, and corrupt blobs are errors.
+
 import (
 	"math"
 	"math/rand"
@@ -7,6 +11,7 @@ import (
 
 	"pperf/internal/datasource"
 	"pperf/internal/resource"
+	"pperf/internal/session"
 	"pperf/internal/sim"
 )
 
@@ -46,8 +51,14 @@ func randomBatch(rng *rand.Rand, n int) []datasource.Sample {
 	return batch
 }
 
-// packSamples packs one batch through a fresh packer.
-func packSamples(batch []datasource.Sample) []byte { return new(packer).pack(nil, batch) }
+// packSamples packs one batch through a fresh packer, unpackSamples decodes
+// one through a fresh string table.
+func packSamples(batch []datasource.Sample) []byte {
+	return new(session.Packer).PackSamples(nil, batch)
+}
+func unpackSamples(data []byte) ([]datasource.Sample, error) {
+	return new(session.Unpacker).UnpackSamples(data)
+}
 
 // sampleEqual compares samples treating NaN as equal to NaN — the codec
 // must round-trip the exact bits, which reflect.DeepEqual on floats
@@ -64,7 +75,7 @@ func TestPackSamplesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
 		batch := randomBatch(rng, rng.Intn(64))
-		got, err := unpackSamples(packSamples(batch), new(strtab))
+		got, err := unpackSamples(packSamples(batch))
 		if err != nil {
 			t.Fatalf("trial %d: unpack: %v", trial, err)
 		}
@@ -80,7 +91,7 @@ func TestPackSamplesRoundTrip(t *testing.T) {
 }
 
 func TestPackSamplesEmpty(t *testing.T) {
-	got, err := unpackSamples(packSamples(nil), new(strtab))
+	got, err := unpackSamples(packSamples(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +118,7 @@ func TestUnpackSamplesRejectsCorruption(t *testing.T) {
 	// never panic. (Most lengths error; a prefix that happens to parse is
 	// impossible because the trailing-bytes check requires exact length.)
 	for n := 0; n < len(valid); n++ {
-		if _, err := unpackSamples(valid[:n], new(strtab)); err == nil {
+		if _, err := unpackSamples(valid[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes decoded cleanly", n)
 		}
 	}
@@ -116,6 +127,6 @@ func TestUnpackSamplesRejectsCorruption(t *testing.T) {
 	for i := 0; i < len(valid); i++ {
 		mut := append([]byte(nil), valid...)
 		mut[i] ^= 0xff
-		unpackSamples(mut, new(strtab))
+		unpackSamples(mut)
 	}
 }

@@ -102,8 +102,8 @@ func (r *StreamRecorder) PeakBufferedEvents() int {
 
 // Record streams one event, emitting the provisional header chunk first so
 // a truncated archive still replays with the right bin layout. The front end
-// keeps ownership of a sample batch's slice: the writer packs it before
-// Append returns and keeps only the bytes.
+// keeps ownership of a sample batch's or trace shard's slice: the writer
+// packs it before Append returns and keeps only the bytes.
 func (r *StreamRecorder) Record(ev session.Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

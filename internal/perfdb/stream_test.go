@@ -133,7 +133,7 @@ func BenchmarkPackSamples(b *testing.B) {
 	b.SetBytes(int64(len(packed)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := unpackSamples(packSamples(batch), new(strtab)); err != nil {
+		if _, err := unpackSamples(packSamples(batch)); err != nil {
 			b.Fatal(err)
 		}
 	}

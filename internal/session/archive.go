@@ -3,19 +3,20 @@
 //
 // An Event is the tool's one report type, end to end: a daemon builds its
 // reports (sample batches, resource updates, trace shards) as Events and
-// hands them to its daemon.Transport, the TCP frame carries the Event
-// whole, and the front end folds it into its View with Apply — alongside
-// the events it produces itself (metric enables, liveness verdicts, outage
-// gaps, undelivered-span accounting, the Consultant's read barriers). A
-// live run attaches a Sink to the front end (core.Options.Recorder) and
-// every one of them is captured in order under one Header. A ReplaySource
-// (replay.go) then re-presents a loaded Archive through the same
-// DataSource interface the live front end implements, so the Performance
-// Consultant can be re-run offline and reproduce the live findings byte
-// for byte.
+// hands them to its daemon.Transport, the TCP frame carries the Event (a
+// batch or shard in its packed form), and the front end folds it into its
+// View with Apply — alongside the events it produces itself (metric enables,
+// liveness verdicts, outage gaps, undelivered-span accounting, the
+// Consultant's read barriers). A live run attaches a Sink to the front end
+// (core.Options.Recorder) and every one of them is captured in order under
+// one Header. A ReplaySource (replay.go) then re-presents a loaded Archive
+// through the same DataSource interface the live front end implements, so
+// the Performance Consultant can be re-run offline and reproduce the live
+// findings byte for byte.
 //
-// The package owns the schema only. The one on-disk form (the chunked
-// PPDBA1 format), its streaming recorder and its loader live in
+// The package owns the schema and the packed forms of its two bulky kinds
+// (pack.go), which the wire and the archive share. The one on-disk form (the
+// chunked PPDBA1 format), its streaming recorder and its loader live in
 // internal/perfdb; see PERFDB.md.
 package session
 
@@ -171,7 +172,7 @@ func (a *Archive) TruncationNote() string {
 // accept one.
 type Sink interface {
 	// Record captures one analysis-plane event, in arrival order. The
-	// caller keeps ownership of ev.Samples' backing array.
+	// caller keeps ownership of its sample and span slices' backing arrays.
 	Record(ev Event)
 	// SetHistogram records the front end's histogram configuration so
 	// replay folds samples into identical bins.

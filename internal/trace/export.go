@@ -5,25 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
-
-// chromeEvent is one entry of the Chrome trace-event format ("JSON Array
-// of objects" flavor inside {"traceEvents": [...]}), loadable in Perfetto
-// and chrome://tracing. Timestamps are microseconds of virtual time.
-type chromeEvent struct {
-	Name string         `json:"name,omitempty"`
-	Ph   string         `json:"ph"`
-	Cat  string         `json:"cat,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Ts   float64        `json:"ts"`
-	Dur  float64        `json:"dur,omitempty"`
-	ID   uint64         `json:"id,omitempty"`
-	BP   string         `json:"bp,omitempty"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
 
 const (
 	ranksPid   = 1 // process group for application rank tracks
@@ -61,22 +45,27 @@ func WriteChrome(w io.Writer, tl *Timeline) error {
 // WriteChromeWith is WriteChrome plus counter tracks (pid 3): each
 // CounterTrack becomes a "C"-phase series so histogram data lines up under
 // the span tracks in Perfetto.
+//
+// The document is the Chrome trace-event format's "JSON Array of objects"
+// flavor inside {"traceEvents": [...]}, loadable in Perfetto and
+// chrome://tracing, timestamps in microseconds of virtual time. It is
+// streamed, each event appended to one reused buffer written out in blocks,
+// and its bytes are exactly what encoding/json renders for the same events:
+// fields in the order name, ph, cat, pid, tid, ts, dur, id, bp, s, args
+// (empty ones but ph, pid, tid and ts omitted), args keys sorted, its float
+// format and its HTML-safe string escaping.
 func WriteChromeWith(w io.Writer, tl *Timeline, counters []CounterTrack) error {
+	e := &chromeEncoder{w: w, buf: make([]byte, 0, chromeBlock+chromeBlock/4), quoted: map[string]string{}, flowCats: map[string]string{}}
+	e.raw(`{"traceEvents":[`)
+
 	procs := tl.Procs()
 	type track struct{ pid, tid int }
 	tracks := make(map[string]track, len(procs))
-	var events []chromeEvent
-
-	events = append(events,
-		chromeEvent{Ph: "M", Pid: ranksPid, Name: "process_name", Args: map[string]any{"name": "MPI ranks"}},
-		chromeEvent{Ph: "M", Pid: toolPid, Name: "process_name", Args: map[string]any{"name": "tool"}},
-	)
+	e.metaName(ranksPid, 0, "process_name", "MPI ranks")
+	e.metaName(toolPid, 0, "process_name", "tool")
 	nextTid := map[int]int{}
 	for _, p := range procs {
-		pid := ranksPid
-		if isToolTrack(p) {
-			pid = toolPid
-		}
+		pid := trackPid(p)
 		tr := track{pid, nextTid[pid]}
 		nextTid[pid]++
 		tracks[p] = tr
@@ -84,42 +73,40 @@ func WriteChromeWith(w io.Writer, tl *Timeline, counters []CounterTrack) error {
 		if node := tl.Node(p); node != "" {
 			label = fmt.Sprintf("%s (%s)", p, node)
 		}
-		events = append(events,
-			chromeEvent{Ph: "M", Pid: tr.pid, Tid: tr.tid, Name: "thread_name", Args: map[string]any{"name": label}},
-			chromeEvent{Ph: "M", Pid: tr.pid, Tid: tr.tid, Name: "thread_sort_index", Args: map[string]any{"sort_index": tr.tid}},
-		)
+		e.metaName(tr.pid, tr.tid, "thread_name", label)
+		e.metaSortIndex(tr.pid, tr.tid)
 	}
 
-	for _, s := range tl.Spans() {
+	spans := tl.Spans()
+	for i := range spans {
+		s := &spans[i]
 		tr := tracks[s.Proc]
 		switch s.Kind {
 		case MPISpan, ComputeSpan:
-			args := map[string]any{}
+			e.open(s.Name, "X", s.Kind.String(), tr.pid, tr.tid, int64(s.Start))
+			if dur := usec(int64(s.End - s.Start)); dur != 0 {
+				e.raw(`,"dur":`).float(dur)
+			}
 			if s.Kind == MPISpan {
-				args["depth"] = s.Depth
+				e.raw(`,"args":{`)
+				if s.Bytes != 0 {
+					e.raw(`"bytes":`).int(s.Bytes).raw(`,`)
+				}
+				e.raw(`"depth":`).int(s.Depth)
+				if s.Obj != "" {
+					e.raw(`,"object":`).str(s.Obj)
+				}
 				if s.Peer != "" {
-					args["peer"] = s.Peer
+					e.raw(`,"peer":`).str(s.Peer)
 				}
 				if s.Tag != 0 {
-					args["tag"] = s.Tag
+					e.raw(`,"tag":`).int(s.Tag)
 				}
-				if s.Bytes != 0 {
-					args["bytes"] = s.Bytes
-				}
-				if s.Obj != "" {
-					args["object"] = s.Obj
-				}
+				e.raw(`}`)
 			}
-			events = append(events, chromeEvent{
-				Ph: "X", Cat: s.Kind.String(), Pid: tr.pid, Tid: tr.tid,
-				Name: s.Name, Ts: usec(int64(s.Start)), Dur: usec(int64(s.End - s.Start)),
-				Args: args,
-			})
+			e.close()
 		case ProbeEvent, DaemonSample, TransportEvent, MarkEvent:
-			events = append(events, chromeEvent{
-				Ph: "i", S: "t", Cat: s.Kind.String(), Pid: tr.pid, Tid: tr.tid,
-				Name: s.Name, Ts: usec(int64(s.Start)),
-			})
+			e.open(s.Name, "i", s.Kind.String(), tr.pid, tr.tid, int64(s.Start)).raw(`,"s":"t"`).close()
 		case EdgeEvent:
 			if s.Flow == 0 {
 				continue
@@ -128,35 +115,22 @@ func WriteChromeWith(w io.Writer, tl *Timeline, counters []CounterTrack) error {
 			if !ok {
 				continue
 			}
-			events = append(events,
-				chromeEvent{
-					Ph: "s", Cat: "flow:" + s.Name, Pid: src.pid, Tid: src.tid,
-					Name: s.Name, Ts: usec(int64(s.Start)), ID: s.Flow,
-				},
-				chromeEvent{
-					Ph: "f", BP: "e", Cat: "flow:" + s.Name, Pid: tr.pid, Tid: tr.tid,
-					Name: s.Name, Ts: usec(int64(s.End)), ID: s.Flow,
-				},
-			)
+			cat, ok := e.flowCats[s.Name]
+			if !ok {
+				cat = "flow:" + s.Name
+				e.flowCats[s.Name] = cat
+			}
+			e.open(s.Name, "s", cat, src.pid, src.tid, int64(s.Start)).raw(`,"id":`).uint(s.Flow).close()
+			e.open(s.Name, "f", cat, tr.pid, tr.tid, int64(s.End)).raw(`,"id":`).uint(s.Flow).raw(`,"bp":"e"`).close()
 		}
 	}
 
 	if len(counters) > 0 {
-		events = append(events, chromeEvent{
-			Ph: "M", Pid: counterPid, Name: "process_name",
-			Args: map[string]any{"name": "front-end histograms"},
-		})
+		e.metaName(counterPid, 0, "process_name", "front-end histograms")
 		for i, ct := range counters {
-			events = append(events, chromeEvent{
-				Ph: "M", Pid: counterPid, Tid: i, Name: "thread_sort_index",
-				Args: map[string]any{"sort_index": i},
-			})
+			e.metaSortIndex(counterPid, i)
 			for _, p := range ct.Points {
-				events = append(events, chromeEvent{
-					Ph: "C", Cat: "histogram", Pid: counterPid, Tid: i,
-					Name: ct.Name, Ts: usec(p.TsNs),
-					Args: map[string]any{"value": p.Value},
-				})
+				e.open(ct.Name, "C", "histogram", counterPid, i, p.TsNs).raw(`,"args":{"value":`).float(p.Value).raw(`}`).close()
 			}
 		}
 	}
@@ -164,18 +138,113 @@ func WriteChromeWith(w io.Writer, tl *Timeline, counters []CounterTrack) error {
 	if notice := incompleteNotice(tl); notice != "" {
 		// A run that ended with spans stranded in daemon queues must never
 		// export as a complete trace.
-		events = append(events, chromeEvent{
-			Ph: "i", S: "g", Cat: "notice", Pid: toolPid,
-			Name: notice,
-		})
+		e.open(notice, "i", "notice", toolPid, 0, 0).raw(`,"s":"g"`).close()
 	}
 
-	doc := struct {
-		TraceEvents     []chromeEvent `json:"traceEvents"`
-		DisplayTimeUnit string        `json:"displayTimeUnit"`
-	}{events, "ms"}
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
+	e.raw(`],"displayTimeUnit":"ms"}` + "\n").flush()
+	return e.err
+}
+
+// chromeBlock is the size at which the encoder's buffer is written out.
+const chromeBlock = 32 << 10
+
+// chromeEncoder appends trace events to one buffer, writing it out a block
+// at a time. The first write error sticks and is WriteChromeWith's result.
+type chromeEncoder struct {
+	w      io.Writer
+	buf    []byte
+	events int
+	err    error
+	// quoted caches each distinct string's JSON form, rendered by
+	// encoding/json itself (a timeline draws its names from a tiny
+	// vocabulary); flowCats a flow's category, "flow:" + the edge's name.
+	quoted, flowCats map[string]string
+}
+
+func (e *chromeEncoder) raw(s string) *chromeEncoder {
+	e.buf = append(e.buf, s...)
+	return e
+}
+
+func (e *chromeEncoder) int(v int) *chromeEncoder {
+	e.buf = strconv.AppendInt(e.buf, int64(v), 10)
+	return e
+}
+
+func (e *chromeEncoder) uint(v uint64) *chromeEncoder {
+	e.buf = strconv.AppendUint(e.buf, v, 10)
+	return e
+}
+
+func (e *chromeEncoder) str(s string) *chromeEncoder {
+	q, ok := e.quoted[s]
+	if !ok {
+		b, _ := json.Marshal(s) // a string always marshals
+		q = string(b)
+		e.quoted[s] = q
+	}
+	return e.raw(q)
+}
+
+// float appends f the way encoding/json formats a float64: the shortest
+// form that round-trips, an exponent only below 1e-6 and from 1e21, and a
+// two-digit exponent's leading zero dropped (e-09 becomes e-9). Like
+// encoding/json it has no form for NaN and the infinities: the export fails.
+func (e *chromeEncoder) float(f float64) *chromeEncoder {
+	if e.err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+		e.err = fmt.Errorf("trace: unsupported value %v in a Chrome trace export", f)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	e.buf = strconv.AppendFloat(e.buf, f, format, -1, 64)
+	if n := len(e.buf); format == 'e' && n >= 4 && e.buf[n-4] == 'e' && (e.buf[n-3] == '-' || e.buf[n-3] == '+') && e.buf[n-2] == '0' {
+		e.buf[n-2] = e.buf[n-1]
+		e.buf = e.buf[:n-1]
+	}
+	return e
+}
+
+// open starts one event with the fields every event leads with (ph is a
+// literal that needs no escaping); the caller appends the rest, then close.
+func (e *chromeEncoder) open(name, ph, cat string, pid, tid int, tsNs int64) *chromeEncoder {
+	if e.events++; e.events > 1 {
+		e.raw(`,`)
+	}
+	e.raw(`{`)
+	if name != "" {
+		e.raw(`"name":`).str(name).raw(`,`)
+	}
+	e.raw(`"ph":"`).raw(ph).raw(`"`)
+	if cat != "" {
+		e.raw(`,"cat":`).str(cat)
+	}
+	return e.raw(`,"pid":`).int(pid).raw(`,"tid":`).int(tid).raw(`,"ts":`).float(usec(tsNs))
+}
+
+// close ends the event and writes the buffer out once it holds a block.
+func (e *chromeEncoder) close() {
+	if e.raw(`}`); len(e.buf) >= chromeBlock {
+		e.flush()
+	}
+}
+
+func (e *chromeEncoder) flush() {
+	if e.err == nil {
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.buf = e.buf[:0]
+}
+
+// metaName emits the metadata event naming a process group or a thread,
+// metaSortIndex the one ordering a thread by its tid.
+func (e *chromeEncoder) metaName(pid, tid int, what, label string) {
+	e.open(what, "M", "", pid, tid, 0).raw(`,"args":{"name":`).str(label).raw(`}`).close()
+}
+
+func (e *chromeEncoder) metaSortIndex(pid, tid int) {
+	e.open("thread_sort_index", "M", "", pid, tid, 0).raw(`,"args":{"sort_index":`).int(tid).raw(`}`).close()
 }
 
 // incompleteNotice returns the exporter-facing warning for spans stranded

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -14,69 +16,86 @@ import (
 // Unlike the Tracer (engine context only), shards can arrive from TCP
 // listener goroutines, so Timeline locks.
 type Timeline struct {
-	mu         sync.Mutex
-	byProc     map[string][]Span
-	nodes      map[string]string
-	dropped    map[string]int64
-	outboxLost map[string]int64
-	undeliv    map[string]int64
-	shards     int
+	mu     sync.Mutex
+	tracks map[string]*track
+}
+
+// track is everything the timeline knows about one track.
+type track struct {
+	node string
+	// shards are the ingested span slices, held by reference in arrival
+	// order; spans is their total length and first the smallest Seq among
+	// them. ingested counts shards, spans or not: a track exists for Procs
+	// once it has ingested one (an undelivered note alone does not make one).
+	shards   [][]Span
+	spans    int
+	first    uint64
+	ingested int
+	// Loss counters: each is a cumulative per-track figure, so the maximum
+	// seen is kept.
+	dropped, outboxLost, undelivered int64
 }
 
 // NewTimeline returns an empty timeline.
 func NewTimeline() *Timeline {
-	return &Timeline{
-		byProc:     make(map[string][]Span),
-		nodes:      make(map[string]string),
-		dropped:    make(map[string]int64),
-		outboxLost: make(map[string]int64),
-		undeliv:    make(map[string]int64),
-	}
+	return &Timeline{tracks: make(map[string]*track)}
 }
 
-// Ingest merges one shard.
+func (tl *Timeline) track(proc string) *track {
+	tr := tl.tracks[proc]
+	if tr == nil {
+		tr = &track{first: ^uint64(0)}
+		tl.tracks[proc] = tr
+	}
+	return tr
+}
+
+// Ingest merges one shard. The timeline keeps sh.Spans — it does not copy
+// the slice and never writes to it — so the caller must not modify the
+// spans afterwards; every producer (a recorder drain, the wire and archive
+// decoders) hands over a slice nothing else writes.
 func (tl *Timeline) Ingest(sh Shard) {
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
-	tl.shards++
-	tl.byProc[sh.Proc] = append(tl.byProc[sh.Proc], sh.Spans...)
-	tl.nodes[sh.Proc] = sh.Node
-	if sh.Dropped > tl.dropped[sh.Proc] {
-		tl.dropped[sh.Proc] = sh.Dropped
+	tr := tl.track(sh.Proc)
+	tr.ingested++
+	tr.node = sh.Node
+	if len(sh.Spans) > 0 {
+		tr.shards = append(tr.shards, sh.Spans)
+		tr.spans += len(sh.Spans)
+		for i := range sh.Spans {
+			tr.first = min(tr.first, sh.Spans[i].Seq)
+		}
 	}
-	if sh.OutboxLost > tl.outboxLost[sh.Proc] {
-		tl.outboxLost[sh.Proc] = sh.OutboxLost
+	tr.dropped = max(tr.dropped, sh.Dropped)
+	tr.outboxLost = max(tr.outboxLost, sh.OutboxLost)
+}
+
+// total sums one per-track figure over every track.
+func (tl *Timeline) total(of func(*track) int64) int64 {
+	tl.mu.Lock()
+	defer tl.mu.Unlock()
+	var n int64
+	for _, tr := range tl.tracks {
+		n += of(tr)
 	}
+	return n
 }
 
 // Shards returns the number of shards ingested.
 func (tl *Timeline) Shards() int {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	return tl.shards
+	return int(tl.total(func(tr *track) int64 { return int64(tr.ingested) }))
 }
 
 // Dropped returns the total spans lost to ring eviction across all tracks.
 func (tl *Timeline) Dropped() int64 {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	var n int64
-	for _, d := range tl.dropped {
-		n += d
-	}
-	return n
+	return tl.total(func(tr *track) int64 { return tr.dropped })
 }
 
 // OutboxLost returns the total spans that were drained from recorders but
 // evicted from a daemon's bounded outbox or bulk queue before delivery.
 func (tl *Timeline) OutboxLost() int64 {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	var n int64
-	for _, d := range tl.outboxLost {
-		n += d
-	}
-	return n
+	return tl.total(func(tr *track) int64 { return tr.outboxLost })
 }
 
 // NoteUndelivered records that n of proc's spans were still stranded in a
@@ -86,20 +105,13 @@ func (tl *Timeline) OutboxLost() int64 {
 func (tl *Timeline) NoteUndelivered(proc string, n int64) {
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
-	if n > tl.undeliv[proc] {
-		tl.undeliv[proc] = n
-	}
+	tr := tl.track(proc)
+	tr.undelivered = max(tr.undelivered, n)
 }
 
 // Undelivered returns the total spans stranded undelivered at end of run.
 func (tl *Timeline) Undelivered() int64 {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	var n int64
-	for _, d := range tl.undeliv {
-		n += d
-	}
-	return n
+	return tl.total(func(tr *track) int64 { return tr.undelivered })
 }
 
 // Lost returns the total spans missing from the merged timeline for any
@@ -114,46 +126,15 @@ func (tl *Timeline) Lost() int64 {
 func (tl *Timeline) Procs() []string {
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
-	return tl.procsLocked()
-}
-
-func (tl *Timeline) procsLocked() []string {
-	type first struct {
-		proc string
-		seq  uint64
-	}
-	var ranks, tools []first
-	for p, spans := range tl.byProc {
-		min := ^uint64(0)
-		for _, s := range spans {
-			if s.Seq < min {
-				min = s.Seq
-			}
-		}
-		f := first{p, min}
-		if isToolTrack(p) {
-			tools = append(tools, f)
-		} else {
-			ranks = append(ranks, f)
+	var out []string
+	for p, tr := range tl.tracks {
+		if tr.ingested > 0 {
+			out = append(out, p)
 		}
 	}
-	order := func(fs []first) {
-		sort.Slice(fs, func(i, j int) bool {
-			if fs[i].seq != fs[j].seq {
-				return fs[i].seq < fs[j].seq
-			}
-			return fs[i].proc < fs[j].proc
-		})
-	}
-	order(ranks)
-	order(tools)
-	out := make([]string, 0, len(ranks)+len(tools))
-	for _, f := range ranks {
-		out = append(out, f.proc)
-	}
-	for _, f := range tools {
-		out = append(out, f.proc)
-	}
+	slices.SortFunc(out, func(a, b string) int {
+		return cmp.Or(cmp.Compare(trackPid(a), trackPid(b)), cmp.Compare(tl.tracks[a].first, tl.tracks[b].first), cmp.Compare(a, b))
+	})
 	return out
 }
 
@@ -161,42 +142,63 @@ func (tl *Timeline) procsLocked() []string {
 // than an application rank.
 func isToolTrack(proc string) bool { return strings.HasPrefix(proc, "paradynd@") }
 
+// trackPid returns the exporters' process group of a track, which is also
+// the order of the groups: application ranks, then the tool.
+func trackPid(proc string) int {
+	if isToolTrack(proc) {
+		return toolPid
+	}
+	return ranksPid
+}
+
 // Node returns the cluster node a track lives on.
 func (tl *Timeline) Node(proc string) string {
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
-	return tl.nodes[proc]
+	if tr := tl.tracks[proc]; tr != nil {
+		return tr.node
+	}
+	return ""
 }
 
-// Spans returns every merged span globally ordered by (Start, Seq).
+// sortSpans puts spans in the timeline's total order: virtual start time,
+// ties broken by the Tracer's global record sequence. (By index, not
+// slices.SortFunc: its comparator would copy two 152-byte Spans per call.)
+func sortSpans(spans []Span) {
+	sort.Slice(spans, func(i, j int) bool {
+		a, b := &spans[i], &spans[j]
+		return a.Start < b.Start || a.Start == b.Start && a.Seq < b.Seq
+	})
+}
+
+// Spans returns every merged span globally ordered by (Start, Seq), in a
+// fresh slice of exactly their number.
 func (tl *Timeline) Spans() []Span {
 	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	var out []Span
-	for _, spans := range tl.byProc {
-		out = append(out, spans...)
+	n := 0
+	for _, tr := range tl.tracks {
+		n += tr.spans
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
+	out := make([]Span, 0, n)
+	for _, tr := range tl.tracks {
+		for _, spans := range tr.shards {
+			out = append(out, spans...)
 		}
-		return out[i].Seq < out[j].Seq
-	})
+	}
+	tl.mu.Unlock()
+	sortSpans(out)
 	return out
 }
 
-// ProcSpans returns one track's spans ordered by (Start, Seq).
+// ProcSpans returns one track's spans ordered by (Start, Seq), in a fresh
+// slice of exactly their number.
 func (tl *Timeline) ProcSpans(proc string) []Span {
 	tl.mu.Lock()
-	spans := tl.byProc[proc]
-	out := make([]Span, len(spans))
-	copy(out, spans)
+	out := []Span{}
+	if tr := tl.tracks[proc]; tr != nil && tr.spans > 0 {
+		out = slices.Concat(tr.shards...)
+	}
 	tl.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].Seq < out[j].Seq
-	})
+	sortSpans(out)
 	return out
 }

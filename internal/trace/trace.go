@@ -4,7 +4,7 @@
 // tool with MPE/Jumpshot traces as an independent comparator (§5.1.4–5.1.6).
 //
 // The design mirrors the tool's own data path. Every simulated process owns
-// a fixed-capacity ring-buffered span Recorder stamped with the
+// a bounded ring-buffered span Recorder stamped with the
 // deterministic virtual clock; the MPI runtime records call spans (with
 // argument metadata: peer, tag, bytes, communicator/window name), compute
 // intervals, probe firings, and the happens-before edges that message
@@ -74,8 +74,7 @@ func (k Kind) String() string {
 	return "?"
 }
 
-// Span is one trace record. Instant events have End == Start. All fields are
-// plain values so shards gob-encode over the daemon transport unchanged.
+// Span is one trace record. Instant events have End == Start.
 type Span struct {
 	// Seq is the global record order assigned by the Tracer — the
 	// deterministic tie-break that keeps merged timelines byte-identical
@@ -126,9 +125,9 @@ type Shard struct {
 
 // Config tunes the tracing subsystem.
 type Config struct {
-	// RingCapacity is the per-track span ring size; older spans are evicted
-	// (and counted) when a track outruns its drains. 0 means
-	// DefaultRingCapacity.
+	// RingCapacity is the per-track span ring bound (the ring grows to it
+	// on demand); older spans are evicted (and counted) when a track outruns
+	// its drains. 0 means DefaultRingCapacity.
 	RingCapacity int
 	// FlushWatermark is the recorder fill level at which the owning daemon
 	// is asked to drain and ship the track immediately over the bulk channel
