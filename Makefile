@@ -1,8 +1,8 @@
 # Build and verification entry points. `make verify` is the full CI gate:
 # tier-1 (build + tests), static analysis and gofmt, race-enabled tests of the
-# packages with real concurrency (the TCP transport and the daemon/fault
-# machinery it carries), a five-second smoke of each fuzz target, the CLI
-# goldens, and the out-of-tree benchmark
+# packages with real concurrency (the engine's goroutine hand-offs, the TCP
+# transport and the daemon/fault machinery it carries), a five-second smoke
+# of each fuzz target, the CLI goldens, and the out-of-tree benchmark
 # module's own vet + tests (it imports internal packages through a replace
 # directive, so an internal-API deletion that breaks it fails here rather
 # than in the benchmark run).
@@ -26,7 +26,7 @@ fmt-check:
 	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt -l reports:"; echo "$$out"; exit 1; }
 
 race:
-	$(GO) test -race ./internal/wire ./internal/frontend ./internal/daemon ./internal/faults ./internal/trace ./internal/core ./internal/session ./internal/perfdb ./internal/datasource
+	$(GO) test -race ./internal/sim ./internal/consultant ./internal/wire ./internal/frontend ./internal/daemon ./internal/faults ./internal/trace ./internal/core ./internal/session ./internal/perfdb ./internal/datasource
 
 verify: build vet fmt-check test race fuzz-smoke bench-module replay-golden perfdb-golden sync-golden wire-golden trend-golden
 
@@ -115,11 +115,14 @@ fuzz-perfdb:
 	$(GO) test -fuzz=FuzzUnpackShard -fuzztime=30s ./internal/session
 
 # bench runs the root package's figure/table/ablation benchmarks and the
-# fault/trace zero-cost guards. Per-layer numbers (engine switch, eager
+# fault/trace zero-cost guards, then the engine's per-dispatch cost at 6, 96
+# and 384 sleeping processes (flat: the next process is the top of a heap —
+# reported, not gated). Per-layer numbers (engine switch, eager
 # message, probe fire, MDL compile, histogram add, …) come from the micro
 # drivers of `bash bench/run.sh`.
 bench:
 	$(GO) test -bench=. -benchmem
+	$(GO) test -run '^$$' -bench=BenchmarkDispatch -benchmem ./internal/sim
 
 # replay-golden records a seeded run with the CLI, replays the archive, and
 # fails on any difference between the live and replayed reports (the

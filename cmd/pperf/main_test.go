@@ -2,19 +2,23 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"pperf/internal/perfdb"
 )
 
 // TestCLIExitCodes drives the built binary over argument lists that must be
-// refused before any simulation starts: exit 2 for a bad command line, exit
-// 1 for a bad input file, each naming what was wrong on stderr.
+// refused before any simulation starts — exit 2 for a bad command line, exit
+// 1 for a bad input file — and over programs that deadlock at the given
+// process count, which must end the run with exit 1 inside the deadline and
+// leave no recording behind. Each names what was wrong on stderr.
 func TestCLIExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	bin := filepath.Join(dir, "pperf")
@@ -35,6 +39,8 @@ func TestCLIExitCodes(t *testing.T) {
 		t.Fatalf("recording %s failed", empty)
 	}
 	store := filepath.Join(dir, "store")
+	stuckRec, stuckStore := filepath.Join(dir, "stuck.ppdb"), filepath.Join(dir, "stuck-store")
+	const nothingPending = " process(es) waiting with nothing pending that could wake them: "
 	pclFile := filepath.Join("..", "..", "testdata", "example.pcl")
 
 	cases := []struct {
@@ -64,11 +70,19 @@ func TestCLIExitCodes(t *testing.T) {
 		{"db add of a retired v1 archive", []string{"db", "-store", store, "add", v1}, 1, "v1 PPARCH archive format retired"},
 		{"replay of garbage", []string{"-replay", garbage}, 1, "not a pperf session archive"},
 		{"db add with an ID-shaped label", []string{"db", "-store", store, "add", "-label", "r0001", empty}, 1, "shape of a run ID"},
+		{"deadlocked wrong-way, recording", []string{"-prog", "wrong-way", "-np", "3", "-iterations", "5", "-record", stuckRec}, 1,
+			"sim: deadlock at 0.091s: 3" + nothingPending + "wrong-way{0} (since 0.076s, in MPI_Finalize); wrong-way{1} (since 0.091s, in MPI_Finalize); wrong-way{2} (since 0.000s, in MPI_Recv(tag=599, comm=1) on rank 2)"},
+		{"deadlocked big-message, into a store", []string{"-prog", "big-message", "-np", "3", "-db", stuckStore}, 1,
+			"sim: deadlock at 0.523s: 3" + nothingPending + "big-message{0} (since 0.523s, in MPI_Finalize); big-message{1} (since 0.523s, in MPI_Finalize); big-message{2} (since 0.000s, in MPI_Recv(tag=0, comm=1) on rank 2)"},
+		{"deadlocked spawnsync", []string{"-prog", "spawnsync", "-np", "3"}, 1,
+			"sim: deadlock at 7.754s: 3" + nothingPending + "spawnsync{0} (since 7.754s, in MPI_Finalize); spawnsync{1} (since 0.216s, in MPI_Recv(tag=2, comm=3) on rank 1); spawnsync{2} (since 0.216s, in MPI_Recv(tag=2, comm=3) on rank 2)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var stderr bytes.Buffer
-			cmd := exec.Command(bin, tc.args...)
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			cmd := exec.CommandContext(ctx, bin, tc.args...)
 			cmd.Stderr = &stderr
 			err := cmd.Run()
 			code := 0
@@ -88,5 +102,21 @@ func TestCLIExitCodes(t *testing.T) {
 				t.Errorf("stderr leaks a panic or a decoder error: %s", stderr.String())
 			}
 		})
+	}
+
+	// The deadlocked runs went out through the error path: recording
+	// aborted, store reservation released.
+	for _, f := range []string{stuckRec, stuckRec + ".tmp"} {
+		if _, err := os.Stat(f); !os.IsNotExist(err) {
+			t.Errorf("%s left behind by the deadlocked run (stat: %v)", f, err)
+		}
+	}
+	st, err := perfdb.Open(stuckStore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, _ := os.ReadDir(filepath.Join(stuckStore, "runs"))
+	if removed, err := st.GC(); len(st.Runs()) != 0 || len(files) != 0 || len(removed) != 0 || err != nil {
+		t.Errorf("the deadlocked run's store holds %d runs and %d files, gc removed %v (%v); want nothing", len(st.Runs()), len(files), removed, err)
 	}
 }

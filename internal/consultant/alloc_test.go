@@ -23,8 +23,8 @@ func (viewSource) Sync()                                {}
 // are dropped (the test calls evaluate itself).
 type manualClock struct{ now sim.Time }
 
-func (*manualClock) After(sim.Duration, func()) {}
-func (c *manualClock) Now() sim.Time            { return c.now }
+func (*manualClock) Every(sim.Duration, func()) *sim.Ticker { return nil }
+func (c *manualClock) Now() sim.Time                        { return c.now }
 
 // The allocation budget of the search in steady state: once the tree has
 // settled — every true node expanded, nothing new to arm — an evaluation

@@ -89,7 +89,7 @@ func DefaultConfig() Config {
 // Engine is the scheduling surface the Consultant needs (satisfied by
 // *sim.Engine).
 type Engine interface {
-	After(d sim.Duration, fn func())
+	Every(d sim.Duration, fn func()) *sim.Ticker
 	Now() sim.Time
 }
 
@@ -105,8 +105,7 @@ type Consultant struct {
 	// seen dedupes (hypothesis, focus) across refinement paths: the same
 	// focus is reachable by refining axes in different orders, and testing
 	// it once suffices.
-	seen    map[tested]bool
-	stopped bool
+	seen map[tested]bool
 }
 
 // tested names one (hypothesis, canonical focus) the search has armed.
@@ -182,25 +181,12 @@ func (c *Consultant) Start() error {
 		}
 		c.roots = append(c.roots, n)
 	}
-	c.schedule()
+	c.eng.Every(c.cfg.EvalInterval, c.evaluate)
 	return nil
 }
 
-// Stop halts evaluation.
-func (c *Consultant) Stop() { c.stopped = true }
-
 // Roots returns the top-level hypothesis nodes.
 func (c *Consultant) Roots() []*Node { return c.roots }
-
-func (c *Consultant) schedule() {
-	c.eng.After(c.cfg.EvalInterval, func() {
-		if c.stopped {
-			return
-		}
-		c.evaluate()
-		c.schedule()
-	})
-}
 
 func (c *Consultant) newNode(hs hypoSpec, f resource.Focus, label string, parent *Node) (*Node, error) {
 	key := tested{hs.name, f.Canon()}

@@ -40,7 +40,8 @@ type Daemon struct {
 	// adopted later (spawn) are instrumented too.
 	enabled []datasource.Pair
 
-	stopped bool
+	// sampling and beacon are the daemon's two periodic duties (see Start).
+	sampling, beacon *sim.Ticker
 
 	// Resilience state (see outbox.go).
 	crashed     bool
@@ -500,25 +501,14 @@ func (d *Daemon) instrumentRank(rc *rankCtx, p datasource.Pair) bool {
 	return true
 }
 
-// Start schedules the daemon's periodic sampling (and, when configured, its
-// heartbeat beacon). Sampling stops when Stop is called or the simulation
-// ends.
+// Start arms the daemon's periodic sampling and, when a cadence is
+// configured, its heartbeat beacon. Both run until the daemon crashes or the
+// simulation ends.
 func (d *Daemon) Start() {
-	d.scheduleTick()
-	d.scheduleHeartbeat()
-}
-
-// Stop halts sampling.
-func (d *Daemon) Stop() { d.stopped = true }
-
-func (d *Daemon) scheduleTick() {
-	d.eng.After(d.cfg.SampleInterval, func() {
-		if d.stopped {
-			return
-		}
-		d.tick()
-		d.scheduleTick()
-	})
+	d.sampling = d.eng.Every(d.cfg.SampleInterval, d.tick)
+	if d.cfg.Heartbeat > 0 {
+		d.beacon = d.eng.Every(d.cfg.Heartbeat, d.heartbeat)
+	}
 }
 
 // tick samples every live instance and flushes call-graph discoveries. A

@@ -193,22 +193,14 @@ func (fe *FrontEnd) Sync() {
 // daemon that dies before its first report is still detected. The pre-seed
 // flows through Report as a heartbeat update, so a recording session
 // captures it like any other liveness evidence.
-func (fe *FrontEnd) StartLiveness(eng interface {
-	After(d sim.Duration, fn func())
-	Now() sim.Time
-}, interval, timeout sim.Duration) {
+func (fe *FrontEnd) StartLiveness(eng *sim.Engine, interval, timeout sim.Duration) {
 	now := eng.Now()
 	for _, d := range fe.daemons.All() {
 		fe.Report(session.Event{Kind: session.EvUpdate, Update: datasource.Update{
 			Kind: datasource.UpHeartbeat, Daemon: d.Name(), Time: now,
 		}})
 	}
-	var tick func()
-	tick = func() {
-		fe.checkLiveness(eng.Now(), timeout)
-		eng.After(interval, tick)
-	}
-	eng.After(interval, tick)
+	eng.Every(interval, func() { fe.checkLiveness(eng.Now(), timeout) })
 }
 
 // checkLiveness marks daemons silent for longer than timeout as stale and

@@ -47,16 +47,10 @@ const (
 // starts it only after resynchronization succeeds.
 type RespawnFunc func(node string, incarnation int) (*daemon.Daemon, error)
 
-// svEngine is the slice of the simulation engine the supervisor needs.
-type svEngine interface {
-	After(d sim.Duration, fn func())
-	Now() sim.Time
-}
-
 // Supervisor owns the per-node restart state machine.
 type Supervisor struct {
 	fe  *FrontEnd
-	eng svEngine
+	eng *sim.Engine
 	// maxRestarts bounds respawn attempts per node (the plan's restarts=K).
 	maxRestarts int
 	respawn     RespawnFunc
@@ -88,7 +82,7 @@ type nodeState struct {
 // NewSupervisor arms a supervisor on the front end with a per-node budget of
 // maxRestarts respawn attempts; seed drives the backoff jitter (equal seeds
 // give identical schedules). notef may be nil.
-func NewSupervisor(fe *FrontEnd, eng svEngine, maxRestarts int, seed uint64, respawn RespawnFunc,
+func NewSupervisor(fe *FrontEnd, eng *sim.Engine, maxRestarts int, seed uint64, respawn RespawnFunc,
 	notef func(now sim.Time, format string, args ...any)) *Supervisor {
 	sv := &Supervisor{
 		fe: fe, eng: eng, maxRestarts: maxRestarts, respawn: respawn,

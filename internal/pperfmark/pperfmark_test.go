@@ -1,6 +1,7 @@
 package pperfmark
 
 import (
+	"strings"
 	"testing"
 
 	"pperf/internal/mpi"
@@ -179,5 +180,27 @@ func TestSpawnProgramsSkippedOnMPICH2(t *testing.T) {
 	v := Judge(res)
 	if v.Skipped == "" {
 		t.Error("spawnsync under MPICH2 should be skipped as unsupported")
+	}
+}
+
+// Most of the suite is written for an even process count; at three, some
+// programs leave a rank blocked for ever. Every one must still end — with a
+// result, or with the engine's deadlock report naming the blocked calls —
+// and end the same way when run again.
+func TestEveryProgramEndsAtThreeProcesses(t *testing.T) {
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			run := func() string {
+				res, err := Run(name, RunOptions{Seed: 7, Params: Params{Procs: 3}})
+				if err == nil {
+					return snapshot(t, res)
+				}
+				if !strings.Contains(err.Error(), "sim: deadlock") || !strings.Contains(err.Error(), "in MPI_") {
+					t.Fatal(err)
+				}
+				return err.Error()
+			}
+			diffSnapshots(t, name+" run twice", run(), run())
+		})
 	}
 }

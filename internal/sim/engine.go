@@ -12,9 +12,14 @@ import (
 //
 // The zero value is not usable; construct with NewEngine.
 type Engine struct {
-	now     Time
-	evq     eventHeap
-	seq     uint64
+	now Time
+	// evq is the one agenda: scheduled events and ready processes, in the
+	// order they will run.
+	evq eventHeap
+	seq uint64
+	// inert counts the entries of evq that can neither run nor wake a
+	// process: armed tickers, and process entries superseded by a later wake.
+	inert   int
 	procs   []*Proc
 	live    int // procs not yet done
 	cur     *Proc
@@ -22,10 +27,6 @@ type Engine struct {
 	stopped bool
 	err     error
 	rng     *RNG
-
-	// onProcDone, if set, is invoked (in scheduler context) when a process
-	// finishes. Used by higher layers for teardown notification.
-	onProcDone func(*Proc)
 }
 
 // NewEngine returns a new simulation engine with the given RNG seed.
@@ -67,15 +68,61 @@ func (e *Engine) At(t Time, fn func()) { e.Schedule(t, funcTarget(fn)) }
 // After schedules fn to run d after the current time.
 func (e *Engine) After(d Duration, fn func()) { e.At(e.Now().Add(d), fn) }
 
+// Ticker is a periodic callback armed by Every. It is housekeeping: it does
+// not keep Run alive, and Run does not count on it to wake a waiting process.
+type Ticker struct {
+	eng     *Engine
+	period  Duration
+	fn      func()
+	fire    func() // tick, bound once so that re-arming allocates nothing
+	stopped bool
+}
+
+// Every runs fn every d of virtual time, first at d after the current time,
+// until the ticker is stopped. Each firing is re-armed after fn returns, so an
+// event fn schedules for the next firing's instant fires before it.
+func (e *Engine) Every(d Duration, fn func()) *Ticker {
+	if d <= 0 {
+		panic("sim: Every needs a positive period")
+	}
+	t := &Ticker{eng: e, period: d, fn: fn}
+	t.fire = t.tick
+	t.arm()
+	return t
+}
+
+func (t *Ticker) arm() {
+	t.eng.inert++
+	t.eng.After(t.period, t.fire)
+}
+
+func (t *Ticker) tick() {
+	t.eng.inert--
+	if !t.stopped {
+		t.fn()
+	}
+	if !t.stopped {
+		t.arm()
+	}
+}
+
+// Stop ends the ticker: fn does not run again. It may be called from fn, and
+// on a nil Ticker (one never armed) it does nothing.
+func (t *Ticker) Stop() {
+	if t != nil {
+		t.stopped = true
+	}
+}
+
 // Stop halts the simulation: Run returns after the currently executing
 // process or event yields control.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Run executes the simulation until no live processes remain, Stop is called,
-// or a process panics. Pending pure events (e.g. periodic samplers) do not
-// keep the simulation alive once all processes have finished. Run returns the
-// first error encountered: a process panic or a deadlock (processes waiting
-// with no event that can ever wake them).
+// or a process panics. Pending events do not keep the simulation alive once
+// all processes have finished. Run returns the first error encountered: a
+// process panic or a deadlock — processes waiting, none ready, and nothing
+// pending but tickers, which are housekeeping and wake nobody.
 func (e *Engine) Run() error {
 	if e.running {
 		return fmt.Errorf("sim: Run called reentrantly")
@@ -84,18 +131,18 @@ func (e *Engine) Run() error {
 	defer func() { e.running = false }()
 
 	for !e.stopped && e.err == nil && e.live > 0 {
-		p := e.nextReadyProc()
-
-		switch {
-		case p == nil && len(e.evq) == 0:
+		if len(e.evq) == e.inert {
 			return e.deadlock()
-		case p == nil || (len(e.evq) > 0 && e.evq[0].at <= p.readyAt):
-			ev := e.evq.pop()
+		}
+		ev := e.evq.pop()
+		switch p := ev.proc; {
+		case p == nil:
 			e.now = ev.at
 			ev.tgt.Fire()
+		case ev.seq != p.readySeq: // superseded by the entry Kill pushed
+			e.inert--
 		default:
-			e.now = p.readyAt
-			p.now = p.readyAt
+			e.now, p.now = ev.at, ev.at
 			e.dispatch(p)
 		}
 	}
@@ -107,22 +154,6 @@ func (e *Engine) Run() error {
 func (e *Engine) RunFor(d Duration) error {
 	e.At(e.now.Add(d), e.Stop)
 	return e.Run()
-}
-
-// nextReadyProc returns the ready process with the earliest readyAt time,
-// tie-broken by wake sequence, or nil if none are ready.
-func (e *Engine) nextReadyProc() *Proc {
-	var best *Proc
-	for _, p := range e.procs {
-		if p.state != stateReady {
-			continue
-		}
-		if best == nil || p.readyAt < best.readyAt ||
-			(p.readyAt == best.readyAt && p.readySeq < best.readySeq) {
-			best = p
-		}
-	}
-	return best
 }
 
 // dispatch hands control to p and blocks until p yields back.
@@ -137,9 +168,6 @@ func (e *Engine) dispatch(p *Proc) {
 		if p.panicErr != nil && e.err == nil {
 			e.err = p.panicErr
 		}
-		if e.onProcDone != nil {
-			e.onProcDone(p)
-		}
 	}
 }
 
@@ -153,7 +181,7 @@ func (e *Engine) deadlock() error {
 		}
 	}
 	sort.Strings(waiting)
-	e.err = fmt.Errorf("sim: deadlock at %v: %d process(es) waiting with no pending events: %s",
+	e.err = fmt.Errorf("sim: deadlock at %v: %d process(es) waiting with nothing pending that could wake them: %s",
 		e.now, len(waiting), strings.Join(waiting, "; "))
 	return e.err
 }

@@ -13,11 +13,18 @@ type funcTarget func()
 
 func (f funcTarget) Fire() { f() }
 
-// event is a scheduled action in virtual time.
+// procClass is the bit a ready process's seq carries above the engine's
+// counter: of the entries due at one instant, every event sorts before every
+// process, events in scheduling order and processes in wake order.
+const procClass = 1 << 63
+
+// event is one entry of the engine's agenda: tgt to fire at time at, or,
+// when proc is set, that process to dispatch.
 type event struct {
-	at  Time
-	seq uint64 // tie-break: earlier-scheduled events fire first
-	tgt Target
+	at   Time
+	seq  uint64
+	tgt  Target
+	proc *Proc
 }
 
 func (ev *event) before(o *event) bool {
@@ -28,8 +35,8 @@ func (ev *event) before(o *event) bool {
 }
 
 // eventHeap is a binary min-heap of event values ordered by (at, seq) — a
-// total order, seq being unique, so the firing order does not depend on the
-// heap's layout. It is sifted by hand because container/heap moves elements
+// total order, seq being unique, so the order of execution does not depend on
+// the heap's layout. It is sifted by hand because container/heap moves elements
 // through `any`, which would put every event on the Go heap.
 type eventHeap []event
 
@@ -52,7 +59,7 @@ func (h *eventHeap) pop() event {
 	top := q[0]
 	n := len(q) - 1
 	q[0] = q[n]
-	q[n] = event{} // the vacated slot must not pin the fired target
+	q[n] = event{} // the vacated slot must not pin the target or the process
 	q = q[:n]
 	*h = q
 	for i := 0; ; {

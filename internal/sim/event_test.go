@@ -100,10 +100,10 @@ func (c *countTarget) Fire() { *c++ }
 
 // Scheduling an event, firing it and a process's Sleep round trip are the
 // simulator's per-message steps: none of them may allocate, through either
-// entry point.
+// entry point. Nor may a ticker's firing, the tool's per-interval step.
 func TestSchedulingAndSleepAllocateNothing(t *testing.T) {
 	e := NewEngine(1)
-	var perFunc, perTarget, perSleep float64
+	var perFunc, perTarget, perSleep, perTick float64
 	e.StartProc("p", func(p *Proc) {
 		funcFired, typedFired := 0, new(countTarget)
 		tick := func() { funcFired++ }
@@ -122,6 +122,12 @@ func TestSchedulingAndSleepAllocateNothing(t *testing.T) {
 		if funcFired != 202 || *typedFired != 201 {
 			t.Errorf("fired %d func and %d typed events, want 202 and 201", funcFired, *typedFired)
 		}
+		ticks := 0
+		e.Every(Microsecond, func() { ticks++ })
+		perTick = testing.AllocsPerRun(200, func() { p.Sleep(Microsecond) })
+		if ticks != 201 {
+			t.Errorf("ticker fired %d times, want 201", ticks)
+		}
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -129,7 +135,7 @@ func TestSchedulingAndSleepAllocateNothing(t *testing.T) {
 	if perFunc != 0 || perTarget != 0 {
 		t.Errorf("schedule + fire: %v allocs through After, %v through Schedule, want 0", perFunc, perTarget)
 	}
-	if perSleep != 0 {
-		t.Errorf("Proc.Sleep: %v allocs, want 0", perSleep)
+	if perSleep != 0 || perTick != 0 {
+		t.Errorf("Proc.Sleep: %v allocs, %v with a ticker firing meanwhile, want 0", perSleep, perTick)
 	}
 }

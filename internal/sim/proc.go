@@ -23,8 +23,7 @@ type Proc struct {
 	name string
 
 	now      Time
-	readyAt  Time
-	readySeq uint64
+	readySeq uint64 // seq of the agenda entry that dispatches p next
 	state    procState
 
 	resume chan struct{}
@@ -58,22 +57,29 @@ func (e *Engine) StartProcAt(name string, at Time, fn func(p *Proc)) *Proc {
 	if at < e.Now() {
 		at = e.Now()
 	}
-	e.seq++
 	p := &Proc{
-		eng:      e,
-		id:       len(e.procs),
-		name:     name,
-		now:      at,
-		readyAt:  at,
-		readySeq: e.seq,
-		state:    stateReady,
-		resume:   make(chan struct{}),
-		yield:    make(chan struct{}),
+		eng:    e,
+		id:     len(e.procs),
+		name:   name,
+		now:    at,
+		resume: make(chan struct{}),
+		yield:  make(chan struct{}),
 	}
 	e.procs = append(e.procs, p)
 	e.live++
+	p.ready(at)
 	go p.run(fn)
 	return p
+}
+
+// ready puts p on the agenda to be dispatched at t, after every event due
+// then and every process made ready before it.
+func (p *Proc) ready(t Time) {
+	e := p.eng
+	e.seq++
+	p.readySeq = e.seq | procClass
+	p.state = stateReady
+	e.evq.push(event{at: t, seq: p.readySeq, proc: p})
 }
 
 // run is the goroutine body wrapping the user function with scheduling
@@ -115,10 +121,7 @@ func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.eng.seq++
-	p.readyAt = p.now.Add(d)
-	p.readySeq = p.eng.seq
-	p.state = stateReady
+	p.ready(p.now.Add(d))
 	p.switchOut()
 }
 
@@ -146,11 +149,8 @@ func (p *Proc) WakeAt(t Time) bool {
 	if t < p.now {
 		t = p.now
 	}
-	p.eng.seq++
 	p.now = t
-	p.readyAt = t
-	p.readySeq = p.eng.seq
-	p.state = stateReady
+	p.ready(t)
 	return true
 }
 
@@ -171,10 +171,10 @@ func (p *Proc) Kill(reason string) bool {
 	if t := e.Now(); t > p.now {
 		p.now = t
 	}
-	e.seq++
-	p.readyAt = p.now
-	p.readySeq = e.seq
-	p.state = stateReady
+	if p.state == stateReady {
+		e.inert++ // the entry p was to be dispatched by is superseded
+	}
+	p.ready(p.now)
 	return true
 }
 
