@@ -1,6 +1,7 @@
 # Build and verification entry points. `make verify` is the full CI gate:
 # tier-1 (build + tests), static analysis and gofmt, race-enabled tests of the
-# packages with real concurrency (the engine's goroutine hand-offs, the TCP
+# packages with real concurrency (the engine's goroutine hand-offs, the MDL
+# library every session shares, the discovery hooks mpi fans out, the TCP
 # transport and the daemon/fault machinery it carries), a five-second smoke
 # of each fuzz target, the CLI goldens, and the out-of-tree benchmark
 # module's own vet + tests (it imports internal packages through a replace
@@ -26,7 +27,7 @@ fmt-check:
 	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt -l reports:"; echo "$$out"; exit 1; }
 
 race:
-	$(GO) test -race ./internal/sim ./internal/consultant ./internal/wire ./internal/frontend ./internal/daemon ./internal/faults ./internal/trace ./internal/core ./internal/session ./internal/perfdb ./internal/datasource
+	$(GO) test -race ./internal/sim ./internal/mpi ./internal/mdl ./internal/gprofsim ./internal/consultant ./internal/wire ./internal/frontend ./internal/daemon ./internal/faults ./internal/trace ./internal/core ./internal/session ./internal/perfdb ./internal/datasource
 
 verify: build vet fmt-check test race fuzz-smoke bench-module replay-golden perfdb-golden sync-golden wire-golden trend-golden
 
@@ -114,12 +115,13 @@ fuzz-perfdb:
 	$(GO) test -fuzz=FuzzUnpackSamples -fuzztime=30s ./internal/session
 	$(GO) test -fuzz=FuzzUnpackShard -fuzztime=30s ./internal/session
 
-# bench runs the root package's figure/table/ablation benchmarks and the
-# fault/trace zero-cost guards, then the engine's per-dispatch cost at 6, 96
-# and 384 sleeping processes (flat: the next process is the top of a heap —
-# reported, not gated). Per-layer numbers (engine switch, eager
-# message, probe fire, MDL compile, histogram add, …) come from the micro
-# drivers of `bash bench/run.sh`.
+# bench runs the root package's figure/table/ablation benchmarks, the
+# per-enable and per-session costs (BenchmarkInstantiate, BenchmarkNewSession;
+# allocs reported) and the fault/trace zero-cost guards, then the engine's
+# per-dispatch cost at 6, 96 and 384 sleeping processes (flat: the next
+# process is the top of a heap — reported, not gated). Per-layer numbers
+# (engine switch, eager message, probe fire, MDL compile, histogram add, …)
+# come from the micro drivers of `bash bench/run.sh`.
 bench:
 	$(GO) test -bench=. -benchmem
 	$(GO) test -run '^$$' -bench=BenchmarkDispatch -benchmem ./internal/sim

@@ -2,9 +2,9 @@ package pperf
 
 // The benchmark harness: one benchmark per table and figure of the paper's
 // evaluation (each regenerates the artifact through internal/experiments and
-// fails if the paper's qualitative shape is not reproduced), the ablation
-// benches DESIGN.md calls out, and the zero-cost guards of the fault and
-// trace subsystems. Per-layer numbers (engine switch, eager message, probe
+// fails if the paper's qualitative shape is not reproduced), the per-enable
+// and per-session costs of the tool, the ablation benches DESIGN.md calls
+// out, and the zero-cost guards of the fault and trace subsystems. Per-layer numbers (engine switch, eager message, probe
 // fire, MDL compile, histogram add, …) come from the micro drivers of
 // `bash bench/run.sh`, not from here.
 //
@@ -174,6 +174,58 @@ func BenchmarkTracedTCP(b *testing.B) {
 		if trace.Analyze(tl).Render() == "" {
 			b.Fatal("empty critical-path report")
 		}
+	}
+}
+
+// --- the enable path and the session ------------------------------------------
+
+// BenchmarkInstantiate is the per-process cost of an enable — what the
+// Consultant's search repeats most: the six pairs its message refinement
+// keeps on MPI_Send (three metrics, whole-program and under a
+// communicator-and-tag focus) instantiated on one process and removed again.
+// internal/mdl's TestInstantiateAllocationBudget bounds the allocs/op.
+func BenchmarkInstantiate(b *testing.B) {
+	r := idleRank(b)
+	foci := []resource.Focus{resource.WholeProgram(), resource.WholeProgram().WithSync("/SyncObject/Message/comm-1/tag-7")}
+	var ins [6]*mdl.Instance
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for j, name := range []string{"msgs_sent", "msg_bytes_sent", "sync_wait_inclusive"} {
+			for k, f := range foci {
+				in, err := mdl.StdLib().Metric(name).Instantiate(benchTarget{r}, f)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ins[2*j+k] = in
+			}
+		}
+		for _, in := range ins {
+			in.Remove()
+		}
+	}
+}
+
+// idleRank returns a rank of a launched but never run one-process world.
+func idleRank(b *testing.B) *mpi.Rank {
+	w := mpi.NewWorld(sim.NewEngine(1), cluster.DefaultSpec(1, 1), mpi.NewImpl(mpi.LAM))
+	w.Register("idle", func(*mpi.Rank, []string) {})
+	if _, err := w.LaunchN("idle", 1, nil); err != nil {
+		b.Fatal(err)
+	}
+	return w.Ranks()[0]
+}
+
+// BenchmarkNewSession is the per-session cost of the tool itself: cluster,
+// world, front end and one daemon per node around the process's one compiled
+// standard library, built and closed with nothing launched.
+func BenchmarkNewSession(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s, err := core.NewSession(core.Options{Impl: mpi.LAM})
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.Close()
 	}
 }
 

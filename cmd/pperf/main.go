@@ -368,6 +368,10 @@ func runFromPCL(path string) error {
 	if len(cfg.Processes) == 0 {
 		return fmt.Errorf("PCL file declares no process blocks")
 	}
+	pcCfg, err := core.ConsultantConfigFromPCL(cfg)
+	if err != nil {
+		return err
+	}
 	for _, pr := range cfg.Processes {
 		opts, err := core.OptionsFromPCL(cfg, pr.Daemon, core.Options{Nodes: 4, CPUsPerNode: 2})
 		if err != nil {
@@ -389,7 +393,7 @@ func runFromPCL(path string) error {
 			s.Close()
 			return fmt.Errorf("process %s: %w", pr.Name, err)
 		}
-		pc := consultant.New(s.FE, s.Eng, core.ConsultantConfigFromPCL(cfg))
+		pc := consultant.New(s.FE, s.Eng, pcCfg)
 		if err := pc.Start(); err != nil {
 			s.Close()
 			return err

@@ -39,16 +39,32 @@ func OptionsFromPCL(cfg *pcl.Config, daemonName string, base Options) (Options, 
 }
 
 // ConsultantConfigFromPCL applies the PCL tunable constants the paper
-// adjusts (§5.1.6 lowers PC_CPUThreshold to 0.2) over the defaults.
-func ConsultantConfigFromPCL(cfg *pcl.Config) consultant.Config {
+// adjusts (§5.1.6 lowers PC_CPUThreshold to 0.2) over the defaults. A
+// threshold outside (0, 1] or an evaluation interval that is not positive is
+// an error naming the tunable, its value and its line in the file.
+func ConsultantConfigFromPCL(cfg *pcl.Config) (consultant.Config, error) {
 	c := consultant.DefaultConfig()
-	c.CPUThreshold = cfg.Tunable("PC_CPUThreshold", c.CPUThreshold)
-	c.SyncThreshold = cfg.Tunable("PC_SyncThreshold", c.SyncThreshold)
-	c.IOThreshold = cfg.Tunable("PC_IOThreshold", c.IOThreshold)
-	if v, ok := cfg.Tunables["PC_EvalIntervalMS"]; ok {
-		c.EvalInterval = sim.Duration(v) * sim.Millisecond
+	refuse := func(name, want string) error {
+		return fmt.Errorf("pcl:%d: tunable %q %v: %s", cfg.TunableLine(name), name, cfg.Tunables[name], want)
 	}
-	return c
+	for _, th := range []struct {
+		name string
+		dst  *float64
+	}{
+		{"PC_CPUThreshold", &c.CPUThreshold}, {"PC_SyncThreshold", &c.SyncThreshold}, {"PC_IOThreshold", &c.IOThreshold},
+	} {
+		*th.dst = cfg.Tunable(th.name, *th.dst)
+		if !(*th.dst > 0 && *th.dst <= 1) {
+			return c, refuse(th.name, "a threshold is a fraction of run time in (0, 1]")
+		}
+	}
+	if v, ok := cfg.Tunables["PC_EvalIntervalMS"]; ok {
+		c.EvalInterval = sim.Duration(v * float64(sim.Millisecond))
+		if !(c.EvalInterval > 0) {
+			return c, refuse("PC_EvalIntervalMS", "the evaluation interval must be positive")
+		}
+	}
+	return c, nil
 }
 
 // LaunchMpirun launches a registered program from an mpirun command line,

@@ -57,9 +57,37 @@ func TestSessionFromPCL(t *testing.T) {
 	if sr.Total() != 60 {
 		t.Errorf("pcl_sends = %v, want 60", sr.Total())
 	}
-	ccfg := ConsultantConfigFromPCL(cfg)
-	if ccfg.CPUThreshold != 0.2 || ccfg.EvalInterval != 250*sim.Millisecond {
-		t.Errorf("consultant config = %+v", ccfg)
+	ccfg, err := ConsultantConfigFromPCL(cfg)
+	if err != nil || ccfg.CPUThreshold != 0.2 || ccfg.EvalInterval != 250*sim.Millisecond {
+		t.Errorf("consultant config = %+v, %v", ccfg, err)
+	}
+}
+
+// A tunable out of range is refused with its name, value and line: a zero
+// interval used to reach sim.Engine.Every and panic, a negative threshold made
+// every hypothesis true.
+func TestConsultantConfigFromPCLRefusesOutOfRangeTunables(t *testing.T) {
+	for _, c := range []struct{ tunables, want string }{
+		{`"PC_EvalIntervalMS" 0;`, `pcl:3: tunable "PC_EvalIntervalMS" 0: the evaluation interval must be positive`},
+		{`"PC_EvalIntervalMS" -250;`, `pcl:3: tunable "PC_EvalIntervalMS" -250: the evaluation interval must be positive`},
+		{`"PC_EvalIntervalMS" 0.0000001;`, `tunable "PC_EvalIntervalMS" 1e-07: the evaluation interval must be positive`},
+		{`"PC_CPUThreshold" -5;`, `pcl:3: tunable "PC_CPUThreshold" -5: a threshold is a fraction of run time in (0, 1]`},
+		{`"PC_SyncThreshold" 0;`, `pcl:3: tunable "PC_SyncThreshold" 0: a threshold`},
+		{`"PC_CPUThreshold" 0.2;
+    "PC_IOThreshold" 1.5;`, `pcl:4: tunable "PC_IOThreshold" 1.5: a threshold`},
+		{`"PC_CPUThreshold" 1; "PC_EvalIntervalMS" 0.5;`, ""},
+	} {
+		cfg, err := pcl.Parse("// tunables\ntunable_constant {\n    " + c.tunables + "\n}\n")
+		if err != nil {
+			t.Fatalf("%s: %v", c.tunables, err)
+		}
+		_, err = ConsultantConfigFromPCL(cfg)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", c.tunables, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: error %v, want %q", c.tunables, err, c.want)
+		}
 	}
 }
 

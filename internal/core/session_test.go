@@ -2,8 +2,10 @@ package core
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
+	"pperf/internal/mdl"
 	"pperf/internal/mpi"
 	"pperf/internal/resource"
 	"pperf/internal/sim"
@@ -298,4 +300,48 @@ func TestSessionPerProcessHistograms(t *testing.T) {
 	if !strings.Contains(out, "pp{1}") {
 		t.Errorf("render missing per-proc lines:\n%s", out)
 	}
+}
+
+// Sixteen sessions built and run at once share the process's one compiled
+// standard library — the specs' code included — and each still counts its own
+// messages: an instance's state is its frame, never the library. Run under
+// -race (make race) this is the check that nothing writes to a Library after
+// Compile.
+func TestParallelSessionsShareTheStandardLibrary(t *testing.T) {
+	const sessions = 16
+	var wg sync.WaitGroup
+	for i := 0; i < sessions; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			s, err := NewSession(Options{Impl: mpi.LAM, Nodes: 2, CPUsPerNode: 1})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer s.Close()
+			if s.Lib != mdl.StdLib() {
+				t.Errorf("session %d compiled a library of its own", i)
+			}
+			iters := 20 + i
+			s.Register("pp", pingPong(iters, sim.Millisecond))
+			sent := s.MustEnable("msgs_sent", resource.WholeProgram())
+			tagged := s.MustEnable("msgs_sent", resource.WholeProgram().WithSync("/SyncObject/Message/comm-1/tag-3"))
+			other := s.MustEnable("msgs_sent", resource.WholeProgram().WithSync("/SyncObject/Message/comm-1/tag-4"))
+			wait := s.MustEnable("sync_wait_inclusive", resource.WholeProgram().WithCode("/Code/app.c/consume"))
+			if err := s.Launch("pp", 2, nil); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := s.Run(); err != nil {
+				t.Error(err)
+				return
+			}
+			if sent.Total() != float64(iters) || tagged.Total() != float64(iters) || other.Total() != 0 || wait.Total() <= 0 {
+				t.Errorf("session %d: msgs_sent %v, on tag 3 %v, on tag 4 %v, sync wait in consume %v; want %d, %d, 0, > 0",
+					i, sent.Total(), tagged.Total(), other.Total(), wait.Total(), iters, iters)
+			}
+		}(i)
+	}
+	wg.Wait()
 }

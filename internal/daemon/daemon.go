@@ -61,8 +61,9 @@ type rankCtx struct {
 	d       *Daemon
 	r       *mpi.Rank
 	modules map[string][]string // module → discovered functions
-	// edges already reported to the front end.
-	sentEdges map[[2]string]bool
+	// edgesSent counts the call edges already reported to the front end: the
+	// cursor into the process's edge log.
+	edgesSent int
 	insts     []liveInst
 	exited    bool
 }
@@ -216,6 +217,11 @@ func AttachAll(w *mpi.World, daemons []*Daemon) *Registry {
 				d.processExited(r)
 			}
 		},
+		FunctionDiscovered: func(r *mpi.Rank, f *probe.Function) {
+			if d := reg.At(r.Node()); d != nil {
+				d.functionDiscovered(r, f)
+			}
+		},
 		CommCreated: func(r *mpi.Rank, c *mpi.Comm) {
 			if d := reg.At(r.Node()); d != nil {
 				d.commCreated(c)
@@ -287,10 +293,9 @@ func (d *Daemon) DelayAttachUntil(t sim.Time) {
 }
 
 func (d *Daemon) adoptNow(r *mpi.Rank) {
-	rc := &rankCtx{d: d, r: r, modules: map[string][]string{}, sentEdges: map[[2]string]bool{}}
+	rc := &rankCtx{d: d, r: r, modules: map[string][]string{}}
 	d.ranks = append(d.ranks, rc)
 	r.Probes().PerProbeCost = d.cfg.PerProbeCost
-	r.Probes().OnFirstCall = func(f *probe.Function) { rc.functionDiscovered(f) }
 	if tr := d.tracer; tr != nil {
 		proc, node := r.Probes().Name(), r.NodeName()
 		r.Probes().OnFire = func(fn string, _ probe.Where, n int, t sim.Time) {
@@ -313,6 +318,17 @@ func (d *Daemon) adoptNow(r *mpi.Rank) {
 }
 
 func machinePath(node, proc string) string { return "/Machine/" + node + "/" + proc }
+
+// functionDiscovered reports a function's first execution in a process the
+// daemon has adopted; one it has yet to adopt (attach latency) is seeded from
+// its call stack then.
+func (d *Daemon) functionDiscovered(r *mpi.Rank, f *probe.Function) {
+	for _, rc := range d.ranks {
+		if rc.r == r {
+			rc.functionDiscovered(f)
+		}
+	}
+}
 
 func (rc *rankCtx) functionDiscovered(f *probe.Function) {
 	fns := rc.modules[f.Module]
@@ -377,14 +393,13 @@ func (d *Daemon) sampleRank(rc *rankCtx) {
 }
 
 func (rc *rankCtx) flushEdges(now sim.Time) {
-	for _, e := range rc.r.Probes().CallEdges() {
-		if !rc.sentEdges[e] {
-			rc.sentEdges[e] = true
-			rc.d.sendUpdate(datasource.Update{
-				Kind: datasource.UpCallEdge, Time: now,
-				Proc: rc.r.Probes().Name(), Caller: e[0], Callee: e[1],
-			})
-		}
+	edges := rc.r.Probes().CallEdges(rc.edgesSent)
+	rc.edgesSent += len(edges)
+	for _, e := range edges {
+		rc.d.sendUpdate(datasource.Update{
+			Kind: datasource.UpCallEdge, Time: now,
+			Proc: rc.r.Probes().Name(), Caller: e[0], Callee: e[1],
+		})
 	}
 }
 

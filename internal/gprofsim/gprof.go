@@ -49,11 +49,7 @@ type frame struct {
 func Attach(w *mpi.World) *Profiler {
 	p := &Profiler{calls: map[string]int64{}, self: map[string]sim.Duration{}}
 	w.AddHooks(&mpi.Hooks{
-		ProcessStarted: func(r *mpi.Rank) {
-			r.Probes().OnFirstCall = func(f *probe.Function) {
-				p.hook(r, f.Name)
-			}
-		},
+		FunctionDiscovered: func(r *mpi.Rank, f *probe.Function) { p.hook(r, f.Name) },
 	})
 	return p
 }

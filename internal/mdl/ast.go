@@ -60,13 +60,16 @@ type ProbeSpec struct {
 	Constrained bool
 	Stmts       []Stmt
 	Line        int
+	// bind is the compiled block, set once by Compile: it yields the probe
+	// handler that runs the block against one instance's frame.
+	bind func(fr *frame) probe.Handler
 }
 
 // --- statements inside (* ... *) blocks -----------------------------------
 
 // Stmt is an instrumentation statement; compile (snippet.go) turns it into
-// a closure over one instance's variables.
-type Stmt interface{ compile(e *env) op }
+// a closure over the frame slots of the variables it names.
+type Stmt interface{ compile(sc *scope) op }
 
 // IncStmt is `x++;`.
 type IncStmt struct{ Var string }
@@ -101,7 +104,7 @@ type IfStmt struct {
 
 // Expr is an instrumentation expression; compile types it — number, truth
 // value, string or object — and turns it into a closure yielding that.
-type Expr interface{ compile(e *env) value }
+type Expr interface{ compile(sc *scope) value }
 
 // NumExpr is a numeric literal.
 type NumExpr struct{ V float64 }

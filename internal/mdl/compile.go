@@ -2,6 +2,8 @@ package mdl
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"pperf/internal/metric"
@@ -26,7 +28,8 @@ type Target interface {
 }
 
 // Library is a compiled set of MDL declarations: function sets, constraints,
-// and metrics, ready to instantiate on processes.
+// and metrics, ready to instantiate on processes. Nothing writes to a library
+// once Compile has returned it, so any number of sessions may share one.
 type Library struct {
 	sets        map[string][]string
 	constraints map[string]*ConstraintDecl
@@ -44,10 +47,10 @@ func CompileSource(src string) (*Library, error) {
 }
 
 // Compile builds a Library from a parsed file, checking set and constraint
-// references and every snippet: each is compiled once against a throw-away
-// instance of its metric or constraint, so an undeclared counter or timer,
-// an unknown call or a wrong arity is an error here, not a panic inside a
-// traced process.
+// references and compiling every snippet, once, against the scope of its
+// metric or constraint — the code instances later run — so an undeclared
+// counter or timer, an unknown call or a wrong arity is an error here, not a
+// panic inside a traced process.
 func Compile(f *File) (*Library, error) {
 	lib := &Library{
 		sets:        map[string][]string{},
@@ -69,7 +72,9 @@ func Compile(f *File) (*Library, error) {
 				return nil, err
 			}
 		}
-		if err := checkSnippets(constraintEnv(c, nil), c.Foreachs, "constraint "+c.Name); err != nil {
+		// A constraint's one variable is the flag counter it names.
+		sc := &scope{counters: map[string]int{c.Name: 0}}
+		if err := compileSnippets(sc, c.Foreachs, "constraint "+c.Name); err != nil {
 			return nil, err
 		}
 		lib.constraints[c.Name] = c
@@ -94,11 +99,10 @@ func Compile(f *File) (*Library, error) {
 			}
 		}
 		cm := &CompiledMetric{lib: lib, decl: m}
-		e, acc := cm.newEnv(nil)
-		if acc == nil {
+		if !cm.declare() {
 			return nil, fmt.Errorf("mdl:%d: metric %s: unknown base kind %q", m.Line, m.ID, m.BaseKind)
 		}
-		if err := checkSnippets(e, m.Foreachs, "metric "+m.ID); err != nil {
+		if err := compileSnippets(&cm.vars, m.Foreachs, "metric "+m.ID); err != nil {
 			return nil, err
 		}
 		lib.metrics[m.DisplayName] = cm
@@ -107,17 +111,17 @@ func Compile(f *File) (*Library, error) {
 	return lib, nil
 }
 
-// checkSnippets compiles every probe spec of the foreachs against e for its
-// errors alone.
-func checkSnippets(e *env, foreachs []*Foreach, owner string) error {
-	check := func(ps *ProbeSpec) (err error) {
+// compileSnippets compiles every probe spec of the foreachs against sc,
+// leaving each spec its code.
+func compileSnippets(sc *scope, foreachs []*Foreach, owner string) error {
+	compile := func(ps *ProbeSpec) (err error) {
 		defer catch(&err)
-		e.compile(ps)
+		ps.compile(sc)
 		return nil
 	}
 	for _, fe := range foreachs {
 		for _, ps := range fe.Probes {
-			if err := check(ps); err != nil {
+			if err := compile(ps); err != nil {
 				return fmt.Errorf("mdl:%d: %s: %v", ps.Line, owner, err)
 			}
 		}
@@ -152,35 +156,48 @@ func (lib *Library) Metric(name string) *CompiledMetric { return lib.metrics[nam
 // MetricNames lists the library's metrics in declaration order.
 func (lib *Library) MetricNames() []string { return append([]string(nil), lib.order...) }
 
-// MergeFrom adds the other library's declarations (user-supplied MDL on top
-// of the standard library, as Paradyn's PCL allows). Duplicates are errors.
-func (lib *Library) MergeFrom(other *Library) error {
+// merged returns a new library holding lib's declarations and other's on
+// top (user-supplied MDL over the standard library, as Paradyn's PCL allows);
+// neither operand is written. Duplicates are errors.
+func (lib *Library) merged(other *Library) (*Library, error) {
+	out := &Library{
+		sets:        maps.Clone(lib.sets),
+		constraints: maps.Clone(lib.constraints),
+		metrics:     maps.Clone(lib.metrics),
+		order:       slices.Clone(lib.order),
+	}
 	for name, items := range other.sets {
-		if _, dup := lib.sets[name]; dup {
-			return fmt.Errorf("mdl: duplicate resourceList %s", name)
+		if _, dup := out.sets[name]; dup {
+			return nil, fmt.Errorf("mdl: duplicate resourceList %s", name)
 		}
-		lib.sets[name] = items
+		out.sets[name] = items
 	}
 	for name, c := range other.constraints {
-		if _, dup := lib.constraints[name]; dup {
-			return fmt.Errorf("mdl: duplicate constraint %s", name)
+		if _, dup := out.constraints[name]; dup {
+			return nil, fmt.Errorf("mdl: duplicate constraint %s", name)
 		}
-		lib.constraints[name] = c
+		out.constraints[name] = c
 	}
 	for _, name := range other.order {
-		if _, dup := lib.metrics[name]; dup {
-			return fmt.Errorf("mdl: duplicate metric %s", name)
+		if _, dup := out.metrics[name]; dup {
+			return nil, fmt.Errorf("mdl: duplicate metric %s", name)
 		}
-		lib.metrics[name] = &CompiledMetric{lib: lib, decl: other.metrics[name].decl}
-		lib.order = append(lib.order, name)
+		out.metrics[name] = other.metrics[name]
+		out.order = append(out.order, name)
 	}
-	return nil
+	return out, nil
 }
 
-// CompiledMetric is an instantiable metric.
+// CompiledMetric is an instantiable metric. lib is the library it was
+// compiled in, whose sets and constraints its declaration names.
 type CompiledMetric struct {
 	lib  *Library
 	decl *MetricDecl
+	// vars gives each of the metric's variables its slot in an instance's
+	// frame; acc picks what the daemon samples: one of them, or a clock of
+	// the process.
+	vars scope
+	acc  func(fr *frame, t Target) metric.Accumulator
 }
 
 // Name returns the metric's display name, the one it is enabled by.
@@ -188,6 +205,46 @@ func (cm *CompiledMetric) Name() string { return cm.decl.DisplayName }
 
 // Units returns the metric's declared units (Table 1's column).
 func (cm *CompiledMetric) Units() string { return cm.decl.Units }
+
+// declare lays out an instance's frame — the auxiliary counters and the
+// variable the metric id names, of the declared base kind — and picks what
+// the daemon samples. It reports false when there is no such kind.
+func (cm *CompiledMetric) declare() bool {
+	sc, id := &cm.vars, cm.decl.ID
+	sc.counters = map[string]int{}
+	counter := func(name string) {
+		if _, ok := sc.counters[name]; !ok {
+			sc.counters[name] = len(sc.counters)
+		}
+	}
+	for _, cn := range cm.decl.Counters {
+		counter(cn)
+	}
+	clock := func(read func(Target) float64) {
+		cm.acc = func(_ *frame, t Target) metric.Accumulator {
+			return funcAcc(func() float64 { return read(t) })
+		}
+	}
+	switch strings.ToLower(cm.decl.BaseKind) {
+	case "counter":
+		counter(id)
+		i := sc.counters[id]
+		cm.acc = func(fr *frame, _ Target) metric.Accumulator { return &fr.counters[i] }
+	case "walltimer":
+		sc.wallTimer = id
+		cm.acc = func(fr *frame, _ Target) metric.Accumulator { return &fr.wallTimer }
+	case "processtimer":
+		sc.procTimer = id
+		cm.acc = func(fr *frame, _ Target) metric.Accumulator { return &fr.procTimer }
+	case "cpuclock":
+		clock(func(t Target) float64 { return t.CPUNow().Seconds() })
+	case "wallclock":
+		clock(func(t Target) float64 { return t.WallNow().Seconds() })
+	case "sysclock":
+		clock(func(t Target) float64 { return t.SystemNow().Seconds() })
+	}
+	return cm.acc != nil
+}
 
 // Instance is a live metric-focus pair on one process: the accumulator
 // instrumentation feeds and the probes to remove on disable.
@@ -197,10 +254,16 @@ type Instance struct {
 	probeIDs []probe.ID
 	// moduleWatch, when non-empty, asks the daemon to call ExtendFunction
 	// for newly discovered functions of this module (module-level foci see
-	// functions that have not executed yet).
+	// functions that have not executed yet); extend holds the specs such a
+	// function receives.
 	moduleWatch string
-	extendSpecs []*ProbeSpec
-	env         *env
+	extend      []boundSpec
+}
+
+// boundSpec is a probe spec with its code bound to one instance's frame.
+type boundSpec struct {
+	ps *ProbeSpec
+	h  probe.Handler
 }
 
 // Remove deletes the instance's instrumentation from the process —
@@ -218,23 +281,37 @@ func (in *Instance) ModuleWatch() string { return in.moduleWatch }
 
 // ExtendFunction instruments a newly discovered function of the watched
 // module.
-func (in *Instance) ExtendFunction(fname string) {
-	for _, ps := range in.extendSpecs {
-		in.probeIDs = append(in.probeIDs, in.insertSpec(fname, ps))
+func (in *Instance) ExtendFunction(fname string) { in.insert(fname, in.extend) }
+
+func (in *Instance) insert(fname string, bound []boundSpec) {
+	for _, b := range bound {
+		id := in.target.Probes().Insert(fname, b.ps.Where, b.ps.Order, b.h)
+		in.probeIDs = append(in.probeIDs, id)
 	}
 }
 
-func (in *Instance) insertSpec(fname string, ps *ProbeSpec) probe.ID {
-	h := in.env.handler(ps)
-	return in.target.Probes().Insert(fname, ps.Where, ps.Order, h)
+// instrument binds each spec's code to fr — one handler serves every function
+// the spec lands on — and inserts them on the functions of fns, function-major
+// and spec-minor: the order the points' probe lists keep.
+func (in *Instance) instrument(fr *frame, specs []*ProbeSpec, fns []string) []boundSpec {
+	bound := make([]boundSpec, len(specs))
+	for i, ps := range specs {
+		bound[i] = boundSpec{ps, ps.bind(fr)}
+	}
+	in.probeIDs = slices.Grow(in.probeIDs, len(fns)*len(bound))
+	for _, fname := range fns {
+		in.insert(fname, bound)
+	}
+	return bound
 }
 
-// Instantiate compiles the metric for one focus on one process: allocates
-// its counters/timers, instantiates the applicable constraints, and inserts
-// all probes. The returned instance is live immediately.
+// Instantiate enables the metric for one focus on one process: allocates the
+// frame of its counters and timers, binds the applicable constraints, and
+// inserts all probes. Nothing is compiled here — the specs carry their code
+// since Compile. The returned instance is live immediately.
 func (cm *CompiledMetric) Instantiate(t Target, f resource.Focus) (*Instance, error) {
-	e, acc := cm.newEnv(t)
-	in := &Instance{target: t, env: e, Acc: acc}
+	fr := &frame{counters: make([]metric.Counter, len(cm.vars.counters))}
+	in := &Instance{target: t, Acc: cm.acc(fr, t)}
 
 	// Code-hierarchy constraints (native): restrict constrained statements
 	// to when the selected function/module is on the call stack. Metrics
@@ -245,30 +322,23 @@ func (cm *CompiledMetric) Instantiate(t Target, f resource.Focus) (*Instance, er
 			if !cm.hasConstraint("procedureConstraint") {
 				return nil, fmt.Errorf("mdl: metric %s cannot be constrained to a procedure", cm.Name())
 			}
-			e.preds = append(e.preds, func(ev *probe.Event) bool { return ev.Proc.InFunction(fn) })
+			fr.preds = append(fr.preds, func(ev *probe.Event) bool { return ev.Proc.InFunction(fn) })
 		} else if mod := f.CodeModule(); mod != "" {
 			if !cm.hasConstraint("moduleConstraint") {
 				return nil, fmt.Errorf("mdl: metric %s cannot be constrained to a module", cm.Name())
 			}
-			e.preds = append(e.preds, func(ev *probe.Event) bool { return inModule(ev.Proc, mod) })
+			fr.preds = append(fr.preds, func(ev *probe.Event) bool { return inModule(ev.Proc, mod) })
 		}
 	}
 
 	// SyncObject-hierarchy constraints.
-	if err := cm.applySyncConstraints(e, in, f); err != nil {
+	if err := cm.applySyncConstraints(fr, in, f); err != nil {
 		return nil, err
 	}
 
 	// Base instrumentation.
 	for _, fe := range cm.decl.Foreachs {
-		fns, watch, err := cm.resolveSet(t, fe.SetName, f)
-		if err != nil {
-			return nil, err
-		}
-		if watch != "" {
-			in.moduleWatch = watch
-			in.extendSpecs = append(in.extendSpecs, fe.Probes...)
-		}
+		fns, watch := cm.resolveSet(t, fe.SetName, f)
 		if fe.SetName == "focusCode" && len(fns) == 0 && watch == "" {
 			// Whole-program Code focus on a focusCode-based timer metric:
 			// fall back to reading the process clock directly.
@@ -280,61 +350,29 @@ func (cm *CompiledMetric) Instantiate(t Target, f resource.Focus) (*Instance, er
 			}
 			continue
 		}
-		for _, fname := range fns {
-			for _, ps := range fe.Probes {
-				in.probeIDs = append(in.probeIDs, in.insertSpec(fname, ps))
-			}
+		bound := in.instrument(fr, fe.Probes, fns)
+		if watch != "" {
+			in.moduleWatch = watch
+			in.extend = append(in.extend, bound...)
 		}
 	}
 	return in, nil
 }
 
-// newEnv allocates one instance's variables: the accumulator the metric id
-// names, of the declared base kind (nil if there is no such kind), and the
-// auxiliary counters. t may be nil when the env is only compiled against.
-func (cm *CompiledMetric) newEnv(t Target) (*env, metric.Accumulator) {
-	e := &env{
-		counters:   map[string]*metric.Counter{},
-		wallTimers: map[string]*metric.WallTimer{},
-		procTimers: map[string]*metric.ProcessTimer{},
-	}
-	for _, cn := range cm.decl.Counters {
-		e.counters[cn] = &metric.Counter{}
-	}
-	switch id := cm.decl.ID; strings.ToLower(cm.decl.BaseKind) {
-	case "counter":
-		e.counters[id] = &metric.Counter{}
-		return e, e.counters[id]
-	case "walltimer":
-		e.wallTimers[id] = &metric.WallTimer{}
-		return e, e.wallTimers[id]
-	case "processtimer":
-		e.procTimers[id] = &metric.ProcessTimer{}
-		return e, e.procTimers[id]
-	case "cpuclock":
-		return e, funcAcc(func() float64 { return t.CPUNow().Seconds() })
-	case "wallclock":
-		return e, funcAcc(func() float64 { return t.WallNow().Seconds() })
-	case "sysclock":
-		return e, funcAcc(func() float64 { return t.SystemNow().Seconds() })
-	}
-	return e, nil
-}
-
 // resolveSet expands a function-set name. For the magic focusCode set it
 // returns the focus's function, the discovered functions of its module (with
 // a watch for future ones), or nothing for a whole-program focus.
-func (cm *CompiledMetric) resolveSet(t Target, set string, f resource.Focus) (fns []string, moduleWatch string, err error) {
+func (cm *CompiledMetric) resolveSet(t Target, set string, f resource.Focus) (fns []string, moduleWatch string) {
 	if set != "focusCode" {
-		return cm.lib.sets[set], "", nil
+		return cm.lib.sets[set], ""
 	}
 	if fn := f.CodeFunction(); fn != "" {
-		return []string{fn}, "", nil
+		return []string{fn}, ""
 	}
 	if mod := f.CodeModule(); mod != "" {
-		return t.FunctionsOfModule(mod), mod, nil
+		return t.FunctionsOfModule(mod), mod
 	}
-	return nil, "", nil
+	return nil, ""
 }
 
 // usesFocusCode reports whether any foreach targets the magic focusCode set.
@@ -358,7 +396,7 @@ func (cm *CompiledMetric) hasConstraint(name string) bool {
 
 // applySyncConstraints instantiates the constraints implied by the focus's
 // SyncObject selection.
-func (cm *CompiledMetric) applySyncConstraints(e *env, in *Instance, f resource.Focus) error {
+func (cm *CompiledMetric) applySyncConstraints(fr *frame, in *Instance, f resource.Focus) error {
 	parts := f.SyncParts()
 	if len(parts) == 0 {
 		return nil
@@ -369,7 +407,7 @@ func (cm *CompiledMetric) applySyncConstraints(e *env, in *Instance, f resource.
 	if !ok {
 		return fmt.Errorf("mdl: unknown SyncObject category %q", category)
 	}
-	e.preds = append(e.preds, func(ev *probe.Event) bool { return inAnyFunction(ev.Proc, catFns) })
+	fr.preds = append(fr.preds, func(ev *probe.Event) bool { return inAnyFunction(ev.Proc, catFns) })
 	if len(rest) == 0 {
 		return nil
 	}
@@ -390,8 +428,13 @@ func (cm *CompiledMetric) applySyncConstraints(e *env, in *Instance, f resource.
 		} else {
 			args = rest[:1]
 		}
-		if err := cm.instantiateConstraint(e, in, cd, args); err != nil {
-			return err
+		// The constraint's instance is a frame of its own — its flag counter
+		// and the bound $constraint components — that gates fr's constrained
+		// blocks, and its probes.
+		cfr := &frame{counters: make([]metric.Counter, 1), cargs: args}
+		fr.flags = append(fr.flags, &cfr.counters[0])
+		for _, fe := range cd.Foreachs {
+			in.instrument(cfr, fe.Probes, cm.lib.sets[fe.SetName])
 		}
 		bound++
 	}
@@ -399,29 +442,6 @@ func (cm *CompiledMetric) applySyncConstraints(e *env, in *Instance, f resource.
 		return fmt.Errorf("mdl: metric %s cannot be constrained to %s", cm.Name(), f.SyncPath)
 	}
 	return nil
-}
-
-// instantiateConstraint allocates the constraint's flag counter, binds its
-// $constraint arguments, and inserts its probes.
-func (cm *CompiledMetric) instantiateConstraint(e *env, in *Instance, cd *ConstraintDecl, args []string) error {
-	cenv := constraintEnv(cd, args)
-	e.flags = append(e.flags, cenv.counters[cd.Name])
-	for _, fe := range cd.Foreachs {
-		fns := cm.lib.sets[fe.SetName]
-		for _, fname := range fns {
-			for _, ps := range fe.Probes {
-				h := cenv.handler(ps)
-				in.probeIDs = append(in.probeIDs, in.target.Probes().Insert(fname, ps.Where, ps.Order, h))
-			}
-		}
-	}
-	return nil
-}
-
-// constraintEnv is the env a constraint's snippets compile against: its flag
-// counter, named by the constraint, and the bound $constraint components.
-func constraintEnv(cd *ConstraintDecl, args []string) *env {
-	return &env{counters: map[string]*metric.Counter{cd.Name: {}}, cargs: args}
 }
 
 // syncCategoryFunctions maps SyncObject categories to the traced functions

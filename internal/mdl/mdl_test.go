@@ -235,9 +235,36 @@ metric my_barriers {
 	if lib.Metric("my_barriers") == nil || lib.Metric("rma_put_ops") == nil {
 		t.Error("merged library should hold both user and std metrics")
 	}
-	// Duplicating a std metric name must fail.
-	if _, err := NewLibraryWithStd(`metric x { name "rma_put_ops"; base is counter { } }`); err == nil {
-		t.Error("duplicate metric name should fail merge")
+	// Redeclaring a standard name must fail, whatever it names.
+	for _, c := range []struct{ src, want string }{
+		{`metric x { name "rma_put_ops"; base is counter { } }`, "mdl: duplicate metric rma_put_ops"},
+		{`resourceList mpi_put is procedure { "f" };`, "mdl: duplicate resourceList mpi_put"},
+		{`resourceList s is procedure { "f" };
+constraint mpi_msgTagConstraint /SyncObject/Message/* is counter { foreach func in s { } }`, "mdl: duplicate constraint mpi_msgTagConstraint"},
+	} {
+		if _, err := NewLibraryWithStd(c.src); err == nil || err.Error() != c.want {
+			t.Errorf("redeclaring a standard name: error %v, want %q\n%s", err, c.want, c.src)
+		}
+	}
+	// The merge builds a new library; the shared standard one is not written.
+	if std := StdLib(); std == lib || std.Metric("my_barriers") != nil || std.sets["my_fns"] != nil ||
+		len(std.MetricNames())+1 != len(lib.MetricNames()) {
+		t.Error("merging user MDL wrote to the standard library")
+	}
+	if lib.Metric("rma_put_ops") != StdLib().Metric("rma_put_ops") {
+		t.Error("the merged library should hold the standard library's compiled metrics, not copies")
+	}
+}
+
+// There is one standard library per process: without user source
+// NewLibraryWithStd hands out StdLib itself, compiling nothing.
+func TestNewLibraryWithStdIsStdLibWithoutUserSource(t *testing.T) {
+	lib, err := NewLibraryWithStd("")
+	if err != nil || lib != StdLib() {
+		t.Errorf(`NewLibraryWithStd("") = %p, %v; want StdLib() %p`, lib, err, StdLib())
+	}
+	if n := testing.AllocsPerRun(10, func() { NewLibraryWithStd("") }); n != 0 {
+		t.Errorf(`NewLibraryWithStd("") allocates %v objects; a second session must not compile StdSource again`, n)
 	}
 }
 

@@ -9,25 +9,30 @@ import (
 	"pperf/internal/probe"
 )
 
-// env is what one instance's snippets are compiled against and gated by:
-// its variables by name (consulted only while compiling — a compiled snippet
-// holds the accumulators themselves), the bound $constraint components, and
-// the flags and predicates that gate constrained blocks. A constraint's
-// snippets get an env of their own holding just its flag counter.
-type env struct {
-	counters   map[string]*metric.Counter
-	wallTimers map[string]*metric.WallTimer
-	procTimers map[string]*metric.ProcessTimer
-	// cargs are the bound $constraint components, compiled in as constants.
+// scope is what one declaration's snippets compile against: its variables
+// and where an instance's frame keeps each. A metric's scope holds its
+// auxiliary counters and the variable its id names — a counter too, or the
+// one timer of its kind; a constraint's, just the flag counter it names.
+type scope struct {
+	counters             map[string]int // name → slot in frame.counters
+	wallTimer, procTimer string         // the timer's name, "" without one
+}
+
+// frame is one instance's run-time state, the first argument of all compiled
+// code: its variables by slot, the bound $constraint components, and the
+// flags and predicates that gate constrained blocks. An instantiated
+// constraint has a frame of its own holding just its flag counter.
+type frame struct {
+	counters  []metric.Counter
+	wallTimer metric.WallTimer
+	procTimer metric.ProcessTimer
+	// cargs are the bound $constraint components.
 	cargs []string
 	// flags are the MDL constraint flag counters that must all be nonzero
 	// for constrained blocks to execute; preds are native constraint
 	// predicates (procedure/module/sync category) with the same gating role.
 	flags []*metric.Counter
 	preds []func(ev *probe.Event) bool
-	// handlers holds each probe spec's compiled handler: one handler serves
-	// every function the spec is inserted on.
-	handlers map[*ProbeSpec]probe.Handler
 	// commNames and tagNames intern the resource names the name builtins
 	// yield, so a constraint check compares against a string built on its
 	// key's first sight, not on every execution.
@@ -36,13 +41,13 @@ type env struct {
 
 // satisfied reports whether all constraints hold for a constrained block at
 // this event.
-func (e *env) satisfied(ev *probe.Event) bool {
-	for _, p := range e.preds {
+func (fr *frame) satisfied(ev *probe.Event) bool {
+	for _, p := range fr.preds {
 		if !p(ev) {
 			return false
 		}
 	}
-	for _, f := range e.flags {
+	for _, f := range fr.flags {
 		if f.Value() == 0 {
 			return false
 		}
@@ -50,108 +55,99 @@ func (e *env) satisfied(ev *probe.Event) bool {
 	return true
 }
 
-// handler returns the spec's probe handler, compiling it on first use.
-func (e *env) handler(ps *ProbeSpec) probe.Handler {
-	h, ok := e.handlers[ps]
-	if !ok {
-		if e.handlers == nil {
-			e.handlers = map[*ProbeSpec]probe.Handler{}
-		}
-		h = e.compile(ps)
-		e.handlers[ps] = h
-	}
-	return h
-}
-
 // op is one compiled statement.
-type op func(ev *probe.Event)
+type op func(fr *frame, ev *probe.Event)
 
-// failf aborts the compilation of a broken snippet (see abort). Compile
-// checks every snippet and reports that as an error, so at instantiation it
-// can only mean a bug.
+// failf aborts the compilation of a broken snippet (see abort); Compile
+// reports it as an error naming the spec's line.
 func failf(format string, a ...any) { panic(abort{fmt.Errorf(format, a...)}) }
 
-// compile turns a probe spec's statement block into a probe handler: a
-// closure per statement and expression node over the env's own accumulators,
-// every name resolved and every expression typed here — so executing the
-// probe looks nothing up, boxes nothing, and cannot fail.
-func (e *env) compile(ps *ProbeSpec) probe.Handler {
+// compile turns the spec's statement block into its code: a closure per
+// statement and expression node, every name resolved to a frame slot and
+// every expression typed here — so executing the probe looks nothing up,
+// boxes nothing, and cannot fail. What the spec keeps is bind, which closes
+// that code over an instance's frame as the probe handler; one handler serves
+// every function the spec is inserted on.
+func (ps *ProbeSpec) compile(sc *scope) {
 	ops := make([]op, len(ps.Stmts))
 	for i, s := range ps.Stmts {
-		ops[i] = s.compile(e)
+		ops[i] = s.compile(sc)
 	}
 	constrained := ps.Constrained
-	return func(ev *probe.Event) {
-		if constrained && !e.satisfied(ev) {
-			return
-		}
-		for _, o := range ops {
-			o(ev)
+	ps.bind = func(fr *frame) probe.Handler {
+		return func(ev *probe.Event) {
+			if constrained && !fr.satisfied(ev) {
+				return
+			}
+			for _, o := range ops {
+				o(fr, ev)
+			}
 		}
 	}
 }
 
-func (e *env) counter(name string) *metric.Counter {
-	c, ok := e.counters[name]
+func (sc *scope) counter(name string) int {
+	i, ok := sc.counters[name]
 	if !ok {
 		failf("unknown counter %q", name)
 	}
-	return c
+	return i
 }
 
-func (st *IncStmt) compile(e *env) op {
-	c := e.counter(st.Var)
-	return func(*probe.Event) { c.Add(1) }
+func (st *IncStmt) compile(sc *scope) op {
+	c := sc.counter(st.Var)
+	return func(fr *frame, _ *probe.Event) { fr.counters[c].Add(1) }
 }
 
-func (st *AddAssignStmt) compile(e *env) op {
-	c, v := e.counter(st.Var), st.Val.compile(e).number()
-	return func(ev *probe.Event) { c.Add(v(ev)) }
+func (st *AddAssignStmt) compile(sc *scope) op {
+	c, v := sc.counter(st.Var), st.Val.compile(sc).number()
+	return func(fr *frame, ev *probe.Event) { fr.counters[c].Add(v(fr, ev)) }
 }
 
-func (st *AssignStmt) compile(e *env) op {
-	c, v := e.counter(st.Var), st.Val.compile(e).number()
-	return func(ev *probe.Event) { c.Set(v(ev)) }
+func (st *AssignStmt) compile(sc *scope) op {
+	c, v := sc.counter(st.Var), st.Val.compile(sc).number()
+	return func(fr *frame, ev *probe.Event) { fr.counters[c].Set(v(fr, ev)) }
 }
 
-func (st *IfStmt) compile(e *env) op {
-	cond, then := st.Cond.compile(e).truth(), st.Then.compile(e)
-	return func(ev *probe.Event) {
-		if cond(ev) {
-			then(ev)
+func (st *IfStmt) compile(sc *scope) op {
+	cond, then := st.Cond.compile(sc).truth(), st.Then.compile(sc)
+	return func(fr *frame, ev *probe.Event) {
+		if cond(fr, ev) {
+			then(fr, ev)
 		}
 	}
 }
 
 // A statement-position call is a timer operation or
 // MPI_Type_size(datatype, &out).
-func (st *CallStmt) compile(e *env) op {
+func (st *CallStmt) compile(sc *scope) op {
 	switch st.Fn {
 	case "startWalltimer", "startWallTimer":
-		t := timerArg(st, "walltimer", e.wallTimers)
-		return func(ev *probe.Event) { t.Start(ev.Time) }
+		st.timerArg("walltimer", sc.wallTimer)
+		return func(fr *frame, ev *probe.Event) { fr.wallTimer.Start(ev.Time) }
 	case "stopWalltimer", "stopWallTimer":
-		t := timerArg(st, "walltimer", e.wallTimers)
-		return func(ev *probe.Event) { t.Stop(ev.Time) }
+		st.timerArg("walltimer", sc.wallTimer)
+		return func(fr *frame, ev *probe.Event) { fr.wallTimer.Stop(ev.Time) }
 	case "startProcessTimer", "startProcesstimer":
-		t := timerArg(st, "processtimer", e.procTimers)
-		return func(ev *probe.Event) { t.Start(ev.CPUTime) }
+		st.timerArg("processtimer", sc.procTimer)
+		return func(fr *frame, ev *probe.Event) { fr.procTimer.Start(ev.CPUTime) }
 	case "stopProcessTimer", "stopProcesstimer":
-		t := timerArg(st, "processtimer", e.procTimers)
-		return func(ev *probe.Event) { t.Stop(ev.CPUTime) }
+		st.timerArg("processtimer", sc.procTimer)
+		return func(fr *frame, ev *probe.Event) { fr.procTimer.Stop(ev.CPUTime) }
 	case "MPI_Type_size":
 		if len(st.Args) != 1 || st.Out == "" {
 			failf("MPI_Type_size needs (datatype, &out)")
 		}
-		out, dt := e.counter(st.Out), st.Args[0].compile(e).handle()
-		return func(ev *probe.Event) { out.Set(typeSize(dt(ev))) }
+		out, dt := sc.counter(st.Out), st.Args[0].compile(sc).handle()
+		return func(fr *frame, ev *probe.Event) { fr.counters[out].Set(typeSize(dt(fr, ev))) }
 	}
 	failf("unknown call %q", st.Fn)
 	return nil
 }
 
-// timerArg resolves the single timer-name argument of a timer call.
-func timerArg[T any](st *CallStmt, kind string, timers map[string]*T) *T {
+// timerArg checks that the timer call's single argument names the scope's
+// timer of that kind.
+func (st *CallStmt) timerArg(kind, declared string) {
 	if len(st.Args) != 1 {
 		failf("%s needs one timer argument", st.Fn)
 	}
@@ -159,11 +155,9 @@ func timerArg[T any](st *CallStmt, kind string, timers map[string]*T) *T {
 	if !ok {
 		failf("%s argument must be a timer name", st.Fn)
 	}
-	t, ok := timers[v.Name]
-	if !ok {
+	if v.Name != declared {
 		failf("unknown %s %q", kind, v.Name)
 	}
-	return t
 }
 
 // value is a compiled expression, typed when it is compiled: a number
@@ -172,104 +166,110 @@ func timerArg[T any](st *CallStmt, kind string, timers map[string]*T) *T {
 // object (a raw $arg[n]: whatever the traced call passed, inspected at run
 // time). Exactly one field is set.
 type value struct {
-	num  func(*probe.Event) float64
-	test func(*probe.Event) bool
-	str  func(*probe.Event) string
-	obj  func(*probe.Event) any
+	num  func(*frame, *probe.Event) float64
+	test func(*frame, *probe.Event) bool
+	str  func(*frame, *probe.Event) string
+	obj  func(*frame, *probe.Event) any
 }
-
-func constant(s string) value { return value{str: func(*probe.Event) string { return s }} }
 
 // number coerces to MDL arithmetic: a string counts as 0, an object as
 // whatever number it holds.
-func (v value) number() func(*probe.Event) float64 {
+func (v value) number() func(*frame, *probe.Event) float64 {
 	switch {
 	case v.num != nil:
 		return v.num
 	case v.test != nil:
-		return func(ev *probe.Event) float64 { return asNum(v.test(ev)) }
+		return func(fr *frame, ev *probe.Event) float64 { return asNum(v.test(fr, ev)) }
 	case v.obj != nil:
-		return func(ev *probe.Event) float64 { return asNum(v.obj(ev)) }
+		return func(fr *frame, ev *probe.Event) float64 { return asNum(v.obj(fr, ev)) }
 	}
-	return func(*probe.Event) float64 { return 0 }
+	return func(*frame, *probe.Event) float64 { return 0 }
 }
 
 // truth is the value as an if condition: nonzero, non-empty, non-nil.
-func (v value) truth() func(*probe.Event) bool {
+func (v value) truth() func(*frame, *probe.Event) bool {
 	switch {
 	case v.test != nil:
 		return v.test
 	case v.num != nil:
-		return func(ev *probe.Event) bool { return v.num(ev) != 0 }
+		return func(fr *frame, ev *probe.Event) bool { return v.num(fr, ev) != 0 }
 	case v.str != nil:
-		return func(ev *probe.Event) bool { return v.str(ev) != "" }
+		return func(fr *frame, ev *probe.Event) bool { return v.str(fr, ev) != "" }
 	}
-	return func(ev *probe.Event) bool { return truthy(v.obj(ev)) }
+	return func(fr *frame, ev *probe.Event) bool { return truthy(v.obj(fr, ev)) }
 }
 
 // handle is the value as a builtin's handle argument: only a raw $arg[n]
 // can hold a communicator, window or datatype; anything computed holds none.
-func (v value) handle() func(*probe.Event) any {
+func (v value) handle() func(*frame, *probe.Event) any {
 	if v.obj != nil {
 		return v.obj
 	}
-	return func(*probe.Event) any { return nil }
+	return func(*frame, *probe.Event) any { return nil }
 }
 
-func (x *NumExpr) compile(*env) value {
+func (x *NumExpr) compile(*scope) value {
 	v := x.V
-	return value{num: func(*probe.Event) float64 { return v }}
+	return value{num: func(*frame, *probe.Event) float64 { return v }}
 }
 
-func (x *StrExpr) compile(*env) value { return constant(x.V) }
-
-func (x *VarExpr) compile(e *env) value {
-	c := e.counter(x.Name)
-	return value{num: func(*probe.Event) float64 { return c.Value() }}
+func (x *StrExpr) compile(*scope) value {
+	s := x.V
+	return value{str: func(*frame, *probe.Event) string { return s }}
 }
 
-func (x *ArgExpr) compile(*env) value {
+func (x *VarExpr) compile(sc *scope) value {
+	c := sc.counter(x.Name)
+	return value{num: func(fr *frame, _ *probe.Event) float64 { return fr.counters[c].Value() }}
+}
+
+func (x *ArgExpr) compile(*scope) value {
 	i := x.Index
-	return value{obj: func(ev *probe.Event) any { return ev.Arg(i) }}
+	return value{obj: func(_ *frame, ev *probe.Event) any { return ev.Arg(i) }}
 }
 
-func (x *ConstraintExpr) compile(e *env) value {
-	if x.Index < 0 || x.Index >= len(e.cargs) {
-		return constant("")
-	}
-	return constant(e.cargs[x.Index])
+// $constraint[n] is the n-th component the instance's focus bound, "" when it
+// bound fewer.
+func (x *ConstraintExpr) compile(*scope) value {
+	i := x.Index
+	return value{str: func(fr *frame, _ *probe.Event) string {
+		if i < 0 || i >= len(fr.cargs) {
+			return ""
+		}
+		return fr.cargs[i]
+	}}
 }
 
 // A value-position call is a builtin; each takes one argument.
-func (x *CallExpr) compile(e *env) value {
+func (x *CallExpr) compile(sc *scope) value {
 	if len(x.Args) != 1 {
 		failf("%s needs one argument, has %d", x.Fn, len(x.Args))
 	}
-	arg := x.Args[0].compile(e)
+	arg := x.Args[0].compile(sc)
 	switch x.Fn {
 	case "DYNINSTWindow_FindUniqueId", "DYNINSTTWindow_FindUniqueId":
 		// The runtime lookup from a window handle to the tool's N-M id.
 		o := arg.handle()
-		return value{str: func(ev *probe.Event) string {
-			if w, ok := o(ev).(*mpi.Win); ok && w != nil {
+		return value{str: func(fr *frame, ev *probe.Event) string {
+			if w, ok := o(fr, ev).(*mpi.Win); ok && w != nil {
 				return w.UniqueID()
 			}
 			return ""
 		}}
 	case "DYNINSTComm_FindId":
 		o := arg.handle()
-		return value{str: func(ev *probe.Event) string {
-			if cm, ok := o(ev).(*mpi.Comm); ok && cm != nil {
-				return interned(&e.commNames, "comm-", cm.ID())
+		return value{str: func(fr *frame, ev *probe.Event) string {
+			if cm, ok := o(fr, ev).(*mpi.Comm); ok && cm != nil {
+				return interned(&fr.commNames, "comm-", cm.ID())
 			}
 			return ""
 		}}
 	case "DYNINSTTagName":
 		n := arg.number()
-		return value{str: func(ev *probe.Event) string { return interned(&e.tagNames, "tag-", int(n(ev))) }}
+		return value{str: func(fr *frame, ev *probe.Event) string { return interned(&fr.tagNames, "tag-", int(n(fr, ev))) }}
 	case "MPI_Type_size":
 		o := arg.handle()
-		return value{num: func(ev *probe.Event) float64 { return typeSize(o(ev)) }}
+		return value{num: func(fr *frame, ev *probe.Event) float64 { return typeSize(o(fr, ev)) }}
 	}
 	failf("unknown builtin %q", x.Fn)
 	return value{}
@@ -288,29 +288,29 @@ func interned(table *map[int]string, prefix string, k int) string {
 	return s
 }
 
-func (x *BinExpr) compile(e *env) value {
-	l, r := x.L.compile(e), x.R.compile(e)
+func (x *BinExpr) compile(sc *scope) value {
+	l, r := x.L.compile(sc), x.R.compile(sc)
 	switch x.Op {
 	case "==":
 		return value{test: equal(l, r)}
 	case "!=":
 		eq := equal(l, r)
-		return value{test: func(ev *probe.Event) bool { return !eq(ev) }}
+		return value{test: func(fr *frame, ev *probe.Event) bool { return !eq(fr, ev) }}
 	}
 	a, b := l.number(), r.number()
 	switch x.Op {
 	case "+":
-		return value{num: func(ev *probe.Event) float64 { return a(ev) + b(ev) }}
+		return value{num: func(fr *frame, ev *probe.Event) float64 { return a(fr, ev) + b(fr, ev) }}
 	case "*":
-		return value{num: func(ev *probe.Event) float64 { return a(ev) * b(ev) }}
+		return value{num: func(fr *frame, ev *probe.Event) float64 { return a(fr, ev) * b(fr, ev) }}
 	case ">":
-		return value{test: func(ev *probe.Event) bool { return a(ev) > b(ev) }}
+		return value{test: func(fr *frame, ev *probe.Event) bool { return a(fr, ev) > b(fr, ev) }}
 	case "<":
-		return value{test: func(ev *probe.Event) bool { return a(ev) < b(ev) }}
+		return value{test: func(fr *frame, ev *probe.Event) bool { return a(fr, ev) < b(fr, ev) }}
 	case ">=":
-		return value{test: func(ev *probe.Event) bool { return a(ev) >= b(ev) }}
+		return value{test: func(fr *frame, ev *probe.Event) bool { return a(fr, ev) >= b(fr, ev) }}
 	case "<=":
-		return value{test: func(ev *probe.Event) bool { return a(ev) <= b(ev) }}
+		return value{test: func(fr *frame, ev *probe.Event) bool { return a(fr, ev) <= b(fr, ev) }}
 	}
 	failf("unknown operator %q", x.Op)
 	return value{}
@@ -320,25 +320,25 @@ func (x *BinExpr) compile(e *env) value {
 // a string never equals a number, and an object compares as whichever of
 // the two it turns out to hold. The typed side of an object comparison is
 // boxed on the stack (equalVals keeps nothing), so no case allocates.
-func equal(l, r value) func(*probe.Event) bool {
+func equal(l, r value) func(*frame, *probe.Event) bool {
 	if r.obj != nil {
 		l, r = r, l // equality is symmetric
 	}
 	switch {
 	case l.obj != nil && r.obj != nil:
-		return func(ev *probe.Event) bool { return equalVals(l.obj(ev), r.obj(ev)) }
+		return func(fr *frame, ev *probe.Event) bool { return equalVals(l.obj(fr, ev), r.obj(fr, ev)) }
 	case l.obj != nil && r.str != nil:
-		return func(ev *probe.Event) bool { return equalVals(l.obj(ev), r.str(ev)) }
+		return func(fr *frame, ev *probe.Event) bool { return equalVals(l.obj(fr, ev), r.str(fr, ev)) }
 	case l.obj != nil:
 		n := r.number()
-		return func(ev *probe.Event) bool { return equalVals(l.obj(ev), n(ev)) }
+		return func(fr *frame, ev *probe.Event) bool { return equalVals(l.obj(fr, ev), n(fr, ev)) }
 	case l.str != nil && r.str != nil:
-		return func(ev *probe.Event) bool { return l.str(ev) == r.str(ev) }
+		return func(fr *frame, ev *probe.Event) bool { return l.str(fr, ev) == r.str(fr, ev) }
 	case l.str != nil || r.str != nil:
-		return func(*probe.Event) bool { return false }
+		return func(*frame, *probe.Event) bool { return false }
 	}
 	a, b := l.number(), r.number()
-	return func(ev *probe.Event) bool { return a(ev) == b(ev) }
+	return func(fr *frame, ev *probe.Event) bool { return a(fr, ev) == b(fr, ev) }
 }
 
 func equalVals(l, r any) bool {

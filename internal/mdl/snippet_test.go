@@ -193,3 +193,36 @@ func TestInstrumentedCallAllocatesNothing(t *testing.T) {
 		t.Error("no probe executed")
 	}
 }
+
+// The allocation budget of the enable path: the six pairs the Consultant's
+// message refinement keeps on MPI_Send — three metrics, whole-program and
+// under a communicator-and-tag focus — instantiated on one process and
+// removed again. What is left is frames, one bound handler per probe spec and
+// the probe lists' own growth: 136 objects (149 under the race detector, which
+// make race runs this with); compiling the snippets per instance cost 422.
+func TestInstantiateAllocationBudget(t *testing.T) {
+	p := probe.NewProcess("p", zeroClock{})
+	hit := resource.WholeProgram().WithSync("/SyncObject/Message/comm-1/tag-7")
+	six := func() {
+		var ins [6]*Instance
+		for i, name := range []string{"msgs_sent", "msg_bytes_sent", "sync_wait_inclusive"} {
+			for j, f := range []resource.Focus{resource.WholeProgram(), hit} {
+				in, err := StdLib().Metric(name).Instantiate(procTarget{p}, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ins[2*i+j] = in
+			}
+		}
+		for _, in := range ins {
+			in.Remove()
+		}
+	}
+	six()
+	if n := testing.AllocsPerRun(100, six); n > 150 {
+		t.Errorf("six Instantiate + Remove pairs: %v allocs, want at most 150", n)
+	}
+	if p.ActiveProbes() != 0 {
+		t.Errorf("%d probes left after Remove", p.ActiveProbes())
+	}
+}

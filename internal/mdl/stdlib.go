@@ -760,39 +760,30 @@ metric system_time {
 }
 `
 
-var (
-	stdOnce sync.Once
-	stdLib  *Library
-	stdErr  error
-)
-
-// StdLib returns the compiled standard metric library. Compilation happens
-// once; an error in the embedded source is a programming bug and panics.
-func StdLib() *Library {
-	stdOnce.Do(func() {
-		stdLib, stdErr = CompileSource(StdSource)
-	})
-	if stdErr != nil {
-		panic("mdl: standard library does not compile: " + stdErr.Error())
+// stdLib compiles StdSource on first use; an error in the embedded source is
+// a programming bug and panics.
+var stdLib = sync.OnceValue(func() *Library {
+	lib, err := CompileSource(StdSource)
+	if err != nil {
+		panic("mdl: standard library does not compile: " + err.Error())
 	}
-	return stdLib
-}
+	return lib
+})
 
-// NewLibraryWithStd compiles user MDL source and merges it on top of a fresh
-// copy of the standard library (how Paradyn users extend the tool, §4).
+// StdLib returns the compiled standard metric library, the one every session
+// of the process shares.
+func StdLib() *Library { return stdLib() }
+
+// NewLibraryWithStd returns the standard library with the user's MDL source
+// compiled and merged on top (how Paradyn users extend the tool, §4); with
+// no user source that is StdLib itself.
 func NewLibraryWithStd(userSrc string) (*Library, error) {
-	base, err := CompileSource(StdSource)
+	if userSrc == "" {
+		return StdLib(), nil
+	}
+	user, err := CompileSource(userSrc)
 	if err != nil {
 		return nil, err
 	}
-	if userSrc != "" {
-		user, err := CompileSource(userSrc)
-		if err != nil {
-			return nil, err
-		}
-		if err := base.MergeFrom(user); err != nil {
-			return nil, err
-		}
-	}
-	return base, nil
+	return StdLib().merged(user)
 }

@@ -98,25 +98,31 @@ const (
 func (c *Comm) Bcast(r *Rank, data []byte, count int, dt Datatype, root int) ([]byte, error) {
 	defer r.endMPI(r.beginMPI("MPI_Bcast", data, count, dt, root, c))
 	r.SystemCompute(c.w.Impl.CollectiveOverhead)
+	return c.bcastTree(r, data, count, dt, root, bcastTag)
+}
 
+// bcastTree is the binomial broadcast under Bcast, Allreduce and Allgather,
+// over the shadow context. Counting ranks from root, a rank's parent is
+// itself with its highest bit cleared and its children are itself with one
+// higher bit set: every rank but root receives data from its parent, then
+// forwards it to its children, nearest first.
+func (c *Comm) bcastTree(r *Rank, data []byte, count int, dt Datatype, root, tag int) ([]byte, error) {
 	sh := c.shadowComm()
 	n := len(c.localGroup(r))
-	me := c.RankOf(r)
-	vrank := (me - root + n) % n
-
-	// Receive from parent (unless root).
+	vrank := (c.RankOf(r) - root + n) % n
+	mask := 1 // the lowest bit above vrank's highest
+	for mask <= vrank {
+		mask *= 2
+	}
 	if vrank != 0 {
-		parent := (vrank-lowestPow2LE(vrank))%n + root
-		rq, err := sh.Recv(r, make([]byte, count*dt.Size()), count, dt, parent%n, bcastTag)
+		rq, err := sh.Recv(r, nil, count, dt, (vrank-mask/2+root)%n, tag)
 		if err != nil {
 			return nil, err
 		}
 		data = rq.Data()
 	}
-	// Forward to children.
-	for mask := nextPow2GE(vrank + 1); vrank+mask < n; mask *= 2 {
-		child := (vrank + mask + root) % n
-		if err := sh.Send(r, data, count, dt, child, bcastTag); err != nil {
+	for ; vrank+mask < n; mask *= 2 {
+		if err := sh.Send(r, data, count, dt, (vrank+mask+root)%n, tag); err != nil {
 			return nil, err
 		}
 	}
@@ -177,53 +183,14 @@ func (c *Comm) Allreduce(r *Rank, vals []float64, dt Datatype, op Op) ([]float64
 	if err != nil {
 		return nil, err
 	}
-	sh := c.shadowComm()
-	n := len(c.localGroup(r))
-	me := c.RankOf(r)
-	count := len(vals)
-	// Binomial broadcast of the combined vector from rank 0.
 	var data []byte
-	if me == 0 {
+	if c.RankOf(r) == 0 {
 		data = floatsToBytes(acc)
 	}
-	vrank := me
-	if vrank != 0 {
-		parent := vrank - lowestPow2LE(vrank)
-		rq, err := sh.Recv(r, make([]byte, 8*count), count, dt, parent%n, bcastTag+1)
-		if err != nil {
-			return nil, err
-		}
-		data = rq.Data()
-	}
-	for mask := nextPow2GE(vrank + 1); vrank+mask < n; mask *= 2 {
-		if err := sh.Send(r, data, count, dt, vrank+mask, bcastTag+1); err != nil {
-			return nil, err
-		}
+	if data, err = c.bcastTree(r, data, len(vals), dt, 0, bcastTag+1); err != nil {
+		return nil, err
 	}
 	return bytesToFloats(data), nil
-}
-
-// lowestPow2LE returns the highest power of two <= v's lowest set bit
-// distance — concretely, the largest power of two p with p <= v such that
-// v-p is the binomial-tree parent step (v & -v for v>0).
-func lowestPow2LE(v int) int {
-	if v <= 0 {
-		return 1
-	}
-	p := 1
-	for p*2 <= v {
-		p *= 2
-	}
-	return p
-}
-
-// nextPow2GE returns the smallest power of two >= v.
-func nextPow2GE(v int) int {
-	p := 1
-	for p < v {
-		p *= 2
-	}
-	return p
 }
 
 // floatsToBytes encodes a float64 vector little-endian.

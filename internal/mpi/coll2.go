@@ -32,12 +32,19 @@ func (c *Comm) Ssend(r *Rank, data []byte, count int, dt Datatype, dest, tag int
 func (c *Comm) Gather(r *Rank, data []byte, count int, dt Datatype, root int) ([]byte, error) {
 	defer r.endMPI(r.beginMPI("MPI_Gather", data, count, dt, nil, count, dt, root, c))
 	r.SystemCompute(c.w.Impl.CollectiveOverhead)
+	return c.gatherTo(r, data, count, dt, root, gatherTag)
+}
+
+// gatherTo is the linear gather under Gather and Allgather, over the shadow
+// context: every other rank sends its contribution to root, which receives
+// them in rank order.
+func (c *Comm) gatherTo(r *Rank, data []byte, count int, dt Datatype, root, tag int) ([]byte, error) {
 	sh := c.shadowComm()
 	n := len(c.localGroup(r))
 	me := c.RankOf(r)
 	width := count * dt.Size()
 	if me != root {
-		return nil, sh.Send(r, padTo(data, width), count, dt, root, gatherTag)
+		return nil, sh.Send(r, padTo(data, width), count, dt, root, tag)
 	}
 	out := make([]byte, width*n)
 	copy(out[width*me:], padTo(data, width))
@@ -45,7 +52,7 @@ func (c *Comm) Gather(r *Rank, data []byte, count int, dt Datatype, root int) ([
 		if i == root {
 			continue
 		}
-		rq, err := sh.Recv(r, nil, count, dt, i, gatherTag)
+		rq, err := sh.Recv(r, nil, count, dt, i, tag)
 		if err != nil {
 			return nil, err
 		}
@@ -89,52 +96,11 @@ func (c *Comm) Scatter(r *Rank, data []byte, count int, dt Datatype, root int) (
 func (c *Comm) Allgather(r *Rank, data []byte, count int, dt Datatype) ([]byte, error) {
 	defer r.endMPI(r.beginMPI("MPI_Allgather", data, count, dt, nil, count, dt, c))
 	r.SystemCompute(c.w.Impl.CollectiveOverhead)
-	n := len(c.localGroup(r))
-	gathered, err := c.gatherInternal(r, data, count, dt)
+	gathered, err := c.gatherTo(r, data, count, dt, 0, gatherTag+2)
 	if err != nil {
 		return nil, err
 	}
-	sh := c.shadowComm()
-	me := c.RankOf(r)
-	width := count * dt.Size()
-	// Binomial broadcast of the gathered vector from rank 0.
-	if me != 0 {
-		parent := me - lowestPow2LE(me)
-		rq, err := sh.Recv(r, nil, count*n, dt, parent%n, gatherTag+1)
-		if err != nil {
-			return nil, err
-		}
-		gathered = rq.Data()
-	}
-	for mask := nextPow2GE(me + 1); me+mask < n; mask *= 2 {
-		if err := sh.Send(r, gathered, count*n, dt, me+mask, gatherTag+1); err != nil {
-			return nil, err
-		}
-	}
-	_ = width
-	return gathered, nil
-}
-
-// gatherInternal is Gather-to-0 without the traced MPI_Gather wrapper (used
-// inside Allgather).
-func (c *Comm) gatherInternal(r *Rank, data []byte, count int, dt Datatype) ([]byte, error) {
-	sh := c.shadowComm()
-	n := len(c.localGroup(r))
-	me := c.RankOf(r)
-	width := count * dt.Size()
-	if me != 0 {
-		return nil, sh.Send(r, padTo(data, width), count, dt, 0, gatherTag+2)
-	}
-	out := make([]byte, width*n)
-	copy(out, padTo(data, width))
-	for i := 1; i < n; i++ {
-		rq, err := sh.Recv(r, nil, count, dt, i, gatherTag+2)
-		if err != nil {
-			return nil, err
-		}
-		copy(out[width*i:], rq.Data())
-	}
-	return out, nil
+	return c.bcastTree(r, gathered, count*len(c.localGroup(r)), dt, 0, gatherTag+1)
 }
 
 // Alltoall is MPI_Alltoall: rank i's slice j goes to rank j's slot i,

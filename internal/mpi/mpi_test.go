@@ -340,15 +340,22 @@ func TestPMPINameResolution(t *testing.T) {
 	// (§4.1.1); LAM exposes MPI_* names.
 	wm := newTestWorld(t, MPICH, 2, 1)
 	sawPMPI := false
-	wm.Register("main", func(r *Rank, _ []string) {
-		r.Probes().OnFirstCall = func(f *probe.Function) {
-			if f.Name == "PMPI_Send" {
-				sawPMPI = true
-			}
-			if f.Name == "MPI_Send" {
-				t.Error("MPICH should resolve MPI_Send to PMPI_Send")
-			}
+	// Two listeners: function discovery reaches every set of hooks.
+	heard := 0
+	wm.AddHooks(&Hooks{FunctionDiscovered: func(_ *Rank, f *probe.Function) {
+		if f.Name == "PMPI_Send" {
+			sawPMPI = true
 		}
+		if f.Name == "MPI_Send" {
+			t.Error("MPICH should resolve MPI_Send to PMPI_Send")
+		}
+	}})
+	wm.AddHooks(&Hooks{FunctionDiscovered: func(_ *Rank, f *probe.Function) {
+		if f.Name == "PMPI_Send" {
+			heard++
+		}
+	}})
+	wm.Register("main", func(r *Rank, _ []string) {
 		c := r.World()
 		if r.Rank() == 0 {
 			c.Send(r, nil, 1, Byte, 1, 0)
@@ -362,8 +369,8 @@ func TestPMPINameResolution(t *testing.T) {
 	if err := wm.Eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !sawPMPI {
-		t.Error("never saw PMPI_Send under MPICH")
+	if !sawPMPI || heard != 1 {
+		t.Errorf("PMPI_Send under MPICH: first listener saw it: %v; second heard it %d times, want once (one sender)", sawPMPI, heard)
 	}
 }
 

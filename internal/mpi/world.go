@@ -19,9 +19,13 @@ type Program func(r *Rank, args []string)
 type Hooks struct {
 	ProcessStarted func(r *Rank)
 	ProcessExited  func(r *Rank)
-	CommCreated    func(r *Rank, c *Comm)
-	WinCreated     func(r *Rank, w *Win)
-	WinFreed       func(r *Rank, w *Win)
+	// FunctionDiscovered fires the first time each distinct traced function
+	// executes in a process, before its entry probes run. Every set of hooks
+	// hears it: the world owns the process's single OnFirstCall slot.
+	FunctionDiscovered func(r *Rank, f *probe.Function)
+	CommCreated        func(r *Rank, c *Comm)
+	WinCreated         func(r *Rank, w *Win)
+	WinFreed           func(r *Rank, w *Win)
 	// NameSet fires for MPI_Comm_set_name / MPI_Win_set_name; obj is the
 	// *Comm or *Win.
 	NameSet func(r *Rank, obj any, name string)
@@ -208,6 +212,13 @@ func (w *World) startGroup(progName string, p Program, placements []cluster.Plac
 			credits:    map[int]int{},
 		}
 		r.probes = probe.NewProcess(fmt.Sprintf("%s{%d}", progName, r.global), r)
+		r.probes.OnFirstCall = func(f *probe.Function) {
+			for _, h := range w.hooks {
+				if h.FunctionDiscovered != nil {
+					h.FunctionDiscovered(r, f)
+				}
+			}
+		}
 		group[i] = r
 		w.ranks = append(w.ranks, r)
 		w.proctable = append(w.proctable, ProcEntry{

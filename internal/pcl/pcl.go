@@ -50,6 +50,9 @@ type Config struct {
 	Processes []*ProcessDecl
 	// Tunables are the tunable constants, e.g. PC_CPUThreshold.
 	Tunables map[string]float64
+	// tunableLines is the source line each tunable was set on, for errors
+	// about its value.
+	tunableLines map[string]int
 	// MDL is the concatenated embedded metric-definition source.
 	MDL string
 }
@@ -72,9 +75,13 @@ func (c *Config) Tunable(name string, def float64) float64 {
 	return def
 }
 
+// TunableLine returns the line of the PCL source the tunable was set on (0 if
+// it was not).
+func (c *Config) TunableLine(name string) int { return c.tunableLines[name] }
+
 // Parse parses PCL source.
 func Parse(src string) (*Config, error) {
-	cfg := &Config{Tunables: map[string]float64{}}
+	cfg := &Config{Tunables: map[string]float64{}, tunableLines: map[string]int{}}
 	p := &parser{src: src, line: 1}
 	for {
 		p.skipSpace()
@@ -304,6 +311,7 @@ func (p *parser) tunableBlock(cfg *Config) error {
 			p.pos++
 			return nil
 		}
+		line := p.line
 		name, err := p.str()
 		if err != nil {
 			return err
@@ -313,6 +321,7 @@ func (p *parser) tunableBlock(cfg *Config) error {
 			return err
 		}
 		cfg.Tunables[name] = v
+		cfg.tunableLines[name] = line
 		if err := p.expect(';'); err != nil {
 			return err
 		}

@@ -8,9 +8,10 @@
 package probe
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
 
 	"pperf/internal/sim"
 )
@@ -137,11 +138,15 @@ type Process struct {
 	firing int
 
 	// edges records observed caller→callee pairs for the Performance
-	// Consultant's call-graph-based search.
-	edges map[[2]string]bool
+	// Consultant's call-graph-based search; edgeLog lists them in order of
+	// first sight, so a reader with a cursor takes only the new ones.
+	edges   map[[2]string]bool
+	edgeLog [][2]string
 
 	// OnFirstCall, if non-nil, is invoked the first time each distinct
-	// function executes in this process (function resource discovery).
+	// function executes in this process (function resource discovery). It is
+	// one slot, set by whoever creates the process; mpi fans it out to every
+	// listener as Hooks.FunctionDiscovered.
 	OnFirstCall func(f *Function)
 
 	// OnFire, if non-nil, is invoked after an instrumentation point runs its
@@ -241,10 +246,13 @@ func (p *Process) Enter(f *Function, args ...any) {
 			p.OnFirstCall(f)
 		}
 	}
-	if n := len(p.stack); n > 0 {
-		p.edges[[2]string{p.stack[n-1].Name, f.Name}] = true
-	}
 	n := len(p.stack)
+	if n > 0 {
+		if e := [2]string{p.stack[n-1].Name, f.Name}; !p.edges[e] {
+			p.edges[e] = true
+			p.edgeLog = append(p.edgeLog, e)
+		}
+	}
 	p.stack = append(p.stack, f)
 	if n == len(p.args) {
 		p.args = append(p.args, nil)
@@ -321,19 +329,16 @@ func (p *Process) InFunction(name string) bool {
 	return false
 }
 
-// CallEdges returns the observed caller→callee pairs, sorted, as
-// "caller→callee" strings. The daemon forwards these to the front end for
-// the Performance Consultant's call-graph search.
-func (p *Process) CallEdges() [][2]string {
-	out := make([][2]string, 0, len(p.edges))
-	for e := range p.edges {
-		out = append(out, e)
+// CallEdges returns the caller→callee pairs first observed after the from
+// earliest ones, sorted. The daemon forwards these to the front end for the
+// Performance Consultant's call-graph search, advancing from by what it got.
+func (p *Process) CallEdges(from int) [][2]string {
+	if from >= len(p.edgeLog) {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
+	out := slices.Clone(p.edgeLog[from:])
+	slices.SortFunc(out, func(a, b [2]string) int {
+		return cmp.Or(strings.Compare(a[0], b[0]), strings.Compare(a[1], b[1]))
 	})
 	return out
 }

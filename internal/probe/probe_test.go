@@ -2,6 +2,7 @@ package probe
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -124,9 +125,28 @@ func TestCallEdges(t *testing.T) {
 		p.Leave(fSend)
 		p.Leave(fApp)
 	}
-	edges := p.CallEdges()
+	edges := p.CallEdges(0)
 	if len(edges) != 1 || edges[0] != [2]string{"Gsend_message", "MPI_Send"} {
 		t.Errorf("edges = %v", edges)
+	}
+	// A reader with a cursor gets only what is new since, sorted — whatever
+	// order the calls came in — and nothing when nothing is.
+	if got := p.CallEdges(1); got != nil {
+		t.Errorf("edges past the cursor = %v, want none", got)
+	}
+	z, a := &Function{Name: "z"}, &Function{Name: "a"}
+	p.Enter(fApp)
+	for _, f := range []*Function{z, fSend, a, z} {
+		p.Enter(f)
+		p.Leave(f)
+	}
+	p.Leave(fApp)
+	want := [][2]string{{"Gsend_message", "a"}, {"Gsend_message", "z"}}
+	if got := p.CallEdges(1); !slices.Equal(got, want) {
+		t.Errorf("edges past the cursor = %v, want %v", got, want)
+	}
+	if got := p.CallEdges(0); !slices.Equal(got, append(edges, want...)) { // 'M' sorts before 'a'
+		t.Errorf("all edges = %v, want the three sorted", got)
 	}
 }
 

@@ -26,6 +26,7 @@ const (
 // Node is one resource in the hierarchy.
 type Node struct {
 	name     string // path component, unique among siblings
+	path     string // full path from the root, "" for the root itself
 	display  string // user-friendly name, if set
 	parent   *Node
 	children []*Node
@@ -61,7 +62,7 @@ func (h *Hierarchy) Add(path ...string) *Node {
 	for _, comp := range path {
 		child, ok := n.byName[comp]
 		if !ok {
-			child = &Node{name: comp, parent: n, byName: map[string]*Node{}}
+			child = &Node{name: comp, path: n.path + "/" + comp, parent: n, byName: map[string]*Node{}}
 			n.children = append(n.children, child)
 			n.byName[comp] = child
 		}
@@ -144,16 +145,7 @@ func (n *Node) Path() string {
 	if n.parent == nil {
 		return "/"
 	}
-	parts := []string{}
-	for m := n; m.parent != nil; m = m.parent {
-		parts = append(parts, m.name)
-	}
-	var b strings.Builder
-	for i := len(parts) - 1; i >= 0; i-- {
-		b.WriteByte('/')
-		b.WriteString(parts[i])
-	}
-	return b.String()
+	return n.path
 }
 
 // Retire marks the node (and, conceptually, the resource it names) as

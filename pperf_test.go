@@ -104,6 +104,11 @@ func TestFacadeTracerAndProfiler(t *testing.T) {
 	if prof.Snapshot().Percent("work") < 90 {
 		t.Error("profiler missed the work function")
 	}
+	// The profiler listens for new functions beside the daemons, not in their
+	// place: the Code hierarchy still fills in.
+	if s.FE.Hierarchy().FindPath("/Code/x.c/work") == nil {
+		t.Errorf("/Code/x.c/work missing with the profiler attached:\n%s", s.FE.Hierarchy().Render())
+	}
 }
 
 func TestFacadeMDLCompile(t *testing.T) {
