@@ -44,7 +44,9 @@ loc:
 # the benchmark — by default the paper's Figure 3 run (small-messages under
 # the full tool, the `p2p-flood` workload); BENCH=BenchmarkReplayWhatIf is the
 # `replay-whatif` workload's read side, BENCH=BenchmarkTracedTCP one traced
-# session of `traced-tcp` (rings, packed shards over TCP, merge, export). For
+# session of `traced-tcp` (rings, packed shards over TCP, merge, export),
+# BENCH=BenchmarkStoreCycle the `store-cycle` verbs over three recordings
+# (chunk cursor, View fold, diff/trend, verify on push and pull). For
 # bytes instead of objects, run the same two commands by hand with
 # -sample_index=alloc_space. Not part of verify.
 BENCH ?= BenchmarkFigure3SmallMessagesPC

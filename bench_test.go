@@ -16,6 +16,7 @@ package pperf
 // whole artifact, so ns/op is the cost of reproducing that figure.
 
 import (
+	"fmt"
 	"io"
 	"path/filepath"
 	"testing"
@@ -173,6 +174,88 @@ func BenchmarkTracedTCP(b *testing.B) {
 		}
 		if trace.Analyze(tl).Render() == "" {
 			b.Fatal("empty critical-path report")
+		}
+	}
+}
+
+// --- the store and the sync plane ----------------------------------------------
+
+// BenchmarkStoreCycle is the `store-cycle` benchmark workload as a root
+// benchmark, so `make alloc-profile BENCH=BenchmarkStoreCycle` sizes the
+// archive read side under the store verbs and the sync plane (chunk cursor →
+// View fold, diff and trend over the views, verify on push and on pull):
+// three recordings of random-barrier are made once, then every iteration
+// takes them through add → OpenRun + SummaryJSON → Compare → Trend →
+// Serve/Push/re-push/Pull → Remove/GC in fresh stores.
+func BenchmarkStoreCycle(b *testing.B) {
+	var files []string
+	for i, iters := range []int{200, 220, 240} {
+		path := filepath.Join(b.TempDir(), fmt.Sprintf("rb-%d.ppdb", i))
+		rec, err := perfdb.NewStreamRecorder(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		opt := pperfmark.RunOptions{Impl: mpi.LAM, Seed: 7, Params: pperfmark.Params{Iterations: iters}, Record: rec}
+		if _, err := pperfmark.Run("random-barrier", opt); err != nil {
+			b.Fatal(err)
+		}
+		if err := rec.Close(); err != nil {
+			b.Fatal(err)
+		}
+		files = append(files, path)
+	}
+	open := func() *perfdb.Store {
+		st, err := perfdb.Open(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		return st
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		local, served, puller := open(), open(), open()
+		var views []*perfdb.RunView
+		for _, f := range files {
+			m, err := local.AddFile(f, perfdb.AddMeta{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rv, err := local.OpenRun(m.ID)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := rv.SummaryJSON(); err != nil {
+				b.Fatal(err)
+			}
+			views = append(views, rv)
+		}
+		if rep, err := perfdb.Compare(views[0], views[1], perfdb.CompareOptions{}); err != nil || rep.Render() == "" {
+			b.Fatalf("compare: %v", err)
+		}
+		if rep, err := perfdb.Trend(views, perfdb.TrendOptions{}); err != nil || rep.Render() == "" {
+			b.Fatalf("trend: %v", err)
+		}
+		srv, err := perfdb.Serve(served, "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, m := range local.Runs() {
+			for _, wantDeduped := range []bool{false, true} {
+				if res, err := perfdb.Push(local, m.ID, srv.Addr(), perfdb.DefaultSyncConfig()); err != nil || res.Deduped != wantDeduped {
+					b.Fatalf("push %s: %+v, %v", m.ID, res, err)
+				}
+			}
+		}
+		if res, _, err := perfdb.Pull(puller, srv.Addr(), "", perfdb.DefaultSyncConfig()); err != nil || len(res) != len(files) {
+			b.Fatalf("pull: %+v, %v", res, err)
+		}
+		srv.Close()
+		if err := local.Remove("r0001"); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := local.GC(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

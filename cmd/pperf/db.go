@@ -425,7 +425,7 @@ func dbAdd(st *perfdb.Store, path, label string) int {
 	} else if res.PC != nil {
 		verdict = res.PC.Export().String()
 	}
-	m, err := st.AddArchive(a, perfdb.AddMeta{Label: label, Verdict: verdict})
+	m, err := st.AddFile(path, perfdb.AddMeta{Label: label, Verdict: verdict})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pperf db:", err)
 		return 1

@@ -16,8 +16,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 
+	"pperf/internal/datasource"
 	"pperf/internal/session"
 	"pperf/internal/sim"
 	"pperf/internal/wire"
@@ -194,9 +196,10 @@ func (c *pendingChunk) encode() ([]byte, error) {
 	return out, nil
 }
 
-// decodeEventsChunk reverses pendingChunk.encode, resolving packed strings
-// through the reader's table. Corrupt input yields an error, never a panic.
-func decodeEventsChunk(data []byte, up *session.Unpacker) ([]session.Event, error) {
+// eventsChunk reverses pendingChunk.encode and visits the chunk's events in
+// order, resolving packed strings through the scan's table. Corrupt input
+// yields an error, never a panic.
+func (s *archiveScan) eventsChunk(data []byte, visit func(*session.Event)) error {
 	pos := 0
 	getU := func() (uint64, error) {
 		v, n := binary.Uvarint(data[pos:])
@@ -208,13 +211,13 @@ func decodeEventsChunk(data []byte, up *session.Unpacker) ([]session.Event, erro
 	}
 	nEvents, err := getU()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if nEvents > uint64(len(data)) {
-		return nil, fmt.Errorf("perfdb: corrupt events chunk: %d events in %d bytes", nEvents, len(data))
+		return fmt.Errorf("perfdb: corrupt events chunk: %d events in %d bytes", nEvents, len(data))
 	}
 	if uint64(len(data)-pos) < nEvents {
-		return nil, errors.New("perfdb: corrupt events chunk: flag bytes overrun input")
+		return errors.New("perfdb: corrupt events chunk: flag bytes overrun input")
 	}
 	flags := data[pos : pos+int(nEvents)]
 	pos += int(nEvents)
@@ -225,61 +228,64 @@ func decodeEventsChunk(data []byte, up *session.Unpacker) ([]session.Event, erro
 		case flagSamples, flagShard:
 			wantPacked++
 		default:
-			return nil, fmt.Errorf("perfdb: corrupt events chunk: bad event flag %d", f)
+			return fmt.Errorf("perfdb: corrupt events chunk: bad event flag %d", f)
 		}
 	}
 	nPacked, err := getU()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if nPacked != uint64(wantPacked) {
-		return nil, fmt.Errorf("perfdb: corrupt events chunk: %d packed blobs, flags promise %d", nPacked, wantPacked)
+		return fmt.Errorf("perfdb: corrupt events chunk: %d packed blobs, flags promise %d", nPacked, wantPacked)
 	}
-	blobs := make([][]byte, nPacked)
-	for i := range blobs {
+	blobs := s.blobs[:0]
+	for i := 0; i < wantPacked; i++ {
 		l, err := getU()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if l > uint64(len(data)-pos) {
-			return nil, fmt.Errorf("perfdb: corrupt events chunk: packed blob %d overruns input", i)
+			return fmt.Errorf("perfdb: corrupt events chunk: packed blob %d overruns input", i)
 		}
-		blobs[i] = data[pos : pos+int(l)]
+		blobs = append(blobs, data[pos:pos+int(l)])
 		pos += int(l)
 	}
+	s.blobs = blobs
+	// A fresh slice per chunk: gob leaves the fields its stream omits (the
+	// zero ones) as it found them.
 	var rest []session.Event
 	if err := gob.NewDecoder(bytes.NewReader(data[pos:])).Decode(&rest); err != nil {
-		return nil, fmt.Errorf("perfdb: corrupt events chunk: %v", err)
+		return fmt.Errorf("perfdb: corrupt events chunk: %v", err)
 	}
 	if nRest := len(flags) - wantPacked; len(rest) != nRest {
-		return nil, fmt.Errorf("perfdb: corrupt events chunk: %d gob events, flags promise %d", len(rest), nRest)
+		return fmt.Errorf("perfdb: corrupt events chunk: %d gob events, flags promise %d", len(rest), nRest)
 	}
-	out := make([]session.Event, 0, nEvents)
-	pi, ri := 0, 0
+	ev := &s.ev
 	for _, f := range flags {
-		var ev session.Event
 		switch f {
 		case flagSamples:
-			ev.Kind = session.EvSamples
-			ev.Samples, err = up.UnpackSamples(blobs[pi])
-			pi++
+			*ev = session.Event{Kind: session.EvSamples}
+			ev.Samples, err = s.up.UnpackSamplesInto(s.samples, blobs[0])
+			s.samples, blobs = ev.Samples, blobs[1:]
 		case flagShard:
-			ev.Kind = session.EvShard
-			ev.Shard, err = up.UnpackShard(blobs[pi])
-			pi++
+			*ev = session.Event{Kind: session.EvShard}
+			ev.Shard, err = s.up.UnpackShard(blobs[0])
+			blobs = blobs[1:]
 		default:
-			ev = rest[ri]
-			ri++
+			*ev, rest = rest[0], rest[1:]
 			if ev.Kind == session.EvSamples {
 				err = errors.New("perfdb: corrupt events chunk: sample event outside the packed section")
 			}
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out = append(out, ev)
+		s.events++
+		if visit != nil {
+			visit(ev)
+		}
 	}
-	return out, nil
+	return nil
 }
 
 // Writer streams session events into a chunked archive. It buffers at
@@ -436,11 +442,42 @@ func provisionalHeader(h session.Header) session.Header {
 	return session.Header{Version: session.Version, NumBins: h.NumBins, BinWidth: h.BinWidth}
 }
 
-// ReadArchive parses a chunked archive. CRC mismatches, bad framing, and
-// decode failures are errors; a stream that simply ends before its
-// trailer (recorder killed mid-run) loads as a Truncated archive holding
-// the complete-chunk prefix under the provisional header.
-func ReadArchive(r io.Reader) (*session.Archive, error) {
+// archiveScan is the one chunk cursor under every read-side consumer — the
+// only code that knows the framing, the per-chunk CRC, the header/trailer
+// rules and the 'E' payload layout. It hands the archive's events one at a
+// time to a visit function; collecting them (ReadArchive), folding them into
+// a View (OpenRun) or only counting them (the verify step of sync and
+// AddFile) is the consumer's business. Every event arrives through one reused
+// session.Event over one payload buffer, one string table, one blob index and
+// one sample scratch, all valid until visit returns: a consumer that keeps
+// nothing holds one chunk of memory however long the run. A shard's spans are
+// always a fresh slice, because the timeline keeps them by reference.
+type archiveScan struct {
+	r io.Reader
+	// header is the header chunk's while events are visited, the trailer's
+	// after (truncated: still the provisional one, NumEvents filled in).
+	header    session.Header
+	events    int  // visited so far
+	truncated bool // the stream ended before its trailer
+
+	frames, chunks int              // frames read; 'E' chunks among them
+	payload        []byte           // the current frame's
+	up             session.Unpacker // one string table for the whole read
+	blobs          [][]byte
+	samples        []datasource.Sample
+	// ev is a field on purpose: a `var ev session.Event` declared inside the
+	// per-event loop and passed by pointer escapes once per event, which
+	// alone took store-cycle from 370 k mallocs to 393 k.
+	ev session.Event
+}
+
+// scanArchive reads the archive on r to its end and returns the finished
+// scan. consume is called once the header chunk is in and answers what to do
+// with each event; nil only verifies the archive — every CRC, count and
+// trailer check runs, every event is decoded into scratch. CRC mismatches,
+// bad framing and decode failures are errors; a stream that simply ends
+// before its trailer (recorder killed mid-run) scans as truncated.
+func scanArchive(r io.Reader, consume func(*archiveScan) func(*session.Event)) (*archiveScan, error) {
 	got := make([]byte, len(chunkMagic))
 	if _, err := io.ReadFull(r, got); err != nil {
 		return nil, fmt.Errorf("perfdb: not a pperf session archive (short file: %v)", err)
@@ -451,112 +488,137 @@ func ReadArchive(r io.Reader) (*session.Archive, error) {
 	if !bytes.Equal(got, chunkMagic) {
 		return nil, errors.New("perfdb: not a pperf session archive (bad magic)")
 	}
-	var (
-		a         session.Archive
-		up        session.Unpacker // one string table for the whole read
-		gotHeader bool
-		chunks    int
-		err2      error
-	)
-	for i := 0; ; i++ {
-		var hdr [9]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				// Clean end or mid-frame cut without a trailer: the
-				// writer was killed. The complete chunks are a faithful
-				// prefix of the session.
-				if !gotHeader {
-					return nil, errors.New("perfdb: archive truncated before its header chunk")
-				}
-				a.Truncated = true
-				a.Header.NumEvents = len(a.Events)
-				return &a, nil
-			}
-			return nil, fmt.Errorf("perfdb: corrupt archive at chunk %d: %v", i, err)
-		}
-		kind := hdr[0]
-		plen := binary.BigEndian.Uint32(hdr[1:5])
-		wantCRC := binary.BigEndian.Uint32(hdr[5:9])
-		if plen > maxChunkPayload {
-			return nil, fmt.Errorf("perfdb: corrupt archive: chunk %d declares %d-byte payload", i, plen)
-		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				if !gotHeader {
-					return nil, errors.New("perfdb: archive truncated before its header chunk")
-				}
-				a.Truncated = true
-				a.Header.NumEvents = len(a.Events)
-				return &a, nil
-			}
-			return nil, fmt.Errorf("perfdb: corrupt archive: chunk %d payload: %v", i, err)
-		}
-		if crc := wire.Checksum(payload); crc != wantCRC {
-			return nil, fmt.Errorf("perfdb: corrupt archive: chunk %d CRC mismatch (stored %08x, computed %08x)", i, wantCRC, crc)
-		}
-		switch kind {
-		case chunkHeader:
-			if gotHeader {
-				return nil, errors.New("perfdb: corrupt archive: duplicate header chunk")
-			}
-			var hw headerWire
-			if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&hw); err != nil {
-				return nil, fmt.Errorf("perfdb: corrupt archive header: %v", err)
-			}
-			if a.Header, err2 = fromWire(hw); err2 != nil {
-				return nil, err2
-			}
-			if a.Header.Version != session.Version {
-				return nil, fmt.Errorf("perfdb: archive event-schema version %d; this build reads version %d", a.Header.Version, session.Version)
-			}
-			gotHeader = true
-		case chunkEvents:
-			if !gotHeader {
-				return nil, errors.New("perfdb: corrupt archive: events before the header chunk")
-			}
-			evs, err := decodeEventsChunk(payload, &up)
-			if err != nil {
-				return nil, err
-			}
-			a.Events = append(a.Events, evs...)
-			chunks++
-		case chunkTrailer:
-			if !gotHeader {
-				return nil, errors.New("perfdb: corrupt archive: trailer before the header chunk")
-			}
-			var t trailer
-			if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&t); err != nil {
-				return nil, fmt.Errorf("perfdb: corrupt archive trailer: %v", err)
-			}
-			if t.NumEvents != len(a.Events) {
-				return nil, fmt.Errorf("perfdb: corrupt archive: trailer declares %d events, chunks hold %d", t.NumEvents, len(a.Events))
-			}
-			if t.NumChunks != chunks {
-				return nil, fmt.Errorf("perfdb: corrupt archive: trailer declares %d event chunks, read %d", t.NumChunks, chunks)
-			}
-			if t.Header.Version != session.Version {
-				return nil, fmt.Errorf("perfdb: archive event-schema version %d; this build reads version %d", t.Header.Version, session.Version)
-			}
-			if a.Header, err2 = fromWire(t.Header); err2 != nil {
-				return nil, err2
-			}
-			// Anything after the trailer means the file was appended to
-			// or two archives were concatenated; refuse rather than guess.
-			var one [1]byte
-			if _, err := io.ReadFull(r, one[:]); err != io.EOF {
-				return nil, errors.New("perfdb: corrupt archive: data beyond the trailer chunk")
-			}
-			return &a, nil
-		default:
-			return nil, fmt.Errorf("perfdb: corrupt archive: unknown chunk kind %q", kind)
-		}
+	s := &archiveScan{r: r}
+	// The first frame has to be the header chunk: frame refuses all else there.
+	done, err := s.frame(nil)
+	var visit func(*session.Event)
+	if err == nil && consume != nil {
+		visit = consume(s)
 	}
+	for !done && err == nil {
+		done, err = s.frame(visit)
+	}
+	return s, err
+}
+
+// frame reads and checks one frame; done reports the end of the archive.
+func (s *archiveScan) frame(visit func(*session.Event)) (done bool, err error) {
+	i, gotHeader := s.frames, s.frames > 0
+	s.frames++
+	var hdr [9]byte
+	readErr := "perfdb: corrupt archive at chunk %d: %v"
+	if _, err = io.ReadFull(s.r, hdr[:]); err == nil {
+		plen := binary.BigEndian.Uint32(hdr[1:5])
+		if plen > maxChunkPayload {
+			return false, fmt.Errorf("perfdb: corrupt archive: chunk %d declares %d-byte payload", i, plen)
+		}
+		readErr = "perfdb: corrupt archive: chunk %d payload: %v"
+		s.payload = slices.Grow(s.payload[:0], int(plen))[:plen]
+		_, err = io.ReadFull(s.r, s.payload)
+	}
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		// Clean end or mid-frame cut without a trailer: the writer was
+		// killed. The complete chunks are a faithful prefix of the session.
+		if !gotHeader {
+			return false, errors.New("perfdb: archive truncated before its header chunk")
+		}
+		s.truncated, s.header.NumEvents = true, s.events
+		return true, nil
+	}
+	if err != nil {
+		return false, fmt.Errorf(readErr, i, err)
+	}
+	wantCRC := binary.BigEndian.Uint32(hdr[5:9])
+	if crc := wire.Checksum(s.payload); crc != wantCRC {
+		return false, fmt.Errorf("perfdb: corrupt archive: chunk %d CRC mismatch (stored %08x, computed %08x)", i, wantCRC, crc)
+	}
+	switch kind := hdr[0]; kind {
+	case chunkHeader:
+		if gotHeader {
+			return false, errors.New("perfdb: corrupt archive: duplicate header chunk")
+		}
+		var hw headerWire
+		if err := gob.NewDecoder(bytes.NewReader(s.payload)).Decode(&hw); err != nil {
+			return false, fmt.Errorf("perfdb: corrupt archive header: %v", err)
+		}
+		if s.header, err = fromWire(hw); err != nil {
+			return false, err
+		}
+		if s.header.Version != session.Version {
+			return false, fmt.Errorf("perfdb: archive event-schema version %d; this build reads version %d", s.header.Version, session.Version)
+		}
+	case chunkEvents:
+		if !gotHeader {
+			return false, errors.New("perfdb: corrupt archive: events before the header chunk")
+		}
+		s.chunks++
+		return false, s.eventsChunk(s.payload, visit)
+	case chunkTrailer:
+		if !gotHeader {
+			return false, errors.New("perfdb: corrupt archive: trailer before the header chunk")
+		}
+		var t trailer
+		if err := gob.NewDecoder(bytes.NewReader(s.payload)).Decode(&t); err != nil {
+			return false, fmt.Errorf("perfdb: corrupt archive trailer: %v", err)
+		}
+		if t.NumEvents != s.events {
+			return false, fmt.Errorf("perfdb: corrupt archive: trailer declares %d events, chunks hold %d", t.NumEvents, s.events)
+		}
+		if t.NumChunks != s.chunks {
+			return false, fmt.Errorf("perfdb: corrupt archive: trailer declares %d event chunks, read %d", t.NumChunks, s.chunks)
+		}
+		if t.Header.Version != session.Version {
+			return false, fmt.Errorf("perfdb: archive event-schema version %d; this build reads version %d", t.Header.Version, session.Version)
+		}
+		if s.header, err = fromWire(t.Header); err != nil {
+			return false, err
+		}
+		// Anything after the trailer means the file was appended to
+		// or two archives were concatenated; refuse rather than guess.
+		var one [1]byte
+		if _, err := io.ReadFull(s.r, one[:]); err != io.EOF {
+			return false, errors.New("perfdb: corrupt archive: data beyond the trailer chunk")
+		}
+		return true, nil
+	default:
+		return false, fmt.Errorf("perfdb: corrupt archive: unknown chunk kind %q", kind)
+	}
+	return false, nil
+}
+
+// ReadArchive parses a chunked archive: it collects the scan. A truncated
+// archive holds the complete-chunk prefix under the provisional header.
+func ReadArchive(r io.Reader) (*session.Archive, error) {
+	var a session.Archive
+	s, err := scanArchive(r, func(s *archiveScan) func(*session.Event) {
+		return func(ev *session.Event) {
+			a.Events = append(a.Events, *ev)
+			s.samples = nil // the archive keeps this batch; the next gets its own
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	a.Header, a.Truncated = s.header, s.truncated
+	return &a, nil
+}
+
+// openFile is os.Open; a test wraps it to count what a consumer reads.
+var openFile = func(path string) (io.ReadCloser, error) { return os.Open(path) }
+
+// scanFile is scanArchive over the file at path.
+func scanFile(path string, consume func(*archiveScan) func(*session.Event)) (*archiveScan, error) {
+	f, err := openFile(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return scanArchive(f, consume)
 }
 
 // LoadAny reads a session archive from path.
 func LoadAny(path string) (*session.Archive, error) {
-	f, err := os.Open(path)
+	f, err := openFile(path)
 	if err != nil {
 		return nil, err
 	}

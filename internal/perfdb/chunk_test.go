@@ -3,7 +3,10 @@ package perfdb
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,6 +16,7 @@ import (
 	"pperf/internal/session"
 	"pperf/internal/sim"
 	"pperf/internal/trace"
+	"pperf/internal/wire"
 )
 
 // randomShard generates a trace shard of n spans on one track: a small
@@ -289,5 +293,135 @@ func TestPendingChunkIsBoundedInBytes(t *testing.T) {
 func replayEventsInto(rec session.Sink, events []session.Event) {
 	for _, ev := range events {
 		rec.Record(ev)
+	}
+}
+
+// testFrame frames a payload the way Writer.writeChunk does.
+func testFrame(kind byte, payload []byte) []byte {
+	hdr := make([]byte, 9, 9+len(payload))
+	hdr[0] = kind
+	binary.BigEndian.PutUint32(hdr[1:5], uint32(len(payload)))
+	binary.BigEndian.PutUint32(hdr[5:9], wire.Checksum(payload))
+	return append(hdr, payload...)
+}
+
+// eventsPayload assembles an 'E' payload from its sections without checking
+// that they agree — which is the point.
+func eventsPayload(t testing.TB, flags []byte, nPacked int, blobs [][]byte, rest []session.Event) []byte {
+	t.Helper()
+	out := binary.AppendUvarint(nil, uint64(len(flags)))
+	out = append(out, flags...)
+	out = binary.AppendUvarint(out, uint64(nPacked))
+	for _, b := range blobs {
+		out = binary.AppendUvarint(out, uint64(len(b)))
+		out = append(out, b...)
+	}
+	var gobBuf bytes.Buffer
+	if err := gob.NewEncoder(&gobBuf).Encode(rest); err != nil {
+		t.Fatal(err)
+	}
+	return append(out, gobBuf.Bytes()...)
+}
+
+// readBothWays runs data through the collecting reader and through the
+// streaming pass every other consumer makes, and fails the test unless the
+// two say the same: the same error string, or the same header, event count
+// and truncated flag.
+func readBothWays(t testing.TB, data []byte) (*session.Archive, error) {
+	t.Helper()
+	a, collectErr := ReadArchive(bytes.NewReader(data))
+	s, streamErr := scanArchive(bytes.NewReader(data), nil)
+	switch {
+	case collectErr != nil || streamErr != nil:
+		if collectErr == nil || streamErr == nil || collectErr.Error() != streamErr.Error() {
+			t.Fatalf("the collecting reader says %v, the streaming pass %v", collectErr, streamErr)
+		}
+	case a == nil:
+		t.Fatal("nil archive with nil error")
+	case len(a.Events) != s.events || a.Truncated != s.truncated || !reflect.DeepEqual(a.Header, s.header):
+		t.Fatalf("the collecting reader holds %d events (truncated %v) under %+v, the streaming pass %d (%v) under %+v",
+			len(a.Events), a.Truncated, a.Header, s.events, s.truncated, s.header)
+	}
+	return a, collectErr
+}
+
+// Hostile input sees one decoder: every corruption is refused by the
+// collecting reader, the verify step and OpenRun with one and the same error.
+func TestCorruptArchivesFailTheSameEverywhere(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteArchive(&buf, syntheticArchive(rand.New(rand.NewSource(6)), 40)); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	ends := frameEnds(full)
+	if len(ends) != 3 {
+		t.Fatalf("%d frames, want header, one events chunk, trailer", len(ends))
+	}
+	magic, header, events, trail := full[:6], full[6:ends[0]], full[ends[0]:ends[1]], full[ends[1]:]
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	gobOf := func(v any) []byte {
+		var b bytes.Buffer
+		if err := gob.NewEncoder(&b).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	final := toWire(session.Header{Version: session.Version, NumBins: 100, BinWidth: 50 * sim.Millisecond})
+	var pk session.Packer
+	batch := pk.PackSamples(nil, randomBatch(rand.New(rand.NewSource(2)), 6))
+	badBatch := append([]byte(nil), batch...)
+	badBatch[len(badBatch)-1] |= 0x80 // the last varint never ends
+	barrier := []session.Event{{Kind: session.EvBarrier}}
+	oversize := testFrame(chunkEvents, nil)
+	binary.BigEndian.PutUint32(oversize[1:5], maxChunkPayload+1)
+	flipped := append([]byte(nil), full...)
+	flipped[ends[0]+9+20] ^= 0x40
+
+	cases := []struct {
+		name    string
+		data    []byte
+		wantErr string
+	}{
+		{"bad magic", cat([]byte("NOTFMT"), full[6:]), "bad magic"},
+		{"retired magic", cat(retiredMagic, full[6:]), "v1 PPARCH archive format retired"},
+		{"duplicate header", cat(magic, header, header, events, trail), "duplicate header chunk"},
+		{"events before header", cat(magic, events, trail), "events before the header chunk"},
+		{"trailer before header", cat(magic, trail), "trailer before the header chunk"},
+		{"unknown chunk kind", cat(magic, header, testFrame('X', nil)), "unknown chunk kind"},
+		{"CRC mismatch", flipped, "chunk 1 CRC mismatch"},
+		{"oversize payload length", cat(magic, header, oversize), "declares 1073741825-byte payload"},
+		{"bad event flag", cat(magic, header, testFrame(chunkEvents, eventsPayload(t, []byte{7}, 0, nil, nil))), "bad event flag 7"},
+		{"flag bytes overrun", cat(magic, header, testFrame(chunkEvents, []byte{2, 0})), "flag bytes overrun input"},
+		{"blob count mismatch", cat(magic, header, testFrame(chunkEvents, eventsPayload(t, []byte{flagSamples, flagGob}, 2, [][]byte{batch, batch}, barrier))), "2 packed blobs, flags promise 1"},
+		{"blob overruns chunk", cat(magic, header, testFrame(chunkEvents, append(binary.AppendUvarint([]byte{1, flagSamples, 1}, 999), batch...))), "packed blob 0 overruns input"},
+		{"gob count mismatch", cat(magic, header, testFrame(chunkEvents, eventsPayload(t, []byte{flagGob, flagGob}, 0, nil, barrier))), "1 gob events, flags promise 2"},
+		{"sample event in the gob section", cat(magic, header, testFrame(chunkEvents, eventsPayload(t, []byte{flagGob}, 0, nil, []session.Event{{Kind: session.EvSamples}}))), "sample event outside the packed section"},
+		{"corrupt packed blob behind a good CRC", cat(magic, header, testFrame(chunkEvents, eventsPayload(t, []byte{flagGob, flagSamples}, 1, [][]byte{badBatch}, barrier))), "corrupt sample batch"},
+		{"trailer event count", cat(magic, header, events, testFrame(chunkTrailer, gobOf(trailer{Header: final, NumEvents: 41, NumChunks: 1}))), "trailer declares 41 events, chunks hold 40"},
+		{"trailer chunk count", cat(magic, header, events, testFrame(chunkTrailer, gobOf(trailer{Header: final, NumEvents: 40, NumChunks: 2}))), "trailer declares 2 event chunks, read 1"},
+		{"garbage trailer", cat(magic, header, events, testFrame(chunkTrailer, []byte{0xde, 0xad})), "corrupt archive trailer"},
+		{"data beyond the trailer", cat(full, []byte{'x'}), "data beyond the trailer"},
+	}
+	dir := t.TempDir()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := readBothWays(t, tc.data)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("err = %v, want %q", err, tc.wantErr)
+			}
+			path := filepath.Join(dir, "bad.ppdb")
+			if werr := os.WriteFile(path, tc.data, 0o644); werr != nil {
+				t.Fatal(werr)
+			}
+			if _, verr := verifyStaged(path, AddMeta{}); verr == nil || verr.Error() != err.Error() {
+				t.Errorf("the verify step says %v, the collecting reader %v", verr, err)
+			}
+			if _, oerr := openRun(path, RunMeta{}); oerr == nil || oerr.Error() != err.Error() {
+				t.Errorf("OpenRun says %v, the collecting reader %v", oerr, err)
+			}
+		})
+	}
+	if _, err := readBothWays(t, full); err != nil {
+		t.Errorf("the archive the cases were cut from: %v", err)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"pperf/internal/perfdb"
 	"pperf/internal/pperfmark"
 	"pperf/internal/session"
+	"pperf/internal/trace"
 )
 
 // fingerprint renders everything a replay consumer observes about a
@@ -259,5 +260,79 @@ func TestStoreDiffEndToEnd(t *testing.T) {
 	r1, r2 := diffOnce(), diffOnce()
 	if r1 != r2 {
 		t.Error("diff report not byte-deterministic across rebuilds")
+	}
+}
+
+// TestStreamingOpenRunMatchesReferenceOnSuite: every suite program under
+// every personality that runs it, one traced run and one self-healing fault
+// run, each recorded into a store and then opened both ways — by the
+// streaming fold and by the materialise-then-replay path it replaced (kept in
+// reference_test.go). Views, and the diffs and trends over them, must agree.
+func TestStreamingOpenRunMatchesReferenceOnSuite(t *testing.T) {
+	st, err := perfdb.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	both := func(prog string, opt pperfmark.RunOptions) (streamed, reference *perfdb.RunView) {
+		t.Helper()
+		rec, err := st.NewRecorder()
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.Record = rec
+		res, err := pperfmark.Run(prog, opt)
+		if err != nil {
+			st.Discard(rec)
+			t.Fatalf("%s: %v", prog, err)
+		}
+		if res.Unsupported != nil {
+			st.Discard(rec)
+			return nil, nil
+		}
+		m, _, err := st.Commit(rec, perfdb.AddMeta{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return perfdb.OpenBothWays(t, st.RunPath(m.ID), m)
+	}
+	// A quarter of each program's default iterations (less for the two that
+	// take seconds): the comparison needs a recording of every program with
+	// series in it, not a long one.
+	short := func(prog string) pperfmark.Params {
+		switch prog {
+		case "small-messages":
+			return pperfmark.Params{Iterations: 3000}
+		case "wrong-way":
+			return pperfmark.Params{Iterations: 15}
+		}
+		return pperfmark.Params{Iterations: pperfmark.Get(prog).Defaults.Iterations / 4}
+	}
+	for _, prog := range pperfmark.Names() {
+		var streamed, reference []*perfdb.RunView
+		for _, impl := range []mpi.ImplKind{mpi.LAM, mpi.MPICH, mpi.MPICH2, mpi.Reference} {
+			if s, r := both(prog, pperfmark.RunOptions{Impl: impl, Seed: 7, Params: short(prog)}); s != nil {
+				if len(s.Pairs()) < 3 {
+					t.Errorf("%s under %v: the recording holds %d series, too few to compare anything", prog, impl, len(s.Pairs()))
+				}
+				streamed, reference = append(streamed, s), append(reference, r)
+			}
+		}
+		if len(streamed) == 0 {
+			t.Errorf("%s ran under no personality", prog)
+		}
+		perfdb.SameAnalytics(t, streamed, reference)
+	}
+
+	s, _ := both("random-barrier", pperfmark.RunOptions{Impl: mpi.LAM, Seed: 7, Trace: &trace.Config{}})
+	if tl := s.Timeline(); tl == nil || len(tl.Spans()) == 0 {
+		t.Error("the traced recording opened without spans")
+	}
+	plan, err := faults.Parse("restarts=2; t=1s crash-daemon node1 restartable")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ = both("random-barrier", pperfmark.RunOptions{Impl: mpi.LAM, Seed: 7, Faults: plan})
+	if len(s.FaultLog()) == 0 || len(s.UnmeasuredGaps()) == 0 {
+		t.Errorf("the self-healing recording opened with fault log %q and gaps %v", s.FaultLog(), s.UnmeasuredGaps())
 	}
 }

@@ -5,12 +5,17 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"unsafe"
 
 	"pperf/internal/datasource"
+	"pperf/internal/resource"
 	"pperf/internal/session"
+	"pperf/internal/sim"
 )
 
 // finiteArchive is syntheticArchive with its NaN samples zeroed, so that
@@ -34,11 +39,10 @@ func eventsChunkByChunk(t *testing.T, data []byte) []session.Event {
 	t.Helper()
 	var out []session.Event
 	eachEventsChunk(data, func(payload []byte) {
-		evs, err := decodeEventsChunk(payload, new(session.Unpacker))
-		if err != nil {
+		s := new(archiveScan) // a fresh string table
+		if err := s.eventsChunk(payload, func(ev *session.Event) { out, s.samples = append(out, *ev), nil }); err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, evs...)
 	})
 	return out
 }
@@ -128,5 +132,91 @@ func TestCodecAllocationBudget(t *testing.T) {
 	}
 	if cw.PeakBuffered() != 64 || cw.EventCount() != 64+51 {
 		t.Errorf("writer buffered %d events at peak over %d appends, want 64 over 115", cw.PeakBuffered(), cw.EventCount())
+	}
+}
+
+// samplesOnlyFile writes an archive of nEvents 160-sample batches over one
+// enabled pair, DefaultFlushEvents to the chunk, and returns its path.
+func samplesOnlyFile(t *testing.T, nEvents int) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "samples.ppdb")
+	rec, err := NewStreamRecorder(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.SetHistogram(100, 50*sim.Millisecond)
+	whole := resource.WholeProgram()
+	rec.Record(session.Event{Kind: session.EvEnable, Metric: "cpu", Focus: whole})
+	batch := make([]datasource.Sample, 160)
+	for i := 1; i < nEvents; i++ {
+		for j := range batch {
+			batch[j] = datasource.Sample{Metric: "cpu", Focus: whole, Proc: "app{0}", Time: sim.Time(i*len(batch)+j) * sim.Time(sim.Millisecond), Delta: float64(j), Value: float64(i)}
+		}
+		rec.Record(session.Event{Kind: session.EvSamples, Samples: batch})
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// bytesAllocatedBy reports the heap bytes fn allocates.
+func bytesAllocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// The streaming consumers hold one chunk, not the file: verifying an archive
+// of twice the chunks allocates about the same, and a fold's sample batches
+// all land in the one scratch the first chunk grew.
+func TestStreamingReadAllocationBudget(t *testing.T) {
+	small, large := samplesOnlyFile(t, 4*DefaultFlushEvents), samplesOnlyFile(t, 8*DefaultFlushEvents)
+	verify := func(path string) uint64 {
+		return bytesAllocatedBy(func() {
+			if in, err := verifyStaged(path, AddMeta{}); err != nil || in.truncated {
+				t.Fatalf("verify %s: %+v, %v", path, in, err)
+			}
+		})
+	}
+	verify(small) // gob's type tables and the like are built once per process
+	if a, b := verify(small), verify(large); float64(b) > 1.1*float64(a) {
+		fi, _ := os.Stat(large)
+		t.Errorf("verifying 8 chunks allocates %d bytes against %d for 4: the pass should cost a chunk, not the %d-byte file", b, a, fi.Size())
+	}
+	collect := bytesAllocatedBy(func() { LoadAny(large) })
+	if v := verify(large); 10*v > collect {
+		t.Errorf("verifying allocates %d bytes where collecting the archive allocates %d; want under a tenth", v, collect)
+	}
+
+	var scratch *datasource.Sample
+	moved := 0
+	_, err := scanFile(large, func(s *archiveScan) func(*session.Event) {
+		return func(ev *session.Event) {
+			if ev.Kind != session.EvSamples {
+				return
+			}
+			if s.chunks > 1 && scratch != &ev.Samples[0] {
+				moved++
+			}
+			scratch = &ev.Samples[0]
+		}
+	})
+	if err != nil || moved != 0 {
+		t.Errorf("after the first chunk %d sample batches were decoded into a new slice (err %v), want all of them in the one scratch", moved, err)
+	}
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := st.AddFile(large, AddMeta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batchBytes := uint64(160 * unsafe.Sizeof(datasource.Sample{}))
+	if got := bytesAllocatedBy(func() { st.OpenRun(m.ID) }); got > uint64(m.Events)*batchBytes/10 {
+		t.Errorf("OpenRun of %d batches allocates %d bytes; a slice per batch alone would be %d", m.Events, got, uint64(m.Events)*batchBytes)
 	}
 }

@@ -359,13 +359,46 @@ func (st *Store) admitLocked(in admission) (RunMeta, string, error) {
 // compacted form. The caller still holds the source, so a refused label
 // refuses the add and nothing is stored.
 func (st *Store) AddArchive(a *session.Archive, am AddMeta) (RunMeta, error) {
+	return st.addStaged(func(tmp string) (admission, error) {
+		return admission{AddMeta: am, src: tmp, header: a.Header, events: len(a.Events), truncated: a.Truncated},
+			st.writeArchive(tmp, a)
+	})
+}
+
+// AddFile stores the archive file at path byte for byte, so the run's
+// content address is the file's, whichever process wrote it: the file is
+// copied into runs/ and the copy verified in one streaming pass. Only a file
+// without a trailer is loaded and re-encoded — the one case where the store
+// has to write one. As with AddArchive, a refused label refuses the add.
+func (st *Store) AddFile(path string, am AddMeta) (RunMeta, error) {
+	src, err := os.Open(path)
+	if err != nil {
+		return RunMeta{}, err
+	}
+	defer src.Close()
+	return st.addStaged(func(tmp string) (in admission, err error) {
+		err = st.writeFile(tmp, func(w io.Writer) error { _, err := io.Copy(w, src); return err })
+		if err == nil {
+			in, err = verifyStaged(tmp, am)
+		}
+		if err == nil && in.truncated {
+			var a *session.Archive
+			if a, err = LoadAny(tmp); err == nil {
+				err = st.writeArchive(tmp, a)
+			}
+		}
+		return in, err
+	})
+}
+
+// addStaged stages a file at runs/add.tmp under the store lock and admits it.
+func (st *Store) addStaged(stage func(tmp string) (admission, error)) (RunMeta, error) {
 	var m RunMeta
 	err := st.withLock(func() error {
 		tmp := filepath.Join(st.dir, "runs", "add.tmp")
-		err := st.writeArchive(tmp, a)
+		in, err := stage(tmp)
 		if err == nil {
-			m, _, err = st.admitLocked(admission{AddMeta: am, src: tmp,
-				header: a.Header, events: len(a.Events), truncated: a.Truncated})
+			m, _, err = st.admitLocked(in)
 		}
 		if err != nil {
 			os.Remove(tmp)
@@ -375,8 +408,23 @@ func (st *Store) AddArchive(a *session.Archive, am AddMeta) (RunMeta, error) {
 	return m, err
 }
 
+// verifyStaged scans a staged file without keeping anything of it — one
+// chunk of memory, whatever the file — and describes it for admitLocked.
+func verifyStaged(src string, am AddMeta) (admission, error) {
+	s, err := scanFile(src, nil)
+	if err != nil {
+		return admission{}, err
+	}
+	return admission{AddMeta: am, src: src, header: s.header, events: s.events, truncated: s.truncated}, nil
+}
+
 // writeArchive renders a into a fresh file at path.
 func (st *Store) writeArchive(path string, a *session.Archive) error {
+	return st.writeFile(path, func(w io.Writer) error { return WriteArchive(w, a) })
+}
+
+// writeFile creates the file at path and fills it through write.
+func (st *Store) writeFile(path string, write func(io.Writer) error) error {
 	if err := st.at("create"); err != nil {
 		return err
 	}
@@ -385,7 +433,7 @@ func (st *Store) writeArchive(path string, a *session.Archive) error {
 		return err
 	}
 	if err = st.at("write"); err == nil {
-		err = WriteArchive(f, a)
+		err = write(f)
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -511,26 +559,13 @@ func (st *Store) checkLabel(label string) error {
 	return nil
 }
 
-// Load loads a stored run's archive.
-func (st *Store) Load(id string) (*session.Archive, error) {
-	m, err := st.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	return LoadAny(st.RunPath(m.ID))
-}
-
-// OpenRun loads a stored run and materializes its full DataSource view.
+// OpenRun folds a stored run's event stream into its full DataSource view.
 func (st *Store) OpenRun(id string) (*RunView, error) {
 	m, err := st.Get(id)
 	if err != nil {
 		return nil, err
 	}
-	a, err := LoadAny(st.RunPath(m.ID))
-	if err != nil {
-		return nil, err
-	}
-	return NewRunView(a, m), nil
+	return openRun(st.RunPath(m.ID), m)
 }
 
 // Remove drops a run from the index and deletes its archive.

@@ -179,7 +179,7 @@ func TestGCSparesLiveRecording(t *testing.T) {
 	if warn != "" {
 		t.Errorf("unexpected warning: %q", warn)
 	}
-	if a, err := st.Load(m.ID); err != nil || a.Header.NumEvents != 150 {
+	if a, err := LoadAny(st.RunPath(m.ID)); err != nil || a.Header.NumEvents != 150 {
 		t.Fatalf("recording damaged: %v (archive %+v)", err, a)
 	}
 	if removed, err := st.GC(); err != nil || len(removed) != 0 {
@@ -260,7 +260,7 @@ func TestCommitLabelCollisionPreservesRun(t *testing.T) {
 	if m.ID != "r0002" || m.Label != "" {
 		t.Errorf("committed meta: %+v; want r0002 unlabeled", m)
 	}
-	if a, err := st.Load("r0002"); err != nil || a.Header.NumEvents != 120 {
+	if a, err := LoadAny(st.RunPath("r0002")); err != nil || a.Header.NumEvents != 120 {
 		t.Fatalf("recorded data lost to the label collision: %v", err)
 	}
 	// The original owner of the label is untouched.
@@ -323,6 +323,11 @@ func TestAdmissionCrashTable(t *testing.T) {
 	}{
 		{"AddArchive", "r0002", func(st *Store) error {
 			_, err := st.AddArchive(second, AddMeta{Label: "second"})
+			return err
+		}},
+		{"AddFile", "r0002", func(st *Store) error {
+			path, _ := writeChunked(t, second, 0)
+			_, err := st.AddFile(path, AddMeta{Label: "second"})
 			return err
 		}},
 		{"Commit", "r0003", func(st *Store) error { // the failed recording's reservation is spent
@@ -401,7 +406,7 @@ func TestAdmissionCrashTable(t *testing.T) {
 					if runs := st.Runs(); len(runs) != 1 || runs[0] != first {
 						t.Fatalf("index after the failure: %+v; want only %+v", runs, first)
 					}
-					if _, err := st.Load("first"); err != nil || !bytes.Equal(mustReadFile(t, st.RunPath(first.ID)), want) {
+					if _, err := LoadAny(st.RunPath(first.ID)); err != nil || !bytes.Equal(mustReadFile(t, st.RunPath(first.ID)), want) {
 						t.Fatalf("earlier run damaged (load err %v)", err)
 					}
 					st.GCTmpAge = time.Nanosecond
@@ -427,7 +432,7 @@ func TestAdmissionCrashTable(t *testing.T) {
 					if err != nil || m.ID != e.nextID {
 						t.Fatalf("add after the failure: %+v, %v; want ID %s", m, err, e.nextID)
 					}
-					if a, err := st.Load("second"); err != nil || len(a.Events) != len(second.Events) {
+					if a, err := LoadAny(st.RunPath(m.ID)); err != nil || len(a.Events) != len(second.Events) {
 						t.Errorf("run added after the failure does not load: %v", err)
 					}
 				})
@@ -479,7 +484,7 @@ func TestConcurrentStoreHandles(t *testing.T) {
 			t.Fatalf("duplicate run ID %s", m.ID)
 		}
 		seen[m.ID] = true
-		if _, err := st.Load(m.ID); err != nil {
+		if _, err := LoadAny(st.RunPath(m.ID)); err != nil {
 			t.Errorf("run %s unreadable: %v", m.ID, err)
 		}
 	}
@@ -492,5 +497,76 @@ func TestStoreRefusesNewerIndex(t *testing.T) {
 	}
 	if _, err := Open(dir); err == nil {
 		t.Error("version-99 index opened by a version-1 reader")
+	}
+}
+
+// TestAddFileStoresTheFilesBytes: `db add FILE` admits FILE by copy, so the
+// run's content address is the file's own whichever process or build wrote it
+// — here a checked-in archive in a layout this build no longer writes, which
+// re-encoding (what db add used to do) would turn into other bytes. Only a
+// file without a trailer is re-encoded: the store has to write one.
+func TestAddFileStoresTheFilesBytes(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := mustReadFile(t, compatFixture)
+	sum := sha256.Sum256(file)
+	m, err := st.AddFile(compatFixture, AddMeta{Label: "as-recorded", Verdict: "sync=true(0.9)"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mustReadFile(t, st.RunPath(m.ID)), file) || m.Hash != hex.EncodeToString(sum[:]) {
+		t.Errorf("stored run %s (hash %.12s) is not the file that was added (SHA-256 %.12x)", m.ID, m.Hash, sum)
+	}
+	a := compatArchive()
+	want := RunMeta{ID: "r0001", Label: "as-recorded", Verdict: "sync=true(0.9)", Events: len(a.Events), Bytes: int64(len(file)), Hash: m.Hash,
+		Program: a.Header.Meta["program"], Impl: a.Header.Meta["impl"], Seed: a.Header.Meta["seed"], Procs: a.Header.Meta["procs"],
+		Nodes: a.Header.Meta["nodes"], Faults: a.Header.Meta["faults"], Runtime: a.Header.Meta["runtime"]}
+	if m != want {
+		t.Errorf("index entry:\n got %+v\nwant %+v", m, want)
+	}
+
+	// A refused label and a file that is no archive store nothing.
+	for _, path := range []string{compatFixture, "store_test.go"} {
+		if _, err := st.AddFile(path, AddMeta{Label: "as-recorded"}); err == nil {
+			t.Errorf("AddFile(%s) under a label in use succeeded", path)
+		}
+	}
+	if _, err := st.AddFile("store_test.go", AddMeta{}); err == nil || !strings.Contains(err.Error(), "not a pperf session archive") {
+		t.Errorf("AddFile of a Go source file: err = %v", err)
+	}
+	if swept, err := st.GC(); err != nil || len(swept) != 0 || len(st.Runs()) != 1 {
+		t.Errorf("after the refused adds: %d runs, GC swept %v (%v); want the one run and no debris", len(st.Runs()), swept, err)
+	}
+
+	// No trailer: stored as AddArchive stores the loaded prefix, marked truncated.
+	cut := filepath.Join(t.TempDir(), "cut.ppdb")
+	ends := frameEnds(file)
+	if err := os.WriteFile(cut, file[:ends[len(ends)-2]+11], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	prefix, err := LoadAny(cut)
+	if err != nil || !prefix.Truncated {
+		t.Fatalf("the cut file loads as %+v, %v", prefix, err)
+	}
+	mt, err := st.AddFile(cut, AddMeta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mr, err := ref.AddArchive(prefix, AddMeta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mr.ID = mt.ID
+	if mt != mr || !mt.Truncated || mt.Events != len(prefix.Events) {
+		t.Errorf("truncated file stored as %+v, AddArchive of its prefix as %+v", mt, mr)
+	}
+	if stored, err := LoadAny(st.RunPath(mt.ID)); err != nil || stored.Truncated || len(stored.Events) != len(prefix.Events) {
+		t.Errorf("the stored copy of the truncated file must be a complete archive of the prefix: %v", err)
 	}
 }

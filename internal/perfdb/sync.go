@@ -506,19 +506,19 @@ func (p partial) finish(am AddMeta) (m RunMeta, warning string, err error) {
 		p.discard()
 		return m, "", fmt.Errorf("transfer fails content verification (want %.12s, got %.12s); partial discarded, retry", p.hash, got)
 	}
-	a, err := LoadAny(p.path)
+	in, err := verifyStaged(p.path, am)
 	if err != nil {
 		p.discard()
 		return m, "", fmt.Errorf("transfer is not a valid archive: %w", err)
 	}
+	in.onlyCopy = true
 	err = p.st.withLock(func() error {
 		if existing, ok := p.st.findByHashLocked(p.hash); ok {
 			m, warning = existing, fmt.Sprintf("identical content already stored as %s", existing.ID)
 			p.discard()
 			return nil
 		}
-		m, warning, err = p.st.admitLocked(admission{AddMeta: am, src: p.path,
-			header: a.Header, events: len(a.Events), truncated: a.Truncated, onlyCopy: true})
+		m, warning, err = p.st.admitLocked(in)
 		return err
 	})
 	return m, warning, err

@@ -6,6 +6,8 @@ package perfdb
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -17,6 +19,7 @@ import (
 	"time"
 
 	"pperf/internal/faults"
+	"pperf/internal/session"
 	"pperf/internal/wire"
 )
 
@@ -348,6 +351,57 @@ func TestSyncPushEndIgnoresForgedMeta(t *testing.T) {
 	}
 	if foreign := peer.RunsFor("big-message"); len(foreign) != 0 {
 		t.Errorf("forged program name reached the index: %+v", foreign)
+	}
+}
+
+// TestSyncPushRefusesWhatIsNotAnArchive: a peer whose upload hashes to what it
+// announced gets past content verification whatever the bytes are; the parse
+// that follows is what keeps garbage out of the store. Plain noise and valid
+// framing (good CRCs, counts that add up) around a packed blob that does not
+// decode are both refused, and the partial is discarded — resuming it would
+// fail the same way for ever.
+func TestSyncPushRefusesWhatIsNotAnArchive(t *testing.T) {
+	var good bytes.Buffer
+	if err := WriteArchive(&good, syntheticArchive(rand.New(rand.NewSource(4)), 30)); err != nil {
+		t.Fatal(err)
+	}
+	ends := frameEnds(good.Bytes())
+	batch := new(session.Packer).PackSamples(nil, randomBatch(rand.New(rand.NewSource(2)), 6))
+	batch[len(batch)-1] |= 0x80 // the last varint never ends
+	framed := bytes.Join([][]byte{
+		good.Bytes()[:ends[0]], // magic and header chunk
+		testFrame(chunkEvents, eventsPayload(t, []byte{flagSamples}, 1, [][]byte{batch}, nil)),
+	}, nil)
+	noise := make([]byte, 3000)
+	rand.New(rand.NewSource(1)).Read(noise)
+
+	for name, data := range map[string][]byte{"noise": noise, "corrupt blob in valid framing": framed} {
+		t.Run(name, func(t *testing.T) {
+			peer, srv := serveStore(t)
+			c, err := dialSync(srv.Addr(), testSyncConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.close()
+			sum := sha256.Sum256(data)
+			hash := hex.EncodeToString(sum[:])
+			if _, err := c.roundTrip(syncReq{Op: opPushBegin, Hash: hash, Size: int64(len(data))}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.roundTrip(syncReq{Op: opPushChunk, Hash: hash, Data: data, CRC: wire.Checksum(data)}); err != nil {
+				t.Fatal(err)
+			}
+			_, err = c.roundTrip(syncReq{Op: opPushEnd, Hash: hash})
+			if err == nil || !strings.Contains(err.Error(), "transfer is not a valid archive") {
+				t.Fatalf("push-end: err = %v, want the upload refused as not a valid archive", err)
+			}
+			if _, err := os.Stat(filepath.Join(peer.syncDir(), hash+".partial")); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("the refused partial is still staged (stat err = %v)", err)
+			}
+			if runs := peer.Runs(); len(runs) != 0 {
+				t.Errorf("the served store indexed %+v", runs)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package perfdb
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -14,43 +15,93 @@ import (
 // session.ReplaySource — which replays incrementally so a re-driven
 // Consultant sees the live evaluation windows — a RunView is the run's
 // end state: every recorded pair enabled, every event applied. It holds
-// that folded state only; the decoded event stream is not kept.
+// that folded state only: the event stream is folded as the chunk scan
+// decodes it and never held.
 type RunView struct {
 	*datasource.View
 	Meta RunMeta
 
 	pairs    []datasource.Pair
+	refused  []datasource.Pair // while folding: canonical pairs whose first recorded enable failed
 	faultLog []string
 }
 
-// NewRunView materializes an archive's end state. Pairs whose live
-// enable failed are left out — they never collected data.
-func NewRunView(a *session.Archive, m RunMeta) *RunView {
-	rs := session.NewReplaySource(a)
-	rv := &RunView{View: rs.View, Meta: m}
-	if log := a.Header.Meta["fault-log"]; log != "" {
-		rv.faultLog = strings.Split(log, "\n")
+func newRunView(h session.Header, m RunMeta) *RunView {
+	v := datasource.NewView()
+	v.NumBins, v.BinWidth = h.NumBins, h.BinWidth
+	return &RunView{View: v, Meta: m}
+}
+
+// fold applies one event of the run's stream. An enable registers its series
+// where it stands — ahead of the pair's first sample, as the live front end
+// had it: the view drops samples of unregistered pairs. The first outcome of
+// a pair stands, as on replay, and pairs whose enable failed are left out:
+// they never collected data.
+func (rv *RunView) fold(ev *session.Event) {
+	if ev.Kind != session.EvEnable {
+		ev.Apply(rv.View)
+		return
 	}
-	// Register every successfully-enabled pair before applying events:
-	// the view drops samples for unregistered pairs.
-	for i := range a.Events {
-		ev := &a.Events[i]
-		if ev.Kind != session.EvEnable || ev.Err != "" {
-			continue
-		}
-		p := datasource.Pair{Metric: ev.Metric, Focus: ev.Focus}
-		if rv.SeriesFor(p) != nil {
-			continue // enabled again later in the run: one pair
-		}
-		if _, err := rs.EnableMetric(p.Metric, p.Focus); err == nil {
+	p := datasource.Pair{Metric: ev.Metric, Focus: ev.Focus}
+	if key := p.Canon(); ev.Err != "" {
+		rv.refused = append(rv.refused, key)
+	} else if !slices.Contains(rv.refused, key) {
+		if _, existed := rv.RegisterSeries(p.Metric, p.Focus); !existed {
 			rv.pairs = append(rv.pairs, p)
 		}
+	}
+}
+
+// finish completes the view under the archive's final header.
+func (rv *RunView) finish(h session.Header) *RunView {
+	if log := h.Meta["fault-log"]; log != "" {
+		rv.faultLog = strings.Split(log, "\n")
 	}
 	sort.Slice(rv.pairs, func(i, j int) bool {
 		return datasource.ComparePairs(rv.pairs[i], rv.pairs[j]) < 0
 	})
-	rs.Drain()
+	rv.refused = nil
 	return rv
+}
+
+// openRun folds the archive at path in one pass under what its header chunk
+// says. Only the end of the file can say otherwise — no trailer (the fold has
+// to stop at the last complete barrier) or a trailer with another histogram
+// configuration — and only then is the file read again, collected this time.
+func openRun(path string, m RunMeta) (*RunView, error) {
+	var rv *RunView
+	s, err := scanFile(path, func(s *archiveScan) func(*session.Event) {
+		rv = newRunView(s.header, m)
+		return rv.fold
+	})
+	if err != nil {
+		return nil, err
+	}
+	if !s.truncated && s.header.NumBins == rv.NumBins && s.header.BinWidth == rv.BinWidth {
+		return rv.finish(s.header), nil
+	}
+	a, err := LoadAny(path)
+	if err != nil {
+		return nil, err
+	}
+	return NewRunView(a, m), nil
+}
+
+// NewRunView materializes a hand-built archive's end state through the same
+// fold. A truncated stream is applied up to its last complete barrier; its
+// enable outcomes count from the whole prefix.
+func NewRunView(a *session.Archive, m RunMeta) *RunView {
+	limit := len(a.Events)
+	for a.Truncated && limit > 0 && a.Events[limit-1].Kind != session.EvBarrier {
+		limit--
+	}
+	rv := newRunView(a.Header, m)
+	for i := range a.Events {
+		if ev := &a.Events[i]; i < limit || ev.Kind == session.EvEnable {
+			rv.fold(ev)
+		}
+	}
+	return rv.finish(a.Header)
 }
 
 // Pairs returns the run's enabled metric-focus pairs, sorted by metric

@@ -262,8 +262,20 @@ func (c *cursor) close() error {
 // UnpackSamples decodes a packed sample batch. The batch slice is the one
 // allocation of a batch whose strings the table has seen.
 func (u *Unpacker) UnpackSamples(data []byte) ([]datasource.Sample, error) {
+	return u.UnpackSamplesInto(nil, data)
+}
+
+// UnpackSamplesInto is UnpackSamples into dst's backing array when it is
+// large enough (every field of every record is overwritten): a reader done
+// with one batch before it decodes the next hands the last result back and,
+// once the table has seen the strings, allocates nothing.
+func (u *Unpacker) UnpackSamplesInto(dst []datasource.Sample, data []byte) ([]datasource.Sample, error) {
 	c, n := u.open(data, "sample batch", 8)
-	out := make([]datasource.Sample, n)
+	out := dst
+	if cap(out) < n || out == nil {
+		out = make([]datasource.Sample, n)
+	}
+	out = out[:n]
 	var prevT int64
 	var prevDelta, prevValue uint64
 	for i := 0; i < n && c.err == nil; i++ {

@@ -200,6 +200,21 @@ func TestPackedFormsAllocationBudget(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { got, _ = up.UnpackShard(shardBytes) }); n != 1 || len(got.Spans) != 200 {
 		t.Errorf("unpacking a shard of known strings: %v allocs for %d spans, want 1 (the span slice)", n, len(got.Spans))
 	}
+
+	// A reader that hands its last batch back decodes into it: with the
+	// strings known and the capacity there, nothing is allocated, and a
+	// larger scratch full of another batch's records leaves no trace.
+	scratch := randomBatch(rng, 40)
+	var into []datasource.Sample
+	if n := testing.AllocsPerRun(100, func() { into, _ = up.UnpackSamplesInto(scratch, batchBytes) }); n != 0 {
+		t.Errorf("unpacking a batch of known strings into a large enough slice: %v allocs, want 0", n)
+	}
+	if !reflect.DeepEqual(into, batch) || &into[0] != &scratch[0] {
+		t.Errorf("UnpackSamplesInto returned %d samples (shared backing array: %v), want the packed %d in the scratch", len(into), &into[0] == &scratch[0], len(batch))
+	}
+	if fresh, _ := up.UnpackSamplesInto(scratch[:0:3], batchBytes); !reflect.DeepEqual(fresh, batch) || &fresh[0] == &scratch[0] {
+		t.Error("a scratch that is too small must be left alone and the batch decoded into a fresh slice")
+	}
 }
 
 // The string table is capped: a reader fed ever-fresh names still decodes
