@@ -10,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt-check race verify loc alloc-profile bench bench-module replay-golden perfdb-golden sync-golden wire-golden trend-golden chaos experiments-golden fuzz fuzz-perfdb fuzz-wire fuzz-smoke
+.PHONY: build test vet fmt-check race verify loc alloc-profile trace-footprint bench bench-module replay-golden perfdb-golden sync-golden wire-golden trend-golden chaos experiments-golden fuzz fuzz-perfdb fuzz-wire fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -44,7 +44,10 @@ loc:
 # the benchmark — by default the paper's Figure 3 run (small-messages under
 # the full tool, the `p2p-flood` workload); BENCH=BenchmarkReplayWhatIf is the
 # `replay-whatif` workload's read side, BENCH=BenchmarkTracedTCP one traced
-# session of `traced-tcp` (rings, packed shards over TCP, merge, export),
+# session of `traced-tcp` (rings packed where they are drained, the bytes over
+# TCP, verified and kept by the timeline, exported and walked where they lie:
+# by alloc_space the one `[]Span` left is the benchmark's own
+# `Timeline.Spans()` call, then the exporter's 24-byte sort keys),
 # BENCH=BenchmarkStoreCycle the `store-cycle` verbs over three recordings
 # (chunk cursor, View fold, diff/trend, verify on push and pull). For
 # bytes instead of objects, run the same two commands by hand with
@@ -56,6 +59,22 @@ alloc-profile:
 	$(GO) test -run '^$$' -bench '^$(BENCH)$$' -benchtime=1x \
 		-memprofile "$$tmp/mem.prof" -memprofilerate=1 -o "$$tmp/pperf.test" . >/dev/null && \
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 "$$tmp/pperf.test" "$$tmp/mem.prof"
+
+# trace-footprint prints the peak RSS of the three CLI runs ROADMAP quotes
+# for the trace plane — the traced small-messages run, the same with -record,
+# and `db show` of that recording (1.49 M spans, 25.6 MB) — each a child
+# process measured through RUSAGE_CHILDREN (there is no /usr/bin/time here).
+# About 20 s; the runs peak at a few hundred MB, one at a time. Not part of
+# verify.
+PEAK_RSS = python3 -c 'import resource, subprocess, sys; rc = subprocess.call(sys.argv[2:], stdout=subprocess.DEVNULL); print("%-22s %5.0f MB peak RSS" % (sys.argv[1], resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)); sys.exit(rc)'
+trace-footprint:
+	@tmp=$$(mktemp -d) && \
+	trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/pperf" ./cmd/pperf && \
+	$(PEAK_RSS) 'traced run' "$$tmp/pperf" -prog small-messages -seed 7 -trace "$$tmp/T" && \
+	$(PEAK_RSS) 'traced run, -record' "$$tmp/pperf" -prog small-messages -seed 7 -trace "$$tmp/T" -record "$$tmp/A" && \
+	$(PEAK_RSS) 'db add' "$$tmp/pperf" db -store "$$tmp/S" add -label traced "$$tmp/A" && \
+	$(PEAK_RSS) 'db show' "$$tmp/pperf" db -store "$$tmp/S" show traced
 
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...

@@ -29,6 +29,7 @@ type Daemon struct {
 	// tracing subsystem: each tick it drains its node's span recorders into
 	// shards and ships them through the report transport (see outbox.go).
 	tracer *trace.Tracer
+	pk     trace.Packer // the scratch drained rings are packed through
 
 	// incarnation numbers successive daemons on the same node: the first
 	// is 1, each supervisor respawn increments it. Transports stamp it on
@@ -110,7 +111,7 @@ func New(eng *sim.Engine, node int, nodeName string, lib *mdl.Library, tr Transp
 	// loss is folded into the per-track OutboxLost counter later shards
 	// carry to the timeline.
 	d.bulk.onEvict = func(ev session.Event) {
-		d.noteLostSpans(ev.Shard.Proc, int64(len(ev.Shard.Spans)))
+		d.noteLostSpans(ev.Shard.Proc, int64(ev.Shard.Len()))
 	}
 	return d
 }

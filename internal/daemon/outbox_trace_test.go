@@ -9,7 +9,10 @@ package daemon
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pperf/internal/datasource"
 	"pperf/internal/mdl"
@@ -41,7 +44,7 @@ func (s *chanSink) Report(ev session.Event) error {
 	case session.EvUpdate:
 		s.events = append(s.events, fmt.Sprintf("update:%d", ev.Update.Kind))
 	case session.EvShard:
-		s.events = append(s.events, fmt.Sprintf("shard:%d", len(ev.Shard.Spans)))
+		s.events = append(s.events, fmt.Sprintf("shard:%d", ev.Shard.Len()))
 		s.shards = append(s.shards, ev.Shard)
 	}
 	return nil
@@ -189,7 +192,7 @@ func TestFillHookShipsAtWatermark(t *testing.T) {
 		t.Fatalf("shipped below the watermark: %d shards", len(sink.shards))
 	}
 	tr.Mark("p{0}", "node0", "m", eng.Now()) // 4th span reaches the watermark
-	if len(sink.shards) != 1 || len(sink.shards[0].Spans) != 4 {
+	if len(sink.shards) != 1 || sink.shards[0].Len() != 4 {
 		t.Fatalf("want one 4-span shard at the watermark, got %+v", sink.shards)
 	}
 	if rec := tr.Recorder("p{0}"); rec.Len() != 0 {
@@ -253,4 +256,41 @@ func TestQueue(t *testing.T) {
 			}
 		})
 	}
+}
+
+// A report the queue has delivered or evicted is released at once, not when
+// the queue next empties or reallocates: during a partial outage — the front
+// of the queue draining while its tail stays — the popped slots of the
+// backing array would otherwise keep the whole replayed history reachable.
+func TestQueueReleasesWhatItPops(t *testing.T) {
+	const limit = 8
+	var released atomic.Int32
+	tracked := func() session.Event {
+		batch := make([]datasource.Sample, 1)
+		runtime.SetFinalizer(&batch[0], func(*datasource.Sample) { released.Add(1) })
+		return session.Event{Kind: session.EvSamples, Samples: batch}
+	}
+	q := queue{limit: limit}
+	for i := 0; i < limit+2; i++ { // two evicted past the bound
+		q.push(tracked())
+	}
+	left := limit / 2
+	q.drain(func(session.Event) error { // half delivered, then the channel fails again
+		if left == 0 {
+			return errSinkDown
+		}
+		left--
+		return nil
+	})
+	if len(q.evs) != limit/2 {
+		t.Fatalf("%d reports left queued, want %d", len(q.evs), limit/2)
+	}
+	for i := 0; i < 10 && released.Load() < limit/2+2; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond) // finalizers run on their own goroutine
+	}
+	if got := released.Load(); got != limit/2+2 {
+		t.Errorf("%d of the %d popped reports were released with %d still queued; the backing array holds the rest", got, limit/2+2, len(q.evs))
+	}
+	runtime.KeepAlive(q.evs)
 }

@@ -52,7 +52,7 @@ func TestBulkChannelCarriesShardsOffControlPath(t *testing.T) {
 		t.Errorf("cross-channel frames misread as duplicates: %d", got)
 	}
 	tl := fe.Timeline()
-	if tl == nil || len(tl.ProcSpans("p0")) != 2 {
+	if tl == nil || len(tl.Spans()) != 2 {
 		t.Errorf("shards not merged into the timeline: %+v", tl)
 	}
 }
@@ -87,7 +87,7 @@ func TestBulkFaultsLeaveControlFlowing(t *testing.T) {
 	if cst.Frames != 1 || cst.Retries != 0 {
 		t.Errorf("control stats = %+v — bulk faults leaked into the control channel", cst)
 	}
-	if len(fe.Timeline().ProcSpans("p0")) != 1 {
+	if len(fe.Timeline().Spans()) != 1 {
 		t.Error("shard lost despite retry budget")
 	}
 }

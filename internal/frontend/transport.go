@@ -17,8 +17,9 @@ import (
 // before the daemon proceeds, so delivery order (and therefore front-end
 // state) stays deterministic even though the listener runs on its own
 // goroutine. The frame is gob; the two bulky report kinds, sample batches
-// and trace shards, ride inside it in session's packed form, so gob moves
-// their bytes and never reflects over a []Sample or a []Span.
+// and trace shards, ride inside it in their packed forms, so gob moves
+// their bytes and never reflects over a []Sample or a []Span — and a shard's
+// bytes are the ones its daemon packed when it drained the ring.
 //
 // Each daemon holds two independent channels to the front end, and
 // daemon.ChannelOf says which one a report rides:
@@ -54,8 +55,8 @@ type frame struct {
 	Inc uint64
 
 	// Event is the report. A sample batch or a trace shard travels with
-	// only its Kind set here and the rest in Packed, its session.Packer
-	// form; no other kind has one.
+	// only its Kind set here and the rest in Packed, its packed form; no
+	// other kind has one.
 	Event  session.Event
 	Packed []byte
 }
@@ -80,7 +81,9 @@ func (f *frame) open(up *session.Unpacker) bool {
 	case session.EvSamples:
 		f.Event.Samples, err = up.UnpackSamples(f.Packed)
 	case session.EvShard:
-		f.Event.Shard, err = up.UnpackShard(f.Packed)
+		// Verified and kept as bytes (a copy: Packed is the connection's
+		// reused buffer); no span is materialised here.
+		f.Event.Shard, err = trace.OpenShard(&up.Table, f.Packed)
 		stamp = f.Event.Shard.Daemon
 	default:
 		ok = len(f.Packed) == 0
@@ -180,8 +183,8 @@ type TCPTransport struct {
 	bulkDial  sync.Once // bulk's first connection waits for its first use
 }
 
-// channel is one wire.Conn plus the scratch its reports are packed through,
-// used only under the Conn's send lock.
+// channel is one wire.Conn plus the scratch its sample batches are packed
+// through, used only under the Conn's send lock.
 type channel struct {
 	*wire.Conn
 	pk     session.Packer
@@ -189,15 +192,15 @@ type channel struct {
 }
 
 // seal moves a sample batch or trace shard out of f.Event into its packed
-// form, built in the channel's scratch. Any other report travels in Event.
+// form: a batch's built in the channel's scratch, a shard's the bytes it
+// already is. Any other report travels in Event.
 func (c *channel) seal(f *frame) {
 	switch f.Event.Kind {
 	case session.EvSamples:
 		c.packed = c.pk.PackSamples(c.packed[:0], f.Event.Samples)
 		f.Packed, f.Event.Samples = c.packed, nil
 	case session.EvShard:
-		c.packed = c.pk.PackShard(c.packed[:0], &f.Event.Shard)
-		f.Packed, f.Event.Shard = c.packed, trace.Shard{}
+		f.Packed, f.Event.Shard = f.Event.Shard.Packed(), trace.Shard{}
 	}
 }
 

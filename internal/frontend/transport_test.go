@@ -266,6 +266,18 @@ func TestListenerRefusesForgedFrames(t *testing.T) {
 	packedSamples := sealed(frame{Event: someSamples}).Packed
 	corrupt := append([]byte(nil), packedSamples...)
 	corrupt[0] = 0x7f // 127 samples in a dozen bytes
+	// Shards arrive as the bytes their daemon packed, and are kept as bytes:
+	// what the verifying walk must refuse is refused here, before the
+	// timeline or the recorder sees anything.
+	packedShard := sealed(frame{Event: aShard}).Packed
+	overcount := append([]byte(nil), packedShard...)
+	overcount[0]++ // three records claimed, two there
+	badRecord := append([]byte(nil), packedShard...)
+	badRecord[len(badRecord)-13] = byte(trace.MarkEvent+1) << 1 // the last record's kind: head, dictionary and header intact
+	var pk trace.Packer
+	rec := trace.NewRecorder("p0", "node0", 0)
+	rec.Record(trace.Span{Name: "compute"})
+	drainedByD1 := shard(rec.DrainShard(&pk, d1))
 	for _, tc := range []struct {
 		name string
 		f    frame
@@ -293,6 +305,11 @@ func TestListenerRefusesForgedFrames(t *testing.T) {
 			Event: update(datasource.Update{Kind: datasource.UpHeartbeat, Daemon: d1, Time: sim.Time(5 * sim.Second)})}},
 		{"shard stamped by another daemon", sealed(frame{Daemon: d0, Chan: wire.ChanBulk, Seq: 1,
 			Event: shard(trace.Shard{Daemon: d1, Proc: "p0", Node: "node0", Spans: make([]trace.Span, 2)})})},
+		{"shard drained by another daemon", sealed(frame{Daemon: d0, Chan: wire.ChanBulk, Seq: 1, Event: drainedByD1})},
+		{"shard claiming more records than it holds", frame{Daemon: d0, Chan: wire.ChanBulk, Seq: 1, Packed: overcount,
+			Event: session.Event{Kind: session.EvShard}}},
+		{"shard corrupted after its dictionary", frame{Daemon: d0, Chan: wire.ChanBulk, Seq: 1, Packed: badRecord,
+			Event: session.Event{Kind: session.EvShard}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fe := New()

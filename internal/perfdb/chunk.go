@@ -22,6 +22,7 @@ import (
 	"pperf/internal/datasource"
 	"pperf/internal/session"
 	"pperf/internal/sim"
+	"pperf/internal/trace"
 	"pperf/internal/wire"
 )
 
@@ -138,10 +139,11 @@ const (
 const maxPendingPacked = 4 << 20
 
 // pendingChunk is an 'E' chunk being assembled: sample batches and trace
-// shards ride as packed blobs (session.Packer), everything else as gob of
-// session.Event (one encoder per chunk, so chunks stay independently
-// decodable). A batch or shard is packed the moment it is appended, so the
-// chunk never holds a caller's sample or span slice.
+// shards ride as packed blobs, everything else as gob of session.Event (one
+// encoder per chunk, so chunks stay independently decodable). A batch is
+// packed the moment it is appended and a shard's bytes — packed where its
+// ring was drained — are copied in, so the chunk never holds a caller's
+// sample slice or shard.
 //
 // Payload layout:
 //
@@ -158,25 +160,27 @@ type pendingChunk struct {
 	packed  []byte          // the blobs, each behind its uvarint length
 	rest    []session.Event // the gob-section events
 	pk      session.Packer
-	blob    []byte // one blob, packed, before its length is known
+	blob    []byte // one sample batch, packed, before its length is known
 }
 
 func (c *pendingChunk) add(ev session.Event) {
+	var blob []byte
 	switch ev.Kind {
 	case session.EvSamples:
 		c.flags = append(c.flags, flagSamples)
 		c.blob = c.pk.PackSamples(c.blob[:0], ev.Samples)
+		blob = c.blob
 	case session.EvShard:
 		c.flags = append(c.flags, flagShard)
-		c.blob = c.pk.PackShard(c.blob[:0], &ev.Shard)
+		blob = ev.Shard.Packed()
 	default:
 		c.flags = append(c.flags, flagGob)
 		c.rest = append(c.rest, ev)
 		return
 	}
 	c.nPacked++
-	c.packed = binary.AppendUvarint(c.packed, uint64(len(c.blob)))
-	c.packed = append(c.packed, c.blob...)
+	c.packed = binary.AppendUvarint(c.packed, uint64(len(blob)))
+	c.packed = append(c.packed, blob...)
 }
 
 // encode renders the payload and empties the chunk, keeping its buffers.
@@ -269,7 +273,11 @@ func (s *archiveScan) eventsChunk(data []byte, visit func(*session.Event)) error
 			s.samples, blobs = ev.Samples, blobs[1:]
 		case flagShard:
 			*ev = session.Event{Kind: session.EvShard}
-			ev.Shard, err = s.up.UnpackShard(blobs[0])
+			if visit == nil {
+				err = trace.VerifyShard(blobs[0]) // nothing kept
+			} else {
+				ev.Shard, err = trace.OpenShard(&s.up.Table, blobs[0])
+			}
 			blobs = blobs[1:]
 		default:
 			*ev, rest = rest[0], rest[1:]

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"pperf/internal/datasource"
+	"pperf/internal/packed"
 	"pperf/internal/resource"
 	"pperf/internal/session"
 	"pperf/internal/sim"
@@ -102,10 +103,22 @@ func archivesEquivalent(t *testing.T, want, got *session.Archive) {
 			continue
 		}
 		we.Samples, ge.Samples = nil, nil
+		we.Shard, ge.Shard = spansForm(t, we.Shard), spansForm(t, ge.Shard)
 		if !reflect.DeepEqual(we, ge) {
 			t.Fatalf("event %d mismatch:\nwant %+v\ngot  %+v", i, we, ge)
 		}
 	}
+}
+
+// spansForm returns sh with its spans materialised, whichever form it is in:
+// a read archive holds its shards packed, the tests build theirs from spans.
+func spansForm(t testing.TB, sh trace.Shard) trace.Shard {
+	t.Helper()
+	out, err := trace.UnpackShard(new(packed.Table), sh.Packed())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestChunkedArchiveRoundTrip(t *testing.T) {
@@ -239,7 +252,7 @@ func eventChunks(data []byte) (events, payload []int) {
 func TestPendingChunkIsBoundedInBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	full := session.Event{Kind: session.EvShard, Shard: randomShard(rng, 16384)}
-	oneShard := len(new(session.Packer).PackShard(nil, &full.Shard))
+	oneShard := len(full.Shard.Packed())
 	a := &session.Archive{Header: session.Header{Version: session.Version, NumBins: 100, BinWidth: sim.Millisecond}}
 	for i := 0; i < 60; i++ {
 		a.Events = append(a.Events, full,

@@ -14,10 +14,11 @@
 // the Performance Consultant can be re-run offline and reproduce the live
 // findings byte for byte.
 //
-// The package owns the schema and the packed forms of its two bulky kinds
-// (pack.go), which the wire and the archive share. The one on-disk form (the
-// chunked PPDBA1 format), its streaming recorder and its loader live in
-// internal/perfdb; see PERFDB.md.
+// The package owns the schema and the packed form of a sample batch
+// (pack.go), which the wire and the archive share; a trace shard is born
+// packed (trace/codec.go) and an Event carries it as it is. The one on-disk
+// form (the chunked PPDBA1 format), its streaming recorder and its loader live
+// in internal/perfdb; see PERFDB.md.
 package session
 
 import (
@@ -172,7 +173,8 @@ func (a *Archive) TruncationNote() string {
 // accept one.
 type Sink interface {
 	// Record captures one analysis-plane event, in arrival order. The
-	// caller keeps ownership of its sample and span slices' backing arrays.
+	// caller keeps ownership of its sample slice's backing array; a shard's
+	// packed bytes are nobody's to write.
 	Record(ev Event)
 	// SetHistogram records the front end's histogram configuration so
 	// replay folds samples into identical bins.

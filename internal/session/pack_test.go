@@ -1,14 +1,17 @@
 package session
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"pperf/internal/datasource"
+	"pperf/internal/packed"
 	"pperf/internal/resource"
 	"pperf/internal/sim"
 	"pperf/internal/trace"
@@ -93,7 +96,14 @@ func randomBatch(rng *rand.Rand, n int) []datasource.Sample {
 	return batch
 }
 
-func packShard(sh trace.Shard) []byte { return new(Packer).PackShard(nil, &sh) }
+// The shard codec lives in internal/trace; its tests stay here, beside the
+// sample codec's, driving it the way this package's consumers do (one string
+// table per reader, shared with the reader's sample batches).
+func packShard(sh trace.Shard) []byte { return new(trace.Packer).PackShard(nil, &sh) }
+
+func unpackShard(data []byte) (trace.Shard, error) {
+	return trace.UnpackShard(new(packed.Table), data)
+}
 
 // Every shard the type can express and the codec accepts — the shapes the
 // daemons produce and the ones only a test would build — comes back equal.
@@ -107,20 +117,29 @@ func TestPackShardRoundTrip(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		shards = append(shards, randomShard(rng, rng.Intn(80)))
 	}
-	var pk Packer
+	var pk trace.Packer
 	var up Unpacker
 	var buf []byte
 	for i, sh := range shards {
 		buf = pk.PackShard(buf[:0], &sh)
-		got, err := up.UnpackShard(buf)
+		got, err := trace.UnpackShard(&up.Table, buf)
 		if err != nil {
 			t.Fatalf("shard %d: unpack: %v", i, err)
 		}
 		if !reflect.DeepEqual(got, sh) {
 			t.Fatalf("shard %d round-tripped to a different shard:\nwant %+v\ngot  %+v", i, sh, got)
 		}
-		if fresh, err := new(Unpacker).UnpackShard(buf); err != nil || !reflect.DeepEqual(fresh, sh) {
+		if fresh, err := unpackShard(buf); err != nil || !reflect.DeepEqual(fresh, sh) {
 			t.Fatalf("shard %d decodes differently through a fresh string table (err %v)", i, err)
+		}
+		// The packed form the planes move: opened from the bytes, it carries
+		// them unchanged, and materialises to the same shard.
+		opened, err := trace.OpenShard(&up.Table, buf)
+		if err != nil || opened.Spans != nil || opened.Len() != len(sh.Spans) || !bytes.Equal(opened.Packed(), buf) {
+			t.Fatalf("shard %d: OpenShard: err %v, %d spans, bytes equal %v", i, err, opened.Len(), bytes.Equal(opened.Packed(), buf))
+		}
+		if opened.Daemon != sh.Daemon || opened.Proc != sh.Proc || opened.Node != sh.Node || opened.Dropped != sh.Dropped || opened.OutboxLost != sh.OutboxLost {
+			t.Fatalf("shard %d: OpenShard header %+v, want %+v", i, opened, sh)
 		}
 	}
 }
@@ -146,18 +165,18 @@ func TestUnpackShardRejectsCorruption(t *testing.T) {
 	valid := packShard(randomShard(rng, 32))
 	// The trailing-bytes check makes every proper prefix an error.
 	for n := 0; n < len(valid); n++ {
-		if _, err := new(Unpacker).UnpackShard(valid[:n]); err == nil {
+		if _, err := unpackShard(valid[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes decoded cleanly", n)
 		}
 	}
-	if _, err := new(Unpacker).UnpackShard(append(append([]byte(nil), valid...), 0)); err == nil || !strings.Contains(err.Error(), "trailing") {
+	if _, err := unpackShard(append(append([]byte(nil), valid...), 0)); err == nil || !strings.Contains(err.Error(), "trailing") {
 		t.Errorf("a trailing byte: err = %v, want a trailing-bytes error", err)
 	}
 	// Flipped bytes must never panic (many still decode, to other spans).
 	for i := range valid {
 		mut := append([]byte(nil), valid...)
 		mut[i] ^= 0xff
-		new(Unpacker).UnpackShard(mut)
+		unpackShard(mut)
 	}
 
 	one := packShard(trace.Shard{Spans: []trace.Span{{Kind: trace.MarkEvent}}})
@@ -166,12 +185,12 @@ func TestUnpackShardRejectsCorruption(t *testing.T) {
 		t.Fatalf("span record not where the test expects it: % x", one)
 	}
 	one[kindAt] = byte(trace.MarkEvent+1) << 1
-	if _, err := new(Unpacker).UnpackShard(one); err == nil || !strings.Contains(err.Error(), "unknown span kind") {
+	if _, err := unpackShard(one); err == nil || !strings.Contains(err.Error(), "unknown span kind") {
 		t.Errorf("a span of kind %d: err = %v, want an unknown-kind error", trace.MarkEvent+1, err)
 	}
 	// A count the input cannot hold is refused before anything is allocated
 	// for it: a million spans claimed by eight bytes.
-	if _, err := new(Unpacker).UnpackShard([]byte{0xc0, 0x84, 0x3d, 0, 0, 0, 0, 0}); err == nil || !strings.Contains(err.Error(), "records in") {
+	if _, err := unpackShard([]byte{0xc0, 0x84, 0x3d, 0, 0, 0, 0, 0}); err == nil || !strings.Contains(err.Error(), "records in") {
 		t.Errorf("an impossible span count: err = %v, want the count refused", err)
 	}
 }
@@ -183,9 +202,10 @@ func TestPackedFormsAllocationBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	sh, batch := randomShard(rng, 200), randomBatch(rng, 24)
 	var pk Packer
-	shardBytes := pk.PackShard(nil, &sh)
+	var spk trace.Packer
+	shardBytes := spk.PackShard(nil, &sh)
 	batchBytes := pk.PackSamples(nil, batch)
-	if n := testing.AllocsPerRun(100, func() { shardBytes = pk.PackShard(shardBytes[:0], &sh) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { shardBytes = spk.PackShard(shardBytes[:0], &sh) }); n != 0 {
 		t.Errorf("packing a shard through a warmed packer: %v allocs, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { batchBytes = pk.PackSamples(batchBytes[:0], batch) }); n != 0 {
@@ -193,12 +213,29 @@ func TestPackedFormsAllocationBudget(t *testing.T) {
 	}
 
 	var up Unpacker
-	if _, err := up.UnpackShard(shardBytes); err != nil {
+	if _, err := trace.UnpackShard(&up.Table, shardBytes); err != nil {
 		t.Fatal(err)
 	}
 	var got trace.Shard
-	if n := testing.AllocsPerRun(100, func() { got, _ = up.UnpackShard(shardBytes) }); n != 1 || len(got.Spans) != 200 {
+	if n := testing.AllocsPerRun(100, func() { got, _ = trace.UnpackShard(&up.Table, shardBytes) }); n != 1 || len(got.Spans) != 200 {
 		t.Errorf("unpacking a shard of known strings: %v allocs for %d spans, want 1 (the span slice)", n, len(got.Spans))
+	}
+	// The forms the planes use: opening is the verifying walk plus the one
+	// exact-size copy, verifying and iterating keep nothing.
+	if n := testing.AllocsPerRun(100, func() { got, _ = trace.OpenShard(&up.Table, shardBytes) }); n != 1 || got.Len() != 200 || cap(got.Packed()) != len(shardBytes) {
+		t.Errorf("opening a shard of known strings: %v allocs, %d spans, %d bytes kept for %d; want 1 alloc of exactly the bytes", n, got.Len(), cap(got.Packed()), len(shardBytes))
+	}
+	count := 0
+	if n := testing.AllocsPerRun(100, func() {
+		var s trace.Span
+		for c, _ := trace.ReadShard(&up.Table, shardBytes); c.Next(&s); {
+			count++
+		}
+	}); n != 0 || count != 101*200 {
+		t.Errorf("iterating a shard of known strings: %v allocs, %d spans visited; want 0 and %d", n, count, 101*200)
+	}
+	if n := testing.AllocsPerRun(100, func() { trace.VerifyShard(shardBytes) }); n != 0 {
+		t.Errorf("verifying a shard: %v allocs, want 0", n)
 	}
 
 	// A reader that hands its last batch back decodes into it: with the
@@ -220,22 +257,27 @@ func TestPackedFormsAllocationBudget(t *testing.T) {
 // The string table is capped: a reader fed ever-fresh names still decodes
 // every one of them, and what it keeps stops growing.
 func TestUnpackerStringTableIsCapped(t *testing.T) {
-	var pk Packer
+	var pk trace.Packer
 	var up Unpacker
 	var buf []byte
+	var first, last trace.Shard
 	for i := 0; i < 10000; i++ {
 		name := fmt.Sprintf("prog{%d}", i)
 		sh := trace.Shard{Daemon: "paradynd@node0", Proc: name, Node: "node0", Spans: []trace.Span{{Proc: name, Name: name}}}
 		buf = pk.PackShard(buf[:0], &sh)
-		got, err := up.UnpackShard(buf)
+		got, err := trace.UnpackShard(&up.Table, buf)
 		if err != nil || !reflect.DeepEqual(got, sh) {
 			t.Fatalf("shard %d through a full table: %+v, err %v", i, got, err)
 		}
+		if i == 0 {
+			first = got
+		}
+		last = got
 	}
-	if len(up.strs) != maxInterned {
-		t.Errorf("string table holds %d entries after 10000 distinct names, want the cap %d", len(up.strs), maxInterned)
+	if up.Len() != packed.MaxInterned {
+		t.Errorf("string table holds %d entries after 10000 distinct names, want the cap %d", up.Len(), packed.MaxInterned)
 	}
-	if _, ok := up.strs["paradynd@node0"]; !ok {
+	if unsafe.StringData(first.Daemon) != unsafe.StringData(last.Daemon) {
 		t.Error("a name met before the table filled is no longer shared")
 	}
 }
@@ -289,14 +331,35 @@ func FuzzUnpackShard(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var up Unpacker
-		sh, err := up.UnpackShard(data)
+		sh, err := trace.UnpackShard(&up.Table, data)
+		// One decoder under three uses: the verifying walk, the collecting
+		// decode and an iteration agree on whether the bytes are a shard, on
+		// why not, and on how many spans they hold.
+		visited := 0
+		c, walked := trace.ReadShard(&up.Table, data)
+		for s := new(trace.Span); c.Next(s); {
+			visited++
+		}
+		walkErr, bareErr := c.Close(), trace.VerifyShard(data)
+		opened, openErr := trace.OpenShard(new(packed.Table), data)
+		for _, other := range []error{walkErr, bareErr, openErr} {
+			if (err == nil) != (other == nil) || err != nil && err.Error() != other.Error() {
+				t.Fatalf("the decodes disagree: collecting %v, iterating %v, verifying %v, opening %v", err, walkErr, bareErr, openErr)
+			}
+		}
 		if err != nil {
 			return
+		}
+		if visited != len(sh.Spans) || opened.Len() != len(sh.Spans) || !bytes.Equal(opened.Packed(), data) {
+			t.Fatalf("%d spans collected, %d visited, %d in the opened shard (bytes kept: %v)", len(sh.Spans), visited, opened.Len(), bytes.Equal(opened.Packed(), data))
+		}
+		if walked.Daemon != sh.Daemon || walked.Proc != sh.Proc || walked.Node != sh.Node || walked.Dropped != sh.Dropped || walked.OutboxLost != sh.OutboxLost {
+			t.Fatalf("the walk read header %+v, the collecting decode %+v", walked, sh)
 		}
 		if len(sh.Spans) > len(data)/13 {
 			t.Fatalf("%d spans decoded from %d bytes", len(sh.Spans), len(data))
 		}
-		again, err := up.UnpackShard(packShard(sh))
+		again, err := trace.UnpackShard(&up.Table, packShard(sh))
 		if err != nil || !reflect.DeepEqual(again, sh) {
 			t.Fatalf("re-encode of a clean decode came back different (err %v):\nwant %+v\ngot  %+v", err, sh, again)
 		}

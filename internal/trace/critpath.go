@@ -1,10 +1,13 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
+	"pperf/internal/packed"
 	"pperf/internal/sim"
 )
 
@@ -39,16 +42,38 @@ type CriticalPath struct {
 	Truncated bool
 }
 
+// pathRec is what the walk reads of a span or an edge: kept for a track's
+// depth-0 spans and incoming wait edges only, out of 152 bytes a Span.
+type pathRec struct {
+	start, end sim.Time
+	seq        uint64
+	name, peer string
+	kind       Kind
+}
+
 // walk state: the per-proc depth-0 span and incoming wait-edge lists.
 type procTrack struct {
-	spans []Span // depth-0 MPI + compute, disjoint, sorted by Start
-	edges []Span // incoming wait edges, sorted by End then Seq
+	spans []pathRec // depth-0 MPI + compute, disjoint, sorted by Start
+	edges []pathRec // incoming wait edges, sorted by End then Seq
+}
+
+// onPath classifies a span for the walk: a depth-0 MPI or compute span, an
+// incoming wait edge, or neither.
+func onPath(s *Span) (span, edge bool) {
+	switch s.Kind {
+	case MPISpan, ComputeSpan:
+		return s.Depth == 0, false
+	case EdgeEvent:
+		return false, s.Wait
+	}
+	return false, false
 }
 
 const maxWalkSteps = 2_000_000
 
 // Analyze walks the timeline's critical path. It returns a zero-total
-// result for an empty timeline.
+// result for an empty timeline. Each track's shards are read where they lie,
+// twice: once to count what the walk needs, once to keep exactly that.
 func Analyze(tl *Timeline) *CriticalPath {
 	cp := &CriticalPath{
 		ByFunc:     make(map[string]sim.Time),
@@ -59,33 +84,41 @@ func Analyze(tl *Timeline) *CriticalPath {
 	var endProc string
 	var endT sim.Time
 	var endSeq uint64
+	var strs packed.Table
 	for _, p := range tl.Procs() {
 		if isToolTrack(p) {
 			continue // tool activity is not on the application's path
 		}
-		pt := &procTrack{}
-		for _, s := range tl.ProcSpans(p) {
-			switch s.Kind {
-			case MPISpan, ComputeSpan:
-				if s.Depth != 0 {
-					continue
-				}
-				pt.spans = append(pt.spans, s)
-				if s.End > endT || (s.End == endT && s.Seq < endSeq) || endProc == "" {
-					endProc, endT, endSeq = p, s.End, s.Seq
-				}
-			case EdgeEvent:
-				if s.Wait {
-					pt.edges = append(pt.edges, s)
-				}
+		var nSpans, nEdges int
+		tl.each(&strs, p, func(s *Span) {
+			span, edge := onPath(s)
+			if span {
+				nSpans++
+			} else if edge {
+				nEdges++
 			}
-		}
-		sort.Slice(pt.spans, func(i, j int) bool { return pt.spans[i].Start < pt.spans[j].Start })
-		sort.Slice(pt.edges, func(i, j int) bool {
-			if pt.edges[i].End != pt.edges[j].End {
-				return pt.edges[i].End < pt.edges[j].End
+		})
+		pt := &procTrack{spans: make([]pathRec, 0, nSpans), edges: make([]pathRec, 0, nEdges)}
+		tl.each(&strs, p, func(s *Span) {
+			span, edge := onPath(s)
+			if !span && !edge {
+				return
 			}
-			return pt.edges[i].Seq < pt.edges[j].Seq
+			rec := pathRec{s.Start, s.End, s.Seq, s.Name, s.Peer, s.Kind}
+			if edge {
+				pt.edges = append(pt.edges, rec)
+				return
+			}
+			pt.spans = append(pt.spans, rec)
+			if s.End > endT || (s.End == endT && s.Seq < endSeq) || endProc == "" {
+				endProc, endT, endSeq = p, s.End, s.Seq
+			}
+		})
+		slices.SortFunc(pt.spans, func(a, b pathRec) int {
+			return cmp.Or(cmp.Compare(a.start, b.start), cmp.Compare(a.seq, b.seq))
+		})
+		slices.SortFunc(pt.edges, func(a, b pathRec) int {
+			return cmp.Or(cmp.Compare(a.end, b.end), cmp.Compare(a.seq, b.seq))
 		})
 		tracks[p] = pt
 	}
@@ -109,10 +142,10 @@ func Analyze(tl *Timeline) *CriticalPath {
 			break
 		}
 		pt := tracks[proc]
-		var s *Span
+		var s *pathRec
 		if pt != nil {
 			// Latest depth-0 span starting strictly before t.
-			i := sort.Search(len(pt.spans), func(i int) bool { return pt.spans[i].Start >= t })
+			i := sort.Search(len(pt.spans), func(i int) bool { return pt.spans[i].start >= t })
 			if i > 0 {
 				s = &pt.spans[i-1]
 			}
@@ -124,9 +157,9 @@ func Analyze(tl *Timeline) *CriticalPath {
 			if pt != nil {
 				for i := range pt.edges {
 					e := &pt.edges[i]
-					if e.Name == "spawn" && e.End <= t {
-						charge("(app)", proc, t-e.End)
-						proc, t = e.Peer, e.Start
+					if e.name == "spawn" && e.end <= t {
+						charge("(app)", proc, t-e.end)
+						proc, t = e.peer, e.start
 						goto next
 					}
 				}
@@ -136,33 +169,33 @@ func Analyze(tl *Timeline) *CriticalPath {
 		next:
 			continue
 		}
-		if s.End < t {
+		if s.end < t {
 			// Gap between traced spans: application time.
-			charge("(app)", proc, t-s.End)
-			t = s.End
+			charge("(app)", proc, t-s.end)
+			t = s.end
 			continue
 		}
-		if s.Kind == MPISpan {
+		if s.kind == MPISpan {
 			// Latest incoming wait edge landing inside this span at or
 			// before t: the call blocked until then, so the cause lives on
 			// the peer.
-			i := sort.Search(len(pt.edges), func(i int) bool { return pt.edges[i].End > t })
-			var e *Span
+			i := sort.Search(len(pt.edges), func(i int) bool { return pt.edges[i].end > t })
+			var e *pathRec
 			for i--; i >= 0; i-- {
-				if pt.edges[i].End > s.Start {
+				if pt.edges[i].end > s.start {
 					e = &pt.edges[i]
 					break
 				}
 			}
-			if e != nil && e.Start <= e.End && (e.End < t || e.Start < t || e.Peer != proc) {
-				charge(s.Name, proc, t-e.End)
-				charge("(network)", "(network)", e.End-e.Start)
-				proc, t = e.Peer, e.Start
+			if e != nil && e.start <= e.end && (e.end < t || e.start < t || e.peer != proc) {
+				charge(s.name, proc, t-e.end)
+				charge("(network)", "(network)", e.end-e.start)
+				proc, t = e.peer, e.start
 				continue
 			}
 		}
-		charge(s.Name, proc, t-s.Start)
-		t = s.Start
+		charge(s.name, proc, t-s.start)
+		t = s.start
 	}
 	computeSlack(cp, tracks)
 	return cp
@@ -178,19 +211,19 @@ func computeSlack(cp *CriticalPath, tracks map[string]*procTrack) {
 		}
 		var finish sim.Time
 		for _, s := range pt.spans {
-			if s.End > finish {
-				finish = s.End
+			if s.end > finish {
+				finish = s.end
 			}
 		}
 		tail := cp.Total - finish
 		seen := map[string]bool{}
 		for _, s := range pt.spans {
-			if seen[s.Name] {
+			if seen[s.name] {
 				continue
 			}
-			seen[s.Name] = true
-			if cur, ok := cp.Slack[s.Name]; !ok || tail < cur {
-				cp.Slack[s.Name] = tail
+			seen[s.name] = true
+			if cur, ok := cp.Slack[s.name]; !ok || tail < cur {
+				cp.Slack[s.name] = tail
 			}
 		}
 	}

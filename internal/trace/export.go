@@ -77,9 +77,7 @@ func WriteChromeWith(w io.Writer, tl *Timeline, counters []CounterTrack) error {
 		e.metaSortIndex(tr.pid, tr.tid)
 	}
 
-	spans := tl.Spans()
-	for i := range spans {
-		s := &spans[i]
+	tl.eachOrdered(func(s *Span) {
 		tr := tracks[s.Proc]
 		switch s.Kind {
 		case MPISpan, ComputeSpan:
@@ -108,12 +106,9 @@ func WriteChromeWith(w io.Writer, tl *Timeline, counters []CounterTrack) error {
 		case ProbeEvent, DaemonSample, TransportEvent, MarkEvent:
 			e.open(s.Name, "i", s.Kind.String(), tr.pid, tr.tid, int64(s.Start)).raw(`,"s":"t"`).close()
 		case EdgeEvent:
-			if s.Flow == 0 {
-				continue
-			}
 			src, ok := tracks[s.Peer]
-			if !ok {
-				continue
+			if s.Flow == 0 || !ok {
+				return
 			}
 			cat, ok := e.flowCats[s.Name]
 			if !ok {
@@ -123,7 +118,7 @@ func WriteChromeWith(w io.Writer, tl *Timeline, counters []CounterTrack) error {
 			e.open(s.Name, "s", cat, src.pid, src.tid, int64(s.Start)).raw(`,"id":`).uint(s.Flow).close()
 			e.open(s.Name, "f", cat, tr.pid, tr.tid, int64(s.End)).raw(`,"id":`).uint(s.Flow).raw(`,"bp":"e"`).close()
 		}
-	}
+	})
 
 	if len(counters) > 0 {
 		e.metaName(counterPid, 0, "process_name", "front-end histograms")
@@ -266,8 +261,12 @@ func WriteCSV(w io.Writer, tl *Timeline) error {
 	}); err != nil {
 		return err
 	}
-	for _, s := range tl.Spans() {
-		err := cw.Write([]string{
+	var err error
+	tl.eachOrdered(func(s *Span) {
+		if err != nil {
+			return
+		}
+		err = cw.Write([]string{
 			strconv.FormatUint(s.Seq, 10),
 			s.Kind.String(),
 			s.Proc,
@@ -283,9 +282,9 @@ func WriteCSV(w io.Writer, tl *Timeline) error {
 			strconv.FormatUint(s.Flow, 10),
 			strconv.FormatBool(s.Wait),
 		})
-		if err != nil {
-			return err
-		}
+	})
+	if err != nil {
+		return err
 	}
 	if notice := incompleteNotice(tl); notice != "" {
 		err := cw.Write([]string{

@@ -78,8 +78,12 @@ func TestTraceDeterminismUnderFaults(t *testing.T) {
 	// must have spans recorded after the hang window (20–50 ms), and each
 	// per-proc track must arrive in Seq order.
 	covered := false
+	byProc := map[string][]trace.Span{}
+	for _, s := range a.Timeline.Spans() {
+		byProc[s.Proc] = append(byProc[s.Proc], s)
+	}
 	for _, p := range a.Timeline.Procs() {
-		spans := a.Timeline.ProcSpans(p)
+		spans := byProc[p]
 		var lastSeq uint64
 		for i, s := range spans {
 			if i > 0 && s.Start == spans[i-1].Start && s.Seq < lastSeq {

@@ -57,17 +57,15 @@ func (r *Recorder) Len() int { return r.n }
 // Dropped returns the cumulative number of evicted spans.
 func (r *Recorder) Dropped() int64 { return r.dropped }
 
-// Drain removes and returns all buffered spans in record order, as a fresh
-// slice the caller owns. It returns nil when the ring is empty so callers can
-// skip empty shards cheaply.
-func (r *Recorder) Drain() []Span {
-	if r.n == 0 {
-		return nil
-	}
-	out := make([]Span, r.n)
-	head := copy(out, r.buf[r.start:min(r.start+r.n, len(r.buf))])
-	copy(out[head:], r.buf) // the wrapped part, if any
-	r.start = 0
-	r.n = 0
-	return out
+// DrainShard removes all buffered spans and returns them as one shard in its
+// packed form, stamped with the draining daemon's name and the ring's
+// cumulative drop count. The spans are packed straight out of the ring
+// through p — no []Span copy is made — so the shard's bytes are the drain's
+// one allocation.
+func (r *Recorder) DrainShard(p *Packer, daemon string) Shard {
+	sh := Shard{Daemon: daemon, Proc: r.proc, Node: r.node, Dropped: r.dropped}
+	head := r.buf[r.start:min(r.start+r.n, len(r.buf))]
+	p.seal(&sh, head, r.buf[:r.n-len(head)]) // and the wrapped part, if any
+	r.start, r.n = 0, 0
+	return sh
 }

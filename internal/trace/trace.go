@@ -108,6 +108,15 @@ type Span struct {
 
 // Shard is one drained batch of a single track's spans, shipped from daemon
 // to front end through the bulk channel of the report transport.
+//
+// A shard moves and is kept in its packed form (codec.go): the daemon packs a
+// track's spans straight out of its ring (Recorder.DrainShard), a reader
+// verifies received bytes into one (OpenShard), and such a shard has no
+// Spans. Its header fields beside the bytes are copies for reading; only
+// StampOutboxLost changes one. A shard built by hand from materialised Spans
+// is accepted wherever a shard is — it is packed on its way in (Ingest) or out
+// (Packed) — and UnpackShard materialises one: the adapter in and out of the
+// one form, which the tool's own planes do not use.
 type Shard struct {
 	Daemon string
 	Proc   string
@@ -121,6 +130,11 @@ type Shard struct {
 	// bounded bulk queue before delivery. Like Dropped it is a
 	// monotone per-track counter; the timeline keeps the maximum seen.
 	OutboxLost int64
+
+	// packed is the packed form (header included, exactly PackShard's bytes),
+	// never written once set; first is the smallest Seq among its spans.
+	packed []byte
+	first  uint64
 }
 
 // Config tunes the tracing subsystem.

@@ -6,8 +6,21 @@ import (
 	"strings"
 	"testing"
 
+	"pperf/internal/packed"
 	"pperf/internal/sim"
 )
+
+// drained drains a recorder the way a daemon does and materialises the shard:
+// the adapter out of the packed form, for tests that read spans.
+func drained(t *testing.T, r *Recorder) []Span {
+	t.Helper()
+	sh := r.DrainShard(new(Packer), "")
+	got, err := UnpackShard(new(packed.Table), sh.Packed())
+	if err != nil || sh.Len() != len(got.Spans) || sh.Proc != r.Proc() || sh.Node != r.Node() || sh.Dropped != r.Dropped() {
+		t.Fatalf("drained shard %+v (%d spans) does not unpack to itself: %d spans, err %v", sh, sh.Len(), len(got.Spans), err)
+	}
+	return got.Spans
+}
 
 func TestRingEvictionAndDropAccounting(t *testing.T) {
 	r := NewRecorder("p0", "node0", 4)
@@ -20,7 +33,7 @@ func TestRingEvictionAndDropAccounting(t *testing.T) {
 	if r.Dropped() != 6 {
 		t.Fatalf("Dropped = %d, want 6", r.Dropped())
 	}
-	got := r.Drain()
+	got := drained(t, r)
 	if len(got) != 4 {
 		t.Fatalf("Drain len = %d, want 4", len(got))
 	}
@@ -29,7 +42,7 @@ func TestRingEvictionAndDropAccounting(t *testing.T) {
 			t.Errorf("drained[%d].Seq = %d, want %d (oldest evicted first)", i, s.Seq, 6+i)
 		}
 	}
-	if r.Len() != 0 || r.Drain() != nil {
+	if r.Len() != 0 || drained(t, r) != nil {
 		t.Error("Drain should reset the ring")
 	}
 	if r.Dropped() != 6 {
@@ -43,7 +56,7 @@ func TestTracerSeqAndNesting(t *testing.T) {
 	tr.BeginMPI("p0", "node0", "MPI_Isend", 11, "1", 5, 4, "comm-0")
 	tr.EndMPI("p0", 12)
 	tr.EndMPI("p0", 20)
-	spans := tr.Recorder("p0").Drain()
+	spans := drained(t, tr.Recorder("p0"))
 	if len(spans) != 2 {
 		t.Fatalf("spans = %d, want 2", len(spans))
 	}
@@ -73,7 +86,7 @@ func TestSyncReleaseEmitsWaiterEdges(t *testing.T) {
 	tr.SyncArrive(key, "p1")
 	tr.SyncRelease(key, "barrier", "p2", 50)
 	for _, waiter := range []string{"p0", "p1"} {
-		spans := tr.Recorder(waiter).Drain()
+		spans := drained(t, tr.Recorder(waiter))
 		found := false
 		for _, s := range spans {
 			if s.Kind == EdgeEvent && s.Name == "barrier" && s.Peer == "p2" &&
@@ -86,7 +99,7 @@ func TestSyncReleaseEmitsWaiterEdges(t *testing.T) {
 		}
 	}
 	// The releaser itself never waits on its own release.
-	for _, s := range tr.Recorder("p2").Drain() {
+	for _, s := range drained(t, tr.Recorder("p2")) {
 		if s.Kind == EdgeEvent && s.Name == "barrier" {
 			t.Error("releaser must not receive a sync edge")
 		}
