@@ -127,6 +127,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzChunkDecoder -fuzztime=5s ./internal/perfdb
 	$(GO) test -run '^$$' -fuzz=FuzzUnpackSamples -fuzztime=5s ./internal/session
 	$(GO) test -run '^$$' -fuzz=FuzzUnpackShard -fuzztime=5s ./internal/session
+	$(GO) test -run '^$$' -fuzz=FuzzCompileSource -fuzztime=5s ./internal/mdl
 
 # fuzz-perfdb holds the chunked-archive decoder and the packed sample-batch
 # and trace-shard decoders under it (internal/session) total: arbitrary bytes

@@ -29,8 +29,8 @@ import (
 	"pperf/internal/core"
 	"pperf/internal/daemon"
 	"pperf/internal/faults"
+	"pperf/internal/mdl"
 	"pperf/internal/mpi"
-	"pperf/internal/pcl"
 	"pperf/internal/perfdb"
 	"pperf/internal/pperfmark"
 	"pperf/internal/trace"
@@ -154,7 +154,7 @@ func main() {
 		return
 	}
 
-	impl, err := parseImpl(*implName)
+	impl, err := mpi.ParseImpl(*implName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pperf:", err)
 		os.Exit(2)
@@ -361,7 +361,7 @@ func runFromPCL(path string) error {
 	if err != nil {
 		return err
 	}
-	cfg, err := pcl.Parse(string(text))
+	cfg, err := mdl.Parse(string(text))
 	if err != nil {
 		return err
 	}
@@ -440,19 +440,4 @@ func writeTrace(path, format string, tl *trace.Timeline, counters []trace.Counte
 		err = cerr
 	}
 	return err
-}
-
-func parseImpl(name string) (mpi.ImplKind, error) {
-	switch strings.ToLower(name) {
-	case "lam", "lam/mpi":
-		return mpi.LAM, nil
-	case "mpich":
-		return mpi.MPICH, nil
-	case "mpich2":
-		return mpi.MPICH2, nil
-	case "reference", "ref":
-		return mpi.Reference, nil
-	default:
-		return 0, fmt.Errorf("unknown implementation %q", name)
-	}
 }

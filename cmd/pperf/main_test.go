@@ -21,10 +21,7 @@ import (
 // leave no recording behind. Each names what was wrong on stderr.
 func TestCLIExitCodes(t *testing.T) {
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "pperf")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
+	bin := buildPperf(t, dir)
 	write := func(name, content string) string {
 		path := filepath.Join(dir, name)
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
@@ -48,6 +45,8 @@ func TestCLIExitCodes(t *testing.T) {
 	}
 	zeroInterval := write("zero-interval.pcl", strings.Replace(string(pclText), `"PC_EvalIntervalMS" 250`, `"PC_EvalIntervalMS" 0`, 1))
 	negativeThreshold := write("negative-threshold.pcl", strings.Replace(string(pclText), `"PC_CPUThreshold" 0.3`, `"PC_CPUThreshold" -5`, 1))
+	ghostCounter := write("ghost-counter.pcl", strings.Replace(string(pclText), "example_barriers++;", "ghost++;", 1))
+	bracesInMDL := write("braces-in-mdl.pcl", strings.Replace(string(pclText), `"PMPI_Barrier" };`, `"PMPI_Barrier", "no}such{fn" }; // a } ends no block`, 1))
 
 	cases := []struct {
 		name   string
@@ -74,6 +73,8 @@ func TestCLIExitCodes(t *testing.T) {
 		{"list with -prog", []string{"-list", "-prog", "small-messages"}, 2, "-prog cannot be combined with -list"},
 		{"pcl with a zero evaluation interval", []string{"-pcl", zeroInterval}, 1, `pperf: pcl:17: tunable "PC_EvalIntervalMS" 0: the evaluation interval must be positive`},
 		{"pcl with a negative threshold", []string{"-pcl", negativeThreshold}, 1, `pperf: pcl:16: tunable "PC_CPUThreshold" -5: a threshold is a fraction of run time in (0, 1]`},
+		{"pcl with an undeclared counter in an embedded metric", []string{"-pcl", ghostCounter}, 1, `pperf: mdl:26: metric example_barriers: unknown counter "ghost"`},
+		{"pcl with braces in a comment and a string of its mdl block", []string{"-pcl", bracesInMDL}, 0, ""},
 		{"replay of a retired v1 archive", []string{"-replay", v1}, 1, "v1 PPARCH archive format retired"},
 		{"db add of a retired v1 archive", []string{"db", "-store", store, "add", v1}, 1, "v1 PPARCH archive format retired"},
 		{"replay of garbage", []string{"-replay", garbage}, 1, "not a pperf session archive"},
@@ -126,5 +127,33 @@ func TestCLIExitCodes(t *testing.T) {
 	files, _ := os.ReadDir(filepath.Join(stuckStore, "runs"))
 	if removed, err := st.GC(); len(st.Runs()) != 0 || len(files) != 0 || len(removed) != 0 || err != nil {
 		t.Errorf("the deadlocked run's store holds %d runs and %d files, gc removed %v (%v); want nothing", len(st.Runs()), len(files), removed, err)
+	}
+}
+
+// buildPperf builds the command into dir and returns the binary's path.
+func buildPperf(t *testing.T, dir string) string {
+	t.Helper()
+	bin := filepath.Join(dir, "pperf")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// The report of `pperf -pcl testdata/example.pcl` is pinned byte for byte
+// (regenerate with `go run ./cmd/pperf -pcl testdata/example.pcl >
+// testdata/example.pcl.stdout` when a change means to move it).
+func TestPCLExampleOutputIsGolden(t *testing.T) {
+	bin := buildPperf(t, t.TempDir())
+	want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "example.pcl.stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := exec.Command(bin, "-pcl", filepath.Join("..", "..", "testdata", "example.pcl")).Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("pperf -pcl testdata/example.pcl printed\n%s\nwant testdata/example.pcl.stdout:\n%s", got, want)
 	}
 }

@@ -6,34 +6,27 @@ import (
 
 	"pperf/internal/cluster"
 	"pperf/internal/consultant"
+	"pperf/internal/mdl"
 	"pperf/internal/mpi"
-	"pperf/internal/pcl"
 	"pperf/internal/sim"
 )
 
-// OptionsFromPCL builds session options from a PCL configuration, using the
+// OptionsFromPCL builds session options from a parsed PCL file, using the
 // named daemon definition's mpi_implementation attribute (the §4.1
-// extension) and merging any embedded MDL. base supplies everything PCL
-// does not configure (cluster size, seed).
-func OptionsFromPCL(cfg *pcl.Config, daemonName string, base Options) (Options, error) {
-	d := cfg.Daemon(daemonName)
+// extension). A file that defines metrics, constraints or resource lists
+// becomes the session's user MDL itself, so a compile error names the file's
+// line. base supplies everything PCL does not configure (cluster size, seed).
+func OptionsFromPCL(f *mdl.File, daemonName string, base Options) (Options, error) {
+	d := f.Daemon(daemonName)
 	if d == nil {
 		return base, fmt.Errorf("core: PCL has no daemon %q", daemonName)
 	}
-	switch d.MPIImplementation {
-	case "lam":
-		base.Impl = mpi.LAM
-	case "mpich":
-		base.Impl = mpi.MPICH
-	case "mpich2":
-		base.Impl = mpi.MPICH2
-	case "reference":
-		base.Impl = mpi.Reference
-	case "":
+	if !d.HasImpl {
 		return base, fmt.Errorf("core: daemon %q has no mpi_implementation attribute (required on non-shared filesystems, §4.1)", daemonName)
 	}
-	if cfg.MDL != "" {
-		base.UserMDL += "\n" + cfg.MDL
+	base.Impl = d.Impl
+	if len(f.ResourceLists)+len(f.Constraints)+len(f.Metrics) > 0 {
+		base.UserMDL = f.Source + "\n" + base.UserMDL
 	}
 	return base, nil
 }
@@ -42,10 +35,10 @@ func OptionsFromPCL(cfg *pcl.Config, daemonName string, base Options) (Options, 
 // adjusts (§5.1.6 lowers PC_CPUThreshold to 0.2) over the defaults. A
 // threshold outside (0, 1] or an evaluation interval that is not positive is
 // an error naming the tunable, its value and its line in the file.
-func ConsultantConfigFromPCL(cfg *pcl.Config) (consultant.Config, error) {
+func ConsultantConfigFromPCL(f *mdl.File) (consultant.Config, error) {
 	c := consultant.DefaultConfig()
-	refuse := func(name, want string) error {
-		return fmt.Errorf("pcl:%d: tunable %q %v: %s", cfg.TunableLine(name), name, cfg.Tunables[name], want)
+	refuse := func(t *mdl.TunableDecl, want string) error {
+		return fmt.Errorf("pcl:%d: tunable %q %v: %s", t.Line, t.Name, t.Value, want)
 	}
 	for _, th := range []struct {
 		name string
@@ -53,15 +46,17 @@ func ConsultantConfigFromPCL(cfg *pcl.Config) (consultant.Config, error) {
 	}{
 		{"PC_CPUThreshold", &c.CPUThreshold}, {"PC_SyncThreshold", &c.SyncThreshold}, {"PC_IOThreshold", &c.IOThreshold},
 	} {
-		*th.dst = cfg.Tunable(th.name, *th.dst)
-		if !(*th.dst > 0 && *th.dst <= 1) {
-			return c, refuse(th.name, "a threshold is a fraction of run time in (0, 1]")
+		if t := f.Tunable(th.name); t != nil {
+			if !(t.Value > 0 && t.Value <= 1) {
+				return c, refuse(t, "a threshold is a fraction of run time in (0, 1]")
+			}
+			*th.dst = t.Value
 		}
 	}
-	if v, ok := cfg.Tunables["PC_EvalIntervalMS"]; ok {
-		c.EvalInterval = sim.Duration(v * float64(sim.Millisecond))
+	if t := f.Tunable("PC_EvalIntervalMS"); t != nil {
+		c.EvalInterval = sim.Duration(t.Value * float64(sim.Millisecond))
 		if !(c.EvalInterval > 0) {
-			return c, refuse("PC_EvalIntervalMS", "the evaluation interval must be positive")
+			return c, refuse(t, "the evaluation interval must be positive")
 		}
 	}
 	return c, nil

@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"pperf/internal/mdl"
 	"pperf/internal/mpi"
-	"pperf/internal/pcl"
 	"pperf/internal/resource"
 	"pperf/internal/sim"
 )
@@ -33,7 +33,7 @@ metric pcl_sends {
 `
 
 func TestSessionFromPCL(t *testing.T) {
-	cfg, err := pcl.Parse(pclSrc)
+	cfg, err := mdl.Parse(pclSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestConsultantConfigFromPCLRefusesOutOfRangeTunables(t *testing.T) {
     "PC_IOThreshold" 1.5;`, `pcl:4: tunable "PC_IOThreshold" 1.5: a threshold`},
 		{`"PC_CPUThreshold" 1; "PC_EvalIntervalMS" 0.5;`, ""},
 	} {
-		cfg, err := pcl.Parse("// tunables\ntunable_constant {\n    " + c.tunables + "\n}\n")
+		cfg, err := mdl.Parse("// tunables\ntunable_constant {\n    " + c.tunables + "\n}\n")
 		if err != nil {
 			t.Fatalf("%s: %v", c.tunables, err)
 		}
@@ -92,13 +92,35 @@ func TestConsultantConfigFromPCLRefusesOutOfRangeTunables(t *testing.T) {
 }
 
 func TestOptionsFromPCLErrors(t *testing.T) {
-	cfg, _ := pcl.Parse(`daemon d { command "x"; }`)
+	cfg, _ := mdl.Parse(`daemon d { command "x"; }`)
 	if _, err := OptionsFromPCL(cfg, "missing", Options{}); err == nil {
 		t.Error("missing daemon should error")
 	}
 	if _, err := OptionsFromPCL(cfg, "d", Options{}); err == nil ||
 		!strings.Contains(err.Error(), "mpi_implementation") {
 		t.Errorf("missing attribute should error, got %v", err)
+	}
+}
+
+// A file with metric definitions is the session's user MDL itself, so an
+// error in one names the file's line; a file without any leaves UserMDL
+// empty, and the session the shared standard library.
+func TestOptionsFromPCLUserMDLIsTheFile(t *testing.T) {
+	broken := strings.Replace(pclSrc, "pcl_sends++;", "ghost++;", 1)
+	cfg, err := mdl.Parse(broken)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := OptionsFromPCL(cfg, "pd_mpich", Options{Nodes: 1, CPUsPerNode: 1})
+	if err != nil || !strings.HasPrefix(opts.UserMDL, broken) {
+		t.Fatalf("UserMDL = %q, %v; want the file's text", opts.UserMDL, err)
+	}
+	if _, err := NewSession(opts); err == nil || !strings.Contains(err.Error(), `mdl:17: metric pcl_sends: unknown counter "ghost"`) {
+		t.Errorf("NewSession = %v; want the file's line 17", err)
+	}
+	cfg, _ = mdl.Parse(`daemon d { mpi_implementation "MPICH2"; } tunable_constant { "PC_CPUThreshold" 0.2; }`)
+	if opts, err := OptionsFromPCL(cfg, "d", Options{}); err != nil || opts.UserMDL != "" || opts.Impl != mpi.MPICH2 {
+		t.Errorf("options = %+v, %v; want MPICH2 and no user MDL", opts, err)
 	}
 }
 

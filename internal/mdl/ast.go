@@ -1,12 +1,72 @@
 package mdl
 
-import "pperf/internal/probe"
+import (
+	"pperf/internal/mpi"
+	"pperf/internal/probe"
+)
 
-// File is a parsed MDL source: declarations in order.
+// File is a parsed MDL or PCL source: declarations in order. Compile reads
+// the resource lists, constraints and metrics; the daemons, processes and
+// tunables configure a run (internal/core, cmd/pperf -pcl).
 type File struct {
 	ResourceLists []*ResourceListDecl
 	Constraints   []*ConstraintDecl
 	Metrics       []*MetricDecl
+	Daemons       []*DaemonDecl
+	Processes     []*ProcessDecl
+	Tunables      []*TunableDecl
+	// Source is the text the file was parsed from.
+	Source string
+}
+
+// DaemonDecl is `daemon <id> { command "…"; flavor <id>;
+// mpi_implementation "…"; }`.
+type DaemonDecl struct {
+	Name    string
+	Command string
+	Flavor  string
+	// Impl is the §4.1 mpi_implementation attribute, the MPI implementation
+	// the daemon starts processes with; HasImpl says the attribute was given.
+	Impl    mpi.ImplKind
+	HasImpl bool
+	Line    int
+}
+
+// ProcessDecl is `process <id> { command "…"; daemon <id>; }`: an
+// application to run.
+type ProcessDecl struct {
+	Name    string
+	Command string // an mpirun command line, parsed by internal/cluster
+	Daemon  string // the daemon definition to start it with
+	Line    int
+}
+
+// TunableDecl is one `"<name>" <number>;` of a `tunable_constant { … }`
+// block, e.g. a Performance Consultant threshold.
+type TunableDecl struct {
+	Name  string
+	Value float64
+	Line  int
+}
+
+// Daemon returns the named daemon declaration, or nil.
+func (f *File) Daemon(name string) *DaemonDecl {
+	for _, d := range f.Daemons {
+		if d.Name == name {
+			return d
+		}
+	}
+	return nil
+}
+
+// Tunable returns the named tunable's last setting, or nil.
+func (f *File) Tunable(name string) *TunableDecl {
+	for i := len(f.Tunables) - 1; i >= 0; i-- {
+		if f.Tunables[i].Name == name {
+			return f.Tunables[i]
+		}
+	}
+	return nil
 }
 
 // ResourceListDecl is `resourceList <id> is procedure { "A", "B" } flavor { mpi };`

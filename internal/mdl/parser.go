@@ -5,10 +5,11 @@ import (
 	"strconv"
 	"strings"
 
+	"pperf/internal/mpi"
 	"pperf/internal/probe"
 )
 
-// Parse turns MDL source into a File.
+// Parse turns MDL or PCL source into a File.
 func Parse(src string) (f *File, err error) {
 	defer catch(&err)
 	toks, err := lexAll(src, false)
@@ -16,8 +17,17 @@ func Parse(src string) (f *File, err error) {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	f = &File{}
-	for !p.at(tokEOF) {
+	f = &File{Source: src}
+	p.decls(f, tokEOF)
+	return f, nil
+}
+
+// decls parses declarations into f up to the end token:
+//
+//	decl := resourceList | constraint | metric | daemon | process
+//	      | "tunable_constant" "{" (str number ";")* "}" | "mdl" "{" decl* "}"
+func (p *parser) decls(f *File, end tokKind) {
+	for !p.at(end) {
 		switch {
 		case p.atIdent("resourceList"):
 			f.ResourceLists = append(f.ResourceLists, p.resourceList())
@@ -25,11 +35,85 @@ func Parse(src string) (f *File, err error) {
 			f.Constraints = append(f.Constraints, p.constraint())
 		case p.atIdent("metric"):
 			f.Metrics = append(f.Metrics, p.metric())
+		case p.atIdent("daemon"):
+			d := p.daemon()
+			if f.Daemon(d.Name) != nil {
+				p.failAt(d.Line, "duplicate daemon %q", d.Name)
+			}
+			f.Daemons = append(f.Daemons, d)
+		case p.atIdent("process"):
+			f.Processes = append(f.Processes, p.process())
+		case p.atIdent("tunable_constant"):
+			p.advance()
+			p.expect(tokLBrace, "{")
+			for !p.at(tokRBrace) {
+				name := p.expect(tokString, "tunable name")
+				f.Tunables = append(f.Tunables, &TunableDecl{Name: name.text, Value: p.number(), Line: name.line})
+				p.expect(tokSemi, ";")
+			}
+			p.advance()
+		case p.atIdent("mdl"):
+			p.advance()
+			p.expect(tokLBrace, "{")
+			p.decls(f, tokRBrace)
+			p.advance()
+		case p.at(tokEOF):
+			p.failf("unterminated mdl block")
 		default:
-			p.failf("expected resourceList, constraint, or metric, got %q", p.cur().text)
+			p.failf("unknown declaration %q", p.cur().text)
 		}
 	}
-	return f, nil
+}
+
+// attrs parses a PCL block body, `{ (id value ";")* }`, handing each
+// attribute to set, which reads its value.
+func (p *parser) attrs(set func(attr token)) {
+	p.expect(tokLBrace, "{")
+	for !p.at(tokRBrace) {
+		set(p.expect(tokIdent, "attribute"))
+		p.expect(tokSemi, ";")
+	}
+	p.advance()
+}
+
+// daemon := "daemon" id "{" (("command" str | "flavor" id | "mpi_implementation" str) ";")* "}"
+func (p *parser) daemon() *DaemonDecl {
+	d := &DaemonDecl{Line: p.advance().line}
+	d.Name = p.ident()
+	p.attrs(func(attr token) {
+		switch attr.text {
+		case "command":
+			d.Command = p.expect(tokString, "string").text
+		case "flavor":
+			d.Flavor = p.ident()
+		case "mpi_implementation":
+			kind, err := mpi.ParseImpl(p.expect(tokString, "string").text)
+			if err != nil {
+				p.failAt(attr.line, "daemon %s: %v", d.Name, err)
+			}
+			d.Impl, d.HasImpl = kind, true
+		default:
+			p.failAt(attr.line, "unknown daemon attribute %q", attr.text)
+		}
+	})
+	return d
+}
+
+// process := "process" id "{" (("command" str | "daemon" id) ";")* "}"
+func (p *parser) process() *ProcessDecl {
+	pr := &ProcessDecl{Line: p.advance().line}
+	pr.Name = p.ident()
+	p.attrs(func(attr token) {
+		switch attr.text {
+		case "command":
+			pr.Command = p.expect(tokString, "string").text
+		case "daemon":
+			pr.Daemon = p.ident()
+		default:
+			p.failAt(attr.line, "unknown process attribute %q", attr.text)
+		}
+	})
+	return pr
 }
 
 type parser struct {
@@ -89,6 +173,15 @@ func (p *parser) expectIdent(s string) {
 }
 
 func (p *parser) ident() string { return p.expect(tokIdent, "identifier").text }
+
+func (p *parser) number() float64 {
+	t := p.expect(tokNumber, "number")
+	v, err := strconv.ParseFloat(t.text, 64)
+	if err != nil {
+		p.failAt(t.line, "bad number %q", t.text)
+	}
+	return v
+}
 
 // resourceList := "resourceList" id "is" kind "{" str ("," str)* "}"
 //
@@ -351,12 +444,7 @@ func (p *parser) mulExpr() Expr {
 func (p *parser) primary() Expr {
 	switch p.cur().kind {
 	case tokNumber:
-		t := p.advance()
-		v, err := strconv.ParseFloat(t.text, 64)
-		if err != nil {
-			p.failAt(t.line, "bad number %q", t.text)
-		}
-		return &NumExpr{V: v}
+		return &NumExpr{V: p.number()}
 	case tokString:
 		return &StrExpr{V: p.advance().text}
 	case tokDollar:

@@ -4,6 +4,8 @@
 // MDL source into executable instrumentation — probe handlers inserted into
 // running processes — plus the standard metric library covering the paper's
 // Table 1 RMA metrics and the MPI-1 metrics the Performance Consultant uses.
+// A Paradyn Configuration Language (PCL) file is the same language, so
+// every error in one names a line of the file itself.
 package mdl
 
 import "fmt"
@@ -109,9 +111,13 @@ func (lx *lexer) lexToken() (token, error) {
 			lx.pos++
 		}
 		return token{kind: tokIdent, text: lx.src[start:lx.pos], line: line}, nil
-	case isDigit(c):
-		for lx.pos < len(lx.src) && (isDigit(lx.src[lx.pos]) || lx.src[lx.pos] == '.') {
-			lx.pos++
+	case isDigit(c) || (c == '-' || c == '+') && !lx.inSnippet && isDigit(lx.peekAt(1)):
+		// [sign] digits [e [sign] digits]; a leading sign only outside
+		// snippets, which have no subtraction (a PCL tunable such as -5).
+		for lx.pos++; lx.pos < len(lx.src); lx.pos++ {
+			if d := lx.src[lx.pos]; !isDigit(d) && d != '.' && d != 'e' && !((d == '-' || d == '+') && lx.src[lx.pos-1] == 'e') {
+				break
+			}
 		}
 		return token{kind: tokNumber, text: lx.src[start:lx.pos], line: line}, nil
 	case c == '"':

@@ -1,6 +1,9 @@
 package mpi
 
 import (
+	"fmt"
+	"strings"
+
 	"pperf/internal/cluster"
 	"pperf/internal/sim"
 )
@@ -38,6 +41,24 @@ func (k ImplKind) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// ParseImpl returns the kind an implementation name spells, in any case:
+// every name String prints, and the short forms lam and ref. It is the one
+// reader of these names — pperf's -impl flag and a PCL daemon's
+// mpi_implementation attribute both go through it.
+func ParseImpl(name string) (ImplKind, error) {
+	switch strings.ToLower(name) {
+	case "lam", "lam/mpi":
+		return LAM, nil
+	case "mpich":
+		return MPICH, nil
+	case "mpich2":
+		return MPICH2, nil
+	case "reference", "ref":
+		return Reference, nil
+	}
+	return 0, fmt.Errorf("unknown MPI implementation %q (lam | mpich | mpich2 | reference)", name)
 }
 
 // Impl is an MPI implementation personality: a cost model plus the

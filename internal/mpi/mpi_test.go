@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"strings"
 	"testing"
 
 	"pperf/internal/cluster"
@@ -469,4 +470,26 @@ func TestAllreduceMaxMin(t *testing.T) {
 			t.Errorf("min = %v err=%v", mn, err)
 		}
 	})
+}
+
+// Every name an ImplKind prints parses back to that kind, as do the short
+// forms, in any case; anything else is refused.
+func TestParseImplReadsEveryPrintedName(t *testing.T) {
+	for k := LAM; k <= Reference; k++ {
+		for _, name := range []string{k.String(), strings.ToLower(k.String()), strings.ToUpper(k.String())} {
+			if got, err := ParseImpl(name); got != k || err != nil {
+				t.Errorf("ParseImpl(%q) = %v, %v; want %v", name, got, err, k)
+			}
+		}
+	}
+	for name, want := range map[string]ImplKind{"lam": LAM, "LAM": LAM, "ref": Reference, "Ref": Reference} {
+		if got, err := ParseImpl(name); got != want || err != nil {
+			t.Errorf("ParseImpl(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"", "openmpi", "unknown", "mpich3", " lam"} {
+		if _, err := ParseImpl(name); err == nil {
+			t.Errorf("ParseImpl(%q) accepted", name)
+		}
+	}
 }

@@ -37,7 +37,8 @@ type CriticalPath struct {
 	// would shift the path before the process's finish line does.
 	Slack map[string]sim.Time
 	// Steps is the number of walk steps taken; Truncated reports the
-	// safety cap fired (never in practice — edges strictly reduce time).
+	// safety cap fired (never in practice: every step moves t back or takes
+	// a wait edge not taken before).
 	Steps     int
 	Truncated bool
 }
@@ -53,8 +54,18 @@ type pathRec struct {
 
 // walk state: the per-proc depth-0 span and incoming wait-edge lists.
 type procTrack struct {
-	spans []pathRec // depth-0 MPI + compute, disjoint, sorted by Start
-	edges []pathRec // incoming wait edges, sorted by End then Seq
+	spans    []pathRec // depth-0 MPI + compute, disjoint, sorted by Start
+	edges    []pathRec // incoming wait edges, sorted by End then Seq
+	followed []bool    // per edge: the walk has taken it
+}
+
+// follow marks edge i taken, reporting whether it was not yet. The walk
+// takes each edge once: one with Start == End == t moves it to the peer
+// without moving t, and the peer's edge can lead straight back.
+func (pt *procTrack) follow(i int) bool {
+	was := pt.followed[i]
+	pt.followed[i] = true
+	return !was
 }
 
 // onPath classifies a span for the walk: a depth-0 MPI or compute span, an
@@ -98,7 +109,7 @@ func Analyze(tl *Timeline) *CriticalPath {
 				nEdges++
 			}
 		})
-		pt := &procTrack{spans: make([]pathRec, 0, nSpans), edges: make([]pathRec, 0, nEdges)}
+		pt := &procTrack{spans: make([]pathRec, 0, nSpans), edges: make([]pathRec, 0, nEdges), followed: make([]bool, nEdges)}
 		tl.each(&strs, p, func(s *Span) {
 			span, edge := onPath(s)
 			if !span && !edge {
@@ -157,7 +168,7 @@ func Analyze(tl *Timeline) *CriticalPath {
 			if pt != nil {
 				for i := range pt.edges {
 					e := &pt.edges[i]
-					if e.name == "spawn" && e.end <= t {
+					if e.name == "spawn" && e.end <= t && pt.follow(i) {
 						charge("(app)", proc, t-e.end)
 						proc, t = e.peer, e.start
 						goto next
@@ -179,19 +190,15 @@ func Analyze(tl *Timeline) *CriticalPath {
 			// Latest incoming wait edge landing inside this span at or
 			// before t: the call blocked until then, so the cause lives on
 			// the peer.
-			i := sort.Search(len(pt.edges), func(i int) bool { return pt.edges[i].end > t })
-			var e *pathRec
-			for i--; i >= 0; i-- {
-				if pt.edges[i].end > s.start {
-					e = &pt.edges[i]
-					break
+			i := sort.Search(len(pt.edges), func(i int) bool { return pt.edges[i].end > t }) - 1
+			if i >= 0 && pt.edges[i].end > s.start {
+				e := &pt.edges[i]
+				if e.start <= e.end && (e.end < t || e.start < t || e.peer != proc) && pt.follow(i) {
+					charge(s.name, proc, t-e.end)
+					charge("(network)", "(network)", e.end-e.start)
+					proc, t = e.peer, e.start
+					continue
 				}
-			}
-			if e != nil && e.start <= e.end && (e.end < t || e.start < t || e.peer != proc) {
-				charge(s.name, proc, t-e.end)
-				charge("(network)", "(network)", e.end-e.start)
-				proc, t = e.peer, e.start
-				continue
 			}
 		}
 		charge(s.name, proc, t-s.start)
