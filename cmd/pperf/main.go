@@ -92,8 +92,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "pperf: -%s cannot be combined with -%s (it reads %s)\n", f.Name, mode, reads)
 			os.Exit(2)
 		}
-		if v, ok := f.Value.(flag.Getter).Get().(float64); ok && v < 0 && strings.HasPrefix(f.Name, "what-if-") {
+		if v, ok := f.Value.(flag.Getter).Get().(float64); ok && v < 0 { // the -what-if-* thresholds
 			fmt.Fprintf(os.Stderr, "pperf: -%s %v: a threshold must be positive\n", f.Name, v)
+			os.Exit(2)
+		}
+		if v, ok := f.Value.(flag.Getter).Get().(int); ok && v < 0 { // -np, -iterations, -ttw
+			fmt.Fprintf(os.Stderr, "pperf: -%s %d: a size must not be negative\n", f.Name, v)
 			os.Exit(2)
 		}
 	})
@@ -326,9 +330,9 @@ func printResult(res *pperfmark.Result, hier, judge, critPath bool, traceOut, tr
 			fmt.Fprintln(os.Stderr, "pperf:", err)
 			os.Exit(1)
 		}
+		st := res.Timeline.Stats()
 		fmt.Printf("\nTrace written to %s (%s format, %d shards; spans lost: %d ring-evicted, %d outbox-evicted, %d undelivered)\n",
-			traceOut, traceFmt, res.Timeline.Shards(),
-			res.Timeline.Dropped(), res.Timeline.OutboxLost(), res.Timeline.Undelivered())
+			traceOut, traceFmt, st.Shards, st.Dropped, st.OutboxLost, st.Undelivered)
 	}
 	if critPath {
 		cp := trace.Analyze(res.Timeline)

@@ -67,6 +67,13 @@ func TestCLIExitCodes(t *testing.T) {
 		{"record with -db", []string{"-prog", "big-message", "-record", filepath.Join(dir, "r.ppdb"), "-db", store}, 2, "-record and -db are mutually exclusive"},
 		{"bad trace format on the replay path", []string{"-replay", "a.ppdb", "-trace", filepath.Join(dir, "out"), "-trace-format", "xml"}, 2, `unknown -trace-format "xml"`},
 		{"bad spawn method", []string{"-prog", "small-messages", "-spawn", "bogus"}, 2, `unknown -spawn "bogus"`},
+		{"negative process count", []string{"-prog", "small-messages", "-np", "-1"}, 2, "-np -1: a size must not be negative"},
+		{"negative iterations", []string{"-prog", "small-messages", "-iterations", "-5"}, 2, "-iterations -5: a size must not be negative"},
+		{"negative time to waste", []string{"-prog", "small-messages", "-ttw", "-3"}, 2, "-ttw -3: a size must not be negative"},
+		{"fault before the run starts", []string{"-prog", "random-barrier", "-faults", "t=-1s kill-node node1"}, 2, `bad t "-1s"`},
+		{"NaN latency factor", []string{"-prog", "random-barrier", "-faults", "t=1s degrade-link * lat=NaN"}, 2, `bad lat "NaN": want a finite factor above 0`},
+		{"negative bandwidth factor", []string{"-prog", "random-barrier", "-faults", "t=1s degrade-link * bw=-1"}, 2, `bad bw "-1": want a finite factor above 0`},
+		{"latency factor past the bound", []string{"-prog", "random-barrier", "-faults", "t=1s degrade-link * lat=1e300"}, 2, "bad lat 1e300: above 1e+06; use sever-link"},
 		{"pcl with -record", []string{"-pcl", pclFile, "-record", filepath.Join(dir, "r.ppdb")}, 2, "-record cannot be combined with -pcl"},
 		{"pcl with -faults", []string{"-faults", "t=1s kill-node node1", "-pcl", pclFile}, 2, "-faults cannot be combined with -pcl"},
 		{"pcl with -replay", []string{"-replay", garbage, "-pcl", pclFile}, 2, "-replay cannot be combined with -pcl"},
@@ -144,16 +151,40 @@ func buildPperf(t *testing.T, dir string) string {
 // (regenerate with `go run ./cmd/pperf -pcl testdata/example.pcl >
 // testdata/example.pcl.stdout` when a change means to move it).
 func TestPCLExampleOutputIsGolden(t *testing.T) {
-	bin := buildPperf(t, t.TempDir())
-	want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "example.pcl.stdout"))
+	pcl, err := filepath.Abs(filepath.Join("..", "..", "testdata", "example.pcl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := exec.Command(bin, "-pcl", filepath.Join("..", "..", "testdata", "example.pcl")).Output()
+	checkGolden(t, "example.pcl.stdout", "-pcl", pcl)
+}
+
+// The self-report of a faulted, traced run is pinned byte for byte: the
+// "Trace written to …" line with its shard and span-loss counts, and one
+// wire-counter line per channel. It runs in an empty directory, so the trace
+// path printed is the one given (regenerate there with the arguments below
+// and `> testdata/transport-stats.stdout`).
+func TestTransportStatsOutputIsGolden(t *testing.T) {
+	checkGolden(t, "transport-stats.stdout", "-prog", "small-messages", "-seed", "7", "-iterations", "3000",
+		"-trace", "t.json", "-transport-stats",
+		"-faults", "t=5ms drop-transport node0 n=6 chan=bulk; t=20ms hang-daemon node1 for=100ms; t=10ms drop-transport node1 n=4")
+}
+
+// checkGolden runs pperf with args in an empty directory and compares its
+// stdout with testdata/golden.
+func checkGolden(t *testing.T, golden string, args ...string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("..", "..", "testdata", golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cmd := exec.Command(buildPperf(t, dir), args...)
+	cmd.Dir = dir
+	got, err := cmd.Output()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("pperf -pcl testdata/example.pcl printed\n%s\nwant testdata/example.pcl.stdout:\n%s", got, want)
+		t.Errorf("pperf %q printed\n%s\nwant testdata/%s:\n%s", args, got, golden, want)
 	}
 }

@@ -34,7 +34,7 @@ func TestFunctionDiscoveryReachesDaemonAndProfiler(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.FE.Supervisor().Incarnation("node1"); got != 2 {
+	if got := s.FE.Supervisor().Stats()["node1"].Incarnation; got != 2 {
 		t.Fatalf("node1's daemon is incarnation %d, want 2: the respawn this test is about did not happen", got)
 	}
 	h := s.FE.Hierarchy()

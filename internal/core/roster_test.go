@@ -61,8 +61,8 @@ func TestRosterReplaceReroutesEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if neu.NumProcesses() != 1 || old.NumProcesses() != 0 {
-		t.Errorf("ProcessStarted hook: new incarnation adopted %d, old %d; want 1 and 0", neu.NumProcesses(), old.NumProcesses())
+	if n, o := neu.Stats().Processes, old.Stats().Processes; n != 1 || o != 0 {
+		t.Errorf("ProcessStarted hook: new incarnation adopted %d, old %d; want 1 and 0", n, o)
 	}
 	dupPath := ""
 	for _, u := range seen.updates {
@@ -75,8 +75,8 @@ func TestRosterReplaceReroutesEverything(t *testing.T) {
 	} else if s.FE.Hierarchy().FindPath(dupPath) != nil {
 		t.Errorf("%s reached the front end, which only the old incarnation reports to", dupPath)
 	}
-	if neu.EnabledCount() != 1 || old.EnabledCount() != 0 {
-		t.Errorf("EnableMetric: new incarnation holds %d pairs, old %d; want 1 and 0", neu.EnabledCount(), old.EnabledCount())
+	if n, o := neu.Stats().Enabled, old.Stats().Enabled; n != 1 || o != 0 {
+		t.Errorf("EnableMetric: new incarnation holds %d pairs, old %d; want 1 and 0", n, o)
 	}
 	if !neu.Crashed() || old.Crashed() {
 		t.Errorf("crash-daemon hook: new crashed=%v old crashed=%v; want true and false", neu.Crashed(), old.Crashed())

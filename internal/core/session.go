@@ -8,7 +8,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"pperf/internal/cluster"
 	"pperf/internal/daemon"
@@ -382,9 +381,14 @@ func (s *Session) RunFor(d sim.Duration) error {
 }
 
 // flushTrace ships spans recorded after each daemon's last sampling tick
-// (the end-of-run flush), then folds each daemon's undelivered-span counts
-// into the timeline so exporters can flag an incomplete trace. A no-op when
-// tracing is not armed.
+// (the end-of-run flush), then folds each running daemon's span-loss counts
+// into the timeline outside the transport, track by track in recorder order,
+// wherever the timeline is behind: ring drops and bulk-queue evictions as one
+// spans-free shard (the shards that would have carried them are stranded too),
+// spans stranded undelivered as a note, so exporters can flag an incomplete
+// trace. A bulk channel still down at exit thus hides no loss. A crashed
+// daemon flushed nothing: what it held is the liveness monitor's loss. A no-op
+// when tracing is not armed.
 func (s *Session) flushTrace() {
 	if s.Tracer == nil {
 		return
@@ -392,17 +396,23 @@ func (s *Session) flushTrace() {
 	for _, d := range s.daemons.All() {
 		d.FlushTrace()
 	}
+	tl := s.FE.Timeline()
 	for _, d := range s.daemons.All() {
-		und := d.UndeliveredSpans()
-		procs := make([]string, 0, len(und))
-		for proc := range und {
-			procs = append(procs, proc)
+		if d.Crashed() {
+			continue
 		}
-		// Sorted so the notes land in the timeline — and the session
-		// archive, when recording — in an order independent of map layout.
-		sort.Strings(procs)
-		for _, proc := range procs {
-			s.FE.NoteUndelivered(proc, und[proc])
+		st := d.Stats()
+		for _, rec := range s.Tracer.Recorders(s.Spec.Nodes[d.Node()].Name) {
+			proc, lost := rec.Proc(), st.LostSpans[rec.Proc()]
+			have := tl.Stats(proc)
+			if have.Dropped < rec.Dropped() || have.OutboxLost < lost {
+				s.FE.Report(session.Event{Kind: session.EvShard, Shard: trace.Shard{
+					Daemon: d.Name(), Proc: proc, Node: rec.Node(), Dropped: rec.Dropped(), OutboxLost: lost,
+				}})
+			}
+			if n := st.Undelivered[proc]; have.Undelivered < n {
+				s.FE.NoteUndelivered(proc, n)
+			}
 		}
 	}
 }
@@ -455,7 +465,7 @@ func (s *Session) WireStats() map[string]wire.Stats {
 func (s *Session) ProbeExecutions() int64 {
 	var n int64
 	for _, d := range s.daemons.All() {
-		n += d.ProbeExecutions()
+		n += d.Stats().ProbeExecs
 	}
 	return n
 }

@@ -2,7 +2,7 @@ package daemon
 
 import (
 	"fmt"
-	"sort"
+	"maps"
 
 	"pperf/internal/datasource"
 	"pperf/internal/mdl"
@@ -136,9 +136,6 @@ func (d *Daemon) EnableTracing(tr *trace.Tracer) {
 // Name returns the daemon's identity.
 func (d *Daemon) Name() string { return d.name }
 
-// NumProcesses returns how many application processes the daemon owns.
-func (d *Daemon) NumProcesses() int { return len(d.ranks) }
-
 // Node returns the index of the cluster node the daemon serves.
 func (d *Daemon) Node() int { return d.node }
 
@@ -259,10 +256,6 @@ func AttachAll(w *mpi.World, daemons []*Daemon) *Registry {
 // incarnation re-reports the process's resources (which also clears the
 // front end's lost mark) and re-instruments the enables applied so far.
 func (d *Daemon) Adopt(r *mpi.Rank) { d.adopt(r) }
-
-// EnabledCount returns how many metric-focus enable requests the daemon
-// currently holds — the resynchronization protocol's double-enable guard.
-func (d *Daemon) EnabledCount() int { return len(d.enabled) }
 
 // adopt starts managing a process: resource reports, function discovery,
 // probe cost accounting, and instrumentation for already-enabled metrics.
@@ -549,38 +542,29 @@ func (d *Daemon) tick() {
 	}
 }
 
-// ProbeExecutions totals probe-handler executions across the daemon's
-// processes (overhead reporting).
-func (d *Daemon) ProbeExecutions() int64 {
-	var n int64
-	for _, rc := range d.ranks {
-		n += rc.r.Probes().Executions
-	}
-	return n
+// Stats is the daemon's counter block: what it manages, what it holds for
+// its channels and what it lost.
+type Stats struct {
+	Processes  int   // application processes adopted
+	Enabled    int   // metric-focus enable requests held
+	ProbeExecs int64 // probe-handler executions across its processes
+	// Ctl and Bulk are the two channels' report queues (see outbox.go).
+	Ctl, Bulk QueueStats
+	// LostSpans and Undelivered count spans per track: drained from a
+	// recorder but evicted from the bulk queue, and stranded in it when the
+	// end-of-run flush gave up. Both are cumulative; nil when none.
+	LostSpans, Undelivered map[string]int64
 }
 
-// Modules returns the module→functions map merged across the daemon's
-// processes (sorted), for inspection.
-func (d *Daemon) Modules() map[string][]string {
-	out := map[string][]string{}
+// Stats returns a snapshot of the daemon's counters.
+func (d *Daemon) Stats() Stats {
+	st := Stats{
+		Processes: len(d.ranks), Enabled: len(d.enabled),
+		Ctl: d.ctl.stats(), Bulk: d.bulk.stats(),
+		LostSpans: maps.Clone(d.lostSpans), Undelivered: maps.Clone(d.undelivered),
+	}
 	for _, rc := range d.ranks {
-		for m, fns := range rc.modules {
-			out[m] = append(out[m], fns...)
-		}
+		st.ProbeExecs += rc.r.Probes().Executions
 	}
-	for m, fns := range out {
-		sort.Strings(fns)
-		out[m] = dedupe(fns)
-	}
-	return out
-}
-
-func dedupe(sorted []string) []string {
-	out := sorted[:0]
-	for i, s := range sorted {
-		if i == 0 || s != sorted[i-1] {
-			out = append(out, s)
-		}
-	}
-	return out
+	return st
 }

@@ -75,8 +75,8 @@ func TestDaemonAdoptsAndSamples(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if ds[0].NumProcesses() != 1 || ds[1].NumProcesses() != 1 {
-		t.Errorf("adoption counts: %d/%d", ds[0].NumProcesses(), ds[1].NumProcesses())
+	if len(ds[0].ranks) != 1 || len(ds[1].ranks) != 1 {
+		t.Errorf("adoption counts: %d/%d", len(ds[0].ranks), len(ds[1].ranks))
 	}
 	total := 0.0
 	for _, s := range rec.samples {
@@ -118,8 +118,7 @@ func TestDaemonResourceUpdates(t *testing.T) {
 		t.Errorf("updates missing: proc=%v func=%v exit=%v", sawProc, sawFunc, sawExit)
 	}
 	_ = sawEdge // produce has no traced callees in this program
-	mods := ds[0].Modules()
-	if len(mods["app.c"]) == 0 {
+	if mods := ds[0].ranks[0].modules; len(mods["app.c"]) == 0 {
 		t.Errorf("modules = %v", mods)
 	}
 }
@@ -138,7 +137,7 @@ func TestDaemonDisableRemovesProbes(t *testing.T) {
 	var at1s int64
 	eng.At(sim.Time(1*sim.Second), func() {
 		ds[0].Disable("msgs_sent", focus)
-		at1s = ds[0].ProbeExecutions()
+		at1s = ds[0].Stats().ProbeExecs
 	})
 	for _, d := range ds {
 		d.Start()
@@ -148,7 +147,7 @@ func TestDaemonDisableRemovesProbes(t *testing.T) {
 	}
 	// Only the tag-discovery-free rig runs here, so executions equal the
 	// metric's; after disable they must not grow.
-	if got := ds[0].ProbeExecutions(); got != at1s {
+	if got := ds[0].Stats().ProbeExecs; got != at1s {
 		t.Errorf("probe executions grew after disable: %d → %d", at1s, got)
 	}
 }
@@ -206,7 +205,7 @@ func TestSpawnAttachDelaysAdoption(t *testing.T) {
 	}
 	total := 0
 	for _, d := range ds {
-		total += d.NumProcesses()
+		total += len(d.ranks)
 	}
 	if total != 3 { // parent + 2 children eventually adopted
 		t.Errorf("adopted %d processes, want 3", total)

@@ -68,17 +68,14 @@ func TestBulkQueueEvictionCountsSpans(t *testing.T) {
 	d.send(mkShard(3))
 	d.send(mkShard(4))
 	d.send(mkShard(5)) // bulk queue bound evicts the 3-span shard
-	if d.BulkDepth() != 2 {
-		t.Errorf("bulk depth = %d, want 2", d.BulkDepth())
-	}
-	if got := d.LostSpans()["p{0}"]; got != 3 {
-		t.Errorf("lost spans = %d, want 3", got)
+	if st := d.Stats(); st.Bulk != (QueueStats{Queued: 2, High: 2, Evicted: 1}) || st.LostSpans["p{0}"] != 3 {
+		t.Errorf("bulk queue %+v, lost spans %v; want 2 queued, high 2, 1 evicted and 3 spans lost", st.Bulk, st.LostSpans)
 	}
 
 	sink.bulkDown = false
 	d.flush(&d.bulk)
-	if d.BulkDepth() != 0 {
-		t.Errorf("bulk depth after flush = %d, want 0", d.BulkDepth())
+	if len(d.bulk.evs) != 0 {
+		t.Errorf("bulk depth after flush = %d, want 0", len(d.bulk.evs))
 	}
 	if got := fmt.Sprint(sink.events); got != "[shard:4 shard:5]" {
 		t.Fatalf("delivered %s, want the two surviving shards in queue order", got)
@@ -90,8 +87,8 @@ func TestBulkQueueEvictionCountsSpans(t *testing.T) {
 		}
 		tl.Ingest(sh)
 	}
-	if tl.OutboxLost() != 3 || tl.Lost() != 3 {
-		t.Errorf("timeline OutboxLost = %d, Lost = %d, want 3, 3", tl.OutboxLost(), tl.Lost())
+	if st := tl.Stats(); st.OutboxLost != 3 || st.Lost() != 3 {
+		t.Errorf("timeline OutboxLost = %d, Lost = %d, want 3, 3", st.OutboxLost, st.Lost())
 	}
 	// Bulk-channel trouble must leave no trace of itself in the timeline:
 	// no transport events on the daemon's own track, and nothing in the
@@ -99,7 +96,7 @@ func TestBulkQueueEvictionCountsSpans(t *testing.T) {
 	if rec := d.tracer.Recorder(NameFor("node0")); rec != nil && rec.Len() > 0 {
 		t.Errorf("bulk path recorded %d daemon-track spans; timeline must not depend on shipping", rec.Len())
 	}
-	if queued, _ := d.OutboxDepth(); queued != 0 {
+	if queued := len(d.ctl.evs); queued != 0 {
 		t.Errorf("shards leaked into the report outbox: depth %d", queued)
 	}
 }
@@ -116,26 +113,26 @@ func TestFlushTraceCountsUndeliveredSpans(t *testing.T) {
 	}
 	d.FlushTrace()
 
-	if got := d.UndeliveredSpans()["p{0}"]; got != 5 {
+	if got := d.undelivered["p{0}"]; got != 5 {
 		t.Errorf("undelivered spans = %d, want 5", got)
 	}
-	if d.BulkDepth() != 0 {
-		t.Errorf("stranded shards still queued: depth %d", d.BulkDepth())
+	if len(d.bulk.evs) != 0 {
+		t.Errorf("stranded shards still queued: depth %d", len(d.bulk.evs))
 	}
 	// A second flush with nothing new must not double-count.
 	d.FlushTrace()
-	if got := d.UndeliveredSpans()["p{0}"]; got != 5 {
+	if got := d.undelivered["p{0}"]; got != 5 {
 		t.Errorf("undelivered spans after re-flush = %d, want 5", got)
 	}
 
 	// The timeline's idempotent note keeps the per-track maximum.
 	tl := trace.NewTimeline()
-	for proc, n := range d.UndeliveredSpans() {
+	for proc, n := range d.undelivered {
 		tl.NoteUndelivered(proc, n)
 		tl.NoteUndelivered(proc, n)
 	}
-	if tl.Undelivered() != 5 {
-		t.Errorf("timeline undelivered = %d, want 5", tl.Undelivered())
+	if got := tl.Stats().Undelivered; got != 5 {
+		t.Errorf("timeline undelivered = %d, want 5", got)
 	}
 }
 
@@ -153,11 +150,11 @@ func TestOutboxReplayPreservesInterleavedOrder(t *testing.T) {
 	d.send(mkShard(3))
 	d.sendUpdate(datasource.Update{Kind: datasource.UpHeartbeat}) // 4th report: evicts the first
 
-	if queued, dropped := d.OutboxDepth(); queued != 3 || dropped != 1 {
+	if queued, dropped := len(d.ctl.evs), d.ctl.evicted; queued != 3 || dropped != 1 {
 		t.Errorf("outbox queued=%d dropped=%d, want 3 and 1", queued, dropped)
 	}
-	if d.BulkDepth() != 2 || len(d.LostSpans()) != 0 {
-		t.Errorf("bulk depth = %d, lost spans = %v; outbox pressure must not evict shards", d.BulkDepth(), d.LostSpans())
+	if len(d.bulk.evs) != 2 || len(d.lostSpans) != 0 {
+		t.Errorf("bulk depth = %d, lost spans = %v; outbox pressure must not evict shards", len(d.bulk.evs), d.lostSpans)
 	}
 
 	sink.down, sink.bulkDown = false, false
@@ -173,8 +170,8 @@ func TestOutboxReplayPreservesInterleavedOrder(t *testing.T) {
 	if fmt.Sprint(sink.events) != fmt.Sprint(want) {
 		t.Fatalf("delivery order %v, want %v", sink.events, want)
 	}
-	if queued, _ := d.OutboxDepth(); queued != 0 || d.BulkDepth() != 0 {
-		t.Errorf("queues not drained: outbox %d, bulk %d", queued, d.BulkDepth())
+	if len(d.ctl.evs) != 0 || len(d.bulk.evs) != 0 {
+		t.Errorf("queues not drained: outbox %d, bulk %d", len(d.ctl.evs), len(d.bulk.evs))
 	}
 }
 

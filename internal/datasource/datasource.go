@@ -43,8 +43,6 @@ type DataSource interface {
 
 	// Processes returns known processes sorted by name.
 	Processes() []*ProcInfo
-	// LiveProcessCount counts processes that have not exited.
-	LiveProcessCount() int
 	// ProcessCount counts processes ever seen.
 	ProcessCount() int
 	// LostProcessCount counts processes currently marked lost.

@@ -42,8 +42,8 @@ func (c *captureSink) count(k session.EventKind) (n int) {
 func snapshot(v *datasource.View, metrics []string) string {
 	var b strings.Builder
 	b.WriteString(v.Hierarchy().Render())
-	fmt.Fprintf(&b, "procs=%d live=%d lost=%d coverage=%.4f degradation=%q\n",
-		v.ProcessCount(), v.LiveProcessCount(), v.LostProcessCount(), v.Coverage(), v.DegradationSummary())
+	fmt.Fprintf(&b, "procs=%d lost=%d coverage=%.4f degradation=%q\n",
+		v.ProcessCount(), v.LostProcessCount(), v.Coverage(), v.DegradationSummary())
 	for _, p := range v.Processes() {
 		fmt.Fprintf(&b, "proc %+v\n", *p)
 	}
@@ -67,8 +67,7 @@ func snapshot(v *datasource.View, metrics []string) string {
 	if tl := v.Timeline(); tl == nil {
 		b.WriteString("timeline: none\n")
 	} else {
-		fmt.Fprintf(&b, "timeline shards=%d spans=%d procs=%v dropped=%d outboxLost=%d undelivered=%d lost=%d\n",
-			tl.Shards(), len(tl.Spans()), tl.Procs(), tl.Dropped(), tl.OutboxLost(), tl.Undelivered(), tl.Lost())
+		fmt.Fprintf(&b, "timeline %+v spans=%d procs=%v lost=%d\n", tl.Stats(), len(tl.Spans()), tl.Procs(), tl.Lost())
 	}
 	return b.String()
 }
@@ -268,16 +267,16 @@ func TestTimelineCreatedOnceUnderConcurrentShards(t *testing.T) {
 				v.ApplyShard(trace.Shard{Proc: proc, Node: "node0", Spans: []trace.Span{{Seq: uint64(w*each + i + 1), Proc: proc}}})
 				v.ApplyUndelivered(proc, int64(i))
 				v.EnableTrace()
-				_ = v.Timeline().Shards()
+				_ = v.Timeline().Stats()
 			}
 		}(w)
 	}
 	wg.Wait()
 	tl := v.Timeline()
-	if got := tl.Shards(); got != writers*each {
+	if got := tl.Stats().Shards; got != writers*each {
 		t.Errorf("timeline holds %d shards, want %d (a second timeline swallowed the rest?)", got, writers*each)
 	}
-	if got := tl.Undelivered(); got != writers*(each-1) {
+	if got := tl.Stats().Undelivered; got != writers*(each-1) {
 		t.Errorf("undelivered = %d, want %d", got, writers*(each-1))
 	}
 }

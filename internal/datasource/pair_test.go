@@ -112,12 +112,12 @@ func TestEverySpellingOfAFocusIsOnePair(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if again, err := fe.EnableMetric("msgs_sent", off); again != s || err != nil || d.EnabledCount() != 1 {
-				t.Errorf("on as %#v, again as %#v: series %p err %v, daemon holds %d enables", on, off, again, err, d.EnabledCount())
+			if again, err := fe.EnableMetric("msgs_sent", off); again != s || err != nil || d.Stats().Enabled != 1 {
+				t.Errorf("on as %#v, again as %#v: series %p err %v, daemon holds %d enables", on, off, again, err, d.Stats().Enabled)
 			}
 			fe.DisableMetric("msgs_sent", off)
-			if d.EnabledCount() != 0 {
-				t.Errorf("on as %#v, off as %#v: daemon still holds %d enables", on, off, d.EnabledCount())
+			if d.Stats().Enabled != 0 {
+				t.Errorf("on as %#v, off as %#v: daemon still holds %d enables", on, off, d.Stats().Enabled)
 			}
 		}
 	}

@@ -345,19 +345,6 @@ func (v *View) Processes() []*ProcInfo {
 	return out
 }
 
-// LiveProcessCount returns the number of processes that have not exited.
-func (v *View) LiveProcessCount() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	n := 0
-	for _, p := range v.procs {
-		if !p.Exited {
-			n++
-		}
-	}
-	return n
-}
-
 // ProcessCount returns the number of processes ever seen.
 func (v *View) ProcessCount() int {
 	v.mu.Lock()

@@ -60,6 +60,15 @@ func TestParseErrors(t *testing.T) {
 		"t=1s kill-node node0 wat=1",     // unknown option
 		"seed=x",                         // bad seed
 		"t=1s drop-transport node0 n=-1", // non-positive n
+		"t=-1s kill-node node0",          // before the run starts
+		"t=1s degrade-link * lat=NaN",    // not a number
+		"t=1s degrade-link * lat=-2",     // negative factor
+		"t=1s degrade-link * lat=0",      // zero factor
+		"t=1s degrade-link * lat=+Inf",   // infinite factor
+		"t=1s degrade-link * lat=1e300",  // overflows a scaled latency
+		"t=1s degrade-link * bw=NaN",
+		"t=1s degrade-link * bw=-1",
+		"t=1s degrade-link * bw=Inf",
 	}
 	for _, text := range bad {
 		if _, err := faults.Parse(text); err == nil {

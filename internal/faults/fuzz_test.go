@@ -32,6 +32,14 @@ func FuzzParse(f *testing.F) {
 		"t=1s explode node0",
 		"seed=x",
 		"restarts=-1",
+		"t=-1s kill-node node0",
+		"t=1s degrade-link * lat=NaN",
+		"t=1s degrade-link * lat=-2",
+		"t=1s degrade-link * lat=+Inf",
+		"t=1s degrade-link * lat=1e300",
+		"t=1s degrade-link * lat=1e6 bw=1e-300",
+		"t=1s degrade-link * bw=NaN",
+		"t=1s degrade-link * bw=-1",
 	}
 	for _, s := range seeds {
 		f.Add(s)

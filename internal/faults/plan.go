@@ -9,6 +9,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -210,6 +211,9 @@ func (p *Plan) parseClause(clause string) error {
 	if err != nil {
 		return fmt.Errorf("bad t: %w", err)
 	}
+	if at < 0 {
+		return fmt.Errorf("bad t %q: a fault cannot fire before the run starts", tv)
+	}
 	f := Fault{At: at}
 
 	verb := fields[1]
@@ -248,18 +252,21 @@ func (p *Plan) parseClause(clause string) error {
 				return fmt.Errorf("bad for: %w", err)
 			}
 			f.For = d
-		case strings.HasPrefix(opt, "lat="):
-			v, err := strconv.ParseFloat(opt[4:], 64)
-			if err != nil {
-				return fmt.Errorf("bad lat: %w", err)
+		case strings.HasPrefix(opt, "lat="), strings.HasPrefix(opt, "bw="):
+			name, val, _ := strings.Cut(opt, "=")
+			v, err := strconv.ParseFloat(val, 64)
+			switch {
+			case err != nil:
+				return fmt.Errorf("bad %s: %w", name, err)
+			case !(v > 0) || math.IsInf(v, 0): // !(v > 0) also holds for NaN
+				return fmt.Errorf("bad %s %q: want a finite factor above 0", name, val)
+			case name == "bw":
+				f.BW = v
+			case v > maxLatFactor:
+				return fmt.Errorf("bad lat %s: above %g; use sever-link for a link that carries nothing", val, maxLatFactor)
+			default:
+				f.Lat = v
 			}
-			f.Lat = v
-		case strings.HasPrefix(opt, "bw="):
-			v, err := strconv.ParseFloat(opt[3:], 64)
-			if err != nil {
-				return fmt.Errorf("bad bw: %w", err)
-			}
-			f.BW = v
 		case strings.HasPrefix(opt, "n="):
 			v, err := strconv.Atoi(opt[2:])
 			if err != nil {
@@ -304,6 +311,10 @@ func (p *Plan) parseClause(clause string) error {
 	p.Faults = append(p.Faults, f)
 	return nil
 }
+
+// maxLatFactor bounds degrade-link's latency multiplier: far above any
+// degraded link, low enough that a scaled latency stays a sim.Duration.
+const maxLatFactor = 1e6
 
 // String renders the plan back into the Parse format (canonical order:
 // knobs first, faults in plan order).

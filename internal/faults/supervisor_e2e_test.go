@@ -35,11 +35,8 @@ func TestSupervisorRecoversRestartableCrash(t *testing.T) {
 	if sv == nil {
 		t.Fatal("no supervisor armed despite restarts=2")
 	}
-	if got := sv.Restarts("node1"); got != 1 {
-		t.Errorf("restarts = %d, want 1", got)
-	}
-	if got := sv.Incarnation("node1"); got != 2 {
-		t.Errorf("incarnation = %d, want 2", got)
+	if got := sv.Stats()["node1"]; got.Restarts != 1 || got.Incarnation != 2 {
+		t.Errorf("node1 %+v, want 1 restart and incarnation 2", got)
 	}
 
 	render := res.PC.Render()
@@ -87,7 +84,7 @@ func TestSupervisorHbZeroRecoversViaDirectNotification(t *testing.T) {
 	if !respawned {
 		t.Fatalf("hb=0 crash never recovered:\n%s", strings.Join(res.FaultLog, "\n"))
 	}
-	if got := res.Session.FE.Supervisor().Restarts("node1"); got != 1 {
+	if got := res.Session.FE.Supervisor().Stats()["node1"].Restarts; got != 1 {
 		t.Errorf("restarts = %d, want 1", got)
 	}
 }
@@ -105,7 +102,7 @@ func TestSupervisorLeavesUnrestartableCrashAlone(t *testing.T) {
 			t.Fatalf("supervisor respawned an unrestartable crash:\n%s", strings.Join(res.FaultLog, "\n"))
 		}
 	}
-	if got := res.Session.FE.Supervisor().Restarts("node1"); got != 0 {
+	if got := res.Session.FE.Supervisor().Stats()["node1"].Restarts; got != 0 {
 		t.Errorf("restarts = %d, want 0", got)
 	}
 }

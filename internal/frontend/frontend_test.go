@@ -76,8 +76,8 @@ func TestUpdatesBuildHierarchy(t *testing.T) {
 	if len(procs) != 1 || !procs[0].Exited || procs[0].Node != "node0" {
 		t.Errorf("procs = %+v", procs[0])
 	}
-	if fe.LiveProcessCount() != 0 || fe.ProcessCount() != 1 {
-		t.Error("process counts wrong")
+	if fe.ProcessCount() != 1 {
+		t.Error("process count wrong")
 	}
 	if !fe.Hierarchy().FindPath("/Machine/node0/p0").Retired() {
 		t.Error("exited process should retire its machine node")

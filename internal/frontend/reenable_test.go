@@ -92,13 +92,13 @@ func TestReEnableAfterDisableCollectsAgain(t *testing.T) {
 		if s, err := fe.EnableMetric("msgs_sent", zero); s != series || err != nil {
 			t.Errorf("re-enable: series %p err %v, want the original series %p", s, err, series)
 		}
-		if ds[0].EnabledCount() != 1 || ds[1].EnabledCount() != 1 {
-			t.Errorf("re-enable instrumented %d and %d daemons' pairs, want 1 each", ds[0].EnabledCount(), ds[1].EnabledCount())
+		if ds[0].Stats().Enabled != 1 || ds[1].Stats().Enabled != 1 {
+			t.Errorf("re-enable instrumented %d and %d daemons' pairs, want 1 each", ds[0].Stats().Enabled, ds[1].Stats().Enabled)
 		}
 		// Enabling what is on stays a no-op: no second instrumentation.
 		fe.EnableMetric("msgs_sent", whole)
-		if ds[0].EnabledCount() != 1 {
-			t.Errorf("enabling an active pair instrumented again (%d enables)", ds[0].EnabledCount())
+		if ds[0].Stats().Enabled != 1 {
+			t.Errorf("enabling an active pair instrumented again (%d enables)", ds[0].Stats().Enabled)
 		}
 	})
 	at(6, func() {
@@ -112,8 +112,8 @@ func TestReEnableAfterDisableCollectsAgain(t *testing.T) {
 		if _, err := fe.EnableMetric("msgs_sent", whole); err == nil {
 			t.Error("re-enable should fail: node1's library lacks msgs_sent")
 		}
-		if ds[0].EnabledCount() != 0 {
-			t.Errorf("failed re-enable left %d enables on node0", ds[0].EnabledCount())
+		if ds[0].Stats().Enabled != 0 {
+			t.Errorf("failed re-enable left %d enables on node0", ds[0].Stats().Enabled)
 		}
 		if fe.Series("msgs_sent", whole) != series {
 			t.Error("failed re-enable dropped a series that has history")

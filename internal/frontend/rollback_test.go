@@ -82,7 +82,7 @@ func TestEnableMetricRollsBackPartialEnable(t *testing.T) {
 	}
 	// Daemon 0's Enable succeeded before daemon 1 refused; the rollback must
 	// have removed its instrumentation, so no probe ever fires.
-	if n := ds[0].ProbeExecutions(); n != 0 {
+	if n := ds[0].Stats().ProbeExecs; n != 0 {
 		t.Errorf("rolled-back instrumentation still fired %d probes", n)
 	}
 }

@@ -119,8 +119,8 @@ func TestReportStreamIdenticalAcrossTransports(t *testing.T) {
 				}
 			}
 		}
-		if queued, dropped := d.OutboxDepth(); queued != 0 || dropped != 0 || d.BulkDepth() != 0 || len(d.LostSpans()) != 0 {
-			t.Errorf("daemon left reports behind: ctl %d queued %d dropped, bulk %d queued, lost %v", queued, dropped, d.BulkDepth(), d.LostSpans())
+		if st := d.Stats(); st.Ctl.Queued != 0 || st.Ctl.Evicted != 0 || st.Bulk.Queued != 0 || len(st.LostSpans) != 0 {
+			t.Errorf("daemon left reports behind: ctl %+v, bulk %+v, lost %v", st.Ctl, st.Bulk, st.LostSpans)
 		}
 		return sink.events
 	}

@@ -120,25 +120,23 @@ func (sv *Supervisor) MarkUnrestartable(node string) {
 	sv.state(node).abandoned = true
 }
 
-// Restarts returns how many respawn attempts the node has consumed.
-func (sv *Supervisor) Restarts(node string) int {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	return sv.state(node).restarts
+// NodeStats is one node's restart ledger as the supervisor reports it.
+type NodeStats struct {
+	Incarnation int  // current daemon incarnation (1 = original)
+	Restarts    int  // respawn attempts consumed
+	Quarantined bool // flap-quarantine tripped
 }
 
-// Quarantined reports whether the node tripped the flap-quarantine.
-func (sv *Supervisor) Quarantined(node string) bool {
+// Stats returns a snapshot of the restart ledger of every node the
+// supervisor has heard of; a node missing from it never failed.
+func (sv *Supervisor) Stats() map[string]NodeStats {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
-	return sv.state(node).quarantined
-}
-
-// Incarnation returns the node's current daemon incarnation number.
-func (sv *Supervisor) Incarnation(node string) int {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	return sv.state(node).incarnation
+	out := make(map[string]NodeStats, len(sv.nodes))
+	for node, s := range sv.nodes {
+		out[node] = NodeStats{s.incarnation, s.restarts, s.quarantined}
+	}
+	return out
 }
 
 // NoteDown reports that a node's daemon is down. Both detection paths call

@@ -72,21 +72,15 @@ func TestSupervisorRetriesAfterResyncFailure(t *testing.T) {
 	if len(spawned) != 2 {
 		t.Fatalf("respawn attempts = %d, want 2", len(spawned))
 	}
-	if got := sv.Restarts(node1); got != 2 {
-		t.Errorf("restarts = %d, want 2", got)
-	}
-	if got := sv.Incarnation(node1); got != 3 {
-		t.Errorf("incarnation = %d, want 3", got)
-	}
-	if sv.Quarantined(node1) {
-		t.Error("node quarantined after a successful recovery")
+	if got := sv.Stats()[node1]; got != (frontend.NodeStats{Incarnation: 3, Restarts: 2}) {
+		t.Errorf("node1 %+v, want incarnation 3 after 2 restarts and no quarantine after a successful recovery", got)
 	}
 	// The dead incarnation was never enabled onto; the healthy one got the
 	// active set exactly once.
-	if got := spawned[0].EnabledCount(); got != 0 {
+	if got := spawned[0].Stats().Enabled; got != 0 {
 		t.Errorf("dead incarnation holds %d enables, want 0", got)
 	}
-	if got := spawned[1].EnabledCount(); got != 1 {
+	if got := spawned[1].Stats().Enabled; got != 1 {
 		t.Errorf("healthy incarnation holds %d enables, want 1 (double-enable?)", got)
 	}
 	// One gap, spanning the WHOLE outage: From is the first detection, not

@@ -122,19 +122,16 @@ func (fe *FrontEnd) Listen(addr string) (*Listener, error) {
 // WireStats returns the listener-side wire counters for one channel
 // (wire.ChanCtl or wire.ChanBulk): frames received plus the dedupe layer's
 // duplicate/stale accounting. Connections are not per channel, so the
-// server's dropped-connection and accept counters are reported with ctl.
+// server's dropped-connection and accept counters, and the connections
+// refused for a malformed frame (see frame.open), are reported with ctl.
 func (l *Listener) WireStats(ch string) wire.Stats {
 	s := l.dedupe.ChannelStats(ch)
 	if ch != wire.ChanBulk {
 		srv := l.Stats()
-		s.ReadTimeouts, s.AcceptRetries = srv.ReadTimeouts, srv.AcceptRetries
+		s.ReadTimeouts, s.AcceptRetries, s.Refused = srv.ReadTimeouts, srv.AcceptRetries, l.refused.Load()
 	}
 	return s
 }
-
-// Refused returns how many connections the listener dropped for a malformed
-// frame (see frame.open).
-func (l *Listener) Refused() int64 { return l.refused.Load() }
 
 // serve applies one daemon connection's frames to the front end.
 func (l *Listener) serve(c *wire.ServerConn) {

@@ -322,7 +322,7 @@ func TestListenerRefusesForgedFrames(t *testing.T) {
 				tl := fe.Timeline()
 				return fmt.Sprintf("%s%+v gaps=%v total=%g shards=%d spans=%d recorded=%d",
 					fe.Hierarchy().Render(), fe.DaemonHealths(), fe.UnmeasuredGaps(),
-					fe.Series("m", resource.WholeProgram()).Total(), tl.Shards(), len(tl.Spans()), sink.EventCount())
+					fe.Series("m", resource.WholeProgram()).Total(), tl.Stats().Shards, len(tl.Spans()), sink.EventCount())
 			}
 			before := snapshot()
 
@@ -342,7 +342,7 @@ func TestListenerRefusesForgedFrames(t *testing.T) {
 			if err := c.Exchange(wire.Request{Req: &tc.f, Resp: &ack, Label: "forged"}); err == nil {
 				t.Error("forged frame was acknowledged")
 			}
-			if got := l.Refused(); got != 1 {
+			if got := l.WireStats(wire.ChanCtl).Refused; got != 1 {
 				t.Errorf("refused = %d, want 1", got)
 			}
 			if after := snapshot(); after != before {
@@ -359,8 +359,8 @@ func TestListenerRefusesForgedFrames(t *testing.T) {
 					t.Fatalf("well-formed %v after the refusal: %v", ev.Kind, err)
 				}
 			}
-			if total, spans := fe.Series("m", resource.WholeProgram()).Total(), len(fe.Timeline().Spans()); total != 5 || spans != 2 || l.Refused() != 1 {
-				t.Errorf("after the refusal a daemon's reports gave total %g, %d spans, %d refusals; want 5, 2, 1", total, spans, l.Refused())
+			if total, spans := fe.Series("m", resource.WholeProgram()).Total(), len(fe.Timeline().Spans()); total != 5 || spans != 2 || l.WireStats(wire.ChanCtl).Refused != 1 {
+				t.Errorf("after the refusal a daemon's reports gave total %g, %d spans, %d refusals; want 5, 2, 1", total, spans, l.WireStats(wire.ChanCtl).Refused)
 			}
 		})
 	}

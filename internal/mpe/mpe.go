@@ -250,10 +250,3 @@ func stateInitial(state string) byte {
 	}
 	return s[0]
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

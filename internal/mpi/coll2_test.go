@@ -175,7 +175,7 @@ func TestProbeAndGetCount(t *testing.T) {
 		if _, err := c.Recv(r, nil, 6, Int, 0, 9); err != nil {
 			t.Error(err)
 		}
-		if r.UnexpectedCount() != 0 {
+		if len(r.unexpected) != 0 {
 			t.Error("queue should be drained")
 		}
 	})

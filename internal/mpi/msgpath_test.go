@@ -93,7 +93,7 @@ func TestMessagePathAllocationBudget(t *testing.T) {
 		recv := func() { c.Recv(r, nil, 8, Byte, 1, 0) }
 		perPair = testing.AllocsPerRun(rounds, recv) // receiver blocks: posted-first matches
 		r.Compute(sim.Second)                        // let the sender run ahead
-		if r.UnexpectedCount() == 0 {
+		if len(r.unexpected) == 0 {
 			t.Error("second half should find its messages already queued")
 		}
 		if n := testing.AllocsPerRun(rounds, recv); n > perPair {

@@ -194,7 +194,3 @@ func (c *Comm) Sendrecv(r *Rank, sdata []byte, scount int, sdt Datatype, dest, s
 	r.waitInternal(rrq)
 	return rrq, nil
 }
-
-// UnexpectedCount reports the current unexpected-queue length (observable
-// for tests and queue diagnostics).
-func (r *Rank) UnexpectedCount() int { return len(r.unexpected) }

@@ -55,7 +55,7 @@ func TestPropertyMessageConservation(t *testing.T) {
 					return
 				}
 			}
-			if r.UnexpectedCount() != 0 {
+			if len(r.unexpected) != 0 {
 				okCh = false
 			}
 		})

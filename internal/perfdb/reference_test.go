@@ -66,9 +66,12 @@ func viewFingerprint(t testing.TB, rv *RunView) string {
 	}
 	b.Write(doc)
 	fmt.Fprintf(&b, "bins=%d width=%v faultlog=%q\n", rv.NumBins, rv.BinWidth, rv.FaultLog())
-	fmt.Fprintf(&b, "coverage=%.6f procs=%d live=%d lost=%d degradation=%q gaps=%v overlap=%v\n",
-		rv.Coverage(), rv.ProcessCount(), rv.LiveProcessCount(), rv.LostProcessCount(),
+	fmt.Fprintf(&b, "coverage=%.6f procs=%d lost=%d degradation=%q gaps=%v overlap=%v\n",
+		rv.Coverage(), rv.ProcessCount(), rv.LostProcessCount(),
 		rv.DegradationSummary(), rv.UnmeasuredGaps(), rv.GapOverlaps(0, sim.Time(1<<62)))
+	for _, p := range rv.Processes() {
+		fmt.Fprintf(&b, "proc %+v\n", *p)
+	}
 	for _, h := range rv.DaemonHealths() {
 		fmt.Fprintf(&b, "daemon %+v\n", h)
 	}
@@ -84,8 +87,7 @@ func viewFingerprint(t testing.TB, rv *RunView) string {
 	if tl := rv.Timeline(); tl == nil {
 		b.WriteString("no timeline\n")
 	} else {
-		fmt.Fprintf(&b, "timeline shards=%d spans=%d dropped=%d outbox=%d undelivered=%d lost=%d procs=%v\n",
-			tl.Shards(), len(tl.Spans()), tl.Dropped(), tl.OutboxLost(), tl.Undelivered(), tl.Lost(), tl.Procs())
+		fmt.Fprintf(&b, "timeline %+v spans=%d lost=%d procs=%v\n", tl.Stats(), len(tl.Spans()), tl.Lost(), tl.Procs())
 	}
 	return b.String()
 }

@@ -560,10 +560,6 @@ func (s *SyncServer) Frames() int64 { return s.Stats().Frames }
 // server already held — replays after lost acks, absorbed idempotently.
 func (s *SyncServer) DuplicateFrames() int64 { return s.dups.Load() }
 
-// UploadLocks returns how many per-content-hash upload locks are currently
-// live — held or awaited right now; released entries are reaped.
-func (s *SyncServer) UploadLocks() int { return s.uploads.Len() }
-
 // serve answers one connection's requests.
 func (s *SyncServer) serve(c *wire.ServerConn) {
 	var lastSeq uint64

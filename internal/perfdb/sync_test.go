@@ -523,10 +523,10 @@ func TestSyncServerUploadLocksReaped(t *testing.T) {
 	// The server handler may still be draining its last frame; give it a
 	// moment to quiesce before asserting steady state.
 	deadline := time.Now().Add(2 * time.Second)
-	for srv.UploadLocks() != 0 && time.Now().Before(deadline) {
+	for srv.uploads.Len() != 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if got := srv.UploadLocks(); got != 0 {
+	if got := srv.uploads.Len(); got != 0 {
 		t.Errorf("upload locks at steady state = %d, want 0", got)
 	}
 }

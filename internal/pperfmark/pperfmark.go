@@ -10,6 +10,7 @@ package pperfmark
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 
 	"pperf/internal/mpi"
@@ -147,13 +148,19 @@ func filterNames(mpi2, ext bool) []string {
 }
 
 // Program builds the named program with params merged over its defaults,
-// returning the merged params used.
+// returning the merged params used. A negative parameter is refused.
 func Program(name string, p Params) (mpi.Program, Params, error) {
 	e := registry[name]
 	if e == nil {
 		known := Names()
 		sort.Strings(known)
 		return nil, Params{}, fmt.Errorf("pperfmark: unknown program %q (known: %v)", name, known)
+	}
+	v := reflect.ValueOf(p)
+	for i := range v.NumField() { // every Params field is an integer
+		if n := v.Field(i).Int(); n < 0 {
+			return nil, Params{}, fmt.Errorf("pperfmark: %s %s %d: must not be negative", name, v.Type().Field(i).Name, n)
+		}
 	}
 	mp := p.merged(e.Defaults)
 	return e.Make(mp), mp, nil

@@ -54,6 +54,14 @@ func TestUnknownProgram(t *testing.T) {
 	}
 }
 
+func TestProgramRefusesNegativeParams(t *testing.T) {
+	for _, p := range []Params{{Iterations: -5}, {Procs: -1}, {TimeToWaste: -3}, {WasteUnit: -1}, {Children: -2}} {
+		if _, _, err := Program("small-messages", p); err == nil || !strings.Contains(err.Error(), "must not be negative") {
+			t.Errorf("Program(%+v) = %v, want a refusal", p, err)
+		}
+	}
+}
+
 // judgePass runs a program with reduced iterations and asserts the verdict.
 func judgePass(t *testing.T, name string, impl mpi.ImplKind, p Params) *Verdict {
 	t.Helper()

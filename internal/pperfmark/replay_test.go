@@ -36,8 +36,8 @@ func snapshot(t *testing.T, res *Result) string {
 	}
 	ds := res.Source
 	b.WriteString(ds.Hierarchy().Render())
-	fmt.Fprintf(&b, "procs=%d live=%d lost=%d degradation=%q\n",
-		ds.ProcessCount(), ds.LiveProcessCount(), ds.LostProcessCount(), ds.DegradationSummary())
+	fmt.Fprintf(&b, "procs=%d lost=%d degradation=%q\n",
+		ds.ProcessCount(), ds.LostProcessCount(), ds.DegradationSummary())
 	for _, p := range ds.Processes() {
 		fmt.Fprintf(&b, "proc %s node=%s started=%v exited=%v end=%v lost=%v\n",
 			p.Name, p.Node, p.Started, p.Exited, p.EndTime, p.Lost)

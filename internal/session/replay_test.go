@@ -189,7 +189,7 @@ func TestReplayTimelinePresence(t *testing.T) {
 	if tl == nil {
 		t.Fatal("shard events did not create the timeline")
 	}
-	if tl.Undelivered() != 2 {
-		t.Errorf("undelivered = %d, want 2", tl.Undelivered())
+	if got := tl.Stats().Undelivered; got != 2 {
+		t.Errorf("undelivered = %d, want 2", got)
 	}
 }

@@ -245,7 +245,7 @@ func (e *chromeEncoder) metaSortIndex(pid, tid int) {
 // incompleteNotice returns the exporter-facing warning for spans stranded
 // undelivered at end of run, or "" for a fully delivered trace.
 func incompleteNotice(tl *Timeline) string {
-	if n := tl.Undelivered(); n > 0 {
+	if n := tl.Stats().Undelivered; n > 0 {
 		return fmt.Sprintf("[trace incomplete: %d spans undelivered]", n)
 	}
 	return ""

@@ -56,8 +56,8 @@ func TestTraceDeterminism(t *testing.T) {
 	if ra != rb {
 		t.Errorf("critical paths differ across identical runs:\n%s---\n%s", ra, rb)
 	}
-	if a.Timeline.Dropped() != 0 {
-		t.Errorf("unexpected span drops: %d", a.Timeline.Dropped())
+	if n := a.Timeline.Stats().Dropped; n != 0 {
+		t.Errorf("unexpected span drops: %d", n)
 	}
 }
 

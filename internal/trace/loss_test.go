@@ -17,11 +17,11 @@ func TestTimelineLossCounters(t *testing.T) {
 	tl.Ingest(Shard{Proc: "p0", Node: "node0", Spans: make([]Span, 1), Dropped: 4, OutboxLost: 3})
 	tl.Ingest(Shard{Proc: "p1", Node: "node1", Spans: make([]Span, 1), OutboxLost: 2})
 
-	if got := tl.Dropped(); got != 4 {
-		t.Errorf("Dropped = %d, want 4 (max per track)", got)
+	if got := tl.Stats(); got != (Stats{Shards: 3, Dropped: 4, OutboxLost: 5}) {
+		t.Errorf("Stats = %+v, want 3 shards, Dropped 4 (max per track), OutboxLost 5 (3 + 2)", got)
 	}
-	if got := tl.OutboxLost(); got != 5 {
-		t.Errorf("OutboxLost = %d, want 5 (3 + 2)", got)
+	if got := tl.Stats("p1", "nobody"); got != (Stats{Shards: 1, OutboxLost: 2}) {
+		t.Errorf("Stats(p1) = %+v, want p1's track alone", got)
 	}
 
 	// NoteUndelivered is idempotent: re-notes of the same total don't grow
@@ -29,11 +29,11 @@ func TestTimelineLossCounters(t *testing.T) {
 	tl.NoteUndelivered("p0", 5)
 	tl.NoteUndelivered("p0", 5)
 	tl.NoteUndelivered("p0", 3)
-	if got := tl.Undelivered(); got != 5 {
+	if got := tl.Stats().Undelivered; got != 5 {
 		t.Errorf("Undelivered = %d, want 5", got)
 	}
 	tl.NoteUndelivered("p0", 7)
-	if got := tl.Undelivered(); got != 7 {
+	if got := tl.Stats().Undelivered; got != 7 {
 		t.Errorf("Undelivered after larger note = %d, want 7", got)
 	}
 	if got := tl.Lost(); got != 4+5+7 {

@@ -155,7 +155,7 @@ func refWriteChrome(w io.Writer, tl *trace.Timeline, spans []trace.Span, counter
 		}
 	}
 
-	if n := tl.Undelivered(); n > 0 {
+	if n := tl.Stats().Undelivered; n > 0 {
 		events = append(events, chromeEvent{
 			Ph: "i", S: "g", Cat: "notice", Pid: toolPid,
 			Name: fmt.Sprintf("[trace incomplete: %d spans undelivered]", n),
@@ -457,7 +457,7 @@ func refWriteCSV(w io.Writer, tl *trace.Timeline, spans []trace.Span) error {
 			strconv.FormatUint(s.Flow, 10), strconv.FormatBool(s.Wait),
 		})
 	}
-	if n := tl.Undelivered(); n > 0 {
+	if n := tl.Stats().Undelivered; n > 0 {
 		cw.Write([]string{"", "notice", "", "", fmt.Sprintf("[trace incomplete: %d spans undelivered]", n), "", "", "", "", "", "", "", "", ""})
 	}
 	cw.Flush()
@@ -727,8 +727,8 @@ func TestPackedPlaneMatchesMaterialisedReferenceOnTheSuite(t *testing.T) {
 				}
 				ran = true
 				what := fmt.Sprintf("%s under %v (tcp=%v)", name, impl, useTCP)
-				if tl.Lost() != 0 || len(stream.shards) != tl.Shards() || len(stream.shards) == 0 {
-					t.Fatalf("%s: %d spans lost, %d shards recorded, %d ingested", what, tl.Lost(), len(stream.shards), tl.Shards())
+				if st := tl.Stats(); st.Lost() != 0 || len(stream.shards) != st.Shards || len(stream.shards) == 0 {
+					t.Fatalf("%s: %d spans lost, %d shards recorded, %d ingested", what, st.Lost(), len(stream.shards), st.Shards)
 				}
 				shards := materialised(t, stream.shards)
 				samePlane(t, what, tl, shards)
@@ -814,8 +814,8 @@ func TestPackedPlaneMatchesMaterialisedReferenceUnderFaults(t *testing.T) {
 	for _, useTCP := range []bool{false, true} {
 		lossy := plan("t=5ms drop-transport node0 n=6 chan=bulk; t=20ms hang-daemon node1 for=100ms; t=350ms drop-transport node0 n=100000 chan=bulk")
 		tl, stream = runTracedProgram(t, "small-messages", mpi.LAM, 3000, useTCP, &trace.Config{RingCapacity: 32, FlushWatermark: 4}, lossy)
-		if tl.Dropped() == 0 || tl.OutboxLost() == 0 || tl.Undelivered() == 0 {
-			t.Fatalf("tcp=%v: the lossy plan lost %d spans to rings, %d to the bulk queue, %d undelivered; want all three non-zero", useTCP, tl.Dropped(), tl.OutboxLost(), tl.Undelivered())
+		if st := tl.Stats(); st.Dropped == 0 || st.OutboxLost == 0 || st.Undelivered == 0 {
+			t.Fatalf("tcp=%v: the lossy plan lost %d spans to rings, %d to the bulk queue, %d undelivered; want all three non-zero", useTCP, st.Dropped, st.OutboxLost, st.Undelivered)
 		}
 		samePlane(t, fmt.Sprintf("lossy plan (tcp=%v)", useTCP), tl, materialised(t, stream.shards))
 	}
@@ -881,8 +881,8 @@ func TestTimelineMatchesCopyAndSortOnShuffledArrival(t *testing.T) {
 		for _, tl := range []*trace.Timeline{asSpans, asBytes} {
 			tl.NoteUndelivered("prog{never-shipped}", 3)
 			samePlane(t, fmt.Sprintf("trial %d", trial), tl, shards)
-			if tl.Shards() != len(shards) {
-				t.Errorf("trial %d: Shards = %d, want %d", trial, tl.Shards(), len(shards))
+			if got := tl.Stats().Shards; got != len(shards) {
+				t.Errorf("trial %d: Shards = %d, want %d", trial, got, len(shards))
 			}
 		}
 		for i, sh := range shards {

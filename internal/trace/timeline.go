@@ -78,31 +78,33 @@ func (tl *Timeline) Ingest(sh Shard) {
 	tr.outboxLost = max(tr.outboxLost, sh.OutboxLost)
 }
 
-// total sums one per-track figure over every track.
-func (tl *Timeline) total(of func(*track) int64) int64 {
+// Stats is the timeline's counter block: shards ingested and the three
+// span-loss counters, each a sum of per-track figures.
+type Stats struct {
+	Shards      int   // shards ingested, spans or not
+	Dropped     int64 // spans evicted from a recorder's ring before a drain
+	OutboxLost  int64 // spans drained, then evicted from a daemon's bulk queue
+	Undelivered int64 // spans stranded in a daemon's bulk queue at end of run
+}
+
+// Lost returns the spans missing from the timeline for any reason.
+func (s Stats) Lost() int64 { return s.Dropped + s.OutboxLost + s.Undelivered }
+
+// Stats returns the counter block summed over the named tracks, or over
+// every track when none is named.
+func (tl *Timeline) Stats(procs ...string) Stats {
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
-	var n int64
-	for _, tr := range tl.tracks {
-		n += of(tr)
+	var s Stats
+	for p, tr := range tl.tracks {
+		if len(procs) == 0 || slices.Contains(procs, p) {
+			s.Shards += tr.ingested
+			s.Dropped += tr.dropped
+			s.OutboxLost += tr.outboxLost
+			s.Undelivered += tr.undelivered
+		}
 	}
-	return n
-}
-
-// Shards returns the number of shards ingested.
-func (tl *Timeline) Shards() int {
-	return int(tl.total(func(tr *track) int64 { return int64(tr.ingested) }))
-}
-
-// Dropped returns the total spans lost to ring eviction across all tracks.
-func (tl *Timeline) Dropped() int64 {
-	return tl.total(func(tr *track) int64 { return tr.dropped })
-}
-
-// OutboxLost returns the total spans that were drained from recorders but
-// evicted from a daemon's bounded outbox or bulk queue before delivery.
-func (tl *Timeline) OutboxLost() int64 {
-	return tl.total(func(tr *track) int64 { return tr.outboxLost })
+	return s
 }
 
 // NoteUndelivered records that n of proc's spans were still stranded in a
@@ -116,17 +118,9 @@ func (tl *Timeline) NoteUndelivered(proc string, n int64) {
 	tr.undelivered = max(tr.undelivered, n)
 }
 
-// Undelivered returns the total spans stranded undelivered at end of run.
-func (tl *Timeline) Undelivered() int64 {
-	return tl.total(func(tr *track) int64 { return tr.undelivered })
-}
-
 // Lost returns the total spans missing from the merged timeline for any
-// reason: ring eviction, outbox/bulk-queue eviction, or stranded
-// undelivered at exit.
-func (tl *Timeline) Lost() int64 {
-	return tl.Dropped() + tl.OutboxLost() + tl.Undelivered()
-}
+// reason: ring eviction, bulk-queue eviction, or stranded undelivered at exit.
+func (tl *Timeline) Lost() int64 { return tl.Stats().Lost() }
 
 // Procs returns all track names: rank tracks first, then tool (daemon)
 // tracks, each group ordered by first appearance in the global stream.

@@ -137,12 +137,9 @@ func TestTimelineMergeOrdering(t *testing.T) {
 	if len(procs) != 3 || procs[0] != "a{0}" || procs[1] != "b{1}" || procs[2] != "paradynd@n0" {
 		t.Errorf("Procs = %v", procs)
 	}
-	if tl.Shards() != 4 {
-		t.Errorf("Shards = %d, want 4", tl.Shards())
-	}
 	// Cumulative drop counts keep the maximum per proc, not the sum.
-	if tl.Dropped() != 7 {
-		t.Errorf("Dropped = %d, want 7", tl.Dropped())
+	if st := tl.Stats(); st.Shards != 4 || st.Dropped != 7 {
+		t.Errorf("Shards = %d, Dropped = %d, want 4 and 7", st.Shards, st.Dropped)
 	}
 }
 
@@ -263,12 +260,8 @@ func TestTracerDropsByProc(t *testing.T) {
 		tr.Compute("p0", "n0", sim.Time(i), sim.Time(i+1), false)
 	}
 	tr.Compute("p1", "n0", 0, 1, false)
-	if tr.Dropped() != 3 {
-		t.Errorf("Dropped = %d, want 3", tr.Dropped())
-	}
-	byProc := tr.DropsByProc()
-	if byProc["p0"] != 3 || byProc["p1"] != 0 {
-		t.Errorf("DropsByProc = %v", byProc)
+	if p0, p1 := tr.Recorder("p0").Dropped(), tr.Recorder("p1").Dropped(); p0 != 3 || p1 != 0 {
+		t.Errorf("dropped p0 %d, p1 %d; want 3 and 0", p0, p1)
 	}
 	if got := len(tr.Recorders("")); got != 2 {
 		t.Errorf("Recorders = %d, want 2", got)

@@ -256,24 +256,3 @@ func (t *Tracer) Procs() []string {
 	copy(out, t.order)
 	return out
 }
-
-// Dropped returns the total spans evicted across all tracks.
-func (t *Tracer) Dropped() int64 {
-	var n int64
-	for _, r := range t.recs {
-		n += r.dropped
-	}
-	return n
-}
-
-// DropsByProc returns per-track eviction counts for tracks that lost spans,
-// sorted by track name.
-func (t *Tracer) DropsByProc() map[string]int64 {
-	out := make(map[string]int64)
-	for p, r := range t.recs {
-		if r.dropped > 0 {
-			out[p] = r.dropped
-		}
-	}
-	return out
-}

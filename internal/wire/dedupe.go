@@ -102,13 +102,6 @@ func (d *Dedupe) evictLocked() {
 	delete(d.wins, victim)
 }
 
-// Windows returns how many (peer, channel) windows are currently tracked.
-func (d *Dedupe) Windows() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.wins)
-}
-
 // ChannelStats returns the receiver-side counters for one channel (ChanCtl,
 // ChanBulk, ChanSync): frames presented, replays skipped, and
 // dead-incarnation stragglers fenced out.

@@ -64,13 +64,6 @@ func (in *Injection) Dropped() int64 {
 	return in.dropped
 }
 
-// Pending returns the remaining drop budget.
-func (in *Injection) Pending() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.drops
-}
-
 // Check consults the armed state before one attempt: a non-nil return
 // fails the attempt. Drop budgets are consumed first, then the seeded
 // degraded-link draw; an attempt that survives both pays the configured

@@ -104,6 +104,7 @@ type Stats struct {
 	StaleFrames   int64 // receiver: frames fenced out as dead-incarnation stragglers
 	ReadTimeouts  int64 // receiver: connections dropped by the per-frame read deadline
 	AcceptRetries int64 // receiver: transient Accept errors retried
+	Refused       int64 // receiver: connections dropped for a frame no sender produces
 	InjectedDrops int64 // attempts failed by fault injection
 	// Backoffs records every retry delay chosen, in order — the observable
 	// surface for determinism tests.
@@ -120,6 +121,7 @@ func (s *Stats) Add(o Stats) {
 	s.StaleFrames += o.StaleFrames
 	s.ReadTimeouts += o.ReadTimeouts
 	s.AcceptRetries += o.AcceptRetries
+	s.Refused += o.Refused
 	s.InjectedDrops += o.InjectedDrops
 	s.Backoffs = append(s.Backoffs, o.Backoffs...)
 }
@@ -143,6 +145,9 @@ func (s Stats) Summary() string {
 	}
 	if s.AcceptRetries > 0 {
 		line += fmt.Sprintf(" accept-retries=%d", s.AcceptRetries)
+	}
+	if s.Refused > 0 {
+		line += fmt.Sprintf(" refused=%d", s.Refused)
 	}
 	return line
 }

@@ -154,11 +154,11 @@ func TestDedupeWindowsBounded(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		peer := "d" + string(rune('a'+i%26)) + string(rune('a'+i/26))
 		d.Seen(peer, ChanCtl, 1, 1)
-		if got := d.Windows(); got > limit {
+		if got := len(d.wins); got > limit {
 			t.Fatalf("window table grew to %d, bound is %d", got, limit)
 		}
 	}
-	if got := d.Windows(); got != limit {
+	if got := len(d.wins); got != limit {
 		t.Errorf("steady-state windows = %d, want %d", got, limit)
 	}
 	// The most recent peer's window survived: its replay still dedupes.
@@ -235,8 +235,8 @@ func TestInjectionDropsThenDegrade(t *testing.T) {
 	if err := in.Check(); err != nil {
 		t.Fatalf("drop budget overran: %v", err)
 	}
-	if in.Dropped() != 2 || in.Pending() != 0 {
-		t.Errorf("dropped=%d pending=%d, want 2/0", in.Dropped(), in.Pending())
+	if in.Dropped() != 2 || in.drops != 0 {
+		t.Errorf("dropped=%d pending=%d, want 2/0", in.Dropped(), in.drops)
 	}
 	// Degrade-link failures draw from the seeded stream: equal seeds give
 	// the identical pass/fail pattern.
@@ -279,8 +279,8 @@ func TestStatsSummary(t *testing.T) {
 	if got := s.Summary(); got != "frames=12 retries=3 dups=1 stale=0" {
 		t.Errorf("summary = %q", got)
 	}
-	s.Reconnects, s.Failures, s.InjectedDrops, s.ReadTimeouts = 3, 1, 2, 1
-	want := "frames=12 retries=3 dups=1 stale=0 reconnects=3 failures=1 injected=2 read-timeouts=1"
+	s.Reconnects, s.Failures, s.InjectedDrops, s.ReadTimeouts, s.Refused = 3, 1, 2, 1, 4
+	want := "frames=12 retries=3 dups=1 stale=0 reconnects=3 failures=1 injected=2 read-timeouts=1 refused=4"
 	if got := s.Summary(); got != want {
 		t.Errorf("summary = %q, want %q", got, want)
 	}
