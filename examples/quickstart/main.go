@@ -31,7 +31,7 @@ func main() {
 				r.Call("server.c", "handle_request", func() {
 					r.Compute(3 * time.Millisecond) // the planted bottleneck
 				})
-				world.Send(r, nil, 1, pperf.Int, req.Source(), 2)
+				world.Send(r, nil, 1, pperf.Int, req.Source, 2)
 			}
 			return
 		}

@@ -30,7 +30,7 @@ func program(r *pperf.Rank, _ []string) {
 		for i := 0; i < iters*(r.Size()-1); i++ {
 			req, _ := c.Recv(r, nil, 4, pperf.Byte, pperf.AnySource, 1)
 			r.Call("server.c", "waste_time", func() { r.Compute(work) })
-			c.Send(r, nil, 4, pperf.Byte, req.Source(), 2)
+			c.Send(r, nil, 4, pperf.Byte, req.Source, 2)
 		}
 		return
 	}

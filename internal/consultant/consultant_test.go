@@ -43,9 +43,9 @@ func intensiveServerProg(iters int) mpi.Program {
 		n := r.Size()
 		if r.Rank() == 0 {
 			for i := 0; i < iters*(n-1); i++ {
-				rq, _ := c.Recv(r, nil, 1, mpi.Int, mpi.AnySource, 1)
+				st, _ := c.Recv(r, nil, 1, mpi.Int, mpi.AnySource, 1)
 				r.Call("server.c", "waste_time", func() { r.Compute(20 * sim.Millisecond) })
-				c.Send(r, nil, 1, mpi.Int, rq.Source(), 2)
+				c.Send(r, nil, 1, mpi.Int, st.Source, 2)
 			}
 		} else {
 			for i := 0; i < iters; i++ {

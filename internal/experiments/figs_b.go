@@ -69,9 +69,9 @@ func fig12() *Result {
 		c := rk.World()
 		if rk.Rank() == 0 {
 			for i := 0; i < 2*60; i++ {
-				rq, _ := c.Recv(rk, nil, 4, mpi.Byte, mpi.AnySource, 1)
+				st, _ := c.Recv(rk, nil, 4, mpi.Byte, mpi.AnySource, 1)
 				rk.Compute(10 * sim.Millisecond)
-				c.Send(rk, nil, 4, mpi.Byte, rq.Source(), 2)
+				c.Send(rk, nil, 4, mpi.Byte, st.Source, 2)
 			}
 			return
 		}

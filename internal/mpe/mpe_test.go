@@ -91,9 +91,9 @@ func TestAvgConcurrencyIntensiveServerShape(t *testing.T) {
 		c := r.World()
 		if r.Rank() == 0 {
 			for i := 0; i < 2*40; i++ {
-				rq, _ := c.Recv(r, nil, 4, mpi.Byte, mpi.AnySource, 1)
+				st, _ := c.Recv(r, nil, 4, mpi.Byte, mpi.AnySource, 1)
 				r.Compute(20 * sim.Millisecond) // busy server
-				c.Send(r, nil, 4, mpi.Byte, rq.Source(), 2)
+				c.Send(r, nil, 4, mpi.Byte, st.Source, 2)
 			}
 		} else {
 			for i := 0; i < 40; i++ {

@@ -115,11 +115,11 @@ func (c *Comm) bcastTree(r *Rank, data []byte, count int, dt Datatype, root, tag
 		mask *= 2
 	}
 	if vrank != 0 {
-		rq, err := sh.Recv(r, nil, count, dt, (vrank-mask/2+root)%n, tag)
+		st, err := sh.Recv(r, nil, count, dt, (vrank-mask/2+root)%n, tag)
 		if err != nil {
 			return nil, err
 		}
-		data = rq.Data()
+		data = st.Data()
 	}
 	for ; vrank+mask < n; mask *= 2 {
 		if err := sh.Send(r, data, count, dt, (vrank+mask+root)%n, tag); err != nil {
@@ -155,11 +155,11 @@ func (c *Comm) reduceInternal(r *Rank, vals []float64, dt Datatype, op Op, root,
 		}
 		if vrank+mask < n {
 			child := (vrank + mask + root) % n
-			rq, err := sh.Recv(r, make([]byte, 8*count), count, dt, child, tag)
+			st, err := sh.Recv(r, make([]byte, 8*count), count, dt, child, tag)
 			if err != nil {
 				return nil, err
 			}
-			for i, v := range bytesToFloats(rq.Data()) {
+			for i, v := range bytesToFloats(st.Data()) {
 				if i < len(acc) {
 					acc[i] = op.apply(acc[i], v)
 				}

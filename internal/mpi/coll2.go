@@ -22,7 +22,7 @@ func (c *Comm) Ssend(r *Rank, data []byte, count int, dt Datatype, dest, tag int
 	if err != nil {
 		return err
 	}
-	r.waitInternal(rq)
+	r.waitRecycle(rq)
 	return nil
 }
 
@@ -52,11 +52,11 @@ func (c *Comm) gatherTo(r *Rank, data []byte, count int, dt Datatype, root, tag 
 		if i == root {
 			continue
 		}
-		rq, err := sh.Recv(r, nil, count, dt, i, tag)
+		st, err := sh.Recv(r, nil, count, dt, i, tag)
 		if err != nil {
 			return nil, err
 		}
-		copy(out[width*i:], rq.Data())
+		copy(out[width*i:], st.Data())
 	}
 	return out, nil
 }
@@ -83,11 +83,11 @@ func (c *Comm) Scatter(r *Rank, data []byte, count int, dt Datatype, root int) (
 		}
 		return data[width*me : width*(me+1)], nil
 	}
-	rq, err := sh.Recv(r, nil, count, dt, root, scatterTag)
+	st, err := sh.Recv(r, nil, count, dt, root, scatterTag)
 	if err != nil {
 		return nil, err
 	}
-	return rq.Data(), nil
+	return st.Data(), nil
 }
 
 // Allgather is MPI_Allgather: Gather to rank 0 followed by Bcast, the
@@ -121,12 +121,12 @@ func (c *Comm) Alltoall(r *Rank, data []byte, count int, dt Datatype) ([]byte, e
 	for k := 1; k < n; k++ {
 		to := (me + k) % n
 		from := (me - k + n) % n
-		rq, err := sh.Sendrecv(r, data[width*to:width*(to+1)], count, dt, to, alltoallTag+k,
+		st, err := sh.Sendrecv(r, data[width*to:width*(to+1)], count, dt, to, alltoallTag+k,
 			nil, count, dt, from, alltoallTag+k)
 		if err != nil {
 			return nil, err
 		}
-		copy(out[width*from:], rq.Data())
+		copy(out[width*from:], st.Data())
 	}
 	return out, nil
 }

@@ -28,11 +28,11 @@ func (c *Comm) refBcast(r *Rank, data []byte, count int, dt Datatype, root int) 
 
 	if vrank != 0 {
 		parent := (vrank-lowestPow2LE(vrank))%n + root
-		rq, err := sh.Recv(r, make([]byte, count*dt.Size()), count, dt, parent%n, bcastTag)
+		st, err := sh.Recv(r, make([]byte, count*dt.Size()), count, dt, parent%n, bcastTag)
 		if err != nil {
 			return nil, err
 		}
-		data = rq.Data()
+		data = st.Data()
 	}
 	for mask := nextPow2GE(vrank + 1); vrank+mask < n; mask *= 2 {
 		child := (vrank + mask + root) % n
@@ -62,11 +62,11 @@ func (c *Comm) refAllreduce(r *Rank, vals []float64, dt Datatype, op Op) ([]floa
 	vrank := me
 	if vrank != 0 {
 		parent := vrank - lowestPow2LE(vrank)
-		rq, err := sh.Recv(r, make([]byte, 8*count), count, dt, parent%n, bcastTag+1)
+		st, err := sh.Recv(r, make([]byte, 8*count), count, dt, parent%n, bcastTag+1)
 		if err != nil {
 			return nil, err
 		}
-		data = rq.Data()
+		data = st.Data()
 	}
 	for mask := nextPow2GE(vrank + 1); vrank+mask < n; mask *= 2 {
 		if err := sh.Send(r, data, count, dt, vrank+mask, bcastTag+1); err != nil {
@@ -92,11 +92,11 @@ func (c *Comm) refGather(r *Rank, data []byte, count int, dt Datatype, root int)
 		if i == root {
 			continue
 		}
-		rq, err := sh.Recv(r, nil, count, dt, i, gatherTag)
+		st, err := sh.Recv(r, nil, count, dt, i, gatherTag)
 		if err != nil {
 			return nil, err
 		}
-		copy(out[width*i:], rq.Data())
+		copy(out[width*i:], st.Data())
 	}
 	return out, nil
 }
@@ -113,11 +113,11 @@ func (c *Comm) refAllgather(r *Rank, data []byte, count int, dt Datatype) ([]byt
 	me := c.RankOf(r)
 	if me != 0 {
 		parent := me - lowestPow2LE(me)
-		rq, err := sh.Recv(r, nil, count*n, dt, parent%n, gatherTag+1)
+		st, err := sh.Recv(r, nil, count*n, dt, parent%n, gatherTag+1)
 		if err != nil {
 			return nil, err
 		}
-		gathered = rq.Data()
+		gathered = st.Data()
 	}
 	for mask := nextPow2GE(me + 1); me+mask < n; mask *= 2 {
 		if err := sh.Send(r, gathered, count*n, dt, me+mask, gatherTag+1); err != nil {
@@ -138,11 +138,11 @@ func (c *Comm) refGatherInternal(r *Rank, data []byte, count int, dt Datatype) (
 	out := make([]byte, width*n)
 	copy(out, padTo(data, width))
 	for i := 1; i < n; i++ {
-		rq, err := sh.Recv(r, nil, count, dt, i, gatherTag+2)
+		st, err := sh.Recv(r, nil, count, dt, i, gatherTag+2)
 		if err != nil {
 			return nil, err
 		}
-		copy(out[width*i:], rq.Data())
+		copy(out[width*i:], st.Data())
 	}
 	return out, nil
 }

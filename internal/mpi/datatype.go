@@ -111,6 +111,17 @@ const (
 	AnyTag    = -1
 )
 
+// wildcardArg boxes a source or tag for a probe argument vector. AnySource
+// (= AnyTag) goes back as the constant, which the compiler boxes once in
+// static data: -1 is outside the runtime's preboxed small integers, so
+// boxing v would allocate on every call.
+func wildcardArg(v int) any {
+	if v == AnySource {
+		return AnySource
+	}
+	return v
+}
+
 // Info is the MPI-2 Info object: implementation hints as key/value pairs.
 // LAM honours its lam_spawn_file key for spawn placement (§4.2.2).
 type Info map[string]string

@@ -1,0 +1,62 @@
+package mpi
+
+import (
+	"fmt"
+	"reflect"
+)
+
+// What the external tests (package mpi_test, which can import the layers
+// above mpi: mdl, faults, pperfmark) read of the runtime's internals.
+
+// UnexpectedLen is the length of r's unexpected-message queue.
+func (r *Rank) UnexpectedLen() int { return len(r.unexpected) }
+
+// Posted returns the receives r has posted and no message has matched yet.
+func (r *Rank) Posted() []*Request { return r.posted }
+
+// FreeRequests is the length of the world's request free list.
+func (w *World) FreeRequests() int { return len(w.freeReqs) }
+
+// IsRecycled reports whether rq is on the world's request free list.
+func (w *World) IsRecycled(rq *Request) bool {
+	for _, f := range w.freeReqs {
+		if f == rq {
+			return true
+		}
+	}
+	return false
+}
+
+// CheckFreeRequests returns an error if a request on the world's free list
+// is there twice, is not zeroed, or can still be reached from a rank's
+// posted queue, pendingSends or unexpected messages.
+func (w *World) CheckFreeRequests() error {
+	free := map[*Request]bool{}
+	for _, rq := range w.freeReqs {
+		if free[rq] {
+			return fmt.Errorf("request %p is on the free list twice", rq)
+		}
+		if !reflect.ValueOf(*rq).IsZero() {
+			return fmt.Errorf("request %p on the free list is not zeroed: %+v", rq, *rq)
+		}
+		free[rq] = true
+	}
+	for _, r := range w.ranks {
+		for _, rq := range r.posted {
+			if free[rq] {
+				return fmt.Errorf("%v: a posted receive is on the free list", r)
+			}
+		}
+		for _, rq := range r.pendingSends {
+			if free[rq] {
+				return fmt.Errorf("%v: a send waiting for window space is on the free list", r)
+			}
+		}
+		for _, m := range r.unexpected {
+			if m.sreq != nil && free[m.sreq] {
+				return fmt.Errorf("%v: the sender of a queued rendezvous notice is on the free list", r)
+			}
+		}
+	}
+	return nil
+}

@@ -38,11 +38,11 @@ func TestSendRecvDeliversData(t *testing.T) {
 				t.Error(err)
 			}
 		} else {
-			rq, err := c.Recv(r, nil, 5, Byte, 0, 42)
+			st, err := c.Recv(r, nil, 5, Byte, 0, 42)
 			if err != nil {
 				t.Error(err)
 			}
-			got = rq.Data()
+			got = st.Data()
 		}
 	})
 	if string(got) != "hello" {
@@ -168,8 +168,8 @@ func TestMessageOrderFIFO(t *testing.T) {
 			}
 		} else {
 			for i := 0; i < 10; i++ {
-				rq, _ := c.Recv(r, nil, 1, Byte, 0, AnyTag)
-				tags = append(tags, int(rq.Data()[0]))
+				st, _ := c.Recv(r, nil, 1, Byte, 0, AnyTag)
+				tags = append(tags, int(st.Data()[0]))
 			}
 		}
 	})
@@ -213,11 +213,11 @@ func TestAnySource(t *testing.T) {
 		c := r.World()
 		if r.Rank() == 0 {
 			for i := 0; i < 2; i++ {
-				rq, err := c.Recv(r, nil, 1, Byte, AnySource, 7)
+				st, err := c.Recv(r, nil, 1, Byte, AnySource, 7)
 				if err != nil {
 					t.Error(err)
 				}
-				seen[rq.Source()] = true
+				seen[st.Source] = true
 			}
 		} else {
 			c.Send(r, nil, 1, Byte, 0, 7)

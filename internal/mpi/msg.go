@@ -72,7 +72,7 @@ func (m *message) Fire() {
 }
 
 // Request is a nonblocking operation handle (from Isend/Irecv), completed
-// with Wait.
+// with Wait; a blocking call's own is recycled (newRequest, waitRecycle).
 type Request struct {
 	owner      *Rank
 	isSend     bool
@@ -80,19 +80,32 @@ type Request struct {
 	completeAt sim.Time
 
 	// Receive-side match pattern. A matched receive owns what it keeps of
-	// the message — the source rank and the payload (in data) — so the
-	// message can be recycled while the request lives on.
+	// the message — its status, payload included — so the message can be
+	// recycled while the request lives on.
 	commID  int
 	srcRank int // AnySource allowed
 	tag     int // AnyTag allowed
-	source  int
+	status  Status
 	buf     []byte // destination buffer; filled on completion if non-nil
 
 	// Send side.
 	dst     *Rank
 	bytes   int
-	data    []byte // payload: to send, or (receive side) as matched
+	data    []byte // payload to send
 	sendTag int
+}
+
+// newRequest returns a request initialised to init, reusing one from the
+// world's free list if there is one.
+func (w *World) newRequest(init Request) *Request {
+	var rq *Request
+	if n := len(w.freeReqs); n > 0 {
+		rq, w.freeReqs = w.freeReqs[n-1], w.freeReqs[:n-1]
+	} else {
+		rq = new(Request)
+	}
+	*rq = init
+	return rq
 }
 
 // Done reports whether the request has completed.
@@ -101,7 +114,7 @@ func (rq *Request) Done() bool { return rq.done }
 // Data returns the received payload (nil until completion or for sends).
 func (rq *Request) Data() []byte {
 	if rq.done && !rq.isSend {
-		return rq.data
+		return rq.status.data
 	}
 	return nil
 }
@@ -110,7 +123,7 @@ func (rq *Request) Data() []byte {
 // AnySource), or -1 before completion.
 func (rq *Request) Source() int {
 	if rq.done && !rq.isSend {
-		return rq.source
+		return rq.status.Source
 	}
 	return -1
 }
@@ -124,13 +137,13 @@ func (rq *Request) matches(m *message) bool {
 }
 
 // complete finishes the request at time t and wakes the owner if it is
-// blocked. For a receive, match has already copied the source rank and the
-// payload out of the message; the payload lands in the caller's buffer now.
+// blocked. For a receive, match has already copied the status out of the
+// message; the payload lands in the caller's buffer now.
 func (rq *Request) complete(t sim.Time) {
 	rq.done = true
 	rq.completeAt = t
-	if rq.buf != nil && rq.data != nil {
-		copy(rq.buf, rq.data)
+	if rq.buf != nil && rq.status.data != nil {
+		copy(rq.buf, rq.status.data)
 	}
 	rq.owner.wakeAt(t)
 }
@@ -199,12 +212,12 @@ func (m *message) match(rq *Request, tm sim.Time, waited bool) {
 	w := m.dst.w
 	lat := w.MsgTime(tm, m.src.node, m.dst.node, 0) // pure latency
 	m.matched = true
-	rq.source = m.srcRank
+	rq.status = Status{Source: m.srcRank, Tag: m.tag, bytes: m.bytes}
 	if !m.rendezvous {
 		if tr := w.Tracer; tr != nil {
 			w.traceEdge("msg", m.src, m.dst, m.sentAt, tm, m.tag, m.bytes, tr.NewFlow(), waited)
 		}
-		rq.data = m.data
+		rq.status.data = m.data
 		rq.complete(tm)
 		m.returnCredit(tm)
 		m.recycle()
@@ -222,7 +235,7 @@ func (m *message) match(rq *Request, tm sim.Time, waited bool) {
 		w.traceEdge("rendezvous", m.dst, m.src, tm, sendDone, m.tag, 0, 0, true)
 		w.traceEdge("msg", m.src, m.dst, sendDone, recvDone, m.tag, m.bytes, tr.NewFlow(), true)
 	}
-	sreq.completeAt, rq.completeAt, rq.data = sendDone, recvDone, sreq.data
+	sreq.completeAt, rq.completeAt, rq.status.data = sendDone, recvDone, sreq.data
 	w.Eng.Schedule(sendDone, (*transferEnd)(sreq))
 	w.Eng.Schedule(recvDone, (*transferEnd)(rq))
 	m.recycle()

@@ -25,9 +25,10 @@ func TestDeadlockReportNamesTheSendTag(t *testing.T) {
 	}
 }
 
-// A request owns what it keeps of its message: Data and Source must stay
-// right after the message has gone back to the free list and carried other
-// traffic — for an eager and for a rendezvous receive.
+// A receive's status owns what it keeps of its message: Data and Source must
+// stay right after the message and the request have gone back to their free
+// lists and carried other traffic — for an eager and for a rendezvous
+// receive.
 func TestRequestOutlivesItsRecycledMessage(t *testing.T) {
 	w := newTestWorld(t, LAM, 3, 1)
 	big := make([]byte, 100000) // over the eager threshold
@@ -53,16 +54,16 @@ func TestRequestOutlivesItsRecycledMessage(t *testing.T) {
 			}
 			for i := 0; i < rounds; i++ {
 				c.Send(r, nil, 0, Byte, 2, 4)
-				rq, _ := c.Recv(r, nil, 1, Byte, AnySource, 3)
-				if d := rq.Data(); len(d) != 1 || d[0] != byte(i) || rq.Source() != 2 {
-					t.Errorf("round %d: data %v from %d", i, d, rq.Source())
+				st, _ := c.Recv(r, nil, 1, Byte, AnySource, 3)
+				if d := st.Data(); len(d) != 1 || d[0] != byte(i) || st.Source != 2 {
+					t.Errorf("round %d: data %v from %d", i, d, st.Source)
 				}
 			}
-			if string(small.Data()) != "first" || small.Source() != 1 {
-				t.Errorf("eager request now reads %q from %d", small.Data(), small.Source())
+			if string(small.Data()) != "first" || small.Source != 1 {
+				t.Errorf("eager status now reads %q from %d", small.Data(), small.Source)
 			}
-			if d := large.Data(); len(d) != len(big) || d[0] != 'B' || d[len(d)-1] != 'E' || large.Source() != 1 {
-				t.Errorf("rendezvous request now reads %d bytes from %d", len(d), large.Source())
+			if d := large.Data(); len(d) != len(big) || d[0] != 'B' || d[len(d)-1] != 'E' || large.Source != 1 {
+				t.Errorf("rendezvous status now reads %d bytes from %d", len(d), large.Source)
 			}
 		}
 	})
@@ -71,43 +72,52 @@ func TestRequestOutlivesItsRecycledMessage(t *testing.T) {
 	if n := len(w.freeMsgs); n > 6 {
 		t.Errorf("free list holds %d messages: the recycled ones were not reused", n)
 	}
+	// So were the 4 + 4*rounds blocking calls' requests.
+	if n := len(w.freeReqs); n > 6 {
+		t.Errorf("free list holds %d requests: the recycled ones were not reused", n)
+	}
 }
 
-// The allocation budget of the simulated message path, tool-less: one eager
-// Send/Recv pair costs the two Requests and nothing else (the receive's is
-// handed to the caller; the message, its events, the argument vectors and
-// the wait descriptions cost nothing), and a traced application call costs
-// nothing at all.
-func TestMessagePathAllocationBudget(t *testing.T) {
-	const rounds = 200
-	w := newTestWorld(t, LAM, 1, 2)
-	var perPair, perCall float64
-	runProgram(t, w, 2, func(r *Rank, _ []string) {
+// A receive's status is the message's, not the pattern's: a receive with
+// AnySource or AnyTag reports the sender's rank and tag, and GetCount the
+// elements sent — eager and rendezvous, from Recv and from Sendrecv.
+func TestRecvStatusNamesTheMessage(t *testing.T) {
+	w := newTestWorld(t, MPICH, 3, 1)
+	sizes := []int{5, 3*w.Impl.Cost.EagerThreshold + 12} // eager, rendezvous
+	runProgram(t, w, 3, func(r *Rank, _ []string) {
 		c := r.World()
-		if r.Rank() == 1 {
-			for i := 0; i < 2*(rounds+1); i++ {
-				c.Send(r, nil, 8, Byte, 0, 0)
+		if r.Rank() > 0 {
+			for i, n := range sizes {
+				c.Send(r, make([]byte, n), n, Byte, 0, 10*r.Rank()+i)
 			}
+			c.Sendrecv(r, make([]byte, 32), 8, Int, 0, 70+r.Rank(), nil, 0, Byte, 0, 80)
 			return
 		}
-		recv := func() { c.Recv(r, nil, 8, Byte, 1, 0) }
-		perPair = testing.AllocsPerRun(rounds, recv) // receiver blocks: posted-first matches
-		r.Compute(sim.Second)                        // let the sender run ahead
-		if len(r.unexpected) == 0 {
-			t.Error("second half should find its messages already queued")
+		check := func(how string, st Status, src, tag, bytes int) {
+			t.Helper()
+			if st.Source != src || st.Tag != tag || st.GetCount(Byte) != bytes || len(st.Data()) != bytes {
+				t.Errorf("%s: status from %d, tag %d, %d bytes (%d of data); want %d, %d, %d",
+					how, st.Source, st.Tag, st.GetCount(Byte), len(st.Data()), src, tag, bytes)
+			}
 		}
-		if n := testing.AllocsPerRun(rounds, recv); n > perPair {
-			perPair = n // unexpected-first matches
+		for i, n := range sizes {
+			st, err := c.Recv(r, nil, n, Byte, AnySource, AnyTag)
+			if err != nil || st.Source < 1 || st.Source > 2 {
+				t.Fatalf("Recv(AnySource, AnyTag): source %d, %v", st.Source, err)
+			}
+			check("Recv(AnySource, AnyTag)", st, st.Source, 10*st.Source+i, n)
+			other := 3 - st.Source
+			st, _ = c.Recv(r, nil, n, Byte, other, AnyTag)
+			check("Recv(AnyTag)", st, other, 10*other+i, n)
 		}
-		body := func() {}
-		perCall = testing.AllocsPerRun(rounds, func() { r.Call("app.c", "work", body) })
+		for src := 1; src <= 2; src++ {
+			st, _ := c.Sendrecv(r, nil, 0, Byte, src, 80, nil, 8, Int, src, AnyTag)
+			check("Sendrecv(AnyTag)", st, src, 70+src, 32)
+			if st.GetCount(Int) != 8 {
+				t.Errorf("GetCount(Int) = %d, want 8", st.GetCount(Int))
+			}
+		}
 	})
-	if perPair > 2 {
-		t.Errorf("eager Send/Recv pair: %v allocs, budget 2 (the Requests)", perPair)
-	}
-	if perCall != 0 {
-		t.Errorf("Rank.Call: %v allocs, want 0", perCall)
-	}
 }
 
 // A rank parked at a collective's sync point hands sim the routine's name

@@ -17,10 +17,10 @@ func (r *Rank) isendInternal(comm *Comm, dst, tag, count int, dt Datatype, data 
 	}
 	cost := &r.w.Impl.Cost
 	bytes := count * dt.Size()
-	rq := &Request{
+	rq := r.w.newRequest(Request{
 		owner: r, isSend: true, dst: peer, commID: comm.id,
 		srcRank: comm.RankOf(r), sendTag: tag, bytes: bytes, data: data,
-	}
+	})
 	if synchronous || bytes > cost.EagerThreshold {
 		// Rendezvous: post a ready-to-send notice; the transfer starts when
 		// the receiver matches it.
@@ -57,16 +57,13 @@ func (r *Rank) isendInternal(comm *Comm, dst, tag, count int, dt Datatype, data 
 
 // irecvInternal posts a receive for (src, tag) on comm. src may be
 // AnySource and tag AnyTag.
-func (r *Rank) irecvInternal(comm *Comm, src, tag, count int, dt Datatype, buf []byte) (*Request, error) {
+func (r *Rank) irecvInternal(comm *Comm, src, tag int, buf []byte) (*Request, error) {
 	if src != AnySource {
 		if _, err := comm.peer(r, src); err != nil {
 			return nil, err
 		}
 	}
-	rq := &Request{
-		owner: r, commID: comm.id, srcRank: src, tag: tag,
-		bytes: count * dt.Size(), buf: buf,
-	}
+	rq := r.w.newRequest(Request{owner: r, commID: comm.id, srcRank: src, tag: tag, buf: buf})
 	if m := r.findUnexpected(rq); m != nil {
 		// The message was already queued when the receive was posted — the
 		// receiver never blocked on it, so the edge is not a wait edge.
@@ -112,6 +109,16 @@ func (r *Rank) waitInternal(rq *Request) {
 	}
 }
 
+// waitRecycle is waitInternal for a blocking call's own request, which then
+// goes back to the world's free list: complete, nothing holds it any more. A
+// rank killed while blocked unwinds out of waitInternal and never gets here.
+func (r *Rank) waitRecycle(rq *Request) (st Status) {
+	r.waitInternal(rq)
+	st, *rq = rq.status, Request{}
+	r.w.freeReqs = append(r.w.freeReqs, rq)
+	return st
+}
+
 // --- traced point-to-point API --------------------------------------------
 
 // Send is MPI_Send: blocking standard-mode send of count elements of dt.
@@ -124,21 +131,20 @@ func (c *Comm) Send(r *Rank, data []byte, count int, dt Datatype, dest, tag int)
 	if err != nil {
 		return err
 	}
-	r.waitInternal(rq)
+	r.waitRecycle(rq)
 	return nil
 }
 
 // Recv is MPI_Recv: blocking receive. src may be AnySource, tag AnyTag.
 // Probe args: (buf, count, datatype, source, tag, comm).
-func (c *Comm) Recv(r *Rank, buf []byte, count int, dt Datatype, src, tag int) (*Request, error) {
-	defer r.endMPI(r.beginMPI("MPI_Recv", buf, count, dt, src, tag, c))
+func (c *Comm) Recv(r *Rank, buf []byte, count int, dt Datatype, src, tag int) (Status, error) {
+	defer r.endMPI(r.beginMPI("MPI_Recv", buf, count, dt, wildcardArg(src), wildcardArg(tag), c))
 	r.SystemCompute(c.w.Impl.Cost.RecvOverhead)
-	rq, err := r.irecvInternal(c, src, tag, count, dt, buf)
+	rq, err := r.irecvInternal(c, src, tag, buf)
 	if err != nil {
-		return nil, err
+		return Status{}, err
 	}
-	r.waitInternal(rq)
-	return rq, nil
+	return r.waitRecycle(rq), nil
 }
 
 // Isend is MPI_Isend: nonblocking send; complete with Wait.
@@ -150,9 +156,9 @@ func (c *Comm) Isend(r *Rank, data []byte, count int, dt Datatype, dest, tag int
 
 // Irecv is MPI_Irecv: nonblocking receive; complete with Wait.
 func (c *Comm) Irecv(r *Rank, buf []byte, count int, dt Datatype, src, tag int) (*Request, error) {
-	defer r.endMPI(r.beginMPI("MPI_Irecv", buf, count, dt, src, tag, c))
+	defer r.endMPI(r.beginMPI("MPI_Irecv", buf, count, dt, wildcardArg(src), wildcardArg(tag), c))
 	r.SystemCompute(c.w.Impl.Cost.RecvOverhead)
-	return r.irecvInternal(c, src, tag, count, dt, buf)
+	return r.irecvInternal(c, src, tag, buf)
 }
 
 // Wait is MPI_Wait.
@@ -179,18 +185,17 @@ func (r *Rank) Waitall(rqs []*Request) {
 // Probe args mirror C MPI: (sendbuf, sendcount, sendtype, dest, sendtag,
 // recvbuf, recvcount, recvtype, source, recvtag, comm).
 func (c *Comm) Sendrecv(r *Rank, sdata []byte, scount int, sdt Datatype, dest, stag int,
-	rbuf []byte, rcount int, rdt Datatype, src, rtag int) (*Request, error) {
-	defer r.endMPI(r.beginMPI("MPI_Sendrecv", sdata, scount, sdt, dest, stag, rbuf, rcount, rdt, src, rtag, c))
+	rbuf []byte, rcount int, rdt Datatype, src, rtag int) (Status, error) {
+	defer r.endMPI(r.beginMPI("MPI_Sendrecv", sdata, scount, sdt, dest, stag, rbuf, rcount, rdt, wildcardArg(src), wildcardArg(rtag), c))
 	r.SystemCompute(c.w.Impl.Cost.SendOverhead + c.w.Impl.Cost.RecvOverhead)
-	rrq, err := r.irecvInternal(c, src, rtag, rcount, rdt, rbuf)
+	rrq, err := r.irecvInternal(c, src, rtag, rbuf)
 	if err != nil {
-		return nil, err
+		return Status{}, err
 	}
 	srq, err := r.isendInternal(c, dest, stag, scount, sdt, sdata, false)
 	if err != nil {
-		return nil, err
+		return Status{}, err
 	}
-	r.waitInternal(srq)
-	r.waitInternal(rrq)
-	return rrq, nil
+	r.waitRecycle(srq)
+	return r.waitRecycle(rrq), nil
 }

@@ -10,11 +10,15 @@ type Status struct {
 	Source int
 	Tag    int
 	bytes  int
+	data   []byte // received payload; nil for a probed message
 }
+
+// Data returns the received payload (nil for a probe or a synthetic payload).
+func (st Status) Data() []byte { return st.data }
 
 // GetCount is MPI_Get_count: the element count of the message in dt units
 // (-1 if the byte count is not divisible, mirroring MPI_UNDEFINED).
-func (st *Status) GetCount(dt Datatype) int {
+func (st Status) GetCount(dt Datatype) int {
 	if sz := dt.Size(); sz > 0 && st.bytes%sz == 0 {
 		return st.bytes / sz
 	}
@@ -37,7 +41,7 @@ func (r *Rank) findUnexpectedPeek(commID, src, tag int) *message {
 // Iprobe is MPI_Iprobe: a non-blocking check for a matching pending
 // message. Probe args: (source, tag, comm, flag, status).
 func (c *Comm) Iprobe(r *Rank, src, tag int) (bool, *Status, error) {
-	defer r.endMPI(r.beginMPI("MPI_Iprobe", src, tag, c, nil, nil))
+	defer r.endMPI(r.beginMPI("MPI_Iprobe", wildcardArg(src), wildcardArg(tag), c, nil, nil))
 	r.SystemCompute(c.w.Impl.Cost.RecvOverhead / 4)
 	if m := r.findUnexpectedPeek(c.id, src, tag); m != nil {
 		return true, &Status{Source: m.srcRank, Tag: m.tag, bytes: m.bytes}, nil
@@ -48,7 +52,7 @@ func (c *Comm) Iprobe(r *Rank, src, tag int) (bool, *Status, error) {
 // ProbeMsg is MPI_Probe: block until a matching message is pending, without
 // receiving it. Probe args: (source, tag, comm, status).
 func (c *Comm) ProbeMsg(r *Rank, src, tag int) (*Status, error) {
-	defer r.endMPI(r.beginMPI("MPI_Probe", src, tag, c, nil))
+	defer r.endMPI(r.beginMPI("MPI_Probe", wildcardArg(src), wildcardArg(tag), c, nil))
 	r.SystemCompute(c.w.Impl.Cost.RecvOverhead / 4)
 	r.enterLibraryWait()
 	defer r.exitLibraryWait()

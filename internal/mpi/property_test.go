@@ -44,12 +44,12 @@ func TestPropertyMessageConservation(t *testing.T) {
 				return
 			}
 			for i, n := range byteSizes {
-				rq, err := c.Recv(r, nil, n, Byte, 0, i%5)
+				st, err := c.Recv(r, nil, n, Byte, 0, i%5)
 				if err != nil {
 					okCh = false
 					return
 				}
-				d := rq.Data()
+				d := st.Data()
 				if len(d) < 2 || d[0] != byte(i) || d[1] != byte(i>>8) {
 					okCh = false
 					return
@@ -91,13 +91,13 @@ func TestPropertyFIFOPerPair(t *testing.T) {
 			if r.Rank() == 0 {
 				lastSeq := map[int]int{}
 				for i := 0; i < total; i++ {
-					rq, err := c.Recv(r, nil, 4, Byte, AnySource, AnyTag)
+					st, err := c.Recv(r, nil, 4, Byte, AnySource, AnyTag)
 					if err != nil {
 						ok = false
 						return
 					}
-					src := rq.Source()
-					seq := int(rq.Data()[0]) | int(rq.Data()[1])<<8
+					src := st.Source
+					seq := int(st.Data()[0]) | int(st.Data()[1])<<8
 					if seq != lastSeq[src] {
 						ok = false // out of order from this sender
 						return

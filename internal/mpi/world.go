@@ -79,6 +79,7 @@ type World struct {
 	ranks     []*Rank
 	appFuncs  map[[2]string]*probe.Function // by (module, name)
 	freeMsgs  []*message                    // recycled messages, see message.recycle
+	freeReqs  []*Request                    // recycled blocking-call requests, see Request.recycle
 	nextComm  int
 	winFree   []int // freed implementation window ids (reused by LAM-like impls)
 	winNext   int

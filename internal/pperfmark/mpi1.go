@@ -180,9 +180,9 @@ func intensiveServer(p Params) mpi.Program {
 		n := r.Size()
 		if r.Rank() == 0 {
 			for i := 0; i < p.Iterations*(n-1); i++ {
-				rq, _ := c.Recv(r, nil, 4, mpi.Byte, mpi.AnySource, 1)
+				st, _ := c.Recv(r, nil, 4, mpi.Byte, mpi.AnySource, 1)
 				r.Call(mod, "waste_time", func() { r.Compute(p.waste()) })
-				c.Send(r, nil, 4, mpi.Byte, rq.Source(), 2)
+				c.Send(r, nil, 4, mpi.Byte, st.Source, 2)
 			}
 			return
 		}
@@ -253,11 +253,15 @@ func systemTime(p Params) mpi.Program {
 // hotProcedure: one hot procedure, twelve cold ones.
 func hotProcedure(p Params) mpi.Program {
 	const mod = "hotprocedure.c"
+	var cold [12]string
+	for k := range cold {
+		cold[k] = fmt.Sprintf("irrelevantProcedure%d", k)
+	}
 	return func(r *mpi.Rank, _ []string) {
 		for i := 0; i < p.Iterations; i++ {
 			r.Call(mod, "bottleneckProcedure", func() { r.Compute(p.WasteUnit) })
-			for k := 0; k < 12; k++ {
-				r.Call(mod, fmt.Sprintf("irrelevantProcedure%d", k), func() {
+			for _, name := range cold {
+				r.Call(mod, name, func() {
 					r.Compute(p.WasteUnit / 1000)
 				})
 			}

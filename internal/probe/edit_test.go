@@ -132,6 +132,36 @@ func TestInPlaceEditsMatchSliceModel(t *testing.T) {
 	}
 }
 
+// An ID finds its probe through the function slot it carries; one that names
+// no inserted probe of this process — never issued, already removed, or
+// from a process with more functions — removes nothing.
+func TestRemoveOfUnknownIDIsANoOp(t *testing.T) {
+	p := NewProcess("p0", &fakeClock{})
+	other := NewProcess("p1", &fakeClock{})
+	runs := 0
+	h := func(*Event) { runs++ }
+	f := p.Insert("f", Entry, Append, h)
+	g := p.Insert("g", Return, Prepend, h)
+	other.Insert("a", Entry, Append, h)
+	other.Insert("b", Entry, Append, h)
+	foreign := other.Insert("c", Entry, Append, h)
+	p.Remove(f)
+	for _, id := range []ID{f, 0, -1, g + 1<<slotBits, g + 1, foreign} {
+		p.Remove(id)
+	}
+	if p.ActiveProbes() != 1 || other.ActiveProbes() != 3 {
+		t.Fatalf("ActiveProbes = %d and %d, want 1 and 3", p.ActiveProbes(), other.ActiveProbes())
+	}
+	p.Enter(&Function{Name: "g"})
+	p.Leave(p.Stack()[0])
+	if runs != 1 {
+		t.Errorf("g's probe ran %d times, want once", runs)
+	}
+	if s := p.String(); s != "probe.Process(p0, 1 probes)" {
+		t.Errorf("String = %q", s)
+	}
+}
+
 // The allocation budget of the Consultant's enable/disable traffic: editing
 // a point that already holds 64 probes costs nothing, at either end.
 func TestInsertRemoveAllocateNothing(t *testing.T) {

@@ -81,8 +81,11 @@ func (ev *Event) Arg(i int) any {
 // may be kept; the *Event and the Args slice may not).
 type Handler func(ev *Event)
 
-// ID identifies an inserted probe so it can be deleted.
+// ID identifies an inserted probe so it can be deleted: a per-process
+// sequence number over slotBits bits of its function's slot in Process.funcs.
 type ID int64
+
+const slotBits = 20
 
 type probeRec struct {
 	id ID
@@ -92,6 +95,7 @@ type probeRec struct {
 type funcInstr struct {
 	entry []probeRec
 	ret   []probeRec
+	slot  ID // index in Process.funcs
 }
 
 // Clock provides a process's notion of time to the probe layer.
@@ -111,8 +115,9 @@ type Process struct {
 	name   string
 	clock  Clock
 	instr  map[string]*funcInstr
+	funcs  []*funcInstr // by slot, which every probe ID carries
 	nextID ID
-	where  map[ID]string // probe id → function name, for removal
+	active int // inserted probes not yet removed
 
 	// PerProbeCost is the virtual-time overhead charged to the process for
 	// each probe execution (the instrumentation-perturbation model; see the
@@ -164,7 +169,6 @@ func NewProcess(name string, clock Clock) *Process {
 		name:  name,
 		clock: clock,
 		instr: map[string]*funcInstr{},
-		where: map[ID]string{},
 		edges: map[[2]string]bool{},
 		seen:  map[string]bool{},
 	}
@@ -180,11 +184,12 @@ func (p *Process) Name() string { return p.name }
 func (p *Process) Insert(fn string, w Where, ord Order, h Handler) ID {
 	fi := p.instr[fn]
 	if fi == nil {
-		fi = &funcInstr{}
+		fi = &funcInstr{slot: ID(len(p.funcs))}
 		p.instr[fn] = fi
+		p.funcs = append(p.funcs, fi)
 	}
 	p.nextID++
-	id := p.nextID
+	id := p.nextID<<slotBits | fi.slot
 	rec := probeRec{id: id, fn: h}
 	list := &fi.entry
 	if w == Return {
@@ -198,22 +203,18 @@ func (p *Process) Insert(fn string, w Where, ord Order, h Handler) ID {
 	default:
 		*list = slices.Insert(*list, 0, rec)
 	}
-	p.where[id] = fn
+	p.active++
 	return id
 }
 
 // Remove deletes a previously inserted probe. Removing an unknown ID is a
 // no-op, mirroring how deleting already-removed instrumentation is harmless.
 func (p *Process) Remove(id ID) {
-	fn, ok := p.where[id]
-	if !ok {
+	slot := id & (1<<slotBits - 1)
+	if slot >= ID(len(p.funcs)) {
 		return
 	}
-	delete(p.where, id)
-	fi := p.instr[fn]
-	if fi == nil {
-		return
-	}
+	fi := p.funcs[slot]
 	fi.entry = p.removeRec(fi.entry, id)
 	fi.ret = p.removeRec(fi.ret, id)
 }
@@ -226,6 +227,7 @@ func (p *Process) removeRec(list []probeRec, id ID) []probeRec {
 		if r.id != id {
 			continue
 		}
+		p.active--
 		if p.firing > 0 {
 			return append(list[:i:i], list[i+1:]...)
 		}
@@ -235,7 +237,7 @@ func (p *Process) removeRec(list []probeRec, id ID) []probeRec {
 }
 
 // ActiveProbes returns the number of currently inserted probes.
-func (p *Process) ActiveProbes() int { return len(p.where) }
+func (p *Process) ActiveProbes() int { return p.active }
 
 // Enter fires the entry point of f. Programs and the MPI runtime call this
 // (via higher-level wrappers) at the start of every traced function.
@@ -345,5 +347,5 @@ func (p *Process) CallEdges(from int) [][2]string {
 
 // String describes the process's instrumentation state.
 func (p *Process) String() string {
-	return fmt.Sprintf("probe.Process(%s, %d probes)", p.name, len(p.where))
+	return fmt.Sprintf("probe.Process(%s, %d probes)", p.name, p.active)
 }

@@ -25,7 +25,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 			for i := 0; i < iters*(r.Size()-1); i++ {
 				req, _ := world.Recv(r, nil, 1, Int, AnySource, 1)
 				r.Call("server.c", "handle", func() { r.Compute(3 * time.Millisecond) })
-				world.Send(r, nil, 1, Int, req.Source(), 2)
+				world.Send(r, nil, 1, Int, req.Source, 2)
 			}
 			return
 		}
