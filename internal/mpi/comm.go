@@ -17,25 +17,13 @@ type Comm struct {
 	// equivalent of MPI context ids).
 	shadow *Comm
 
-	initSync *syncPoint
-	finSync  *syncPoint
-	collSync *syncPoint
-
-	// In-flight collective window creation (first arrival allocates, the
-	// rest join until everyone has).
-	pendingWin     *winShared
-	pendingWinLeft int
-
-	// Result slots of an in-flight collective spawn, written by the root.
-	spawnResult *Comm
-	spawnErr    error
-
-	// Intercommunicator merge state (MPI_Intercomm_merge).
-	merged    *Comm
-	mergeSync *syncPoint
-
-	// In-flight MPI_Comm_dup / MPI_Comm_split state.
-	opState *commOpState
+	// The rounds of the setup collectives. Each family has its own instance,
+	// so ranks that call routines of different families deadlock instead of
+	// matching each other.
+	setup rendezvous // MPI_Init, MPI_Win_create, MPI_Comm_spawn, MPI_File_open/close
+	ops   rendezvous // MPI_Comm_dup, MPI_Comm_split
+	fin   rendezvous // MPI_Finalize
+	merge rendezvous // MPI_Intercomm_merge, over both groups
 }
 
 // ID returns the communicator id the implementation assigned.
@@ -78,18 +66,8 @@ func (c *Comm) RankOf(r *Rank) int {
 // intercommunicators.
 func (c *Comm) peer(r *Rank, rank int) (*Rank, error) {
 	group := c.local
-	if c.remote != nil {
-		// Which side is r on?
-		onLocal := false
-		for _, m := range c.local {
-			if m == r {
-				onLocal = true
-				break
-			}
-		}
-		if onLocal {
-			group = c.remote
-		}
+	if c.remote != nil && c.inLocal(r) {
+		group = c.remote
 	}
 	if rank < 0 || rank >= len(group) {
 		return nil, fmt.Errorf("mpi: rank %d out of range [0,%d) on %s", rank, len(group), c.Name())
@@ -99,15 +77,20 @@ func (c *Comm) peer(r *Rank, rank int) (*Rank, error) {
 
 // localGroup returns the group r belongs to within this communicator.
 func (c *Comm) localGroup(r *Rank) []*Rank {
-	if c.remote == nil {
+	if c.remote == nil || c.inLocal(r) {
 		return c.local
 	}
+	return c.remote
+}
+
+// inLocal reports whether r is a member of the local group.
+func (c *Comm) inLocal(r *Rank) bool {
 	for _, m := range c.local {
 		if m == r {
-			return c.local
+			return true
 		}
 	}
-	return c.remote
+	return false
 }
 
 // shadowComm returns (creating once) the hidden collective context. Its
@@ -125,46 +108,30 @@ func (c *Comm) shadowComm() *Comm {
 	return c.shadow
 }
 
-// finalizeSync returns the group's MPI_Finalize barrier.
-func (c *Comm) finalizeSync() *syncPoint {
-	if c.finSync == nil {
-		c.finSync = &syncPoint{n: len(c.local)}
-	}
-	return c.finSync
-}
-
-// collectiveSync returns the internal barrier used for setup collectives
-// (window creation, spawn) on this communicator.
-func (c *Comm) collectiveSync() *syncPoint {
-	if c.collSync == nil {
-		c.collSync = &syncPoint{n: len(c.local)}
-	}
-	return c.collSync
-}
-
 // Merge is MPI_Intercomm_merge: collectively combines an
 // intercommunicator's two groups into one intracommunicator (what
 // spawnwinSync needs to create an RMA window spanning parent and child
-// processes). The local group of the side calling with high=false comes
-// first in the new ranking.
+// processes). The group of the side calling with high=false comes first in
+// the new ranking; the first arrival orders the groups by its own flag.
 func (c *Comm) Merge(r *Rank, high bool) (*Comm, error) {
 	defer r.endMPI(r.beginMPI("MPI_Intercomm_merge", c, high, nil))
 	if c.remote == nil {
 		return nil, fmt.Errorf("mpi: MPI_Intercomm_merge on intracommunicator %s", c.Name())
 	}
-	if c.mergeSync == nil {
-		c.mergeSync = &syncPoint{n: len(c.local) + len(c.remote)}
-	}
-	if c.merged == nil {
-		all := make([]*Rank, 0, len(c.local)+len(c.remote))
-		all = append(all, c.local...)
-		all = append(all, c.remote...)
-		c.merged = c.w.newComm(all, nil)
-		c.merged.name = fmt.Sprintf("merged-%d", c.merged.id)
-		c.w.fireCommCreated(r, c.merged)
-	}
-	c.mergeSync.wait(r, "MPI_Intercomm_merge")
-	return c.merged, nil
+	merged := c.merge.meet(r, "MPI_Intercomm_merge", func(v any, _ bool) any {
+		if v != nil {
+			return v
+		}
+		low, hi := c.local, c.remote
+		if c.inLocal(r) == high {
+			low, hi = hi, low
+		}
+		m := c.w.newComm(append(append(make([]*Rank, 0, len(low)+len(hi)), low...), hi...), nil)
+		m.name = fmt.Sprintf("merged-%d", m.id)
+		c.w.fireCommCreated(r, m)
+		return m
+	})
+	return merged.(*Comm), nil
 }
 
 // SetName performs MPI_Comm_set_name, making the tool display the friendly

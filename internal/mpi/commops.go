@@ -10,28 +10,6 @@ import (
 // tool discovers as fresh /SyncObject/Message resources, which is how a
 // program's communicator structure becomes visible for focus selection.
 
-// commOpState carries one in-flight collective dup/split on a communicator.
-type commOpState struct {
-	sync    *syncPoint
-	arrived int
-	colors  map[int]int // comm rank → color
-	keys    map[int]int
-	results map[int]*Comm // comm rank → new communicator
-	dup     *Comm
-}
-
-func (c *Comm) commOp() *commOpState {
-	if c.opState == nil {
-		c.opState = &commOpState{
-			sync:    &syncPoint{n: len(c.local)},
-			colors:  map[int]int{},
-			keys:    map[int]int{},
-			results: map[int]*Comm{},
-		}
-	}
-	return c.opState
-}
-
 // Dup is MPI_Comm_dup: a collective copy of the communicator with a fresh
 // context. Probe args: (comm, newcomm) with the new communicator visible at
 // the return probe.
@@ -42,18 +20,15 @@ func (c *Comm) Dup(r *Rank) (*Comm, error) {
 		return nil, fmt.Errorf("mpi: MPI_Comm_dup of intercommunicator %s not supported", c.Name())
 	}
 	r.SystemCompute(c.w.Impl.CollectiveOverhead)
-	st := c.commOp()
-	if st.dup == nil {
-		st.dup = c.w.newComm(append([]*Rank(nil), c.local...), nil)
-		st.dup.name = c.Name() + " (dup)"
-		c.w.fireCommCreated(r, st.dup)
-	}
-	st.arrived++
-	dup := st.dup
-	if st.arrived == len(c.local) {
-		st.arrived, st.dup = 0, nil
-	}
-	st.sync.wait(r, "MPI_Comm_dup")
+	dup := c.ops.meet(r, "MPI_Comm_dup", func(v any, _ bool) any {
+		if dup, ok := v.(*Comm); ok {
+			return dup
+		}
+		dup := c.w.newComm(append([]*Rank(nil), c.local...), nil)
+		dup.name = c.Name() + " (dup)"
+		c.w.fireCommCreated(r, dup)
+		return dup
+	}).(*Comm)
 	r.probes.SetArg(1, dup)
 	r.endMPI(f)
 	return dup, nil
@@ -70,32 +45,40 @@ func (c *Comm) Split(r *Rank, color, key int) (*Comm, error) {
 		return nil, fmt.Errorf("mpi: MPI_Comm_split of intercommunicator %s not supported", c.Name())
 	}
 	r.SystemCompute(c.w.Impl.CollectiveOverhead)
-	st := c.commOp()
 	me := c.RankOf(r)
-	st.colors[me] = color
-	st.keys[me] = key
-	st.arrived++
-	if st.arrived == len(c.local) {
-		// Last arrival computes the partition for everyone.
-		st.arrived = 0
-		buildSplitResults(c, st)
-	}
-	st.sync.wait(r, "MPI_Comm_split")
-	out := st.results[me]
+	sp := c.ops.meet(r, "MPI_Comm_split", func(v any, last bool) any {
+		sp, ok := v.(*splitRound)
+		if !ok {
+			n := len(c.local)
+			sp = &splitRound{color: make([]int, n), key: make([]int, n), out: make([]*Comm, n)}
+		}
+		sp.color[me], sp.key[me] = color, key
+		if last {
+			sp.partition(c)
+		}
+		return sp
+	}).(*splitRound)
+	out := sp.out[me]
 	r.probes.SetArg(3, out)
 	r.endMPI(f)
 	return out, nil
 }
 
-// buildSplitResults partitions the communicator by the collected colors.
-func buildSplitResults(c *Comm, st *commOpState) {
-	groups := map[int][]int{} // color → comm ranks
-	for rank, color := range st.colors {
-		if color < 0 {
-			st.results[rank] = nil
-			continue
+// splitRound is the value of one MPI_Comm_split round: every rank's color
+// and key, and, once the last arrival has partitioned them, its communicator.
+type splitRound struct {
+	color, key []int // by comm rank
+	out        []*Comm
+}
+
+// partition builds one communicator per non-negative color, in color order;
+// within a color, ranks order by (key, old rank).
+func (sp *splitRound) partition(c *Comm) {
+	groups := map[int][]int{} // color → comm ranks, ascending
+	for rank, color := range sp.color {
+		if color >= 0 {
+			groups[color] = append(groups[color], rank)
 		}
-		groups[color] = append(groups[color], rank)
 	}
 	colors := make([]int, 0, len(groups))
 	for color := range groups {
@@ -104,12 +87,7 @@ func buildSplitResults(c *Comm, st *commOpState) {
 	sort.Ints(colors)
 	for _, color := range colors {
 		members := groups[color]
-		sort.Slice(members, func(i, j int) bool {
-			if st.keys[members[i]] != st.keys[members[j]] {
-				return st.keys[members[i]] < st.keys[members[j]]
-			}
-			return members[i] < members[j]
-		})
+		sort.SliceStable(members, func(i, j int) bool { return sp.key[members[i]] < sp.key[members[j]] })
 		ranks := make([]*Rank, len(members))
 		for i, m := range members {
 			ranks[i] = c.local[m]
@@ -118,9 +96,7 @@ func buildSplitResults(c *Comm, st *commOpState) {
 		nc.name = fmt.Sprintf("%s (split color %d)", c.Name(), color)
 		c.w.fireCommCreated(ranks[0], nc)
 		for _, m := range members {
-			st.results[m] = nc
+			sp.out[m] = nc
 		}
 	}
-	st.colors = map[int]int{}
-	st.keys = map[int]int{}
 }

@@ -1,6 +1,8 @@
 package mpi
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
 	"pperf/internal/sim"
@@ -160,6 +162,74 @@ func TestMergeProducesWorkingIntracomm(t *testing.T) {
 		if rk < 2 {
 			t.Errorf("child merged rank %d should be ≥ 2", rk)
 		}
+	}
+}
+
+// Every MPI_Intercomm_merge makes a communicator of its own, the same one on
+// both sides.
+func TestMergeTwiceMakesTwoCommunicators(t *testing.T) {
+	w := newTestWorld(t, LAM, 3, 2)
+	merges := map[*Rank][2]*Comm{}
+	mergeTwice := func(r *Rank, inter *Comm, high bool) {
+		var got [2]*Comm
+		for i := range got {
+			m, err := inter.Merge(r, high)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = m
+		}
+		merges[r] = got
+	}
+	w.Register("child", func(r *Rank, _ []string) { mergeTwice(r, r.GetParent(), true) })
+	runProgram(t, w, 2, func(r *Rank, _ []string) {
+		inter, err := r.World().Spawn(r, "child", nil, 2, nil, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		mergeTwice(r, inter, false)
+	})
+	first := merges[w.Ranks()[0]]
+	if len(merges) != 4 {
+		t.Fatalf("%d ranks merged twice, want 4", len(merges))
+	}
+	if first[0] == first[1] {
+		t.Error("the second merge returned the first merge's communicator")
+	}
+	for r, got := range merges {
+		if got != first {
+			t.Errorf("%v merged into other communicators than rank 0", r)
+		}
+	}
+}
+
+// The group calling with high=false ranks first, whichever side it is.
+func TestMergeOrdersTheLowGroupFirst(t *testing.T) {
+	w := newTestWorld(t, LAM, 3, 2)
+	var childRanks []int
+	w.Register("child", func(r *Rank, _ []string) {
+		merged, err := r.GetParent().Merge(r, false)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		childRanks = append(childRanks, merged.RankOf(r))
+	})
+	runProgram(t, w, 2, func(r *Rank, _ []string) {
+		inter, err := r.World().Spawn(r, "child", nil, 2, nil, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := inter.Merge(r, true); err != nil {
+			t.Error(err)
+		}
+	})
+	sort.Ints(childRanks)
+	if fmt.Sprint(childRanks) != "[0 1]" {
+		t.Errorf("children (high=false) have merged ranks %v, want [0 1]", childRanks)
 	}
 }
 

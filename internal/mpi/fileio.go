@@ -32,7 +32,7 @@ type File struct {
 // return probe.
 func (c *Comm) FileOpen(r *Rank, filename string, amode int, info Info) (*File, error) {
 	defer r.endMPI(r.beginMPI("MPI_File_open", c, filename, amode, info, nil))
-	c.collectiveSync().wait(r, "MPI_File_open")
+	c.setup.meet(r, "MPI_File_open", nil)
 	r.IdleWait(c.w.Impl.IOLatency)
 	fl := &File{comm: c, name: filename, amode: amode, open: true}
 	r.probes.SetArg(4, fl)
@@ -72,7 +72,7 @@ func (fl *File) Close(r *Rank) error {
 	if err := fl.check("MPI_File_close"); err != nil {
 		return err
 	}
-	fl.comm.collectiveSync().wait(r, "MPI_File_close")
+	fl.comm.setup.meet(r, "MPI_File_close", nil)
 	fl.open = false
 	return nil
 }

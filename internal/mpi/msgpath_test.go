@@ -120,27 +120,27 @@ func TestRecvStatusNamesTheMessage(t *testing.T) {
 	})
 }
 
-// A rank parked at a collective's sync point hands sim the routine's name
-// for a deadlock report that is almost never printed; that must not cost an
-// allocation per wait.
+// A rank parked at a rendezvous hands sim the routine's name for a deadlock
+// report that is almost never printed; that must not cost an allocation per
+// wait.
 func TestBlockedSyncWaitAllocatesNothing(t *testing.T) {
 	const rounds = 200
 	w := newTestWorld(t, LAM, 1, 2)
-	sp := &syncPoint{n: 2}
+	rv := &rendezvous{n: 2}
 	var perWait float64
 	runProgram(t, w, 2, func(r *Rank, _ []string) {
 		if r.Rank() == 1 {
 			for i := 0; i < rounds+2; i++ {
 				r.Compute(sim.Microsecond) // arrive last: rank 0 blocks every round
-				sp.wait(r, "MPI_Barrier")
+				rv.meet(r, "MPI_Barrier", nil)
 			}
 			return
 		}
-		sp.wait(r, "MPI_Barrier")
-		perWait = testing.AllocsPerRun(rounds, func() { sp.wait(r, "MPI_Barrier") })
+		rv.meet(r, "MPI_Barrier", nil)
+		perWait = testing.AllocsPerRun(rounds, func() { rv.meet(r, "MPI_Barrier", nil) })
 	})
 	if perWait != 0 {
-		t.Errorf("blocked sync-point wait: %v allocs, want 0", perWait)
+		t.Errorf("blocked rendezvous wait: %v allocs, want 0", perWait)
 	}
 }
 

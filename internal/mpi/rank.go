@@ -215,7 +215,7 @@ func (r *Rank) wakeAt(t sim.Time) { r.proc.WakeAt(t) }
 func (r *Rank) Init() {
 	f := r.beginMPI("MPI_Init")
 	r.SystemCompute(50 * sim.Microsecond) // library startup cost
-	r.world.initSync.wait(r, "MPI_Init")
+	r.world.setup.meet(r, "MPI_Init", nil)
 	r.endMPI(f)
 }
 
@@ -226,7 +226,7 @@ func (r *Rank) Finalize() {
 		return
 	}
 	f := r.beginMPI("MPI_Finalize")
-	r.world.finalizeSync().wait(r, "MPI_Finalize")
+	r.world.fin.meet(r, "MPI_Finalize", nil)
 	r.endMPI(f)
 	r.finalized = true
 }

@@ -35,7 +35,7 @@ type winShared struct {
 	buf    [][]byte // per-comm-rank exposed memory
 	freed  bool
 
-	fenceSync *syncPoint
+	fence rendezvous // MPI_Win_fence, MPI_Win_free
 
 	// Active-target (PSCW) epoch state, keyed by comm rank.
 	posted          map[int]map[int]bool // target → origins granted access
@@ -125,36 +125,32 @@ func (c *Comm) WinCreate(r *Rank, size int, dispUnit int, info Info) (*Win, erro
 	f := r.beginMPI("MPI_Win_create", nil, size, dispUnit, info, c, nil)
 	r.SystemCompute(c.w.Impl.CollectiveOverhead)
 
-	sync := c.collectiveSync()
-	// First arrival allocates the shared state; everyone picks it up after
-	// the sync. Stash on the communicator keyed by a creation counter.
-	if c.pendingWin == nil {
-		implID, unique := c.w.allocWinID()
-		ws := &winShared{
-			w: c.w, comm: c, implID: implID, unique: unique,
-			buf:             make([][]byte, len(c.local)),
-			fenceSync:       &syncPoint{n: len(c.local)},
-			posted:          map[int]map[int]bool{},
-			expectComplete:  map[int]int{},
-			completeArrived: map[int]int{},
-			locks:           map[int]*lockState{},
+	// The first arrival allocates the shared state, so the implementation id
+	// is assigned once; each arrival adds its memory.
+	me := c.RankOf(r)
+	ws := c.setup.meet(r, "MPI_Win_create", func(v any, _ bool) any {
+		ws, ok := v.(*winShared)
+		if !ok {
+			implID, unique := c.w.allocWinID()
+			ws = &winShared{
+				w: c.w, comm: c, implID: implID, unique: unique,
+				buf:             make([][]byte, len(c.local)),
+				fence:           rendezvous{n: len(c.local)},
+				posted:          map[int]map[int]bool{},
+				expectComplete:  map[int]int{},
+				completeArrived: map[int]int{},
+				locks:           map[int]*lockState{},
+			}
+			if c.w.Impl.WinNameInComm {
+				ws.internalComm = c.w.newComm(c.local, nil)
+				ws.internalComm.name = fmt.Sprintf("win-%s-comm", unique)
+			}
 		}
-		if c.w.Impl.WinNameInComm {
-			ws.internalComm = c.w.newComm(c.local, nil)
-			ws.internalComm.name = fmt.Sprintf("win-%s-comm", unique)
-		}
-		c.pendingWin = ws
-		c.pendingWinLeft = len(c.local)
-	}
-	ws := c.pendingWin
-	ws.buf[c.RankOf(r)] = make([]byte, size)
-	c.pendingWinLeft--
-	if c.pendingWinLeft == 0 {
-		c.pendingWin = nil
-	}
-	sync.wait(r, "MPI_Win_create")
+		ws.buf[me] = make([]byte, size)
+		return ws
+	}).(*winShared)
 
-	win := &Win{shared: ws, r: r, myRank: c.RankOf(r), lockedOn: map[int]bool{}}
+	win := &Win{shared: ws, r: r, myRank: me, lockedOn: map[int]bool{}}
 	r.probes.SetArg(5, win)
 	r.endMPI(f)
 	for _, h := range c.w.hooks {
@@ -162,7 +158,7 @@ func (c *Comm) WinCreate(r *Rank, size int, dispUnit int, info Info) (*Win, erro
 			h.WinCreated(r, win)
 		}
 	}
-	if ws.internalComm != nil && c.RankOf(r) == 0 {
+	if ws.internalComm != nil && me == 0 {
 		c.w.fireCommCreated(r, ws.internalComm)
 	}
 	return win, nil
@@ -175,7 +171,7 @@ func (w *Win) Free() error {
 	r := w.r
 	defer r.endMPI(r.beginMPI("MPI_Win_free", w))
 	w.waitMyOps()
-	w.shared.fenceSync.wait(r, "MPI_Win_free")
+	w.shared.fence.meet(r, "MPI_Win_free", nil)
 	if !w.shared.freed {
 		w.shared.freed = true
 		w.shared.w.freeWinID(w.shared.implID)
@@ -233,7 +229,7 @@ func (w *Win) Fence(assert int) error {
 	if w.shared.w.Impl.FenceViaBarrier {
 		return w.shared.comm.Barrier(r)
 	}
-	w.shared.fenceSync.wait(r, "MPI_Win_fence")
+	w.shared.fence.meet(r, "MPI_Win_fence", nil)
 	return nil
 }
 

@@ -37,10 +37,20 @@ func (c *Comm) Spawn(r *Rank, command string, argv []string, maxprocs int, info 
 		return nil, fmt.Errorf("mpi: MPI_Comm_spawn: no program registered as %q", command)
 	}
 
-	// The spawn is collective over the parent communicator: everyone
-	// synchronizes before and after the root does the work.
-	sync := c.collectiveSync()
-	sync.wait(r, "MPI_Comm_spawn (enter)")
+	if root < 0 || root >= c.Size() {
+		r.endMPI(f)
+		return nil, fmt.Errorf("mpi: MPI_Comm_spawn: root %d out of range [0,%d) on %s", root, c.Size(), c.Name())
+	}
+
+	// The spawn is collective over the parent communicator: everyone meets
+	// before and after the root does the work. The first round's value is
+	// where the root leaves the result.
+	out := c.setup.meet(r, "MPI_Comm_spawn (enter)", func(v any, _ bool) any {
+		if out, ok := v.(*spawned); ok {
+			return out
+		}
+		return &spawned{}
+	}).(*spawned)
 
 	if c.RankOf(r) == root {
 		// The intercept method's wrapper (tool daemon startup) inflates the
@@ -52,8 +62,7 @@ func (c *Comm) Spawn(r *Rank, command string, argv []string, maxprocs int, info 
 
 		placements, err := w.spawnPlacements(maxprocs, info)
 		if err != nil {
-			c.spawnResult = nil
-			c.spawnErr = err
+			out.err = err
 		} else {
 			childWorld := w.startGroup(command, prog, placements, argv, nil)
 			inter := w.newComm(c.local, childWorld.local)
@@ -61,8 +70,7 @@ func (c *Comm) Spawn(r *Rank, command string, argv []string, maxprocs int, info 
 			for _, child := range childWorld.local {
 				child.parentComm = inter
 			}
-			c.spawnResult = inter
-			c.spawnErr = nil
+			out.inter = inter
 			if w.Tracer != nil {
 				for _, child := range childWorld.local {
 					w.traceEdge("spawn", r, child, r.Now(), r.Now(), 0, 0, 0, true)
@@ -77,11 +85,16 @@ func (c *Comm) Spawn(r *Rank, command string, argv []string, maxprocs int, info 
 		}
 	}
 
-	sync.wait(r, "MPI_Comm_spawn (exit)")
-	inter, err := c.spawnResult, c.spawnErr
-	r.probes.SetArg(6, inter)
+	c.setup.meet(r, "MPI_Comm_spawn (exit)", nil)
+	r.probes.SetArg(6, out.inter)
 	r.endMPI(f)
-	return inter, err
+	return out.inter, out.err
+}
+
+// spawned is the value of a spawn's first round: the root's result.
+type spawned struct {
+	inter *Comm
+	err   error
 }
 
 // spawnPlacements decides where spawned children run.

@@ -59,24 +59,24 @@ func TestSpawnCreatesChildrenWithIntercomm(t *testing.T) {
 
 func TestSpawnUnsupportedOnMPICH2(t *testing.T) {
 	w := newTestWorld(t, MPICH2, 2, 1)
-	var spawnErr error
+	var err error
 	w.Register("child", func(r *Rank, _ []string) {})
 	runProgram(t, w, 1, func(r *Rank, _ []string) {
-		_, spawnErr = r.World().Spawn(r, "child", nil, 2, nil, 0)
+		_, err = r.World().Spawn(r, "child", nil, 2, nil, 0)
 	})
 	var uns *ErrUnsupported
-	if !errors.As(spawnErr, &uns) {
-		t.Errorf("spawn error = %v, want ErrUnsupported", spawnErr)
+	if !errors.As(err, &uns) {
+		t.Errorf("spawn error = %v, want ErrUnsupported", err)
 	}
 }
 
 func TestSpawnUnknownProgram(t *testing.T) {
 	w := newTestWorld(t, LAM, 2, 1)
-	var spawnErr error
+	var err error
 	runProgram(t, w, 1, func(r *Rank, _ []string) {
-		_, spawnErr = r.World().Spawn(r, "no-such-prog", nil, 1, nil, 0)
+		_, err = r.World().Spawn(r, "no-such-prog", nil, 1, nil, 0)
 	})
-	if spawnErr == nil {
+	if err == nil {
 		t.Error("spawning an unregistered program should fail")
 	}
 }
@@ -258,4 +258,24 @@ func TestDeterministicTimings(t *testing.T) {
 	if a, b := run(), run(); a != b {
 		t.Errorf("two identical runs ended at %v and %v", a, b)
 	}
+}
+
+// A root that is no rank of the communicator is an error on every rank,
+// before anyone waits for a root that never comes; it must not hand back the
+// result of an earlier spawn.
+func TestSpawnWithBadRootErrs(t *testing.T) {
+	w := newTestWorld(t, LAM, 2, 1)
+	w.Register("child", func(*Rank, []string) {})
+	runProgram(t, w, 2, func(r *Rank, _ []string) {
+		c := r.World()
+		if _, err := c.Spawn(r, "child", nil, 1, nil, 0); err != nil {
+			t.Error(err)
+			return
+		}
+		for _, root := range []int{7, -1} {
+			if _, err := c.Spawn(r, "child", nil, 1, nil, root); err == nil {
+				t.Errorf("rank %d: Spawn with root %d on 2 ranks returned no error", r.Rank(), root)
+			}
+		}
+	})
 }

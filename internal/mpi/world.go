@@ -226,7 +226,6 @@ func (w *World) startGroup(progName string, p Program, placements []cluster.Plac
 			GlobalID: r.global, Node: pl.Node, Program: progName, Rank: i,
 		})
 	}
-	comm.initSync = &syncPoint{n: len(group)}
 	w.fireCommCreated(group[0], comm)
 	for _, r := range group {
 		r := r
@@ -253,10 +252,13 @@ func (w *World) startGroup(progName string, p Program, placements []cluster.Plac
 }
 
 // newComm allocates a communicator over the given local (and, for
-// intercommunicators, remote) groups.
+// intercommunicators, remote) groups, its rendezvous sized for them.
 func (w *World) newComm(local, remote []*Rank) *Comm {
 	w.nextComm++
-	return &Comm{w: w, id: w.nextComm, local: local, remote: remote}
+	c := &Comm{w: w, id: w.nextComm, local: local, remote: remote}
+	c.setup.n, c.ops.n, c.fin.n = len(local), len(local), len(local)
+	c.merge.n = len(local) + len(remote)
+	return c
 }
 
 // allocWinID hands out an implementation window id, reusing freed ids when
@@ -305,47 +307,62 @@ func (w *World) fireCommCreated(r *Rank, c *Comm) {
 	}
 }
 
-// syncPoint is a reusable N-party internal barrier used for the
-// implementation-internal synchronization of MPI_Init, MPI_Win_create,
-// collective spawn, etc. It is invisible to the tool (no probes fire).
-type syncPoint struct {
-	n       int
+// rendezvous is the N-party internal barrier behind every setup collective
+// (MPI_Init, MPI_Win_create, MPI_Comm_spawn, MPI_Comm_dup, ...). It is
+// invisible to the tool: no probes fire. A round can carry one value: the
+// first arrival builds it, each arrival may add to it, and the last may finish
+// it before it releases everyone.
+type rendezvous struct {
+	n       int // parties per round
 	arrived int
 	gen     int
 	maxT    sim.Time
 	cond    sim.Cond
+	val     any
 }
 
-// wait blocks the rank until all n parties have arrived; everyone resumes at
-// the latest arrival time. what is the routine's name, a string constant at
-// every call site, taken already boxed: sim.Cond.Wait wants it as an
-// interface, and boxing a string variable would allocate on every wait.
-func (sp *syncPoint) wait(r *Rank, what any) {
-	if sp.n <= 1 {
-		return
+// meet enters r into the current round and returns the round's value once all
+// n parties have arrived; everyone resumes at the latest arrival time. arrive,
+// if not nil, runs first: it is given the value so far (nil for the first
+// arrival) and whether r is the last to arrive, and returns the value. r takes
+// the value before it blocks, because the last arrival may run on into the
+// next round, and start that round's value, before the others resume.
+//
+// what is the routine's name, a string constant at every call site, taken
+// already boxed: sim.Cond.Wait wants it as an interface, and boxing a string
+// variable would allocate on every wait.
+func (rv *rendezvous) meet(r *Rank, what any, arrive func(v any, last bool) any) any {
+	last := rv.arrived+1 >= rv.n
+	if arrive != nil {
+		rv.val = arrive(rv.val, last)
+	}
+	v := rv.val
+	if rv.n <= 1 {
+		rv.val = nil
+		return v
 	}
 	if tr := r.w.Tracer; tr != nil {
-		tr.SyncArrive(sp, r.probes.Name())
+		tr.SyncArrive(rv, r.probes.Name())
 	}
-	gen := sp.gen
-	if r.Now() > sp.maxT {
-		sp.maxT = r.Now()
+	gen := rv.gen
+	if r.Now() > rv.maxT {
+		rv.maxT = r.Now()
 	}
-	sp.arrived++
-	if sp.arrived == sp.n {
-		release := sp.maxT
-		sp.arrived = 0
-		sp.maxT = 0
-		sp.gen++
+	rv.arrived++
+	if last {
+		release := rv.maxT
+		rv.arrived, rv.maxT, rv.val = 0, 0, nil
+		rv.gen++
 		if tr := r.w.Tracer; tr != nil {
-			tr.SyncRelease(sp, what.(string), r.probes.Name(), release)
+			tr.SyncRelease(rv, what.(string), r.probes.Name(), release)
 		}
-		sp.cond.Broadcast(release)
-		return
+		rv.cond.Broadcast(release)
+		return v
 	}
 	r.enterLibraryWait()
-	for gen == sp.gen {
-		sp.cond.Wait(r.proc, what)
+	for gen == rv.gen {
+		rv.cond.Wait(r.proc, what)
 	}
 	r.exitLibraryWait()
+	return v
 }

@@ -296,40 +296,40 @@ func (s *archiveScan) eventsChunk(data []byte, visit func(*session.Event)) error
 	return nil
 }
 
-// Writer streams session events into a chunked archive. It buffers at
-// most FlushEvents events, or maxPendingPacked bytes of packed blobs plus one
+// chunkWriter streams session events into a chunked archive. It buffers at
+// most perChunk events, or maxPendingPacked bytes of packed blobs plus one
 // event, before encoding them as one CRC'd chunk and handing the bytes to the
 // underlying writer — the recorder's memory is bounded by the chunk size,
 // not the run length.
-type Writer struct {
+type chunkWriter struct {
 	w   *bufio.Writer
 	buf pendingChunk
 
-	// FlushEvents is the chunk granularity (events per chunk). Smaller
-	// chunks bound memory tighter and localize corruption; larger ones
-	// amortize gob type descriptors better. Set before the first Append.
-	FlushEvents int
+	// perChunk is the chunk granularity (events per chunk). Smaller chunks
+	// bound memory tighter and localize corruption; larger ones amortize gob
+	// type descriptors better. Set before the first add.
+	perChunk int
 
-	events int
+	events int // appended so far
 	chunks int
-	peak   int
+	peak   int // most events ever held in memory: at most perChunk
 	err    error
 }
 
 // DefaultFlushEvents is the default chunk granularity.
 const DefaultFlushEvents = 512
 
-// NewWriter writes the archive magic and returns a streaming writer.
-func NewWriter(w io.Writer) (*Writer, error) {
+// newChunkWriter writes the archive magic and returns a streaming writer.
+func newChunkWriter(w io.Writer) (*chunkWriter, error) {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(chunkMagic); err != nil {
 		return nil, err
 	}
-	return &Writer{w: bw, FlushEvents: DefaultFlushEvents}, nil
+	return &chunkWriter{w: bw, perChunk: DefaultFlushEvents}, nil
 }
 
 // writeChunk frames and emits one chunk.
-func (w *Writer) writeChunk(kind byte, payload []byte) error {
+func (w *chunkWriter) writeChunk(kind byte, payload []byte) error {
 	if len(payload) > maxChunkPayload {
 		return fmt.Errorf("perfdb: chunk payload %d bytes exceeds format limit", len(payload))
 	}
@@ -348,7 +348,7 @@ func (w *Writer) writeChunk(kind byte, payload []byte) error {
 // event chunk. Histogram configuration is known at session construction
 // (core.NewSession calls SetHistogram before anything records), so a
 // truncated archive still replays with the right bin layout.
-func (w *Writer) writeHeaderChunk(h session.Header) error {
+func (w *chunkWriter) writeHeaderChunk(h session.Header) error {
 	var buf bytes.Buffer
 	hw := toWire(h)
 	if err := gob.NewEncoder(&buf).Encode(&hw); err != nil {
@@ -357,10 +357,10 @@ func (w *Writer) writeHeaderChunk(h session.Header) error {
 	return w.writeChunk(chunkHeader, buf.Bytes())
 }
 
-// Append adds one event to the pending chunk, flushing it when full. A
+// add appends one event to the pending chunk, flushing it when full. A
 // sample batch or trace shard is packed before Append returns, so the caller
 // keeps its slice; any other event is held as given until its chunk flushes.
-func (w *Writer) Append(ev session.Event) error {
+func (w *chunkWriter) add(ev session.Event) error {
 	if w.err != nil {
 		return w.err
 	}
@@ -375,14 +375,14 @@ func (w *Writer) Append(ev session.Event) error {
 	return w.err
 }
 
-func (w *Writer) flushEvents() int {
-	if w.FlushEvents <= 0 {
+func (w *chunkWriter) flushEvents() int {
+	if w.perChunk <= 0 {
 		return DefaultFlushEvents
 	}
-	return w.FlushEvents
+	return w.perChunk
 }
 
-func (w *Writer) flush() error {
+func (w *chunkWriter) flush() error {
 	if len(w.buf.flags) == 0 {
 		return nil
 	}
@@ -394,16 +394,9 @@ func (w *Writer) flush() error {
 	return w.writeChunk(chunkEvents, payload)
 }
 
-// EventCount returns the number of events appended so far.
-func (w *Writer) EventCount() int { return w.events }
-
-// PeakBuffered returns the maximum number of events ever held in memory —
-// the bounded-memory guarantee a test can assert (≤ FlushEvents).
-func (w *Writer) PeakBuffered() int { return w.peak }
-
-// Close flushes the final partial chunk and writes the trailer carrying
-// the finalized header. The Writer must not be used afterwards.
-func (w *Writer) Close(h session.Header) error {
+// close flushes the final partial chunk and writes the trailer carrying
+// the finalized header. The writer must not be used afterwards.
+func (w *chunkWriter) close(h session.Header) error {
 	if w.err != nil {
 		return w.err
 	}
@@ -429,7 +422,7 @@ func (w *Writer) Close(h session.Header) error {
 // WriteArchive encodes an in-memory session archive in chunked, compacted
 // form.
 func WriteArchive(w io.Writer, a *session.Archive) error {
-	cw, err := NewWriter(w)
+	cw, err := newChunkWriter(w)
 	if err != nil {
 		return err
 	}
@@ -437,11 +430,11 @@ func WriteArchive(w io.Writer, a *session.Archive) error {
 		return err
 	}
 	for i := range a.Events {
-		if err := cw.Append(a.Events[i]); err != nil {
+		if err := cw.add(a.Events[i]); err != nil {
 			return err
 		}
 	}
-	return cw.Close(a.Header)
+	return cw.close(a.Header)
 }
 
 // provisionalHeader strips a header to what a streaming writer knows up

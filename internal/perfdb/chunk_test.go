@@ -309,7 +309,7 @@ func replayEventsInto(rec session.Sink, events []session.Event) {
 	}
 }
 
-// testFrame frames a payload the way Writer.writeChunk does.
+// testFrame frames a payload the way chunkWriter.writeChunk does.
 func testFrame(kind byte, payload []byte) []byte {
 	hdr := make([]byte, 9, 9+len(payload))
 	hdr[0] = kind

@@ -51,21 +51,21 @@ func eventsChunkByChunk(t *testing.T, data []byte) []session.Event {
 // nothing about what they say.
 func TestInternedReadEqualsUnsharedRead(t *testing.T) {
 	var buf bytes.Buffer
-	cw, err := NewWriter(&buf)
+	cw, err := newChunkWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw.FlushEvents = 16 // many chunks, so the table is carried across them
+	cw.perChunk = 16 // many chunks, so the table is carried across them
 	src := finiteArchive(rand.New(rand.NewSource(5)), 400)
 	if err := cw.writeHeaderChunk(provisionalHeader(src.Header)); err != nil {
 		t.Fatal(err)
 	}
 	for _, ev := range src.Events {
-		if err := cw.Append(ev); err != nil {
+		if err := cw.add(ev); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := cw.Close(src.Header); err != nil {
+	if err := cw.close(src.Header); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadArchive(bytes.NewReader(buf.Bytes()))
@@ -116,22 +116,22 @@ func TestCodecAllocationBudget(t *testing.T) {
 		t.Errorf("unpacking a batch of known strings: %v allocs for %d samples, want 1 (the batch slice)", n, len(batch))
 	}
 
-	cw, err := NewWriter(io.Discard)
+	cw, err := newChunkWriter(io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw.FlushEvents = 64
+	cw.perChunk = 64
 	ev := session.Event{Kind: session.EvSamples, Samples: randomBatch(rng, 24)}
 	for i := 0; i < 64; i++ { // one full chunk warms every buffer
-		if err := cw.Append(ev); err != nil {
+		if err := cw.add(ev); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := testing.AllocsPerRun(50, func() { cw.Append(ev) }); n != 0 { // 51 appends: no flush inside
+	if n := testing.AllocsPerRun(50, func() { cw.add(ev) }); n != 0 { // 51 appends: no flush inside
 		t.Errorf("packing a batch through a warmed writer: %v allocs, want 0", n)
 	}
-	if cw.PeakBuffered() != 64 || cw.EventCount() != 64+51 {
-		t.Errorf("writer buffered %d events at peak over %d appends, want 64 over 115", cw.PeakBuffered(), cw.EventCount())
+	if cw.peak != 64 || cw.events != 64+51 {
+		t.Errorf("writer buffered %d events at peak over %d appends, want 64 over 115", cw.peak, cw.events)
 	}
 }
 

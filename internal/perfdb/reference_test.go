@@ -248,20 +248,20 @@ func foldArchive(rng *rand.Rand, nEvents int) *session.Archive {
 func writeChunked(t testing.TB, a *session.Archive, flushEvents int) (path string, data []byte) {
 	t.Helper()
 	var buf bytes.Buffer
-	cw, err := NewWriter(&buf)
+	cw, err := newChunkWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw.FlushEvents = flushEvents
+	cw.perChunk = flushEvents
 	if err := cw.writeHeaderChunk(provisionalHeader(a.Header)); err != nil {
 		t.Fatal(err)
 	}
 	for _, ev := range a.Events {
-		if err := cw.Append(ev); err != nil {
+		if err := cw.add(ev); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := cw.Close(a.Header); err != nil {
+	if err := cw.close(a.Header); err != nil {
 		t.Fatal(err)
 	}
 	path = filepath.Join(t.TempDir(), "run.ppdb")

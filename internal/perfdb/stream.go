@@ -19,7 +19,7 @@ import (
 // sit on the front end's ingest path and must not fail mid-run.
 type StreamRecorder struct {
 	mu     sync.Mutex
-	w      *Writer
+	w      *chunkWriter
 	f      *os.File
 	tmp    string
 	path   string
@@ -39,7 +39,7 @@ func NewStreamRecorder(path string) (*StreamRecorder, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, err := NewWriter(f)
+	w, err := newChunkWriter(f)
 	if err != nil {
 		f.Close()
 		os.Remove(tmp)
@@ -57,7 +57,7 @@ func NewStreamRecorder(path string) (*StreamRecorder, error) {
 func (r *StreamRecorder) SetChunkEvents(n int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.w.FlushEvents = n
+	r.w.perChunk = n
 }
 
 // SetHistogram records the front end's histogram configuration.
@@ -88,7 +88,7 @@ func (r *StreamRecorder) SetExtra(b []byte) {
 func (r *StreamRecorder) EventCount() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.w.EventCount()
+	return r.w.events
 }
 
 // PeakBufferedEvents returns the most events ever held in memory at once —
@@ -97,7 +97,7 @@ func (r *StreamRecorder) EventCount() int {
 func (r *StreamRecorder) PeakBufferedEvents() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.w.PeakBuffered()
+	return r.w.peak
 }
 
 // Record streams one event, emitting the provisional header chunk first so
@@ -110,13 +110,13 @@ func (r *StreamRecorder) Record(ev session.Event) {
 	if r.err != nil || r.closed {
 		return
 	}
-	if r.w.EventCount() == 0 {
+	if r.w.events == 0 {
 		if err := r.w.writeHeaderChunk(provisionalHeader(r.header)); err != nil {
 			r.err = err
 			return
 		}
 	}
-	if err := r.w.Append(ev); err != nil {
+	if err := r.w.add(ev); err != nil {
 		r.err = err
 	}
 }
@@ -148,14 +148,14 @@ func (r *StreamRecorder) finish(rename bool) error {
 		return r.err
 	}
 	r.closed = true
-	if r.err == nil && r.w.EventCount() == 0 {
+	if r.err == nil && r.w.events == 0 {
 		// Empty recording: still emit the header chunk so the file is a
 		// valid (if eventless) archive.
 		r.err = r.w.writeHeaderChunk(provisionalHeader(r.header))
 	}
 	if r.err == nil {
-		r.header.NumEvents = r.w.EventCount()
-		r.err = r.w.Close(r.header)
+		r.header.NumEvents = r.w.events
+		r.err = r.w.close(r.header)
 	}
 	if cerr := r.f.Close(); r.err == nil {
 		r.err = cerr
