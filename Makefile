@@ -49,7 +49,10 @@ loc:
 # by alloc_space the one `[]Span` left is the benchmark's own
 # `Timeline.Spans()` call, then the exporter's 24-byte sort keys),
 # BENCH=BenchmarkStoreCycle the `store-cycle` verbs over three recordings
-# (chunk cursor, View fold, diff/trend, verify on push and pull). For
+# (chunk cursor, View fold, diff/trend, verify on push and pull),
+# BENCH=BenchmarkSuiteSweep one `suite-sweep` rep (23 program × personality
+# runs, each recorded into one store and committed: daemon ticks, the stream
+# recorder's chunk writes, the Consultant's enables). For
 # bytes instead of objects, run the same two commands by hand with
 # -sample_index=alloc_space. Not part of verify.
 BENCH ?= BenchmarkFigure3SmallMessagesPC

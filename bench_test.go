@@ -85,6 +85,57 @@ func BenchmarkFigure23SpawnResourceHierarchy(b *testing.B)  { benchExperiment(b,
 func BenchmarkFigure24SpawnPC(b *testing.B)                 { benchExperiment(b, "fig24") }
 func BenchmarkPrestaComparison(b *testing.B)                { benchExperiment(b, "presta") }
 
+// --- the suite, recorded --------------------------------------------------------
+
+// suiteSweep is what one rep of the `suite-sweep` benchmark workload runs:
+// the suite's programs, each under the personalities the workload picks.
+var suiteSweep = []struct {
+	prog string
+	impl mpi.ImplKind
+}{
+	{"big-message", mpi.LAM}, {"intensive-server", mpi.MPICH2}, {"random-barrier", mpi.LAM},
+	{"diffuse-procedure", mpi.LAM}, {"hot-procedure", mpi.MPICH},
+	{"system-time", mpi.LAM}, {"system-time", mpi.MPICH}, {"system-time", mpi.MPICH2},
+	{"allcount", mpi.LAM}, {"allcount", mpi.MPICH}, {"allcount", mpi.MPICH2},
+	{"wincreate-blast", mpi.LAM}, {"wincreate-blast", mpi.MPICH}, {"wincreate-blast", mpi.MPICH2},
+	{"winfence-sync", mpi.MPICH2}, {"winscpw-sync", mpi.LAM}, {"winscpw-sync", mpi.MPICH2},
+	{"spawncount", mpi.LAM}, {"spawncount", mpi.MPICH}, {"spawncount", mpi.MPICH2},
+	{"spawnsync", mpi.LAM}, {"spawnwin-sync", mpi.LAM}, {"oned", mpi.MPICH},
+}
+
+// BenchmarkSuiteSweep is one rep of the `suite-sweep` benchmark workload as a
+// root benchmark, so `make alloc-profile BENCH=BenchmarkSuiteSweep` sizes the
+// sampling path end to end (daemon tick → front end → stream recorder →
+// chunk write) beside the Consultant's search: the 23 program × personality
+// runs, each recorded straight into one store and committed.
+func BenchmarkSuiteSweep(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		st, err := perfdb.Open(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j, r := range suiteSweep {
+			rec, err := st.NewRecorder()
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := pperfmark.Run(r.prog, pperfmark.RunOptions{Impl: r.impl, Seed: 7001 + uint64(j), Record: rec})
+			if err != nil {
+				st.Discard(rec)
+				b.Fatalf("%s/%v: %v", r.prog, r.impl, err)
+			}
+			verdict := ""
+			if res.PC != nil {
+				verdict = res.PC.Export().String()
+			}
+			if _, _, err := st.Commit(rec, perfdb.AddMeta{Verdict: verdict}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // --- what-if replay ----------------------------------------------------------
 
 // BenchmarkReplayWhatIf is the `replay-whatif` benchmark workload as a root

@@ -8,10 +8,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"pperf/internal/daemon"
-	"pperf/internal/datasource"
 	"pperf/internal/faults"
 	"pperf/internal/mpi"
 	"pperf/internal/session"
@@ -23,7 +23,7 @@ import (
 type archiveSink struct{ events []session.Event }
 
 func (a *archiveSink) Record(ev session.Event) {
-	ev.Samples = append([]datasource.Sample(nil), ev.Samples...) // the caller reuses the batch
+	ev.Samples = slices.Clone(ev.Samples) // the caller builds its next batch in it
 	a.events = append(a.events, ev)
 }
 func (*archiveSink) SetHistogram(int, sim.Duration) {}

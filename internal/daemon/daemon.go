@@ -40,6 +40,9 @@ type Daemon struct {
 	// enabled remembers every enabled metric-focus pair so processes
 	// adopted later (spawn) are instrumented too.
 	enabled []datasource.Pair
+	// samples is the one batch every sampleRank builds into; nil after a
+	// queue took the last one (see send), so the next batch is fresh.
+	samples []datasource.Sample
 
 	// sampling and beacon are the daemon's two periodic duties (see Start).
 	sampling, beacon *sim.Ticker
@@ -362,11 +365,13 @@ func (d *Daemon) processExited(r *mpi.Rank) {
 	})
 }
 
-// sampleRank flushes one process's instances and call edges immediately.
+// sampleRank flushes one process's instances and call edges immediately. The
+// batch is built in d.samples; it is never re-entered while that batch is in
+// flight, because nothing a transport's Report does runs simulator events.
 func (d *Daemon) sampleRank(rc *rankCtx) {
 	now := d.eng.Now()
 	cpu := rc.r.CPUTimeAt(now)
-	batch := make([]datasource.Sample, 0, len(rc.insts))
+	batch := d.samples[:0]
 	for i := range rc.insts {
 		li := &rc.insts[i]
 		v := li.mdli.Acc.Sample(now, cpu)
@@ -380,8 +385,9 @@ func (d *Daemon) sampleRank(rc *rankCtx) {
 		})
 		li.last = v
 	}
-	if len(batch) > 0 {
-		d.send(session.Event{Kind: session.EvSamples, Samples: batch})
+	d.samples = batch
+	if len(batch) > 0 && d.send(session.Event{Kind: session.EvSamples, Samples: batch}) {
+		d.samples = nil
 	}
 	rc.flushEdges(now)
 }

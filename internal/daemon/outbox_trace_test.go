@@ -263,7 +263,7 @@ func TestQueueReleasesWhatItPops(t *testing.T) {
 	const limit = 8
 	var released atomic.Int32
 	tracked := func() session.Event {
-		batch := make([]datasource.Sample, 1)
+		batch := []datasource.Sample{{}}
 		runtime.SetFinalizer(&batch[0], func(*datasource.Sample) { released.Add(1) })
 		return session.Event{Kind: session.EvSamples, Samples: batch}
 	}

@@ -19,6 +19,10 @@ import (
 // or shard packed) over a socket. A non-nil error means the report was NOT
 // observed by the front end (after any retries the transport performs
 // internally); the daemon queues such reports and replays them on recovery.
+//
+// The caller owns ev.Samples — the rule session.Sink states for Record:
+// Report reads the batch before it returns and never keeps it, so a daemon
+// builds every batch it delivers in one reused backing array.
 type Transport interface {
 	Report(ev session.Event) error
 }

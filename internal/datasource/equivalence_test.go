@@ -8,6 +8,7 @@ package datasource_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -22,10 +23,14 @@ import (
 	"pperf/internal/trace"
 )
 
-// captureSink is a session.Sink that keeps the stream in memory.
+// captureSink is a session.Sink that keeps the stream in memory. It copies
+// each batch: the caller owns ev.Samples and builds the next batch in it.
 type captureSink struct{ events []session.Event }
 
-func (c *captureSink) Record(ev session.Event)        { c.events = append(c.events, ev) }
+func (c *captureSink) Record(ev session.Event) {
+	ev.Samples = slices.Clone(ev.Samples)
+	c.events = append(c.events, ev)
+}
 func (c *captureSink) SetHistogram(int, sim.Duration) {}
 func (c *captureSink) SetMeta(string, string)         {}
 func (c *captureSink) SetExtra([]byte)                {}

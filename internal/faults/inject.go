@@ -211,7 +211,8 @@ func (ft *FlakyTransport) Injection(ch string) *wire.Injection {
 }
 
 // Report implements daemon.Transport: an injected failure on the channel
-// the report rides fails it; the other channel is untouched.
+// the report rides fails it; the other channel is untouched. It keeps
+// nothing: ev goes to the inner transport or nowhere.
 func (ft *FlakyTransport) Report(ev session.Event) error {
 	ch, _ := daemon.ChannelOf(ev.Kind)
 	if ft.Injection(ch).Check() != nil {

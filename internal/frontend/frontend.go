@@ -78,7 +78,9 @@ func (fe *FrontEnd) SetDaemons(reg *daemon.Registry) { fe.daemons = reg }
 
 // Report implements daemon.Transport: ingest one daemon report — samples,
 // an update or a trace shard. In process there is no wire, so it is a direct
-// call that fails only for an event kind daemons never send.
+// call that fails only for an event kind daemons never send. The View folds a
+// batch's samples and the recorder packs them before Report returns; neither
+// keeps ev.Samples.
 func (fe *FrontEnd) Report(ev session.Event) error {
 	if _, ok := daemon.ChannelOf(ev.Kind); !ok {
 		return fmt.Errorf("frontend: %v event is not a daemon report", ev.Kind)

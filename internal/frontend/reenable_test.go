@@ -7,11 +7,11 @@ package frontend_test
 // again. "Already on" is membership in the active set.
 
 import (
+	"slices"
 	"testing"
 
 	"pperf/internal/cluster"
 	"pperf/internal/daemon"
-	"pperf/internal/datasource"
 	"pperf/internal/frontend"
 	"pperf/internal/mdl"
 	"pperf/internal/mpi"
@@ -24,9 +24,7 @@ import (
 type eventSink struct{ events []session.Event }
 
 func (s *eventSink) Record(ev session.Event) {
-	if ev.Kind == session.EvSamples { // the caller keeps its slice
-		ev.Samples = append([]datasource.Sample(nil), ev.Samples...)
-	}
+	ev.Samples = slices.Clone(ev.Samples) // the caller builds its next batch in it
 	s.events = append(s.events, ev)
 }
 func (s *eventSink) SetHistogram(int, sim.Duration) {}

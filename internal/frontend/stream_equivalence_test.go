@@ -10,6 +10,7 @@ package frontend
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -27,7 +28,8 @@ import (
 )
 
 // captureSink is a session.Sink that keeps the stream in memory. Over TCP
-// it is fed from the listener's goroutines, hence the lock.
+// it is fed from the listener's goroutines, hence the lock. It copies each
+// batch: the caller owns ev.Samples and builds the next batch in it.
 type captureSink struct {
 	mu     sync.Mutex
 	events []session.Event
@@ -36,6 +38,7 @@ type captureSink struct {
 func (c *captureSink) Record(ev session.Event) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	ev.Samples = slices.Clone(ev.Samples)
 	c.events = append(c.events, ev)
 }
 func (c *captureSink) SetHistogram(int, sim.Duration) {}

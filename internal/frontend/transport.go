@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"pperf/internal/daemon"
+	"pperf/internal/datasource"
 	"pperf/internal/session"
 	"pperf/internal/trace"
 	"pperf/internal/wire"
@@ -69,8 +70,9 @@ type frame struct {
 // type can express any session.Event on any channel, so the listener must
 // not apply one that fails this — a forged verdict, barrier or gap would
 // land in the analysis state (and the archive) as if the front end had
-// produced it, a forged stamp would keep a dead daemon alive.
-func (f *frame) open(up *session.Unpacker) bool {
+// produced it, a forged stamp would keep a dead daemon alive. A batch is
+// unpacked into *samples, the connection's scratch, which it then names.
+func (f *frame) open(up *session.Unpacker, samples *[]datasource.Sample) bool {
 	ch, ok := daemon.ChannelOf(f.Event.Kind)
 	if !ok || ch != f.Chan || f.Daemon == "" || f.Seq == 0 {
 		return false
@@ -79,7 +81,8 @@ func (f *frame) open(up *session.Unpacker) bool {
 	stamp := f.Event.Update.Daemon
 	switch f.Event.Kind {
 	case session.EvSamples:
-		f.Event.Samples, err = up.UnpackSamples(f.Packed)
+		*samples, err = up.UnpackSamplesInto(*samples, f.Packed)
+		f.Event.Samples = *samples
 	case session.EvShard:
 		// Verified and kept as bytes (a copy: Packed is the connection's
 		// reused buffer); no span is materialised here.
@@ -137,7 +140,10 @@ func (l *Listener) WireStats(ch string) wire.Stats {
 func (l *Listener) serve(c *wire.ServerConn) {
 	var (
 		up session.Unpacker // this connection's string table
-		f  frame
+		// samples is the connection's one batch: fe.Report is synchronous and
+		// keeps none of it (daemon.Transport), and the ack goes out after.
+		samples []datasource.Sample
+		f       frame
 	)
 	for {
 		// gob leaves absent fields alone, so each frame decodes into a zeroed
@@ -147,7 +153,7 @@ func (l *Listener) serve(c *wire.ServerConn) {
 		if c.Read(&f) != nil {
 			return
 		}
-		if !f.open(&up) {
+		if !f.open(&up, &samples) {
 			// Not a daemon: drop the connection with the frame neither
 			// applied nor acknowledged.
 			l.refused.Add(1)
@@ -180,10 +186,16 @@ type TCPTransport struct {
 	bulkDial  sync.Once // bulk's first connection waits for its first use
 }
 
-// channel is one wire.Conn plus the scratch its sample batches are packed
-// through, used only under the Conn's send lock.
+// channel is one wire.Conn plus the frame, the ack and the scratch its reports
+// are sent through, all used only under the channel's send lock mu. stamp
+// writes the assigned sequence number into f; it is built once, at dial, so
+// a report allocates neither a frame nor a closure.
 type channel struct {
 	*wire.Conn
+	mu     sync.Mutex
+	f      frame
+	ack    bool
+	stamp  func(seq uint64)
 	pk     session.Packer
 	packed []byte
 }
@@ -217,6 +229,9 @@ func DialTransportRetry(addr, name string, incarnation uint64, cfg wire.Config) 
 	t.ctl.Conn, t.bulk.Conn = ctl, wire.NewConn(addr, cfg, cfg.Seed^wire.SaltBulk)
 	t.ctl.Injection().Chan = wire.ChanCtl
 	t.bulk.Injection().Chan = wire.ChanBulk
+	for _, c := range []*channel{&t.ctl, &t.bulk} {
+		c.stamp = func(seq uint64) { c.f.Seq = seq }
+	}
 	return t, nil
 }
 
@@ -259,21 +274,17 @@ func (t *TCPTransport) Injection(ch string) *wire.Injection {
 }
 
 // Report implements daemon.Transport: one report is one acknowledged frame
-// on the channel its kind rides. The frame is sealed when it is stamped —
-// under the channel's send lock, through the channel's scratch; ev's slices
-// are only read.
+// on the channel its kind rides. The frame is the channel's own, built and
+// sealed under the channel's send lock, through the channel's scratch; ev's
+// slices are only read, and nothing of ev is kept once Report returns.
 func (t *TCPTransport) Report(ev session.Event) error {
 	ch, _ := daemon.ChannelOf(ev.Kind)
 	c := t.conn(ch)
-	f := frame{Daemon: t.name, Chan: ch, Inc: t.inc, Event: ev}
-	var ack bool
-	return c.Exchange(wire.Request{
-		Req: &f,
-		Stamp: func(seq uint64) {
-			f.Seq = seq
-			c.seal(&f)
-		},
-		Resp:  &ack,
-		Label: "frontend: send",
-	})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.f = frame{Daemon: t.name, Chan: ch, Inc: t.inc, Event: ev}
+	c.seal(&c.f)
+	err := c.Exchange(wire.Request{Req: &c.f, Stamp: c.stamp, Resp: &c.ack, Label: "frontend: send"})
+	c.f = frame{}
+	return err
 }

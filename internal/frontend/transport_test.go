@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -139,6 +140,49 @@ func TestListenerDedupesReplayedFrames(t *testing.T) {
 	}
 	if got := l.WireStats(wire.ChanCtl).Duplicates; got != 1 {
 		t.Errorf("duplicates = %d, want 1", got)
+	}
+}
+
+// A channel holds one frame, built and sealed under the channel's send lock.
+// Reports from several goroutines at once — each building its next batch in
+// the array it just reported, as a daemon does — all arrive, each with the
+// samples it carried when Report was called.
+func TestConcurrentReportsShareTheChannelFrame(t *testing.T) {
+	fe := New()
+	f := resource.WholeProgram()
+	fe.RegisterSeries("m", f)
+	l, err := fe.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	tr, err := DialTransportRetry(l.Addr(), "paradynd@node0", 1, testRetryConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	const senders, reports = 4, 50
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			batch := make([]datasource.Sample, 2)
+			for i := 0; i < reports; i++ {
+				for j := range batch {
+					batch[j] = sample("m", f, fmt.Sprintf("p%d", g), sim.Time(i), 1)
+				}
+				if err := tr.Report(samples(batch...)); err != nil {
+					t.Error(err)
+					return
+				}
+				batch[0].Delta = 1000 // the array is the caller's again
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := fe.Series("m", f).Total(), float64(2*senders*reports); got != want {
+		t.Errorf("total = %v, want %v", got, want)
 	}
 }
 

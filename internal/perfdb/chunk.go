@@ -14,6 +14,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"slices"
@@ -154,16 +155,23 @@ const maxPendingPacked = 4 << 20
 //
 // Archives written before shards were packed hold flags 0 and 1 only, their
 // shards in the gob section; they load through the same decoder.
+//
+// Every buffer is kept from chunk to chunk: packed and rest grow by doubling,
+// packed to maxPendingPacked plus the blob that crosses it, rest to the
+// chunk's event bound. The gob section is encoded into the one gob buffer by
+// a fresh encoder per chunk: each chunk carries its own type table.
 type pendingChunk struct {
 	flags   []byte          // one per event, in order
 	nPacked int             // packed blobs among them
 	packed  []byte          // the blobs, each behind its uvarint length
 	rest    []session.Event // the gob-section events
+	gob     bytes.Buffer    // rest, encoded at flush
 	pk      session.Packer
 	blob    []byte // one sample batch, packed, before its length is known
 }
 
-func (c *pendingChunk) add(ev session.Event) {
+// add appends one event to a chunk that holds at most maxEvents.
+func (c *pendingChunk) add(ev session.Event, maxEvents int) {
 	var blob []byte
 	switch ev.Kind {
 	case session.EvSamples:
@@ -175,32 +183,25 @@ func (c *pendingChunk) add(ev session.Event) {
 		blob = ev.Shard.Packed()
 	default:
 		c.flags = append(c.flags, flagGob)
-		c.rest = append(c.rest, ev)
+		c.rest = append(grow(c.rest, 1, maxEvents), ev)
 		return
 	}
 	c.nPacked++
+	c.packed = grow(c.packed, binary.MaxVarintLen64+len(blob), maxPendingPacked)
 	c.packed = binary.AppendUvarint(c.packed, uint64(len(blob)))
 	c.packed = append(c.packed, blob...)
 }
 
-// encode renders the payload and empties the chunk, keeping its buffers.
-func (c *pendingChunk) encode() ([]byte, error) {
-	var gobBuf bytes.Buffer
-	if err := gob.NewEncoder(&gobBuf).Encode(c.rest); err != nil {
-		return nil, fmt.Errorf("perfdb: encode events chunk: %w", err)
+// grow returns s with room for n more elements. Its capacity doubles, but not
+// past limit unless those n need more.
+func grow[S ~[]E, E any](s S, n, limit int) S {
+	if len(s)+n <= cap(s) {
+		return s
 	}
-	out := make([]byte, 0, 2*binary.MaxVarintLen64+len(c.flags)+len(c.packed)+gobBuf.Len())
-	out = binary.AppendUvarint(out, uint64(len(c.flags)))
-	out = append(out, c.flags...)
-	out = binary.AppendUvarint(out, uint64(c.nPacked))
-	out = append(out, c.packed...)
-	out = append(out, gobBuf.Bytes()...)
-	clear(c.rest) // the events' strings are encoded; let them go
-	c.flags, c.nPacked, c.packed, c.rest = c.flags[:0], 0, c.packed[:0], c.rest[:0]
-	return out, nil
+	return append(make(S, 0, max(min(2*cap(s), limit), len(s)+n)), s...)
 }
 
-// eventsChunk reverses pendingChunk.encode and visits the chunk's events in
+// eventsChunk reverses chunkWriter.flush and visits the chunk's events in
 // order, resolving packed strings through the scan's table. Corrupt input
 // yields an error, never a panic.
 func (s *archiveScan) eventsChunk(data []byte, visit func(*session.Event)) error {
@@ -304,6 +305,11 @@ func (s *archiveScan) eventsChunk(data []byte, visit func(*session.Event)) error
 type chunkWriter struct {
 	w   *bufio.Writer
 	buf pendingChunk
+	// hdr and counts hold a frame's 9-byte header and an 'E' payload's two
+	// leading uvarints while the chunk is written; as fields they cost no
+	// allocation per chunk.
+	hdr    [9]byte
+	counts [2 * binary.MaxVarintLen64]byte
 
 	// perChunk is the chunk granularity (events per chunk). Smaller chunks
 	// bound memory tighter and localize corruption; larger ones amortize gob
@@ -328,20 +334,30 @@ func newChunkWriter(w io.Writer) (*chunkWriter, error) {
 	return &chunkWriter{w: bw, perChunk: DefaultFlushEvents}, nil
 }
 
-// writeChunk frames and emits one chunk.
-func (w *chunkWriter) writeChunk(kind byte, payload []byte) error {
-	if len(payload) > maxChunkPayload {
-		return fmt.Errorf("perfdb: chunk payload %d bytes exceeds format limit", len(payload))
+// writeChunk frames and emits one chunk whose payload is the sections in
+// order. The length and CRC are summed over the sections, which go straight
+// to the file buffer: the payload is never joined in memory.
+func (w *chunkWriter) writeChunk(kind byte, sections ...[]byte) error {
+	n, crc := 0, uint32(0)
+	for _, s := range sections {
+		n += len(s)
+		crc = crc32.Update(crc, crc32.IEEETable, s)
 	}
-	var hdr [9]byte
-	hdr[0] = kind
-	binary.BigEndian.PutUint32(hdr[1:5], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[5:9], wire.Checksum(payload))
-	if _, err := w.w.Write(hdr[:]); err != nil {
+	if n > maxChunkPayload {
+		return fmt.Errorf("perfdb: chunk payload %d bytes exceeds format limit", n)
+	}
+	w.hdr[0] = kind
+	binary.BigEndian.PutUint32(w.hdr[1:5], uint32(n))
+	binary.BigEndian.PutUint32(w.hdr[5:9], crc)
+	if _, err := w.w.Write(w.hdr[:]); err != nil {
 		return err
 	}
-	_, err := w.w.Write(payload)
-	return err
+	for _, s := range sections {
+		if _, err := w.w.Write(s); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // writeHeaderChunk emits the provisional 'H' chunk once, before the first
@@ -364,7 +380,7 @@ func (w *chunkWriter) add(ev session.Event) error {
 	if w.err != nil {
 		return w.err
 	}
-	w.buf.add(ev)
+	w.buf.add(ev, w.flushEvents())
 	w.events++
 	if n := len(w.buf.flags); n > w.peak {
 		w.peak = n
@@ -382,21 +398,35 @@ func (w *chunkWriter) flushEvents() int {
 	return w.perChunk
 }
 
+// flush writes the pending chunk as one 'E' chunk (the layout is
+// pendingChunk's) and empties it.
 func (w *chunkWriter) flush() error {
-	if len(w.buf.flags) == 0 {
+	c := &w.buf
+	if len(c.flags) == 0 {
 		return nil
 	}
-	payload, err := w.buf.encode()
-	if err != nil {
-		return err
+	c.gob.Reset()
+	// Through a pointer (gob encodes the slice it points to, byte for byte
+	// the same) so the slice header is not boxed.
+	if err := gob.NewEncoder(&c.gob).Encode(&c.rest); err != nil {
+		return fmt.Errorf("perfdb: encode events chunk: %w", err)
 	}
+	counts := binary.AppendUvarint(w.counts[:0], uint64(len(c.flags)))
+	nEvents := len(counts)
+	counts = binary.AppendUvarint(counts, uint64(c.nPacked))
 	w.chunks++
-	return w.writeChunk(chunkEvents, payload)
+	err := w.writeChunk(chunkEvents, counts[:nEvents], c.flags, counts[nEvents:], c.packed, c.gob.Bytes())
+	clear(c.rest) // the events' strings are encoded; let them go
+	c.flags, c.nPacked, c.packed, c.rest = c.flags[:0], 0, c.packed[:0], c.rest[:0]
+	return err
 }
 
 // close flushes the final partial chunk and writes the trailer carrying
-// the finalized header. The writer must not be used afterwards.
+// the finalized header. The writer must not be used afterwards: close lets go
+// of the pending chunk's buffers, which a caller reading the recorder's
+// counters would otherwise keep at their high-water size.
 func (w *chunkWriter) close(h session.Header) error {
+	defer func() { w.buf = pendingChunk{} }()
 	if w.err != nil {
 		return w.err
 	}

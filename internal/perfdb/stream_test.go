@@ -91,6 +91,41 @@ func TestStreamRecorderEmptyRun(t *testing.T) {
 	}
 }
 
+// A recorder outlives its recording — callers read PeakBufferedEvents after
+// Close or Store.Commit — so closing lets go of the pending chunk's buffers
+// instead of keeping them at their high-water size.
+func TestClosedRecorderReleasesItsBuffers(t *testing.T) {
+	held := func(c *pendingChunk) int {
+		return cap(c.flags) + cap(c.packed) + cap(c.rest) + c.gob.Cap() + cap(c.blob)
+	}
+	for _, commit := range []bool{false, true} {
+		st, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := st.NewRecorder()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(5))
+		replayEventsInto(rec, syntheticArchive(rng, DefaultFlushEvents+100).Events)
+		if held(&rec.w.buf) == 0 {
+			t.Fatal("the pending chunk holds no buffer mid-recording")
+		}
+		if commit {
+			_, _, err = st.Commit(rec, AddMeta{})
+		} else {
+			err = rec.Close()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := held(&rec.w.buf); n != 0 {
+			t.Errorf("commit=%v: the closed writer's pending chunk still holds %d elements of capacity", commit, n)
+		}
+	}
+}
+
 // --- throughput benchmarks -------------------------------------------------
 
 // BenchmarkChunkWrite measures streaming-encode throughput.

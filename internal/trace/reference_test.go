@@ -598,7 +598,8 @@ func refAnalyze(procs []string, procSpans func(string) []trace.Span) *trace.Crit
 }
 
 // shardStream is a session.Sink that keeps a run's trace shards, in arrival
-// order and in the packed form they arrived in.
+// order and in the packed form they arrived in. It keeps no sample batch, so
+// the caller's reuse of ev.Samples cannot reach it.
 type shardStream struct {
 	mu     sync.Mutex
 	shards []trace.Shard
