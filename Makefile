@@ -169,9 +169,10 @@ replay-golden:
 	echo "replay-golden: live and replayed reports and trace exports are identical"
 
 # perfdb-golden records a healthy and a bandwidth-degraded run of the same
-# seeded program into a fresh store, then cross-run-diffs them twice. The
-# diff must flag significant REGRESSIONs (db diff exits 3 when it does) and
-# the two reports must be byte-identical.
+# seeded program into a fresh store, then cross-run-diffs them twice as text
+# and twice as JSON. The diff must flag significant REGRESSIONs (db diff
+# exits 3 when it does, in either format) and each pair of reports must be
+# byte-identical.
 perfdb-golden:
 	@tmp=$$(mktemp -d) && \
 	trap 'rm -rf "$$tmp"' EXIT && \
@@ -184,7 +185,11 @@ perfdb-golden:
 	{ "$$tmp/pperf" db -store "$$tmp/store" diff healthy degraded > "$$tmp/d2.txt"; [ $$? -eq 3 ]; } && \
 	cmp "$$tmp/d1.txt" "$$tmp/d2.txt" && \
 	grep -q REGRESSION "$$tmp/d1.txt" && \
-	echo "perfdb-golden: degraded run flagged with significant regressions; diff is byte-deterministic"
+	{ "$$tmp/pperf" db -store "$$tmp/store" diff -format=json healthy degraded > "$$tmp/d1.json"; [ $$? -eq 3 ]; } && \
+	{ "$$tmp/pperf" db -store "$$tmp/store" diff -format=json healthy degraded > "$$tmp/d2.json"; [ $$? -eq 3 ]; } && \
+	cmp "$$tmp/d1.json" "$$tmp/d2.json" && \
+	grep -q '"verdict": "REGRESSION"' "$$tmp/d1.json" && \
+	echo "perfdb-golden: degraded run flagged with significant regressions; text and JSON diffs are byte-deterministic"
 
 # trend-golden seeds a five-run store of one program — three healthy seeds,
 # then two with a degraded link — and checks the store-wide trend query:

@@ -513,17 +513,7 @@ func dbDiff(st *perfdb.Store, baseID, newID string, o *dbOpts) int {
 		fmt.Fprintln(os.Stderr, "pperf db:", err)
 		return 1
 	}
-	if o.format == "json" {
-		if code := emitJSON(rep.RenderJSON()); code != 0 {
-			return code
-		}
-	} else {
-		fmt.Print(rep.Render())
-	}
-	if len(rep.Regressions()) > 0 {
-		return 3
-	}
-	return 0
+	return emitReport(rep, o.format, len(rep.Regressions()) > 0)
 }
 
 // dbTrend fits every series of a program's stored runs against the run
@@ -549,14 +539,23 @@ func dbTrend(st *perfdb.Store, program string, o *dbOpts) int {
 		fmt.Fprintln(os.Stderr, "pperf db:", err)
 		return 1
 	}
-	if o.format == "json" {
+	return emitReport(rep, o.format, len(rep.Drifting()) > 0)
+}
+
+// emitReport prints a diff or trend report as text or JSON; the exit status
+// is 3 when the report flagged anything, so scripts can gate on it.
+func emitReport(rep interface {
+	Render() string
+	RenderJSON() ([]byte, error)
+}, format string, flagged bool) int {
+	if format == "json" {
 		if code := emitJSON(rep.RenderJSON()); code != 0 {
 			return code
 		}
 	} else {
 		fmt.Print(rep.Render())
 	}
-	if len(rep.Drifting()) > 0 {
+	if flagged {
 		return 3
 	}
 	return 0

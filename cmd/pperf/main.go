@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"pperf/internal/consultant"
@@ -270,27 +269,10 @@ func printWireStats(res *pperfmark.Result) {
 		return
 	}
 	stats := res.Session.WireStats()
-	chans := make([]string, 0, len(stats))
-	for ch := range stats {
-		chans = append(chans, ch)
-	}
-	// Fixed channel order first (ctl, bulk, sync), anything else after.
-	rank := map[string]int{wire.ChanCtl: 0, wire.ChanBulk: 1, wire.ChanSync: 2}
-	sort.Slice(chans, func(i, j int) bool {
-		ri, iOK := rank[chans[i]]
-		rj, jOK := rank[chans[j]]
-		switch {
-		case iOK && jOK:
-			return ri < rj
-		case iOK:
-			return true
-		case jOK:
-			return false
+	for _, ch := range []string{wire.ChanCtl, wire.ChanBulk} {
+		if st, ok := stats[ch]; ok {
+			fmt.Printf("transport %s: %s\n", ch, st.Summary())
 		}
-		return chans[i] < chans[j]
-	})
-	for _, ch := range chans {
-		fmt.Printf("transport %s: %s\n", ch, stats[ch].Summary())
 	}
 }
 

@@ -279,7 +279,7 @@ func (n *Node) update(now sim.Time) {
 	n.fracs = fractions
 	n.lastTime = now
 	n.evals++
-	if n.c.ds.LostProcessCount() > 0 {
+	if n.c.ds.Coverage() < 1 {
 		n.Partial = true
 	}
 	if len(fractions) == 0 {

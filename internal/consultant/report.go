@@ -144,7 +144,7 @@ func (c *Consultant) AnyTrue() bool {
 // findings, as the paper's figures show: the top-level hypotheses with their
 // truth values, and beneath each true one the tree of true refinements.
 func (c *Consultant) Render() string {
-	degraded := c.ds.LostProcessCount() > 0
+	degraded := c.ds.Coverage() < 1
 	gaps := c.ds.UnmeasuredGaps()
 	var b strings.Builder
 	b.WriteString("TopLevelHypothesis\n")

@@ -45,8 +45,6 @@ type DataSource interface {
 	Processes() []*ProcInfo
 	// ProcessCount counts processes ever seen.
 	ProcessCount() int
-	// LostProcessCount counts processes currently marked lost.
-	LostProcessCount() int
 	// Coverage is the fraction of known processes whose data is
 	// trustworthy (1.0 when nothing was lost).
 	Coverage() float64

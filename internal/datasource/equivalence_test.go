@@ -47,9 +47,15 @@ func (c *captureSink) count(k session.EventKind) (n int) {
 func snapshot(v *datasource.View, metrics []string) string {
 	var b strings.Builder
 	b.WriteString(v.Hierarchy().Render())
+	procs, lost := v.Processes(), 0
+	for _, p := range procs {
+		if p.Lost {
+			lost++
+		}
+	}
 	fmt.Fprintf(&b, "procs=%d lost=%d coverage=%.4f degradation=%q\n",
-		v.ProcessCount(), v.LostProcessCount(), v.Coverage(), v.DegradationSummary())
-	for _, p := range v.Processes() {
+		v.ProcessCount(), lost, v.Coverage(), v.DegradationSummary())
+	for _, p := range procs {
 		fmt.Fprintf(&b, "proc %+v\n", *p)
 	}
 	for _, dh := range v.DaemonHealths() {

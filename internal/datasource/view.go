@@ -365,19 +365,6 @@ func (v *View) DaemonHealths() []DaemonHealth {
 	return out
 }
 
-// LostProcessCount returns how many processes are currently marked lost.
-func (v *View) LostProcessCount() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	n := 0
-	for _, p := range v.procs {
-		if p.Lost {
-			n++
-		}
-	}
-	return n
-}
-
 // Coverage returns the fraction of known processes whose data is trustworthy
 // (not lost): 1.0 for a healthy run, < 1.0 when node crashes or daemon
 // failures left ranks unobserved. With no processes known it reports 1.0.

@@ -2,8 +2,6 @@ package perfdb
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 
 	"pperf/internal/datasource"
@@ -17,32 +15,13 @@ import (
 // runs share, compare their histogram series bin-by-bin with the paper's
 // §5.2.1.3 paired-difference test (is zero inside the 95% confidence
 // interval of the mean per-bin difference?), and rank the significant
-// changes. The metrics this tool collects measure costs — wait fractions,
-// transferred bytes, operation counts — so a significant rate increase is
-// reported as a regression and a significant decrease as an improvement.
+// changes (verdict.go): a significant rate increase is a regression, a
+// significant decrease an improvement.
 //
 // Compare generalizes the test to a virtual-time window: restricted to
 // [from,to), only the bins overlapping the window enter the paired test,
 // so a change confined to one phase of the run (after a fault fired, say)
 // is not diluted by the unaffected phase.
-
-// Verdict classifies one aligned pair's change.
-type Verdict string
-
-const (
-	// VerdictRegression: the rate rose and the CI excludes zero.
-	VerdictRegression Verdict = "REGRESSION"
-	// VerdictImprovement: the rate fell and the CI excludes zero.
-	VerdictImprovement Verdict = "improvement"
-	// VerdictUnchanged: the CI contains zero.
-	VerdictUnchanged Verdict = "unchanged"
-	// VerdictSkipped: the pair could not be compared (reason in Skipped).
-	VerdictSkipped Verdict = "skipped"
-	// VerdictNotComparable: a requested window excludes the pair's data,
-	// so the comparison is undefined there (reason in Skipped). Reported
-	// rather than dropped so a windowed report accounts for every pair.
-	VerdictNotComparable Verdict = "NOT-COMPARABLE"
-)
 
 // Window restricts a comparison to the virtual-time interval [From, To).
 // To == 0 leaves the window open-ended; the zero Window disables
@@ -111,7 +90,7 @@ type SeriesDelta struct {
 	// significance level (95% by default).
 	CI stats.Interval
 	// RelChange is MeanDiff relative to BaseRate (NaN when BaseRate is 0
-	// and the rates differ; ranked last among equals).
+	// and the rates differ; ranked above every finite change).
 	RelChange float64
 
 	// Bins is the number of interior bins compared; BinWidth the common
@@ -134,9 +113,9 @@ type DiffReport struct {
 	Alpha     float64
 	MinEffect float64
 
-	// Deltas holds every pair present in both runs: significant changes
-	// first (largest |RelChange| first), then unchanged, then skipped;
-	// ties broken by pair name so the report is byte-deterministic.
+	// Deltas holds every pair present in both runs in rank order:
+	// significant first (largest |RelChange| first), then unchanged, then
+	// skipped and not comparable.
 	Deltas []SeriesDelta
 
 	// OnlyBase and OnlyNew list pairs enabled in just one of the runs.
@@ -158,11 +137,9 @@ func (r *DiffReport) Regressions() []SeriesDelta {
 // given options. The zero CompareOptions compare the whole run at the
 // default significance level.
 func Compare(base, neu *RunView, opts CompareOptions) (*DiffReport, error) {
-	if _, err := stats.TCritical(1, opts.Alpha); err != nil {
-		return nil, fmt.Errorf("perfdb: %v", err)
-	}
-	if opts.MinEffect < 0 {
-		return nil, fmt.Errorf("perfdb: negative min-effect %g", opts.MinEffect)
+	alpha, err := checkThresholds(opts.Alpha, opts.MinEffect)
+	if err != nil {
+		return nil, err
 	}
 	win := opts.Window
 	if opts.SinceFault {
@@ -181,10 +158,7 @@ func Compare(base, neu *RunView, opts CompareOptions) (*DiffReport, error) {
 	rep := &DiffReport{
 		Base: base.Meta, New: neu.Meta,
 		Window: win, SinceFault: opts.SinceFault,
-		Alpha: opts.Alpha, MinEffect: opts.MinEffect,
-	}
-	if rep.Alpha == 0 {
-		rep.Alpha = 0.05
+		Alpha: alpha, MinEffect: opts.MinEffect,
 	}
 	for _, p := range neu.Pairs() {
 		if base.SeriesFor(p) == nil {
@@ -197,9 +171,9 @@ func Compare(base, neu *RunView, opts CompareOptions) (*DiffReport, error) {
 			continue
 		}
 		rep.Deltas = append(rep.Deltas, comparePair(p,
-			base.SeriesFor(p).Histogram(), neu.SeriesFor(p).Histogram(), win, rep.Alpha, opts.MinEffect))
+			base.SeriesFor(p).Histogram(), neu.SeriesFor(p).Histogram(), win, alpha, opts.MinEffect))
 	}
-	rankDeltas(rep.Deltas)
+	rank(rep.Deltas)
 	return rep, nil
 }
 
@@ -207,106 +181,66 @@ func Compare(base, neu *RunView, opts CompareOptions) (*DiffReport, error) {
 // histograms, restricted to the window's bins.
 func comparePair(p datasource.Pair, hb, hn *metric.Histogram, win Window, alpha, minEffect float64) SeriesDelta {
 	d := SeriesDelta{Pair: p}
-	rb, rn, width, reason, excluded := alignRates(hb, hn, win)
+	rb, rn, width, skip, reason := alignRates(hb, hn, win)
 	if reason != "" {
-		if excluded {
-			d.Verdict = VerdictNotComparable
-		} else {
-			d.Verdict = VerdictSkipped
-		}
-		d.Skipped = reason
+		d.Verdict, d.Skipped = skip, reason
 		return d
 	}
-	d.BinWidth = width
-	d.Bins = len(rb)
-	d.BaseRate = stats.Mean(rb)
-	d.NewRate = stats.Mean(rn)
+	d.BinWidth, d.Bins, d.BaseRate, d.NewRate = width, len(rb), stats.Mean(rb), stats.Mean(rn)
 	// PairedDiffAlpha computes a-b, so pass the new run first: MeanDiff >
 	// 0 means the rate rose.
 	pr, err := stats.PairedDiffAlpha(rn, rb, alpha)
 	if err != nil {
-		d.Verdict = VerdictSkipped
-		d.Skipped = err.Error()
+		d.Verdict, d.Skipped = VerdictSkipped, err.Error()
 		return d
 	}
-	d.MeanDiff = pr.MeanDiff
-	d.CI = pr.CI
-	switch {
-	case d.BaseRate != 0:
-		d.RelChange = d.MeanDiff / d.BaseRate
-	case d.MeanDiff != 0:
-		d.RelChange = math.NaN() // rose from zero: infinite relative change
-	}
-	significant := pr.Significant
-	if significant && minEffect > 0 && !math.IsNaN(d.RelChange) && math.Abs(d.RelChange) < minEffect {
-		significant = false
-	}
-	switch {
-	case !significant:
-		d.Verdict = VerdictUnchanged
-	case d.MeanDiff > 0:
-		d.Verdict = VerdictRegression
-	default:
-		d.Verdict = VerdictImprovement
-	}
+	rel, out := judge(pr.Significant, pr.MeanDiff, d.BaseRate, minEffect)
+	d.MeanDiff, d.CI, d.RelChange, d.Verdict = pr.MeanDiff, pr.CI, rel, diffVerdicts[out]
 	return d
 }
 
 // alignRates rebins both histograms to the coarser common bin width,
 // truncates to the shorter filled prefix, drops the endpoint bins, keeps
 // the interior bins overlapping the window, and returns their per-bin
-// rates. A non-empty reason means the pair cannot be compared; excluded
-// distinguishes "the window left too little data" (NOT-COMPARABLE) from
-// shape problems the runs have regardless of any window (skipped).
-func alignRates(hb, hn *metric.Histogram, win Window) (rb, rn []float64, width sim.Duration, reason string, excluded bool) {
+// rates. A non-empty reason means the pair cannot be compared, and skip
+// says why: NOT-COMPARABLE when the window left too little data, skipped
+// for shape problems the runs have regardless of any window.
+func alignRates(hb, hn *metric.Histogram, win Window) (rb, rn []float64, width sim.Duration, skip Verdict, reason string) {
 	if hb.NumFilled() == 0 || hn.NumFilled() == 0 {
-		return nil, nil, 0, "no data in one or both runs", false
+		return nil, nil, 0, VerdictSkipped, "no data in one or both runs"
 	}
-	width = hb.BinWidth()
-	if hn.BinWidth() > width {
-		width = hn.BinWidth()
-	}
-	vb, ok := rebin(hb, width)
-	if !ok {
-		return nil, nil, 0, fmt.Sprintf("incompatible bin widths %v vs %v", hb.BinWidth(), hn.BinWidth()), false
-	}
-	vn, ok := rebin(hn, width)
-	if !ok {
-		return nil, nil, 0, fmt.Sprintf("incompatible bin widths %v vs %v", hb.BinWidth(), hn.BinWidth()), false
-	}
-	n := len(vb)
-	if len(vn) < n {
-		n = len(vn)
+	width = max(hb.BinWidth(), hn.BinWidth())
+	vb, okb := rebin(hb, width)
+	vn, okn := rebin(hn, width)
+	if !okb || !okn {
+		return nil, nil, 0, VerdictSkipped, fmt.Sprintf("incompatible bin widths %v vs %v", hb.BinWidth(), hn.BinWidth())
 	}
 	// Drop the endpoint bins: collection start and end fall somewhere
 	// inside them, so their values undercount (§5).
+	n := min(len(vb), len(vn))
 	if n < 4 {
-		return nil, nil, 0, fmt.Sprintf("too few common bins (%d) for a paired test", n), false
+		return nil, nil, 0, VerdictSkipped, fmt.Sprintf("too few common bins (%d) for a paired test", n)
 	}
 	sec := width.Seconds()
 	rb = make([]float64, 0, n-2)
 	rn = make([]float64, 0, n-2)
-	kept := 0
 	for i := 1; i < n-1; i++ {
 		lo := sim.Time(sim.Duration(i) * width)
 		hi := sim.Time(sim.Duration(i+1) * width)
 		if win.Enabled() && !win.overlaps(lo, hi) {
 			continue
 		}
-		kept++
 		rb = append(rb, vb[i]/sec)
 		rn = append(rn, vn[i]/sec)
 	}
-	if win.Enabled() && kept < 2 {
+	switch {
+	case win.Enabled() && len(rb) == 0:
 		span := sim.Time(sim.Duration(n) * width)
-		switch kept {
-		case 0:
-			return nil, nil, 0, fmt.Sprintf("window %v excludes every interior bin (runs share %d bins @ %v, ending at %v)", win, n, width, span), true
-		default:
-			return nil, nil, 0, fmt.Sprintf("window %v leaves 1 interior bin; a paired test needs at least 2", win), true
-		}
+		return nil, nil, 0, VerdictNotComparable, fmt.Sprintf("window %v excludes every interior bin (runs share %d bins @ %v, ending at %v)", win, n, width, span)
+	case win.Enabled() && len(rb) == 1:
+		return nil, nil, 0, VerdictNotComparable, fmt.Sprintf("window %v leaves 1 interior bin; a paired test needs at least 2", win)
 	}
-	return rb, rn, width, "", false
+	return rb, rn, width, "", ""
 }
 
 // rebin returns the histogram's filled values regrouped at the coarser
@@ -334,53 +268,18 @@ func rebin(h *metric.Histogram, target sim.Duration) ([]float64, bool) {
 	return out, true
 }
 
-// rankDeltas orders: significant first by |RelChange| descending (NaN —
-// rose from zero — ranks above every finite change), then unchanged,
-// then skipped; pair names break every tie.
-func rankDeltas(ds []SeriesDelta) {
-	class := func(v Verdict) int {
-		switch v {
-		case VerdictRegression, VerdictImprovement:
-			return 0
-		case VerdictUnchanged:
-			return 1
-		default:
-			return 2
-		}
-	}
-	mag := func(d SeriesDelta) float64 {
-		if math.IsNaN(d.RelChange) {
-			return math.Inf(1)
-		}
-		return math.Abs(d.RelChange)
-	}
-	sort.SliceStable(ds, func(i, j int) bool {
-		ci, cj := class(ds[i].Verdict), class(ds[j].Verdict)
-		if ci != cj {
-			return ci < cj
-		}
-		if ci == 0 {
-			mi, mj := mag(ds[i]), mag(ds[j])
-			if mi != mj {
-				return mi > mj
-			}
-		}
-		return datasource.ComparePairs(ds[i].Pair, ds[j].Pair) < 0
-	})
-}
-
 // describe renders one delta as a report line.
 func (d SeriesDelta) describe() string {
 	name := fmt.Sprintf("%s @ %s", d.Pair.Metric, d.Pair.Focus)
-	if d.Verdict == VerdictSkipped || d.Verdict == VerdictNotComparable {
+	if d.Skipped != "" {
 		return fmt.Sprintf("%-11s %s: %s", d.Verdict, name, d.Skipped)
 	}
-	rel := "n/a"
-	if !math.IsNaN(d.RelChange) {
-		rel = fmt.Sprintf("%+.1f%%", d.RelChange*100)
-	}
 	return fmt.Sprintf("%-11s %s: %.6g/s -> %.6g/s (%s, CI %s, n=%d @ %v)",
-		d.Verdict, name, d.BaseRate, d.NewRate, rel, d.CI, d.Bins, d.BinWidth)
+		d.Verdict, name, d.BaseRate, d.NewRate, relString(d.RelChange), d.CI, d.Bins, d.BinWidth)
+}
+
+func (d SeriesDelta) row() (Verdict, float64, datasource.Pair) {
+	return d.Verdict, d.RelChange, d.Pair
 }
 
 // Render produces the ranked, byte-deterministic diff report. An
@@ -423,7 +322,7 @@ func (r *DiffReport) Render() string {
 	nReg := len(r.Regressions())
 	nSig := 0
 	for _, d := range r.Deltas {
-		if d.Verdict == VerdictRegression || d.Verdict == VerdictImprovement {
+		if d.Verdict.significant() {
 			nSig++
 		}
 	}

@@ -28,12 +28,16 @@ type jsonPair struct {
 	Focus  string `json:"focus"`
 }
 
+// jsonRow is the head of every diff and trend row.
+type jsonRow struct {
+	jsonPair
+	Verdict Verdict `json:"verdict"`
+	Reason  string  `json:"reason,omitempty"`
+}
+
 // jsonDelta is one compared pair of a diff document.
 type jsonDelta struct {
-	jsonPair
-	Verdict string `json:"verdict"`
-	Reason  string `json:"reason,omitempty"`
-
+	jsonRow
 	BaseRate  float64    `json:"base_rate"`
 	NewRate   float64    `json:"new_rate"`
 	MeanDiff  float64    `json:"mean_diff"`
@@ -74,6 +78,10 @@ func pairJSON(p datasource.Pair) jsonPair {
 	return jsonPair{Metric: p.Metric, Focus: p.Focus.String()}
 }
 
+func rowJSON(p datasource.Pair, v Verdict, reason string) jsonRow {
+	return jsonRow{jsonPair: pairJSON(p), Verdict: v, Reason: reason}
+}
+
 // RenderJSON produces the report's stable machine-readable form,
 // indented, with a trailing newline, ready for stdout.
 func (r *DiffReport) RenderJSON() ([]byte, error) {
@@ -88,11 +96,7 @@ func (r *DiffReport) RenderJSON() ([]byte, error) {
 	}
 	doc.Deltas = []jsonDelta{} // an empty report still carries the key
 	for _, d := range r.Deltas {
-		jd := jsonDelta{
-			jsonPair: pairJSON(d.Pair),
-			Verdict:  string(d.Verdict),
-			Reason:   d.Skipped,
-		}
+		jd := jsonDelta{jsonRow: rowJSON(d.Pair, d.Verdict, d.Skipped)}
 		if d.Skipped == "" {
 			jd.BaseRate = d.BaseRate
 			jd.NewRate = d.NewRate
@@ -103,7 +107,7 @@ func (r *DiffReport) RenderJSON() ([]byte, error) {
 			jd.BinWidthS = d.BinWidth.Seconds()
 		}
 		doc.Deltas = append(doc.Deltas, jd)
-		if d.Verdict == VerdictRegression || d.Verdict == VerdictImprovement {
+		if d.Verdict.significant() {
 			doc.Significant++
 		}
 		if d.Verdict == VerdictRegression {
@@ -122,10 +126,7 @@ func (r *DiffReport) RenderJSON() ([]byte, error) {
 
 // jsonSeriesTrend is one fitted series of a trend document.
 type jsonSeriesTrend struct {
-	jsonPair
-	Verdict string `json:"verdict"`
-	Reason  string `json:"reason,omitempty"`
-
+	jsonRow
 	Rates    []float64  `json:"rates,omitempty"`
 	Slope    float64    `json:"slope"`
 	CI       [2]float64 `json:"ci"`
@@ -154,12 +155,7 @@ func (r *TrendReport) RenderJSON() ([]byte, error) {
 		Series: []jsonSeriesTrend{},
 	}
 	for _, s := range r.Series {
-		js := jsonSeriesTrend{
-			jsonPair: pairJSON(s.Pair),
-			Verdict:  string(s.Verdict),
-			Reason:   s.Skipped,
-			FirstBad: s.FirstBad,
-		}
+		js := jsonSeriesTrend{jsonRow: rowJSON(s.Pair, s.Verdict, s.Skipped), FirstBad: s.FirstBad}
 		if s.Skipped == "" {
 			js.Rates = s.Rates
 			js.Slope = s.Slope
@@ -167,7 +163,7 @@ func (r *TrendReport) RenderJSON() ([]byte, error) {
 			js.RelSlope = finite(s.RelSlope)
 		}
 		doc.Series = append(doc.Series, js)
-		if s.Verdict.Drifting() {
+		if s.Verdict.significant() {
 			doc.Drifting++
 		}
 	}

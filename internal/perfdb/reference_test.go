@@ -66,10 +66,16 @@ func viewFingerprint(t testing.TB, rv *RunView) string {
 	}
 	b.Write(doc)
 	fmt.Fprintf(&b, "bins=%d width=%v faultlog=%q\n", rv.NumBins, rv.BinWidth, rv.FaultLog())
+	procs, lost := rv.Processes(), 0
+	for _, p := range procs {
+		if p.Lost {
+			lost++
+		}
+	}
 	fmt.Fprintf(&b, "coverage=%.6f procs=%d lost=%d degradation=%q gaps=%v overlap=%v\n",
-		rv.Coverage(), rv.ProcessCount(), rv.LostProcessCount(),
+		rv.Coverage(), rv.ProcessCount(), lost,
 		rv.DegradationSummary(), rv.UnmeasuredGaps(), rv.GapOverlaps(0, sim.Time(1<<62)))
-	for _, p := range rv.Processes() {
+	for _, p := range procs {
 		fmt.Fprintf(&b, "proc %+v\n", *p)
 	}
 	for _, h := range rv.DaemonHealths() {

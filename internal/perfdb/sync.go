@@ -162,9 +162,6 @@ func dialSync(addr string, cfg SyncConfig) (*syncClient, error) {
 	if err != nil {
 		return nil, fmt.Errorf("perfdb sync: dial %s: %w", addr, err)
 	}
-	// An injected fault means the server never saw the frame: poison the
-	// connection so the next attempt redials, as a real fault would.
-	conn.SetPoisonOnFault(true)
 	inj := conn.Injection()
 	inj.Chan = wire.ChanSync
 	inj.SeedBW(cfg.Seed ^ wire.SaltSync ^ wire.SaltBW)

@@ -1,9 +1,9 @@
 package perfdb
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"pperf/internal/datasource"
@@ -16,29 +16,10 @@ import (
 // pair shared by all the runs, the per-run mean interior rate (the
 // paper's export-and-calculate scalar, endpoints excluded) is fit
 // against the run index with an ordinary-least-squares line, and the
-// slope's confidence interval delivers the verdict: STABLE when it
-// contains zero, DRIFTING-UP/-DOWN otherwise. The metrics measure costs,
-// so DRIFTING-UP is the bad direction. A drifting series also gets
-// first-bad-run attribution: the earliest run whose rate departs from
-// the mean of the runs before it by more than the effect floor.
-
-// TrendVerdict classifies one series' movement across the run sequence.
-type TrendVerdict string
-
-const (
-	// TrendStable: the slope's CI contains zero.
-	TrendStable TrendVerdict = "STABLE"
-	// TrendUp: the rate is rising significantly (costs grow — the bad
-	// direction).
-	TrendUp TrendVerdict = "DRIFTING-UP"
-	// TrendDown: the rate is falling significantly.
-	TrendDown TrendVerdict = "DRIFTING-DOWN"
-	// TrendSkipped: the series could not be fit (reason in Skipped).
-	TrendSkipped TrendVerdict = "skipped"
-)
-
-// Drifting reports whether the verdict flags a significant drift.
-func (v TrendVerdict) Drifting() bool { return v == TrendUp || v == TrendDown }
+// slope's confidence interval delivers the verdict (verdict.go): STABLE
+// when it contains zero, DRIFTING-UP/-DOWN otherwise. A drifting series
+// also gets first-bad-run attribution: the earliest run whose rate departs
+// from the mean of the runs before it by more than the effect floor.
 
 // TrendOptions parameterize a store-wide trend query.
 type TrendOptions struct {
@@ -58,8 +39,8 @@ const DefaultTrendEffect = 0.10
 // SeriesTrend is one metric-focus pair's movement across the runs.
 type SeriesTrend struct {
 	Pair    datasource.Pair
-	Verdict TrendVerdict
-	// Skipped holds the reason when Verdict == TrendSkipped.
+	Verdict Verdict
+	// Skipped holds the reason when Verdict == VerdictSkipped.
 	Skipped string
 
 	// Rates holds the per-run mean interior rates (units/s), one per run
@@ -91,9 +72,8 @@ type TrendReport struct {
 	Alpha     float64
 	MinEffect float64
 
-	// Series holds every pair: drifting first (largest |RelSlope|
-	// first), then stable, then skipped; ties broken by pair name so the
-	// report is byte-deterministic.
+	// Series holds every pair in rank order: drifting first (largest
+	// |RelSlope| first), then stable, then skipped.
 	Series []SeriesTrend
 }
 
@@ -101,7 +81,7 @@ type TrendReport struct {
 func (r *TrendReport) Drifting() []SeriesTrend {
 	var out []SeriesTrend
 	for _, s := range r.Series {
-		if s.Verdict.Drifting() {
+		if s.Verdict.significant() {
 			out = append(out, s)
 		}
 	}
@@ -112,98 +92,57 @@ func (r *TrendReport) Drifting() []SeriesTrend {
 // stored run, in run order) and delivers per-series drift verdicts. At
 // least three runs are required for the slope to carry an error estimate.
 func Trend(views []*RunView, opts TrendOptions) (*TrendReport, error) {
-	if _, err := stats.TCritical(1, opts.Alpha); err != nil {
-		return nil, fmt.Errorf("perfdb: %v", err)
-	}
-	if opts.MinEffect < 0 {
-		return nil, fmt.Errorf("perfdb: negative min-effect %g", opts.MinEffect)
+	alpha, err := checkThresholds(opts.Alpha, opts.MinEffect)
+	if err != nil {
+		return nil, err
 	}
 	if len(views) < 3 {
 		return nil, fmt.Errorf("perfdb: trend needs at least 3 runs, have %d", len(views))
 	}
-	rep := &TrendReport{
-		Alpha:     opts.Alpha,
-		MinEffect: opts.MinEffect,
-	}
-	if rep.Alpha == 0 {
-		rep.Alpha = 0.05
-	}
-	if rep.MinEffect == 0 {
-		rep.MinEffect = DefaultTrendEffect
-	}
+	rep := &TrendReport{Alpha: alpha, MinEffect: cmp.Or(opts.MinEffect, DefaultTrendEffect)}
 	for _, v := range views {
 		rep.Runs = append(rep.Runs, v.Meta)
-		if rep.Program == "" {
-			rep.Program = v.Meta.Program
-		}
+		rep.Program = cmp.Or(rep.Program, v.Meta.Program)
 	}
-	// Pair universe: everything any run enabled, keyed for alignment;
-	// pairs missing from some runs are reported, not silently dropped.
-	type presence struct {
-		pair datasource.Pair
-		runs int
-	}
-	seen := map[datasource.Pair]*presence{}
-	var order []*presence
+	// Pair universe, in first-seen order (rank sorts the series): everything
+	// any run enabled, keyed for alignment; pairs missing from some runs are
+	// reported, not silently dropped.
+	runs := map[datasource.Pair]int{}
+	var pairs []datasource.Pair
 	for _, v := range views {
 		for _, p := range v.Pairs() {
 			k := p.Canon()
-			if seen[k] == nil {
-				seen[k] = &presence{pair: p}
-				order = append(order, seen[k])
+			if runs[k]++; runs[k] == 1 {
+				pairs = append(pairs, p)
 			}
-			seen[k].runs++
 		}
 	}
-	sort.Slice(order, func(i, j int) bool {
-		return datasource.ComparePairs(order[i].pair, order[j].pair) < 0
-	})
-	for _, pr := range order {
-		st := SeriesTrend{Pair: pr.pair}
-		if pr.runs < len(views) {
-			st.Verdict = TrendSkipped
-			st.Skipped = fmt.Sprintf("collected in only %d of %d runs", pr.runs, len(views))
+	for _, p := range pairs {
+		st := SeriesTrend{Pair: p}
+		if n := runs[p.Canon()]; n < len(views) {
+			st.Verdict, st.Skipped = VerdictSkipped, fmt.Sprintf("collected in only %d of %d runs", n, len(views))
 			rep.Series = append(rep.Series, st)
 			continue
 		}
 		for _, v := range views {
-			st.Rates = append(st.Rates, v.SeriesFor(pr.pair).Histogram().MeanRateExcludingEnds())
+			st.Rates = append(st.Rates, v.SeriesFor(p).Histogram().MeanRateExcludingEnds())
 		}
 		fit, err := stats.LinearTrend(st.Rates, rep.Alpha)
 		if err != nil {
-			st.Verdict = TrendSkipped
-			st.Skipped = err.Error()
+			st.Verdict, st.Skipped = VerdictSkipped, err.Error()
 			rep.Series = append(rep.Series, st)
 			continue
 		}
-		st.Slope = fit.Slope
-		st.CI = fit.CI
-		switch mean := stats.Mean(st.Rates); {
-		case mean != 0:
-			st.RelSlope = st.Slope / mean
-		case st.Slope != 0:
-			st.RelSlope = math.NaN()
-		}
-		significant := fit.Significant
-		if significant && !math.IsNaN(st.RelSlope) && math.Abs(st.RelSlope) < rep.MinEffect {
-			significant = false
-		}
-		switch {
-		case !significant:
-			st.Verdict = TrendStable
-		case st.Slope > 0:
-			st.Verdict = TrendUp
-		default:
-			st.Verdict = TrendDown
-		}
-		if st.Verdict.Drifting() {
-			if i := firstBad(st.Rates, st.Slope > 0, rep.MinEffect); i > 0 {
+		rel, out := judge(fit.Significant, fit.Slope, stats.Mean(st.Rates), rep.MinEffect)
+		st.Slope, st.CI, st.RelSlope, st.Verdict = fit.Slope, fit.CI, rel, trendVerdicts[out]
+		if out != steady {
+			if i := firstBad(st.Rates, out == rising, rep.MinEffect); i > 0 {
 				st.FirstBad = rep.Runs[i].ID
 			}
 		}
 		rep.Series = append(rep.Series, st)
 	}
-	rankTrends(rep.Series)
+	rank(rep.Series)
 	return rep, nil
 }
 
@@ -232,57 +171,22 @@ func firstBad(rates []float64, up bool, floor float64) int {
 	return 0
 }
 
-// rankTrends orders: drifting first by |RelSlope| descending (NaN ranks
-// above every finite drift), then stable, then skipped; pair names break
-// every tie.
-func rankTrends(ss []SeriesTrend) {
-	class := func(v TrendVerdict) int {
-		switch {
-		case v.Drifting():
-			return 0
-		case v == TrendStable:
-			return 1
-		default:
-			return 2
-		}
-	}
-	mag := func(s SeriesTrend) float64 {
-		if math.IsNaN(s.RelSlope) {
-			return math.Inf(1)
-		}
-		return math.Abs(s.RelSlope)
-	}
-	sort.SliceStable(ss, func(i, j int) bool {
-		ci, cj := class(ss[i].Verdict), class(ss[j].Verdict)
-		if ci != cj {
-			return ci < cj
-		}
-		if ci == 0 {
-			mi, mj := mag(ss[i]), mag(ss[j])
-			if mi != mj {
-				return mi > mj
-			}
-		}
-		return datasource.ComparePairs(ss[i].Pair, ss[j].Pair) < 0
-	})
-}
-
 // describe renders one series as a report line.
 func (s SeriesTrend) describe() string {
 	name := fmt.Sprintf("%s @ %s", s.Pair.Metric, s.Pair.Focus)
-	if s.Verdict == TrendSkipped {
+	if s.Skipped != "" {
 		return fmt.Sprintf("%-13s %s: %s", s.Verdict, name, s.Skipped)
 	}
-	rel := "n/a"
-	if !math.IsNaN(s.RelSlope) {
-		rel = fmt.Sprintf("%+.1f%%", s.RelSlope*100)
-	}
 	line := fmt.Sprintf("%-13s %s: %.6g/s -> %.6g/s (slope %+.6g/s per run, %s of mean, CI %s)",
-		s.Verdict, name, s.Rates[0], s.Rates[len(s.Rates)-1], s.Slope, rel, s.CI)
+		s.Verdict, name, s.Rates[0], s.Rates[len(s.Rates)-1], s.Slope, relString(s.RelSlope), s.CI)
 	if s.FirstBad != "" {
 		line += fmt.Sprintf(" first-bad %s", s.FirstBad)
 	}
 	return line
+}
+
+func (s SeriesTrend) row() (Verdict, float64, datasource.Pair) {
+	return s.Verdict, s.RelSlope, s.Pair
 }
 
 // Render produces the ranked, byte-deterministic trend report.

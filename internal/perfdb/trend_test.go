@@ -109,7 +109,7 @@ func TestTrendPartialPairReported(t *testing.T) {
 	if partial == nil {
 		t.Fatalf("partial pair dropped: %+v", rep.Series)
 	}
-	if partial.Verdict != TrendSkipped || !strings.Contains(partial.Skipped, "1 of 4 runs") {
+	if partial.Verdict != VerdictSkipped || !strings.Contains(partial.Skipped, "1 of 4 runs") {
 		t.Errorf("partial pair: %s %q", partial.Verdict, partial.Skipped)
 	}
 }

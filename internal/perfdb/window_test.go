@@ -43,22 +43,116 @@ func goldenPair() (*RunView, *RunView) {
 	return view(baseArch, "base"), view(newArch, "new")
 }
 
-// TestCompareDefaultMatchesGolden pins the api_redesign compatibility
-// bar: Compare with zero options must render byte-identically to the
-// report the pre-Compare code produced, captured in
-// testdata/diff_default.golden.
+// windowedPair builds a base/new pair for a [1s, 2s) window at alpha 0.10
+// with a 5% effect floor: a post-1s regression, a noisy improvement, a 2%
+// shift the floor suppresses, a rise from zero (NaN relative change), a
+// series that ends before the window (NOT-COMPARABLE) and one too short
+// to test at all (skipped).
+func windowedPair() (*RunView, *RunView) {
+	late := flat(40, 1.0)
+	for i := 20; i < 40; i++ {
+		late[i] = 3.0
+	}
+	noisy := flat(40, 1.0)
+	for i := 1; i < 40; i += 2 {
+		noisy[i] = 1.2
+	}
+	baseArch := rateArchive("m_reg", 100, flat(40, 1.0))
+	appendSeries(baseArch, "m_imp", flat(40, 2.0))
+	appendSeries(baseArch, "m_slight", flat(40, 1.0))
+	appendSeries(baseArch, "m_zero", flat(40, 0))
+	appendSeries(baseArch, "m_early", flat(10, 1.0))
+	appendSeries(baseArch, "m_short", flat(2, 1.0))
+	newArch := rateArchive("m_reg", 100, late)
+	appendSeries(newArch, "m_imp", noisy)
+	appendSeries(newArch, "m_slight", flat(40, 1.02))
+	appendSeries(newArch, "m_zero", flat(40, 1.0))
+	appendSeries(newArch, "m_early", flat(10, 3.0))
+	appendSeries(newArch, "m_short", flat(2, 2.0))
+	return view(baseArch, "base"), view(newArch, "new")
+}
+
+// trendStore builds five runs whose series show every trend verdict: a
+// flat series (STABLE), a level shift up at the fourth run (DRIFTING-UP,
+// first-bad r0004), the mirror shift down (DRIFTING-DOWN), a ramp through
+// zero (NaN relative slope) and a series only the last run collected
+// (skipped).
+func trendStore() []*RunView {
+	up := []float64{1, 1, 1, 2, 2}
+	down := []float64{2, 2, 2, 1, 1}
+	zero := []float64{-2, -1, 0, 1, 2}
+	var views []*RunView
+	for i, id := range []string{"r0001", "r0002", "r0003", "r0004", "r0005"} {
+		a := rateArchive("m_stable", 100, flat(40, 1.0))
+		appendSeries(a, "m_up", flat(40, up[i]))
+		appendSeries(a, "m_down", flat(40, down[i]))
+		appendSeries(a, "m_zero", flat(40, zero[i]))
+		if i == 4 {
+			appendSeries(a, "m_partial", flat(40, 1.0))
+		}
+		views = append(views, NewRunView(a, RunMeta{ID: id, Program: "synthetic"}))
+	}
+	return views
+}
+
+// renderedReport is what both DiffReport and TrendReport render.
+type renderedReport interface {
+	Render() string
+	RenderJSON() ([]byte, error)
+}
+
+// TestCompareDefaultMatchesGolden pins every analytics report byte for
+// byte against its testdata golden: Compare with zero options must render
+// as the pre-Compare code did (diff_default.golden), and the diff JSON,
+// the windowed diff and the trend report, text and JSON, as they did
+// before diff and trend shared one verdict core.
 func TestCompareDefaultMatchesGolden(t *testing.T) {
-	want, err := os.ReadFile("testdata/diff_default.golden")
-	if err != nil {
-		t.Fatal(err)
+	defaultDiff := func() (renderedReport, error) {
+		base, neu := goldenPair()
+		return Compare(base, neu, CompareOptions{})
 	}
-	base, neu := goldenPair()
-	rep, err := Compare(base, neu, CompareOptions{})
-	if err != nil {
-		t.Fatal(err)
+	windowedDiff := func() (renderedReport, error) {
+		base, neu := windowedPair()
+		return Compare(base, neu, CompareOptions{
+			Window:    Window{From: sim.Time(sim.Second), To: sim.Time(2 * sim.Second)},
+			Alpha:     0.10,
+			MinEffect: 0.05,
+		})
 	}
-	if got := rep.Render(); got != string(want) {
-		t.Errorf("Compare(default) diverges from the pre-redesign golden:\ngot:\n%s\nwant:\n%s", got, want)
+	trend := func() (renderedReport, error) {
+		return Trend(trendStore(), TrendOptions{Alpha: 0.10})
+	}
+	for _, c := range []struct {
+		golden string
+		json   bool
+		build  func() (renderedReport, error)
+	}{
+		{"diff_default.golden", false, defaultDiff},
+		{"diff_default.json.golden", true, defaultDiff},
+		{"diff_windowed.golden", false, windowedDiff},
+		{"diff_windowed.json.golden", true, windowedDiff},
+		{"trend.golden", false, trend},
+		{"trend.json.golden", true, trend},
+	} {
+		t.Run(c.golden, func(t *testing.T) {
+			want, err := os.ReadFile("testdata/" + c.golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := c.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := []byte(rep.Render())
+			if c.json {
+				if got, err = rep.RenderJSON(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if string(got) != string(want) {
+				t.Errorf("report diverges from testdata/%s:\ngot:\n%s\nwant:\n%s", c.golden, got, want)
+			}
+		})
 	}
 }
 

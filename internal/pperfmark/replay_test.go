@@ -36,9 +36,15 @@ func snapshot(t *testing.T, res *Result) string {
 	}
 	ds := res.Source
 	b.WriteString(ds.Hierarchy().Render())
+	procs, lost := ds.Processes(), 0
+	for _, p := range procs {
+		if p.Lost {
+			lost++
+		}
+	}
 	fmt.Fprintf(&b, "procs=%d lost=%d degradation=%q\n",
-		ds.ProcessCount(), ds.LostProcessCount(), ds.DegradationSummary())
-	for _, p := range ds.Processes() {
+		ds.ProcessCount(), lost, ds.DegradationSummary())
+	for _, p := range procs {
 		fmt.Fprintf(&b, "proc %s node=%s started=%v exited=%v end=%v lost=%v\n",
 			p.Name, p.Node, p.Started, p.Exited, p.EndTime, p.Lost)
 	}

@@ -195,13 +195,6 @@ type Conn struct {
 	inj    *Injection
 	closed bool
 	stats  Stats
-
-	// poisonOnFault closes the live connection when an injected fault fails
-	// an attempt (the sync client's discipline: the peer never saw the
-	// frame, so the codec state is suspect). The report channels leave the
-	// connection up — the next retry redials regardless, and a later frame
-	// may reuse a still-healthy socket.
-	poisonOnFault bool
 }
 
 // NewConn builds a channel to addr without dialing; seed is the (already
@@ -236,9 +229,6 @@ func (c *Conn) TryDial() {
 	}
 	c.mu.Unlock()
 }
-
-// SetPoisonOnFault selects the injected-fault discipline (see the field).
-func (c *Conn) SetPoisonOnFault(on bool) { c.poisonOnFault = on }
 
 // Injection returns the channel's fault-injection point, consulted before
 // every attempt. It starts idle; fault plans arm it (AddDrops, Degrade), and
@@ -364,12 +354,6 @@ func (c *Conn) Exchange(r Request) error {
 		if err := c.injected(r, attempt); err != nil {
 			lastErr = err
 			c.stats.InjectedDrops++
-			if c.poisonOnFault && c.conn != nil {
-				// The peer never saw the frame; force a redial, as a
-				// real transport fault would.
-				c.conn.Close()
-				c.conn = nil
-			}
 			continue
 		}
 		zero(r.Resp)
