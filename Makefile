@@ -10,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt-check race verify loc alloc-profile trace-footprint bench bench-module replay-golden perfdb-golden sync-golden wire-golden trend-golden chaos experiments-golden fuzz fuzz-perfdb fuzz-wire fuzz-smoke
+.PHONY: build test vet fmt-check race verify loc alloc-profile trace-footprint bench bench-module bench-digests replay-golden perfdb-golden sync-golden wire-golden trend-golden chaos experiments-golden fuzz fuzz-perfdb fuzz-wire fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -82,6 +82,26 @@ trace-footprint:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# bench-digests runs each benchmark workload once (seed 7, one rep, no
+# attribution pass) and fails unless every workload's result digest and
+# artifact bytes equal testdata/bench-digests.txt: the check that a change
+# left everything the workloads record, export and judge byte-identical.
+# bench/run.sh builds into .bench_build/ (git-ignored); the captured output
+# goes to a temporary directory. About 50 s on a 2-core Xeon. Not part of
+# verify.
+BENCH_WORKLOADS = p2p-flood suite-sweep traced-tcp replay-whatif store-cycle
+bench-digests:
+	@tmp=$$(mktemp -d) && \
+	trap 'rm -rf "$$tmp"' EXIT && \
+	for wl in $(BENCH_WORKLOADS); do \
+		bash bench/run.sh --workload $$wl --seed 7 --reps 1 --trace 0 >"$$tmp/out" 2>"$$tmp/err" || { cat "$$tmp/err"; exit 1; }; \
+		digest=$$(sed -n "s/^$$wl: .*, digest \([0-9a-f]*\)$$/\1/p" "$$tmp/err"); \
+		bytes=$$(sed -n 's/.*"artifact_bytes":{"value":\([0-9]*\),.*/\1/p' "$$tmp/out"); \
+		echo "$$wl $$digest $$bytes"; \
+	done > "$$tmp/got" && \
+	grep -v '^#' testdata/bench-digests.txt | diff - "$$tmp/got" && \
+	echo "bench-digests: all five workloads match testdata/bench-digests.txt"
+
 # Opt into the chaos sweep as part of verify with `make verify CHAOS=1`.
 ifeq ($(CHAOS),1)
 verify: chaos
@@ -95,8 +115,9 @@ chaos:
 	CHAOS=1 $(GO) test -race -run TestChaosPlans ./internal/faults
 
 # experiments-golden regenerates every table and figure of the paper's
-# evaluation (deterministic, about a minute — too slow for verify) and fails
-# unless the output is byte-identical to the checked-in report. A PR that
+# evaluation (deterministic; 18 s wall on a 2-core Xeon, one core busy — not
+# in verify) and fails unless the output is byte-identical to the checked-in
+# report. A PR that
 # means to change the report regenerates the file with
 # `go run ./cmd/experiments > results/experiments_report.txt`.
 experiments-golden:

@@ -247,9 +247,11 @@ func (cm *CompiledMetric) declare() bool {
 }
 
 // Instance is a live metric-focus pair on one process: the accumulator
-// instrumentation feeds and the probes to remove on disable.
+// instrumentation feeds and the probes to remove on disable. It holds its
+// frame, so an instance and its run-time state are one allocation.
 type Instance struct {
 	Acc      metric.Accumulator
+	fr       frame
 	target   Target
 	probeIDs []probe.ID
 	// moduleWatch, when non-empty, asks the daemon to call ExtendFunction
@@ -290,53 +292,70 @@ func (in *Instance) insert(fname string, bound []boundSpec) {
 	}
 }
 
-// instrument binds each spec's code to fr — one handler serves every function
-// the spec lands on — and inserts them on the functions of fns, function-major
-// and spec-minor: the order the points' probe lists keep.
-func (in *Instance) instrument(fr *frame, specs []*ProbeSpec, fns []string) []boundSpec {
-	bound := make([]boundSpec, len(specs))
-	for i, ps := range specs {
-		bound[i] = boundSpec{ps, ps.bind(fr)}
+// placement is one foreach of an instance: its specs, bound to fr, inserted
+// on fns; watch names the module whose later functions receive them too.
+type placement struct {
+	fr    *frame
+	specs []*ProbeSpec
+	fns   []string
+	watch string
+}
+
+// instrument binds each spec's code to the placement's frame — one handler
+// serves every function the spec lands on — and inserts them on its
+// functions, function-major and spec-minor: the order the points' probe lists
+// keep. The bound specs outlive the call only under a module watch.
+func (in *Instance) instrument(pl placement) {
+	var buf [4]boundSpec
+	bound := buf[:0]
+	for _, ps := range pl.specs {
+		bound = append(bound, boundSpec{ps, ps.bind(pl.fr)})
 	}
-	in.probeIDs = slices.Grow(in.probeIDs, len(fns)*len(bound))
-	for _, fname := range fns {
+	for _, fname := range pl.fns {
 		in.insert(fname, bound)
 	}
-	return bound
+	if pl.watch != "" {
+		in.moduleWatch = pl.watch
+		in.extend = append(in.extend, bound...)
+	}
 }
 
 // Instantiate enables the metric for one focus on one process: allocates the
-// frame of its counters and timers, binds the applicable constraints, and
-// inserts all probes. Nothing is compiled here — the specs carry their code
-// since Compile. The returned instance is live immediately.
+// instance with its frame of counters and timers, binds the applicable
+// constraints, and inserts all probes. Nothing is compiled here — the specs
+// carry their code since Compile. The returned instance is live immediately.
 func (cm *CompiledMetric) Instantiate(t Target, f resource.Focus) (*Instance, error) {
-	fr := &frame{counters: make([]metric.Counter, len(cm.vars.counters))}
-	in := &Instance{target: t, Acc: cm.acc(fr, t)}
+	in := &Instance{target: t}
+	fr := &in.fr
+	fr.counters = make([]metric.Counter, len(cm.vars.counters))
+	in.Acc = cm.acc(fr, t)
 
 	// Code-hierarchy constraints (native): restrict constrained statements
 	// to when the selected function/module is on the call stack. Metrics
 	// instrumented over the magic focusCode set instead place their probes
-	// directly on the selected code, so no predicate is needed.
+	// directly on the selected code, so no constraint is needed.
 	if !cm.usesFocusCode() {
 		if fn := f.CodeFunction(); fn != "" {
 			if !cm.hasConstraint("procedureConstraint") {
 				return nil, fmt.Errorf("mdl: metric %s cannot be constrained to a procedure", cm.Name())
 			}
-			fr.preds = append(fr.preds, func(ev *probe.Event) bool { return ev.Proc.InFunction(fn) })
+			fr.inFunc = fn
 		} else if mod := f.CodeModule(); mod != "" {
 			if !cm.hasConstraint("moduleConstraint") {
 				return nil, fmt.Errorf("mdl: metric %s cannot be constrained to a module", cm.Name())
 			}
-			fr.preds = append(fr.preds, func(ev *probe.Event) bool { return inModule(ev.Proc, mod) })
+			fr.inModule = mod
 		}
 	}
 
-	// SyncObject-hierarchy constraints.
-	if err := cm.applySyncConstraints(fr, in, f); err != nil {
+	// SyncObject-hierarchy constraints, then the base instrumentation: every
+	// placement is known before the first insert, so the probe IDs are sized
+	// once.
+	var buf [4]placement
+	todo, err := cm.applySyncConstraints(fr, f, buf[:0])
+	if err != nil {
 		return nil, err
 	}
-
-	// Base instrumentation.
 	for _, fe := range cm.decl.Foreachs {
 		fns, watch := cm.resolveSet(t, fe.SetName, f)
 		if fe.SetName == "focusCode" && len(fns) == 0 && watch == "" {
@@ -350,11 +369,15 @@ func (cm *CompiledMetric) Instantiate(t Target, f resource.Focus) (*Instance, er
 			}
 			continue
 		}
-		bound := in.instrument(fr, fe.Probes, fns)
-		if watch != "" {
-			in.moduleWatch = watch
-			in.extend = append(in.extend, bound...)
-		}
+		todo = append(todo, placement{fr, fe.Probes, fns, watch})
+	}
+	n := 0
+	for _, pl := range todo {
+		n += len(pl.specs) * len(pl.fns)
+	}
+	in.probeIDs = make([]probe.ID, 0, n)
+	for _, pl := range todo {
+		in.instrument(pl)
 	}
 	return in, nil
 }
@@ -395,21 +418,21 @@ func (cm *CompiledMetric) hasConstraint(name string) bool {
 }
 
 // applySyncConstraints instantiates the constraints implied by the focus's
-// SyncObject selection.
-func (cm *CompiledMetric) applySyncConstraints(fr *frame, in *Instance, f resource.Focus) error {
+// SyncObject selection, appending their placements to todo.
+func (cm *CompiledMetric) applySyncConstraints(fr *frame, f resource.Focus, todo []placement) ([]placement, error) {
 	parts := f.SyncParts()
 	if len(parts) == 0 {
-		return nil
+		return todo, nil
 	}
 	category, rest := parts[0], parts[1:]
 	// Category-level restriction: constrain to the category's functions.
 	catFns, ok := syncCategoryFunctions[category]
 	if !ok {
-		return fmt.Errorf("mdl: unknown SyncObject category %q", category)
+		return nil, fmt.Errorf("mdl: unknown SyncObject category %q", category)
 	}
-	fr.preds = append(fr.preds, func(ev *probe.Event) bool { return inAnyFunction(ev.Proc, catFns) })
+	fr.inSync = catFns
 	if len(rest) == 0 {
-		return nil
+		return todo, nil
 	}
 	// Deeper components bind MDL constraints declared for this path.
 	basePath := "/SyncObject/" + category
@@ -434,14 +457,14 @@ func (cm *CompiledMetric) applySyncConstraints(fr *frame, in *Instance, f resour
 		cfr := &frame{counters: make([]metric.Counter, 1), cargs: args}
 		fr.flags = append(fr.flags, &cfr.counters[0])
 		for _, fe := range cd.Foreachs {
-			in.instrument(cfr, fe.Probes, cm.lib.sets[fe.SetName])
+			todo = append(todo, placement{fr: cfr, specs: fe.Probes, fns: cm.lib.sets[fe.SetName]})
 		}
 		bound++
 	}
 	if bound == 0 {
-		return fmt.Errorf("mdl: metric %s cannot be constrained to %s", cm.Name(), f.SyncPath)
+		return nil, fmt.Errorf("mdl: metric %s cannot be constrained to %s", cm.Name(), f.SyncPath)
 	}
-	return nil
+	return todo, nil
 }
 
 // syncCategoryFunctions maps SyncObject categories to the traced functions

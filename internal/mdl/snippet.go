@@ -20,7 +20,7 @@ type scope struct {
 
 // frame is one instance's run-time state, the first argument of all compiled
 // code: its variables by slot, the bound $constraint components, and the
-// flags and predicates that gate constrained blocks. An instantiated
+// flags and native constraints that gate constrained blocks. An instantiated
 // constraint has a frame of its own holding just its flag counter.
 type frame struct {
 	counters  []metric.Counter
@@ -29,10 +29,13 @@ type frame struct {
 	// cargs are the bound $constraint components.
 	cargs []string
 	// flags are the MDL constraint flag counters that must all be nonzero
-	// for constrained blocks to execute; preds are native constraint
-	// predicates (procedure/module/sync category) with the same gating role.
-	flags []*metric.Counter
-	preds []func(ev *probe.Event) bool
+	// for constrained blocks to execute. The native constraints gate them
+	// too: inFunc, inModule and any of inSync ("" or nil when unset) must be
+	// on the call stack — the focus's procedure, its module, and its
+	// SyncObject category's functions.
+	flags            []*metric.Counter
+	inFunc, inModule string
+	inSync           []string
 	// commNames and tagNames intern the resource names the name builtins
 	// yield, so a constraint check compares against a string built on its
 	// key's first sight, not on every execution.
@@ -42,10 +45,11 @@ type frame struct {
 // satisfied reports whether all constraints hold for a constrained block at
 // this event.
 func (fr *frame) satisfied(ev *probe.Event) bool {
-	for _, p := range fr.preds {
-		if !p(ev) {
-			return false
-		}
+	switch {
+	case fr.inFunc != "" && !ev.Proc.InFunction(fr.inFunc),
+		fr.inModule != "" && !inModule(ev.Proc, fr.inModule),
+		fr.inSync != nil && !inAnyFunction(ev.Proc, fr.inSync):
+		return false
 	}
 	for _, f := range fr.flags {
 		if f.Value() == 0 {

@@ -47,14 +47,12 @@ func (c *Comm) disseminationBarrier(r *Rank) error {
 // Fig 24).
 func (c *Comm) linearBarrier(r *Rank) error {
 	sh := c.shadowComm()
-	group := c.localGroup(r)
-	n := len(group)
+	n := len(c.localGroup(r))
 	if n <= 1 {
 		return nil
 	}
-	me := c.RankOf(r)
-	if me == 0 {
-		reqs := make([]*Request, 0, n-1)
+	reqs := r.barrierReqs[:0]
+	if c.RankOf(r) == 0 {
 		for i := 1; i < n; i++ {
 			rq, err := sh.Irecv(r, nil, 0, Byte, i, barrierTag)
 			if err != nil {
@@ -62,8 +60,7 @@ func (c *Comm) linearBarrier(r *Rank) error {
 			}
 			reqs = append(reqs, rq)
 		}
-		r.Waitall(reqs)
-		reqs = reqs[:0]
+		reqs = r.waitallRecycle(reqs)
 		for i := 1; i < n; i++ {
 			rq, err := sh.Isend(r, nil, 0, Byte, i, barrierTag+1)
 			if err != nil {
@@ -71,7 +68,7 @@ func (c *Comm) linearBarrier(r *Rank) error {
 			}
 			reqs = append(reqs, rq)
 		}
-		r.Waitall(reqs)
+		r.waitallRecycle(reqs)
 		return nil
 	}
 	in, err := sh.Isend(r, nil, 0, Byte, 0, barrierTag)
@@ -82,8 +79,23 @@ func (c *Comm) linearBarrier(r *Rank) error {
 	if err != nil {
 		return err
 	}
-	r.Waitall([]*Request{in, out})
+	r.waitallRecycle(append(reqs, in, out))
 	return nil
+}
+
+// waitallRecycle is MPI_Waitall over requests the linear barrier posted for
+// itself. Once all have completed they go back to the world's free list,
+// under waitRecycle's rule, and the array becomes the rank's scratch again;
+// it returns the array emptied. A rank killed while blocked never gets past
+// Waitall, so its requests stay where they are.
+func (r *Rank) waitallRecycle(reqs []*Request) []*Request {
+	r.Waitall(reqs)
+	for _, rq := range reqs {
+		*rq = Request{}
+	}
+	r.w.freeReqs = append(r.w.freeReqs, reqs...)
+	r.barrierReqs = reqs[:0]
+	return r.barrierReqs
 }
 
 const (

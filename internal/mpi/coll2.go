@@ -16,7 +16,7 @@ const (
 // matching receive has started, regardless of message size (i.e. it always
 // uses the rendezvous path). Probe args match MPI_Send.
 func (c *Comm) Ssend(r *Rank, data []byte, count int, dt Datatype, dest, tag int) error {
-	defer r.endMPI(r.beginMPI("MPI_Ssend", data, count, dt, dest, tag, c))
+	defer r.endMPI(r.beginMPI("MPI_Ssend", data, count, dt, dest, c.w.tagArg(tag), c))
 	r.SystemCompute(c.w.Impl.Cost.SendOverhead)
 	rq, err := r.isendInternal(c, dest, tag, count, dt, data, true)
 	if err != nil {

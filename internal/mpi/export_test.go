@@ -27,6 +27,37 @@ func (w *World) IsRecycled(rq *Request) bool {
 	return false
 }
 
+// EpochOps is the number of transfers the rank issued in the window's
+// current epoch.
+func (w *Win) EpochOps() int { return len(w.ops) }
+
+// SpareOps is the length of the window's spare op list.
+func (w *Win) SpareOps() int { return len(w.spare) }
+
+// CheckSpareOps returns an error if an op on the window's spare list is there
+// twice, is in the current epoch's list, has not fired (it is still
+// scheduled) or still holds its window or buffer.
+func (w *Win) CheckSpareOps() error {
+	spare := map[*rmaOp]bool{}
+	for _, op := range w.spare {
+		switch {
+		case spare[op]:
+			return fmt.Errorf("op %p is on the spare list twice", op)
+		case !op.done:
+			return fmt.Errorf("spare op %p has not fired: %+v", op, *op)
+		case op.win != nil || op.data != nil:
+			return fmt.Errorf("spare op %p still holds its window or buffer: %+v", op, *op)
+		}
+		spare[op] = true
+	}
+	for _, op := range w.ops {
+		if spare[op] {
+			return fmt.Errorf("op %p of the current epoch is on the spare list", op)
+		}
+	}
+	return nil
+}
+
 // CheckFreeRequests returns an error if a request on the world's free list
 // is there twice, is not zeroed, or can still be reached from a rank's
 // posted queue, pendingSends or unexpected messages.

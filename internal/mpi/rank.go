@@ -32,6 +32,9 @@ type Rank struct {
 	// Mailbox.
 	unexpected []*message
 	posted     []*Request
+	// barrierReqs is the linear barrier's request array, kept between
+	// barriers (see waitallRecycle).
+	barrierReqs []*Request
 
 	// Eager flow control: available flow-window bytes per destination
 	// global id, and sends queued awaiting window space.

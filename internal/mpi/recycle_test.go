@@ -115,53 +115,44 @@ func TestMessagePathAllocationBudget(t *testing.T) {
 	}
 }
 
-// A request goes back to the free list only once nothing can reach it:
-// throughout runs of an eager, a halo-exchange and a rendezvous program
-// under each personality, no request on the list is a posted receive, a
-// send waiting for window space or the sender of a queued rendezvous
-// notice. And a rank killed while blocked in MPI_Recv keeps its request.
-func TestRecycledRequestsAreUnreachable(t *testing.T) {
-	for _, kind := range []mpi.ImplKind{mpi.LAM, mpi.MPICH, mpi.MPICH2} {
-		for _, name := range []string{"small-messages", "sstwod", "big-message"} {
-			e := pperfmark.Get(name)
-			p := e.Defaults
-			p.Iterations = 40
-			w := mpi.NewWorld(sim.NewEngine(7), cluster.DefaultSpec(3, 2), mpi.NewImpl(kind))
-			w.Register(name, e.Make(p))
-			if _, err := w.LaunchN(name, p.Procs, nil); err != nil {
-				t.Fatal(err)
-			}
-			var err error
-			checks := 0
-			w.Eng.Every(50*sim.Microsecond, func() {
-				if err == nil {
-					err = w.CheckFreeRequests()
-				}
-				checks++
-			})
-			if runErr := w.Eng.Run(); runErr != nil {
-				t.Fatal(runErr)
-			}
-			if err == nil {
-				err = w.CheckFreeRequests()
-			}
-			if err != nil || checks < 100 || w.FreeRequests() == 0 {
-				t.Errorf("%s under %v: %d checks, %d requests recycled: %v", name, kind, checks, w.FreeRequests(), err)
-			}
-		}
+// runChecked runs the suite program with 40 iterations under kind, calling
+// check every 50 µs of virtual time and once at the end. It returns the
+// number of checks and the first error; watch, if not nil, is handed the
+// world before the launch.
+func runChecked(t *testing.T, name string, kind mpi.ImplKind, watch func(w *mpi.World), check func(w *mpi.World) error) (checks int, err error) {
+	t.Helper()
+	e := pperfmark.Get(name)
+	p := e.Defaults
+	p.Iterations = 40
+	w := mpi.NewWorld(sim.NewEngine(7), cluster.DefaultSpec(3, 2), mpi.NewImpl(kind))
+	if watch != nil {
+		watch(w)
 	}
-
-	w := mpi.NewWorld(sim.NewEngine(7), cluster.DefaultSpec(2, 1), mpi.NewImpl(mpi.LAM))
-	w.Register("main", func(r *mpi.Rank, _ []string) {
-		c := r.World()
-		peer := 1 - r.Rank()
-		for i := 0; i < 10; i++ {
-			c.Sendrecv(r, nil, 4, mpi.Byte, peer, 0, nil, 4, mpi.Byte, peer, 0)
+	w.Register(name, e.Make(p))
+	if _, err := w.LaunchN(name, p.Procs, nil); err != nil {
+		t.Fatal(err)
+	}
+	w.Eng.Every(50*sim.Microsecond, func() {
+		if err == nil {
+			err = check(w)
 		}
-		if r.Rank() == 1 {
-			c.Recv(r, nil, 4, mpi.Byte, 0, 99) // never sent: blocks until node1 dies
-		}
+		checks++
 	})
+	if runErr := w.Eng.Run(); runErr != nil {
+		t.Fatal(runErr)
+	}
+	if err == nil {
+		err = check(w)
+	}
+	return checks, err
+}
+
+// killNode1 runs prog on two ranks, one per node, kills node1 at 500 ms and
+// lets the failure detector abort the job.
+func killNode1(t *testing.T, impl *mpi.Impl, prog mpi.Program) *mpi.World {
+	t.Helper()
+	w := mpi.NewWorld(sim.NewEngine(7), cluster.DefaultSpec(2, 1), impl)
+	w.Register("main", prog)
 	if _, err := w.LaunchN("main", 2, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -176,14 +167,116 @@ func TestRecycledRequestsAreUnreachable(t *testing.T) {
 	if err := w.Eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	r1 := w.Ranks()[1]
-	if !r1.Lost() || len(r1.Posted()) != 1 {
-		t.Fatalf("rank 1 lost: %v, with %d posted receives; want lost in its MPI_Recv", r1.Lost(), len(r1.Posted()))
+	return w
+}
+
+// A request goes back to the free list only once nothing can reach it:
+// throughout runs of an eager, a halo-exchange, a rendezvous, a barrier and
+// a fence program under each personality, no request on the list is a posted
+// receive, a send waiting for window space or the sender of a queued
+// rendezvous notice. And a rank killed while blocked in MPI_Recv, or in
+// MPI_Barrier's MPI_Waitall, keeps its posted request.
+func TestRecycledRequestsAreUnreachable(t *testing.T) {
+	for _, kind := range []mpi.ImplKind{mpi.LAM, mpi.MPICH, mpi.MPICH2} {
+		names := []string{"small-messages", "sstwod", "big-message", "random-barrier"}
+		if kind == mpi.LAM {
+			names = append(names, "winfence-sync") // only LAM's fence is a barrier
+		}
+		for _, name := range names {
+			free := 0
+			checks, err := runChecked(t, name, kind, nil, func(w *mpi.World) error {
+				free = w.FreeRequests()
+				return w.CheckFreeRequests()
+			})
+			if err != nil || checks < 100 || free == 0 {
+				t.Errorf("%s under %v: %d checks, %d requests recycled: %v", name, kind, checks, free, err)
+			}
+		}
 	}
-	if w.IsRecycled(r1.Posted()[0]) || w.FreeRequests() == 0 {
-		t.Errorf("killed rank's request recycled: %v (%d on the free list)", w.IsRecycled(r1.Posted()[0]), w.FreeRequests())
+
+	for _, blocked := range []struct {
+		routine string
+		call    func(c *mpi.Comm, r *mpi.Rank)
+	}{
+		{"MPI_Recv", func(c *mpi.Comm, r *mpi.Rank) { c.Recv(r, nil, 4, mpi.Byte, 0, 99) }}, // never sent
+		{"MPI_Barrier", func(c *mpi.Comm, r *mpi.Rank) { c.Barrier(r) }},                    // rank 0 arrives at 2 s
+	} {
+		w := killNode1(t, mpi.NewImpl(mpi.LAM), func(r *mpi.Rank, _ []string) {
+			c := r.World()
+			peer := 1 - r.Rank()
+			for i := 0; i < 10; i++ {
+				c.Sendrecv(r, nil, 4, mpi.Byte, peer, 0, nil, 4, mpi.Byte, peer, 0)
+				c.Barrier(r)
+			}
+			if r.Rank() == 1 {
+				blocked.call(c, r) // blocks until node1 dies
+			} else {
+				r.Compute(2 * sim.Second)
+				c.Barrier(r)
+			}
+		})
+		r1 := w.Ranks()[1]
+		if !r1.Lost() || len(r1.Posted()) != 1 {
+			t.Fatalf("rank 1 lost: %v, with %d posted receives; want lost in its %s", r1.Lost(), len(r1.Posted()), blocked.routine)
+		}
+		if w.IsRecycled(r1.Posted()[0]) || w.FreeRequests() == 0 {
+			t.Errorf("%s: killed rank's request recycled: %v (%d on the free list)", blocked.routine, w.IsRecycled(r1.Posted()[0]), w.FreeRequests())
+		}
+		if err := w.CheckFreeRequests(); err != nil {
+			t.Errorf("%s: %v", blocked.routine, err)
+		}
 	}
-	if err := w.CheckFreeRequests(); err != nil {
-		t.Error(err)
+}
+
+// The RMA twin: an op goes on its window's spare list only once it has
+// fired. Throughout runs of the fence and halo programs under each
+// personality, every spare op is a bare done mark — not still scheduled,
+// not in the epoch's list — and a rank killed with a transfer in flight
+// keeps it.
+func TestRecycledRMAOpsAreUnreachable(t *testing.T) {
+	for _, kind := range []mpi.ImplKind{mpi.LAM, mpi.MPICH, mpi.MPICH2} {
+		for _, name := range []string{"winfence-sync", "oned", "allcount"} {
+			var wins []*mpi.Win
+			spare := 0
+			checks, err := runChecked(t, name, kind, func(w *mpi.World) {
+				w.AddHooks(&mpi.Hooks{WinCreated: func(_ *mpi.Rank, win *mpi.Win) { wins = append(wins, win) }})
+			}, func(*mpi.World) error {
+				spare = 0
+				for _, win := range wins {
+					if err := win.CheckSpareOps(); err != nil {
+						return err
+					}
+					spare += win.SpareOps()
+				}
+				return nil
+			})
+			if err != nil || checks < 100 || spare == 0 {
+				t.Errorf("%s under %v: %d checks, %d ops spare: %v", name, kind, checks, spare, err)
+			}
+		}
+	}
+
+	impl := mpi.NewImpl(mpi.LAM)
+	impl.Cost.InterNodeLatency = 2 * sim.Second // the Put is in flight at the kill
+	var wins [2]*mpi.Win
+	killNode1(t, impl, func(r *mpi.Rank, _ []string) {
+		win, err := r.World().WinCreate(r, 64, 1, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		wins[r.Rank()] = win
+		if r.Rank() == 1 {
+			win.Put(nil, 4, mpi.Byte, 0, 0, 4, mpi.Byte)
+		}
+		win.Fence(0)
+	})
+	if w := wins[1]; w.EpochOps() != 1 || w.SpareOps() != 0 {
+		t.Errorf("killed rank's window: %d ops in its epoch, %d spare; want the Put kept in the epoch", w.EpochOps(), w.SpareOps())
+	}
+	for _, w := range wins {
+		if err := w.CheckSpareOps(); err != nil {
+			t.Error(err)
+		}
 	}
 }

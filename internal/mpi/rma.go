@@ -63,8 +63,9 @@ type Win struct {
 	r      *Rank
 	myRank int
 
-	// ops are this rank's outstanding data transfers in the current epoch.
-	ops []*rmaOp
+	// ops are this rank's data transfers in the current epoch; spare are
+	// completed ones waitMyOps took back, for issue to reuse.
+	ops, spare []*rmaOp
 	// startGroup is the target set of an open PSCW access epoch.
 	startGroup []int
 	inAccess   bool
@@ -91,10 +92,6 @@ func (ww *winWait) String() string {
 			w.UniqueID(), w.shared.completeArrived[w.myRank], w.shared.expectComplete[w.myRank])
 	}
 	return fmt.Sprintf("MPI_Win_lock on rank %d of %s", w.waitRank, w.UniqueID())
-}
-
-type rmaOp struct {
-	done bool
 }
 
 // UniqueID returns the tool-facing window identifier ("N-M"): N is the id
@@ -203,7 +200,9 @@ func (w *Win) SetName(name string) {
 }
 
 // waitMyOps blocks until all transfers this rank issued in the current
-// epoch have completed locally.
+// epoch have completed locally, then puts them on the spare list: each has
+// fired, so no event holds it any more, and it lets go of its window and
+// buffer. A rank killed while blocked never gets that far and keeps its ops.
 func (w *Win) waitMyOps() {
 	w.r.enterLibraryWait()
 	for _, op := range w.ops {
@@ -212,6 +211,10 @@ func (w *Win) waitMyOps() {
 		}
 	}
 	w.r.exitLibraryWait()
+	for _, op := range w.ops {
+		op.win, op.data = nil, nil
+	}
+	w.spare = append(w.spare, w.ops...)
 	w.ops = w.ops[:0]
 }
 

@@ -14,28 +14,80 @@ import (
 // datatype $arg[2], and the window $arg[7]. MPI_Accumulate adds op before
 // win, putting the window at $arg[8].
 
-// issueTransfer schedules the asynchronous data movement of one RMA op
-// (bytes on the wire, for the trace) and registers it in the origin's epoch
-// op list.
-func (w *Win) issueTransfer(targetRank, bytes int, apply func()) {
+// rmaOp is one RMA data transfer, in flight from its issue to its completion
+// and itself the scheduled event of that completion (sim.Target), as a
+// message is of its arrival. target is a comm rank; data is Put's and
+// Accumulate's copy of the origin buffer, or Get's origin buffer to fill.
+type rmaOp struct {
+	win                 *Win // the origin's handle
+	kind                string
+	target, disp, bytes int
+	data                []byte
+	op                  Op
+	dt                  Datatype
+	at                  sim.Time
+	done                bool
+}
+
+// issue schedules the asynchronous data movement of op (bytes on the wire,
+// for the trace) and registers it in the origin's epoch op list. The op comes
+// from the window's spare list when there is one.
+func (w *Win) issue(op rmaOp) {
 	r := w.r
 	ws := w.shared
-	target := ws.comm.local[targetRank]
-	op := &rmaOp{}
-	w.ops = append(w.ops, op)
-	at := r.Now().Add(ws.w.MsgTime(r.Now(), r.node, target.node, 0))
+	target := ws.comm.local[op.target]
+	op.win = w
+	op.at = r.Now().Add(ws.w.MsgTime(r.Now(), r.node, target.node, 0))
 	if tr := ws.w.Tracer; tr != nil {
 		// Origin→target data movement: a flow for the exporters, but not a
 		// wait edge — RMA completion blocking happens at the epoch calls.
-		ws.w.traceEdge("rma", r, target, r.Now(), at, 0, bytes, tr.NewFlow(), false)
+		ws.w.traceEdge("rma", r, target, r.Now(), op.at, 0, op.bytes, tr.NewFlow(), false)
 	}
-	ws.w.Eng.At(at, func() {
-		if apply != nil {
-			apply()
+	var o *rmaOp
+	if n := len(w.spare); n > 0 {
+		o, w.spare = w.spare[n-1], w.spare[:n-1]
+	} else {
+		o = new(rmaOp)
+	}
+	*o = op
+	w.ops = append(w.ops, o)
+	ws.w.Eng.Schedule(o.at, o)
+}
+
+// Fire completes the transfer at its target's window and wakes the origin.
+// Accumulate sums elementwise for Double and Int and otherwise replaces, as
+// Put does.
+func (o *rmaOp) Fire() {
+	buf, data, disp := o.win.shared.buf[o.target], o.data, o.disp
+	sum := o.kind == "MPI_Accumulate" && o.op == OpSum
+	switch {
+	case o.kind == "MPI_Get":
+		if data != nil && disp < len(buf) {
+			copy(data, buf[disp:])
 		}
-		op.done = true
-		r.wakeAt(at)
-	})
+	case data == nil && o.kind == "MPI_Put":
+		// Synthetic payload: mark the touched region.
+		for i := disp; i < disp+o.bytes && i < len(buf); i++ {
+			buf[i] = 0xAA
+		}
+	case data == nil || disp >= len(buf):
+	case sum && o.dt == Double:
+		for i := 0; i+8 <= len(data) && disp+i+8 <= len(buf); i += 8 {
+			cur := math.Float64frombits(binary.LittleEndian.Uint64(buf[disp+i:]))
+			add := math.Float64frombits(binary.LittleEndian.Uint64(data[i:]))
+			binary.LittleEndian.PutUint64(buf[disp+i:], math.Float64bits(cur+add))
+		}
+	case sum && o.dt == Int:
+		for i := 0; i+4 <= len(data) && disp+i+4 <= len(buf); i += 4 {
+			cur := binary.LittleEndian.Uint32(buf[disp+i:])
+			add := binary.LittleEndian.Uint32(data[i:])
+			binary.LittleEndian.PutUint32(buf[disp+i:], cur+add)
+		}
+	default:
+		copy(buf[disp:], data)
+	}
+	o.done = true
+	o.win.r.wakeAt(o.at)
 }
 
 // chargeOrigin computes the wire size of count elements of dt and charges
@@ -59,19 +111,7 @@ func (w *Win) Put(data []byte, count int, dt Datatype, targetRank int, disp int,
 		return err
 	}
 	bytes := w.chargeOrigin(count, dt)
-	payload := append([]byte(nil), data...)
-	ws := w.shared
-	w.issueTransfer(targetRank, bytes, func() {
-		buf := ws.buf[targetRank]
-		if payload != nil && disp < len(buf) {
-			copy(buf[disp:], payload)
-		} else if payload == nil {
-			// Synthetic payload: mark the touched region.
-			for i := disp; i < disp+bytes && i < len(buf); i++ {
-				buf[i] = 0xAA
-			}
-		}
-	})
+	w.issue(rmaOp{kind: "MPI_Put", target: targetRank, disp: disp, bytes: bytes, data: append([]byte(nil), data...)})
 	return nil
 }
 
@@ -83,13 +123,7 @@ func (w *Win) Get(buf []byte, count int, dt Datatype, targetRank int, disp int, 
 		return err
 	}
 	bytes := w.chargeOrigin(count, dt)
-	ws := w.shared
-	w.issueTransfer(targetRank, bytes, func() {
-		src := ws.buf[targetRank]
-		if buf != nil && disp < len(src) {
-			copy(buf, src[disp:])
-		}
-	})
+	w.issue(rmaOp{kind: "MPI_Get", target: targetRank, disp: disp, bytes: bytes, data: buf})
 	return nil
 }
 
@@ -104,32 +138,8 @@ func (w *Win) Accumulate(data []byte, count int, dt Datatype, targetRank int, di
 		return err
 	}
 	bytes := w.chargeOrigin(count, dt)
-	payload := append([]byte(nil), data...)
-	ws := w.shared
-	w.issueTransfer(targetRank, bytes, func() {
-		buf := ws.buf[targetRank]
-		if payload == nil || disp >= len(buf) {
-			return
-		}
-		switch {
-		case op == OpReplace:
-			copy(buf[disp:], payload)
-		case op == OpSum && dt == Double:
-			for i := 0; i+8 <= len(payload) && disp+i+8 <= len(buf); i += 8 {
-				cur := math.Float64frombits(binary.LittleEndian.Uint64(buf[disp+i:]))
-				add := math.Float64frombits(binary.LittleEndian.Uint64(payload[i:]))
-				binary.LittleEndian.PutUint64(buf[disp+i:], math.Float64bits(cur+add))
-			}
-		case op == OpSum && dt == Int:
-			for i := 0; i+4 <= len(payload) && disp+i+4 <= len(buf); i += 4 {
-				cur := binary.LittleEndian.Uint32(buf[disp+i:])
-				add := binary.LittleEndian.Uint32(payload[i:])
-				binary.LittleEndian.PutUint32(buf[disp+i:], cur+add)
-			}
-		default:
-			copy(buf[disp:], payload)
-		}
-	})
+	w.issue(rmaOp{kind: "MPI_Accumulate", target: targetRank, disp: disp, bytes: bytes,
+		data: append([]byte(nil), data...), op: op, dt: dt})
 	return nil
 }
 

@@ -79,7 +79,8 @@ type World struct {
 	ranks     []*Rank
 	appFuncs  map[[2]string]*probe.Function // by (module, name)
 	freeMsgs  []*message                    // recycled messages, see message.recycle
-	freeReqs  []*Request                    // recycled blocking-call requests, see Request.recycle
+	freeReqs  []*Request                    // recycled blocking-call requests, see waitRecycle
+	collTags  []any                         // collective tags, boxed (see tagArg)
 	nextComm  int
 	winFree   []int // freed implementation window ids (reused by LAM-like impls)
 	winNext   int

@@ -179,3 +179,30 @@ func TestInsertRemoveAllocateNothing(t *testing.T) {
 		t.Errorf("ActiveProbes = %d, want 64", p.ActiveProbes())
 	}
 }
+
+// A point keeps the backing array it grew: once it has held n probes,
+// inserting n more (at either end) and removing them again allocates
+// nothing — below the first capacity and above it, on a function the process
+// instrumented before.
+func TestRefillToPeakAllocatesNothing(t *testing.T) {
+	h := func(*Event) {}
+	for _, n := range []int{1, firstCap, firstCap + 1, 100} {
+		p := NewProcess("p0", &fakeClock{})
+		ids := make([]ID, n)
+		fill := func() {
+			for i := range ids {
+				ids[i] = p.Insert("f", Entry, Order(i%2), h)
+			}
+			for _, id := range ids {
+				p.Remove(id)
+			}
+		}
+		fill()
+		if allocs := testing.AllocsPerRun(100, fill); allocs != 0 {
+			t.Errorf("refilling a point to its peak of %d probes: %v allocs, want 0", n, allocs)
+		}
+		if p.ActiveProbes() != 0 {
+			t.Errorf("ActiveProbes = %d after removing all %d", p.ActiveProbes(), n)
+		}
+	}
+}

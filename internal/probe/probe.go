@@ -92,11 +92,19 @@ type probeRec struct {
 	fn Handler
 }
 
+// funcInstr holds one function's two probe lists; Process.funcs keeps them
+// by value, so instrumenting a new function allocates no object of its own.
 type funcInstr struct {
 	entry []probeRec
 	ret   []probeRec
-	slot  ID // index in Process.funcs
 }
+
+// firstCap is the capacity of a point's first backing array. Of the 8 904
+// point lists one suite-sweep repetition creates, 4 830 peak at one probe,
+// 642 at 2–8, 1 156 at 9–64 and 2 276 above 64: at 8 the first array holds
+// 61 % of lists for good and spares every longer one the 1→2→4→8 growth, for
+// 128 bytes a point.
+const firstCap = 8
 
 // Clock provides a process's notion of time to the probe layer.
 type Clock interface {
@@ -114,8 +122,8 @@ type Clock interface {
 type Process struct {
 	name   string
 	clock  Clock
-	instr  map[string]*funcInstr
-	funcs  []*funcInstr // by slot, which every probe ID carries
+	instr  map[string]ID // function name → slot in funcs
+	funcs  []funcInstr   // by slot, which every probe ID carries
 	nextID ID
 	active int // inserted probes not yet removed
 
@@ -168,7 +176,7 @@ func NewProcess(name string, clock Clock) *Process {
 	return &Process{
 		name:  name,
 		clock: clock,
-		instr: map[string]*funcInstr{},
+		instr: map[string]ID{},
 		edges: map[[2]string]bool{},
 		seen:  map[string]bool{},
 	}
@@ -182,18 +190,21 @@ func (p *Process) Name() string { return p.name }
 // the point runs the handler. This is the "dynamic" in dynamic
 // instrumentation — it happens mid-run.
 func (p *Process) Insert(fn string, w Where, ord Order, h Handler) ID {
-	fi := p.instr[fn]
-	if fi == nil {
-		fi = &funcInstr{slot: ID(len(p.funcs))}
-		p.instr[fn] = fi
-		p.funcs = append(p.funcs, fi)
+	slot, ok := p.instr[fn]
+	if !ok {
+		slot = ID(len(p.funcs))
+		p.instr[fn] = slot
+		p.funcs = append(p.funcs, funcInstr{})
 	}
 	p.nextID++
-	id := p.nextID<<slotBits | fi.slot
+	id := p.nextID<<slotBits | slot
 	rec := probeRec{id: id, fn: h}
-	list := &fi.entry
+	list := &p.funcs[slot].entry
 	if w == Return {
-		list = &fi.ret
+		list = &p.funcs[slot].ret
+	}
+	if cap(*list) == 0 {
+		*list = make([]probeRec, 0, firstCap)
 	}
 	switch {
 	case ord == Append:
@@ -214,7 +225,7 @@ func (p *Process) Remove(id ID) {
 	if slot >= ID(len(p.funcs)) {
 		return
 	}
-	fi := p.funcs[slot]
+	fi := &p.funcs[slot]
 	fi.entry = p.removeRec(fi.entry, id)
 	fi.ret = p.removeRec(fi.ret, id)
 }
@@ -288,13 +299,13 @@ func (p *Process) Leave(f *Function) {
 
 // fire runs the probes installed at (f, w).
 func (p *Process) fire(f *Function, w Where, args []any) {
-	fi := p.instr[f.Name]
-	if fi == nil {
+	slot, ok := p.instr[f.Name]
+	if !ok {
 		return
 	}
-	list := fi.entry
+	list := p.funcs[slot].entry
 	if w == Return {
-		list = fi.ret
+		list = p.funcs[slot].ret
 	}
 	if len(list) == 0 {
 		return

@@ -124,9 +124,9 @@ func component(path string, i int) (comp string, n int) {
 // SyncParts returns the components of the SyncObject path after the root:
 // e.g. ["Window", "3-1"] or ["Message", "comm-1", "tag-5"].
 func (f Focus) SyncParts() []string {
-	comps := splitPath(f.Canon().SyncPath)
-	if len(comps) <= 1 {
+	path := f.Canon().SyncPath
+	if _, n := component(path, 1); n <= 1 {
 		return nil
 	}
-	return comps[1:]
+	return splitPath(path)[1:]
 }

@@ -94,12 +94,16 @@ func (h *Hierarchy) FindPath(path string) *Node {
 	return h.Find(splitPath(path)...)
 }
 
+// splitPath returns the path's non-empty components (nil when it has none) in
+// one allocation.
 func splitPath(path string) []string {
-	var comps []string
-	for _, c := range strings.Split(path, "/") {
-		if c != "" {
-			comps = append(comps, c)
-		}
+	_, n := component(path, -1)
+	if n == 0 {
+		return nil
+	}
+	comps := make([]string, n)
+	for i := range comps {
+		comps[i], _ = component(path, i)
 	}
 	return comps
 }
