@@ -18,6 +18,7 @@ package pperf
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"path/filepath"
 	"testing"
 
@@ -424,10 +425,12 @@ func BenchmarkAblationBinFolding(b *testing.B) {
 		if folding.Total() != wide.Total() {
 			b.Fatalf("folding lost mass: %v vs %v", folding.Total(), wide.Total())
 		}
-		if folding.Folds() == 0 {
+		// Each fold doubles the bin width.
+		folds := bits.Len64(uint64(folding.BinWidth()/(200*sim.Millisecond))) - 1
+		if folds == 0 {
 			b.Fatal("expected folds")
 		}
-		b.ReportMetric(float64(folding.Folds()), "folds")
+		b.ReportMetric(float64(folds), "folds")
 		b.ReportMetric(folding.BinWidth().Seconds(), "final-bin-s")
 	}
 }

@@ -92,6 +92,7 @@ type dbCommand struct {
 	maxArgs  int
 	argsWhat string // error text when the operand count is wrong
 	noStore  bool   // runs without -store (help)
+	creates  bool   // makes the -store directory when it does not exist
 	run      func(st *perfdb.Store, o *dbOpts, operands []string) int
 }
 
@@ -105,6 +106,7 @@ var dbCommands = []*dbCommand{
 		},
 		flags:   []string{"label"},
 		minArgs: 1, maxArgs: 1, argsWhat: "one archive file",
+		creates: true,
 		run: func(st *perfdb.Store, o *dbOpts, operands []string) int {
 			return dbAdd(st, operands[0], o.label)
 		},
@@ -194,6 +196,7 @@ var dbCommands = []*dbCommand{
 		},
 		flags:   []string{"addr-file"},
 		minArgs: 1, maxArgs: 1, argsWhat: "a listen address",
+		creates: true,
 		run: func(st *perfdb.Store, o *dbOpts, operands []string) int {
 			return dbServe(st, operands[0], o.addrFile)
 		},
@@ -222,6 +225,7 @@ var dbCommands = []*dbCommand{
 		},
 		flags:   []string{"all", "sync-faults", "chunk-bytes"},
 		minArgs: 1, maxArgs: 2, argsWhat: "a peer address and optionally a run ID (or --all)",
+		creates: true,
 		run: func(st *perfdb.Store, o *dbOpts, operands []string) int {
 			runID := ""
 			if len(operands) == 2 {
@@ -278,7 +282,7 @@ func findDBCommand(name string) *dbCommand {
 
 // registerStore registers the global -store flag.
 func registerStore(fs *flag.FlagSet, o *dbOpts) {
-	fs.StringVar(&o.store, "store", o.store, "experiment store directory (created if missing)")
+	fs.StringVar(&o.store, "store", o.store, "experiment store directory (add, pull and serve create it if missing)")
 }
 
 // printDBUsage renders the registry-driven usage text.
@@ -397,6 +401,12 @@ func dbMain(args []string) int {
 		if o.store == "" {
 			fmt.Fprintln(os.Stderr, "pperf db: -store is required")
 			return 2
+		}
+		// perfdb.Open creates a missing store; a verb that only reads or
+		// edits one must not turn a mistyped -store into an empty store.
+		if _, err := os.Stat(o.store); !cmd.creates && os.IsNotExist(err) {
+			fmt.Fprintf(os.Stderr, "pperf db: no store at %s\n", o.store)
+			return 1
 		}
 		var err error
 		st, err = perfdb.Open(o.store)

@@ -140,8 +140,10 @@ func main() {
 
 	if mode == "replay" {
 		whatIf := pperfmark.ReplayOptions{SyncThreshold: *wifSync, IOThreshold: *wifIO, CPUThreshold: *wifCPU}
+		tf := createTrace(*traceOut)
 		a, err := perfdb.LoadAny(*replay)
 		if err != nil {
+			discardTrace(tf)
 			fmt.Fprintln(os.Stderr, "pperf:", err)
 			os.Exit(1)
 		}
@@ -150,10 +152,11 @@ func main() {
 		}
 		res, err := pperfmark.ReplayWith(a, whatIf)
 		if err != nil {
+			discardTrace(tf)
 			fmt.Fprintln(os.Stderr, "pperf:", err)
 			os.Exit(1)
 		}
-		printResult(res, *hier, *judge, *critPath, *traceOut, *traceFmt)
+		printResult(res, *hier, *judge, *critPath, tf, *traceFmt)
 		return
 	}
 
@@ -195,9 +198,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pperf: -db-label requires -db (it labels the stored run)")
 		os.Exit(2)
 	}
-	// Recording streams through the chunked writer in both cases: events
-	// land on disk as the run produces them instead of accumulating in
-	// memory until exit.
+	// Every output file is opened before the run, so an unwritable path
+	// fails before any work. Recording streams through the chunked writer in
+	// both cases: events land on disk as the run produces them instead of
+	// accumulating in memory until exit.
+	tf := createTrace(*traceOut)
 	var (
 		rec   *perfdb.StreamRecorder
 		store *perfdb.Store
@@ -205,6 +210,7 @@ func main() {
 	if *record != "" {
 		var err error
 		if rec, err = perfdb.NewStreamRecorder(*record); err != nil {
+			discardTrace(tf)
 			fmt.Fprintln(os.Stderr, "pperf:", err)
 			os.Exit(1)
 		}
@@ -212,11 +218,11 @@ func main() {
 	}
 	if *dbDir != "" {
 		var err error
-		if store, err = perfdb.Open(*dbDir); err != nil {
-			fmt.Fprintln(os.Stderr, "pperf:", err)
-			os.Exit(1)
+		if store, err = perfdb.Open(*dbDir); err == nil {
+			rec, err = store.NewRecorder()
 		}
-		if rec, err = store.NewRecorder(); err != nil {
+		if err != nil {
+			discardTrace(tf)
 			fmt.Fprintln(os.Stderr, "pperf:", err)
 			os.Exit(1)
 		}
@@ -229,6 +235,7 @@ func main() {
 		} else if rec != nil {
 			rec.Abort()
 		}
+		discardTrace(tf)
 		fmt.Fprintln(os.Stderr, "pperf:", err)
 		os.Exit(1)
 	}
@@ -240,6 +247,7 @@ func main() {
 		}
 		m, warning, err := store.Commit(rec, perfdb.AddMeta{Label: *dbLabel, Verdict: verdict})
 		if err != nil {
+			discardTrace(tf)
 			fmt.Fprintln(os.Stderr, "pperf:", err)
 			os.Exit(1)
 		}
@@ -250,12 +258,13 @@ func main() {
 			m.ID, store.Dir(), m.Events, m.Bytes)
 	case rec != nil:
 		if err := rec.Close(); err != nil {
+			discardTrace(tf)
 			fmt.Fprintln(os.Stderr, "pperf:", err)
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "pperf: session recorded to %s (%d events)\n", *record, rec.EventCount())
 	}
-	printResult(res, *hier, *judge, *critPath, *traceOut, *traceFmt)
+	printResult(res, *hier, *judge, *critPath, tf, *traceFmt)
 	if *wireStats {
 		printWireStats(res)
 	}
@@ -276,11 +285,13 @@ func printWireStats(res *pperfmark.Result) {
 	}
 }
 
-// printResult renders a run's findings. It reads everything through the
-// Result's DataSource, so a live run and a replayed archive print through
-// the identical path — the replay acceptance bar is byte-equal output.
-func printResult(res *pperfmark.Result, hier, judge, critPath bool, traceOut, traceFmt string) {
+// printResult renders a run's findings and writes the trace to tf, the
+// -trace file createTrace opened (nil without -trace). It reads everything
+// through the Result's DataSource, so a live run and a replayed archive print
+// through the identical path — the replay acceptance bar is byte-equal output.
+func printResult(res *pperfmark.Result, hier, judge, critPath bool, tf *os.File, traceFmt string) {
 	if res.Unsupported != nil {
+		discardTrace(tf)
 		fmt.Printf("%s under %s: %v\n", res.Program, res.Impl, res.Unsupported)
 		return
 	}
@@ -301,20 +312,19 @@ func printResult(res *pperfmark.Result, hier, judge, critPath bool, traceOut, tr
 		fmt.Println("\nResource hierarchy:")
 		fmt.Print(res.Source.Hierarchy().Render())
 	}
-	if traceOut != "" || critPath {
-		if res.Timeline == nil {
-			fmt.Fprintln(os.Stderr, "pperf: no trace in this session (replayed archive was recorded without -trace/-critical-path)")
-			os.Exit(1)
-		}
+	if (tf != nil || critPath) && res.Timeline == nil {
+		discardTrace(tf)
+		fmt.Fprintln(os.Stderr, "pperf: no trace in this session (replayed archive was recorded without -trace/-critical-path)")
+		os.Exit(1)
 	}
-	if traceOut != "" {
-		if err := writeTrace(traceOut, traceFmt, res.Timeline, res.Source.CounterTracks()); err != nil {
+	if tf != nil {
+		if err := writeTrace(tf, traceFmt, res.Timeline, res.Source.CounterTracks()); err != nil {
 			fmt.Fprintln(os.Stderr, "pperf:", err)
 			os.Exit(1)
 		}
 		st := res.Timeline.Stats()
 		fmt.Printf("\nTrace written to %s (%s format, %d shards; spans lost: %d ring-evicted, %d outbox-evicted, %d undelivered)\n",
-			traceOut, traceFmt, st.Shards, st.Dropped, st.OutboxLost, st.Undelivered)
+			tf.Name(), traceFmt, st.Shards, st.Dropped, st.OutboxLost, st.Undelivered)
 	}
 	if critPath {
 		cp := trace.Analyze(res.Timeline)
@@ -408,14 +418,33 @@ var modeFlags = map[string]string{
 		" record db db-label transport-stats ",
 }
 
-// writeTrace exports the merged timeline in the requested format. The
-// Perfetto export also carries the front end's folding histograms as
-// counter tracks next to the span tracks.
-func writeTrace(path, format string, tl *trace.Timeline, counters []trace.CounterTrack) error {
+// createTrace creates the -trace file ahead of the run, exiting 1 when it
+// cannot; nil when path is empty.
+func createTrace(path string) *os.File {
+	if path == "" {
+		return nil
+	}
 	f, err := os.Create(path)
 	if err != nil {
-		return err
+		fmt.Fprintln(os.Stderr, "pperf:", err)
+		os.Exit(1)
 	}
+	return f
+}
+
+// discardTrace closes and removes a -trace file the run will not fill.
+func discardTrace(f *os.File) {
+	if f != nil {
+		f.Close()
+		os.Remove(f.Name())
+	}
+}
+
+// writeTrace exports the merged timeline into f in the requested format and
+// closes f. The Perfetto export also carries the front end's folding
+// histograms as counter tracks next to the span tracks.
+func writeTrace(f *os.File, format string, tl *trace.Timeline, counters []trace.CounterTrack) error {
+	var err error
 	switch format {
 	case "csv":
 		err = trace.WriteCSV(f, tl)

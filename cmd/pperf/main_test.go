@@ -16,9 +16,10 @@ import (
 
 // TestCLIExitCodes drives the built binary over argument lists that must be
 // refused before any simulation starts — exit 2 for a bad command line, exit
-// 1 for a bad input file — and over programs that deadlock at the given
-// process count, which must end the run with exit 1 inside the deadline and
-// leave no recording behind. Each names what was wrong on stderr.
+// 1 for a bad input file, an unwritable output or a missing store — and over
+// programs that deadlock at the given process count, which must end the run
+// with exit 1 inside the deadline and leave no recording behind. Each names
+// what was wrong on stderr, and a refused run prints nothing on stdout.
 func TestCLIExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	bin := buildPperf(t, dir)
@@ -36,6 +37,7 @@ func TestCLIExitCodes(t *testing.T) {
 		t.Fatalf("recording %s failed", empty)
 	}
 	store := filepath.Join(dir, "store")
+	typo := filepath.Join(dir, "no-such-store")
 	stuckRec, stuckStore := filepath.Join(dir, "stuck.ppdb"), filepath.Join(dir, "stuck-store")
 	const nothingPending = " process(es) waiting with nothing pending that could wake them: "
 	pclFile := filepath.Join("..", "..", "testdata", "example.pcl")
@@ -86,6 +88,14 @@ func TestCLIExitCodes(t *testing.T) {
 		{"db add of a retired v1 archive", []string{"db", "-store", store, "add", v1}, 1, "v1 PPARCH archive format retired"},
 		{"replay of garbage", []string{"-replay", garbage}, 1, "not a pperf session archive"},
 		{"db add with an ID-shaped label", []string{"db", "-store", store, "add", "-label", "r0001", empty}, 1, "shape of a run ID"},
+		{"unwritable trace path", []string{"-prog", "small-messages", "-iterations", "10", "-trace", filepath.Join(dir, "no-such-dir", "x.json")}, 1, "no such file or directory"},
+		{"db list of a missing store", []string{"db", "-store", typo, "list"}, 1, "pperf db: no store at " + typo},
+		{"db show of a missing store", []string{"db", "-store", typo, "show", "r0001"}, 1, "pperf db: no store at " + typo},
+		{"db diff of a missing store", []string{"db", "-store", typo, "diff", "r0001", "r0002"}, 1, "pperf db: no store at " + typo},
+		{"db trend of a missing store", []string{"db", "-store", typo, "trend", "big-message"}, 1, "pperf db: no store at " + typo},
+		{"db rm of a missing store", []string{"db", "-store", typo, "rm", "r0001"}, 1, "pperf db: no store at " + typo},
+		{"db gc of a missing store", []string{"db", "-store", typo, "gc"}, 1, "pperf db: no store at " + typo},
+		{"db push from a missing store", []string{"db", "-store", typo, "push", "r0001", "127.0.0.1:1"}, 1, "pperf db: no store at " + typo},
 		{"deadlocked wrong-way, recording", []string{"-prog", "wrong-way", "-np", "3", "-iterations", "5", "-record", stuckRec}, 1,
 			"sim: deadlock at 0.091s: 3" + nothingPending + "wrong-way{0} (since 0.076s, in MPI_Finalize); wrong-way{1} (since 0.091s, in MPI_Finalize); wrong-way{2} (since 0.000s, in MPI_Recv(tag=599, comm=1) on rank 2)"},
 		{"deadlocked big-message, into a store", []string{"-prog", "big-message", "-np", "3", "-db", stuckStore}, 1,
@@ -95,11 +105,11 @@ func TestCLIExitCodes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var stderr bytes.Buffer
+			var stdout, stderr bytes.Buffer
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 			cmd := exec.CommandContext(ctx, bin, tc.args...)
-			cmd.Stderr = &stderr
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
 			err := cmd.Run()
 			code := 0
 			var exit *exec.ExitError
@@ -117,7 +127,15 @@ func TestCLIExitCodes(t *testing.T) {
 			if strings.Contains(stderr.String(), "panic") || strings.Contains(stderr.String(), "gob") {
 				t.Errorf("stderr leaks a panic or a decoder error: %s", stderr.String())
 			}
+			if code != 0 && stdout.Len() > 0 {
+				t.Errorf("refused run printed on stdout:\n%s", stdout.String())
+			}
 		})
+	}
+
+	// The verbs refused on a missing store created none.
+	if _, err := os.Stat(typo); !os.IsNotExist(err) {
+		t.Errorf("%s exists after the missing-store runs (stat: %v)", typo, err)
 	}
 
 	// The deadlocked runs went out through the error path: recording
@@ -147,44 +165,47 @@ func buildPperf(t *testing.T, dir string) string {
 	return bin
 }
 
-// The report of `pperf -pcl testdata/example.pcl` is pinned byte for byte
-// (regenerate with `go run ./cmd/pperf -pcl testdata/example.pcl >
-// testdata/example.pcl.stdout` when a change means to move it).
-func TestPCLExampleOutputIsGolden(t *testing.T) {
+// TestCLIOutputIsGolden pins the stdout of one run per mode byte for byte
+// against testdata/NAME.stdout. Each runs in an empty directory, so a path
+// the output prints is the one given. A change that means to move one
+// regenerates it there with the row's arguments and `> testdata/NAME.stdout`
+// (the pcl row reads ../../testdata/example.pcl from cmd/pperf).
+func TestCLIOutputIsGolden(t *testing.T) {
 	pcl, err := filepath.Abs(filepath.Join("..", "..", "testdata", "example.pcl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "example.pcl.stdout", "-pcl", pcl)
-}
-
-// The self-report of a faulted, traced run is pinned byte for byte: the
-// "Trace written to …" line with its shard and span-loss counts, and one
-// wire-counter line per channel. It runs in an empty directory, so the trace
-// path printed is the one given (regenerate there with the arguments below
-// and `> testdata/transport-stats.stdout`).
-func TestTransportStatsOutputIsGolden(t *testing.T) {
-	checkGolden(t, "transport-stats.stdout", "-prog", "small-messages", "-seed", "7", "-iterations", "3000",
-		"-trace", "t.json", "-transport-stats",
-		"-faults", "t=5ms drop-transport node0 n=6 chan=bulk; t=20ms hang-daemon node1 for=100ms; t=10ms drop-transport node1 n=4")
-}
-
-// checkGolden runs pperf with args in an empty directory and compares its
-// stdout with testdata/golden.
-func checkGolden(t *testing.T, golden string, args ...string) {
-	t.Helper()
-	want, err := os.ReadFile(filepath.Join("..", "..", "testdata", golden))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	cmd := exec.Command(buildPperf(t, dir), args...)
-	cmd.Dir = dir
-	got, err := cmd.Output()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("pperf %q printed\n%s\nwant testdata/%s:\n%s", args, got, golden, want)
+	bin := buildPperf(t, t.TempDir())
+	for _, tc := range []struct {
+		name, golden string
+		args         []string
+	}{
+		// The report of a PCL-configured run.
+		{"pcl example", "example.pcl.stdout", []string{"-pcl", pcl}},
+		// The self-report of a faulted, traced run: the "Trace written to …"
+		// line with its shard and span-loss counts, and one wire-counter line
+		// per channel.
+		{"transport stats", "transport-stats.stdout", []string{"-prog", "small-messages", "-seed", "7", "-iterations", "3000",
+			"-trace", "t.json", "-transport-stats",
+			"-faults", "t=5ms drop-transport node0 n=6 chan=bulk; t=20ms hang-daemon node1 for=100ms; t=10ms drop-transport node1 n=4"}},
+		{"program list", "list.stdout", []string{"-list"}},
+		{"db usage", "db-help.stdout", []string{"db", "help"}},
+		{"db diff usage", "db-help-diff.stdout", []string{"db", "help", "diff"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("..", "..", "testdata", tc.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cmd := exec.Command(bin, tc.args...)
+			cmd.Dir = t.TempDir()
+			got, err := cmd.Output()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("pperf %q printed\n%s\nwant testdata/%s:\n%s", tc.args, got, tc.golden, want)
+			}
+		})
 	}
 }

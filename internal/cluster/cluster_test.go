@@ -253,7 +253,7 @@ func TestPropertyNpPlacement(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if lp.NumProcs() != n {
+		if len(lp.Placements) != n {
 			return false
 		}
 		prev := 0

@@ -18,9 +18,6 @@ type LaunchPlan struct {
 	Args    []string
 }
 
-// NumProcs returns the number of processes in the plan.
-func (lp *LaunchPlan) NumProcs() int { return len(lp.Placements) }
-
 // ParseLAMMpirun implements the three process-count notations the paper adds
 // support for (§4.1.2):
 //

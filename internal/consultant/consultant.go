@@ -125,7 +125,6 @@ type Node struct {
 	lastVals map[string]float64 // per-proc cumulative cursor
 	lastTime sim.Time           // sample-aligned cursor
 	fracs    []float64          // update's per-process buffer, reused
-	evals    int
 	falseRun int
 	trueRun  int
 
@@ -278,7 +277,6 @@ func (n *Node) update(now sim.Time) {
 	}
 	n.fracs = fractions
 	n.lastTime = now
-	n.evals++
 	if n.c.ds.Coverage() < 1 {
 		n.Partial = true
 	}

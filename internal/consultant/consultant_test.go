@@ -255,18 +255,33 @@ func TestPCPrunesFalseNodes(t *testing.T) {
 	}
 }
 
+// The full search tree under Roots keeps every tested node — true ones and
+// refuted or pruned ones — and Stats counts that tree.
 func TestRenderFullAndStats(t *testing.T) {
 	pc := runPC(t, mpi.LAM, 4, consultant.DefaultConfig(), intensiveServerProg(400))
-	full := pc.RenderFull()
-	if !strings.Contains(full, "TRUE") {
-		t.Errorf("full render should mark true nodes:\n%s", full)
+	var nodes, trueNodes, pruned int
+	var walk func(n *consultant.Node)
+	walk = func(n *consultant.Node) {
+		nodes++
+		if n.True {
+			trueNodes++
+		}
+		if n.Pruned {
+			pruned++
+		}
+		for _, ch := range n.Children {
+			walk(ch)
+		}
 	}
-	if !strings.Contains(full, "false") && !strings.Contains(full, "pruned") {
-		t.Errorf("full render should include refuted nodes:\n%s", full)
+	for _, r := range pc.Roots() {
+		walk(r)
 	}
-	tested, trueCount, _ := pc.Stats()
-	if tested <= trueCount || trueCount == 0 {
-		t.Errorf("stats tested=%d true=%d", tested, trueCount)
+	if trueNodes == 0 || nodes == trueNodes {
+		t.Errorf("search tree holds %d nodes, %d true: want true and refuted nodes both", nodes, trueNodes)
+	}
+	tested, trueCount, prunedCount := pc.Stats()
+	if tested != nodes || trueCount != trueNodes || prunedCount != pruned {
+		t.Errorf("stats tested=%d true=%d pruned=%d, tree has %d/%d/%d", tested, trueCount, prunedCount, nodes, trueNodes, pruned)
 	}
 }
 

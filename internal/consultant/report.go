@@ -219,39 +219,6 @@ func renderTrueChildren(b *strings.Builder, n *Node, indent string) {
 	}
 }
 
-// RenderFull draws the complete search history — every tested node with its
-// truth state and value, refuted and pruned ones included — like Paradyn's
-// full Performance Consultant window (the condensed Render shows only the
-// true path, as the paper's figures do).
-func (c *Consultant) RenderFull() string {
-	var b strings.Builder
-	b.WriteString("Performance Consultant search history\n")
-	var rec func(n *Node, indent string, last bool)
-	rec = func(n *Node, indent string, last bool) {
-		connector, childIndent := "├─ ", indent+"│  "
-		if last {
-			connector, childIndent = "└─ ", indent+"   "
-		}
-		state := "testing"
-		switch {
-		case n.True:
-			state = "TRUE"
-		case n.Pruned:
-			state = "pruned"
-		case n.evals > 0:
-			state = "false"
-		}
-		fmt.Fprintf(&b, "%s%s%s [%s %.2f]\n", indent, connector, n.describe(), state, n.Value)
-		for i, ch := range n.Children {
-			rec(ch, childIndent, i == len(n.Children)-1)
-		}
-	}
-	for i, r := range c.roots {
-		rec(r, "", i == len(c.roots)-1)
-	}
-	return b.String()
-}
-
 // Stats summarizes the search: nodes tested, true, pruned.
 func (c *Consultant) Stats() (tested, trueCount, pruned int) {
 	var walk func(n *Node)

@@ -373,13 +373,6 @@ func (s *Session) Run() error {
 	return err
 }
 
-// RunFor executes the simulation for a bounded virtual duration.
-func (s *Session) RunFor(d sim.Duration) error {
-	err := s.Eng.RunFor(d)
-	s.flushTrace()
-	return err
-}
-
 // flushTrace ships spans recorded after each daemon's last sampling tick
 // (the end-of-run flush), then folds each running daemon's span-loss counts
 // into the timeline outside the transport, track by track in recorder order,

@@ -124,9 +124,6 @@ func New(eng *sim.Engine, node int, nodeName string, lib *mdl.Library, tr Transp
 // from its dead predecessor.
 func (d *Daemon) SetIncarnation(n int) { d.incarnation = n }
 
-// Incarnation returns the daemon's incarnation number (1 for the original).
-func (d *Daemon) Incarnation() int { return d.incarnation }
-
 // EnableTracing arms trace-shard streaming: the daemon drains tr's span
 // recorders for its node on every tick and ships them to the front end. It
 // also registers the tracer's fill hook so recorders reaching the watermark

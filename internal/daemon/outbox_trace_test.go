@@ -109,7 +109,7 @@ func TestFlushTraceCountsUndeliveredSpans(t *testing.T) {
 	d.EnableTracing(tr)
 
 	for i := 0; i < 5; i++ {
-		tr.Mark("p{0}", "node0", "m", eng.Now())
+		tr.Transport("p{0}", "node0", "m", eng.Now())
 	}
 	d.FlushTrace()
 
@@ -183,12 +183,12 @@ func TestFillHookShipsAtWatermark(t *testing.T) {
 	d.EnableTracing(tr)
 
 	for i := 0; i < 3; i++ {
-		tr.Mark("p{0}", "node0", "m", eng.Now())
+		tr.Transport("p{0}", "node0", "m", eng.Now())
 	}
 	if len(sink.shards) != 0 {
 		t.Fatalf("shipped below the watermark: %d shards", len(sink.shards))
 	}
-	tr.Mark("p{0}", "node0", "m", eng.Now()) // 4th span reaches the watermark
+	tr.Transport("p{0}", "node0", "m", eng.Now()) // 4th span reaches the watermark
 	if len(sink.shards) != 1 || sink.shards[0].Len() != 4 {
 		t.Fatalf("want one 4-span shard at the watermark, got %+v", sink.shards)
 	}

@@ -58,7 +58,8 @@ func tickRig(t *testing.T, rec *perfdb.StreamRecorder) *daemon.Daemon {
 			}
 		}
 	}
-	if err := eng.RunFor(sim.Second); err != nil {
+	eng.At(eng.Now().Add(sim.Second), eng.Stop)
+	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if st := d.Stats(); st.Processes != 2 || st.Enabled != 12 {

@@ -58,9 +58,7 @@ func snapshot(v *datasource.View, metrics []string) string {
 	for _, p := range procs {
 		fmt.Fprintf(&b, "proc %+v\n", *p)
 	}
-	for _, dh := range v.DaemonHealths() {
-		fmt.Fprintf(&b, "daemon %+v\n", dh)
-	}
+	fmt.Fprintf(&b, "healthy daemons %v\n", v.SilentDaemons(sim.Time(1<<62), 0))
 	fmt.Fprintf(&b, "gaps %+v overlap(0.3s,0.31s]=%v\n", v.UnmeasuredGaps(),
 		v.GapOverlaps(sim.Time(300*sim.Millisecond), sim.Time(310*sim.Millisecond)))
 	fmt.Fprintf(&b, "callees(main)=%v isCallee(MPI_Send)=%v isCallee(main)=%v\n",
@@ -71,8 +69,11 @@ func snapshot(v *datasource.View, metrics []string) string {
 			fmt.Fprintf(&b, "series %s: none\n", m)
 			continue
 		}
-		fmt.Fprintf(&b, "series %s total=%g last=%v procs=%v\n%s%s", m, s.Total(), s.LastSampleTime(), s.Procs(),
-			v.ExportCSV(s), v.RenderSeries(s, 20))
+		fmt.Fprintf(&b, "series %s total=%g last=%v procs=%v\n%s", m, s.Total(), s.LastSampleTime(), s.Procs(), v.ExportCSV(s))
+		for _, p := range s.Procs() {
+			h := s.ProcHistogram(p)
+			fmt.Fprintf(&b, "  %s: total=%g bin %v filled %d\n", p, h.Total(), h.BinWidth(), h.NumFilled())
+		}
 	}
 	fmt.Fprintf(&b, "counter tracks %+v\n", v.CounterTracks())
 	if tl := v.Timeline(); tl == nil {

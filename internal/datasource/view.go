@@ -352,19 +352,6 @@ func (v *View) ProcessCount() int {
 	return len(v.procs)
 }
 
-// DaemonHealths returns the liveness view sorted by daemon name (empty when
-// liveness tracking never engaged).
-func (v *View) DaemonHealths() []DaemonHealth {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	out := make([]DaemonHealth, 0, len(v.liveness))
-	for _, dh := range v.liveness {
-		out = append(out, *dh)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // Coverage returns the fraction of known processes whose data is trustworthy
 // (not lost): 1.0 for a healthy run, < 1.0 when node crashes or daemon
 // failures left ranks unobserved. With no processes known it reports 1.0.
@@ -439,19 +426,6 @@ func (v *View) ExportCSV(s *Series) string {
 			fmt.Fprintf(&b, ",%g", val)
 		}
 		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// RenderSeries draws a series as text: the aggregate sparkline plus per-
-// process lines — the stand-in for Paradyn's histogram visualizations.
-func (v *View) RenderSeries(s *Series, width int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s %s\n", s.Metric, s.Focus)
-	fmt.Fprintf(&b, "  all: |%s| total=%.6g (bin %v)\n", s.agg.Render(width), s.agg.Total(), s.agg.BinWidth())
-	for _, p := range s.Procs() {
-		h := s.perProc[p]
-		fmt.Fprintf(&b, "  %-16s |%s| total=%.6g\n", p+":", h.Render(width), h.Total())
 	}
 	return b.String()
 }

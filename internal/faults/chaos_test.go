@@ -38,7 +38,7 @@ const (
 // reproduced from its printed plan. This is cheap and always runs.
 func TestGenPlanRoundTrips(t *testing.T) {
 	for seed := uint64(0); seed < 250; seed++ {
-		p := faults.MustGenParse(seed, chaosNodes, chaosMaxFaults, chaosHorizon)
+		p := mustGenParse(seed, chaosNodes, chaosMaxFaults, chaosHorizon)
 		q, err := faults.Parse(p.String())
 		if err != nil {
 			t.Fatalf("seed %d: reparse %q: %v", seed, p.String(), err)
@@ -56,7 +56,7 @@ func TestChaosPlans(t *testing.T) {
 	for seed := uint64(1); seed <= chaosPlans; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
-			plan := faults.MustGenParse(seed, chaosNodes, chaosMaxFaults, chaosHorizon)
+			plan := mustGenParse(seed, chaosNodes, chaosMaxFaults, chaosHorizon)
 			text := plan.String()
 			t.Logf("plan: %s", text)
 
@@ -78,4 +78,96 @@ func TestChaosPlans(t *testing.T) {
 			}
 		})
 	}
+}
+
+// Random plan generation: genPlan draws a syntactically valid, seeded fault
+// plan from the full clause space — every verb, every option, restart budgets
+// included — so the sweep hammers the resilience stack with schedules nobody
+// hand-wrote. Equal generator seeds produce equal plans, so a failing chaos
+// case is reproducible from its seed alone.
+
+// genSeedSalt decorrelates the generator's RNG stream from the plan's own
+// Seed knob (both derive from the chaos case number).
+const genSeedSalt = 0x6368616f // "chao"
+
+// genPlan deterministically generates a random fault plan from seed. The
+// generated plan always parses (it is rendered through the same clause
+// grammar Parse reads), targets only the given node names, and schedules
+// one to maxFaults faults inside the first horizon of virtual time.
+func genPlan(seed uint64, nodes []string, maxFaults int, horizon sim.Duration) *faults.Plan {
+	rng := sim.NewRNG(seed ^ genSeedSalt)
+	p := faults.New()
+	p.Seed = seed
+
+	// Resilience knobs: occasionally stretch or disable detection to cover
+	// the no-liveness paths.
+	switch rng.Intn(4) {
+	case 0:
+		p.Heartbeat = 0 // no liveness monitor at all
+	case 1:
+		p.Heartbeat = sim.Duration(50+rng.Intn(400)) * sim.Millisecond
+		p.Detect = 2 * p.Heartbeat
+	}
+	if rng.Intn(2) == 0 {
+		p.Restarts = 1 + rng.Intn(3)
+	}
+
+	pick := func() string { return nodes[rng.Intn(len(nodes))] }
+	pair := func() (string, string) {
+		a := rng.Intn(len(nodes))
+		b := (a + 1 + rng.Intn(len(nodes)-1)) % len(nodes)
+		return nodes[a], nodes[b]
+	}
+
+	// Fault times land on millisecond boundaries from 10ms up to the
+	// horizon: early enough to hit attach and warm-up paths, never at the
+	// exact t=0 instant before anything has launched.
+	horizonMs := int(horizon / sim.Millisecond)
+	n := 1 + rng.Intn(maxFaults)
+	for i := 0; i < n; i++ {
+		f := faults.Fault{At: sim.Duration(10+rng.Intn(horizonMs-10)) * sim.Millisecond}
+		switch rng.Intn(7) {
+		case 0:
+			f.Kind, f.Node = faults.KillNode, pick()
+		case 1:
+			f.Kind, f.Node = faults.CrashDaemon, pick()
+			f.Restartable = rng.Intn(2) == 0
+		case 2:
+			f.Kind, f.Node = faults.HangDaemon, pick()
+			f.For = sim.Duration(10+rng.Intn(900)) * sim.Millisecond
+		case 3:
+			f.Kind = faults.SeverLink
+			f.Node, f.Peer = pair()
+			f.For = sim.Duration(10+rng.Intn(500)) * sim.Millisecond
+		case 4:
+			f.Kind = faults.DegradeLink
+			f.Node, f.Peer = pair()
+			f.Lat = 1 + float64(rng.Intn(20))
+			if rng.Intn(2) == 0 {
+				f.BW = 0.1 + 0.4*rng.Float64()
+			}
+		case 5:
+			f.Kind, f.Node = faults.DelayAttach, pick()
+			f.For = sim.Duration(10+rng.Intn(400)) * sim.Millisecond
+		default:
+			f.Kind, f.Node = faults.DropTransport, pick()
+			f.N = 1 + rng.Intn(8)
+			f.Chan = []string{"", faults.ChanCtl, faults.ChanBulk, faults.ChanBoth, faults.ChanSync}[rng.Intn(5)]
+		}
+		p.Faults = append(p.Faults, f)
+	}
+	return p
+}
+
+// mustGenParse is genPlan plus a round-trip through the text grammar — the
+// generated plan rendered by String and re-read by Parse. It panics if the
+// round trip fails, which would mean the generator and the grammar have
+// diverged (a chaos-harness bug, not a chaos finding).
+func mustGenParse(seed uint64, nodes []string, maxFaults int, horizon sim.Duration) *faults.Plan {
+	g := genPlan(seed, nodes, maxFaults, horizon)
+	p, err := faults.Parse(g.String())
+	if err != nil {
+		panic(fmt.Sprintf("faults: generated plan %q does not parse: %v", g.String(), err))
+	}
+	return p
 }

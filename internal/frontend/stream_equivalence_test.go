@@ -104,7 +104,7 @@ func TestReportStreamIdenticalAcrossTransports(t *testing.T) {
 		tracer := trace.New(&trace.Config{FlushWatermark: 4})
 		mark := func(n int) {
 			for i := 0; i < n; i++ {
-				tracer.Mark("script", node, "m", eng.Now())
+				tracer.Transport("script", node, "m", eng.Now())
 			}
 		}
 		eng.At(ms(420), func() { d.EnableTracing(tracer); mark(4) })

@@ -19,15 +19,17 @@ func TestLivenessExactTimeoutNotStale(t *testing.T) {
 	fe.Report(update(datasource.Update{Kind: datasource.UpHeartbeat, Daemon: "paradynd@node0", Time: 0}))
 	timeout := 500 * sim.Millisecond
 
+	// SilentDaemons at a later time with no grace lists every daemon heard
+	// from and not yet marked stale.
+	later := sim.Time(sim.Second)
 	fe.checkLiveness(sim.Time(timeout), timeout) // silence == timeout exactly
-	hs := fe.DaemonHealths()
-	if len(hs) != 1 || hs[0].Stale {
-		t.Fatalf("daemon stale after exactly-timeout silence: %+v", hs)
+	if hs := fe.SilentDaemons(later, 0); len(hs) != 1 {
+		t.Fatalf("daemon stale after exactly-timeout silence: healthy %v", hs)
 	}
 
 	fe.checkLiveness(sim.Time(timeout)+1, timeout) // one tick past the boundary
-	if hs = fe.DaemonHealths(); !hs[0].Stale {
-		t.Fatalf("daemon not stale past the timeout: %+v", hs)
+	if hs := fe.SilentDaemons(later, 0); len(hs) != 0 {
+		t.Fatalf("daemon not stale past the timeout: healthy %v", hs)
 	}
 }
 

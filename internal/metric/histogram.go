@@ -97,9 +97,6 @@ func (h *Histogram) fold() {
 // BinWidth returns the current bin granularity.
 func (h *Histogram) BinWidth() sim.Duration { return h.binWidth }
 
-// Folds returns how many times the histogram has folded.
-func (h *Histogram) Folds() int { return h.folds }
-
 // NumFilled returns the number of bins up to and including the last written
 // one (0 if nothing was added).
 func (h *Histogram) NumFilled() int {

@@ -142,8 +142,8 @@ func TestHistogramMatchesPreallocatedReference(t *testing.T) {
 			if h.NumFilled() != ref.numFilled() {
 				fail("NumFilled", h.NumFilled(), ref.numFilled())
 			}
-			if h.Folds() != ref.folds || h.BinWidth() != ref.binWidth {
-				fail("Folds/BinWidth", []any{h.Folds(), h.BinWidth()}, []any{ref.folds, ref.binWidth})
+			if h.folds != ref.folds || h.BinWidth() != ref.binWidth {
+				fail("Folds/BinWidth", []any{h.folds, h.BinWidth()}, []any{ref.folds, ref.binWidth})
 			}
 			if !sameBits(h.Total(), ref.total()) {
 				fail("Total", h.Total(), ref.total())
@@ -226,7 +226,7 @@ func TestHistogramGrowsToItsBound(t *testing.T) {
 			t.Fatalf("histogram grew to %d bins past its bound of 1000", len(h.bins))
 		}
 	}
-	if len(h.bins) != 1000 || h.Folds() == 0 || h.Total() != 5001 {
-		t.Errorf("driven past the bound: %d bins, %d folds, total %v", len(h.bins), h.Folds(), h.Total())
+	if len(h.bins) != 1000 || h.folds == 0 || h.Total() != 5001 {
+		t.Errorf("driven past the bound: %d bins, %d folds, total %v", len(h.bins), h.folds, h.Total())
 	}
 }

@@ -32,8 +32,8 @@ func TestHistogramFoldDoublesWidth(t *testing.T) {
 	}
 	// t=4s is out of range (4 bins × 1s) → one fold.
 	h.Add(sim.Time(4*sim.Second), 1)
-	if h.Folds() != 1 {
-		t.Fatalf("folds = %d", h.Folds())
+	if h.folds != 1 {
+		t.Fatalf("folds = %d", h.folds)
 	}
 	if h.BinWidth() != 2*sim.Second {
 		t.Errorf("width = %v", h.BinWidth())

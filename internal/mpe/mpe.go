@@ -61,9 +61,6 @@ func displayState(fn string) string {
 	return strings.TrimPrefix(fn, "P")
 }
 
-// Intervals returns the logged state intervals.
-func (t *Tracer) Intervals() []Interval { return t.intervals }
-
 // Procs lists the traced processes, sorted.
 func (t *Tracer) Procs() []string {
 	set := map[string]bool{}

@@ -35,7 +35,7 @@ func TestTracerRecordsIntervals(t *testing.T) {
 			c.Recv(r, nil, 4, mpi.Byte, 0, 0)
 		}
 	})
-	if len(tr.Intervals()) == 0 {
+	if len(tr.intervals) == 0 {
 		t.Fatal("no intervals recorded")
 	}
 	// rank 1 spent ≈1s in MPI_Recv.
@@ -58,7 +58,7 @@ func TestNestedCallsMergeIntoOutermostState(t *testing.T) {
 		}
 		r.World().Barrier(r)
 	})
-	for _, iv := range tr.Intervals() {
+	for _, iv := range tr.intervals {
 		if iv.State == "MPI_Isend" || iv.State == "MPI_Waitall" {
 			t.Errorf("internal state %s leaked into the trace", iv.State)
 		}

@@ -19,12 +19,10 @@ const (
 // and naming; this implementation exists so the tool's I/O metrics have a
 // first-class MPI-I/O source in addition to socket time.
 type File struct {
-	comm    *Comm
-	name    string
-	amode   int
-	open    bool
-	written int64
-	read    int64
+	comm  *Comm
+	name  string
+	amode int
+	open  bool
 }
 
 // FileOpen is MPI_File_open: collective over comm. Probe args mirror C MPI:
@@ -48,7 +46,6 @@ func (fl *File) WriteAt(r *Rank, offset int64, buf []byte, count int, dt Datatyp
 		return err
 	}
 	bytes := count * dt.Size()
-	fl.written += int64(bytes)
 	r.IdleWait(fl.ioTime(bytes))
 	return nil
 }
@@ -61,7 +58,6 @@ func (fl *File) ReadAt(r *Rank, offset int64, buf []byte, count int, dt Datatype
 		return err
 	}
 	bytes := count * dt.Size()
-	fl.read += int64(bytes)
 	r.IdleWait(fl.ioTime(bytes))
 	return nil
 }
@@ -76,10 +72,6 @@ func (fl *File) Close(r *Rank) error {
 	fl.open = false
 	return nil
 }
-
-// BytesWritten and BytesRead expose transfer totals for verification.
-func (fl *File) BytesWritten() int64 { return fl.written }
-func (fl *File) BytesRead() int64    { return fl.read }
 
 func (fl *File) ioTime(bytes int) sim.Duration {
 	im := fl.comm.w.Impl

@@ -54,9 +54,6 @@ type Rank struct {
 // Rank returns the process's rank in its MPI_COMM_WORLD.
 func (r *Rank) Rank() int { return r.rank }
 
-// GlobalID returns the world-unique process id (across spawned groups).
-func (r *Rank) GlobalID() int { return r.global }
-
 // Node returns the cluster node index the process runs on.
 func (r *Rank) Node() int { return r.node }
 

@@ -98,9 +98,6 @@ func (ww *winWait) String() string {
 // the implementation assigned (and may reuse), M makes the pair unique.
 func (w *Win) UniqueID() string { return w.shared.unique }
 
-// ImplID returns the raw implementation window id.
-func (w *Win) ImplID() int { return w.shared.implID }
-
 // Name returns the user-assigned window name, or "" if unnamed.
 func (w *Win) Name() string { return w.shared.name }
 
@@ -110,9 +107,6 @@ func (w *Win) Comm() *Comm { return w.shared.comm }
 // InternalComm returns the LAM-style communicator embedded in the window
 // structure (nil for personalities that do not create one).
 func (w *Win) InternalComm() *Comm { return w.shared.internalComm }
-
-// Freed reports whether the window has been deallocated.
-func (w *Win) Freed() bool { return w.shared.freed }
 
 // WinCreate is MPI_Win_create: collective creation of an RMA window exposing
 // size bytes at each rank. Probe args mirror C MPI: (base, size, disp_unit,

@@ -188,7 +188,3 @@ type rmaError struct {
 func (e *rmaError) Error() string {
 	return "mpi: " + e.op + " on window " + e.win + ": " + e.msg
 }
-
-// LocalBuffer exposes the rank's own window memory (for verification in
-// tests and examples).
-func (w *Win) LocalBuffer() []byte { return w.shared.buf[w.myRank] }

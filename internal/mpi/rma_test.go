@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"pperf/internal/probe"
@@ -58,7 +59,7 @@ func TestAccumulateSumDouble(t *testing.T) {
 		}
 		win.Fence(0)
 		if r.Rank() == 0 {
-			result = bytesToFloats(win.LocalBuffer())
+			result = bytesToFloats(win.shared.buf[win.myRank])
 		}
 		win.Free()
 	})
@@ -166,7 +167,7 @@ func TestWindowIDReuseAndUniqueNames(t *testing.T) {
 	// so the tool's N-M identifiers must stay unique.
 	w := newTestWorld(t, LAM, 2, 1)
 	var uniques []string
-	var implIDs []int
+	var implIDs []string // the N of each "N-M"
 	runProgram(t, w, 2, func(r *Rank, _ []string) {
 		c := r.World()
 		for i := 0; i < 3; i++ {
@@ -176,7 +177,8 @@ func TestWindowIDReuseAndUniqueNames(t *testing.T) {
 			}
 			if r.Rank() == 0 {
 				uniques = append(uniques, win.UniqueID())
-				implIDs = append(implIDs, win.ImplID())
+				implID, _, _ := strings.Cut(win.UniqueID(), "-")
+				implIDs = append(implIDs, implID)
 			}
 			win.Free()
 		}
@@ -318,8 +320,8 @@ func TestWinCreatedHookAndFreeRetires(t *testing.T) {
 	runProgram(t, w, 2, func(r *Rank, _ []string) {
 		win, _ := r.World().WinCreate(r, 8, 1, nil)
 		win.Free()
-		if !win.Freed() {
-			t.Error("window should be marked freed")
+		if err := win.Fence(0); err == nil || !strings.Contains(err.Error(), "freed window") {
+			t.Errorf("fence on a freed window = %v, want the freed-window error", err)
 		}
 	})
 	if created != 2 || freed != 2 {

@@ -38,15 +38,6 @@ type Hooks struct {
 	ProcessLost func(r *Rank, reason string)
 }
 
-// ProcEntry is one row of the MPIR debugging-interface process table
-// (§4.2.2's attach method queries this).
-type ProcEntry struct {
-	GlobalID int
-	Node     int
-	Program  string
-	Rank     int
-}
-
 // World is a simulated MPI universe: the cluster, the implementation
 // personality, the set of processes, and the program registry for spawn.
 type World struct {
@@ -85,7 +76,6 @@ type World struct {
 	winFree   []int // freed implementation window ids (reused by LAM-like impls)
 	winNext   int
 	winSerial int
-	proctable []ProcEntry
 }
 
 // NewWorld creates a simulated MPI universe on the given cluster with the
@@ -168,10 +158,6 @@ func (w *World) fireProcessLost(r *Rank, reason string) {
 	}
 }
 
-// Proctable returns the MPIR-style process table: every application process
-// with its location. Debugger-style tools use it for the attach method.
-func (w *World) Proctable() []ProcEntry { return append([]ProcEntry(nil), w.proctable...) }
-
 // Launch starts the named program on the given placements, returning the
 // group's MPI_COMM_WORLD. The processes begin running when the engine runs.
 func (w *World) Launch(prog string, placements []cluster.Placement, args []string) (*Comm, error) {
@@ -223,9 +209,6 @@ func (w *World) startGroup(progName string, p Program, placements []cluster.Plac
 		}
 		group[i] = r
 		w.ranks = append(w.ranks, r)
-		w.proctable = append(w.proctable, ProcEntry{
-			GlobalID: r.global, Node: pl.Node, Program: progName, Rank: i,
-		})
 	}
 	w.fireCommCreated(group[0], comm)
 	for _, r := range group {

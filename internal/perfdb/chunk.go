@@ -52,11 +52,6 @@ var retiredMagic = []byte("PPARCH")
 // ErrRetiredFormat is returned for a v1 "PPARCH" archive.
 var ErrRetiredFormat = errors.New("perfdb: v1 PPARCH archive format retired; re-record the run (-record / -db write PPDBA1)")
 
-// ChunkVersion is the chunked-archive format version. The session.Header
-// inside carries session.Version for the event schema; this constant
-// versions the framing itself.
-const ChunkVersion = 1
-
 const (
 	chunkHeader  = 'H'
 	chunkEvents  = 'E'

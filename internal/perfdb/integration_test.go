@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"pperf/internal/consultant"
 	"pperf/internal/datasource"
 	"pperf/internal/faults"
 	"pperf/internal/mpi"
@@ -35,7 +36,17 @@ func fingerprint(t *testing.T, res *pperfmark.Result) string {
 	}
 	if res.PC != nil {
 		b.WriteString(res.PC.Render())
-		b.WriteString(res.PC.RenderFull())
+		var walk func(n *consultant.Node, depth int)
+		walk = func(n *consultant.Node, depth int) {
+			fmt.Fprintf(&b, "%*s%s %s true=%v pruned=%v partial=%v/%v %.4f\n", 2*depth, "",
+				n.Hypothesis, n.Focus, n.True, n.Pruned, n.Partial, n.GapPartial, n.Value)
+			for _, ch := range n.Children {
+				walk(ch, depth+1)
+			}
+		}
+		for _, r := range res.PC.Roots() {
+			walk(r, 0)
+		}
 		b.WriteString(res.PC.Export().String())
 		b.WriteByte('\n')
 	}

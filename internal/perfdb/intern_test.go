@@ -107,12 +107,12 @@ func TestCodecAllocationBudget(t *testing.T) {
 	first, second := packSamples(randomBatch(rng, 24)), packSamples(randomBatch(rng, 24))
 	var up session.Unpacker
 	for _, b := range [][]byte{first, second} {
-		if _, err := up.UnpackSamples(b); err != nil {
+		if _, err := up.UnpackSamplesInto(nil, b); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var batch []datasource.Sample
-	if n := testing.AllocsPerRun(100, func() { batch, _ = up.UnpackSamples(second) }); n != 1 || len(batch) != 24 {
+	if n := testing.AllocsPerRun(100, func() { batch, _ = up.UnpackSamplesInto(nil, second) }); n != 1 || len(batch) != 24 {
 		t.Errorf("unpacking a batch of known strings: %v allocs for %d samples, want 1 (the batch slice)", n, len(batch))
 	}
 

@@ -57,7 +57,7 @@ func packSamples(batch []datasource.Sample) []byte {
 	return new(session.Packer).PackSamples(nil, batch)
 }
 func unpackSamples(data []byte) ([]datasource.Sample, error) {
-	return new(session.Unpacker).UnpackSamples(data)
+	return new(session.Unpacker).UnpackSamplesInto(nil, data)
 }
 
 // sampleEqual compares samples treating NaN as equal to NaN — the codec

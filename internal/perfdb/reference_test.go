@@ -78,9 +78,7 @@ func viewFingerprint(t testing.TB, rv *RunView) string {
 	for _, p := range procs {
 		fmt.Fprintf(&b, "proc %+v\n", *p)
 	}
-	for _, h := range rv.DaemonHealths() {
-		fmt.Fprintf(&b, "daemon %+v\n", h)
-	}
+	fmt.Fprintf(&b, "healthy daemons %v\n", rv.SilentDaemons(sim.Time(1<<62), 0))
 	b.WriteString(rv.Hierarchy().Render())
 	for _, p := range rv.Pairs() {
 		s := rv.SeriesFor(p)
@@ -107,7 +105,7 @@ func histogramBits(h *metric.Histogram) string {
 		binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
 		d.Write(word[:])
 	}
-	return fmt.Sprintf("%v/%d/%d/%016x", h.BinWidth(), h.Folds(), h.NumFilled(), d.Sum64())
+	return fmt.Sprintf("%v/%d/%016x", h.BinWidth(), h.NumFilled(), d.Sum64())
 }
 
 // OpenBothWays opens the archive at path through the streaming fold and

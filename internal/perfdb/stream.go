@@ -51,15 +51,6 @@ func NewStreamRecorder(path string) (*StreamRecorder, error) {
 	}, nil
 }
 
-// SetChunkEvents overrides the chunk granularity (events per chunk)
-// before recording starts; tests use small chunks to assert the memory
-// bound tightly.
-func (r *StreamRecorder) SetChunkEvents(n int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.w.perChunk = n
-}
-
 // SetHistogram records the front end's histogram configuration.
 // core.NewSession calls it before any event, so the provisional header
 // chunk Record writes ahead of the first event already carries it.

@@ -19,7 +19,7 @@ func TestStreamRecorderBoundedMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.SetChunkEvents(chunk)
+	rec.w.perChunk = chunk
 	rec.SetHistogram(100, 50*sim.Millisecond)
 
 	rng := rand.New(rand.NewSource(11))

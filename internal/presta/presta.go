@@ -76,22 +76,6 @@ func (r *Report) PerOpTime() float64 {
 	return r.Elapsed.Seconds() / float64(r.TotalOps)
 }
 
-// EpochThroughputs returns per-epoch bytes/second samples.
-func (r *Report) EpochThroughputs() []float64 {
-	opsPerEpoch := r.Config.OpsPerEpoch
-	if r.Mode == BiPut || r.Mode == BiGet {
-		opsPerEpoch *= 2
-	}
-	bytesPerEpoch := float64(opsPerEpoch * r.Config.Bytes)
-	out := make([]float64, len(r.EpochSeconds))
-	for i, s := range r.EpochSeconds {
-		if s > 0 {
-			out[i] = bytesPerEpoch / s
-		}
-	}
-	return out
-}
-
 // Program builds the rma benchmark as a 2-rank MPI program writing its
 // self-measured results into report.
 func Program(cfg Config, mode Mode, report *Report) mpi.Program {

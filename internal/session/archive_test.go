@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -30,24 +31,21 @@ var allKinds = []session.EventKind{
 	session.EvBarrier, session.EvStale, session.EvUndelivered,
 }
 
-// recordAll streams one event of every kind to a fresh archive, flushing a
-// chunk every chunkEvents events (0 = the default, one chunk), and returns
-// the file's bytes.
-func recordAll(t *testing.T, chunkEvents int) []byte {
+// recordAll streams one event of every kind, rounds times over, to a fresh
+// archive and returns the file's bytes. The recorder flushes a chunk every
+// perfdb.DefaultFlushEvents events.
+func recordAll(t *testing.T, rounds int) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "s.ppdb")
 	r, err := perfdb.NewStreamRecorder(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if chunkEvents > 0 {
-		r.SetChunkEvents(chunkEvents)
-	}
 	r.SetHistogram(100, 50*sim.Millisecond)
 	r.SetMeta("program", "small-messages")
 	r.SetExtra([]byte{1, 2, 3})
 	f := resource.WholeProgram()
-	for _, ev := range []session.Event{
+	events := []session.Event{
 		{Kind: session.EvEnable, Metric: "msg_bytes_sent", Focus: f},
 		{Kind: session.EvUpdate, Update: datasource.Update{Kind: datasource.UpAddResource, Path: "/Machine/node0/p0", Time: 1}},
 		{Kind: session.EvSamples, Samples: []datasource.Sample{{Metric: "msg_bytes_sent", Focus: f, Proc: "p0", Time: 2, Delta: 5}}},
@@ -55,8 +53,11 @@ func recordAll(t *testing.T, chunkEvents int) []byte {
 		{Kind: session.EvBarrier},
 		{Kind: session.EvStale, Daemon: "paradynd@node1", Time: sim.Time(3 * sim.Second)},
 		{Kind: session.EvUndelivered, Proc: "p1", N: 7},
-	} {
-		r.Record(ev)
+	}
+	for i := 0; i < rounds; i++ {
+		for _, ev := range events {
+			r.Record(ev)
+		}
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
@@ -69,6 +70,13 @@ func recordAll(t *testing.T, chunkEvents int) []byte {
 }
 
 const magicLen = 6 // "PPDBA1"
+
+// chunk is the recorder's flush granularity; truncRounds rounds of the seven
+// kinds in allKinds fill three event chunks and start a fourth.
+const (
+	chunk       = perfdb.DefaultFlushEvents
+	truncRounds = 3*chunk/7 + 1
+)
 
 // frame builds one PPDBA1 chunk: [kind][len][CRC32-IEEE][payload].
 func frame(kind byte, payload []byte) []byte {
@@ -96,7 +104,7 @@ func chunkEnds(t *testing.T, full []byte) []int {
 func cat(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 
 func TestArchiveRoundTrip(t *testing.T) {
-	a, err := perfdb.ReadArchive(bytes.NewReader(recordAll(t, 0)))
+	a, err := perfdb.ReadArchive(bytes.NewReader(recordAll(t, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +152,7 @@ func TestRecordCopiesSampleBatch(t *testing.T) {
 }
 
 func TestArchiveRobustness(t *testing.T) {
-	full := recordAll(t, 0)
+	full := recordAll(t, 1)
 	magic := full[:magicLen]
 	ends := chunkEnds(t, full)
 	header, rest := full[magicLen:ends[0]], full[ends[0]:]
@@ -199,7 +207,7 @@ func TestArchiveRobustness(t *testing.T) {
 // archive is flagged Truncated (the front end died mid-run; the prefix is a
 // faithful, if shorter, session).
 func TestTruncatedMidEvent(t *testing.T) {
-	full := recordAll(t, 2) // header, four event chunks, trailer
+	full := recordAll(t, truncRounds) // header, four event chunks, trailer
 	ends := chunkEnds(t, full)
 	a, err := perfdb.ReadArchive(bytes.NewReader(full[:ends[2]+5])) // inside the third event chunk
 	if err != nil {
@@ -208,15 +216,15 @@ func TestTruncatedMidEvent(t *testing.T) {
 	if !a.Truncated {
 		t.Error("archive not flagged Truncated")
 	}
-	if len(a.Events) != 4 {
-		t.Fatalf("events = %d, want the 4 in the two complete chunks", len(a.Events))
+	if len(a.Events) != 2*chunk {
+		t.Fatalf("events = %d, want the %d in the two complete chunks", len(a.Events), 2*chunk)
 	}
 	for i, ev := range a.Events {
-		if ev.Kind != allKinds[i] {
-			t.Errorf("event %d kind = %v, want %v", i, ev.Kind, allKinds[i])
+		if ev.Kind != allKinds[i%len(allKinds)] {
+			t.Fatalf("event %d kind = %v, want %v", i, ev.Kind, allKinds[i%len(allKinds)])
 		}
 	}
-	want := "[replay truncated after 4 events]"
+	want := fmt.Sprintf("[replay truncated after %d events]", 2*chunk)
 	if note := a.TruncationNote(); note != want {
 		t.Errorf("TruncationNote() = %q, want %q", note, want)
 	}
@@ -226,7 +234,7 @@ func TestTruncatedMidEvent(t *testing.T) {
 // the file ends cleanly between two chunks. The missing trailer catches it,
 // and the archive loads as a flagged-truncated prefix.
 func TestTruncationAtEventBoundary(t *testing.T) {
-	full := recordAll(t, 2)
+	full := recordAll(t, truncRounds)
 	ends := chunkEnds(t, full)
 	got, err := perfdb.ReadArchive(bytes.NewReader(full[:ends[3]])) // header + three event chunks
 	if err != nil {
@@ -235,8 +243,8 @@ func TestTruncationAtEventBoundary(t *testing.T) {
 	if !got.Truncated {
 		t.Error("archive not flagged Truncated")
 	}
-	if len(got.Events) != 6 {
-		t.Errorf("events = %d, want 6", len(got.Events))
+	if len(got.Events) != 3*chunk {
+		t.Errorf("events = %d, want %d", len(got.Events), 3*chunk)
 	}
 	// A complete archive must NOT be flagged.
 	whole, err := perfdb.ReadArchive(bytes.NewReader(full))

@@ -63,16 +63,11 @@ func (p *Packer) PackSamples(out []byte, batch []datasource.Sample) []byte {
 // goroutine at a time.
 type Unpacker struct{ packed.Table }
 
-// UnpackSamples decodes a packed sample batch. The batch slice is the one
-// allocation of a batch whose strings the table has seen.
-func (u *Unpacker) UnpackSamples(data []byte) ([]datasource.Sample, error) {
-	return u.UnpackSamplesInto(nil, data)
-}
-
-// UnpackSamplesInto is UnpackSamples into dst's backing array when it is
-// large enough (every field of every record is overwritten): a reader done
-// with one batch before it decodes the next hands the last result back and,
-// once the table has seen the strings, allocates nothing.
+// UnpackSamplesInto decodes a packed sample batch into dst's backing array
+// when it is large enough (every field of every record is overwritten), and
+// into a fresh slice otherwise: a reader done with one batch before it
+// decodes the next hands the last result back and, once the table has seen
+// the strings, allocates nothing.
 func (u *Unpacker) UnpackSamplesInto(dst []datasource.Sample, data []byte) ([]datasource.Sample, error) {
 	c, n := packed.Open(&u.Table, data, "sample batch", 8)
 	out := dst

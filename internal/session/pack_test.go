@@ -291,13 +291,13 @@ func FuzzUnpackSamples(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var up Unpacker
-		batch, err := up.UnpackSamples(data)
+		batch, err := up.UnpackSamplesInto(nil, data)
 		if err != nil {
 			return
 		}
 		// A clean decode must re-encode losslessly (bit-exact floats), and
 		// decode the same when every string is already in the table.
-		again, err := up.UnpackSamples(new(Packer).PackSamples(nil, batch))
+		again, err := up.UnpackSamplesInto(nil, new(Packer).PackSamples(nil, batch))
 		if err != nil || len(again) != len(batch) {
 			t.Fatalf("re-encode of a clean decode failed: %v (%d vs %d samples)", err, len(again), len(batch))
 		}

@@ -149,13 +149,6 @@ func (e *Engine) Run() error {
 	return e.err
 }
 
-// RunFor runs the simulation until the given virtual time has elapsed (or
-// the simulation ends earlier). It works by scheduling a Stop event.
-func (e *Engine) RunFor(d Duration) error {
-	e.At(e.now.Add(d), e.Stop)
-	return e.Run()
-}
-
 // dispatch hands control to p and blocks until p yields back.
 func (e *Engine) dispatch(p *Proc) {
 	p.state = stateRunning

@@ -174,7 +174,9 @@ func TestRunFor(t *testing.T) {
 			ticks++
 		}
 	})
-	if err := e.RunFor(10*time.Second + 500*time.Millisecond); err != nil {
+	// A bounded run is a Stop event at the horizon.
+	e.At(e.Now().Add(10*time.Second+500*time.Millisecond), e.Stop)
+	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if ticks != 10 {
@@ -278,9 +280,6 @@ func TestTimeConversions(t *testing.T) {
 	if got := tt.Sub(Time(1 * Second)); got != 500*Millisecond {
 		t.Errorf("Sub = %v", got)
 	}
-	if FromSeconds(2.5) != 2500*Millisecond {
-		t.Errorf("FromSeconds(2.5) = %v", FromSeconds(2.5))
-	}
 }
 
 // Property: the sequence of (time, proc) dispatches is monotone in time.
@@ -313,7 +312,8 @@ func TestPropertyMonotoneDispatch(t *testing.T) {
 	}
 }
 
-// Property: RNG Intn always lands in range and Fork streams differ.
+// Property: RNG Intn always lands in range, and a stream seeded from
+// another's first draw differs from it.
 func TestPropertyRNG(t *testing.T) {
 	f := func(seed uint64, n uint16) bool {
 		r := NewRNG(seed)
@@ -333,8 +333,8 @@ func TestPropertyRNG(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-	a, b := NewRNG(7).Fork(), NewRNG(7)
+	a, b := NewRNG(NewRNG(7).Uint64()), NewRNG(7)
 	if a.Uint64() == b.Uint64() {
-		t.Error("forked stream should differ from parent stream")
+		t.Error("a stream seeded from another's draw should differ from it")
 	}
 }

@@ -38,7 +38,3 @@ func (r *RNG) Intn(n int) int {
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / float64(1<<53)
 }
-
-// Fork returns a new generator deterministically derived from this one,
-// useful for giving each process an independent stream.
-func (r *RNG) Fork() *RNG { return NewRNG(r.Uint64()) }

@@ -93,8 +93,9 @@ func TestDeadlockVerdictUnderTickers(t *testing.T) {
 
 	e = NewEngine(1)
 	stuck(e)
-	if err := e.RunFor(10 * Second); err != nil || e.Now() != Time(10*Second) {
-		t.Errorf("RunFor(10s) over a deadlocked program = %v at %v, want nil at 10s", err, e.Now())
+	e.At(Time(10*Second), e.Stop)
+	if err := e.Run(); err != nil || e.Now() != Time(10*Second) {
+		t.Errorf("a run stopped at 10s over a deadlocked program = %v at %v, want nil at 10s", err, e.Now())
 	}
 }
 

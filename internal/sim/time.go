@@ -42,6 +42,3 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // String formats the time as seconds with millisecond precision.
 func (t Time) String() string { return fmt.Sprintf("%.3fs", t.Seconds()) }
-
-// FromSeconds converts a floating-point number of seconds to a Duration.
-func FromSeconds(s float64) Duration { return Duration(s * float64(Second)) }

@@ -71,10 +71,6 @@ var alphaTables = map[float64]struct {
 	0.01: {tCrit99, 2.576},
 }
 
-// SupportedAlphas lists the significance levels TCritical accepts, in
-// loosest-to-tightest order.
-var SupportedAlphas = []float64{0.10, 0.05, 0.01}
-
 // TCritical returns the two-sided Student-t critical value at the given
 // significance level (alpha 0.10, 0.05 or 0.01; 0 means 0.05). An
 // unsupported alpha is an error — the tables are fixed, not interpolated.
@@ -95,18 +91,6 @@ func TCritical(df int, alpha float64) (float64, error) {
 	return at.z, nil
 }
 
-// TCritical95 returns the two-sided 95% t critical value for the given
-// degrees of freedom.
-func TCritical95(df int) float64 {
-	if df <= 0 {
-		return math.Inf(1)
-	}
-	if df <= len(tCrit95) {
-		return tCrit95[df-1]
-	}
-	return 1.96
-}
-
 // Interval is a confidence interval.
 type Interval struct {
 	Lo, Hi float64
@@ -117,17 +101,6 @@ func (iv Interval) Contains(v float64) bool { return iv.Lo <= v && v <= iv.Hi }
 
 // String formats the interval.
 func (iv Interval) String() string { return fmt.Sprintf("[%.6g, %.6g]", iv.Lo, iv.Hi) }
-
-// MeanCI95 returns the 95% confidence interval of the mean.
-func MeanCI95(xs []float64) Interval {
-	n := len(xs)
-	m := Mean(xs)
-	if n < 2 {
-		return Interval{m, m}
-	}
-	half := TCritical95(n-1) * StdDev(xs) / math.Sqrt(float64(n))
-	return Interval{m - half, m + half}
-}
 
 // MeanCI returns the confidence interval of the mean at the given
 // significance level (see TCritical for the supported alphas).

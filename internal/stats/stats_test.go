@@ -19,29 +19,47 @@ func TestMeanAndStdDev(t *testing.T) {
 	}
 }
 
+// t95 is the two-sided 95% critical value.
+func t95(df int) float64 {
+	v, err := TCritical(df, 0.05)
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// meanCI95 is the 95% confidence interval of the mean.
+func meanCI95(xs []float64) Interval {
+	iv, err := MeanCI(xs, 0.05)
+	if err != nil {
+		panic(err)
+	}
+	return iv
+}
+
 func TestTCritical(t *testing.T) {
-	if v := TCritical95(1); v != 12.706 {
+	if v := t95(1); v != 12.706 {
 		t.Errorf("t(1) = %v", v)
 	}
-	if v := TCritical95(30); v != 2.042 {
+	if v := t95(30); v != 2.042 {
 		t.Errorf("t(30) = %v", v)
 	}
-	if v := TCritical95(1000); v != 1.96 {
+	if v := t95(1000); v != 1.96 {
 		t.Errorf("t(1000) = %v", v)
 	}
-	if !math.IsInf(TCritical95(0), 1) {
+	if !math.IsInf(t95(0), 1) {
 		t.Error("t(0) should be +inf")
 	}
 }
 
 func TestMeanCI95(t *testing.T) {
 	xs := []float64{10, 10, 10, 10}
-	ci := MeanCI95(xs)
+	ci := meanCI95(xs)
 	if ci.Lo != 10 || ci.Hi != 10 {
 		t.Errorf("zero-variance CI = %v", ci)
 	}
 	ys := []float64{9, 10, 11, 10, 9, 11, 10, 10}
-	ci2 := MeanCI95(ys)
+	ci2 := meanCI95(ys)
 	if !ci2.Contains(10) || ci2.Contains(12) {
 		t.Errorf("CI = %v", ci2)
 	}
@@ -94,7 +112,7 @@ func TestPropertyCIContainsMean(t *testing.T) {
 		for i, v := range raw {
 			xs[i] = float64(v)
 		}
-		ci := MeanCI95(xs)
+		ci := meanCI95(xs)
 		return ci.Contains(Mean(xs))
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -78,7 +78,11 @@ func TestTCriticalAlphas(t *testing.T) {
 	if _, err := TCritical(3, 0.2); err == nil {
 		t.Error("alpha 0.2 accepted")
 	}
-	if iv, err := MeanCI([]float64{1, 2, 3}, 0.05); err != nil || iv != MeanCI95([]float64{1, 2, 3}) {
-		t.Errorf("MeanCI(0.05) = %v, %v; want the MeanCI95 interval", iv, err)
+	// Mean 2, standard deviation 1: the half-width is t(2) / sqrt(3).
+	half := 4.303 / math.Sqrt(3)
+	for _, alpha := range []float64{0.05, 0} {
+		if iv, err := MeanCI([]float64{1, 2, 3}, alpha); err != nil || iv != (Interval{2 - half, 2 + half}) {
+			t.Errorf("MeanCI(%g) = %v, %v; want [2 ± %g]", alpha, iv, err, half)
+		}
 	}
 }

@@ -261,29 +261,6 @@ func sorted(m map[string]sim.Time) []attribution {
 	return out
 }
 
-// Dominant returns the MPI function (or compute state) carrying the
-// largest share of the path, skipping the "(app)"/"(network)" buckets.
-func (cp *CriticalPath) Dominant() (string, sim.Time) {
-	for _, a := range sorted(cp.ByFunc) {
-		if a.name == "(app)" || a.name == "(network)" {
-			continue
-		}
-		return a.name, a.d
-	}
-	return "", 0
-}
-
-// DominantResource returns the process carrying the largest share.
-func (cp *CriticalPath) DominantResource() (string, sim.Time) {
-	for _, a := range sorted(cp.ByResource) {
-		if a.name == "(network)" {
-			continue
-		}
-		return a.name, a.d
-	}
-	return "", 0
-}
-
 // Render formats the attribution as the text report printed by
 // `pperf -critical-path`.
 func (cp *CriticalPath) Render() string {

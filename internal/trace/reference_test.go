@@ -346,13 +346,13 @@ func TestGrowingRingMatchesPreallocatedRing(t *testing.T) {
 				}
 				seq++
 				at := sim.Time(rng.Int63n(1 << 40))
-				ref.record(trace.Span{Seq: seq - 1, Kind: trace.MarkEvent, Name: "m", Start: at, End: at})
+				ref.record(trace.Span{Seq: seq - 1, Kind: trace.TransportEvent, Name: "m", Start: at, End: at})
 				// The reference's watermark rule, evaluated before the real
 				// hook can drain: fire when the fill level reaches it.
 				if ref.n >= watermark {
 					refFired = append(refFired, seq)
 				}
-				tr.Mark("p0", "node0", "m", at)
+				tr.Transport("p0", "node0", "m", at)
 				rec := tr.Recorder("p0")
 				if rec.Len() != ref.n || rec.Dropped() != ref.dropped {
 					t.Fatalf("after %d records: Len %d Dropped %d, reference %d and %d", seq, rec.Len(), rec.Dropped(), ref.n, ref.dropped)

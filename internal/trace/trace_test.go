@@ -185,11 +185,11 @@ func TestCriticalPathSynthetic(t *testing.T) {
 	if sum != cp.Total {
 		t.Errorf("attributions sum to %v, want Total %v", sum, cp.Total)
 	}
-	if fn, _ := cp.Dominant(); fn != "compute" {
-		t.Errorf("Dominant = %q", fn)
+	if top := sorted(cp.ByFunc)[0]; top.name != "compute" {
+		t.Errorf("largest function share = %q", top.name)
 	}
-	if res, _ := cp.DominantResource(); res != "p0" {
-		t.Errorf("DominantResource = %q", res)
+	if top := sorted(cp.ByResource)[0]; top.name != "p0" {
+		t.Errorf("largest resource share = %q", top.name)
 	}
 	out := cp.Render()
 	if !strings.Contains(out, "Critical path:") || !strings.Contains(out, "by function:") {
@@ -202,8 +202,8 @@ func TestCriticalPathEmpty(t *testing.T) {
 	if cp.Total != 0 || cp.Steps != 0 {
 		t.Errorf("empty analyze: %+v", cp)
 	}
-	if fn, _ := cp.Dominant(); fn != "" {
-		t.Errorf("Dominant on empty = %q", fn)
+	if len(cp.ByFunc) != 0 || len(cp.ByResource) != 0 {
+		t.Errorf("empty analyze attributes time: %v %v", cp.ByFunc, cp.ByResource)
 	}
 }
 

@@ -229,11 +229,6 @@ func (t *Tracer) SyncRelease(key any, what, releaser string, at sim.Time) {
 	}
 }
 
-// Mark records a miscellaneous instant marker on a track.
-func (t *Tracer) Mark(proc, node, name string, at sim.Time) {
-	t.record(proc, node, Span{Kind: MarkEvent, Name: name, Start: at, End: at})
-}
-
 // Recorders returns the recorders for tracks on the given node, in track
 // creation order ("" returns all).
 func (t *Tracer) Recorders(node string) []*Recorder {

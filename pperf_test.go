@@ -147,7 +147,7 @@ func TestFacadeMpirunParsing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.NumProcs() != 4 {
-		t.Errorf("procs = %d", plan.NumProcs())
+	if len(plan.Placements) != 4 {
+		t.Errorf("procs = %d", len(plan.Placements))
 	}
 }
