@@ -21,438 +21,372 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
-	"pperf/internal/consultant"
-	"pperf/internal/core"
-	"pperf/internal/daemon"
-	"pperf/internal/faults"
-	"pperf/internal/mdl"
-	"pperf/internal/mpi"
 	"pperf/internal/perfdb"
-	"pperf/internal/pperfmark"
-	"pperf/internal/trace"
-	"pperf/internal/wire"
 )
 
-func main() {
-	// `pperf db ...` manages an experiment store (see PERFDB.md).
-	if len(os.Args) > 1 && os.Args[1] == "db" {
-		os.Exit(dbMain(os.Args[2:]))
-	}
-	var (
-		prog      = flag.String("prog", "", "PPerfMark program to run (see -list)")
-		implName  = flag.String("impl", "lam", "MPI implementation personality: lam | mpich | mpich2 | reference")
-		list      = flag.Bool("list", false, "list available programs and exit")
-		iters     = flag.Int("iterations", 0, "override the program's iteration count")
-		procs     = flag.Int("np", 0, "override the process count")
-		waste     = flag.Int("ttw", 0, "override TIMETOWASTE")
-		hier      = flag.Bool("hierarchy", false, "print the final resource hierarchy")
-		judge     = flag.Bool("judge", true, "judge the findings against the paper's expectations")
-		spawnVia  = flag.String("spawn", "intercept", "spawn support method: intercept | attach")
-		seed      = flag.Uint64("seed", 0, "simulation seed")
-		pclFile   = flag.String("pcl", "", "run from a Paradyn Configuration Language file instead")
-		faultSpec = flag.String("faults", "", "fault-injection plan, e.g. 't=2s kill-node node1' (see FAULTS.md)")
-		traceOut  = flag.String("trace", "", "write the merged event trace to this file (see TRACING.md)")
-		traceFmt  = flag.String("trace-format", "perfetto", "trace file format: perfetto (Chrome trace-event JSON) | csv")
-		critPath  = flag.Bool("critical-path", false, "trace the run and print the critical-path analysis")
-		record    = flag.String("record", "", "record the session's analysis-plane event stream to this archive (see REPLAY.md)")
-		replay    = flag.String("replay", "", "replay a recorded session archive offline instead of running a program")
-		dbDir     = flag.String("db", "", "record the run straight into this experiment store (see PERFDB.md)")
-		dbLabel   = flag.String("db-label", "", "label for the stored run (with -db)")
-		wifSync   = flag.Float64("what-if-sync", 0, "replay only: override the recorded SyncWaitingTime threshold")
-		wifIO     = flag.Float64("what-if-io", 0, "replay only: override the recorded IOBlockingTime threshold")
-		wifCPU    = flag.Float64("what-if-cpu", 0, "replay only: override the recorded CPUbound threshold")
-		wireStats = flag.Bool("transport-stats", false, "print one wire-plane counter summary line per channel after the run")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:])) }
 
-	// The mode is the mode flag that is present; each mode reads only its
-	// own flags, and any other flag given is refused, not silently ignored.
-	mode := "prog"
-	switch {
-	case *pclFile != "":
-		mode = "pcl"
-	case *list:
-		mode = "list"
-	case *replay != "":
-		mode = "replay"
-	case *prog == "":
-		fmt.Fprintln(os.Stderr, "pperf: -prog is required (try -list)")
-		os.Exit(2)
-	}
-	reads := "no other flag"
-	if modeFlags[mode] != "" {
-		reads = "only:" + strings.TrimRight(modeFlags[mode], " ")
-	}
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name != mode && !strings.Contains(modeFlags[mode], " "+f.Name+" ") {
-			fmt.Fprintf(os.Stderr, "pperf: -%s cannot be combined with -%s (it reads %s)\n", f.Name, mode, reads)
-			os.Exit(2)
-		}
-		if v, ok := f.Value.(flag.Getter).Get().(float64); ok && v < 0 { // the -what-if-* thresholds
-			fmt.Fprintf(os.Stderr, "pperf: -%s %v: a threshold must be positive\n", f.Name, v)
-			os.Exit(2)
-		}
-		if v, ok := f.Value.(flag.Getter).Get().(int); ok && v < 0 { // -np, -iterations, -ttw
-			fmt.Fprintf(os.Stderr, "pperf: -%s %d: a size must not be negative\n", f.Name, v)
-			os.Exit(2)
-		}
-	})
+// opts holds the value of every flag of every command; each command reads
+// only the flags its registry row names. out holds what a run has opened.
+type opts struct {
+	prog, impl, spawn, pcl, faults, trace, traceFmt, record, replay, db, dbLabel string
+	list, hier, judge, critPath, wireStats                                       bool
+	iters, np, ttw                                                               int
+	seed                                                                         uint64
+	wifSync, wifIO, wifCPU                                                       float64
 
-	// Validated before any branch: -replay returns early, and a bad value
-	// must not silently fall back to the default there.
-	if *traceFmt != "perfetto" && *traceFmt != "csv" {
-		fmt.Fprintf(os.Stderr, "pperf: unknown -trace-format %q (perfetto | csv)\n", *traceFmt)
-		os.Exit(2)
-	}
-	var method daemon.SpawnMethod
-	switch *spawnVia {
-	case "intercept":
-		method = daemon.SpawnIntercept
-	case "attach":
-		method = daemon.SpawnAttach
-	default:
-		fmt.Fprintf(os.Stderr, "pperf: unknown -spawn %q (intercept | attach)\n", *spawnVia)
-		os.Exit(2)
-	}
+	store, label, addrFile, syncFaults, format, from, to string
+	all, sinceFault                                      bool
+	chunkBytes                                           int
+	alpha, minEffect                                     float64
 
-	if mode == "pcl" {
-		if err := runFromPCL(*pclFile); err != nil {
-			fmt.Fprintln(os.Stderr, "pperf:", err)
-			os.Exit(1)
-		}
-		return
-	}
+	given []string // the flags on the command line, in name order
+	out   outputs
+}
 
-	if mode == "list" {
-		fmt.Println("MPI-1 programs (Table 2):")
-		for _, n := range pperfmark.MPI1Names() {
-			fmt.Printf("  %-18s %s\n", n, pperfmark.Get(n).Description)
-		}
-		fmt.Println("MPI-2 programs (Table 3):")
-		for _, n := range pperfmark.MPI2Names() {
-			fmt.Printf("  %-18s %s\n", n, pperfmark.Get(n).Description)
-		}
-		return
-	}
+// define registers pperf's one flag table on fs: the run modes' flags, then
+// the db verbs'.
+func (o *opts) define(fs *flag.FlagSet) {
+	fs.StringVar(&o.prog, "prog", "", "PPerfMark program to run (see -list)")
+	fs.StringVar(&o.impl, "impl", "lam", "MPI implementation personality: lam | mpich | mpich2 | reference")
+	fs.BoolVar(&o.list, "list", false, "list available programs and exit")
+	fs.IntVar(&o.iters, "iterations", 0, "override the program's iteration count")
+	fs.IntVar(&o.np, "np", 0, "override the process count")
+	fs.IntVar(&o.ttw, "ttw", 0, "override TIMETOWASTE")
+	fs.BoolVar(&o.hier, "hierarchy", false, "print the final resource hierarchy")
+	fs.BoolVar(&o.judge, "judge", true, "judge the findings against the paper's expectations")
+	fs.StringVar(&o.spawn, "spawn", "intercept", "spawn support method: intercept | attach")
+	fs.Uint64Var(&o.seed, "seed", 0, "simulation seed")
+	fs.StringVar(&o.pcl, "pcl", "", "run from a Paradyn Configuration Language file instead")
+	fs.StringVar(&o.faults, "faults", "", "fault-injection plan, e.g. 't=2s kill-node node1' (see FAULTS.md)")
+	fs.StringVar(&o.trace, "trace", "", "write the merged event trace to this file (see TRACING.md)")
+	fs.StringVar(&o.traceFmt, "trace-format", "perfetto", "trace file format: perfetto (Chrome trace-event JSON) | csv")
+	fs.BoolVar(&o.critPath, "critical-path", false, "trace the run and print the critical-path analysis")
+	fs.StringVar(&o.record, "record", "", "record the session's analysis-plane event stream to this archive (see REPLAY.md)")
+	fs.StringVar(&o.replay, "replay", "", "replay a recorded session archive offline instead of running a program")
+	fs.StringVar(&o.db, "db", "", "record the run straight into this experiment store (see PERFDB.md)")
+	fs.StringVar(&o.dbLabel, "db-label", "", "label for the stored run (with -db)")
+	fs.Float64Var(&o.wifSync, "what-if-sync", 0, "replay only: override the recorded SyncWaitingTime threshold")
+	fs.Float64Var(&o.wifIO, "what-if-io", 0, "replay only: override the recorded IOBlockingTime threshold")
+	fs.Float64Var(&o.wifCPU, "what-if-cpu", 0, "replay only: override the recorded CPUbound threshold")
+	fs.BoolVar(&o.wireStats, "transport-stats", false, "print one wire-plane counter summary line per channel after the run")
 
-	if mode == "replay" {
-		whatIf := pperfmark.ReplayOptions{SyncThreshold: *wifSync, IOThreshold: *wifIO, CPUThreshold: *wifCPU}
-		tf := createTrace(*traceOut)
-		a, err := perfdb.LoadAny(*replay)
-		if err != nil {
-			discardTrace(tf)
-			fmt.Fprintln(os.Stderr, "pperf:", err)
-			os.Exit(1)
-		}
-		if note := a.TruncationNote(); note != "" {
-			fmt.Fprintln(os.Stderr, "pperf:", note)
-		}
-		res, err := pperfmark.ReplayWith(a, whatIf)
-		if err != nil {
-			discardTrace(tf)
-			fmt.Fprintln(os.Stderr, "pperf:", err)
-			os.Exit(1)
-		}
-		printResult(res, *hier, *judge, *critPath, tf, *traceFmt)
-		return
-	}
+	fs.StringVar(&o.store, "store", "", "experiment store directory (add, pull and serve create it if missing)")
+	fs.StringVar(&o.label, "label", "", "label for the run being added")
+	fs.StringVar(&o.addrFile, "addr-file", "", "write the chosen listen address to this file (for scripts using :0)")
+	fs.BoolVar(&o.all, "all", false, "fetch every remote run not already held locally")
+	fs.StringVar(&o.syncFaults, "sync-faults", "", "fault plan shaping transfer traffic (drop-transport chan=sync, degrade-link); see FAULTS.md")
+	fs.IntVar(&o.chunkBytes, "chunk-bytes", perfdb.DefaultSyncChunkBytes, "transfer granularity in bytes")
+	fs.StringVar(&o.format, "format", "text", "output format: text or json (field names documented in PERFDB.md)")
+	fs.StringVar(&o.from, "from", "", "restrict the comparison to virtual times >= this duration (e.g. 1.5s)")
+	fs.StringVar(&o.to, "to", "", "restrict the comparison to virtual times < this duration")
+	fs.BoolVar(&o.sinceFault, "since-fault", false, "anchor the window at the new run's first fired fault")
+	fs.Float64Var(&o.alpha, "alpha", 0.05, "two-sided significance level: 0.10, 0.05 or 0.01")
+	fs.Float64Var(&o.minEffect, "min-effect", 0, "suppress verdicts below this |relative change| (trend default 0.1)")
+}
 
-	impl, err := mpi.ParseImpl(*implName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pperf:", err)
-		os.Exit(2)
-	}
-	var plan *faults.Plan
-	if *faultSpec != "" {
-		plan, err = faults.Parse(*faultSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pperf:", err)
-			os.Exit(2)
-		}
-	}
-	var tcfg *trace.Config
-	if *traceOut != "" || *critPath {
-		tcfg = &trace.Config{}
-	}
+// command is one row of pperf's registry. A run mode is picked by its mode
+// flag, named like the row, and ignores operands; a db verb is picked by the
+// operand after `pperf db` and reads -store besides its own flags.
+type command struct {
+	name  string
+	db    bool
+	flags []string // the flags it reads, in the order a refusal lists them
 
-	opt := pperfmark.RunOptions{
-		Impl:  impl,
-		Seed:  *seed,
-		Spawn: method,
-		Params: pperfmark.Params{
-			Iterations:  *iters,
-			Procs:       *procs,
-			TimeToWaste: *waste,
+	// The db verbs' help text and operand count.
+	operands string   // operand synopsis for usage lines
+	summary  []string // first line is the one-line summary
+	minArgs  int
+	maxArgs  int
+	argsWhat string // error text when the operand count is wrong
+
+	run func(o *opts, operands []string) int // returns the exit code
+}
+
+// commands is the registry: the run modes in mode-flag priority order, then
+// the db verbs in help order (help joins in init, as it reads the registry).
+var commands = []*command{
+	{name: "pcl", run: runPCL},
+	{name: "list", run: runList},
+	{
+		name:  "replay",
+		flags: []string{"hierarchy", "judge", "trace", "trace-format", "critical-path", "what-if-sync", "what-if-io", "what-if-cpu"},
+		run:   runReplay,
+	},
+	{
+		name: "prog",
+		flags: []string{"impl", "iterations", "np", "ttw", "spawn", "seed", "faults", "hierarchy", "judge", "trace",
+			"trace-format", "critical-path", "record", "db", "db-label", "transport-stats"},
+		run: runProg,
+	},
+	{
+		name: "add", db: true, operands: "FILE",
+		summary: []string{
+			"ingest a recorded archive into the store,",
+			"replaying it once to stamp the Consultant verdict",
 		},
-		Faults: plan,
-		Trace:  tcfg,
-	}
-	if *record != "" && *dbDir != "" {
-		fmt.Fprintln(os.Stderr, "pperf: -record and -db are mutually exclusive (the store holds the recording)")
-		os.Exit(2)
-	}
-	if *dbLabel != "" && *dbDir == "" {
-		fmt.Fprintln(os.Stderr, "pperf: -db-label requires -db (it labels the stored run)")
-		os.Exit(2)
-	}
-	// Every output file is opened before the run, so an unwritable path
-	// fails before any work. Recording streams through the chunked writer in
-	// both cases: events land on disk as the run produces them instead of
-	// accumulating in memory until exit.
-	tf := createTrace(*traceOut)
-	var (
-		rec   *perfdb.StreamRecorder
-		store *perfdb.Store
-	)
-	if *record != "" {
-		var err error
-		if rec, err = perfdb.NewStreamRecorder(*record); err != nil {
-			discardTrace(tf)
-			fmt.Fprintln(os.Stderr, "pperf:", err)
-			os.Exit(1)
-		}
-		opt.Record = rec
-	}
-	if *dbDir != "" {
-		var err error
-		if store, err = perfdb.Open(*dbDir); err == nil {
-			rec, err = store.NewRecorder()
-		}
-		if err != nil {
-			discardTrace(tf)
-			fmt.Fprintln(os.Stderr, "pperf:", err)
-			os.Exit(1)
-		}
-		opt.Record = rec
-	}
-	res, err := pperfmark.Run(*prog, opt)
-	if err != nil {
-		if store != nil && rec != nil {
-			store.Discard(rec) // abort the recording and release its reservation
-		} else if rec != nil {
-			rec.Abort()
-		}
-		discardTrace(tf)
-		fmt.Fprintln(os.Stderr, "pperf:", err)
-		os.Exit(1)
-	}
-	switch {
-	case store != nil:
-		verdict := ""
-		if res.PC != nil {
-			verdict = res.PC.Export().String()
-		}
-		m, warning, err := store.Commit(rec, perfdb.AddMeta{Label: *dbLabel, Verdict: verdict})
-		if err != nil {
-			discardTrace(tf)
-			fmt.Fprintln(os.Stderr, "pperf:", err)
-			os.Exit(1)
-		}
-		if warning != "" {
-			fmt.Fprintln(os.Stderr, "pperf: warning:", warning)
-		}
-		fmt.Fprintf(os.Stderr, "pperf: run stored as %s in %s (%d events, %d bytes)\n",
-			m.ID, store.Dir(), m.Events, m.Bytes)
-	case rec != nil:
-		if err := rec.Close(); err != nil {
-			discardTrace(tf)
-			fmt.Fprintln(os.Stderr, "pperf:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "pperf: session recorded to %s (%d events)\n", *record, rec.EventCount())
-	}
-	printResult(res, *hier, *judge, *critPath, tf, *traceFmt)
-	if *wireStats {
-		printWireStats(res)
-	}
+		flags:   []string{"label"},
+		minArgs: 1, maxArgs: 1, argsWhat: "one archive file",
+		run: stored(true, dbAdd),
+	},
+	{
+		name: "list", db: true,
+		summary:  []string{"list stored runs"},
+		argsWhat: "no arguments",
+		run:      stored(false, dbList),
+	},
+	{
+		name: "show", db: true, operands: "ID",
+		summary: []string{"show one run's metadata and collected series"},
+		flags:   []string{"format"},
+		minArgs: 1, maxArgs: 1, argsWhat: "one run ID",
+		run: stored(false, dbShow),
+	},
+	{
+		name: "diff", db: true, operands: "A B",
+		summary: []string{
+			"compare two stored runs (A = baseline); exits 3 when a",
+			"significant regression is found; -from/-to/-since-fault",
+			"restrict the comparison to a virtual-time window",
+		},
+		flags:   []string{"format", "from", "to", "since-fault", "alpha", "min-effect"},
+		minArgs: 2, maxArgs: 2, argsWhat: "two run IDs (baseline first)",
+		run: stored(false, dbDiff),
+	},
+	{
+		name: "trend", db: true, operands: "PROG",
+		summary: []string{
+			"fit every series of PROG's stored runs against the run index;",
+			"exits 3 when any series is DRIFTING",
+		},
+		flags:   []string{"format", "alpha", "min-effect"},
+		minArgs: 1, maxArgs: 1, argsWhat: "one program name",
+		run: stored(false, dbTrend),
+	},
+	{
+		name: "rm", db: true, operands: "ID",
+		summary: []string{"remove a run from the store"},
+		minArgs: 1, maxArgs: 1, argsWhat: "one run ID",
+		run: stored(false, dbRemove),
+	},
+	{
+		name: "gc", db: true,
+		summary:  []string{"delete unreferenced files under the store's runs/ directory"},
+		argsWhat: "no arguments",
+		run:      stored(false, dbGC),
+	},
+	{
+		name: "serve", db: true, operands: "ADDR",
+		summary: []string{
+			"serve the store to db push/pull peers (ADDR like",
+			"127.0.0.1:7077; :0 picks a free port); blocks until SIGINT",
+		},
+		flags:   []string{"addr-file"},
+		minArgs: 1, maxArgs: 1, argsWhat: "a listen address",
+		run: stored(true, dbServe),
+	},
+	{
+		name: "push", db: true, operands: "RUN ADDR",
+		summary: []string{
+			"stream one stored run to the store served at ADDR",
+			"(chunk-resumable; identical content is a no-op)",
+		},
+		flags:   []string{"sync-faults", "chunk-bytes"},
+		minArgs: 2, maxArgs: 2, argsWhat: "a run ID and a peer address",
+		run: stored(false, dbPush),
+	},
+	{
+		name: "pull", db: true, operands: "ADDR [RUN|--all]",
+		summary: []string{
+			"fetch one remote run — or, with --all, every remote run",
+			"not already held — into the store under fresh local IDs",
+		},
+		flags:   []string{"all", "sync-faults", "chunk-bytes"},
+		minArgs: 1, maxArgs: 2, argsWhat: "a peer address and optionally a run ID (or --all)",
+		run: stored(true, dbPull),
+	},
 }
 
-// printWireStats renders the session's per-channel wire.Stats — one uniform
-// summary line per channel in place of the three bespoke counter sets the
-// transports used to keep.
-func printWireStats(res *pperfmark.Result) {
-	if res.Session == nil {
-		return
-	}
-	stats := res.Session.WireStats()
-	for _, ch := range []string{wire.ChanCtl, wire.ChanBulk} {
-		if st, ok := stats[ch]; ok {
-			fmt.Printf("transport %s: %s\n", ch, st.Summary())
-		}
-	}
+func init() {
+	commands = append(commands, &command{
+		name: "help", db: true, operands: "[command]",
+		summary: []string{"show usage, or one command's flags and operands"},
+		maxArgs: 1, argsWhat: "at most one command name",
+		run: dbHelp,
+	})
 }
 
-// printResult renders a run's findings and writes the trace to tf, the
-// -trace file createTrace opened (nil without -trace). It reads everything
-// through the Result's DataSource, so a live run and a replayed archive print
-// through the identical path — the replay acceptance bar is byte-equal output.
-func printResult(res *pperfmark.Result, hier, judge, critPath bool, tf *os.File, traceFmt string) {
-	if res.Unsupported != nil {
-		discardTrace(tf)
-		fmt.Printf("%s under %s: %v\n", res.Program, res.Impl, res.Unsupported)
-		return
-	}
-
-	fmt.Printf("%s under %s — virtual runtime %v, %d probe executions\n\n",
-		res.Program, res.Impl, res.RunTime, res.ProbeExecs)
-	if len(res.FaultLog) > 0 {
-		fmt.Println("Injected faults:")
-		for _, ev := range res.FaultLog {
-			fmt.Println("  *", ev)
-		}
-		fmt.Printf("Data coverage: %.2f\n\n", res.Coverage)
-	}
-	fmt.Println("Performance Consultant (condensed):")
-	fmt.Print(res.PC.Render())
-
-	if hier {
-		fmt.Println("\nResource hierarchy:")
-		fmt.Print(res.Source.Hierarchy().Render())
-	}
-	if (tf != nil || critPath) && res.Timeline == nil {
-		discardTrace(tf)
-		fmt.Fprintln(os.Stderr, "pperf: no trace in this session (replayed archive was recorded without -trace/-critical-path)")
-		os.Exit(1)
-	}
-	if tf != nil {
-		if err := writeTrace(tf, traceFmt, res.Timeline, res.Source.CounterTracks()); err != nil {
-			fmt.Fprintln(os.Stderr, "pperf:", err)
-			os.Exit(1)
-		}
-		st := res.Timeline.Stats()
-		fmt.Printf("\nTrace written to %s (%s format, %d shards; spans lost: %d ring-evicted, %d outbox-evicted, %d undelivered)\n",
-			tf.Name(), traceFmt, st.Shards, st.Dropped, st.OutboxLost, st.Undelivered)
-	}
-	if critPath {
-		cp := trace.Analyze(res.Timeline)
-		fmt.Println()
-		fmt.Print(cp.Render())
-	}
-	if judge {
-		v := pperfmark.Judge(res)
-		verdict := "Pass"
-		if !v.Pass {
-			verdict = "FAIL"
-		}
-		fmt.Printf("\nJudgement vs the paper: %s (paper reports %s)\n", verdict, v.PaperResult)
-		for _, d := range v.Details {
-			fmt.Println("  +", d)
-		}
-		for _, p := range v.Problems {
-			fmt.Println("  -", p)
-		}
-	}
-}
-
-// runFromPCL drives the tool from a PCL configuration: the daemon
-// definition's mpi_implementation attribute picks the personality (§4.1),
-// tunable constants configure the Performance Consultant (§5.1.6), embedded
-// MDL extends the metric library, and each process block's mpirun command
-// line is parsed with the implementation's placement notation (§4.1.2).
-func runFromPCL(path string) error {
-	text, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	cfg, err := mdl.Parse(string(text))
-	if err != nil {
-		return err
-	}
-	if len(cfg.Processes) == 0 {
-		return fmt.Errorf("PCL file declares no process blocks")
-	}
-	pcCfg, err := core.ConsultantConfigFromPCL(cfg)
-	if err != nil {
-		return err
-	}
-	for _, pr := range cfg.Processes {
-		opts, err := core.OptionsFromPCL(cfg, pr.Daemon, core.Options{Nodes: 4, CPUsPerNode: 2})
-		if err != nil {
-			return err
-		}
-		s, err := core.NewSession(opts)
-		if err != nil {
-			return err
-		}
-		// All suite programs are available to PCL process commands.
-		for _, name := range pperfmark.Names() {
-			p, _, err := pperfmark.Program(name, pperfmark.Params{})
-			if err != nil {
-				return err
+// run parses args against the one flag table, picks the command, refuses a
+// flag that command does not read and runs it. It returns pperf's exit code;
+// any code but 0 discards the files the run opened.
+func run(args []string) int {
+	o := &opts{}
+	fs := flag.NewFlagSet("pperf", flag.ContinueOnError)
+	o.define(fs)
+	db := len(args) > 0 && args[0] == "db"
+	var c *command
+	fs.Usage = func() {
+		switch {
+		case c != nil:
+			printDBCommandHelp(os.Stderr, c)
+		case db:
+			printDBUsage(os.Stderr)
+		default:
+			fmt.Fprintf(os.Stderr, "Usage of %s:\n", os.Args[0])
+			var names []string
+			for _, m := range commands {
+				if !m.db {
+					names = append(append(names, m.name), m.flags...)
+				}
 			}
-			s.Register(name, p)
+			printFlags(os.Stderr, names)
 		}
-		if err := s.LaunchMpirun(pr.Command); err != nil {
-			s.Close()
-			return fmt.Errorf("process %s: %w", pr.Name, err)
+	}
+
+	if db {
+		// Flags may precede the verb or follow it: parse up to the verb,
+		// then the rest.
+		if fs.Parse(args[1:]) != nil {
+			return 2
 		}
-		pc := consultant.New(s.FE, s.Eng, pcCfg)
-		if err := pc.Start(); err != nil {
-			s.Close()
-			return err
+		if fs.NArg() == 0 {
+			printDBUsage(os.Stderr)
+			return 2
 		}
-		if err := s.Run(); err != nil {
-			s.Close()
-			return err
+		if c = findVerb(fs.Arg(0)); c == nil {
+			fmt.Fprintf(os.Stderr, "pperf db: unknown command %q\n", fs.Arg(0))
+			printDBUsage(os.Stderr)
+			return 2
 		}
-		fmt.Printf("process %s (%q) under %s:\n", pr.Name, pr.Command, opts.Impl)
-		fmt.Print(pc.Render())
-		s.Close()
+		if fs.Parse(fs.Args()[1:]) != nil {
+			return 2
+		}
+	} else {
+		if err := fs.Parse(args); err != nil {
+			if err == flag.ErrHelp {
+				return 0
+			}
+			return 2
+		}
+		for _, m := range commands {
+			if f := fs.Lookup(m.name); !m.db && f.Value.String() != f.DefValue {
+				c = m
+				break
+			}
+		}
+		if c == nil {
+			return fail(2, "pperf:", "-prog is required (try -list)")
+		}
+	}
+
+	fs.Visit(func(f *flag.Flag) { o.given = append(o.given, f.Name) })
+	if msg := c.refusal(o.given); msg != "" {
+		fmt.Fprintln(os.Stderr, msg)
+		return 2
+	}
+	if c.db {
+		if fs.NArg() < c.minArgs || fs.NArg() > c.maxArgs {
+			return fail(2, "pperf db:", c.name+" takes "+c.argsWhat)
+		}
+		if o.format != "text" && o.format != "json" {
+			return fail(2, "pperf db:", fmt.Sprintf("unknown format %q (want text or json)", o.format))
+		}
+	}
+	code := c.run(o, fs.Args())
+	if code != 0 {
+		o.out.discard()
+	}
+	return code
+}
+
+// refusal is the one-line text pperf exits 2 on when a flag was given that c
+// does not read (the first in name order), or "" when c reads them all.
+func (c *command) refusal(given []string) string {
+	for _, name := range given {
+		if name == c.name && !c.db || name == "store" && c.db || slices.Contains(c.flags, name) {
+			continue
+		}
+		if c.db {
+			return fmt.Sprintf("pperf db %s: flag -%s is not accepted by %s (see `pperf db help %s`)", c.name, name, c.name, c.name)
+		}
+		reads := "no other flag"
+		if len(c.flags) > 0 {
+			reads = "only: " + strings.Join(c.flags, " ")
+		}
+		return fmt.Sprintf("pperf: -%s cannot be combined with -%s (it reads %s)", name, c.name, reads)
+	}
+	return ""
+}
+
+// findVerb resolves a db verb against the registry.
+func findVerb(name string) *command {
+	for _, c := range commands {
+		if c.db && c.name == name {
+			return c
+		}
 	}
 	return nil
 }
 
-// modeFlags lists, per mode flag, the other flags that mode reads (space
-// delimited). -pcl takes its whole run from the file and -list only prints;
-// -replay re-analyzes a recording, so everything that shapes a live run
-// (-seed, -impl, -np, -faults, -db, ...) has no meaning there, and the
-// -what-if-* thresholds have none on a live run.
-var modeFlags = map[string]string{
-	"pcl":    "",
-	"list":   "",
-	"replay": " hierarchy judge trace trace-format critical-path what-if-sync what-if-io what-if-cpu ",
-	"prog": " impl iterations np ttw spawn seed faults hierarchy judge trace trace-format critical-path" +
-		" record db db-label transport-stats ",
+// fail prints msg on stderr after prefix ("pperf:" or "pperf db:") and
+// returns code.
+func fail(code int, prefix string, msg any) int {
+	fmt.Fprintln(os.Stderr, prefix, msg)
+	return code
 }
 
-// createTrace creates the -trace file ahead of the run, exiting 1 when it
-// cannot; nil when path is empty.
-func createTrace(path string) *os.File {
-	if path == "" {
-		return nil
+// printFlags prints the named flags of the table as flag.PrintDefaults does.
+func printFlags(w io.Writer, names []string) {
+	all, some := flag.NewFlagSet("", flag.ContinueOnError), flag.NewFlagSet("", flag.ContinueOnError)
+	new(opts).define(all)
+	for _, name := range names {
+		if f := all.Lookup(name); some.Lookup(name) == nil {
+			some.Var(f.Value, f.Name, f.Usage)
+		}
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pperf:", err)
-		os.Exit(1)
-	}
-	return f
+	some.SetOutput(w)
+	some.PrintDefaults()
 }
 
-// discardTrace closes and removes a -trace file the run will not fill.
-func discardTrace(f *os.File) {
-	if f != nil {
-		f.Close()
-		os.Remove(f.Name())
+// printDBUsage renders the registry-driven usage text of `pperf db`.
+func printDBUsage(w io.Writer) {
+	fmt.Fprint(w, "Usage: pperf db -store DIR <command> [flags] [operands]\n\nCommands:\n")
+	for _, c := range commands {
+		if !c.db {
+			continue
+		}
+		head := c.name
+		if c.operands != "" {
+			head += " " + c.operands
+		}
+		fmt.Fprintf(w, "  %-14s %s\n", head, c.summary[0])
+		for _, line := range c.summary[1:] {
+			fmt.Fprintf(w, "  %-14s %s\n", "", line)
+		}
 	}
+	fmt.Fprint(w, "\nFlags may precede or follow the command; each command accepts only\nits own (`pperf db help <command>` lists them).\n")
 }
 
-// writeTrace exports the merged timeline into f in the requested format and
-// closes f. The Perfetto export also carries the front end's folding
-// histograms as counter tracks next to the span tracks.
-func writeTrace(f *os.File, format string, tl *trace.Timeline, counters []trace.CounterTrack) error {
-	var err error
-	switch format {
-	case "csv":
-		err = trace.WriteCSV(f, tl)
-	default:
-		err = trace.WriteChromeWith(f, tl, counters)
+// printDBCommandHelp renders one verb's synopsis and flags.
+func printDBCommandHelp(w io.Writer, c *command) {
+	head := "pperf db -store DIR " + c.name
+	if c.name == "help" { // the one verb without a store
+		head = "pperf db " + c.name
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	if c.operands != "" {
+		head += " [flags] " + c.operands
 	}
-	return err
+	fmt.Fprintf(w, "Usage: %s\n\n", head)
+	for _, line := range c.summary {
+		fmt.Fprintf(w, "  %s\n", line)
+	}
+	if len(c.flags) > 0 {
+		fmt.Fprint(w, "\nFlags:\n")
+		printFlags(w, c.flags)
+	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -47,8 +48,8 @@ func ConsultantConfigFromPCL(f *mdl.File) (consultant.Config, error) {
 		{"PC_CPUThreshold", &c.CPUThreshold}, {"PC_SyncThreshold", &c.SyncThreshold}, {"PC_IOThreshold", &c.IOThreshold},
 	} {
 		if t := f.Tunable(th.name); t != nil {
-			if !(t.Value > 0 && t.Value <= 1) {
-				return c, refuse(t, "a threshold is a fraction of run time in (0, 1]")
+			if err := CheckThreshold(t.Value); err != nil {
+				return c, refuse(t, err.Error())
 			}
 			*th.dst = t.Value
 		}
@@ -60,6 +61,15 @@ func ConsultantConfigFromPCL(f *mdl.File) (consultant.Config, error) {
 		}
 	}
 	return c, nil
+}
+
+// CheckThreshold is the one range rule for a Consultant threshold, whether a
+// PCL tunable or a `pperf -what-if-*` flag sets it.
+func CheckThreshold(v float64) error {
+	if v > 0 && v <= 1 {
+		return nil
+	}
+	return errors.New("a threshold is a fraction of run time in (0, 1]")
 }
 
 // LaunchMpirun launches a registered program from an mpirun command line,

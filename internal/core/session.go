@@ -36,9 +36,8 @@ type Options struct {
 	Seed uint64
 	// Daemon configures the per-node daemons.
 	Daemon *daemon.Config
-	// NumBins/BinWidth configure front-end histograms (defaults: 1000 bins
-	// at 0.2 s, Paradyn's).
-	NumBins  int
+	// BinWidth configures front-end histograms (default 0.2 s, Paradyn's;
+	// they always hold Paradyn's 1000 bins).
 	BinWidth sim.Duration
 	// UserMDL is extra metric-definition source merged over the standard
 	// library.
@@ -125,10 +124,9 @@ func NewSession(opts Options) (*Session, error) {
 	}
 
 	fe := frontend.New()
-	fe.NumBins = opts.NumBins
 	fe.BinWidth = opts.BinWidth
 	if opts.Recorder != nil {
-		opts.Recorder.SetHistogram(opts.NumBins, opts.BinWidth)
+		opts.Recorder.SetHistogram(0, opts.BinWidth) // 0: the default bin count
 		fe.SetRecorder(opts.Recorder)
 	}
 

@@ -198,9 +198,8 @@ func AttachAll(w *mpi.World, daemons []*Daemon) *Registry {
 	for _, d := range daemons {
 		reg.Replace(d)
 		if d.cfg.Spawn == SpawnIntercept {
-			cfg := d.cfg
 			w.SpawnInterceptor = func(parent *mpi.Rank, maxprocs int) sim.Duration {
-				return sim.Duration(maxprocs) * cfg.InterceptPerProc
+				return sim.Duration(maxprocs) * interceptPerProc
 			}
 		}
 	}
@@ -264,7 +263,7 @@ func (d *Daemon) Adopt(r *mpi.Rank) { d.adopt(r) }
 func (d *Daemon) adopt(r *mpi.Rank) {
 	at := d.eng.Now()
 	if d.cfg.Spawn == SpawnAttach && r.ParentComm() != nil {
-		at = at.Add(d.cfg.AttachLatency)
+		at = at.Add(attachLatency)
 	}
 	// An injected attach delay (slow daemon startup) postpones adoption
 	// further; data before the attach point is simply never collected.

@@ -186,7 +186,6 @@ func TestDaemonMachineFocusPlacement(t *testing.T) {
 func TestSpawnAttachDelaysAdoption(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Spawn = SpawnAttach
-	cfg.AttachLatency = 50 * sim.Millisecond
 	eng, w, ds, _ := rig(t, mpi.LAM, cfg)
 	w.Register("child", func(r *mpi.Rank, _ []string) { r.Compute(200 * sim.Millisecond) })
 	w.Register("p", func(r *mpi.Rank, _ []string) {

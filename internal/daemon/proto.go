@@ -66,18 +66,21 @@ type Config struct {
 	PerProbeCost sim.Duration
 	// Spawn selects the dynamic-process-creation support method.
 	Spawn SpawnMethod
-	// AttachLatency is how long after a spawn the attach method takes to
-	// reach the new processes (during which their activity is unobserved).
-	AttachLatency sim.Duration
-	// InterceptPerProc is the daemon-startup overhead the intercept method
-	// adds to each spawned process.
-	InterceptPerProc sim.Duration
 	// Heartbeat, when nonzero, makes the daemon emit a liveness beacon on
 	// that virtual-time cadence. Zero (the default) disables heartbeats so
 	// fault-free runs schedule no extra events and stay byte-identical with
 	// historical behaviour; the fault subsystem turns it on.
 	Heartbeat sim.Duration
 }
+
+// The spawn support methods' costs: how long after a spawn the attach
+// method takes to reach the new processes (during which their activity is
+// unobserved), and the daemon-startup overhead the intercept method adds to
+// each spawned process.
+const (
+	attachLatency    = 25 * sim.Millisecond
+	interceptPerProc = 40 * sim.Millisecond
+)
 
 // The daemon-side queue bounds: how many reports wait for a down ctl
 // channel, and how many trace shards for a down bulk channel, before the
@@ -90,10 +93,8 @@ const (
 // DefaultConfig returns the standard daemon configuration.
 func DefaultConfig() Config {
 	return Config{
-		SampleInterval:   200 * sim.Millisecond,
-		PerProbeCost:     80 * sim.Nanosecond,
-		Spawn:            SpawnIntercept,
-		AttachLatency:    25 * sim.Millisecond,
-		InterceptPerProc: 40 * sim.Millisecond,
+		SampleInterval: 200 * sim.Millisecond,
+		PerProbeCost:   80 * sim.Nanosecond,
+		Spawn:          SpawnIntercept,
 	}
 }

@@ -21,8 +21,6 @@ import (
 type RunOptions struct {
 	Impl   mpi.ImplKind
 	Params Params
-	Nodes  int
-	CPUs   int
 	Seed   uint64
 	// Spawn selects the tool's dynamic-process-creation method.
 	Spawn daemon.SpawnMethod
@@ -147,23 +145,20 @@ func Run(name string, opt RunOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opt.Nodes == 0 {
-		// The paper's runs place at most two ranks per node; default to the
-		// paper's layouts (2 procs → one per node; 6 procs → 2 per node).
-		switch {
-		case strings.HasPrefix(name, "spawn"):
-			opt.Nodes = params.Children + 1
-		case params.Procs <= 2:
-			opt.Nodes = 2
-		default:
-			opt.Nodes = (params.Procs + 1) / 2
-		}
+	// The paper's runs place at most two ranks per node: its layouts are
+	// 2 procs → one per node, 6 procs → 2 per node.
+	var nodes int
+	switch {
+	case strings.HasPrefix(name, "spawn"):
+		nodes = params.Children + 1
+	case params.Procs <= 2:
+		nodes = 2
+	default:
+		nodes = (params.Procs + 1) / 2
 	}
-	if opt.CPUs == 0 {
-		opt.CPUs = 2
-		if params.Procs <= opt.Nodes {
-			opt.CPUs = 1 // one rank per node
-		}
+	cpus := 2
+	if params.Procs <= nodes {
+		cpus = 1 // one rank per node
 	}
 
 	dcfg := daemon.DefaultConfig()
@@ -183,8 +178,8 @@ func Run(name string, opt RunOptions) (*Result, error) {
 
 	s, err := core.NewSession(core.Options{
 		Impl:        opt.Impl,
-		Nodes:       opt.Nodes,
-		CPUsPerNode: opt.CPUs,
+		Nodes:       nodes,
+		CPUsPerNode: cpus,
 		Seed:        opt.Seed,
 		Daemon:      &dcfg,
 		BinWidth:    50 * sim.Millisecond,
@@ -203,14 +198,14 @@ func Run(name string, opt RunOptions) (*Result, error) {
 	// creation, as §5.2.2 notes (the paper uses only LAM for them).
 	if strings.HasPrefix(name, "spawn") && !s.World.Impl.SupportsSpawn {
 		res.Unsupported = &mpi.ErrUnsupported{Impl: opt.Impl, Feature: "dynamic process creation"}
-		finishRecording(opt, res, pcCfg)
+		finishRecording(opt, res, pcCfg, nodes)
 		return res, nil
 	}
 	// Passive-target programs were unimplementable in 2004; they run only
 	// under the Reference personality (§5.2.1.1).
 	if entry.NeedsPassive && !s.World.Impl.SupportsPassiveTarget {
 		res.Unsupported = &mpi.ErrUnsupported{Impl: opt.Impl, Feature: "passive target synchronization"}
-		finishRecording(opt, res, pcCfg)
+		finishRecording(opt, res, pcCfg, nodes)
 		return res, nil
 	}
 
@@ -239,7 +234,7 @@ func Run(name string, opt RunOptions) (*Result, error) {
 		res.FaultLog = s.Injector.Log()
 	}
 	res.Timeline = s.FE.Timeline()
-	finishRecording(opt, res, pcCfg)
+	finishRecording(opt, res, pcCfg, nodes)
 	return res, nil
 }
 

@@ -93,7 +93,7 @@ type Entry struct {
 	// passive-target tests, §5.2.1.1).
 	NeedsPassive bool
 	// Extension marks programs beyond the paper's Tables (delivered future
-	// work); RunTable excludes them unless asked.
+	// work); MPI1Names, MPI2Names and so RunTable exclude them.
 	Extension bool
 	// Expected totals for verification, given merged params; nil entries
 	// are skipped.
@@ -122,25 +122,14 @@ func Get(name string) *Entry { return registry[name] }
 func Names() []string { return append([]string(nil), order...) }
 
 // MPI1Names and MPI2Names list the two paper-suite halves (extensions
-// excluded); ExtensionNames lists the delivered-future-work programs.
-func MPI1Names() []string { return filterNames(false, false) }
-func MPI2Names() []string { return filterNames(true, false) }
+// excluded).
+func MPI1Names() []string { return paperNames(false) }
+func MPI2Names() []string { return paperNames(true) }
 
-// ExtensionNames lists the programs beyond the paper's tables.
-func ExtensionNames() []string {
+func paperNames(mpi2 bool) []string {
 	var out []string
 	for _, n := range order {
-		if registry[n].Extension {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-func filterNames(mpi2, ext bool) []string {
-	var out []string
-	for _, n := range order {
-		if registry[n].MPI2 == mpi2 && registry[n].Extension == ext {
+		if registry[n].MPI2 == mpi2 && !registry[n].Extension {
 			out = append(out, n)
 		}
 	}

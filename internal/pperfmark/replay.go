@@ -38,9 +38,9 @@ type runInfo struct {
 	Unsupported string
 }
 
-// finishRecording stamps the archived run's description into the
-// recorder's header. A no-op when the run is not recording.
-func finishRecording(opt RunOptions, res *Result, pcCfg consultant.Config) {
+// finishRecording stamps the archived run's description, laid out on nodes
+// nodes, into the recorder's header. A no-op when the run is not recording.
+func finishRecording(opt RunOptions, res *Result, pcCfg consultant.Config, nodes int) {
 	rec := opt.Record
 	if rec == nil {
 		return
@@ -74,7 +74,7 @@ func finishRecording(opt RunOptions, res *Result, pcCfg consultant.Config) {
 	// The experiment-store index (internal/perfdb) reads these without
 	// decoding the harness payload.
 	rec.SetMeta("procs", fmt.Sprintf("%d", res.Params.Procs))
-	rec.SetMeta("nodes", fmt.Sprintf("%d", opt.Nodes))
+	rec.SetMeta("nodes", fmt.Sprintf("%d", nodes))
 	rec.SetMeta("runtime", res.RunTime.String())
 	if opt.Faults != nil {
 		rec.SetMeta("faults", opt.Faults.String())
