@@ -2,9 +2,10 @@
 # tier-1 (build + tests), static analysis and gofmt, race-enabled tests of the
 # packages with real concurrency (the engine's goroutine hand-offs, the MDL
 # library every session shares, the discovery hooks mpi fans out, the TCP
-# transport and the daemon/fault machinery it carries), a five-second smoke
-# of each fuzz target, one iteration of every benchmark, the CLI goldens,
-# and the out-of-tree benchmark module's own vet + tests (it imports internal
+# transport and the daemon/fault machinery it carries, the experiments' cell
+# cache), a five-second smoke of each fuzz target, one iteration of every
+# benchmark, the CLI goldens, the paper's regenerated evaluation, and the
+# out-of-tree benchmark module's own vet + tests (it imports internal
 # packages through a replace directive, so an internal-API deletion that
 # breaks it fails here rather than in the benchmark run).
 
@@ -28,8 +29,9 @@ fmt-check:
 
 race:
 	$(GO) test -race ./internal/sim ./internal/mpi ./internal/mdl ./internal/gprofsim ./internal/consultant ./internal/wire ./internal/frontend ./internal/daemon ./internal/faults ./internal/trace ./internal/core ./internal/session ./internal/perfdb ./internal/datasource
+	$(GO) test -race -run 'TestCellCache' ./internal/experiments
 
-verify: build vet fmt-check test race fuzz-smoke bench-smoke bench-module replay-golden perfdb-golden sync-golden wire-golden trend-golden
+verify: build vet fmt-check test race fuzz-smoke bench-smoke bench-module replay-golden perfdb-golden sync-golden wire-golden trend-golden experiments-golden
 
 # loc prints the size figure simplicity PRs quote: non-test Go lines outside
 # bench/, then the same count per internal package. Not part of verify.
@@ -138,10 +140,11 @@ chaos:
 	CHAOS=1 $(GO) test -race -run TestChaosPlans ./internal/faults
 
 # experiments-golden regenerates every table and figure of the paper's
-# evaluation (deterministic; 18 s wall on a 2-core Xeon, one core busy — not
-# in verify) and fails unless the output is byte-identical to the checked-in
-# report. A PR that
-# means to change the report regenerates the file with
+# evaluation (deterministic; each program/personality run is simulated once
+# and the experiments run GOMAXPROCS at a time: 10 s wall for the built
+# binary on a 2-core Xeon, 16 s with GOMAXPROCS=1) and fails unless the
+# output is byte-identical to the checked-in report. A PR that means to
+# change the report regenerates the file with
 # `go run ./cmd/experiments > results/experiments_report.txt`.
 experiments-golden:
 	$(GO) run ./cmd/experiments | cmp - results/experiments_report.txt

@@ -3,11 +3,12 @@
 // report: for each artifact, what the paper reports, what this build
 // measured, and the rendered output (condensed Performance Consultant trees,
 // histograms, Jumpshot-style views, the gprof profile, the PPerfMark tables,
-// and the Presta comparison).
+// and the Presta comparison). Each PPerfMark program/personality run is
+// simulated once and shared by the tables and figures that show it.
 //
 // Usage:
 //
-//	experiments            # everything (takes a minute or two)
+//	experiments            # everything (about 10 s on two cores)
 //	experiments -id fig3   # one experiment
 //	experiments -list
 package main

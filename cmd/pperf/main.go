@@ -91,8 +91,10 @@ func (o *opts) define(fs *flag.FlagSet) {
 }
 
 // command is one row of pperf's registry. A run mode is picked by its mode
-// flag, named like the row, and ignores operands; a db verb is picked by the
-// operand after `pperf db` and reads -store besides its own flags.
+// flag, named like the row, and refuses any operand (flag parsing stops at
+// the first one, so a flag after it would be silently lost); a db verb is
+// picked by the operand after `pperf db` and reads -store besides its own
+// flags.
 type command struct {
 	name  string
 	db    bool
@@ -296,6 +298,8 @@ func run(args []string) int {
 		if o.format != "text" && o.format != "json" {
 			return fail(2, "pperf db:", fmt.Sprintf("unknown format %q (want text or json)", o.format))
 		}
+	} else if fs.NArg() > 0 {
+		return fail(2, "pperf:", fmt.Sprintf("-%s takes no operands, got %q", c.name, fs.Arg(0)))
 	}
 	code := c.run(o, fs.Args())
 	if code != 0 {

@@ -8,8 +8,10 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Result is one regenerated table or figure.
@@ -58,11 +60,12 @@ func (r *Result) Render() string {
 	return b.String()
 }
 
-// registry of experiment runners by id.
-var registry = map[string]func() *Result{}
+// registry of experiment runners by id. A runner reads every PPerfMark run it
+// needs through the cell cache it is given.
+var registry = map[string]func(*cells) *Result{}
 var order []string
 
-func register(id string, fn func() *Result) {
+func register(id string, fn func(*cells) *Result) {
 	registry[id] = fn
 	order = append(order, id)
 }
@@ -70,7 +73,7 @@ func register(id string, fn func() *Result) {
 // IDs lists all experiment ids in evaluation order.
 func IDs() []string { return append([]string(nil), order...) }
 
-// Run executes one experiment by id.
+// Run executes one experiment by id, simulating every run it needs afresh.
 func Run(id string) (*Result, error) {
 	fn, ok := registry[id]
 	if !ok {
@@ -78,14 +81,26 @@ func Run(id string) (*Result, error) {
 		sort.Strings(known)
 		return nil, fmt.Errorf("experiments: unknown id %q (known: %v)", id, known)
 	}
-	return fn(), nil
+	return fn(new(cells)), nil
 }
 
-// RunAll executes every experiment in order.
+// RunAll executes every experiment, at most GOMAXPROCS at a time, over one
+// cell cache, so each (program, personality) run is simulated once however
+// many tables and figures show it. Results are in registration order.
 func RunAll() []*Result {
-	out := make([]*Result, 0, len(order))
-	for _, id := range order {
-		out = append(out, registry[id]())
+	c := new(cells)
+	out := make([]*Result, len(order))
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i, id := range order {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			slots <- struct{}{}
+			defer func() { <-slots }()
+			out[i] = registry[id](c)
+		}()
 	}
+	wg.Wait()
 	return out
 }

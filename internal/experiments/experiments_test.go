@@ -2,7 +2,11 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
+
+	"pperf/internal/mpi"
+	"pperf/internal/pperfmark"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -22,6 +26,48 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if _, err := Run("nope"); err == nil {
 		t.Error("unknown id should error")
+	}
+}
+
+// TestCellCacheSharesOneRun asks one cache for one cell from many goroutines
+// at once: all of them must get the one run.
+func TestCellCacheSharesOneRun(t *testing.T) {
+	c := new(cells)
+	got := make([]*pperfmark.Result, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = c.get("hot-procedure", mpi.LAM).res
+		}()
+	}
+	wg.Wait()
+	for i, res := range got {
+		if res == nil || res != got[0] {
+			t.Fatalf("goroutine %d got run %p, goroutine 0 got %p", i, res, got[0])
+		}
+	}
+}
+
+// TestCellCacheIsPerRun runs one experiment twice: each Run must simulate its
+// cells afresh (a benchmark iteration that reused the last one's runs would
+// measure nothing).
+func TestCellCacheIsPerRun(t *testing.T) {
+	orig := registry["fig20"]
+	t.Cleanup(func() { registry["fig20"] = orig })
+	var seen []*pperfmark.Result
+	registry["fig20"] = func(c *cells) *Result {
+		seen = append(seen, c.get("hot-procedure", mpi.LAM).res)
+		return &Result{OK: true}
+	}
+	for range 2 {
+		if _, err := Run("fig20"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if seen[0] == seen[1] {
+		t.Error("two Run calls shared one run of hot-procedure/LAM")
 	}
 }
 

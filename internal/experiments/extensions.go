@@ -16,30 +16,22 @@ func init() {
 // test the paper could not implement in 2004 (§5.2.1.1: neither LAM nor
 // MPICH2 supported passive-target synchronization) and an MPI-I/O-bound
 // program exercising the §3 discussion.
-func extensions() *Result {
+func extensions(c *cells) *Result {
 	r := &Result{ID: "extensions", Title: "Delivered future work (beyond the paper's tables)", OK: true,
 		Paper: "passive-target PPerfMark programs planned but unimplementable; MPI-I/O measurement discussed (§3) but not evaluated"}
 
-	// winlock-sync under the Reference personality.
-	wl := runSuite("winlock-sync", mpi.Reference, pperfmark.RunOptions{})
-	r.ok(wl.PC.TopLevelTrue(consultant.HypSync), "winlock: sync false")
-	r.ok(hasSync(wl, "MPI_Win_lock") || hasSync(wl, "MPI_Win_unlock"), "winlock: lock waiting missing")
-	// Under LAM it is skipped, preserving the paper's 2004 reality.
-	lamRes, err := pperfmark.Run("winlock-sync", pperfmark.RunOptions{Impl: mpi.LAM})
-	if err != nil {
-		panic(err)
-	}
-	r.ok(lamRes.Unsupported != nil, "winlock should be unsupported under LAM")
-
-	// fileio-bound: ExcessiveIOBlockingTime through MPI-I/O.
-	fio := runSuite("fileio-bound", mpi.MPICH2, pperfmark.RunOptions{})
-	r.ok(fio.PC.TopLevelTrue(consultant.HypIO), "fileio: IO hypothesis false")
+	// winlock-sync under the Reference personality, and fileio-bound's
+	// ExcessiveIOBlockingTime through MPI-I/O.
+	wl, fio := c.get("winlock-sync", mpi.Reference), c.get("fileio-bound", mpi.MPICH2)
+	r.judged(wl, fio)
+	// Under LAM winlock-sync is skipped, preserving the paper's 2004 reality.
+	r.ok(c.get("winlock-sync", mpi.LAM).res.Unsupported != nil, "winlock should be unsupported under LAM")
 
 	r.Measured = fmt.Sprintf(
 		"winlock-sync: passive-target waiting diagnosed under Reference (sync %.2f), skipped under LAM; fileio-bound: IO blocking diagnosed (%.2f)",
-		findingValue(wl, consultant.HypSync), findingValue(fio, consultant.HypIO))
-	r.Output = "--- winlock-sync (Reference personality) ---\n" + wl.PC.Render() +
-		"--- fileio-bound (MPICH2) ---\n" + fio.PC.Render()
+		findingValue(wl.res, consultant.HypSync), findingValue(fio.res, consultant.HypIO))
+	r.Output = "--- winlock-sync (Reference personality) ---\n" + wl.res.PC.Render() +
+		"--- fileio-bound (MPICH2) ---\n" + fio.res.PC.Render()
 	return r
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"pperf/internal/consultant"
 	"pperf/internal/core"
 	"pperf/internal/daemon"
 	"pperf/internal/datasource"
@@ -44,12 +45,8 @@ func runWithSeries(name string, impl mpi.ImplKind, p pperfmark.Params, pairs []m
 	}
 	dcfg := daemon.DefaultConfig()
 	dcfg.SampleInterval = 50 * sim.Millisecond
-	nodes := (params.Procs + 1) / 2
-	if nodes < 2 {
-		nodes = 2
-	}
 	s, err := core.NewSession(core.Options{
-		Impl: impl, Nodes: nodes, CPUsPerNode: 2,
+		Impl: impl, Nodes: nodesFor(params.Procs), CPUsPerNode: 2,
 		Daemon: &dcfg, BinWidth: 50 * sim.Millisecond,
 	})
 	if err != nil {
@@ -87,7 +84,7 @@ func traceProgram(impl mpi.ImplKind, n int, prog mpi.Program) *mpe.Tracer {
 
 // fig1 regenerates the RMA synchronization patterns: timeline traces of the
 // four synchronization shapes the paper's Figure 1 diagrams.
-func fig1() *Result {
+func fig1(*cells) *Result {
 	r := &Result{ID: "fig1", Title: "RMA synchronization patterns", OK: true,
 		Paper: "late participants in Win_create/fence/PSCW/lock-unlock cause synchronization waiting"}
 	var b strings.Builder
@@ -144,7 +141,7 @@ func fig1() *Result {
 }
 
 // fig2 verifies the paper's MDL examples compile and instrument.
-func fig2() *Result {
+func fig2(*cells) *Result {
 	r := &Result{ID: "fig2", Title: "MDL metric definitions compile", OK: true,
 		Paper: "rma_put_ops, rma_put_bytes, rma_sync_wait metrics and the RMA window constraint"}
 	lib := mdl.StdLib()
@@ -170,25 +167,19 @@ metric fig2_metric {
 }
 
 // fig3 compares the PC's small-messages diagnosis under LAM and MPICH.
-func fig3() *Result {
+func fig3(c *cells) *Result {
 	r := &Result{ID: "fig3", Title: "PC output for small-messages (LAM vs MPICH)", OK: true,
 		Paper: "both: sync → Gsend_message → MPI_Send; LAM finds the communicator; MPICH adds ExcessiveIOBlockingTime"}
-	lam := runSuite("small-messages", mpi.LAM, pperfmark.RunOptions{})
-	mpich := runSuite("small-messages", mpi.MPICH, pperfmark.RunOptions{})
-	for _, res := range []*pperfmark.Result{lam, mpich} {
-		r.ok(hasSync(res, "Gsend_message"), "%s: Gsend_message missing", res.Impl)
-		r.ok(hasSync(res, "MPI_Send"), "%s: MPI_Send missing", res.Impl)
-	}
-	r.ok(hasSync(lam, "/SyncObject/Message/comm-"), "LAM communicator missing")
-	r.ok(mpich.PC.TopLevelTrue("ExcessiveIOBlockingTime"), "MPICH IO hypothesis false")
-	r.ok(!lam.PC.TopLevelTrue("ExcessiveIOBlockingTime"), "LAM IO hypothesis unexpectedly true")
+	lam, mpich := c.get("small-messages", mpi.LAM), c.get("small-messages", mpi.MPICH)
+	r.judged(lam, mpich)
+	r.ok(!lam.res.PC.TopLevelTrue(consultant.HypIO), "LAM IO hypothesis unexpectedly true")
 	r.Measured = "sync→Gsend_message→MPI_Send both; communicator under LAM; IO blocking only under MPICH"
 	r.Output = pcSideBySide(lam, mpich)
 	return r
 }
 
 // fig4 reproduces the server byte-count histogram calculation.
-func fig4() *Result {
+func fig4(*cells) *Result {
 	r := &Result{ID: "fig4", Title: "small-messages server receive bytes", OK: true,
 		Paper: "estimate 199,259,066 of 200,000,000 true bytes (-0.4%): slight undercount from end-bin elimination"}
 	p := pperfmark.Params{} // suite defaults
@@ -212,17 +203,13 @@ func fig4() *Result {
 }
 
 // fig5 is the big-message PC comparison.
-func fig5() *Result {
+func fig5(c *cells) *Result {
 	r := &Result{ID: "fig5", Title: "PC output for big-message", OK: true,
 		Paper: "identical findings both implementations: sync → Gsend_message/Grecv_message → MPI_Send/MPI_Recv + communicator"}
-	lam := runSuite("big-message", mpi.LAM, pperfmark.RunOptions{})
-	mpich := runSuite("big-message", mpi.MPICH, pperfmark.RunOptions{})
-	for _, res := range []*pperfmark.Result{lam, mpich} {
-		r.ok(hasSync(res, "Gsend_message") || hasSync(res, "Grecv_message"),
-			"%s: wrappers missing", res.Impl)
-		r.ok(hasSync(res, "MPI_Send") || hasSync(res, "MPI_Recv"),
-			"%s: p2p functions missing", res.Impl)
-		r.ok(hasSync(res, "/SyncObject/Message/comm-"), "%s: communicator missing", res.Impl)
+	lam, mpich := c.get("big-message", mpi.LAM), c.get("big-message", mpi.MPICH)
+	r.judged(lam, mpich)
+	for _, x := range []cell{lam, mpich} {
+		r.ok(hasSync(x, "/SyncObject/Message/comm-"), "%s: communicator missing", x.res.Impl)
 	}
 	r.Measured = "sync → send/recv wrappers → MPI p2p + communicator under both implementations"
 	r.Output = pcSideBySide(lam, mpich)
@@ -230,7 +217,7 @@ func fig5() *Result {
 }
 
 // fig6 reproduces the big-message byte histogram calculation.
-func fig6() *Result {
+func fig6(*cells) *Result {
 	r := &Result{ID: "fig6", Title: "big-message bytes sent/received", OK: true,
 		Paper: "estimates 397.9M of 400M true bytes (-0.5%)"}
 	series, runtime := runWithSeries("big-message", mpi.LAM, pperfmark.Params{},
@@ -252,12 +239,11 @@ func fig6() *Result {
 }
 
 // fig7 is the wrong-way PC comparison, including MPICH's PMPI naming.
-func fig7() *Result {
+func fig7(c *cells) *Result {
 	r := &Result{ID: "fig7", Title: "PC output for wrong-way", OK: true,
 		Paper: "sync → send/recv wrappers; MPICH drill-down reaches PMPI_Send/PMPI_Recv"}
-	lam := runSuite("wrong-way", mpi.LAM, pperfmark.RunOptions{})
-	mpich := runSuite("wrong-way", mpi.MPICH, pperfmark.RunOptions{})
-	r.ok(hasSync(lam, "MPI_Send") || hasSync(lam, "MPI_Recv"), "LAM p2p missing")
+	lam, mpich := c.get("wrong-way", mpi.LAM), c.get("wrong-way", mpi.MPICH)
+	r.judged(lam, mpich)
 	r.ok(hasSync(mpich, "PMPI_Send") || hasSync(mpich, "PMPI_Recv"), "MPICH PMPI symbols missing")
 	r.Measured = "LAM shows MPI_*; MPICH's weak-symbol build surfaces PMPI_* names"
 	r.Output = pcSideBySide(lam, mpich)
@@ -265,7 +251,7 @@ func fig7() *Result {
 }
 
 // fig8 reproduces the wrong-way byte calculation.
-func fig8() *Result {
+func fig8(*cells) *Result {
 	r := &Result{ID: "fig8", Title: "wrong-way bytes sent/received", OK: true,
 		Paper: "71.4M sent / 70.5M received of 72M true (-0.9%/-2.1%)"}
 	series, runtime := runWithSeries("wrong-way", mpi.LAM, pperfmark.Params{},
@@ -283,32 +269,22 @@ func fig8() *Result {
 }
 
 // fig9 is the random-barrier PC comparison, with MPICH's barrier internals.
-func fig9() *Result {
+func fig9(c *cells) *Result {
 	r := &Result{ID: "fig9", Title: "PC output for random-barrier", OK: true,
 		Paper: "sync → MPI_Barrier; MPICH exposes PMPI_Sendrecv (+comm/tag) inside; CPUBound → waste_time"}
-	lam := runSuite("random-barrier", mpi.LAM, pperfmark.RunOptions{})
-	mpich := runSuite("random-barrier", mpi.MPICH, pperfmark.RunOptions{})
-	for _, res := range []*pperfmark.Result{lam, mpich} {
-		r.ok(hasSync(res, "MPI_Barrier"), "%s: MPI_Barrier missing", res.Impl)
-		r.ok(hasCPU(res, "waste_time"), "%s: waste_time missing", res.Impl)
-	}
-	r.ok(hasSync(mpich, "MPI_Sendrecv"), "MPICH barrier internals missing")
+	lam, mpich := c.get("random-barrier", mpi.LAM), c.get("random-barrier", mpi.MPICH)
+	r.judged(lam, mpich)
 	r.Measured = "barrier bottleneck both; MPICH shows PMPI_Barrier implemented over PMPI_Sendrecv; waste_time CPU bound"
 	r.Output = pcSideBySide(lam, mpich)
 	return r
 }
 
 // fig10 is the intensive-server PC comparison.
-func fig10() *Result {
+func fig10(c *cells) *Result {
 	r := &Result{ID: "fig10", Title: "PC output for intensive-server", OK: true,
 		Paper: "sync → Grecv_message → MPI_Recv + communicator; CPUBound also true"}
-	lam := runSuite("intensive-server", mpi.LAM, pperfmark.RunOptions{})
-	mpich := runSuite("intensive-server", mpi.MPICH, pperfmark.RunOptions{})
-	for _, res := range []*pperfmark.Result{lam, mpich} {
-		r.ok(hasSync(res, "Grecv_message"), "%s: Grecv_message missing", res.Impl)
-		r.ok(hasSync(res, "MPI_Recv"), "%s: MPI_Recv missing", res.Impl)
-		r.ok(res.PC.TopLevelTrue("CPUBound"), "%s: CPUBound false", res.Impl)
-	}
+	lam, mpich := c.get("intensive-server", mpi.LAM), c.get("intensive-server", mpi.MPICH)
+	r.judged(lam, mpich)
 	r.Measured = "clients wait in Grecv_message/MPI_Recv; server CPU bound"
 	r.Output = pcSideBySide(lam, mpich)
 	return r

@@ -28,7 +28,7 @@ func init() {
 // fig11 reproduces the intensive-server inclusive-synchronization
 // histograms: clients spend almost all time in Grecv_message, almost none in
 // Gsend_message; the server spends little in either.
-func fig11() *Result {
+func fig11(*cells) *Result {
 	r := &Result{ID: "fig11", Title: "intensive-server inclusive sync time per function", OK: true,
 		Paper: "client ≈0.98 of CPU time waiting in Grecv_message vs ≈0.02 in Gsend_message; server low in both"}
 	series, runtime := runWithSeries("intensive-server", mpi.LAM, pperfmark.Params{},
@@ -62,7 +62,7 @@ func fig11() *Result {
 
 // fig12 covers Figs 12 and 13: the Jumpshot comparator's view of
 // intensive-server with 3 processes.
-func fig12() *Result {
+func fig12(*cells) *Result {
 	r := &Result{ID: "fig12", Title: "Jumpshot views of intensive-server (3 procs)", OK: true,
 		Paper: "of 3 processes, ≈2 are executing in MPI_Recv at any time; the timeline shows clients pinned in MPI_Recv"}
 	tr := traceProgram(mpi.LAM, 3, func(rk *mpi.Rank, _ []string) {
@@ -88,15 +88,11 @@ func fig12() *Result {
 }
 
 // fig14 is the diffuse-procedure PC run with the lowered CPU threshold.
-func fig14() *Result {
+func fig14(c *cells) *Result {
 	r := &Result{ID: "fig14", Title: "PC output for diffuse-procedure", OK: true,
 		Paper: "sync → MPI_Barrier; CPU bound in bottleneckProcedure once the threshold is lowered to 0.2"}
-	lam := runSuite("diffuse-procedure", mpi.LAM, pperfmark.RunOptions{})
-	mpich := runSuite("diffuse-procedure", mpi.MPICH, pperfmark.RunOptions{})
-	for _, res := range []*pperfmark.Result{lam, mpich} {
-		r.ok(hasSync(res, "MPI_Barrier"), "%s: MPI_Barrier missing", res.Impl)
-		r.ok(hasCPU(res, "bottleneckProcedure"), "%s: bottleneckProcedure missing", res.Impl)
-	}
+	lam, mpich := c.get("diffuse-procedure", mpi.LAM), c.get("diffuse-procedure", mpi.MPICH)
+	r.judged(lam, mpich)
 	r.Measured = "barrier sync + bottleneckProcedure found at threshold 0.2 under both implementations"
 	r.Output = pcSideBySide(lam, mpich)
 	return r
@@ -105,7 +101,7 @@ func fig14() *Result {
 // fig15 reproduces the CPU-inclusive histogram: one CPU's worth of
 // bottleneckProcedure across the application (25% per process at 4 procs,
 // ~50% at 2 procs).
-func fig15() *Result {
+func fig15(*cells) *Result {
 	r := &Result{ID: "fig15", Title: "diffuse-procedure CPU inclusive", OK: true,
 		Paper: "≈1 CPU total in bottleneckProcedure → 25% per process with 4; ~50% with 2 processes"}
 	focus := resource.WholeProgram().WithCode("/Code/diffuseprocedure.c/bottleneckProcedure")
@@ -127,7 +123,7 @@ func fig15() *Result {
 }
 
 // fig16 is the Jumpshot timeline of diffuse-procedure.
-func fig16() *Result {
+func fig16(*cells) *Result {
 	r := &Result{ID: "fig16", Title: "Jumpshot timeline of diffuse-procedure", OK: true,
 		Paper: "each process spends approximately the same total time in MPI_Barrier"}
 	n := 3
@@ -153,7 +149,7 @@ func fig16() *Result {
 }
 
 // fig17 is the Jumpshot statistical preview of random-barrier.
-func fig17() *Result {
+func fig17(*cells) *Result {
 	r := &Result{ID: "fig17", Title: "Jumpshot preview of random-barrier (4 procs)", OK: true,
 		Paper: "of 4 processes, ≈3 are executing in MPI_Barrier at any given time"}
 	n := 4
@@ -175,7 +171,7 @@ func fig17() *Result {
 
 // fig18 reproduces the random-barrier inclusive-sync averages: ≈61% under
 // LAM and ≈62% under MPICH.
-func fig18() *Result {
+func fig18(*cells) *Result {
 	r := &Result{ID: "fig18", Title: "random-barrier sync_wait_inclusive per process", OK: true,
 		Paper: "average inclusive sync wait 61% (LAM) / 62% (MPICH), spread across all six processes"}
 	measure := func(impl mpi.ImplKind) (float64, string) {
@@ -199,7 +195,7 @@ func fig18() *Result {
 }
 
 // fig19 is the gprof flat profile of a non-MPI hot-procedure run.
-func fig19() *Result {
+func fig19(*cells) *Result {
 	r := &Result{ID: "fig19", Title: "gprof flat profile of hot-procedure", OK: true,
 		Paper: "bottleneckProcedure 100% of time; equal call counts; irrelevantProcedures ≈0 µs/call"}
 	eng := sim.NewEngine(3)
@@ -231,17 +227,12 @@ func fig19() *Result {
 }
 
 // fig20 covers hot-procedure and sstwod PC outputs.
-func fig20() *Result {
+func fig20(c *cells) *Result {
 	r := &Result{ID: "fig20", Title: "PC output for hot-procedure and sstwod", OK: true,
 		Paper: "hot-procedure: CPUBound → bottleneckProcedure; sstwod: sync → exchng2 → MPI_Sendrecv and MPI_Allreduce"}
-	hot := runSuite("hot-procedure", mpi.LAM, pperfmark.RunOptions{})
-	sst := runSuite("sstwod", mpi.LAM, pperfmark.RunOptions{})
-	r.ok(hasCPU(hot, "bottleneckProcedure"), "hot: bottleneckProcedure missing")
-	r.ok(!hasCPU(hot, "irrelevantProcedure"), "hot: irrelevant procedure implicated")
-	r.ok(hasSync(sst, "exchng2"), "sstwod: exchng2 missing")
-	r.ok(hasSync(sst, "MPI_Sendrecv"), "sstwod: MPI_Sendrecv missing")
-	r.ok(hasSync(sst, "MPI_Allreduce"), "sstwod: MPI_Allreduce missing")
+	hot, sst := c.get("hot-procedure", mpi.LAM), c.get("sstwod", mpi.LAM)
+	r.judged(hot, sst)
 	r.Measured = "hot-procedure CPU bound in bottleneckProcedure; sstwod sync in exchng2→MPI_Sendrecv and MPI_Allreduce"
-	r.Output = "--- hot-procedure ---\n" + hot.PC.Render() + "--- sstwod ---\n" + sst.PC.Render()
+	r.Output = "--- hot-procedure ---\n" + hot.res.PC.Render() + "--- sstwod ---\n" + sst.res.PC.Render()
 	return r
 }

@@ -23,33 +23,22 @@ func init() {
 // fig21 compares the winscpw-sync diagnosis under LAM and MPICH2: the MPI-2
 // standard lets either Win_start or Win_complete block, and the two
 // implementations chose differently.
-func fig21() *Result {
+func fig21(c *cells) *Result {
 	r := &Result{ID: "fig21", Title: "PC output for winscpwsync (LAM vs MPICH2)", OK: true,
 		Paper: "rank 0 CPU bound in waste_time; other ranks wait in MPI_Win_start (LAM) or MPI_Win_complete (MPICH2), on the identified window"}
-	lam := runSuite("winscpw-sync", mpi.LAM, pperfmark.RunOptions{})
-	m2 := runSuite("winscpw-sync", mpi.MPICH2, pperfmark.RunOptions{})
-	r.ok(hasSync(lam, "MPI_Win_start"), "LAM: Win_start missing")
-	r.ok(hasSync(m2, "MPI_Win_complete"), "MPICH2: Win_complete missing")
-	for _, res := range []*pperfmark.Result{lam, m2} {
-		r.ok(hasSync(res, "/SyncObject/Window/"), "%s: window missing", res.Impl)
-		r.ok(hasCPU(res, "waste_time"), "%s: waste_time missing", res.Impl)
-	}
+	lam, m2 := c.get("winscpw-sync", mpi.LAM), c.get("winscpw-sync", mpi.MPICH2)
+	r.judged(lam, m2)
 	r.Measured = "LAM blocks in MPI_Win_start, MPICH2 in MPI_Win_complete; both pin the RMA window and rank 0's waste_time"
 	r.Output = pcSideBySide(lam, m2)
 	return r
 }
 
 // fig22 compares the Oned diagnosis: LAM's fence is a barrier.
-func fig22() *Result {
+func fig22(c *cells) *Result {
 	r := &Result{ID: "fig22", Title: "PC output for Oned", OK: true,
 		Paper: "sync → exchng1 → MPI_Win_fence; LAM additionally implicates /SyncObject/Barrier (fence is MPI_Barrier)"}
-	lam := runSuite("oned", mpi.LAM, pperfmark.RunOptions{})
-	m2 := runSuite("oned", mpi.MPICH2, pperfmark.RunOptions{})
-	for _, res := range []*pperfmark.Result{lam, m2} {
-		r.ok(hasSync(res, "exchng1"), "%s: exchng1 missing", res.Impl)
-		r.ok(hasSync(res, "MPI_Win_fence"), "%s: Win_fence missing", res.Impl)
-	}
-	r.ok(hasSync(lam, "/SyncObject/Barrier"), "LAM: Barrier sync object missing")
+	lam, m2 := c.get("oned", mpi.LAM), c.get("oned", mpi.MPICH2)
+	r.judged(lam, m2)
 	r.ok(!hasSync(m2, "/SyncObject/Barrier"), "MPICH2 should not implicate Barrier")
 	r.Measured = "both find exchng1→MPI_Win_fence; only LAM shows the Barrier sync object"
 	r.Output = pcSideBySide(lam, m2)
@@ -58,7 +47,7 @@ func fig22() *Result {
 
 // fig23 reproduces the resource hierarchy before/after a spawn operation,
 // with MPI-2 object names.
-func fig23() *Result {
+func fig23(*cells) *Result {
 	r := &Result{ID: "fig23", Title: "Resource hierarchy across MPI_Comm_spawn", OK: true,
 		Paper: "three new processes appear; the parent+child window appears with its friendly name, also under Message (LAM stores window names in a communicator)"}
 	prog, params, err := pperfmark.Program("spawnwin-sync", pperfmark.Params{Iterations: 40})
@@ -97,25 +86,18 @@ func fig23() *Result {
 }
 
 // fig24 covers the spawnsync and spawnwin-sync PC outputs.
-func fig24() *Result {
+func fig24(c *cells) *Result {
 	r := &Result{ID: "fig24", Title: "PC output for spawnsync and spawnwinSync", OK: true,
 		Paper: "children wait (message passing in childfunction / window fence); parent CPU bound in parentfunction"}
-	ss := runSuite("spawnsync", mpi.LAM, pperfmark.RunOptions{})
-	sw := runSuite("spawnwin-sync", mpi.LAM, pperfmark.RunOptions{})
-	r.ok(hasSync(ss, "childfunction"), "spawnsync: childfunction missing")
-	r.ok(hasSync(ss, "MPI_Recv"), "spawnsync: MPI_Recv missing")
-	r.ok(hasCPU(ss, "parentfunction"), "spawnsync: parentfunction missing")
-	r.ok(hasSync(sw, "MPI_Win_fence"), "spawnwin: Win_fence missing")
-	r.ok(hasCPU(sw, "parentfunction"), "spawnwin: parentfunction missing")
-	r.ok(hasSync(sw, "/SyncObject/Message") || hasSync(sw, "MPI_Isend") || hasSync(sw, "MPI_Waitall"),
-		"spawnwin: LAM fence message traffic missing")
+	ss, sw := c.get("spawnsync", mpi.LAM), c.get("spawnwin-sync", mpi.LAM)
+	r.judged(ss, sw)
 	r.Measured = "children's waits found (MPI_Recv / MPI_Win_fence with LAM's Isend/Waitall traffic); parent CPU bound"
-	r.Output = "--- spawnsync ---\n" + ss.PC.Render() + "--- spawnwinSync ---\n" + sw.PC.Render()
+	r.Output = "--- spawnsync ---\n" + ss.res.PC.Render() + "--- spawnwinSync ---\n" + sw.res.PC.Render()
 	return r
 }
 
 // prestaExp reproduces the §5.2.1.3 Presta-vs-tool comparison.
-func prestaExp() *Result {
+func prestaExp(*cells) *Result {
 	r := &Result{ID: "presta", Title: "Presta rma vs tool RMA metrics", OK: true,
 		Paper: "op counts agree (except bidirectional Get); throughput/per-op differences ≤ ~0.6% and mostly not significant"}
 	cfg := presta.Config{Bytes: 1024, OpsPerEpoch: 500, Epochs: 60}

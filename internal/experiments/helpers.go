@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"pperf/internal/cluster"
 	"pperf/internal/consultant"
@@ -10,42 +11,69 @@ import (
 	"pperf/internal/pperfmark"
 )
 
-// clusterSpec builds an n-rank paper-style layout (two ranks per node).
-func clusterSpec(n int) *cluster.Spec {
-	nodes := (n + 1) / 2
-	if nodes < 2 {
-		nodes = 2
-	}
-	return cluster.DefaultSpec(nodes, 2)
+// nodesFor is the paper-style layout's node count for n ranks: two ranks
+// per node, never fewer than two nodes.
+func nodesFor(n int) int { return max((n+1)/2, 2) }
+
+// clusterSpec builds an n-rank paper-style layout.
+func clusterSpec(n int) *cluster.Spec { return cluster.DefaultSpec(nodesFor(n), 2) }
+
+// cell is one judged run of a PPerfMark program under one personality: a
+// row of Table 2 or 3, and what a Performance Consultant figure renders.
+type cell struct {
+	res     *pperfmark.Result
+	verdict *pperfmark.Verdict
 }
 
-// runSuite executes one PPerfMark program under the full tool, panicking on
-// harness errors (experiments are regeneration scripts, not servers).
-func runSuite(name string, impl mpi.ImplKind, opt pperfmark.RunOptions) *pperfmark.Result {
-	opt.Impl = impl
-	res, err := pperfmark.Run(name, opt)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %s/%s: %v", name, impl, err))
+type cellKey struct {
+	program string
+	impl    mpi.ImplKind
+}
+
+// cells memoises one judged pperfmark.Run per (program, personality), so the
+// figures and tables of one Run or RunAll share each run. Safe for
+// concurrent use; a harness error panics every caller of the cell
+// (experiments are regeneration scripts, not servers).
+type cells struct {
+	m sync.Map // cellKey → func() cell, a sync.OnceValue
+}
+
+// get returns the cell, simulating it on first use.
+func (c *cells) get(program string, impl mpi.ImplKind) cell {
+	run, _ := c.m.LoadOrStore(cellKey{program, impl}, sync.OnceValue(func() cell {
+		res, err := pperfmark.Run(program, pperfmark.RunOptions{Impl: impl})
+		if err != nil {
+			panic(fmt.Sprintf("experiments: %s/%s: %v", program, impl, err))
+		}
+		return cell{res, pperfmark.Judge(res)}
+	}))
+	return run.(func() cell)()
+}
+
+// judged marks r mismatched, one note per problem, for every cell whose
+// Judge verdict fails: a figure reproduces the paper only if each run it
+// renders passes its Table 2 or 3 row.
+func (r *Result) judged(cs ...cell) {
+	for _, c := range cs {
+		for _, p := range c.verdict.Problems {
+			r.ok(false, "%s/%s: %s", c.verdict.Program, c.verdict.Impl, p)
+		}
 	}
-	return res
 }
 
 // pcSideBySide renders two implementations' condensed Performance Consultant
 // outputs next to each other, the form the paper's PC figures take.
-func pcSideBySide(left, right *pperfmark.Result) string {
+func pcSideBySide(left, right cell) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "--- %s ---\n%s", left.Impl, left.PC.Render())
-	fmt.Fprintf(&b, "--- %s ---\n%s", right.Impl, right.PC.Render())
+	fmt.Fprintf(&b, "--- %s ---\n%s", left.res.Impl, left.res.PC.Render())
+	fmt.Fprintf(&b, "--- %s ---\n%s", right.res.Impl, right.res.PC.Render())
 	return b.String()
 }
 
-// hasSync/hasCPU are finding probes on a result.
-func hasSync(res *pperfmark.Result, substr string) bool {
-	return res.PC.HasFinding(consultant.HypSync, substr)
-}
-
-func hasCPU(res *pperfmark.Result, substr string) bool {
-	return res.PC.HasFinding(consultant.HypCPU, substr)
+// hasSync reports whether the cell's Consultant found a synchronization
+// bottleneck whose focus or label contains substr.
+func hasSync(c cell, substr string) bool {
+	return c.res.PC.HasFinding(consultant.HypSync, substr)
 }
 
 // pct formats a fraction as a percentage.

@@ -93,7 +93,7 @@ type Entry struct {
 	// passive-target tests, §5.2.1.1).
 	NeedsPassive bool
 	// Extension marks programs beyond the paper's Tables (delivered future
-	// work); MPI1Names, MPI2Names and so RunTable exclude them.
+	// work); MPI1Names and MPI2Names, and so the paper's tables, exclude them.
 	Extension bool
 	// Expected totals for verification, given merged params; nil entries
 	// are skipped.

@@ -3,50 +3,14 @@ package pperfmark
 import (
 	"fmt"
 	"strings"
-
-	"pperf/internal/mpi"
 )
 
-// TableRow is one judged program under one implementation.
-type TableRow struct {
-	Verdict *Verdict
-	Err     error
-}
-
-// RunTable runs the given suite half under each implementation and returns
-// the rows, reproducing Table 2 (mpi2=false) or Table 3 (mpi2=true).
-func RunTable(mpi2 bool, impls []mpi.ImplKind, base RunOptions) []TableRow {
-	names := MPI1Names()
-	if mpi2 {
-		names = MPI2Names()
-	}
-	var rows []TableRow
-	for _, name := range names {
-		for _, impl := range impls {
-			opt := base
-			opt.Impl = impl
-			res, err := Run(name, opt)
-			if err != nil {
-				rows = append(rows, TableRow{Err: fmt.Errorf("%s/%s: %w", name, impl, err)})
-				continue
-			}
-			rows = append(rows, TableRow{Verdict: Judge(res)})
-		}
-	}
-	return rows
-}
-
-// RenderTable formats judged rows like the paper's Tables 2 and 3.
-func RenderTable(title string, rows []TableRow) string {
+// RenderTable formats judged runs like the paper's Tables 2 and 3.
+func RenderTable(title string, verdicts []*Verdict) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n%s\n", title, strings.Repeat("=", len(title)))
 	fmt.Fprintf(&b, "%-18s %-8s %-6s %s\n", "Program", "Impl", "Result", "Details")
-	for _, row := range rows {
-		if row.Err != nil {
-			fmt.Fprintf(&b, "%-18s %-8s %-6s %v\n", "-", "-", "ERROR", row.Err)
-			continue
-		}
-		v := row.Verdict
+	for _, v := range verdicts {
 		result := "Pass"
 		if !v.Pass {
 			result = "FAIL"
