@@ -69,16 +69,16 @@ slow-tests:
 # (chunk cursor, View fold, diff/trend, verify on push and pull),
 # BENCH=BenchmarkSuiteSweep one `suite-sweep` rep (23 program × personality
 # runs, each recorded into one store and committed: daemon ticks, the stream
-# recorder's chunk writes, the Consultant's enables). For
-# bytes instead of objects, run the same two commands by hand with
-# -sample_index=alloc_space. Not part of verify.
+# recorder's chunk writes, the Consultant's enables). SAMPLE=alloc_space
+# ranks the sites by bytes instead of objects. Not part of verify.
 BENCH ?= BenchmarkFigure3SmallMessagesPC
+SAMPLE ?= alloc_objects
 alloc-profile:
 	@tmp=$$(mktemp -d) && \
 	trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) test -run '^$$' -bench '^$(BENCH)$$' -benchtime=1x \
 		-memprofile "$$tmp/mem.prof" -memprofilerate=1 -o "$$tmp/pperf.test" . >/dev/null && \
-	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 "$$tmp/pperf.test" "$$tmp/mem.prof"
+	$(GO) tool pprof -sample_index=$(SAMPLE) -top -nodecount=25 "$$tmp/pperf.test" "$$tmp/mem.prof"
 
 # trace-footprint prints the peak RSS of the three CLI runs ROADMAP quotes
 # for the trace plane — the traced small-messages run, the same with -record,

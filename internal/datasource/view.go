@@ -102,18 +102,26 @@ func (v *View) ApplySamples(batch []Sample) {
 		if !ok {
 			continue // disabled while in flight
 		}
-		s.agg.Add(sm.Time, sm.Delta)
 		if sm.Time > s.lastT {
 			s.lastT = sm.Time
 		}
 		ph, ok := s.perProc[sm.Proc]
 		if !ok {
-			ph = metric.NewHistogram(v.NumBins, v.BinWidth)
+			// A lone reporter's histogram is the aggregate; a second splits it off.
+			if ph = s.agg; len(s.procs) == 1 {
+				s.perProc[s.procs[0]] = s.agg.Clone()
+			}
+			if len(s.procs) > 0 {
+				ph = metric.NewHistogram(v.NumBins, v.BinWidth)
+			}
 			s.perProc[sm.Proc] = ph
 			i, _ := slices.BinarySearch(s.procs, sm.Proc)
 			s.procs = slices.Insert(s.procs, i, sm.Proc)
 		}
-		ph.Add(sm.Time, sm.Delta)
+		s.agg.Add(sm.Time, sm.Delta)
+		if ph != s.agg {
+			ph.Add(sm.Time, sm.Delta)
+		}
 	}
 }
 

@@ -26,11 +26,12 @@ const DefaultBinWidth = 200 * sim.Millisecond
 // gives the rate the tool displays (ops/s, bytes/s, CPUs).
 //
 // The histogram's logical size is fixed at numBins — that is what decides
-// when it folds — but the array behind it is allocated on demand: bins holds
-// the prefix written so far and every bin beyond it reads zero, so a series
-// that never outlives a few seconds never pays for a thousand bins.
+// when it folds — but the array behind it holds only the span
+// [base, base+len(bins)) of bins that received a non-zero delta; every other
+// bin reads zero, and a histogram that never sees one never allocates.
 type Histogram struct {
-	bins     []float64 // allocated prefix of the numBins logical bins
+	bins     []float64 // the stored span of the numBins logical bins
+	base     int       // logical index of bins[0]
 	numBins  int
 	binWidth sim.Duration
 	folds    int
@@ -50,8 +51,15 @@ func NewHistogram(numBins int, binWidth sim.Duration) *Histogram {
 	return &Histogram{numBins: numBins, binWidth: binWidth}
 }
 
+// Clone returns an independent copy of the histogram, storing the same span.
+func (h *Histogram) Clone() *Histogram {
+	c := *h
+	c.bins = append([]float64(nil), h.bins...)
+	return &c
+}
+
 // Add accumulates value v at time t, folding first if t falls beyond the
-// array.
+// array. A zero delta is not stored: no bin holds -0, so ±0 changes no bit.
 func (h *Histogram) Add(t sim.Time, v float64) {
 	if t < 0 {
 		t = 0
@@ -60,35 +68,46 @@ func (h *Histogram) Add(t sim.Time, v float64) {
 		h.fold()
 	}
 	idx := int(sim.Duration(t) / h.binWidth)
-	if idx >= len(h.bins) {
-		h.grow(idx + 1)
+	if v != 0 {
+		if idx < h.base || idx >= h.base+len(h.bins) {
+			h.grow(idx)
+		}
+		h.bins[idx-h.base] += v
 	}
-	h.bins[idx] += v
 	if idx > h.lastBin {
 		h.lastBin = idx
 	}
 	h.any = true
 }
 
-// grow extends the allocated prefix to hold at least need bins, never past
-// the logical size: it starts at an eighth of numBins and doubles, so a
-// histogram is reallocated at most three times on its way to the bound.
-func (h *Histogram) grow(need int) {
-	grown := make([]float64, min(max(need, 2*len(h.bins), h.numBins/8), h.numBins))
-	copy(grown, h.bins)
-	h.bins = grown
+// grow widens the stored span to cover bin idx within the logical bounds:
+// the first starts at idx and holds an eighth of numBins, and each regrowth
+// at least doubles it, upward from base or downward from its end.
+func (h *Histogram) grow(idx int) {
+	if len(h.bins) == 0 {
+		h.base = idx
+	}
+	lo, hi := min(idx, h.base), max(idx+1, h.base+len(h.bins))
+	n := max(hi-lo, 2*len(h.bins), h.numBins/8, 1)
+	if idx < h.base {
+		lo = max(hi-n, 0)
+	}
+	n = min(n, h.numBins-lo)
+	grown := make([]float64, n)
+	copy(grown[h.base-lo:], h.bins)
+	h.bins, h.base = grown, lo
 }
 
 // fold halves the resolution: neighbouring bins combine and the width
-// doubles, freeing the upper half of the array (§5).
+// doubles, freeing the upper half of the array (§5); an odd numBins' last bin
+// carries over alone. Stored bin j reads old bins at or after j: in place.
 func (h *Histogram) fold() {
-	for i := range h.bins {
-		if i < h.numBins/2 {
-			h.bins[i] = h.Bin(2*i) + h.Bin(2*i+1)
-		} else {
-			h.bins[i] = 0
-		}
+	base := h.base / 2
+	for j := range h.bins {
+		i := base + j
+		h.bins[j] = h.Bin(2*i) + h.Bin(2*i+1)
 	}
+	h.base = base
 	h.binWidth *= 2
 	h.lastBin /= 2
 	h.folds++
@@ -106,10 +125,10 @@ func (h *Histogram) NumFilled() int {
 	return h.lastBin + 1
 }
 
-// Bin returns the accumulated value of bin i (zero outside the array and
-// beyond its allocated prefix).
+// Bin returns the accumulated value of bin i (zero outside the logical
+// array and outside the stored span).
 func (h *Histogram) Bin(i int) float64 {
-	if i < 0 || i >= len(h.bins) {
+	if i -= h.base; i < 0 || i >= len(h.bins) {
 		return 0
 	}
 	return h.bins[i]
@@ -117,7 +136,12 @@ func (h *Histogram) Bin(i int) float64 {
 
 // Values returns a copy of the filled prefix of the bin array.
 func (h *Histogram) Values() []float64 {
-	return append([]float64(nil), h.bins[:h.NumFilled()]...)
+	if !h.any {
+		return nil
+	}
+	vals := make([]float64, h.NumFilled())
+	copy(vals[h.base:], h.bins) // a stored span starts at or before the last bin written
+	return vals
 }
 
 // Rates returns the per-bin rates (bin value divided by bin width in
@@ -131,7 +155,7 @@ func (h *Histogram) Rates() []float64 {
 	return vals
 }
 
-// Total returns the sum over all bins (the unallocated ones hold zero).
+// Total returns the sum over all bins (the unstored ones hold zero).
 func (h *Histogram) Total() float64 {
 	s := 0.0
 	for _, v := range h.bins {
@@ -155,11 +179,7 @@ func (h *Histogram) MeanRateExcludingEnds() float64 {
 		}
 		return h.Total() / (float64(n) * h.binWidth.Seconds())
 	}
-	s := 0.0
-	for i := 1; i < n-1; i++ {
-		s += h.bins[i]
-	}
-	return s / (float64(n-2) * h.binWidth.Seconds())
+	return h.InteriorTotal() / (float64(n-2) * h.binWidth.Seconds())
 }
 
 // TotalViaMeanRate reproduces the paper's byte-count calculations (Figs 4,
@@ -177,7 +197,7 @@ func (h *Histogram) ActiveRunTime() sim.Duration {
 	n := 0
 	filled := h.NumFilled()
 	for i := 1; i < filled-1; i++ {
-		if h.bins[i] != 0 {
+		if h.Bin(i) != 0 {
 			n++
 		}
 	}
@@ -189,7 +209,7 @@ func (h *Histogram) InteriorTotal() float64 {
 	filled := h.NumFilled()
 	s := 0.0
 	for i := 1; i < filled-1; i++ {
-		s += h.bins[i]
+		s += h.Bin(i)
 	}
 	return s
 }
@@ -213,7 +233,7 @@ func (h *Histogram) Render(width int) string {
 	// Downsample to the requested width.
 	cells := make([]float64, width)
 	for i := 0; i < n; i++ {
-		cells[i*width/n] += h.bins[i]
+		cells[i*width/n] += h.Bin(i)
 	}
 	max := 0.0
 	for _, v := range cells {

@@ -8,9 +8,11 @@ import (
 	"pperf/internal/sim"
 )
 
-// refHistogram is the histogram as it was before bins grew on demand: the
-// whole array allocated up front, every method reading all of it. It is kept
-// here as the reference the on-demand Histogram must match bit for bit.
+// refHistogram is the histogram as it was before it stored only its
+// non-zero span: the whole array allocated up front, every method reading all
+// of it. It is kept here as the reference the span-storing Histogram must
+// match bit for bit; its one change since is the fold of an odd bin count,
+// whose last bin now carries over instead of being zeroed.
 type refHistogram struct {
 	bins     []float64
 	binWidth sim.Duration
@@ -34,11 +36,15 @@ func (h *refHistogram) add(t sim.Time, v float64) {
 		t = 0
 	}
 	for int(sim.Duration(t)/h.binWidth) >= len(h.bins) {
-		n := len(h.bins)
-		for i := 0; i < n/2; i++ {
-			h.bins[i] = h.bins[2*i] + h.bins[2*i+1]
+		n, half := len(h.bins), (len(h.bins)+1)/2
+		for i := 0; i < half; i++ {
+			odd := 0.0 // an odd count's last bin has no partner
+			if 2*i+1 < n {
+				odd = h.bins[2*i+1]
+			}
+			h.bins[i] = h.bins[2*i] + odd
 		}
-		for i := n / 2; i < n; i++ {
+		for i := half; i < n; i++ {
 			h.bins[i] = 0
 		}
 		h.binWidth *= 2
@@ -119,8 +125,11 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 
 // Property: over seeded random Add streams — odd and tiny bin counts, times
 // far past the bound, a first sample several folds out, negative times,
-// negative and zero values — the on-demand Histogram answers every query
-// exactly as the preallocating one did.
+// negative and zero values, streams that open with a run of zero deltas and
+// ones whose samples often land behind the stored span — the span-storing
+// Histogram answers every query exactly as the preallocating one did. It
+// stores nothing until the first non-zero delta, and then, at bin k, at most
+// min(numBins/8, numBins-k) bins (one at least).
 func TestHistogramMatchesPreallocatedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 300; trial++ {
@@ -134,6 +143,14 @@ func TestHistogramMatchesPreallocatedReference(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			now = span * float64(1+rng.Intn(40)) // the first sample is several folds out
 		}
+		leadZeros, backward := 0, 1
+		if rng.Intn(3) == 0 {
+			leadZeros = rng.Intn(60) // the stream opens with zero deltas
+		}
+		if rng.Intn(3) == 0 {
+			backward = 4 // samples often land below the stored span
+		}
+		stored := false
 		check := func(step int) {
 			t.Helper()
 			fail := func(what string, got, want any) {
@@ -184,16 +201,16 @@ func TestHistogramMatchesPreallocatedReference(t *testing.T) {
 		}
 		check(0)
 		for i := 1; i <= adds; i++ {
-			switch rng.Intn(10) {
-			case 0:
+			switch r := rng.Intn(10); {
+			case r == 0:
 				now += span * rng.Float64() * 3 // jump past the bound
-			case 1:
+			case r <= backward:
 				now -= span * rng.Float64() // samples may arrive out of order
 			default:
 				now += float64(width) * rng.Float64() * 2
 			}
 			v := rng.NormFloat64() * 10
-			if rng.Intn(8) == 0 {
+			if rng.Intn(8) == 0 || i <= leadZeros {
 				v = 0
 			}
 			if !signed {
@@ -201,6 +218,16 @@ func TestHistogramMatchesPreallocatedReference(t *testing.T) {
 			}
 			h.Add(sim.Time(now), v)
 			ref.add(sim.Time(now), v)
+			if !stored && v != 0 {
+				stored = true
+				k := int(sim.Duration(max(now, 0)) / ref.binWidth)
+				if bound := max(1, min(numBins/8, numBins-k)); len(h.bins) == 0 || len(h.bins) > bound {
+					t.Fatalf("trial %d (bins %d): first non-zero delta at bin %d stored %d bins, want 1..%d", trial, numBins, k, len(h.bins), bound)
+				}
+			}
+			if !stored && len(h.bins) != 0 {
+				t.Fatalf("trial %d: %d zero deltas stored %d bins", trial, i, len(h.bins))
+			}
 			if i%7 == 0 || i == adds {
 				check(i)
 			}
@@ -208,7 +235,7 @@ func TestHistogramMatchesPreallocatedReference(t *testing.T) {
 	}
 }
 
-// The array is allocated on demand: a histogram that has seen one early
+// The span is allocated on demand: a histogram that has seen one early
 // sample holds a fraction of its bound, and one driven to the bound holds
 // exactly numBins and never more.
 func TestHistogramGrowsToItsBound(t *testing.T) {
@@ -228,5 +255,30 @@ func TestHistogramGrowsToItsBound(t *testing.T) {
 	}
 	if len(h.bins) != 1000 || h.folds == 0 || h.Total() != 5001 {
 		t.Errorf("driven past the bound: %d bins, %d folds, total %v", len(h.bins), h.folds, h.Total())
+	}
+}
+
+// Property: folding keeps every bin's mass, odd bin counts included (the
+// last bin of an odd count carries over alone). With integer-valued deltas
+// every sum is exact, so Total equals the running sum of what was added
+// after every fold.
+func TestHistogramFoldKeepsMass(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 200; trial++ {
+		numBins := 1 + rng.Intn(40)
+		h := NewHistogram(numBins, sim.Millisecond)
+		sum := 0.0
+		for i := 0; i < 300; i++ {
+			folds := h.folds
+			v := float64(rng.Intn(100) - 20)
+			h.Add(sim.Time(rng.Int63n(int64(50*numBins)*int64(sim.Millisecond))), v)
+			sum += v
+			if h.Total() != sum {
+				t.Fatalf("trial %d (bins %d) add %d, %d folds: Total %v, added %v", trial, numBins, i, h.folds-folds, h.Total(), sum)
+			}
+		}
+		if h.folds == 0 {
+			t.Fatalf("trial %d (bins %d): the stream never folded", trial, numBins)
+		}
 	}
 }

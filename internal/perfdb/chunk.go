@@ -411,17 +411,20 @@ func (w *chunkWriter) flush() error {
 	counts = binary.AppendUvarint(counts, uint64(c.nPacked))
 	w.chunks++
 	err := w.writeChunk(chunkEvents, counts[:nEvents], c.flags, counts[nEvents:], c.packed, c.gob.Bytes())
-	clear(c.rest) // the events' strings are encoded; let them go
-	c.flags, c.nPacked, c.packed, c.rest = c.flags[:0], 0, c.packed[:0], c.rest[:0]
+	c.reset()
 	return err
 }
 
+// reset empties the chunk, keeping its buffers.
+func (c *pendingChunk) reset() {
+	clear(c.rest) // the events' strings are encoded; let them go
+	c.flags, c.nPacked, c.packed, c.rest = c.flags[:0], 0, c.packed[:0], c.rest[:0]
+}
+
 // close flushes the final partial chunk and writes the trailer carrying
-// the finalized header. The writer must not be used afterwards: close lets go
-// of the pending chunk's buffers, which a caller reading the recorder's
-// counters would otherwise keep at their high-water size.
+// the finalized header. The writer must not be used afterwards; its owner
+// lets go of the pending chunk's buffers, or hands them to the next writer.
 func (w *chunkWriter) close(h session.Header) error {
-	defer func() { w.buf = pendingChunk{} }()
 	if w.err != nil {
 		return w.err
 	}
@@ -451,15 +454,20 @@ func WriteArchive(w io.Writer, a *session.Archive) error {
 	if err != nil {
 		return err
 	}
-	if err := cw.writeHeaderChunk(provisionalHeader(a.Header)); err != nil {
+	return cw.encode(a)
+}
+
+// encode writes a's events and trailer after the magic newChunkWriter wrote.
+func (w *chunkWriter) encode(a *session.Archive) error {
+	if err := w.writeHeaderChunk(provisionalHeader(a.Header)); err != nil {
 		return err
 	}
 	for i := range a.Events {
-		if err := cw.add(a.Events[i]); err != nil {
+		if err := w.add(a.Events[i]); err != nil {
 			return err
 		}
 	}
-	return cw.close(a.Header)
+	return w.close(a.Header)
 }
 
 // provisionalHeader strips a header to what a streaming writer knows up

@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
 	"testing"
 
 	"pperf/internal/consultant"
@@ -142,6 +144,90 @@ func TestStreamRecorderMatchesInMemory(t *testing.T) {
 	}
 	if a, b := fingerprint(t, c.live), replayFingerprint(t, streamed); a != b {
 		t.Error("streamed recording replays differently from the live run's in-memory state")
+	}
+}
+
+// A store's writers share one set of chunk buffers. Replaying a recorded
+// run's events, the second recorder of a store borrows what the first grew,
+// so its writes allocate a tenth of the first's at most, and the archive it
+// writes is byte for byte the one a standalone recorder writes. Two
+// recorders open at once each get a set and each write that archive too
+// (make race runs this under -race).
+func TestStoreWritersShareChunkBuffers(t *testing.T) {
+	events := built(t, smallMessages()).archive(t, 1).Events
+	record := func(rec *perfdb.StreamRecorder) {
+		for _, ev := range events {
+			rec.Record(ev)
+		}
+	}
+	alone := filepath.Join(t.TempDir(), "alone.ppdb")
+	rec, err := perfdb.NewStreamRecorder(alone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record(rec)
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(alone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := perfdb.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit := func(rec *perfdb.StreamRecorder) error {
+		m, _, err := st.Commit(rec, perfdb.AddMeta{})
+		if err != nil {
+			return err
+		}
+		got, err := os.ReadFile(st.RunPath(m.ID))
+		if err == nil && !bytes.Equal(got, want) {
+			err = fmt.Errorf("%s differs from the standalone recorder's archive", m.ID)
+		}
+		return err
+	}
+	var allocated [2]uint64
+	for i := range allocated {
+		rec, err := st.NewRecorder()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		record(rec)
+		runtime.ReadMemStats(&after)
+		allocated[i] = after.TotalAlloc - before.TotalAlloc
+		if err := commit(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocated[1] > allocated[0]/10 {
+		t.Errorf("the second recorder's writes allocated %d bytes, the first's %d: want a tenth at most", allocated[1], allocated[0])
+	}
+
+	var recs [2]*perfdb.StreamRecorder
+	for i := range recs {
+		if recs[i], err = st.NewRecorder(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, len(recs))
+	for i, rec := range recs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			record(rec)
+			errs[i] = commit(rec)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("concurrent recorder %d: %v", i, err)
+		}
 	}
 }
 

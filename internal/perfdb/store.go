@@ -40,8 +40,11 @@ type Store struct {
 	// the same clock.
 	GCTmpAge time.Duration
 
-	mu    sync.Mutex // serializes in-process access to index
+	mu    sync.Mutex // serializes in-process access to index and chunk
 	index storeIndex
+	// chunk is the chunk buffers the store's writers share. A writer takes
+	// them, leaving a fresh set for a second writer open at once.
+	chunk pendingChunk
 
 	// failAt, set only by tests, is consulted at each step of admitting a
 	// run ("create", "write", "rename", "index") and may fail or panic there.
@@ -418,9 +421,27 @@ func verifyStaged(src string, am AddMeta) (admission, error) {
 	return admission{AddMeta: am, src: src, header: s.header, events: s.events, truncated: s.truncated}, nil
 }
 
-// writeArchive renders a into a fresh file at path.
+// writeArchive renders a into a fresh file at path through the store's
+// chunk buffers. The caller holds st.mu.
 func (st *Store) writeArchive(path string, a *session.Archive) error {
-	return st.writeFile(path, func(w io.Writer) error { return WriteArchive(w, a) })
+	return st.writeFile(path, func(w io.Writer) error {
+		cw, err := newChunkWriter(w)
+		if err == nil {
+			cw.buf, st.chunk = st.chunk, pendingChunk{}
+			err = cw.encode(a)
+			st.returnChunkLocked(cw.buf)
+		}
+		return err
+	})
+}
+
+// returnChunkLocked keeps a finished writer's chunk buffers, emptied, for the
+// next writer, unless the store holds a set again. The caller holds st.mu.
+func (st *Store) returnChunkLocked(c pendingChunk) {
+	if st.chunk.flags == nil {
+		c.reset()
+		st.chunk = c
+	}
 }
 
 // writeFile creates the file at path and fills it through write.
@@ -459,6 +480,9 @@ func (st *Store) NewRecorder() (*StreamRecorder, error) {
 		}
 		if err == nil {
 			rec, err = NewStreamRecorder(st.RunPath(id))
+		}
+		if err == nil {
+			rec.w.buf, st.chunk, rec.lender = st.chunk, pendingChunk{}, st
 		}
 		return err
 	})

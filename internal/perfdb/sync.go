@@ -41,6 +41,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -557,11 +558,14 @@ func (s *SyncServer) Frames() int64 { return s.Stats().Frames }
 // server already held — replays after lost acks, absorbed idempotently.
 func (s *SyncServer) DuplicateFrames() int64 { return s.dups.Load() }
 
-// serve answers one connection's requests.
+// serve answers one connection's requests, decoding each into one syncReq
+// whose Data is the connection's one payload buffer, pushed or pulled.
 func (s *SyncServer) serve(c *wire.ServerConn) {
 	var lastSeq uint64
+	var req syncReq
 	for {
-		var req syncReq
+		// gob leaves a field the frame omits as it found it: reset them all.
+		req = syncReq{Data: req.Data[:0]}
 		if c.Read(&req) != nil {
 			return
 		}
@@ -690,7 +694,9 @@ func (s *SyncServer) pullChunk(req *syncReq) *syncResp {
 	if n > chunk {
 		n = chunk
 	}
-	data := make([]byte, n)
+	// Into the connection's payload buffer: Reply encodes before the next Read.
+	data := slices.Grow(req.Data[:0], int(n))[:n]
+	req.Data = data
 	if _, err := io.ReadFull(io.NewSectionReader(f, req.Offset, n), data); err != nil {
 		return syncErr("pull-chunk: read: %v", err)
 	}

@@ -354,6 +354,71 @@ func TestSyncPushEndIgnoresForgedMeta(t *testing.T) {
 	}
 }
 
+// A server decodes every frame of a connection into one request, keeping its
+// payload buffer, so a field a frame omits must read zero, not what the
+// frame before carried. On one connection: a push-chunk that omits Data
+// after one that carried it writes nothing (a stale payload and CRC would be
+// appended again), a push-end after push-chunks that omits Meta stores the
+// run unlabeled (not under the previous push-end's label and verdict), and a
+// pull-chunk that omits Offset and Size reads the default chunk from the
+// start (not from the pull before's offset at its size).
+func TestSyncConnectionFramesStartClean(t *testing.T) {
+	src, first := storeWithRun(t, 8, 300, "")
+	m, err := src.AddArchive(syntheticArchive(rand.New(rand.NewSource(9)), 300), AddMeta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, srv := serveStore(t)
+	c, err := dialSync(srv.Addr(), testSyncConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.close()
+	push := func(m RunMeta, meta RunMeta, split int) *syncResp {
+		t.Helper()
+		data := mustReadFile(t, src.RunPath(m.ID))
+		if _, err := c.roundTrip(syncReq{Op: opPushBegin, Hash: m.Hash, Size: int64(len(data))}); err != nil {
+			t.Fatal(err)
+		}
+		head, rest := data[:split], data[split:]
+		if _, err := c.roundTrip(syncReq{Op: opPushChunk, Hash: m.Hash, Data: head, CRC: wire.Checksum(head)}); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := c.roundTrip(syncReq{Op: opPushChunk, Hash: m.Hash, Offset: int64(split)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		partial := mustReadFile(t, filepath.Join(peer.syncDir(), m.Hash+".partial"))
+		if resp.Offset != int64(split) || !bytes.Equal(partial, head) {
+			t.Fatalf("a push-chunk without Data after %d bytes: server holds %d bytes (offset %d), want %d", split, len(partial), resp.Offset, split)
+		}
+		if _, err := c.roundTrip(syncReq{Op: opPushChunk, Hash: m.Hash, Offset: int64(split), Data: rest, CRC: wire.Checksum(rest)}); err != nil {
+			t.Fatal(err)
+		}
+		end, err := c.roundTrip(syncReq{Op: opPushEnd, Hash: m.Hash, Meta: meta})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return end
+	}
+	push(first, RunMeta{Label: "one", Verdict: "sync=true(0.9)"}, 100)
+	end := push(m, RunMeta{}, 200)
+	if got, err := peer.Get(end.ID); err != nil || got.Label != "" || got.Verdict != "" || end.Warning != "" {
+		t.Errorf("push-end without Meta stored %+v (%v), warning %q; want no label and no verdict", got, err, end.Warning)
+	}
+	if _, err := c.roundTrip(syncReq{Op: opPullChunk, ID: end.ID, Offset: 64, Size: 16}); err != nil {
+		t.Fatal(err)
+	}
+	pulled, err := c.roundTrip(syncReq{Op: opPullChunk, ID: end.ID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := mustReadFile(t, src.RunPath(m.ID))
+	if want := data[:min(len(data), DefaultSyncChunkBytes)]; pulled.Offset != 0 || !bytes.Equal(pulled.Data, want) {
+		t.Errorf("a pull-chunk without Offset and Size read %d bytes at offset %d, want %d at 0", len(pulled.Data), pulled.Offset, len(want))
+	}
+}
+
 // TestSyncPushRefusesWhatIsNotAnArchive: a peer whose upload hashes to what it
 // announced gets past content verification whatever the bytes are; the parse
 // that follows is what keeps garbage out of the store. Plain noise and valid
