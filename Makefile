@@ -177,15 +177,18 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzChunkDecoder -fuzztime=5s ./internal/perfdb
 	$(GO) test -run '^$$' -fuzz=FuzzUnpackSamples -fuzztime=5s ./internal/session
 	$(GO) test -run '^$$' -fuzz=FuzzUnpackShard -fuzztime=5s ./internal/session
+	$(GO) test -run '^$$' -fuzz=FuzzUnpackEvents -fuzztime=5s ./internal/session
 	$(GO) test -run '^$$' -fuzz=FuzzCompileSource -fuzztime=5s ./internal/mdl
 
-# fuzz-perfdb holds the chunked-archive decoder and the packed sample-batch
-# and trace-shard decoders under it (internal/session) total: arbitrary bytes
-# must produce an archive, a batch, a shard or an error, never a panic.
+# fuzz-perfdb holds the chunked-archive decoder and the packed sample-batch,
+# trace-shard and event-section decoders under it (internal/session) total:
+# arbitrary bytes must produce an archive, a batch, a shard, an event section
+# or an error, never a panic.
 fuzz-perfdb:
 	$(GO) test -fuzz=FuzzChunkDecoder -fuzztime=30s ./internal/perfdb
 	$(GO) test -fuzz=FuzzUnpackSamples -fuzztime=30s ./internal/session
 	$(GO) test -fuzz=FuzzUnpackShard -fuzztime=30s ./internal/session
+	$(GO) test -fuzz=FuzzUnpackEvents -fuzztime=30s ./internal/session
 
 # bench runs the root package's figure/table/ablation benchmarks, the
 # per-enable and per-session costs (BenchmarkInstantiate, BenchmarkNewSession;

@@ -19,6 +19,7 @@ import (
 	"os"
 	"slices"
 	"sort"
+	"sync"
 
 	"pperf/internal/datasource"
 	"pperf/internal/session"
@@ -32,7 +33,7 @@ import (
 //	6 bytes  magic "PPDBA1"
 //	chunk 'H'  provisional header (gob session.Header: version + histogram
 //	           config — everything known before the first event)
-//	chunk 'E'* event chunks (packed sample batches and trace shards + gob rest)
+//	chunk 'E'* event chunks (packed sample batches, trace shards and events)
 //	chunk 'T'  trailer (gob: final session.Header with Meta/Extra,
 //	           NumEvents, NumChunks)
 //
@@ -123,9 +124,10 @@ type trailer struct {
 
 // The flag byte an 'E' chunk holds per event: where the event's bytes are.
 const (
-	flagGob     = 0 // in the chunk's gob section
+	flagGob     = 0 // in the chunk's gob section: older archives only
 	flagSamples = 1 // the next packed blob, a sample batch
 	flagShard   = 2 // the next packed blob, a trace shard
+	flagEvents  = 3 // the next record of the chunk's packed event section
 )
 
 // maxPendingPacked is the byte bound of a pending chunk: once its packed
@@ -135,8 +137,8 @@ const (
 const maxPendingPacked = 4 << 20
 
 // pendingChunk is an 'E' chunk being assembled: sample batches and trace
-// shards ride as packed blobs, everything else as gob of session.Event (one
-// encoder per chunk, so chunks stay independently decodable). A batch is
+// shards ride as packed blobs, everything else in one packed event section
+// (its own dictionary, so chunks stay independently decodable). A batch is
 // packed the moment it is appended and a shard's bytes — packed where its
 // ring was drained — are copied in, so the chunk never holds a caller's
 // sample slice or shard.
@@ -146,21 +148,21 @@ const maxPendingPacked = 4 << 20
 //	uvarint nEvents
 //	nEvents flag bytes, one per event
 //	uvarint nPacked; per blob, in event order: uvarint len + bytes
-//	remaining: gob of []session.Event (the flagGob events, in order)
+//	remaining: the flagEvents events' packed section; none without them
 //
-// Archives written before shards were packed hold flags 0 and 1 only, their
-// shards in the gob section; they load through the same decoder.
+// Older archives hold flag 0 and a gob of []session.Event (flag-0 events,
+// shards among them before flag 2) where the section is; they load through
+// the same decoder.
 //
 // Every buffer is kept from chunk to chunk: packed and rest grow by doubling,
 // packed to maxPendingPacked plus the blob that crosses it, rest to the
-// chunk's event bound. The gob section is encoded into the one gob buffer by
-// a fresh encoder per chunk: each chunk carries its own type table.
+// chunk's event bound.
 type pendingChunk struct {
 	flags   []byte          // one per event, in order
 	nPacked int             // packed blobs among them
 	packed  []byte          // the blobs, each behind its uvarint length
-	rest    []session.Event // the gob-section events
-	gob     bytes.Buffer    // rest, encoded at flush
+	rest    []session.Event // the event-section events
+	section []byte          // rest, packed at flush
 	pk      session.Packer
 	blob    []byte // one sample batch, packed, before its length is known
 }
@@ -177,7 +179,7 @@ func (c *pendingChunk) add(ev session.Event, maxEvents int) {
 		c.flags = append(c.flags, flagShard)
 		blob = ev.Shard.Packed()
 	default:
-		c.flags = append(c.flags, flagGob)
+		c.flags = append(c.flags, flagEvents)
 		c.rest = append(grow(c.rest, 1, maxEvents), ev)
 		return
 	}
@@ -221,15 +223,16 @@ func (s *archiveScan) eventsChunk(data []byte, visit func(*session.Event)) error
 	}
 	flags := data[pos : pos+int(nEvents)]
 	pos += int(nEvents)
-	wantPacked := 0
+	var per [flagEvents + 1]int // events per flag
 	for _, f := range flags {
-		switch f {
-		case flagGob:
-		case flagSamples, flagShard:
-			wantPacked++
-		default:
+		if f > flagEvents {
 			return fmt.Errorf("perfdb: corrupt events chunk: bad event flag %d", f)
 		}
+		per[f]++
+	}
+	wantPacked, nGob, nSection := per[flagSamples]+per[flagShard], per[flagGob], per[flagEvents]
+	if nGob > 0 && nSection > 0 {
+		return errors.New("perfdb: corrupt events chunk: gob and packed events in one chunk")
 	}
 	nPacked, err := getU()
 	if err != nil {
@@ -251,14 +254,27 @@ func (s *archiveScan) eventsChunk(data []byte, visit func(*session.Event)) error
 		pos += int(l)
 	}
 	s.blobs = blobs
-	// A fresh slice per chunk: gob leaves the fields its stream omits (the
-	// zero ones) as it found them.
 	var rest []session.Event
-	if err := gob.NewDecoder(bytes.NewReader(data[pos:])).Decode(&rest); err != nil {
-		return fmt.Errorf("perfdb: corrupt events chunk: %v", err)
-	}
-	if nRest := len(flags) - wantPacked; len(rest) != nRest {
-		return fmt.Errorf("perfdb: corrupt events chunk: %d gob events, flags promise %d", len(rest), nRest)
+	switch data = data[pos:]; {
+	case nSection > 0: // the count is checked before anything is decoded for it
+		if n, _ := binary.Uvarint(data); n != uint64(nSection) {
+			return fmt.Errorf("perfdb: corrupt events chunk: %d packed events, flags promise %d", n, nSection)
+		}
+		if s.rest, err = s.up.UnpackEventsInto(s.rest, data); err != nil {
+			return err
+		}
+		rest = s.rest
+	case nGob > 0 || len(data) > 0: // an older archive's gob section
+		// A fresh slice per chunk: gob leaves the fields its stream omits (the
+		// zero ones) as it found them.
+		var old []session.Event
+		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&old); err != nil {
+			return fmt.Errorf("perfdb: corrupt events chunk: %v", err)
+		}
+		if len(old) != nGob {
+			return fmt.Errorf("perfdb: corrupt events chunk: %d gob events, flags promise %d", len(old), nGob)
+		}
+		rest = old
 	}
 	ev := &s.ev
 	for _, f := range flags {
@@ -307,8 +323,8 @@ type chunkWriter struct {
 	counts [2 * binary.MaxVarintLen64]byte
 
 	// perChunk is the chunk granularity (events per chunk). Smaller chunks
-	// bound memory tighter and localize corruption; larger ones amortize gob
-	// type descriptors better. Set before the first add.
+	// bound memory tighter and localize corruption; larger ones amortize each
+	// blob's dictionary better. Set before the first add.
 	perChunk int
 
 	events int // appended so far
@@ -400,17 +416,15 @@ func (w *chunkWriter) flush() error {
 	if len(c.flags) == 0 {
 		return nil
 	}
-	c.gob.Reset()
-	// Through a pointer (gob encodes the slice it points to, byte for byte
-	// the same) so the slice header is not boxed.
-	if err := gob.NewEncoder(&c.gob).Encode(&c.rest); err != nil {
-		return fmt.Errorf("perfdb: encode events chunk: %w", err)
+	c.section = c.section[:0]
+	if len(c.rest) > 0 {
+		c.section = c.pk.PackEvents(c.section, c.rest)
 	}
 	counts := binary.AppendUvarint(w.counts[:0], uint64(len(c.flags)))
 	nEvents := len(counts)
 	counts = binary.AppendUvarint(counts, uint64(c.nPacked))
 	w.chunks++
-	err := w.writeChunk(chunkEvents, counts[:nEvents], c.flags, counts[nEvents:], c.packed, c.gob.Bytes())
+	err := w.writeChunk(chunkEvents, counts[:nEvents], c.flags, counts[nEvents:], c.packed, c.section)
 	c.reset()
 	return err
 }
@@ -482,10 +496,10 @@ func provisionalHeader(h session.Header) session.Header {
 // time to a visit function; collecting them (ReadArchive), folding them into
 // a View (OpenRun) or only counting them (the verify step of sync and
 // AddFile) is the consumer's business. Every event arrives through one reused
-// session.Event over one payload buffer, one string table, one blob index and
-// one sample scratch, all valid until visit returns: a consumer that keeps
-// nothing holds one chunk of memory however long the run. A shard's spans are
-// always a fresh slice, because the timeline keeps them by reference.
+// session.Event over one string table and one scanScratch, all valid until
+// visit returns: a consumer that keeps nothing holds one chunk of memory
+// however long the run. A shard's spans are always a fresh slice, because the
+// timeline keeps them by reference.
 type archiveScan struct {
 	r io.Reader
 	// header is the header chunk's while events are visited, the trailer's
@@ -495,14 +509,43 @@ type archiveScan struct {
 	truncated bool // the stream ended before its trailer
 
 	frames, chunks int              // frames read; 'E' chunks among them
-	payload        []byte           // the current frame's
+	hdr            [9]byte          // the current frame's header
 	up             session.Unpacker // one string table for the whole read
-	blobs          [][]byte
-	samples        []datasource.Sample
+	scanScratch
 	// ev is a field on purpose: a `var ev session.Event` declared inside the
 	// per-event loop and passed by pointer escapes once per event, which
 	// alone took store-cycle from 370 k mallocs to 393 k.
 	ev session.Event
+}
+
+// scanScratch is what a scan decodes one chunk into.
+type scanScratch struct {
+	payload []byte // the current frame's
+	blobs   [][]byte
+	samples []datasource.Sample
+	rest    []session.Event // the chunk's event section
+}
+
+// spare is the scratch the last scan left: the next takes it, so LoadAny,
+// OpenRun and the verify steps stop regrowing a chunk of buffers per file; a
+// scan that finds it taken grows its own. A sync.Pool would drop it at every
+// collection and make a scan's allocations depend on GC timing.
+var spare struct {
+	sync.Mutex
+	scanScratch
+}
+
+// release hands s's scratch back, emptied, unless a trace-sized chunk grew its
+// payload past twice the writer's chunk bound.
+func (s *archiveScan) release() {
+	if sc := &s.scanScratch; cap(sc.payload) <= 2*maxPendingPacked {
+		clear(sc.samples[:cap(sc.samples)])
+		clear(sc.rest[:cap(sc.rest)])
+		spare.Lock()
+		spare.scanScratch = scanScratch{sc.payload[:0], sc.blobs[:0], sc.samples[:0], sc.rest[:0]}
+		spare.Unlock()
+	}
+	s.scanScratch = scanScratch{}
 }
 
 // scanArchive reads the archive on r to its end and returns the finished
@@ -522,7 +565,11 @@ func scanArchive(r io.Reader, consume func(*archiveScan) func(*session.Event)) (
 	if !bytes.Equal(got, chunkMagic) {
 		return nil, errors.New("perfdb: not a pperf session archive (bad magic)")
 	}
-	s := &archiveScan{r: r}
+	spare.Lock()
+	s := &archiveScan{r: r, scanScratch: spare.scanScratch}
+	spare.scanScratch = scanScratch{}
+	spare.Unlock()
+	defer s.release()
 	// The first frame has to be the header chunk: frame refuses all else there.
 	done, err := s.frame(nil)
 	var visit func(*session.Event)
@@ -539,16 +586,22 @@ func scanArchive(r io.Reader, consume func(*archiveScan) func(*session.Event)) (
 func (s *archiveScan) frame(visit func(*session.Event)) (done bool, err error) {
 	i, gotHeader := s.frames, s.frames > 0
 	s.frames++
-	var hdr [9]byte
+	hdr := &s.hdr
 	readErr := "perfdb: corrupt archive at chunk %d: %v"
 	if _, err = io.ReadFull(s.r, hdr[:]); err == nil {
+		s.payload = s.payload[:0]
 		plen := binary.BigEndian.Uint32(hdr[1:5])
 		if plen > maxChunkPayload {
 			return false, fmt.Errorf("perfdb: corrupt archive: chunk %d declares %d-byte payload", i, plen)
 		}
 		readErr = "perfdb: corrupt archive: chunk %d payload: %v"
-		s.payload = slices.Grow(s.payload[:0], int(plen))[:plen]
-		_, err = io.ReadFull(s.r, s.payload)
+		// The buffer grows as bytes arrive, doubling from 64 KiB: a length
+		// field over a short file costs nothing.
+		for n := int(plen); err == nil && len(s.payload) < n; {
+			p := slices.Grow(s.payload, min(n-len(s.payload), max(len(s.payload), 64<<10)))
+			k, rerr := io.ReadFull(s.r, p[len(p):min(n, cap(p))])
+			s.payload, err = p[:len(p)+k], rerr
+		}
 	}
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
 		// Clean end or mid-frame cut without a trailer: the writer was

@@ -328,10 +328,11 @@ func testFrame(kind byte, payload []byte) []byte {
 	return append(hdr, payload...)
 }
 
-// eventsPayload assembles an 'E' payload from its sections without checking
-// that they agree — which is the point.
-func eventsPayload(t testing.TB, flags []byte, nPacked int, blobs [][]byte, rest []session.Event) []byte {
-	t.Helper()
+// eventsPayload assembles an 'E' payload from its sections — the flags, the
+// packed blobs, and what follows them: a packed event section, an older
+// archive's gob section or nothing — without checking that they agree, which
+// is the point.
+func eventsPayload(flags []byte, nPacked int, blobs [][]byte, tail []byte) []byte {
 	out := binary.AppendUvarint(nil, uint64(len(flags)))
 	out = append(out, flags...)
 	out = binary.AppendUvarint(out, uint64(nPacked))
@@ -339,11 +340,17 @@ func eventsPayload(t testing.TB, flags []byte, nPacked int, blobs [][]byte, rest
 		out = binary.AppendUvarint(out, uint64(len(b)))
 		out = append(out, b...)
 	}
-	var gobBuf bytes.Buffer
-	if err := gob.NewEncoder(&gobBuf).Encode(rest); err != nil {
+	return append(out, tail...)
+}
+
+// gobSection encodes events the way the writer did before they were packed.
+func gobSection(t testing.TB, rest []session.Event) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := gob.NewEncoder(&b).Encode(rest); err != nil {
 		t.Fatal(err)
 	}
-	return append(out, gobBuf.Bytes()...)
+	return b.Bytes()
 }
 
 // readBothWays runs data through the collecting reader and through the
@@ -395,6 +402,10 @@ func TestCorruptArchivesFailTheSameEverywhere(t *testing.T) {
 	badBatch := append([]byte(nil), batch...)
 	badBatch[len(badBatch)-1] |= 0x80 // the last varint never ends
 	barrier := []session.Event{{Kind: session.EvBarrier}}
+	gobBarrier, packedBarrier := gobSection(t, barrier), pk.PackEvents(nil, barrier)
+	section := func(flags []byte, tail []byte) []byte {
+		return cat(magic, header, testFrame(chunkEvents, eventsPayload(flags, 0, nil, tail)))
+	}
 	oversize := testFrame(chunkEvents, nil)
 	binary.BigEndian.PutUint32(oversize[1:5], maxChunkPayload+1)
 	flipped := append([]byte(nil), full...)
@@ -413,13 +424,20 @@ func TestCorruptArchivesFailTheSameEverywhere(t *testing.T) {
 		{"unknown chunk kind", cat(magic, header, testFrame('X', nil)), "unknown chunk kind"},
 		{"CRC mismatch", flipped, "chunk 1 CRC mismatch"},
 		{"oversize payload length", cat(magic, header, oversize), "declares 1073741825-byte payload"},
-		{"bad event flag", cat(magic, header, testFrame(chunkEvents, eventsPayload(t, []byte{7}, 0, nil, nil))), "bad event flag 7"},
+		{"bad event flag", cat(magic, header, testFrame(chunkEvents, eventsPayload([]byte{7}, 0, nil, nil))), "bad event flag 7"},
 		{"flag bytes overrun", cat(magic, header, testFrame(chunkEvents, []byte{2, 0})), "flag bytes overrun input"},
-		{"blob count mismatch", cat(magic, header, testFrame(chunkEvents, eventsPayload(t, []byte{flagSamples, flagGob}, 2, [][]byte{batch, batch}, barrier))), "2 packed blobs, flags promise 1"},
+		{"blob count mismatch", cat(magic, header, testFrame(chunkEvents, eventsPayload([]byte{flagSamples, flagEvents}, 2, [][]byte{batch, batch}, packedBarrier))), "2 packed blobs, flags promise 1"},
 		{"blob overruns chunk", cat(magic, header, testFrame(chunkEvents, append(binary.AppendUvarint([]byte{1, flagSamples, 1}, 999), batch...))), "packed blob 0 overruns input"},
-		{"gob count mismatch", cat(magic, header, testFrame(chunkEvents, eventsPayload(t, []byte{flagGob, flagGob}, 0, nil, barrier))), "1 gob events, flags promise 2"},
-		{"sample event in the gob section", cat(magic, header, testFrame(chunkEvents, eventsPayload(t, []byte{flagGob}, 0, nil, []session.Event{{Kind: session.EvSamples}}))), "sample event outside the packed section"},
-		{"corrupt packed blob behind a good CRC", cat(magic, header, testFrame(chunkEvents, eventsPayload(t, []byte{flagGob, flagSamples}, 1, [][]byte{badBatch}, barrier))), "corrupt sample batch"},
+		{"gob count mismatch", section([]byte{flagGob, flagGob}, gobBarrier), "1 gob events, flags promise 2"},
+		{"sample event in the gob section", section([]byte{flagGob}, gobSection(t, []session.Event{{Kind: session.EvSamples}})), "sample event outside the packed section"},
+		{"corrupt packed blob behind a good CRC", cat(magic, header, testFrame(chunkEvents, eventsPayload([]byte{flagEvents, flagSamples}, 1, [][]byte{badBatch}, packedBarrier))), "corrupt sample batch"},
+		{"section count mismatch", section([]byte{flagEvents, flagEvents}, packedBarrier), "1 packed events, flags promise 2"},
+		{"section without its flags", section([]byte{flagEvents}, nil), "0 packed events, flags promise 1"},
+		{"sample record in the section", section([]byte{flagEvents}, pk.PackEvents(nil, []session.Event{{Kind: session.EvSamples}})), "corrupt event section: samples event with field mask 0x0 at record 0"},
+		{"shard record in the section", section([]byte{flagEvents}, pk.PackEvents(nil, []session.Event{{Kind: session.EvShard}})), "corrupt event section: shard event with field mask 0x0 at record 0"},
+		{"section dictionary index", section([]byte{flagEvents}, []byte{1, 0, byte(session.EvEnable) << 1, 1 << 6, 0}), "dictionary index 0 of 0"},
+		{"section trailing bytes", section([]byte{flagEvents}, append(pk.PackEvents(nil, barrier), 0)), "corrupt event section: 1 trailing bytes"},
+		{"gob and packed events in one chunk", section([]byte{flagGob, flagEvents}, gobBarrier), "gob and packed events in one chunk"},
 		{"trailer event count", cat(magic, header, events, testFrame(chunkTrailer, gobOf(trailer{Header: final, NumEvents: 41, NumChunks: 1}))), "trailer declares 41 events, chunks hold 40"},
 		{"trailer chunk count", cat(magic, header, events, testFrame(chunkTrailer, gobOf(trailer{Header: final, NumEvents: 40, NumChunks: 2}))), "trailer declares 2 event chunks, read 1"},
 		{"garbage trailer", cat(magic, header, events, testFrame(chunkTrailer, []byte{0xde, 0xad})), "corrupt archive trailer"},

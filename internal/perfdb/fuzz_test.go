@@ -3,6 +3,7 @@ package perfdb
 import (
 	"bytes"
 	"math/rand"
+	"os"
 	"testing"
 )
 
@@ -26,6 +27,16 @@ func FuzzChunkDecoder(f *testing.F) {
 		mut[10] ^= 0xff
 		f.Add(mut)
 		f.Add(buf.Bytes()[:buf.Len()/2])
+	}
+	// The two 'E' layouts: this build's packed event section, and the gob
+	// section of the archive it was re-encoded from.
+	var fresh bytes.Buffer
+	if err := WriteArchive(&fresh, gobRestArchive()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fresh.Bytes())
+	if old, err := os.ReadFile(gobRestFixture); err == nil {
+		f.Add(old)
 	}
 	f.Add([]byte("PPDBA1"))
 	f.Add([]byte{})

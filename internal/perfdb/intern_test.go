@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"runtime/debug"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -219,4 +221,169 @@ func TestStreamingReadAllocationBudget(t *testing.T) {
 	if got := bytesAllocatedBy(func() { st.OpenRun(m.ID) }); got > uint64(m.Events)*batchBytes/10 {
 		t.Errorf("OpenRun of %d batches allocates %d bytes; a slice per batch alone would be %d", m.Events, got, uint64(m.Events)*batchBytes)
 	}
+}
+
+// mixedFile is samplesOnlyFile with the other event kinds a recording holds
+// between its batches: an enable, an update and a barrier every fourth batch,
+// over the same few names.
+func mixedFile(t *testing.T, nEvents int) (path string, batches int) {
+	t.Helper()
+	path = filepath.Join(t.TempDir(), "mixed.ppdb")
+	rec, err := NewStreamRecorder(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.SetHistogram(100, 50*sim.Millisecond)
+	whole := resource.WholeProgram()
+	batch := make([]datasource.Sample, 40)
+	for i := 0; i < nEvents; {
+		at := sim.Time(i) * sim.Time(sim.Millisecond)
+		if i%7 == 0 {
+			rec.Record(session.Event{Kind: session.EvEnable, Metric: "cpu", Focus: whole})
+			rec.Record(session.Event{Kind: session.EvUpdate, Update: datasource.Update{Kind: datasource.UpHeartbeat, Daemon: "paradynd@node0", Time: at}})
+			rec.Record(session.Event{Kind: session.EvBarrier})
+			i += 3
+			continue
+		}
+		for j := range batch {
+			batch[j] = datasource.Sample{Metric: "cpu", Focus: whole, Proc: "app{0}", Time: at + sim.Time(j), Delta: float64(j), Value: float64(i)}
+		}
+		rec.Record(session.Event{Kind: session.EvSamples, Samples: batch})
+		i, batches = i+1, batches+1
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path, batches
+}
+
+// objectsAllocatedBy reports the heap objects fn allocates. The collector is
+// off meanwhile: the sync.Pools of fmt, gob and the like refill after every
+// collection, which would make the count depend on when one ran.
+func objectsAllocatedBy(fn func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// Reading a chunk costs no objects of its own: not a decoder, not a type
+// table, not a buffer. Verifying twice the chunks allocates about the same,
+// and collecting allocates, beyond what a shorter file costs, only the
+// events it returns and their sample slices.
+func TestStreamingReadObjectBudget(t *testing.T) {
+	small, smallBatches := mixedFile(t, 4*DefaultFlushEvents)
+	large, largeBatches := mixedFile(t, 8*DefaultFlushEvents)
+	verify := func(path string) uint64 {
+		return objectsAllocatedBy(func() {
+			if in, err := verifyStaged(path, AddMeta{}); err != nil || in.truncated {
+				t.Fatalf("verify %s: %+v, %v", path, in, err)
+			}
+		})
+	}
+	verify(large) // grows the spare scratch and gob's per-process tables
+	if a, b := verify(small), verify(large); float64(b) > 1.1*float64(a) {
+		t.Errorf("verifying 8 chunks allocates %d objects against %d for 4: a chunk should cost none", b, a)
+	}
+
+	collect := func(path string) (objects uint64, events int) {
+		objects = objectsAllocatedBy(func() {
+			a, err := LoadAny(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			events = len(a.Events)
+		})
+		return objects, events
+	}
+	// The objects an append loop allocates growing the events slice to n.
+	slices := func(n int) (grows uint64) {
+		var evs []session.Event
+		for range n {
+			if len(evs) == cap(evs) {
+				grows++
+			}
+			evs = append(evs, session.Event{})
+		}
+		return grows
+	}
+	chunks := func(path string) int {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events, _ := eventChunks(data)
+		return len(events)
+	}
+	collect(large)
+	smallObjects, smallEvents := collect(small)
+	largeObjects, largeEvents := collect(large)
+	returned := uint64(largeBatches-smallBatches) + slices(largeEvents) - slices(smallEvents)
+	if extra, more := int64(largeObjects-smallObjects)-int64(returned), chunks(large)-chunks(small); extra >= int64(more) {
+		t.Errorf("collecting %d more chunks allocates %d objects against %d: %d more than the %d batches and event-slice growth, want fewer than one per chunk",
+			more, largeObjects, smallObjects, extra, returned)
+	}
+}
+
+// A frame header is not believed before its bytes arrive: a 19-byte file
+// whose header chunk declares a gigabyte is refused, collected or verified,
+// for the cost of a small buffer.
+func TestDeclaredPayloadIsNotPreallocated(t *testing.T) {
+	data := append([]byte("PPDBA1"), chunkHeader, 0x3f, 0xff, 0xff, 0xff, 0, 0, 0, 0, 'g', 'o', 'b', '!')
+	path := filepath.Join(t.TempDir(), "short.ppdb")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const want = "perfdb: archive truncated before its header chunk"
+	for name, read := range map[string]func() error{
+		"collect": func() error { _, err := LoadAny(path); return err },
+		"verify":  func() error { _, err := verifyStaged(path, AddMeta{}); return err },
+	} {
+		var err error
+		if n := bytesAllocatedBy(func() { err = read() }); n >= 1<<20 || err == nil || err.Error() != want {
+			t.Errorf("%s: %d bytes allocated, err %v; want under 1 MB and %q", name, n, err, want)
+		}
+	}
+}
+
+// Scans running at once never see each other's scratch: one takes the spare
+// set, the others grow their own, and every read of every archive decodes to
+// what a lone read decoded.
+func TestConcurrentScansShareNoScratch(t *testing.T) {
+	var files [4][]byte
+	var want [4]*session.Archive
+	for i := range files {
+		var buf bytes.Buffer
+		if err := WriteArchive(&buf, finiteArchive(rand.New(rand.NewSource(int64(20+i))), 300+200*i)); err != nil {
+			t.Fatal(err)
+		}
+		files[i] = buf.Bytes()
+		a, err := ReadArchive(bytes.NewReader(files[i]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = a
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := range 20 {
+				i := (g + n) % len(files)
+				if n%2 == 1 {
+					if s, err := scanArchive(bytes.NewReader(files[i]), nil); err != nil || s.events != len(want[i].Events) {
+						t.Errorf("verifying archive %d: %v", i, err)
+					}
+					continue
+				}
+				if got, err := ReadArchive(bytes.NewReader(files[i])); err != nil || !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("archive %d read beside other scans differs from its lone read (err %v)", i, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

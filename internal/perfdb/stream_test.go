@@ -96,7 +96,7 @@ func TestStreamRecorderEmptyRun(t *testing.T) {
 // instead of keeping them at their high-water size.
 func TestClosedRecorderReleasesItsBuffers(t *testing.T) {
 	held := func(c *pendingChunk) int {
-		return cap(c.flags) + cap(c.packed) + cap(c.rest) + c.gob.Cap() + cap(c.blob)
+		return cap(c.flags) + cap(c.packed) + cap(c.rest) + cap(c.section) + cap(c.blob)
 	}
 	for _, commit := range []bool{false, true} {
 		st, err := Open(t.TempDir())

@@ -435,7 +435,7 @@ func TestSyncPushRefusesWhatIsNotAnArchive(t *testing.T) {
 	batch[len(batch)-1] |= 0x80 // the last varint never ends
 	framed := bytes.Join([][]byte{
 		good.Bytes()[:ends[0]], // magic and header chunk
-		testFrame(chunkEvents, eventsPayload(t, []byte{flagSamples}, 1, [][]byte{batch}, nil)),
+		testFrame(chunkEvents, eventsPayload([]byte{flagSamples}, 1, [][]byte{batch}, nil)),
 	}, nil)
 	noise := make([]byte, 3000)
 	rand.New(rand.NewSource(1)).Read(noise)

@@ -6,12 +6,14 @@ import (
 
 	"pperf/internal/datasource"
 	"pperf/internal/packed"
+	"pperf/internal/resource"
 	"pperf/internal/sim"
 )
 
 // The packed form of a sample batch — what the TCP frame carries (frontend)
 // and the archive chunk stores (perfdb), so neither plane reflects over a
-// []Sample. (A trace shard's packed form is trace's own: trace/codec.go.)
+// []Sample — and of an archive chunk's other events (PackEvents, below). (A
+// trace shard's packed form is trace's own: trace/codec.go.)
 // After the head every packed blob starts with (internal/packed) a batch is
 // n records of
 //
@@ -23,8 +25,12 @@ import (
 // delta of float64s does not.
 
 // Packer is the scratch one sender or one archive writer packs sample batches
-// through. The zero value is ready to use, by one goroutine at a time.
-type Packer struct{ w packed.Writer }
+// and event sections through. The zero value is ready to use, by one
+// goroutine at a time.
+type Packer struct {
+	w    packed.Writer
+	recs []byte // an event section's records, before its dictionary is complete
+}
 
 // PackSamples appends one encoded sample batch to out.
 func (p *Packer) PackSamples(out []byte, batch []datasource.Sample) []byte {
@@ -86,6 +92,90 @@ func (u *Unpacker) UnpackSamplesInto(dst []datasource.Sample, data []byte) ([]da
 		sm.Delta = math.Float64frombits(prevDelta)
 		prevValue ^= c.Uvarint()
 		sm.Value = math.Float64frombits(prevValue)
+	}
+	if err := c.Close(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// An archive chunk's other events — enables, updates, barriers, stale
+// verdicts, gaps, undelivered counts — pack into one blob. After the head
+// each is a zigzag Kind, a uvarint mask of its non-zero scalar fields (bit j:
+// field j of eventFields) and those fields, a dictionary index per string and
+// a zigzag varint per integer: every field of the flat union round-trips, and
+// a barrier is two bytes.
+
+const nStrs, nInts = 14, 6
+
+// eventFields returns ev's scalar fields in record order.
+func eventFields(ev *Event) ([nStrs]string, [nInts]int64) {
+	u, f := &ev.Update, &ev.Focus
+	return [...]string{u.Path, u.Display, u.Proc, u.Caller, u.Callee, u.Daemon, ev.Metric, f.CodePath, f.MachinePath, f.SyncPath, ev.Err, ev.Daemon, ev.Proc, ev.Gap.Node},
+		[...]int64{int64(u.Kind), int64(u.Time), int64(ev.Time), ev.N, int64(ev.Gap.From), int64(ev.Gap.To)}
+}
+
+// PackEvents appends one encoded event section to out. Sample batches and
+// trace shards have packed forms of their own and do not belong in one.
+func (p *Packer) PackEvents(out []byte, evs []Event) []byte {
+	p.w.Reset()
+	recs := p.recs[:0] // the dictionary, complete only at the end, goes first
+	for i := range evs {
+		strs, ints := eventFields(&evs[i])
+		var mask uint64
+		var vals [nStrs + nInts]uint64
+		for j, s := range strs {
+			if s != "" {
+				mask, vals[j] = mask|1<<j, p.w.Intern(s)
+			}
+		}
+		for j, x := range ints {
+			if x != 0 {
+				mask, vals[nStrs+j] = mask|1<<(nStrs+j), uint64(x<<1^x>>63)
+			}
+		}
+		recs = binary.AppendUvarint(binary.AppendVarint(recs, int64(evs[i].Kind)), mask)
+		for j, v := range vals {
+			if mask&(1<<j) != 0 {
+				recs = binary.AppendUvarint(recs, v)
+			}
+		}
+	}
+	p.recs = recs
+	return append(p.w.Head(out, len(evs)), recs...)
+}
+
+// UnpackEventsInto decodes a packed event section the way UnpackSamplesInto
+// decodes a batch: into dst's backing array when it is large enough (every
+// field of every event is overwritten), into a fresh slice otherwise.
+func (u *Unpacker) UnpackEventsInto(dst []Event, data []byte) ([]Event, error) {
+	c, n := packed.Open(&u.Table, data, "event section", 2)
+	out := dst
+	if cap(out) < n || out == nil {
+		out = make([]Event, n)
+	}
+	out = out[:n]
+	for i := 0; i < n && c.Err == nil; i++ {
+		kind, mask := EventKind(c.Varint()), c.Uvarint()
+		if kind == EvSamples || kind == EvShard || mask >= 1<<(nStrs+nInts) {
+			c.Fail("%v event with field mask %#x at record %d", kind, mask, i)
+		}
+		var s [nStrs]string
+		var x [nInts]int64
+		for j := range nStrs + nInts {
+			switch {
+			case mask&(1<<j) == 0:
+			case j < nStrs:
+				s[j] = c.Str()
+			default:
+				x[j-nStrs] = c.Varint()
+			}
+		}
+		out[i] = Event{Kind: kind,
+			Update: datasource.Update{Kind: datasource.UpdateKind(x[0]), Path: s[0], Display: s[1], Proc: s[2], Caller: s[3], Callee: s[4], Daemon: s[5], Time: sim.Time(x[1])},
+			Metric: s[6], Focus: resource.Focus{CodePath: s[7], MachinePath: s[8], SyncPath: s[9]},
+			Err: s[10], Daemon: s[11], Time: sim.Time(x[2]), Proc: s[12], N: x[3],
+			Gap: datasource.Gap{Node: s[13], From: sim.Time(x[4]), To: sim.Time(x[5])}}
 	}
 	if err := c.Close(); err != nil {
 		return nil, err

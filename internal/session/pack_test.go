@@ -252,6 +252,18 @@ func TestPackedFormsAllocationBudget(t *testing.T) {
 	if fresh, _ := up.UnpackSamplesInto(scratch[:0:3], batchBytes); !reflect.DeepEqual(fresh, batch) || &fresh[0] == &scratch[0] {
 		t.Error("a scratch that is too small must be left alone and the batch decoded into a fresh slice")
 	}
+
+	// An event section the same: packed through a warmed packer and decoded
+	// into a scratch that holds it, it costs nothing.
+	evs := randomEvents(rng, 30)
+	evBytes := pk.PackEvents(nil, evs)
+	if n := testing.AllocsPerRun(100, func() { evBytes = pk.PackEvents(evBytes[:0], evs) }); n != 0 {
+		t.Errorf("packing an event section through a warmed packer: %v allocs, want 0", n)
+	}
+	evScratch, _ := up.UnpackEventsInto(nil, evBytes)
+	if n := testing.AllocsPerRun(100, func() { evScratch, _ = up.UnpackEventsInto(evScratch, evBytes) }); n != 0 || !reflect.DeepEqual(evScratch, evs) {
+		t.Errorf("unpacking an event section of known strings into its scratch: %v allocs, want 0", n)
+	}
 }
 
 // The string table is capped: a reader fed ever-fresh names still decodes
@@ -362,6 +374,127 @@ func FuzzUnpackShard(f *testing.F) {
 		again, err := trace.UnpackShard(&up.Table, packShard(sh))
 		if err != nil || !reflect.DeepEqual(again, sh) {
 			t.Fatalf("re-encode of a clean decode came back different (err %v):\nwant %+v\ngot  %+v", err, sh, again)
+		}
+	})
+}
+
+// randomEvents generates events of every kind an event section carries, the
+// odd unnamed kind among them, with any scalar field of the flat union set
+// whatever the kind: a small vocabulary with "" in it and integers out at the
+// ends of the 64-bit range.
+func randomEvents(rng *rand.Rand, n int) []Event {
+	kinds := []EventKind{EvUpdate, EvEnable, EvStale, EvUndelivered, EvBarrier, EvGap, EventKind(-3), EventKind(42)}
+	words := []string{"/Code/a.c/f", "/Machine/node0/app{0}", "paradynd@node1", "sync_wait", "daemon refused", `quo"ted`, "", ""}
+	edge := []int64{0, 0, 1, -1, 7, math.MaxInt64, math.MinInt64}
+	str := func() string { return words[rng.Intn(len(words))] }
+	num := func() int64 {
+		if rng.Intn(3) == 0 {
+			return edge[rng.Intn(len(edge))]
+		}
+		return rng.Int63n(2e9) - 1e9
+	}
+	evs := make([]Event, n)
+	for i := range evs {
+		evs[i] = Event{
+			Kind: kinds[rng.Intn(len(kinds))],
+			Update: datasource.Update{Kind: datasource.UpdateKind(num()), Path: str(), Display: str(), Proc: str(),
+				Caller: str(), Callee: str(), Time: sim.Time(num()), Daemon: str()},
+			Metric: str(),
+			Focus:  resource.Focus{CodePath: str(), MachinePath: str(), SyncPath: str()},
+			Err:    str(), Daemon: str(), Time: sim.Time(num()), Proc: str(), N: num(),
+			Gap: datasource.Gap{Node: str(), From: sim.Time(num()), To: sim.Time(num())},
+		}
+		if rng.Intn(3) == 0 {
+			evs[i] = Event{Kind: EvBarrier}
+		}
+	}
+	return evs
+}
+
+// Every event the section carries comes back equal, field for field, through
+// a warm string table and a fresh one, into a scratch that held other events.
+func TestPackEventsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	var pk Packer
+	var up Unpacker
+	var buf []byte
+	scratch := randomEvents(rng, 64)
+	for _, n := range []int{0, 1, 2, 17, 60} {
+		evs := randomEvents(rng, n)
+		buf = pk.PackEvents(buf[:0], evs)
+		got, err := up.UnpackEventsInto(scratch, buf)
+		if err != nil {
+			t.Fatalf("%d events: %v", n, err)
+		}
+		if len(got) != len(evs) || n > 0 && !reflect.DeepEqual(got, evs) {
+			t.Fatalf("%d events round-tripped to %d different ones:\nwant %+v\ngot  %+v", n, len(got), evs, got)
+		}
+		if fresh, err := new(Unpacker).UnpackEventsInto(nil, buf); err != nil || n > 0 && !reflect.DeepEqual(fresh, evs) {
+			t.Fatalf("%d events decode differently through a fresh string table (err %v)", n, err)
+		}
+	}
+	// A barrier is its kind and an empty field mask.
+	if got := pk.PackEvents(nil, []Event{{Kind: EvBarrier}, {Kind: EvBarrier}}); len(got) != 2+2*2 {
+		t.Errorf("two barriers pack to %d bytes (% x), want 6", len(got), got)
+	}
+}
+
+func TestUnpackEventsRejectsCorruption(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	valid := new(Packer).PackEvents(nil, randomEvents(rng, 12))
+	for n := 0; n < len(valid); n++ { // the trailing-bytes check makes every proper prefix an error
+		if _, err := new(Unpacker).UnpackEventsInto(nil, valid[:n]); err == nil {
+			t.Fatalf("truncation to %d bytes decoded cleanly", n)
+		}
+	}
+	for i := range valid { // flipped bytes never panic
+		mut := append([]byte(nil), valid...)
+		mut[i] ^= 0xff
+		new(Unpacker).UnpackEventsInto(nil, mut)
+	}
+	one := func(kind EventKind, rec ...byte) []byte { // n=1, dictionary {"x"}, then the record
+		return append([]byte{1, 1, 1, 'x', byte(kind << 1)}, rec...)
+	}
+	for _, tc := range []struct {
+		name, data, want string
+	}{
+		{"samples kind", string(one(EvSamples, 0)), "samples event with field mask 0x0 at record 0"},
+		{"shard kind", string(one(EvShard, 0)), "shard event with field mask 0x0 at record 0"},
+		{"field mask", string(one(EvUpdate, 0x80, 0x80, 0x40)), "update event with field mask 0x100000 at record 0"},
+		{"dictionary index", string(one(EvEnable, 1<<6, 1)), "dictionary index 1 of 1"},
+		{"trailing bytes", string(one(EvBarrier, 0, 0)), "1 trailing bytes"},
+		{"impossible count", "\xc0\x84\x3d\x00\x00\x00", "records in"},
+	} {
+		if _, err := new(Unpacker).UnpackEventsInto(nil, []byte(tc.data)); err == nil || !strings.Contains(err.Error(), "corrupt event section: ") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	if got, err := new(Unpacker).UnpackEventsInto(nil, one(EvEnable, 1<<6, 0)); err != nil || got[0].Metric != "x" {
+		t.Errorf("the well-formed record the cases are cut from: %+v, %v", got, err)
+	}
+}
+
+// FuzzUnpackEvents: the event-section decoder must be total, and a clean
+// decode re-encodes to the same events.
+func FuzzUnpackEvents(f *testing.F) {
+	rng := rand.New(rand.NewSource(4))
+	real := new(Packer).PackEvents(nil, randomEvents(rng, 24))
+	f.Add(real)
+	f.Add(new(Packer).PackEvents(nil, nil))
+	f.Add(real[:len(real)/2])
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var up Unpacker
+		evs, err := up.UnpackEventsInto(nil, data)
+		if err != nil {
+			return
+		}
+		if len(evs) > len(data)/2 {
+			t.Fatalf("%d events decoded from %d bytes", len(evs), len(data))
+		}
+		again, err := up.UnpackEventsInto(nil, new(Packer).PackEvents(nil, evs))
+		if err != nil || len(again) != len(evs) || len(evs) > 0 && !reflect.DeepEqual(again, evs) {
+			t.Fatalf("re-encode of a clean decode came back different (err %v):\nwant %+v\ngot  %+v", err, evs, again)
 		}
 	})
 }
