@@ -514,24 +514,38 @@ func (t benchTarget) CPUNow() sim.Duration              { return t.r.CPUTime() }
 func (t benchTarget) SystemNow() sim.Duration           { return t.r.SystemTime() }
 
 // BenchmarkAblationPCThreshold reproduces the diffuse-procedure threshold
-// sensitivity: found at 0.2, missed at the default 0.3 (§5.1.6).
+// sensitivity: found at 0.2, missed at the default 0.3 (§5.1.6). The run is
+// recorded once, under the 0.2 the suite uses for it, and replayed per
+// iteration at each threshold.
 func BenchmarkAblationPCThreshold(b *testing.B) {
-	runAt := func(threshold float64) bool {
-		cfg := pperfmark.ScaledPCConfig()
-		cfg.CPUThreshold = threshold
-		res, err := pperfmark.Run("diffuse-procedure", pperfmark.RunOptions{
-			Impl: mpi.LAM, PC: &cfg,
-		})
+	path := filepath.Join(b.TempDir(), "diffuse-procedure.ppdb")
+	rec, err := perfdb.NewStreamRecorder(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := pperfmark.Run("diffuse-procedure", pperfmark.RunOptions{Impl: mpi.LAM, Record: rec}); err != nil {
+		b.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		b.Fatal(err)
+	}
+	a, err := perfdb.LoadAny(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	findsAt := func(threshold float64) bool {
+		res, err := pperfmark.ReplayWith(a, pperfmark.ReplayOptions{CPUThreshold: threshold})
 		if err != nil {
 			b.Fatal(err)
 		}
 		return res.PC.HasFinding("CPUBound", "bottleneckProcedure")
 	}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if runAt(0.3) {
+		if findsAt(0.3) {
 			b.Fatal("default threshold should miss the 25% bottleneck")
 		}
-		if !runAt(0.2) {
+		if !findsAt(0.2) {
 			b.Fatal("0.2 threshold should find the bottleneck")
 		}
 	}

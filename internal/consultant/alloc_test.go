@@ -37,14 +37,12 @@ func TestSettledEvaluationAllocatesNothing(t *testing.T) {
 		v.ApplyUpdate(datasource.Update{Kind: datasource.UpAddResource, Path: path})
 	}
 	clk := &manualClock{}
-	cfg := DefaultConfig()
-	cfg.MaxDepth = 2
-	c := New(viewSource{v}, clk, cfg)
+	c := New(viewSource{v}, clk, DefaultConfig())
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
 	// Every armed pair reports half a second of waiting per second on both
-	// processes: every hypothesis tests true and refines until MaxDepth.
+	// processes: every hypothesis tests true and refines until maxDepth.
 	var batch []datasource.Sample
 	step := func() {
 		clk.now = clk.now.Add(sim.Second)

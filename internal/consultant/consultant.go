@@ -60,17 +60,20 @@ type Config struct {
 	CPUThreshold  float64
 	// EvalInterval is how often hypotheses are evaluated.
 	EvalInterval sim.Duration
-	// MinEvals is how many evaluations a node needs before it can test
-	// true.
-	MinEvals int
 	// PruneEvals is how many consecutive false evaluations before a node's
 	// instrumentation is removed.
 	PruneEvals int
-	// MaxDepth bounds refinement depth per axis chain.
-	MaxDepth int
-	// MaxNodes bounds the total search size.
-	MaxNodes int
 }
+
+const (
+	// minEvals is how many evaluations a node needs before it can test
+	// true.
+	minEvals = 2
+	// maxDepth bounds refinement depth per axis chain.
+	maxDepth = 5
+	// maxNodes bounds the total search size.
+	maxNodes = 400
+)
 
 // DefaultConfig returns the standard thresholds and pacing.
 func DefaultConfig() Config {
@@ -79,10 +82,7 @@ func DefaultConfig() Config {
 		IOThreshold:   0.15,
 		CPUThreshold:  0.30,
 		EvalInterval:  1 * sim.Second,
-		MinEvals:      2,
 		PruneEvals:    12,
-		MaxDepth:      5,
-		MaxNodes:      400,
 	}
 }
 
@@ -306,9 +306,9 @@ func (n *Node) update(now sim.Time) {
 		n.trueRun = 0
 		n.falseRun++
 	}
-	// Latch true only after MinEvals consecutive over-threshold intervals,
+	// Latch true only after minEvals consecutive over-threshold intervals,
 	// so a single noisy window does not flag a hypothesis.
-	if n.trueRun >= n.c.cfg.MinEvals {
+	if n.trueRun >= minEvals {
 		n.True = true
 	}
 }

@@ -16,12 +16,12 @@ type candidate struct {
 // along each axis the hypothesis refines over.
 func (c *Consultant) expand(n *Node) {
 	n.expanded = true
-	if n.depth >= c.cfg.MaxDepth || c.nodes >= c.cfg.MaxNodes {
+	if n.depth >= maxDepth || c.nodes >= maxNodes {
 		return
 	}
 	for _, ax := range n.spec.axes {
 		for _, cand := range c.candidates(n, ax) {
-			if c.nodes >= c.cfg.MaxNodes {
+			if c.nodes >= maxNodes {
 				return
 			}
 			// Unconstrainable metric/focus combinations are skipped, as the

@@ -288,7 +288,7 @@ func (d *Daemon) DelayAttachUntil(t sim.Time) {
 func (d *Daemon) adoptNow(r *mpi.Rank) {
 	rc := &rankCtx{d: d, r: r, modules: map[string][]string{}}
 	d.ranks = append(d.ranks, rc)
-	r.Probes().PerProbeCost = d.cfg.PerProbeCost
+	r.Probes().PerProbeCost = perProbeCost
 	if tr := d.tracer; tr != nil {
 		proc, node := r.Probes().Name(), r.NodeName()
 		r.Probes().OnFire = func(fn string, _ probe.Where, n int, t sim.Time) {

@@ -62,8 +62,6 @@ type Config struct {
 	// SampleInterval is the metric sampling cadence (default 0.2 s, the
 	// histogram's base granularity).
 	SampleInterval sim.Duration
-	// PerProbeCost is the virtual-time cost charged per probe execution.
-	PerProbeCost sim.Duration
 	// Spawn selects the dynamic-process-creation support method.
 	Spawn SpawnMethod
 	// Heartbeat, when nonzero, makes the daemon emit a liveness beacon on
@@ -72,6 +70,9 @@ type Config struct {
 	// historical behaviour; the fault subsystem turns it on.
 	Heartbeat sim.Duration
 }
+
+// perProbeCost is the virtual-time cost charged per probe execution.
+const perProbeCost = 80 * sim.Nanosecond
 
 // The spawn support methods' costs: how long after a spawn the attach
 // method takes to reach the new processes (during which their activity is
@@ -94,7 +95,6 @@ const (
 func DefaultConfig() Config {
 	return Config{
 		SampleInterval: 200 * sim.Millisecond,
-		PerProbeCost:   80 * sim.Nanosecond,
 		Spawn:          SpawnIntercept,
 	}
 }

@@ -77,11 +77,6 @@ func (c *Comm) Spawn(r *Rank, command string, argv []string, maxprocs int, info 
 				}
 			}
 			w.fireCommCreated(r, inter)
-			for _, h := range w.hooks {
-				if h.Spawned != nil {
-					h.Spawned(r, childWorld.local)
-				}
-			}
 		}
 	}
 

@@ -13,9 +13,10 @@ import (
 type Program func(r *Rank, args []string)
 
 // Hooks are resource-discovery callbacks. The performance tool's daemons
-// register hooks to learn about new processes, communicators, RMA windows,
-// spawn operations, and name changes at run time — the events behind the
-// dynamic resource hierarchy of §4.2. All fields are optional.
+// register hooks to learn about new processes (a spawn's children among
+// them), communicators, RMA windows and name changes at run time — the
+// events behind the dynamic resource hierarchy of §4.2. All fields are
+// optional.
 type Hooks struct {
 	ProcessStarted func(r *Rank)
 	ProcessExited  func(r *Rank)
@@ -29,9 +30,6 @@ type Hooks struct {
 	// NameSet fires for MPI_Comm_set_name / MPI_Win_set_name; obj is the
 	// *Comm or *Win.
 	NameSet func(r *Rank, obj any, name string)
-	// Spawned fires once per spawn operation, from the root parent's
-	// context, after the child ranks exist but before they start running.
-	Spawned func(parent *Rank, children []*Rank)
 	// ProcessLost fires when a process is forcibly terminated (node crash,
 	// job abort) rather than exiting cleanly. ProcessExited does NOT fire
 	// for lost processes.

@@ -342,7 +342,24 @@ func newChunkWriter(w io.Writer) (*chunkWriter, error) {
 	if _, err := bw.Write(chunkMagic); err != nil {
 		return nil, err
 	}
-	return &chunkWriter{w: bw, perChunk: DefaultFlushEvents}, nil
+	cw := &chunkWriter{w: bw, perChunk: DefaultFlushEvents}
+	spare.Lock()
+	cw.buf, spare.chunk = spare.chunk, pendingChunk{}
+	spare.Unlock()
+	return cw, nil
+}
+
+// release hands the pending chunk's buffers back to spare, emptied, unless a
+// trace shard grew its packed blobs past twice the chunk bound. The writer
+// must not be used afterwards.
+func (w *chunkWriter) release() {
+	if c := &w.buf; cap(c.packed) <= 2*maxPendingPacked {
+		c.reset()
+		spare.Lock()
+		spare.chunk = *c
+		spare.Unlock()
+	}
+	w.buf = pendingChunk{}
 }
 
 // writeChunk frames and emits one chunk whose payload is the sections in
@@ -437,7 +454,7 @@ func (c *pendingChunk) reset() {
 
 // close flushes the final partial chunk and writes the trailer carrying
 // the finalized header. The writer must not be used afterwards; its owner
-// lets go of the pending chunk's buffers, or hands them to the next writer.
+// releases it.
 func (w *chunkWriter) close(h session.Header) error {
 	if w.err != nil {
 		return w.err
@@ -471,8 +488,10 @@ func WriteArchive(w io.Writer, a *session.Archive) error {
 	return cw.encode(a)
 }
 
-// encode writes a's events and trailer after the magic newChunkWriter wrote.
+// encode writes a's events and trailer after the magic newChunkWriter wrote,
+// and releases the writer.
 func (w *chunkWriter) encode(a *session.Archive) error {
+	defer w.release()
 	if err := w.writeHeaderChunk(provisionalHeader(a.Header)); err != nil {
 		return err
 	}
@@ -526,13 +545,16 @@ type scanScratch struct {
 	rest    []session.Event // the chunk's event section
 }
 
-// spare is the scratch the last scan left: the next takes it, so LoadAny,
-// OpenRun and the verify steps stop regrowing a chunk of buffers per file; a
-// scan that finds it taken grows its own. A sync.Pool would drop it at every
-// collection and make a scan's allocations depend on GC timing.
+// spare is the scratch the last scan left and the chunk buffers the last
+// writer left: the next scan or writer takes them, so LoadAny, OpenRun, the
+// verify steps, every recorder and every archive write stop regrowing a
+// chunk of buffers per file; one that finds them taken grows its own. A
+// sync.Pool would drop them at every collection and make allocations depend
+// on GC timing.
 var spare struct {
 	sync.Mutex
 	scanScratch
+	chunk pendingChunk
 }
 
 // release hands s's scratch back, emptied, unless a trace-sized chunk grew its

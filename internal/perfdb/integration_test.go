@@ -147,12 +147,13 @@ func TestStreamRecorderMatchesInMemory(t *testing.T) {
 	}
 }
 
-// A store's writers share one set of chunk buffers. Replaying a recorded
-// run's events, the second recorder of a store borrows what the first grew,
-// so its writes allocate a tenth of the first's at most, and the archive it
-// writes is byte for byte the one a standalone recorder writes. Two
-// recorders open at once each get a set and each write that archive too
-// (make race runs this under -race).
+// Writers share the chunk buffers the last one left, as scans share their
+// scratch. Replaying a recorded run's events, a recorder opened while another
+// holds the spare set grows its own; one opened after both closed takes a set
+// and its writes allocate a tenth of that at most. Every archive, in a store
+// or standalone, is byte for byte the one a standalone recorder writes. Two
+// recorders open at once each write that archive too (make race runs this
+// under -race).
 func TestStoreWritersShareChunkBuffers(t *testing.T) {
 	events := built(t, smallMessages()).archive(t, 1).Events
 	record := func(rec *perfdb.StreamRecorder) {
@@ -188,26 +189,41 @@ func TestStoreWritersShareChunkBuffers(t *testing.T) {
 		}
 		return err
 	}
-	var allocated [2]uint64
-	for i := range allocated {
-		rec, err := st.NewRecorder()
-		if err != nil {
-			t.Fatal(err)
-		}
+	recordMeasured := func(rec *perfdb.StreamRecorder) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		record(rec)
 		runtime.ReadMemStats(&after)
-		allocated[i] = after.TotalAlloc - before.TotalAlloc
+		return after.TotalAlloc - before.TotalAlloc
+	}
+
+	var recs [2]*perfdb.StreamRecorder
+	for i := range recs {
+		if recs[i], err = st.NewRecorder(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	record(recs[0])
+	grown := recordMeasured(recs[1]) // recs[0] holds the spare set
+	for _, rec := range recs {
 		if err := commit(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if allocated[1] > allocated[0]/10 {
-		t.Errorf("the second recorder's writes allocated %d bytes, the first's %d: want a tenth at most", allocated[1], allocated[0])
+	again := filepath.Join(t.TempDir(), "again.ppdb")
+	if rec, err = perfdb.NewStreamRecorder(again); err != nil {
+		t.Fatal(err)
+	}
+	if taken := recordMeasured(rec); taken > grown/10 {
+		t.Errorf("a recorder taking the spare set allocated %d bytes, one growing its own %d: want a tenth at most", taken, grown)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(again); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("a second standalone recording differs from the first (err %v)", err)
 	}
 
-	var recs [2]*perfdb.StreamRecorder
 	for i := range recs {
 		if recs[i], err = st.NewRecorder(); err != nil {
 			t.Fatal(err)

@@ -34,17 +34,8 @@ import (
 type Store struct {
 	dir string
 
-	// GCTmpAge is how long a reserved recording's temp file may go
-	// unmodified before GC declares the recording crashed and sweeps it
-	// (0 means defaultGCTmpAge). Stale partial sync downloads age out on
-	// the same clock.
-	GCTmpAge time.Duration
-
-	mu    sync.Mutex // serializes in-process access to index and chunk
+	mu    sync.Mutex // serializes in-process access to index
 	index storeIndex
-	// chunk is the chunk buffers the store's writers share. A writer takes
-	// them, leaving a fresh set for a second writer open at once.
-	chunk pendingChunk
 
 	// failAt, set only by tests, is consulted at each step of admitting a
 	// run ("create", "write", "rename", "index") and may fail or panic there.
@@ -55,9 +46,10 @@ type Store struct {
 // than silently dropping fields.
 const indexVersion = 1
 
-// defaultGCTmpAge is the default crash-detection age for reserved temp
-// files and stale partial downloads.
-const defaultGCTmpAge = 15 * time.Minute
+// gcTmpAge is how long a reserved recording's temp file may go unmodified
+// before GC declares the recording crashed and sweeps it. Stale partial
+// sync downloads age out on the same clock.
+const gcTmpAge = 15 * time.Minute
 
 type storeIndex struct {
 	Version int       `json:"version"`
@@ -364,7 +356,7 @@ func (st *Store) admitLocked(in admission) (RunMeta, string, error) {
 func (st *Store) AddArchive(a *session.Archive, am AddMeta) (RunMeta, error) {
 	return st.addStaged(func(tmp string) (admission, error) {
 		return admission{AddMeta: am, src: tmp, header: a.Header, events: len(a.Events), truncated: a.Truncated},
-			st.writeArchive(tmp, a)
+			st.writeFile(tmp, func(w io.Writer) error { return WriteArchive(w, a) })
 	})
 }
 
@@ -387,7 +379,7 @@ func (st *Store) AddFile(path string, am AddMeta) (RunMeta, error) {
 		if err == nil && in.truncated {
 			var a *session.Archive
 			if a, err = LoadAny(tmp); err == nil {
-				err = st.writeArchive(tmp, a)
+				err = st.writeFile(tmp, func(w io.Writer) error { return WriteArchive(w, a) })
 			}
 		}
 		return in, err
@@ -421,29 +413,6 @@ func verifyStaged(src string, am AddMeta) (admission, error) {
 	return admission{AddMeta: am, src: src, header: s.header, events: s.events, truncated: s.truncated}, nil
 }
 
-// writeArchive renders a into a fresh file at path through the store's
-// chunk buffers. The caller holds st.mu.
-func (st *Store) writeArchive(path string, a *session.Archive) error {
-	return st.writeFile(path, func(w io.Writer) error {
-		cw, err := newChunkWriter(w)
-		if err == nil {
-			cw.buf, st.chunk = st.chunk, pendingChunk{}
-			err = cw.encode(a)
-			st.returnChunkLocked(cw.buf)
-		}
-		return err
-	})
-}
-
-// returnChunkLocked keeps a finished writer's chunk buffers, emptied, for the
-// next writer, unless the store holds a set again. The caller holds st.mu.
-func (st *Store) returnChunkLocked(c pendingChunk) {
-	if st.chunk.flags == nil {
-		c.reset()
-		st.chunk = c
-	}
-}
-
 // writeFile creates the file at path and fills it through write.
 func (st *Store) writeFile(path string, write func(io.Writer) error) error {
 	if err := st.at("create"); err != nil {
@@ -468,7 +437,7 @@ func (st *Store) writeFile(path string, write func(io.Writer) error) error {
 // persisted in the index, so concurrent adds cannot collide with the
 // recording in flight and GC knows its temp file is live. Commit the
 // recorder when the run finishes (or Discard it on failure); a
-// reservation whose temp file goes quiet past GCTmpAge is GC fodder.
+// reservation whose temp file goes quiet past gcTmpAge is GC fodder.
 func (st *Store) NewRecorder() (*StreamRecorder, error) {
 	var rec *StreamRecorder
 	err := st.withLock(func() error {
@@ -480,9 +449,6 @@ func (st *Store) NewRecorder() (*StreamRecorder, error) {
 		}
 		if err == nil {
 			rec, err = NewStreamRecorder(st.RunPath(id))
-		}
-		if err == nil {
-			rec.w.buf, st.chunk, rec.lender = st.chunk, pendingChunk{}, st
 		}
 		return err
 	})
@@ -616,26 +582,18 @@ func (st *Store) Remove(id string) error {
 	return os.Remove(path)
 }
 
-func (st *Store) gcTmpAge() time.Duration {
-	if st.GCTmpAge > 0 {
-		return st.GCTmpAge
-	}
-	return defaultGCTmpAge
-}
-
 // GC removes files under runs/ that neither an index entry nor a live
 // recording reservation references — crashed recordings' temp files,
 // archives of removed runs — plus stale partial transfers under sync/,
 // and returns the removed names, sorted. A reservation counts as live
 // while its rNNNN.ppdb.tmp keeps being modified; one whose temp file has
-// gone quiet past GCTmpAge (or vanished) is a crashed recording, so the
+// gone quiet past gcTmpAge (or vanished) is a crashed recording, so the
 // reservation is released and the file swept. An in-flight `-db`
 // recording is therefore never collected: its reservation pins both the
 // temp file and the final name.
 func (st *Store) GC() ([]string, error) {
 	var removed []string
 	err := st.withLock(func() error {
-		age := st.gcTmpAge()
 		referenced := map[string]bool{}
 		for _, m := range st.index.Runs {
 			referenced[m.ID+".ppdb"] = true
@@ -643,7 +601,7 @@ func (st *Store) GC() ([]string, error) {
 		var live []string
 		for _, id := range st.index.Reserved {
 			fi, err := os.Stat(st.RunPath(id) + ".tmp")
-			if err == nil && time.Since(fi.ModTime()) < age {
+			if err == nil && time.Since(fi.ModTime()) < gcTmpAge {
 				referenced[id+".ppdb"] = true
 				referenced[id+".ppdb.tmp"] = true
 				live = append(live, id)
@@ -676,7 +634,7 @@ func (st *Store) GC() ([]string, error) {
 		if entries, err := os.ReadDir(st.syncDir()); err == nil {
 			for _, e := range entries {
 				fi, err := e.Info()
-				if err != nil || e.IsDir() || time.Since(fi.ModTime()) < age {
+				if err != nil || e.IsDir() || time.Since(fi.ModTime()) < gcTmpAge {
 					continue
 				}
 				if err := os.Remove(filepath.Join(st.syncDir(), e.Name())); err != nil {

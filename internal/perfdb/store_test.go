@@ -188,7 +188,7 @@ func TestGCSparesLiveRecording(t *testing.T) {
 }
 
 // TestGCReclaimsCrashedRecording: a reservation whose temp file has gone
-// quiet past GCTmpAge is a crashed recording — GC sweeps the file and
+// quiet past gcTmpAge is a crashed recording — GC sweeps the file and
 // releases the reservation, but never reuses the ID.
 func TestGCReclaimsCrashedRecording(t *testing.T) {
 	dir := t.TempDir()
@@ -409,7 +409,18 @@ func TestAdmissionCrashTable(t *testing.T) {
 					if _, err := LoadAny(st.RunPath(first.ID)); err != nil || !bytes.Equal(mustReadFile(t, st.RunPath(first.ID)), want) {
 						t.Fatalf("earlier run damaged (load err %v)", err)
 					}
-					st.GCTmpAge = time.Nanosecond
+					// Age what the failure left two hours into the past, so
+					// GC takes a dead recording's temp file or a partial
+					// download for a crashed one.
+					old := time.Now().Add(-2 * time.Hour)
+					if err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+						if err == nil && !d.IsDir() {
+							err = os.Chtimes(path, old, old)
+						}
+						return err
+					}); err != nil {
+						t.Fatal(err)
+					}
 					if _, err := st.GC(); err != nil {
 						t.Fatal(err)
 					}

@@ -26,7 +26,6 @@ type StreamRecorder struct {
 	header session.Header
 	closed bool
 	err    error
-	lender *Store // the store whose chunk buffers w borrowed (nil: w's own)
 }
 
 var _ session.Sink = (*StreamRecorder)(nil)
@@ -149,7 +148,7 @@ func (r *StreamRecorder) finish(rename bool) error {
 		r.header.NumEvents = r.w.events
 		r.err = r.w.close(r.header)
 	}
-	r.release()
+	r.w.release()
 	if cerr := r.f.Close(); r.err == nil {
 		r.err = cerr
 	}
@@ -171,18 +170,7 @@ func (r *StreamRecorder) Abort() {
 		return
 	}
 	r.closed = true
-	r.release()
+	r.w.release()
 	r.f.Close()
 	os.Remove(r.tmp)
-}
-
-// release hands the chunk buffers back to the store that lent them, or lets
-// them go. Caller holds r.mu; only the first finish or Abort gets here.
-func (r *StreamRecorder) release() {
-	if st := r.lender; st != nil {
-		st.mu.Lock()
-		st.returnChunkLocked(r.w.buf)
-		st.mu.Unlock()
-	}
-	r.w.buf = pendingChunk{}
 }

@@ -92,18 +92,24 @@ func TestStreamRecorderEmptyRun(t *testing.T) {
 }
 
 // A recorder outlives its recording — callers read PeakBufferedEvents after
-// Close or Store.Commit — so closing lets go of the pending chunk's buffers
-// instead of keeping them at their high-water size.
+// Close or Store.Commit — so finishing it, or aborting it, hands the pending
+// chunk's buffers to spare, emptied, for the next writer, instead of keeping
+// them at their high-water size. A standalone recorder and a store's alike.
 func TestClosedRecorderReleasesItsBuffers(t *testing.T) {
 	held := func(c *pendingChunk) int {
 		return cap(c.flags) + cap(c.packed) + cap(c.rest) + cap(c.section) + cap(c.blob)
 	}
-	for _, commit := range []bool{false, true} {
+	for _, end := range []string{"close", "commit", "abort"} {
 		st, err := Open(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, err := st.NewRecorder()
+		var rec *StreamRecorder
+		if end == "close" {
+			rec, err = NewStreamRecorder(filepath.Join(t.TempDir(), "s.ppdb"))
+		} else {
+			rec, err = st.NewRecorder()
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,16 +118,25 @@ func TestClosedRecorderReleasesItsBuffers(t *testing.T) {
 		if held(&rec.w.buf) == 0 {
 			t.Fatal("the pending chunk holds no buffer mid-recording")
 		}
-		if commit {
-			_, _, err = st.Commit(rec, AddMeta{})
-		} else {
+		switch end {
+		case "close":
 			err = rec.Close()
+		case "commit":
+			_, _, err = st.Commit(rec, AddMeta{})
+		case "abort":
+			st.Discard(rec)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		if n := held(&rec.w.buf); n != 0 {
-			t.Errorf("commit=%v: the closed writer's pending chunk still holds %d elements of capacity", commit, n)
+			t.Errorf("%s: the finished writer's pending chunk still holds %d elements of capacity", end, n)
+		}
+		spare.Lock()
+		c := spare.chunk
+		spare.Unlock()
+		if held(&c) == 0 || len(c.flags)+len(c.packed)+len(c.rest) != 0 {
+			t.Errorf("%s: spare holds %d elements of capacity, %d events: want the writer's buffers, emptied", end, held(&c), len(c.flags))
 		}
 	}
 }

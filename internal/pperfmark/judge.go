@@ -24,15 +24,9 @@ type RunOptions struct {
 	Seed   uint64
 	// Spawn selects the tool's dynamic-process-creation method.
 	Spawn daemon.SpawnMethod
-	// PC overrides the Performance Consultant configuration; nil selects
-	// the scaled defaults.
-	PC *consultant.Config
 	// DisablePC runs without the Performance Consultant (for histogram
 	// experiments that only need metric series).
 	DisablePC bool
-	// Metrics lists extra whole-program metric series to enable before
-	// launch, retrievable from Result.Extra.
-	Metrics []string
 	// Faults arms a fault-injection plan on the session (nil = healthy run,
 	// byte-identical to a build without fault support).
 	Faults *faults.Plan
@@ -77,8 +71,6 @@ type Result struct {
 	GetOps    *datasource.Series
 	AccOps    *datasource.Series
 	RMABytes  *datasource.Series
-	// Extra holds the series requested via RunOptions.Metrics.
-	Extra map[string]*datasource.Series
 	// RunTime is the program's virtual wall-clock duration.
 	RunTime sim.Time
 	// ProbeExecs totals probe executions across daemons (carried on the
@@ -98,10 +90,10 @@ type Result struct {
 
 // enableVerification turns on, in a fixed order, the whole-program series
 // a run is judged by — one per total the program's entry knows the expected
-// value of — then the caller's extra metrics. Run calls it on the live front
+// value of. Run calls it on the live front
 // end and ReplayWith on the replay source, which answers each request from
 // the recorded enables; sharing it keeps the two request orders identical.
-func enableVerification(src datasource.DataSource, entry *Entry, metrics []string, res *Result) error {
+func enableVerification(src datasource.DataSource, entry *Entry, res *Result) error {
 	whole := resource.WholeProgram()
 	for _, e := range []struct {
 		dst    **datasource.Series
@@ -122,14 +114,6 @@ func enableVerification(src datasource.DataSource, entry *Entry, metrics []strin
 			return err
 		}
 		*e.dst = sr
-	}
-	res.Extra = map[string]*datasource.Series{}
-	for _, m := range metrics {
-		sr, err := src.EnableMetric(m, whole)
-		if err != nil {
-			return err
-		}
-		res.Extra[m] = sr
 	}
 	return nil
 }
@@ -167,10 +151,7 @@ func Run(name string, opt RunOptions) (*Result, error) {
 	// The effective Consultant configuration, hoisted so recording can
 	// archive it even though the Consultant itself starts after launch.
 	pcCfg := ScaledPCConfig()
-	if opt.PC != nil {
-		pcCfg = *opt.PC
-	}
-	if name == "diffuse-procedure" && opt.PC == nil {
+	if name == "diffuse-procedure" {
 		// §5.1.6: the 25%-per-process bottleneck needs the CPU
 		// threshold lowered to 0.2 before the Consultant reports it.
 		pcCfg.CPUThreshold = 0.2
@@ -211,7 +192,7 @@ func Run(name string, opt RunOptions) (*Result, error) {
 
 	s.Register(name, prog)
 
-	if err := enableVerification(s.FE, entry, opt.Metrics, res); err != nil {
+	if err := enableVerification(s.FE, entry, res); err != nil {
 		return nil, err
 	}
 

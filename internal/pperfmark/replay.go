@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"pperf/internal/consultant"
+	"pperf/internal/core"
 	"pperf/internal/mpi"
 	"pperf/internal/session"
 	"pperf/internal/sim"
@@ -21,7 +22,6 @@ type runInfo struct {
 	Impl    mpi.ImplKind
 	Params  Params
 	Seed    uint64
-	Metrics []string
 
 	DisablePC bool
 	PC        consultant.Config
@@ -50,7 +50,6 @@ func finishRecording(opt RunOptions, res *Result, pcCfg consultant.Config, nodes
 		Impl:       res.Impl,
 		Params:     res.Params,
 		Seed:       opt.Seed,
-		Metrics:    opt.Metrics,
 		DisablePC:  opt.DisablePC,
 		PC:         pcCfg,
 		Traced:     opt.Trace != nil,
@@ -92,27 +91,38 @@ func finishRecording(opt RunOptions, res *Result, pcCfg consultant.Config, nodes
 // for "what-if" replay: the same recorded event stream is re-analyzed
 // under altered Performance Consultant thresholds, so a threshold change
 // can be evaluated without re-running (or even having) the original
-// cluster. Zero values keep the recorded configuration.
+// cluster. Zero values keep the recorded configuration; any other value
+// must lie in (0, 1], the range core.CheckThreshold holds -pcl and the
+// CLI's -what-if-* flags to.
 type ReplayOptions struct {
 	// SyncThreshold, IOThreshold, CPUThreshold override the recorded
-	// hypothesis-test fractions when > 0.
+	// hypothesis-test fractions when non-zero.
 	SyncThreshold float64
 	IOThreshold   float64
 	CPUThreshold  float64
 }
 
-// override returns the recorded config with the non-zero overrides applied.
-func (o ReplayOptions) override(cfg consultant.Config) consultant.Config {
-	if o.SyncThreshold > 0 {
-		cfg.SyncThreshold = o.SyncThreshold
+// override returns the recorded config with the non-zero overrides
+// applied, or the range error of the first one outside (0, 1].
+func (o ReplayOptions) override(cfg consultant.Config) (consultant.Config, error) {
+	for _, th := range []struct {
+		name string
+		v    float64
+		dst  *float64
+	}{
+		{"sync", o.SyncThreshold, &cfg.SyncThreshold},
+		{"io", o.IOThreshold, &cfg.IOThreshold},
+		{"cpu", o.CPUThreshold, &cfg.CPUThreshold},
+	} {
+		if th.v == 0 {
+			continue
+		}
+		if err := core.CheckThreshold(th.v); err != nil {
+			return cfg, fmt.Errorf("pperfmark: what-if %s threshold %v: %w", th.name, th.v, err)
+		}
+		*th.dst = th.v
 	}
-	if o.IOThreshold > 0 {
-		cfg.IOThreshold = o.IOThreshold
-	}
-	if o.CPUThreshold > 0 {
-		cfg.CPUThreshold = o.CPUThreshold
-	}
-	return cfg
+	return cfg, nil
 }
 
 // Replay re-runs the analysis plane of a recorded session offline with
@@ -134,6 +144,10 @@ func ReplayWith(a *session.Archive, o ReplayOptions) (*Result, error) {
 	var info runInfo
 	if err := gob.NewDecoder(bytes.NewReader(a.Header.Extra)).Decode(&info); err != nil {
 		return nil, fmt.Errorf("pperfmark: corrupt run description in archive: %v", err)
+	}
+	pcCfg, err := o.override(info.PC)
+	if err != nil {
+		return nil, err
 	}
 
 	res := &Result{
@@ -160,7 +174,7 @@ func ReplayWith(a *session.Archive, o ReplayOptions) (*Result, error) {
 	}
 	res.Source = rs
 
-	if err := enableVerification(rs, entry, info.Metrics, res); err != nil {
+	if err := enableVerification(rs, entry, res); err != nil {
 		return nil, err
 	}
 
@@ -169,7 +183,7 @@ func ReplayWith(a *session.Archive, o ReplayOptions) (*Result, error) {
 	// Sync, which advances the replay to the matching recorded barrier.
 	eng := sim.NewEngine(info.Seed)
 	if !info.DisablePC {
-		res.PC = consultant.New(rs, eng, o.override(info.PC))
+		res.PC = consultant.New(rs, eng, pcCfg)
 		if err := res.PC.Start(); err != nil {
 			return nil, err
 		}

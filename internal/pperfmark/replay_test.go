@@ -63,16 +63,13 @@ func snapshot(t *testing.T, res *Result) string {
 		fmt.Fprintf(&b, "proc %s node=%s started=%v exited=%v end=%v lost=%v\n",
 			p.Name, p.Node, p.Started, p.Exited, p.EndTime, p.Lost)
 	}
-	// Every verification/extra series, including its full per-bin CSV.
+	// Every verification series, including its full per-bin CSV.
 	csv := ds.(interface {
 		ExportCSV(s *datasource.Series) string
 	})
 	series := map[string]*datasource.Series{
 		"BytesSent": res.BytesSent, "PutOps": res.PutOps, "GetOps": res.GetOps,
 		"AccOps": res.AccOps, "RMABytes": res.RMABytes,
-	}
-	for m, sr := range res.Extra {
-		series["extra:"+m] = sr
 	}
 	names := make([]string, 0, len(series))
 	for n := range series {
@@ -218,11 +215,10 @@ var shortSmallMessages = Params{Iterations: 15000}
 
 // healthySmallMessages is the run TestReplayReproducesHealthyRun replays and
 // TestQueryPlaneDeterministic runs again: small-messages under LAM, seed 7,
-// traced, with msgs_sent enabled.
+// traced.
 func healthySmallMessages() *cell {
 	return &cell{program: "small-messages", opt: RunOptions{
-		Impl: mpi.LAM, Seed: 7, Trace: &trace.Config{},
-		Metrics: []string{"msgs_sent"}, Params: shortSmallMessages,
+		Impl: mpi.LAM, Seed: 7, Trace: &trace.Config{}, Params: shortSmallMessages,
 	}}
 }
 

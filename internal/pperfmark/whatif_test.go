@@ -5,6 +5,8 @@ package pperfmark
 // evaluated without re-running the cluster.
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"pperf/internal/consultant"
@@ -50,12 +52,27 @@ func TestWhatIfThresholdFlipsVerdict(t *testing.T) {
 
 func TestWhatIfZeroValuesKeepRecordedConfig(t *testing.T) {
 	cfg := consultant.DefaultConfig()
-	got := ReplayOptions{}.override(cfg)
-	if got != cfg {
-		t.Errorf("zero ReplayOptions changed the config: %+v vs %+v", got, cfg)
+	got, err := ReplayOptions{}.override(cfg)
+	if err != nil || got != cfg {
+		t.Errorf("zero ReplayOptions changed the config: %+v vs %+v (%v)", got, cfg, err)
 	}
-	got = ReplayOptions{SyncThreshold: 0.5, IOThreshold: 0.6, CPUThreshold: 0.7}.override(cfg)
-	if got.SyncThreshold != 0.5 || got.IOThreshold != 0.6 || got.CPUThreshold != 0.7 {
-		t.Errorf("overrides not applied: %+v", got)
+	got, err = ReplayOptions{SyncThreshold: 0.5, IOThreshold: 0.6, CPUThreshold: 1}.override(cfg)
+	if err != nil || got.SyncThreshold != 0.5 || got.IOThreshold != 0.6 || got.CPUThreshold != 1 {
+		t.Errorf("overrides not applied: %+v (%v)", got, err)
+	}
+}
+
+// A what-if threshold outside (0, 1] is refused, as -pcl and the CLI's
+// -what-if-* flags refuse it: only zero means "keep the recorded value".
+func TestWhatIfThresholdOutOfRangeIsRefused(t *testing.T) {
+	// The overrides are checked before anything is replayed, so the
+	// cheapest archive will do: a spawn program MPICH cannot run.
+	a := recorded(t, &cell{program: "spawncount", opt: RunOptions{Impl: mpi.MPICH}}).archive
+	for _, v := range []float64{1.5, -0.1, math.NaN()} {
+		for _, o := range []ReplayOptions{{SyncThreshold: v}, {IOThreshold: v}, {CPUThreshold: v}} {
+			if _, err := ReplayWith(a, o); err == nil || !strings.Contains(err.Error(), "(0, 1]") {
+				t.Errorf("ReplayWith(%+v) = %v, want the (0, 1] range error", o, err)
+			}
+		}
 	}
 }

@@ -4,6 +4,8 @@ package pperf
 // README and examples do.
 
 import (
+	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -76,6 +78,37 @@ func TestFacadeSuiteAccess(t *testing.T) {
 	v := JudgeSuiteRun(res)
 	if !v.Pass {
 		t.Errorf("hot-procedure verdict: %v", v.Problems)
+	}
+}
+
+// A library what-if threshold obeys the CLI's and PCL's range rule: a
+// non-zero value outside (0, 1] is an error, not a Consultant that can never
+// latch or a silent "keep the recorded value".
+func TestFacadeWhatIfThresholdRange(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.ppdb")
+	rec, err := NewStreamRecorder(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The overrides are checked before anything is replayed, so the
+	// cheapest archive will do: a spawn program MPICH cannot run.
+	if _, err := RunSuiteProgram("spawncount", SuiteOptions{Impl: MPICH, Record: rec}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	a, err := LoadAnyArchive(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{1.5, -0.1, math.NaN()} {
+		if _, err := ReplaySuiteRunWith(a, ReplayOptions{CPUThreshold: v}); err == nil || !strings.Contains(err.Error(), "(0, 1]") {
+			t.Errorf("CPUThreshold %v: err = %v, want the (0, 1] range error", v, err)
+		}
+	}
+	if _, err := ReplaySuiteRunWith(a, ReplayOptions{CPUThreshold: 1}); err != nil {
+		t.Errorf("CPUThreshold 1: %v", err)
 	}
 }
 
