@@ -28,7 +28,7 @@ fmt-check:
 	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt -l reports:"; echo "$$out"; exit 1; }
 
 race:
-	$(GO) test -race ./internal/sim ./internal/mpi ./internal/mdl ./internal/gprofsim ./internal/consultant ./internal/wire ./internal/frontend ./internal/daemon ./internal/faults ./internal/trace ./internal/core ./internal/session ./internal/perfdb ./internal/datasource
+	$(GO) test -race ./internal/sim ./internal/mpi ./internal/mdl ./internal/gprofsim ./internal/consultant ./internal/wire ./internal/frontend ./internal/daemon ./internal/faults ./internal/trace ./internal/core ./internal/session ./internal/perfdb ./internal/datasource ./internal/resource ./internal/metric
 	$(GO) test -race -run 'TestCellCache' ./internal/experiments
 
 verify: build vet fmt-check test race fuzz-smoke bench-smoke bench-module replay-golden perfdb-golden sync-golden wire-golden trend-golden experiments-golden
@@ -60,7 +60,8 @@ slow-tests:
 # from: every allocation sampled, top 25 sites by object count. BENCH names
 # the benchmark — by default the paper's Figure 3 run (small-messages under
 # the full tool, the `p2p-flood` workload); BENCH=BenchmarkReplayWhatIf is the
-# `replay-whatif` workload's read side, BENCH=BenchmarkTracedTCP one traced
+# `replay-whatif` workload's analysis plane (replayed View, Consultant search,
+# Render and Judge of every replay), BENCH=BenchmarkTracedTCP one traced
 # session of `traced-tcp` (rings packed where they are drained, the bytes over
 # TCP, verified and kept by the timeline, exported and walked where they lie:
 # by alloc_space the one `[]Span` left is the benchmark's own
@@ -179,6 +180,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzUnpackShard -fuzztime=5s ./internal/session
 	$(GO) test -run '^$$' -fuzz=FuzzUnpackEvents -fuzztime=5s ./internal/session
 	$(GO) test -run '^$$' -fuzz=FuzzCompileSource -fuzztime=5s ./internal/mdl
+	$(GO) test -run '^$$' -fuzz=FuzzApplySamples -fuzztime=5s ./internal/datasource
 
 # fuzz-perfdb holds the chunked-archive decoder and the packed sample-batch,
 # trace-shard and event-section decoders under it (internal/session) total:

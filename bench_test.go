@@ -142,10 +142,11 @@ func BenchmarkSuiteSweep(b *testing.B) {
 
 // BenchmarkReplayWhatIf is the `replay-whatif` benchmark workload as a root
 // benchmark, so `make alloc-profile BENCH=BenchmarkReplayWhatIf` sizes the
-// read side (archive load → ReplaySource → View → Consultant) the way the
+// analysis plane (ReplaySource → View → Consultant → report) the way the
 // Figure 3 benchmark sizes the simulated message path: record random-barrier
-// once, load it, then replay it per iteration under the eight threshold
-// overrides the workload uses.
+// once, load it, then per iteration replay it under the eight threshold
+// overrides the workload uses, rendering and judging each replay as the
+// workload does.
 func BenchmarkReplayWhatIf(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "random-barrier.ppdb")
 	rec, err := perfdb.NewStreamRecorder(path)
@@ -177,6 +178,9 @@ func BenchmarkReplayWhatIf(b *testing.B) {
 			}
 			if res.PC == nil {
 				b.Fatal("replay ran no Consultant")
+			}
+			if res.PC.Render() == "" || pperfmark.Judge(res) == nil {
+				b.Fatal("replay rendered or judged nothing")
 			}
 		}
 	}

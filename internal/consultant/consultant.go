@@ -11,6 +11,8 @@
 package consultant
 
 import (
+	"slices"
+
 	"pperf/internal/datasource"
 	"pperf/internal/resource"
 	"pperf/internal/sim"
@@ -106,6 +108,16 @@ type Consultant struct {
 	// focus is reachable by refining axes in different orders, and testing
 	// it once suffices.
 	seen map[tested]bool
+	// fracs and cands are update's per-process fractions and expand's
+	// candidate foci: scratch reused by every node.
+	fracs []float64
+	cands []candidate
+}
+
+// cursor is the cumulative value of proc's histogram a node last read.
+type cursor struct {
+	proc string
+	last float64
 }
 
 // tested names one (hypothesis, canonical focus) the search has armed.
@@ -122,9 +134,8 @@ type Node struct {
 
 	spec     hypoSpec
 	series   *datasource.Series
-	lastVals map[string]float64 // per-proc cumulative cursor
-	lastTime sim.Time           // sample-aligned cursor
-	fracs    []float64          // update's per-process buffer, reused
+	cursors  []cursor // one per series process, in the series' sorted order
+	lastTime sim.Time // sample-aligned cursor
 	falseRun int
 	trueRun  int
 
@@ -203,15 +214,16 @@ func (c *Consultant) newNode(hs hypoSpec, f resource.Focus, label string, parent
 		Label:      label,
 		spec:       hs,
 		series:     series,
-		lastVals:   map[string]float64{},
 		lastTime:   c.eng.Now(),
 		Parent:     parent,
 		c:          c,
 	}
 	// If the series pre-existed, start the cursors at its current state so
 	// history before this node does not spike the first evaluation.
-	for _, proc := range series.Procs() {
-		n.lastVals[proc] = series.ProcHistogram(proc).Total()
+	procs := series.Procs()
+	n.cursors = make([]cursor, len(procs), max(len(procs), c.ds.ProcessCount()))
+	for i, proc := range procs {
+		n.cursors[i] = cursor{proc, series.ProcHistogram(proc).Total()}
 	}
 	if parent != nil {
 		n.depth = parent.depth + 1
@@ -267,15 +279,17 @@ func (n *Node) update(now sim.Time) {
 	if n.c.ds.GapOverlaps(n.lastTime, upto) {
 		n.GapPartial = true
 	}
-	fractions := n.fracs[:0]
-	for _, proc := range n.series.Procs() {
-		h := n.series.ProcHistogram(proc)
-		cum := h.Total()
-		delta := cum - n.lastVals[proc]
-		n.lastVals[proc] = cum
-		fractions = append(fractions, delta/interval)
+	procs := n.series.Procs()
+	if len(procs) != len(n.cursors) {
+		n.align(procs)
 	}
-	n.fracs = fractions
+	fractions := n.c.fracs[:0]
+	for i, proc := range procs {
+		cum := n.series.ProcHistogram(proc).Total()
+		fractions = append(fractions, (cum-n.cursors[i].last)/interval)
+		n.cursors[i].last = cum
+	}
+	n.c.fracs = fractions
 	n.lastTime = now
 	if n.c.ds.Coverage() < 1 {
 		n.Partial = true
@@ -310,6 +324,22 @@ func (n *Node) update(now sim.Time) {
 	// so a single noisy window does not flag a hypothesis.
 	if n.trueRun >= minEvals {
 		n.True = true
+	}
+}
+
+// align brings the cursors in line with the series' processes, a sorted list
+// that only ever gains names. A backward merge keeps every known process's
+// cursor and starts each newcomer at 0.
+func (n *Node) align(procs []string) {
+	j := len(n.cursors) - 1
+	n.cursors = slices.Grow(n.cursors, len(procs)-len(n.cursors))[:len(procs)]
+	for i := len(procs) - 1; i >= 0; i-- {
+		if j >= 0 && n.cursors[j].proc == procs[i] {
+			n.cursors[i] = n.cursors[j]
+			j--
+		} else {
+			n.cursors[i] = cursor{proc: procs[i]}
+		}
 	}
 }
 

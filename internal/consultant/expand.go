@@ -19,36 +19,34 @@ func (c *Consultant) expand(n *Node) {
 	if n.depth >= maxDepth || c.nodes >= maxNodes {
 		return
 	}
+	cands := c.cands[:0]
 	for _, ax := range n.spec.axes {
-		for _, cand := range c.candidates(n, ax) {
-			if c.nodes >= maxNodes {
-				return
-			}
-			// Unconstrainable metric/focus combinations are skipped, as the
-			// real tool refuses them.
-			_, _ = c.newNode(n.spec, cand.focus, cand.label, n)
+		switch ax {
+		case axisCode:
+			cands = c.codeCandidates(cands, n)
+		case axisMachine:
+			cands = c.machineCandidates(cands, n)
+		case axisSync:
+			cands = c.syncCandidates(cands, n)
 		}
 	}
-}
-
-func (c *Consultant) candidates(n *Node, ax axis) []candidate {
-	switch ax {
-	case axisCode:
-		return c.codeCandidates(n)
-	case axisMachine:
-		return c.machineCandidates(n)
-	case axisSync:
-		return c.syncCandidates(n)
+	c.cands = cands
+	n.Children = make([]*Node, 0, len(cands))
+	for _, cand := range cands {
+		if c.nodes >= maxNodes {
+			return
+		}
+		// Unconstrainable metric/focus combinations are skipped, as the
+		// real tool refuses them.
+		_, _ = c.newNode(n.spec, cand.focus, cand.label, n)
 	}
-	return nil
 }
 
-// codeCandidates refines the Code axis: from the whole program to the
-// application's procedures, then down the observed call graph (which is how
-// the tool drills from Gsend_message into MPI_Send).
-func (c *Consultant) codeCandidates(n *Node) []candidate {
+// codeCandidates appends the refinements of the Code axis to out: from the
+// whole program to the application's procedures, then down the observed call
+// graph (which is how the tool drills from Gsend_message into MPI_Send).
+func (c *Consultant) codeCandidates(out []candidate, n *Node) []candidate {
 	h := c.ds.Hierarchy()
-	var out []candidate
 	if fn := n.Focus.CodeFunction(); fn != "" {
 		// Refine to callees, avoiding functions already on this chain.
 		for _, callee := range c.ds.Callees(fn) {
@@ -67,7 +65,7 @@ func (c *Consultant) codeCandidates(n *Node) []candidate {
 	// procedures are found by the callee refinement instead.
 	code := h.Find(resource.Code)
 	if code == nil {
-		return nil
+		return out
 	}
 	skip := map[string]bool{"MPI_Init": true, "PMPI_Init": true,
 		"MPI_Finalize": true, "PMPI_Finalize": true}
@@ -115,17 +113,17 @@ func findFunctionPath(h *resource.Hierarchy, fname string) string {
 	return ""
 }
 
-// machineCandidates refines the Machine axis: whole → nodes → processes.
-func (c *Consultant) machineCandidates(n *Node) []candidate {
+// machineCandidates appends the refinements of the Machine axis to out:
+// whole → nodes → processes.
+func (c *Consultant) machineCandidates(out []candidate, n *Node) []candidate {
 	h := c.ds.Hierarchy()
-	var out []candidate
 	if n.Focus.MachineProcess() != "" {
-		return nil
+		return out
 	}
 	if nodeName := n.Focus.MachineNode(); nodeName != "" {
 		nd := h.Find(resource.Machine, nodeName)
 		if nd == nil {
-			return nil
+			return out
 		}
 		for _, p := range nd.ActiveChildren() {
 			out = append(out, candidate{n.Focus.WithMachine(p.Path()), p.Name()})
@@ -134,7 +132,7 @@ func (c *Consultant) machineCandidates(n *Node) []candidate {
 	}
 	machine := h.Find(resource.Machine)
 	if machine == nil {
-		return nil
+		return out
 	}
 	for _, nd := range machine.ActiveChildren() {
 		out = append(out, candidate{n.Focus.WithMachine(nd.Path()), nd.Name()})
@@ -142,13 +140,13 @@ func (c *Consultant) machineCandidates(n *Node) []candidate {
 	return out
 }
 
-// syncCandidates refines the SyncObject axis: categories, then specific
-// communicators/windows, then message tags. Retired resources (freed
-// windows) are excluded from the candidate set (§4.2.3).
-func (c *Consultant) syncCandidates(n *Node) []candidate {
+// syncCandidates appends the refinements of the SyncObject axis to out:
+// categories, then specific communicators/windows, then message tags.
+// Retired resources (freed windows) are excluded from the candidate set
+// (§4.2.3).
+func (c *Consultant) syncCandidates(out []candidate, n *Node) []candidate {
 	h := c.ds.Hierarchy()
 	parts := n.Focus.SyncParts()
-	var out []candidate
 	switch len(parts) {
 	case 0:
 		for _, cat := range []string{resource.Message, resource.Barrier, resource.Window} {
@@ -164,26 +162,24 @@ func (c *Consultant) syncCandidates(n *Node) []candidate {
 	case 1:
 		nd := h.FindPath(n.Focus.SyncPath)
 		if nd == nil || parts[0] == resource.Barrier {
-			return nil
+			return out
 		}
 		for _, obj := range nd.ActiveChildren() {
 			out = append(out, candidate{n.Focus.WithSync(obj.Path()), obj.DisplayName()})
 		}
 	case 2:
 		if parts[0] != resource.Message {
-			return nil
+			return out
 		}
 		nd := h.FindPath(n.Focus.SyncPath)
 		if nd == nil {
-			return nil
+			return out
 		}
 		// Cap tag enumeration: programs cycling through many tags would
 		// otherwise dominate the search budget.
 		const maxTagCandidates = 12
-		for _, tag := range nd.ActiveChildren() {
-			if len(out) >= maxTagCandidates {
-				break
-			}
+		tags := nd.ActiveChildren()
+		for _, tag := range tags[:min(len(tags), maxTagCandidates)] {
 			out = append(out, candidate{n.Focus.WithSync(tag.Path()), tag.Name()})
 		}
 	}

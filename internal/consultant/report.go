@@ -3,6 +3,7 @@ package consultant
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"pperf/internal/resource"
@@ -108,15 +109,31 @@ func (e Export) String() string {
 // a focus containing substr (e.g. "MPI_Send", "/SyncObject/Window/0-1").
 // Empty hypothesis matches any.
 func (c *Consultant) HasFinding(hypothesis, substr string) bool {
-	for _, f := range c.Findings() {
-		if hypothesis != "" && f.Hypothesis != hypothesis {
-			continue
+	return hasFinding(c.roots, hypothesis, substr)
+}
+
+// hasFinding is HasFinding over the subtrees rooted at ns.
+func hasFinding(ns []*Node, hypothesis, substr string) bool {
+	for _, n := range ns {
+		if n.True && (hypothesis == "" || n.Hypothesis == hypothesis) &&
+			(focusContains(n.Focus, substr) || strings.Contains(n.Label, substr)) {
+			return true
 		}
-		if strings.Contains(f.FocusStr, substr) || strings.Contains(f.Label, substr) {
+		if hasFinding(n.Children, hypothesis, substr) {
 			return true
 		}
 	}
 	return false
+}
+
+// focusContains is strings.Contains(f.String(), substr), rendering f only
+// for a substr with one of the notation's '<', ',' and '>': any other substr
+// can only match inside one path.
+func focusContains(f resource.Focus, substr string) bool {
+	if f = f.Canon(); strings.ContainsAny(substr, "<,>") {
+		return strings.Contains(f.String(), substr)
+	}
+	return strings.Contains(f.CodePath, substr) || strings.Contains(f.MachinePath, substr) || strings.Contains(f.SyncPath, substr)
 }
 
 // TopLevelTrue reports whether the named top-level hypothesis tested true.
@@ -198,25 +215,36 @@ func boolWord(v bool) string {
 }
 
 // renderTrueChildren draws the true descendants of a node, labelling each
-// refinement step, with duplicate foci collapsed.
+// refinement step. No two siblings share a focus: newNode arms each
+// (hypothesis, focus) once.
 func renderTrueChildren(b *strings.Builder, n *Node, indent string) {
-	var kids []*Node
-	seen := map[resource.Focus]bool{}
-	for _, ch := range n.Children {
-		if f := ch.Focus.Canon(); ch.True && !seen[f] {
-			seen[f] = true
-			kids = append(kids, ch)
-		}
+	last := len(n.Children) - 1
+	for last >= 0 && !n.Children[last].True {
+		last--
 	}
-	for i, ch := range kids {
-		last := i == len(kids)-1
+	for i, ch := range n.Children {
+		if !ch.True {
+			continue
+		}
 		connector, childIndent := "├─ ", indent+"│  "
-		if last {
+		if i == last {
 			connector, childIndent = "└─ ", indent+"   "
 		}
-		fmt.Fprintf(b, "%s%s%s (%.2f)\n", indent, connector, ch.describe(), ch.Value)
+		b.WriteString(indent)
+		b.WriteString(connector)
+		b.WriteString(ch.describe())
+		writeValue(b, ch.Value)
+		b.WriteByte('\n')
 		renderTrueChildren(b, ch, childIndent)
 	}
+}
+
+// writeValue writes " (v)" with v as fmt's %.2f prints it (+Inf included).
+func writeValue(b *strings.Builder, v float64) {
+	var num [32]byte
+	b.WriteString(" (")
+	b.Write(strconv.AppendFloat(num[:0], v, 'f', 2, 64))
+	b.WriteByte(')')
 }
 
 // Stats summarizes the search: nodes tested, true, pruned.
@@ -264,7 +292,7 @@ func nameSuffix(n *Node) string {
 	h := n.c.ds.Hierarchy()
 	if res := h.FindPath(n.Focus.SyncPath); res != nil {
 		if res.DisplayName() != res.Name() {
-			return fmt.Sprintf(" (%s)", res.DisplayName())
+			return " (" + res.DisplayName() + ")"
 		}
 	}
 	return ""

@@ -2,6 +2,7 @@ package datasource
 
 import (
 	"cmp"
+	"slices"
 	"strings"
 
 	"pperf/internal/metric"
@@ -14,12 +15,12 @@ import (
 // View's ingest methods — identically whether the samples arrive live from
 // daemons or out of a recorded session archive.
 type Series struct {
-	Metric  string
-	Focus   resource.Focus
-	agg     *metric.Histogram
-	perProc map[string]*metric.Histogram
-	procs   []string // perProc's keys, kept sorted as first samples arrive
-	lastT   sim.Time
+	Metric string
+	Focus  resource.Focus
+	agg    *metric.Histogram
+	procs  []string            // reporting processes, kept sorted as first samples arrive
+	hists  []*metric.Histogram // hists[i] is procs[i]'s histogram
+	lastT  sim.Time
 }
 
 // LastSampleTime returns the time of the newest ingested sample, so
@@ -31,11 +32,16 @@ func (s *Series) Histogram() *metric.Histogram { return s.agg }
 
 // ProcHistogram returns one process's histogram (nil if that process never
 // reported).
-func (s *Series) ProcHistogram(proc string) *metric.Histogram { return s.perProc[proc] }
+func (s *Series) ProcHistogram(proc string) *metric.Histogram {
+	if i, ok := slices.BinarySearch(s.procs, proc); ok {
+		return s.hists[i]
+	}
+	return nil
+}
 
 // Procs lists the processes that have reported samples, sorted. The slice is
 // the series' own: read it, do not keep or modify it.
-func (s *Series) Procs() []string { return s.procs }
+func (s *Series) Procs() []string { return slices.Clip(s.procs) }
 
 // Total returns the cumulative metric value across all samples.
 func (s *Series) Total() float64 { return s.agg.Total() }

@@ -72,12 +72,7 @@ func (v *View) RegisterSeries(metricName string, focus resource.Focus) (*Series,
 	if s, ok := v.series[key]; ok {
 		return s, true
 	}
-	s := &Series{
-		Metric:  metricName,
-		Focus:   focus,
-		agg:     metric.NewHistogram(v.NumBins, v.BinWidth),
-		perProc: map[string]*metric.Histogram{},
-	}
+	s := &Series{Metric: metricName, Focus: focus, agg: metric.NewHistogram(v.NumBins, v.BinWidth)}
 	v.series[key] = s
 	return s, false
 }
@@ -105,19 +100,24 @@ func (v *View) ApplySamples(batch []Sample) {
 		if sm.Time > s.lastT {
 			s.lastT = sm.Time
 		}
-		ph, ok := s.perProc[sm.Proc]
+		i, ok := slices.BinarySearch(s.procs, sm.Proc)
 		if !ok {
-			// A lone reporter's histogram is the aggregate; a second splits it off.
-			if ph = s.agg; len(s.procs) == 1 {
-				s.perProc[s.procs[0]] = s.agg.Clone()
+			if s.procs == nil { // sized once, for every process the view knows
+				s.procs = make([]string, 0, max(len(v.procs), 1))
+				s.hists = make([]*metric.Histogram, 0, cap(s.procs))
 			}
+			// A lone reporter's histogram is the aggregate; a second splits it off.
+			if len(s.procs) == 1 {
+				s.hists[0] = s.agg.Clone()
+			}
+			ph := s.agg
 			if len(s.procs) > 0 {
 				ph = metric.NewHistogram(v.NumBins, v.BinWidth)
 			}
-			s.perProc[sm.Proc] = ph
-			i, _ := slices.BinarySearch(s.procs, sm.Proc)
 			s.procs = slices.Insert(s.procs, i, sm.Proc)
+			s.hists = slices.Insert(s.hists, i, ph)
 		}
+		ph := s.hists[i]
 		s.agg.Add(sm.Time, sm.Delta)
 		if ph != s.agg {
 			ph.Add(sm.Time, sm.Delta)
@@ -405,18 +405,16 @@ func (v *View) DegradationSummary() string {
 func (v *View) ExportCSV(s *Series) string {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	procs := s.procs
 	var b strings.Builder
 	b.WriteString("bin_start_s,all")
-	for _, p := range procs {
+	for _, p := range s.procs {
 		b.WriteString("," + p)
 	}
 	b.WriteByte('\n')
 	width := s.agg.BinWidth().Seconds()
 	for i := 0; i < s.agg.NumFilled(); i++ {
 		fmt.Fprintf(&b, "%.3f,%g", float64(i)*width, s.agg.Bin(i))
-		for _, p := range procs {
-			ph := s.perProc[p]
+		for _, ph := range s.hists {
 			// Per-process histograms can fold at different times; export
 			// the value at the aggregate's bin granularity.
 			val := 0.0

@@ -1,9 +1,6 @@
 package resource
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // Focus selects what part of the program a metric measures: one resource
 // path per top-level hierarchy, as in Paradyn's metric-focus pairs. The
@@ -55,7 +52,7 @@ func (f Focus) WithSync(path string) Focus    { f.SyncPath = path; return f }
 // String renders the focus in Paradyn's angle-bracket notation.
 func (f Focus) String() string {
 	f = f.Canon()
-	return fmt.Sprintf("<%s,%s,%s>", f.CodePath, f.MachinePath, f.SyncPath)
+	return "<" + f.CodePath + "," + f.MachinePath + "," + f.SyncPath + ">"
 }
 
 // Label renders a short human label: the non-root components only.

@@ -9,6 +9,7 @@ package resource
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -129,15 +130,14 @@ func (n *Node) Parent() *Node { return n.parent }
 // Children returns the node's children in creation order.
 func (n *Node) Children() []*Node { return append([]*Node(nil), n.children...) }
 
-// ActiveChildren returns the non-retired children.
+// ActiveChildren returns the non-retired children in creation order. When
+// none is retired the slice is the node's own: read it, do not keep or
+// modify it.
 func (n *Node) ActiveChildren() []*Node {
-	var out []*Node
-	for _, c := range n.children {
-		if !c.retired {
-			out = append(out, c)
-		}
+	if !slices.ContainsFunc(n.children, (*Node).Retired) {
+		return slices.Clip(n.children)
 	}
-	return out
+	return slices.DeleteFunc(slices.Clone(n.children), (*Node).Retired)
 }
 
 // Child returns the named child, or nil.

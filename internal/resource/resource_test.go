@@ -60,6 +60,42 @@ func TestRetireAndActiveChildren(t *testing.T) {
 	}
 }
 
+// With no child retired, ActiveChildren is the node's own list, clipped so
+// an append by the caller cannot reach the hierarchy, and allocates nothing;
+// a retirement anywhere gives a fresh list in creation order.
+func TestActiveChildrenSharesTheListUntilARetirement(t *testing.T) {
+	h := New()
+	msg := h.Find(SyncObject, Message)
+	for _, c := range []string{"comm-1", "comm-2", "comm-3", "comm-4", "comm-5"} {
+		h.Add(SyncObject, Message, c)
+	}
+	if n := testing.AllocsPerRun(100, func() { msg.ActiveChildren() }); n != 0 {
+		t.Errorf("ActiveChildren with nothing retired: %v allocs, want 0", n)
+	}
+	grown := append(msg.ActiveChildren(), &Node{name: "stray"})
+	h.Add(SyncObject, Message, "comm-6")
+	if got := names(msg.ActiveChildren()); got != "comm-1 comm-2 comm-3 comm-4 comm-5 comm-6" || grown[5].Name() != "stray" {
+		t.Errorf("after an append to the returned list: %s, appended %s", got, grown[5].Name())
+	}
+	for _, retire := range []string{"comm-2", "comm-1", "comm-6"} {
+		msg.Child(retire).Retire()
+	}
+	if got := names(msg.ActiveChildren()); got != "comm-3 comm-4 comm-5" {
+		t.Errorf("with comm-1, comm-2 and comm-6 retired: %s", got)
+	}
+	if got := names(msg.Children()); got != "comm-1 comm-2 comm-3 comm-4 comm-5 comm-6" {
+		t.Errorf("children after retirements: %s", got)
+	}
+}
+
+func names(ns []*Node) string {
+	var out []string
+	for _, n := range ns {
+		out = append(out, n.Name())
+	}
+	return strings.Join(out, " ")
+}
+
 func TestDisplayNames(t *testing.T) {
 	h := New()
 	n := h.Add(SyncObject, Window, "1-4")
