@@ -174,6 +174,7 @@ fuzz-wire:
 # which `test` has already run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzWireFrame -fuzztime=5s ./internal/wire
+	$(GO) test -run '^$$' -fuzz=FuzzFrameOpen -fuzztime=5s ./internal/frontend
 	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=5s ./internal/faults
 	$(GO) test -run '^$$' -fuzz=FuzzChunkDecoder -fuzztime=5s ./internal/perfdb
 	$(GO) test -run '^$$' -fuzz=FuzzUnpackSamples -fuzztime=5s ./internal/session

@@ -199,12 +199,13 @@ func BenchmarkTracedTCP(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	nodes, cpus := pperfmark.Layout("sstwod", params)
 	dcfg := daemon.DefaultConfig()
 	dcfg.SampleInterval = 50 * sim.Millisecond
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s, err := core.NewSession(core.Options{
-			Impl: mpi.LAM, Nodes: (params.Procs + 1) / 2, CPUsPerNode: 2, Seed: 7,
+			Impl: mpi.LAM, Nodes: nodes, CPUsPerNode: cpus, Seed: 7,
 			Daemon: &dcfg, BinWidth: 50 * sim.Millisecond,
 			UseTCP: true, Trace: &trace.Config{},
 		})

@@ -43,10 +43,11 @@ func runWithSeries(name string, impl mpi.ImplKind, p pperfmark.Params, pairs []m
 	if err != nil {
 		panic(err)
 	}
+	nodes, cpus := pperfmark.Layout(name, params)
 	dcfg := daemon.DefaultConfig()
 	dcfg.SampleInterval = 50 * sim.Millisecond
 	s, err := core.NewSession(core.Options{
-		Impl: impl, Nodes: nodesFor(params.Procs), CPUsPerNode: 2,
+		Impl: impl, Nodes: nodes, CPUsPerNode: cpus,
 		Daemon: &dcfg, BinWidth: 50 * sim.Millisecond,
 	})
 	if err != nil {

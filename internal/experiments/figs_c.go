@@ -54,9 +54,10 @@ func fig23(*cells) *Result {
 	if err != nil {
 		panic(err)
 	}
+	nodes, cpus := pperfmark.Layout("spawnwin-sync", params)
 	dcfg := daemon.DefaultConfig()
 	dcfg.SampleInterval = 50 * sim.Millisecond
-	s, err := core.NewSession(core.Options{Impl: mpi.LAM, Nodes: params.Children + 1, CPUsPerNode: 1, Daemon: &dcfg})
+	s, err := core.NewSession(core.Options{Impl: mpi.LAM, Nodes: nodes, CPUsPerNode: cpus, Daemon: &dcfg})
 	if err != nil {
 		panic(err)
 	}

@@ -11,12 +11,9 @@ import (
 	"pperf/internal/pperfmark"
 )
 
-// nodesFor is the paper-style layout's node count for n ranks: two ranks
-// per node, never fewer than two nodes.
-func nodesFor(n int) int { return max((n+1)/2, 2) }
-
-// clusterSpec builds an n-rank paper-style layout.
-func clusterSpec(n int) *cluster.Spec { return cluster.DefaultSpec(nodesFor(n), 2) }
+// clusterSpec builds an n-rank layout for a program run without the tool:
+// two ranks per node, never fewer than two nodes.
+func clusterSpec(n int) *cluster.Spec { return cluster.DefaultSpec(max((n+1)/2, 2), 2) }
 
 // cell is one judged run of a PPerfMark program under one personality: a
 // row of Table 2 or 3, and what a Performance Consultant figure renders.

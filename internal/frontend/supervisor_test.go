@@ -66,13 +66,8 @@ func TestListenerFencesStaleIncarnationFrames(t *testing.T) {
 	defer conn.Close()
 	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
 	mk := func(inc, seq uint64, delta float64) frame {
-		return sealed(frame{
-			Daemon: "paradynd@node0",
-			Chan:   wire.ChanCtl,
-			Inc:    inc,
-			Seq:    seq,
-			Event:  samples(sample("m", f, "p0", sim.Time(sim.Second), delta)),
-		})
+		return sealed(frame{Daemon: "paradynd@node0", Inc: inc, Seq: seq},
+			samples(sample("m", f, "p0", sim.Time(sim.Second), delta)))
 	}
 
 	sendFrame(t, enc, dec, mk(1, 1, 5))   // incarnation 1 applies

@@ -17,10 +17,10 @@ import (
 // the front end on the user's workstation. Each report is acknowledged
 // before the daemon proceeds, so delivery order (and therefore front-end
 // state) stays deterministic even though the listener runs on its own
-// goroutine. The frame is gob; the two bulky report kinds, sample batches
-// and trace shards, ride inside it in their packed forms, so gob moves
-// their bytes and never reflects over a []Sample or a []Span — and a shard's
-// bytes are the ones its daemon packed when it drained the ring.
+// goroutine. The frame is gob, but every report rides inside it in the packed
+// form the archive stores it in (an update as a one-event section), so gob
+// moves only the envelope, never a session.Event, a []Sample or a []Span —
+// and a shard's bytes are the ones its daemon packed when it drained the ring.
 //
 // Each daemon holds two independent channels to the front end, and
 // daemon.ChannelOf says which one a report rides:
@@ -32,22 +32,20 @@ import (
 //     sample batch.
 //
 // Both channels are wire.Conns (see internal/wire): every frame carries the
-// sending daemon's identity and incarnation, its channel, and a per-channel
-// sequence number, each send has a wall-clock deadline, failures trigger
-// bounded seeded-jitter retry with a reconnect, and the front end dedupes
-// replayed frames per (daemon, channel) — so an ack lost to a half-closed
-// socket cannot double-apply a sample batch or a shard, and a reconnect
-// resyncs without disturbing determinism. This file owns only what the
-// frames mean; the reliability discipline lives in the wire plane.
+// sending daemon's identity and incarnation, its report kind (which names its
+// channel), and a per-channel sequence number, each send has a wall-clock
+// deadline, failures trigger bounded seeded-jitter retry with a reconnect,
+// and the front end dedupes replayed frames per (daemon, channel) — so an ack
+// lost to a half-closed socket cannot double-apply a sample batch or a shard,
+// and a reconnect resyncs without disturbing determinism. This file owns only
+// what the frames mean; the reliability discipline lives in the wire plane.
 
-// frame is the single message exchanged on the wire: one report plus the
-// envelope that identifies and orders it.
+// frame is the single message exchanged on the wire: one packed report plus
+// the envelope that identifies and orders it.
 type frame struct {
-	// Daemon, Chan and Seq identify and order the frame for reconnect
-	// dedupe. Seq is per-daemon-per-channel, starts at 1 and strictly
-	// increases.
+	// Daemon and Seq identify and order the frame on the channel Kind rides,
+	// for dedupe: Seq is per-daemon-per-channel, from 1, strictly increasing.
 	Daemon string
-	Chan   string
 	Seq    uint64
 	// Inc is the sending daemon incarnation. A frame from an incarnation
 	// older than the newest one seen is a straggler from a dead daemon:
@@ -55,48 +53,51 @@ type frame struct {
 	// applies it. A newer incarnation resets the channel's seq space.
 	Inc uint64
 
-	// Event is the report. A sample batch or a trace shard travels with
-	// only its Kind set here and the rest in Packed, its packed form; no
-	// other kind has one.
-	Event  session.Event
+	// Kind is the report's kind and Packed its packed form. Kind 0 is
+	// EvSamples, which gob leaves off the wire.
+	Kind   session.EventKind
 	Packed []byte
 }
 
 // open unpacks a received frame's report and reports whether the frame is
 // one a daemon transport could have sent: a named sender, a sequence number
-// from the numbered space, a report kind on the channel that kind rides, a
-// packed form on exactly the kinds that have one (and one that unpacks), and
-// no inner sender stamp naming anyone but the envelope's daemon. The frame
-// type can express any session.Event on any channel, so the listener must
-// not apply one that fails this — a forged verdict, barrier or gap would
-// land in the analysis state (and the archive) as if the front end had
-// produced it, a forged stamp would keep a dead daemon alive. A batch is
-// unpacked into *samples, the connection's scratch, which it then names.
-func (f *frame) open(up *session.Unpacker, samples *[]datasource.Sample) bool {
-	ch, ok := daemon.ChannelOf(f.Event.Kind)
-	if !ok || ch != f.Chan || f.Daemon == "" || f.Seq == 0 {
-		return false
+// from the numbered space, a kind a daemon reports, a packed form that
+// unpacks to exactly one report of that kind, and no inner sender stamp
+// naming anyone but the envelope's daemon. Anything else must not reach the
+// front end — a forged verdict, barrier or gap would land in the analysis
+// state (and the archive) as if the front end had produced it, a forged
+// stamp would keep a dead daemon alive. A batch is unpacked into *samples,
+// the connection's scratch, which the returned event then names.
+func (f *frame) open(up *session.Unpacker, samples *[]datasource.Sample) (ev session.Event, ok bool) {
+	if _, ok := daemon.ChannelOf(f.Kind); !ok || f.Daemon == "" || f.Seq == 0 {
+		return ev, false
 	}
 	var err error
-	stamp := f.Event.Update.Daemon
-	switch f.Event.Kind {
+	var stamp string
+	switch f.Kind {
 	case session.EvSamples:
 		*samples, err = up.UnpackSamplesInto(*samples, f.Packed)
-		f.Event.Samples = *samples
+		ev.Samples = *samples
+	case session.EvUpdate:
+		// One update, into a stack array; only its Update field is kept.
+		one, err := up.UnpackEventsInto(make([]session.Event, 0, 1), f.Packed)
+		if err != nil || len(one) != 1 || one[0].Kind != f.Kind {
+			return ev, false
+		}
+		ev.Update, stamp = one[0].Update, one[0].Update.Daemon
 	case session.EvShard:
 		// Verified and kept as bytes (a copy: Packed is the connection's
 		// reused buffer); no span is materialised here.
-		f.Event.Shard, err = trace.OpenShard(&up.Table, f.Packed)
-		stamp = f.Event.Shard.Daemon
-	default:
-		ok = len(f.Packed) == 0
+		ev.Shard, err = trace.OpenShard(&up.Table, f.Packed)
+		stamp = ev.Shard.Daemon
 	}
-	return ok && err == nil && (stamp == "" || stamp == f.Daemon)
+	ev.Kind = f.Kind
+	return ev, err == nil && (stamp == "" || stamp == f.Daemon)
 }
 
 // Listener accepts daemon connections for a front end: a wire.Server whose
 // frames are report frames. Control and bulk connections land on the same
-// listening socket; frames declare their channel.
+// listening socket; a frame's kind names its channel.
 type Listener struct {
 	*wire.Server
 	fe *FrontEnd
@@ -138,13 +139,11 @@ func (l *Listener) WireStats(ch string) wire.Stats {
 
 // serve applies one daemon connection's frames to the front end.
 func (l *Listener) serve(c *wire.ServerConn) {
-	var (
-		up session.Unpacker // this connection's string table
-		// samples is the connection's one batch: fe.Report is synchronous and
-		// keeps none of it (daemon.Transport), and the ack goes out after.
-		samples []datasource.Sample
-		f       frame
-	)
+	var up session.Unpacker // this connection's string table
+	// samples is the connection's one batch: fe.Report is synchronous and
+	// keeps none of it (daemon.Transport), and the ack goes out after.
+	var samples []datasource.Sample
+	var f frame
 	for {
 		// gob leaves absent fields alone, so each frame decodes into a zeroed
 		// one; only the packed bytes' buffer is kept (nothing unpacked from
@@ -153,17 +152,18 @@ func (l *Listener) serve(c *wire.ServerConn) {
 		if c.Read(&f) != nil {
 			return
 		}
-		if !f.open(&up, &samples) {
-			// Not a daemon: drop the connection with the frame neither
-			// applied nor acknowledged.
+		ev, ok := f.open(&up, &samples)
+		if !ok {
+			// Not a daemon: drop the connection, the frame neither applied nor acked.
 			l.refused.Add(1)
 			return
 		}
 		// A frame the daemon re-sent after a lost ack was already applied —
 		// and one a dead incarnation sent must never apply. Both are still
 		// acknowledged so the sender unblocks.
-		if !l.dedupe.Seen(f.Daemon, f.Chan, f.Inc, f.Seq) {
-			l.fe.Report(f.Event)
+		ch, _ := daemon.ChannelOf(ev.Kind)
+		if !l.dedupe.Seen(f.Daemon, ch, f.Inc, f.Seq) {
+			l.fe.Report(ev)
 		}
 		if c.Reply(true) != nil { // ack
 			return
@@ -200,17 +200,18 @@ type channel struct {
 	packed []byte
 }
 
-// seal moves a sample batch or trace shard out of f.Event into its packed
-// form: a batch's built in the channel's scratch, a shard's the bytes it
-// already is. Any other report travels in Event.
-func (c *channel) seal(f *frame) {
-	switch f.Event.Kind {
+// pack returns report ev's packed form: a batch's and an update's built in
+// the channel's scratch, a shard's the bytes it already is.
+func (c *channel) pack(ev session.Event) []byte {
+	switch ev.Kind {
 	case session.EvSamples:
-		c.packed = c.pk.PackSamples(c.packed[:0], f.Event.Samples)
-		f.Packed, f.Event.Samples = c.packed, nil
+		c.packed = c.pk.PackSamples(c.packed[:0], ev.Samples)
 	case session.EvShard:
-		f.Packed, f.Event.Shard = f.Event.Shard.Packed(), trace.Shard{}
+		return ev.Shard.Packed()
+	default: // a one-event section, whose slice stays on the stack
+		c.packed = c.pk.PackEvents(c.packed[:0], []session.Event{ev})
 	}
+	return c.packed
 }
 
 // DialTransportRetry connects a daemon-side transport with explicit identity
@@ -275,15 +276,14 @@ func (t *TCPTransport) Injection(ch string) *wire.Injection {
 
 // Report implements daemon.Transport: one report is one acknowledged frame
 // on the channel its kind rides. The frame is the channel's own, built and
-// sealed under the channel's send lock, through the channel's scratch; ev's
+// packed under the channel's send lock, through the channel's scratch; ev's
 // slices are only read, and nothing of ev is kept once Report returns.
 func (t *TCPTransport) Report(ev session.Event) error {
 	ch, _ := daemon.ChannelOf(ev.Kind)
 	c := t.conn(ch)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.f = frame{Daemon: t.name, Chan: ch, Inc: t.inc, Event: ev}
-	c.seal(&c.f)
+	c.f = frame{Daemon: t.name, Inc: t.inc, Kind: ev.Kind, Packed: c.pack(ev)}
 	err := c.Exchange(wire.Request{Req: &c.f, Stamp: c.stamp, Resp: &c.ack, Label: "frontend: send"})
 	c.f = frame{}
 	return err

@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"bytes"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"pperf/internal/daemon"
 	"pperf/internal/datasource"
 	"pperf/internal/resource"
 	"pperf/internal/session"
@@ -95,10 +97,10 @@ func TestTCPTransportGivesUpAfterMaxAttempts(t *testing.T) {
 	}
 }
 
-// sealed returns the frame as the transport puts it on the wire: a sample
-// batch or trace shard in its packed form.
-func sealed(f frame) frame {
-	new(channel).seal(&f)
+// sealed returns envelope f carrying ev as the transport puts it on the
+// wire: in its packed form.
+func sealed(f frame, ev session.Event) frame {
+	f.Kind, f.Packed = ev.Kind, new(channel).pack(ev)
 	return f
 }
 
@@ -118,12 +120,7 @@ func TestListenerDedupesReplayedFrames(t *testing.T) {
 	}
 	defer conn.Close()
 	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-	msg := sealed(frame{
-		Daemon: "paradynd@node0",
-		Chan:   wire.ChanCtl,
-		Seq:    1,
-		Event:  samples(sample("m", f, "p0", sim.Time(sim.Second), 5)),
-	})
+	msg := sealed(frame{Daemon: "paradynd@node0", Seq: 1}, samples(sample("m", f, "p0", sim.Time(sim.Second), 5)))
 	var ack bool
 	// A daemon that lost the ack re-sends the same frame after reconnecting;
 	// the listener must ack it again without re-applying.
@@ -143,7 +140,7 @@ func TestListenerDedupesReplayedFrames(t *testing.T) {
 	}
 }
 
-// A channel holds one frame, built and sealed under the channel's send lock.
+// A channel holds one frame, built and packed under the channel's send lock.
 // Reports from several goroutines at once — each building its next batch in
 // the array it just reported, as a daemon does — all arrive, each with the
 // samples it carried when Report was called.
@@ -298,63 +295,88 @@ func TestSendOnClosedTransportFailsFast(t *testing.T) {
 	}
 }
 
-// The frame type can carry any session.Event on any channel under any
-// envelope; only what a daemon transport produces may reach the front end.
-// Everything else costs the sender its connection — no apply, no ack — and
-// leaves the analysis state and the recorded stream exactly as they were;
-// the next well-formed connection is served as if nothing had happened.
-func TestListenerRefusesForgedFrames(t *testing.T) {
-	const d0, d1 = "paradynd@node0", "paradynd@node1"
-	aShard := shard(trace.Shard{Daemon: d0, Proc: "p0", Node: "node0", Spans: make([]trace.Span, 2)})
-	someSamples := samples(sample("m", resource.WholeProgram(), "p0", sim.Time(sim.Second), 5))
-	packedSamples := sealed(frame{Event: someSamples}).Packed
+const d0, d1 = "paradynd@node0", "paradynd@node1"
+
+// A well-formed shard and sample batch from d0: what a daemon sends after a
+// refusal.
+var (
+	aShard      = shard(trace.Shard{Daemon: d0, Proc: "p0", Node: "node0", Spans: make([]trace.Span, 2)})
+	someSamples = samples(sample("m", resource.WholeProgram(), "p0", sim.Time(sim.Second), 5))
+)
+
+type forgedFrame struct {
+	name string
+	f    frame
+}
+
+// forgedFrames lists frames no daemon transport sends: a bad envelope, a
+// kind daemons never report, a packed form that does not unpack to exactly
+// one report of the frame's kind, and an inner sender stamp that disagrees
+// with the envelope.
+func forgedFrames() []forgedFrame {
+	var pk session.Packer
+	pack := func(evs ...session.Event) []byte { return pk.PackEvents(nil, evs) }
+	packedSamples := sealed(frame{}, someSamples).Packed
 	corrupt := append([]byte(nil), packedSamples...)
 	corrupt[0] = 0x7f // 127 samples in a dozen bytes
 	// Shards arrive as the bytes their daemon packed, and are kept as bytes:
 	// what the verifying walk must refuse is refused here, before the
 	// timeline or the recorder sees anything.
-	packedShard := sealed(frame{Event: aShard}).Packed
+	packedShard := sealed(frame{}, aShard).Packed
 	overcount := append([]byte(nil), packedShard...)
 	overcount[0]++ // three records claimed, two there
 	badRecord := append([]byte(nil), packedShard...)
 	badRecord[len(badRecord)-13] = byte(trace.MarkEvent+1) << 1 // the last record's kind: head, dictionary and header intact
-	var pk trace.Packer
+	var tpk trace.Packer
 	rec := trace.NewRecorder("p0", "node0", 0)
 	rec.Record(trace.Span{Name: "compute"})
-	drainedByD1 := shard(rec.DrainShard(&pk, d1))
-	for _, tc := range []struct {
-		name string
-		f    frame
-	}{
-		{"empty daemon", sealed(frame{Chan: wire.ChanCtl, Seq: 1, Event: someSamples})},
-		{"seq 0", sealed(frame{Daemon: d0, Chan: wire.ChanCtl, Event: someSamples})},
-		{"stale verdict", frame{Daemon: d0, Chan: wire.ChanCtl, Seq: 1,
-			Event: session.Event{Kind: session.EvStale, Daemon: d0, Time: sim.Time(sim.Second)}}},
-		{"barrier", frame{Daemon: d0, Chan: wire.ChanCtl, Seq: 1, Event: session.Event{Kind: session.EvBarrier}}},
-		{"gap", frame{Daemon: d0, Chan: wire.ChanCtl, Seq: 1,
-			Event: session.Event{Kind: session.EvGap, Gap: datasource.Gap{Node: "node0", From: 1, To: 2}}}},
-		{"shard labelled ctl", sealed(frame{Daemon: d0, Chan: wire.ChanCtl, Seq: 1, Event: aShard})},
-		{"samples labelled bulk", sealed(frame{Daemon: d0, Chan: wire.ChanBulk, Seq: 1, Event: someSamples})},
-		// The packed form: only on the kinds that have one, never absent on
-		// those, and it has to unpack.
-		{"packed bytes on an update", frame{Daemon: d0, Chan: wire.ChanCtl, Seq: 1, Packed: packedSamples,
-			Event: update(datasource.Update{Kind: datasource.UpHeartbeat, Daemon: d0, Time: sim.Time(5 * sim.Second)})}},
-		{"corrupt packed samples", frame{Daemon: d0, Chan: wire.ChanCtl, Seq: 1, Packed: corrupt,
-			Event: session.Event{Kind: session.EvSamples}}},
-		{"samples left unpacked", frame{Daemon: d0, Chan: wire.ChanCtl, Seq: 1, Event: someSamples}},
-		{"shard left unpacked", frame{Daemon: d0, Chan: wire.ChanBulk, Seq: 1, Event: aShard}},
+	drainedByD1 := shard(rec.DrainShard(&tpk, d1))
+	env := frame{Daemon: d0, Seq: 1}
+	as := func(kind session.EventKind, packed []byte) frame {
+		return frame{Daemon: d0, Seq: 1, Kind: kind, Packed: packed}
+	}
+	stale := session.Event{Kind: session.EvStale, Daemon: d0, Time: sim.Time(sim.Second)}
+	gap := session.Event{Kind: session.EvGap, Gap: datasource.Gap{Node: "node0", From: 1, To: 2}}
+	enable := session.Event{Kind: session.EvEnable, Metric: "m", Focus: resource.WholeProgram()}
+	heartbeat := update(datasource.Update{Kind: datasource.UpHeartbeat, Daemon: d0, Time: sim.Time(5 * sim.Second)})
+	return []forgedFrame{
+		{"empty daemon", sealed(frame{Seq: 1}, someSamples)},
+		{"seq 0", sealed(frame{Daemon: d0}, someSamples)},
+		// Kinds only the front end produces, under their own kind ...
+		{"stale verdict", sealed(env, stale)},
+		{"barrier", sealed(env, session.Event{Kind: session.EvBarrier})},
+		{"gap", sealed(env, gap)},
+		// ... or smuggled inside an update frame.
+		{"stale verdict packed inside an update frame", as(session.EvUpdate, pack(stale))},
+		{"gap packed inside an update frame", as(session.EvUpdate, pack(gap))},
+		{"enable packed inside an update frame", as(session.EvUpdate, pack(enable))},
+		// The packed form has to unpack, to exactly one report of the
+		// frame's kind.
+		{"two updates in one frame", as(session.EvUpdate, pack(heartbeat, heartbeat))},
+		{"sample batch under the update kind", as(session.EvUpdate, packedSamples)},
+		{"corrupt packed samples", as(session.EvSamples, corrupt)},
+		{"empty packed samples", as(session.EvSamples, nil)},
+		{"empty packed update", as(session.EvUpdate, nil)},
+		{"empty packed shard", as(session.EvShard, nil)},
 		// The inner sender stamp must agree with the envelope: node0's
 		// connection cannot speak for node1.
-		{"heartbeat stamped by another daemon", frame{Daemon: d0, Chan: wire.ChanCtl, Seq: 1,
-			Event: update(datasource.Update{Kind: datasource.UpHeartbeat, Daemon: d1, Time: sim.Time(5 * sim.Second)})}},
-		{"shard stamped by another daemon", sealed(frame{Daemon: d0, Chan: wire.ChanBulk, Seq: 1,
-			Event: shard(trace.Shard{Daemon: d1, Proc: "p0", Node: "node0", Spans: make([]trace.Span, 2)})})},
-		{"shard drained by another daemon", sealed(frame{Daemon: d0, Chan: wire.ChanBulk, Seq: 1, Event: drainedByD1})},
-		{"shard claiming more records than it holds", frame{Daemon: d0, Chan: wire.ChanBulk, Seq: 1, Packed: overcount,
-			Event: session.Event{Kind: session.EvShard}}},
-		{"shard corrupted after its dictionary", frame{Daemon: d0, Chan: wire.ChanBulk, Seq: 1, Packed: badRecord,
-			Event: session.Event{Kind: session.EvShard}}},
-	} {
+		{"heartbeat stamped by another daemon", sealed(env,
+			update(datasource.Update{Kind: datasource.UpHeartbeat, Daemon: d1, Time: sim.Time(5 * sim.Second)}))},
+		{"shard stamped by another daemon", sealed(env,
+			shard(trace.Shard{Daemon: d1, Proc: "p0", Node: "node0", Spans: make([]trace.Span, 2)}))},
+		{"shard drained by another daemon", sealed(env, drainedByD1)},
+		{"shard claiming more records than it holds", as(session.EvShard, overcount)},
+		{"shard corrupted after its dictionary", as(session.EvShard, badRecord)},
+	}
+}
+
+// A frame can carry any kind and any bytes under any envelope; only what a
+// daemon transport produces may reach the front end. Everything else costs
+// the sender its connection — no apply, no ack — and leaves the analysis
+// state and the recorded stream exactly as they were; the next well-formed
+// connection is served as if nothing had happened.
+func TestListenerRefusesForgedFrames(t *testing.T) {
+	for _, tc := range forgedFrames() {
 		t.Run(tc.name, func(t *testing.T) {
 			fe := New()
 			fe.RegisterSeries("m", resource.WholeProgram())
@@ -408,4 +430,94 @@ func TestListenerRefusesForgedFrames(t *testing.T) {
 			}
 		})
 	}
+}
+
+// Receiving a report is one gob decode of the five-field envelope and one
+// unpack through the connection's string table and sample scratch. Once the stream's type definition
+// and the table's strings have been seen, a frame costs the decoded daemon
+// name and little else; the first frame on a connection carries only the
+// envelope's type, not a session.Event's.
+func TestReportFrameReceiveCost(t *testing.T) {
+	env := frame{Daemon: d0, Seq: 1}
+	heartbeat := sealed(env, update(datasource.Update{Kind: datasource.UpHeartbeat, Daemon: d0, Time: sim.Time(5 * sim.Second)}))
+	batch := sealed(env, someSamples)
+	// conn is what Listener.serve keeps for one connection.
+	type conn struct {
+		up      session.Unpacker
+		samples []datasource.Sample
+		f       frame
+	}
+	receive := func(dec *gob.Decoder, c *conn) {
+		c.f = frame{Packed: c.f.Packed[:0]}
+		if err := dec.Decode(&c.f); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := c.f.open(&c.up, &c.samples); !ok {
+			t.Fatal("a sealed frame was refused")
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		f    frame
+	}{{"update", heartbeat}, {"samples", batch}} {
+		const runs = 50
+		var stream bytes.Buffer
+		enc := gob.NewEncoder(&stream)
+		for range runs + 2 { // the first frame, AllocsPerRun's warm-up, the runs
+			if err := enc.Encode(&tc.f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var c conn
+		dec := gob.NewDecoder(&stream)
+		receive(dec, &c)
+		if got := testing.AllocsPerRun(runs, func() { receive(dec, &c) }); got > 2 {
+			t.Errorf("a repeated %s frame costs %.0f objects to receive, want ≤ 2", tc.name, got)
+		}
+
+		var first bytes.Buffer
+		if err := gob.NewEncoder(&first).Encode(&tc.f); err != nil {
+			t.Fatal(err)
+		}
+		if first.Len() > 200 {
+			t.Errorf("the first %s frame on a connection is %d bytes, want ≤ 200", tc.name, first.Len())
+		}
+		got := testing.AllocsPerRun(1, func() {
+			receive(gob.NewDecoder(bytes.NewReader(first.Bytes())), new(conn))
+		})
+		if got > 250 {
+			t.Errorf("the first %s frame on a fresh decoder costs %.0f objects, want ≤ 250", tc.name, got)
+		}
+	}
+}
+
+// No byte string under any envelope makes open panic, and what it accepts is
+// a report a daemon sends: of the frame's kind, on a channel, stamped by
+// nobody or by the envelope's daemon.
+func FuzzFrameOpen(f *testing.F) {
+	env := frame{Daemon: d0, Seq: 1}
+	for _, ev := range []session.Event{someSamples, aShard, update(datasource.Update{Kind: datasource.UpAddResource, Path: "/Machine/node0/p0", Daemon: d0, Time: 1})} {
+		fr := sealed(env, ev)
+		f.Add(int(fr.Kind), fr.Daemon, fr.Seq, fr.Packed)
+	}
+	for _, tc := range forgedFrames() {
+		f.Add(int(tc.f.Kind), tc.f.Daemon, tc.f.Seq, tc.f.Packed)
+	}
+	f.Fuzz(func(t *testing.T, kind int, name string, seq uint64, packed []byte) {
+		fr := frame{Daemon: name, Seq: seq, Kind: session.EventKind(kind), Packed: packed}
+		ev, ok := fr.open(new(session.Unpacker), new([]datasource.Sample))
+		if !ok {
+			return
+		}
+		if _, rides := daemon.ChannelOf(ev.Kind); ev.Kind != fr.Kind || !rides {
+			t.Fatalf("a %v frame opened to a %v event", fr.Kind, ev.Kind)
+		}
+		stamp := ev.Update.Daemon
+		if ev.Kind == session.EvShard {
+			stamp = ev.Shard.Daemon
+		}
+		if stamp != "" && stamp != name {
+			t.Fatalf("a frame from %q opened to a report stamped by %q", name, stamp)
+		}
+	})
 }

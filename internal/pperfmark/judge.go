@@ -118,6 +118,20 @@ func enableVerification(src datasource.DataSource, entry *Entry, res *Result) er
 	return nil
 }
 
+// Layout is the cluster suite program name runs on with params p (as Program
+// returns them): the paper's layouts put at most two ranks on a node, one
+// for 2 procs, and give a spawn program a node for its parent and each child.
+func Layout(name string, p Params) (nodes, cpusPerNode int) {
+	nodes = max(2, (p.Procs+1)/2)
+	if strings.HasPrefix(name, "spawn") {
+		nodes = p.Children + 1
+	}
+	if p.Procs <= nodes {
+		return nodes, 1 // one rank per node
+	}
+	return nodes, 2
+}
+
 // Run executes one suite program under the full tool (daemons, front end,
 // Performance Consultant) and returns the observed results.
 func Run(name string, opt RunOptions) (*Result, error) {
@@ -129,21 +143,7 @@ func Run(name string, opt RunOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The paper's runs place at most two ranks per node: its layouts are
-	// 2 procs → one per node, 6 procs → 2 per node.
-	var nodes int
-	switch {
-	case strings.HasPrefix(name, "spawn"):
-		nodes = params.Children + 1
-	case params.Procs <= 2:
-		nodes = 2
-	default:
-		nodes = (params.Procs + 1) / 2
-	}
-	cpus := 2
-	if params.Procs <= nodes {
-		cpus = 1 // one rank per node
-	}
+	nodes, cpus := Layout(name, params)
 
 	dcfg := daemon.DefaultConfig()
 	dcfg.SampleInterval = 50 * sim.Millisecond

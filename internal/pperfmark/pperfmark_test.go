@@ -51,6 +51,25 @@ func TestParamsMerge(t *testing.T) {
 	}
 }
 
+// The paper's layouts: a 2-proc program gets one rank per node, a 6-proc
+// program two per node, a spawn program a node for its parent and for each
+// child.
+func TestLayout(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		p           Params
+		nodes, cpus int
+	}{
+		{"big-message", Params{Procs: 2}, 2, 1},
+		{"small-messages", Params{Procs: 6}, 3, 2},
+		{"spawncount", Params{Procs: 1, Children: 4}, 5, 1},
+	} {
+		if nodes, cpus := Layout(tc.name, tc.p); nodes != tc.nodes || cpus != tc.cpus {
+			t.Errorf("Layout(%s, %d procs) = %d×%d, want %d×%d", tc.name, tc.p.Procs, nodes, cpus, tc.nodes, tc.cpus)
+		}
+	}
+}
+
 func TestUnknownProgram(t *testing.T) {
 	if _, _, err := Program("nope", Params{}); err == nil {
 		t.Error("unknown program should error")

@@ -80,13 +80,7 @@ func (c *cell) run() error {
 	if err != nil {
 		return err
 	}
-	nodes, cpus := max(2, (params.Procs+1)/2), 2
-	if strings.HasPrefix(c.program, "spawn") {
-		nodes = params.Children + 1
-	}
-	if params.Procs <= nodes {
-		cpus = 1
-	}
+	nodes, cpus := pperfmark.Layout(c.program, params)
 	dcfg := daemon.DefaultConfig()
 	dcfg.SampleInterval = 50 * sim.Millisecond
 	s, err := core.NewSession(core.Options{

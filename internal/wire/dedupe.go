@@ -17,6 +17,8 @@ type dedupeWin struct {
 	used uint64 // logical access tick, for least-recently-used eviction
 }
 
+type dedupeKey struct{ peer, ch string } // one window per (peer, channel)
+
 // Dedupe is the receiver half of the wire plane's idempotent delivery: it
 // tracks, per (peer, channel), the newest sender incarnation and its
 // sequence high-water mark, so a frame replayed after a lost
@@ -34,7 +36,7 @@ type Dedupe struct {
 	mu    sync.Mutex
 	limit int
 	tick  uint64
-	wins  map[string]*dedupeWin
+	wins  map[dedupeKey]*dedupeWin
 	by    map[string]*Stats // per channel: Frames, Duplicates, StaleFrames
 }
 
@@ -44,7 +46,7 @@ func NewDedupe(limit int) *Dedupe {
 	if limit <= 0 {
 		limit = DefaultDedupeWindows
 	}
-	return &Dedupe{limit: limit, wins: map[string]*dedupeWin{}, by: map[string]*Stats{}}
+	return &Dedupe{limit: limit, wins: map[dedupeKey]*dedupeWin{}, by: map[string]*Stats{}}
 }
 
 // Seen counts the frame for its channel and reports (and records) whether
@@ -62,7 +64,7 @@ func (d *Dedupe) Seen(peer, ch string, inc, seq uint64) bool {
 	}
 	st.Frames++
 	d.tick++
-	key := peer + "\x00" + ch
+	key := dedupeKey{peer, ch}
 	w := d.wins[key]
 	if w == nil {
 		d.evictLocked()
@@ -92,10 +94,9 @@ func (d *Dedupe) evictLocked() {
 	if len(d.wins) < d.limit {
 		return
 	}
-	var victim string
-	var oldest uint64
+	victim, oldest := dedupeKey{}, ^uint64(0)
 	for k, w := range d.wins {
-		if victim == "" || w.used < oldest {
+		if w.used < oldest {
 			victim, oldest = k, w.used
 		}
 	}
