@@ -182,6 +182,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzUnpackEvents -fuzztime=5s ./internal/session
 	$(GO) test -run '^$$' -fuzz=FuzzCompileSource -fuzztime=5s ./internal/mdl
 	$(GO) test -run '^$$' -fuzz=FuzzApplySamples -fuzztime=5s ./internal/datasource
+	$(GO) test -run '^$$' -fuzz=FuzzRunInfo -fuzztime=5s ./internal/pperfmark
 
 # fuzz-perfdb holds the chunked-archive decoder and the packed sample-batch,
 # trace-shard and event-section decoders under it (internal/session) total:

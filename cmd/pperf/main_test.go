@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,6 +14,9 @@ import (
 	"time"
 
 	"pperf/internal/perfdb"
+	"pperf/internal/pperfmark"
+	"pperf/internal/session"
+	"pperf/internal/sim"
 )
 
 // TestCLIExitCodes drives the built binary over argument lists that must be
@@ -31,6 +36,7 @@ func TestCLIExitCodes(t *testing.T) {
 		return path
 	}
 	v1 := write("old.pparch", "PPARCH\x1f\xff\x81\x03\x01\x01\x06Header")
+	ppdba1 := filepath.Join("..", "..", "internal", "perfdb", "testdata", "traced_gob_shards.ppdb")
 	garbage := write("garbage.ppdb", "definitely not an archive")
 	empty := filepath.Join(dir, "empty.ppdb") // a valid archive of an eventless run
 	if rec, err := perfdb.NewStreamRecorder(empty); err != nil || rec.Close() != nil {
@@ -97,6 +103,7 @@ func TestCLIExitCodes(t *testing.T) {
 		{"pcl with braces in a comment and a string of its mdl block", []string{"-pcl", bracesInMDL}, 0, ""},
 		{"replay of a retired v1 archive", []string{"-replay", v1}, 1, "v1 PPARCH archive format retired"},
 		{"db add of a retired v1 archive", []string{"db", "-store", store, "add", v1}, 1, "v1 PPARCH archive format retired"},
+		{"replay of a retired PPDBA1 archive", []string{"-replay", ppdba1}, 1, "pperf: perfdb: PPDBA1 archive format retired; re-record the run"},
 		{"replay of garbage", []string{"-replay", garbage}, 1, "not a pperf session archive"},
 		{"db add with an ID-shaped label", []string{"db", "-store", store, "add", "-label", "r0001", empty}, 1, "shape of a run ID"},
 		{"unwritable trace path", []string{"-prog", "small-messages", "-iterations", "10", "-trace", filepath.Join(dir, "no-such-dir", "x.json")}, 1, "no such file or directory"},
@@ -168,6 +175,84 @@ func TestCLIExitCodes(t *testing.T) {
 	files, _ := os.ReadDir(filepath.Join(stuckStore, "runs"))
 	if removed, err := st.GC(); len(st.Runs()) != 0 || len(files) != 0 || len(removed) != 0 || err != nil {
 		t.Errorf("the deadlocked run's store holds %d runs and %d files, gc removed %v (%v); want nothing", len(st.Runs()), len(files), removed, err)
+	}
+}
+
+// A crashed run's archive replays. Cut a recorded small-messages archive
+// after each of its event chunks: every cut replays with exit 0 and the
+// truncation note, its Consultant evaluating once per complete barrier — the
+// replay clock stops at the last one's evaluation instant, k intervals in,
+// which the report prints as the runtime — and `db add` stores it with a
+// verdict.
+func TestTruncatedRecordingReplays(t *testing.T) {
+	dir := t.TempDir()
+	bin := buildPperf(t, dir)
+	run := func(args ...string) (stdout, stderr string, code int) {
+		t.Helper()
+		var out, errOut bytes.Buffer
+		cmd := exec.Command(bin, args...)
+		cmd.Stdout, cmd.Stderr = &out, &errOut
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			code = exit.ExitCode()
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		return out.String(), errOut.String(), code
+	}
+	full, store := filepath.Join(dir, "full.ppdb"), filepath.Join(dir, "store")
+	if _, stderr, code := run("-prog", "small-messages", "-seed", "7", "-record", full); code != 0 {
+		t.Fatalf("recording: exit %d: %s", code, stderr)
+	}
+	data, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	interval := sim.Time(pperfmark.ScaledPCConfig().EvalInterval)
+	cuts := 0
+	for pos := len("PPDBA2"); pos < len(data); {
+		kind := data[pos]
+		pos += 9 + int(binary.BigEndian.Uint32(data[pos+1:pos+5]))
+		if kind != 'E' {
+			continue
+		}
+		cut := filepath.Join(dir, fmt.Sprintf("cut%d.ppdb", cuts))
+		cuts++
+		if err := os.WriteFile(cut, data[:pos], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		a, err := perfdb.LoadAny(cut)
+		if err != nil || !a.Truncated {
+			t.Fatalf("%s: truncated %v, err %v", cut, a != nil && a.Truncated, err)
+		}
+		barriers := 0
+		for _, ev := range a.Events {
+			if ev.Kind == session.EvBarrier {
+				barriers++
+			}
+		}
+		stdout, stderr, code := run("-replay", cut)
+		want := fmt.Sprintf("virtual runtime %v,", sim.Time(barriers)*interval)
+		if code != 0 || !strings.Contains(stderr, a.TruncationNote()) || !strings.Contains(stdout, want) {
+			t.Errorf("replay of %s (%d events, %d barriers): exit %d, want 0 with %q on stderr and %q on stdout\nstderr: %s\nstdout: %.300s",
+				cut, len(a.Events), barriers, code, a.TruncationNote(), want, stderr, stdout)
+		}
+		if stdout, stderr, code := run("db", "-store", store, "add", cut); code != 0 || strings.Contains(stderr, "no verdict") {
+			t.Errorf("db add of %s: exit %d\nstderr: %s\nstdout: %s", cut, code, stderr, stdout)
+		}
+	}
+	if cuts < 2 {
+		t.Fatalf("the recording has %d event chunks; want several cuts", cuts)
+	}
+	st, err := perfdb.Open(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range st.Runs() {
+		if !m.Truncated || m.Program != "small-messages" || m.Verdict == "" {
+			t.Errorf("stored cut %+v: want a truncated small-messages run with a verdict", m)
+		}
 	}
 }
 

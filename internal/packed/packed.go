@@ -104,15 +104,14 @@ type Reader struct {
 	// Str then checks indexes against dictLen and returns "".
 	Dict    []string
 	dictLen uint64
-	what    string // "sample batch" or "trace shard", for the error text
+	what    string // the error text's head: "session: corrupt sample batch"
 	Err     error
 }
 
-// Fail records the blob's first error; the "session:" prefix is the text
-// archives' and frames' readers have always reported.
+// Fail records the blob's first error.
 func (r *Reader) Fail(format string, args ...any) {
 	if r.Err == nil {
-		r.Err = fmt.Errorf("session: corrupt "+r.what+": "+format, args...)
+		r.Err = fmt.Errorf(r.what+": "+format, args...)
 	}
 	r.Pos = len(r.Data)
 }
@@ -148,9 +147,9 @@ func (r *Reader) Str() string {
 
 // Open reads a blob's record count and dictionary, resolving the entries
 // through t — or, with a nil t, only measuring them: a walk that needs no
-// string. Counts the input cannot hold (a dictionary entry needs at least
-// its length byte, a record at least minRecord bytes) are refused before
-// anything is allocated for them.
+// string. what heads every error the blob reports. Counts the input cannot
+// hold (a dictionary entry needs at least its length byte, a record at least
+// minRecord bytes) are refused before anything is allocated for them.
 func Open(t *Table, data []byte, what string, minRecord int) (r Reader, n int) {
 	r = Reader{Data: data, what: what}
 	n64, dictLen := r.Uvarint(), r.Uvarint()

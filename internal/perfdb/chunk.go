@@ -11,47 +11,43 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"slices"
-	"sort"
 	"sync"
 
 	"pperf/internal/datasource"
+	"pperf/internal/packed"
 	"pperf/internal/session"
 	"pperf/internal/sim"
 	"pperf/internal/trace"
 	"pperf/internal/wire"
 )
 
-// Chunked archive format, version 1:
+// Chunked archive format, version 2:
 //
-//	6 bytes  magic "PPDBA1"
-//	chunk 'H'  provisional header (gob session.Header: version + histogram
-//	           config — everything known before the first event)
+//	6 bytes  magic "PPDBA2"
+//	chunk 'H'  provisional header: everything set before the first event —
+//	           version, histogram configuration, the run description the
+//	           harness stamps at launch
 //	chunk 'E'* event chunks (packed sample batches, trace shards and events)
-//	chunk 'T'  trailer (gob: final session.Header with Meta/Extra,
-//	           NumEvents, NumChunks)
+//	chunk 'T'  trailer: the final header, with the event and chunk counts
 //
-// Every chunk is framed [1 kind][uint32 payload len][uint32 CRC32-IEEE of
-// payload][payload], so corruption is detected per chunk instead of
-// garbage-decoded, and a file cut mid-write loads as a Truncated archive
-// holding the complete-chunk prefix (the trailer doubles as the
-// completeness mark). The final header lives in the trailer because a
-// *streaming* writer does not know Meta/Extra — the run description
-// pperfmark stamps at the end of the run — until the recording finishes.
-var chunkMagic = []byte("PPDBA1")
+// 'H' and 'T' each hold one header record (appendHeader). Every chunk is
+// framed [1 kind][uint32 payload len][uint32 CRC32-IEEE of payload][payload],
+// so corruption is detected per chunk instead of garbage-decoded, and a file
+// cut mid-write loads as a Truncated archive holding the complete-chunk
+// prefix (the trailer doubles as the completeness mark). The final header
+// lives in the trailer because a *streaming* writer does not know all of
+// Meta/Extra — the live-only facts pperfmark stamps at the end of the run —
+// until the recording finishes.
+var chunkMagic = []byte("PPDBA2")
 
-// retiredMagic is the flat v1 format's magic. Nothing writes it any more
-// and nothing reads it; it is recognized only to tell the user what to do.
-var retiredMagic = []byte("PPARCH")
-
-// ErrRetiredFormat is returned for a v1 "PPARCH" archive.
-var ErrRetiredFormat = errors.New("perfdb: v1 PPARCH archive format retired; re-record the run (-record / -db write PPDBA1)")
+// ErrRetiredFormat is wrapped by the error for an archive in a retired format.
+var ErrRetiredFormat = errors.New("archive format retired; re-record the run (-record / -db write PPDBA2)")
 
 const (
 	chunkHeader  = 'H'
@@ -63,68 +59,64 @@ const (
 // fields cannot drive giant allocations.
 const maxChunkPayload = 1 << 30
 
-// headerWire is the on-disk form of session.Header. The Meta map rides
-// as parallel sorted key/value slices because gob serializes maps in
-// random iteration order — with it, encoding the same archive twice
-// yields byte-identical files (content comparison and dedup work).
-type headerWire struct {
-	Version   int
-	NumEvents int
-	NumBins   int
-	BinWidth  sim.Duration
-	MetaKeys  []string
-	MetaVals  []string
-	Extra     []byte
-}
-
-func toWire(h session.Header) headerWire {
-	w := headerWire{
-		Version:   h.Version,
-		NumEvents: h.NumEvents,
-		NumBins:   h.NumBins,
-		BinWidth:  h.BinWidth,
-		Extra:     h.Extra,
-	}
+// appendHeader appends h's header record, declaring chunks event chunks, to
+// out, with w's dictionary. The record is in internal/packed's form:
+//
+//	packed head: uvarint nMeta, the dictionary of Meta's keys and values
+//	zigzag Version, NumEvents, NumBins, BinWidth, event chunks (0 in 'H')
+//	nMeta pairs in key order: uvarint key index, value index
+//	uvarint len(Extra), Extra
+func appendHeader(out []byte, w *packed.Writer, h session.Header, chunks int) []byte {
+	w.Reset()
+	keys := make([]string, 0, len(h.Meta))
 	for k := range h.Meta {
-		w.MetaKeys = append(w.MetaKeys, k)
+		keys = append(keys, k)
 	}
-	sort.Strings(w.MetaKeys)
-	for _, k := range w.MetaKeys {
-		w.MetaVals = append(w.MetaVals, h.Meta[k])
+	slices.Sort(keys)
+	for _, k := range keys {
+		w.Recs = append(w.Recs, [5]uint64{w.Intern(k), w.Intern(h.Meta[k])})
 	}
-	return w
+	out = w.Head(out, len(keys))
+	for _, x := range [...]int64{int64(h.Version), int64(h.NumEvents), int64(h.NumBins), int64(h.BinWidth), int64(chunks)} {
+		out = binary.AppendVarint(out, x)
+	}
+	for _, r := range w.Recs {
+		out = binary.AppendUvarint(binary.AppendUvarint(out, r[0]), r[1])
+	}
+	out = binary.AppendUvarint(out, uint64(len(h.Extra)))
+	return append(out, h.Extra...)
 }
 
-func fromWire(w headerWire) (session.Header, error) {
-	if len(w.MetaKeys) != len(w.MetaVals) {
-		return session.Header{}, fmt.Errorf("perfdb: corrupt header: %d meta keys, %d values", len(w.MetaKeys), len(w.MetaVals))
+// readHeader decodes the header record in the current payload through the
+// scan's string table; what heads its errors.
+func (s *archiveScan) readHeader(what string) (h session.Header, chunks int, err error) {
+	c, n := packed.Open(&s.up.Table, s.payload, what, 2)
+	var x [5]int64
+	for i := range x {
+		x[i] = c.Varint()
 	}
-	h := session.Header{
-		Version:   w.Version,
-		NumEvents: w.NumEvents,
-		NumBins:   w.NumBins,
-		BinWidth:  w.BinWidth,
-		Extra:     w.Extra,
+	h = session.Header{Version: int(x[0]), NumEvents: int(x[1]), NumBins: int(x[2]), BinWidth: sim.Duration(x[3])}
+	if n > 0 {
+		h.Meta = make(map[string]string, n)
 	}
-	if len(w.MetaKeys) > 0 {
-		h.Meta = make(map[string]string, len(w.MetaKeys))
-		for i, k := range w.MetaKeys {
-			h.Meta[k] = w.MetaVals[i]
+	for i := 0; i < n && c.Err == nil; i++ {
+		k, v := c.Str(), c.Str()
+		if _, dup := h.Meta[k]; dup {
+			c.Fail("duplicate meta key %q", k)
 		}
+		h.Meta[k] = v
 	}
-	return h, nil
-}
-
-// trailer is the 'T' chunk payload.
-type trailer struct {
-	Header    headerWire
-	NumEvents int
-	NumChunks int // event chunks written
+	if l := c.Uvarint(); l > uint64(len(c.Data)-c.Pos) {
+		c.Fail("Extra of %d bytes at byte %d overruns input", l, c.Pos)
+	} else if l > 0 {
+		h.Extra = bytes.Clone(c.Data[c.Pos : c.Pos+int(l)]) // the payload is scratch
+		c.Pos += int(l)
+	}
+	return h, int(x[4]), c.Close()
 }
 
 // The flag byte an 'E' chunk holds per event: where the event's bytes are.
 const (
-	flagGob     = 0 // in the chunk's gob section: older archives only
 	flagSamples = 1 // the next packed blob, a sample batch
 	flagShard   = 2 // the next packed blob, a trace shard
 	flagEvents  = 3 // the next record of the chunk's packed event section
@@ -150,10 +142,6 @@ const maxPendingPacked = 4 << 20
 //	uvarint nPacked; per blob, in event order: uvarint len + bytes
 //	remaining: the flagEvents events' packed section; none without them
 //
-// Older archives hold flag 0 and a gob of []session.Event (flag-0 events,
-// shards among them before flag 2) where the section is; they load through
-// the same decoder.
-//
 // Every buffer is kept from chunk to chunk: packed and rest grow by doubling,
 // packed to maxPendingPacked plus the blob that crosses it, rest to the
 // chunk's event bound.
@@ -165,6 +153,8 @@ type pendingChunk struct {
 	section []byte          // rest, packed at flush
 	pk      session.Packer
 	blob    []byte // one sample batch, packed, before its length is known
+	hw      packed.Writer
+	rec     []byte // the header or trailer record
 }
 
 // add appends one event to a chunk that holds at most maxEvents.
@@ -225,15 +215,12 @@ func (s *archiveScan) eventsChunk(data []byte, visit func(*session.Event)) error
 	pos += int(nEvents)
 	var per [flagEvents + 1]int // events per flag
 	for _, f := range flags {
-		if f > flagEvents {
+		if f == 0 || f > flagEvents {
 			return fmt.Errorf("perfdb: corrupt events chunk: bad event flag %d", f)
 		}
 		per[f]++
 	}
-	wantPacked, nGob, nSection := per[flagSamples]+per[flagShard], per[flagGob], per[flagEvents]
-	if nGob > 0 && nSection > 0 {
-		return errors.New("perfdb: corrupt events chunk: gob and packed events in one chunk")
-	}
+	wantPacked, nSection := per[flagSamples]+per[flagShard], per[flagEvents]
 	nPacked, err := getU()
 	if err != nil {
 		return err
@@ -264,17 +251,8 @@ func (s *archiveScan) eventsChunk(data []byte, visit func(*session.Event)) error
 			return err
 		}
 		rest = s.rest
-	case nGob > 0 || len(data) > 0: // an older archive's gob section
-		// A fresh slice per chunk: gob leaves the fields its stream omits (the
-		// zero ones) as it found them.
-		var old []session.Event
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&old); err != nil {
-			return fmt.Errorf("perfdb: corrupt events chunk: %v", err)
-		}
-		if len(old) != nGob {
-			return fmt.Errorf("perfdb: corrupt events chunk: %d gob events, flags promise %d", len(old), nGob)
-		}
-		rest = old
+	case len(data) > 0:
+		return fmt.Errorf("perfdb: corrupt events chunk: %d bytes after the packed blobs, no event section promised", len(data))
 	}
 	ev := &s.ev
 	for _, f := range flags {
@@ -293,9 +271,6 @@ func (s *archiveScan) eventsChunk(data []byte, visit func(*session.Event)) error
 			blobs = blobs[1:]
 		default:
 			*ev, rest = rest[0], rest[1:]
-			if ev.Kind == session.EvSamples {
-				err = errors.New("perfdb: corrupt events chunk: sample event outside the packed section")
-			}
 		}
 		if err != nil {
 			return err
@@ -388,17 +363,18 @@ func (w *chunkWriter) writeChunk(kind byte, sections ...[]byte) error {
 	return nil
 }
 
-// writeHeaderChunk emits the provisional 'H' chunk once, before the first
-// event chunk. Histogram configuration is known at session construction
-// (core.NewSession calls SetHistogram before anything records), so a
-// truncated archive still replays with the right bin layout.
-func (w *chunkWriter) writeHeaderChunk(h session.Header) error {
-	var buf bytes.Buffer
-	hw := toWire(h)
-	if err := gob.NewEncoder(&buf).Encode(&hw); err != nil {
-		return err
-	}
-	return w.writeChunk(chunkHeader, buf.Bytes())
+// writeHeader emits the 'H' or the 'T' chunk: h's record under this build's
+// version, declaring events events in chunks event chunks. The 'H' chunk goes
+// out once, before the first event chunk, with whatever h holds by then:
+// histogram configuration is known at session construction (core.NewSession
+// calls SetHistogram before anything records) and pperfmark stamps its run
+// description at launch, so a truncated archive still replays, with the
+// right bin layout.
+func (w *chunkWriter) writeHeader(kind byte, h session.Header, events, chunks int) error {
+	h.Version, h.NumEvents = session.Version, events
+	c := &w.buf
+	c.rec = appendHeader(c.rec[:0], &c.hw, h, chunks)
+	return w.writeChunk(kind, c.rec)
 }
 
 // add appends one event to the pending chunk, flushing it when full. A
@@ -463,14 +439,7 @@ func (w *chunkWriter) close(h session.Header) error {
 		w.err = err
 		return err
 	}
-	h.Version = session.Version
-	h.NumEvents = w.events
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&trailer{Header: toWire(h), NumEvents: w.events, NumChunks: w.chunks}); err != nil {
-		w.err = err
-		return err
-	}
-	if err := w.writeChunk(chunkTrailer, buf.Bytes()); err != nil {
+	if err := w.writeHeader(chunkTrailer, h, w.events, w.chunks); err != nil {
 		w.err = err
 		return err
 	}
@@ -492,7 +461,7 @@ func WriteArchive(w io.Writer, a *session.Archive) error {
 // and releases the writer.
 func (w *chunkWriter) encode(a *session.Archive) error {
 	defer w.release()
-	if err := w.writeHeaderChunk(provisionalHeader(a.Header)); err != nil {
+	if err := w.writeHeader(chunkHeader, a.Header, 0, 0); err != nil {
 		return err
 	}
 	for i := range a.Events {
@@ -501,12 +470,6 @@ func (w *chunkWriter) encode(a *session.Archive) error {
 		}
 	}
 	return w.close(a.Header)
-}
-
-// provisionalHeader strips a header to what a streaming writer knows up
-// front: format version and histogram configuration.
-func provisionalHeader(h session.Header) session.Header {
-	return session.Header{Version: session.Version, NumBins: h.NumBins, BinWidth: h.BinWidth}
 }
 
 // archiveScan is the one chunk cursor under every read-side consumer — the
@@ -581,8 +544,10 @@ func scanArchive(r io.Reader, consume func(*archiveScan) func(*session.Event)) (
 	if _, err := io.ReadFull(r, got); err != nil {
 		return nil, fmt.Errorf("perfdb: not a pperf session archive (short file: %v)", err)
 	}
-	if bytes.Equal(got, retiredMagic) {
-		return nil, ErrRetiredFormat
+	// The formats nothing writes or reads any more, by magic: recognized only
+	// to tell the user what to do.
+	if name, ok := map[string]string{"PPARCH": "v1 PPARCH", "PPDBA1": "PPDBA1"}[string(got)]; ok {
+		return nil, fmt.Errorf("perfdb: %s %w", name, ErrRetiredFormat)
 	}
 	if !bytes.Equal(got, chunkMagic) {
 		return nil, errors.New("perfdb: not a pperf session archive (bad magic)")
@@ -646,11 +611,7 @@ func (s *archiveScan) frame(visit func(*session.Event)) (done bool, err error) {
 		if gotHeader {
 			return false, errors.New("perfdb: corrupt archive: duplicate header chunk")
 		}
-		var hw headerWire
-		if err := gob.NewDecoder(bytes.NewReader(s.payload)).Decode(&hw); err != nil {
-			return false, fmt.Errorf("perfdb: corrupt archive header: %v", err)
-		}
-		if s.header, err = fromWire(hw); err != nil {
+		if s.header, _, err = s.readHeader("perfdb: corrupt archive header"); err != nil {
 			return false, err
 		}
 		if s.header.Version != session.Version {
@@ -666,22 +627,20 @@ func (s *archiveScan) frame(visit func(*session.Event)) (done bool, err error) {
 		if !gotHeader {
 			return false, errors.New("perfdb: corrupt archive: trailer before the header chunk")
 		}
-		var t trailer
-		if err := gob.NewDecoder(bytes.NewReader(s.payload)).Decode(&t); err != nil {
-			return false, fmt.Errorf("perfdb: corrupt archive trailer: %v", err)
-		}
-		if t.NumEvents != s.events {
-			return false, fmt.Errorf("perfdb: corrupt archive: trailer declares %d events, chunks hold %d", t.NumEvents, s.events)
-		}
-		if t.NumChunks != s.chunks {
-			return false, fmt.Errorf("perfdb: corrupt archive: trailer declares %d event chunks, read %d", t.NumChunks, s.chunks)
-		}
-		if t.Header.Version != session.Version {
-			return false, fmt.Errorf("perfdb: archive event-schema version %d; this build reads version %d", t.Header.Version, session.Version)
-		}
-		if s.header, err = fromWire(t.Header); err != nil {
+		h, chunks, err := s.readHeader("perfdb: corrupt archive trailer")
+		if err != nil {
 			return false, err
 		}
+		if h.NumEvents != s.events {
+			return false, fmt.Errorf("perfdb: corrupt archive: trailer declares %d events, chunks hold %d", h.NumEvents, s.events)
+		}
+		if chunks != s.chunks {
+			return false, fmt.Errorf("perfdb: corrupt archive: trailer declares %d event chunks, read %d", chunks, s.chunks)
+		}
+		if h.Version != session.Version {
+			return false, fmt.Errorf("perfdb: archive event-schema version %d; this build reads version %d", h.Version, session.Version)
+		}
+		s.header = h
 		// Anything after the trailer means the file was appended to
 		// or two archives were concatenated; refuse rather than guess.
 		var one [1]byte

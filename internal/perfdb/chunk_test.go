@@ -189,7 +189,7 @@ func TestTruncatedChunkedArchive(t *testing.T) {
 		}
 		// The surviving prefix must be faithful.
 		want := &session.Archive{Header: got.Header, Events: a.Events[:len(got.Events)]}
-		wantHdr := provisionalHeader(a.Header)
+		wantHdr := a.Header // the header chunk holds all of it
 		wantHdr.NumEvents = len(got.Events)
 		if !reflect.DeepEqual(got.Header, wantHdr) {
 			t.Fatalf("cut at %d: truncated header %+v, want provisional %+v", cut, got.Header, wantHdr)
@@ -278,7 +278,7 @@ func TestPendingChunkIsBoundedInBytes(t *testing.T) {
 		t.Fatalf("%d MB of packed shards landed in %d chunks", 60*oneShard>>20, len(events))
 	}
 	for i, n := range payload {
-		// The bound, the blob that crossed it, and the chunk's few gob
+		// The bound, the blob that crossed it, and the chunk's few other
 		// events and flag bytes.
 		if limit := maxPendingPacked + oneShard + 4096; n > limit || events[i] >= DefaultFlushEvents {
 			t.Errorf("chunk %d: %d events in %d bytes, want fewer than %d events in at most %d bytes", i, events[i], n, DefaultFlushEvents, limit)
@@ -329,9 +329,8 @@ func testFrame(kind byte, payload []byte) []byte {
 }
 
 // eventsPayload assembles an 'E' payload from its sections — the flags, the
-// packed blobs, and what follows them: a packed event section, an older
-// archive's gob section or nothing — without checking that they agree, which
-// is the point.
+// packed blobs, and what follows them: a packed event section or nothing —
+// without checking that they agree, which is the point.
 func eventsPayload(flags []byte, nPacked int, blobs [][]byte, tail []byte) []byte {
 	out := binary.AppendUvarint(nil, uint64(len(flags)))
 	out = append(out, flags...)
@@ -343,7 +342,8 @@ func eventsPayload(flags []byte, nPacked int, blobs [][]byte, tail []byte) []byt
 	return append(out, tail...)
 }
 
-// gobSection encodes events the way the writer did before they were packed.
+// gobSection encodes events the way the PPDBA1 writer did before they were
+// packed: the section that followed the blobs of a chunk with flag-0 events.
 func gobSection(t testing.TB, rest []session.Event) []byte {
 	t.Helper()
 	var b bytes.Buffer
@@ -351,6 +351,25 @@ func gobSection(t testing.TB, rest []session.Event) []byte {
 		t.Fatal(err)
 	}
 	return b.Bytes()
+}
+
+// rawHeader builds a header record by hand, for what appendHeader cannot
+// write: the Meta pairs as given (a key twice, say) and Extra's declared
+// length apart from the bytes that follow it.
+func rawHeader(pairs [][2]string, extraLen int, tail []byte) []byte {
+	var w packed.Writer
+	w.Reset()
+	for _, p := range pairs {
+		w.Recs = append(w.Recs, [5]uint64{w.Intern(p[0]), w.Intern(p[1])})
+	}
+	out := w.Head(nil, len(pairs))
+	for _, x := range []int64{session.Version, 0, 100, int64(50 * sim.Millisecond), 0} {
+		out = binary.AppendVarint(out, x)
+	}
+	for _, r := range w.Recs {
+		out = binary.AppendUvarint(binary.AppendUvarint(out, r[0]), r[1])
+	}
+	return append(binary.AppendUvarint(out, uint64(extraLen)), tail...)
 }
 
 // readBothWays runs data through the collecting reader and through the
@@ -389,14 +408,10 @@ func TestCorruptArchivesFailTheSameEverywhere(t *testing.T) {
 	}
 	magic, header, events, trail := full[:6], full[6:ends[0]], full[ends[0]:ends[1]], full[ends[1]:]
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
-	gobOf := func(v any) []byte {
-		var b bytes.Buffer
-		if err := gob.NewEncoder(&b).Encode(v); err != nil {
-			t.Fatal(err)
-		}
-		return b.Bytes()
+	var hw packed.Writer
+	trailerOf := func(events, chunks int) []byte {
+		return appendHeader(nil, &hw, session.Header{Version: session.Version, NumEvents: events, NumBins: 100, BinWidth: 50 * sim.Millisecond}, chunks)
 	}
-	final := toWire(session.Header{Version: session.Version, NumBins: 100, BinWidth: 50 * sim.Millisecond})
 	var pk session.Packer
 	batch := pk.PackSamples(nil, randomBatch(rand.New(rand.NewSource(2)), 6))
 	badBatch := append([]byte(nil), batch...)
@@ -417,7 +432,12 @@ func TestCorruptArchivesFailTheSameEverywhere(t *testing.T) {
 		wantErr string
 	}{
 		{"bad magic", cat([]byte("NOTFMT"), full[6:]), "bad magic"},
-		{"retired magic", cat(retiredMagic, full[6:]), "v1 PPARCH archive format retired"},
+		{"retired magic", cat([]byte("PPARCH"), full[6:]), "v1 PPARCH archive format retired"},
+		{"retired PPDBA1 magic", cat([]byte("PPDBA1"), full[6:]), "PPDBA1 archive format retired"},
+		{"duplicate meta key", cat(magic, testFrame(chunkHeader, rawHeader([][2]string{{"seed", "1"}, {"seed", "2"}}, 0, nil))), `corrupt archive header: duplicate meta key "seed"`},
+		{"extra overruns", cat(magic, testFrame(chunkHeader, rawHeader(nil, 9, []byte("payload")))), "corrupt archive header: Extra of 9 bytes at byte 12 overruns input"},
+		{"header trailing bytes", cat(magic, testFrame(chunkHeader, rawHeader(nil, 0, []byte{0})), events, trail), "corrupt archive header: 1 trailing bytes"},
+		{"trailer trailing bytes", cat(magic, header, events, testFrame(chunkTrailer, append(trailerOf(40, 1), 0))), "corrupt archive trailer: 1 trailing bytes"},
 		{"duplicate header", cat(magic, header, header, events, trail), "duplicate header chunk"},
 		{"events before header", cat(magic, events, trail), "events before the header chunk"},
 		{"trailer before header", cat(magic, trail), "trailer before the header chunk"},
@@ -425,11 +445,15 @@ func TestCorruptArchivesFailTheSameEverywhere(t *testing.T) {
 		{"CRC mismatch", flipped, "chunk 1 CRC mismatch"},
 		{"oversize payload length", cat(magic, header, oversize), "declares 1073741825-byte payload"},
 		{"bad event flag", cat(magic, header, testFrame(chunkEvents, eventsPayload([]byte{7}, 0, nil, nil))), "bad event flag 7"},
+		// Flag 0 marked a PPDBA1 event in the gob section; no reader of
+		// that section is left, so each of these is a bad flag.
+		{"bad event flag 0", section([]byte{0}, nil), "bad event flag 0"},
+		{"gob count mismatch", section([]byte{0, 0}, gobBarrier), "bad event flag 0"},
+		{"sample event in the gob section", section([]byte{0}, gobSection(t, []session.Event{{Kind: session.EvSamples}})), "bad event flag 0"},
+		{"gob and packed events in one chunk", section([]byte{0, flagEvents}, gobBarrier), "bad event flag 0"},
 		{"flag bytes overrun", cat(magic, header, testFrame(chunkEvents, []byte{2, 0})), "flag bytes overrun input"},
 		{"blob count mismatch", cat(magic, header, testFrame(chunkEvents, eventsPayload([]byte{flagSamples, flagEvents}, 2, [][]byte{batch, batch}, packedBarrier))), "2 packed blobs, flags promise 1"},
 		{"blob overruns chunk", cat(magic, header, testFrame(chunkEvents, append(binary.AppendUvarint([]byte{1, flagSamples, 1}, 999), batch...))), "packed blob 0 overruns input"},
-		{"gob count mismatch", section([]byte{flagGob, flagGob}, gobBarrier), "1 gob events, flags promise 2"},
-		{"sample event in the gob section", section([]byte{flagGob}, gobSection(t, []session.Event{{Kind: session.EvSamples}})), "sample event outside the packed section"},
 		{"corrupt packed blob behind a good CRC", cat(magic, header, testFrame(chunkEvents, eventsPayload([]byte{flagEvents, flagSamples}, 1, [][]byte{badBatch}, packedBarrier))), "corrupt sample batch"},
 		{"section count mismatch", section([]byte{flagEvents, flagEvents}, packedBarrier), "1 packed events, flags promise 2"},
 		{"section without its flags", section([]byte{flagEvents}, nil), "0 packed events, flags promise 1"},
@@ -437,9 +461,9 @@ func TestCorruptArchivesFailTheSameEverywhere(t *testing.T) {
 		{"shard record in the section", section([]byte{flagEvents}, pk.PackEvents(nil, []session.Event{{Kind: session.EvShard}})), "corrupt event section: shard event with field mask 0x0 at record 0"},
 		{"section dictionary index", section([]byte{flagEvents}, []byte{1, 0, byte(session.EvEnable) << 1, 1 << 6, 0}), "dictionary index 0 of 0"},
 		{"section trailing bytes", section([]byte{flagEvents}, append(pk.PackEvents(nil, barrier), 0)), "corrupt event section: 1 trailing bytes"},
-		{"gob and packed events in one chunk", section([]byte{flagGob, flagEvents}, gobBarrier), "gob and packed events in one chunk"},
-		{"trailer event count", cat(magic, header, events, testFrame(chunkTrailer, gobOf(trailer{Header: final, NumEvents: 41, NumChunks: 1}))), "trailer declares 41 events, chunks hold 40"},
-		{"trailer chunk count", cat(magic, header, events, testFrame(chunkTrailer, gobOf(trailer{Header: final, NumEvents: 40, NumChunks: 2}))), "trailer declares 2 event chunks, read 1"},
+		{"section without its flags' events", cat(magic, header, testFrame(chunkEvents, eventsPayload([]byte{flagSamples}, 1, [][]byte{batch}, packedBarrier))), "bytes after the packed blobs, no event section promised"},
+		{"trailer event count", cat(magic, header, events, testFrame(chunkTrailer, trailerOf(41, 1))), "trailer declares 41 events, chunks hold 40"},
+		{"trailer chunk count", cat(magic, header, events, testFrame(chunkTrailer, trailerOf(40, 2))), "trailer declares 2 event chunks, read 1"},
 		{"garbage trailer", cat(magic, header, events, testFrame(chunkTrailer, []byte{0xde, 0xad})), "corrupt archive trailer"},
 		{"data beyond the trailer", cat(full, []byte{'x'}), "data beyond the trailer"},
 	}

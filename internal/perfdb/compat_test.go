@@ -3,11 +3,11 @@ package perfdb
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -18,11 +18,20 @@ import (
 	"pperf/internal/trace"
 )
 
-// compatFixture is a traced archive written by the encoder as it was before
-// trace shards were packed (commit c0b73f3: its WriteArchive over
-// compatArchive()): 'E' chunks with flags 0 and 1 only, the shards in the gob
-// section. Every archive recorded before this format change looks like it.
-const compatFixture = "testdata/traced_gob_shards.ppdb"
+// formatGolden is WriteArchive(compatArchive()) as this format writes it.
+// Regenerate it only with a deliberate format change: write that call's
+// bytes to the path.
+const formatGolden = "testdata/format_v2.ppdb"
+
+// The two archives a retired format wrote, kept so that loading one stays a
+// refusal: compatFixture, a traced PPDBA1 archive from before trace shards
+// were packed (its 'E' chunks carry flags 0 and 1, the shards in a gob
+// section), and gobRestFixture, one from before the rest of the event kinds
+// were (flags 0, 1 and 2). Both have gob headers and trailers.
+const (
+	compatFixture  = "testdata/traced_gob_shards.ppdb"
+	gobRestFixture = "testdata/gob_rest_events.ppdb"
+)
 
 // compatArchive is the session the fixture holds: every event kind, traced.
 func compatArchive() *session.Archive {
@@ -81,19 +90,9 @@ func compatArchive() *session.Archive {
 	return a
 }
 
-// chunkFlags returns the per-event flag bytes of every 'E' chunk of an
-// encoded archive, concatenated.
-func chunkFlags(data []byte) []byte {
-	var flags []byte
-	eachEventsChunk(data, func(p []byte) {
-		nEvents, w := binary.Uvarint(p)
-		flags = append(flags, p[w:w+int(nEvents)]...)
-	})
-	return flags
-}
-
 // replayed folds a loaded archive the way -replay does and renders what the
-// trace plane and the sample plane hold at the end.
+// trace plane and the sample plane hold at the end, a refused enable's
+// answer, the call graph, lost processes, gaps and coverage.
 func replayed(t *testing.T, a *session.Archive) string {
 	t.Helper()
 	rs := session.NewReplaySource(a)
@@ -101,6 +100,7 @@ func replayed(t *testing.T, a *session.Archive) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, refused := rs.EnableMetric("io_wait", resource.WholeProgram())
 	rs.Drain()
 	var out bytes.Buffer
 	tl := rs.Timeline()
@@ -112,114 +112,58 @@ func replayed(t *testing.T, a *session.Archive) string {
 	}
 	out.WriteString(trace.Analyze(tl).Render())
 	out.WriteString(rs.ExportCSV(series))
+	fmt.Fprintf(&out, "\nrefused: %v\ncallees of main: %v\ngaps: %v\ncoverage %.3f\n%s", refused, rs.Callees("main"), rs.UnmeasuredGaps(), rs.Coverage(), rs.DegradationSummary())
 	return out.String()
 }
 
-// An archive recorded before shards were packed still loads — through the
-// gob path every other event kind uses — and replays to exactly what the
-// same session replays to once this build has re-encoded it.
-func TestArchiveWithGobShardsStillLoadsAndReplays(t *testing.T) {
-	old, err := os.ReadFile(compatFixture)
+// The format is pinned byte for byte: WriteArchive of a session with every
+// event kind, trace shards, Meta and Extra reproduces the checked-in file, in
+// any process — nothing in the encoding depends on the order a process met
+// its types or its map keys — and the file loads and replays as that session.
+func TestFormatGolden(t *testing.T) {
+	golden, err := os.ReadFile(formatGolden)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if flags := chunkFlags(old); bytes.IndexByte(flags, flagShard) >= 0 || bytes.IndexByte(flags, flagSamples) < 0 {
-		t.Fatalf("fixture is not in the old layout: event flags % x", flags)
 	}
 	want := compatArchive()
-	got, err := ReadArchive(bytes.NewReader(old))
-	if err != nil {
-		t.Fatalf("archive with gob-encoded shards: %v", err)
-	}
-	if got.Truncated || !reflect.DeepEqual(got, want) {
-		t.Fatalf("archive with gob-encoded shards loaded as a different session:\nwant %+v\ngot  %+v", want.Header, got.Header)
-	}
-
 	var buf bytes.Buffer
-	if err := WriteArchive(&buf, got); err != nil {
+	if err := WriteArchive(&buf, want); err != nil {
 		t.Fatal(err)
 	}
-	if flags := chunkFlags(buf.Bytes()); bytes.Count(flags, []byte{flagShard}) != 25 {
-		t.Fatalf("re-encoded archive does not pack its 25 shards: event flags % x", flags)
+	if !bytes.Equal(buf.Bytes(), golden) {
+		t.Fatalf("WriteArchive(compatArchive()) is %d bytes unlike the %d of %s: the encoding changed", buf.Len(), len(golden), formatGolden)
 	}
-	if buf.Len() >= len(old) {
-		t.Errorf("re-encoded archive is %d bytes, the gob-shard one %d; packing should shrink it", buf.Len(), len(old))
-	}
-	again, err := ReadArchive(bytes.NewReader(buf.Bytes()))
+	got, err := ReadArchive(bytes.NewReader(golden))
 	if err != nil {
 		t.Fatal(err)
-	}
-	for i := range again.Events { // read back packed; compare as spans
-		again.Events[i].Shard = spansForm(t, again.Events[i].Shard)
-	}
-	if !reflect.DeepEqual(again, want) {
-		t.Fatal("the session changed on its way through the packed shard form")
-	}
-	if a, b := replayed(t, got), replayed(t, again); a != b || len(a) < 4000 {
-		t.Errorf("the old archive and its re-encoding replay differently (%d vs %d bytes of exports)", len(a), len(b))
-	}
-}
-
-// An archive recorded before the rest of the events were packed loads through
-// the gob path it was written for, and its gob-free re-encoding loads to the
-// same events and replays to the same report.
-func TestArchiveWithGobRestEventsStillLoadsAndReplays(t *testing.T) {
-	old, err := os.ReadFile(gobRestFixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flags := chunkFlags(old); bytes.IndexByte(flags, flagEvents) >= 0 || bytes.IndexByte(flags, flagGob) < 0 || bytes.IndexByte(flags, flagShard) < 0 {
-		t.Fatalf("fixture is not in the gob-rest layout: event flags % x", flags)
-	}
-	want := gobRestArchive()
-	got, err := ReadArchive(bytes.NewReader(old))
-	if err != nil {
-		t.Fatalf("archive with a gob section: %v", err)
 	}
 	if got.Truncated {
-		t.Fatal("complete fixture loaded as truncated")
+		t.Fatal("the golden archive loaded as truncated")
 	}
 	archivesEquivalent(t, want, got)
-
-	var buf bytes.Buffer
-	if err := WriteArchive(&buf, got); err != nil {
-		t.Fatal(err)
-	}
-	rest := 0
-	for _, ev := range want.Events {
-		if ev.Kind != session.EvSamples && ev.Kind != session.EvShard {
-			rest++
-		}
-	}
-	if flags := chunkFlags(buf.Bytes()); bytes.IndexByte(flags, flagGob) >= 0 || bytes.Count(flags, []byte{flagEvents}) != rest {
-		t.Fatalf("re-encoded archive does not pack its %d other events: event flags % x", rest, flags)
-	}
-	if buf.Len() >= len(old) {
-		t.Errorf("re-encoded archive is %d bytes, the gob-section one %d; packing should shrink it", buf.Len(), len(old))
-	}
-	again, err := ReadArchive(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	archivesEquivalent(t, want, again)
-	if a, b := replayedReport(t, got), replayedReport(t, again); a != b || !strings.Contains(a, "daemon refused") {
-		t.Errorf("the old archive and its re-encoding replay differently:\n%s\n---\n%s", a, b)
+	if a, b := replayed(t, want), replayed(t, got); a != b || len(a) < 4000 || !strings.Contains(a, "daemon refused") {
+		t.Errorf("the golden archive replays unlike the session it holds (%d vs %d bytes of exports)", len(b), len(a))
 	}
 }
 
-// replayedReport is replayed plus what the other event kinds leave behind: a
-// refused enable's answer, the call graph, lost processes, gaps and coverage.
-func replayedReport(t *testing.T, a *session.Archive) string {
-	out := replayed(t, a)
-	rs := session.NewReplaySource(a)
-	_, refused := rs.EnableMetric("msg_bytes_sent", resource.Focus{CodePath: "/Code/app.c/f", MachinePath: "/Machine/node0/app{0}", SyncPath: "/SyncObject/Message/comm-1/tag-5"})
-	rs.Drain()
-	return fmt.Sprintf("%s\nrefused: %v\ncallees of main: %v\ngaps: %v\ncoverage %.3f\n%s", out, refused, rs.Callees("main"), rs.UnmeasuredGaps(), rs.Coverage(), rs.DegradationSummary())
+// An archive a retired format wrote is refused, and says so: nothing decodes
+// a gob header, trailer or event section any more.
+func TestRetiredArchivesAreRefused(t *testing.T) {
+	for _, path := range []string{compatFixture, gobRestFixture} {
+		t.Run(strings.TrimSuffix(filepath.Base(path), ".ppdb"), func(t *testing.T) {
+			_, err := LoadAny(path)
+			if !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), "PPDBA1 archive format retired; re-record the run") {
+				t.Fatalf("LoadAny(%s): %v, want the retired PPDBA1 format named", path, err)
+			}
+			if _, verr := scanFile(path, nil); verr == nil || verr.Error() != err.Error() {
+				t.Errorf("verifying %s: %v, loading it: %v", path, verr, err)
+			}
+		})
+	}
 }
 
-// A fresh recording holds no gob: no 'E' chunk carries flag 0, and after its
-// packed blobs comes the packed event section of exactly its flag-3 events,
-// or nothing.
+// A fresh recording holds no gob: after each 'E' chunk's packed blobs comes
+// the packed event section of exactly its flag-3 events, or nothing.
 func TestWriterEmitsNoGobSection(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fresh.ppdb")
 	rec, err := NewStreamRecorder(path)
@@ -249,9 +193,6 @@ func TestWriterEmitsNoGobSection(t *testing.T) {
 			l, w := binary.Uvarint(p)
 			p = p[w+int(l):]
 		}
-		if bytes.IndexByte(flags, flagGob) >= 0 {
-			t.Fatalf("a fresh chunk carries flag 0: % x", flags)
-		}
 		n := bytes.Count(flags, []byte{flagEvents})
 		if n == 0 {
 			if len(p) != 0 {
@@ -268,58 +209,4 @@ func TestWriterEmitsNoGobSection(t *testing.T) {
 	if withSection == 0 || without == 0 {
 		t.Errorf("%d chunks with a section and %d without: the recording should hold both", withSection, without)
 	}
-}
-
-// gobRestFixture is an archive written by the encoder as it was before the
-// rest of the event kinds were packed (commit 3d8eb5c: its WriteArchive over
-// gobRestArchive()): 'E' chunks with flags 0, 1 and 2, every enable, update,
-// barrier, stale, undelivered and gap event in the chunk's gob section.
-const gobRestFixture = "testdata/gob_rest_events.ppdb"
-
-// gobRestArchive is the session that fixture holds: every non-sample kind,
-// every scalar field of the flat Event union set somewhere, sample batches
-// and one shard.
-func gobRestArchive() *session.Archive {
-	a := &session.Archive{Header: session.Header{
-		Version: session.Version, NumBins: 64, BinWidth: 20 * sim.Millisecond,
-		Meta:  map[string]string{"program": "gob-rest", "seed": "11"},
-		Extra: []byte("harness payload"),
-	}}
-	whole := resource.WholeProgram()
-	fn := resource.Focus{CodePath: "/Code/app.c/f", MachinePath: "/Machine/node0/app{0}", SyncPath: "/SyncObject/Message/comm-1/tag-5"}
-	ms := func(n int) sim.Time { return sim.Time(n) * sim.Time(sim.Millisecond) }
-	add := func(evs ...session.Event) { a.Events = append(a.Events, evs...) }
-	add(
-		session.Event{Kind: session.EvUpdate, Update: datasource.Update{Kind: datasource.UpHeartbeat, Daemon: "paradynd@node0"}},
-		session.Event{Kind: session.EvUpdate, Update: datasource.Update{Kind: datasource.UpAddResource, Path: "/Code/app.c/f", Proc: "app{0}", Daemon: "paradynd@node0", Time: ms(1)}},
-		session.Event{Kind: session.EvUpdate, Update: datasource.Update{Kind: datasource.UpSetName, Path: "/SyncObject/Message/comm-1", Display: "MPI_COMM_WORLD", Time: ms(2)}},
-		session.Event{Kind: session.EvUpdate, Update: datasource.Update{Kind: datasource.UpCallEdge, Caller: "main", Callee: "f", Proc: "app{0}", Time: ms(3), Daemon: "paradynd@node0"}},
-		session.Event{Kind: session.EvEnable, Metric: "sync_wait", Focus: whole},
-		session.Event{Kind: session.EvEnable, Metric: "msg_bytes_sent", Focus: fn, Err: "daemon refused: no such function"},
-		session.Event{Kind: session.EvEnable, Metric: "cpu", Focus: fn},
-	)
-	for tick := 1; tick <= 6; tick++ {
-		at := ms(20 * tick)
-		add(session.Event{Kind: session.EvSamples, Samples: []datasource.Sample{
-			{Metric: "sync_wait", Focus: whole, Proc: "app{0}", Time: at, Delta: 0.5 * float64(tick), Value: float64(tick)},
-			{Metric: "cpu", Focus: fn, Proc: "app{1}", Time: at - 1, Delta: -0.25, Value: 1e-9 * float64(tick)},
-		}})
-		if tick == 3 {
-			add(session.Event{Kind: session.EvShard, Shard: trace.Shard{Daemon: "paradynd@node0", Proc: "app{0}", Node: "node0", Dropped: 1,
-				Spans: []trace.Span{{Seq: 4, Kind: trace.MPISpan, Proc: "app{0}", Node: "node0", Name: "MPI_Send", Start: at, End: at + ms(1), Peer: "app{1}", Tag: 5, Bytes: 64, Obj: "MPI_COMM_WORLD"}}}})
-		}
-		if tick%2 == 0 {
-			add(session.Event{Kind: session.EvBarrier})
-		}
-	}
-	add(
-		session.Event{Kind: session.EvUpdate, Update: datasource.Update{Kind: datasource.UpProcessLost, Path: "/Machine/node1/app{1}", Proc: "app{1}", Time: ms(130), Daemon: "paradynd@node1"}},
-		session.Event{Kind: session.EvStale, Daemon: "paradynd@node1", Time: ms(140)},
-		session.Event{Kind: session.EvGap, Gap: datasource.Gap{Node: "node1", From: ms(125), To: ms(140)}},
-		session.Event{Kind: session.EvUndelivered, Proc: "app{1}", N: 7},
-		session.Event{Kind: session.EvUndelivered, Proc: "app{0}", N: -1},
-		session.Event{Kind: session.EvBarrier},
-	)
-	a.Header.NumEvents = len(a.Events)
-	return a
 }

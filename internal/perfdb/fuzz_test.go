@@ -28,18 +28,22 @@ func FuzzChunkDecoder(f *testing.F) {
 		f.Add(mut)
 		f.Add(buf.Bytes()[:buf.Len()/2])
 	}
-	// The two 'E' layouts: this build's packed event section, and the gob
-	// section of the archive it was re-encoded from.
-	var fresh bytes.Buffer
-	if err := WriteArchive(&fresh, gobRestArchive()); err != nil {
+	// Every event kind, traced, under Meta and Extra; the bare magic; and the
+	// retired formats, which must be refused: the PPDBA1 magic in front of a
+	// current archive, the two PPDBA1 fixtures, the v1 magic.
+	var every bytes.Buffer
+	if err := WriteArchive(&every, compatArchive()); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(fresh.Bytes())
-	if old, err := os.ReadFile(gobRestFixture); err == nil {
-		f.Add(old)
-	}
-	f.Add([]byte("PPDBA1"))
+	f.Add(every.Bytes())
+	f.Add([]byte("PPDBA2"))
 	f.Add([]byte{})
+	f.Add(append([]byte("PPDBA1"), every.Bytes()[6:]...))
+	for _, path := range []string{compatFixture, gobRestFixture} {
+		if old, err := os.ReadFile(path); err == nil {
+			f.Add(old)
+		}
+	}
 	f.Add([]byte("PPARCH\x1f\xff\x81\x03\x01\x01\x06Header")) // retired v1 magic + a gob prefix
 	f.Fuzz(func(t *testing.T, data []byte) {
 		readBothWays(t, data)

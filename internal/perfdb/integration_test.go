@@ -376,3 +376,20 @@ func TestStreamingOpenRunMatchesReferenceOnSuite(t *testing.T) {
 		perfdb.SameAnalytics(t, streamed[prog], reference[prog])
 	}
 }
+
+// Verifying a recorded run costs a few dozen objects, however long the run:
+// the header and the trailer decode through the scan's own string table, and
+// nothing builds a decoder.
+func TestVerifyObjectBudget(t *testing.T) {
+	data := built(t, smallMessages()).files[1]
+	verify := func() {
+		if err := perfdb.VerifyArchive(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	verify() // grows the spare scratch
+	n := testing.AllocsPerRun(10, verify)
+	if n > 80 {
+		t.Errorf("verifying a %d-byte small-messages recording allocates %v objects; want at most 80", len(data), n)
+	}
+}

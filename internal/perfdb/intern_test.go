@@ -59,7 +59,7 @@ func TestInternedReadEqualsUnsharedRead(t *testing.T) {
 	}
 	cw.perChunk = 16 // many chunks, so the table is carried across them
 	src := finiteArchive(rand.New(rand.NewSource(5)), 400)
-	if err := cw.writeHeaderChunk(provisionalHeader(src.Header)); err != nil {
+	if err := cw.writeHeader(chunkHeader, src.Header, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, ev := range src.Events {
@@ -183,7 +183,7 @@ func TestStreamingReadAllocationBudget(t *testing.T) {
 			}
 		})
 	}
-	verify(small) // gob's type tables and the like are built once per process
+	verify(small) // grows the spare scratch
 	if a, b := verify(small), verify(large); float64(b) > 1.1*float64(a) {
 		fi, _ := os.Stat(large)
 		t.Errorf("verifying 8 chunks allocates %d bytes against %d for 4: the pass should cost a chunk, not the %d-byte file", b, a, fi.Size())
@@ -258,7 +258,7 @@ func mixedFile(t *testing.T, nEvents int) (path string, batches int) {
 }
 
 // objectsAllocatedBy reports the heap objects fn allocates. The collector is
-// off meanwhile: the sync.Pools of fmt, gob and the like refill after every
+// off meanwhile: the sync.Pools of fmt and the like refill after every
 // collection, which would make the count depend on when one ran.
 func objectsAllocatedBy(fn func()) uint64 {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -283,7 +283,7 @@ func TestStreamingReadObjectBudget(t *testing.T) {
 			}
 		})
 	}
-	verify(large) // grows the spare scratch and gob's per-process tables
+	verify(large) // grows the spare scratch
 	if a, b := verify(small), verify(large); float64(b) > 1.1*float64(a) {
 		t.Errorf("verifying 8 chunks allocates %d objects against %d for 4: a chunk should cost none", b, a)
 	}
@@ -331,7 +331,7 @@ func TestStreamingReadObjectBudget(t *testing.T) {
 // whose header chunk declares a gigabyte is refused, collected or verified,
 // for the cost of a small buffer.
 func TestDeclaredPayloadIsNotPreallocated(t *testing.T) {
-	data := append([]byte("PPDBA1"), chunkHeader, 0x3f, 0xff, 0xff, 0xff, 0, 0, 0, 0, 'g', 'o', 'b', '!')
+	data := append(append([]byte(nil), chunkMagic...), chunkHeader, 0x3f, 0xff, 0xff, 0xff, 0, 0, 0, 0, 'r', 'e', 'c', '!')
 	path := filepath.Join(t.TempDir(), "short.ppdb")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)

@@ -257,7 +257,7 @@ func writeChunked(t testing.TB, a *session.Archive, flushEvents int) (path strin
 		t.Fatal(err)
 	}
 	cw.perChunk = flushEvents
-	if err := cw.writeHeaderChunk(provisionalHeader(a.Header)); err != nil {
+	if err := cw.writeHeader(chunkHeader, a.Header, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, ev := range a.Events {

@@ -512,25 +512,29 @@ func TestStoreRefusesNewerIndex(t *testing.T) {
 }
 
 // TestAddFileStoresTheFilesBytes: `db add FILE` admits FILE by copy, so the
-// run's content address is the file's own whichever process or build wrote it
-// — here a checked-in archive in a layout this build no longer writes, which
-// re-encoding (what db add used to do) would turn into other bytes. Only a
-// file without a trailer is re-encoded: the store has to write one.
+// run's content address is the file's own whichever writer made it — here an
+// archive in 32-event chunks, a layout this build does not write by default,
+// which re-encoding (what db add used to do) would turn into other bytes.
+// Only a file without a trailer is re-encoded: the store has to write one.
 func TestAddFileStoresTheFilesBytes(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	file := mustReadFile(t, compatFixture)
+	a := compatArchive()
+	path, file := writeChunked(t, a, 32)
+	var reencoded bytes.Buffer
+	if err := WriteArchive(&reencoded, a); err != nil || bytes.Equal(reencoded.Bytes(), file) {
+		t.Fatalf("the default writer makes the same bytes (err %v): the file proves nothing", err)
+	}
 	sum := sha256.Sum256(file)
-	m, err := st.AddFile(compatFixture, AddMeta{Label: "as-recorded", Verdict: "sync=true(0.9)"})
+	m, err := st.AddFile(path, AddMeta{Label: "as-recorded", Verdict: "sync=true(0.9)"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(mustReadFile(t, st.RunPath(m.ID)), file) || m.Hash != hex.EncodeToString(sum[:]) {
 		t.Errorf("stored run %s (hash %.12s) is not the file that was added (SHA-256 %.12x)", m.ID, m.Hash, sum)
 	}
-	a := compatArchive()
 	want := RunMeta{ID: "r0001", Label: "as-recorded", Verdict: "sync=true(0.9)", Events: len(a.Events), Bytes: int64(len(file)), Hash: m.Hash,
 		Program: a.Header.Meta["program"], Impl: a.Header.Meta["impl"], Seed: a.Header.Meta["seed"], Procs: a.Header.Meta["procs"],
 		Nodes: a.Header.Meta["nodes"], Faults: a.Header.Meta["faults"], Runtime: a.Header.Meta["runtime"]}
@@ -539,7 +543,7 @@ func TestAddFileStoresTheFilesBytes(t *testing.T) {
 	}
 
 	// A refused label and a file that is no archive store nothing.
-	for _, path := range []string{compatFixture, "store_test.go"} {
+	for _, path := range []string{path, "store_test.go"} {
 		if _, err := st.AddFile(path, AddMeta{Label: "as-recorded"}); err == nil {
 			t.Errorf("AddFile(%s) under a label in use succeeded", path)
 		}

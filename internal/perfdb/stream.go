@@ -91,8 +91,8 @@ func (r *StreamRecorder) PeakBufferedEvents() int {
 	return r.w.peak
 }
 
-// Record streams one event, emitting the provisional header chunk first so
-// a truncated archive still replays with the right bin layout. The front end
+// Record streams one event, emitting the header chunk — what the setters
+// stored by then — first so a truncated archive still replays. The front end
 // keeps ownership of a sample batch's or trace shard's slice: the writer
 // packs it before Append returns and keeps only the bytes.
 func (r *StreamRecorder) Record(ev session.Event) {
@@ -102,7 +102,7 @@ func (r *StreamRecorder) Record(ev session.Event) {
 		return
 	}
 	if r.w.events == 0 {
-		if err := r.w.writeHeaderChunk(provisionalHeader(r.header)); err != nil {
+		if err := r.w.writeHeader(chunkHeader, r.header, 0, 0); err != nil {
 			r.err = err
 			return
 		}
@@ -142,7 +142,7 @@ func (r *StreamRecorder) finish(rename bool) error {
 	if r.err == nil && r.w.events == 0 {
 		// Empty recording: still emit the header chunk so the file is a
 		// valid (if eventless) archive.
-		r.err = r.w.writeHeaderChunk(provisionalHeader(r.header))
+		r.err = r.w.writeHeader(chunkHeader, r.header, 0, 0)
 	}
 	if r.err == nil {
 		r.header.NumEvents = r.w.events

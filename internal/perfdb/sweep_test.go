@@ -123,7 +123,7 @@ func (c *cell) run() error {
 			// untraced chunk (those stay byte-identical to what they always
 			// were): the largest frame of a real untraced recording is
 			// nowhere near it.
-			for pos := len("PPDBA1"); pos < len(data); {
+			for pos := len("PPDBA2"); pos < len(data); {
 				n := int(binary.BigEndian.Uint32(data[pos+1 : pos+5]))
 				if n > 1<<20 {
 					return fmt.Errorf("untraced recording holds a %q chunk of %d bytes", data[pos], n)

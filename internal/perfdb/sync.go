@@ -10,7 +10,7 @@ package perfdb
 // The wire discipline is the shared reliability plane in internal/wire —
 // the same one under the daemon report transport: gob frames with
 // per-connection sequence numbers, every data frame carrying a
-// wire.Checksum of its payload (the same per-chunk integrity the PPDBA1
+// wire.Checksum of its payload (the same per-chunk integrity the PPDBA2
 // file format uses), per-frame deadlines, and client-side retry with
 // seeded jitter and a full redial on failure — a gob stream is stateful,
 // so a failed connection is always replaced. Frames are offset-addressed
@@ -49,9 +49,9 @@ import (
 	"pperf/internal/wire"
 )
 
-// SyncProtoVersion versions the sync wire protocol; a server refuses a
-// newer client rather than misdecoding its frames.
-const SyncProtoVersion = 1
+// SyncProtoVersion versions the sync wire protocol; each end refuses a peer
+// that speaks another version rather than misreading its frames.
+const SyncProtoVersion = 2
 
 // DefaultSyncChunkBytes is the default transfer granularity — the unit of
 // resume and of per-frame CRC protection.
@@ -84,14 +84,15 @@ type syncReq struct {
 	Op  int
 	Seq uint64
 
-	Proto  int     // opHello: client protocol version
-	ID     string  // opPullChunk: remote run ID or label
-	Hash   string  // content address of the run being transferred
-	Size   int64   // opPushBegin: total size; opPullChunk: max chunk bytes
-	Offset int64   // chunk frames: byte offset of Data
-	Data   []byte  // opPushChunk payload
-	CRC    uint32  // wire.Checksum of Data
-	Meta   RunMeta // opPushEnd: descriptive metadata for the ingested run
+	Proto   int    // opHello: client protocol version
+	ID      string // opPullChunk: remote run ID or label
+	Hash    string // content address of the run being transferred
+	Size    int64  // opPushBegin: total size; opPullChunk: max chunk bytes
+	Offset  int64  // chunk frames: byte offset of Data
+	Data    []byte // opPushChunk payload
+	CRC     uint32 // wire.Checksum of Data
+	Label   string // opPushEnd: the run's label and verdict, all the receiver
+	Verdict string // takes from the peer; the rest it reads from the archive
 }
 
 // syncResp is the server→client frame.
@@ -100,7 +101,7 @@ type syncResp struct {
 	Err string
 
 	Proto   int       // opHello: server protocol version
-	Runs    []RunMeta // opList
+	Runs    []syncRun // opList
 	Have    bool      // opPushBegin/opPushEnd: content already stored
 	Offset  int64     // authoritative byte count the server holds
 	Size    int64     // opPullChunk: total archive size
@@ -109,6 +110,12 @@ type syncResp struct {
 	EOF     bool      // opPullChunk: Data reaches the end of the archive
 	ID      string    // opPushBegin/opPushEnd: run ID at the server
 	Warning string    // opPushEnd: label collision note etc.
+}
+
+// syncRun is what a list frame tells of one stored run: what Pull reads.
+type syncRun struct {
+	ID, Label, Verdict, Hash string
+	Bytes                    int64
 }
 
 // SyncConfig tunes the client side of Push/Pull.
@@ -173,7 +180,7 @@ func dialSync(addr string, cfg SyncConfig) (*syncClient, error) {
 		c.close()
 		return nil, err
 	}
-	if resp.Proto > SyncProtoVersion {
+	if resp.Proto != SyncProtoVersion {
 		c.close()
 		return nil, fmt.Errorf("perfdb sync: server speaks protocol %d; this build speaks %d", resp.Proto, SyncProtoVersion)
 	}
@@ -306,9 +313,7 @@ func Push(st *Store, runID, addr string, cfg SyncConfig) (*PushResult, error) {
 		}
 		offset = resp.Offset
 	}
-	meta := m
-	meta.ID = "" // the peer assigns its own
-	end, err := c.roundTrip(syncReq{Op: opPushEnd, Hash: m.Hash, Meta: meta})
+	end, err := c.roundTrip(syncReq{Op: opPushEnd, Hash: m.Hash, Label: m.Label, Verdict: m.Verdict})
 	if err != nil {
 		res.Stats = c.stats()
 		return res, err
@@ -352,7 +357,7 @@ func Pull(st *Store, addr, runID string, cfg SyncConfig) ([]PullResult, *wire.St
 	if err != nil {
 		return fail(nil, err)
 	}
-	var want []RunMeta
+	var want []syncRun
 	if runID == "" {
 		want = list.Runs
 	} else {
@@ -378,7 +383,7 @@ func Pull(st *Store, addr, runID string, cfg SyncConfig) ([]PullResult, *wire.St
 }
 
 // pullOne transfers one remote run into the local store.
-func pullOne(st *Store, c *syncClient, m RunMeta) (PullResult, error) {
+func pullOne(st *Store, c *syncClient, m syncRun) (PullResult, error) {
 	res := PullResult{RemoteID: m.ID, Label: m.Label}
 	if existing, ok := st.FindByHash(m.Hash); ok {
 		res.Skipped, res.LocalID = true, existing.ID
@@ -589,12 +594,17 @@ func syncErr(format string, args ...any) *syncResp {
 func (s *SyncServer) dispatch(req *syncReq) *syncResp {
 	switch req.Op {
 	case opHello:
-		if req.Proto > SyncProtoVersion {
+		if req.Proto != SyncProtoVersion {
 			return syncErr("server speaks sync protocol %d, client %d", SyncProtoVersion, req.Proto)
 		}
 		return &syncResp{OK: true, Proto: SyncProtoVersion}
 	case opList:
-		return &syncResp{OK: true, Runs: s.st.Runs()}
+		runs := s.st.Runs()
+		list := make([]syncRun, len(runs))
+		for i, m := range runs {
+			list[i] = syncRun{m.ID, m.Label, m.Verdict, m.Hash, m.Bytes}
+		}
+		return &syncResp{OK: true, Runs: list}
 	case opPushBegin:
 		return s.pushBegin(req)
 	case opPushChunk:
@@ -658,7 +668,7 @@ func (s *SyncServer) pushEnd(req *syncReq) *syncResp {
 		p.discard()
 		return &syncResp{OK: true, Have: true, ID: m.ID}
 	}
-	m, warn, err := p.finish(AddMeta{Label: req.Meta.Label, Verdict: req.Meta.Verdict})
+	m, warn, err := p.finish(AddMeta{Label: req.Label, Verdict: req.Verdict})
 	if err != nil {
 		return syncErr("push-end: %v", err)
 	}

@@ -303,11 +303,12 @@ func TestSyncPushChunkRejectsNegativeOffset(t *testing.T) {
 }
 
 // TestSyncPushEndIgnoresForgedMeta sends the frames a hostile client could:
-// an honest upload whose push-end claims to be a different program with
-// different counts. The served index must describe the archive that arrived
-// — read from its own header and bytes — and take only the label (refused
-// here: it has the run-ID shape) and the verdict from the peer. The forged
-// entry used to land verbatim, so `db trend big-message` fitted a foreign run.
+// an honest upload whose push-end names an ID-shaped label. The served index
+// must describe the archive that arrived — read from its own header and
+// bytes — and take only the label (refused here: it has the run-ID shape)
+// and the verdict from the peer. A push-end once carried a whole index
+// entry, and a forged one landed verbatim, so `db trend big-message` fitted
+// a foreign run; the frame now has no field to forge the rest with.
 func TestSyncPushEndIgnoresForgedMeta(t *testing.T) {
 	src, m := storeWithRun(t, 8, 300, "")
 	peer, srv := serveStore(t)
@@ -330,11 +331,7 @@ func TestSyncPushEndIgnoresForgedMeta(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	end, err := c.roundTrip(syncReq{Op: opPushEnd, Hash: m.Hash, Meta: RunMeta{
-		ID: "r0042", Label: "r0007", Verdict: "sync=true(0.9)",
-		Program: "big-message", Impl: "forged", Seed: "999", Events: 123456, Bytes: 1, Truncated: true,
-		Hash: strings.Repeat("0", 64),
-	}})
+	end, err := c.roundTrip(syncReq{Op: opPushEnd, Hash: m.Hash, Label: "r0007", Verdict: "sync=true(0.9)"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,19 +346,16 @@ func TestSyncPushEndIgnoresForgedMeta(t *testing.T) {
 	if got, err := peer.Get(end.ID); err != nil || got != want {
 		t.Errorf("served index entry:\n got %+v (%v)\nwant %+v", got, err, want)
 	}
-	if foreign := peer.RunsFor("big-message"); len(foreign) != 0 {
-		t.Errorf("forged program name reached the index: %+v", foreign)
-	}
 }
 
 // A server decodes every frame of a connection into one request, keeping its
 // payload buffer, so a field a frame omits must read zero, not what the
 // frame before carried. On one connection: a push-chunk that omits Data
 // after one that carried it writes nothing (a stale payload and CRC would be
-// appended again), a push-end after push-chunks that omits Meta stores the
-// run unlabeled (not under the previous push-end's label and verdict), and a
-// pull-chunk that omits Offset and Size reads the default chunk from the
-// start (not from the pull before's offset at its size).
+// appended again), a push-end after push-chunks that omits Label and Verdict
+// stores the run unlabeled (not under the previous push-end's label and
+// verdict), and a pull-chunk that omits Offset and Size reads the default
+// chunk from the start (not from the pull before's offset at its size).
 func TestSyncConnectionFramesStartClean(t *testing.T) {
 	src, first := storeWithRun(t, 8, 300, "")
 	m, err := src.AddArchive(syntheticArchive(rand.New(rand.NewSource(9)), 300), AddMeta{})
@@ -374,7 +368,7 @@ func TestSyncConnectionFramesStartClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.close()
-	push := func(m RunMeta, meta RunMeta, split int) *syncResp {
+	push := func(m RunMeta, label, verdict string, split int) *syncResp {
 		t.Helper()
 		data := mustReadFile(t, src.RunPath(m.ID))
 		if _, err := c.roundTrip(syncReq{Op: opPushBegin, Hash: m.Hash, Size: int64(len(data))}); err != nil {
@@ -395,16 +389,16 @@ func TestSyncConnectionFramesStartClean(t *testing.T) {
 		if _, err := c.roundTrip(syncReq{Op: opPushChunk, Hash: m.Hash, Offset: int64(split), Data: rest, CRC: wire.Checksum(rest)}); err != nil {
 			t.Fatal(err)
 		}
-		end, err := c.roundTrip(syncReq{Op: opPushEnd, Hash: m.Hash, Meta: meta})
+		end, err := c.roundTrip(syncReq{Op: opPushEnd, Hash: m.Hash, Label: label, Verdict: verdict})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return end
 	}
-	push(first, RunMeta{Label: "one", Verdict: "sync=true(0.9)"}, 100)
-	end := push(m, RunMeta{}, 200)
+	push(first, "one", "sync=true(0.9)", 100)
+	end := push(m, "", "", 200)
 	if got, err := peer.Get(end.ID); err != nil || got.Label != "" || got.Verdict != "" || end.Warning != "" {
-		t.Errorf("push-end without Meta stored %+v (%v), warning %q; want no label and no verdict", got, err, end.Warning)
+		t.Errorf("push-end without a label and verdict stored %+v (%v), warning %q; want no label and no verdict", got, err, end.Warning)
 	}
 	if _, err := c.roundTrip(syncReq{Op: opPullChunk, ID: end.ID, Offset: 64, Size: 16}); err != nil {
 		t.Fatal(err)
@@ -416,6 +410,43 @@ func TestSyncConnectionFramesStartClean(t *testing.T) {
 	data := mustReadFile(t, src.RunPath(m.ID))
 	if want := data[:min(len(data), DefaultSyncChunkBytes)]; pulled.Offset != 0 || !bytes.Equal(pulled.Data, want) {
 		t.Errorf("a pull-chunk without Offset and Size read %d bytes at offset %d, want %d at 0", len(pulled.Data), pulled.Offset, len(want))
+	}
+}
+
+// Each end refuses a peer whose protocol version differs, older or newer: a
+// version-1 client's push-end carried its label and verdict in a field this
+// server has not got, so taking its upload would lose them without a word.
+func TestSyncRefusesOtherProtocolVersions(t *testing.T) {
+	_, srv := serveStore(t)
+	c, err := dialSync(srv.Addr(), testSyncConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.close()
+	for _, v := range []int{SyncProtoVersion - 1, SyncProtoVersion + 1} {
+		want := fmt.Sprintf("server speaks sync protocol %d, client %d", SyncProtoVersion, v)
+		if _, err := c.roundTrip(syncReq{Op: opHello, Proto: v}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("hello from a version-%d client: err = %v, want %q", v, err, want)
+		}
+	}
+
+	for _, v := range []int{SyncProtoVersion - 1, SyncProtoVersion + 1} {
+		peer, err := wire.Listen("127.0.0.1:0", func(c *wire.ServerConn) {
+			var req syncReq
+			for c.Read(&req) == nil {
+				if c.Reply(&syncResp{OK: true, Proto: v}) != nil {
+					return
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("server speaks protocol %d; this build speaks %d", v, SyncProtoVersion)
+		if _, err := dialSync(peer.Addr(), testSyncConfig()); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("dialing a version-%d server: err = %v, want %q", v, err, want)
+		}
+		peer.Close()
 	}
 }
 
@@ -640,7 +671,7 @@ func TestSyncChunkReplayIdempotent(t *testing.T) {
 // Pull must give up within its guard, discard the partial and return an
 // error — not spin forever, and not write the payload where the peer says.
 func TestSyncPullStallGuard(t *testing.T) {
-	run := RunMeta{ID: "r0001", Bytes: 4096, Hash: strings.Repeat("ab", 32)}
+	run := syncRun{ID: "r0001", Bytes: 4096, Hash: strings.Repeat("ab", 32)}
 	payload := []byte("payload")
 	for _, tc := range []struct {
 		name   string
@@ -672,7 +703,7 @@ func TestSyncPullStallGuard(t *testing.T) {
 					if c.Read(&req) != nil {
 						return
 					}
-					resp := syncResp{OK: true, Proto: SyncProtoVersion, Runs: []RunMeta{run}}
+					resp := syncResp{OK: true, Proto: SyncProtoVersion, Runs: []syncRun{run}}
 					if req.Op == opPullChunk {
 						pulls.Add(1)
 						if fi, err := os.Stat(partial); err == nil {

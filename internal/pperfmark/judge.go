@@ -157,6 +157,8 @@ func Run(name string, opt RunOptions) (*Result, error) {
 		pcCfg.CPUThreshold = 0.2
 	}
 
+	res := &Result{Program: name, Impl: opt.Impl, Params: params}
+	stampRecording(opt, res, pcCfg, nodes, false)
 	s, err := core.NewSession(core.Options{
 		Impl:        opt.Impl,
 		Nodes:       nodes,
@@ -173,20 +175,20 @@ func Run(name string, opt RunOptions) (*Result, error) {
 	}
 	defer s.Close()
 
-	res := &Result{Program: name, Impl: opt.Impl, Params: params, Session: s, Source: s.FE}
+	res.Session, res.Source = s, s.FE
 
 	// The spawn-based programs need an implementation with dynamic process
 	// creation, as §5.2.2 notes (the paper uses only LAM for them).
 	if strings.HasPrefix(name, "spawn") && !s.World.Impl.SupportsSpawn {
 		res.Unsupported = &mpi.ErrUnsupported{Impl: opt.Impl, Feature: "dynamic process creation"}
-		finishRecording(opt, res, pcCfg, nodes)
+		stampRecording(opt, res, pcCfg, nodes, true)
 		return res, nil
 	}
 	// Passive-target programs were unimplementable in 2004; they run only
 	// under the Reference personality (§5.2.1.1).
 	if entry.NeedsPassive && !s.World.Impl.SupportsPassiveTarget {
 		res.Unsupported = &mpi.ErrUnsupported{Impl: opt.Impl, Feature: "passive target synchronization"}
-		finishRecording(opt, res, pcCfg, nodes)
+		stampRecording(opt, res, pcCfg, nodes, true)
 		return res, nil
 	}
 
@@ -215,7 +217,7 @@ func Run(name string, opt RunOptions) (*Result, error) {
 		res.FaultLog = s.Injector.Log()
 	}
 	res.Timeline = s.FE.Timeline()
-	finishRecording(opt, res, pcCfg, nodes)
+	stampRecording(opt, res, pcCfg, nodes, true)
 	return res, nil
 }
 

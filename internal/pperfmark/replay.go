@@ -1,14 +1,15 @@
 package pperfmark
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
 
 	"pperf/internal/consultant"
 	"pperf/internal/core"
 	"pperf/internal/mpi"
+	"pperf/internal/packed"
 	"pperf/internal/session"
 	"pperf/internal/sim"
 )
@@ -38,46 +39,98 @@ type runInfo struct {
 	Unsupported string
 }
 
-// finishRecording stamps the archived run's description, laid out on nodes
-// nodes, into the recorder's header. A no-op when the run is not recording.
-func finishRecording(opt RunOptions, res *Result, pcCfg consultant.Config, nodes int) {
+// pack returns the run description as one record in internal/packed's
+// dictionary form, the fault-log lines its records:
+//
+//	packed head: uvarint nFaultLog, the dictionary
+//	uvarint Program's and Unsupported's dictionary indexes
+//	zigzag Impl, Seed, the eight Params, DisablePC, EvalInterval,
+//	       PruneEvals, Traced, RunTime, ProbeExecs
+//	uvarint Float64bits of the sync, io and cpu thresholds
+//	one dictionary index per fault-log line
+func (info *runInfo) pack() []byte {
+	var w packed.Writer
+	w.Reset()
+	prog, unsup := w.Intern(info.Program), w.Intern(info.Unsupported)
+	for _, l := range info.FaultLog {
+		w.Recs = append(w.Recs, [5]uint64{w.Intern(l)})
+	}
+	out := binary.AppendUvarint(binary.AppendUvarint(w.Head(nil, len(info.FaultLog)), prog), unsup)
+	p, pc, bit := &info.Params, &info.PC, map[bool]int64{true: 1}
+	for _, x := range [infoInts]int64{int64(info.Impl), int64(info.Seed), int64(p.Iterations), int64(p.MessageSize),
+		int64(p.Messages), int64(p.TimeToWaste), int64(p.Procs), int64(p.WasteUnit), int64(p.Windows), int64(p.Children),
+		bit[info.DisablePC], int64(pc.EvalInterval), int64(pc.PruneEvals), bit[info.Traced], int64(info.RunTime), info.ProbeExecs} {
+		out = binary.AppendVarint(out, x)
+	}
+	for _, f := range [...]float64{pc.SyncThreshold, pc.IOThreshold, pc.CPUThreshold} {
+		out = binary.AppendUvarint(out, math.Float64bits(f))
+	}
+	for _, r := range w.Recs {
+		out = binary.AppendUvarint(out, r[0])
+	}
+	return out
+}
+
+const infoInts = 16
+
+// unpackRunInfo decodes a run description. Corrupt input, and a description
+// no replay could pace (an evaluation interval that is not positive, a
+// negative run time), is an error, never a panic.
+func unpackRunInfo(data []byte) (runInfo, error) {
+	var t packed.Table
+	c, n := packed.Open(&t, data, "pperfmark: corrupt run description", 1)
+	prog, unsup := c.Str(), c.Str()
+	var x [infoInts]int64
+	for i := range x {
+		x[i] = c.Varint()
+	}
+	th := [3]float64{math.Float64frombits(c.Uvarint()), math.Float64frombits(c.Uvarint()), math.Float64frombits(c.Uvarint())}
+	info := runInfo{
+		Program: prog, Unsupported: unsup, Impl: mpi.ImplKind(x[0]), Seed: uint64(x[1]),
+		Params: Params{Iterations: int(x[2]), MessageSize: int(x[3]), Messages: int(x[4]), TimeToWaste: int(x[5]),
+			Procs: int(x[6]), WasteUnit: sim.Duration(x[7]), Windows: int(x[8]), Children: int(x[9])},
+		DisablePC: x[10] != 0,
+		PC: consultant.Config{SyncThreshold: th[0], IOThreshold: th[1], CPUThreshold: th[2],
+			EvalInterval: sim.Duration(x[11]), PruneEvals: int(x[12])},
+		Traced: x[13] != 0, RunTime: sim.Time(x[14]), ProbeExecs: x[15],
+	}
+	for i := 0; i < n && c.Err == nil; i++ {
+		info.FaultLog = append(info.FaultLog, c.Str())
+	}
+	if c.Err == nil && (info.PC.EvalInterval <= 0 || info.RunTime < 0) {
+		c.Fail("evaluation interval %v, run time %v", info.PC.EvalInterval, info.RunTime)
+	}
+	return info, c.Close()
+}
+
+// stampRecording stamps the description of a run laid out on nodes nodes,
+// and the Meta pairs the store index reads, into the recorder's header: at
+// launch (final false) what is known then, which lands in the header chunk so
+// a crashed run's archive replays, and at the end all of it. A no-op when the
+// run is not recording.
+func stampRecording(opt RunOptions, res *Result, pcCfg consultant.Config, nodes int, final bool) {
 	rec := opt.Record
 	if rec == nil {
 		return
 	}
-	info := runInfo{
-		Program:    res.Program,
-		Impl:       res.Impl,
-		Params:     res.Params,
-		Seed:       opt.Seed,
-		DisablePC:  opt.DisablePC,
-		PC:         pcCfg,
-		Traced:     opt.Trace != nil,
-		RunTime:    res.RunTime,
-		ProbeExecs: res.ProbeExecs,
-		FaultLog:   res.FaultLog,
-	}
+	info := runInfo{Program: res.Program, Impl: res.Impl, Params: res.Params, Seed: opt.Seed, DisablePC: opt.DisablePC,
+		PC: pcCfg, Traced: opt.Trace != nil, RunTime: res.RunTime, ProbeExecs: res.ProbeExecs, FaultLog: res.FaultLog}
 	if res.Unsupported != nil {
 		info.Unsupported = res.Unsupported.Error()
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&info); err != nil {
-		// runInfo is all value types; an encode failure is a programming
-		// error worth failing loudly on, not a recoverable condition.
-		panic(fmt.Sprintf("pperfmark: encode run info: %v", err))
-	}
-	rec.SetExtra(buf.Bytes())
+	rec.SetExtra(info.pack())
 	rec.SetMeta("program", res.Program)
 	rec.SetMeta("impl", res.Impl.String())
 	rec.SetMeta("seed", fmt.Sprintf("%d", opt.Seed))
-	// The experiment-store index (internal/perfdb) reads these without
-	// decoding the harness payload.
 	rec.SetMeta("procs", fmt.Sprintf("%d", res.Params.Procs))
 	rec.SetMeta("nodes", fmt.Sprintf("%d", nodes))
-	rec.SetMeta("runtime", res.RunTime.String())
 	if opt.Faults != nil {
 		rec.SetMeta("faults", opt.Faults.String())
 	}
+	if !final {
+		return
+	}
+	rec.SetMeta("runtime", res.RunTime.String())
 	// The fired-fault audit trail also lands in the header, one line per
 	// entry, so store-level consumers (the diff plane's -since-fault
 	// window anchor) can read fire times without decoding the harness
@@ -141,9 +194,21 @@ func ReplayWith(a *session.Archive, o ReplayOptions) (*Result, error) {
 	if len(a.Header.Extra) == 0 {
 		return nil, fmt.Errorf("pperfmark: archive carries no run description (not recorded by this harness?)")
 	}
-	var info runInfo
-	if err := gob.NewDecoder(bytes.NewReader(a.Header.Extra)).Decode(&info); err != nil {
-		return nil, fmt.Errorf("pperfmark: corrupt run description in archive: %v", err)
+	info, err := unpackRunInfo(a.Header.Extra)
+	if err != nil {
+		return nil, err
+	}
+	if a.Truncated {
+		// The clock stops at the last complete barrier's evaluation instant,
+		// k intervals in for k barriers (NewReplaySource drops the rest), so
+		// no evaluation reads state the live run never had.
+		barriers := 0
+		for i := range a.Events {
+			if a.Events[i].Kind == session.EvBarrier {
+				barriers++
+			}
+		}
+		info.RunTime = sim.Time(barriers) * sim.Time(info.PC.EvalInterval)
 	}
 	pcCfg, err := o.override(info.PC)
 	if err != nil {

@@ -7,9 +7,12 @@ package pperfmark
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -19,6 +22,7 @@ import (
 	"pperf/internal/mpi"
 	"pperf/internal/perfdb"
 	"pperf/internal/session"
+	"pperf/internal/sim"
 	"pperf/internal/trace"
 )
 
@@ -320,4 +324,61 @@ func BenchmarkRunRecording(b *testing.B) {
 		events += rec.EventCount()
 	}
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+}
+
+// fullRunInfo sets every field of the run description, each to a value
+// unlike its neighbours', and a fault log with a line twice.
+func fullRunInfo() runInfo {
+	return runInfo{
+		Program: "small-messages", Impl: mpi.MPICH2, Seed: math.MaxUint64 - 6,
+		Params: Params{Iterations: 1, MessageSize: 2, Messages: 3, TimeToWaste: 4, Procs: 5,
+			WasteUnit: 6 * sim.Millisecond, Windows: 7, Children: 8},
+		DisablePC: true,
+		PC: consultant.Config{SyncThreshold: 0.2, IOThreshold: 0.15, CPUThreshold: math.SmallestNonzeroFloat64,
+			EvalInterval: 250 * sim.Millisecond, PruneEvals: 10},
+		Traced: true, RunTime: sim.Time(4875 * sim.Millisecond), ProbeExecs: 1 << 40,
+		FaultLog:    []string{"t=1s kill-node node1", "t=1s kill-node node1", "t=2s crash-daemon node0"},
+		Unsupported: "dynamic process creation is not supported",
+	}
+}
+
+// Every field of the run description survives its record, and so does a
+// description of zero values; fullRunInfo covers each field (a new one left
+// out of the record would fail here).
+func TestRunInfoRoundTrip(t *testing.T) {
+	full := fullRunInfo()
+	for _, v := range []reflect.Value{reflect.ValueOf(full), reflect.ValueOf(full.Params), reflect.ValueOf(full.PC)} {
+		for i := range v.NumField() {
+			if v.Field(i).IsZero() {
+				t.Fatalf("fullRunInfo leaves %s.%s zero", v.Type().Name(), v.Type().Field(i).Name)
+			}
+		}
+	}
+	for _, info := range []runInfo{full, {PC: ScaledPCConfig()}} {
+		got, err := unpackRunInfo(info.pack())
+		if err != nil || !reflect.DeepEqual(got, info) {
+			t.Errorf("run description round trip:\n got %+v (%v)\nwant %+v", got, err, info)
+		}
+	}
+}
+
+// A corrupt run description fails the replay with an error naming it, never
+// a panic or a replay of something else.
+func TestCorruptRunDescription(t *testing.T) {
+	good := fullRunInfo()
+	good.DisablePC = false
+	record := good.pack()
+	unpaced := good
+	unpaced.PC.EvalInterval = 0
+	for name, extra := range map[string][]byte{
+		"garbage":            {0xff},
+		"cut short":          record[:len(record)-3],
+		"trailing byte":      append(append([]byte(nil), record...), 0),
+		"zero eval interval": unpaced.pack(),
+	} {
+		a := &session.Archive{Header: session.Header{Version: session.Version, NumBins: 100, BinWidth: 50 * sim.Millisecond, Extra: extra}}
+		if _, err := ReplayWith(a, ReplayOptions{}); err == nil || !strings.Contains(err.Error(), "pperfmark: corrupt run description") {
+			t.Errorf("%s: err = %v, want a corrupt run description", name, err)
+		}
+	}
 }

@@ -17,8 +17,8 @@
 // The package owns the schema and the packed form of a sample batch
 // (pack.go), which the wire and the archive share; a trace shard is born
 // packed (trace/codec.go) and an Event carries it as it is. The one on-disk
-// form (the chunked PPDBA1 format), its streaming recorder and its loader live
-// in internal/perfdb; see PERFDB.md.
+// form (the chunked PPDBA2 format, packed throughout), its streaming recorder
+// and its loader live in internal/perfdb; see PERFDB.md.
 package session
 
 import (
@@ -49,8 +49,8 @@ type Header struct {
 	// humans and tools that inspect archives without replaying them.
 	Meta map[string]string
 	// Extra is an opaque payload for the recording harness; pperfmark
-	// stores the gob-encoded run parameters needed to re-drive the
-	// Consultant here.
+	// stores the run description needed to re-drive the Consultant here,
+	// as one packed record.
 	Extra []byte
 }
 

@@ -75,7 +75,7 @@ type Unpacker struct{ packed.Table }
 // decodes the next hands the last result back and, once the table has seen
 // the strings, allocates nothing.
 func (u *Unpacker) UnpackSamplesInto(dst []datasource.Sample, data []byte) ([]datasource.Sample, error) {
-	c, n := packed.Open(&u.Table, data, "sample batch", 8)
+	c, n := packed.Open(&u.Table, data, "session: corrupt sample batch", 8)
 	out := dst
 	if cap(out) < n || out == nil {
 		out = make([]datasource.Sample, n)
@@ -149,7 +149,7 @@ func (p *Packer) PackEvents(out []byte, evs []Event) []byte {
 // decodes a batch: into dst's backing array when it is large enough (every
 // field of every event is overwritten), into a fresh slice otherwise.
 func (u *Unpacker) UnpackEventsInto(dst []Event, data []byte) ([]Event, error) {
-	c, n := packed.Open(&u.Table, data, "event section", 2)
+	c, n := packed.Open(&u.Table, data, "session: corrupt event section", 2)
 	out := dst
 	if cap(out) < n || out == nil {
 		out = make([]Event, n)

@@ -128,7 +128,7 @@ type ShardReader struct {
 // allocates nothing; with a nil t the walk resolves none and every string
 // reads "".
 func ReadShard(t *packed.Table, data []byte) (c ShardReader, sh Shard) {
-	c.r, c.left = packed.Open(t, data, "trace shard", minSpanBytes)
+	c.r, c.left = packed.Open(t, data, "session: corrupt trace shard", minSpanBytes)
 	sh.Daemon, sh.Proc, sh.Node = c.r.Str(), c.r.Str(), c.r.Str()
 	sh.Dropped = c.r.Varint()
 	c.lostAt = c.r.Pos

@@ -9,7 +9,7 @@
 //   - incarnation fencing, so frames from a dead sender incarnation are
 //     acknowledged (unblocking the straggler) but never applied;
 //   - per-chunk CRC32-IEEE payload checksums (Checksum), the same
-//     integrity check the PPDBA1 archive format uses on disk;
+//     integrity check the PPDBA2 archive format uses on disk;
 //   - bounded exponential retry with seeded jitter (Backoff) and a full
 //     redial between attempts — a gob stream is stateful, so a failed
 //     connection is always replaced, never resumed;
@@ -59,7 +59,7 @@ const (
 	SaltBW = 0xbead
 )
 
-// Checksum is the one payload checksum of the wire plane (and of the PPDBA1
+// Checksum is the one payload checksum of the wire plane (and of the PPDBA2
 // archive chunk format): CRC32 with the IEEE polynomial.
 func Checksum(data []byte) uint32 { return crc32.ChecksumIEEE(data) }
 
