@@ -324,7 +324,7 @@ func BenchmarkStoreCycle(b *testing.B) {
 // Consultant's search repeats most: the six pairs its message refinement
 // keeps on MPI_Send (three metrics, whole-program and under a
 // communicator-and-tag focus) instantiated on one process and removed again.
-// internal/mdl's TestInstantiateAllocationBudget bounds the allocs/op at 79.
+// internal/mdl's TestInstantiateAllocationBudget bounds the allocs/op at 40.
 func BenchmarkInstantiate(b *testing.B) {
 	r := idleRank(b)
 	foci := []resource.Focus{resource.WholeProgram(), resource.WholeProgram().WithSync("/SyncObject/Message/comm-1/tag-7")}

@@ -300,8 +300,8 @@ func (d *Daemon) adoptNow(r *mpi.Rank) {
 		Kind: datasource.UpAddResource, Time: d.eng.Now(),
 		Path: machinePath(r.NodeName(), r.Probes().Name()),
 	})
-	// Seed with functions already seen before adoption (attach method).
-	for _, f := range r.Probes().Stack() {
+	// Seed with functions already called before adoption (attach method).
+	for _, f := range r.Probes().CalledFunctions() {
 		rc.functionDiscovered(f)
 	}
 	// Apply pending metric-focus enables to the new process.
@@ -314,7 +314,7 @@ func machinePath(node, proc string) string { return "/Machine/" + node + "/" + p
 
 // functionDiscovered reports a function's first execution in a process the
 // daemon has adopted; one it has yet to adopt (attach latency) is seeded from
-// its call stack then.
+// its called functions then.
 func (d *Daemon) functionDiscovered(r *mpi.Rank, f *probe.Function) {
 	for _, rc := range d.ranks {
 		if rc.r == r {

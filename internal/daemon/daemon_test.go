@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"math"
 	"testing"
 
 	"pperf/internal/cluster"
@@ -240,6 +241,49 @@ func TestModuleWatchExtendsInstrumentation(t *testing.T) {
 	}
 	if cpu < 0.55 { // both functions' compute, not just the first
 		t.Errorf("module cpu = %v, want ≈0.6 (both functions)", cpu)
+	}
+}
+
+// A process adopted late is seeded with every function it called before,
+// not just those on its stack at adoption: a module-level Code focus enabled
+// afterwards instruments work, which was first called before adoption and is
+// off the stack at 100 ms. Seeded from the stack, the sum was 0.
+func TestLateAdoptionSeedsEveryCalledFunction(t *testing.T) {
+	eng, w, ds, rec := rig(t, mpi.LAM, DefaultConfig())
+	w.Register("p", func(r *mpi.Rank, _ []string) {
+		for i := 0; i < 10; i++ {
+			r.Call("late.c", "work", func() { r.Compute(30 * sim.Millisecond) })
+			r.Compute(30 * sim.Millisecond)
+		}
+	})
+	for _, d := range ds {
+		d.DelayAttachUntil(sim.Time(100 * sim.Millisecond))
+	}
+	if _, err := w.LaunchN("p", 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	focus := resource.WholeProgram().WithCode("/Code/late.c")
+	eng.At(sim.Time(400*sim.Millisecond), func() {
+		for _, d := range ds {
+			if _, err := d.Enable("cpu_inclusive", focus); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	for _, d := range ds {
+		d.Start()
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	cpu := 0.0
+	for _, s := range rec.samples {
+		if s.Metric == "cpu_inclusive" {
+			cpu += s.Delta
+		}
+	}
+	if math.Abs(cpu-0.09) > 1e-3 { // the three calls after 400 ms, plus probe cost
+		t.Errorf("module cpu after a late adoption = %v, want 0.09", cpu)
 	}
 }
 

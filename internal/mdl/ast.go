@@ -120,9 +120,9 @@ type ProbeSpec struct {
 	Constrained bool
 	Stmts       []Stmt
 	Line        int
-	// bind is the compiled block, set once by Compile: it yields the probe
-	// handler that runs the block against one instance's frame.
-	bind func(fr *frame) probe.Handler
+	// code is the compiled block, set once by Compile: the probe body that
+	// runs it against the instance frame it is inserted with.
+	code probe.Code
 }
 
 // --- statements inside (* ... *) blocks -----------------------------------

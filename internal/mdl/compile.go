@@ -257,15 +257,9 @@ type Instance struct {
 	// moduleWatch, when non-empty, asks the daemon to call ExtendFunction
 	// for newly discovered functions of this module (module-level foci see
 	// functions that have not executed yet); extend holds the specs such a
-	// function receives.
+	// function receives, run against fr.
 	moduleWatch string
-	extend      []boundSpec
-}
-
-// boundSpec is a probe spec with its code bound to one instance's frame.
-type boundSpec struct {
-	ps *ProbeSpec
-	h  probe.Handler
+	extend      []*ProbeSpec
 }
 
 // Remove deletes the instance's instrumentation from the process —
@@ -283,17 +277,13 @@ func (in *Instance) ModuleWatch() string { return in.moduleWatch }
 
 // ExtendFunction instruments a newly discovered function of the watched
 // module.
-func (in *Instance) ExtendFunction(fname string) { in.insert(fname, in.extend) }
-
-func (in *Instance) insert(fname string, bound []boundSpec) {
-	for _, b := range bound {
-		id := in.target.Probes().Insert(fname, b.ps.Where, b.ps.Order, b.h)
-		in.probeIDs = append(in.probeIDs, id)
-	}
+func (in *Instance) ExtendFunction(fname string) {
+	in.instrument(placement{&in.fr, in.extend, []string{fname}, ""})
 }
 
-// placement is one foreach of an instance: its specs, bound to fr, inserted
-// on fns; watch names the module whose later functions receive them too.
+// placement is one foreach of an instance: its specs, run against fr,
+// inserted on fns; watch names the module whose later functions receive
+// them too.
 type placement struct {
 	fr    *frame
 	specs []*ProbeSpec
@@ -301,22 +291,20 @@ type placement struct {
 	watch string
 }
 
-// instrument binds each spec's code to the placement's frame — one handler
-// serves every function the spec lands on — and inserts them on its
-// functions, function-major and spec-minor: the order the points' probe lists
-// keep. The bound specs outlive the call only under a module watch.
+// instrument inserts each spec once over the placement's functions, in spec
+// order. Each function meets the specs in turn, so its probe list is the one
+// a probe per (function, spec), inserted function by function, would have
+// left.
 func (in *Instance) instrument(pl placement) {
-	var buf [4]boundSpec
-	bound := buf[:0]
-	for _, ps := range pl.specs {
-		bound = append(bound, boundSpec{ps, ps.bind(pl.fr)})
-	}
-	for _, fname := range pl.fns {
-		in.insert(fname, bound)
+	if len(pl.fns) > 0 {
+		for _, ps := range pl.specs {
+			id := in.target.Probes().InsertSet(pl.fns, ps.Where, ps.Order, ps.code, pl.fr)
+			in.probeIDs = append(in.probeIDs, id)
+		}
 	}
 	if pl.watch != "" {
 		in.moduleWatch = pl.watch
-		in.extend = append(in.extend, bound...)
+		in.extend = append(in.extend, pl.specs...)
 	}
 }
 
@@ -373,7 +361,7 @@ func (cm *CompiledMetric) Instantiate(t Target, f resource.Focus) (*Instance, er
 	}
 	n := 0
 	for _, pl := range todo {
-		n += len(pl.specs) * len(pl.fns)
+		n += len(pl.specs)
 	}
 	in.probeIDs = make([]probe.ID, 0, n)
 	for _, pl := range todo {

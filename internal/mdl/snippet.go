@@ -69,23 +69,22 @@ func failf(format string, a ...any) { panic(abort{fmt.Errorf(format, a...)}) }
 // compile turns the spec's statement block into its code: a closure per
 // statement and expression node, every name resolved to a frame slot and
 // every expression typed here — so executing the probe looks nothing up,
-// boxes nothing, and cannot fail. What the spec keeps is bind, which closes
-// that code over an instance's frame as the probe handler; one handler serves
-// every function the spec is inserted on.
+// boxes nothing, and cannot fail. The spec keeps one probe.Code, whose
+// argument is the instance's *frame: it serves every frame and every
+// function the spec is inserted on.
 func (ps *ProbeSpec) compile(sc *scope) {
 	ops := make([]op, len(ps.Stmts))
 	for i, s := range ps.Stmts {
 		ops[i] = s.compile(sc)
 	}
 	constrained := ps.Constrained
-	ps.bind = func(fr *frame) probe.Handler {
-		return func(ev *probe.Event) {
-			if constrained && !fr.satisfied(ev) {
-				return
-			}
-			for _, o := range ops {
-				o(fr, ev)
-			}
+	ps.code = func(arg any, ev *probe.Event) {
+		fr := arg.(*frame)
+		if constrained && !fr.satisfied(ev) {
+			return
+		}
+		for _, o := range ops {
+			o(fr, ev)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package mdl
 
 import (
+	"runtime"
 	"testing"
 
 	"pperf/internal/cluster"
@@ -197,12 +198,14 @@ func TestInstrumentedCallAllocatesNothing(t *testing.T) {
 // The allocation budget of the enable path: the six pairs the Consultant's
 // message refinement keeps on MPI_Send — three metrics, whole-program and
 // under a communicator-and-tag focus — instantiated on one process and
-// removed again. What is left is one bound handler per probe spec (39), each
-// instance with its frame, counters and probe IDs (18), the constraint frames
-// and their flags (15) and the SyncObject path's split (3): 79 objects, the
-// same under the race detector, which make race runs this with. Before the
-// frame moved into the instance and the native constraints became its fields
-// it was 136; compiling the snippets per instance cost 422.
+// removed again. Each probe spec is one probe.Code since Compile, run
+// against the instance's frame, and one set record per spec, so what is
+// left is the instances with their frames, counters and probe IDs, the
+// constraint frames and their flags, and the SyncObject path's split: 40
+// objects, the same under the race detector, which make race runs this
+// with. It was 79 while each spec bound a closure to the frame, 136 before
+// the frame moved into the instance and the native constraints became its
+// fields, and compiling the snippets per instance cost 422.
 func TestInstantiateAllocationBudget(t *testing.T) {
 	p := probe.NewProcess("p", zeroClock{})
 	hit := resource.WholeProgram().WithSync("/SyncObject/Message/comm-1/tag-7")
@@ -222,10 +225,52 @@ func TestInstantiateAllocationBudget(t *testing.T) {
 		}
 	}
 	six()
-	if n := testing.AllocsPerRun(100, six); n > 79 {
-		t.Errorf("six Instantiate + Remove pairs: %v allocs, want at most 79", n)
+	if n := testing.AllocsPerRun(100, six); n > 40 {
+		t.Errorf("six Instantiate + Remove pairs: %v allocs, want at most 40", n)
 	}
 	if p.ActiveProbes() != 0 {
 		t.Errorf("%d probes left after Remove", p.ActiveProbes())
+	}
+}
+
+// The cost of the Consultant's first test of a hypothesis on a process:
+// sync_wait_inclusive enabled on /SyncObject/Message — its foreach names the
+// category's seven functions and their PMPI_ twins, none called yet — on a
+// fresh process, then removed. With one record per spec waiting for the
+// functions' first calls it is 27 objects and 15 416 bytes, the same under
+// the race detector (the bytes are averaged over 400 enables, and other
+// goroutines' allocations can add a few); with a record per (function,
+// spec) and a closure per (spec, frame) it was 91 and 17 032.
+func TestEnableOnAFreshProcessBudget(t *testing.T) {
+	f := resource.WholeProgram().WithSync("/SyncObject/Message")
+	var procs [501]*probe.Process
+	for i := range procs {
+		procs[i] = probe.NewProcess("p", zeroClock{})
+	}
+	i := 0
+	enable := func() {
+		p := procs[i]
+		i++
+		in, err := StdLib().Metric("sync_wait_inclusive").Instantiate(procTarget{p}, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.Remove()
+		if p.ActiveProbes() != 0 {
+			t.Fatalf("%d probes left after Remove", p.ActiveProbes())
+		}
+	}
+	if n := testing.AllocsPerRun(100, enable); n > 27 {
+		t.Errorf("enable + disable on a fresh process: %v allocs, want at most 27", n)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n := len(procs) - i
+	for i < len(procs) {
+		enable()
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / uint64(n); b > 15416+16 {
+		t.Errorf("enable + disable on a fresh process: %d bytes, want at most 15 416 (+16 for the runtime's own)", b)
 	}
 }

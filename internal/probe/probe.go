@@ -81,29 +81,52 @@ func (ev *Event) Arg(i int) any {
 // may be kept; the *Event and the Args slice may not).
 type Handler func(ev *Event)
 
+// Code is a probe body that takes its state as an argument, so one Code
+// serves every probe that runs it; ev is as for a Handler.
+type Code func(arg any, ev *Event)
+
+// runHandler is the Code of Insert's probes, whose argument is the Handler.
+func runHandler(arg any, ev *Event) { arg.(Handler)(ev) }
+
 // ID identifies an inserted probe so it can be deleted: a per-process
-// sequence number over slotBits bits of its function's slot in Process.funcs.
+// sequence number over slotBits bits of its function's slot in Process.funcs,
+// or of waitSlot for a setRec.
 type ID int64
 
-const slotBits = 20
+const (
+	slotBits = 20
+	waitSlot = 1<<slotBits - 1
+)
 
 type probeRec struct {
-	id ID
-	fn Handler
+	id   ID
+	code Code
+	arg  any
 }
 
-// funcInstr holds one function's two probe lists; Process.funcs keeps them
-// by value, so instrumenting a new function allocates no object of its own.
+// setRec is a probe made by InsertSet (or Insert on a function not yet
+// called), kept until Remove: it joins each list at its function's first call.
+type setRec struct {
+	probeRec
+	fns   []string
+	where Where
+	ord   Order
+}
+
+// funcInstr is one function's slot: its probe lists, empty until its first
+// call sets fn, and how many setRecs wait for that call. Process.funcs keeps
+// slots by value, so a new function allocates no object of its own.
 type funcInstr struct {
-	entry []probeRec
-	ret   []probeRec
+	entry, ret []probeRec
+	fn         *Function
+	waiting    int
 }
 
-// firstCap is the capacity of a point's first backing array. Of the 8 904
-// point lists one suite-sweep repetition creates, 4 830 peak at one probe,
-// 642 at 2–8, 1 156 at 9–64 and 2 276 above 64: at 8 the first array holds
-// 61 % of lists for good and spares every longer one the 1→2→4→8 growth, for
-// 128 bytes a point.
+// firstCap is the capacity of a point's first backing array. Only called
+// functions get lists: of the 863 one suite-sweep repetition creates, 296
+// peak at one probe, 227 at 2–8, 178 at 9–64 and 162 above 64. At 8 the
+// first array holds 61 % of lists for good and spares every longer one the
+// 1→2→4→8 growth, for 256 bytes a point.
 const firstCap = 8
 
 // Clock provides a process's notion of time to the probe layer.
@@ -120,12 +143,17 @@ type Clock interface {
 // safe for concurrent use; the simulation engine guarantees sequential
 // execution.
 type Process struct {
-	name   string
-	clock  Clock
-	instr  map[string]ID // function name → slot in funcs
-	funcs  []funcInstr   // by slot, which every probe ID carries
+	name  string
+	clock Clock
+	// slots maps a function name to its slot in funcs and names; called
+	// lists the functions in first-call order, sets the setRecs in ID order.
+	slots  map[string]ID
+	funcs  []funcInstr
+	names  []string
+	called []*Function
+	sets   []setRec
 	nextID ID
-	active int // inserted probes not yet removed
+	active int // inserted probes not yet removed, one per function a set names
 
 	// PerProbeCost is the virtual-time overhead charged to the process for
 	// each probe execution (the instrumentation-perturbation model; see the
@@ -157,9 +185,10 @@ type Process struct {
 	edgeLog [][2]string
 
 	// OnFirstCall, if non-nil, is invoked the first time each distinct
-	// function executes in this process (function resource discovery). It is
-	// one slot, set by whoever creates the process; mpi fans it out to every
-	// listener as Hooks.FunctionDiscovered.
+	// function executes in this process (function resource discovery), after
+	// the probes waiting for that call have joined its lists. It is one slot,
+	// set by whoever creates the process; mpi fans it out to every listener
+	// as Hooks.FunctionDiscovered.
 	OnFirstCall func(f *Function)
 
 	// OnFire, if non-nil, is invoked after an instrumentation point runs its
@@ -167,8 +196,6 @@ type Process struct {
 	// process-local time. The tracing subsystem uses it to record probe
 	// firings without the probe layer depending on the trace package.
 	OnFire func(fn string, w Where, n int, t sim.Time)
-
-	seen map[string]bool
 }
 
 // NewProcess creates the instrumentation state for one process.
@@ -176,29 +203,65 @@ func NewProcess(name string, clock Clock) *Process {
 	return &Process{
 		name:  name,
 		clock: clock,
-		instr: map[string]ID{},
+		slots: map[string]ID{},
 		edges: map[[2]string]bool{},
-		seen:  map[string]bool{},
 	}
 }
 
 // Name returns the process name.
 func (p *Process) Name() string { return p.name }
 
+// slot returns the named function's slot, making one on its first use.
+func (p *Process) slot(fn string) ID {
+	slot, ok := p.slots[fn]
+	if !ok {
+		slot = ID(len(p.funcs))
+		p.slots[fn] = slot
+		p.funcs = append(p.funcs, funcInstr{})
+		p.names = append(p.names, fn)
+	}
+	return slot
+}
+
 // Insert adds a probe at the given point of the named function and returns
 // its removal ID. Insertion takes effect immediately: the next execution of
 // the point runs the handler. This is the "dynamic" in dynamic
 // instrumentation — it happens mid-run.
 func (p *Process) Insert(fn string, w Where, ord Order, h Handler) ID {
-	slot, ok := p.instr[fn]
-	if !ok {
-		slot = ID(len(p.funcs))
-		p.instr[fn] = slot
-		p.funcs = append(p.funcs, funcInstr{})
+	slot := p.slot(fn)
+	if p.funcs[slot].fn == nil { // a set of one name, from names, never rewritten
+		return p.InsertSet(p.names[slot:slot+1:slot+1], w, ord, runHandler, h)
 	}
 	p.nextID++
 	id := p.nextID<<slotBits | slot
-	rec := probeRec{id: id, fn: h}
+	p.place(slot, w, ord, probeRec{id, runHandler, h})
+	p.active++
+	return id
+}
+
+// InsertSet adds one probe, code run with arg, at the given point of every
+// function in fns and returns the one ID that removes it from all of them.
+// A function not yet called receives it at its first call, where an Insert
+// made now would have put it. fns is kept, unchanged, until Remove.
+func (p *Process) InsertSet(fns []string, w Where, ord Order, code Code, arg any) ID {
+	p.nextID++
+	s := setRec{probeRec{p.nextID<<slotBits | waitSlot, code, arg}, fns, w, ord}
+	for _, fn := range fns {
+		slot := p.slot(fn)
+		if fi := &p.funcs[slot]; fi.fn == nil {
+			fi.waiting++
+		} else {
+			p.place(slot, w, ord, s.probeRec)
+		}
+	}
+	p.active += len(fns)
+	p.sets = append(p.sets, s)
+	return s.id
+}
+
+// place puts rec on a point of a called function: in place, or into a new
+// list at the front while a handler loop may be running over this one.
+func (p *Process) place(slot ID, w Where, ord Order, rec probeRec) {
 	list := &p.funcs[slot].entry
 	if w == Return {
 		list = &p.funcs[slot].ret
@@ -214,20 +277,35 @@ func (p *Process) Insert(fn string, w Where, ord Order, h Handler) ID {
 	default:
 		*list = slices.Insert(*list, 0, rec)
 	}
-	p.active++
-	return id
 }
 
 // Remove deletes a previously inserted probe. Removing an unknown ID is a
 // no-op, mirroring how deleting already-removed instrumentation is harmless.
 func (p *Process) Remove(id ID) {
-	slot := id & (1<<slotBits - 1)
-	if slot >= ID(len(p.funcs)) {
+	if slot := id & waitSlot; slot < ID(len(p.funcs)) { // never waitSlot
+		fi := &p.funcs[slot]
+		fi.entry = p.removeRec(fi.entry, id)
+		fi.ret = p.removeRec(fi.ret, id)
 		return
 	}
-	fi := &p.funcs[slot]
-	fi.entry = p.removeRec(fi.entry, id)
-	fi.ret = p.removeRec(fi.ret, id)
+	i, ok := slices.BinarySearchFunc(p.sets, id, func(s setRec, id ID) int { return cmp.Compare(s.id, id) })
+	if !ok {
+		return
+	}
+	s := &p.sets[i]
+	for _, fn := range s.fns {
+		fi := &p.funcs[p.slots[fn]]
+		switch {
+		case fi.fn == nil:
+			fi.waiting--
+			p.active--
+		case s.where == Entry:
+			fi.entry = p.removeRec(fi.entry, id)
+		default:
+			fi.ret = p.removeRec(fi.ret, id)
+		}
+	}
+	p.sets = slices.Delete(p.sets, i, i+1)
 }
 
 // removeRec deletes the probe from the list: in place, clearing the vacated
@@ -253,11 +331,9 @@ func (p *Process) ActiveProbes() int { return p.active }
 // Enter fires the entry point of f. Programs and the MPI runtime call this
 // (via higher-level wrappers) at the start of every traced function.
 func (p *Process) Enter(f *Function, args ...any) {
-	if !p.seen[f.Name] {
-		p.seen[f.Name] = true
-		if p.OnFirstCall != nil {
-			p.OnFirstCall(f)
-		}
+	slot := p.slot(f.Name)
+	if p.funcs[slot].fn == nil {
+		p.firstCall(f, slot)
 	}
 	n := len(p.stack)
 	if n > 0 {
@@ -271,7 +347,28 @@ func (p *Process) Enter(f *Function, args ...any) {
 		p.args = append(p.args, nil)
 	}
 	p.args[n] = append(p.args[n][:0], args...)
-	p.fire(f, Entry, p.args[n])
+	p.fire(f, Entry, p.funcs[slot].entry, p.args[n])
+}
+
+// firstCall marks f called and places the probes waiting for it in ID
+// order, each where Insert would have put it, before OnFirstCall, so a probe
+// inserted there lands after them.
+func (p *Process) firstCall(f *Function, slot ID) {
+	p.called = append(p.called, f)
+	fi := &p.funcs[slot]
+	fi.fn = f
+	for i := 0; fi.waiting > 0; i++ {
+		s := &p.sets[i]
+		for _, fn := range s.fns {
+			if fn == f.Name {
+				fi.waiting--
+				p.place(slot, s.where, s.ord, s.probeRec)
+			}
+		}
+	}
+	if p.OnFirstCall != nil {
+		p.OnFirstCall(f)
+	}
 }
 
 // SetArg sets argument i of the innermost traced call — an out-parameter
@@ -287,26 +384,19 @@ func (p *Process) SetArg(i int, v any) {
 // Leave fires the return point of f — its handlers see the argument vector
 // the call entered with — and pops the call stack.
 func (p *Process) Leave(f *Function) {
+	list := p.funcs[p.slot(f.Name)].ret
 	n := len(p.stack) - 1
 	if n < 0 || p.stack[n] != f {
-		p.fire(f, Return, nil)
+		p.fire(f, Return, list, nil)
 		return
 	}
-	p.fire(f, Return, p.args[n])
+	p.fire(f, Return, list, p.args[n])
 	p.stack = p.stack[:n]
 	clear(p.args[n]) // the idle slot must not pin the call's buffers and handles
 }
 
-// fire runs the probes installed at (f, w).
-func (p *Process) fire(f *Function, w Where, args []any) {
-	slot, ok := p.instr[f.Name]
-	if !ok {
-		return
-	}
-	list := p.funcs[slot].entry
-	if w == Return {
-		list = p.funcs[slot].ret
-	}
+// fire runs list, the probes installed at (f, w).
+func (p *Process) fire(f *Function, w Where, list []probeRec, args []any) {
 	if len(list) == 0 {
 		return
 	}
@@ -316,7 +406,7 @@ func (p *Process) fire(f *Function, w Where, args []any) {
 	}
 	p.firing++
 	for _, r := range list {
-		r.fn(&p.ev)
+		r.code(r.arg, &p.ev)
 		p.Executions++
 	}
 	p.firing--
@@ -330,6 +420,9 @@ func (p *Process) fire(f *Function, w Where, args []any) {
 
 // Stack returns the current traced call stack (innermost last).
 func (p *Process) Stack() []*Function { return p.stack }
+
+// CalledFunctions returns the functions called so far, in first-call order.
+func (p *Process) CalledFunctions() []*Function { return p.called }
 
 // InFunction reports whether the named function is anywhere on the current
 // call stack — the predicate behind inclusive procedure constraints.
