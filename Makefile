@@ -33,10 +33,12 @@ race:
 
 verify: build vet fmt-check test race fuzz-smoke bench-smoke bench-module replay-golden perfdb-golden sync-golden wire-golden trend-golden experiments-golden
 
-# loc prints the size figure simplicity PRs quote: non-test Go lines outside
-# bench/, then the same count per internal package. Not part of verify.
+# loc prints the size figures simplicity PRs quote: non-test and test Go lines
+# outside bench/, then the non-test count per internal package. Not part of
+# verify.
 loc:
 	@printf '%6d  non-test Go outside bench/\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)
+	@printf '%6d  test Go outside bench/\n' $$(find . -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)
 	@for d in internal/*/; do \
 		printf '%6d  %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $${d%/}; \
 	done

@@ -59,6 +59,13 @@ func TestCLIExitCodes(t *testing.T) {
 	if out, err := exec.Command(bin, "-prog", "small-messages", "-iterations", "300", "-record", untraced).CombinedOutput(); err != nil {
 		t.Fatalf("recording %s: %v\n%s", untraced, err, out)
 	}
+	// An archive of a run without the Consultant, which -replay prints and judges.
+	noPC := filepath.Join(dir, "no-pc.ppdb")
+	if rec, err := perfdb.NewStreamRecorder(noPC); err != nil {
+		t.Fatal(err)
+	} else if _, err := pperfmark.Run("small-messages", pperfmark.RunOptions{DisablePC: true, Params: pperfmark.Params{Iterations: 300}, Record: rec}); err != nil || rec.Close() != nil {
+		t.Fatalf("recording %s: %v", noPC, err)
+	}
 	bracesInMDL := write("braces-in-mdl.pcl", strings.Replace(string(pclText), `"PMPI_Barrier" };`, `"PMPI_Barrier", "no}such{fn" }; // a } ends no block`, 1))
 
 	cases := []struct {
@@ -105,6 +112,7 @@ func TestCLIExitCodes(t *testing.T) {
 		{"db add of a retired v1 archive", []string{"db", "-store", store, "add", v1}, 1, "v1 PPARCH archive format retired"},
 		{"replay of a retired PPDBA1 archive", []string{"-replay", ppdba1}, 1, "pperf: perfdb: PPDBA1 archive format retired; re-record the run"},
 		{"replay of garbage", []string{"-replay", garbage}, 1, "not a pperf session archive"},
+		{"replay of a run without the Consultant", []string{"-replay", noPC}, 0, ""},
 		{"db add with an ID-shaped label", []string{"db", "-store", store, "add", "-label", "r0001", empty}, 1, "shape of a run ID"},
 		{"unwritable trace path", []string{"-prog", "small-messages", "-iterations", "10", "-trace", filepath.Join(dir, "no-such-dir", "x.json")}, 1, "no such file or directory"},
 		{"db list of a missing store", []string{"db", "-store", typo, "list"}, 1, "pperf db: no store at " + typo},

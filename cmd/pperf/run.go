@@ -232,8 +232,11 @@ func printResult(res *pperfmark.Result, o *opts) int {
 		}
 		fmt.Printf("Data coverage: %.2f\n\n", res.Coverage)
 	}
-	fmt.Println("Performance Consultant (condensed):")
-	fmt.Print(res.PC.Render())
+	if res.PC == nil {
+		fmt.Println("Performance Consultant: not run in this session")
+	} else {
+		fmt.Print("Performance Consultant (condensed):\n", res.PC.Render())
+	}
 
 	if o.hier {
 		fmt.Println("\nResource hierarchy:")

@@ -109,7 +109,7 @@ func TestPCAllFalseForQuietProgram(t *testing.T) {
 			r.SystemCompute(100 * sim.Millisecond)
 		}
 	})
-	if pc.AnyTrue() {
+	if pc.HasFinding("", "") {
 		t.Errorf("all hypotheses should be false:\n%s", pc.Render())
 	}
 }
@@ -371,7 +371,7 @@ func TestPCConfigThresholdsRespected(t *testing.T) {
 	cfg.CPUThreshold = 5
 	cfg.IOThreshold = 5
 	pc := runPC(t, mpi.LAM, 4, cfg, intensiveServerProg(200))
-	if pc.AnyTrue() {
+	if pc.HasFinding("", "") {
 		t.Errorf("nothing should pass a threshold of 5:\n%s", pc.Render())
 	}
 }

@@ -107,7 +107,8 @@ func (e Export) String() string {
 
 // HasFinding reports whether some true node under the given hypothesis has
 // a focus containing substr (e.g. "MPI_Send", "/SyncObject/Window/0-1").
-// Empty hypothesis matches any.
+// An empty hypothesis matches any, so HasFinding("", "") reports whether
+// anything tested true.
 func (c *Consultant) HasFinding(hypothesis, substr string) bool {
 	return hasFinding(c.roots, hypothesis, substr)
 }
@@ -141,17 +142,6 @@ func (c *Consultant) TopLevelTrue(hypothesis string) bool {
 	for _, r := range c.roots {
 		if r.Hypothesis == hypothesis {
 			return r.True
-		}
-	}
-	return false
-}
-
-// AnyTrue reports whether any top-level hypothesis tested true (system-time
-// expects none).
-func (c *Consultant) AnyTrue() bool {
-	for _, r := range c.roots {
-		if r.True {
-			return true
 		}
 	}
 	return false

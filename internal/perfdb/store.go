@@ -508,29 +508,6 @@ func (st *Store) dropReservationLocked(id string) bool {
 	return false
 }
 
-// EnsureHashes backfills content hashes for runs stored by builds that
-// predate content addressing; sync dedupe keys on them.
-func (st *Store) EnsureHashes() error {
-	return st.withLock(func() error {
-		changed := false
-		for i := range st.index.Runs {
-			if st.index.Runs[i].Hash != "" {
-				continue
-			}
-			h, _, err := fileSHA256(st.RunPath(st.index.Runs[i].ID))
-			if err != nil {
-				return fmt.Errorf("perfdb: hash %s: %w", st.index.Runs[i].ID, err)
-			}
-			st.index.Runs[i].Hash = h
-			changed = true
-		}
-		if changed {
-			return st.saveIndex()
-		}
-		return nil
-	})
-}
-
 // checkLabel keeps Get unambiguous: it refuses a label another run holds,
 // and any label of the run-ID shape (r + digits) — free today or not, it
 // would shadow that ID's run once the sequence reaches it.

@@ -248,9 +248,6 @@ type PushResult struct {
 
 // Push streams one stored run (ID or label) to the store served at addr.
 func Push(st *Store, runID, addr string, cfg SyncConfig) (*PushResult, error) {
-	if err := st.EnsureHashes(); err != nil {
-		return nil, err
-	}
 	m, err := st.Get(runID)
 	if err != nil {
 		return nil, err
@@ -341,9 +338,6 @@ type PullResult struct {
 // hash, parsed for structural validity, and only then ingested under a
 // fresh local ID.
 func Pull(st *Store, addr, runID string, cfg SyncConfig) ([]PullResult, *wire.Stats, error) {
-	if err := st.EnsureHashes(); err != nil {
-		return nil, nil, err
-	}
 	c, err := dialSync(addr, cfg)
 	if err != nil {
 		return nil, nil, err
@@ -544,9 +538,6 @@ type SyncServer struct {
 // same advisory-locked paths the CLI uses, so a served store remains safe
 // to use locally.
 func Serve(st *Store, addr string) (*SyncServer, error) {
-	if err := st.EnsureHashes(); err != nil {
-		return nil, err
-	}
 	s := &SyncServer{st: st, uploads: wire.NewLockTable()}
 	srv, err := wire.Listen(addr, s.serve)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -737,5 +738,55 @@ func TestSyncPullStallGuard(t *testing.T) {
 				t.Errorf("pull left a partial behind (stat err = %v)", err)
 			}
 		})
+	}
+}
+
+// Every door into a store hashes what it admits, so an index entry without a
+// content hash was edited by hand: push and pull refuse it, and neither store
+// changes.
+func TestSyncRefusesAnEntryWithoutAHash(t *testing.T) {
+	src, m := storeWithRun(t, 1, 50, "base")
+	var idx map[string]any
+	if err := json.Unmarshal(mustReadFile(t, src.indexPath()), &idx); err != nil {
+		t.Fatal(err)
+	}
+	delete(idx["runs"].([]any)[0].(map[string]any), "hash")
+	data, err := json.Marshal(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(src.indexPath(), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if src, err = Open(src.Dir()); err != nil {
+		t.Fatal(err)
+	}
+	peer, peerSrv := serveStore(t)
+	files := func() string {
+		var b strings.Builder
+		for _, dir := range []string{src.Dir(), peer.Dir()} {
+			filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+				if err == nil && !d.IsDir() && d.Name() != ".lock" {
+					fmt.Fprintf(&b, "%s %x\n", path, sha256.Sum256(mustReadFile(t, path)))
+				}
+				return err
+			})
+		}
+		return b.String()
+	}
+	before := files()
+	if _, err := Push(src, m.ID, peerSrv.Addr(), testSyncConfig()); err == nil || !strings.Contains(err.Error(), "bad content hash") {
+		t.Errorf("push of a run without a hash: %v", err)
+	}
+	srcSrv, err := Serve(src, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srcSrv.Close()
+	if _, _, err := Pull(peer, srcSrv.Addr(), "", testSyncConfig()); err == nil || !strings.Contains(err.Error(), "bad content hash") {
+		t.Errorf("pull of a run without a hash: %v", err)
+	}
+	if after := files(); after != before {
+		t.Errorf("the stores changed:\nbefore\n%safter\n%s", before, after)
 	}
 }

@@ -3,98 +3,132 @@ package pperfmark
 import (
 	"fmt"
 
+	"pperf/internal/consultant"
 	"pperf/internal/mpi"
 	"pperf/internal/sim"
 )
 
-// The MPI-1 half of PPerfMark (Table 2), ported from Grindstone. Paper
-// parameters are noted per program; the runnable defaults are scaled so the
-// whole suite executes quickly while leaving the Performance Consultant
-// enough virtual time to converge.
-
-func init() {
-	register(&Entry{
-		Name: "small-messages",
-		Description: "Many small messages from client ranks to a rank-0 " +
-			"server; the clients' sends throttle on the overloaded server.",
-		Defaults:    Params{Iterations: 30000, MessageSize: 4, Procs: 6},
-		PaperParams: "10,000,000 iterations, 4-byte messages, 6 processes on 3 nodes",
-		Make:        smallMessages,
-		ExpectedBytesSent: func(p Params) float64 {
-			return float64(p.Iterations * (p.Procs - 1) * p.MessageSize)
-		},
-	})
-	register(&Entry{
-		Name: "big-message",
-		Description: "Very large messages exchanged between two processes; " +
-			"the bottleneck is rendezvous setup and transfer of each message.",
-		Defaults:    Params{Iterations: 1500, MessageSize: 100000, Procs: 2},
-		PaperParams: "1000 iterations, 100,000-byte messages, 2 processes",
-		Make:        bigMessage,
-		ExpectedBytesSent: func(p Params) float64 {
-			return float64(2 * p.Iterations * p.MessageSize)
-		},
-	})
-	register(&Entry{
-		Name: "wrong-way",
-		Description: "The receiver expects messages in the opposite order " +
-			"from how the sender sends them, forcing unexpected-queue buildup.",
-		Defaults:    Params{Iterations: 120, Messages: 600, MessageSize: 4, Procs: 2},
-		PaperParams: "18,000 iterations, 1000 messages",
-		Make:        wrongWay,
-		ExpectedBytesSent: func(p Params) float64 {
-			return float64(p.Iterations * p.Messages * p.MessageSize)
-		},
-	})
-	register(&Entry{
-		Name: "intensive-server",
-		Description: "Clients repeatedly send a request and wait for the " +
-			"reply from a deliberately slow rank-0 server.",
-		Defaults:    Params{Iterations: 120, TimeToWaste: 1, Procs: 6, WasteUnit: 10 * sim.Millisecond},
-		PaperParams: "10,000 iterations, TIMETOWASTE=1, 6 processes on 3 nodes",
-		Make:        intensiveServer,
-	})
-	register(&Entry{
-		Name: "random-barrier",
-		Description: "Each iteration a pseudo-random process wastes time " +
-			"while the others wait in MPI_Barrier: a moving load imbalance.",
-		Defaults:    Params{Iterations: 300, TimeToWaste: 5, Procs: 6, WasteUnit: 10 * sim.Millisecond},
-		PaperParams: "800 iterations, TIMETOWASTE=5, 6 processes on 3 nodes",
-		Make:        randomBarrier,
-	})
-	register(&Entry{
-		Name: "diffuse-procedure",
-		Description: "bottleneckProcedure consumes one CPU's worth of time, " +
-			"rotated round-robin across processes waiting in MPI_Barrier.",
-		Defaults:    Params{Iterations: 500, Procs: 4, WasteUnit: 10 * sim.Millisecond},
-		PaperParams: "2000 iterations, 4 processes on 2 nodes",
-		Make:        diffuseProcedure,
-	})
-	register(&Entry{
-		Name: "system-time",
-		Description: "The program spends its time in system calls, which " +
-			"the tool's default metrics do not measure (the suite's designed failure).",
-		Defaults:    Params{Iterations: 400, Procs: 4, WasteUnit: 10 * sim.Millisecond},
-		PaperParams: "10,000 iterations, 4 processes on 2 nodes",
-		Make:        systemTime,
-	})
-	register(&Entry{
-		Name: "hot-procedure",
-		Description: "A single computational bottleneck in " +
-			"bottleneckProcedure among twelve irrelevant procedures.",
-		Defaults:    Params{Iterations: 500, Procs: 4, WasteUnit: 10 * sim.Millisecond},
-		PaperParams: "1,000,000 iterations, 4 processes on 2 nodes",
-		Make:        hotProcedure,
-	})
-	register(&Entry{
-		Name: "sstwod",
-		Description: "The Using-MPI 2-D Poisson solver: neighbour exchange " +
-			"in exchng2 over MPI_Sendrecv plus an MPI_Allreduce per sweep.",
-		Defaults:    Params{Iterations: 400, MessageSize: 8192, Procs: 4, WasteUnit: 10 * sim.Millisecond},
-		PaperParams: "the book's example, run until convergence",
-		Make:        sstwod,
-	})
-}
+// mpi1Suite is the MPI-1 half of PPerfMark (Table 2), ported from
+// Grindstone. Paper parameters are noted per program; the runnable defaults
+// are scaled so the whole suite executes quickly while leaving the
+// Performance Consultant enough virtual time to converge.
+var mpi1Suite = []Entry{{
+	Name: "small-messages",
+	Description: "Many small messages from client ranks to a rank-0 " +
+		"server; the clients' sends throttle on the overloaded server.",
+	Defaults:    Params{Iterations: 30000, MessageSize: 4, Procs: 6},
+	PaperParams: "10,000,000 iterations, 4-byte messages, 6 processes on 3 nodes",
+	Make:        smallMessages,
+	ExpectedBytesSent: func(p Params) float64 {
+		return float64(p.Iterations * (p.Procs - 1) * p.MessageSize)
+	},
+	Expect: []Expectation{syncTrue,
+		findSync("drilled into Gsend_message", "Gsend_message not found", "Gsend_message"),
+		findSync("found MPI_Send", "MPI_Send not found", "MPI_Send"),
+		findSync("identified the communicator", "communicator not identified", "/SyncObject/Message/comm-"),
+		Expectation{Hyp: consultant.HypIO, Detail: "ExcessiveIOBlockingTime true (socket transport)",
+			Problem: "IO hypothesis false under MPICH"}.under(mpi.MPICH),
+	},
+}, {
+	Name: "big-message",
+	Description: "Very large messages exchanged between two processes; " +
+		"the bottleneck is rendezvous setup and transfer of each message.",
+	Defaults:    Params{Iterations: 1500, MessageSize: 100000, Procs: 2},
+	PaperParams: "1000 iterations, 100,000-byte messages, 2 processes",
+	Make:        bigMessage,
+	ExpectedBytesSent: func(p Params) float64 {
+		return float64(2 * p.Iterations * p.MessageSize)
+	},
+	Expect: []Expectation{syncTrue,
+		findSync("drilled into Gsend_message/Grecv_message", "send/recv wrappers not found", "Gsend_message", "Grecv_message"),
+		findSync("found MPI_Send/MPI_Recv", "MPI p2p functions not found", "MPI_Send", "MPI_Recv"),
+	},
+}, {
+	Name: "wrong-way",
+	Description: "The receiver expects messages in the opposite order " +
+		"from how the sender sends them, forcing unexpected-queue buildup.",
+	Defaults:    Params{Iterations: 120, Messages: 600, MessageSize: 4, Procs: 2},
+	PaperParams: "18,000 iterations, 1000 messages",
+	Make:        wrongWay,
+	ExpectedBytesSent: func(p Params) float64 {
+		return float64(p.Iterations * p.Messages * p.MessageSize)
+	},
+	Expect: []Expectation{syncTrue,
+		findSync("send_message/recv_message are the bottlenecks", "wrappers not found", "Gsend_message", "Grecv_message"),
+		findSync("found MPI_Send/MPI_Recv", "p2p functions not found", "MPI_Send", "MPI_Recv"),
+	},
+}, {
+	Name: "intensive-server",
+	Description: "Clients repeatedly send a request and wait for the " +
+		"reply from a deliberately slow rank-0 server.",
+	Defaults:    Params{Iterations: 120, TimeToWaste: 1, Procs: 6, WasteUnit: 10 * sim.Millisecond},
+	PaperParams: "10,000 iterations, TIMETOWASTE=1, 6 processes on 3 nodes",
+	Make:        intensiveServer,
+	Expect: []Expectation{syncTrue,
+		findSync("drilled through Grecv_message", "Grecv_message not found", "Grecv_message"),
+		findSync("found MPI_Recv", "MPI_Recv not found", "MPI_Recv"),
+		cpuTrue,
+	},
+}, {
+	Name: "random-barrier",
+	Description: "Each iteration a pseudo-random process wastes time " +
+		"while the others wait in MPI_Barrier: a moving load imbalance.",
+	Defaults:    Params{Iterations: 300, TimeToWaste: 5, Procs: 6, WasteUnit: 10 * sim.Millisecond},
+	PaperParams: "800 iterations, TIMETOWASTE=5, 6 processes on 3 nodes",
+	Make:        randomBarrier,
+	Expect: []Expectation{syncTrue,
+		findSync("found MPI_Barrier", "MPI_Barrier not found", "MPI_Barrier"),
+		cpuTrue,
+		findCPU("pinpointed waste_time", "waste_time not found", "waste_time"),
+		findSync("exposed PMPI_Sendrecv inside the barrier", "barrier internals not exposed", "MPI_Sendrecv").under(mpi.MPICH),
+	},
+}, {
+	Name: "diffuse-procedure",
+	Description: "bottleneckProcedure consumes one CPU's worth of time, " +
+		"rotated round-robin across processes waiting in MPI_Barrier.",
+	Defaults:    Params{Iterations: 500, Procs: 4, WasteUnit: 10 * sim.Millisecond},
+	PaperParams: "2000 iterations, 4 processes on 2 nodes",
+	Make:        diffuseProcedure,
+	Expect: []Expectation{syncTrue,
+		findSync("found MPI_Barrier", "MPI_Barrier not found", "MPI_Barrier"),
+		findCPU("found bottleneckProcedure with CPU threshold 0.2", "bottleneckProcedure not found", "bottleneckProcedure"),
+	},
+	CPUThreshold: 0.2,
+}, {
+	Name: "system-time",
+	Description: "The program spends its time in system calls, which " +
+		"the tool's default metrics do not measure (the suite's designed failure).",
+	Defaults:    Params{Iterations: 400, Procs: 4, WasteUnit: 10 * sim.Millisecond},
+	PaperParams: "10,000 iterations, 4 processes on 2 nodes",
+	Make:        systemTime,
+	Expect: []Expectation{{Absent: true,
+		Detail: "all hypotheses tested false (no system-time metrics)", Problem: "a hypothesis unexpectedly tested true"}},
+	PaperResult: "Fail",
+}, {
+	Name: "hot-procedure",
+	Description: "A single computational bottleneck in " +
+		"bottleneckProcedure among twelve irrelevant procedures.",
+	Defaults:    Params{Iterations: 500, Procs: 4, WasteUnit: 10 * sim.Millisecond},
+	PaperParams: "1,000,000 iterations, 4 processes on 2 nodes",
+	Make:        hotProcedure,
+	Expect: []Expectation{cpuTrue,
+		findCPU("CPU bound in bottleneckProcedure", "bottleneckProcedure not found", "bottleneckProcedure"),
+		{Hyp: consultant.HypCPU, Focus: []string{"irrelevantProcedure"}, Absent: true,
+			Detail: "irrelevant procedures not implicated", Problem: "an irrelevantProcedure was implicated"},
+	},
+}, {
+	Name: "sstwod",
+	Description: "The Using-MPI 2-D Poisson solver: neighbour exchange " +
+		"in exchng2 over MPI_Sendrecv plus an MPI_Allreduce per sweep.",
+	Defaults:    Params{Iterations: 400, MessageSize: 8192, Procs: 4, WasteUnit: 10 * sim.Millisecond},
+	PaperParams: "the book's example, run until convergence",
+	Make:        sstwod,
+	Expect: []Expectation{syncTrue,
+		findSync("drilled into exchng2", "exchng2 not found", "exchng2"),
+		findSync("found MPI_Sendrecv", "MPI_Sendrecv not found", "MPI_Sendrecv"),
+		findSync("found MPI_Allreduce", "MPI_Allreduce not found", "MPI_Allreduce"),
+	},
+}}
 
 const tagWork = 0
 

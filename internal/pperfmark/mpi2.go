@@ -1,107 +1,181 @@
 package pperfmark
 
 import (
+	"fmt"
+	"strings"
+
 	"pperf/internal/mpi"
+	"pperf/internal/resource"
 	"pperf/internal/sim"
 )
 
-// The MPI-2 half of PPerfMark (Table 3): the programs the paper designed to
-// test RMA measurement, window lifecycle handling, dynamic process creation,
-// and object naming.
+// mpi2Suite is the MPI-2 half of PPerfMark (Table 3): the programs the paper
+// designed to test RMA measurement, window lifecycle handling, dynamic
+// process creation, and object naming.
+var mpi2Suite = []Entry{{
+	Name: "allcount",
+	MPI2: true,
+	Description: "Transfers a known amount of data with a known number " +
+		"of Puts, Gets and Accumulates, to verify the RMA counting metrics.",
+	Defaults:    Params{Iterations: 50, MessageSize: 256, Procs: 4},
+	PaperParams: "known op and byte counts (unspecified)",
+	Make:        allcount,
+	ExpectedPutOps: func(p Params) float64 {
+		return float64(p.Iterations * (p.Procs - 1))
+	},
+	ExpectedGetOps: func(p Params) float64 {
+		return float64(p.Iterations * (p.Procs - 1))
+	},
+	ExpectedAccOps: func(p Params) float64 {
+		return float64(p.Iterations * (p.Procs - 1))
+	},
+	ExpectedRMABytes: func(p Params) float64 {
+		return float64(3 * p.Iterations * (p.Procs - 1) * p.MessageSize)
+	},
+	Check: func(res *Result, v *Verdict) {
+		v.want(res.Source.Hierarchy().FindPath("/SyncObject/Window/0-1") != nil,
+			"window incorporated into the resource hierarchy", "window resource missing")
+	},
+}, {
+	Name: "wincreate-blast",
+	MPI2: true,
+	Description: "Creates and deallocates a large number of RMA windows " +
+		"very quickly; every one must appear (and retire) in the resource hierarchy.",
+	Defaults:    Params{Windows: 24, Procs: 4},
+	PaperParams: "a large number of windows (unspecified)",
+	Make:        wincreateBlast,
+	Check:       checkWindows,
+}, {
+	Name: "winfence-sync",
+	MPI2: true,
+	Description: "MPI_Win_fence synchronization with an artificial " +
+		"bottleneck in rank 0, which arrives late at every fence.",
+	Defaults:    Params{Iterations: 300, TimeToWaste: 4, Procs: 4, MessageSize: 64, WasteUnit: 10 * sim.Millisecond},
+	PaperParams: "artificial bottleneck in rank 0 (iterations unspecified)",
+	Make:        winfenceSync,
+	Expect: []Expectation{syncTrue,
+		findSync("ranks wait in MPI_Win_fence", "MPI_Win_fence not found", "MPI_Win_fence"),
+		window,
+		findCPU("rank 0 CPU bound in waste_time", "waste_time not found", "waste_time"),
+	},
+}, {
+	Name: "winscpw-sync",
+	MPI2: true,
+	Description: "Start/Complete–Post/Wait synchronization; rank 0 " +
+		"wastes time between Win_wait and Win_post, so the origins block " +
+		"in Win_start (LAM) or Win_complete (MPICH2).",
+	Defaults:    Params{Iterations: 300, TimeToWaste: 4, Procs: 3, MessageSize: 64, WasteUnit: 10 * sim.Millisecond},
+	PaperParams: "artificial bottleneck in rank 0 (iterations unspecified)",
+	Make:        winscpwSync,
+	Expect: []Expectation{syncTrue,
+		findSync("origins block in MPI_Win_start (LAM)", "MPI_Win_start not found", "MPI_Win_start").under(mpi.LAM),
+		findSync("origins block in MPI_Win_complete (MPICH2)", "MPI_Win_complete not found", "MPI_Win_complete").
+			under(mpi.MPICH, mpi.MPICH2, mpi.Reference),
+		window,
+		findCPU("rank 0 CPU bound in waste_time", "waste_time not found", "waste_time"),
+	},
+}, {
+	Name: "spawncount",
+	MPI2: true,
+	Description: "Spawns a known number of child processes that simply " +
+		"exit; all must be detected and added to the resource hierarchy.",
+	Defaults:    Params{Children: 4, Procs: 1},
+	PaperParams: "a known number of children (unspecified)",
+	Make:        spawncount,
+	Check:       checkChildren,
+}, {
+	Name: "spawnsync",
+	MPI2: true,
+	Description: "Spawns children, then exchanges a known number of " +
+		"messages parent↔children; an artificial computational bottleneck " +
+		"sits in the parent, so the children wait in MPI_Recv.",
+	Defaults:    Params{Iterations: 250, Children: 3, TimeToWaste: 3, Procs: 1, MessageSize: 4, WasteUnit: 10 * sim.Millisecond},
+	PaperParams: "known message count, bottleneck in parent",
+	Make:        spawnsync,
+	ExpectedBytesSent: func(p Params) float64 {
+		// parent → each child, and each child's reply, per iteration
+		return float64(2 * p.Iterations * p.Children * p.MessageSize)
+	},
+	Expect: []Expectation{syncTrue,
+		findSync("children wait inside childfunction", "childfunction not found", "childfunction"),
+		findSync("children wait in MPI_Recv", "MPI_Recv not found", "MPI_Recv"),
+		findCPU("parent CPU bound in parentfunction", "parentfunction not found", "parentfunction"),
+	},
+}, {
+	Name: "spawnwin-sync",
+	MPI2: true,
+	Description: "Spawns children and creates an RMA window over the " +
+		"merged parent+child intracommunicator; the parent's bottleneck " +
+		"makes the children wait in MPI_Win_fence.",
+	Defaults:    Params{Iterations: 250, Children: 3, TimeToWaste: 3, Procs: 1, MessageSize: 64, WasteUnit: 10 * sim.Millisecond},
+	PaperParams: "bottleneck in parent, window over parent+children",
+	Make:        spawnwinSync,
+	Expect: []Expectation{syncTrue,
+		findSync("children wait in MPI_Win_fence", "MPI_Win_fence not found", "MPI_Win_fence"),
+		findCPU("parent CPU bound in parentfunction", "parentfunction not found", "parentfunction"),
+		findSync("message-passing sync from LAM's Isend/Waitall fence", "LAM fence message traffic not found",
+			"/SyncObject/Message", "MPI_Isend", "MPI_Waitall").under(mpi.LAM),
+	},
+	Check: func(res *Result, v *Verdict) {
+		named := false
+		res.Source.Hierarchy().Root().Walk(func(n *resource.Node) {
+			named = named || n.DisplayName() == "ParentChildWindow"
+		})
+		v.want(named, "friendly window name displayed", "window name missing")
+	},
+}, {
+	Name: "oned",
+	MPI2: true,
+	Description: "The Using-MPI-2 1-D decomposition example: halo " +
+		"exchange via MPI_Put between MPI_Win_fence pairs in exchng1 " +
+		"(LAM's fence is an MPI_Barrier, which surfaces as a Barrier bottleneck).",
+	Defaults:    Params{Iterations: 400, MessageSize: 4096, Procs: 4, WasteUnit: 10 * sim.Millisecond},
+	PaperParams: "the book's example",
+	Make:        oned,
+	Expect: []Expectation{syncTrue,
+		findSync("drilled into exchng1", "exchng1 not found", "exchng1"),
+		findSync("found MPI_Win_fence", "MPI_Win_fence not found", "MPI_Win_fence"),
+		findSync("LAM: Barrier sync object implicated (fence is a barrier)", "Barrier not implicated under LAM",
+			"/SyncObject/Barrier").under(mpi.LAM),
+	},
+}}
 
-func init() {
-	register(&Entry{
-		Name: "allcount",
-		MPI2: true,
-		Description: "Transfers a known amount of data with a known number " +
-			"of Puts, Gets and Accumulates, to verify the RMA counting metrics.",
-		Defaults:    Params{Iterations: 50, MessageSize: 256, Procs: 4},
-		PaperParams: "known op and byte counts (unspecified)",
-		Make:        allcount,
-		ExpectedPutOps: func(p Params) float64 {
-			return float64(p.Iterations * (p.Procs - 1))
-		},
-		ExpectedGetOps: func(p Params) float64 {
-			return float64(p.Iterations * (p.Procs - 1))
-		},
-		ExpectedAccOps: func(p Params) float64 {
-			return float64(p.Iterations * (p.Procs - 1))
-		},
-		ExpectedRMABytes: func(p Params) float64 {
-			return float64(3 * p.Iterations * (p.Procs - 1) * p.MessageSize)
-		},
+// checkWindows: every window wincreate-blast made is in the hierarchy under
+// its own N-M name, and retired after MPI_Win_free.
+func checkWindows(res *Result, v *Verdict) {
+	ws := res.Source.Hierarchy().Find(resource.SyncObject, resource.Window).Children()
+	names, retired, want := map[string]bool{}, 0, res.Params.Windows
+	for _, w := range ws {
+		names[w.Name()] = true
+		if w.Retired() {
+			retired++
+		}
+	}
+	if dups := len(names) < len(ws); len(ws) == want && !dups {
+		v.Details = append(v.Details, fmt.Sprintf("all %d windows detected with unique N-M ids", len(ws)))
+	} else {
+		v.Problems = append(v.Problems, fmt.Sprintf("windows detected = %d (dups=%v), want %d", len(ws), dups, want))
+	}
+	if retired == want {
+		v.Details = append(v.Details, "all windows retired after MPI_Win_free")
+	} else {
+		v.Problems = append(v.Problems, fmt.Sprintf("retired = %d, want %d", retired, want))
+	}
+}
+
+// checkChildren: every process spawncount spawned is in the hierarchy.
+func checkChildren(res *Result, v *Verdict) {
+	count := 0
+	res.Source.Hierarchy().Find(resource.Machine).Walk(func(n *resource.Node) {
+		if strings.Contains(n.Name(), "spawncount-child{") {
+			count++
+		}
 	})
-	register(&Entry{
-		Name: "wincreate-blast",
-		MPI2: true,
-		Description: "Creates and deallocates a large number of RMA windows " +
-			"very quickly; every one must appear (and retire) in the resource hierarchy.",
-		Defaults:    Params{Windows: 24, Procs: 4},
-		PaperParams: "a large number of windows (unspecified)",
-		Make:        wincreateBlast,
-	})
-	register(&Entry{
-		Name: "winfence-sync",
-		MPI2: true,
-		Description: "MPI_Win_fence synchronization with an artificial " +
-			"bottleneck in rank 0, which arrives late at every fence.",
-		Defaults:    Params{Iterations: 300, TimeToWaste: 4, Procs: 4, MessageSize: 64, WasteUnit: 10 * sim.Millisecond},
-		PaperParams: "artificial bottleneck in rank 0 (iterations unspecified)",
-		Make:        winfenceSync,
-	})
-	register(&Entry{
-		Name: "winscpw-sync",
-		MPI2: true,
-		Description: "Start/Complete–Post/Wait synchronization; rank 0 " +
-			"wastes time between Win_wait and Win_post, so the origins block " +
-			"in Win_start (LAM) or Win_complete (MPICH2).",
-		Defaults:    Params{Iterations: 300, TimeToWaste: 4, Procs: 3, MessageSize: 64, WasteUnit: 10 * sim.Millisecond},
-		PaperParams: "artificial bottleneck in rank 0 (iterations unspecified)",
-		Make:        winscpwSync,
-	})
-	register(&Entry{
-		Name: "spawncount",
-		MPI2: true,
-		Description: "Spawns a known number of child processes that simply " +
-			"exit; all must be detected and added to the resource hierarchy.",
-		Defaults:    Params{Children: 4, Procs: 1},
-		PaperParams: "a known number of children (unspecified)",
-		Make:        spawncount,
-	})
-	register(&Entry{
-		Name: "spawnsync",
-		MPI2: true,
-		Description: "Spawns children, then exchanges a known number of " +
-			"messages parent↔children; an artificial computational bottleneck " +
-			"sits in the parent, so the children wait in MPI_Recv.",
-		Defaults:    Params{Iterations: 250, Children: 3, TimeToWaste: 3, Procs: 1, MessageSize: 4, WasteUnit: 10 * sim.Millisecond},
-		PaperParams: "known message count, bottleneck in parent",
-		Make:        spawnsync,
-		ExpectedBytesSent: func(p Params) float64 {
-			// parent → each child, and each child's reply, per iteration
-			return float64(2 * p.Iterations * p.Children * p.MessageSize)
-		},
-	})
-	register(&Entry{
-		Name: "spawnwin-sync",
-		MPI2: true,
-		Description: "Spawns children and creates an RMA window over the " +
-			"merged parent+child intracommunicator; the parent's bottleneck " +
-			"makes the children wait in MPI_Win_fence.",
-		Defaults:    Params{Iterations: 250, Children: 3, TimeToWaste: 3, Procs: 1, MessageSize: 64, WasteUnit: 10 * sim.Millisecond},
-		PaperParams: "bottleneck in parent, window over parent+children",
-		Make:        spawnwinSync,
-	})
-	register(&Entry{
-		Name: "oned",
-		MPI2: true,
-		Description: "The Using-MPI-2 1-D decomposition example: halo " +
-			"exchange via MPI_Put between MPI_Win_fence pairs in exchng1 " +
-			"(LAM's fence is an MPI_Barrier, which surfaces as a Barrier bottleneck).",
-		Defaults:    Params{Iterations: 400, MessageSize: 4096, Procs: 4, WasteUnit: 10 * sim.Millisecond},
-		PaperParams: "the book's example",
-		Make:        oned,
-	})
+	if count == res.Params.Children {
+		v.Details = append(v.Details, fmt.Sprintf("all %d spawned processes incorporated", count))
+	} else {
+		v.Problems = append(v.Problems, fmt.Sprintf("spawned processes detected = %d, want %d", count, res.Params.Children))
+	}
 }
 
 // allcount: every non-zero rank performs known Puts/Gets/Accumulates against

@@ -1,41 +1,47 @@
 package pperfmark
 
 import (
+	"pperf/internal/consultant"
 	"pperf/internal/mpi"
 	"pperf/internal/sim"
 )
 
-// Extension programs beyond the paper's Table 3. The paper could not
-// implement its passive-target test programs because neither LAM nor MPICH2
-// supported passive-target synchronization at the time (§5.2.1.1); this
-// reproduction carries a Reference personality that does, so the planned
-// programs exist here as the paper's future work delivered. An MPI-I/O
-// program likewise exercises the §3 discussion of I/O measurement.
-
-func init() {
-	register(&Entry{
-		Name: "winlock-sync",
-		MPI2: true,
-		Description: "Passive-target synchronization: origins contend for an " +
-			"exclusive lock on rank 0's window; waiting accrues in " +
-			"MPI_Win_lock/MPI_Win_unlock (the paper's unimplemented passive-target test).",
-		Defaults:     Params{Iterations: 200, TimeToWaste: 2, Procs: 3, MessageSize: 64, WasteUnit: 10 * sim.Millisecond},
-		PaperParams:  "planned but unimplementable in 2004 (no passive-target support)",
-		Make:         winlockSync,
-		NeedsPassive: true,
-		Extension:    true,
-	})
-	register(&Entry{
-		Name: "fileio-bound",
-		MPI2: true,
-		Description: "Every rank writes and reads through MPI-I/O; the time " +
-			"goes to I/O blocking, exercising the §3 MPI-I/O measurement discussion.",
-		Defaults:    Params{Iterations: 600, MessageSize: 256 * 1024, Procs: 4},
-		PaperParams: "discussed (§3) but not evaluated in the paper",
-		Make:        fileioBound,
-		Extension:   true,
-	})
-}
+// extensionSuite holds the programs beyond the paper's Table 3. The paper
+// could not implement its passive-target test programs because neither LAM
+// nor MPICH2 supported passive-target synchronization at the time
+// (§5.2.1.1); this reproduction carries a Reference personality that does,
+// so the planned programs exist here as the paper's future work delivered.
+// An MPI-I/O program likewise exercises the §3 discussion of I/O measurement.
+var extensionSuite = []Entry{{
+	Name: "winlock-sync",
+	MPI2: true,
+	Description: "Passive-target synchronization: origins contend for an " +
+		"exclusive lock on rank 0's window; waiting accrues in " +
+		"MPI_Win_lock/MPI_Win_unlock (the paper's unimplemented passive-target test).",
+	Defaults:    Params{Iterations: 200, TimeToWaste: 2, Procs: 3, MessageSize: 64, WasteUnit: 10 * sim.Millisecond},
+	PaperParams: "planned but unimplementable in 2004 (no passive-target support)",
+	Make:        winlockSync,
+	Expect: []Expectation{syncTrue,
+		findSync("origins contend in MPI_Win_lock/MPI_Win_unlock", "passive-target waiting not found", "MPI_Win_lock", "MPI_Win_unlock"),
+		window,
+	},
+	NeedsPassive: true,
+	Extension:    true,
+}, {
+	Name: "fileio-bound",
+	MPI2: true,
+	Description: "Every rank writes and reads through MPI-I/O; the time " +
+		"goes to I/O blocking, exercising the §3 MPI-I/O measurement discussion.",
+	Defaults:    Params{Iterations: 600, MessageSize: 256 * 1024, Procs: 4},
+	PaperParams: "discussed (§3) but not evaluated in the paper",
+	Make:        fileioBound,
+	Expect: []Expectation{
+		{Hyp: consultant.HypIO, Detail: "ExcessiveIOBlockingTime true", Problem: "IO hypothesis false"},
+		{Hyp: consultant.HypIO, Focus: []string{"MPI_File_write_at", "checkpoint"},
+			Detail: "drilled into the MPI-I/O writes", Problem: "I/O code not found"},
+	},
+	Extension: true,
+}}
 
 // winlockSync: origins lock rank 0's window exclusively, hold it while
 // transferring (and computing briefly), unlock. Contention shows up as

@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"sort"
 
+	"pperf/internal/consultant"
 	"pperf/internal/mpi"
 	"pperf/internal/sim"
 )
@@ -38,7 +39,7 @@ type Params struct {
 	WasteUnit sim.Duration
 	// Windows is the window count for wincreate-blast.
 	Windows int
-	// Children is the spawned process count for the spawn programs.
+	// Children is the spawned process count; only spawn programs default it above 0.
 	Children int
 }
 
@@ -102,17 +103,69 @@ type Entry struct {
 	ExpectedGetOps    func(p Params) float64
 	ExpectedAccOps    func(p Params) float64
 	ExpectedRMABytes  func(p Params) float64
+	// Expect lists the findings a correct tool makes, in report order (§5).
+	Expect []Expectation
+	// Check, when set, judges what findings cannot: the hierarchy's windows
+	// and processes. Judge runs it last.
+	Check func(res *Result, v *Verdict)
+	// CPUThreshold, when non-zero, replaces the Consultant's CPU threshold:
+	// diffuse-procedure's 25%-per-process bottleneck needs 0.2 (§5.1.6).
+	CPUThreshold float64
+	// PaperResult is the paper's verdict when not "Pass" (system-time's
+	// designed "Fail", where passing means finding nothing).
+	PaperResult string
+}
+
+// Expectation is one finding: some true Consultant node under hypothesis Hyp
+// whose focus names one of Focus. An empty Focus asks only that Hyp test
+// true at the top level, and an empty Hyp as well that any hypothesis does.
+// Absent inverts it: no such node. Impls limits it to those personalities
+// (nil: all). Judge reports Detail when it holds and Problem when not.
+type Expectation struct {
+	Hyp             string
+	Focus           []string
+	Impls           []mpi.ImplKind
+	Absent          bool
+	Detail, Problem string
+}
+
+// under limits x to the personalities impls.
+func (x Expectation) under(impls ...mpi.ImplKind) Expectation {
+	x.Impls = impls
+	return x
+}
+
+// The expectations most programs share.
+var (
+	syncTrue = Expectation{Hyp: consultant.HypSync, Detail: "ExcessiveSyncWaitingTime true", Problem: "sync hypothesis false"}
+	cpuTrue  = Expectation{Hyp: consultant.HypCPU, Detail: "CPUBound true", Problem: "CPU hypothesis false"}
+	window   = findSync("identified the RMA window", "window not identified", "/SyncObject/Window/")
+)
+
+// findSync and findCPU expect a true node under the sync or the CPU
+// hypothesis whose focus names one of focus.
+func findSync(detail, problem string, focus ...string) Expectation {
+	return Expectation{Hyp: consultant.HypSync, Focus: focus, Detail: detail, Problem: problem}
+}
+
+func findCPU(detail, problem string, focus ...string) Expectation {
+	return Expectation{Hyp: consultant.HypCPU, Focus: focus, Detail: detail, Problem: problem}
 }
 
 var registry = map[string]*Entry{}
 var order []string
 
-func register(e *Entry) {
-	if _, dup := registry[e.Name]; dup {
-		panic("pperfmark: duplicate program " + e.Name)
+func init() {
+	for _, suite := range [][]Entry{mpi1Suite, mpi2Suite, extensionSuite} {
+		for i := range suite {
+			e := &suite[i]
+			if _, dup := registry[e.Name]; dup {
+				panic("pperfmark: duplicate program " + e.Name)
+			}
+			registry[e.Name] = e
+			order = append(order, e.Name)
+		}
 	}
-	registry[e.Name] = e
-	order = append(order, e.Name)
 }
 
 // Get returns the named program entry, or nil.

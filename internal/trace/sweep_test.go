@@ -11,7 +11,6 @@ package trace_test
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 
@@ -91,7 +90,7 @@ func (c *cell) run() error {
 		return err
 	}
 	defer s.Close()
-	if strings.HasPrefix(c.program, "spawn") && !s.World.Impl.SupportsSpawn || pperfmark.Get(c.program).NeedsPassive && !s.World.Impl.SupportsPassiveTarget {
+	if pperfmark.Get(c.program).Defaults.Children > 0 && !s.World.Impl.SupportsSpawn || pperfmark.Get(c.program).NeedsPassive && !s.World.Impl.SupportsPassiveTarget {
 		c.unsupported = true
 		return nil
 	}
