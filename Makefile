@@ -63,8 +63,10 @@ slow-tests:
 # the benchmark — by default the paper's Figure 3 run (small-messages under
 # the full tool, the `p2p-flood` workload); BENCH=BenchmarkReplayWhatIf is the
 # `replay-whatif` workload's analysis plane (replayed View, Consultant search,
-# Render and Judge of every replay), BENCH=BenchmarkTracedTCP one traced
-# session of `traced-tcp` (rings packed where they are drained, the bytes over
+# Render and Judge of every replay), BENCH=BenchmarkLoadAny its read layer
+# alone (LoadAny of the three replay fixtures' programs: the frame-header hop
+# that sizes the event list, then the chunk decode), BENCH=BenchmarkTracedTCP
+# one traced session of `traced-tcp` (rings packed where they are drained, the bytes over
 # TCP, verified and kept by the timeline, exported and walked where they lie:
 # by alloc_space the one `[]Span` left is the benchmark's own
 # `Timeline.Spans()` call, then the exporter's 24-byte sort keys),

@@ -186,6 +186,42 @@ func BenchmarkReplayWhatIf(b *testing.B) {
 	}
 }
 
+// BenchmarkLoadAny is the read layer of `replay-whatif` on its own: the
+// three programs the workload's replay fixtures record, each recorded once
+// under LAM, then per iteration loaded back with perfdb.LoadAny (frame
+// headers hopped for the event count, then every chunk decoded into the
+// list). `make alloc-profile BENCH=BenchmarkLoadAny` sizes it.
+func BenchmarkLoadAny(b *testing.B) {
+	var files []string
+	for _, prog := range []string{"random-barrier", "winfence-sync", "intensive-server"} {
+		path := filepath.Join(b.TempDir(), prog+".ppdb")
+		rec, err := perfdb.NewStreamRecorder(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := pperfmark.Run(prog, pperfmark.RunOptions{Impl: mpi.LAM, Seed: 7, Record: rec}); err != nil {
+			b.Fatal(err)
+		}
+		if err := rec.Close(); err != nil {
+			b.Fatal(err)
+		}
+		files = append(files, path)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, f := range files {
+			a, err := perfdb.LoadAny(f)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(a.Events) == 0 {
+				b.Fatalf("%s loaded no events", f)
+			}
+		}
+	}
+}
+
 // --- traced session over TCP --------------------------------------------------
 
 // BenchmarkTracedTCP is one session of the `traced-tcp` benchmark workload as

@@ -41,6 +41,9 @@ type View struct {
 	// NumBins/BinWidth configure new histograms (defaults are Paradyn's).
 	NumBins  int
 	BinWidth sim.Duration
+	// Horizon is the newest sample time a replay will apply (live: unset);
+	// new histograms reserve their bins up to it.
+	Horizon sim.Time
 }
 
 // NewView creates an empty view.
@@ -73,6 +76,7 @@ func (v *View) RegisterSeries(metricName string, focus resource.Focus) (*Series,
 		return s, true
 	}
 	s := &Series{Metric: metricName, Focus: focus, agg: metric.NewHistogram(v.NumBins, v.BinWidth)}
+	s.agg.Reserve(v.Horizon)
 	v.series[key] = s
 	return s, false
 }
@@ -113,6 +117,7 @@ func (v *View) ApplySamples(batch []Sample) {
 			ph := s.agg
 			if len(s.procs) > 0 {
 				ph = metric.NewHistogram(v.NumBins, v.BinWidth)
+				ph.Reserve(v.Horizon)
 			}
 			s.procs = slices.Insert(s.procs, i, sm.Proc)
 			s.hists = slices.Insert(s.hists, i, ph)

@@ -37,6 +37,7 @@ type Histogram struct {
 	folds    int
 	lastBin  int // highest bin index written
 	any      bool
+	until    sim.Time // Reserve's horizon: the first grow reaches its bin
 }
 
 // NewHistogram creates a histogram with the given bin count and starting
@@ -50,6 +51,11 @@ func NewHistogram(numBins int, binWidth sim.Duration) *Histogram {
 	}
 	return &Histogram{numBins: numBins, binWidth: binWidth}
 }
+
+// Reserve tells the histogram that no sample will come later than until (a
+// replay knows its recorded end): its first stored span reaches that bin at
+// once. Later samples are still stored; until <= 0 reserves nothing.
+func (h *Histogram) Reserve(until sim.Time) { h.until = until }
 
 // Clone returns an independent copy of the histogram, storing the same span.
 func (h *Histogram) Clone() *Histogram {
@@ -81,14 +87,18 @@ func (h *Histogram) Add(t sim.Time, v float64) {
 }
 
 // grow widens the stored span to cover bin idx within the logical bounds:
-// the first starts at idx and holds an eighth of numBins, and each regrowth
-// at least doubles it, upward from base or downward from its end.
+// the first starts at idx and holds an eighth of numBins (with a reserved
+// horizon at or past idx, exactly the bins up to the horizon's), and each
+// regrowth at least doubles it, upward from base or downward from its end.
 func (h *Histogram) grow(idx int) {
 	if len(h.bins) == 0 {
 		h.base = idx
 	}
 	lo, hi := min(idx, h.base), max(idx+1, h.base+len(h.bins))
 	n := max(hi-lo, 2*len(h.bins), h.numBins/8, 1)
+	if end := int(sim.Duration(h.until) / h.binWidth); len(h.bins) == 0 && h.until > 0 && end >= idx {
+		n = end + 1 - idx
+	}
 	if idx < h.base {
 		lo = max(hi-n, 0)
 	}

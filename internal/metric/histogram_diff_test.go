@@ -1,6 +1,7 @@
 package metric
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -74,6 +75,10 @@ func (h *refHistogram) total() float64 {
 	return s
 }
 
+func (h *refHistogram) string() string {
+	return fmt.Sprintf("histogram(%d bins @ %v, %d folds, total %.6g)", h.numFilled(), h.binWidth, h.folds, h.total())
+}
+
 func (h *refHistogram) interior() (sum float64, nonZero int) {
 	for i := 1; i < h.numFilled()-1; i++ {
 		sum += h.bins[i]
@@ -129,8 +134,15 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // ones whose samples often land behind the stored span — the span-storing
 // Histogram answers every query exactly as the preallocating one did. It
 // stores nothing until the first non-zero delta, and then, at bin k, at most
-// min(numBins/8, numBins-k) bins (one at least).
+// min(numBins/8, numBins-k) bins (one at least). Each stream then runs a
+// second time through a histogram given a horizon — none, one before its
+// first stored sample, one inside its data, its newest sample (a replay's),
+// one past numBins — which must read the same, and so must its Clone.
 func TestHistogramMatchesPreallocatedReference(t *testing.T) {
+	type sample struct {
+		t sim.Time
+		v float64
+	}
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 300; trial++ {
 		numBins := []int{1, 2, 3, 7, 8, 16, 17, 100, 1000}[rng.Intn(9)]
@@ -151,10 +163,11 @@ func TestHistogramMatchesPreallocatedReference(t *testing.T) {
 			backward = 4 // samples often land below the stored span
 		}
 		stored := false
-		check := func(step int) {
+		pass := "unreserved"
+		check := func(h *Histogram, ref *refHistogram, step int) {
 			t.Helper()
 			fail := func(what string, got, want any) {
-				t.Fatalf("trial %d (bins %d, width %v) after %d adds: %s = %v, reference %v", trial, numBins, width, step, what, got, want)
+				t.Fatalf("trial %d (bins %d, width %v, %s) after %d adds: %s = %v, reference %v", trial, numBins, width, pass, step, what, got, want)
 			}
 			if h.NumFilled() != ref.numFilled() {
 				fail("NumFilled", h.NumFilled(), ref.numFilled())
@@ -164,6 +177,9 @@ func TestHistogramMatchesPreallocatedReference(t *testing.T) {
 			}
 			if !sameBits(h.Total(), ref.total()) {
 				fail("Total", h.Total(), ref.total())
+			}
+			if h.String() != ref.string() {
+				fail("String", h.String(), ref.string())
 			}
 			for i := -1; i <= numBins; i++ {
 				want := 0.0
@@ -199,7 +215,9 @@ func TestHistogramMatchesPreallocatedReference(t *testing.T) {
 				fail("Render", h.Render(13), ref.render(13))
 			}
 		}
-		check(0)
+		check(h, ref, 0)
+		stream := make([]sample, 0, adds)
+		var firstStored, newest sim.Time
 		for i := 1; i <= adds; i++ {
 			switch r := rng.Intn(10); {
 			case r == 0:
@@ -216,10 +234,12 @@ func TestHistogramMatchesPreallocatedReference(t *testing.T) {
 			if !signed {
 				v = math.Abs(v)
 			}
+			stream = append(stream, sample{sim.Time(now), v})
+			newest = max(newest, sim.Time(now))
 			h.Add(sim.Time(now), v)
 			ref.add(sim.Time(now), v)
 			if !stored && v != 0 {
-				stored = true
+				stored, firstStored = true, sim.Time(max(now, 0))
 				k := int(sim.Duration(max(now, 0)) / ref.binWidth)
 				if bound := max(1, min(numBins/8, numBins-k)); len(h.bins) == 0 || len(h.bins) > bound {
 					t.Fatalf("trial %d (bins %d): first non-zero delta at bin %d stored %d bins, want 1..%d", trial, numBins, k, len(h.bins), bound)
@@ -229,11 +249,64 @@ func TestHistogramMatchesPreallocatedReference(t *testing.T) {
 				t.Fatalf("trial %d: %d zero deltas stored %d bins", trial, i, len(h.bins))
 			}
 			if i%7 == 0 || i == adds {
-				check(i)
+				check(h, ref, i)
 			}
+		}
+
+		horizon := []sim.Time{
+			0, firstStored / 2, sim.Time(rng.Int63n(int64(newest) + 1)), newest,
+			sim.Time(span * (1 + 3*rng.Float64())),
+		}[trial%5]
+		pass = fmt.Sprintf("reserved to %v", horizon)
+		h, ref = NewHistogram(numBins, width), newRefHistogram(numBins, width)
+		h.Reserve(horizon)
+		for i, sm := range stream {
+			h.Add(sm.t, sm.v)
+			ref.add(sm.t, sm.v)
+			if (i+1)%7 == 0 || i+1 == adds {
+				check(h, ref, i+1)
+			}
+		}
+		pass += ", cloned"
+		check(h.Clone(), ref, adds)
+	}
+}
+
+// A stream that stays inside its horizon, from its first sample on, stores
+// its bins in one allocation however many bins it spans, where the
+// unreserved histogram regrows towards them.
+func TestReservedHistogramAllocatesOnce(t *testing.T) {
+	const numBins, width = 1000, 200 * sim.Millisecond
+	for _, c := range []struct{ first, until sim.Time }{
+		{0, sim.Time(360 * width)},
+		{sim.Time(40 * width), sim.Time(999 * width)},
+		{sim.Time(500 * width), sim.Time(501 * width)},
+		{0, sim.Time(5)},
+	} {
+		fill := func(reserve bool) func() {
+			return func() {
+				h := NewHistogram(numBins, width)
+				if reserve {
+					h.Reserve(c.until)
+				}
+				for at := c.first; at <= c.until; at += sim.Time(width / 3) {
+					h.Add(at, 1)
+				}
+				h.Add(c.until, 1)
+				reservedSink = h
+			}
+		}
+		reserved, grown := testing.AllocsPerRun(5, fill(true)), testing.AllocsPerRun(5, fill(false))
+		if reserved != 2 { // the Histogram and its bins
+			t.Errorf("samples in [%v, %v]: a reserved histogram allocated %v objects, want 2", c.first, c.until, reserved)
+		}
+		if span := int(sim.Duration(c.until-c.first)/width) + 1; span > numBins/8 && grown <= reserved {
+			t.Errorf("samples in [%v, %v]: the unreserved histogram allocated %v objects, no more than the reserved", c.first, c.until, grown)
 		}
 	}
 }
+
+var reservedSink *Histogram
 
 // The span is allocated on demand: a histogram that has seen one early
 // sample holds a fraction of its bound, and one driven to the bound holds

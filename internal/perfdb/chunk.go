@@ -655,9 +655,17 @@ func (s *archiveScan) frame(visit func(*session.Event)) (done bool, err error) {
 }
 
 // ReadArchive parses a chunked archive: it collects the scan. A truncated
-// archive holds the complete-chunk prefix under the provisional header.
+// archive holds the complete-chunk prefix under the provisional header. A
+// reader that can seek (LoadAny's file) gets its event list allocated once.
 func ReadArchive(r io.Reader) (*session.Archive, error) {
 	var a session.Archive
+	if rs, ok := r.(io.ReadSeeker); ok {
+		n, err := countEvents(rs)
+		if err != nil {
+			return nil, err
+		}
+		a.Events = make([]session.Event, 0, n)
+	}
 	s, err := scanArchive(r, func(s *archiveScan) func(*session.Event) {
 		return func(ev *session.Event) {
 			a.Events = append(a.Events, *ev)
@@ -669,6 +677,42 @@ func ReadArchive(r io.Reader) (*session.Archive, error) {
 	}
 	a.Header, a.Truncated = s.header, s.truncated
 	return &a, nil
+}
+
+// countEvents hops the chunk frames of the archive at r's offset, sums the
+// event counts its 'E' payloads open with and seeks r back. The sum is only a
+// capacity: a frame counts when it lies inside the file and declares no more
+// events than it has payload bytes, and the hop stops at the first that does
+// not, so a forged count costs at most one Event per payload byte it holds.
+func countEvents(r io.ReadSeeker) (n int, err error) {
+	start, err := r.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return 0, nil // a pipe: no capacity, and the scan reads it from here
+	}
+	end, err := r.Seek(0, io.SeekEnd)
+	var buf [9 + binary.MaxVarintLen64]byte // a frame header and an 'E' payload's count
+	for off := start + int64(len(chunkMagic)); err == nil && off+9 <= end; {
+		var k int
+		if _, err = r.Seek(off, io.SeekStart); err == nil {
+			k, err = io.ReadFull(r, buf[:min(int64(len(buf)), end-off)])
+		}
+		plen := int64(binary.BigEndian.Uint32(buf[1:5]))
+		if err != nil || off+9+plen > end {
+			break
+		}
+		if buf[0] == chunkEvents {
+			m, w := binary.Uvarint(buf[9:min(int64(k), 9+plen)])
+			if w <= 0 || m > uint64(plen) {
+				break
+			}
+			n += int(m)
+		}
+		off += 9 + plen
+	}
+	if _, serr := r.Seek(start, io.SeekStart); serr != nil {
+		return 0, fmt.Errorf("perfdb: rewinding the archive: %w", serr)
+	}
+	return n, nil
 }
 
 // openFile is os.Open; a test wraps it to count what a consumer reads.

@@ -9,8 +9,10 @@ package perfdb_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -391,5 +393,67 @@ func TestVerifyObjectBudget(t *testing.T) {
 	n := testing.AllocsPerRun(10, verify)
 	if n > 80 {
 		t.Errorf("verifying a %d-byte small-messages recording allocates %v objects; want at most 80", len(data), n)
+	}
+}
+
+// LoadAny allocates its event list once, at the count the frame headers
+// declare: a recording chunked fine and coarse, a copy of it cut mid-frame
+// (the count stops at the cut frame, as the scan does) and the format golden
+// each hold exactly the list they keep. A reader that cannot seek collects
+// the same archive, growing the list as events arrive.
+func TestLoadAnyAllocatesItsEventListOnce(t *testing.T) {
+	c := built(t, smallMessages())
+	golden, err := os.ReadFile("testdata/format_v2.ppdb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for i, data := range [][]byte{c.files[0], c.files[1], c.files[0][:len(c.files[0])*2/3], golden} {
+		path := filepath.Join(dir, fmt.Sprintf("%d.ppdb", i))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		a, err := perfdb.LoadAny(path)
+		if err != nil {
+			t.Fatalf("file %d: %v", i, err)
+		}
+		if cap(a.Events) != len(a.Events) || len(a.Events) == 0 || a.Truncated != (i == 2) {
+			t.Errorf("file %d: LoadAny kept %d events in a list of %d (truncated %v)", i, len(a.Events), cap(a.Events), a.Truncated)
+		}
+		plain, err := perfdb.ReadArchive(struct{ io.Reader }{bytes.NewReader(data)})
+		if err != nil || !reflect.DeepEqual(plain, a) {
+			t.Errorf("file %d: a reader that cannot seek read a different archive (err %v)", i, err)
+		}
+	}
+}
+
+// Loading a recorded random-barrier run and replaying it once allocates what
+// the replay keeps: the event list at its declared size, each histogram at
+// the recorded end on its first sample. Either sizing lost costs more than
+// the margin.
+func TestReplayByteBudget(t *testing.T) {
+	c := recorded(t, &cell{program: "random-barrier", chunks: []int{0}, opt: pperfmark.RunOptions{Impl: mpi.LAM, Seed: 7}})
+	path := filepath.Join(t.TempDir(), "random-barrier.ppdb")
+	if err := os.WriteFile(path, c.files[0], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	replay := func() {
+		a, err := perfdb.LoadAny(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pperfmark.ReplayWith(a, pperfmark.ReplayOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replay() // grows the spare scratch and compiles what a first session compiles
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	replay()
+	runtime.ReadMemStats(&after)
+	// 12.30 MB measured on linux/amd64 (16.52 MB before the two sizings).
+	const budget = 12_600_000
+	if n := after.TotalAlloc - before.TotalAlloc; n > budget {
+		t.Errorf("loading and replaying a %d-byte random-barrier recording allocates %d bytes; want at most %d", len(c.files[0]), n, budget)
 	}
 }

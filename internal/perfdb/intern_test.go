@@ -2,6 +2,7 @@ package perfdb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"math/rand"
@@ -344,6 +345,41 @@ func TestDeclaredPayloadIsNotPreallocated(t *testing.T) {
 		var err error
 		if n := bytesAllocatedBy(func() { err = read() }); n >= 1<<20 || err == nil || err.Error() != want {
 			t.Errorf("%s: %d bytes allocated, err %v; want under 1 MB and %q", name, n, err, want)
+		}
+	}
+}
+
+// The event list LoadAny sizes from the frame headers is only a capacity, and
+// a forged count cannot make it large: a frame that declares more events than
+// it has payload bytes, or that runs past the end of the file, ends the count
+// before it adds anything. Each file below would cost 64 Ki events (27 MB) if
+// its count were believed; each fails exactly as it did before the count was
+// taken, within the budget of a read that allocates nothing for its events:
+// at most the scan's first 64 KiB payload buffer, when no spare one is left.
+func TestForgedEventCountIsBounded(t *testing.T) {
+	const forged = 1 << 16
+	head := append(append([]byte(nil), chunkMagic...), testFrame(chunkHeader, rawHeader(nil, 0, nil))...)
+	overclaim := append(binary.AppendUvarint(nil, forged), make([]byte, 8)...)
+	pastEOF := testFrame(chunkEvents, append(binary.AppendUvarint(nil, forged), make([]byte, 2*forged)...))
+	for _, c := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"more events than bytes", append(head, testFrame(chunkEvents, overclaim)...),
+			"perfdb: corrupt events chunk: 65536 events in 11 bytes"},
+		// Cut where its header would be: today that is a file truncated
+		// before its header chunk.
+		{"frame past EOF", append(append([]byte(nil), chunkMagic...), pastEOF[:64]...),
+			"perfdb: archive truncated before its header chunk"},
+	} {
+		path := filepath.Join(t.TempDir(), "forged.ppdb")
+		if err := os.WriteFile(path, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if n := bytesAllocatedBy(func() { _, err = LoadAny(path) }); n > 128<<10 || err == nil || err.Error() != c.want {
+			t.Errorf("%s: %d bytes allocated, err %v; want at most 128 KiB and %q", c.name, n, err, c.want)
 		}
 	}
 }

@@ -53,6 +53,13 @@ func NewReplaySource(a *Archive) *ReplaySource {
 		}
 		events = events[:last]
 	}
+	// The newest sample replay will apply is where every histogram ends:
+	// each reserves its bins up to it on its first sample.
+	for i := range events {
+		for _, sm := range events[i].Samples {
+			v.Horizon = max(v.Horizon, sm.Time)
+		}
+	}
 	rs := &ReplaySource{View: v, events: events, enables: make(map[datasource.Pair]string)}
 	// The enable index is built from the FULL stream, trimmed or not: an
 	// enable outcome is metadata about what the live session requested, so
