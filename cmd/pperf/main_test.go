@@ -15,7 +15,6 @@ import (
 
 	"pperf/internal/perfdb"
 	"pperf/internal/pperfmark"
-	"pperf/internal/session"
 	"pperf/internal/sim"
 )
 
@@ -191,7 +190,7 @@ func TestCLIExitCodes(t *testing.T) {
 // truncation note, its Consultant evaluating once per complete barrier — the
 // replay clock stops at the last one's evaluation instant, k intervals in,
 // which the report prints as the runtime — and `db add` stores it with a
-// verdict.
+// verdict, byte for byte, so its stored copy replays to the same report.
 func TestTruncatedRecordingReplays(t *testing.T) {
 	dir := t.TempDir()
 	bin := buildPperf(t, dir)
@@ -234,20 +233,25 @@ func TestTruncatedRecordingReplays(t *testing.T) {
 		if err != nil || !a.Truncated {
 			t.Fatalf("%s: truncated %v, err %v", cut, a != nil && a.Truncated, err)
 		}
-		barriers := 0
-		for _, ev := range a.Events {
-			if ev.Kind == session.EvBarrier {
-				barriers++
-			}
-		}
+		_, barriers := a.Replayable()
 		stdout, stderr, code := run("-replay", cut)
 		want := fmt.Sprintf("virtual runtime %v,", sim.Time(barriers)*interval)
 		if code != 0 || !strings.Contains(stderr, a.TruncationNote()) || !strings.Contains(stdout, want) {
 			t.Errorf("replay of %s (%d events, %d barriers): exit %d, want 0 with %q on stderr and %q on stdout\nstderr: %s\nstdout: %.300s",
 				cut, len(a.Events), barriers, code, a.TruncationNote(), want, stderr, stdout)
 		}
-		if stdout, stderr, code := run("db", "-store", store, "add", cut); code != 0 || strings.Contains(stderr, "no verdict") {
-			t.Errorf("db add of %s: exit %d\nstderr: %s\nstdout: %s", cut, code, stderr, stdout)
+		added, stderr, code := run("db", "-store", store, "add", cut)
+		var id string
+		if _, err := fmt.Sscanf(added, "stored %s", &id); code != 0 || err != nil || strings.Contains(stderr, "no verdict") {
+			t.Errorf("db add of %s: exit %d\nstderr: %s\nstdout: %s", cut, code, stderr, added)
+			continue
+		}
+		stored := filepath.Join(store, "runs", id+".ppdb")
+		if got, err := os.ReadFile(stored); err != nil || !bytes.Equal(got, data[:pos]) {
+			t.Errorf("%s: the stored copy %s is not the cut file (%v)", cut, stored, err)
+		}
+		if replayed, _, code := run("-replay", stored); code != 0 || replayed != stdout {
+			t.Errorf("replay of the stored copy of %s: exit %d, stdout differs from the cut's:\n got %.300s\nwant %.300s", cut, code, replayed, stdout)
 		}
 	}
 	if cuts < 2 {

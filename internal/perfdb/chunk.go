@@ -448,7 +448,8 @@ func (w *chunkWriter) close(h session.Header) error {
 }
 
 // WriteArchive encodes an in-memory session archive in chunked, compacted
-// form.
+// form. A Truncated archive is written as the crashed recording it is: its
+// events and no trailer, so it loads back Truncated.
 func WriteArchive(w io.Writer, a *session.Archive) error {
 	cw, err := newChunkWriter(w)
 	if err != nil {
@@ -457,8 +458,8 @@ func WriteArchive(w io.Writer, a *session.Archive) error {
 	return cw.encode(a)
 }
 
-// encode writes a's events and trailer after the magic newChunkWriter wrote,
-// and releases the writer.
+// encode writes a's events, and its trailer unless a is Truncated, after the
+// magic newChunkWriter wrote, and releases the writer.
 func (w *chunkWriter) encode(a *session.Archive) error {
 	defer w.release()
 	if err := w.writeHeader(chunkHeader, a.Header, 0, 0); err != nil {
@@ -468,6 +469,12 @@ func (w *chunkWriter) encode(a *session.Archive) error {
 		if err := w.add(a.Events[i]); err != nil {
 			return err
 		}
+	}
+	if a.Truncated {
+		if err := w.flush(); err != nil {
+			return err
+		}
+		return w.w.Flush()
 	}
 	return w.close(a.Header)
 }

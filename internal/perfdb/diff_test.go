@@ -2,6 +2,7 @@ package perfdb
 
 import (
 	"math"
+	"os"
 	"strings"
 	"testing"
 
@@ -35,7 +36,29 @@ func rateArchive(metricName string, numBins int, deltas []float64) *session.Arch
 }
 
 func view(a *session.Archive, id string) *RunView {
-	return NewRunView(a, RunMeta{ID: id})
+	return openArchive(a, RunMeta{ID: id})
+}
+
+// openArchive writes a hand-built archive to a file and opens it as the store
+// opens a run.
+func openArchive(a *session.Archive, m RunMeta) *RunView {
+	f, err := os.CreateTemp("", "run-*.ppdb")
+	if err != nil {
+		panic(err)
+	}
+	defer os.Remove(f.Name())
+	err = WriteArchive(f, a)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	var rv *RunView
+	if err == nil {
+		rv, err = openRun(f.Name(), m)
+	}
+	if err != nil {
+		panic(err)
+	}
+	return rv
 }
 
 // compareDefault is Compare over the whole run at the default thresholds.

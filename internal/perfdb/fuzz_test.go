@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"os"
+	"reflect"
 	"testing"
 )
 
@@ -12,7 +13,9 @@ import (
 // corrupt length field — and its two uses must agree on every input: the
 // collecting ReadArchive and the streaming pass of the verify step and
 // OpenRun both fail with the same error, or both succeed with the same
-// header, event count and truncated flag.
+// header, event count and truncated flag. What decodes round-trips:
+// WriteArchive re-encodes it to bytes that decode to that header, event count
+// and truncated flag again — a cut file to a file without a trailer.
 func FuzzChunkDecoder(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{2, 40, 600} {
@@ -46,6 +49,17 @@ func FuzzChunkDecoder(f *testing.F) {
 	}
 	f.Add([]byte("PPARCH\x1f\xff\x81\x03\x01\x01\x06Header")) // retired v1 magic + a gob prefix
 	f.Fuzz(func(t *testing.T, data []byte) {
-		readBothWays(t, data)
+		a, err := readBothWays(t, data)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteArchive(&buf, a); err != nil {
+			t.Fatalf("re-encoding a decoded archive: %v", err)
+		}
+		b, err := ReadArchive(bytes.NewReader(buf.Bytes()))
+		if err != nil || len(b.Events) != len(a.Events) || b.Truncated != a.Truncated || !reflect.DeepEqual(b.Header, a.Header) {
+			t.Fatalf("%d events (truncated %v) under %+v re-encode to %+v, %v", len(a.Events), a.Truncated, a.Header, b, err)
+		}
 	})
 }

@@ -27,7 +27,7 @@ import (
 	"pperf/internal/sim"
 )
 
-// referenceRunView is NewRunView as it stood at 7fdb282.
+// referenceRunView is the materialised open as it stood at 7fdb282.
 func referenceRunView(a *session.Archive, m RunMeta) *RunView {
 	rs := session.NewReplaySource(a)
 	rv := &RunView{View: rs.View, Meta: m}
@@ -125,9 +125,6 @@ func OpenBothWays(t testing.TB, path string, m RunMeta) (streamed, reference *Ru
 	if got := viewFingerprint(t, streamed); got != want {
 		t.Fatalf("%s: streaming OpenRun differs from the materialised reference at byte %d:\n got …%s\nwant …%s",
 			filepath.Base(path), diffAt(got, want), around(got, diffAt(got, want)), around(want, diffAt(got, want)))
-	}
-	if adapted := viewFingerprint(t, NewRunView(a, m)); adapted != want {
-		t.Fatalf("%s: NewRunView over the loaded archive differs from the reference", filepath.Base(path))
 	}
 	return streamed, reference
 }

@@ -350,9 +350,10 @@ func (st *Store) admitLocked(in admission) (RunMeta, string, error) {
 	return m, warning, nil
 }
 
-// AddArchive stores a loaded session archive, re-encoding it in chunked
-// compacted form. The caller still holds the source, so a refused label
-// refuses the add and nothing is stored.
+// AddArchive stores a loaded session archive, encoding it in chunked
+// compacted form through WriteArchive — a Truncated one stays trailer-less.
+// The caller still holds the source, so a refused label refuses the add and
+// nothing is stored.
 func (st *Store) AddArchive(a *session.Archive, am AddMeta) (RunMeta, error) {
 	return st.addStaged(func(tmp string) (admission, error) {
 		return admission{AddMeta: am, src: tmp, header: a.Header, events: len(a.Events), truncated: a.Truncated},
@@ -360,29 +361,22 @@ func (st *Store) AddArchive(a *session.Archive, am AddMeta) (RunMeta, error) {
 	})
 }
 
-// AddFile stores the archive file at path byte for byte, so the run's
-// content address is the file's, whichever process wrote it: the file is
-// copied into runs/ and the copy verified in one streaming pass. Only a file
-// without a trailer is loaded and re-encoded — the one case where the store
-// has to write one. As with AddArchive, a refused label refuses the add.
+// AddFile stores the archive file at path byte for byte — a crashed
+// recording's too, still without its trailer — so the run's content address
+// is the file's, whichever process wrote it: the file is copied into runs/
+// and the copy verified in one streaming pass. As with AddArchive, a refused
+// label refuses the add.
 func (st *Store) AddFile(path string, am AddMeta) (RunMeta, error) {
 	src, err := os.Open(path)
 	if err != nil {
 		return RunMeta{}, err
 	}
 	defer src.Close()
-	return st.addStaged(func(tmp string) (in admission, err error) {
-		err = st.writeFile(tmp, func(w io.Writer) error { _, err := io.Copy(w, src); return err })
-		if err == nil {
-			in, err = verifyStaged(tmp, am)
+	return st.addStaged(func(tmp string) (admission, error) {
+		if err := st.writeFile(tmp, func(w io.Writer) error { _, err := io.Copy(w, src); return err }); err != nil {
+			return admission{}, err
 		}
-		if err == nil && in.truncated {
-			var a *session.Archive
-			if a, err = LoadAny(tmp); err == nil {
-				err = st.writeFile(tmp, func(w io.Writer) error { return WriteArchive(w, a) })
-			}
-		}
-		return in, err
+		return verifyStaged(tmp, am)
 	})
 }
 

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -514,8 +515,9 @@ func TestStoreRefusesNewerIndex(t *testing.T) {
 // TestAddFileStoresTheFilesBytes: `db add FILE` admits FILE by copy, so the
 // run's content address is the file's own whichever writer made it — here an
 // archive in 32-event chunks, a layout this build does not write by default,
-// which re-encoding (what db add used to do) would turn into other bytes.
-// Only a file without a trailer is re-encoded: the store has to write one.
+// which re-encoding (what db add used to do) would turn into other bytes. A
+// file without a trailer is stored as it is too: a crashed recording stays
+// one, and so replays and folds as the file does.
 func TestAddFileStoresTheFilesBytes(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
@@ -555,10 +557,11 @@ func TestAddFileStoresTheFilesBytes(t *testing.T) {
 		t.Errorf("after the refused adds: %d runs, GC swept %v (%v); want the one run and no debris", len(st.Runs()), swept, err)
 	}
 
-	// No trailer: stored as AddArchive stores the loaded prefix, marked truncated.
+	// No trailer: stored as it is, marked truncated, and folded as the cut is.
 	cut := filepath.Join(t.TempDir(), "cut.ppdb")
 	ends := frameEnds(file)
-	if err := os.WriteFile(cut, file[:ends[len(ends)-2]+11], 0o644); err != nil {
+	cutBytes := file[:ends[len(ends)-2]+11]
+	if err := os.WriteFile(cut, cutBytes, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	prefix, err := LoadAny(cut)
@@ -569,19 +572,23 @@ func TestAddFileStoresTheFilesBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Open(t.TempDir())
+	cutSum := sha256.Sum256(cutBytes)
+	if !bytes.Equal(mustReadFile(t, st.RunPath(mt.ID)), cutBytes) || mt.Hash != hex.EncodeToString(cutSum[:]) {
+		t.Errorf("stored cut %s (hash %.12s) is not the cut file (SHA-256 %.12x)", mt.ID, mt.Hash, cutSum)
+	}
+	if !mt.Truncated || mt.Events != len(prefix.Events) {
+		t.Errorf("cut indexed as %+v, want truncated with %d events", mt, len(prefix.Events))
+	}
+	OpenBothWays(t, st.RunPath(mt.ID), mt)
+
+	// AddArchive of the loaded prefix keeps it crashed as well.
+	mr, err := st.AddArchive(prefix, AddMeta{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mr, err := ref.AddArchive(prefix, AddMeta{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mr.ID = mt.ID
-	if mt != mr || !mt.Truncated || mt.Events != len(prefix.Events) {
-		t.Errorf("truncated file stored as %+v, AddArchive of its prefix as %+v", mt, mr)
-	}
-	if stored, err := LoadAny(st.RunPath(mt.ID)); err != nil || stored.Truncated || len(stored.Events) != len(prefix.Events) {
-		t.Errorf("the stored copy of the truncated file must be a complete archive of the prefix: %v", err)
+	stored, err := LoadAny(st.RunPath(mr.ID))
+	if err != nil || !mr.Truncated || !stored.Truncated || !reflect.DeepEqual(stored.Events, prefix.Events) {
+		t.Errorf("AddArchive of the prefix stored %+v, loading back truncated %v (%v); want the prefix's %d events, truncated",
+			mr, stored != nil && stored.Truncated, err, len(prefix.Events))
 	}
 }

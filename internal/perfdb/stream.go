@@ -60,15 +60,18 @@ func (r *StreamRecorder) SetHistogram(numBins int, binWidth sim.Duration) {
 	r.header.NumBins, r.header.BinWidth = numBins, binWidth
 }
 
-// SetMeta stores one descriptive key/value pair (written with the trailer).
+// SetMeta stores one descriptive key/value pair, written with the trailer —
+// and, set before the first event, in the header chunk a crashed run's
+// archive replays from.
 func (r *StreamRecorder) SetMeta(k, v string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.header.Meta[k] = v
 }
 
-// SetExtra stores the harness's opaque run description (written with the
-// trailer).
+// SetExtra stores the harness's opaque run description, written with the
+// trailer — and, set before the first event, in the header chunk a crashed
+// run's archive replays from.
 func (r *StreamRecorder) SetExtra(b []byte) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -14,7 +14,7 @@ func trendViews(levels ...float64) []*RunView {
 	for i, lv := range levels {
 		id := []string{"r0001", "r0002", "r0003", "r0004", "r0005", "r0006"}[i]
 		a := rateArchive("m", 100, flat(40, lv))
-		out = append(out, NewRunView(a, RunMeta{ID: id, Program: "synthetic"}))
+		out = append(out, openArchive(a, RunMeta{ID: id, Program: "synthetic"}))
 	}
 	return out
 }
@@ -95,7 +95,7 @@ func TestTrendPartialPairReported(t *testing.T) {
 	views := trendViews(1, 1, 1)
 	extra := rateArchive("m", 100, flat(40, 1.0))
 	appendSeries(extra, "m_partial", flat(40, 1.0))
-	views = append(views, NewRunView(extra, RunMeta{ID: "r0004", Program: "synthetic"}))
+	views = append(views, openArchive(extra, RunMeta{ID: "r0004", Program: "synthetic"}))
 	rep, err := Trend(views, TrendOptions{})
 	if err != nil {
 		t.Fatal(err)

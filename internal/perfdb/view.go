@@ -24,21 +24,30 @@ type RunView struct {
 	pairs    []datasource.Pair
 	refused  []datasource.Pair // while folding: canonical pairs whose first recorded enable failed
 	faultLog []string
+	// barriers counts the read barriers folded; once it reaches through (-1:
+	// never), only enables are folded.
+	barriers, through int
 }
 
-func newRunView(h session.Header, m RunMeta) *RunView {
+func newRunView(h session.Header, m RunMeta, through int) *RunView {
 	v := datasource.NewView()
 	v.NumBins, v.BinWidth = h.NumBins, h.BinWidth
-	return &RunView{View: v, Meta: m}
+	return &RunView{View: v, Meta: m, through: through}
 }
 
 // fold applies one event of the run's stream. An enable registers its series
 // where it stands — ahead of the pair's first sample, as the live front end
 // had it: the view drops samples of unregistered pairs. The first outcome of
 // a pair stands, as on replay, and pairs whose enable failed are left out:
-// they never collected data.
+// they never collected data. Past the through-th barrier only enables count.
 func (rv *RunView) fold(ev *session.Event) {
 	if ev.Kind != session.EvEnable {
+		if rv.barriers == rv.through {
+			return
+		}
+		if ev.Kind == session.EvBarrier {
+			rv.barriers++
+		}
 		ev.Apply(rv.View)
 		return
 	}
@@ -65,43 +74,29 @@ func (rv *RunView) finish(h session.Header) *RunView {
 }
 
 // openRun folds the archive at path in one pass under what its header chunk
-// says. Only the end of the file can say otherwise — no trailer (the fold has
-// to stop at the last complete barrier) or a trailer with another histogram
-// configuration — and only then is the file read again, collected this time.
+// says. Only the end of the file can say otherwise — no trailer (a crashed
+// recording: the fold has to stop at its last complete barrier) or a trailer
+// with another histogram configuration — and only then is the file folded
+// again, under the header the first pass ended with, through the barriers
+// that pass counted. Enable outcomes count from the whole file either way.
 func openRun(path string, m RunMeta) (*RunView, error) {
 	var rv *RunView
 	s, err := scanFile(path, func(s *archiveScan) func(*session.Event) {
-		rv = newRunView(s.header, m)
+		rv = newRunView(s.header, m, -1)
 		return rv.fold
 	})
-	if err != nil {
-		return nil, err
-	}
-	if !s.truncated && s.header.NumBins == rv.NumBins && s.header.BinWidth == rv.BinWidth {
-		return rv.finish(s.header), nil
-	}
-	a, err := LoadAny(path)
-	if err != nil {
-		return nil, err
-	}
-	return NewRunView(a, m), nil
-}
-
-// NewRunView materializes a hand-built archive's end state through the same
-// fold. A truncated stream is applied up to its last complete barrier; its
-// enable outcomes count from the whole prefix.
-func NewRunView(a *session.Archive, m RunMeta) *RunView {
-	limit := len(a.Events)
-	for a.Truncated && limit > 0 && a.Events[limit-1].Kind != session.EvBarrier {
-		limit--
-	}
-	rv := newRunView(a.Header, m)
-	for i := range a.Events {
-		if ev := &a.Events[i]; i < limit || ev.Kind == session.EvEnable {
-			rv.fold(ev)
+	if err == nil && (s.truncated || s.header.NumBins != rv.NumBins || s.header.BinWidth != rv.BinWidth) {
+		through := -1
+		if s.truncated {
+			through = rv.barriers
 		}
+		rv = newRunView(s.header, m, through)
+		_, err = scanFile(path, func(*archiveScan) func(*session.Event) { return rv.fold })
 	}
-	return rv.finish(a.Header)
+	if err != nil {
+		return nil, err
+	}
+	return rv.finish(s.header), nil
 }
 
 // Pairs returns the run's enabled metric-focus pairs, sorted by metric

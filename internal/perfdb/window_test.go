@@ -90,7 +90,7 @@ func trendStore() []*RunView {
 		if i == 4 {
 			appendSeries(a, "m_partial", flat(40, 1.0))
 		}
-		views = append(views, NewRunView(a, RunMeta{ID: id, Program: "synthetic"}))
+		views = append(views, openArchive(a, RunMeta{ID: id, Program: "synthetic"}))
 	}
 	return views
 }

@@ -43,35 +43,6 @@ type Params struct {
 	Children int
 }
 
-// merged fills zero fields of p from d.
-func (p Params) merged(d Params) Params {
-	if p.Iterations == 0 {
-		p.Iterations = d.Iterations
-	}
-	if p.MessageSize == 0 {
-		p.MessageSize = d.MessageSize
-	}
-	if p.Messages == 0 {
-		p.Messages = d.Messages
-	}
-	if p.TimeToWaste == 0 {
-		p.TimeToWaste = d.TimeToWaste
-	}
-	if p.Procs == 0 {
-		p.Procs = d.Procs
-	}
-	if p.WasteUnit == 0 {
-		p.WasteUnit = d.WasteUnit
-	}
-	if p.Windows == 0 {
-		p.Windows = d.Windows
-	}
-	if p.Children == 0 {
-		p.Children = d.Children
-	}
-	return p
-}
-
 func (p Params) waste() sim.Duration {
 	return sim.Duration(p.TimeToWaste) * p.WasteUnit
 }
@@ -189,8 +160,9 @@ func paperNames(mpi2 bool) []string {
 	return out
 }
 
-// Program builds the named program with params merged over its defaults,
-// returning the merged params used. A negative parameter is refused.
+// Program builds the named program with params merged over its defaults —
+// a zero field takes the default's value — returning the merged params used.
+// A negative parameter is refused.
 func Program(name string, p Params) (mpi.Program, Params, error) {
 	e := registry[name]
 	if e == nil {
@@ -198,12 +170,14 @@ func Program(name string, p Params) (mpi.Program, Params, error) {
 		sort.Strings(known)
 		return nil, Params{}, fmt.Errorf("pperfmark: unknown program %q (known: %v)", name, known)
 	}
-	v := reflect.ValueOf(p)
+	v, d := reflect.ValueOf(&p).Elem(), reflect.ValueOf(&e.Defaults).Elem()
 	for i := range v.NumField() { // every Params field is an integer
-		if n := v.Field(i).Int(); n < 0 {
-			return nil, Params{}, fmt.Errorf("pperfmark: %s %s %d: must not be negative", name, v.Type().Field(i).Name, n)
+		switch f := v.Field(i); {
+		case f.Int() < 0:
+			return nil, Params{}, fmt.Errorf("pperfmark: %s %s %d: must not be negative", name, v.Type().Field(i).Name, f.Int())
+		case f.Int() == 0:
+			f.SetInt(d.Field(i).Int())
 		}
 	}
-	mp := p.merged(e.Defaults)
-	return e.Make(mp), mp, nil
+	return e.Make(p), p, nil
 }

@@ -44,10 +44,10 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestParamsMerge(t *testing.T) {
-	d := Params{Iterations: 100, Procs: 4, MessageSize: 8}
-	p := Params{Iterations: 5}.merged(d)
-	if p.Iterations != 5 || p.Procs != 4 || p.MessageSize != 8 {
-		t.Errorf("merged = %+v", p)
+	want := Get("small-messages").Defaults
+	want.Iterations = 5
+	if _, p, err := Program("small-messages", Params{Iterations: 5}); err != nil || p != want {
+		t.Errorf("merged = %+v (%v), want %+v", p, err, want)
 	}
 }
 

@@ -202,12 +202,7 @@ func ReplayWith(a *session.Archive, o ReplayOptions) (*Result, error) {
 		// The clock stops at the last complete barrier's evaluation instant,
 		// k intervals in for k barriers (NewReplaySource drops the rest), so
 		// no evaluation reads state the live run never had.
-		barriers := 0
-		for i := range a.Events {
-			if a.Events[i].Kind == session.EvBarrier {
-				barriers++
-			}
-		}
+		_, barriers := a.Replayable()
 		info.RunTime = sim.Time(barriers) * sim.Time(info.PC.EvalInterval)
 	}
 	pcCfg, err := o.override(info.PC)

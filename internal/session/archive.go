@@ -153,9 +153,28 @@ type Archive struct {
 	Header Header
 	Events []Event
 	// Truncated marks an archive whose stream ended before its trailer
-	// (front end killed mid-run): Events holds only the complete prefix. Replay proceeds up to the last complete read
-	// barrier; see TruncationNote.
+	// (front end killed mid-run): Events holds only the complete prefix.
+	// Replay proceeds up to the last complete read barrier (see Replayable
+	// and TruncationNote), and the archive stays trailer-less when written.
 	Truncated bool
+}
+
+// Replayable returns the events a replay presents and the read barriers
+// among them. A complete archive presents every event — what follows its
+// last barrier is the end-of-run tail ReplaySource.Drain applies. A truncated
+// one ends at its last complete barrier: the tail past it is a fragment of an
+// evaluation window no live consumer ever observed.
+func (a *Archive) Replayable() (events []Event, barriers int) {
+	last := 0
+	for i := range a.Events {
+		if a.Events[i].Kind == EvBarrier {
+			last, barriers = i+1, barriers+1
+		}
+	}
+	if !a.Truncated {
+		last = len(a.Events)
+	}
+	return a.Events[:last], barriers
 }
 
 // TruncationNote returns the human-readable replay warning for a truncated

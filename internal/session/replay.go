@@ -34,25 +34,15 @@ type ReplaySource struct {
 // ReplaySource must satisfy the same contract the live front end does.
 var _ datasource.DataSource = (*ReplaySource)(nil)
 
-// NewReplaySource builds a replay source over a loaded archive. A
-// truncated archive (front end killed mid-run) replays up to its last
-// complete read barrier: the tail past that barrier is a fragment of an
-// evaluation window no live consumer ever observed, so it is dropped
-// rather than presented as end-of-run state.
+// NewReplaySource builds a replay source over a loaded archive's
+// Replayable events: a truncated archive (front end killed mid-run) replays
+// up to its last complete read barrier, its tail dropped rather than
+// presented as end-of-run state.
 func NewReplaySource(a *Archive) *ReplaySource {
 	v := datasource.NewView()
 	v.NumBins = a.Header.NumBins
 	v.BinWidth = a.Header.BinWidth
-	events := a.Events
-	if a.Truncated {
-		last := 0
-		for i := range events {
-			if events[i].Kind == EvBarrier {
-				last = i + 1
-			}
-		}
-		events = events[:last]
-	}
+	events, _ := a.Replayable()
 	// The newest sample replay will apply is where every histogram ends:
 	// each reserves its bins up to it on its first sample.
 	for i := range events {
