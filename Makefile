@@ -188,6 +188,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzApplySamples -fuzztime=5s ./internal/datasource
 	$(GO) test -run '^$$' -fuzz=FuzzRunInfo -fuzztime=5s ./internal/pperfmark
 	$(GO) test -run '^$$' -fuzz=FuzzProbeEdits -fuzztime=5s ./internal/probe
+	$(GO) test -run '^$$' -fuzz=FuzzMatchOrder -fuzztime=5s ./internal/mpi
 
 # fuzz-perfdb holds the chunked-archive decoder and the packed sample-batch,
 # trace-shard and event-section decoders under it (internal/session) total:

@@ -102,7 +102,7 @@ func dbAdd(st *perfdb.Store, o *opts, operands []string) int {
 	if err != nil {
 		return fail(1, "pperf db:", err)
 	}
-	fmt.Printf("stored %s (%d events, %d bytes compacted)\n", m.ID, m.Events, m.Bytes)
+	fmt.Printf("stored %s (%d events, %d bytes)\n", m.ID, m.Events, m.Bytes)
 	return 0
 }
 

@@ -242,9 +242,13 @@ func TestTruncatedRecordingReplays(t *testing.T) {
 		}
 		added, stderr, code := run("db", "-store", store, "add", cut)
 		var id string
-		if _, err := fmt.Sscanf(added, "stored %s", &id); code != 0 || err != nil || strings.Contains(stderr, "no verdict") {
-			t.Errorf("db add of %s: exit %d\nstderr: %s\nstdout: %s", cut, code, stderr, added)
+		var events, size int
+		if _, err := fmt.Sscanf(added, "stored %s (%d events, %d bytes)\n", &id, &events, &size); code != 0 || err != nil || strings.Contains(stderr, "no verdict") {
+			t.Errorf("db add of %s: exit %d (%v)\nstderr: %s\nstdout: %s", cut, code, err, stderr, added)
 			continue
+		}
+		if size != pos || events != len(a.Events) {
+			t.Errorf("db add of %s printed %q; want the cut's %d events and %d bytes", cut, added, len(a.Events), pos)
 		}
 		stored := filepath.Join(store, "runs", id+".ppdb")
 		if got, err := os.ReadFile(stored); err != nil || !bytes.Equal(got, data[:pos]) {

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"pperf/internal/sim"
@@ -149,6 +150,18 @@ func TestProbeAndGetCount(t *testing.T) {
 			c.Send(r, nil, 6, Int, 1, 9)
 			return
 		}
+		// A source outside the group is refused with Recv's error.
+		_, want := c.Recv(r, nil, 6, Int, 2, 9)
+		if want == nil || !strings.Contains(want.Error(), "rank 2 out of range [0,2)") {
+			t.Errorf("Recv from rank 2 of 2: %v", want)
+			return
+		}
+		if found, _, err := c.Iprobe(r, 2, 9); found || err == nil || err.Error() != want.Error() {
+			t.Errorf("Iprobe from rank 2 of 2 = %v, %v; want %v", found, err, want)
+		}
+		if _, err := c.ProbeMsg(r, 2, AnyTag); err == nil || err.Error() != want.Error() {
+			t.Errorf("Probe from rank 2 of 2 = %v; want %v", err, want)
+		}
 		// Iprobe before arrival: nothing pending.
 		if found, _, _ := c.Iprobe(r, 0, 9); found {
 			t.Error("Iprobe should find nothing yet")
@@ -175,7 +188,7 @@ func TestProbeAndGetCount(t *testing.T) {
 		if _, err := c.Recv(r, nil, 6, Int, 0, 9); err != nil {
 			t.Error(err)
 		}
-		if len(r.unexpected) != 0 {
+		if r.unexpected.len() != 0 {
 			t.Error("queue should be drained")
 		}
 	})

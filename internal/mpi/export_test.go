@@ -8,11 +8,21 @@ import (
 // What the external tests (package mpi_test, which can import the layers
 // above mpi: mdl, faults, pperfmark) read of the runtime's internals.
 
-// UnexpectedLen is the length of r's unexpected-message queue.
-func (r *Rank) UnexpectedLen() int { return len(r.unexpected) }
+// len is the number of entries in q; only tests ask.
+func (q *queue[T]) len() int { return len(q.items) }
 
-// Posted returns the receives r has posted and no message has matched yet.
-func (r *Rank) Posted() []*Request { return r.posted }
+// UnexpectedLen is the length of r's unexpected-message queue.
+func (r *Rank) UnexpectedLen() int { return r.unexpected.len() }
+
+// PostedLen is the number of receives r has posted and no message has
+// matched yet.
+func (r *Rank) PostedLen() int { return r.posted.len() }
+
+// FirstPosted is the earliest of those receives, or nil.
+func (r *Rank) FirstPosted() *Request {
+	rq, _ := r.posted.first(func(*Request) bool { return true })
+	return rq
+}
 
 // FreeRequests is the length of the world's request free list.
 func (w *World) FreeRequests() int { return len(w.freeReqs) }
@@ -72,21 +82,16 @@ func (w *World) CheckFreeRequests() error {
 		}
 		free[rq] = true
 	}
+	isFree := func(rq *Request) bool { return free[rq] }
 	for _, r := range w.ranks {
-		for _, rq := range r.posted {
-			if free[rq] {
-				return fmt.Errorf("%v: a posted receive is on the free list", r)
-			}
+		if _, i := r.posted.first(isFree); i >= 0 {
+			return fmt.Errorf("%v: a posted receive is on the free list", r)
 		}
-		for _, rq := range r.pendingSends {
-			if free[rq] {
-				return fmt.Errorf("%v: a send waiting for window space is on the free list", r)
-			}
+		if _, i := r.pendingSends.first(isFree); i >= 0 {
+			return fmt.Errorf("%v: a send waiting for window space is on the free list", r)
 		}
-		for _, m := range r.unexpected {
-			if m.sreq != nil && free[m.sreq] {
-				return fmt.Errorf("%v: the sender of a queued rendezvous notice is on the free list", r)
-			}
+		if _, i := r.unexpected.first(func(m *message) bool { return m.sreq != nil && free[m.sreq] }); i >= 0 {
+			return fmt.Errorf("%v: the sender of a queued rendezvous notice is on the free list", r)
 		}
 	}
 	return nil

@@ -196,8 +196,8 @@ func TestRecvByTagReordersAndQueuesUnexpected(t *testing.T) {
 				c.Recv(r, nil, 1, Byte, 0, i)
 				order = append(order, i)
 			}
-			if len(r.unexpected) != 0 {
-				t.Errorf("unexpected queue not drained: %d", len(r.unexpected))
+			if r.unexpected.len() != 0 {
+				t.Errorf("unexpected queue not drained: %d", r.unexpected.len())
 			}
 		}
 	})

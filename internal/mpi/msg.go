@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"slices"
 
 	"pperf/internal/sim"
 )
@@ -11,10 +10,8 @@ import (
 // it carries the payload; for rendezvous sends it is the "ready to send"
 // notice that the receiver matches before the transfer happens.
 type message struct {
-	src, dst   *Rank
-	commID     int
-	srcRank    int
-	tag        int
+	src, dst *Rank
+	envelope
 	bytes      int
 	data       []byte
 	sentAt     sim.Time // injection time, for trace message edges
@@ -29,6 +26,27 @@ type message struct {
 	creditBack  int
 	creditAt    sim.Time
 	matched     bool // a receive has taken it: it is out of every mailbox
+}
+
+// envelope is what matching compares. A message carries the one it was sent
+// with; a receive's or probe's is its pattern, which may hold the wildcards.
+type envelope struct{ commID, srcRank, tag int }
+
+// pattern validates a receive or probe pattern for (src, tag) on c: a source
+// other than AnySource must be a rank of the group r receives from.
+func (c *Comm) pattern(r *Rank, src, tag int) (envelope, error) {
+	var err error
+	if src != AnySource {
+		_, err = c.peer(r, src)
+	}
+	return envelope{c.id, src, tag}, err
+}
+
+// matches reports whether message m meets pattern p.
+func (p envelope) matches(m *message) bool {
+	return p.commID == m.commID &&
+		(p.srcRank == AnySource || p.srcRank == m.srcRank) &&
+		(p.tag == AnyTag || p.tag == m.tag)
 }
 
 // inject puts msg on the wire: it goes into a recycled message if there is
@@ -79,20 +97,18 @@ type Request struct {
 	done       bool
 	completeAt sim.Time
 
-	// Receive-side match pattern. A matched receive owns what it keeps of
-	// the message — its status, payload included — so the message can be
-	// recycled while the request lives on.
-	commID  int
-	srcRank int // AnySource allowed
-	tag     int // AnyTag allowed
-	status  Status
-	buf     []byte // destination buffer; filled on completion if non-nil
+	// A receive's match pattern, or the envelope a send's message carries.
+	// A matched receive owns what it keeps of the message — its status,
+	// payload included — so the message can be recycled while the request
+	// lives on.
+	envelope
+	status Status
+	buf    []byte // destination buffer; filled on completion if non-nil
 
 	// Send side.
-	dst     *Rank
-	bytes   int
-	data    []byte // payload to send
-	sendTag int
+	dst   *Rank
+	bytes int
+	data  []byte // payload to send
 }
 
 // newRequest returns a request initialised to init, reusing one from the
@@ -128,14 +144,6 @@ func (rq *Request) Source() int {
 	return -1
 }
 
-// matches reports whether a posted receive pattern matches a message.
-func (rq *Request) matches(m *message) bool {
-	return !rq.isSend && !rq.done &&
-		rq.commID == m.commID &&
-		(rq.srcRank == AnySource || rq.srcRank == m.srcRank) &&
-		(rq.tag == AnyTag || rq.tag == m.tag)
-}
-
 // complete finishes the request at time t and wakes the owner if it is
 // blocked. For a receive, match has already copied the status out of the
 // message; the payload lands in the caller's buffer now.
@@ -162,7 +170,7 @@ type waitingOn Request
 
 func (rq *waitingOn) String() string {
 	if rq.isSend {
-		return fmt.Sprintf("MPI_Send(tag=%d, comm=%d) on rank %d", rq.sendTag, rq.commID, rq.owner.rank)
+		return fmt.Sprintf("MPI_Send(tag=%d, comm=%d) on rank %d", rq.tag, rq.commID, rq.owner.rank)
 	}
 	return fmt.Sprintf("MPI_Recv(tag=%d, comm=%d) on rank %d", rq.tag, rq.commID, rq.owner.rank)
 }
@@ -172,24 +180,20 @@ func (rq *waitingOn) String() string {
 // or queue as unexpected.
 func (m *message) deliver() {
 	dst := m.dst
-	for i, rq := range dst.posted {
-		if rq.matches(m) {
-			dst.posted = slices.Delete(dst.posted, i, i+1) // clears the vacated slot
-			// The receive was already posted, so the receiver was (or will
-			// be) blocked on this message: a wait edge.
-			m.match(rq, m.arrival, true)
-			return
-		}
+	if rq, i := dst.posted.first(func(rq *Request) bool { return rq.matches(m) }); i >= 0 {
+		dst.posted.remove(i)
+		// The receive was already posted, so the receiver was (or will be)
+		// blocked on this message: a wait edge.
+		m.match(rq, m.arrival, true)
+		return
 	}
-	dst.unexpected = append(dst.unexpected, m)
-	if m.creditBytes > 0 && dst.inLibraryWait > 0 {
-		// The receiver is blocked inside the MPI library, so its transport
-		// is being drained: the flow window frees without a match.
-		m.returnCredit(m.arrival)
-	}
-	// Wake a receiver blocked in MPI_Probe (or any library wait that
-	// re-checks the unexpected queue); spurious wakes are harmless.
+	dst.unexpected.push(m)
 	if dst.inLibraryWait > 0 {
+		// The receiver is blocked inside the MPI library, so its transport
+		// is being drained: the flow window frees without a match. Wake it
+		// too, in case it is in MPI_Probe (or any library wait that
+		// re-checks the unexpected queue); spurious wakes are harmless.
+		m.returnCredit(m.arrival)
 		dst.wakeAt(m.arrival)
 	}
 }
@@ -249,22 +253,15 @@ func (r *Rank) addCredit(dstGID int, bytes int, sentAt sim.Time) {
 	r.credits[dstGID] += bytes
 	now := r.w.Eng.Now()
 	for r.credits[dstGID] > 0 {
-		idx := -1
-		for i, rq := range r.pendingSends {
-			if rq.dst.global == dstGID {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
+		rq, i := r.pendingSends.first(func(rq *Request) bool { return rq.dst.global == dstGID })
+		if i < 0 {
 			return
 		}
-		rq := r.pendingSends[idx]
 		charge := rq.bytes + r.w.Impl.Cost.MsgHeaderBytes
 		if r.credits[dstGID] < charge {
 			return // head-of-line blocks until enough window frees
 		}
-		r.pendingSends = slices.Delete(r.pendingSends, idx, idx+1)
+		r.pendingSends.remove(i)
 		r.credits[dstGID] -= charge
 		if tr := r.w.Tracer; tr != nil {
 			// The blocked send was released by the peer freeing flow-window
@@ -281,23 +278,9 @@ func (r *Rank) addCredit(dstGID int, bytes int, sentAt sim.Time) {
 // bypasses windowing).
 func (r *Rank) dispatchEager(rq *Request, t sim.Time, creditBytes int) {
 	r.w.inject(message{
-		src: r, dst: rq.dst, commID: rq.commID, srcRank: rq.srcRank,
-		tag: rq.sendTag, bytes: rq.bytes, data: rq.data, creditBytes: creditBytes,
+		src: r, dst: rq.dst, envelope: rq.envelope,
+		bytes: rq.bytes, data: rq.data, creditBytes: creditBytes,
 		sentAt:  t,
 		arrival: t.Add(r.w.MsgTime(t, r.node, rq.dst.node, rq.bytes)),
 	})
-}
-
-// findUnexpected scans the unexpected queue (in arrival order) for the first
-// message matching the pattern, removing and returning it.
-func (r *Rank) findUnexpected(rq *Request) *message {
-	for i, m := range r.unexpected {
-		if rq.matches(m) {
-			// Delete clears the vacated slot, so the queue does not pin a
-			// message that goes on to be recycled.
-			r.unexpected = slices.Delete(r.unexpected, i, i+1)
-			return m
-		}
-	}
-	return nil
 }

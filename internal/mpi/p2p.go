@@ -18,14 +18,14 @@ func (r *Rank) isendInternal(comm *Comm, dst, tag, count int, dt Datatype, data 
 	cost := &r.w.Impl.Cost
 	bytes := count * dt.Size()
 	rq := r.w.newRequest(Request{
-		owner: r, isSend: true, dst: peer, commID: comm.id,
-		srcRank: comm.RankOf(r), sendTag: tag, bytes: bytes, data: data,
+		owner: r, isSend: true, dst: peer, bytes: bytes, data: data,
+		envelope: envelope{commID: comm.id, srcRank: comm.RankOf(r), tag: tag},
 	})
 	if synchronous || bytes > cost.EagerThreshold {
 		// Rendezvous: post a ready-to-send notice; the transfer starts when
 		// the receiver matches it.
 		r.w.inject(message{
-			src: r, dst: peer, commID: comm.id, srcRank: rq.srcRank, tag: tag, bytes: bytes,
+			src: r, dst: peer, envelope: rq.envelope, bytes: bytes,
 			rendezvous: true, sreq: rq, sentAt: r.Now(),
 			arrival: r.Now().Add(r.w.MsgTime(r.Now(), r.node, peer.node, 0)),
 		})
@@ -35,19 +35,21 @@ func (r *Rank) isendInternal(comm *Comm, dst, tag, count int, dt Datatype, data 
 		r.credits[peer.global] = cost.FlowCreditBytes
 	}
 	charge := bytes + cost.MsgHeaderBytes
+	// A send to peer still waiting for window space goes first (per-pair FIFO).
+	_, queued := r.pendingSends.first(func(rq *Request) bool { return rq.dst == peer })
 	switch {
 	case charge > cost.FlowCreditBytes:
 		// An eager message larger than the whole flow window (possible when
 		// the eager threshold exceeds the buffer size) bypasses windowing:
 		// real transports grow their buffers rather than deadlock.
 		charge = 0
-	case r.credits[peer.global] >= charge && !r.hasPendingTo(peer.global):
+	case r.credits[peer.global] >= charge && queued < 0:
 		r.credits[peer.global] -= charge
 	default:
 		// No window space: the send waits its turn (finite eager buffering
 		// — this is where small-messages' clients accumulate MPI_Send
 		// waiting time).
-		r.pendingSends = append(r.pendingSends, rq)
+		r.pendingSends.push(rq)
 		return rq, nil
 	}
 	r.dispatchEager(rq, r.Now(), charge)
@@ -55,34 +57,22 @@ func (r *Rank) isendInternal(comm *Comm, dst, tag, count int, dt Datatype, data 
 	return rq, nil
 }
 
-// irecvInternal posts a receive for (src, tag) on comm. src may be
-// AnySource and tag AnyTag.
+// irecvInternal posts a receive for pattern (src, tag) on comm.
 func (r *Rank) irecvInternal(comm *Comm, src, tag int, buf []byte) (*Request, error) {
-	if src != AnySource {
-		if _, err := comm.peer(r, src); err != nil {
-			return nil, err
-		}
+	p, err := comm.pattern(r, src, tag)
+	if err != nil {
+		return nil, err
 	}
-	rq := r.w.newRequest(Request{owner: r, commID: comm.id, srcRank: src, tag: tag, buf: buf})
-	if m := r.findUnexpected(rq); m != nil {
+	rq := r.w.newRequest(Request{owner: r, envelope: p, buf: buf})
+	if m, i := r.unexpected.first(p.matches); i >= 0 {
+		r.unexpected.remove(i)
 		// The message was already queued when the receive was posted — the
 		// receiver never blocked on it, so the edge is not a wait edge.
 		m.match(rq, r.Now(), false)
 		return rq, nil
 	}
-	r.posted = append(r.posted, rq)
+	r.posted.push(rq)
 	return rq, nil
-}
-
-// hasPendingTo reports whether earlier sends to the destination are still
-// queued for window space (per-pair FIFO ordering).
-func (r *Rank) hasPendingTo(dstGID int) bool {
-	for _, rq := range r.pendingSends {
-		if rq.dst.global == dstGID {
-			return true
-		}
-	}
-	return false
 }
 
 // waitInternal blocks until the request completes. For personalities whose

@@ -25,25 +25,16 @@ func (st Status) GetCount(dt Datatype) int {
 	return -1
 }
 
-// findUnexpectedPeek finds (without consuming) the first queued message
-// matching (commID, src, tag).
-func (r *Rank) findUnexpectedPeek(commID, src, tag int) *message {
-	for _, m := range r.unexpected {
-		if m.commID == commID &&
-			(src == AnySource || src == m.srcRank) &&
-			(tag == AnyTag || tag == m.tag) {
-			return m
-		}
-	}
-	return nil
-}
-
 // Iprobe is MPI_Iprobe: a non-blocking check for a matching pending
 // message. Probe args: (source, tag, comm, flag, status).
 func (c *Comm) Iprobe(r *Rank, src, tag int) (bool, *Status, error) {
 	defer r.endMPI(r.beginMPI("MPI_Iprobe", wildcardArg(src), wildcardArg(tag), c, nil, nil))
 	r.SystemCompute(c.w.Impl.Cost.RecvOverhead / 4)
-	if m := r.findUnexpectedPeek(c.id, src, tag); m != nil {
+	p, err := c.pattern(r, src, tag)
+	if err != nil {
+		return false, nil, err
+	}
+	if m, _ := r.unexpected.first(p.matches); m != nil {
 		return true, &Status{Source: m.srcRank, Tag: m.tag, bytes: m.bytes}, nil
 	}
 	return false, nil, nil
@@ -54,10 +45,14 @@ func (c *Comm) Iprobe(r *Rank, src, tag int) (bool, *Status, error) {
 func (c *Comm) ProbeMsg(r *Rank, src, tag int) (*Status, error) {
 	defer r.endMPI(r.beginMPI("MPI_Probe", wildcardArg(src), wildcardArg(tag), c, nil))
 	r.SystemCompute(c.w.Impl.Cost.RecvOverhead / 4)
+	p, err := c.pattern(r, src, tag)
+	if err != nil {
+		return nil, err
+	}
 	r.enterLibraryWait()
 	defer r.exitLibraryWait()
 	for {
-		if m := r.findUnexpectedPeek(c.id, src, tag); m != nil {
+		if m, _ := r.unexpected.first(p.matches); m != nil {
 			return &Status{Source: m.srcRank, Tag: m.tag, bytes: m.bytes}, nil
 		}
 		r.block("MPI_Probe")

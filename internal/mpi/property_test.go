@@ -55,7 +55,7 @@ func TestPropertyMessageConservation(t *testing.T) {
 					return
 				}
 			}
-			if len(r.unexpected) != 0 {
+			if r.unexpected.len() != 0 {
 				okCh = false
 			}
 		})

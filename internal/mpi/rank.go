@@ -30,8 +30,8 @@ type Rank struct {
 	busySys   bool
 
 	// Mailbox.
-	unexpected []*message
-	posted     []*Request
+	unexpected queue[*message]
+	posted     queue[*Request]
 	// barrierReqs is the linear barrier's request array, kept between
 	// barriers (see waitallRecycle).
 	barrierReqs []*Request
@@ -39,7 +39,7 @@ type Rank struct {
 	// Eager flow control: available flow-window bytes per destination
 	// global id, and sends queued awaiting window space.
 	credits      map[int]int
-	pendingSends []*Request
+	pendingSends queue[*Request]
 	// inLibraryWait counts nested blocking waits inside MPI calls; while
 	// nonzero, the transport is considered drained on arrival (flow-window
 	// credits return immediately).
@@ -197,9 +197,7 @@ func (r *Rank) block(what any) { r.proc.Wait(what) }
 func (r *Rank) enterLibraryWait() {
 	r.inLibraryWait++
 	if r.inLibraryWait == 1 {
-		for _, m := range r.unexpected {
-			m.returnCredit(r.Now())
-		}
+		r.unexpected.each(func(m *message) { m.returnCredit(r.Now()) })
 	}
 }
 

@@ -216,11 +216,11 @@ func TestRecycledRequestsAreUnreachable(t *testing.T) {
 			}
 		})
 		r1 := w.Ranks()[1]
-		if !r1.Lost() || len(r1.Posted()) != 1 {
-			t.Fatalf("rank 1 lost: %v, with %d posted receives; want lost in its %s", r1.Lost(), len(r1.Posted()), blocked.routine)
+		if !r1.Lost() || r1.PostedLen() != 1 {
+			t.Fatalf("rank 1 lost: %v, with %d posted receives; want lost in its %s", r1.Lost(), r1.PostedLen(), blocked.routine)
 		}
-		if w.IsRecycled(r1.Posted()[0]) || w.FreeRequests() == 0 {
-			t.Errorf("%s: killed rank's request recycled: %v (%d on the free list)", blocked.routine, w.IsRecycled(r1.Posted()[0]), w.FreeRequests())
+		if w.IsRecycled(r1.FirstPosted()) || w.FreeRequests() == 0 {
+			t.Errorf("%s: killed rank's request recycled: %v (%d on the free list)", blocked.routine, w.IsRecycled(r1.FirstPosted()), w.FreeRequests())
 		}
 		if err := w.CheckFreeRequests(); err != nil {
 			t.Errorf("%s: %v", blocked.routine, err)
