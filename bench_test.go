@@ -552,7 +552,7 @@ func (t benchTarget) Probes() *probe.Process            { return t.r.Probes() }
 func (t benchTarget) FunctionsOfModule(string) []string { return nil }
 func (t benchTarget) WallNow() sim.Time                 { return t.r.Now() }
 func (t benchTarget) CPUNow() sim.Duration              { return t.r.CPUTime() }
-func (t benchTarget) SystemNow() sim.Duration           { return t.r.SystemTime() }
+func (t benchTarget) SystemNow() sim.Duration           { return t.r.SystemTimeAt(t.r.Now()) }
 
 // BenchmarkAblationPCThreshold reproduces the diffuse-procedure threshold
 // sensitivity: found at 0.2, missed at the default 0.3 (§5.1.6). The run is

@@ -61,7 +61,7 @@ func (o *opts) define(fs *flag.FlagSet) {
 	fs.BoolVar(&o.hier, "hierarchy", false, "print the final resource hierarchy")
 	fs.BoolVar(&o.judge, "judge", true, "judge the findings against the paper's expectations")
 	fs.StringVar(&o.spawn, "spawn", "intercept", "spawn support method: intercept | attach")
-	fs.Uint64Var(&o.seed, "seed", 0, "simulation seed")
+	fs.Uint64Var(&o.seed, "seed", 0, "seed recorded with the run; nothing draws from it, so it changes no output")
 	fs.StringVar(&o.pcl, "pcl", "", "run from a Paradyn Configuration Language file instead")
 	fs.StringVar(&o.faults, "faults", "", "fault-injection plan, e.g. 't=2s kill-node node1' (see FAULTS.md)")
 	fs.StringVar(&o.trace, "trace", "", "write the merged event trace to this file (see TRACING.md)")
@@ -297,6 +297,9 @@ func run(args []string) int {
 		}
 		if o.format != "text" && o.format != "json" {
 			return fail(2, "pperf db:", fmt.Sprintf("unknown format %q (want text or json)", o.format))
+		}
+		if o.chunkBytes < 1 || o.chunkBytes > perfdb.MaxSyncChunkBytes {
+			return fail(2, "pperf db:", fmt.Sprintf("-chunk-bytes %d: want 1 to %d", o.chunkBytes, perfdb.MaxSyncChunkBytes))
 		}
 	} else if fs.NArg() > 0 {
 		return fail(2, "pperf:", fmt.Sprintf("-%s takes no operands, got %q", c.name, fs.Arg(0)))

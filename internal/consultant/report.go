@@ -193,10 +193,6 @@ func (c *Consultant) Render() string {
 	return b.String()
 }
 
-// Coverage reports the front end's data-coverage fraction at render time
-// (1.0 = every known process reporting).
-func (c *Consultant) Coverage() float64 { return c.ds.Coverage() }
-
 func boolWord(v bool) string {
 	if v {
 		return "true"

@@ -32,7 +32,10 @@ type Options struct {
 	// usual slice).
 	Nodes       int
 	CPUsPerNode int
-	// Seed drives the deterministic RNG.
+	// Seed is the run's seed (0 means 20040401), handed to sim.NewEngine.
+	// Nothing draws from it, so runs that differ only in Seed are identical;
+	// pperfmark records it with the run (archive metadata, run description,
+	// store index).
 	Seed uint64
 	// Daemon configures the per-node daemons.
 	Daemon *daemon.Config

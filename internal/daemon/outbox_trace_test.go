@@ -93,8 +93,10 @@ func TestBulkQueueEvictionCountsSpans(t *testing.T) {
 	// Bulk-channel trouble must leave no trace of itself in the timeline:
 	// no transport events on the daemon's own track, and nothing in the
 	// report outbox.
-	if rec := d.tracer.Recorder(NameFor("node0")); rec != nil && rec.Len() > 0 {
-		t.Errorf("bulk path recorded %d daemon-track spans; timeline must not depend on shipping", rec.Len())
+	for _, rec := range d.tracer.Recorders("node0") {
+		if rec.Proc() == NameFor("node0") && rec.Len() > 0 {
+			t.Errorf("bulk path recorded %d daemon-track spans; timeline must not depend on shipping", rec.Len())
+		}
 	}
 	if queued := len(d.ctl.evs); queued != 0 {
 		t.Errorf("shards leaked into the report outbox: depth %d", queued)
@@ -192,8 +194,10 @@ func TestFillHookShipsAtWatermark(t *testing.T) {
 	if len(sink.shards) != 1 || sink.shards[0].Len() != 4 {
 		t.Fatalf("want one 4-span shard at the watermark, got %+v", sink.shards)
 	}
-	if rec := tr.Recorder("p{0}"); rec.Len() != 0 {
-		t.Errorf("recorder not drained by eager ship: %d left", rec.Len())
+	for _, rec := range tr.Recorders("") {
+		if rec.Len() != 0 {
+			t.Errorf("recorder %s not drained by eager ship: %d left", rec.Proc(), rec.Len())
+		}
 	}
 }
 

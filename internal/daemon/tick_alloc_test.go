@@ -7,6 +7,7 @@ package daemon_test
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pperf/internal/cluster"
@@ -21,8 +22,9 @@ import (
 
 // tickRig is one node running two ping-pong ranks under an in-process front
 // end, with four metrics enabled on the whole program and on each process:
-// eight instances a rank. The engine has run one virtual second, so both ranks
-// are adopted, instrumented and mid-run.
+// eight instances a rank. The ranks ping-pong for one virtual second and then
+// both wait for a message nobody sends, so the run ends in a deadlock with
+// both ranks adopted, instrumented and mid-run.
 func tickRig(t *testing.T, rec *perfdb.StreamRecorder) *daemon.Daemon {
 	t.Helper()
 	eng := sim.NewEngine(13)
@@ -37,7 +39,7 @@ func tickRig(t *testing.T, rec *perfdb.StreamRecorder) *daemon.Daemon {
 	fe.SetDaemons(daemon.AttachAll(w, []*daemon.Daemon{d}))
 	w.Register("pp", func(r *mpi.Rank, _ []string) {
 		c := r.World()
-		for i := 0; i < 1000; i++ {
+		for i := 0; i < 100; i++ {
 			if r.Rank() == 0 {
 				r.Compute(10 * sim.Millisecond)
 				c.Send(r, nil, 8, mpi.Byte, 1, 0)
@@ -45,6 +47,7 @@ func tickRig(t *testing.T, rec *perfdb.StreamRecorder) *daemon.Daemon {
 				c.Recv(r, nil, 8, mpi.Byte, 0, 0)
 			}
 		}
+		c.Recv(r, nil, 8, mpi.Byte, 1-r.Rank(), 1)
 	})
 	if _, err := w.LaunchN("pp", 2, nil); err != nil {
 		t.Fatal(err)
@@ -58,9 +61,8 @@ func tickRig(t *testing.T, rec *perfdb.StreamRecorder) *daemon.Daemon {
 			}
 		}
 	}
-	eng.At(eng.Now().Add(sim.Second), eng.Stop)
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
+	if err := eng.Run(); err == nil || !strings.Contains(err.Error(), "deadlock at 1.003s") {
+		t.Fatalf("run = %v, want both ranks waiting at 1.003s", err)
 	}
 	if st := d.Stats(); st.Processes != 2 || st.Enabled != 12 {
 		t.Fatalf("rig holds %d processes and %d enables, want 2 and 12", st.Processes, st.Enabled)

@@ -96,26 +96,27 @@ const genSeedSalt = 0x6368616f // "chao"
 // one to maxFaults faults inside the first horizon of virtual time.
 func genPlan(seed uint64, nodes []string, maxFaults int, horizon sim.Duration) *faults.Plan {
 	rng := sim.NewRNG(seed ^ genSeedSalt)
+	intn := func(n int) int { return int(rng.Uint64() % uint64(n)) }
 	p := faults.New()
 	p.Seed = seed
 
 	// Resilience knobs: occasionally stretch or disable detection to cover
 	// the no-liveness paths.
-	switch rng.Intn(4) {
+	switch intn(4) {
 	case 0:
 		p.Heartbeat = 0 // no liveness monitor at all
 	case 1:
-		p.Heartbeat = sim.Duration(50+rng.Intn(400)) * sim.Millisecond
+		p.Heartbeat = sim.Duration(50+intn(400)) * sim.Millisecond
 		p.Detect = 2 * p.Heartbeat
 	}
-	if rng.Intn(2) == 0 {
-		p.Restarts = 1 + rng.Intn(3)
+	if intn(2) == 0 {
+		p.Restarts = 1 + intn(3)
 	}
 
-	pick := func() string { return nodes[rng.Intn(len(nodes))] }
+	pick := func() string { return nodes[intn(len(nodes))] }
 	pair := func() (string, string) {
-		a := rng.Intn(len(nodes))
-		b := (a + 1 + rng.Intn(len(nodes)-1)) % len(nodes)
+		a := intn(len(nodes))
+		b := (a + 1 + intn(len(nodes)-1)) % len(nodes)
 		return nodes[a], nodes[b]
 	}
 
@@ -123,36 +124,36 @@ func genPlan(seed uint64, nodes []string, maxFaults int, horizon sim.Duration) *
 	// horizon: early enough to hit attach and warm-up paths, never at the
 	// exact t=0 instant before anything has launched.
 	horizonMs := int(horizon / sim.Millisecond)
-	n := 1 + rng.Intn(maxFaults)
+	n := 1 + intn(maxFaults)
 	for i := 0; i < n; i++ {
-		f := faults.Fault{At: sim.Duration(10+rng.Intn(horizonMs-10)) * sim.Millisecond}
-		switch rng.Intn(7) {
+		f := faults.Fault{At: sim.Duration(10+intn(horizonMs-10)) * sim.Millisecond}
+		switch intn(7) {
 		case 0:
 			f.Kind, f.Node = faults.KillNode, pick()
 		case 1:
 			f.Kind, f.Node = faults.CrashDaemon, pick()
-			f.Restartable = rng.Intn(2) == 0
+			f.Restartable = intn(2) == 0
 		case 2:
 			f.Kind, f.Node = faults.HangDaemon, pick()
-			f.For = sim.Duration(10+rng.Intn(900)) * sim.Millisecond
+			f.For = sim.Duration(10+intn(900)) * sim.Millisecond
 		case 3:
 			f.Kind = faults.SeverLink
 			f.Node, f.Peer = pair()
-			f.For = sim.Duration(10+rng.Intn(500)) * sim.Millisecond
+			f.For = sim.Duration(10+intn(500)) * sim.Millisecond
 		case 4:
 			f.Kind = faults.DegradeLink
 			f.Node, f.Peer = pair()
-			f.Lat = 1 + float64(rng.Intn(20))
-			if rng.Intn(2) == 0 {
-				f.BW = 0.1 + 0.4*rng.Float64()
+			f.Lat = 1 + float64(intn(20))
+			if intn(2) == 0 {
+				f.BW = 0.1 + 0.4*float64(rng.Uint64()>>11)/(1<<53)
 			}
 		case 5:
 			f.Kind, f.Node = faults.DelayAttach, pick()
-			f.For = sim.Duration(10+rng.Intn(400)) * sim.Millisecond
+			f.For = sim.Duration(10+intn(400)) * sim.Millisecond
 		default:
 			f.Kind, f.Node = faults.DropTransport, pick()
-			f.N = 1 + rng.Intn(8)
-			f.Chan = []string{"", faults.ChanCtl, faults.ChanBulk, faults.ChanBoth, faults.ChanSync}[rng.Intn(5)]
+			f.N = 1 + intn(8)
+			f.Chan = []string{"", faults.ChanCtl, faults.ChanBulk, faults.ChanBoth, faults.ChanSync}[intn(5)]
 		}
 		p.Faults = append(p.Faults, f)
 	}

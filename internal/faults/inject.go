@@ -49,9 +49,6 @@ type Injector struct {
 	log []string
 }
 
-// Plan returns the armed plan.
-func (in *Injector) Plan() *Plan { return in.plan }
-
 // Log returns the injected events in firing order, each stamped with the
 // virtual time it fired — the audit trail for reports and tests.
 func (in *Injector) Log() []string {

@@ -278,7 +278,7 @@ func (t rankTarget) Probes() *probe.Process            { return t.r.Probes() }
 func (t rankTarget) FunctionsOfModule(string) []string { return nil }
 func (t rankTarget) WallNow() sim.Time                 { return t.r.Now() }
 func (t rankTarget) CPUNow() sim.Duration              { return t.r.CPUTime() }
-func (t rankTarget) SystemNow() sim.Duration           { return t.r.SystemTime() }
+func (t rankTarget) SystemNow() sim.Duration           { return t.r.SystemTimeAt(t.r.Now()) }
 
 // runInstrumented launches prog on n LAM ranks, instruments every rank with
 // the named metric at the given focus before the clock starts, runs, and

@@ -154,17 +154,6 @@ func (h *Histogram) Values() []float64 {
 	return vals
 }
 
-// Rates returns the per-bin rates (bin value divided by bin width in
-// seconds) over the filled prefix.
-func (h *Histogram) Rates() []float64 {
-	sec := h.binWidth.Seconds()
-	vals := h.Values()
-	for i := range vals {
-		vals[i] /= sec
-	}
-	return vals
-}
-
 // Total returns the sum over all bins (the unstored ones hold zero).
 func (h *Histogram) Total() float64 {
 	s := 0.0

@@ -241,12 +241,12 @@ func TestIsendIrecvWait(t *testing.T) {
 			r.Compute(10 * sim.Millisecond)
 			r.Wait(rq)
 		} else {
-			rq, err := c.Irecv(r, make([]byte, 3), 3, Byte, 0, 1)
+			data = make([]byte, 3)
+			rq, err := c.Irecv(r, data, 3, Byte, 0, 1)
 			if err != nil {
 				t.Error(err)
 			}
 			r.Wait(rq)
-			data = rq.Data()
 		}
 	})
 	if len(data) != 3 || data[0] != 9 {

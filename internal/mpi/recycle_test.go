@@ -20,7 +20,7 @@ func (t rankTarget) Probes() *probe.Process            { return t.r.Probes() }
 func (t rankTarget) FunctionsOfModule(string) []string { return nil }
 func (t rankTarget) WallNow() sim.Time                 { return t.r.Now() }
 func (t rankTarget) CPUNow() sim.Duration              { return t.r.CPUTime() }
-func (t rankTarget) SystemNow() sim.Duration           { return t.r.SystemTime() }
+func (t rankTarget) SystemNow() sim.Duration           { return t.r.SystemTimeAt(t.r.Now()) }
 
 // pairAllocs runs send on rank 1 and returns the allocations per call of
 // recv on rank 0 — and so of one pair, the sender's share included — the

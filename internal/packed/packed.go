@@ -76,9 +76,6 @@ type Table struct {
 	dict []string // the current blob's dictionary, reused
 }
 
-// Len returns how many strings the table shares.
-func (t *Table) Len() int { return len(t.strs) }
-
 func (t *Table) intern(b []byte) string {
 	if s, ok := t.strs[string(b)]; ok {
 		return s

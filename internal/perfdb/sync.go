@@ -57,6 +57,10 @@ const SyncProtoVersion = 2
 // resume and of per-frame CRC protection.
 const DefaultSyncChunkBytes = 64 << 10
 
+// MaxSyncChunkBytes bounds the transfer granularity at an archive frame's
+// largest payload.
+const MaxSyncChunkBytes = maxChunkPayload
+
 // Frame ops.
 const (
 	opHello = iota + 1
@@ -125,7 +129,8 @@ type SyncConfig struct {
 	// schedules. Seed also drives the degrade-link failure draw when no
 	// plan seed overrides it.
 	wire.Config
-	// ChunkBytes is the transfer granularity (0 = DefaultSyncChunkBytes).
+	// ChunkBytes is the transfer granularity, 1 to MaxSyncChunkBytes (0 =
+	// DefaultSyncChunkBytes).
 	ChunkBytes int
 	// Faults optionally shapes sync traffic from a fault plan:
 	// `drop-transport NAME n=K chan=sync` fails the next K frame sends,
@@ -157,8 +162,11 @@ type syncClient struct {
 // the report transport's streams; a fault plan's seed overrides the
 // configured one so a faulted sync is exactly reproducible.
 func dialSync(addr string, cfg SyncConfig) (*syncClient, error) {
-	if cfg.ChunkBytes <= 0 {
+	switch {
+	case cfg.ChunkBytes == 0:
 		cfg.ChunkBytes = DefaultSyncChunkBytes
+	case cfg.ChunkBytes < 0 || cfg.ChunkBytes > MaxSyncChunkBytes:
+		return nil, fmt.Errorf("perfdb sync: chunk size %d outside [1, %d]", cfg.ChunkBytes, MaxSyncChunkBytes)
 	}
 	if cfg.MsgTimeout <= 0 {
 		cfg.MsgTimeout = 2 * time.Second
@@ -688,7 +696,7 @@ func (s *SyncServer) pullChunk(req *syncReq) *syncResp {
 		return syncErr("pull-chunk: offset %d beyond archive size %d", req.Offset, size)
 	}
 	chunk := req.Size
-	if chunk <= 0 || chunk > int64(maxChunkPayload) {
+	if chunk <= 0 || chunk > MaxSyncChunkBytes {
 		chunk = DefaultSyncChunkBytes
 	}
 	n := size - req.Offset

@@ -34,6 +34,25 @@ func testSyncConfig() SyncConfig {
 	return cfg
 }
 
+// A chunk size outside [1, MaxSyncChunkBytes] is refused before dialing or
+// sizing a buffer; zero still means the default.
+func TestSyncChunkBytesIsRangeChecked(t *testing.T) {
+	for _, n := range []int{-1, MaxSyncChunkBytes + 1} {
+		cfg := testSyncConfig()
+		cfg.ChunkBytes = n
+		if _, err := dialSync("127.0.0.1:1", cfg); err == nil || !strings.Contains(err.Error(), "chunk size") {
+			t.Errorf("ChunkBytes %d: dial error %v, want the range refused", n, err)
+		}
+	}
+	_, srv := serveStore(t)
+	src, m := storeWithRun(t, 30, 150, "")
+	cfg := testSyncConfig()
+	cfg.ChunkBytes = 0
+	if _, err := Push(src, m.ID, srv.Addr(), cfg); err != nil {
+		t.Errorf("ChunkBytes 0 (the default): %v", err)
+	}
+}
+
 // storeWithRun creates a store holding one synthetic run.
 func storeWithRun(t *testing.T, seed int64, events int, label string) (*Store, RunMeta) {
 	t.Helper()
@@ -586,12 +605,15 @@ func TestSyncPullLabelCollision(t *testing.T) {
 
 // TestSyncServerUploadLocksReaped is the regression test for the server's
 // once-unbounded per-hash upload-lock map: after any amount of push churn —
-// fresh hashes, dedupe re-pushes, and a transfer cut mid-flight — the lock
-// table must return to empty, not grow one mutex per hash forever.
+// fresh hashes, dedupe re-pushes, and a transfer cut mid-flight — every
+// upload lock must come free, and wire's LockTable reaps a freed key, so the
+// table does not grow one mutex per hash forever.
 func TestSyncServerUploadLocksReaped(t *testing.T) {
 	_, srv := serveStore(t)
+	var hashes []string
 	for i := 0; i < 4; i++ {
 		src, m := storeWithRun(t, int64(10+i), 150, fmt.Sprintf("churn-%d", i))
+		hashes = append(hashes, m.Hash)
 		if _, err := Push(src, m.ID, srv.Addr(), testSyncConfig()); err != nil {
 			t.Fatal(err)
 		}
@@ -602,6 +624,7 @@ func TestSyncServerUploadLocksReaped(t *testing.T) {
 	}
 	// A push cut mid-transfer leaves a partial on disk — but no lock entry.
 	src, m := storeWithRun(t, 20, 2000, "")
+	hashes = append(hashes, m.Hash)
 	cfg := testSyncConfig()
 	cfg.ChunkBytes = 256
 	cfg.MaxAttempts = 2
@@ -617,14 +640,17 @@ func TestSyncServerUploadLocksReaped(t *testing.T) {
 	if _, err := Push(src, m.ID, srv.Addr(), cfg); err == nil {
 		t.Fatal("push survived a permanently cut link")
 	}
-	// The server handler may still be draining its last frame; give it a
-	// moment to quiesce before asserting steady state.
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.uploads.Len() != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := srv.uploads.Len(); got != 0 {
-		t.Errorf("upload locks at steady state = %d, want 0", got)
+	// The server handler may still be draining its last frame; each lock
+	// must come free once it quiesces.
+	for _, h := range hashes {
+		got := make(chan func(), 1)
+		go func() { got <- srv.uploads.Acquire(h) }()
+		select {
+		case release := <-got:
+			release()
+		case <-time.After(2 * time.Second):
+			t.Fatalf("upload lock on %.8s still held at steady state", h)
+		}
 	}
 }
 

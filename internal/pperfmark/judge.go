@@ -22,7 +22,9 @@ import (
 type RunOptions struct {
 	Impl   mpi.ImplKind
 	Params Params
-	Seed   uint64
+	// Seed is recorded with the run (archive metadata, run description,
+	// store index); nothing draws from it (core.Options.Seed).
+	Seed uint64
 	// Spawn selects the tool's dynamic-process-creation method.
 	Spawn daemon.SpawnMethod
 	// DisablePC runs without the Performance Consultant (for histogram

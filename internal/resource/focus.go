@@ -55,21 +55,6 @@ func (f Focus) String() string {
 	return "<" + f.CodePath + "," + f.MachinePath + "," + f.SyncPath + ">"
 }
 
-// Label renders a short human label: the non-root components only.
-func (f Focus) Label() string {
-	f = f.Canon()
-	var parts []string
-	for _, p := range []string{f.CodePath, f.MachinePath, f.SyncPath} {
-		if p != "/Code" && p != "/Machine" && p != "/SyncObject" {
-			parts = append(parts, p)
-		}
-	}
-	if len(parts) == 0 {
-		return "Whole Program"
-	}
-	return strings.Join(parts, " ")
-}
-
 // CodeFunction returns the function name selected by the Code path
 // ("/Code/<module>/<function>"), or "" if the focus selects a whole module
 // or all code.

@@ -124,9 +124,6 @@ func (n *Node) DisplayName() string {
 // SetDisplayName attaches a user-friendly name (MPI object naming).
 func (n *Node) SetDisplayName(d string) { n.display = d }
 
-// Parent returns the parent node (nil for the root).
-func (n *Node) Parent() *Node { return n.parent }
-
 // Children returns the node's children in creation order.
 func (n *Node) Children() []*Node { return append([]*Node(nil), n.children...) }
 
@@ -200,16 +197,4 @@ func (h *Hierarchy) Render() string {
 	}
 	rec(h.root, "")
 	return b.String()
-}
-
-// Count returns the number of nodes (excluding the root), optionally
-// including retired ones.
-func (h *Hierarchy) Count(includeRetired bool) int {
-	n := 0
-	h.root.Walk(func(m *Node) {
-		if m != h.root && (includeRetired || !m.retired) {
-			n++
-		}
-	})
-	return n
 }

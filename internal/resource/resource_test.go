@@ -37,7 +37,7 @@ func TestAddPathCreatesIntermediates(t *testing.T) {
 	if h.FindPath("/Code/app.c") == nil {
 		t.Error("intermediate module node missing")
 	}
-	if got := h.FindPath("/Code/app.c/bottleneckProcedure").Parent().Name(); got != "app.c" {
+	if got := h.FindPath("/Code/app.c/bottleneckProcedure").parent.Name(); got != "app.c" {
 		t.Errorf("parent = %q", got)
 	}
 }
@@ -123,14 +123,23 @@ func TestRenderMarksRetired(t *testing.T) {
 
 func TestCount(t *testing.T) {
 	h := New()
-	base := h.Count(true) // 6 standard nodes
+	count := func(includeRetired bool) int {
+		n := 0
+		h.root.Walk(func(m *Node) {
+			if m != h.root && (includeRetired || !m.Retired()) {
+				n++
+			}
+		})
+		return n
+	}
+	base := count(true) // 6 standard nodes
 	h.Add(Code, "app.c", "main")
-	if h.Count(true) != base+2 {
-		t.Errorf("count = %d, want %d", h.Count(true), base+2)
+	if count(true) != base+2 {
+		t.Errorf("count = %d, want %d", count(true), base+2)
 	}
 	h.FindPath("/Code/app.c/main").Retire()
-	if h.Count(false) != base+1 {
-		t.Errorf("active count = %d, want %d", h.Count(false), base+1)
+	if count(false) != base+1 {
+		t.Errorf("active count = %d, want %d", count(false), base+1)
 	}
 }
 
@@ -151,8 +160,8 @@ func TestFocusWholeProgram(t *testing.T) {
 	if !f.IsWholeProgram() {
 		t.Error("WholeProgram should be whole")
 	}
-	if f.Label() != "Whole Program" {
-		t.Errorf("label = %q", f.Label())
+	if got := f.String(); got != "</Code,/Machine,/SyncObject>" {
+		t.Errorf("whole program renders as %q", got)
 	}
 	var zero Focus
 	if !zero.IsWholeProgram() {

@@ -286,8 +286,12 @@ func TestUnpackerStringTableIsCapped(t *testing.T) {
 		}
 		last = got
 	}
-	if up.Len() != packed.MaxInterned {
-		t.Errorf("string table holds %d entries after 10000 distinct names, want the cap %d", up.Len(), packed.MaxInterned)
+	again, err := trace.UnpackShard(&up.Table, buf) // the last shard once more
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unsafe.StringData(again.Proc) == unsafe.StringData(last.Proc) {
+		t.Errorf("a name met after %d distinct names is shared: the table grew past the cap %d", 10000, packed.MaxInterned)
 	}
 	if unsafe.StringData(first.Daemon) != unsafe.StringData(last.Daemon) {
 		t.Error("a name met before the table filled is no longer shared")

@@ -1,7 +1,7 @@
 package sim
 
 // Cond is a virtual-time condition variable: processes wait on it and are
-// woken by Signal or Broadcast at a given time. Unlike sync.Cond there is no
+// woken by Broadcast at a given time. Unlike sync.Cond there is no
 // lock, because the engine is sequential.
 type Cond struct {
 	waiters []*Proc
@@ -14,20 +14,6 @@ type Cond struct {
 func (c *Cond) Wait(p *Proc, what any) {
 	c.waiters = append(c.waiters, p)
 	p.Wait(what)
-}
-
-// Signal wakes the longest-waiting process at time t. It returns the woken
-// process, or nil if none were waiting.
-func (c *Cond) Signal(t Time) *Proc {
-	for len(c.waiters) > 0 {
-		p := c.waiters[0]
-		c.waiters[0] = nil // the vacated slot must not pin the process
-		c.waiters = c.waiters[1:]
-		if p.WakeAt(t) {
-			return p
-		}
-	}
-	return nil
 }
 
 // Broadcast wakes all waiting processes at time t and returns how many were

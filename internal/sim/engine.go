@@ -24,14 +24,14 @@ type Engine struct {
 	live    int // procs not yet done
 	cur     *Proc
 	running bool
-	stopped bool
 	err     error
-	rng     *RNG
 }
 
-// NewEngine returns a new simulation engine with the given RNG seed.
+// NewEngine returns a new simulation engine. The engine draws no random
+// numbers, so seed changes nothing: runs that differ only in it are
+// identical. Callers record it with the run (core.Options.Seed).
 func NewEngine(seed uint64) *Engine {
-	return &Engine{rng: NewRNG(seed)}
+	return &Engine{}
 }
 
 // Now returns the current virtual time. During a process's execution this is
@@ -42,12 +42,6 @@ func (e *Engine) Now() Time {
 	}
 	return e.now
 }
-
-// RNG returns the engine's deterministic random-number generator.
-func (e *Engine) RNG() *RNG { return e.rng }
-
-// Procs returns all processes ever started, in start order.
-func (e *Engine) Procs() []*Proc { return e.procs }
 
 // Schedule arranges for tg.Fire to run at virtual time t. If t is before the
 // current time, it runs at the current time (events cannot fire in the past).
@@ -114,12 +108,8 @@ func (t *Ticker) Stop() {
 	}
 }
 
-// Stop halts the simulation: Run returns after the currently executing
-// process or event yields control.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run executes the simulation until no live processes remain, Stop is called,
-// or a process panics. Pending events do not keep the simulation alive once
+// Run executes the simulation until no live processes remain or a process
+// panics. Pending events do not keep the simulation alive once
 // all processes have finished. Run returns the first error encountered: a
 // process panic or a deadlock — processes waiting, none ready, and nothing
 // pending but tickers, which are housekeeping and wake nobody.
@@ -130,7 +120,7 @@ func (e *Engine) Run() error {
 	e.running = true
 	defer func() { e.running = false }()
 
-	for !e.stopped && e.err == nil && e.live > 0 {
+	for e.err == nil && e.live > 0 {
 		if len(e.evq) == e.inert {
 			return e.deadlock()
 		}

@@ -165,35 +165,17 @@ func TestStartProcDuringRun(t *testing.T) {
 	}
 }
 
-func TestRunFor(t *testing.T) {
-	e := NewEngine(1)
-	ticks := 0
-	e.StartProc("ticker", func(p *Proc) {
-		for {
-			p.Sleep(time.Second)
-			ticks++
-		}
-	})
-	// A bounded run is a Stop event at the horizon.
-	e.At(e.Now().Add(10*time.Second+500*time.Millisecond), e.Stop)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ticks != 10 {
-		t.Errorf("ticks = %d, want 10", ticks)
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	trace := func() string {
 		e := NewEngine(42)
+		r := NewRNG(42) // shared rng accessed in deterministic order
 		var b strings.Builder
 		for i := 0; i < 5; i++ {
-			e.StartProc(fmt.Sprintf("p%d", i), func(p *Proc) {
-				r := e.RNG() // shared rng accessed in deterministic order
+			name := fmt.Sprintf("p%d", i)
+			e.StartProc(name, func(p *Proc) {
 				for j := 0; j < 20; j++ {
-					p.Sleep(Duration(r.Intn(1000)) * time.Millisecond)
-					fmt.Fprintf(&b, "%s@%v;", p.Name(), p.Now())
+					p.Sleep(Duration(r.Uint64()%1000) * time.Millisecond)
+					fmt.Fprintf(&b, "%s@%v;", name, p.Now())
 				}
 			})
 		}
@@ -213,7 +195,7 @@ func TestTieBreakIsStartOrder(t *testing.T) {
 	for _, name := range []string{"x", "y", "z"} {
 		e.StartProc(name, func(p *Proc) {
 			p.Sleep(time.Second)
-			order = append(order, p.Name())
+			order = append(order, name)
 		})
 	}
 	if err := e.Run(); err != nil {
@@ -221,32 +203,6 @@ func TestTieBreakIsStartOrder(t *testing.T) {
 	}
 	if got := strings.Join(order, ""); got != "xyz" {
 		t.Errorf("tie-break order = %q, want xyz (start order)", got)
-	}
-}
-
-func TestCondSignalWakesOne(t *testing.T) {
-	e := NewEngine(1)
-	var c Cond
-	woken := 0
-	for i := 0; i < 3; i++ {
-		e.StartProc(fmt.Sprintf("w%d", i), func(p *Proc) {
-			c.Wait(p, "signal")
-			woken++
-		})
-	}
-	e.StartProc("signaller", func(p *Proc) {
-		p.Sleep(time.Second)
-		if got := c.Signal(p.Now()); got == nil {
-			t.Error("Signal returned nil with waiters present")
-		}
-		p.Sleep(time.Second)
-		c.Broadcast(p.Now()) // release the rest so the sim can finish
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if woken != 3 {
-		t.Errorf("woken = %d, want 3", woken)
 	}
 }
 
@@ -288,13 +244,13 @@ func TestPropertyMonotoneDispatch(t *testing.T) {
 		n := int(nProcs%8) + 1
 		k := int(steps%50) + 1
 		e := NewEngine(seed)
+		r := NewRNG(seed)
 		last := Time(-1)
 		ok := true
 		for i := 0; i < n; i++ {
 			e.StartProc(fmt.Sprintf("p%d", i), func(p *Proc) {
-				r := e.RNG()
 				for j := 0; j < k; j++ {
-					p.Sleep(Duration(r.Intn(100)) * time.Millisecond)
+					p.Sleep(Duration(r.Uint64()%100) * time.Millisecond)
 					if p.Now() < last {
 						ok = false
 					}
@@ -312,23 +268,21 @@ func TestPropertyMonotoneDispatch(t *testing.T) {
 	}
 }
 
-// Property: RNG Intn always lands in range, and a stream seeded from
-// another's first draw differs from it.
+// Property: an RNG never draws zero (xorshift stalls at a zero state, so
+// seed 0 is remapped), and a stream seeded from another's first draw
+// differs from it.
 func TestPropertyRNG(t *testing.T) {
-	f := func(seed uint64, n uint16) bool {
+	f := func(seed uint64) bool {
 		r := NewRNG(seed)
-		m := int(n%1000) + 1
 		for i := 0; i < 100; i++ {
-			v := r.Intn(m)
-			if v < 0 || v >= m {
-				return false
-			}
-			fl := r.Float64()
-			if fl < 0 || fl >= 1 {
+			if r.Uint64() == 0 {
 				return false
 			}
 		}
 		return true
+	}
+	if !f(0) {
+		t.Error("seed 0 draws zero")
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -19,7 +19,6 @@ const (
 // must be called from within the process's own body function.
 type Proc struct {
 	eng  *Engine
-	id   int
 	name string
 
 	now      Time
@@ -59,7 +58,6 @@ func (e *Engine) StartProcAt(name string, at Time, fn func(p *Proc)) *Proc {
 	}
 	p := &Proc{
 		eng:    e,
-		id:     len(e.procs),
 		name:   name,
 		now:    at,
 		resume: make(chan struct{}),
@@ -101,15 +99,6 @@ func (p *Proc) run(fn func(*Proc)) {
 	}
 	fn(p)
 }
-
-// ID returns the process's engine-unique id (start order).
-func (p *Proc) ID() int { return p.id }
-
-// Name returns the process name given at StartProc.
-func (p *Proc) Name() string { return p.name }
-
-// Engine returns the engine this process belongs to.
-func (p *Proc) Engine() *Engine { return p.eng }
 
 // Now returns the process's local virtual clock.
 func (p *Proc) Now() Time { return p.now }
@@ -191,18 +180,3 @@ func (p *Proc) switchOut() {
 
 // Done reports whether the process has finished.
 func (p *Proc) Done() bool { return p.state == stateDone }
-
-// Status describes the process's scheduling state for diagnostics: "done",
-// "ready", "running", or "waiting: <reason>".
-func (p *Proc) Status() string {
-	switch p.state {
-	case stateDone:
-		return "done"
-	case stateRunning:
-		return "running"
-	case stateWaiting:
-		return "waiting: " + fmt.Sprint(p.waitWhat)
-	default:
-		return "ready"
-	}
-}

@@ -25,16 +25,3 @@ func (r *RNG) Uint64() uint64 {
 	r.state = x
 	return x * 0x2545f4914f6cdd1d
 }
-
-// Intn returns a uniform value in [0, n). It panics if n <= 0.
-func (r *RNG) Intn(n int) int {
-	if n <= 0 {
-		panic("sim: Intn with non-positive n")
-	}
-	return int(r.Uint64() % uint64(n))
-}
-
-// Float64 returns a uniform value in [0, 1).
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / float64(1<<53)
-}

@@ -91,12 +91,6 @@ func TestDeadlockVerdictUnderTickers(t *testing.T) {
 		t.Errorf("Run with a wake pending at 100s = %v at %v, want nil at 100s", err, e.Now())
 	}
 
-	e = NewEngine(1)
-	stuck(e)
-	e.At(Time(10*Second), e.Stop)
-	if err := e.Run(); err != nil || e.Now() != Time(10*Second) {
-		t.Errorf("a run stopped at 10s over a deadlocked program = %v at %v, want nil at 10s", err, e.Now())
-	}
 }
 
 // One dispatch costs the same whether six processes are asleep or hundreds:

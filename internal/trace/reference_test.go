@@ -341,7 +341,7 @@ func TestGrowingRingMatchesPreallocatedRing(t *testing.T) {
 					refFired = append(refFired, seq)
 				}
 				tr.Transport("p0", "node0", "m", at)
-				rec := tr.Recorder("p0")
+				rec := tr.Recorders("node0")[0]
 				if rec.Len() != ref.n || rec.Dropped() != ref.dropped {
 					t.Fatalf("after %d records: Len %d Dropped %d, reference %d and %d", seq, rec.Len(), rec.Dropped(), ref.n, ref.dropped)
 				}
@@ -349,7 +349,7 @@ func TestGrowingRingMatchesPreallocatedRing(t *testing.T) {
 					compareDrain(rec)
 				}
 			}
-			compareDrain(tr.Recorder("p0"))
+			compareDrain(tr.Recorders("node0")[0])
 			if !reflect.DeepEqual(fired, refFired) {
 				t.Errorf("watermark fired at %d records, reference at %d; first firings %v vs %v",
 					len(fired), len(refFired), fired[:min(5, len(fired))], refFired[:min(5, len(refFired))])

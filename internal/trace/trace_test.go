@@ -56,7 +56,7 @@ func TestTracerSeqAndNesting(t *testing.T) {
 	tr.BeginMPI("p0", "node0", "MPI_Isend", 11, "1", 5, 4, "comm-0")
 	tr.EndMPI("p0", 12)
 	tr.EndMPI("p0", 20)
-	spans := drained(t, tr.Recorder("p0"))
+	spans := drained(t, tr.recs["p0"])
 	if len(spans) != 2 {
 		t.Fatalf("spans = %d, want 2", len(spans))
 	}
@@ -86,7 +86,7 @@ func TestSyncReleaseEmitsWaiterEdges(t *testing.T) {
 	tr.SyncArrive(key, "p1")
 	tr.SyncRelease(key, "barrier", "p2", 50)
 	for _, waiter := range []string{"p0", "p1"} {
-		spans := drained(t, tr.Recorder(waiter))
+		spans := drained(t, tr.recs[waiter])
 		found := false
 		for _, s := range spans {
 			if s.Kind == EdgeEvent && s.Name == "barrier" && s.Peer == "p2" &&
@@ -99,7 +99,7 @@ func TestSyncReleaseEmitsWaiterEdges(t *testing.T) {
 		}
 	}
 	// The releaser itself never waits on its own release.
-	for _, s := range drained(t, tr.Recorder("p2")) {
+	for _, s := range drained(t, tr.recs["p2"]) {
 		if s.Kind == EdgeEvent && s.Name == "barrier" {
 			t.Error("releaser must not receive a sync edge")
 		}
@@ -260,7 +260,7 @@ func TestTracerDropsByProc(t *testing.T) {
 		tr.Compute("p0", "n0", sim.Time(i), sim.Time(i+1), false)
 	}
 	tr.Compute("p1", "n0", 0, 1, false)
-	if p0, p1 := tr.Recorder("p0").Dropped(), tr.Recorder("p1").Dropped(); p0 != 3 || p1 != 0 {
+	if p0, p1 := tr.recs["p0"].Dropped(), tr.recs["p1"].Dropped(); p0 != 3 || p1 != 0 {
 		t.Errorf("dropped p0 %d, p1 %d; want 3 and 0", p0, p1)
 	}
 	if got := len(tr.Recorders("")); got != 2 {

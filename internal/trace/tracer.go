@@ -241,13 +241,3 @@ func (t *Tracer) Recorders(node string) []*Recorder {
 	}
 	return out
 }
-
-// Recorder returns the recorder for one track, or nil.
-func (t *Tracer) Recorder(proc string) *Recorder { return t.recs[proc] }
-
-// Procs returns all track names in creation order.
-func (t *Tracer) Procs() []string {
-	out := make([]string, len(t.order))
-	copy(out, t.order)
-	return out
-}

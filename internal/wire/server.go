@@ -204,13 +204,6 @@ func (t *LockTable) Acquire(key string) (release func()) {
 	}
 }
 
-// Len returns how many keys are currently held or awaited.
-func (t *LockTable) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.ents)
-}
-
 // ValidHash reports whether h is a well-formed lowercase-hex SHA-256
 // content address — the validation every wire peer applies before trusting
 // a hash in a filename.

@@ -235,9 +235,6 @@ func (c *Conn) TryDial() {
 // the channel's owner labels it (Injection.Chan) before first use.
 func (c *Conn) Injection() *Injection { return c.inj }
 
-// Config returns the channel's configuration.
-func (c *Conn) Config() Config { return c.cfg }
-
 // Close shuts the channel; subsequent Exchanges fail fast with ErrClosed.
 func (c *Conn) Close() error {
 	c.mu.Lock()

@@ -188,7 +188,7 @@ func TestLockTableReapsEntries(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := lt.Len(); got != 0 {
+	if got := held(lt); got != 0 {
 		t.Errorf("lock table holds %d entries after all releases, want 0", got)
 	}
 	total := 0
@@ -200,10 +200,17 @@ func TestLockTableReapsEntries(t *testing.T) {
 	}
 }
 
+// held counts the table's entries: the keys held or awaited.
+func held(lt *LockTable) int {
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	return len(lt.ents)
+}
+
 func TestLockTableTracksWaiters(t *testing.T) {
 	lt := NewLockTable()
 	release := lt.Acquire("k")
-	if lt.Len() != 1 {
+	if held(lt) != 1 {
 		t.Fatalf("held key not tracked")
 	}
 	done := make(chan func(), 1)
@@ -212,11 +219,11 @@ func TestLockTableTracksWaiters(t *testing.T) {
 	// reaped only when the waiter releases too.
 	release()
 	r2 := <-done
-	if lt.Len() != 1 {
+	if held(lt) != 1 {
 		t.Errorf("entry reaped while still held by the second acquirer")
 	}
 	r2()
-	if lt.Len() != 0 {
+	if held(lt) != 0 {
 		t.Errorf("entry survives with no holders")
 	}
 }
