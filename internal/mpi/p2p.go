@@ -15,45 +15,21 @@ func (r *Rank) isendInternal(comm *Comm, dst, tag, count int, dt Datatype, data 
 	if err != nil {
 		return nil, err
 	}
-	cost := &r.w.Impl.Cost
 	bytes := count * dt.Size()
 	rq := r.w.newRequest(Request{
 		owner: r, isSend: true, dst: peer, bytes: bytes, data: data,
-		envelope: envelope{commID: comm.id, srcRank: comm.RankOf(r), tag: tag},
+		rendezvous: synchronous || bytes > r.w.Impl.Cost.EagerThreshold,
+		envelope:   envelope{commID: comm.id, srcRank: comm.RankOf(r), tag: tag},
 	})
-	if synchronous || bytes > cost.EagerThreshold {
-		// Rendezvous: post a ready-to-send notice; the transfer starts when
-		// the receiver matches it.
-		r.w.inject(message{
-			src: r, dst: peer, envelope: rq.envelope, bytes: bytes,
-			rendezvous: true, sreq: rq, sentAt: r.Now(),
-			arrival: r.Now().Add(r.w.MsgTime(r.Now(), r.node, peer.node, 0)),
-		})
-		return rq, nil
-	}
-	if _, seen := r.credits[peer.global]; !seen {
-		r.credits[peer.global] = cost.FlowCreditBytes
-	}
-	charge := bytes + cost.MsgHeaderBytes
-	// A send to peer still waiting for window space goes first (per-pair FIFO).
-	_, queued := r.pendingSends.first(func(rq *Request) bool { return rq.dst == peer })
-	switch {
-	case charge > cost.FlowCreditBytes:
-		// An eager message larger than the whole flow window (possible when
-		// the eager threshold exceeds the buffer size) bypasses windowing:
-		// real transports grow their buffers rather than deadlock.
-		charge = 0
-	case r.credits[peer.global] >= charge && queued < 0:
-		r.credits[peer.global] -= charge
-	default:
-		// No window space: the send waits its turn (finite eager buffering
-		// — this is where small-messages' clients accumulate MPI_Send
-		// waiting time).
+	// A send to peer still waiting for window space goes first, and so
+	// everything sent after it waits too (per-pair FIFO); so does an eager
+	// send with no window space (finite eager buffering — this is where
+	// small-messages' clients accumulate MPI_Send waiting time).
+	if _, queued := r.pendingSends.first(func(q *Request) bool { return q.dst == peer }); queued >= 0 {
 		r.pendingSends.push(rq)
-		return rq, nil
+	} else if _, started := r.start(rq, r.Now()); !started {
+		r.pendingSends.push(rq)
 	}
-	r.dispatchEager(rq, r.Now(), charge)
-	rq.done, rq.completeAt = true, r.Now()
 	return rq, nil
 }
 
