@@ -34,12 +34,12 @@ race:
 verify: build vet fmt-check test race fuzz-smoke bench-smoke bench-module replay-golden perfdb-golden sync-golden wire-golden trend-golden experiments-golden
 
 # loc prints the size figures simplicity PRs quote: non-test and test Go lines
-# outside bench/, then the non-test count per internal package. Not part of
-# verify.
+# outside bench/, then the non-test count per cmd and internal package. Not
+# part of verify.
 loc:
 	@printf '%6d  non-test Go outside bench/\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)
 	@printf '%6d  test Go outside bench/\n' $$(find . -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)
-	@for d in internal/*/; do \
+	@for d in cmd/*/ internal/*/; do \
 		printf '%6d  %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $${d%/}; \
 	done
 
@@ -251,8 +251,9 @@ perfdb-golden:
 	grep -q '"verdict": "REGRESSION"' "$$tmp/d1.json" && \
 	echo "perfdb-golden: degraded run flagged with significant regressions; text and JSON diffs are byte-deterministic"
 
-# trend-golden seeds a five-run store of one program — three healthy seeds,
-# then two with a degraded link — and checks the store-wide trend query:
+# trend-golden seeds a five-run store of one program — three identical healthy
+# runs stored under seed labels 7-9 (nothing draws from the seed), then two
+# with a degraded link — and checks the store-wide trend query:
 # it must flag DRIFTING series (db trend exits 3), attribute the changepoint
 # to the first degraded run (first-bad r0004), be byte-deterministic, and
 # say the same in its JSON form. A second store holds a same-seed pair whose

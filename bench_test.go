@@ -231,20 +231,16 @@ func BenchmarkLoadAny(b *testing.B) {
 // the Consultant in a session with tracing armed and daemon traffic on TCP,
 // then everything the workload does with the timeline.
 func BenchmarkTracedTCP(b *testing.B) {
-	prog, params, err := pperfmark.Program("sstwod", pperfmark.Params{Iterations: 300})
+	o, prog, params, err := pperfmark.SessionOptions("sstwod", pperfmark.RunOptions{
+		Impl: mpi.LAM, Seed: 7, Params: pperfmark.Params{Iterations: 300}, Trace: &trace.Config{},
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	nodes, cpus := pperfmark.Layout("sstwod", params)
-	dcfg := daemon.DefaultConfig()
-	dcfg.SampleInterval = 50 * sim.Millisecond
+	o.UseTCP = true
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s, err := core.NewSession(core.Options{
-			Impl: mpi.LAM, Nodes: nodes, CPUsPerNode: cpus, Seed: 7,
-			Daemon: &dcfg, BinWidth: 50 * sim.Millisecond,
-			UseTCP: true, Trace: &trace.Config{},
-		})
+		s, err := core.NewSession(o)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,7 +10,6 @@ import (
 	"syscall"
 	"time"
 
-	"pperf/internal/faults"
 	"pperf/internal/perfdb"
 	"pperf/internal/pperfmark"
 	"pperf/internal/sim"
@@ -235,18 +234,11 @@ func emitJSON(doc []byte, err error) int {
 }
 
 // syncConfig builds the push/pull client configuration from -chunk-bytes
-// and the optional -sync-faults plan; a bad plan is exit code 2.
-func syncConfig(o *opts) (perfdb.SyncConfig, int) {
+// and the -sync-faults plan run parsed.
+func syncConfig(o *opts) perfdb.SyncConfig {
 	cfg := perfdb.DefaultSyncConfig()
-	cfg.ChunkBytes = o.chunkBytes
-	if o.syncFaults != "" {
-		plan, err := faults.Parse(o.syncFaults)
-		if err != nil {
-			return cfg, fail(2, "pperf db:", err)
-		}
-		cfg.Faults = plan
-	}
-	return cfg, 0
+	cfg.ChunkBytes, cfg.Faults = o.chunkBytes, o.syncPlan
+	return cfg
 }
 
 // dbServe serves the store at the operand's address until SIGINT/SIGTERM.
@@ -273,11 +265,7 @@ func dbServe(st *perfdb.Store, o *opts, operands []string) int {
 
 // dbPush streams one stored run (operand RUN) to the store served at ADDR.
 func dbPush(st *perfdb.Store, o *opts, operands []string) int {
-	cfg, code := syncConfig(o)
-	if code != 0 {
-		return code
-	}
-	res, err := perfdb.Push(st, operands[0], operands[1], cfg)
+	res, err := perfdb.Push(st, operands[0], operands[1], syncConfig(o))
 	if err != nil {
 		return fail(1, "pperf db:", err)
 	}
@@ -313,11 +301,7 @@ func dbPull(st *perfdb.Store, o *opts, operands []string) int {
 	} else if runID == "" && !o.all {
 		return fail(2, "pperf db:", "pull needs a run ID, or --all to fetch every remote run")
 	}
-	cfg, code := syncConfig(o)
-	if code != 0 {
-		return code
-	}
-	results, stats, err := perfdb.Pull(st, operands[0], runID, cfg)
+	results, stats, err := perfdb.Pull(st, operands[0], runID, syncConfig(o))
 	for _, r := range results {
 		switch {
 		case r.Skipped:

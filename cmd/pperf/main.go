@@ -26,6 +26,7 @@ import (
 	"slices"
 	"strings"
 
+	"pperf/internal/faults"
 	"pperf/internal/perfdb"
 )
 
@@ -44,6 +45,7 @@ type opts struct {
 	all, sinceFault                                      bool
 	chunkBytes                                           int
 	alpha, minEffect                                     float64
+	syncPlan                                             *faults.Plan // -sync-faults, parsed
 
 	given []string // the flags on the command line, in name order
 	out   outputs
@@ -300,6 +302,12 @@ func run(args []string) int {
 		}
 		if o.chunkBytes < 1 || o.chunkBytes > perfdb.MaxSyncChunkBytes {
 			return fail(2, "pperf db:", fmt.Sprintf("-chunk-bytes %d: want 1 to %d", o.chunkBytes, perfdb.MaxSyncChunkBytes))
+		}
+		if o.syncFaults != "" {
+			var err error
+			if o.syncPlan, err = faults.Parse(o.syncFaults); err != nil {
+				return fail(2, "pperf db:", err)
+			}
 		}
 	} else if fs.NArg() > 0 {
 		return fail(2, "pperf:", fmt.Sprintf("-%s takes no operands, got %q", c.name, fs.Arg(0)))

@@ -123,6 +123,8 @@ func TestCLIExitCodes(t *testing.T) {
 		{"db push from a missing store", []string{"db", "-store", typo, "push", "r0001", "127.0.0.1:1"}, 1, "pperf db: no store at " + typo},
 		{"db push with a chunk below 1 byte", []string{"db", "-store", typo, "push", "-chunk-bytes", "-1", "r0001", "127.0.0.1:1"}, 2, "pperf db: -chunk-bytes -1: want 1 to 1073741824"},
 		{"db pull with a chunk above 1 GiB", []string{"db", "-store", typo, "pull", "-chunk-bytes", "2147483648", "127.0.0.1:1", "--all"}, 2, "pperf db: -chunk-bytes 2147483648: want 1 to 1073741824"},
+		{"db push with a bad sync plan", []string{"db", "-store", typo, "push", "-sync-faults", "garbage clause", "r0001", "127.0.0.1:1"}, 2, `pperf db: faults: clause "garbage clause": want t=DUR verb target`},
+		{"db pull with a bad sync plan", []string{"db", "-store", typo, "pull", "-sync-faults", "garbage clause", "127.0.0.1:1", "--all"}, 2, `pperf db: faults: clause "garbage clause": want t=DUR verb target`},
 		{"db flag before a verb that does not read it", []string{"db", "-store", store, "-all", "diff", "A", "B"}, 2, "pperf db diff: flag -all is not accepted by diff (see `pperf db help diff`)"},
 		{"db flag after a verb that does not read it", []string{"db", "-store", store, "diff", "-all", "A", "B"}, 2, "pperf db diff: flag -all is not accepted by diff (see `pperf db help diff`)"},
 		{"db with an unknown verb", []string{"db", "-store", store, "frobnicate"}, 2, `pperf db: unknown command "frobnicate"`},

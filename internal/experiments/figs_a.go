@@ -6,8 +6,8 @@ import (
 
 	"pperf/internal/consultant"
 	"pperf/internal/core"
-	"pperf/internal/daemon"
 	"pperf/internal/datasource"
+	"pperf/internal/gprofsim"
 	"pperf/internal/mdl"
 	"pperf/internal/mpe"
 	"pperf/internal/mpi"
@@ -39,17 +39,11 @@ type metricPair struct {
 // runWithSeries runs a PPerfMark program under the tool without the PC,
 // collecting the requested metric-focus series.
 func runWithSeries(name string, impl mpi.ImplKind, p pperfmark.Params, pairs []metricPair) (map[string]*datasource.Series, sim.Time) {
-	prog, params, err := pperfmark.Program(name, p)
+	o, prog, params, err := pperfmark.SessionOptions(name, pperfmark.RunOptions{Impl: impl, Params: p})
 	if err != nil {
 		panic(err)
 	}
-	nodes, cpus := pperfmark.Layout(name, params)
-	dcfg := daemon.DefaultConfig()
-	dcfg.SampleInterval = 50 * sim.Millisecond
-	s, err := core.NewSession(core.Options{
-		Impl: impl, Nodes: nodes, CPUsPerNode: cpus,
-		Daemon: &dcfg, BinWidth: 50 * sim.Millisecond,
-	})
+	s, err := core.NewSession(o)
 	if err != nil {
 		panic(err)
 	}
@@ -68,11 +62,12 @@ func runWithSeries(name string, impl mpi.ImplKind, p pperfmark.Params, pairs []m
 	return out, s.Eng.Now()
 }
 
-// traceProgram runs a program under the MPE-style tracer (no tool).
-func traceProgram(impl mpi.ImplKind, n int, prog mpi.Program) *mpe.Tracer {
+// traceProgram runs a program under the MPE-style tracer and the gprof-style
+// profiler (no tool): the paper's independent comparators.
+func traceProgram(impl mpi.ImplKind, n int, prog mpi.Program) (*mpe.Tracer, *gprofsim.Profiler) {
 	eng := sim.NewEngine(17)
 	w := mpi.NewWorld(eng, clusterSpec(n), mpi.NewImpl(impl))
-	tr := mpe.Attach(w)
+	tr, prof := mpe.Attach(w), gprofsim.Attach(w)
 	w.Register("traced", prog)
 	if _, err := w.LaunchN("traced", n, nil); err != nil {
 		panic(err)
@@ -80,7 +75,17 @@ func traceProgram(impl mpi.ImplKind, n int, prog mpi.Program) *mpe.Tracer {
 	if err := eng.Run(); err != nil {
 		panic(err)
 	}
-	return tr
+	return tr, prof
+}
+
+// traceSuite runs a PPerfMark program, p merged over its defaults, under LAM
+// and the comparators, as the paper checks the tool's findings on the suite.
+func traceSuite(name string, p pperfmark.Params) (*mpe.Tracer, *gprofsim.Profiler) {
+	prog, params, err := pperfmark.Program(name, p)
+	if err != nil {
+		panic(err)
+	}
+	return traceProgram(mpi.LAM, params.Procs, prog)
 }
 
 // fig1 regenerates the RMA synchronization patterns: timeline traces of the
@@ -91,7 +96,7 @@ func fig1(*cells) *Result {
 	var b strings.Builder
 
 	// Fence with a late rank (top-right diagram).
-	tr := traceProgram(mpi.MPICH2, 3, func(rk *mpi.Rank, _ []string) {
+	tr, _ := traceProgram(mpi.MPICH2, 3, func(rk *mpi.Rank, _ []string) {
 		win, _ := rk.World().WinCreate(rk, 64, 1, nil)
 		if rk.Rank() == 1 {
 			rk.Compute(400 * sim.Millisecond) // process B is late to the fence
@@ -104,7 +109,7 @@ func fig1(*cells) *Result {
 	r.ok(fenceWait > 600*sim.Millisecond, "fence waiting %v too small", fenceWait)
 
 	// PSCW with a late post (bottom-left diagram).
-	tr2 := traceProgram(mpi.LAM, 2, func(rk *mpi.Rank, _ []string) {
+	tr2, _ := traceProgram(mpi.LAM, 2, func(rk *mpi.Rank, _ []string) {
 		win, _ := rk.World().WinCreate(rk, 64, 1, nil)
 		if rk.Rank() == 0 {
 			rk.Compute(400 * sim.Millisecond)
@@ -122,7 +127,7 @@ func fig1(*cells) *Result {
 	r.ok(startWait > 300*sim.Millisecond, "Win_start waiting %v too small", startWait)
 
 	// Passive target (bottom-right) on the Reference personality.
-	tr3 := traceProgram(mpi.Reference, 2, func(rk *mpi.Rank, _ []string) {
+	tr3, _ := traceProgram(mpi.Reference, 2, func(rk *mpi.Rank, _ []string) {
 		win, _ := rk.World().WinCreate(rk, 64, 1, nil)
 		win.Fence(0)
 		if rk.Rank() == 0 {

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"pperf/internal/core"
-	"pperf/internal/daemon"
 	"pperf/internal/mpi"
 	"pperf/internal/pperfmark"
 	"pperf/internal/presta"
@@ -50,14 +49,11 @@ func fig22(c *cells) *Result {
 func fig23(*cells) *Result {
 	r := &Result{ID: "fig23", Title: "Resource hierarchy across MPI_Comm_spawn", OK: true,
 		Paper: "three new processes appear; the parent+child window appears with its friendly name, also under Message (LAM stores window names in a communicator)"}
-	prog, params, err := pperfmark.Program("spawnwin-sync", pperfmark.Params{Iterations: 40})
+	o, prog, params, err := pperfmark.SessionOptions("spawnwin-sync", pperfmark.RunOptions{Impl: mpi.LAM, Params: pperfmark.Params{Iterations: 40}})
 	if err != nil {
 		panic(err)
 	}
-	nodes, cpus := pperfmark.Layout("spawnwin-sync", params)
-	dcfg := daemon.DefaultConfig()
-	dcfg.SampleInterval = 50 * sim.Millisecond
-	s, err := core.NewSession(core.Options{Impl: mpi.LAM, Nodes: nodes, CPUsPerNode: cpus, Daemon: &dcfg})
+	s, err := core.NewSession(o)
 	if err != nil {
 		panic(err)
 	}

@@ -127,10 +127,10 @@ func enableVerification(src datasource.DataSource, entry *Entry, res *Result) er
 	return nil
 }
 
-// Layout is the cluster suite program name runs on with params p (as Program
+// layout is the cluster suite program name runs on with params p (as Program
 // returns them): the paper's layouts put at most two ranks on a node, one
 // for 2 procs, and give a spawn program a node for its parent and each child.
-func Layout(name string, p Params) (nodes, cpusPerNode int) {
+func layout(name string, p Params) (nodes, cpusPerNode int) {
 	nodes = max(2, (p.Procs+1)/2)
 	if e := registry[name]; e != nil && e.Defaults.Children > 0 {
 		nodes = p.Children + 1
@@ -141,22 +141,33 @@ func Layout(name string, p Params) (nodes, cpusPerNode int) {
 	return nodes, 2
 }
 
-// Run executes one suite program under the full tool (daemons, front end,
-// Performance Consultant) and returns the observed results.
-func Run(name string, opt RunOptions) (*Result, error) {
-	entry := Get(name)
-	if entry == nil {
-		return nil, fmt.Errorf("pperfmark: unknown program %q", name)
-	}
+// SessionOptions is the one description of a suite program's session: the
+// program's layout, the scaled-down suite's 50 ms sampling and 50 ms bins,
+// and opt's personality, seed, spawn method, fault plan, trace and recorder.
+// It returns the program and its params (opt.Params merged over the defaults)
+// with them. Run builds its session from them; a caller that drives the
+// session itself sets what else it needs (UseTCP) on the returned options.
+func SessionOptions(name string, opt RunOptions) (core.Options, mpi.Program, Params, error) {
 	prog, params, err := Program(name, opt.Params)
 	if err != nil {
-		return nil, err
+		return core.Options{}, nil, Params{}, err
 	}
-	nodes, cpus := Layout(name, params)
-
+	nodes, cpus := layout(name, params)
 	dcfg := daemon.DefaultConfig()
 	dcfg.SampleInterval = 50 * sim.Millisecond
 	dcfg.Spawn = opt.Spawn
+	return core.Options{Impl: opt.Impl, Nodes: nodes, CPUsPerNode: cpus, Seed: opt.Seed, Daemon: &dcfg,
+		BinWidth: 50 * sim.Millisecond, Faults: opt.Faults, Trace: opt.Trace, Recorder: opt.Record}, prog, params, nil
+}
+
+// Run executes one suite program under the full tool (daemons, front end,
+// Performance Consultant) and returns the observed results.
+func Run(name string, opt RunOptions) (*Result, error) {
+	o, prog, params, err := SessionOptions(name, opt)
+	if err != nil {
+		return nil, err
+	}
+	entry := Get(name)
 	// The effective Consultant configuration, hoisted so recording can
 	// archive it even though the Consultant itself starts after launch.
 	pcCfg := ScaledPCConfig()
@@ -165,18 +176,8 @@ func Run(name string, opt RunOptions) (*Result, error) {
 	}
 
 	res := &Result{Program: name, Impl: opt.Impl, Params: params}
-	stampRecording(opt, res, pcCfg, nodes, false)
-	s, err := core.NewSession(core.Options{
-		Impl:        opt.Impl,
-		Nodes:       nodes,
-		CPUsPerNode: cpus,
-		Seed:        opt.Seed,
-		Daemon:      &dcfg,
-		BinWidth:    50 * sim.Millisecond,
-		Faults:      opt.Faults,
-		Trace:       opt.Trace,
-		Recorder:    opt.Record,
-	})
+	stampRecording(opt, res, pcCfg, o.Nodes, false)
+	s, err := core.NewSession(o)
 	if err != nil {
 		return nil, err
 	}
@@ -188,14 +189,14 @@ func Run(name string, opt RunOptions) (*Result, error) {
 	// creation, as §5.2.2 notes (the paper uses only LAM for them).
 	if entry.Defaults.Children > 0 && !s.World.Impl.SupportsSpawn {
 		res.Unsupported = &mpi.ErrUnsupported{Impl: opt.Impl, Feature: "dynamic process creation"}
-		stampRecording(opt, res, pcCfg, nodes, true)
+		stampRecording(opt, res, pcCfg, o.Nodes, true)
 		return res, nil
 	}
 	// Passive-target programs were unimplementable in 2004; they run only
 	// under the Reference personality (§5.2.1.1).
 	if entry.NeedsPassive && !s.World.Impl.SupportsPassiveTarget {
 		res.Unsupported = &mpi.ErrUnsupported{Impl: opt.Impl, Feature: "passive target synchronization"}
-		stampRecording(opt, res, pcCfg, nodes, true)
+		stampRecording(opt, res, pcCfg, o.Nodes, true)
 		return res, nil
 	}
 
@@ -224,7 +225,7 @@ func Run(name string, opt RunOptions) (*Result, error) {
 		res.FaultLog = s.Injector.Log()
 	}
 	res.Timeline = s.FE.Timeline()
-	stampRecording(opt, res, pcCfg, nodes, true)
+	stampRecording(opt, res, pcCfg, o.Nodes, true)
 	return res, nil
 }
 

@@ -4,7 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"pperf/internal/daemon"
 	"pperf/internal/mpi"
+	"pperf/internal/perfdb"
+	"pperf/internal/sim"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -53,8 +56,10 @@ func TestParamsMerge(t *testing.T) {
 
 // The paper's layouts: a 2-proc program gets one rank per node, a 6-proc
 // program two per node, a spawn program a node for its parent and for each
-// child.
+// child. Every session samples and bins at 50 ms and keeps the spawn method
+// and recorder it was given.
 func TestLayout(t *testing.T) {
+	rec := new(perfdb.StreamRecorder)
 	for _, tc := range []struct {
 		name        string
 		p           Params
@@ -64,8 +69,16 @@ func TestLayout(t *testing.T) {
 		{"small-messages", Params{Procs: 6}, 3, 2},
 		{"spawncount", Params{Procs: 1, Children: 4}, 5, 1},
 	} {
-		if nodes, cpus := Layout(tc.name, tc.p); nodes != tc.nodes || cpus != tc.cpus {
-			t.Errorf("Layout(%s, %d procs) = %d×%d, want %d×%d", tc.name, tc.p.Procs, nodes, cpus, tc.nodes, tc.cpus)
+		o, _, _, err := SessionOptions(tc.name, RunOptions{Params: tc.p, Spawn: daemon.SpawnAttach, Record: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.Nodes != tc.nodes || o.CPUsPerNode != tc.cpus {
+			t.Errorf("%s at %d procs: %d×%d, want %d×%d", tc.name, tc.p.Procs, o.Nodes, o.CPUsPerNode, tc.nodes, tc.cpus)
+		}
+		if d := o.Daemon; d.SampleInterval != 50*sim.Millisecond || o.BinWidth != 50*sim.Millisecond || d.Spawn != daemon.SpawnAttach || o.Recorder != rec {
+			t.Errorf("%s: sampling %v, bins %v, spawn %v, recorder kept %t; want 50ms, 50ms and the spawn method and recorder given",
+				tc.name, d.SampleInterval, o.BinWidth, d.Spawn, o.Recorder == rec)
 		}
 	}
 }

@@ -56,8 +56,6 @@ type Report struct {
 	TotalBytes int64
 	// Elapsed is the wall time over all epochs (rank 0's clock).
 	Elapsed sim.Duration
-	// EpochSeconds are the per-epoch durations, for confidence intervals.
-	EpochSeconds []float64
 }
 
 // Throughput returns bytes/second over the whole run.
@@ -100,7 +98,6 @@ func Program(cfg Config, mode Mode, report *Report) mpi.Program {
 		win.Fence(0)
 		start := r.Now()
 		for e := 0; e < cfg.Epochs; e++ {
-			e0 := r.Now()
 			if me <= 1 && active {
 				r.Call(mod, "runEpoch", func() {
 					for op := 0; op < cfg.OpsPerEpoch; op++ {
@@ -115,7 +112,6 @@ func Program(cfg Config, mode Mode, report *Report) mpi.Program {
 			}
 			win.Fence(0)
 			if me == 0 {
-				report.EpochSeconds = append(report.EpochSeconds, r.Now().Sub(e0).Seconds())
 				report.TotalOps += cfg.OpsPerEpoch
 				report.TotalBytes += int64(cfg.OpsPerEpoch * cfg.Bytes)
 				if mode == BiPut || mode == BiGet {

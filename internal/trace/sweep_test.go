@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"pperf/internal/core"
-	"pperf/internal/daemon"
 	"pperf/internal/faults"
 	"pperf/internal/mpi"
 	"pperf/internal/pperfmark"
@@ -59,8 +58,8 @@ func (c *cell) String() string {
 }
 
 // run simulates the cell: with the Consultant through pperfmark.Run, without
-// it through a session laid out the way pperfmark.Run lays one out (at most
-// two ranks a node), which is the only way to put the daemons on TCP.
+// it through a session built from pperfmark.SessionOptions, which is the only
+// way to put the daemons on TCP.
 func (c *cell) run() error {
 	stream := &shardStream{}
 	ring := c.ring
@@ -75,17 +74,14 @@ func (c *cell) run() error {
 		c.unsupported, c.tl, c.shards = res.Unsupported != nil, res.Timeline, stream.shards
 		return nil
 	}
-	prog, params, err := pperfmark.Program(c.program, pperfmark.Params{Iterations: c.iters})
+	o, prog, params, err := pperfmark.SessionOptions(c.program, pperfmark.RunOptions{
+		Impl: c.impl, Seed: c.seed, Params: pperfmark.Params{Iterations: c.iters}, Faults: c.plan, Trace: &ring, Record: stream,
+	})
 	if err != nil {
 		return err
 	}
-	nodes, cpus := pperfmark.Layout(c.program, params)
-	dcfg := daemon.DefaultConfig()
-	dcfg.SampleInterval = 50 * sim.Millisecond
-	s, err := core.NewSession(core.Options{
-		Impl: c.impl, Nodes: nodes, CPUsPerNode: cpus, Seed: c.seed, Daemon: &dcfg, BinWidth: 50 * sim.Millisecond,
-		UseTCP: c.config == overTCP, Trace: &ring, Faults: c.plan, Recorder: stream,
-	})
+	o.UseTCP = c.config == overTCP
+	s, err := core.NewSession(o)
 	if err != nil {
 		return err
 	}
