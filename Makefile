@@ -189,6 +189,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzRunInfo -fuzztime=5s ./internal/pperfmark
 	$(GO) test -run '^$$' -fuzz=FuzzProbeEdits -fuzztime=5s ./internal/probe
 	$(GO) test -run '^$$' -fuzz=FuzzMatchOrder -fuzztime=5s ./internal/mpi
+	$(GO) test -run '^$$' -fuzz=FuzzQueue -fuzztime=5s ./internal/mpi
 
 # fuzz-perfdb holds the chunked-archive decoder and the packed sample-batch,
 # trace-shard and event-section decoders under it (internal/session) total:

@@ -290,16 +290,12 @@ func dbPush(st *perfdb.Store, o *opts, operands []string) int {
 }
 
 // dbPull fetches one remote run, or with -all (or a --all operand) every
-// remote run not already held, into the local store.
+// remote run not already held, into the local store. run has refused a pull
+// that names neither before the store was opened.
 func dbPull(st *perfdb.Store, o *opts, operands []string) int {
 	runID := ""
-	if len(operands) == 2 {
+	if len(operands) == 2 && operands[1] != "--all" && operands[1] != "-all" {
 		runID = operands[1]
-	}
-	if runID == "--all" || runID == "-all" {
-		runID = ""
-	} else if runID == "" && !o.all {
-		return fail(2, "pperf db:", "pull needs a run ID, or --all to fetch every remote run")
 	}
 	results, stats, err := perfdb.Pull(st, operands[0], runID, syncConfig(o))
 	for _, r := range results {

@@ -309,6 +309,9 @@ func run(args []string) int {
 				return fail(2, "pperf db:", err)
 			}
 		}
+		if c.name == "pull" && fs.Arg(1) == "" && !o.all {
+			return fail(2, "pperf db:", "pull needs a run ID, or --all to fetch every remote run")
+		}
 	} else if fs.NArg() > 0 {
 		return fail(2, "pperf:", fmt.Sprintf("-%s takes no operands, got %q", c.name, fs.Arg(0)))
 	}

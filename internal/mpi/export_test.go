@@ -9,7 +9,42 @@ import (
 // above mpi: mdl, faults, pperfmark) read of the runtime's internals.
 
 // len is the number of entries in q; only tests ask.
-func (q *queue[T]) len() int { return len(q.items) }
+func (q *queue[T]) len() int { return len(q.items) - q.head - q.dead }
+
+// slots lists q's live entries in arrival order with the slot each is in.
+func (q *queue[T]) slots() ([]T, []*T) {
+	var (
+		zero T
+		vs   []T
+		at   []*T
+	)
+	for i := range q.items {
+		if q.items[i] != zero {
+			vs, at = append(vs, q.items[i]), append(at, &q.items[i])
+		}
+	}
+	return vs, at
+}
+
+// moved runs op on q and counts the entries op moved to another slot: a
+// removal's shifts and a compaction's or a growth's copies alike. Entries
+// keep their order, so one walk pairs each entry before op with itself
+// after it.
+func (q *queue[T]) moved(op func()) int {
+	before, at := q.slots()
+	op()
+	after, now := q.slots()
+	n, j := 0, 0
+	for i, v := range before {
+		if j < len(after) && after[j] == v {
+			if now[j] != at[i] {
+				n++
+			}
+			j++
+		}
+	}
+	return n
+}
 
 // UnexpectedLen is the length of r's unexpected-message queue.
 func (r *Rank) UnexpectedLen() int { return r.unexpected.len() }

@@ -17,15 +17,15 @@ type message struct {
 	sentAt     sim.Time // injection time, for trace message edges
 	arrival    sim.Time
 	rendezvous bool
+	matched    bool     // a receive has taken it: it is out of every mailbox
+	creditBack bool     // credit is released and travelling back
 	sreq       *Request // rendezvous: the sender's request, completed by the transfer
-	// creditBytes, when nonzero, is the flow-window charge still owed back
-	// to the sender (returned on consume or library drain). Once released it
-	// travels back as creditBack, released at creditAt; the message itself
-	// is the event that carries it.
-	creditBytes int
-	creditBack  int
-	creditAt    sim.Time
-	matched     bool // a receive has taken it: it is out of every mailbox
+	// credit, when nonzero, is the flow-window charge owed back to the sender
+	// (on consume or library drain); released at creditAt, it travels back in
+	// this message as its own event. Three bools in one word keep a message at
+	// 120 bytes: 64 of them and the allocation header fit the 8 KiB size class.
+	credit   int
+	creditAt sim.Time
 }
 
 // envelope is what matching compares. A message carries the one it was sent
@@ -49,21 +49,23 @@ func (p envelope) matches(m *message) bool {
 		(p.tag == AnyTag || p.tag == m.tag)
 }
 
-// inject puts msg on the wire: it goes into a recycled message if there is
-// one (the engine runs one thing at a time, so the free list needs no lock),
-// scheduled to arrive at its destination, never before the sender's previous
-// message there (MPI's non-overtaking rule).
+// inject puts msg on the wire in a recycled message, to arrive at its
+// destination never before the sender's previous message there (MPI's
+// non-overtaking rule). An empty free list (one thing runs at a time, so it
+// needs no lock) is refilled with a slab of 4, then twice the last, up to 64.
 func (w *World) inject(msg message) {
 	l := msg.src.linkTo(msg.dst.global)
 	msg.arrival = max(msg.arrival, l.lastArrival)
 	l.lastArrival = msg.arrival
-	var m *message
-	if n := len(w.freeMsgs); n > 0 {
-		m, w.freeMsgs[n-1] = w.freeMsgs[n-1], nil
-		w.freeMsgs = w.freeMsgs[:n-1]
-	} else {
-		m = new(message)
+	if len(w.freeMsgs) == 0 {
+		slab := make([]message, min(w.msgsMade+4, 64))
+		for i := range slab {
+			w.freeMsgs = append(w.freeMsgs, &slab[i])
+		}
+		w.msgsMade += len(slab)
 	}
+	m := w.freeMsgs[len(w.freeMsgs)-1]
+	w.freeMsgs = w.freeMsgs[:len(w.freeMsgs)-1]
 	*m = msg
 	w.Eng.Schedule(m.arrival, m)
 }
@@ -72,7 +74,7 @@ func (w *World) inject(msg message) {
 // reach it again: a receive has matched it (the request copied out what it
 // keeps) and no credit event is still carrying it.
 func (m *message) recycle() {
-	if m.matched && m.creditBack == 0 {
+	if m.matched && !m.creditBack {
 		w := m.dst.w
 		*m = message{}
 		w.freeMsgs = append(w.freeMsgs, m)
@@ -83,12 +85,12 @@ func (m *message) recycle() {
 // the destination, then — for an eager message whose flow-window bytes the
 // receiver has released — those bytes' arrival back at the sender.
 func (m *message) Fire() {
-	if m.creditBack == 0 {
+	if !m.creditBack {
 		m.deliver()
 		return
 	}
-	bytes := m.creditBack
-	m.creditBack = 0
+	bytes := m.credit
+	m.credit, m.creditBack = 0, false
 	m.src.addCredit(m.dst.global, bytes, m.creditAt)
 	m.recycle()
 }
@@ -185,10 +187,10 @@ func (m *message) deliver() {
 
 // returnCredit schedules the message's flow-window bytes back to the sender.
 func (m *message) returnCredit(t sim.Time) {
-	if m.creditBytes == 0 {
+	if m.credit == 0 || m.creditBack {
 		return
 	}
-	m.creditBack, m.creditBytes, m.creditAt = m.creditBytes, 0, t
+	m.creditBack, m.creditAt = true, t
 	lat := m.dst.w.MsgTime(t, m.dst.node, m.src.node, 0)
 	m.dst.w.Eng.Schedule(t.Add(lat), m)
 }
@@ -299,7 +301,7 @@ func (r *Rank) start(rq *Request, t sim.Time) (charge int, started bool) {
 		return 0, false
 	}
 	l.credits -= charge
-	msg.data, msg.creditBytes = rq.data, charge
+	msg.data, msg.credit = rq.data, charge
 	msg.arrival = t.Add(r.w.MsgTime(t, r.node, rq.dst.node, rq.bytes))
 	r.w.inject(msg)
 	rq.complete(t)

@@ -3,6 +3,7 @@ package mpi
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"pperf/internal/sim"
 )
@@ -49,8 +50,8 @@ func TestRequestOutlivesItsRecycledMessage(t *testing.T) {
 			small, _ := c.Recv(r, nil, 5, Byte, AnySource, 1)
 			large, _ := c.Recv(r, nil, len(big), Byte, AnySource, 2)
 			r.Compute(sim.Millisecond) // the eager message's credit gets home
-			if len(w.freeMsgs) != 2 {
-				t.Errorf("%d messages on the free list after two completed receives, want both", len(w.freeMsgs))
+			if len(w.freeMsgs) != w.msgsMade {
+				t.Errorf("%d messages on the free list after two completed receives, want every one made (%d)", len(w.freeMsgs), w.msgsMade)
 			}
 			for i := 0; i < rounds; i++ {
 				c.Send(r, nil, 0, Byte, 2, 4)
@@ -188,5 +189,14 @@ func TestDeadlockReportNamesTheRMAWait(t *testing.T) {
 		if err := w.Eng.Run(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: run error = %v, want a deadlock naming %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// A slab of 64 messages and its allocation header fit the 8 KiB size class;
+// one word more per message (the 136 bytes of separate credit counters)
+// rounded each slab up to 9 472 bytes.
+func TestMessageSlabFitsItsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(message{}); 64*n+8 > 8192 {
+		t.Errorf("a message is %d bytes: a slab of 64 is %d, over 8 KiB", n, 64*n+8)
 	}
 }

@@ -66,9 +66,11 @@ func (o *rmaOp) Fire() {
 			copy(data, buf[disp:])
 		}
 	case data == nil && o.kind == "MPI_Put":
-		// Synthetic payload: mark the touched region.
-		for i := disp; i < disp+o.bytes && i < len(buf); i++ {
-			buf[i] = 0xAA
+		// Synthetic payload: mark the touched region, doubling per copy.
+		if end := min(disp+o.bytes, len(buf)); disp < end {
+			buf[disp] = 0xAA
+			for i := disp + 1; i < end; i += copy(buf[i:end], buf[disp:i]) {
+			}
 		}
 	case data == nil || disp >= len(buf):
 	case sum && o.dt == Double:

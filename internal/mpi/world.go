@@ -68,6 +68,7 @@ type World struct {
 	ranks     []*Rank
 	appFuncs  map[[2]string]*probe.Function // by (module, name)
 	freeMsgs  []*message                    // recycled messages, see message.recycle
+	msgsMade  int                           // messages carved from slabs, see inject
 	freeReqs  []*Request                    // recycled blocking-call requests, see waitRecycle
 	collTags  []any                         // collective tags, boxed (see tagArg)
 	nextComm  int

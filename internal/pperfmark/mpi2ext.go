@@ -89,6 +89,7 @@ func fileioBound(p Params) mpi.Program {
 			panic(err)
 		}
 		stride := int64(p.MessageSize)
+		buf := make([]byte, p.MessageSize) // verify's read buffer, one per rank
 		for i := 0; i < p.Iterations; i++ {
 			r.Call(mod, "checkpoint", func() {
 				off := int64(r.Rank())*stride + int64(i)*stride*int64(c.Size())
@@ -98,7 +99,7 @@ func fileioBound(p Params) mpi.Program {
 			})
 			if i%10 == 9 {
 				r.Call(mod, "verify", func() {
-					if err := f.ReadAt(r, 0, make([]byte, p.MessageSize), p.MessageSize, mpi.Byte); err != nil {
+					if err := f.ReadAt(r, 0, buf, p.MessageSize, mpi.Byte); err != nil {
 						panic(err)
 					}
 				})
