@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt-check race verify loc slow-tests alloc-profile trace-footprint bench bench-smoke bench-module bench-digests replay-golden perfdb-golden sync-golden wire-golden trend-golden chaos experiments-golden fuzz fuzz-perfdb fuzz-wire fuzz-smoke
+.PHONY: build test vet fmt-check race verify loc slow-tests alloc-profile trace-footprint bench bench-smoke bench-module bench-digests replay-golden perfdb-golden sync-golden wire-golden trend-golden chaos experiments-golden fuzz fuzz-perfdb fuzz-wire fuzz-probe fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -34,12 +34,14 @@ race:
 verify: build vet fmt-check test race fuzz-smoke bench-smoke bench-module replay-golden perfdb-golden sync-golden wire-golden trend-golden experiments-golden
 
 # loc prints the size figures simplicity PRs quote: non-test and test Go lines
-# outside bench/, then the non-test count per cmd and internal package. Not
-# part of verify.
+# outside bench/, then the non-test count of the root package, examples/ and
+# each cmd and internal package, which add up to the first figure. Not part
+# of verify.
 loc:
 	@printf '%6d  non-test Go outside bench/\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)
 	@printf '%6d  test Go outside bench/\n' $$(find . -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)
-	@for d in cmd/*/ internal/*/; do \
+	@printf '%6d  . (root package)\n' $$(find . -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
+	@for d in examples/ cmd/*/ internal/*/; do \
 		printf '%6d  %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $${d%/}; \
 	done
 
@@ -166,6 +168,12 @@ fuzz:
 wire-golden:
 	$(GO) test -count=1 -run 'TestBackoffPinnedSchedules|TestCrossStackFaultPlanEquivalence' ./internal/wire
 	@echo "wire-golden: backoff schedules pinned; ctl/bulk/sync accounting equivalent"
+
+# fuzz-probe drives random probe edits, calls and nested calls through a
+# process against an eager model: what each point runs, the stack questions
+# and first-call order must match it.
+fuzz-probe:
+	$(GO) test -fuzz=FuzzProbeEdits -fuzztime=30s ./internal/probe
 
 # fuzz-wire feeds arbitrary byte streams through the server-side frame read
 # path: garbage, truncations and bit flips must error, never panic or hang.

@@ -32,10 +32,9 @@ type Options struct {
 	// usual slice).
 	Nodes       int
 	CPUsPerNode int
-	// Seed is the run's seed (0 means 20040401), handed to sim.NewEngine.
-	// Nothing draws from it, so runs that differ only in Seed are identical;
-	// pperfmark records it with the run (archive metadata, run description,
-	// store index).
+	// Seed is the run's seed, handed to sim.NewEngine. Nothing draws from
+	// it, so runs that differ only in Seed are identical; pperfmark records
+	// it with the run (archive metadata, run description, store index).
 	Seed uint64
 	// Daemon configures the per-node daemons.
 	Daemon *daemon.Config
@@ -101,9 +100,6 @@ func NewSession(opts Options) (*Session, error) {
 	}
 	if opts.CPUsPerNode == 0 {
 		opts.CPUsPerNode = 2
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 20040401
 	}
 	dcfg := daemon.DefaultConfig()
 	if opts.Daemon != nil {

@@ -62,9 +62,8 @@ type Daemon struct {
 
 // rankCtx is the daemon's per-process state; it implements mdl.Target.
 type rankCtx struct {
-	d       *Daemon
-	r       *mpi.Rank
-	modules map[string][]string // module → discovered functions
+	d *Daemon
+	r *mpi.Rank
 	// edgesSent counts the call edges already reported to the front end: the
 	// cursor into the process's edge log.
 	edgesSent int
@@ -84,10 +83,7 @@ type liveInst struct {
 // mdl.Target implementation. The clock accessors use the engine's global
 // time so samplers observing blocked or mid-computation processes read
 // up-to-date values.
-func (rc *rankCtx) Probes() *probe.Process { return rc.r.Probes() }
-func (rc *rankCtx) FunctionsOfModule(m string) []string {
-	return append([]string(nil), rc.modules[m]...)
-}
+func (rc *rankCtx) Probes() *probe.Process  { return rc.r.Probes() }
 func (rc *rankCtx) WallNow() sim.Time       { return rc.d.eng.Now() }
 func (rc *rankCtx) CPUNow() sim.Duration    { return rc.r.CPUTimeAt(rc.d.eng.Now()) }
 func (rc *rankCtx) SystemNow() sim.Duration { return rc.r.SystemTimeAt(rc.d.eng.Now()) }
@@ -286,7 +282,7 @@ func (d *Daemon) DelayAttachUntil(t sim.Time) {
 }
 
 func (d *Daemon) adoptNow(r *mpi.Rank) {
-	rc := &rankCtx{d: d, r: r, modules: map[string][]string{}}
+	rc := &rankCtx{d: d, r: r}
 	d.ranks = append(d.ranks, rc)
 	r.Probes().PerProbeCost = perProbeCost
 	if tr := d.tracer; tr != nil {
@@ -323,14 +319,10 @@ func (d *Daemon) functionDiscovered(r *mpi.Rank, f *probe.Function) {
 	}
 }
 
+// functionDiscovered reports f under /Code and extends the instances watching
+// its module. It runs once per function: a first call fires once, and
+// adoption seeds from the functions called before it once.
 func (rc *rankCtx) functionDiscovered(f *probe.Function) {
-	fns := rc.modules[f.Module]
-	for _, existing := range fns {
-		if existing == f.Name {
-			return
-		}
-	}
-	rc.modules[f.Module] = append(fns, f.Name)
 	rc.d.sendUpdate(datasource.Update{
 		Kind: datasource.UpAddResource, Time: rc.d.eng.Now(),
 		Path: "/Code/" + f.Module + "/" + f.Name,

@@ -1,7 +1,10 @@
 package daemon
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"pperf/internal/cluster"
@@ -119,9 +122,6 @@ func TestDaemonResourceUpdates(t *testing.T) {
 		t.Errorf("updates missing: proc=%v func=%v exit=%v", sawProc, sawFunc, sawExit)
 	}
 	_ = sawEdge // produce has no traced callees in this program
-	if mods := ds[0].ranks[0].modules; len(mods["app.c"]) == 0 {
-		t.Errorf("modules = %v", mods)
-	}
 }
 
 func TestDaemonDisableRemovesProbes(t *testing.T) {
@@ -284,6 +284,79 @@ func TestLateAdoptionSeedsEveryCalledFunction(t *testing.T) {
 	}
 	if math.Abs(cpu-0.09) > 1e-3 { // the three calls after 400 ms, plus probe cost
 		t.Errorf("module cpu after a late adoption = %v, want 0.09", cpu)
+	}
+}
+
+// Each daemon that adopts a process reports each function the process calls
+// under /Code exactly once, in first-call order: functions first called
+// before a delayed adoption, after it, and after a respawned incarnation
+// re-adopted the process. Nothing filters duplicates: this holds because a
+// first call fires once and adoption seeds from the called functions once.
+func TestEachFunctionIsReportedOncePerAdoption(t *testing.T) {
+	eng := sim.NewEngine(13)
+	spec := cluster.DefaultSpec(2, 1)
+	w := mpi.NewWorld(eng, spec, mpi.NewImpl(mpi.LAM))
+	recs := []*recorder{{}, {}, {}} // node0, node1, node1's second incarnation
+	var ds []*Daemon
+	for node := range spec.Nodes {
+		ds = append(ds, New(eng, node, spec.Nodes[node].Name, mdl.StdLib(), recs[node], DefaultConfig()))
+		ds[node].DelayAttachUntil(sim.Time(100 * sim.Millisecond))
+	}
+	reg := AttachAll(w, ds)
+	w.Register("p", func(r *mpi.Rank, _ []string) {
+		for i := 0; i < 12; i++ {
+			r.Call("app.c", fmt.Sprintf("f%d", i%6), func() { r.Compute(40 * sim.Millisecond) })
+			if i >= 9 {
+				r.Call("late.c", "g", func() { r.Compute(sim.Millisecond) })
+			}
+			if err := r.World().Barrier(r); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	if _, err := w.LaunchN("p", 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range ds {
+		d.Start()
+	}
+	var calledBeforeRespawn int
+	eng.At(sim.Time(300*sim.Millisecond), func() {
+		ds[1].Crash()
+		d := New(eng, 1, spec.Nodes[1].Name, mdl.StdLib(), recs[2], DefaultConfig())
+		d.SetIncarnation(2)
+		reg.Replace(d)
+		r := w.Ranks()[1]
+		calledBeforeRespawn = len(r.Probes().CalledFunctions())
+		d.Adopt(r)
+		d.Start()
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range recs {
+		r := w.Ranks()[min(i, 1)]
+		var want, got []string
+		for _, f := range r.Probes().CalledFunctions() {
+			want = append(want, "/Code/"+f.Module+"/"+f.Name)
+		}
+		if i == 1 {
+			want = want[:calledBeforeRespawn] // the first incarnation died at 300 ms
+		}
+		for _, u := range rec.updates {
+			if u.Kind == datasource.UpAddResource && strings.HasPrefix(u.Path, "/Code/") {
+				got = append(got, u.Path)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("daemon %d reported %v, want each called function once: %v", i, got, want)
+		}
+		if !slices.Contains(got, "/Code/app.c/f5") {
+			t.Errorf("daemon %d never reported f5, first called after the adoption", i)
+		}
+	}
+	if calledBeforeRespawn == len(w.Ranks()[1].Probes().CalledFunctions()) {
+		t.Error("no function was first called after the respawn")
 	}
 }
 

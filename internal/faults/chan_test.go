@@ -19,7 +19,7 @@ func TestParseDropTransportChan(t *testing.T) {
 	if len(p.Faults) != 2 {
 		t.Fatalf("faults = %d, want 2", len(p.Faults))
 	}
-	if p.Faults[0].Chan != faults.ChanBulk || p.Faults[1].Chan != faults.ChanBoth {
+	if p.Faults[0].Chan != wire.ChanBulk || p.Faults[1].Chan != faults.ChanBoth {
 		t.Errorf("chans = %q, %q", p.Faults[0].Chan, p.Faults[1].Chan)
 	}
 	// String round-trips through Parse.
@@ -27,7 +27,7 @@ func TestParseDropTransportChan(t *testing.T) {
 	if err != nil {
 		t.Fatalf("re-parse of %q: %v", p.String(), err)
 	}
-	if q.Faults[0].Chan != faults.ChanBulk || q.Faults[1].Chan != faults.ChanBoth {
+	if q.Faults[0].Chan != wire.ChanBulk || q.Faults[1].Chan != faults.ChanBoth {
 		t.Errorf("round-trip lost chan: %q", q.String())
 	}
 	// An unadorned clause keeps the legacy meaning (empty = control).
@@ -76,7 +76,7 @@ func TestFlakyTransportChannelsFailIndependently(t *testing.T) {
 	fe := &bulkFE{}
 	ft := faults.NewFlakyTransport(fe)
 
-	faults.ArmDrops(ft, 2, faults.ChanBulk)
+	faults.ArmDrops(ft, 2, wire.ChanBulk)
 	if err := ft.Report(aShard); err == nil {
 		t.Fatal("bulk send should fail while bulk budget remains")
 	}

@@ -22,6 +22,7 @@ import (
 
 	"pperf/internal/faults"
 	"pperf/internal/sim"
+	"pperf/internal/wire"
 )
 
 // chaosNodes are the node names of pperfmark's default 3-node cluster.
@@ -153,7 +154,7 @@ func genPlan(seed uint64, nodes []string, maxFaults int, horizon sim.Duration) *
 		default:
 			f.Kind, f.Node = faults.DropTransport, pick()
 			f.N = 1 + intn(8)
-			f.Chan = []string{"", faults.ChanCtl, faults.ChanBulk, faults.ChanBoth, faults.ChanSync}[intn(5)]
+			f.Chan = []string{"", wire.ChanCtl, wire.ChanBulk, faults.ChanBoth, wire.ChanSync}[intn(5)]
 		}
 		p.Faults = append(p.Faults, f)
 	}

@@ -128,21 +128,6 @@ func TestArmFiresInVirtualTimeOrder(t *testing.T) {
 	}
 }
 
-func TestArmMissingHooksSkipsSafely(t *testing.T) {
-	p, _ := faults.Parse("t=10ms kill-node n0; t=20ms sever-link a:b for=1s")
-	eng := sim.NewEngine(1)
-	in := faults.Arm(p, eng, faults.Hooks{})
-	eng.StartProc("idle", func(pr *sim.Proc) { pr.Sleep(sim.Second) })
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range in.Log() {
-		if !strings.Contains(line, "skipped") {
-			t.Errorf("expected skip note, got %q", line)
-		}
-	}
-}
-
 // --- end-to-end: PPerfMark runs under each fault type ----------------------
 
 // runFaulted executes random-barrier under LAM with the given plan.

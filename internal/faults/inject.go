@@ -33,10 +33,10 @@ type Hooks struct {
 	// DelayAttach postpones the node's daemon adopting processes.
 	DelayAttach func(node string, d sim.Duration)
 	// DropTransport makes the node's daemon transport fail its next n
-	// sends. ch selects the channel: ChanCtl (samples/updates, the
-	// default), ChanBulk (trace shards), or ChanBoth. ChanSync targets the
-	// PerfDB sync plane instead and is armed through SyncConfig.Faults
-	// rather than this session hook, which ignores it.
+	// sends. ch selects the channel: wire.ChanCtl (samples/updates, the
+	// default), wire.ChanBulk (trace shards), or ChanBoth. wire.ChanSync
+	// targets the PerfDB sync plane instead and is armed through
+	// SyncConfig.Faults rather than this session hook, which ignores it.
 	DropTransport func(node string, n int, ch string)
 }
 
@@ -71,9 +71,9 @@ func (in *Injector) Notef(now sim.Time, format string, args ...any) {
 	in.note(now, format, args...)
 }
 
-// Arm schedules every fault in the plan on the engine. Hook fields left nil
-// are skipped (the fault is logged as unsupported rather than panicking).
-// Faults fire in virtual time, so runs are exactly reproducible.
+// Arm schedules every fault in the plan on the engine. Every hook a fault of
+// the plan reaches must be set (a kill-node reaches Abort too). Faults fire
+// in virtual time, so runs are exactly reproducible.
 func Arm(plan *Plan, eng *sim.Engine, h Hooks) *Injector {
 	in := &Injector{plan: plan}
 	for _, f := range plan.Faults {
@@ -86,26 +86,16 @@ func Arm(plan *Plan, eng *sim.Engine, h Hooks) *Injector {
 func (in *Injector) fire(now sim.Time, f Fault, plan *Plan, eng *sim.Engine, h Hooks) {
 	switch f.Kind {
 	case KillNode:
-		if h.KillNode == nil {
-			in.note(now, "kill-node %s: no hook, skipped", f.Node)
-			return
-		}
 		reason := fmt.Sprintf("node %s failed", f.Node)
 		h.KillNode(f.Node, reason)
 		in.note(now, "kill-node %s", f.Node)
-		if h.Abort != nil {
-			// The failure detector notices Detect later and aborts the job:
-			// MPI_Finalize is collective, so survivors can never complete.
-			eng.After(plan.Detect, func() {
-				h.Abort(fmt.Sprintf("job aborted: %s", reason))
-				in.note(eng.Now(), "abort-job (detector: %s)", reason)
-			})
-		}
+		// The failure detector notices Detect later and aborts the job:
+		// MPI_Finalize is collective, so survivors can never complete.
+		eng.After(plan.Detect, func() {
+			h.Abort(fmt.Sprintf("job aborted: %s", reason))
+			in.note(eng.Now(), "abort-job (detector: %s)", reason)
+		})
 	case CrashDaemon:
-		if h.CrashDaemon == nil {
-			in.note(now, "crash-daemon %s: no hook, skipped", f.Node)
-			return
-		}
 		h.CrashDaemon(f.Node, f.Restartable)
 		if f.Restartable {
 			in.note(now, "crash-daemon %s (restartable)", f.Node)
@@ -113,38 +103,18 @@ func (in *Injector) fire(now sim.Time, f Fault, plan *Plan, eng *sim.Engine, h H
 			in.note(now, "crash-daemon %s", f.Node)
 		}
 	case HangDaemon:
-		if h.HangDaemon == nil {
-			in.note(now, "hang-daemon %s: no hook, skipped", f.Node)
-			return
-		}
 		h.HangDaemon(f.Node, f.For)
 		in.note(now, "hang-daemon %s for %v", f.Node, f.For)
 	case SeverLink:
-		if h.SetLink == nil {
-			in.note(now, "sever-link: no hook, skipped")
-			return
-		}
 		h.SetLink(f.Node, f.Peer, 0, 0, f.For)
 		in.note(now, "sever-link %s:%s for %v", f.Node, f.Peer, f.For)
 	case DegradeLink:
-		if h.SetLink == nil {
-			in.note(now, "degrade-link: no hook, skipped")
-			return
-		}
 		h.SetLink(f.Node, f.Peer, f.Lat, f.BW, 0)
 		in.note(now, "degrade-link %s:%s lat=%g bw=%g", f.Node, f.Peer, f.Lat, f.BW)
 	case DelayAttach:
-		if h.DelayAttach == nil {
-			in.note(now, "delay-attach %s: no hook, skipped", f.Node)
-			return
-		}
 		h.DelayAttach(f.Node, f.For)
 		in.note(now, "delay-attach %s for %v", f.Node, f.For)
 	case DropTransport:
-		if h.DropTransport == nil {
-			in.note(now, "drop-transport %s: no hook, skipped", f.Node)
-			return
-		}
 		h.DropTransport(f.Node, f.N, f.Chan)
 		if f.Chan != "" {
 			in.note(now, "drop-transport %s n=%d chan=%s", f.Node, f.N, f.Chan)
@@ -164,14 +134,14 @@ type Injectable interface {
 // ArmDrops is the one translation of a drop-transport clause onto a report
 // transport: it adds n to the drop budget of each channel the clause's
 // chan= option selects (ctl by default). Budgets add, so overlapping
-// clauses fail the sum of their sends on every stack. ChanSync targets the
-// PerfDB sync plane instead (armed through SyncConfig.Faults) and is
+// clauses fail the sum of their sends on every stack. wire.ChanSync targets
+// the PerfDB sync plane instead (armed through SyncConfig.Faults) and is
 // ignored here.
 func ArmDrops(t Injectable, n int, ch string) {
-	if ch == "" || ch == ChanCtl || ch == ChanBoth {
+	if ch == "" || ch == wire.ChanCtl || ch == ChanBoth {
 		t.Injection(wire.ChanCtl).AddDrops(n)
 	}
-	if ch == ChanBulk || ch == ChanBoth {
+	if ch == wire.ChanBulk || ch == ChanBoth {
 		t.Injection(wire.ChanBulk).AddDrops(n)
 	}
 }

@@ -48,6 +48,7 @@ func TestInjectorLogRoundTrips(t *testing.T) {
 	eng := sim.NewEngine(1)
 	in := Arm(plan, eng, Hooks{
 		KillNode: func(node, reason string) {},
+		Abort:    func(reason string) {},
 		SetLink:  func(a, b string, lat, bw float64, downFor sim.Duration) {},
 	})
 	eng.StartProc("clock", func(p *sim.Proc) { p.Sleep(5 * sim.Second) })

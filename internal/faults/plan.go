@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"pperf/internal/sim"
+	"pperf/internal/wire"
 )
 
 // Kind enumerates the injectable fault types.
@@ -62,19 +63,15 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Transport channels a DropTransport fault can target. The empty string is
-// equivalent to ChanCtl, keeping pre-bulk-channel plan texts meaning what
-// they always meant (shards moved to their own channel, so failing the
-// control channel exercises exactly the sampling path those plans tested).
-// ChanSync targets the PerfDB store-sync channel (`pperf db push/pull`);
-// it is interpreted by the sync client, not the in-run injector, which
-// ignores it.
-const (
-	ChanCtl  = "ctl"
-	ChanBulk = "bulk"
-	ChanBoth = "both"
-	ChanSync = "sync"
-)
+// ChanBoth is the DropTransport channel option that fails both report
+// channels, wire.ChanCtl (samples and updates) and wire.ChanBulk (trace
+// shards). The empty option is wire.ChanCtl, keeping pre-bulk-channel plan
+// texts meaning what they always meant (shards moved to their own channel,
+// so failing the control channel exercises exactly the sampling path those
+// plans tested). wire.ChanSync targets the PerfDB store-sync channel (`pperf
+// db push/pull`); it is interpreted by the sync client, not the in-run
+// injector, which ignores it.
+const ChanBoth = "both"
 
 // Fault is one scheduled fault.
 type Fault struct {
@@ -275,7 +272,7 @@ func (p *Plan) parseClause(clause string) error {
 			f.N = v
 		case strings.HasPrefix(opt, "chan="):
 			v := opt[5:]
-			if v != ChanCtl && v != ChanBulk && v != ChanBoth && v != ChanSync {
+			if v != wire.ChanCtl && v != wire.ChanBulk && v != ChanBoth && v != wire.ChanSync {
 				return fmt.Errorf("bad chan %q: want ctl, bulk, both or sync", v)
 			}
 			f.Chan = v

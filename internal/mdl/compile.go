@@ -17,9 +17,6 @@ import (
 type Target interface {
 	// Probes is the process's dynamic-instrumentation state.
 	Probes() *probe.Process
-	// FunctionsOfModule lists the functions discovered so far in a source
-	// module (for module-level Code foci).
-	FunctionsOfModule(module string) []string
 	// WallNow/CPUNow/SystemNow expose the process clocks for direct-reading
 	// accumulators.
 	WallNow() sim.Time
@@ -381,7 +378,7 @@ func (cm *CompiledMetric) resolveSet(t Target, set string, f resource.Focus) (fn
 		return []string{fn}, ""
 	}
 	if mod := f.CodeModule(); mod != "" {
-		return t.FunctionsOfModule(mod), mod
+		return t.Probes().FunctionsOfModule(mod), mod
 	}
 	return nil, ""
 }
@@ -472,26 +469,6 @@ func withPMPI(names ...string) []string {
 		out = append(out, n, "P"+n)
 	}
 	return out
-}
-
-func inModule(p *probe.Process, module string) bool {
-	for _, f := range p.Stack() {
-		if f.Module == module {
-			return true
-		}
-	}
-	return false
-}
-
-func inAnyFunction(p *probe.Process, names []string) bool {
-	for _, f := range p.Stack() {
-		for _, n := range names {
-			if f.Name == n {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // funcAcc adapts a closure into an Accumulator.

@@ -274,11 +274,10 @@ func TestNewLibraryWithStdIsStdLibWithoutUserSource(t *testing.T) {
 // does in production).
 type rankTarget struct{ r *mpi.Rank }
 
-func (t rankTarget) Probes() *probe.Process            { return t.r.Probes() }
-func (t rankTarget) FunctionsOfModule(string) []string { return nil }
-func (t rankTarget) WallNow() sim.Time                 { return t.r.Now() }
-func (t rankTarget) CPUNow() sim.Duration              { return t.r.CPUTime() }
-func (t rankTarget) SystemNow() sim.Duration           { return t.r.SystemTimeAt(t.r.Now()) }
+func (t rankTarget) Probes() *probe.Process  { return t.r.Probes() }
+func (t rankTarget) WallNow() sim.Time       { return t.r.Now() }
+func (t rankTarget) CPUNow() sim.Duration    { return t.r.CPUTime() }
+func (t rankTarget) SystemNow() sim.Duration { return t.r.SystemTimeAt(t.r.Now()) }
 
 // runInstrumented launches prog on n LAM ranks, instruments every rank with
 // the named metric at the given focus before the clock starts, runs, and

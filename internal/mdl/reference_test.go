@@ -328,7 +328,7 @@ func (cm *CompiledMetric) refInstantiate(t Target, f resource.Focus) (*refInstan
 			if !cm.hasConstraint("moduleConstraint") {
 				return nil, fmt.Errorf("mdl: metric %s cannot be constrained to a module", cm.Name())
 			}
-			e.preds = append(e.preds, func(ev *probe.Event) bool { return inModule(ev.Proc, mod) })
+			e.preds = append(e.preds, func(ev *probe.Event) bool { return ev.Proc.InModule(mod) })
 		}
 	}
 	if err := cm.refApplySyncConstraints(e, in, f); err != nil {
@@ -368,7 +368,7 @@ func (cm *CompiledMetric) refApplySyncConstraints(e *refEnv, in *refInstance, f 
 	if !ok {
 		return fmt.Errorf("mdl: unknown SyncObject category %q", category)
 	}
-	e.preds = append(e.preds, func(ev *probe.Event) bool { return inAnyFunction(ev.Proc, catFns) })
+	e.preds = append(e.preds, func(ev *probe.Event) bool { return ev.Proc.InAnyFunction(catFns) })
 	if len(rest) == 0 {
 		return nil
 	}
@@ -412,17 +412,6 @@ type enabled interface {
 	ModuleWatch() string
 	ExtendFunction(fname string)
 	Remove()
-}
-
-// discoveringTarget is a rank as the daemon presents it to mdl: it remembers
-// which functions each module has shown so far.
-type discoveringTarget struct {
-	rankTarget
-	modules map[string][]string
-}
-
-func (t *discoveringTarget) FunctionsOfModule(m string) []string {
-	return append([]string(nil), t.modules[m]...)
 }
 
 // script is the traced program both compilers' instances are driven by: two
@@ -542,7 +531,6 @@ func runScript(t *testing.T, instantiate func(Target, resource.Focus) (enabled, 
 		r   *mpi.Rank
 		in  enabled
 		acc metric.Accumulator
-		tg  *discoveringTarget
 	}
 	var insts []*live
 	w.AddHooks(&mpi.Hooks{
@@ -550,8 +538,8 @@ func runScript(t *testing.T, instantiate func(Target, resource.Focus) (enabled, 
 			if r.ParentComm() != nil {
 				return // the spawned child is not instrumented
 			}
-			li := &live{r: r, tg: &discoveringTarget{rankTarget{r}, map[string][]string{}}}
-			if li.in, li.acc, err = instantiate(li.tg, f); err != nil {
+			li := &live{r: r}
+			if li.in, li.acc, err = instantiate(rankTarget{r}, f); err != nil {
 				return
 			}
 			insts = append(insts, li)
@@ -562,11 +550,8 @@ func runScript(t *testing.T, instantiate func(Target, resource.Focus) (enabled, 
 		},
 		FunctionDiscovered: func(r *mpi.Rank, fn *probe.Function) {
 			for _, li := range insts {
-				if li.r == r {
-					li.tg.modules[fn.Module] = append(li.tg.modules[fn.Module], fn.Name)
-					if li.in.ModuleWatch() == fn.Module {
-						li.in.ExtendFunction(fn.Name)
-					}
+				if li.r == r && li.in.ModuleWatch() == fn.Module {
+					li.in.ExtendFunction(fn.Name)
 				}
 			}
 		},

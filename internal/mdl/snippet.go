@@ -47,8 +47,8 @@ type frame struct {
 func (fr *frame) satisfied(ev *probe.Event) bool {
 	switch {
 	case fr.inFunc != "" && !ev.Proc.InFunction(fr.inFunc),
-		fr.inModule != "" && !inModule(ev.Proc, fr.inModule),
-		fr.inSync != nil && !inAnyFunction(ev.Proc, fr.inSync):
+		fr.inModule != "" && !ev.Proc.InModule(fr.inModule),
+		fr.inSync != nil && !ev.Proc.InAnyFunction(fr.inSync):
 		return false
 	}
 	for _, f := range fr.flags {

@@ -21,11 +21,10 @@ func (zeroClock) Now() sim.Time            { return 0 }
 func (zeroClock) CPUTime() sim.Duration    { return 0 }
 func (zeroClock) AddOverhead(sim.Duration) {}
 
-func (t procTarget) Probes() *probe.Process            { return t.p }
-func (t procTarget) FunctionsOfModule(string) []string { return nil }
-func (t procTarget) WallNow() sim.Time                 { return 0 }
-func (t procTarget) CPUNow() sim.Duration              { return 0 }
-func (t procTarget) SystemNow() sim.Duration           { return 0 }
+func (t procTarget) Probes() *probe.Process  { return t.p }
+func (t procTarget) WallNow() sim.Time       { return 0 }
+func (t procTarget) CPUNow() sim.Duration    { return 0 }
+func (t procTarget) SystemNow() sim.Duration { return 0 }
 
 // worldComm returns a real communicator (id 1) without running anything.
 func worldComm(t *testing.T) *mpi.Comm {

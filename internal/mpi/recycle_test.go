@@ -16,11 +16,10 @@ import (
 // rankTarget instruments a rank with MDL metrics.
 type rankTarget struct{ r *mpi.Rank }
 
-func (t rankTarget) Probes() *probe.Process            { return t.r.Probes() }
-func (t rankTarget) FunctionsOfModule(string) []string { return nil }
-func (t rankTarget) WallNow() sim.Time                 { return t.r.Now() }
-func (t rankTarget) CPUNow() sim.Duration              { return t.r.CPUTime() }
-func (t rankTarget) SystemNow() sim.Duration           { return t.r.SystemTimeAt(t.r.Now()) }
+func (t rankTarget) Probes() *probe.Process  { return t.r.Probes() }
+func (t rankTarget) WallNow() sim.Time       { return t.r.Now() }
+func (t rankTarget) CPUNow() sim.Duration    { return t.r.CPUTime() }
+func (t rankTarget) SystemNow() sim.Duration { return t.r.SystemTimeAt(t.r.Now()) }
 
 // pairAllocs runs send on rank 1 and returns the allocations per call of
 // recv on rank 0 — and so of one pair, the sender's share included — the

@@ -204,7 +204,7 @@ func armSyncFaults(inj *wire.Injection, p *faults.Plan) {
 	for _, f := range p.Faults {
 		switch f.Kind {
 		case faults.DropTransport:
-			if f.Chan == faults.ChanSync {
+			if f.Chan == wire.ChanSync {
 				inj.AddDrops(f.N)
 			}
 		case faults.DegradeLink:

@@ -154,7 +154,7 @@ func TestRemoveOfUnknownIDIsANoOp(t *testing.T) {
 		t.Fatalf("ActiveProbes = %d and %d, want 1 and 3", p.ActiveProbes(), other.ActiveProbes())
 	}
 	p.Enter(&Function{Name: "g"})
-	p.Leave(p.Stack()[0])
+	p.Leave(p.stack[0])
 	if runs != 1 {
 		t.Errorf("g's probe ran %d times, want once", runs)
 	}
@@ -239,18 +239,23 @@ func TestRefillToPeakAllocatesNothing(t *testing.T) {
 // — and checks it against a model that places every probe on all its
 // functions at once: every execution runs exactly the model's list for that
 // point as it stood when the execution began, in order, and ActiveProbes is
-// the model's count.
+// the model's count. After every operation and inside every handler, the
+// stack questions (InFunction, InModule, InAnyFunction) must answer what a
+// walk of the model's call stack does, and FunctionsOfModule must list the
+// module's functions in the model's first-call order.
 type eagerModel struct {
-	p     *Process
-	funcs []*Function
-	lists map[string]*[2][]int // function → its Entry and Return lists, as tokens
-	ids   map[int]ID           // live token → its probe
-	fns   map[int][]string     // live token → its functions
-	live  []int                // live tokens, in insertion order
-	next  int
-	runs  [][]int // what each execution in progress has run so far
-	armed func()  // the edit the next handler to run performs
-	err   error
+	p      *Process
+	funcs  []*Function
+	stack  []*Function          // the calls in progress, innermost last
+	called []*Function          // the functions called so far, in first-call order
+	lists  map[string]*[2][]int // function → its Entry and Return lists, as tokens
+	ids    map[int]ID           // live token → its probe
+	fns    map[int][]string     // live token → its functions
+	live   []int                // live tokens, in insertion order
+	next   int
+	runs   [][]int // what each execution in progress has run so far
+	armed  func()  // the edit the next handler to run performs
+	err    error
 }
 
 func newEagerModel(nfuncs int) *eagerModel {
@@ -261,7 +266,7 @@ func newEagerModel(nfuncs int) *eagerModel {
 		fns:   map[int][]string{},
 	}
 	for i := 0; i < nfuncs; i++ {
-		f := &Function{Name: fmt.Sprintf("f%d", i)}
+		f := &Function{Name: fmt.Sprintf("f%d", i), Module: fmt.Sprintf("m%d", i%3)}
 		m.funcs = append(m.funcs, f)
 		m.lists[f.Name] = &[2][]int{}
 	}
@@ -275,6 +280,7 @@ func (m *eagerModel) ran(tok int) {
 		return
 	}
 	m.runs[len(m.runs)-1] = append(m.runs[len(m.runs)-1], tok)
+	m.checkStack()
 	if e := m.armed; e != nil {
 		m.armed = nil
 		e()
@@ -336,8 +342,53 @@ func (m *eagerModel) call(f *Function) {
 			m.fail("%s.%v ran %v, the eager model held %v", f.Name, w, got, want)
 		}
 	}
+	if !slices.Contains(m.called, f) {
+		m.called = append(m.called, f)
+	}
+	m.stack = append(m.stack, f)
 	point(Entry, func() { m.p.Enter(f) })
 	point(Return, func() { m.p.Leave(f) })
+	m.stack = m.stack[:len(m.stack)-1]
+}
+
+// checkStack asks the process every stack question over the model's names,
+// modules and pairs of names — each also with one the model never calls —
+// and FunctionsOfModule of every module.
+func (m *eagerModel) checkStack() {
+	onStack := func(match func(f *Function) bool) bool { return slices.ContainsFunc(m.stack, match) }
+	stack := func() (s []string) {
+		for _, f := range m.stack {
+			s = append(s, f.Name)
+		}
+		return s
+	}
+	names := []string{"ghost"}
+	for _, f := range m.funcs {
+		names = append(names, f.Name)
+	}
+	for i, name := range names {
+		if got, want := m.p.InFunction(name), onStack(func(f *Function) bool { return f.Name == name }); got != want {
+			m.fail("InFunction(%s) = %v, the model's stack is %v", name, got, stack())
+		}
+		set := []string{name, names[(i+1)%len(names)]}
+		if got, want := m.p.InAnyFunction(set), onStack(func(f *Function) bool { return slices.Contains(set, f.Name) }); got != want {
+			m.fail("InAnyFunction(%v) = %v, the model's stack is %v", set, got, stack())
+		}
+	}
+	for _, mod := range []string{"m0", "m1", "m2", "none"} {
+		if got, want := m.p.InModule(mod), onStack(func(f *Function) bool { return f.Module == mod }); got != want {
+			m.fail("InModule(%s) = %v, the model's stack is %v", mod, got, stack())
+		}
+		var want []string
+		for _, f := range m.called {
+			if f.Module == mod {
+				want = append(want, f.Name)
+			}
+		}
+		if got := m.p.FunctionsOfModule(mod); !slices.Equal(got, want) {
+			m.fail("FunctionsOfModule(%s) = %v, first calls give %v", mod, got, want)
+		}
+	}
 }
 
 // step decodes one operation from ops and returns it with the bytes left.
@@ -379,6 +430,7 @@ func (m *eagerModel) run(ops []byte) error {
 		var op func()
 		op, ops = m.step(ops)
 		op()
+		m.checkStack()
 	}
 	n := 0
 	for _, fns := range m.fns {

@@ -418,18 +418,53 @@ func (p *Process) fire(f *Function, w Where, list []probeRec, args []any) {
 	}
 }
 
-// Stack returns the current traced call stack (innermost last).
-func (p *Process) Stack() []*Function { return p.stack }
-
 // CalledFunctions returns the functions called so far, in first-call order.
 func (p *Process) CalledFunctions() []*Function { return p.called }
 
-// InFunction reports whether the named function is anywhere on the current
-// call stack — the predicate behind inclusive procedure constraints.
+// FunctionsOfModule returns, in a new slice, the module's functions in first-call order.
+func (p *Process) FunctionsOfModule(module string) []string {
+	n := 0
+	for _, f := range p.called {
+		if f.Module == module {
+			n++
+		}
+	}
+	fns := make([]string, 0, n)
+	for _, f := range p.called {
+		if f.Module == module {
+			fns = append(fns, f.Name)
+		}
+	}
+	return fns
+}
+
+// InFunction reports whether the named function is on the call stack.
 func (p *Process) InFunction(name string) bool {
 	for _, f := range p.stack {
 		if f.Name == name {
 			return true
+		}
+	}
+	return false
+}
+
+// InModule reports whether a function of the module is on the call stack.
+func (p *Process) InModule(module string) bool {
+	for _, f := range p.stack {
+		if f.Module == module {
+			return true
+		}
+	}
+	return false
+}
+
+// InAnyFunction reports whether any of the named functions is on the stack.
+func (p *Process) InAnyFunction(names []string) bool {
+	for _, f := range p.stack {
+		for _, n := range names {
+			if f.Name == n {
+				return true
+			}
 		}
 	}
 	return false

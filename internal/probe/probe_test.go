@@ -101,8 +101,8 @@ func TestCallStackAndInFunction(t *testing.T) {
 		t.Error("InFunction should see Gsend_message")
 	}
 	p.Enter(fSend)
-	if len(p.Stack()) != 2 {
-		t.Errorf("stack depth = %d", len(p.Stack()))
+	if len(p.stack) != 2 {
+		t.Errorf("stack depth = %d", len(p.stack))
 	}
 	if !p.InFunction("Gsend_message") || !p.InFunction("MPI_Send") {
 		t.Error("both functions should be on stack")
@@ -112,8 +112,11 @@ func TestCallStackAndInFunction(t *testing.T) {
 		t.Error("MPI_Send should be popped")
 	}
 	p.Leave(fApp)
-	if len(p.Stack()) != 0 {
+	if len(p.stack) != 0 {
 		t.Error("stack should be empty")
+	}
+	if n := testing.AllocsPerRun(10, func() { p.FunctionsOfModule("libmpi") }); n != 1 {
+		t.Errorf("FunctionsOfModule allocates %v objects, want its one slice", n)
 	}
 }
 
