@@ -26,10 +26,10 @@ func installTagDiscovery(s *Session) {
 	type commTag struct{ comm, tag int }
 	seen := map[int]int{} // comm id → #tags discovered
 	reported := map[commTag]bool{}
-	report := func(comm, tagArg any) {
-		c, _ := comm.(*mpi.Comm)
-		tag, ok := tagArg.(int)
-		if c == nil || !ok || tag < 0 {
+	report := func(comm, tagArg probe.Arg) {
+		c, _ := comm.Ref.(*mpi.Comm)
+		tag := tagArg.Int
+		if c == nil || tag < 0 {
 			return
 		}
 		k := commTag{c.ID(), tag}

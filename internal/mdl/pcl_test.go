@@ -303,6 +303,16 @@ func FuzzCompileSource(f *testing.F) {
 		"daemon d { mpi_implementation \"lam\"; }\nmdl {\n// a } in a comment\n}\n"} {
 		f.Add(src)
 	}
+	// One $arg read of each form: number, truth, == against a number, a
+	// string and another argument, MPI_Type_size as a value and a statement,
+	// and the three name builtins.
+	for _, read := range []string{`m = $arg[1];`, `if ($arg[4]) m++;`, `if ($arg[4] == 7) m++;`,
+		`if ($arg[6] == "name") m++;`, `if ($arg[1] == $arg[4]) m++;`, `m = MPI_Type_size($arg[2]);`,
+		`MPI_Type_size($arg[2], &aux);`, `if (DYNINSTComm_FindId($arg[5]) == "comm-1") m++;`,
+		`if (DYNINSTTagName($arg[4]) == "tag-7") m++;`, `if (DYNINSTWindow_FindUniqueId($arg[7]) == "0-1") m++;`} {
+		f.Add(`resourceList s is procedure { "MPI_Send" };
+metric m { name "m"; units ops; counter aux; base is counter { foreach func in s { append preinsn func.entry (* ` + read + ` *) } } }`)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		lib, err := CompileSource(src)
 		if (lib == nil) == (err == nil) {

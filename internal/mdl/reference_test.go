@@ -17,7 +17,9 @@ import (
 // reference of TestInstancesMatchPerInstanceCompiler: every Instantiate
 // builds an env — symbol table, variable store and constraint gate in one —
 // and compiles the metric's snippets against it into closures over that
-// instance's own accumulators, lazily, one handler per probe spec.
+// instance's own accumulators, lazily, one handler per probe spec. It reads
+// $arg[n] as the `any` the call passed before arguments were typed (anyOf),
+// under the rules of that time (argrules_test.go) with the truthiness fix.
 
 type refEnv struct {
 	counters            map[string]*metric.Counter
@@ -126,7 +128,7 @@ func (e *refEnv) stmt(s Stmt) refOp {
 			return func(ev *probe.Event) { t.Stop(ev.CPUTime) }
 		case "MPI_Type_size":
 			out, dt := e.counter(st.Out), e.expr(st.Args[0]).handle()
-			return func(ev *probe.Event) { out.Set(typeSize(dt(ev))) }
+			return func(ev *probe.Event) { out.Set(anyTypeSize(dt(ev))) }
 		}
 	}
 	panic(fmt.Sprintf("reference compiler: statement %#v", s))
@@ -139,9 +141,9 @@ func (v refValue) number() func(*probe.Event) float64 {
 	case v.num != nil:
 		return v.num
 	case v.test != nil:
-		return func(ev *probe.Event) float64 { return asNum(v.test(ev)) }
+		return func(ev *probe.Event) float64 { return anyNum(v.test(ev)) }
 	case v.obj != nil:
-		return func(ev *probe.Event) float64 { return asNum(v.obj(ev)) }
+		return func(ev *probe.Event) float64 { return anyNum(v.obj(ev)) }
 	}
 	return func(*probe.Event) float64 { return 0 }
 }
@@ -155,7 +157,7 @@ func (v refValue) truth() func(*probe.Event) bool {
 	case v.str != nil:
 		return func(ev *probe.Event) bool { return v.str(ev) != "" }
 	}
-	return func(ev *probe.Event) bool { return truthy(v.obj(ev)) }
+	return func(ev *probe.Event) bool { return fixedTruthy(v.obj(ev)) }
 }
 
 func (v refValue) handle() func(*probe.Event) any {
@@ -175,7 +177,7 @@ func (e *refEnv) expr(x Expr) refValue {
 		c := e.counter(x.Name)
 		return refValue{num: func(*probe.Event) float64 { return c.Value() }}
 	case *ArgExpr:
-		return refValue{obj: func(ev *probe.Event) any { return ev.Arg(x.Index) }}
+		return refValue{obj: func(ev *probe.Event) any { return anyOf(ev.Arg(x.Index)) }}
 	case *ConstraintExpr:
 		if x.Index < 0 || x.Index >= len(e.cargs) {
 			return refConstant("")
@@ -205,7 +207,7 @@ func (e *refEnv) expr(x Expr) refValue {
 			return refValue{str: func(ev *probe.Event) string { return interned(&e.tagNames, "tag-", int(n(ev))) }}
 		case "MPI_Type_size":
 			o := arg.handle()
-			return refValue{num: func(ev *probe.Event) float64 { return typeSize(o(ev)) }}
+			return refValue{num: func(ev *probe.Event) float64 { return anyTypeSize(o(ev)) }}
 		}
 	case *BinExpr:
 		l, r := e.expr(x.L), e.expr(x.R)
@@ -241,12 +243,12 @@ func refEqual(l, r refValue) func(*probe.Event) bool {
 	}
 	switch {
 	case l.obj != nil && r.obj != nil:
-		return func(ev *probe.Event) bool { return equalVals(l.obj(ev), r.obj(ev)) }
+		return func(ev *probe.Event) bool { return anyEqual(l.obj(ev), r.obj(ev)) }
 	case l.obj != nil && r.str != nil:
-		return func(ev *probe.Event) bool { return equalVals(l.obj(ev), r.str(ev)) }
+		return func(ev *probe.Event) bool { return anyEqual(l.obj(ev), r.str(ev)) }
 	case l.obj != nil:
 		n := r.number()
-		return func(ev *probe.Event) bool { return equalVals(l.obj(ev), n(ev)) }
+		return func(ev *probe.Event) bool { return anyEqual(l.obj(ev), n(ev)) }
 	case l.str != nil && r.str != nil:
 		return func(ev *probe.Event) bool { return l.str(ev) == r.str(ev) }
 	case l.str != nil || r.str != nil:
@@ -606,7 +608,23 @@ func TestInstancesMatchPerInstanceCompiler(t *testing.T) {
 		{"barrier", wp.WithSync("/SyncObject/Barrier")},
 		{"procedure + communicator + tag", wp.WithCode("/Code/app.c/outer").WithSync("/SyncObject/Message/comm-1/tag-7")},
 	}
-	lib := StdLib()
+	// Beside the standard library, the truth of integer and datatype
+	// arguments: the script sends to rank 0 and to rank 1, as MPI_BYTE and
+	// as other types.
+	lib, err := NewLibraryWithStd(`
+resourceList arg_sends is procedure { "MPI_Send", "PMPI_Send", "MPI_Isend", "PMPI_Isend" };
+metric arg_truth {
+    name "arg_truth"; units ops;
+    constraint procedureConstraint; constraint moduleConstraint;
+    base is counter {
+        foreach func in arg_sends {
+            append preinsn func.entry constrained (* if ($arg[3]) arg_truth++; if ($arg[2]) arg_truth += 100; *)
+        }
+    }
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
 	nonzero := map[string]bool{}
 	for _, name := range lib.MetricNames() {
 		cm := lib.Metric(name)

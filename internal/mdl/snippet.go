@@ -166,30 +166,35 @@ func (st *CallStmt) timerArg(kind, declared string) {
 // value is a compiled expression, typed when it is compiled: a number
 // (literals, counters, arithmetic), a truth value (comparisons; 1 or 0 as a
 // number), a string (literals, $constraint[n], the name builtins) or an
-// object (a raw $arg[n]: whatever the traced call passed, inspected at run
-// time). Exactly one field is set.
+// argument (a raw $arg[n]: the traced call's probe.Arg, read by the kind the
+// expression around it asks for). Exactly one field is set.
 type value struct {
 	num  func(*frame, *probe.Event) float64
 	test func(*frame, *probe.Event) bool
 	str  func(*frame, *probe.Event) string
-	obj  func(*frame, *probe.Event) any
+	arg  func(*frame, *probe.Event) probe.Arg
 }
 
-// number coerces to MDL arithmetic: a string counts as 0, an object as
-// whatever number it holds.
+// number coerces to MDL arithmetic: a string counts as 0, an argument as its
+// integer (0 for a handle, string or buffer).
 func (v value) number() func(*frame, *probe.Event) float64 {
 	switch {
 	case v.num != nil:
 		return v.num
 	case v.test != nil:
-		return func(fr *frame, ev *probe.Event) float64 { return asNum(v.test(fr, ev)) }
-	case v.obj != nil:
-		return func(fr *frame, ev *probe.Event) float64 { return asNum(v.obj(fr, ev)) }
+		return func(fr *frame, ev *probe.Event) float64 {
+			if v.test(fr, ev) {
+				return 1
+			}
+			return 0
+		}
+	case v.arg != nil:
+		return func(fr *frame, ev *probe.Event) float64 { return float64(v.arg(fr, ev).Int) }
 	}
 	return func(*frame, *probe.Event) float64 { return 0 }
 }
 
-// truth is the value as an if condition: nonzero, non-empty, non-nil.
+// truth is the value as an if condition: nonzero, non-empty, non-NULL.
 func (v value) truth() func(*frame, *probe.Event) bool {
 	switch {
 	case v.test != nil:
@@ -199,16 +204,16 @@ func (v value) truth() func(*frame, *probe.Event) bool {
 	case v.str != nil:
 		return func(fr *frame, ev *probe.Event) bool { return v.str(fr, ev) != "" }
 	}
-	return func(fr *frame, ev *probe.Event) bool { return truthy(v.obj(fr, ev)) }
+	return func(fr *frame, ev *probe.Event) bool { return argTruth(v.arg(fr, ev)) }
 }
 
 // handle is the value as a builtin's handle argument: only a raw $arg[n]
 // can hold a communicator, window or datatype; anything computed holds none.
-func (v value) handle() func(*frame, *probe.Event) any {
-	if v.obj != nil {
-		return v.obj
+func (v value) handle() func(*frame, *probe.Event) probe.Arg {
+	if v.arg != nil {
+		return v.arg
 	}
-	return func(*frame, *probe.Event) any { return nil }
+	return func(*frame, *probe.Event) probe.Arg { return probe.Arg{} }
 }
 
 func (x *NumExpr) compile(*scope) value {
@@ -228,7 +233,7 @@ func (x *VarExpr) compile(sc *scope) value {
 
 func (x *ArgExpr) compile(*scope) value {
 	i := x.Index
-	return value{obj: func(_ *frame, ev *probe.Event) any { return ev.Arg(i) }}
+	return value{arg: func(_ *frame, ev *probe.Event) probe.Arg { return ev.Arg(i) }}
 }
 
 // $constraint[n] is the n-th component the instance's focus bound, "" when it
@@ -254,7 +259,7 @@ func (x *CallExpr) compile(sc *scope) value {
 		// The runtime lookup from a window handle to the tool's N-M id.
 		o := arg.handle()
 		return value{str: func(fr *frame, ev *probe.Event) string {
-			if w, ok := o(fr, ev).(*mpi.Win); ok && w != nil {
+			if w, ok := o(fr, ev).Ref.(*mpi.Win); ok && w != nil {
 				return w.UniqueID()
 			}
 			return ""
@@ -262,7 +267,7 @@ func (x *CallExpr) compile(sc *scope) value {
 	case "DYNINSTComm_FindId":
 		o := arg.handle()
 		return value{str: func(fr *frame, ev *probe.Event) string {
-			if cm, ok := o(fr, ev).(*mpi.Comm); ok && cm != nil {
+			if cm, ok := o(fr, ev).Ref.(*mpi.Comm); ok && cm != nil {
 				return interned(&fr.commNames, "comm-", cm.ID())
 			}
 			return ""
@@ -320,21 +325,35 @@ func (x *BinExpr) compile(sc *scope) value {
 }
 
 // equal compiles ==: strings compare with strings and numbers with numbers,
-// a string never equals a number, and an object compares as whichever of
-// the two it turns out to hold. The typed side of an object comparison is
-// boxed on the stack (equalVals keeps nothing), so no case allocates.
+// a string never equals a number, and an argument compares as whichever of
+// the two it holds.
 func equal(l, r value) func(*frame, *probe.Event) bool {
-	if r.obj != nil {
+	if r.arg != nil {
 		l, r = r, l // equality is symmetric
 	}
 	switch {
-	case l.obj != nil && r.obj != nil:
-		return func(fr *frame, ev *probe.Event) bool { return equalVals(l.obj(fr, ev), r.obj(fr, ev)) }
-	case l.obj != nil && r.str != nil:
-		return func(fr *frame, ev *probe.Event) bool { return equalVals(l.obj(fr, ev), r.str(fr, ev)) }
-	case l.obj != nil:
+	case l.arg != nil && r.arg != nil:
+		return func(fr *frame, ev *probe.Event) bool {
+			a, b := l.arg(fr, ev), r.arg(fr, ev)
+			as, aok := a.Ref.(string)
+			bs, bok := b.Ref.(string)
+			if aok || bok {
+				return aok && bok && as == bs
+			}
+			return a.Int == b.Int
+		}
+	case l.arg != nil && r.str != nil:
+		return func(fr *frame, ev *probe.Event) bool {
+			s, ok := l.arg(fr, ev).Ref.(string)
+			return ok && s == r.str(fr, ev)
+		}
+	case l.arg != nil:
 		n := r.number()
-		return func(fr *frame, ev *probe.Event) bool { return equalVals(l.obj(fr, ev), n(fr, ev)) }
+		return func(fr *frame, ev *probe.Event) bool {
+			a := l.arg(fr, ev)
+			_, isStr := a.Ref.(string)
+			return !isStr && float64(a.Int) == n(fr, ev)
+		}
 	case l.str != nil && r.str != nil:
 		return func(fr *frame, ev *probe.Event) bool { return l.str(fr, ev) == r.str(fr, ev) }
 	case l.str != nil || r.str != nil:
@@ -344,56 +363,22 @@ func equal(l, r value) func(*frame, *probe.Event) bool {
 	return func(fr *frame, ev *probe.Event) bool { return a(fr, ev) == b(fr, ev) }
 }
 
-func equalVals(l, r any) bool {
-	if ls, ok := l.(string); ok {
-		rs, ok2 := r.(string)
-		return ok2 && ls == rs
-	}
-	if _, ok := r.(string); ok {
-		return false
-	}
-	return asNum(l) == asNum(r)
-}
-
-func truthy(v any) bool {
-	switch t := v.(type) {
-	case bool:
-		return t
-	case float64:
-		return t != 0
+// argTruth is an argument as an if condition: an integer or datatype is true
+// iff it is non-zero, a string iff it is non-empty, a handle or buffer iff it
+// is not NULL.
+func argTruth(a probe.Arg) bool {
+	switch r := a.Ref.(type) {
+	case nil, mpi.Datatype:
+		return a.Int != 0
 	case string:
-		return t != ""
-	case nil:
-		return false
-	default:
-		return true
+		return r != ""
 	}
-}
-
-// asNum coerces probe argument values to float64 for MDL arithmetic.
-func asNum(v any) float64 {
-	switch t := v.(type) {
-	case float64:
-		return t
-	case int:
-		return float64(t)
-	case int64:
-		return float64(t)
-	case bool:
-		if t {
-			return 1
-		}
-		return 0
-	case mpi.Datatype:
-		return float64(int(t))
-	default:
-		return 0
-	}
+	return true
 }
 
 // typeSize is the MPI_Type_size builtin over a probe datatype argument.
-func typeSize(v any) float64 {
-	if dt, ok := v.(mpi.Datatype); ok {
+func typeSize(a probe.Arg) float64 {
+	if dt, ok := a.Ref.(mpi.Datatype); ok {
 		return float64(dt.Size())
 	}
 	return 0

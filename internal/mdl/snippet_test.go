@@ -46,10 +46,11 @@ var (
 // Every statement and expression form, through the compiled path. Each case
 // is the probe list of metric m over MPI_Send (a bare snippet is wrapped as
 // one append-at-entry probe); MPI_Send is then called once, from inside
-// outer, with (nil, 8, MPI_INT, 1, 7, comm-1, "name"), and m must read want.
+// outer, with (NULL, 8, MPI_INT, 1, 7, comm-1, "name", 0), and m must read
+// want.
 func TestCompiledSnippetSemantics(t *testing.T) {
 	comm := worldComm(t)
-	args := []any{nil, 8, mpi.Int, 1, 7, comm, "name"}
+	args := []probe.Arg{{}, {Int: 8}, {Int: int(mpi.Int), Ref: mpi.Int}, {Int: 1}, {Int: 7}, {Ref: comm}, {Ref: "name"}, {}}
 	const msgFocus = "/SyncObject/Message/comm-1"
 	for _, c := range []struct {
 		name, probes string
@@ -66,6 +67,8 @@ func TestCompiledSnippetSemantics(t *testing.T) {
 		{name: "if false", probes: `if (0) m++;`, want: 0},
 		{name: "if on a string", probes: `if ("x") m++; if ("") m += 10;`, want: 1},
 		{name: "if on an object", probes: `if ($arg[5]) m++; if ($arg[0]) m += 10;`, want: 1},
+		{name: "if on an integer", probes: `if ($arg[4]) m++; if ($arg[7]) m += 10;`, want: 1},
+		{name: "if on a datatype", probes: `if ($arg[2]) m++;`, want: 1},
 		{name: "==", probes: `if (2 == 2) m++; if (2 == 3) m += 10;`, want: 1},
 		{name: "!=", probes: `if (2 != 3) m++; if (2 != 2) m += 10;`, want: 1},
 		{name: ">", probes: `if (3 > 2) m++; if (2 > 2) m += 10;`, want: 1},
@@ -177,7 +180,7 @@ func TestInstrumentedCallAllocatesNothing(t *testing.T) {
 		}
 	}
 	call := func() {
-		p.Enter(fnSend, nil, 8, mpi.Byte, 1, 7, comm)
+		p.Enter(fnSend, probe.Arg{}, probe.Arg{Int: 8}, probe.Arg{Int: int(mpi.Byte), Ref: mpi.Byte}, probe.Arg{Int: 1}, probe.Arg{Int: 7}, probe.Arg{Ref: comm})
 		p.Leave(fnSend)
 	}
 	call()

@@ -13,7 +13,7 @@ import (
 
 // Barrier is MPI_Barrier. Probe args: (comm).
 func (c *Comm) Barrier(r *Rank) error {
-	defer r.endMPI(r.beginMPI("MPI_Barrier", c))
+	defer r.endMPI(r.beginMPI("MPI_Barrier", ref(c)))
 	r.SystemCompute(c.w.Impl.CollectiveOverhead)
 	if c.w.Impl.BarrierViaSendrecv {
 		return c.disseminationBarrier(r)
@@ -108,7 +108,7 @@ const (
 // root. It returns the data at every rank. Probe args: (buffer, count,
 // datatype, root, comm).
 func (c *Comm) Bcast(r *Rank, data []byte, count int, dt Datatype, root int) ([]byte, error) {
-	defer r.endMPI(r.beginMPI("MPI_Bcast", data, count, dt, root, c))
+	defer r.endMPI(r.beginMPI("MPI_Bcast", addr(data), num(count), dt.arg(), num(root), ref(c)))
 	r.SystemCompute(c.w.Impl.CollectiveOverhead)
 	return c.bcastTree(r, data, count, dt, root, bcastTag)
 }
@@ -145,7 +145,7 @@ func (c *Comm) bcastTree(r *Rank, data []byte, count int, dt Datatype, root, tag
 // the combined vector is returned at root (nil elsewhere). Probe args:
 // (sendbuf, recvbuf, count, datatype, op, root, comm).
 func (c *Comm) Reduce(r *Rank, vals []float64, dt Datatype, op Op, root int) ([]float64, error) {
-	defer r.endMPI(r.beginMPI("MPI_Reduce", vals, nil, len(vals), dt, op, root, c))
+	defer r.endMPI(r.beginMPI("MPI_Reduce", addr(vals), none, num(len(vals)), dt.arg(), ref(op), num(root), ref(c)))
 	r.SystemCompute(c.w.Impl.CollectiveOverhead)
 	return c.reduceInternal(r, vals, dt, op, root, reduceTag)
 }
@@ -188,7 +188,7 @@ func (c *Comm) reduceInternal(r *Rank, vals []float64, dt Datatype, op Op, root,
 // real implementations do). Probe args: (sendbuf, recvbuf, count, datatype,
 // op, comm).
 func (c *Comm) Allreduce(r *Rank, vals []float64, dt Datatype, op Op) ([]float64, error) {
-	defer r.endMPI(r.beginMPI("MPI_Allreduce", vals, nil, len(vals), dt, op, c))
+	defer r.endMPI(r.beginMPI("MPI_Allreduce", addr(vals), none, num(len(vals)), dt.arg(), ref(op), ref(c)))
 	r.SystemCompute(c.w.Impl.CollectiveOverhead)
 
 	acc, err := c.reduceInternal(r, vals, dt, op, 0, reduceTag+1)

@@ -16,7 +16,7 @@ const (
 // matching receive has started, regardless of message size (i.e. it always
 // uses the rendezvous path). Probe args match MPI_Send.
 func (c *Comm) Ssend(r *Rank, data []byte, count int, dt Datatype, dest, tag int) error {
-	defer r.endMPI(r.beginMPI("MPI_Ssend", data, count, dt, dest, c.w.tagArg(tag), c))
+	defer r.endMPI(r.beginMPI("MPI_Ssend", addr(data), num(count), dt.arg(), num(dest), num(tag), ref(c)))
 	r.SystemCompute(c.w.Impl.Cost.SendOverhead)
 	rq, err := r.isendInternal(c, dest, tag, count, dt, data, true)
 	if err != nil {
@@ -30,7 +30,7 @@ func (c *Comm) Ssend(r *Rank, data []byte, count int, dt Datatype, dest, tag int
 // returns the concatenation in rank order (nil elsewhere). Probe args:
 // (sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype, root, comm).
 func (c *Comm) Gather(r *Rank, data []byte, count int, dt Datatype, root int) ([]byte, error) {
-	defer r.endMPI(r.beginMPI("MPI_Gather", data, count, dt, nil, count, dt, root, c))
+	defer r.endMPI(r.beginMPI("MPI_Gather", addr(data), num(count), dt.arg(), none, num(count), dt.arg(), num(root), ref(c)))
 	r.SystemCompute(c.w.Impl.CollectiveOverhead)
 	return c.gatherTo(r, data, count, dt, root, gatherTag)
 }
@@ -65,7 +65,7 @@ func (c *Comm) gatherTo(r *Rank, data []byte, count int, dt Datatype, root, tag 
 // slices of data to each rank; everyone returns their slice. Probe args:
 // (sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype, root, comm).
 func (c *Comm) Scatter(r *Rank, data []byte, count int, dt Datatype, root int) ([]byte, error) {
-	defer r.endMPI(r.beginMPI("MPI_Scatter", data, count, dt, nil, count, dt, root, c))
+	defer r.endMPI(r.beginMPI("MPI_Scatter", addr(data), num(count), dt.arg(), none, num(count), dt.arg(), num(root), ref(c)))
 	r.SystemCompute(c.w.Impl.CollectiveOverhead)
 	sh := c.shadowComm()
 	n := len(c.localGroup(r))
@@ -94,7 +94,7 @@ func (c *Comm) Scatter(r *Rank, data []byte, count int, dt Datatype, root int) (
 // straightforward implementation. Probe args: (sendbuf, sendcount,
 // sendtype, recvbuf, recvcount, recvtype, comm).
 func (c *Comm) Allgather(r *Rank, data []byte, count int, dt Datatype) ([]byte, error) {
-	defer r.endMPI(r.beginMPI("MPI_Allgather", data, count, dt, nil, count, dt, c))
+	defer r.endMPI(r.beginMPI("MPI_Allgather", addr(data), num(count), dt.arg(), none, num(count), dt.arg(), ref(c)))
 	r.SystemCompute(c.w.Impl.CollectiveOverhead)
 	gathered, err := c.gatherTo(r, data, count, dt, 0, gatherTag+2)
 	if err != nil {
@@ -107,7 +107,7 @@ func (c *Comm) Allgather(r *Rank, data []byte, count int, dt Datatype) ([]byte, 
 // pairwise-exchanged with Sendrecv. Probe args: (sendbuf, sendcount,
 // sendtype, recvbuf, recvcount, recvtype, comm).
 func (c *Comm) Alltoall(r *Rank, data []byte, count int, dt Datatype) ([]byte, error) {
-	defer r.endMPI(r.beginMPI("MPI_Alltoall", data, count, dt, nil, count, dt, c))
+	defer r.endMPI(r.beginMPI("MPI_Alltoall", addr(data), num(count), dt.arg(), none, num(count), dt.arg(), ref(c)))
 	r.SystemCompute(c.w.Impl.CollectiveOverhead)
 	sh := c.shadowComm()
 	n := len(c.localGroup(r))

@@ -18,7 +18,7 @@ import (
 // kept as they were (receive buffers included).
 
 func (c *Comm) refBcast(r *Rank, data []byte, count int, dt Datatype, root int) ([]byte, error) {
-	defer r.endMPI(r.beginMPI("MPI_Bcast", data, count, dt, root, c))
+	defer r.endMPI(r.beginMPI("MPI_Bcast", addr(data), num(count), dt.arg(), num(root), ref(c)))
 	r.SystemCompute(c.w.Impl.CollectiveOverhead)
 
 	sh := c.shadowComm()
@@ -44,7 +44,7 @@ func (c *Comm) refBcast(r *Rank, data []byte, count int, dt Datatype, root int) 
 }
 
 func (c *Comm) refAllreduce(r *Rank, vals []float64, dt Datatype, op Op) ([]float64, error) {
-	defer r.endMPI(r.beginMPI("MPI_Allreduce", vals, nil, len(vals), dt, op, c))
+	defer r.endMPI(r.beginMPI("MPI_Allreduce", addr(vals), none, num(len(vals)), dt.arg(), ref(op), ref(c)))
 	r.SystemCompute(c.w.Impl.CollectiveOverhead)
 
 	acc, err := c.reduceInternal(r, vals, dt, op, 0, reduceTag+1)
@@ -77,7 +77,7 @@ func (c *Comm) refAllreduce(r *Rank, vals []float64, dt Datatype, op Op) ([]floa
 }
 
 func (c *Comm) refGather(r *Rank, data []byte, count int, dt Datatype, root int) ([]byte, error) {
-	defer r.endMPI(r.beginMPI("MPI_Gather", data, count, dt, nil, count, dt, root, c))
+	defer r.endMPI(r.beginMPI("MPI_Gather", addr(data), num(count), dt.arg(), none, num(count), dt.arg(), num(root), ref(c)))
 	r.SystemCompute(c.w.Impl.CollectiveOverhead)
 	sh := c.shadowComm()
 	n := len(c.localGroup(r))
@@ -102,7 +102,7 @@ func (c *Comm) refGather(r *Rank, data []byte, count int, dt Datatype, root int)
 }
 
 func (c *Comm) refAllgather(r *Rank, data []byte, count int, dt Datatype) ([]byte, error) {
-	defer r.endMPI(r.beginMPI("MPI_Allgather", data, count, dt, nil, count, dt, c))
+	defer r.endMPI(r.beginMPI("MPI_Allgather", addr(data), num(count), dt.arg(), none, num(count), dt.arg(), ref(c)))
 	r.SystemCompute(c.w.Impl.CollectiveOverhead)
 	n := len(c.localGroup(r))
 	gathered, err := c.refGatherInternal(r, data, count, dt)
@@ -193,9 +193,9 @@ func runCollectives(t *testing.T, kind ImplKind, n, root int, ops collectives) [
 	w.AddHooks(&Hooks{ProcessStarted: func(r *Rank) {
 		note := func(side string, peer, tag int) probe.Handler {
 			return func(ev *probe.Event) {
-				size := ev.Arg(peer-2).(int) * ev.Arg(peer-1).(Datatype).Size()
+				size := ev.Arg(peer-2).Int * ev.Arg(peer-1).Ref.(Datatype).Size()
 				trace = append(trace, fmt.Sprintf("%v %s %d↔%v tag=%v bytes=%d",
-					ev.Time, side, r.Rank(), ev.Arg(peer), ev.Arg(tag), size))
+					ev.Time, side, r.Rank(), ev.Arg(peer).Int, ev.Arg(tag).Int, size))
 			}
 		}
 		for _, p := range []string{"MPI_", "PMPI_"} {

@@ -114,7 +114,11 @@ func (c *Comm) shadowComm() *Comm {
 // processes). The group of the side calling with high=false comes first in
 // the new ranking; the first arrival orders the groups by its own flag.
 func (c *Comm) Merge(r *Rank, high bool) (*Comm, error) {
-	defer r.endMPI(r.beginMPI("MPI_Intercomm_merge", c, high, nil))
+	flag := 0 // C's int high
+	if high {
+		flag = 1
+	}
+	defer r.endMPI(r.beginMPI("MPI_Intercomm_merge", ref(c), num(flag), none))
 	if c.remote == nil {
 		return nil, fmt.Errorf("mpi: MPI_Intercomm_merge on intracommunicator %s", c.Name())
 	}
@@ -137,7 +141,7 @@ func (c *Comm) Merge(r *Rank, high bool) (*Comm, error) {
 // SetName performs MPI_Comm_set_name, making the tool display the friendly
 // name in the resource hierarchy (§4.2.3).
 func (c *Comm) SetName(r *Rank, name string) {
-	f := r.beginMPI("MPI_Comm_set_name", c, name)
+	f := r.beginMPI("MPI_Comm_set_name", ref(c), ref(name))
 	c.name = name
 	for _, h := range c.w.hooks {
 		if h.NameSet != nil {

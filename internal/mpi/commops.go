@@ -14,7 +14,7 @@ import (
 // context. Probe args: (comm, newcomm) with the new communicator visible at
 // the return probe.
 func (c *Comm) Dup(r *Rank) (*Comm, error) {
-	f := r.beginMPI("MPI_Comm_dup", c, nil)
+	f := r.beginMPI("MPI_Comm_dup", ref(c), none)
 	if c.remote != nil {
 		r.endMPI(f)
 		return nil, fmt.Errorf("mpi: MPI_Comm_dup of intercommunicator %s not supported", c.Name())
@@ -29,7 +29,7 @@ func (c *Comm) Dup(r *Rank) (*Comm, error) {
 		c.w.fireCommCreated(r, dup)
 		return dup
 	}).(*Comm)
-	r.probes.SetArg(1, dup)
+	r.probes.SetArg(1, ref(dup))
 	r.endMPI(f)
 	return dup, nil
 }
@@ -39,7 +39,7 @@ func (c *Comm) Dup(r *Rank) (*Comm, error) {
 // (MPI_UNDEFINED) yields a nil communicator for that caller. Probe args:
 // (comm, color, key, newcomm).
 func (c *Comm) Split(r *Rank, color, key int) (*Comm, error) {
-	f := r.beginMPI("MPI_Comm_split", c, color, key, nil)
+	f := r.beginMPI("MPI_Comm_split", ref(c), num(color), num(key), none)
 	if c.remote != nil {
 		r.endMPI(f)
 		return nil, fmt.Errorf("mpi: MPI_Comm_split of intercommunicator %s not supported", c.Name())
@@ -59,7 +59,7 @@ func (c *Comm) Split(r *Rank, color, key int) (*Comm, error) {
 		return sp
 	}).(*splitRound)
 	out := sp.out[me]
-	r.probes.SetArg(3, out)
+	r.probes.SetArg(3, ref(out))
 	r.endMPI(f)
 	return out, nil
 }

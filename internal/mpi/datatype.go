@@ -111,35 +111,6 @@ const (
 	AnyTag    = -1
 )
 
-// wildcardArg boxes a source or tag for a probe argument vector. AnySource
-// (= AnyTag) goes back as the constant, which the compiler boxes once in
-// static data: -1 is outside the runtime's preboxed small integers, so
-// boxing v would allocate on every call.
-func wildcardArg(v int) any {
-	if v == AnySource {
-		return AnySource
-	}
-	return v
-}
-
-// tagArg boxes a tag for a probe argument vector. A collective's tag (from
-// barrierTag, the lowest, up) is boxed once per world and kept in collTags,
-// so the traced point-to-point calls under a collective allocate nothing;
-// any other tag goes through wildcardArg.
-func (w *World) tagArg(tag int) any {
-	i := tag - barrierTag
-	if i < 0 {
-		return wildcardArg(tag)
-	}
-	if i >= len(w.collTags) {
-		w.collTags = append(w.collTags, make([]any, i+1-len(w.collTags))...)
-	}
-	if w.collTags[i] == nil {
-		w.collTags[i] = tag
-	}
-	return w.collTags[i]
-}
-
 // Info is the MPI-2 Info object: implementation hints as key/value pairs.
 // LAM honours its lam_spawn_file key for spawn placement (§4.2.2).
 type Info map[string]string

@@ -29,11 +29,11 @@ type File struct {
 // (comm, filename, amode, info, fh) — the file handle is visible at the
 // return probe.
 func (c *Comm) FileOpen(r *Rank, filename string, amode int, info Info) (*File, error) {
-	defer r.endMPI(r.beginMPI("MPI_File_open", c, filename, amode, info, nil))
+	defer r.endMPI(r.beginMPI("MPI_File_open", ref(c), ref(filename), num(amode), ref(info), none))
 	c.setup.meet(r, "MPI_File_open", nil)
 	r.IdleWait(c.w.Impl.IOLatency)
 	fl := &File{comm: c, name: filename, amode: amode, open: true}
-	r.probes.SetArg(4, fl)
+	r.probes.SetArg(4, ref(fl))
 	return fl, nil
 }
 
@@ -41,7 +41,7 @@ func (c *Comm) FileOpen(r *Rank, filename string, amode int, info Info) (*File, 
 // offset. The wall time spent here is I/O blocking time, not CPU. Probe
 // args: (file, offset, buf, count, datatype).
 func (fl *File) WriteAt(r *Rank, offset int64, buf []byte, count int, dt Datatype) error {
-	defer r.endMPI(r.beginMPI("MPI_File_write_at", fl, offset, buf, count, dt))
+	defer r.endMPI(r.beginMPI("MPI_File_write_at", ref(fl), num(int(offset)), addr(buf), num(count), dt.arg()))
 	if err := fl.check("MPI_File_write_at"); err != nil {
 		return err
 	}
@@ -53,7 +53,7 @@ func (fl *File) WriteAt(r *Rank, offset int64, buf []byte, count int, dt Datatyp
 // ReadAt is MPI_File_read_at. Probe args: (file, offset, buf, count,
 // datatype).
 func (fl *File) ReadAt(r *Rank, offset int64, buf []byte, count int, dt Datatype) error {
-	defer r.endMPI(r.beginMPI("MPI_File_read_at", fl, offset, buf, count, dt))
+	defer r.endMPI(r.beginMPI("MPI_File_read_at", ref(fl), num(int(offset)), addr(buf), num(count), dt.arg()))
 	if err := fl.check("MPI_File_read_at"); err != nil {
 		return err
 	}
@@ -64,7 +64,7 @@ func (fl *File) ReadAt(r *Rank, offset int64, buf []byte, count int, dt Datatype
 
 // Close is MPI_File_close: collective. Probe args: (file).
 func (fl *File) Close(r *Rank) error {
-	defer r.endMPI(r.beginMPI("MPI_File_close", fl))
+	defer r.endMPI(r.beginMPI("MPI_File_close", ref(fl)))
 	if err := fl.check("MPI_File_close"); err != nil {
 		return err
 	}

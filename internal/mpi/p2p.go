@@ -91,7 +91,7 @@ func (r *Rank) waitRecycle(rq *Request) (st Status) {
 // data may be nil for synthetic payloads. Argument positions in the fired
 // probe mirror C MPI: (buf, count, datatype, dest, tag, comm).
 func (c *Comm) Send(r *Rank, data []byte, count int, dt Datatype, dest, tag int) error {
-	defer r.endMPI(r.beginMPI("MPI_Send", data, count, dt, dest, c.w.tagArg(tag), c))
+	defer r.endMPI(r.beginMPI("MPI_Send", addr(data), num(count), dt.arg(), num(dest), num(tag), ref(c)))
 	r.SystemCompute(c.w.Impl.Cost.SendOverhead)
 	rq, err := r.isendInternal(c, dest, tag, count, dt, data, false)
 	if err != nil {
@@ -104,7 +104,7 @@ func (c *Comm) Send(r *Rank, data []byte, count int, dt Datatype, dest, tag int)
 // Recv is MPI_Recv: blocking receive. src may be AnySource, tag AnyTag.
 // Probe args: (buf, count, datatype, source, tag, comm).
 func (c *Comm) Recv(r *Rank, buf []byte, count int, dt Datatype, src, tag int) (Status, error) {
-	defer r.endMPI(r.beginMPI("MPI_Recv", buf, count, dt, wildcardArg(src), c.w.tagArg(tag), c))
+	defer r.endMPI(r.beginMPI("MPI_Recv", addr(buf), num(count), dt.arg(), num(src), num(tag), ref(c)))
 	r.SystemCompute(c.w.Impl.Cost.RecvOverhead)
 	rq, err := r.irecvInternal(c, src, tag, buf)
 	if err != nil {
@@ -115,33 +115,33 @@ func (c *Comm) Recv(r *Rank, buf []byte, count int, dt Datatype, src, tag int) (
 
 // Isend is MPI_Isend: nonblocking send; complete with Wait.
 func (c *Comm) Isend(r *Rank, data []byte, count int, dt Datatype, dest, tag int) (*Request, error) {
-	defer r.endMPI(r.beginMPI("MPI_Isend", data, count, dt, dest, c.w.tagArg(tag), c))
+	defer r.endMPI(r.beginMPI("MPI_Isend", addr(data), num(count), dt.arg(), num(dest), num(tag), ref(c)))
 	r.SystemCompute(c.w.Impl.Cost.SendOverhead)
 	return r.isendInternal(c, dest, tag, count, dt, data, false)
 }
 
 // Irecv is MPI_Irecv: nonblocking receive; complete with Wait.
 func (c *Comm) Irecv(r *Rank, buf []byte, count int, dt Datatype, src, tag int) (*Request, error) {
-	defer r.endMPI(r.beginMPI("MPI_Irecv", buf, count, dt, wildcardArg(src), c.w.tagArg(tag), c))
+	defer r.endMPI(r.beginMPI("MPI_Irecv", addr(buf), num(count), dt.arg(), num(src), num(tag), ref(c)))
 	r.SystemCompute(c.w.Impl.Cost.RecvOverhead)
 	return r.irecvInternal(c, src, tag, buf)
 }
 
 // Wait is MPI_Wait.
 func (r *Rank) Wait(rq *Request) {
-	defer r.endMPI(r.beginMPI("MPI_Wait", rq))
+	defer r.endMPI(r.beginMPI("MPI_Wait", ref(rq)))
 	r.waitInternal(rq)
 }
 
 // Test is MPI_Test: non-blocking completion check of a request.
 func (r *Rank) Test(rq *Request) bool {
-	defer r.endMPI(r.beginMPI("MPI_Test", rq, nil))
+	defer r.endMPI(r.beginMPI("MPI_Test", ref(rq), none))
 	return rq.done && rq.completeAt <= r.Now()
 }
 
 // Waitall is MPI_Waitall.
 func (r *Rank) Waitall(rqs []*Request) {
-	defer r.endMPI(r.beginMPI("MPI_Waitall", len(rqs), rqs))
+	defer r.endMPI(r.beginMPI("MPI_Waitall", num(len(rqs)), addr(rqs)))
 	for _, rq := range rqs {
 		r.waitInternal(rq)
 	}
@@ -152,7 +152,8 @@ func (r *Rank) Waitall(rqs []*Request) {
 // recvbuf, recvcount, recvtype, source, recvtag, comm).
 func (c *Comm) Sendrecv(r *Rank, sdata []byte, scount int, sdt Datatype, dest, stag int,
 	rbuf []byte, rcount int, rdt Datatype, src, rtag int) (Status, error) {
-	defer r.endMPI(r.beginMPI("MPI_Sendrecv", sdata, scount, sdt, dest, c.w.tagArg(stag), rbuf, rcount, rdt, wildcardArg(src), c.w.tagArg(rtag), c))
+	defer r.endMPI(r.beginMPI("MPI_Sendrecv", addr(sdata), num(scount), sdt.arg(), num(dest), num(stag),
+		addr(rbuf), num(rcount), rdt.arg(), num(src), num(rtag), ref(c)))
 	r.SystemCompute(c.w.Impl.Cost.SendOverhead + c.w.Impl.Cost.RecvOverhead)
 	rrq, err := r.irecvInternal(c, src, rtag, rbuf)
 	if err != nil {

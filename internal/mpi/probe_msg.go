@@ -28,7 +28,7 @@ func (st Status) GetCount(dt Datatype) int {
 // Iprobe is MPI_Iprobe: a non-blocking check for a matching pending
 // message. Probe args: (source, tag, comm, flag, status).
 func (c *Comm) Iprobe(r *Rank, src, tag int) (bool, *Status, error) {
-	defer r.endMPI(r.beginMPI("MPI_Iprobe", wildcardArg(src), wildcardArg(tag), c, nil, nil))
+	defer r.endMPI(r.beginMPI("MPI_Iprobe", num(src), num(tag), ref(c), none, none))
 	r.SystemCompute(c.w.Impl.Cost.RecvOverhead / 4)
 	p, err := c.pattern(r, src, tag)
 	if err != nil {
@@ -43,7 +43,7 @@ func (c *Comm) Iprobe(r *Rank, src, tag int) (bool, *Status, error) {
 // ProbeMsg is MPI_Probe: block until a matching message is pending, without
 // receiving it. Probe args: (source, tag, comm, status).
 func (c *Comm) ProbeMsg(r *Rank, src, tag int) (*Status, error) {
-	defer r.endMPI(r.beginMPI("MPI_Probe", wildcardArg(src), wildcardArg(tag), c, nil))
+	defer r.endMPI(r.beginMPI("MPI_Probe", num(src), num(tag), ref(c), none))
 	r.SystemCompute(c.w.Impl.Cost.RecvOverhead / 4)
 	p, err := c.pattern(r, src, tag)
 	if err != nil {

@@ -166,7 +166,7 @@ func (r *Rank) Call(module, name string, body func()) {
 // the personality's symbol naming) and returns the function for endMPI. args
 // mirror the C signature; the probe layer carries them to the return probe,
 // where an out-parameter is filled in with Probes().SetArg first.
-func (r *Rank) beginMPI(name string, args ...any) *probe.Function {
+func (r *Rank) beginMPI(name string, args ...probe.Arg) *probe.Function {
 	if tr := r.w.Tracer; tr != nil {
 		peer, tag, bytes, obj := traceMeta(name, args)
 		tr.BeginMPI(r.probes.Name(), r.NodeName(), name, r.Now(), peer, tag, bytes, obj)
@@ -174,6 +174,24 @@ func (r *Rank) beginMPI(name string, args ...any) *probe.Function {
 	f := r.w.Impl.fn(name)
 	r.probes.Enter(f, args...)
 	return f
+}
+
+// Probe arguments as the C call passes them (see probe.Arg): none is NULL,
+// or an out-parameter before the call fills it in.
+var none probe.Arg
+
+func num(n int) probe.Arg { return probe.Arg{Int: n} }
+
+func ref(h any) probe.Arg { return probe.Arg{Ref: h} }
+
+func (d Datatype) arg() probe.Arg { return probe.Arg{Int: int(d), Ref: d} }
+
+// addr is a buffer, request array or group: the address of its first element.
+func addr[T any](s []T) probe.Arg {
+	if len(s) == 0 {
+		return none
+	}
+	return probe.Arg{Ref: &s[0]}
 }
 
 // endMPI fires the return probe.

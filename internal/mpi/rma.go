@@ -113,7 +113,7 @@ func (w *Win) InternalComm() *Comm { return w.shared.internalComm }
 // info, comm, win) — the window handle argument is populated by the return
 // probe, which is where the tool discovers new windows (§4.2.1).
 func (c *Comm) WinCreate(r *Rank, size int, dispUnit int, info Info) (*Win, error) {
-	f := r.beginMPI("MPI_Win_create", nil, size, dispUnit, info, c, nil)
+	f := r.beginMPI("MPI_Win_create", none, num(size), num(dispUnit), ref(info), ref(c), none)
 	r.SystemCompute(c.w.Impl.CollectiveOverhead)
 
 	// The first arrival allocates the shared state, so the implementation id
@@ -142,7 +142,7 @@ func (c *Comm) WinCreate(r *Rank, size int, dispUnit int, info Info) (*Win, erro
 	}).(*winShared)
 
 	win := &Win{shared: ws, r: r, myRank: me, lockedOn: map[int]bool{}}
-	r.probes.SetArg(5, win)
+	r.probes.SetArg(5, ref(win))
 	r.endMPI(f)
 	for _, h := range c.w.hooks {
 		if h.WinCreated != nil {
@@ -160,7 +160,7 @@ func (c *Comm) WinCreate(r *Rank, size int, dispUnit int, info Info) (*Win, erro
 // (§4.2.1's rma_sync_wait includes it). Probe args: (win).
 func (w *Win) Free() error {
 	r := w.r
-	defer r.endMPI(r.beginMPI("MPI_Win_free", w))
+	defer r.endMPI(r.beginMPI("MPI_Win_free", ref(w)))
 	w.waitMyOps()
 	w.shared.fence.meet(r, "MPI_Win_free", nil)
 	if !w.shared.freed {
@@ -180,7 +180,7 @@ func (w *Win) Free() error {
 // resource as well (Fig 23).
 func (w *Win) SetName(name string) {
 	r := w.r
-	f := r.beginMPI("MPI_Win_set_name", w, name)
+	f := r.beginMPI("MPI_Win_set_name", ref(w), ref(name))
 	w.shared.name = name
 	if w.shared.internalComm != nil {
 		w.shared.internalComm.name = name
@@ -218,7 +218,7 @@ func (w *Win) waitMyOps() {
 // Fig 22); MPICH2 synchronizes internally. Probe args: (assert, win).
 func (w *Win) Fence(assert int) error {
 	r := w.r
-	defer r.endMPI(r.beginMPI("MPI_Win_fence", assert, w))
+	defer r.endMPI(r.beginMPI("MPI_Win_fence", num(assert), ref(w)))
 	if w.shared.freed {
 		return fmt.Errorf("mpi: MPI_Win_fence on freed window %s", w.UniqueID())
 	}
@@ -234,7 +234,7 @@ func (w *Win) Fence(assert int) error {
 // (comm ranks) for one PSCW epoch. Probe args: (group, assert, win).
 func (w *Win) Post(group []int, assert int) error {
 	r := w.r
-	defer r.endMPI(r.beginMPI("MPI_Win_post", group, assert, w))
+	defer r.endMPI(r.beginMPI("MPI_Win_post", addr(group), num(assert), ref(w)))
 	r.SystemCompute(w.shared.w.Impl.CollectiveOverhead)
 	me := w.myRank
 	ws := w.shared
@@ -253,9 +253,44 @@ func (w *Win) Post(group []int, assert int) error {
 		if ws.w.Tracer != nil {
 			ws.w.traceEdge("post", r, origin, r.Now(), at, 0, 0, 0, true)
 		}
-		ws.w.Eng.At(at, func() { origin.wakeAt(at) })
+		ws.w.sendNotice(notice{to: origin, at: at})
 	}
 	return nil
+}
+
+// notice is a PSCW synchronization message in flight and itself the event of
+// its arrival (sim.Target), taken from the world's free list as a message is:
+// a post notice wakes the origin it admits; a completion notice (ws set)
+// counts one more finished origin at target comm rank t, then wakes it.
+type notice struct {
+	to *Rank
+	at sim.Time
+	ws *winShared
+	t  int
+}
+
+// sendNotice schedules n's arrival in a recycled notice.
+func (w *World) sendNotice(n notice) {
+	var p *notice
+	if k := len(w.freeNotices); k > 0 {
+		p, w.freeNotices = w.freeNotices[k-1], w.freeNotices[:k-1]
+	} else {
+		p = new(notice)
+	}
+	*p = n
+	w.Eng.Schedule(n.at, p)
+}
+
+// Fire delivers the notice and returns it to the free list: nothing else
+// holds it once it has fired.
+func (n *notice) Fire() {
+	if n.ws != nil {
+		n.ws.completeArrived[n.t]++
+	}
+	to, at := n.to, n.at
+	*n = notice{}
+	to.w.freeNotices = append(to.w.freeNotices, n)
+	to.wakeAt(at)
 }
 
 // Start is MPI_Win_start: open an access epoch to the target ranks in
@@ -265,9 +300,9 @@ func (w *Win) Post(group []int, assert int) error {
 // (§5.2.1.1). Probe args: (group, assert, win).
 func (w *Win) Start(group []int, assert int) error {
 	r := w.r
-	defer r.endMPI(r.beginMPI("MPI_Win_start", group, assert, w))
+	defer r.endMPI(r.beginMPI("MPI_Win_start", addr(group), num(assert), ref(w)))
 	r.SystemCompute(w.shared.w.Impl.CollectiveOverhead)
-	w.startGroup = append([]int(nil), group...)
+	w.startGroup = append(w.startGroup[:0], group...)
 	w.inAccess = true
 	if w.shared.w.Impl.BlockingWinStart {
 		w.waitPosts()
@@ -297,7 +332,7 @@ func (w *Win) waitPosts() {
 // until the matching posts have happened). Probe args: (win).
 func (w *Win) Complete() error {
 	r := w.r
-	defer r.endMPI(r.beginMPI("MPI_Win_complete", w))
+	defer r.endMPI(r.beginMPI("MPI_Win_complete", ref(w)))
 	if !w.inAccess {
 		return fmt.Errorf("mpi: MPI_Win_complete without MPI_Win_start on %s", w.UniqueID())
 	}
@@ -310,16 +345,12 @@ func (w *Win) Complete() error {
 		target := ws.comm.local[t]
 		lat := ws.w.MsgTime(r.Now(), r.node, target.node, 0)
 		at := r.Now().Add(lat)
-		tt := t
 		if ws.w.Tracer != nil {
 			ws.w.traceEdge("complete", r, target, r.Now(), at, 0, 0, 0, true)
 		}
-		ws.w.Eng.At(at, func() {
-			ws.completeArrived[tt]++
-			target.wakeAt(at)
-		})
+		ws.w.sendNotice(notice{to: target, at: at, ws: ws, t: t})
 	}
-	w.startGroup = nil
+	w.startGroup = w.startGroup[:0]
 	w.inAccess = false
 	return nil
 }
@@ -328,7 +359,7 @@ func (w *Win) Complete() error {
 // have called MPI_Win_complete. Probe args: (win).
 func (w *Win) WaitEpoch() error {
 	r := w.r
-	defer r.endMPI(r.beginMPI("MPI_Win_wait", w))
+	defer r.endMPI(r.beginMPI("MPI_Win_wait", ref(w)))
 	ws := w.shared
 	me := w.myRank
 	r.enterLibraryWait()
@@ -347,7 +378,7 @@ func (w *Win) WaitEpoch() error {
 // personality provides it. Probe args: (lock_type, rank, assert, win).
 func (w *Win) Lock(lockType, rank, assert int) error {
 	r := w.r
-	defer r.endMPI(r.beginMPI("MPI_Win_lock", lockType, rank, assert, w))
+	defer r.endMPI(r.beginMPI("MPI_Win_lock", num(lockType), num(rank), num(assert), ref(w)))
 	if !w.shared.w.Impl.SupportsPassiveTarget {
 		return &ErrUnsupported{w.shared.w.Impl.Kind, "passive target synchronization"}
 	}
@@ -378,7 +409,7 @@ func (w *Win) Lock(lockType, rank, assert int) error {
 // (rank, win).
 func (w *Win) Unlock(rank int) error {
 	r := w.r
-	defer r.endMPI(r.beginMPI("MPI_Win_unlock", rank, w))
+	defer r.endMPI(r.beginMPI("MPI_Win_unlock", num(rank), ref(w)))
 	if !w.shared.w.Impl.SupportsPassiveTarget {
 		return &ErrUnsupported{w.shared.w.Impl.Kind, "passive target synchronization"}
 	}

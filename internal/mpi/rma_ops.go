@@ -108,7 +108,7 @@ func (w *Win) chargeOrigin(count int, dt Datatype) int {
 // window at byte offset disp. data may be nil for synthetic payloads.
 func (w *Win) Put(data []byte, count int, dt Datatype, targetRank int, disp int, tcount int, tdt Datatype) error {
 	r := w.r
-	defer r.endMPI(r.beginMPI("MPI_Put", data, count, dt, targetRank, disp, tcount, tdt, w))
+	defer r.endMPI(r.beginMPI("MPI_Put", addr(data), num(count), dt.arg(), num(targetRank), num(disp), num(tcount), tdt.arg(), ref(w)))
 	if err := w.checkAccess(targetRank, "MPI_Put"); err != nil {
 		return err
 	}
@@ -120,7 +120,7 @@ func (w *Win) Put(data []byte, count int, dt Datatype, targetRank int, disp int,
 // Get is MPI_Get: one-sided read from target's window into buf.
 func (w *Win) Get(buf []byte, count int, dt Datatype, targetRank int, disp int, tcount int, tdt Datatype) error {
 	r := w.r
-	defer r.endMPI(r.beginMPI("MPI_Get", buf, count, dt, targetRank, disp, tcount, tdt, w))
+	defer r.endMPI(r.beginMPI("MPI_Get", addr(buf), num(count), dt.arg(), num(targetRank), num(disp), num(tcount), tdt.arg(), ref(w)))
 	if err := w.checkAccess(targetRank, "MPI_Get"); err != nil {
 		return err
 	}
@@ -135,7 +135,7 @@ func (w *Win) Get(buf []byte, count int, dt Datatype, targetRank int, disp int, 
 // target_disp, target_count, target_datatype, op, win) — win is $arg[8].
 func (w *Win) Accumulate(data []byte, count int, dt Datatype, targetRank int, disp int, tcount int, tdt Datatype, op Op) error {
 	r := w.r
-	defer r.endMPI(r.beginMPI("MPI_Accumulate", data, count, dt, targetRank, disp, tcount, tdt, op, w))
+	defer r.endMPI(r.beginMPI("MPI_Accumulate", addr(data), num(count), dt.arg(), num(targetRank), num(disp), num(tcount), tdt.arg(), ref(op), ref(w)))
 	if err := w.checkAccess(targetRank, "MPI_Accumulate"); err != nil {
 		return err
 	}

@@ -20,7 +20,7 @@ import (
 // intercomm, errcodes) — the intercommunicator is visible at the return
 // probe.
 func (c *Comm) Spawn(r *Rank, command string, argv []string, maxprocs int, info Info, root int) (*Comm, error) {
-	f := r.beginMPI("MPI_Comm_spawn", command, argv, maxprocs, info, root, c, nil)
+	f := r.beginMPI("MPI_Comm_spawn", ref(command), addr(argv), num(maxprocs), ref(info), num(root), ref(c), none)
 	w := c.w
 
 	if !w.Impl.SupportsSpawn {
@@ -81,7 +81,7 @@ func (c *Comm) Spawn(r *Rank, command string, argv []string, maxprocs int, info 
 	}
 
 	c.setup.meet(r, "MPI_Comm_spawn (exit)", nil)
-	r.probes.SetArg(6, out.inter)
+	r.probes.SetArg(6, ref(out.inter))
 	r.endMPI(f)
 	return out.inter, out.err
 }

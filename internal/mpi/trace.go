@@ -3,25 +3,26 @@ package mpi
 import (
 	"strconv"
 
+	"pperf/internal/probe"
 	"pperf/internal/sim"
 )
 
 // traceMeta extracts a call's trace metadata — peer rank, tag, payload
 // bytes, and communicator/window name — from the probe argument list (which
 // mirrors the C MPI signatures). Only called when tracing is enabled.
-func traceMeta(name string, args []any) (peer string, tag, bytes int, obj string) {
+func traceMeta(name string, args []probe.Arg) (peer string, tag, bytes int, obj string) {
 	intArg := func(i int) int {
 		if i < len(args) {
-			if v, ok := args[i].(int); ok {
-				return v
-			}
+			return args[i].Int
 		}
 		return 0
 	}
-	sized := func() int {
-		if len(args) > 2 {
-			if dt, ok := args[2].(Datatype); ok {
-				return intArg(1) * dt.Size()
+	// sized is count × the datatype's size, for the count at i and the
+	// datatype after it.
+	sized := func(i int) int {
+		if i+1 < len(args) {
+			if dt, ok := args[i+1].Ref.(Datatype); ok {
+				return intArg(i) * dt.Size()
 			}
 		}
 		return 0
@@ -38,17 +39,20 @@ func traceMeta(name string, args []any) (peer string, tag, bytes int, obj string
 		// has the same shape.
 		peer = peerOf(intArg(3))
 		tag = intArg(4)
-		bytes = sized()
+		bytes = sized(1)
 	case "MPI_Put", "MPI_Get", "MPI_Accumulate":
 		// (origin, count, datatype, target_rank, ...)
 		peer = peerOf(intArg(3))
-		bytes = sized()
-	case "MPI_Bcast", "MPI_Reduce":
-		// (buf, count, datatype, [op,] root, comm)
-		bytes = sized()
+		bytes = sized(1)
+	case "MPI_Bcast":
+		// (buf, count, datatype, root, comm)
+		bytes = sized(1)
+	case "MPI_Reduce":
+		// (sendbuf, recvbuf, count, datatype, op, root, comm)
+		bytes = sized(2)
 	}
 	for _, a := range args {
-		switch v := a.(type) {
+		switch v := a.Ref.(type) {
 		case *Comm:
 			if v != nil && obj == "" {
 				obj = v.Name()

@@ -63,18 +63,18 @@ type World struct {
 	// one pointer check per hook site and allocates nothing.
 	Tracer *trace.Tracer
 
-	programs  map[string]Program
-	hooks     []*Hooks
-	ranks     []*Rank
-	appFuncs  map[[2]string]*probe.Function // by (module, name)
-	freeMsgs  []*message                    // recycled messages, see message.recycle
-	msgsMade  int                           // messages carved from slabs, see inject
-	freeReqs  []*Request                    // recycled blocking-call requests, see waitRecycle
-	collTags  []any                         // collective tags, boxed (see tagArg)
-	nextComm  int
-	winFree   []int // freed implementation window ids (reused by LAM-like impls)
-	winNext   int
-	winSerial int
+	programs    map[string]Program
+	hooks       []*Hooks
+	ranks       []*Rank
+	appFuncs    map[[2]string]*probe.Function // by (module, name)
+	freeMsgs    []*message                    // recycled messages, see message.recycle
+	msgsMade    int                           // messages carved from slabs, see inject
+	freeReqs    []*Request                    // recycled blocking-call requests, see waitRecycle
+	freeNotices []*notice                     // recycled PSCW notices, see sendNotice
+	nextComm    int
+	winFree     []int // freed implementation window ids (reused by LAM-like impls)
+	winNext     int
+	winSerial   int
 }
 
 // NewWorld creates a simulated MPI universe on the given cluster with the

@@ -59,17 +59,28 @@ type Event struct {
 	// Args are the traced call's arguments ($arg[n] in MDL). At Return
 	// points the same argument vector as at Entry is visible, matching how
 	// Paradyn reads registers/stack at the return point.
-	Args []any
+	Args []Arg
 	// Time is the process-local virtual time of the event.
 	Time sim.Time
 	// CPUTime is the process's accumulated user CPU (process) time.
 	CPUTime sim.Duration
 }
 
-// Arg returns Args[i], or nil if out of range (MDL's $arg[i]).
-func (ev *Event) Arg(i int) any {
+// Arg is one argument of a traced call, as the C call frame holds it: an
+// integer (a count, rank, tag, displacement, flag) in Int, unboxed; a handle
+// (communicator, window, file, request, datatype, op, info), a string, or a
+// buffer, request array or group — the address of its first element, nil
+// when empty — in Ref. A datatype, an integer handle, sets both. The zero Arg
+// is C's 0 or NULL.
+type Arg struct {
+	Int int
+	Ref any
+}
+
+// Arg returns Args[i], or the zero Arg if out of range (MDL's $arg[i]).
+func (ev *Event) Arg(i int) Arg {
 	if i < 0 || i >= len(ev.Args) {
-		return nil
+		return Arg{}
 	}
 	return ev.Args[i]
 }
@@ -77,8 +88,9 @@ func (ev *Event) Arg(i int) any {
 // Handler is a probe body. Handlers run synchronously in the traced
 // process's context. The Event is the process's one reusable record and
 // Args is the call frame's own vector: both are valid only during the call,
-// so a handler that wants something later copies it out (an argument value
-// may be kept; the *Event and the Args slice may not).
+// so a handler that wants something later copies it out (an integer or a
+// handle may be kept; the *Event, the Args slice and the memory a buffer
+// argument points at may not).
 type Handler func(ev *Event)
 
 // Code is a probe body that takes its state as an argument, so one Code
@@ -169,7 +181,7 @@ type Process struct {
 	// Leave. A popped slot keeps its backing array, so a call at a depth the
 	// process has reached before copies its arguments without allocating.
 	stack []*Function
-	args  [][]any
+	args  [][]Arg
 	// ev is the record every probe execution is handed (see Handler).
 	ev Event
 	// firing counts the fire calls in progress. While it is zero nothing
@@ -330,7 +342,7 @@ func (p *Process) ActiveProbes() int { return p.active }
 
 // Enter fires the entry point of f. Programs and the MPI runtime call this
 // (via higher-level wrappers) at the start of every traced function.
-func (p *Process) Enter(f *Function, args ...any) {
+func (p *Process) Enter(f *Function, args ...Arg) {
 	slot := p.slot(f.Name)
 	if p.funcs[slot].fn == nil {
 		p.firstCall(f, slot)
@@ -375,7 +387,7 @@ func (p *Process) firstCall(f *Function, slot ID) {
 // whose value exists only once the call has run (the new communicator of
 // MPI_Comm_dup, the window of MPI_Win_create), so that the return point
 // sees it. Out of range is a no-op.
-func (p *Process) SetArg(i int, v any) {
+func (p *Process) SetArg(i int, v Arg) {
 	if n := len(p.stack); n > 0 && i >= 0 && i < len(p.args[n-1]) {
 		p.args[n-1][i] = v
 	}
@@ -396,7 +408,7 @@ func (p *Process) Leave(f *Function) {
 }
 
 // fire runs list, the probes installed at (f, w).
-func (p *Process) fire(f *Function, w Where, list []probeRec, args []any) {
+func (p *Process) fire(f *Function, w Where, list []probeRec, args []Arg) {
 	if len(list) == 0 {
 		return
 	}

@@ -29,7 +29,7 @@ func TestInsertFireRemove(t *testing.T) {
 	p := NewProcess("p0", clk)
 	count := 0
 	id := p.Insert("MPI_Send", Entry, Append, func(ev *Event) { count++ })
-	p.Enter(fSend, nil, 10)
+	p.Enter(fSend, Arg{}, Arg{Int: 10})
 	p.Leave(fSend)
 	if count != 1 {
 		t.Fatalf("count = %d, want 1", count)
@@ -79,15 +79,15 @@ func TestEventCarriesArgsAndTime(t *testing.T) {
 		e := *ev
 		got = &e
 	})
-	p.Enter(fSend, "buf", 42, "MPI_INT")
+	p.Enter(fSend, Arg{Ref: "buf"}, Arg{Int: 42}, Arg{Int: 2, Ref: "MPI_INT"})
 	if got == nil {
 		t.Fatal("probe did not fire")
 	}
-	if got.Arg(1) != 42 || got.Arg(2) != "MPI_INT" {
+	if got.Arg(1) != (Arg{Int: 42}) || got.Arg(2) != (Arg{Int: 2, Ref: "MPI_INT"}) {
 		t.Errorf("args = %v", got.Args)
 	}
-	if got.Arg(99) != nil || got.Arg(-1) != nil {
-		t.Error("out-of-range Arg should be nil")
+	if got.Arg(99) != (Arg{}) || got.Arg(-1) != (Arg{}) {
+		t.Error("out-of-range Arg should be the zero Arg")
 	}
 	if got.Time != sim.Time(5*sim.Second) || got.CPUTime != 3*sim.Second {
 		t.Errorf("time=%v cpu=%v", got.Time, got.CPUTime)
@@ -262,20 +262,21 @@ func TestFrameCarriesArgsToReturn(t *testing.T) {
 		p.Insert(fn, Entry, Append, record)
 		p.Insert(fn, Return, Append, record)
 	}
-	p.Enter(fApp, "outer", nil)
-	p.Enter(fSend, "buf", 42, nil)
-	p.SetArg(2, "handle")
-	p.SetArg(9, "out of range") // no-op
+	str := func(s string) Arg { return Arg{Ref: s} }
+	p.Enter(fApp, str("outer"), Arg{})
+	p.Enter(fSend, str("buf"), Arg{Int: 42}, Arg{})
+	p.SetArg(2, str("handle"))
+	p.SetArg(9, str("out of range")) // no-op
 	p.Leave(fSend)
-	p.SetArg(1, "outer-out")
+	p.SetArg(1, str("outer-out"))
 	p.Leave(fApp)
-	p.Leave(fApp)                      // not on the stack any more
-	p.SetArg(0, "no call in progress") // no-op
+	p.Leave(fApp)                           // not on the stack any more
+	p.SetArg(0, str("no call in progress")) // no-op
 	want := []string{
-		"Gsend_message.entry [outer <nil>]",
-		"MPI_Send.entry [buf 42 <nil>]",
-		"MPI_Send.return [buf 42 handle]",
-		"Gsend_message.return [outer outer-out]",
+		"Gsend_message.entry [{0 outer} {0 <nil>}]",
+		"MPI_Send.entry [{0 buf} {42 <nil>} {0 <nil>}]",
+		"MPI_Send.return [{0 buf} {42 <nil>} {0 handle}]",
+		"Gsend_message.return [{0 outer} {0 outer-out}]",
 		"Gsend_message.return []",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
@@ -283,27 +284,35 @@ func TestFrameCarriesArgsToReturn(t *testing.T) {
 	}
 }
 
-// The allocation budget of a traced call: six arguments and a handler on
-// each point, at a call depth the process has reached before.
+// The allocation budget of a traced call: an argument vector of every kind —
+// a buffer, a count and a tag of 256 or more, a datatype, a wildcard, a
+// handle, a request array, a group, a NULL and a string — and a handler on
+// each point, at a call depth the process has reached before. (Making an Arg
+// of a string that is not a constant boxes it in the caller, which only the
+// naming, file-open and spawn calls do.)
 func TestEnterLeaveAllocateNothing(t *testing.T) {
+	type datatype int
 	p := NewProcess("p0", &fakeClock{})
 	p.PerProbeCost = 100 * sim.Nanosecond
 	sum := 0
-	h := func(ev *Event) { sum += ev.Arg(1).(int) }
+	h := func(ev *Event) { sum += ev.Arg(1).Int }
 	p.Insert("MPI_Send", Entry, Append, h)
 	p.Insert("MPI_Send", Return, Append, h)
 	comm := &struct{ id int }{1}
+	buf, reqs, group := make([]byte, 64), []*struct{}{{}, {}}, []int{1, 2}
+	args := []Arg{{Ref: &buf[0]}, {Int: 300}, {Int: 4, Ref: datatype(4)}, {Int: -1}, {Int: 1<<20 + 7},
+		{Ref: comm}, {Ref: &reqs[0]}, {Ref: &group[0]}, {}, {Ref: strings.Repeat("x", 3)}}
 	call := func() {
 		p.Enter(fApp)
-		p.Enter(fSend, nil, 8, 1, 0, 7, comm)
+		p.Enter(fSend, args...)
 		p.Leave(fSend)
 		p.Leave(fApp)
 	}
 	call()
 	if n := testing.AllocsPerRun(200, call); n != 0 {
-		t.Errorf("Enter/Leave with six arguments and a handler per point: %v allocs, want 0", n)
+		t.Errorf("Enter/Leave with ten arguments and a handler per point: %v allocs, want 0", n)
 	}
-	if sum != 2*8*202 {
-		t.Errorf("handlers saw %d, want %d", sum, 2*8*202)
+	if sum != 2*300*202 {
+		t.Errorf("handlers saw %d, want %d", sum, 2*300*202)
 	}
 }
