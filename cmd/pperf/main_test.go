@@ -9,10 +9,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"pperf/internal/packed"
 	"pperf/internal/perfdb"
 	"pperf/internal/pperfmark"
 	"pperf/internal/sim"
@@ -51,6 +53,7 @@ func TestCLIExitCodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	zeroInterval := write("zero-interval.pcl", strings.Replace(string(pclText), `"PC_EvalIntervalMS" 250`, `"PC_EvalIntervalMS" 0`, 1))
+	nanosecondInterval := write("nanosecond-interval.pcl", strings.Replace(string(pclText), `"PC_EvalIntervalMS" 250`, `"PC_EvalIntervalMS" 0.000001`, 1))
 	negativeThreshold := write("negative-threshold.pcl", strings.Replace(string(pclText), `"PC_CPUThreshold" 0.3`, `"PC_CPUThreshold" -5`, 1))
 	ghostCounter := write("ghost-counter.pcl", strings.Replace(string(pclText), "example_barriers++;", "ghost++;", 1))
 	// An archive recorded without -trace, for the replays that ask for one.
@@ -64,6 +67,14 @@ func TestCLIExitCodes(t *testing.T) {
 		t.Fatal(err)
 	} else if _, err := pperfmark.Run("small-messages", pperfmark.RunOptions{DisablePC: true, Params: pperfmark.Params{Iterations: 300}, Record: rec}); err != nil || rec.Close() != nil {
 		t.Fatalf("recording %s: %v", noPC, err)
+	}
+	// An archive of a real run whose description says the Consultant
+	// evaluated every nanosecond: a replay that trusted it would not end.
+	nanosecondRecord := filepath.Join(dir, "nanosecond-interval.ppdb")
+	if rec, err := perfdb.NewStreamRecorder(nanosecondRecord); err != nil {
+		t.Fatal(err)
+	} else if _, err := pperfmark.Run("random-barrier", pperfmark.RunOptions{Params: pperfmark.Params{Iterations: 40}, Record: nanosecondSink{rec}}); err != nil || rec.Close() != nil {
+		t.Fatalf("recording %s: %v", nanosecondRecord, err)
 	}
 	bracesInMDL := write("braces-in-mdl.pcl", strings.Replace(string(pclText), `"PMPI_Barrier" };`, `"PMPI_Barrier", "no}such{fn" }; // a } ends no block`, 1))
 
@@ -104,6 +115,8 @@ func TestCLIExitCodes(t *testing.T) {
 		{"list with operands", []string{"-list", "extra", "junk"}, 2, `pperf: -list takes no operands, got "extra"`},
 		{"list with -prog", []string{"-list", "-prog", "small-messages"}, 2, "-prog cannot be combined with -list"},
 		{"pcl with a zero evaluation interval", []string{"-pcl", zeroInterval}, 1, `pperf: pcl:17: tunable "PC_EvalIntervalMS" 0: the evaluation interval must be positive`},
+		{"pcl with an evaluation interval below the sampling interval", []string{"-pcl", nanosecondInterval}, 1,
+			`pperf: pcl:17: tunable "PC_EvalIntervalMS" 1e-06: the evaluation interval must be positive and at least the daemons' 200ms sampling interval`},
 		{"pcl with a negative threshold", []string{"-pcl", negativeThreshold}, 1, `pperf: pcl:16: tunable "PC_CPUThreshold" -5: a threshold is a fraction of run time in (0, 1]`},
 		{"pcl with an undeclared counter in an embedded metric", []string{"-pcl", ghostCounter}, 1, `pperf: mdl:26: metric example_barriers: unknown counter "ghost"`},
 		{"pcl with braces in a comment and a string of its mdl block", []string{"-pcl", bracesInMDL}, 0, ""},
@@ -112,6 +125,9 @@ func TestCLIExitCodes(t *testing.T) {
 		{"replay of a retired PPDBA1 archive", []string{"-replay", ppdba1}, 1, "pperf: perfdb: PPDBA1 archive format retired; re-record the run"},
 		{"replay of garbage", []string{"-replay", garbage}, 1, "not a pperf session archive"},
 		{"replay of a run without the Consultant", []string{"-replay", noPC}, 0, ""},
+		{"replay of a run description with a 1 ns evaluation interval", []string{"-replay", nanosecondRecord}, 1, "pperfmark: corrupt run description"},
+		{"db add of a run description with a 1 ns evaluation interval", []string{"db", "-store", filepath.Join(dir, "nanosecond-store"), "add", nanosecondRecord}, 0,
+			"pperf db: no verdict (replay failed: pperfmark: corrupt run description"},
 		{"db add with an ID-shaped label", []string{"db", "-store", store, "add", "-label", "r0001", empty}, 1, "shape of a run ID"},
 		{"unwritable trace path", []string{"-prog", "small-messages", "-iterations", "10", "-trace", filepath.Join(dir, "no-such-dir", "x.json")}, 1, "no such file or directory"},
 		{"db list of a missing store", []string{"db", "-store", typo, "list"}, 1, "pperf db: no store at " + typo},
@@ -189,6 +205,24 @@ func TestCLIExitCodes(t *testing.T) {
 	if removed, err := st.GC(); len(st.Runs()) != 0 || len(files) != 0 || len(removed) != 0 || err != nil {
 		t.Errorf("the deadlocked run's store holds %d runs and %d files, gc removed %v (%v); want nothing", len(st.Runs()), len(files), removed, err)
 	}
+}
+
+// nanosecondSink records through its recorder, but the run description it
+// stamps sets the evaluation interval to 1 ns: the twelfth zigzag field
+// after the program's and the Unsupported text's dictionary indexes
+// (internal/pperfmark/replay.go's packRun).
+type nanosecondSink struct{ *perfdb.StreamRecorder }
+
+func (s nanosecondSink) SetExtra(b []byte) {
+	r, _ := packed.Open(nil, b, "run description", 1)
+	r.Uvarint()
+	r.Uvarint()
+	for range 11 {
+		r.Varint()
+	}
+	at := r.Pos
+	r.Varint()
+	s.StreamRecorder.SetExtra(slices.Concat(b[:at], binary.AppendVarint(nil, 1), b[r.Pos:]))
 }
 
 // A crashed run's archive replays. Cut a recorded small-messages archive

@@ -7,6 +7,7 @@ import (
 
 	"pperf/internal/cluster"
 	"pperf/internal/consultant"
+	"pperf/internal/daemon"
 	"pperf/internal/mdl"
 	"pperf/internal/mpi"
 	"pperf/internal/sim"
@@ -34,8 +35,10 @@ func OptionsFromPCL(f *mdl.File, daemonName string, base Options) (Options, erro
 
 // ConsultantConfigFromPCL applies the PCL tunable constants the paper
 // adjusts (§5.1.6 lowers PC_CPUThreshold to 0.2) over the defaults. A
-// threshold outside (0, 1] or an evaluation interval that is not positive is
-// an error naming the tunable, its value and its line in the file.
+// threshold outside (0, 1], or an evaluation interval shorter than the
+// sampling interval of a PCL session's daemons (the default's), which no
+// sample could feed, is an error naming the tunable, its value and its line
+// in the file.
 func ConsultantConfigFromPCL(f *mdl.File) (consultant.Config, error) {
 	c := consultant.DefaultConfig()
 	refuse := func(t *mdl.TunableDecl, want string) error {
@@ -56,8 +59,8 @@ func ConsultantConfigFromPCL(f *mdl.File) (consultant.Config, error) {
 	}
 	if t := f.Tunable("PC_EvalIntervalMS"); t != nil {
 		c.EvalInterval = sim.Duration(t.Value * float64(sim.Millisecond))
-		if !(c.EvalInterval > 0) {
-			return c, refuse(t, "the evaluation interval must be positive")
+		if sample := daemon.DefaultConfig().SampleInterval; !(c.EvalInterval >= sample) {
+			return c, refuse(t, fmt.Sprintf("the evaluation interval must be positive and at least the daemons' %v sampling interval", sample))
 		}
 	}
 	return c, nil

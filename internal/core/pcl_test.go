@@ -64,8 +64,10 @@ func TestSessionFromPCL(t *testing.T) {
 }
 
 // A tunable out of range is refused with its name, value and line: a zero
-// interval used to reach sim.Engine.Every and panic, a negative threshold made
-// every hypothesis true.
+// interval used to reach sim.Engine.Every and panic, one shorter than the
+// daemons' 200 ms sampling interval evaluated without new data (at 1 ns, a
+// billion times per second of run), a negative threshold made every
+// hypothesis true.
 func TestConsultantConfigFromPCLRefusesOutOfRangeTunables(t *testing.T) {
 	for _, c := range []struct{ tunables, want string }{
 		{`"PC_EvalIntervalMS" 0;`, `pcl:3: tunable "PC_EvalIntervalMS" 0: the evaluation interval must be positive`},
@@ -75,7 +77,9 @@ func TestConsultantConfigFromPCLRefusesOutOfRangeTunables(t *testing.T) {
 		{`"PC_SyncThreshold" 0;`, `pcl:3: tunable "PC_SyncThreshold" 0: a threshold`},
 		{`"PC_CPUThreshold" 0.2;
     "PC_IOThreshold" 1.5;`, `pcl:4: tunable "PC_IOThreshold" 1.5: a threshold`},
-		{`"PC_CPUThreshold" 1; "PC_EvalIntervalMS" 0.5;`, ""},
+		{`"PC_CPUThreshold" 1; "PC_EvalIntervalMS" 0.5;`, `pcl:3: tunable "PC_EvalIntervalMS" 0.5: the evaluation interval must be positive and at least the daemons' 200ms sampling interval`},
+		{`"PC_EvalIntervalMS" 199.9;`, `tunable "PC_EvalIntervalMS" 199.9: the evaluation interval must be positive`},
+		{`"PC_CPUThreshold" 1; "PC_EvalIntervalMS" 200;`, ""},
 	} {
 		cfg, err := mdl.Parse("// tunables\ntunable_constant {\n    " + c.tunables + "\n}\n")
 		if err != nil {

@@ -28,20 +28,11 @@ func LogTime(line string) (sim.Time, bool) {
 	return sim.Time(d), true
 }
 
-// fired reports whether an audit-log line records a fault that actually
-// fired (as opposed to one skipped for lack of a hook).
-func fired(line string) bool {
-	return !strings.HasSuffix(line, "skipped")
-}
-
-// FirstFireTime returns the virtual time of the first fault that actually
-// fired in the audit log. ok is false when nothing fired — an empty log,
-// or one holding only skipped entries.
+// FirstFireTime returns the virtual time of the first fault that fired in
+// the audit log. ok is false when nothing fired: an empty log, or one with no
+// stamped line.
 func FirstFireTime(log []string) (sim.Time, bool) {
 	for _, line := range log {
-		if !fired(line) {
-			continue
-		}
 		if t, ok := LogTime(line); ok {
 			return t, true
 		}

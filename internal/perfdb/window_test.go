@@ -277,11 +277,11 @@ func TestSinceFaultWithoutFiredFaultsErrors(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "no fired faults") || !strings.Contains(err.Error(), "-from") {
 		t.Errorf("since-fault without faults: err = %v (want a hard error with a -from hint)", err)
 	}
-	// A log holding only skipped entries must also refuse to anchor.
+	// A log with no stamped line must also refuse to anchor.
 	b := rateArchive("m", 100, flat(40, 2.0))
-	b.Header.Meta["fault-log"] = "1.000s hang-daemon node2: no hook, skipped"
-	if _, err := Compare(base, view(b, "skippedonly"), CompareOptions{SinceFault: true}); err == nil {
-		t.Error("skipped-only fault log anchored a window")
+	b.Header.Meta["fault-log"] = "hang-daemon node2"
+	if _, err := Compare(base, view(b, "unstamped"), CompareOptions{SinceFault: true}); err == nil {
+		t.Error("an unstamped fault log anchored a window")
 	}
 	// And an explicit -from alongside -since-fault is ambiguous.
 	c := rateArchive("m", 100, flat(40, 2.0))

@@ -184,49 +184,48 @@ func Run(name string, opt RunOptions) (*Result, error) {
 	defer s.Close()
 
 	res.Session, res.Source = s, s.FE
-
-	// The spawn-based programs need an implementation with dynamic process
-	// creation, as §5.2.2 notes (the paper uses only LAM for them).
-	if entry.Defaults.Children > 0 && !s.World.Impl.SupportsSpawn {
-		res.Unsupported = &mpi.ErrUnsupported{Impl: opt.Impl, Feature: "dynamic process creation"}
-		stampRecording(opt, res, pcCfg, o.Nodes, true)
-		return res, nil
-	}
-	// Passive-target programs were unimplementable in 2004; they run only
-	// under the Reference personality (§5.2.1.1).
-	if entry.NeedsPassive && !s.World.Impl.SupportsPassiveTarget {
-		res.Unsupported = &mpi.ErrUnsupported{Impl: opt.Impl, Feature: "passive target synchronization"}
-		stampRecording(opt, res, pcCfg, o.Nodes, true)
-		return res, nil
-	}
-
-	s.Register(name, prog)
-
-	if err := enableVerification(s.FE, entry, res); err != nil {
-		return nil, err
-	}
-
-	if err := s.Launch(name, params.Procs, nil); err != nil {
-		return nil, err
-	}
-	if !opt.DisablePC {
-		res.PC = consultant.New(s.FE, s.Eng, pcCfg)
-		if err := res.PC.Start(); err != nil {
+	if res.Unsupported = unsupported(entry, s.World.Impl); res.Unsupported == nil {
+		s.Register(name, prog)
+		if err := enableVerification(s.FE, entry, res); err != nil {
 			return nil, err
 		}
+		if err := s.Launch(name, params.Procs, nil); err != nil {
+			return nil, err
+		}
+		if !opt.DisablePC {
+			res.PC = consultant.New(s.FE, s.Eng, pcCfg)
+			if err := res.PC.Start(); err != nil {
+				return nil, err
+			}
+		}
+		if err := s.Run(); err != nil {
+			return nil, err
+		}
+		res.RunTime = s.Eng.Now()
+		res.ProbeExecs = s.ProbeExecutions()
+		res.Coverage = s.FE.Coverage()
+		if s.Injector != nil {
+			res.FaultLog = s.Injector.Log()
+		}
+		res.Timeline = s.FE.Timeline()
 	}
-	if err := s.Run(); err != nil {
-		return nil, err
-	}
-	res.RunTime = s.Eng.Now()
-	res.ProbeExecs = s.ProbeExecutions()
-	res.Coverage = s.FE.Coverage()
-	if s.Injector != nil {
-		res.FaultLog = s.Injector.Log()
-	}
-	res.Timeline = s.FE.Timeline()
 	stampRecording(opt, res, pcCfg, o.Nodes, true)
 	return res, nil
+}
+
+// unsupported is the error for a program entry the personality impl cannot
+// run at all, or nil. The spawn-based programs need dynamic process creation,
+// as §5.2.2 notes (the paper uses only LAM for them); passive-target
+// programs were unimplementable in 2004 and run only under the Reference
+// personality (§5.2.1.1).
+func unsupported(entry *Entry, impl *mpi.Impl) error {
+	switch {
+	case entry.Defaults.Children > 0 && !impl.SupportsSpawn:
+		return &mpi.ErrUnsupported{Impl: impl.Kind, Feature: "dynamic process creation"}
+	case entry.NeedsPassive && !impl.SupportsPassiveTarget:
+		return &mpi.ErrUnsupported{Impl: impl.Kind, Feature: "passive target synchronization"}
+	}
+	return nil
 }
 
 // Verdict is the judged outcome of one run — a row of Table 2 or 3.

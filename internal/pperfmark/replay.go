@@ -2,8 +2,10 @@ package pperfmark
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"pperf/internal/consultant"
@@ -12,54 +14,41 @@ import (
 	"pperf/internal/packed"
 	"pperf/internal/session"
 	"pperf/internal/sim"
+	"pperf/internal/trace"
 )
 
-// runInfo is the run description a recording stores in the archive
-// header's Extra payload: everything Replay needs to re-drive the
+// packRun returns the run description a recording stores in the archive
+// header's Extra payload, packed from the run's result, its options and its
+// Consultant configuration: everything Replay needs to re-drive the
 // Performance Consultant against the recorded event stream, plus the
-// live-only facts (fault log, probe counts) a replay cannot recompute.
-type runInfo struct {
-	Program string
-	Impl    mpi.ImplKind
-	Params  Params
-	Seed    uint64
-
-	DisablePC bool
-	PC        consultant.Config
-
-	Traced bool
-
-	RunTime    sim.Time
-	ProbeExecs int64
-	FaultLog   []string
-
-	// Unsupported carries the live run's "cannot run at all" message
-	// (spawn on MPICH, passive target outside Reference), so replaying
-	// such an archive reproduces the skip verdict.
-	Unsupported string
-}
-
-// pack returns the run description as one record in internal/packed's
-// dictionary form, the fault-log lines its records:
+// live-only facts (fault log, probe counts) a replay cannot recompute, and
+// the text of a run the personality cannot run at all (spawn on MPICH,
+// passive target outside Reference), so its skip verdict replays too. It is
+// one record in internal/packed's dictionary form, the fault-log lines its
+// records:
 //
 //	packed head: uvarint nFaultLog, the dictionary
 //	uvarint Program's and Unsupported's dictionary indexes
 //	zigzag Impl, Seed, the eight Params, DisablePC, EvalInterval,
-//	       PruneEvals, Traced, RunTime, ProbeExecs
+//	       PruneEvals, traced, RunTime, ProbeExecs
 //	uvarint Float64bits of the sync, io and cpu thresholds
 //	one dictionary index per fault-log line
-func (info *runInfo) pack() []byte {
+func packRun(res *Result, opt RunOptions, pc consultant.Config) []byte {
 	var w packed.Writer
 	w.Reset()
-	prog, unsup := w.Intern(info.Program), w.Intern(info.Unsupported)
-	for _, l := range info.FaultLog {
+	unsup := ""
+	if res.Unsupported != nil {
+		unsup = res.Unsupported.Error()
+	}
+	prog, un := w.Intern(res.Program), w.Intern(unsup)
+	for _, l := range res.FaultLog {
 		w.Recs = append(w.Recs, [5]uint64{w.Intern(l)})
 	}
-	out := binary.AppendUvarint(binary.AppendUvarint(w.Head(nil, len(info.FaultLog)), prog), unsup)
-	p, pc, bit := &info.Params, &info.PC, map[bool]int64{true: 1}
-	for _, x := range [infoInts]int64{int64(info.Impl), int64(info.Seed), int64(p.Iterations), int64(p.MessageSize),
+	out := binary.AppendUvarint(binary.AppendUvarint(w.Head(nil, len(res.FaultLog)), prog), un)
+	p, bit := &res.Params, map[bool]int64{true: 1}
+	for _, x := range [runInts]int64{int64(res.Impl), int64(opt.Seed), int64(p.Iterations), int64(p.MessageSize),
 		int64(p.Messages), int64(p.TimeToWaste), int64(p.Procs), int64(p.WasteUnit), int64(p.Windows), int64(p.Children),
-		bit[info.DisablePC], int64(pc.EvalInterval), int64(pc.PruneEvals), bit[info.Traced], int64(info.RunTime), info.ProbeExecs} {
+		bit[opt.DisablePC], int64(pc.EvalInterval), int64(pc.PruneEvals), bit[opt.Trace != nil], int64(res.RunTime), res.ProbeExecs} {
 		out = binary.AppendVarint(out, x)
 	}
 	for _, f := range [...]float64{pc.SyncThreshold, pc.IOThreshold, pc.CPUThreshold} {
@@ -71,36 +60,51 @@ func (info *runInfo) pack() []byte {
 	return out
 }
 
-const infoInts = 16
+const runInts = 16
 
-// unpackRunInfo decodes a run description. Corrupt input, and a description
-// no replay could pace (an evaluation interval that is not positive, a
-// negative run time), is an error, never a panic.
-func unpackRunInfo(data []byte) (runInfo, error) {
+// unpackRun decodes a run description back into the run's result, options
+// (its personality, merged params, seed, DisablePC and, for a traced run, a
+// non-nil Trace) and Consultant configuration. Corrupt input is an error,
+// never a panic, and so is a description no live run writes: a personality
+// outside LAM…Reference, a negative parameter or prune count, an evaluation
+// interval that is not positive, a negative run time or a threshold outside
+// (0, 1].
+func unpackRun(data []byte) (*Result, RunOptions, consultant.Config, error) {
 	var t packed.Table
 	c, n := packed.Open(&t, data, "pperfmark: corrupt run description", 1)
 	prog, unsup := c.Str(), c.Str()
-	var x [infoInts]int64
+	var x [runInts]int64
 	for i := range x {
 		x[i] = c.Varint()
 	}
-	th := [3]float64{math.Float64frombits(c.Uvarint()), math.Float64frombits(c.Uvarint()), math.Float64frombits(c.Uvarint())}
-	info := runInfo{
-		Program: prog, Unsupported: unsup, Impl: mpi.ImplKind(x[0]), Seed: uint64(x[1]),
+	pc := consultant.Config{SyncThreshold: math.Float64frombits(c.Uvarint()), IOThreshold: math.Float64frombits(c.Uvarint()),
+		CPUThreshold: math.Float64frombits(c.Uvarint()), EvalInterval: sim.Duration(x[11]), PruneEvals: int(x[12])}
+	res := &Result{Program: prog, Impl: mpi.ImplKind(x[0]),
 		Params: Params{Iterations: int(x[2]), MessageSize: int(x[3]), Messages: int(x[4]), TimeToWaste: int(x[5]),
 			Procs: int(x[6]), WasteUnit: sim.Duration(x[7]), Windows: int(x[8]), Children: int(x[9])},
-		DisablePC: x[10] != 0,
-		PC: consultant.Config{SyncThreshold: th[0], IOThreshold: th[1], CPUThreshold: th[2],
-			EvalInterval: sim.Duration(x[11]), PruneEvals: int(x[12])},
-		Traced: x[13] != 0, RunTime: sim.Time(x[14]), ProbeExecs: x[15],
-	}
+		RunTime: sim.Time(x[14]), ProbeExecs: x[15]}
 	for i := 0; i < n && c.Err == nil; i++ {
-		info.FaultLog = append(info.FaultLog, c.Str())
+		res.FaultLog = append(res.FaultLog, c.Str())
 	}
-	if c.Err == nil && (info.PC.EvalInterval <= 0 || info.RunTime < 0) {
-		c.Fail("evaluation interval %v, run time %v", info.PC.EvalInterval, info.RunTime)
+	if unsup != "" {
+		res.Unsupported = errors.New(unsup)
 	}
-	return info, c.Close()
+	opt := RunOptions{Impl: res.Impl, Params: res.Params, Seed: uint64(x[1]), DisablePC: x[10] != 0}
+	if x[13] != 0 {
+		opt.Trace = &trace.Config{}
+	}
+	switch {
+	case c.Err != nil:
+	case res.Impl < mpi.LAM || res.Impl > mpi.Reference:
+		c.Fail("personality %d", x[0])
+	case slices.ContainsFunc(x[2:10], func(v int64) bool { return v < 0 }) || pc.PruneEvals < 0:
+		c.Fail("negative parameter or prune count in %v", x[2:13])
+	case pc.EvalInterval <= 0 || res.RunTime < 0:
+		c.Fail("evaluation interval %v, run time %v", pc.EvalInterval, res.RunTime)
+	case core.CheckThreshold(pc.SyncThreshold) != nil || core.CheckThreshold(pc.IOThreshold) != nil || core.CheckThreshold(pc.CPUThreshold) != nil:
+		c.Fail("thresholds %v, %v, %v", pc.SyncThreshold, pc.IOThreshold, pc.CPUThreshold)
+	}
+	return res, opt, pc, c.Close()
 }
 
 // stampRecording stamps the description of a run laid out on nodes nodes,
@@ -113,12 +117,7 @@ func stampRecording(opt RunOptions, res *Result, pcCfg consultant.Config, nodes 
 	if rec == nil {
 		return
 	}
-	info := runInfo{Program: res.Program, Impl: res.Impl, Params: res.Params, Seed: opt.Seed, DisablePC: opt.DisablePC,
-		PC: pcCfg, Traced: opt.Trace != nil, RunTime: res.RunTime, ProbeExecs: res.ProbeExecs, FaultLog: res.FaultLog}
-	if res.Unsupported != nil {
-		info.Unsupported = res.Unsupported.Error()
-	}
-	rec.SetExtra(info.pack())
+	rec.SetExtra(packRun(res, opt, pcCfg))
 	rec.SetMeta("program", res.Program)
 	rec.SetMeta("impl", res.Impl.String())
 	rec.SetMeta("seed", fmt.Sprintf("%d", opt.Seed))
@@ -194,41 +193,37 @@ func ReplayWith(a *session.Archive, o ReplayOptions) (*Result, error) {
 	if len(a.Header.Extra) == 0 {
 		return nil, fmt.Errorf("pperfmark: archive carries no run description (not recorded by this harness?)")
 	}
-	info, err := unpackRunInfo(a.Header.Extra)
+	res, opt, pc, err := unpackRun(a.Header.Extra)
 	if err != nil {
 		return nil, err
 	}
+	// The Consultant evaluates once per EvalInterval of run time, and the
+	// live run stamped one barrier per evaluation. A truncated archive's
+	// clock stops at the last complete barrier's evaluation instant, k
+	// intervals in for k barriers (NewReplaySource drops the rest), so no
+	// evaluation reads state the live run never had; a complete one that
+	// promises more evaluations than it holds barriers was not written by a
+	// live run, and replaying it could evaluate without end.
+	_, barriers := a.Replayable()
 	if a.Truncated {
-		// The clock stops at the last complete barrier's evaluation instant,
-		// k intervals in for k barriers (NewReplaySource drops the rest), so
-		// no evaluation reads state the live run never had.
-		_, barriers := a.Replayable()
-		info.RunTime = sim.Time(barriers) * sim.Time(info.PC.EvalInterval)
+		res.RunTime = sim.Time(barriers) * sim.Time(pc.EvalInterval)
 	}
-	pcCfg, err := o.override(info.PC)
-	if err != nil {
+	if evals := res.RunTime / sim.Time(pc.EvalInterval); !opt.DisablePC && evals > sim.Time(barriers) {
+		return nil, fmt.Errorf("pperfmark: corrupt run description: run time %v promises %d evaluations, archive holds %d barriers", res.RunTime, evals, barriers)
+	}
+	if pc, err = o.override(pc); err != nil {
 		return nil, err
 	}
-
-	res := &Result{
-		Program:    info.Program,
-		Impl:       info.Impl,
-		Params:     info.Params,
-		RunTime:    info.RunTime,
-		ProbeExecs: info.ProbeExecs,
-		FaultLog:   info.FaultLog,
-	}
-	if info.Unsupported != "" {
-		res.Unsupported = fmt.Errorf("%s", info.Unsupported)
+	if res.Unsupported != nil {
 		return res, nil
 	}
-	entry := Get(info.Program)
+	entry := Get(res.Program)
 	if entry == nil {
-		return nil, fmt.Errorf("pperfmark: archive records unknown program %q", info.Program)
+		return nil, fmt.Errorf("pperfmark: archive records unknown program %q", res.Program)
 	}
 
 	rs := session.NewReplaySource(a)
-	if info.Traced {
+	if opt.Trace != nil {
 		// A traced live run has a timeline even if no shards arrived.
 		rs.EnableTrace()
 	}
@@ -241,9 +236,9 @@ func ReplayWith(a *session.Archive, o ReplayOptions) (*Result, error) {
 	// A fresh engine paces the Consultant exactly as the live one did:
 	// evaluations fire on the same virtual-time grid, and each calls
 	// Sync, which advances the replay to the matching recorded barrier.
-	eng := sim.NewEngine(info.Seed)
-	if !info.DisablePC {
-		res.PC = consultant.New(rs, eng, pcCfg)
+	eng := sim.NewEngine(opt.Seed)
+	if !opt.DisablePC {
+		res.PC = consultant.New(rs, eng, pc)
 		if err := res.PC.Start(); err != nil {
 			return nil, err
 		}
@@ -252,7 +247,7 @@ func ReplayWith(a *session.Archive, o ReplayOptions) (*Result, error) {
 	// keeps the engine alive through the last live evaluation instant
 	// (scheduled callbacks at a time T fire before a proc resuming at T).
 	eng.StartProc("replay-clock", func(p *sim.Proc) {
-		p.Sleep(sim.Duration(info.RunTime))
+		p.Sleep(sim.Duration(res.RunTime))
 	})
 	if err := eng.Run(); err != nil {
 		return nil, err

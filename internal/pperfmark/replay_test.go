@@ -6,6 +6,8 @@ package pperfmark
 
 import (
 	"bytes"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -15,6 +17,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pperf/internal/consultant"
 	"pperf/internal/datasource"
@@ -124,6 +127,9 @@ func (c *cell) String() string {
 	if c.opt.Trace != nil {
 		s += ", traced"
 	}
+	if c.opt.DisablePC {
+		s += ", Consultant off"
+	}
 	if c.opt.Faults != nil {
 		s += ", faults " + c.opt.Faults.String()
 	}
@@ -153,8 +159,45 @@ func (c *cell) run() error {
 	if c.archive, err = perfdb.LoadAny(path); err != nil {
 		return err
 	}
+	if err := c.sameRecord(); err != nil {
+		return err
+	}
 	c.replayed, err = Replay(c.archive)
 	return err
+}
+
+// runRecords maps each cell's description to the run record its recording
+// holds, in hex, as testdata/run-records.golden lists them.
+var runRecords = sync.OnceValues(func() (map[string]string, error) {
+	data, err := os.ReadFile(filepath.Join("testdata", "run-records.golden"))
+	records := map[string]string{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if rec, cell, ok := strings.Cut(line, " "); ok && rec != "#" {
+			records[cell] = rec
+		}
+	}
+	return records, err
+})
+
+// sameRecord is nil if c's recording holds the run record its golden line
+// names, and that record decodes to a description that packs to it again.
+func (c *cell) sameRecord() error {
+	records, err := runRecords()
+	if err != nil {
+		return err
+	}
+	extra := c.archive.Header.Extra
+	if want, ok := records[c.String()]; !ok || want != hex.EncodeToString(extra) {
+		return fmt.Errorf("run record %x, want %q (testdata/run-records.golden)", extra, want)
+	}
+	res, opt, pc, err := unpackRun(extra)
+	if err != nil {
+		return err
+	}
+	if again := packRun(res, opt, pc); !bytes.Equal(again, extra) {
+		return fmt.Errorf("run record %x decodes and packs to %x", extra, again)
+	}
+	return nil
 }
 
 // recorded runs c; see built.
@@ -326,59 +369,125 @@ func BenchmarkRunRecording(b *testing.B) {
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
 
-// fullRunInfo sets every field of the run description, each to a value
-// unlike its neighbours', and a fault log with a line twice.
-func fullRunInfo() runInfo {
-	return runInfo{
-		Program: "small-messages", Impl: mpi.MPICH2, Seed: math.MaxUint64 - 6,
+// fullRun sets every recorded field of a run's result, options and
+// Consultant configuration, each to a value unlike its neighbours', with a
+// fault log that holds a line twice. The options carry the result's
+// personality and params, as a decoded description does.
+func fullRun() (*Result, RunOptions, consultant.Config) {
+	res := &Result{
+		Program: "small-messages", Impl: mpi.MPICH2,
 		Params: Params{Iterations: 1, MessageSize: 2, Messages: 3, TimeToWaste: 4, Procs: 5,
 			WasteUnit: 6 * sim.Millisecond, Windows: 7, Children: 8},
-		DisablePC: true,
-		PC: consultant.Config{SyncThreshold: 0.2, IOThreshold: 0.15, CPUThreshold: math.SmallestNonzeroFloat64,
-			EvalInterval: 250 * sim.Millisecond, PruneEvals: 10},
-		Traced: true, RunTime: sim.Time(4875 * sim.Millisecond), ProbeExecs: 1 << 40,
+		RunTime: sim.Time(4875 * sim.Millisecond), ProbeExecs: 1 << 40,
 		FaultLog:    []string{"t=1s kill-node node1", "t=1s kill-node node1", "t=2s crash-daemon node0"},
-		Unsupported: "dynamic process creation is not supported",
+		Unsupported: errors.New("dynamic process creation is not supported"),
 	}
+	opt := RunOptions{Impl: res.Impl, Params: res.Params, Seed: math.MaxUint64 - 6, DisablePC: true, Trace: &trace.Config{}}
+	pc := consultant.Config{SyncThreshold: 0.2, IOThreshold: 0.15, CPUThreshold: math.SmallestNonzeroFloat64,
+		EvalInterval: 250 * sim.Millisecond, PruneEvals: 10}
+	return res, opt, pc
 }
 
-// Every field of the run description survives its record, and so does a
-// description of zero values; fullRunInfo covers each field (a new one left
-// out of the record would fail here).
+// notRecorded names the fields of Result and RunOptions a run description
+// leaves out: the live session and what a replay rebuilds from the event
+// stream, and the options that shape the live run but not its analysis.
+var notRecorded = map[string]bool{
+	"Result.Session": true, "Result.Source": true, "Result.PC": true, "Result.BytesSent": true, "Result.PutOps": true,
+	"Result.GetOps": true, "Result.AccOps": true, "Result.RMABytes": true, "Result.Coverage": true, "Result.Timeline": true,
+	"RunOptions.Spawn": true, "RunOptions.Faults": true, "RunOptions.Record": true,
+}
+
+// Every recorded field of the result, the options and the Consultant
+// configuration survives its record, and so does a run of zero values;
+// fullRun covers each field (a new one neither recorded nor listed in
+// notRecorded would fail here).
 func TestRunInfoRoundTrip(t *testing.T) {
-	full := fullRunInfo()
-	for _, v := range []reflect.Value{reflect.ValueOf(full), reflect.ValueOf(full.Params), reflect.ValueOf(full.PC)} {
+	res, opt, pc := fullRun()
+	for _, v := range []reflect.Value{reflect.ValueOf(*res), reflect.ValueOf(res.Params), reflect.ValueOf(opt), reflect.ValueOf(opt.Params), reflect.ValueOf(pc)} {
 		for i := range v.NumField() {
-			if v.Field(i).IsZero() {
-				t.Fatalf("fullRunInfo leaves %s.%s zero", v.Type().Name(), v.Type().Field(i).Name)
+			name := v.Type().Name() + "." + v.Type().Field(i).Name
+			if v.Field(i).IsZero() && !notRecorded[name] {
+				t.Fatalf("fullRun leaves %s zero", name)
 			}
 		}
 	}
-	for _, info := range []runInfo{full, {PC: ScaledPCConfig()}} {
-		got, err := unpackRunInfo(info.pack())
-		if err != nil || !reflect.DeepEqual(got, info) {
-			t.Errorf("run description round trip:\n got %+v (%v)\nwant %+v", got, err, info)
+	for _, run := range []struct {
+		res *Result
+		opt RunOptions
+		pc  consultant.Config
+	}{{res, opt, pc}, {&Result{}, RunOptions{}, ScaledPCConfig()}} {
+		gotRes, gotOpt, gotPC, err := unpackRun(packRun(run.res, run.opt, run.pc))
+		if err != nil || !reflect.DeepEqual(gotRes, run.res) || !reflect.DeepEqual(gotOpt, run.opt) || gotPC != run.pc {
+			t.Errorf("run description round trip:\n got %+v %+v %+v (%v)\nwant %+v %+v %+v", gotRes, gotOpt, gotPC, err, run.res, run.opt, run.pc)
 		}
 	}
 }
 
 // A corrupt run description fails the replay with an error naming it, never
-// a panic or a replay of something else.
+// a panic, a replay of something else or a replay without end: a record no
+// live run writes, and one that promises more Consultant evaluations than
+// its archive holds barriers, grafted onto a real recording.
 func TestCorruptRunDescription(t *testing.T) {
-	good := fullRunInfo()
-	good.DisablePC = false
-	record := good.pack()
-	unpaced := good
-	unpaced.PC.EvalInterval = 0
+	res, opt, pc := fullRun()
+	opt.DisablePC = false
+	record := packRun(res, opt, pc)
+	with := func(edit func(res *Result, pc *consultant.Config)) []byte {
+		res, opt, pc := fullRun()
+		edit(res, &pc)
+		return packRun(res, opt, pc)
+	}
+	empty := &session.Archive{Header: session.Header{Version: session.Version, NumBins: 100, BinWidth: 50 * sim.Millisecond}}
+	real := built(t, healthy()).archive
+	graft := func(edit func(res *Result, pc *consultant.Config)) *session.Archive {
+		res, opt, pc, err := unpackRun(real.Header.Extra)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(res, &pc)
+		a := *real
+		a.Header.Extra = packRun(res, opt, pc)
+		return &a
+	}
+	_, barriers := real.Replayable()
+	cases := map[string]*session.Archive{
+		"1 ns interval": graft(func(_ *Result, pc *consultant.Config) { pc.EvalInterval = 1 }),
+		"run time 10⁶ times its barriers": graft(func(res *Result, pc *consultant.Config) {
+			res.RunTime = sim.Time(barriers) * sim.Time(pc.EvalInterval) * 1e6
+		}),
+	}
 	for name, extra := range map[string][]byte{
-		"garbage":            {0xff},
-		"cut short":          record[:len(record)-3],
-		"trailing byte":      append(append([]byte(nil), record...), 0),
-		"zero eval interval": unpaced.pack(),
+		"garbage":                    {0xff},
+		"cut short":                  record[:len(record)-3],
+		"trailing byte":              append(append([]byte(nil), record...), 0),
+		"zero eval interval":         with(func(_ *Result, pc *consultant.Config) { pc.EvalInterval = 0 }),
+		"personality past Reference": with(func(res *Result, _ *consultant.Config) { res.Impl = mpi.Reference + 1 }),
+		"negative personality":       with(func(res *Result, _ *consultant.Config) { res.Impl = -1 }),
+		"negative parameter":         with(func(res *Result, _ *consultant.Config) { res.Params.Children = -1 }),
+		"negative prune count":       with(func(_ *Result, pc *consultant.Config) { pc.PruneEvals = -1 }),
+		"zero threshold":             with(func(_ *Result, pc *consultant.Config) { pc.SyncThreshold = 0 }),
+		"threshold above 1":          with(func(_ *Result, pc *consultant.Config) { pc.IOThreshold = 1.5 }),
+		"NaN threshold":              with(func(_ *Result, pc *consultant.Config) { pc.CPUThreshold = math.NaN() }),
 	} {
-		a := &session.Archive{Header: session.Header{Version: session.Version, NumBins: 100, BinWidth: 50 * sim.Millisecond, Extra: extra}}
-		if _, err := ReplayWith(a, ReplayOptions{}); err == nil || !strings.Contains(err.Error(), "pperfmark: corrupt run description") {
-			t.Errorf("%s: err = %v, want a corrupt run description", name, err)
+		a := *empty
+		a.Header.Extra = extra
+		cases[name] = &a
+	}
+	// A replay that trusts such a record runs for minutes or for ever; the
+	// deadline makes that a failure, and the buffered channel lets the
+	// replay's goroutine finish whenever it does.
+	for name, a := range cases {
+		done := make(chan error, 1)
+		go func() {
+			_, err := ReplayWith(a, ReplayOptions{})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "pperfmark: corrupt run description") {
+				t.Errorf("%s: err = %v, want a corrupt run description", name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Errorf("%s: still replaying after 10 s, want a corrupt run description", name)
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"pperf/internal/faults"
 	"pperf/internal/mpi"
+	"pperf/internal/pperfmark"
 	"pperf/internal/trace"
 )
 
@@ -26,7 +27,7 @@ var smallMessages = sync.OnceValue(func() *cell {
 })
 
 func smallMessagesCell(plan *faults.Plan) *cell {
-	return &cell{program: "small-messages", impl: mpi.LAM, iters: 1500, plan: plan}
+	return &cell{program: "small-messages", opt: pperfmark.RunOptions{Impl: mpi.LAM, Params: pperfmark.Params{Iterations: 1500}, Faults: plan}}
 }
 
 func csvOf(t *testing.T, tl *trace.Timeline) []byte {

@@ -652,7 +652,7 @@ func TestPackedPlaneMatchesMaterialisedReferenceOnTheSuite(t *testing.T) {
 		}
 		shards := materialised(t, c.shards)
 		samePlane(t, c.String(), c.tl, shards)
-		if c.impl == mpi.LAM && c.config == inProcess {
+		if c.opt.Impl == mpi.LAM && c.config == inProcess {
 			asSpans := trace.NewTimeline()
 			for _, sh := range shards {
 				asSpans.Ingest(sh)
@@ -710,12 +710,14 @@ func TestPackedPlaneMatchesMaterialisedReferenceUnderFaults(t *testing.T) {
 		}
 		return p
 	}
-	c := traced(t, &cell{program: "random-barrier", impl: mpi.LAM, iters: 60, seed: 7, plan: plan("restarts=2; t=1s crash-daemon node1 restartable")})
+	c := traced(t, &cell{program: "random-barrier", opt: pperfmark.RunOptions{
+		Impl: mpi.LAM, Seed: 7, Params: pperfmark.Params{Iterations: 60}, Faults: plan("restarts=2; t=1s crash-daemon node1 restartable")}})
 	samePlane(t, "restarts=2", c.tl, materialised(t, c.shards))
 
 	for _, cfg := range []config{inProcess, overTCP} {
 		lossy := plan("t=5ms drop-transport node0 n=6 chan=bulk; t=20ms hang-daemon node1 for=100ms; t=350ms drop-transport node0 n=100000 chan=bulk")
-		c := traced(t, &cell{program: "small-messages", impl: mpi.LAM, config: cfg, iters: 3000, seed: 7, plan: lossy, ring: trace.Config{RingCapacity: 32, FlushWatermark: 4}})
+		c := traced(t, &cell{program: "small-messages", config: cfg, opt: pperfmark.RunOptions{
+			Impl: mpi.LAM, Seed: 7, Params: pperfmark.Params{Iterations: 3000}, Faults: lossy, Trace: &trace.Config{RingCapacity: 32, FlushWatermark: 4}}})
 		if st := c.tl.Stats(); st.Dropped == 0 || st.OutboxLost == 0 || st.Undelivered == 0 {
 			t.Fatalf("%v: the lossy plan lost %d spans to rings, %d to the bulk queue, %d undelivered; want all three non-zero", c, st.Dropped, st.OutboxLost, st.Undelivered)
 		}
@@ -730,7 +732,7 @@ func TestPackedPlaneMatchesMaterialisedReferenceUnderFaults(t *testing.T) {
 // the timeline answers what the copy-and-sort timeline answered, and nothing
 // the caller handed over was written to.
 func TestTimelineMatchesCopyAndSortOnShuffledArrival(t *testing.T) {
-	run := traced(t, &cell{program: "random-barrier", impl: mpi.LAM, iters: 40, seed: 7}).tl
+	run := traced(t, &cell{program: "random-barrier", opt: pperfmark.RunOptions{Impl: mpi.LAM, Seed: 7, Params: pperfmark.Params{Iterations: 40}}}).tl
 	all := run.Spans()
 	for trial := int64(0); trial < 5; trial++ {
 		rng := rand.New(rand.NewSource(trial))

@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"pperf/internal/core"
-	"pperf/internal/faults"
 	"pperf/internal/mpi"
 	"pperf/internal/pperfmark"
 	"pperf/internal/session"
@@ -35,17 +34,13 @@ func (c config) String() string {
 	return [...]string{"in process", "over TCP", "in process, Consultant on"}[c]
 }
 
-// cell is one traced run: a program under a personality in one
-// configuration, at a size, a seed, a fault plan and a ring configuration.
-// run fills in what it produced.
+// cell is one traced run: a program under run options (personality, size,
+// seed, fault plan and, when not the tracer's defaults, a ring configuration)
+// in one configuration. run fills in what it produced.
 type cell struct {
 	program string
-	impl    mpi.ImplKind
+	opt     pperfmark.RunOptions
 	config  config
-	iters   int
-	seed    uint64
-	plan    *faults.Plan
-	ring    trace.Config // the zero value is the tracer's defaults
 
 	unsupported bool            // the personality cannot run the program
 	tl          *trace.Timeline // the merged timeline
@@ -54,7 +49,7 @@ type cell struct {
 }
 
 func (c *cell) String() string {
-	return fmt.Sprintf("%s under %v (%v)", c.program, c.impl, c.config)
+	return fmt.Sprintf("%s under %v (%v)", c.program, c.opt.Impl, c.config)
 }
 
 // run simulates the cell: with the Consultant through pperfmark.Run, without
@@ -62,21 +57,20 @@ func (c *cell) String() string {
 // way to put the daemons on TCP.
 func (c *cell) run() error {
 	stream := &shardStream{}
-	ring := c.ring
+	opt := c.opt
+	opt.Record = stream
+	if opt.Trace == nil { // every cell is traced, by default with the tracer's defaults
+		opt.Trace = &trace.Config{}
+	}
 	if c.config == consultantOn {
-		res, err := pperfmark.Run(c.program, pperfmark.RunOptions{
-			Impl: c.impl, Seed: c.seed, Params: pperfmark.Params{Iterations: c.iters},
-			Faults: c.plan, Trace: &ring, Record: stream,
-		})
+		res, err := pperfmark.Run(c.program, opt)
 		if err != nil {
 			return err
 		}
 		c.unsupported, c.tl, c.shards = res.Unsupported != nil, res.Timeline, stream.shards
 		return nil
 	}
-	o, prog, params, err := pperfmark.SessionOptions(c.program, pperfmark.RunOptions{
-		Impl: c.impl, Seed: c.seed, Params: pperfmark.Params{Iterations: c.iters}, Faults: c.plan, Trace: &ring, Record: stream,
-	})
+	o, prog, params, err := pperfmark.SessionOptions(c.program, opt)
 	if err != nil {
 		return err
 	}
@@ -131,7 +125,8 @@ var suite = sync.OnceValue(func() []*cell {
 		iters := min(max(2, pperfmark.Get(name).Defaults.Iterations/40), 60)
 		for _, impl := range []mpi.ImplKind{mpi.LAM, mpi.MPICH, mpi.MPICH2} {
 			for _, cfg := range []config{inProcess, overTCP, consultantOn} {
-				cells = append(cells, &cell{program: name, impl: impl, config: cfg, iters: iters, seed: 7})
+				cells = append(cells, &cell{program: name, config: cfg, opt: pperfmark.RunOptions{
+					Impl: impl, Seed: 7, Params: pperfmark.Params{Iterations: iters}}})
 			}
 		}
 	}
