@@ -302,10 +302,11 @@ func runFromPCL(path string) error {
 		return err
 	}
 	for _, pr := range cfg.Processes {
-		opts, err := core.OptionsFromPCL(cfg, pr.Daemon, core.Options{Nodes: 4, CPUsPerNode: 2})
+		opts, err := core.OptionsFromPCL(cfg, pr.Daemon)
 		if err != nil {
 			return err
 		}
+		opts.Nodes, opts.CPUsPerNode = 4, 2
 		s, err := core.NewSession(opts)
 		if err != nil {
 			return err

@@ -13,24 +13,24 @@ import (
 	"pperf/internal/sim"
 )
 
-// OptionsFromPCL builds session options from a parsed PCL file, using the
-// named daemon definition's mpi_implementation attribute (the §4.1
-// extension). A file that defines metrics, constraints or resource lists
-// becomes the session's user MDL itself, so a compile error names the file's
-// line. base supplies everything PCL does not configure (cluster size, seed).
-func OptionsFromPCL(f *mdl.File, daemonName string, base Options) (Options, error) {
+// OptionsFromPCL builds the session options a parsed PCL file configures:
+// the named daemon definition's mpi_implementation attribute (the §4.1
+// extension) and, when the file defines metrics, constraints or resource
+// lists, the file's text as the session's user MDL, so a compile error names
+// the file's line. Everything else (cluster size, seed) is the caller's.
+func OptionsFromPCL(f *mdl.File, daemonName string) (Options, error) {
 	d := f.Daemon(daemonName)
 	if d == nil {
-		return base, fmt.Errorf("core: PCL has no daemon %q", daemonName)
+		return Options{}, fmt.Errorf("core: PCL has no daemon %q", daemonName)
 	}
 	if !d.HasImpl {
-		return base, fmt.Errorf("core: daemon %q has no mpi_implementation attribute (required on non-shared filesystems, §4.1)", daemonName)
+		return Options{}, fmt.Errorf("core: daemon %q has no mpi_implementation attribute (required on non-shared filesystems, §4.1)", daemonName)
 	}
-	base.Impl = d.Impl
+	o := Options{Impl: d.Impl}
 	if len(f.ResourceLists)+len(f.Constraints)+len(f.Metrics) > 0 {
-		base.UserMDL = f.Source + "\n" + base.UserMDL
+		o.UserMDL = f.Source
 	}
-	return base, nil
+	return o, nil
 }
 
 // ConsultantConfigFromPCL applies the PCL tunable constants the paper

@@ -37,13 +37,14 @@ func TestSessionFromPCL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts, err := OptionsFromPCL(cfg, "pd_mpich", Options{Nodes: 2, CPUsPerNode: 2})
+	opts, err := OptionsFromPCL(cfg, "pd_mpich")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if opts.Impl != mpi.MPICH {
 		t.Fatalf("impl = %v", opts.Impl)
 	}
+	opts.Nodes, opts.CPUsPerNode = 2, 2
 	s := newTestSession(t, opts)
 	s.Register("pp", pingPong(60, 5*sim.Millisecond))
 	// The PCL-embedded metric is available.
@@ -97,10 +98,10 @@ func TestConsultantConfigFromPCLRefusesOutOfRangeTunables(t *testing.T) {
 
 func TestOptionsFromPCLErrors(t *testing.T) {
 	cfg, _ := mdl.Parse(`daemon d { command "x"; }`)
-	if _, err := OptionsFromPCL(cfg, "missing", Options{}); err == nil {
+	if _, err := OptionsFromPCL(cfg, "missing"); err == nil {
 		t.Error("missing daemon should error")
 	}
-	if _, err := OptionsFromPCL(cfg, "d", Options{}); err == nil ||
+	if _, err := OptionsFromPCL(cfg, "d"); err == nil ||
 		!strings.Contains(err.Error(), "mpi_implementation") {
 		t.Errorf("missing attribute should error, got %v", err)
 	}
@@ -115,7 +116,7 @@ func TestOptionsFromPCLUserMDLIsTheFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts, err := OptionsFromPCL(cfg, "pd_mpich", Options{Nodes: 1, CPUsPerNode: 1})
+	opts, err := OptionsFromPCL(cfg, "pd_mpich")
 	if err != nil || !strings.HasPrefix(opts.UserMDL, broken) {
 		t.Fatalf("UserMDL = %q, %v; want the file's text", opts.UserMDL, err)
 	}
@@ -123,7 +124,7 @@ func TestOptionsFromPCLUserMDLIsTheFile(t *testing.T) {
 		t.Errorf("NewSession = %v; want the file's line 17", err)
 	}
 	cfg, _ = mdl.Parse(`daemon d { mpi_implementation "MPICH2"; } tunable_constant { "PC_CPUThreshold" 0.2; }`)
-	if opts, err := OptionsFromPCL(cfg, "d", Options{}); err != nil || opts.UserMDL != "" || opts.Impl != mpi.MPICH2 {
+	if opts, err := OptionsFromPCL(cfg, "d"); err != nil || opts.UserMDL != "" || opts.Impl != mpi.MPICH2 {
 		t.Errorf("options = %+v, %v; want MPICH2 and no user MDL", opts, err)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"pperf/internal/daemon"
 	"pperf/internal/datasource"
@@ -11,6 +12,7 @@ import (
 	"pperf/internal/resource"
 	"pperf/internal/session"
 	"pperf/internal/sim"
+	"pperf/internal/wire"
 )
 
 // captureTransport keeps the resource updates a daemon ships instead of
@@ -80,5 +82,54 @@ func TestRosterReplaceReroutesEverything(t *testing.T) {
 	}
 	if !neu.Crashed() || old.Crashed() {
 		t.Errorf("crash-daemon hook: new crashed=%v old crashed=%v; want true and false", neu.Crashed(), old.Crashed())
+	}
+}
+
+// A drop-transport clause fired after a respawn lands on the live
+// incarnation's transport, in process and over TCP: node1's daemon is
+// respawned at about 137 ms, and the three control-channel drops armed at
+// 1 s are all consumed by its reports. Drops armed on the dead incarnation's
+// transport would never be consumed, and a counter read off it would stay 0.
+func TestDropTransportAfterRespawnReachesTheLiveIncarnation(t *testing.T) {
+	for _, useTCP := range []bool{false, true} {
+		t.Run(map[bool]string{false: "in-process", true: "tcp"}[useTCP], func(t *testing.T) {
+			plan, err := faults.Parse("restarts=2; t=100ms crash-daemon node1 restartable; t=1s drop-transport node1 n=3")
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := newTestSession(t, Options{Impl: mpi.LAM, Nodes: 2, CPUsPerNode: 1, Faults: plan, UseTCP: useTCP})
+			s.Register("pp", pingPong(300, 10*sim.Millisecond))
+			s.MustEnable("msgs_sent", resource.WholeProgram())
+			if err := s.Launch("pp", 2, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if s.Eng.Now() <= sim.Time(sim.Second) {
+				t.Fatalf("run ended at %v, before the drops at 1s", s.Eng.Now())
+			}
+			respawned := false
+			for _, line := range s.Injector.Log() {
+				at, what, _ := strings.Cut(line, " ")
+				if strings.HasPrefix(what, "supervisor: respawned daemon on node1 (incarnation 2)") {
+					d, err := time.ParseDuration(at)
+					respawned = err == nil && d < time.Second
+				}
+			}
+			if !respawned {
+				t.Fatalf("no respawn of node1 as incarnation 2 before 1s in the fault log:\n%s", strings.Join(s.Injector.Log(), "\n"))
+			}
+			ws := s.WireStats()
+			if got := ws[wire.ChanCtl].InjectedDrops; got != 3 {
+				t.Errorf("ctl InjectedDrops = %d, want 3", got)
+			}
+			if got := ws[wire.ChanBulk].InjectedDrops; got != 0 {
+				t.Errorf("bulk InjectedDrops = %d, want 0", got)
+			}
+			if got := s.FE.Coverage(); got != 1 {
+				t.Errorf("coverage = %.2f, want 1.00", got)
+			}
+		})
 	}
 }

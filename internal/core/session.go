@@ -79,14 +79,14 @@ type Session struct {
 	// Tracer is non-nil when tracing is armed (Options.Trace).
 	Tracer *trace.Tracer
 
-	// daemons is the roster of which daemon serves which node: the world's
-	// discovery hooks, the front end's fan-out and the fault hooks all read
-	// it, so a fault targeting a respawned node reaches the live incarnation.
-	daemons    *daemon.Registry
-	listener   *frontend.Listener
-	transports []*frontend.TCPTransport
-	inject     map[string]faults.Injectable // node name → live transport's injection points
-	launched   bool
+	// daemons is the roster of which daemon serves which node, each carrying
+	// its own transport: the world's discovery hooks, the front end's
+	// fan-out, the fault hooks, Close and WireStats all read it, so a fault
+	// targeting a respawned node reaches the live incarnation and its
+	// transport.
+	daemons  *daemon.Registry
+	listener *frontend.Listener
+	launched bool
 
 	// Respawn support (supervisor runs only).
 	dcfg daemon.Config
@@ -131,7 +131,13 @@ func NewSession(opts Options) (*Session, error) {
 
 	s := &Session{
 		Eng: eng, Spec: spec, World: world, FE: fe, Lib: lib, dcfg: dcfg, plan: plan,
-		inject: map[string]faults.Injectable{},
+		daemons: daemon.AttachAll(world, dcfg.Spawn),
+	}
+	fe.SetDaemons(s.daemons)
+	if opts.Trace != nil {
+		s.Tracer = trace.New(opts.Trace)
+		world.Tracer = s.Tracer
+		fe.EnableTrace()
 	}
 
 	if opts.UseTCP {
@@ -141,28 +147,10 @@ func NewSession(opts Options) (*Session, error) {
 		}
 		s.listener = l
 	}
-
-	var ds []*daemon.Daemon
 	for node := range spec.Nodes {
-		seed := wire.DefaultConfig().Seed
-		if plan != nil {
-			seed = plan.Seed + uint64(node) // per-daemon jitter streams
-		}
-		tr, err := s.newTransport(node, 1, seed)
-		if err != nil {
+		if _, err := s.startDaemon(node, 1); err != nil {
 			s.Close()
 			return nil, err
-		}
-		ds = append(ds, daemon.New(eng, node, spec.Nodes[node].Name, lib, tr, dcfg))
-	}
-	s.daemons = daemon.AttachAll(world, ds)
-	fe.SetDaemons(s.daemons)
-	if opts.Trace != nil {
-		s.Tracer = trace.New(opts.Trace)
-		world.Tracer = s.Tracer
-		fe.EnableTrace()
-		for _, d := range ds {
-			d.EnableTracing(s.Tracer)
 		}
 	}
 	installTagDiscovery(s)
@@ -226,8 +214,8 @@ func (s *Session) armFaults(plan *faults.Plan) {
 			}
 		},
 		DropTransport: func(node string, n int, ch string) {
-			if t := s.inject[node]; t != nil {
-				faults.ArmDrops(t, n, ch)
+			if d := s.daemons.Named(node); d != nil {
+				faults.ArmDrops(d.Transport().(faults.Injectable), n, ch)
 			}
 		},
 	})
@@ -240,76 +228,74 @@ func (s *Session) armFaults(plan *faults.Plan) {
 	}
 }
 
-// newTransport builds the transport of one daemon incarnation on node idx
-// and makes it the node's fault-injection target: over TCP a fresh dial to
-// the listener (control and bulk channels, fresh seq spaces, jitter drawn
-// from seed) replacing any previous incarnation's transport; in process the
-// front end itself, behind the injector's failure wrapper when a plan is
-// armed.
-func (s *Session) newTransport(idx, incarnation int, seed uint64) (daemon.Transport, error) {
+// startDaemon builds incarnation inc of node idx's daemon and puts it on the
+// roster in its predecessor's place, re-pointing world hooks, front-end
+// fan-out and fault hooks at it. Its transport is a fresh TCP dial (seq
+// spaces stamped with inc, jitter per node and incarnation) that closes the
+// predecessor's, or else the front end, behind the injector's failure wrapper
+// (so injectable, as a TCP one is) when a plan is armed. A failed dial leaves
+// the roster as it was.
+func (s *Session) startDaemon(idx, inc int) (*daemon.Daemon, error) {
 	node := s.Spec.Nodes[idx].Name
-	if s.listener == nil {
-		if s.plan == nil {
-			return s.FE, nil
+	var tr daemon.Transport = s.FE
+	switch {
+	case s.listener != nil:
+		cfg := wire.DefaultConfig()
+		if s.plan != nil {
+			cfg.Seed = s.plan.Seed + uint64(idx) // per node and, for a respawn, per incarnation
+			if inc > 1 {
+				cfg.Seed += uint64(inc) << 16
+			}
 		}
-		ft := faults.NewFlakyTransport(s.FE)
-		s.inject[node] = ft
-		return ft, nil
+		t, err := frontend.DialTransportRetry(s.listener.Addr(), daemon.NameFor(node), uint64(inc), cfg)
+		if err != nil {
+			return nil, err
+		}
+		if old := s.daemons.At(idx); old != nil {
+			closeTransport(old) // dead incarnation's channels: fail fast, free the sockets
+		}
+		tr = t
+	case s.plan != nil:
+		tr = faults.NewFlakyTransport(s.FE)
 	}
-	cfg := wire.DefaultConfig()
-	cfg.Seed = seed
-	t, err := frontend.DialTransportRetry(s.listener.Addr(), daemon.NameFor(node), uint64(incarnation), cfg)
-	if err != nil {
-		return nil, err
+	d := daemon.New(s.Eng, idx, node, s.Lib, tr, s.dcfg)
+	d.SetIncarnation(inc)
+	if s.Tracer != nil {
+		// Registering the fill hook also displaces a dead incarnation's, so
+		// shards resume on the new bulk channel.
+		d.EnableTracing(s.Tracer)
 	}
-	if idx < len(s.transports) {
-		s.transports[idx].Close() // dead incarnation's channels: fail fast, free the sockets
-		s.transports[idx] = t
-	} else {
-		s.transports = append(s.transports, t)
-	}
-	s.inject[node] = t
-	return t, nil
+	s.daemons.Replace(d)
+	return d, nil
 }
 
-// respawnDaemon is the supervisor's RespawnFunc: build a fresh daemon
-// incarnation for the node and re-attach it to the node's still-running
-// application processes. The previous incarnation is crashed first (a
-// supervisor kills a wedged process before starting its replacement), the
-// replacement gets its own transport stamped with the incarnation number
-// (fresh control and bulk channels, fresh seq spaces), and one Replace on
-// the roster re-points everything downstream — world hooks, front-end
-// fan-out, fault hooks — at the live incarnation. Adoption re-reports the
-// node's resources, which is what clears the front end's lost marks and
-// recovers Coverage. The supervisor starts the daemon itself after
-// resynchronization succeeds.
-func (s *Session) respawnDaemon(node string, incarnation int) (*daemon.Daemon, error) {
+// closeTransport closes d's transport if it is a TCP one.
+func closeTransport(d *daemon.Daemon) {
+	if t, ok := d.Transport().(*frontend.TCPTransport); ok {
+		t.Close()
+	}
+}
+
+// respawnDaemon is the supervisor's RespawnFunc: it crashes the node's
+// previous incarnation (a supervisor kills a wedged process before starting
+// its replacement), starts incarnation inc and re-attaches it to the node's
+// still-running application processes. Adoption re-reports the node's
+// resources, which is what clears the front end's lost marks and recovers
+// Coverage. The supervisor starts the daemon itself after resynchronization
+// succeeds.
+func (s *Session) respawnDaemon(node string, inc int) (*daemon.Daemon, error) {
 	old := s.daemons.Named(node)
 	if old == nil {
 		return nil, fmt.Errorf("core: respawn on unknown node %q", node)
 	}
 	old.Crash()
-	idx := old.Node()
-
-	// Own jitter stream per incarnation.
-	tr, err := s.newTransport(idx, incarnation, s.plan.Seed+uint64(idx)+uint64(incarnation)<<16)
+	d, err := s.startDaemon(old.Node(), inc)
 	if err != nil {
 		return nil, fmt.Errorf("core: respawn dial: %w", err)
 	}
-	d := daemon.New(s.Eng, idx, node, s.Lib, tr, s.dcfg)
-	d.SetIncarnation(incarnation)
-	if s.Tracer != nil {
-		// Re-arm trace streaming; registering the fill hook also displaces
-		// the dead incarnation's hook, so shards resume on the new bulk
-		// channel.
-		d.EnableTracing(s.Tracer)
-	}
-	s.daemons.Replace(d)
-
-	// Re-attach: adopt every application process on the node that is still
-	// running. Lost or finished ranks stay with their (retired) records.
+	// Lost or finished ranks stay with their (retired) records.
 	for _, r := range s.World.Ranks() {
-		if r.Node() == idx && !r.Lost() && !r.Finished() {
+		if r.Node() == d.Node() && !r.Lost() && !r.Finished() {
 			d.Adopt(r)
 		}
 	}
@@ -409,8 +395,8 @@ func (s *Session) flushTrace() {
 
 // Close releases TCP resources (no-op for in-process transport).
 func (s *Session) Close() {
-	for _, t := range s.transports {
-		t.Close()
+	for _, d := range s.daemons.All() {
+		closeTransport(d)
 	}
 	if s.listener != nil {
 		s.listener.Close()
@@ -418,10 +404,11 @@ func (s *Session) Close() {
 }
 
 // WireStats aggregates the session's wire-plane resilience counters per
-// channel (wire.ChanCtl, wire.ChanBulk). TCP sessions merge every daemon
-// transport's sender counters with the listener's receive-side dedupe
-// accounting; in-process fault runs have no wire, so they report their
-// injection points' drop counts. One uniform wire.Stats block per channel.
+// channel (wire.ChanCtl, wire.ChanBulk), reading each live daemon's transport
+// off the roster in node order. TCP sessions merge every daemon transport's
+// sender counters with the listener's receive-side dedupe accounting;
+// in-process fault runs have no wire, so they report their injection points'
+// drop counts. One uniform wire.Stats block per channel.
 func (s *Session) WireStats() map[string]wire.Stats {
 	out := map[string]wire.Stats{}
 	add := func(ch string, st wire.Stats) {
@@ -430,8 +417,13 @@ func (s *Session) WireStats() map[string]wire.Stats {
 		out[ch] = cur
 	}
 	for _, ch := range []string{wire.ChanCtl, wire.ChanBulk} {
-		for _, t := range s.transports {
-			add(ch, t.Stats(ch))
+		for _, d := range s.daemons.All() {
+			switch t := d.Transport().(type) {
+			case *frontend.TCPTransport:
+				add(ch, t.Stats(ch)) // never Injection(ChanBulk), which dials bulk
+			case *faults.FlakyTransport:
+				add(ch, wire.Stats{InjectedDrops: t.Injection(ch).Dropped()})
+			}
 		}
 		if s.listener != nil {
 			ls := s.listener.WireStats(ch)
@@ -439,13 +431,6 @@ func (s *Session) WireStats() map[string]wire.Stats {
 			// receiver-side accounting from the listener.
 			ls.Frames = 0
 			add(ch, ls)
-		}
-	}
-	if s.listener == nil {
-		for _, t := range s.inject {
-			for _, ch := range []string{wire.ChanCtl, wire.ChanBulk} {
-				add(ch, wire.Stats{InjectedDrops: t.Injection(ch).Dropped()})
-			}
 		}
 	}
 	return out

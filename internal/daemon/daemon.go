@@ -15,7 +15,8 @@ import (
 )
 
 // Daemon is one node's tool daemon. Create one per cluster node with New,
-// wire the set into the world with Attach, then start sampling with Start.
+// put each on the roster AttachAll wires into the world, then start sampling
+// with Start.
 type Daemon struct {
 	name     string
 	node     int
@@ -132,6 +133,9 @@ func (d *Daemon) EnableTracing(tr *trace.Tracer) {
 // Name returns the daemon's identity.
 func (d *Daemon) Name() string { return d.name }
 
+// Transport returns the transport the daemon reports through.
+func (d *Daemon) Transport() Transport { return d.tr }
+
 // Node returns the index of the cluster node the daemon serves.
 func (d *Daemon) Node() int { return d.node }
 
@@ -184,19 +188,19 @@ func (reg *Registry) Replace(d *Daemon) {
 	reg.ds = append(reg.ds, d)
 }
 
-// AttachAll wires a set of daemons (one per node) into the world's
-// resource-discovery hooks, including spawn support with the configured
-// method. Call once before launching programs. The hooks read through the
-// returned roster, so discovery events always reach a node's live
-// incarnation.
-func AttachAll(w *mpi.World, daemons []*Daemon) *Registry {
+// AttachAll wires the returned roster, holding daemons (at most one per
+// node; more join with Replace), into the world's resource-discovery hooks,
+// including spawn support with the given method. Call once before launching
+// programs. The hooks read through the roster, so discovery events always
+// reach a node's live incarnation.
+func AttachAll(w *mpi.World, spawn SpawnMethod, daemons ...*Daemon) *Registry {
 	reg := &Registry{}
 	for _, d := range daemons {
 		reg.Replace(d)
-		if d.cfg.Spawn == SpawnIntercept {
-			w.SpawnInterceptor = func(parent *mpi.Rank, maxprocs int) sim.Duration {
-				return sim.Duration(maxprocs) * interceptPerProc
-			}
+	}
+	if spawn == SpawnIntercept {
+		w.SpawnInterceptor = func(parent *mpi.Rank, maxprocs int) sim.Duration {
+			return sim.Duration(maxprocs) * interceptPerProc
 		}
 	}
 	hooks := &mpi.Hooks{

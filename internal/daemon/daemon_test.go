@@ -43,7 +43,7 @@ func rig(t *testing.T, impl mpi.ImplKind, cfg Config) (*sim.Engine, *mpi.World, 
 	for node := range spec.Nodes {
 		ds = append(ds, New(eng, node, spec.Nodes[node].Name, mdl.StdLib(), rec, cfg))
 	}
-	AttachAll(w, ds)
+	AttachAll(w, cfg.Spawn, ds...)
 	return eng, w, ds, rec
 }
 
@@ -302,7 +302,7 @@ func TestEachFunctionIsReportedOncePerAdoption(t *testing.T) {
 		ds = append(ds, New(eng, node, spec.Nodes[node].Name, mdl.StdLib(), recs[node], DefaultConfig()))
 		ds[node].DelayAttachUntil(sim.Time(100 * sim.Millisecond))
 	}
-	reg := AttachAll(w, ds)
+	reg := AttachAll(w, SpawnIntercept, ds...)
 	w.Register("p", func(r *mpi.Rank, _ []string) {
 		for i := 0; i < 12; i++ {
 			r.Call("app.c", fmt.Sprintf("f%d", i%6), func() { r.Compute(40 * sim.Millisecond) })
@@ -393,7 +393,7 @@ func TestSampleDeltasTelescopeToValues(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SampleInterval = 100 * sim.Millisecond
 	d := New(eng, 0, spec.Nodes[0].Name, lib, rec, cfg)
-	AttachAll(w, []*Daemon{d})
+	AttachAll(w, cfg.Spawn, d)
 	// Each call computes for 130 ms and then blocks for 40 ms inside the
 	// function, so every 100 ms tick but the first lands at a different
 	// phase of a call and the timers are running across most boundaries.

@@ -36,7 +36,7 @@ func tickRig(t *testing.T, rec *perfdb.StreamRecorder) *daemon.Daemon {
 		fe.SetRecorder(rec)
 	}
 	d := daemon.New(eng, 0, node, mdl.StdLib(), fe, daemon.DefaultConfig())
-	fe.SetDaemons(daemon.AttachAll(w, []*daemon.Daemon{d}))
+	fe.SetDaemons(daemon.AttachAll(w, daemon.SpawnIntercept, d))
 	w.Register("pp", func(r *mpi.Rank, _ []string) {
 		c := r.World()
 		for i := 0; i < 100; i++ {

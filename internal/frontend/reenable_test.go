@@ -46,7 +46,7 @@ func TestReEnableAfterDisableCollectsAgain(t *testing.T) {
 	for node := range spec.Nodes {
 		ds = append(ds, daemon.New(eng, node, spec.Nodes[node].Name, mdl.StdLib(), fe, daemon.DefaultConfig()))
 	}
-	roster := daemon.AttachAll(w, ds)
+	roster := daemon.AttachAll(w, daemon.SpawnIntercept, ds...)
 	fe.SetDaemons(roster)
 	w.Register("p", func(r *mpi.Rank, _ []string) {
 		c := r.World()

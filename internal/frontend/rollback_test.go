@@ -51,7 +51,7 @@ func TestEnableMetricRollsBackPartialEnable(t *testing.T) {
 	for node := range spec.Nodes {
 		ds = append(ds, daemon.New(eng, node, spec.Nodes[node].Name, libs[node], fe, daemon.DefaultConfig()))
 	}
-	fe.SetDaemons(daemon.AttachAll(w, ds))
+	fe.SetDaemons(daemon.AttachAll(w, daemon.SpawnIntercept, ds...))
 	w.Register("p", func(r *mpi.Rank, _ []string) {
 		c := r.World()
 		for i := 0; i < 50; i++ {

@@ -72,7 +72,7 @@ func TestReportStreamIdenticalAcrossTransports(t *testing.T) {
 		cfg := daemon.DefaultConfig()
 		cfg.Heartbeat = 50 * sim.Millisecond
 		d := daemon.New(eng, 0, node, mdl.StdLib(), tr, cfg)
-		fe.SetDaemons(daemon.AttachAll(w, []*daemon.Daemon{d}))
+		fe.SetDaemons(daemon.AttachAll(w, cfg.Spawn, d))
 		w.Register("pp", func(r *mpi.Rank, _ []string) {
 			c := r.World()
 			for i := 0; i < 40; i++ {

@@ -28,7 +28,7 @@ func TestSupervisorRetriesAfterResyncFailure(t *testing.T) {
 	for node := range spec.Nodes {
 		ds = append(ds, daemon.New(eng, node, spec.Nodes[node].Name, lib, fe, daemon.DefaultConfig()))
 	}
-	roster := daemon.AttachAll(w, ds)
+	roster := daemon.AttachAll(w, daemon.SpawnIntercept, ds...)
 	fe.SetDaemons(roster)
 	w.Register("busy", func(r *mpi.Rank, _ []string) {
 		r.Compute(2 * sim.Second)

@@ -47,8 +47,8 @@ func traceMeta(name string, args []probe.Arg) (peer string, tag, bytes int, obj 
 	case "MPI_Bcast":
 		// (buf, count, datatype, root, comm)
 		bytes = sized(1)
-	case "MPI_Reduce":
-		// (sendbuf, recvbuf, count, datatype, op, root, comm)
+	case "MPI_Reduce", "MPI_Allreduce":
+		// (sendbuf, recvbuf, count, datatype, op, [root,] comm)
 		bytes = sized(2)
 	}
 	for _, a := range args {

@@ -10,8 +10,8 @@ import (
 // traceMeta reads each call's arguments where its call site puts them: every
 // case of its switch, and two calls outside it, are run on two LAM ranks and
 // rank 0's (or rank 1's) first call of each is read back through traceMeta.
-// MPI_Reduce's count and datatype follow its two buffers; MPI_Allreduce has
-// the same shape but stays out of the switch, so its spans carry 0 bytes.
+// MPI_Reduce's and MPI_Allreduce's count and datatype follow their two
+// buffers.
 func TestTraceMetaReadsEveryCall(t *testing.T) {
 	w := newTestWorld(t, LAM, 2, 1)
 	got := map[string]string{}
@@ -81,7 +81,7 @@ func TestTraceMetaReadsEveryCall(t *testing.T) {
 		"0 MPI_Accumulate": `peer="1" tag=0 bytes=16 obj="win ` + win + `"`,
 		"0 MPI_Bcast":      `peer="" tag=0 bytes=24 obj="` + world + `"`,
 		"0 MPI_Reduce":     `peer="" tag=0 bytes=24 obj="` + world + `"`,
-		"0 MPI_Allreduce":  `peer="" tag=0 bytes=0 obj="` + world + `"`,
+		"0 MPI_Allreduce":  `peer="" tag=0 bytes=24 obj="` + world + `"`,
 		"0 MPI_Win_fence":  `peer="" tag=0 bytes=0 obj="win ` + win + `"`,
 	}
 	for key, w := range want {

@@ -184,7 +184,7 @@ func Run(name string, opt RunOptions) (*Result, error) {
 	defer s.Close()
 
 	res.Session, res.Source = s, s.FE
-	if res.Unsupported = unsupported(entry, s.World.Impl); res.Unsupported == nil {
+	if res.Unsupported = entry.Unsupported(s.World.Impl); res.Unsupported == nil {
 		s.Register(name, prog)
 		if err := enableVerification(s.FE, entry, res); err != nil {
 			return nil, err
@@ -213,16 +213,16 @@ func Run(name string, opt RunOptions) (*Result, error) {
 	return res, nil
 }
 
-// unsupported is the error for a program entry the personality impl cannot
-// run at all, or nil. The spawn-based programs need dynamic process creation,
-// as §5.2.2 notes (the paper uses only LAM for them); passive-target
-// programs were unimplementable in 2004 and run only under the Reference
-// personality (§5.2.1.1).
-func unsupported(entry *Entry, impl *mpi.Impl) error {
+// Unsupported is the error for a program the personality impl cannot run at
+// all, or nil. The spawn-based programs need dynamic process creation, as
+// §5.2.2 notes (the paper uses only LAM for them); passive-target programs
+// were unimplementable in 2004 and run only under the Reference personality
+// (§5.2.1.1).
+func (e *Entry) Unsupported(impl *mpi.Impl) error {
 	switch {
-	case entry.Defaults.Children > 0 && !impl.SupportsSpawn:
+	case e.Defaults.Children > 0 && !impl.SupportsSpawn:
 		return &mpi.ErrUnsupported{Impl: impl.Kind, Feature: "dynamic process creation"}
-	case entry.NeedsPassive && !impl.SupportsPassiveTarget:
+	case e.NeedsPassive && !impl.SupportsPassiveTarget:
 		return &mpi.ErrUnsupported{Impl: impl.Kind, Feature: "passive target synchronization"}
 	}
 	return nil

@@ -80,7 +80,7 @@ func (c *cell) run() error {
 		return err
 	}
 	defer s.Close()
-	if pperfmark.Get(c.program).Defaults.Children > 0 && !s.World.Impl.SupportsSpawn || pperfmark.Get(c.program).NeedsPassive && !s.World.Impl.SupportsPassiveTarget {
+	if pperfmark.Get(c.program).Unsupported(s.World.Impl) != nil {
 		c.unsupported = true
 		return nil
 	}
