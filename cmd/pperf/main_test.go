@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"pperf/internal/packed"
 	"pperf/internal/perfdb"
 	"pperf/internal/pperfmark"
 	"pperf/internal/sim"
@@ -38,6 +37,10 @@ func TestCLIExitCodes(t *testing.T) {
 	}
 	v1 := write("old.pparch", "PPARCH\x1f\xff\x81\x03\x01\x01\x06Header")
 	ppdba1 := filepath.Join("..", "..", "internal", "perfdb", "testdata", "traced_gob_shards.ppdb")
+	// An archive of event-schema version 1, alone and stored as a store's
+	// one run.
+	schemaV1 := filepath.Join("..", "..", "internal", "perfdb", "testdata", "schema_v1_extra.ppdb")
+	v1Store := filepath.Join(dir, "v1-store")
 	garbage := write("garbage.ppdb", "definitely not an archive")
 	empty := filepath.Join(dir, "empty.ppdb") // a valid archive of an eventless run
 	if rec, err := perfdb.NewStreamRecorder(empty); err != nil || rec.Close() != nil {
@@ -75,6 +78,13 @@ func TestCLIExitCodes(t *testing.T) {
 		t.Fatal(err)
 	} else if _, err := pperfmark.Run("random-barrier", pperfmark.RunOptions{Params: pperfmark.Params{Iterations: 40}, Record: nanosecondSink{rec}}); err != nil || rec.Close() != nil {
 		t.Fatalf("recording %s: %v", nanosecondRecord, err)
+	}
+	if st, err := perfdb.Open(v1Store); err != nil {
+		t.Fatal(err)
+	} else if m, err := st.AddFile(empty, perfdb.AddMeta{}); err != nil {
+		t.Fatal(err)
+	} else if data, err := os.ReadFile(schemaV1); err != nil || os.WriteFile(st.RunPath(m.ID), data, 0o644) != nil {
+		t.Fatalf("storing %s: %v", schemaV1, err)
 	}
 	bracesInMDL := write("braces-in-mdl.pcl", strings.Replace(string(pclText), `"PMPI_Barrier" };`, `"PMPI_Barrier", "no}such{fn" }; // a } ends no block`, 1))
 
@@ -124,6 +134,9 @@ func TestCLIExitCodes(t *testing.T) {
 		{"db add of a retired v1 archive", []string{"db", "-store", store, "add", v1}, 1, "v1 PPARCH archive format retired"},
 		{"replay of a retired PPDBA1 archive", []string{"-replay", ppdba1}, 1, "pperf: perfdb: PPDBA1 archive format retired; re-record the run"},
 		{"replay of garbage", []string{"-replay", garbage}, 1, "not a pperf session archive"},
+		{"replay of a schema version 1 archive", []string{"-replay", schemaV1}, 1, "pperf: perfdb: archive event-schema version 1; this build reads version 2"},
+		{"db add of a schema version 1 archive", []string{"db", "-store", store, "add", schemaV1}, 1, "perfdb: archive event-schema version 1; this build reads version 2"},
+		{"db show of a schema version 1 archive", []string{"db", "-store", v1Store, "show", "r0001"}, 1, "perfdb: archive event-schema version 1; this build reads version 2"},
 		{"replay of a run without the Consultant", []string{"-replay", noPC}, 0, ""},
 		{"replay of a run description with a 1 ns evaluation interval", []string{"-replay", nanosecondRecord}, 1, "pperfmark: corrupt run description"},
 		{"db add of a run description with a 1 ns evaluation interval", []string{"db", "-store", filepath.Join(dir, "nanosecond-store"), "add", nanosecondRecord}, 0,
@@ -207,22 +220,16 @@ func TestCLIExitCodes(t *testing.T) {
 	}
 }
 
-// nanosecondSink records through its recorder, but the run description it
-// stamps sets the evaluation interval to 1 ns: the twelfth zigzag field
-// after the program's and the Unsupported text's dictionary indexes
-// (internal/pperfmark/replay.go's packRun).
+// nanosecondSink records through its recorder, but the run record it stamps
+// sets the evaluation interval to 1 ns (the pc-eval pair of
+// internal/pperfmark/replay.go's stampRun).
 type nanosecondSink struct{ *perfdb.StreamRecorder }
 
-func (s nanosecondSink) SetExtra(b []byte) {
-	r, _ := packed.Open(nil, b, "run description", 1)
-	r.Uvarint()
-	r.Uvarint()
-	for range 11 {
-		r.Varint()
+func (s nanosecondSink) SetMeta(k, v string) {
+	if k == "pc-eval" {
+		v = "1"
 	}
-	at := r.Pos
-	r.Varint()
-	s.StreamRecorder.SetExtra(slices.Concat(b[:at], binary.AppendVarint(nil, 1), b[r.Pos:]))
+	s.StreamRecorder.SetMeta(k, v)
 }
 
 // A crashed run's archive replays. Cut a recorded small-messages archive
@@ -322,13 +329,17 @@ func buildPperf(t *testing.T, dir string) string {
 	return bin
 }
 
+// storeSetup records the run the store rows of TestCLIOutputIsGolden read.
+var storeSetup = []string{"-prog", "allcount", "-seed", "7", "-db", "S"}
+
 // TestCLIOutputIsGolden pins the stdout of one run per mode byte for byte
 // against testdata/NAME.stdout (a NAME.stderr row pins stderr instead). Each
-// runs in an empty directory, so a path the output prints is the one given.
-// A change that means to move one regenerates it there with the row's
-// arguments and `> testdata/NAME.stdout` (`2> testdata/NAME.stderr`, then
-// the binary's path replaced by pperf; the pcl row reads
-// ../../testdata/example.pcl from cmd/pperf).
+// runs in an empty directory, where a row that reads store S first runs
+// storeSetup, so a path the output prints is the one given. A change that
+// means to move one regenerates it there with the row's arguments (after
+// storeSetup for a store row) and `> testdata/NAME.stdout`
+// (`2> testdata/NAME.stderr`, then the binary's path replaced by pperf; the
+// pcl row reads ../../testdata/example.pcl from cmd/pperf).
 func TestCLIOutputIsGolden(t *testing.T) {
 	pcl, err := filepath.Abs(filepath.Join("..", "..", "testdata", "example.pcl"))
 	if err != nil {
@@ -352,6 +363,10 @@ func TestCLIOutputIsGolden(t *testing.T) {
 		{"db diff usage", "db-help-diff.stdout", []string{"db", "help", "diff"}},
 		{"db push usage", "db-help-push.stdout", []string{"db", "help", "push"}},
 		{"db pull usage", "db-help-pull.stdout", []string{"db", "help", "pull"}},
+		// What a store S holding one recorded run prints of it: its index
+		// line, then its folded view.
+		{"db list", "db-list.stdout", []string{"db", "-store", "S", "list"}},
+		{"db show", "db-show.stdout", []string{"db", "-store", "S", "show", "r0001"}},
 		// The run-mode usage `-h` prints on stderr, with the binary's path
 		// written as pperf.
 		{"usage", "usage.stderr", []string{"-h"}},
@@ -361,9 +376,17 @@ func TestCLIOutputIsGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			dir := t.TempDir()
+			if slices.Contains(tc.args, "S") {
+				setup := exec.Command(bin, storeSetup...)
+				setup.Dir = dir
+				if out, err := setup.CombinedOutput(); err != nil {
+					t.Fatalf("pperf %q: %v\n%s", storeSetup, err, out)
+				}
+			}
 			var stdout, stderr bytes.Buffer
 			cmd := exec.Command(bin, tc.args...)
-			cmd.Dir = t.TempDir()
+			cmd.Dir = dir
 			cmd.Stdout, cmd.Stderr = &stdout, &stderr
 			if err := cmd.Run(); err != nil {
 				t.Fatal(err)

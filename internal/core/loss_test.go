@@ -28,7 +28,6 @@ func (a *archiveSink) Record(ev session.Event) {
 }
 func (*archiveSink) SetHistogram(int, sim.Duration) {}
 func (*archiveSink) SetMeta(string, string)         {}
-func (*archiveSink) SetExtra([]byte)                {}
 
 func TestSpanLossIsConserved(t *testing.T) {
 	const lossy = "t=5ms drop-transport node0 n=6 chan=bulk; t=20ms hang-daemon node1 for=100ms; "

@@ -33,7 +33,6 @@ func (c *captureSink) Record(ev session.Event) {
 }
 func (c *captureSink) SetHistogram(int, sim.Duration) {}
 func (c *captureSink) SetMeta(string, string)         {}
-func (c *captureSink) SetExtra([]byte)                {}
 func (c *captureSink) count(k session.EventKind) (n int) {
 	for i := range c.events {
 		if c.events[i].Kind == k {

@@ -29,7 +29,6 @@ func (s *eventSink) Record(ev session.Event) {
 }
 func (s *eventSink) SetHistogram(int, sim.Duration) {}
 func (s *eventSink) SetMeta(string, string)         {}
-func (s *eventSink) SetExtra([]byte)                {}
 
 func TestReEnableAfterDisableCollectsAgain(t *testing.T) {
 	limited, err := mdl.CompileSource(limitedMDL)

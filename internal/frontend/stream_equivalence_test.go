@@ -43,7 +43,6 @@ func (c *captureSink) Record(ev session.Event) {
 }
 func (c *captureSink) SetHistogram(int, sim.Duration) {}
 func (c *captureSink) SetMeta(string, string)         {}
-func (c *captureSink) SetExtra([]byte)                {}
 func (c *captureSink) EventCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -69,25 +69,40 @@ const MaxInterned = 4096
 // connection, one export: every dictionary entry of every blob opened with
 // it resolves through it, so everything the reader decodes shares one copy
 // of each name, and a blob whose strings it has met allocates nothing for
-// them (a map lookup keyed by string(b) does not materialise the string).
+// them (a map lookup keyed by string(b) does not materialise the string);
+// the strings a blob brings share one allocation.
 // The zero value is ready to use, by one goroutine at a time.
 type Table struct {
 	strs map[string]string
 	dict []string // the current blob's dictionary, reused
 }
 
-func (t *Table) intern(b []byte) string {
-	if s, ok := t.strs[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	if len(t.strs) < MaxInterned {
-		if t.strs == nil {
-			t.strs = map[string]string{}
+// resolve sets t.dict to the n entries of dict, a blob's dictionary bytes
+// (each entry its uvarint length, then its bytes), Open has bounds-checked.
+// The entries the table lacks share one new string, so a blob's dictionary
+// costs at most one allocation.
+func (t *Table) resolve(dict []byte, n uint64) {
+	var all string
+	t.dict = t.dict[:0]
+	for pos := 0; uint64(len(t.dict)) < n; {
+		l, w := binary.Uvarint(dict[pos:])
+		pos += w
+		s, ok := t.strs[string(dict[pos:pos+int(l)])]
+		if !ok {
+			if all == "" {
+				all = string(dict)
+			}
+			s = all[pos : pos+int(l)]
+			if len(t.strs) < MaxInterned {
+				if t.strs == nil {
+					t.strs = map[string]string{}
+				}
+				t.strs[s] = s
+			}
 		}
-		t.strs[s] = s
+		t.dict = append(t.dict, s)
+		pos += int(l)
 	}
-	return s
 }
 
 // Reader reads one blob. Every read is bounds-checked and the first failure
@@ -156,22 +171,18 @@ func Open(t *Table, data []byte, what string, minRecord int) (r Reader, n int) {
 	if n64 > uint64(len(data)/minRecord) {
 		r.Fail("%d records in %d bytes", n64, len(data))
 	}
-	if t != nil {
-		r.Dict = t.dict[:0]
-	}
+	start := r.Pos
 	for ; r.dictLen < dictLen && r.Err == nil; r.dictLen++ {
 		l := r.Uvarint()
 		if l > uint64(len(data)-r.Pos) {
 			r.Fail("dictionary entry %d overruns input", r.dictLen)
 			break
 		}
-		if t != nil {
-			r.Dict = append(r.Dict, t.intern(data[r.Pos:r.Pos+int(l)]))
-		}
 		r.Pos += int(l)
 	}
-	if t != nil {
-		t.dict = r.Dict
+	if t != nil && r.Err == nil {
+		t.resolve(data[start:r.Pos], dictLen)
+		r.Dict = t.dict
 	}
 	if r.Err != nil {
 		n64 = 0 // nothing to allocate for

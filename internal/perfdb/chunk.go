@@ -42,8 +42,8 @@ import (
 // cut mid-write loads as a Truncated archive holding the complete-chunk
 // prefix (the trailer doubles as the completeness mark). The final header
 // lives in the trailer because a *streaming* writer does not know all of
-// Meta/Extra — the live-only facts pperfmark stamps at the end of the run —
-// until the recording finishes.
+// Meta — the live-only facts pperfmark stamps at the end of the run — until
+// the recording finishes.
 var chunkMagic = []byte("PPDBA2")
 
 // ErrRetiredFormat is wrapped by the error for an archive in a retired format.
@@ -65,7 +65,6 @@ const maxChunkPayload = 1 << 30
 //	packed head: uvarint nMeta, the dictionary of Meta's keys and values
 //	zigzag Version, NumEvents, NumBins, BinWidth, event chunks (0 in 'H')
 //	nMeta pairs in key order: uvarint key index, value index
-//	uvarint len(Extra), Extra
 func appendHeader(out []byte, w *packed.Writer, h session.Header, chunks int) []byte {
 	w.Reset()
 	keys := make([]string, 0, len(h.Meta))
@@ -83,12 +82,12 @@ func appendHeader(out []byte, w *packed.Writer, h session.Header, chunks int) []
 	for _, r := range w.Recs {
 		out = binary.AppendUvarint(binary.AppendUvarint(out, r[0]), r[1])
 	}
-	out = binary.AppendUvarint(out, uint64(len(h.Extra)))
-	return append(out, h.Extra...)
+	return out
 }
 
 // readHeader decodes the header record in the current payload through the
-// scan's string table; what heads its errors.
+// scan's string table; what heads its errors. A record of another version is
+// refused as that, before anything its layout may differ in is read.
 func (s *archiveScan) readHeader(what string) (h session.Header, chunks int, err error) {
 	c, n := packed.Open(&s.up.Table, s.payload, what, 2)
 	var x [5]int64
@@ -96,6 +95,9 @@ func (s *archiveScan) readHeader(what string) (h session.Header, chunks int, err
 		x[i] = c.Varint()
 	}
 	h = session.Header{Version: int(x[0]), NumEvents: int(x[1]), NumBins: int(x[2]), BinWidth: sim.Duration(x[3])}
+	if c.Err == nil && h.Version != session.Version {
+		return h, 0, fmt.Errorf("perfdb: archive event-schema version %d; this build reads version %d", h.Version, session.Version)
+	}
 	if n > 0 {
 		h.Meta = make(map[string]string, n)
 	}
@@ -105,12 +107,6 @@ func (s *archiveScan) readHeader(what string) (h session.Header, chunks int, err
 			c.Fail("duplicate meta key %q", k)
 		}
 		h.Meta[k] = v
-	}
-	if l := c.Uvarint(); l > uint64(len(c.Data)-c.Pos) {
-		c.Fail("Extra of %d bytes at byte %d overruns input", l, c.Pos)
-	} else if l > 0 {
-		h.Extra = bytes.Clone(c.Data[c.Pos : c.Pos+int(l)]) // the payload is scratch
-		c.Pos += int(l)
 	}
 	return h, int(x[4]), c.Close()
 }
@@ -621,9 +617,6 @@ func (s *archiveScan) frame(visit func(*session.Event)) (done bool, err error) {
 		if s.header, _, err = s.readHeader("perfdb: corrupt archive header"); err != nil {
 			return false, err
 		}
-		if s.header.Version != session.Version {
-			return false, fmt.Errorf("perfdb: archive event-schema version %d; this build reads version %d", s.header.Version, session.Version)
-		}
 	case chunkEvents:
 		if !gotHeader {
 			return false, errors.New("perfdb: corrupt archive: events before the header chunk")
@@ -643,9 +636,6 @@ func (s *archiveScan) frame(visit func(*session.Event)) (done bool, err error) {
 		}
 		if chunks != s.chunks {
 			return false, fmt.Errorf("perfdb: corrupt archive: trailer declares %d event chunks, read %d", chunks, s.chunks)
-		}
-		if h.Version != session.Version {
-			return false, fmt.Errorf("perfdb: archive event-schema version %d; this build reads version %d", h.Version, session.Version)
 		}
 		s.header = h
 		// Anything after the trailer means the file was appended to

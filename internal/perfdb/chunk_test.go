@@ -47,7 +47,6 @@ func syntheticArchive(rng *rand.Rand, nEvents int) *session.Archive {
 		NumBins:  100,
 		BinWidth: 50 * sim.Millisecond,
 		Meta:     map[string]string{"program": "synthetic", "seed": "1"},
-		Extra:    []byte("opaque harness payload"),
 	}}
 	focus := resource.Focus{CodePath: "/Code", MachinePath: "/Machine", SyncPath: "/SyncObject"}
 	a.Events = append(a.Events,
@@ -354,22 +353,22 @@ func gobSection(t testing.TB, rest []session.Event) []byte {
 }
 
 // rawHeader builds a header record by hand, for what appendHeader cannot
-// write: the Meta pairs as given (a key twice, say) and Extra's declared
-// length apart from the bytes that follow it.
-func rawHeader(pairs [][2]string, extraLen int, tail []byte) []byte {
+// write: the Meta pairs as given (a key twice, say), any version, and bytes
+// after the pairs.
+func rawHeader(pairs [][2]string, version int64, tail []byte) []byte {
 	var w packed.Writer
 	w.Reset()
 	for _, p := range pairs {
 		w.Recs = append(w.Recs, [5]uint64{w.Intern(p[0]), w.Intern(p[1])})
 	}
 	out := w.Head(nil, len(pairs))
-	for _, x := range []int64{session.Version, 0, 100, int64(50 * sim.Millisecond), 0} {
+	for _, x := range []int64{version, 0, 100, int64(50 * sim.Millisecond), 0} {
 		out = binary.AppendVarint(out, x)
 	}
 	for _, r := range w.Recs {
 		out = binary.AppendUvarint(binary.AppendUvarint(out, r[0]), r[1])
 	}
-	return append(binary.AppendUvarint(out, uint64(extraLen)), tail...)
+	return append(out, tail...)
 }
 
 // readBothWays runs data through the collecting reader and through the
@@ -434,9 +433,15 @@ func TestCorruptArchivesFailTheSameEverywhere(t *testing.T) {
 		{"bad magic", cat([]byte("NOTFMT"), full[6:]), "bad magic"},
 		{"retired magic", cat([]byte("PPARCH"), full[6:]), "v1 PPARCH archive format retired"},
 		{"retired PPDBA1 magic", cat([]byte("PPDBA1"), full[6:]), "PPDBA1 archive format retired"},
-		{"duplicate meta key", cat(magic, testFrame(chunkHeader, rawHeader([][2]string{{"seed", "1"}, {"seed", "2"}}, 0, nil))), `corrupt archive header: duplicate meta key "seed"`},
-		{"extra overruns", cat(magic, testFrame(chunkHeader, rawHeader(nil, 9, []byte("payload")))), "corrupt archive header: Extra of 9 bytes at byte 12 overruns input"},
-		{"header trailing bytes", cat(magic, testFrame(chunkHeader, rawHeader(nil, 0, []byte{0})), events, trail), "corrupt archive header: 1 trailing bytes"},
+		{"duplicate meta key", cat(magic, testFrame(chunkHeader, rawHeader([][2]string{{"seed", "1"}, {"seed", "2"}}, session.Version, nil))), `corrupt archive header: duplicate meta key "seed"`},
+		// A current header with the Extra tail version 1 wrote (its length,
+		// here overrunning the input) has bytes left over.
+		{"extra overruns", cat(magic, testFrame(chunkHeader, rawHeader(nil, session.Version, append([]byte{9}, "payload"...)))), "corrupt archive header: 8 trailing bytes"},
+		{"header trailing bytes", cat(magic, testFrame(chunkHeader, rawHeader(nil, session.Version, []byte{0})), events, trail), "corrupt archive header: 1 trailing bytes"},
+		// A version 1 header is refused by its version, not by the Extra
+		// payload this version does not read.
+		{"version 1 header with its Extra", cat(magic, testFrame(chunkHeader, rawHeader([][2]string{{"seed", "1"}}, 1, append([]byte{7}, "payload"...))), events, trail),
+			"perfdb: archive event-schema version 1; this build reads version 2"},
 		{"trailer trailing bytes", cat(magic, header, events, testFrame(chunkTrailer, append(trailerOf(40, 1), 0))), "corrupt archive trailer: 1 trailing bytes"},
 		{"duplicate header", cat(magic, header, header, events, trail), "duplicate header chunk"},
 		{"events before header", cat(magic, events, trail), "events before the header chunk"},

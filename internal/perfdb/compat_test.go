@@ -23,22 +23,24 @@ import (
 // bytes to the path.
 const formatGolden = "testdata/format_v2.ppdb"
 
-// The two archives a retired format wrote, kept so that loading one stays a
+// The archives an older format wrote, kept so that loading one stays a
 // refusal: compatFixture, a traced PPDBA1 archive from before trace shards
 // were packed (its 'E' chunks carry flags 0 and 1, the shards in a gob
 // section), and gobRestFixture, one from before the rest of the event kinds
-// were (flags 0, 1 and 2). Both have gob headers and trailers.
+// were (flags 0, 1 and 2), both with gob headers and trailers; and
+// schemaV1Fixture, WriteArchive(compatArchive()) at event-schema version 1,
+// whose header records end in the opaque Extra payload a harness once set.
 const (
-	compatFixture  = "testdata/traced_gob_shards.ppdb"
-	gobRestFixture = "testdata/gob_rest_events.ppdb"
+	compatFixture   = "testdata/traced_gob_shards.ppdb"
+	gobRestFixture  = "testdata/gob_rest_events.ppdb"
+	schemaV1Fixture = "testdata/schema_v1_extra.ppdb"
 )
 
 // compatArchive is the session the fixture holds: every event kind, traced.
 func compatArchive() *session.Archive {
 	a := &session.Archive{Header: session.Header{
 		Version: session.Version, NumBins: 100, BinWidth: 50 * sim.Millisecond,
-		Meta:  map[string]string{"program": "compat", "seed": "7"},
-		Extra: []byte("opaque harness payload"),
+		Meta: map[string]string{"program": "compat", "seed": "7", "runtime": "1250000000"},
 	}}
 	whole := resource.WholeProgram()
 	ms := func(n int) sim.Time { return sim.Time(n) * sim.Time(sim.Millisecond) }
@@ -117,7 +119,7 @@ func replayed(t *testing.T, a *session.Archive) string {
 }
 
 // The format is pinned byte for byte: WriteArchive of a session with every
-// event kind, trace shards, Meta and Extra reproduces the checked-in file, in
+// event kind, trace shards and Meta reproduces the checked-in file, in
 // any process — nothing in the encoding depends on the order a process met
 // its types or its map keys — and the file loads and replays as that session.
 func TestFormatGolden(t *testing.T) {
@@ -146,17 +148,29 @@ func TestFormatGolden(t *testing.T) {
 	}
 }
 
-// An archive a retired format wrote is refused, and says so: nothing decodes
-// a gob header, trailer or event section any more.
+// An archive an older format wrote is refused, and says so: nothing decodes
+// a gob header, trailer or event section any more, and an archive of another
+// event-schema version is refused by its version before its header's layout
+// is trusted.
 func TestRetiredArchivesAreRefused(t *testing.T) {
-	for _, path := range []string{compatFixture, gobRestFixture} {
-		t.Run(strings.TrimSuffix(filepath.Base(path), ".ppdb"), func(t *testing.T) {
-			_, err := LoadAny(path)
-			if !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), "PPDBA1 archive format retired; re-record the run") {
-				t.Fatalf("LoadAny(%s): %v, want the retired PPDBA1 format named", path, err)
+	for _, tc := range []struct {
+		path, want string
+		retired    bool
+	}{
+		{compatFixture, "perfdb: PPDBA1 archive format retired; re-record the run", true},
+		{gobRestFixture, "perfdb: PPDBA1 archive format retired; re-record the run", true},
+		{schemaV1Fixture, "perfdb: archive event-schema version 1; this build reads version 2", false},
+	} {
+		t.Run(strings.TrimSuffix(filepath.Base(tc.path), ".ppdb"), func(t *testing.T) {
+			_, err := LoadAny(tc.path)
+			if err == nil || errors.Is(err, ErrRetiredFormat) != tc.retired || !strings.HasPrefix(err.Error(), tc.want) {
+				t.Fatalf("LoadAny(%s): %v, want %q", tc.path, err, tc.want)
 			}
-			if _, verr := scanFile(path, nil); verr == nil || verr.Error() != err.Error() {
-				t.Errorf("verifying %s: %v, loading it: %v", path, verr, err)
+			if _, verr := scanFile(tc.path, nil); verr == nil || verr.Error() != err.Error() {
+				t.Errorf("verifying %s: %v, loading it: %v", tc.path, verr, err)
+			}
+			if _, oerr := openRun(tc.path, RunMeta{}); oerr == nil || oerr.Error() != err.Error() {
+				t.Errorf("folding %s: %v, loading it: %v", tc.path, oerr, err)
 			}
 		})
 	}

@@ -31,9 +31,10 @@ func FuzzChunkDecoder(f *testing.F) {
 		f.Add(mut)
 		f.Add(buf.Bytes()[:buf.Len()/2])
 	}
-	// Every event kind, traced, under Meta and Extra; the bare magic; and the
-	// retired formats, which must be refused: the PPDBA1 magic in front of a
-	// current archive, the two PPDBA1 fixtures, the v1 magic.
+	// Every event kind, traced, under Meta; the bare magic; and the retired
+	// formats, which must be refused: the PPDBA1 magic in front of a current
+	// archive, the two PPDBA1 fixtures, the v1 magic; and an archive of
+	// event-schema version 1.
 	var every bytes.Buffer
 	if err := WriteArchive(&every, compatArchive()); err != nil {
 		f.Fatal(err)
@@ -48,6 +49,9 @@ func FuzzChunkDecoder(f *testing.F) {
 		}
 	}
 	f.Add([]byte("PPARCH\x1f\xff\x81\x03\x01\x01\x06Header")) // retired v1 magic + a gob prefix
+	if old, err := os.ReadFile(schemaV1Fixture); err == nil {
+		f.Add(old)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := readBothWays(t, data)
 		if err != nil {

@@ -358,7 +358,7 @@ func TestDeclaredPayloadIsNotPreallocated(t *testing.T) {
 // at most the scan's first 64 KiB payload buffer, when no spare one is left.
 func TestForgedEventCountIsBounded(t *testing.T) {
 	const forged = 1 << 16
-	head := append(append([]byte(nil), chunkMagic...), testFrame(chunkHeader, rawHeader(nil, 0, nil))...)
+	head := append(append([]byte(nil), chunkMagic...), testFrame(chunkHeader, rawHeader(nil, session.Version, nil))...)
 	overclaim := append(binary.AppendUvarint(nil, forged), make([]byte, 8)...)
 	pastEOF := testFrame(chunkEvents, append(binary.AppendUvarint(nil, forged), make([]byte, 2*forged)...))
 	for _, c := range []struct {

@@ -10,11 +10,13 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"pperf/internal/session"
+	"pperf/internal/sim"
 )
 
 // A Store is a directory of compacted run archives plus a metadata index:
@@ -338,6 +340,11 @@ func (st *Store) admitLocked(in admission) (RunMeta, string, error) {
 		Program: h["program"], Impl: h["impl"], Seed: h["seed"], Procs: h["procs"],
 		Nodes: h["nodes"], Faults: h["faults"], Runtime: h["runtime"],
 		Events: in.events, Truncated: in.truncated, Bytes: size, Hash: hash,
+	}
+	// The header records the run time in nanoseconds; the index lists it as
+	// the run's report prints it.
+	if ns, err := strconv.ParseInt(m.Runtime, 10, 64); err == nil {
+		m.Runtime = sim.Time(ns).String()
 	}
 	st.dropReservationLocked(id)
 	st.index.Runs = append(st.index.Runs, m)

@@ -539,7 +539,7 @@ func TestAddFileStoresTheFilesBytes(t *testing.T) {
 	}
 	want := RunMeta{ID: "r0001", Label: "as-recorded", Verdict: "sync=true(0.9)", Events: len(a.Events), Bytes: int64(len(file)), Hash: m.Hash,
 		Program: a.Header.Meta["program"], Impl: a.Header.Meta["impl"], Seed: a.Header.Meta["seed"], Procs: a.Header.Meta["procs"],
-		Nodes: a.Header.Meta["nodes"], Faults: a.Header.Meta["faults"], Runtime: a.Header.Meta["runtime"]}
+		Nodes: a.Header.Meta["nodes"], Faults: a.Header.Meta["faults"], Runtime: "1.250s"} // the header's nanoseconds, as a report prints them
 	if m != want {
 		t.Errorf("index entry:\n got %+v\nwant %+v", m, want)
 	}

@@ -69,15 +69,6 @@ func (r *StreamRecorder) SetMeta(k, v string) {
 	r.header.Meta[k] = v
 }
 
-// SetExtra stores the harness's opaque run description, written with the
-// trailer — and, set before the first event, in the header chunk a crashed
-// run's archive replays from.
-func (r *StreamRecorder) SetExtra(b []byte) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.header.Extra = b
-}
-
 // EventCount returns the number of events recorded so far.
 func (r *StreamRecorder) EventCount() int {
 	r.mu.Lock()

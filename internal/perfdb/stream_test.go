@@ -29,7 +29,7 @@ func TestStreamRecorderBoundedMemory(t *testing.T) {
 		t.Errorf("peak buffered events %d exceeds chunk size %d over a %d-event run", got, chunk, len(src.Events))
 	}
 	rec.SetMeta("program", "synthetic")
-	rec.SetExtra([]byte("payload"))
+	rec.SetMeta("fault-log", "one\ntwo")
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +46,8 @@ func TestStreamRecorderBoundedMemory(t *testing.T) {
 	}
 	want := &session.Archive{Header: got.Header, Events: src.Events}
 	archivesEquivalent(t, want, got)
-	if got.Header.Meta["program"] != "synthetic" || string(got.Header.Extra) != "payload" {
-		t.Errorf("finalized header lost Meta/Extra: %+v", got.Header)
+	if got.Header.Meta["program"] != "synthetic" || got.Header.Meta["fault-log"] != "one\ntwo" {
+		t.Errorf("finalized header lost Meta: %+v", got.Header)
 	}
 }
 

@@ -49,12 +49,6 @@ func (s tee) SetMeta(k, v string) {
 	}
 }
 
-func (s tee) SetExtra(b []byte) {
-	for _, k := range s {
-		k.SetExtra(b)
-	}
-}
-
 // cell is one recorded run: a program under run options, streamed through a
 // tee into one recorder per chunk size (0 = the default). run fills in the
 // live result and the bytes of each recording, in the order of chunks.

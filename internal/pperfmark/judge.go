@@ -22,8 +22,8 @@ import (
 type RunOptions struct {
 	Impl   mpi.ImplKind
 	Params Params
-	// Seed is recorded with the run (archive metadata, run description,
-	// store index); nothing draws from it (core.Options.Seed).
+	// Seed is recorded with the run (the archive header's run record, which
+	// the store index reads too); nothing draws from it (core.Options.Seed).
 	Seed uint64
 	// Spawn selects the tool's dynamic-process-creation method.
 	Spawn daemon.SpawnMethod

@@ -1,142 +1,144 @@
 package pperfmark
 
 import (
-	"encoding/binary"
+	"cmp"
 	"errors"
 	"fmt"
-	"math"
-	"slices"
+	"strconv"
 	"strings"
 
 	"pperf/internal/consultant"
 	"pperf/internal/core"
 	"pperf/internal/mpi"
-	"pperf/internal/packed"
 	"pperf/internal/session"
 	"pperf/internal/sim"
 	"pperf/internal/trace"
 )
 
-// packRun returns the run description a recording stores in the archive
-// header's Extra payload, packed from the run's result, its options and its
-// Consultant configuration: everything Replay needs to re-drive the
-// Performance Consultant against the recorded event stream, plus the
-// live-only facts (fault log, probe counts) a replay cannot recompute, and
-// the text of a run the personality cannot run at all (spawn on MPICH,
-// passive target outside Reference), so its skip verdict replays too. It is
-// one record in internal/packed's dictionary form, the fault-log lines its
-// records:
-//
-//	packed head: uvarint nFaultLog, the dictionary
-//	uvarint Program's and Unsupported's dictionary indexes
-//	zigzag Impl, Seed, the eight Params, DisablePC, EvalInterval,
-//	       PruneEvals, traced, RunTime, ProbeExecs
-//	uvarint Float64bits of the sync, io and cpu thresholds
-//	one dictionary index per fault-log line
-func packRun(res *Result, opt RunOptions, pc consultant.Config) []byte {
-	var w packed.Writer
-	w.Reset()
-	unsup := ""
-	if res.Unsupported != nil {
-		unsup = res.Unsupported.Error()
+// stampRecording stamps the run record of a run laid out on nodes nodes into
+// the recorder's header, one Meta pair per fact: everything Replay needs to
+// re-drive the Performance Consultant against the recorded event stream,
+// the live-only facts (fault log, probe count) a replay cannot recompute,
+// and the text of a run the personality cannot run at all (spawn on MPICH,
+// passive target outside Reference), so its skip verdict replays too.
+// Integers are decimal, durations and the run time nanoseconds, thresholds
+// the shortest text that parses back to them. A zero fact is left out, but
+// for the pairs the store index lists (program, impl, seed, procs, nodes,
+// faults, and runtime once final), since an absent key reads as zero. At
+// launch (final false) it stamps what is known then, which lands in the
+// header chunk so a crashed run's archive replays, and at the end all of it.
+// A no-op when the run is not recording.
+func stampRecording(opt RunOptions, res *Result, pc consultant.Config, nodes int, final bool) {
+	if opt.Record == nil {
+		return
 	}
-	prog, un := w.Intern(res.Program), w.Intern(unsup)
-	for _, l := range res.FaultLog {
-		w.Recs = append(w.Recs, [5]uint64{w.Intern(l)})
+	set := opt.Record.SetMeta
+	set("program", res.Program)
+	set("impl", res.Impl.String())
+	set("seed", strconv.FormatUint(opt.Seed, 10))
+	set("procs", strconv.Itoa(res.Params.Procs))
+	set("nodes", strconv.Itoa(nodes))
+	if opt.Faults != nil {
+		set("faults", opt.Faults.String())
 	}
-	out := binary.AppendUvarint(binary.AppendUvarint(w.Head(nil, len(res.FaultLog)), prog), un)
+	if final {
+		set("runtime", strconv.FormatInt(int64(res.RunTime), 10))
+	}
 	p, bit := &res.Params, map[bool]int64{true: 1}
-	for _, x := range [runInts]int64{int64(res.Impl), int64(opt.Seed), int64(p.Iterations), int64(p.MessageSize),
-		int64(p.Messages), int64(p.TimeToWaste), int64(p.Procs), int64(p.WasteUnit), int64(p.Windows), int64(p.Children),
-		bit[opt.DisablePC], int64(pc.EvalInterval), int64(pc.PruneEvals), bit[opt.Trace != nil], int64(res.RunTime), res.ProbeExecs} {
-		out = binary.AppendVarint(out, x)
+	for _, x := range [...]struct {
+		k string
+		v int64
+	}{
+		{"iterations", int64(p.Iterations)}, {"message-size", int64(p.MessageSize)}, {"messages", int64(p.Messages)},
+		{"ttw", int64(p.TimeToWaste)}, {"waste-unit", int64(p.WasteUnit)}, {"windows", int64(p.Windows)},
+		{"children", int64(p.Children)}, {"probe-execs", res.ProbeExecs}, {"traced", bit[opt.Trace != nil]},
+		{"pc-off", bit[opt.DisablePC]}, {"pc-eval", int64(pc.EvalInterval)}, {"pc-prune", int64(pc.PruneEvals)},
+	} {
+		if x.v != 0 {
+			set(x.k, strconv.FormatInt(x.v, 10))
+		}
 	}
-	for _, f := range [...]float64{pc.SyncThreshold, pc.IOThreshold, pc.CPUThreshold} {
-		out = binary.AppendUvarint(out, math.Float64bits(f))
+	for _, x := range [...]struct {
+		k string
+		v float64
+	}{{"pc-sync", pc.SyncThreshold}, {"pc-io", pc.IOThreshold}, {"pc-cpu", pc.CPUThreshold}} {
+		if x.v != 0 {
+			set(x.k, strconv.FormatFloat(x.v, 'g', -1, 64))
+		}
 	}
-	for _, r := range w.Recs {
-		out = binary.AppendUvarint(out, r[0])
+	if len(res.FaultLog) > 0 {
+		set("fault-log", strings.Join(res.FaultLog, "\n"))
 	}
-	return out
+	if res.Unsupported != nil {
+		set("unsupported", res.Unsupported.Error())
+	}
 }
 
-const runInts = 16
-
-// unpackRun decodes a run description back into the run's result, options
-// (its personality, merged params, seed, DisablePC and, for a traced run, a
-// non-nil Trace) and Consultant configuration. Corrupt input is an error,
-// never a panic, and so is a description no live run writes: a personality
-// outside LAM…Reference, a negative parameter or prune count, an evaluation
-// interval that is not positive, a negative run time or a threshold outside
-// (0, 1].
-func unpackRun(data []byte) (*Result, RunOptions, consultant.Config, error) {
-	var t packed.Table
-	c, n := packed.Open(&t, data, "pperfmark: corrupt run description", 1)
-	prog, unsup := c.Str(), c.Str()
-	var x [runInts]int64
-	for i := range x {
-		x[i] = c.Varint()
+// decodeRun decodes the run record in an archive header's Meta back into the
+// run's result, options (its personality, merged params, seed, DisablePC
+// and, for a traced run, a non-nil Trace) and Consultant configuration. A
+// value that does not parse is an error, and so is a record no live run
+// writes: an unknown personality, a negative parameter, prune or probe
+// count, an evaluation interval that is not positive, a negative run time or
+// a threshold outside (0, 1].
+func decodeRun(meta map[string]string) (*Result, RunOptions, consultant.Config, error) {
+	var bad error
+	fail := func(format string, args ...any) {
+		if bad == nil {
+			bad = fmt.Errorf(format, args...)
+		}
 	}
-	pc := consultant.Config{SyncThreshold: math.Float64frombits(c.Uvarint()), IOThreshold: math.Float64frombits(c.Uvarint()),
-		CPUThreshold: math.Float64frombits(c.Uvarint()), EvalInterval: sim.Duration(x[11]), PruneEvals: int(x[12])}
-	res := &Result{Program: prog, Impl: mpi.ImplKind(x[0]),
-		Params: Params{Iterations: int(x[2]), MessageSize: int(x[3]), Messages: int(x[4]), TimeToWaste: int(x[5]),
-			Procs: int(x[6]), WasteUnit: sim.Duration(x[7]), Windows: int(x[8]), Children: int(x[9])},
-		RunTime: sim.Time(x[14]), ProbeExecs: x[15]}
-	for i := 0; i < n && c.Err == nil; i++ {
-		res.FaultLog = append(res.FaultLog, c.Str())
+	num := func(k string) int64 {
+		n, err := strconv.ParseInt(cmp.Or(meta[k], "0"), 10, 64)
+		if err != nil {
+			fail("%s %q", k, meta[k])
+		}
+		return n
 	}
-	if unsup != "" {
-		res.Unsupported = errors.New(unsup)
+	frac := func(k string) float64 {
+		f, err := strconv.ParseFloat(cmp.Or(meta[k], "0"), 64)
+		if err != nil {
+			fail("%s %q", k, meta[k])
+		}
+		return f
 	}
-	opt := RunOptions{Impl: res.Impl, Params: res.Params, Seed: uint64(x[1]), DisablePC: x[10] != 0}
-	if x[13] != 0 {
+	impl, err := mpi.ParseImpl(meta["impl"])
+	if err != nil {
+		fail("personality %q", meta["impl"])
+	}
+	seed, err := strconv.ParseUint(cmp.Or(meta["seed"], "0"), 10, 64)
+	if err != nil {
+		fail("seed %q", meta["seed"])
+	}
+	p := Params{Iterations: int(num("iterations")), MessageSize: int(num("message-size")), Messages: int(num("messages")),
+		TimeToWaste: int(num("ttw")), Procs: int(num("procs")), WasteUnit: sim.Duration(num("waste-unit")),
+		Windows: int(num("windows")), Children: int(num("children"))}
+	res := &Result{Program: meta["program"], Impl: impl, Params: p, RunTime: sim.Time(num("runtime")), ProbeExecs: num("probe-execs")}
+	if log := meta["fault-log"]; log != "" {
+		res.FaultLog = strings.Split(log, "\n")
+	}
+	if u := meta["unsupported"]; u != "" {
+		res.Unsupported = errors.New(u)
+	}
+	opt := RunOptions{Impl: impl, Params: p, Seed: seed, DisablePC: num("pc-off") != 0}
+	if num("traced") != 0 {
 		opt.Trace = &trace.Config{}
 	}
+	pc := consultant.Config{SyncThreshold: frac("pc-sync"), IOThreshold: frac("pc-io"), CPUThreshold: frac("pc-cpu"),
+		EvalInterval: sim.Duration(num("pc-eval")), PruneEvals: int(num("pc-prune"))}
 	switch {
-	case c.Err != nil:
-	case res.Impl < mpi.LAM || res.Impl > mpi.Reference:
-		c.Fail("personality %d", x[0])
-	case slices.ContainsFunc(x[2:10], func(v int64) bool { return v < 0 }) || pc.PruneEvals < 0:
-		c.Fail("negative parameter or prune count in %v", x[2:13])
+	case min(p.Iterations, p.MessageSize, p.Messages, p.TimeToWaste, p.Procs, p.Windows, p.Children, pc.PruneEvals) < 0 ||
+		p.WasteUnit < 0 || res.ProbeExecs < 0:
+		fail("negative parameter, prune or probe count in %+v, %d, %d", p, pc.PruneEvals, res.ProbeExecs)
 	case pc.EvalInterval <= 0 || res.RunTime < 0:
-		c.Fail("evaluation interval %v, run time %v", pc.EvalInterval, res.RunTime)
+		fail("evaluation interval %v, run time %v", pc.EvalInterval, res.RunTime)
 	case core.CheckThreshold(pc.SyncThreshold) != nil || core.CheckThreshold(pc.IOThreshold) != nil || core.CheckThreshold(pc.CPUThreshold) != nil:
-		c.Fail("thresholds %v, %v, %v", pc.SyncThreshold, pc.IOThreshold, pc.CPUThreshold)
+		fail("thresholds %v, %v, %v", pc.SyncThreshold, pc.IOThreshold, pc.CPUThreshold)
 	}
-	return res, opt, pc, c.Close()
-}
-
-// stampRecording stamps the description of a run laid out on nodes nodes,
-// and the Meta pairs the store index reads, into the recorder's header: at
-// launch (final false) what is known then, which lands in the header chunk so
-// a crashed run's archive replays, and at the end all of it. A no-op when the
-// run is not recording.
-func stampRecording(opt RunOptions, res *Result, pcCfg consultant.Config, nodes int, final bool) {
-	rec := opt.Record
-	if rec == nil {
-		return
+	if bad != nil {
+		return res, opt, pc, fmt.Errorf("pperfmark: corrupt run description: %w", bad)
 	}
-	rec.SetExtra(packRun(res, opt, pcCfg))
-	rec.SetMeta("program", res.Program)
-	rec.SetMeta("impl", res.Impl.String())
-	rec.SetMeta("seed", fmt.Sprintf("%d", opt.Seed))
-	rec.SetMeta("procs", fmt.Sprintf("%d", res.Params.Procs))
-	rec.SetMeta("nodes", fmt.Sprintf("%d", nodes))
-	if opt.Faults != nil {
-		rec.SetMeta("faults", opt.Faults.String())
-	}
-	if !final {
-		return
-	}
-	rec.SetMeta("runtime", res.RunTime.String())
-	// The fired-fault audit trail also lands in the header, one line per
-	// entry, so store-level consumers (the diff plane's -since-fault
-	// window anchor) can read fire times without decoding the harness
-	// payload in Extra.
-	if len(res.FaultLog) > 0 {
-		rec.SetMeta("fault-log", strings.Join(res.FaultLog, "\n"))
-	}
+	return res, opt, pc, nil
 }
 
 // ReplayOptions override pieces of the recorded analysis configuration
@@ -190,10 +192,10 @@ func Replay(a *session.Archive) (*Result, error) {
 // ReplayWith is Replay with what-if overrides applied over the recorded
 // Consultant configuration (see ReplayOptions).
 func ReplayWith(a *session.Archive, o ReplayOptions) (*Result, error) {
-	if len(a.Header.Extra) == 0 {
+	if _, ok := a.Header.Meta["program"]; !ok {
 		return nil, fmt.Errorf("pperfmark: archive carries no run description (not recorded by this harness?)")
 	}
-	res, opt, pc, err := unpackRun(a.Header.Extra)
+	res, opt, pc, err := decodeRun(a.Header.Meta)
 	if err != nil {
 		return nil, err
 	}

@@ -6,14 +6,16 @@ package pperfmark
 
 import (
 	"bytes"
-	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -167,35 +169,77 @@ func (c *cell) run() error {
 }
 
 // runRecords maps each cell's description to the run record its recording
-// holds, in hex, as testdata/run-records.golden lists them.
+// holds, as testdata/run-records.golden lists them: the cell, a tab, then
+// metaLine of the record.
 var runRecords = sync.OnceValues(func() (map[string]string, error) {
 	data, err := os.ReadFile(filepath.Join("testdata", "run-records.golden"))
 	records := map[string]string{}
 	for _, line := range strings.Split(string(data), "\n") {
-		if rec, cell, ok := strings.Cut(line, " "); ok && rec != "#" {
+		if cell, rec, ok := strings.Cut(line, "\t"); ok && !strings.HasPrefix(line, "#") {
 			records[cell] = rec
 		}
 	}
 	return records, err
 })
 
+// metaLine renders Meta pairs as one line: key=value in key order, a value
+// Go-quoted when it is empty or holds a space, an = or anything %q escapes.
+func metaLine(meta map[string]string) string {
+	pairs := make([]string, 0, len(meta))
+	for _, k := range sortedKeys(meta) {
+		v := meta[k]
+		if q := strconv.Quote(v); v == "" || strings.ContainsAny(v, " =") || q[1:len(q)-1] != v {
+			v = q
+		}
+		pairs = append(pairs, k+"="+v)
+	}
+	return strings.Join(pairs, " ")
+}
+
+// sortedKeys returns meta's keys in order.
+func sortedKeys(meta map[string]string) []string {
+	keys := make([]string, 0, len(meta))
+	for k := range meta {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// metaSink keeps the Meta pairs stamped through it.
+type metaSink map[string]string
+
+func (metaSink) Record(session.Event)           {}
+func (metaSink) SetHistogram(int, sim.Duration) {}
+func (m metaSink) SetMeta(k, v string)          { m[k] = v }
+
+// stamped is the Meta stampRecording writes at the end of a run.
+func stamped(res *Result, opt RunOptions, pc consultant.Config, nodes int) map[string]string {
+	meta := metaSink{}
+	opt.Record = meta
+	stampRecording(opt, res, pc, nodes, true)
+	return meta
+}
+
 // sameRecord is nil if c's recording holds the run record its golden line
-// names, and that record decodes to a description that packs to it again.
+// names, and that record decodes to a run that stamps it again.
 func (c *cell) sameRecord() error {
 	records, err := runRecords()
 	if err != nil {
 		return err
 	}
-	extra := c.archive.Header.Extra
-	if want, ok := records[c.String()]; !ok || want != hex.EncodeToString(extra) {
-		return fmt.Errorf("run record %x, want %q (testdata/run-records.golden)", extra, want)
+	meta := c.archive.Header.Meta
+	if want, ok := records[c.String()]; !ok || want != metaLine(meta) {
+		return fmt.Errorf("run record %s, want %q (testdata/run-records.golden)", metaLine(meta), want)
 	}
-	res, opt, pc, err := unpackRun(extra)
+	res, opt, pc, err := decodeRun(meta)
 	if err != nil {
 		return err
 	}
-	if again := packRun(res, opt, pc); !bytes.Equal(again, extra) {
-		return fmt.Errorf("run record %x decodes and packs to %x", extra, again)
+	opt.Faults = c.opt.Faults
+	nodes, _ := strconv.Atoi(meta["nodes"])
+	if again := stamped(res, opt, pc, nodes); !maps.Equal(again, meta) {
+		return fmt.Errorf("run record %s decodes and stamps to %s", metaLine(meta), metaLine(again))
 	}
 	return nil
 }
@@ -416,7 +460,7 @@ func TestRunInfoRoundTrip(t *testing.T) {
 		opt RunOptions
 		pc  consultant.Config
 	}{{res, opt, pc}, {&Result{}, RunOptions{}, ScaledPCConfig()}} {
-		gotRes, gotOpt, gotPC, err := unpackRun(packRun(run.res, run.opt, run.pc))
+		gotRes, gotOpt, gotPC, err := decodeRun(stamped(run.res, run.opt, run.pc, 3))
 		if err != nil || !reflect.DeepEqual(gotRes, run.res) || !reflect.DeepEqual(gotOpt, run.opt) || gotPC != run.pc {
 			t.Errorf("run description round trip:\n got %+v %+v %+v (%v)\nwant %+v %+v %+v", gotRes, gotOpt, gotPC, err, run.res, run.opt, run.pc)
 		}
@@ -424,52 +468,64 @@ func TestRunInfoRoundTrip(t *testing.T) {
 }
 
 // A corrupt run description fails the replay with an error naming it, never
-// a panic, a replay of something else or a replay without end: a record no
-// live run writes, and one that promises more Consultant evaluations than
-// its archive holds barriers, grafted onto a real recording.
+// a panic, a replay of something else or a replay without end: a value that
+// does not parse, a record no live run writes, and one that promises more
+// Consultant evaluations than its archive holds barriers, grafted onto a
+// real recording.
 func TestCorruptRunDescription(t *testing.T) {
 	res, opt, pc := fullRun()
 	opt.DisablePC = false
-	record := packRun(res, opt, pc)
-	with := func(edit func(res *Result, pc *consultant.Config)) []byte {
-		res, opt, pc := fullRun()
-		edit(res, &pc)
-		return packRun(res, opt, pc)
+	record := stamped(res, opt, pc, 3)
+	with := func(k, v string) map[string]string {
+		meta := maps.Clone(record)
+		meta[k] = v
+		return meta
+	}
+	without := func(k string) map[string]string {
+		meta := maps.Clone(record)
+		delete(meta, k)
+		return meta
 	}
 	empty := &session.Archive{Header: session.Header{Version: session.Version, NumBins: 100, BinWidth: 50 * sim.Millisecond}}
 	real := built(t, healthy()).archive
-	graft := func(edit func(res *Result, pc *consultant.Config)) *session.Archive {
-		res, opt, pc, err := unpackRun(real.Header.Extra)
-		if err != nil {
-			t.Fatal(err)
-		}
-		edit(res, &pc)
+	graft := func(k string, v int64) *session.Archive {
 		a := *real
-		a.Header.Extra = packRun(res, opt, pc)
+		a.Header.Meta = maps.Clone(real.Header.Meta)
+		a.Header.Meta[k] = strconv.FormatInt(v, 10)
 		return &a
 	}
 	_, barriers := real.Replayable()
+	interval := sim.Time(ScaledPCConfig().EvalInterval)
 	cases := map[string]*session.Archive{
-		"1 ns interval": graft(func(_ *Result, pc *consultant.Config) { pc.EvalInterval = 1 }),
-		"run time 10⁶ times its barriers": graft(func(res *Result, pc *consultant.Config) {
-			res.RunTime = sim.Time(barriers) * sim.Time(pc.EvalInterval) * 1e6
-		}),
+		"1 ns interval":                   graft("pc-eval", 1),
+		"run time 10⁶ times its barriers": graft("runtime", int64(sim.Time(barriers)*interval*1e6)),
 	}
-	for name, extra := range map[string][]byte{
-		"garbage":                    {0xff},
-		"cut short":                  record[:len(record)-3],
-		"trailing byte":              append(append([]byte(nil), record...), 0),
-		"zero eval interval":         with(func(_ *Result, pc *consultant.Config) { pc.EvalInterval = 0 }),
-		"personality past Reference": with(func(res *Result, _ *consultant.Config) { res.Impl = mpi.Reference + 1 }),
-		"negative personality":       with(func(res *Result, _ *consultant.Config) { res.Impl = -1 }),
-		"negative parameter":         with(func(res *Result, _ *consultant.Config) { res.Params.Children = -1 }),
-		"negative prune count":       with(func(_ *Result, pc *consultant.Config) { pc.PruneEvals = -1 }),
-		"zero threshold":             with(func(_ *Result, pc *consultant.Config) { pc.SyncThreshold = 0 }),
-		"threshold above 1":          with(func(_ *Result, pc *consultant.Config) { pc.IOThreshold = 1.5 }),
-		"NaN threshold":              with(func(_ *Result, pc *consultant.Config) { pc.CPUThreshold = math.NaN() }),
+	for name, meta := range map[string]map[string]string{
+		"garbage":                    with("pc-eval", "\xff"),
+		"cut short":                  without("pc-eval"),
+		"trailing byte":              with("pc-eval", "250000000\x00"),
+		"unparsable number":          with("iterations", "12x"),
+		"number past int64":          with("probe-execs", "9223372036854775808"),
+		"fractional count":           with("pc-prune", "2.5"),
+		"unparsable threshold":       with("pc-sync", "0,5"),
+		"negative seed":              with("seed", "-1"),
+		"zero eval interval":         with("pc-eval", "0"),
+		"unknown personality":        with("impl", "Open MPI"),
+		"personality past Reference": with("impl", (mpi.Reference + 1).String()),
+		"negative personality":       with("impl", "-1"),
+		"no personality":             without("impl"),
+		"negative parameter":         with("children", "-1"),
+		"negative waste unit":        with("waste-unit", "-1"),
+		"negative prune count":       with("pc-prune", "-1"),
+		"negative probe count":       with("probe-execs", "-5"),
+		"negative run time":          with("runtime", "-1"),
+		"zero threshold":             with("pc-sync", "0"),
+		"threshold above 1":          with("pc-io", "1.5"),
+		"NaN threshold":              with("pc-cpu", "NaN"),
+		"infinite threshold":         with("pc-cpu", "+Inf"),
 	} {
 		a := *empty
-		a.Header.Extra = extra
+		a.Header.Meta = meta
 		cases[name] = &a
 	}
 	// A replay that trusts such a record runs for minutes or for ever; the

@@ -33,7 +33,7 @@ import (
 // Version is the event-schema version this build reads and writes. Bump it
 // on any incompatible change to Header or Event; the archive loader refuses
 // archives whose version differs, with an error naming both versions.
-const Version = 1
+const Version = 2
 
 // Header is the archive preamble.
 type Header struct {
@@ -45,13 +45,10 @@ type Header struct {
 	// so a replayed View folds samples into identical bins.
 	NumBins  int
 	BinWidth sim.Duration
-	// Meta holds free-form descriptive pairs (program name, seed, …) for
-	// humans and tools that inspect archives without replaying them.
+	// Meta holds text pairs describing the run: what the store index and
+	// humans read (program, seed, …) and, for a pperfmark recording, the
+	// whole run record a replay re-drives the Consultant from.
 	Meta map[string]string
-	// Extra is an opaque payload for the recording harness; pperfmark
-	// stores the run description needed to re-drive the Consultant here,
-	// as one packed record.
-	Extra []byte
 }
 
 // EventKind discriminates the Event union.
@@ -200,6 +197,4 @@ type Sink interface {
 	SetHistogram(numBins int, binWidth sim.Duration)
 	// SetMeta stores one descriptive header key/value pair.
 	SetMeta(k, v string)
-	// SetExtra stores the harness's opaque run-description payload.
-	SetExtra(b []byte)
 }

@@ -42,7 +42,7 @@ func recordAll(t *testing.T, rounds int) []byte {
 	}
 	r.SetHistogram(100, 50*sim.Millisecond)
 	r.SetMeta("program", "small-messages")
-	r.SetExtra([]byte{1, 2, 3})
+	r.SetMeta("fault-log", "one\ntwo")
 	f := resource.WholeProgram()
 	events := []session.Event{
 		{Kind: session.EvEnable, Metric: "msg_bytes_sent", Focus: f},
@@ -110,8 +110,8 @@ func TestArchiveRoundTrip(t *testing.T) {
 	if a.Header.Version != session.Version || a.Header.NumBins != 100 || a.Header.BinWidth != 50*sim.Millisecond {
 		t.Errorf("header = %+v", a.Header)
 	}
-	if a.Header.Meta["program"] != "small-messages" || !bytes.Equal(a.Header.Extra, []byte{1, 2, 3}) {
-		t.Errorf("meta/extra = %+v", a.Header)
+	if a.Header.Meta["program"] != "small-messages" || a.Header.Meta["fault-log"] != "one\ntwo" {
+		t.Errorf("meta = %+v", a.Header)
 	}
 	if len(a.Events) != len(allKinds) || a.Header.NumEvents != len(allKinds) {
 		t.Fatalf("events = %d (header says %d), want %d", len(a.Events), a.Header.NumEvents, len(allKinds))
@@ -156,9 +156,9 @@ func TestArchiveRobustness(t *testing.T) {
 	ends := chunkEnds(t, full)
 	header, rest := full[magicLen:ends[0]], full[ends[0]:]
 
-	// A header record (no Meta, no Extra) of a version 41 past this build's.
-	future := binary.AppendVarint([]byte{0, 0}, session.Version+41)
-	future = append(future, 0, 0, 0, 0, 0)
+	// A header record (no Meta) of version 42.
+	future := binary.AppendVarint([]byte{0, 0}, 42)
+	future = append(future, 0, 0, 0, 0)
 
 	cases := []struct {
 		name    string

@@ -185,4 +185,3 @@ func (s *shardStream) Record(ev session.Event) {
 }
 func (*shardStream) SetHistogram(int, sim.Duration) {}
 func (*shardStream) SetMeta(string, string)         {}
-func (*shardStream) SetExtra([]byte)                {}
