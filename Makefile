@@ -3,11 +3,12 @@
 # packages with real concurrency (the engine's goroutine hand-offs, the MDL
 # library every session shares, the discovery hooks mpi fans out, the TCP
 # transport and the daemon/fault machinery it carries, the experiments' cell
-# cache), a five-second smoke of each fuzz target, one iteration of every
-# benchmark, the CLI goldens, the paper's regenerated evaluation, and the
-# out-of-tree benchmark module's own vet + tests (it imports internal
-# packages through a replace directive, so an internal-API deletion that
-# breaks it fails here rather than in the benchmark run).
+# cache, what-if replays sharing one loaded archive), a five-second smoke of
+# each fuzz target, one iteration of every benchmark, the CLI goldens, the
+# paper's regenerated evaluation, and the out-of-tree benchmark module's own
+# vet + tests (it imports internal packages through a replace directive, so an
+# internal-API deletion that breaks it fails here rather than in the benchmark
+# run).
 
 GO ?= go
 
@@ -30,6 +31,7 @@ fmt-check:
 race:
 	$(GO) test -race ./internal/sim ./internal/probe ./internal/mpi ./internal/mdl ./internal/gprofsim ./internal/consultant ./internal/wire ./internal/frontend ./internal/daemon ./internal/faults ./internal/trace ./internal/core ./internal/session ./internal/perfdb ./internal/datasource ./internal/resource ./internal/metric
 	$(GO) test -race -run 'TestCellCache' ./internal/experiments
+	$(GO) test -race -run 'TestConcurrentReplaysOfOneArchive' ./internal/pperfmark
 
 verify: build vet fmt-check test race fuzz-smoke bench-smoke bench-module replay-golden perfdb-golden sync-golden wire-golden trend-golden experiments-golden
 

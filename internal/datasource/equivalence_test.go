@@ -221,7 +221,7 @@ func TestLiveAndReplayBuildTheSameView(t *testing.T) {
 	for i := range sink.events {
 		switch ev := &sink.events[i]; ev.Kind {
 		case session.EvStale:
-			if ev.Daemon != d1 || ev.Time != ms(300) || sink.count(session.EvStale) != 1 {
+			if ev.Update.Daemon != d1 || ev.Update.Time != ms(300) || sink.count(session.EvStale) != 1 {
 				t.Errorf("stale verdict %+v, want exactly one for %s at 300 ms", *ev, d1)
 			}
 		case session.EvGap:

@@ -211,7 +211,7 @@ func (fe *FrontEnd) StartLiveness(eng *sim.Engine, interval, timeout sim.Duratio
 // of map layout.
 func (fe *FrontEnd) checkLiveness(now sim.Time, timeout sim.Duration) {
 	for _, name := range fe.View.SilentDaemons(now, timeout) {
-		fe.ingest(session.Event{Kind: session.EvStale, Daemon: name, Time: now})
+		fe.ingest(session.Event{Kind: session.EvStale, Update: datasource.Update{Daemon: name, Time: now}})
 		if fe.sv != nil {
 			fe.sv.NoteDown(datasource.DaemonNode(name))
 		}

@@ -335,7 +335,7 @@ func forgedFrames() []forgedFrame {
 	as := func(kind session.EventKind, packed []byte) frame {
 		return frame{Daemon: d0, Seq: 1, Kind: kind, Packed: packed}
 	}
-	stale := session.Event{Kind: session.EvStale, Daemon: d0, Time: sim.Time(sim.Second)}
+	stale := session.Event{Kind: session.EvStale, Update: datasource.Update{Daemon: d0, Time: sim.Time(sim.Second)}}
 	gap := session.Event{Kind: session.EvGap, Gap: datasource.Gap{Node: "node0", From: 1, To: 2}}
 	enable := session.Event{Kind: session.EvEnable, Metric: "m", Focus: resource.WholeProgram()}
 	heartbeat := update(datasource.Update{Kind: datasource.UpHeartbeat, Daemon: d0, Time: sim.Time(5 * sim.Second)})

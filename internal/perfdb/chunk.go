@@ -127,9 +127,10 @@ const maxPendingPacked = 4 << 20
 // pendingChunk is an 'E' chunk being assembled: sample batches and trace
 // shards ride as packed blobs, everything else in one packed event section
 // (its own dictionary, so chunks stay independently decodable). A batch is
-// packed the moment it is appended and a shard's bytes — packed where its
-// ring was drained — are copied in, so the chunk never holds a caller's
-// sample slice or shard.
+// packed the moment it is appended, and the bytes of a batch kept packed by
+// an archive read or of a shard — packed where its ring was drained — are
+// copied in as they are, so the chunk never holds a caller's sample slice or
+// shard.
 //
 // Payload layout:
 //
@@ -159,6 +160,10 @@ func (c *pendingChunk) add(ev session.Event, maxEvents int) {
 	switch ev.Kind {
 	case session.EvSamples:
 		c.flags = append(c.flags, flagSamples)
+		if ev.Batch != nil {
+			blob = ev.Batch.Data
+			break
+		}
 		c.blob = c.pk.PackSamples(c.blob[:0], ev.Samples)
 		blob = c.blob
 	case session.EvShard:
@@ -185,8 +190,12 @@ func grow[S ~[]E, E any](s S, n, limit int) S {
 }
 
 // eventsChunk reverses chunkWriter.flush and visits the chunk's events in
-// order, resolving packed strings through the scan's table. Corrupt input
-// yields an error, never a panic.
+// order, resolving packed strings through the scan's table. A collecting scan
+// (keep) keeps each sample batch packed, checked record by record, in three
+// allocations per chunk: the batches' bytes, their PackedBatch records and
+// their dictionaries each go in one exact-size slab. Every other scan decodes
+// each batch into its scratch. Corrupt input yields an error, never a panic,
+// and the same error either way.
 func (s *archiveScan) eventsChunk(data []byte, visit func(*session.Event)) error {
 	pos := 0
 	getU := func() (uint64, error) {
@@ -237,6 +246,21 @@ func (s *archiveScan) eventsChunk(data []byte, visit func(*session.Event)) error
 		pos += int(l)
 	}
 	s.blobs = blobs
+	var kept []session.PackedBatch
+	var slab []byte
+	if s.keep && per[flagSamples] > 0 {
+		size, b := 0, blobs
+		for _, f := range flags {
+			if f == flagSamples {
+				size += len(b[0])
+			}
+			if f != flagEvents {
+				b = b[1:]
+			}
+		}
+		kept, slab = make([]session.PackedBatch, per[flagSamples]), make([]byte, 0, size)
+	}
+	nKept, dicts := 0, s.dicts[:0]
 	var rest []session.Event
 	switch data = data[pos:]; {
 	case nSection > 0: // the count is checked before anything is decoded for it
@@ -255,8 +279,17 @@ func (s *archiveScan) eventsChunk(data []byte, visit func(*session.Event)) error
 		switch f {
 		case flagSamples:
 			*ev = session.Event{Kind: session.EvSamples}
-			ev.Samples, err = s.up.UnpackSamplesInto(s.samples, blobs[0])
-			s.samples, blobs = ev.Samples, blobs[1:]
+			if kept != nil {
+				ev.Batch = &kept[nKept]
+				nKept++
+				start := len(slab)
+				slab = append(slab, blobs[0]...)
+				dicts, err = s.up.KeepSamples(ev.Batch, slab[start:len(slab):len(slab)], dicts)
+			} else {
+				ev.Samples, err = s.up.UnpackSamplesInto(s.samples, blobs[0])
+				s.samples = ev.Samples
+			}
+			blobs = blobs[1:]
 		case flagShard:
 			*ev = session.Event{Kind: session.EvShard}
 			if visit == nil {
@@ -274,6 +307,17 @@ func (s *archiveScan) eventsChunk(data []byte, visit func(*session.Event)) error
 		s.events++
 		if visit != nil {
 			visit(ev)
+		}
+	}
+	if kept != nil {
+		// The kept batches' dictionaries leave the scratch for one slab of
+		// their exact size.
+		s.dicts = dicts
+		all := make([]string, len(dicts))
+		copy(all, dicts)
+		for i := range kept {
+			n := len(kept[i].Dict)
+			kept[i].Dict, all = all[:n:n], all[n:]
 		}
 	}
 	return nil
@@ -497,6 +541,8 @@ type archiveScan struct {
 	hdr            [9]byte          // the current frame's header
 	up             session.Unpacker // one string table for the whole read
 	scanScratch
+	// keep makes a collecting scan: its sample batches stay packed.
+	keep bool
 	// ev is a field on purpose: a `var ev session.Event` declared inside the
 	// per-event loop and passed by pointer escapes once per event, which
 	// alone took store-cycle from 370 k mallocs to 393 k.
@@ -509,6 +555,7 @@ type scanScratch struct {
 	blobs   [][]byte
 	samples []datasource.Sample
 	rest    []session.Event // the chunk's event section
+	dicts   []string        // a collecting scan's kept dictionaries, before their slab
 }
 
 // spare is the scratch the last scan left and the chunk buffers the last
@@ -529,8 +576,9 @@ func (s *archiveScan) release() {
 	if sc := &s.scanScratch; cap(sc.payload) <= 2*maxPendingPacked {
 		clear(sc.samples[:cap(sc.samples)])
 		clear(sc.rest[:cap(sc.rest)])
+		clear(sc.dicts[:cap(sc.dicts)])
 		spare.Lock()
-		spare.scanScratch = scanScratch{sc.payload[:0], sc.blobs[:0], sc.samples[:0], sc.rest[:0]}
+		spare.scanScratch = scanScratch{sc.payload[:0], sc.blobs[:0], sc.samples[:0], sc.rest[:0], sc.dicts[:0]}
 		spare.Unlock()
 	}
 	s.scanScratch = scanScratch{}
@@ -654,6 +702,9 @@ func (s *archiveScan) frame(visit func(*session.Event)) (done bool, err error) {
 // ReadArchive parses a chunked archive: it collects the scan. A truncated
 // archive holds the complete-chunk prefix under the provisional header. A
 // reader that can seek (LoadAny's file) gets its event list allocated once.
+// Every sample batch is checked and kept packed (session.PackedBatch): the
+// archive holds its batches' bytes, and a replay decodes them as it applies
+// them.
 func ReadArchive(r io.Reader) (*session.Archive, error) {
 	var a session.Archive
 	if rs, ok := r.(io.ReadSeeker); ok {
@@ -664,10 +715,8 @@ func ReadArchive(r io.Reader) (*session.Archive, error) {
 		a.Events = make([]session.Event, 0, n)
 	}
 	s, err := scanArchive(r, func(s *archiveScan) func(*session.Event) {
-		return func(ev *session.Event) {
-			a.Events = append(a.Events, *ev)
-			s.samples = nil // the archive keeps this batch; the next gets its own
-		}
+		s.keep = true
+		return func(ev *session.Event) { a.Events = append(a.Events, *ev) }
 	})
 	if err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -67,7 +68,7 @@ func syntheticArchive(rng *rand.Rand, nEvents int) *session.Archive {
 			a.Events = append(a.Events, session.Event{Kind: session.EvShard, Shard: randomShard(rng, rng.Intn(40))})
 		case 6:
 			a.Events = append(a.Events,
-				session.Event{Kind: session.EvStale, Daemon: "paradynd@node1", Time: sim.Time(rng.Intn(1e9))},
+				session.Event{Kind: session.EvStale, Update: datasource.Update{Daemon: "paradynd@node1", Time: sim.Time(rng.Intn(1e9))}},
 				session.Event{Kind: session.EvUndelivered, Proc: "app{1}", N: int64(rng.Intn(9))})
 		default:
 			a.Events = append(a.Events, session.Event{Kind: session.EvGap, Gap: datasource.Gap{Node: "node1", From: 1, To: 2}})
@@ -77,9 +78,32 @@ func syntheticArchive(rng *rand.Rand, nEvents int) *session.Archive {
 	return a
 }
 
+// samplesOf returns a sample event's batch decoded, whichever form it is in:
+// a read archive keeps its batches packed, the tests build theirs from
+// samples.
+func samplesOf(ev *session.Event) []datasource.Sample {
+	if ev.Batch != nil {
+		return ev.Batch.Unpack(nil)
+	}
+	return ev.Samples
+}
+
+// materialised returns a with every kept batch decoded into Samples: the
+// archive a read built before it kept its batches packed.
+func materialised(a *session.Archive) *session.Archive {
+	out := *a
+	out.Events = slices.Clone(a.Events)
+	for i := range out.Events {
+		if ev := &out.Events[i]; ev.Batch != nil {
+			ev.Samples, ev.Batch = ev.Batch.Unpack(nil), nil
+		}
+	}
+	return &out
+}
+
 // archivesEquivalent compares two archives field by field, comparing
-// sample batches bit-exactly (DeepEqual rejects NaN) and treating nil and
-// empty batches as equal.
+// sample batches bit-exactly (DeepEqual rejects NaN), in whichever form
+// each holds them, and treating nil and empty batches as equal.
 func archivesEquivalent(t *testing.T, want, got *session.Archive) {
 	t.Helper()
 	if !reflect.DeepEqual(want.Header, got.Header) {
@@ -91,17 +115,18 @@ func archivesEquivalent(t *testing.T, want, got *session.Archive) {
 	for i := range want.Events {
 		we, ge := want.Events[i], got.Events[i]
 		if we.Kind == session.EvSamples && ge.Kind == session.EvSamples {
-			if len(we.Samples) != len(ge.Samples) {
-				t.Fatalf("event %d: batch size %d -> %d", i, len(we.Samples), len(ge.Samples))
+			ws, gs := samplesOf(&we), samplesOf(&ge)
+			if len(ws) != len(gs) {
+				t.Fatalf("event %d: batch size %d -> %d", i, len(ws), len(gs))
 			}
-			for j := range we.Samples {
-				if !sampleEqual(we.Samples[j], ge.Samples[j]) {
-					t.Fatalf("event %d sample %d: %+v -> %+v", i, j, we.Samples[j], ge.Samples[j])
+			for j := range ws {
+				if !sampleEqual(ws[j], gs[j]) {
+					t.Fatalf("event %d sample %d: %+v -> %+v", i, j, ws[j], gs[j])
 				}
 			}
 			continue
 		}
-		we.Samples, ge.Samples = nil, nil
+		we.Samples, ge.Samples, we.Batch, ge.Batch = nil, nil, nil, nil
 		we.Shard, ge.Shard = spansForm(t, we.Shard), spansForm(t, ge.Shard)
 		if !reflect.DeepEqual(we, ge) {
 			t.Fatalf("event %d mismatch:\nwant %+v\ngot  %+v", i, we, ge)
@@ -460,6 +485,9 @@ func TestCorruptArchivesFailTheSameEverywhere(t *testing.T) {
 		{"blob count mismatch", cat(magic, header, testFrame(chunkEvents, eventsPayload([]byte{flagSamples, flagEvents}, 2, [][]byte{batch, batch}, packedBarrier))), "2 packed blobs, flags promise 1"},
 		{"blob overruns chunk", cat(magic, header, testFrame(chunkEvents, append(binary.AppendUvarint([]byte{1, flagSamples, 1}, 999), batch...))), "packed blob 0 overruns input"},
 		{"corrupt packed blob behind a good CRC", cat(magic, header, testFrame(chunkEvents, eventsPayload([]byte{flagEvents, flagSamples}, 1, [][]byte{badBatch}, packedBarrier))), "corrupt sample batch"},
+		// Refused at load, the collecting read included: a batch it keeps
+		// packed is one it checked record by record.
+		{"sample batch dictionary index", badIndexArchive(t), "session: corrupt sample batch: dictionary index 5 of 1"},
 		{"section count mismatch", section([]byte{flagEvents, flagEvents}, packedBarrier), "1 packed events, flags promise 2"},
 		{"section without its flags", section([]byte{flagEvents}, nil), "0 packed events, flags promise 1"},
 		{"sample record in the section", section([]byte{flagEvents}, pk.PackEvents(nil, []session.Event{{Kind: session.EvSamples}})), "corrupt event section: samples event with field mask 0x0 at record 0"},

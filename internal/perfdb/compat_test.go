@@ -83,7 +83,7 @@ func compatArchive() *session.Archive {
 		}
 	}
 	add(
-		session.Event{Kind: session.EvStale, Daemon: "paradynd@node1", Time: ms(700)},
+		session.Event{Kind: session.EvStale, Update: datasource.Update{Daemon: "paradynd@node1", Time: ms(700)}},
 		session.Event{Kind: session.EvGap, Gap: datasource.Gap{Node: "node1", From: ms(650), To: ms(700)}},
 		session.Event{Kind: session.EvShard, Shard: trace.Shard{Daemon: "paradynd@node0", Proc: "app{1}", Node: "node0", Dropped: 3, OutboxLost: 2}},
 		session.Event{Kind: session.EvUndelivered, Proc: "app{1}", N: 5},

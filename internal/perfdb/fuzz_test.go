@@ -6,6 +6,10 @@ import (
 	"os"
 	"reflect"
 	"testing"
+
+	"pperf/internal/packed"
+	"pperf/internal/session"
+	"pperf/internal/sim"
 )
 
 // FuzzChunkDecoder: the chunk cursor over arbitrary bytes must return an
@@ -13,9 +17,12 @@ import (
 // corrupt length field — and its two uses must agree on every input: the
 // collecting ReadArchive and the streaming pass of the verify step and
 // OpenRun both fail with the same error, or both succeed with the same
-// header, event count and truncated flag. What decodes round-trips:
-// WriteArchive re-encodes it to bytes that decode to that header, event count
-// and truncated flag again — a cut file to a file without a trailer.
+// header, event count and truncated flag. What loads replays: a ReplaySource
+// over it, with every recorded pair enabled, syncs to its end and drains
+// without a panic, so a batch the load kept packed is one it checked. What
+// decodes round-trips: WriteArchive re-encodes it to bytes that decode to
+// that header, event count and truncated flag again — a cut file to a file
+// without a trailer — and to every sample batch's bytes as they were.
 func FuzzChunkDecoder(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{2, 40, 600} {
@@ -52,11 +59,15 @@ func FuzzChunkDecoder(f *testing.F) {
 	if old, err := os.ReadFile(schemaV1Fixture); err == nil {
 		f.Add(old)
 	}
+	// A sample batch behind a good CRC whose record names dictionary entry 5
+	// of 1: the load refuses it, so no replay ever decodes it.
+	f.Add(badIndexArchive(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := readBothWays(t, data)
 		if err != nil {
 			return
 		}
+		replayAll(a)
 		var buf bytes.Buffer
 		if err := WriteArchive(&buf, a); err != nil {
 			t.Fatalf("re-encoding a decoded archive: %v", err)
@@ -65,5 +76,41 @@ func FuzzChunkDecoder(f *testing.F) {
 		if err != nil || len(b.Events) != len(a.Events) || b.Truncated != a.Truncated || !reflect.DeepEqual(b.Header, a.Header) {
 			t.Fatalf("%d events (truncated %v) under %+v re-encode to %+v, %v", len(a.Events), a.Truncated, a.Header, b, err)
 		}
+		for i := range a.Events {
+			if x, y := a.Events[i].Batch, b.Events[i].Batch; (x == nil) != (y == nil) || x != nil && !bytes.Equal(x.Data, y.Data) {
+				t.Fatalf("event %d: sample batch %+v re-encodes to %+v", i, x, y)
+			}
+		}
 	})
+}
+
+// replayAll replays a loaded archive the way pperfmark does, enabling every
+// pair the archive recorded an enable for, then syncing barrier by barrier
+// to the end and draining the tail.
+func replayAll(a *session.Archive) {
+	rs := session.NewReplaySource(a)
+	for i := range a.Events {
+		if ev := &a.Events[i]; ev.Kind == session.EvEnable {
+			rs.EnableMetric(ev.Metric, ev.Focus)
+		}
+	}
+	_, barriers := a.Replayable()
+	for range barriers + 1 {
+		rs.Sync()
+	}
+	rs.Drain()
+}
+
+// badIndexArchive is a current archive whose one event chunk holds a sample
+// batch, under a good CRC, whose record names dictionary entry 5 of 1.
+func badIndexArchive(t testing.TB) []byte {
+	t.Helper()
+	var hw packed.Writer
+	header := appendHeader(nil, &hw, session.Header{Version: session.Version, NumBins: 100, BinWidth: 50 * sim.Millisecond}, 0)
+	// One sample, dictionary {"m"}; indexes 0 0 0 0 5, then a zero time,
+	// delta and value.
+	batch := []byte{1, 1, 1, 'm', 0, 0, 0, 0, 5, 0, 0, 0}
+	data := append([]byte(nil), chunkMagic...)
+	data = append(data, testFrame(chunkHeader, header)...)
+	return append(data, testFrame(chunkEvents, eventsPayload([]byte{flagSamples}, 1, [][]byte{batch}, nil))...)
 }

@@ -8,6 +8,7 @@ package perfdb_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -427,12 +428,21 @@ func TestLoadAnyAllocatesItsEventListOnce(t *testing.T) {
 	}
 }
 
+// randomBarrier is random-barrier under LAM, seed 7, recorded in default
+// chunks: one of the replay-whatif workload's fixtures, which the load and
+// replay budgets below are measured on.
+var randomBarrier = sync.OnceValue(func() *cell {
+	c := &cell{program: "random-barrier", chunks: []int{0}, opt: pperfmark.RunOptions{Impl: mpi.LAM, Seed: 7}}
+	c.err = c.run()
+	return c
+})
+
 // Loading a recorded random-barrier run and replaying it once allocates what
 // the replay keeps: the event list at its declared size, each histogram at
 // the recorded end on its first sample. Either sizing lost costs more than
 // the margin.
 func TestReplayByteBudget(t *testing.T) {
-	c := recorded(t, &cell{program: "random-barrier", chunks: []int{0}, opt: pperfmark.RunOptions{Impl: mpi.LAM, Seed: 7}})
+	c := built(t, randomBarrier())
 	path := filepath.Join(t.TempDir(), "random-barrier.ppdb")
 	if err := os.WriteFile(path, c.files[0], 0o644); err != nil {
 		t.Fatal(err)
@@ -451,9 +461,45 @@ func TestReplayByteBudget(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	replay()
 	runtime.ReadMemStats(&after)
-	// 12.30 MB measured on linux/amd64 (16.52 MB before the two sizings).
-	const budget = 12_600_000
+	// 5.44 MB measured on linux/amd64 (12.30 MB before the loaded batches
+	// stayed packed, 16.52 MB before the two sizings).
+	const budget = 5_800_000
 	if n := after.TotalAlloc - before.TotalAlloc; n > budget {
 		t.Errorf("loading and replaying a %d-byte random-barrier recording allocates %d bytes; want at most %d", len(c.files[0]), n, budget)
+	}
+}
+
+// LoadAny keeps a recording's sample batches packed, each chunk's in three
+// slabs — their bytes, their PackedBatch records, their dictionaries — so a
+// load allocates per chunk, not per batch, as decoding each batch into a
+// slice of its own did.
+func TestLoadAnyAllocatesPerChunkNotPerBatch(t *testing.T) {
+	c := built(t, randomBarrier())
+	path := filepath.Join(t.TempDir(), "random-barrier.ppdb")
+	if err := os.WriteFile(path, c.files[0], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var a *session.Archive
+	var err error
+	allocs := testing.AllocsPerRun(3, func() { a, err = perfdb.LoadAny(path) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches, chunks := 0, 0
+	for i := range a.Events {
+		if a.Events[i].Kind == session.EvSamples {
+			batches++
+		}
+	}
+	for data := c.files[0][len("PPDBA2"):]; len(data) > 0; data = data[9+binary.BigEndian.Uint32(data[1:5]):] {
+		if data[0] == 'E' {
+			chunks++
+		}
+	}
+	if batches < 16*chunks {
+		t.Fatalf("%d sample batches in %d chunks: too few per chunk to tell the two apart", batches, chunks)
+	}
+	if limit := 4*chunks + 64; allocs > float64(limit) {
+		t.Errorf("LoadAny of %d batches in %d chunks makes %.0f allocations; want at most %d", batches, chunks, allocs, limit)
 	}
 }

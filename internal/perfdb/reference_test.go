@@ -235,7 +235,7 @@ func foldArchive(rng *rand.Rand, nEvents int) *session.Archive {
 			a.Events = append(a.Events, session.Event{Kind: session.EvShard, Shard: randomShard(rng, rng.Intn(20))})
 		case 7:
 			a.Events = append(a.Events,
-				session.Event{Kind: session.EvStale, Daemon: "paradynd@node1", Time: at},
+				session.Event{Kind: session.EvStale, Update: datasource.Update{Daemon: "paradynd@node1", Time: at}},
 				session.Event{Kind: session.EvUndelivered, Proc: "app{1}", N: int64(rng.Intn(9))})
 		default:
 			a.Events = append(a.Events, session.Event{Kind: session.EvGap, Gap: datasource.Gap{Node: "node1", From: at, To: at + 5}})

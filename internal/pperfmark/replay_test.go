@@ -6,6 +6,7 @@ package pperfmark
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
@@ -36,6 +37,15 @@ import (
 // reports. Live and replayed snapshots of the same session must be equal.
 func snapshot(t *testing.T, res *Result) string {
 	t.Helper()
+	s, err := render(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// render is snapshot for callers without a test: a cell's run.
+func render(res *Result) (string, error) {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "program=%s impl=%s runtime=%v probes=%d coverage=%.4f\n",
 		res.Program, res.Impl, res.RunTime, res.ProbeExecs, res.Coverage)
@@ -99,11 +109,11 @@ func snapshot(t *testing.T, res *Result) string {
 	if res.Timeline != nil {
 		var tr bytes.Buffer
 		if err := trace.WriteChromeWith(&tr, res.Timeline, ds.CounterTracks()); err != nil {
-			t.Fatal(err)
+			return "", err
 		}
 		b.Write(tr.Bytes())
 	}
-	return b.String()
+	return b.String(), nil
 }
 
 // cell is one recorded run: a program under run options, recorded through a
@@ -164,8 +174,101 @@ func (c *cell) run() error {
 	if err := c.sameRecord(); err != nil {
 		return err
 	}
-	c.replayed, err = Replay(c.archive)
-	return err
+	if c.replayed, err = Replay(c.archive); err != nil {
+		return err
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	return c.keptIsMaterialised(file)
+}
+
+// keptIsMaterialised checks that the loaded archive, its sample batches kept
+// packed, replays and writes exactly like the archive with every batch
+// decoded: the same report, findings and series from a replay, and, written
+// back, file's event chunks and trailer byte for byte — or, loaded from file
+// cut halfway through what follows its header chunk, file's complete-chunk
+// prefix, header chunk and all.
+func (c *cell) keptIsMaterialised(file []byte) error {
+	again, err := Replay(materialised(c.archive))
+	if err != nil {
+		return err
+	}
+	if c.replayed.Unsupported != nil { // a skipped run replays its refusal
+		if again.Unsupported == nil || again.Unsupported.Error() != c.replayed.Unsupported.Error() {
+			return fmt.Errorf("the loaded archive replays refusal %v, its batches decoded %v", c.replayed.Unsupported, again.Unsupported)
+		}
+	} else {
+		// Both archives hold the same trace shards, so their exports are
+		// left out: what differs is how the batches reach the series.
+		kept, want := *c.replayed, *again
+		kept.Timeline, want.Timeline = nil, nil
+		k, err := render(&kept)
+		if err != nil {
+			return err
+		}
+		if w, err := render(&want); err != nil || k != w {
+			return fmt.Errorf("the loaded archive replays differently from its batches decoded (err %v)", err)
+		}
+	}
+	// The header chunk a recorder writes holds the run record as it stood at
+	// launch; one rewritten from a loaded archive holds the final one the
+	// trailer carries. Everything after it is the file's.
+	var buf bytes.Buffer
+	if err := perfdb.WriteArchive(&buf, c.archive); err != nil {
+		return err
+	}
+	if !bytes.Equal(afterHeader(buf.Bytes()), afterHeader(file)) {
+		return fmt.Errorf("the loaded archive writes %d bytes whose chunks differ from its %d-byte file's", buf.Len(), len(file))
+	}
+	rest := afterHeader(file)
+	cut := file[:len(file)-len(rest)/2]
+	a, err := perfdb.ReadArchive(bytes.NewReader(cut))
+	if err != nil {
+		return err
+	}
+	buf.Reset()
+	if err := perfdb.WriteArchive(&buf, a); err != nil {
+		return err
+	}
+	if want := completeChunks(cut); !a.Truncated || !bytes.Equal(buf.Bytes(), want) {
+		return fmt.Errorf("the file cut to %d bytes loads (truncated %v) and writes %d bytes, not its %d-byte complete-chunk prefix", len(cut), a.Truncated, buf.Len(), len(want))
+	}
+	return nil
+}
+
+// materialised returns a with every kept batch decoded into Samples: the
+// archive a read built before it kept its batches packed.
+func materialised(a *session.Archive) *session.Archive {
+	out := *a
+	out.Events = slices.Clone(a.Events)
+	for i := range out.Events {
+		if ev := &out.Events[i]; ev.Batch != nil {
+			ev.Samples, ev.Batch = ev.Batch.Unpack(nil), nil
+		}
+	}
+	return &out
+}
+
+// afterHeader returns an archive's bytes after its magic and header chunk.
+func afterHeader(file []byte) []byte {
+	end := len("PPDBA2")
+	return file[end+9+int(binary.BigEndian.Uint32(file[end+1:end+5])):]
+}
+
+// completeChunks returns the magic and the whole chunk frames that file, an
+// archive cut short, begins with.
+func completeChunks(file []byte) []byte {
+	end := len("PPDBA2")
+	for end+9 <= len(file) {
+		next := end + 9 + int(binary.BigEndian.Uint32(file[end+1:end+5]))
+		if next > len(file) {
+			break
+		}
+		end = next
+	}
+	return file[:end]
 }
 
 // runRecords maps each cell's description to the run record its recording

@@ -5,8 +5,10 @@ package pperfmark
 // evaluated without re-running the cluster.
 
 import (
+	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"pperf/internal/consultant"
@@ -48,6 +50,44 @@ func TestWhatIfThresholdFlipsVerdict(t *testing.T) {
 		t.Fatal(err)
 	}
 	diffSnapshots(t, "replay after what-if", snapshot(t, base), snapshot(t, again))
+}
+
+// A loaded archive is read-only to its replays — its sample batches stay
+// packed and every replay decodes them into scratch of its own — so one
+// archive replays under several what-if grid points at once, each exactly as
+// it replays alone. `make race` runs this test under the race detector.
+func TestConcurrentReplaysOfOneArchive(t *testing.T) {
+	a := recorded(t, &cell{program: "small-messages", opt: RunOptions{Impl: mpi.LAM, Seed: 7, Params: shortSmallMessages}}).archive
+	grid := []ReplayOptions{{}, {SyncThreshold: 0.9999}, {IOThreshold: 0.05}, {CPUThreshold: 0.1}}
+	alone := make([]string, len(grid))
+	for i, o := range grid {
+		res, err := ReplayWith(a, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone[i] = snapshot(t, res)
+	}
+	together := make([]string, len(grid))
+	errs := make([]error, len(grid))
+	var wg sync.WaitGroup
+	for i, o := range grid {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := ReplayWith(a, o)
+			if err == nil {
+				together[i], err = render(res)
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	for i := range grid {
+		if errs[i] != nil {
+			t.Fatalf("%+v: %v", grid[i], errs[i])
+		}
+		diffSnapshots(t, fmt.Sprintf("replay under %+v beside three others", grid[i]), alone[i], together[i])
+	}
 }
 
 func TestWhatIfZeroValuesKeepRecordedConfig(t *testing.T) {

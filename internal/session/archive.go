@@ -61,7 +61,8 @@ const (
 	EvUpdate
 	// EvEnable records a metric-enable outcome (Err empty on success).
 	EvEnable
-	// EvStale is a liveness verdict: the named daemon went stale at Time.
+	// EvStale is a liveness verdict: the daemon Update.Daemon went stale at
+	// Update.Time.
 	EvStale
 	// EvShard is one streamed trace shard.
 	EvShard
@@ -102,18 +103,22 @@ func (k EventKind) String() string {
 // Event is one record of the analysis-plane stream. Only the fields for
 // its Kind are meaningful; the flat union keeps the encoded stream to a
 // single concrete type.
+//
+// Every workload builds thousands of Events, so the struct's size is a cost
+// everywhere (TestEventSize): a stale verdict rides in Update's Daemon and
+// Time rather than fields of its own, and a kept batch is one pointer.
 type Event struct {
 	Kind EventKind
 
-	Samples []datasource.Sample // EvSamples
-	Update  datasource.Update   // EvUpdate
+	// EvSamples: the batch, as a live source built it (Samples) or kept
+	// packed by an archive read (Batch); one of the two is set.
+	Samples []datasource.Sample
+	Batch   *PackedBatch
+	Update  datasource.Update // EvUpdate; EvStale: its Daemon and Time
 
 	Metric string         // EvEnable
 	Focus  resource.Focus // EvEnable
 	Err    string         // EvEnable: daemon refusal message, "" = success
-
-	Daemon string   // EvStale
-	Time   sim.Time // EvStale
 
 	Shard trace.Shard // EvShard
 
@@ -128,14 +133,20 @@ type Event struct {
 // recorded stream — so the two build the same state by construction.
 // EvEnable and EvBarrier carry no View state: enables are answered from the
 // series registry (live) or the replay index, and barriers only pace replay.
+// A kept batch is decoded into a fresh slice here; ReplaySource, which
+// applies every one a loaded archive holds, decodes them into its scratch.
 func (ev *Event) Apply(v *datasource.View) {
 	switch ev.Kind {
 	case EvSamples:
+		if ev.Batch != nil {
+			v.ApplySamples(ev.Batch.Unpack(nil))
+			return
+		}
 		v.ApplySamples(ev.Samples)
 	case EvUpdate:
 		v.ApplyUpdate(ev.Update)
 	case EvStale:
-		v.MarkDaemonStale(ev.Daemon, ev.Time)
+		v.MarkDaemonStale(ev.Update.Daemon, ev.Update.Time)
 	case EvShard:
 		v.ApplyShard(ev.Shard)
 	case EvUndelivered:
@@ -145,7 +156,9 @@ func (ev *Event) Apply(v *datasource.View) {
 	}
 }
 
-// Archive is a fully loaded session recording.
+// Archive is a fully loaded session recording. Read from a file, its sample
+// batches stay packed (Event.Batch); it is read-only to everything that
+// replays or writes it.
 type Archive struct {
 	Header Header
 	Events []Event
@@ -190,7 +203,7 @@ func (a *Archive) TruncationNote() string {
 type Sink interface {
 	// Record captures one analysis-plane event, in arrival order. The
 	// caller keeps ownership of its sample slice's backing array; a shard's
-	// packed bytes are nobody's to write.
+	// packed bytes, and a kept batch's, are nobody's to write.
 	Record(ev Event)
 	// SetHistogram records the front end's histogram configuration so
 	// replay folds samples into identical bins.

@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"pperf/internal/datasource"
 	"pperf/internal/perfdb"
@@ -50,7 +51,7 @@ func recordAll(t *testing.T, rounds int) []byte {
 		{Kind: session.EvSamples, Samples: []datasource.Sample{{Metric: "msg_bytes_sent", Focus: f, Proc: "p0", Time: 2, Delta: 5}}},
 		{Kind: session.EvShard, Shard: trace.Shard{Daemon: "paradynd@node0", Proc: "p0", Node: "node0"}},
 		{Kind: session.EvBarrier},
-		{Kind: session.EvStale, Daemon: "paradynd@node1", Time: sim.Time(3 * sim.Second)},
+		{Kind: session.EvStale, Update: datasource.Update{Daemon: "paradynd@node1", Time: sim.Time(3 * sim.Second)}},
 		{Kind: session.EvUndelivered, Proc: "p1", N: 7},
 	}
 	for i := 0; i < rounds; i++ {
@@ -121,11 +122,27 @@ func TestArchiveRoundTrip(t *testing.T) {
 			t.Errorf("event %d kind = %v, want %v", i, a.Events[i].Kind, k)
 		}
 	}
-	if a.Events[2].Samples[0].Delta != 5 {
-		t.Errorf("sample round-trip: %+v", a.Events[2].Samples[0])
+	// A loaded batch is kept packed; it decodes to what was recorded.
+	if a.Events[2].Batch == nil || a.Events[2].Samples != nil {
+		t.Fatalf("loaded sample event %+v, want its batch kept packed", a.Events[2])
 	}
-	if a.Events[3].Shard.Daemon != "paradynd@node0" || a.Events[5].Time != sim.Time(3*sim.Second) || a.Events[6].N != 7 {
+	if got := a.Events[2].Batch.Unpack(nil); got[0].Delta != 5 {
+		t.Errorf("sample round-trip: %+v", got[0])
+	}
+	if a.Events[3].Shard.Daemon != "paradynd@node0" || a.Events[5].Update.Time != sim.Time(3*sim.Second) || a.Events[5].Update.Daemon != "paradynd@node1" || a.Events[6].N != 7 {
 		t.Errorf("shard/stale/undelivered round-trip: %+v %+v %+v", a.Events[3], a.Events[5], a.Events[6])
+	}
+}
+
+// Every workload builds Events by the thousand — the benchmark harness's
+// set-up appends 6 000 before any workload runs — so the struct's size is paid
+// everywhere: 8 bytes more measured +0.79 MB of p2p-flood's allocations
+// (26.51 to 27.30 MB, +3.0%), a workload that never loads an archive. A stale
+// verdict rides in Update and a kept batch is one pointer to keep it at most
+// the 424 bytes it had before batches were kept packed.
+func TestEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(session.Event{}); n > 424 {
+		t.Errorf("session.Event is %d bytes; want at most 424", n)
 	}
 }
 
@@ -145,7 +162,7 @@ func TestRecordCopiesSampleBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Events[0].Samples[0].Delta; got != 1 {
+	if got := a.Events[0].Batch.Unpack(nil)[0].Delta; got != 1 {
 		t.Errorf("recorded delta = %v; recorder aliased the caller's batch", got)
 	}
 }

@@ -405,7 +405,7 @@ func randomEvents(rng *rand.Rand, n int) []Event {
 				Caller: str(), Callee: str(), Time: sim.Time(num()), Daemon: str()},
 			Metric: str(),
 			Focus:  resource.Focus{CodePath: str(), MachinePath: str(), SyncPath: str()},
-			Err:    str(), Daemon: str(), Time: sim.Time(num()), Proc: str(), N: num(),
+			Err:    str(), Proc: str(), N: num(),
 			Gap: datasource.Gap{Node: str(), From: sim.Time(num()), To: sim.Time(num())},
 		}
 		if rng.Intn(3) == 0 {

@@ -19,11 +19,17 @@ import (
 // state the k-th live evaluation saw. Events recorded after the last
 // barrier (end-of-run flushes, undelivered-span accounting) are applied
 // by Drain.
+//
+// A replay writes nothing into its archive: a loaded archive's sample
+// batches stay packed (PackedBatch) and each replay decodes them into a
+// scratch slice of its own, so several replays of one archive may run at
+// once.
 type ReplaySource struct {
 	*datasource.View
 
-	events []Event
-	pos    int
+	events  []Event
+	pos     int
+	samples []datasource.Sample // the kept batch being applied, reused
 
 	// enables indexes the recorded enable outcomes by canonical pair
 	// (first occurrence wins): "" means the live enable succeeded, any
@@ -44,13 +50,19 @@ func NewReplaySource(a *Archive) *ReplaySource {
 	v.BinWidth = a.Header.BinWidth
 	events, _ := a.Replayable()
 	// The newest sample replay will apply is where every histogram ends:
-	// each reserves its bins up to it on its first sample.
+	// each reserves its bins up to it on its first sample. A kept batch
+	// knows its newest, and the scratch it is decoded into is sized for the
+	// largest.
+	largest := 0
 	for i := range events {
+		if b := events[i].Batch; b != nil {
+			v.Horizon, largest = max(v.Horizon, b.newest), max(largest, int(b.n))
+		}
 		for _, sm := range events[i].Samples {
 			v.Horizon = max(v.Horizon, sm.Time)
 		}
 	}
-	rs := &ReplaySource{View: v, events: events, enables: make(map[datasource.Pair]string)}
+	rs := &ReplaySource{View: v, events: events, samples: make([]datasource.Sample, 0, largest), enables: make(map[datasource.Pair]string)}
 	// The enable index is built from the FULL stream, trimmed or not: an
 	// enable outcome is metadata about what the live session requested, so
 	// a request that succeeded live still succeeds on a truncated replay —
@@ -103,8 +115,18 @@ func (rs *ReplaySource) Sync() {
 		if ev.Kind == EvBarrier {
 			return
 		}
-		ev.Apply(rs.View)
+		rs.apply(ev)
 	}
+}
+
+// apply folds one event into the View, a kept batch through rs's scratch.
+func (rs *ReplaySource) apply(ev *Event) {
+	if ev.Kind == EvSamples && ev.Batch != nil {
+		rs.samples = ev.Batch.Unpack(rs.samples)
+		rs.View.ApplySamples(rs.samples)
+		return
+	}
+	ev.Apply(rs.View)
 }
 
 // Drain applies every remaining event — the tail recorded after the last
@@ -114,7 +136,7 @@ func (rs *ReplaySource) Sync() {
 // after the replay clock finishes.
 func (rs *ReplaySource) Drain() {
 	for ; rs.pos < len(rs.events); rs.pos++ {
-		rs.events[rs.pos].Apply(rs.View)
+		rs.apply(&rs.events[rs.pos])
 	}
-	rs.events, rs.pos = nil, 0
+	rs.events, rs.pos, rs.samples = nil, 0, nil
 }
