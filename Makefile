@@ -4,11 +4,11 @@
 # library every session shares, the discovery hooks mpi fans out, the TCP
 # transport and the daemon/fault machinery it carries, the experiments' cell
 # cache, what-if replays sharing one loaded archive), a five-second smoke of
-# each fuzz target, one iteration of every benchmark, the CLI goldens, the
-# paper's regenerated evaluation, and the out-of-tree benchmark module's own
-# vet + tests (it imports internal packages through a replace directive, so an
-# internal-API deletion that breaks it fails here rather than in the benchmark
-# run).
+# each fuzz target, one iteration of every benchmark, the benchmark workloads'
+# result digests, the CLI goldens, the paper's regenerated evaluation, and the
+# out-of-tree benchmark module's own vet + tests (it imports internal packages
+# through a replace directive, so an internal-API deletion that breaks it
+# fails here rather than in the benchmark run).
 
 GO ?= go
 
@@ -33,7 +33,7 @@ race:
 	$(GO) test -race -run 'TestCellCache' ./internal/experiments
 	$(GO) test -race -run 'TestConcurrentReplaysOfOneArchive' ./internal/pperfmark
 
-verify: build vet fmt-check test race fuzz-smoke bench-smoke bench-module replay-golden perfdb-golden sync-golden wire-golden trend-golden experiments-golden
+verify: build vet fmt-check test race fuzz-smoke bench-smoke bench-module bench-digests replay-golden perfdb-golden sync-golden wire-golden trend-golden experiments-golden
 
 # loc prints the size figures simplicity PRs quote: non-test and test Go lines
 # outside bench/, then the non-test count of the root package, examples/ and
@@ -121,8 +121,9 @@ bench-module:
 # artifact bytes equal testdata/bench-digests.txt: the check that a change
 # left everything the workloads record, export and judge byte-identical.
 # bench/run.sh builds into .bench_build/ (git-ignored); the captured output
-# goes to a temporary directory. About 50 s on a 2-core Xeon. Not part of
-# verify.
+# goes to a temporary directory. About 50 s on a 2-core Xeon. Part of
+# verify: a change that means to move these bytes updates the file and says
+# why.
 BENCH_WORKLOADS = p2p-flood suite-sweep traced-tcp replay-whatif store-cycle
 bench-digests:
 	@tmp=$$(mktemp -d) && \

@@ -231,7 +231,7 @@ func BenchmarkLoadAny(b *testing.B) {
 // the Consultant in a session with tracing armed and daemon traffic on TCP,
 // then everything the workload does with the timeline.
 func BenchmarkTracedTCP(b *testing.B) {
-	o, prog, params, err := pperfmark.SessionOptions("sstwod", pperfmark.RunOptions{
+	o, prog, spec, err := pperfmark.SessionOptions("sstwod", pperfmark.RunOptions{
 		Impl: mpi.LAM, Seed: 7, Params: pperfmark.Params{Iterations: 300}, Trace: &trace.Config{},
 	})
 	if err != nil {
@@ -245,7 +245,7 @@ func BenchmarkTracedTCP(b *testing.B) {
 			b.Fatal(err)
 		}
 		s.Register("sstwod", prog)
-		if err := s.Launch("sstwod", params.Procs, nil); err != nil {
+		if err := s.Launch("sstwod", spec.Params.Procs, nil); err != nil {
 			b.Fatal(err)
 		}
 		if err := consultant.New(s.FE, s.Eng, pperfmark.ScaledPCConfig()).Start(); err != nil {

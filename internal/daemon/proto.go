@@ -57,6 +57,9 @@ const (
 	SpawnAttach
 )
 
+// String names the method as the -spawn flag and a run record spell it.
+func (m SpawnMethod) String() string { return [...]string{"intercept", "attach"}[m] }
+
 // Config controls daemon behaviour.
 type Config struct {
 	// SampleInterval is the metric sampling cadence (default 0.2 s, the

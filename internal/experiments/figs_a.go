@@ -39,7 +39,7 @@ type metricPair struct {
 // runWithSeries runs a PPerfMark program under the tool without the PC,
 // collecting the requested metric-focus series.
 func runWithSeries(name string, impl mpi.ImplKind, p pperfmark.Params, pairs []metricPair) (map[string]*datasource.Series, sim.Time) {
-	o, prog, params, err := pperfmark.SessionOptions(name, pperfmark.RunOptions{Impl: impl, Params: p})
+	o, prog, spec, err := pperfmark.SessionOptions(name, pperfmark.RunOptions{Impl: impl, Params: p})
 	if err != nil {
 		panic(err)
 	}
@@ -53,7 +53,7 @@ func runWithSeries(name string, impl mpi.ImplKind, p pperfmark.Params, pairs []m
 	for _, pr := range pairs {
 		out[pr.key] = s.MustEnable(pr.metric, pr.focus)
 	}
-	if err := s.Launch(name, params.Procs, nil); err != nil {
+	if err := s.Launch(name, spec.Params.Procs, nil); err != nil {
 		panic(err)
 	}
 	if err := s.Run(); err != nil {

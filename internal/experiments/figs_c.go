@@ -49,7 +49,7 @@ func fig22(c *cells) *Result {
 func fig23(*cells) *Result {
 	r := &Result{ID: "fig23", Title: "Resource hierarchy across MPI_Comm_spawn", OK: true,
 		Paper: "three new processes appear; the parent+child window appears with its friendly name, also under Message (LAM stores window names in a communicator)"}
-	o, prog, params, err := pperfmark.SessionOptions("spawnwin-sync", pperfmark.RunOptions{Impl: mpi.LAM, Params: pperfmark.Params{Iterations: 40}})
+	o, prog, spec, err := pperfmark.SessionOptions("spawnwin-sync", pperfmark.RunOptions{Impl: mpi.LAM, Params: pperfmark.Params{Iterations: 40}})
 	if err != nil {
 		panic(err)
 	}
@@ -61,7 +61,7 @@ func fig23(*cells) *Result {
 	s.Register("spawnwin-sync", prog)
 	var before string
 	s.Eng.At(sim.Time(10*sim.Millisecond), func() { before = s.FE.Hierarchy().Render() })
-	if err := s.Launch("spawnwin-sync", params.Procs, nil); err != nil {
+	if err := s.Launch("spawnwin-sync", spec.Params.Procs, nil); err != nil {
 		panic(err)
 	}
 	if err := s.Run(); err != nil {
@@ -70,7 +70,7 @@ func fig23(*cells) *Result {
 	after := s.FE.Hierarchy().Render()
 
 	childCount := strings.Count(after, "spawnwinsync-child{")
-	r.ok(childCount >= params.Children, "after-hierarchy has %d children, want %d", childCount, params.Children)
+	r.ok(childCount >= spec.Params.Children, "after-hierarchy has %d children, want %d", childCount, spec.Params.Children)
 	r.ok(!strings.Contains(before, "spawnwinsync-child{"), "children present before spawn")
 	r.ok(strings.Contains(after, "ParentChildWindow"), "window friendly name missing")
 	r.ok(strings.Contains(after, "Parent&Child"), "intercommunicator friendly name missing")

@@ -22,25 +22,25 @@ type cell struct {
 	verdict *pperfmark.Verdict
 }
 
-type cellKey struct {
-	program string
-	impl    mpi.ImplKind
-}
-
-// cells memoises one judged pperfmark.Run per (program, personality), so the
-// figures and tables of one Run or RunAll share each run. Safe for
-// concurrent use; a harness error panics every caller of the cell
-// (experiments are regeneration scripts, not servers).
+// cells memoises one judged pperfmark.Run per run spec, so the figures and
+// tables of one Run or RunAll share each run. Safe for concurrent use; a
+// harness error panics every caller of the cell (experiments are
+// regeneration scripts, not servers).
 type cells struct {
-	m sync.Map // cellKey → func() cell, a sync.OnceValue
+	m sync.Map // pperfmark.Spec.String() → func() cell, a sync.OnceValue
 }
 
-// get returns the cell, simulating it on first use.
+// get returns the cell of program under impl, simulating it on first use.
 func (c *cells) get(program string, impl mpi.ImplKind) cell {
-	run, _ := c.m.LoadOrStore(cellKey{program, impl}, sync.OnceValue(func() cell {
-		res, err := pperfmark.Run(program, pperfmark.RunOptions{Impl: impl})
+	opt := pperfmark.RunOptions{Impl: impl}
+	spec, err := pperfmark.NewSpec(program, opt)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %s/%s: %v", program, impl, err))
+	}
+	run, _ := c.m.LoadOrStore(spec.String(), sync.OnceValue(func() cell {
+		res, err := pperfmark.Run(program, opt)
 		if err != nil {
-			panic(fmt.Sprintf("experiments: %s/%s: %v", program, impl, err))
+			panic(fmt.Sprintf("experiments: %v: %v", spec, err))
 		}
 		return cell{res, pperfmark.Judge(res)}
 	}))

@@ -63,15 +63,13 @@ type cell struct {
 	err         error
 }
 
+// String names the cell by its spec and its chunk sizes.
 func (c *cell) String() string {
-	s := fmt.Sprintf("%s under %v", c.program, c.opt.Impl)
-	if c.opt.Trace != nil {
-		s += ", traced"
+	spec, err := pperfmark.NewSpec(c.program, c.opt)
+	if err != nil {
+		return err.Error()
 	}
-	if c.opt.Faults != nil {
-		s += ", faults " + c.opt.Faults.String()
-	}
-	return s
+	return fmt.Sprintf("%v, chunks %v", spec, c.chunks)
 }
 
 func (c *cell) run() error {

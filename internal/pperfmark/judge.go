@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 
 	"pperf/internal/consultant"
@@ -56,11 +57,60 @@ func ScaledPCConfig() consultant.Config {
 	return cfg
 }
 
+// Spec is one run of a suite program, as NewSpec resolves RunOptions: what Run
+// runs, what its recording records and what Replay decodes. String names it.
+type Spec struct {
+	Program           string
+	Impl              mpi.ImplKind
+	Params            Params // merged over the program's defaults
+	Seed              uint64
+	Spawn             daemon.SpawnMethod
+	PCConfig          consultant.Config // ScaledPCConfig with the program's own CPU threshold, if any
+	Faults            *faults.Plan
+	DisablePC, Traced bool
+}
+
+// NewSpec resolves opt for the named program, or refuses it (see check).
+func NewSpec(name string, opt RunOptions) (Spec, error) {
+	s := Spec{Program: name, Impl: opt.Impl, Params: opt.Params, Seed: opt.Seed, Spawn: opt.Spawn,
+		DisablePC: opt.DisablePC, PCConfig: ScaledPCConfig(), Traced: opt.Trace != nil, Faults: opt.Faults}
+	if err := s.check(true); err != nil {
+		return Spec{}, fmt.Errorf("pperfmark: %w", err)
+	}
+	s.PCConfig.CPUThreshold = cmp.Or(registry[name].CPUThreshold, s.PCConfig.CPUThreshold)
+	return s, nil
+}
+
+// check refuses a spec no run has: an unknown program, a negative parameter
+// or prune count, an evaluation interval that is not positive or a threshold
+// outside (0, 1]. With merge, a zero parameter takes the program's default.
+func (s *Spec) check(merge bool) error {
+	e := registry[s.Program]
+	if e == nil {
+		return fmt.Errorf("unknown program %q (known: %v)", s.Program, Names())
+	}
+	v, d, pc := reflect.ValueOf(&s.Params).Elem(), reflect.ValueOf(&e.Defaults).Elem(), &s.PCConfig
+	for i := range v.NumField() { // every Params field is an integer
+		switch f := v.Field(i); {
+		case f.Int() < 0:
+			return fmt.Errorf("%s %s %d: must not be negative", s.Program, v.Type().Field(i).Name, f.Int())
+		case f.Int() == 0 && merge:
+			f.SetInt(d.Field(i).Int())
+		}
+	}
+	if pc.PruneEvals < 0 || pc.EvalInterval <= 0 {
+		return fmt.Errorf("Consultant prune count %d, evaluation interval %v", pc.PruneEvals, pc.EvalInterval)
+	}
+	th := [...]float64{pc.SyncThreshold, pc.IOThreshold, pc.CPUThreshold}
+	if err := cmp.Or(core.CheckThreshold(th[0]), core.CheckThreshold(th[1]), core.CheckThreshold(th[2])); err != nil {
+		return fmt.Errorf("Consultant thresholds %v: %w", th, err)
+	}
+	return nil
+}
+
 // Result is a completed tool-observed run of one suite program.
 type Result struct {
-	Program string
-	Impl    mpi.ImplKind
-	Params  Params
+	Spec
 	Session *core.Session
 	// Source is the analysis plane the run's findings were (or, for a
 	// replayed archive, are) read from: the live front end or a
@@ -84,7 +134,7 @@ type Result struct {
 	Coverage float64
 	// FaultLog lists the injected events that fired (empty without a plan).
 	FaultLog []string
-	// Timeline is the merged trace timeline (nil unless RunOptions.Trace).
+	// Timeline is the merged trace timeline (nil unless Traced).
 	Timeline *trace.Timeline
 	// Unsupported is set when the implementation cannot run the program at
 	// all (spawn on MPICH/MPICH2), mirroring the paper's restrictions.
@@ -109,12 +159,12 @@ type total struct {
 	metric, what string
 }
 
-// enableVerification turns on the series of each of the entry's totals. Run
-// calls it on the live front end and ReplayWith on the replay source, which
-// answers each request from the recorded enables; sharing it keeps the two
-// request orders identical.
-func enableVerification(src datasource.DataSource, entry *Entry, res *Result) error {
-	for _, t := range totals(entry, res) {
+// enableVerification turns on the series of each of res's program's totals.
+// Run calls it on the live front end and ReplayWith on the replay source,
+// which answers each request from the recorded enables; sharing it keeps the
+// two request orders identical.
+func enableVerification(src datasource.DataSource, res *Result) error {
+	for _, t := range totals(registry[res.Program], res) {
 		if t.expect == nil {
 			continue
 		}
@@ -143,40 +193,29 @@ func layout(name string, p Params) (nodes, cpusPerNode int) {
 
 // SessionOptions is the one description of a suite program's session: the
 // program's layout, the scaled-down suite's 50 ms sampling and 50 ms bins,
-// and opt's personality, seed, spawn method, fault plan, trace and recorder.
-// It returns the program and its params (opt.Params merged over the defaults)
-// with them. Run builds its session from them; a caller that drives the
-// session itself sets what else it needs (UseTCP) on the returned options.
-func SessionOptions(name string, opt RunOptions) (core.Options, mpi.Program, Params, error) {
-	prog, params, err := Program(name, opt.Params)
+// and opt's spec, trace and recorder; it returns the program and the spec
+// too. A caller that drives the session sets what else it needs (UseTCP).
+func SessionOptions(name string, opt RunOptions) (core.Options, mpi.Program, Spec, error) {
+	s, err := NewSpec(name, opt)
 	if err != nil {
-		return core.Options{}, nil, Params{}, err
+		return core.Options{}, nil, Spec{}, err
 	}
-	nodes, cpus := layout(name, params)
+	nodes, cpus := layout(name, s.Params)
 	dcfg := daemon.DefaultConfig()
-	dcfg.SampleInterval = 50 * sim.Millisecond
-	dcfg.Spawn = opt.Spawn
-	return core.Options{Impl: opt.Impl, Nodes: nodes, CPUsPerNode: cpus, Seed: opt.Seed, Daemon: &dcfg,
-		BinWidth: 50 * sim.Millisecond, Faults: opt.Faults, Trace: opt.Trace, Recorder: opt.Record}, prog, params, nil
+	dcfg.SampleInterval, dcfg.Spawn = 50*sim.Millisecond, s.Spawn
+	return core.Options{Impl: s.Impl, Nodes: nodes, CPUsPerNode: cpus, Seed: s.Seed, Daemon: &dcfg, BinWidth: 50 * sim.Millisecond,
+		Faults: s.Faults, Trace: opt.Trace, Recorder: opt.Record}, registry[name].Make(s.Params), s, nil
 }
 
 // Run executes one suite program under the full tool (daemons, front end,
 // Performance Consultant) and returns the observed results.
 func Run(name string, opt RunOptions) (*Result, error) {
-	o, prog, params, err := SessionOptions(name, opt)
+	o, prog, spec, err := SessionOptions(name, opt)
 	if err != nil {
 		return nil, err
 	}
-	entry := Get(name)
-	// The effective Consultant configuration, hoisted so recording can
-	// archive it even though the Consultant itself starts after launch.
-	pcCfg := ScaledPCConfig()
-	if entry.CPUThreshold != 0 {
-		pcCfg.CPUThreshold = entry.CPUThreshold
-	}
-
-	res := &Result{Program: name, Impl: opt.Impl, Params: params}
-	stampRecording(opt, res, pcCfg, o.Nodes, false)
+	res := &Result{Spec: spec}
+	stampRecording(opt.Record, res, false)
 	s, err := core.NewSession(o)
 	if err != nil {
 		return nil, err
@@ -184,16 +223,16 @@ func Run(name string, opt RunOptions) (*Result, error) {
 	defer s.Close()
 
 	res.Session, res.Source = s, s.FE
-	if res.Unsupported = entry.Unsupported(s.World.Impl); res.Unsupported == nil {
+	if res.Unsupported = registry[name].Unsupported(s.World.Impl); res.Unsupported == nil {
 		s.Register(name, prog)
-		if err := enableVerification(s.FE, entry, res); err != nil {
+		if err := enableVerification(s.FE, res); err != nil {
 			return nil, err
 		}
-		if err := s.Launch(name, params.Procs, nil); err != nil {
+		if err := s.Launch(name, spec.Params.Procs, nil); err != nil {
 			return nil, err
 		}
-		if !opt.DisablePC {
-			res.PC = consultant.New(s.FE, s.Eng, pcCfg)
+		if !spec.DisablePC {
+			res.PC = consultant.New(s.FE, s.Eng, spec.PCConfig)
 			if err := res.PC.Start(); err != nil {
 				return nil, err
 			}
@@ -209,7 +248,7 @@ func Run(name string, opt RunOptions) (*Result, error) {
 		}
 		res.Timeline = s.FE.Timeline()
 	}
-	stampRecording(opt, res, pcCfg, o.Nodes, true)
+	stampRecording(opt.Record, res, true)
 	return res, nil
 }
 
@@ -230,8 +269,7 @@ func (e *Entry) Unsupported(impl *mpi.Impl) error {
 
 // Verdict is the judged outcome of one run — a row of Table 2 or 3.
 type Verdict struct {
-	Program string
-	Impl    mpi.ImplKind
+	Spec // the judged run
 	// Pass means the tool behaved as the paper reports for this program
 	// (including a designed failure, whose "correct" behaviour is failing to
 	// find the bottleneck).
@@ -249,7 +287,7 @@ type Verdict struct {
 // Judge evaluates a Result against the paper's expectations for the
 // program: its entry's totals, findings and hierarchy check, in that order.
 func Judge(res *Result) *Verdict {
-	v := &Verdict{Program: res.Program, Impl: res.Impl, PaperResult: "Pass"}
+	v := &Verdict{Spec: res.Spec, PaperResult: "Pass"}
 	if res.Unsupported != nil {
 		v.Skipped = res.Unsupported.Error()
 		v.Pass = true

@@ -9,10 +9,6 @@
 package pperfmark
 
 import (
-	"fmt"
-	"reflect"
-	"sort"
-
 	"pperf/internal/consultant"
 	"pperf/internal/mpi"
 	"pperf/internal/sim"
@@ -160,24 +156,9 @@ func paperNames(mpi2 bool) []string {
 	return out
 }
 
-// Program builds the named program with params merged over its defaults —
-// a zero field takes the default's value — returning the merged params used.
-// A negative parameter is refused.
+// Program builds the named program with p merged over its defaults, as
+// NewSpec merges and refuses them, and returns the merged params.
 func Program(name string, p Params) (mpi.Program, Params, error) {
-	e := registry[name]
-	if e == nil {
-		known := Names()
-		sort.Strings(known)
-		return nil, Params{}, fmt.Errorf("pperfmark: unknown program %q (known: %v)", name, known)
-	}
-	v, d := reflect.ValueOf(&p).Elem(), reflect.ValueOf(&e.Defaults).Elem()
-	for i := range v.NumField() { // every Params field is an integer
-		switch f := v.Field(i); {
-		case f.Int() < 0:
-			return nil, Params{}, fmt.Errorf("pperfmark: %s %s %d: must not be negative", name, v.Type().Field(i).Name, f.Int())
-		case f.Int() == 0:
-			f.SetInt(d.Field(i).Int())
-		}
-	}
-	return e.Make(p), p, nil
+	_, prog, s, err := SessionOptions(name, RunOptions{Params: p})
+	return prog, s.Params, err
 }

@@ -4,141 +4,150 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 
 	"pperf/internal/consultant"
-	"pperf/internal/core"
+	"pperf/internal/daemon"
+	"pperf/internal/faults"
 	"pperf/internal/mpi"
 	"pperf/internal/session"
 	"pperf/internal/sim"
-	"pperf/internal/trace"
 )
 
-// stampRecording stamps the run record of a run laid out on nodes nodes into
-// the recorder's header, one Meta pair per fact: everything Replay needs to
-// re-drive the Performance Consultant against the recorded event stream,
-// the live-only facts (fault log, probe count) a replay cannot recompute,
-// and the text of a run the personality cannot run at all (spawn on MPICH,
-// passive target outside Reference), so its skip verdict replays too.
-// Integers are decimal, durations and the run time nanoseconds, thresholds
-// the shortest text that parses back to them. A zero fact is left out, but
-// for the pairs the store index lists (program, impl, seed, procs, nodes,
-// faults, and runtime once final), since an absent key reads as zero. At
-// launch (final false) it stamps what is known then, which lands in the
-// header chunk so a crashed run's archive replays, and at the end all of it.
-// A no-op when the run is not recording.
-func stampRecording(opt RunOptions, res *Result, pc consultant.Config, nodes int, final bool) {
-	if opt.Record == nil {
+// stampRecording stamps res's run record into rec's header, one Meta pair
+// per fact: the node count, the spec (all Replay needs) and what the run
+// observed that a replay cannot recompute. At launch (final false) it stamps
+// what is known then, into the header chunk, so a crashed run replays.
+func stampRecording(rec session.Sink, res *Result, final bool) {
+	if rec == nil {
 		return
 	}
-	set := opt.Record.SetMeta
-	set("program", res.Program)
-	set("impl", res.Impl.String())
-	set("seed", strconv.FormatUint(opt.Seed, 10))
-	set("procs", strconv.Itoa(res.Params.Procs))
-	set("nodes", strconv.Itoa(nodes))
-	if opt.Faults != nil {
-		set("faults", opt.Faults.String())
-	}
-	if final {
-		set("runtime", strconv.FormatInt(int64(res.RunTime), 10))
-	}
-	p, bit := &res.Params, map[bool]int64{true: 1}
-	for _, x := range [...]struct {
-		k string
-		v int64
-	}{
-		{"iterations", int64(p.Iterations)}, {"message-size", int64(p.MessageSize)}, {"messages", int64(p.Messages)},
-		{"ttw", int64(p.TimeToWaste)}, {"waste-unit", int64(p.WasteUnit)}, {"windows", int64(p.Windows)},
-		{"children", int64(p.Children)}, {"probe-execs", res.ProbeExecs}, {"traced", bit[opt.Trace != nil]},
-		{"pc-off", bit[opt.DisablePC]}, {"pc-eval", int64(pc.EvalInterval)}, {"pc-prune", int64(pc.PruneEvals)},
-	} {
-		if x.v != 0 {
-			set(x.k, strconv.FormatInt(x.v, 10))
+	nodes, _ := layout(res.Program, res.Params)
+	rec.SetMeta("nodes", strconv.Itoa(nodes))
+	res.record(final, rec.SetMeta)
+}
+
+// record calls set with each pair of r's run record but nodes, in key order.
+func (r *Result) record(final bool, set func(k, v string)) {
+	for _, f := range r.facts(final) {
+		if f.keep || !reflect.ValueOf(f.ptr).Elem().IsZero() {
+			set(f.key, f.text())
 		}
-	}
-	for _, x := range [...]struct {
-		k string
-		v float64
-	}{{"pc-sync", pc.SyncThreshold}, {"pc-io", pc.IOThreshold}, {"pc-cpu", pc.CPUThreshold}} {
-		if x.v != 0 {
-			set(x.k, strconv.FormatFloat(x.v, 'g', -1, 64))
-		}
-	}
-	if len(res.FaultLog) > 0 {
-		set("fault-log", strings.Join(res.FaultLog, "\n"))
-	}
-	if res.Unsupported != nil {
-		set("unsupported", res.Unsupported.Error())
 	}
 }
 
+// String names the run: the pairs a run of s records at launch, which are
+// its spec's, key=value in key order.
+func (s Spec) String() string {
+	var pairs []string
+	(&Result{Spec: s}).record(false, func(k, v string) { pairs = append(pairs, k+"="+quoted(v)) })
+	return strings.Join(pairs, " ")
+}
+
+// quoted is v Go-quoted when it is empty or holds a space, an = or anything
+// %q escapes, and v itself otherwise.
+func quoted(v string) string {
+	if q := strconv.Quote(v); v == "" || strings.ContainsAny(v, " =") || q[1:len(q)-1] != v {
+		return q
+	}
+	return v
+}
+
+// fact is one pair of a run record: its key, a pointer to the field it
+// holds, and whether it is kept even when zero (an absent pair reads as zero).
+type fact struct {
+	key  string
+	ptr  any
+	keep bool
+}
+
+// facts lists the pairs of r's run record but nodes, in key order: its spec
+// and what the run observed, the run time once it is over (final).
+func (r *Result) facts(final bool) [24]fact {
+	p, pc := &r.Params, &r.PCConfig
+	return [...]fact{{"children", &p.Children, false}, {"fault-log", &r.FaultLog, false}, {"faults", &r.Faults, false},
+		{"impl", &r.Impl, true}, {"iterations", &p.Iterations, false}, {"message-size", &p.MessageSize, false},
+		{"messages", &p.Messages, false}, {"pc-cpu", &pc.CPUThreshold, false}, {"pc-eval", &pc.EvalInterval, false},
+		{"pc-io", &pc.IOThreshold, false}, {"pc-off", &r.DisablePC, false}, {"pc-prune", &pc.PruneEvals, false},
+		{"pc-sync", &pc.SyncThreshold, false}, {"probe-execs", &r.ProbeExecs, false}, {"procs", &p.Procs, true},
+		{"program", &r.Program, true}, {"runtime", &r.RunTime, final}, {"seed", &r.Seed, true},
+		{"spawn", &r.Spawn, false}, {"traced", &r.Traced, false}, {"ttw", &p.TimeToWaste, false},
+		{"unsupported", &r.Unsupported, false}, {"waste-unit", &p.WasteUnit, false}, {"windows", &p.Windows, false}}
+}
+
+// text is f's field as its pair's text: its %v (a threshold the shortest
+// text that parses back), but nanoseconds for a time or duration, the fault
+// log's lines, and 1 for a flag, which is written only when set.
+func (f fact) text() string {
+	v := reflect.ValueOf(f.ptr).Elem()
+	switch p := f.ptr.(type) {
+	case *bool:
+		return "1"
+	case *sim.Time, *sim.Duration:
+		return strconv.FormatInt(v.Int(), 10)
+	case *[]string:
+		return strings.Join(*p, "\n")
+	}
+	return fmt.Sprint(v)
+}
+
+// parse sets f's field from t, its pair's text. An absent pair (t empty)
+// reads as zero, unless it is kept, which every record holds.
+func (f fact) parse(t string) (err error) {
+	v := reflect.ValueOf(f.ptr).Elem()
+	if t == "" && !f.keep {
+		v.SetZero()
+		return nil
+	}
+	switch p := f.ptr.(type) {
+	case *mpi.ImplKind:
+		*p, err = mpi.ParseImpl(t)
+	case *daemon.SpawnMethod: // the zero value, intercept, is left out
+		if *p = daemon.SpawnAttach; t != p.String() {
+			err = errors.New("unknown spawn method")
+		}
+	case **faults.Plan:
+		*p, err = faults.Parse(t)
+	case *[]string:
+		*p = strings.Split(t, "\n")
+	case *error:
+		*p = errors.New(t)
+	case *string:
+		*p = t
+	case *bool:
+		*p, err = strconv.ParseBool(t)
+	case *float64:
+		*p, err = strconv.ParseFloat(t, 64)
+	case *uint64:
+		*p, err = strconv.ParseUint(t, 10, 64)
+	default:
+		var n int64
+		n, err = strconv.ParseInt(t, 10, 64)
+		v.SetInt(n)
+	}
+	return err
+}
+
 // decodeRun decodes the run record in an archive header's Meta back into the
-// run's result, options (its personality, merged params, seed, DisablePC
-// and, for a traced run, a non-nil Trace) and Consultant configuration. A
-// value that does not parse is an error, and so is a record no live run
-// writes: an unknown personality, a negative parameter, prune or probe
-// count, an evaluation interval that is not positive, a negative run time or
-// a threshold outside (0, 1].
-func decodeRun(meta map[string]string) (*Result, RunOptions, consultant.Config, error) {
-	var bad error
-	fail := func(format string, args ...any) {
-		if bad == nil {
-			bad = fmt.Errorf(format, args...)
+// run's result. A value that does not parse is an error, and so is a record
+// no live run writes: a spec check refuses, or a negative count or run time.
+func decodeRun(meta map[string]string) (*Result, error) {
+	if len(meta) == 0 {
+		return nil, errors.New("pperfmark: archive carries no run description (not recorded by this harness?)")
+	}
+	res := &Result{}
+	for _, f := range res.facts(false) {
+		if err := f.parse(meta[f.key]); err != nil {
+			return nil, fmt.Errorf("pperfmark: corrupt run description: %s %q: %w", f.key, meta[f.key], err)
 		}
 	}
-	num := func(k string) int64 {
-		n, err := strconv.ParseInt(cmp.Or(meta[k], "0"), 10, 64)
-		if err != nil {
-			fail("%s %q", k, meta[k])
-		}
-		return n
+	if err := res.Spec.check(false); err != nil || res.ProbeExecs < 0 || res.RunTime < 0 {
+		err = cmp.Or(err, fmt.Errorf("probe count %d, run time %v", res.ProbeExecs, res.RunTime))
+		return nil, fmt.Errorf("pperfmark: corrupt run description: %w", err)
 	}
-	frac := func(k string) float64 {
-		f, err := strconv.ParseFloat(cmp.Or(meta[k], "0"), 64)
-		if err != nil {
-			fail("%s %q", k, meta[k])
-		}
-		return f
-	}
-	impl, err := mpi.ParseImpl(meta["impl"])
-	if err != nil {
-		fail("personality %q", meta["impl"])
-	}
-	seed, err := strconv.ParseUint(cmp.Or(meta["seed"], "0"), 10, 64)
-	if err != nil {
-		fail("seed %q", meta["seed"])
-	}
-	p := Params{Iterations: int(num("iterations")), MessageSize: int(num("message-size")), Messages: int(num("messages")),
-		TimeToWaste: int(num("ttw")), Procs: int(num("procs")), WasteUnit: sim.Duration(num("waste-unit")),
-		Windows: int(num("windows")), Children: int(num("children"))}
-	res := &Result{Program: meta["program"], Impl: impl, Params: p, RunTime: sim.Time(num("runtime")), ProbeExecs: num("probe-execs")}
-	if log := meta["fault-log"]; log != "" {
-		res.FaultLog = strings.Split(log, "\n")
-	}
-	if u := meta["unsupported"]; u != "" {
-		res.Unsupported = errors.New(u)
-	}
-	opt := RunOptions{Impl: impl, Params: p, Seed: seed, DisablePC: num("pc-off") != 0}
-	if num("traced") != 0 {
-		opt.Trace = &trace.Config{}
-	}
-	pc := consultant.Config{SyncThreshold: frac("pc-sync"), IOThreshold: frac("pc-io"), CPUThreshold: frac("pc-cpu"),
-		EvalInterval: sim.Duration(num("pc-eval")), PruneEvals: int(num("pc-prune"))}
-	switch {
-	case min(p.Iterations, p.MessageSize, p.Messages, p.TimeToWaste, p.Procs, p.Windows, p.Children, pc.PruneEvals) < 0 ||
-		p.WasteUnit < 0 || res.ProbeExecs < 0:
-		fail("negative parameter, prune or probe count in %+v, %d, %d", p, pc.PruneEvals, res.ProbeExecs)
-	case pc.EvalInterval <= 0 || res.RunTime < 0:
-		fail("evaluation interval %v, run time %v", pc.EvalInterval, res.RunTime)
-	case core.CheckThreshold(pc.SyncThreshold) != nil || core.CheckThreshold(pc.IOThreshold) != nil || core.CheckThreshold(pc.CPUThreshold) != nil:
-		fail("thresholds %v, %v, %v", pc.SyncThreshold, pc.IOThreshold, pc.CPUThreshold)
-	}
-	if bad != nil {
-		return res, opt, pc, fmt.Errorf("pperfmark: corrupt run description: %w", bad)
-	}
-	return res, opt, pc, nil
+	return res, nil
 }
 
 // ReplayOptions override pieces of the recorded analysis configuration
@@ -156,29 +165,6 @@ type ReplayOptions struct {
 	CPUThreshold  float64
 }
 
-// override returns the recorded config with the non-zero overrides
-// applied, or the range error of the first one outside (0, 1].
-func (o ReplayOptions) override(cfg consultant.Config) (consultant.Config, error) {
-	for _, th := range []struct {
-		name string
-		v    float64
-		dst  *float64
-	}{
-		{"sync", o.SyncThreshold, &cfg.SyncThreshold},
-		{"io", o.IOThreshold, &cfg.IOThreshold},
-		{"cpu", o.CPUThreshold, &cfg.CPUThreshold},
-	} {
-		if th.v == 0 {
-			continue
-		}
-		if err := core.CheckThreshold(th.v); err != nil {
-			return cfg, fmt.Errorf("pperfmark: what-if %s threshold %v: %w", th.name, th.v, err)
-		}
-		*th.dst = th.v
-	}
-	return cfg, nil
-}
-
 // Replay re-runs the analysis plane of a recorded session offline with
 // the recorded configuration: it rebuilds the DataSource view from the
 // archive's event stream, re-drives the Performance Consultant on a fresh
@@ -192,10 +178,7 @@ func Replay(a *session.Archive) (*Result, error) {
 // ReplayWith is Replay with what-if overrides applied over the recorded
 // Consultant configuration (see ReplayOptions).
 func ReplayWith(a *session.Archive, o ReplayOptions) (*Result, error) {
-	if _, ok := a.Header.Meta["program"]; !ok {
-		return nil, fmt.Errorf("pperfmark: archive carries no run description (not recorded by this harness?)")
-	}
-	res, opt, pc, err := decodeRun(a.Header.Meta)
+	res, err := decodeRun(a.Header.Meta)
 	if err != nil {
 		return nil, err
 	}
@@ -208,39 +191,38 @@ func ReplayWith(a *session.Archive, o ReplayOptions) (*Result, error) {
 	// live run, and replaying it could evaluate without end.
 	_, barriers := a.Replayable()
 	if a.Truncated {
-		res.RunTime = sim.Time(barriers) * sim.Time(pc.EvalInterval)
+		res.RunTime = sim.Time(barriers) * sim.Time(res.PCConfig.EvalInterval)
 	}
-	if evals := res.RunTime / sim.Time(pc.EvalInterval); !opt.DisablePC && evals > sim.Time(barriers) {
+	if evals := res.RunTime / sim.Time(res.PCConfig.EvalInterval); !res.DisablePC && evals > sim.Time(barriers) {
 		return nil, fmt.Errorf("pperfmark: corrupt run description: run time %v promises %d evaluations, archive holds %d barriers", res.RunTime, evals, barriers)
 	}
-	if pc, err = o.override(pc); err != nil {
-		return nil, err
+	pc := &res.PCConfig // each non-zero what-if threshold in place of the recorded one
+	pc.SyncThreshold, pc.IOThreshold = cmp.Or(o.SyncThreshold, pc.SyncThreshold), cmp.Or(o.IOThreshold, pc.IOThreshold)
+	pc.CPUThreshold = cmp.Or(o.CPUThreshold, pc.CPUThreshold)
+	if err := res.Spec.check(false); err != nil {
+		return nil, fmt.Errorf("pperfmark: what-if %w", err)
 	}
 	if res.Unsupported != nil {
 		return res, nil
 	}
-	entry := Get(res.Program)
-	if entry == nil {
-		return nil, fmt.Errorf("pperfmark: archive records unknown program %q", res.Program)
-	}
 
 	rs := session.NewReplaySource(a)
-	if opt.Trace != nil {
+	if res.Traced {
 		// A traced live run has a timeline even if no shards arrived.
 		rs.EnableTrace()
 	}
 	res.Source = rs
 
-	if err := enableVerification(rs, entry, res); err != nil {
+	if err := enableVerification(rs, res); err != nil {
 		return nil, err
 	}
 
 	// A fresh engine paces the Consultant exactly as the live one did:
 	// evaluations fire on the same virtual-time grid, and each calls
 	// Sync, which advances the replay to the matching recorded barrier.
-	eng := sim.NewEngine(opt.Seed)
-	if !opt.DisablePC {
-		res.PC = consultant.New(rs, eng, pc)
+	eng := sim.NewEngine(res.Seed)
+	if !res.DisablePC {
+		res.PC = consultant.New(rs, eng, res.PCConfig)
 		if err := res.PC.Start(); err != nil {
 			return nil, err
 		}

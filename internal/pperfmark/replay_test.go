@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"pperf/internal/consultant"
+	"pperf/internal/daemon"
 	"pperf/internal/datasource"
 	"pperf/internal/faults"
 	"pperf/internal/mpi"
@@ -131,21 +132,13 @@ type cell struct {
 	liveSnap string
 }
 
+// String names the cell by its spec.
 func (c *cell) String() string {
-	s := fmt.Sprintf("%s under %v, seed %d", c.program, c.opt.Impl, c.opt.Seed)
-	if n := c.opt.Params.Iterations; n > 0 {
-		s += fmt.Sprintf(", %d iterations", n)
+	spec, err := NewSpec(c.program, c.opt)
+	if err != nil {
+		return err.Error()
 	}
-	if c.opt.Trace != nil {
-		s += ", traced"
-	}
-	if c.opt.DisablePC {
-		s += ", Consultant off"
-	}
-	if c.opt.Faults != nil {
-		s += ", faults " + c.opt.Faults.String()
-	}
-	return s
+	return spec.String()
 }
 
 func (c *cell) run() error {
@@ -271,7 +264,7 @@ func completeChunks(file []byte) []byte {
 	return file[:end]
 }
 
-// runRecords maps each cell's description to the run record its recording
+// runRecords maps each cell's spec line to the run record its recording
 // holds, as testdata/run-records.golden lists them: the cell, a tab, then
 // metaLine of the record.
 var runRecords = sync.OnceValues(func() (map[string]string, error) {
@@ -285,16 +278,12 @@ var runRecords = sync.OnceValues(func() (map[string]string, error) {
 	return records, err
 })
 
-// metaLine renders Meta pairs as one line: key=value in key order, a value
-// Go-quoted when it is empty or holds a space, an = or anything %q escapes.
+// metaLine renders Meta pairs as one line, key=value in key order, as
+// Spec.String renders a spec's.
 func metaLine(meta map[string]string) string {
 	pairs := make([]string, 0, len(meta))
 	for _, k := range sortedKeys(meta) {
-		v := meta[k]
-		if q := strconv.Quote(v); v == "" || strings.ContainsAny(v, " =") || q[1:len(q)-1] != v {
-			v = q
-		}
-		pairs = append(pairs, k+"="+v)
+		pairs = append(pairs, k+"="+quoted(meta[k]))
 	}
 	return strings.Join(pairs, " ")
 }
@@ -317,10 +306,9 @@ func (metaSink) SetHistogram(int, sim.Duration) {}
 func (m metaSink) SetMeta(k, v string)          { m[k] = v }
 
 // stamped is the Meta stampRecording writes at the end of a run.
-func stamped(res *Result, opt RunOptions, pc consultant.Config, nodes int) map[string]string {
+func stamped(res *Result) map[string]string {
 	meta := metaSink{}
-	opt.Record = meta
-	stampRecording(opt, res, pc, nodes, true)
+	stampRecording(meta, res, true)
 	return meta
 }
 
@@ -335,13 +323,11 @@ func (c *cell) sameRecord() error {
 	if want, ok := records[c.String()]; !ok || want != metaLine(meta) {
 		return fmt.Errorf("run record %s, want %q (testdata/run-records.golden)", metaLine(meta), want)
 	}
-	res, opt, pc, err := decodeRun(meta)
+	res, err := decodeRun(meta)
 	if err != nil {
 		return err
 	}
-	opt.Faults = c.opt.Faults
-	nodes, _ := strconv.Atoi(meta["nodes"])
-	if again := stamped(res, opt, pc, nodes); !maps.Equal(again, meta) {
+	if again := stamped(res); !maps.Equal(again, meta) {
 		return fmt.Errorf("run record %s decodes and stamps to %s", metaLine(meta), metaLine(again))
 	}
 	return nil
@@ -516,41 +502,41 @@ func BenchmarkRunRecording(b *testing.B) {
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
 
-// fullRun sets every recorded field of a run's result, options and
-// Consultant configuration, each to a value unlike its neighbours', with a
-// fault log that holds a line twice. The options carry the result's
-// personality and params, as a decoded description does.
-func fullRun() (*Result, RunOptions, consultant.Config) {
-	res := &Result{
-		Program: "small-messages", Impl: mpi.MPICH2,
-		Params: Params{Iterations: 1, MessageSize: 2, Messages: 3, TimeToWaste: 4, Procs: 5,
-			WasteUnit: 6 * sim.Millisecond, Windows: 7, Children: 8},
+// fullRun sets every field of a run's spec and every recorded field of its
+// result, each to a value unlike its neighbours', with a fault log that holds
+// a line twice.
+func fullRun() *Result {
+	plan, err := faults.Parse("seed=3; detect=1s; hb=100ms; restarts=2; t=1s kill-node node1; t=1.5s drop-transport node0 n=3 chan=bulk")
+	if err != nil {
+		panic(err)
+	}
+	return &Result{
+		Spec: Spec{Program: "small-messages", Impl: mpi.MPICH2,
+			Params: Params{Iterations: 1, MessageSize: 2, Messages: 3, TimeToWaste: 4, Procs: 5,
+				WasteUnit: 6 * sim.Millisecond, Windows: 7, Children: 8},
+			Seed: math.MaxUint64 - 6, Spawn: daemon.SpawnAttach, DisablePC: true, Traced: true, Faults: plan,
+			PCConfig: consultant.Config{SyncThreshold: 0.2, IOThreshold: 0.15, CPUThreshold: math.SmallestNonzeroFloat64,
+				EvalInterval: 250 * sim.Millisecond, PruneEvals: 10}},
 		RunTime: sim.Time(4875 * sim.Millisecond), ProbeExecs: 1 << 40,
 		FaultLog:    []string{"t=1s kill-node node1", "t=1s kill-node node1", "t=2s crash-daemon node0"},
 		Unsupported: errors.New("dynamic process creation is not supported"),
 	}
-	opt := RunOptions{Impl: res.Impl, Params: res.Params, Seed: math.MaxUint64 - 6, DisablePC: true, Trace: &trace.Config{}}
-	pc := consultant.Config{SyncThreshold: 0.2, IOThreshold: 0.15, CPUThreshold: math.SmallestNonzeroFloat64,
-		EvalInterval: 250 * sim.Millisecond, PruneEvals: 10}
-	return res, opt, pc
 }
 
-// notRecorded names the fields of Result and RunOptions a run description
-// leaves out: the live session and what a replay rebuilds from the event
-// stream, and the options that shape the live run but not its analysis.
+// notRecorded names the fields of Result a run record leaves out: the live
+// session and what a replay rebuilds from the event stream.
 var notRecorded = map[string]bool{
 	"Result.Session": true, "Result.Source": true, "Result.PC": true, "Result.BytesSent": true, "Result.PutOps": true,
 	"Result.GetOps": true, "Result.AccOps": true, "Result.RMABytes": true, "Result.Coverage": true, "Result.Timeline": true,
-	"RunOptions.Spawn": true, "RunOptions.Faults": true, "RunOptions.Record": true,
 }
 
-// Every recorded field of the result, the options and the Consultant
-// configuration survives its record, and so does a run of zero values;
-// fullRun covers each field (a new one neither recorded nor listed in
-// notRecorded would fail here).
+// Every field of the spec and every recorded field of the result survives
+// its record, and so does a run of zero values but its program and
+// Consultant configuration; a record decodes to a run that stamps it again. fullRun covers each field (a new one neither
+// recorded nor listed in notRecorded would fail here).
 func TestRunInfoRoundTrip(t *testing.T) {
-	res, opt, pc := fullRun()
-	for _, v := range []reflect.Value{reflect.ValueOf(*res), reflect.ValueOf(res.Params), reflect.ValueOf(opt), reflect.ValueOf(opt.Params), reflect.ValueOf(pc)} {
+	res := fullRun()
+	for _, v := range []reflect.Value{reflect.ValueOf(*res), reflect.ValueOf(res.Spec), reflect.ValueOf(res.Params), reflect.ValueOf(res.PCConfig)} {
 		for i := range v.NumField() {
 			name := v.Type().Name() + "." + v.Type().Field(i).Name
 			if v.Field(i).IsZero() && !notRecorded[name] {
@@ -558,14 +544,15 @@ func TestRunInfoRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	for _, run := range []struct {
-		res *Result
-		opt RunOptions
-		pc  consultant.Config
-	}{{res, opt, pc}, {&Result{}, RunOptions{}, ScaledPCConfig()}} {
-		gotRes, gotOpt, gotPC, err := decodeRun(stamped(run.res, run.opt, run.pc, 3))
-		if err != nil || !reflect.DeepEqual(gotRes, run.res) || !reflect.DeepEqual(gotOpt, run.opt) || gotPC != run.pc {
-			t.Errorf("run description round trip:\n got %+v %+v %+v (%v)\nwant %+v %+v %+v", gotRes, gotOpt, gotPC, err, run.res, run.opt, run.pc)
+	for _, run := range []*Result{res, {Spec: Spec{Program: "allcount", PCConfig: ScaledPCConfig()}}} {
+		meta := stamped(run)
+		got, err := decodeRun(meta)
+		if err != nil || !reflect.DeepEqual(got, run) {
+			t.Errorf("run description round trip:\n got %#v (%v)\nwant %#v", got, err, run)
+			continue
+		}
+		if again := stamped(got); !maps.Equal(again, meta) {
+			t.Errorf("run record %s decodes and stamps to %s", metaLine(meta), metaLine(again))
 		}
 	}
 }
@@ -576,9 +563,9 @@ func TestRunInfoRoundTrip(t *testing.T) {
 // Consultant evaluations than its archive holds barriers, grafted onto a
 // real recording.
 func TestCorruptRunDescription(t *testing.T) {
-	res, opt, pc := fullRun()
-	opt.DisablePC = false
-	record := stamped(res, opt, pc, 3)
+	res := fullRun()
+	res.DisablePC = false
+	record := stamped(res)
 	with := func(k, v string) map[string]string {
 		meta := maps.Clone(record)
 		meta[k] = v
@@ -626,6 +613,8 @@ func TestCorruptRunDescription(t *testing.T) {
 		"threshold above 1":          with("pc-io", "1.5"),
 		"NaN threshold":              with("pc-cpu", "NaN"),
 		"infinite threshold":         with("pc-cpu", "+Inf"),
+		"unparsable fault plan":      with("faults", "t=1s explode node1"),
+		"unknown spawn method":       with("spawn", "fork"),
 	} {
 		a := *empty
 		a.Header.Meta = meta

@@ -90,15 +90,17 @@ func TestConcurrentReplaysOfOneArchive(t *testing.T) {
 	}
 }
 
+// A replay's spec carries the Consultant configuration it ran: the recorded
+// one under zero ReplayOptions, each non-zero threshold in place of its own.
 func TestWhatIfZeroValuesKeepRecordedConfig(t *testing.T) {
-	cfg := consultant.DefaultConfig()
-	got, err := ReplayOptions{}.override(cfg)
-	if err != nil || got != cfg {
-		t.Errorf("zero ReplayOptions changed the config: %+v vs %+v (%v)", got, cfg, err)
+	a := recorded(t, &cell{program: "spawncount", opt: RunOptions{Impl: mpi.MPICH}}).archive
+	want := ScaledPCConfig()
+	if res, err := Replay(a); err != nil || res.PCConfig != want {
+		t.Errorf("zero ReplayOptions replay %v (%v), want the recorded configuration", res, err)
 	}
-	got, err = ReplayOptions{SyncThreshold: 0.5, IOThreshold: 0.6, CPUThreshold: 1}.override(cfg)
-	if err != nil || got.SyncThreshold != 0.5 || got.IOThreshold != 0.6 || got.CPUThreshold != 1 {
-		t.Errorf("overrides not applied: %+v (%v)", got, err)
+	want.SyncThreshold, want.IOThreshold, want.CPUThreshold = 0.5, 0.6, 1
+	if res, err := ReplayWith(a, ReplayOptions{SyncThreshold: 0.5, IOThreshold: 0.6, CPUThreshold: 1}); err != nil || res.PCConfig != want {
+		t.Errorf("overrides replay %v (%v), want pc-sync=0.5 pc-io=0.6 pc-cpu=1", res, err)
 	}
 }
 

@@ -9,6 +9,7 @@ package trace_test
 // over these cells, not another loop of runs.
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"sync"
@@ -48,8 +49,23 @@ type cell struct {
 	err         error
 }
 
+// options are the cell's run options: traced, by default with the tracer's
+// defaults, and with the Consultant off unless the configuration runs it.
+func (c *cell) options() pperfmark.RunOptions {
+	opt := c.opt
+	opt.Trace = cmp.Or(opt.Trace, &trace.Config{})
+	opt.DisablePC = c.config != consultantOn
+	return opt
+}
+
+// String names the cell by its spec, its configuration and its tracer's.
 func (c *cell) String() string {
-	return fmt.Sprintf("%s under %v (%v)", c.program, c.opt.Impl, c.config)
+	opt := c.options()
+	spec, err := pperfmark.NewSpec(c.program, opt)
+	if err != nil {
+		return err.Error()
+	}
+	return fmt.Sprintf("%v (%v, tracer %+v)", spec, c.config, *opt.Trace)
 }
 
 // run simulates the cell: with the Consultant through pperfmark.Run, without
@@ -57,11 +73,8 @@ func (c *cell) String() string {
 // way to put the daemons on TCP.
 func (c *cell) run() error {
 	stream := &shardStream{}
-	opt := c.opt
+	opt := c.options()
 	opt.Record = stream
-	if opt.Trace == nil { // every cell is traced, by default with the tracer's defaults
-		opt.Trace = &trace.Config{}
-	}
 	if c.config == consultantOn {
 		res, err := pperfmark.Run(c.program, opt)
 		if err != nil {
@@ -70,7 +83,7 @@ func (c *cell) run() error {
 		c.unsupported, c.tl, c.shards = res.Unsupported != nil, res.Timeline, stream.shards
 		return nil
 	}
-	o, prog, params, err := pperfmark.SessionOptions(c.program, opt)
+	o, prog, spec, err := pperfmark.SessionOptions(c.program, opt)
 	if err != nil {
 		return err
 	}
@@ -85,7 +98,7 @@ func (c *cell) run() error {
 		return nil
 	}
 	s.Register(c.program, prog)
-	if err := s.Launch(c.program, params.Procs, nil); err != nil {
+	if err := s.Launch(c.program, spec.Params.Procs, nil); err != nil {
 		return err
 	}
 	if err := s.Run(); err != nil {
