@@ -111,9 +111,10 @@ func TestCLIExitCodes(t *testing.T) {
 		{"record with -db", []string{"-prog", "big-message", "-record", filepath.Join(dir, "r.ppdb"), "-db", store}, 2, "-record and -db are mutually exclusive"},
 		{"bad trace format on the replay path", []string{"-replay", "a.ppdb", "-trace", filepath.Join(dir, "out"), "-trace-format", "xml"}, 2, `unknown -trace-format "xml"`},
 		{"bad spawn method", []string{"-prog", "small-messages", "-spawn", "bogus"}, 2, `unknown -spawn "bogus"`},
-		{"negative process count", []string{"-prog", "small-messages", "-np", "-1"}, 2, "-np -1: a size must not be negative"},
-		{"negative iterations", []string{"-prog", "small-messages", "-iterations", "-5"}, 2, "-iterations -5: a size must not be negative"},
-		{"negative time to waste", []string{"-prog", "small-messages", "-ttw", "-3"}, 2, "-ttw -3: a size must not be negative"},
+		{"negative process count", []string{"-prog", "small-messages", "-np", "-1"}, 2, "pperf: pperfmark: small-messages Procs -1: must not be negative"},
+		{"negative iterations", []string{"-prog", "small-messages", "-iterations", "-5"}, 2, "pperf: pperfmark: small-messages Iterations -5: must not be negative"},
+		{"negative time to waste", []string{"-prog", "small-messages", "-ttw", "-3"}, 2, "pperf: pperfmark: small-messages TimeToWaste -3: must not be negative"},
+		{"unknown program", []string{"-prog", "bogus"}, 2, `pperf: pperfmark: unknown program "bogus" (known: [small-messages big-message`},
 		{"fault before the run starts", []string{"-prog", "random-barrier", "-faults", "t=-1s kill-node node1"}, 2, `bad t "-1s"`},
 		{"NaN latency factor", []string{"-prog", "random-barrier", "-faults", "t=1s degrade-link * lat=NaN"}, 2, `bad lat "NaN": want a finite factor above 0`},
 		{"negative bandwidth factor", []string{"-prog", "random-barrier", "-faults", "t=1s degrade-link * bw=-1"}, 2, `bad bw "-1": want a finite factor above 0`},

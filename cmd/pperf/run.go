@@ -65,15 +65,7 @@ func (o *opts) openTrace() int {
 // through the chunked writer, into the -record file or the -db store: events
 // land on disk as the run produces them instead of accumulating in memory.
 func runProg(o *opts, _ []string) int {
-	for _, size := range []struct {
-		name string
-		v    int
-	}{{"iterations", o.iters}, {"np", o.np}, {"ttw", o.ttw}} {
-		if size.v < 0 {
-			return fail(2, "pperf:", fmt.Sprintf("-%s %d: a size must not be negative", size.name, size.v))
-		}
-	}
-	spawn, ok := map[string]daemon.SpawnMethod{"intercept": daemon.SpawnIntercept, "attach": daemon.SpawnAttach}[o.spawn]
+	spawn, ok := daemon.ParseSpawnMethod(o.spawn)
 	if !ok {
 		return fail(2, "pperf:", fmt.Sprintf("unknown -spawn %q (intercept | attach)", o.spawn))
 	}
@@ -86,6 +78,10 @@ func runProg(o *opts, _ []string) int {
 		Seed:   o.seed,
 		Spawn:  spawn,
 		Params: pperfmark.Params{Iterations: o.iters, Procs: o.np, TimeToWaste: o.ttw},
+	}
+	// The run's own rule refuses an unknown program or a negative size.
+	if _, err := pperfmark.NewSpec(o.prog, opt); err != nil {
+		return fail(2, "pperf:", err)
 	}
 	if o.faults != "" {
 		if opt.Faults, err = faults.Parse(o.faults); err != nil {

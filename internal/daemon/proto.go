@@ -7,6 +7,8 @@
 package daemon
 
 import (
+	"slices"
+
 	"pperf/internal/session"
 	"pperf/internal/sim"
 	"pperf/internal/wire"
@@ -57,8 +59,16 @@ const (
 	SpawnAttach
 )
 
+var spawnNames = [...]string{"intercept", "attach"}
+
 // String names the method as the -spawn flag and a run record spell it.
-func (m SpawnMethod) String() string { return [...]string{"intercept", "attach"}[m] }
+func (m SpawnMethod) String() string { return spawnNames[m] }
+
+// ParseSpawnMethod is String's inverse: ok is false for a name no method has.
+func ParseSpawnMethod(name string) (m SpawnMethod, ok bool) {
+	i := slices.Index(spawnNames[:], name)
+	return SpawnMethod(i), i >= 0
+}
 
 // Config controls daemon behaviour.
 type Config struct {

@@ -21,6 +21,9 @@ type Series struct {
 	procs  []string            // reporting processes, kept sorted as first samples arrive
 	hists  []*metric.Histogram // hists[i] is procs[i]'s histogram
 	lastT  sim.Time
+	// inserts counts the processes inserted into procs: a place cached in
+	// an indexed slot is stale once it moves.
+	inserts uint32
 }
 
 // LastSampleTime returns the time of the newest ingested sample, so

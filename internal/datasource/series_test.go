@@ -97,12 +97,52 @@ func TestOneProcessSeriesSharesTheAggregate(t *testing.T) {
 // reporter the aggregate itself, and agree on the aggregate. Processes
 // arrive in any order, repeat, and may be unknown to the View's process
 // table (so the presized slices must still grow); a dropped and
-// re-registered pair starts empty.
+// re-registered pair starts empty. A second View folds every batch by
+// dictionary index (ApplyIndexed) and must agree with the first bit for bit:
+// its slots must see a series registered after they found none, a process
+// inserted in front of the one they placed, and a lone reporter split off.
 func FuzzApplySamples(f *testing.F) {
 	f.Add([]byte{0, 2, 17, 33, 49, 65, 2, 1, 3, 5, 2, 0, 0, 4, 99, 2, 255, 12})
 	f.Add([]byte{3, 0, 6, 5, 0, 1, 2, 3, 4, 5, 11, 7, 12, 1, 2, 40, 41, 42, 43, 44, 45})
 	f.Add([]byte{1, 1, 9, 200, 201, 202, 203, 204, 205, 206, 207, 208, 210, 5, 1, 1, 9, 8, 7})
+	// Register m; p3 reports alone for m and for the unregistered
+	// m@node0; register m@node0; p0, which sorts first, splits m's lone
+	// reporter off and a reports before both.
+	f.Add([]byte{0, 0, 0x00, 0x81, 1, 65, 0x10, 0x81, 33, 66, 0x82, 41, 1, 97})
 	f.Fuzz(func(t *testing.T, data []byte) { runFuzzBody(t, data) })
+}
+
+// indexedBatch is a batch in the form an archive keeps one: its strings in a
+// dictionary, in first-use order, five indexes per sample, and each sample's
+// target, numbered by the caller.
+type indexedBatch struct {
+	d       datasource.Dict
+	idx     [][5]uint64
+	samples []datasource.Sample
+}
+
+func newIndexedBatch(batch []datasource.Sample, n *datasource.Numbering, target func(i int) int32) *indexedBatch {
+	b := &indexedBatch{d: datasource.Dict{Numbering: n}, samples: batch}
+	for i, sm := range batch {
+		var x [5]uint64
+		for k, s := range []string{sm.Metric, sm.Focus.CodePath, sm.Focus.MachinePath, sm.Focus.SyncPath, sm.Proc} {
+			j := slices.Index(b.d.Strs, s)
+			if j < 0 {
+				j, b.d.Strs = len(b.d.Strs), append(b.d.Strs, s)
+			}
+			x[k] = uint64(j)
+		}
+		b.idx, b.d.Targets = append(b.idx, x), append(b.d.Targets, target(i))
+	}
+	return b
+}
+
+func (b *indexedBatch) Dictionary() *datasource.Dict { return &b.d }
+
+func (b *indexedBatch) Walk(f *datasource.IndexedFold) {
+	for i, sm := range b.samples {
+		f.Add(b.idx[i], sm.Time, sm.Delta)
+	}
 }
 
 func runFuzzBody(t *testing.T, data []byte) {
@@ -116,10 +156,14 @@ func runFuzzBody(t *testing.T, data []byte) {
 		if len(data) < 2 || len(data) > 1024 { // every step checks everything
 			return
 		}
-		v := datasource.NewView()
-		v.NumBins, v.BinWidth = 2+int(data[0]%9), sim.Duration(1+data[0]/9)*sim.Millisecond
-		for _, p := range procs[:data[1]%uint8(len(procs)+1)] {
-			v.ApplyUpdate(datasource.Update{Kind: datasource.UpAddResource, Path: "/Machine/node0/" + p})
+		v, iv := datasource.NewView(), datasource.NewView()
+		// A target is a pair and a process: every pair is its own canonical one.
+		numbering := &datasource.Numbering{N: len(pairs) * len(procs)}
+		for _, w := range []*datasource.View{v, iv} {
+			w.NumBins, w.BinWidth = 2+int(data[0]%9), sim.Duration(1+data[0]/9)*sim.Millisecond
+			for _, p := range procs[:data[1]%uint8(len(procs)+1)] {
+				w.ApplyUpdate(datasource.Update{Kind: datasource.UpAddResource, Path: "/Machine/node0/" + p})
+			}
 		}
 		type refSeries struct {
 			agg   *metric.Histogram
@@ -136,12 +180,18 @@ func runFuzzBody(t *testing.T, data []byte) {
 					ref[pr.Canon()] = &refSeries{metric.NewHistogram(v.NumBins, v.BinWidth), map[string]*metric.Histogram{}}
 				}
 				v.RegisterSeries(pr.Metric, pr.Focus)
+				iv.RegisterSeries(pr.Metric, pr.Focus)
 			case 1: // drop
 				delete(ref, pr.Canon())
 				v.DropSeries(pr.Metric, pr.Focus)
+				iv.DropSeries(pr.Metric, pr.Focus)
 			default: // a batch of up to 16 samples, one byte each
 				n := min(len(data), count)
 				var batch []datasource.Sample
+				target := func(i int) int32 {
+					b := data[i]
+					return int32(int(b>>6)%len(pairs)*len(procs) + int(b>>3&7)%len(procs))
+				}
 				for _, b := range data[:n] {
 					sp := pairs[int(b>>6)%len(pairs)]
 					now += sim.Time(b&7) * sim.Time(v.BinWidth) / 2
@@ -156,6 +206,7 @@ func runFuzzBody(t *testing.T, data []byte) {
 						rs.procs[sm.Proc].Add(sm.Time, sm.Delta)
 					}
 				}
+				iv.ApplyIndexed(newIndexedBatch(batch, numbering, target))
 				data = data[n:]
 				v.ApplySamples(batch)
 			}
@@ -166,6 +217,15 @@ func runFuzzBody(t *testing.T, data []byte) {
 				}
 				if s == nil {
 					continue
+				}
+				is := iv.Series(pr.Metric, pr.Focus)
+				if d := histDiff(is.Histogram(), s.Histogram(), v.NumBins); d != "" || !slices.Equal(is.Procs(), s.Procs()) || is.LastSampleTime() != s.LastSampleTime() {
+					t.Fatalf("%v folded by index: aggregate %s, processes %v, last sample %v; want %v, %v", pr, d, is.Procs(), is.LastSampleTime(), s.Procs(), s.LastSampleTime())
+				}
+				for _, p := range s.Procs() {
+					if d := histDiff(is.ProcHistogram(p), s.ProcHistogram(p), v.NumBins); d != "" || (is.ProcHistogram(p) == is.Histogram()) != (s.ProcHistogram(p) == s.Histogram()) {
+						t.Fatalf("%v folded by index: %s's histogram %s", pr, p, d)
+					}
 				}
 				if d := histDiff(s.Histogram(), rs.agg, v.NumBins); d != "" {
 					t.Fatalf("%v: aggregate %s", pr, d)

@@ -44,13 +44,24 @@ type View struct {
 	// Horizon is the newest sample time a replay will apply (live: unset);
 	// new histograms reserve their bins up to it.
 	Horizon sim.Time
+
+	// slots holds what each target of numbering resolved to, fold the
+	// cursor of ApplyIndexed, gen the series registered and dropped.
+	numbering *Numbering
+	slots     []slot
+	fold      IndexedFold
+	gen       uint32
 }
 
 // NewView creates an empty view.
-func NewView() *View {
+func NewView() *View { return NewSizedView(0) }
+
+// NewSizedView creates an empty view whose series registry holds pairs pairs
+// before it grows: a replay knows how many it can register.
+func NewSizedView(pairs int) *View {
 	return &View{
 		hier:    resource.New(),
-		series:  map[Pair]*Series{},
+		series:  make(map[Pair]*Series, pairs),
 		edges:   map[string]map[string]bool{},
 		callees: map[string]bool{},
 		procs:   map[string]*ProcInfo{},
@@ -78,15 +89,19 @@ func (v *View) RegisterSeries(metricName string, focus resource.Focus) (*Series,
 	s := &Series{Metric: metricName, Focus: focus, agg: metric.NewHistogram(v.NumBins, v.BinWidth)}
 	s.agg.Reserve(v.Horizon)
 	v.series[key] = s
+	v.gen++
 	return s, false
 }
 
 // DropSeries unregisters a pair (the live front end's rollback path for a
-// failed all-or-nothing enable).
+// failed all-or-nothing enable). Every slot is cleared: one may hold the
+// dropped series.
 func (v *View) DropSeries(metricName string, focus resource.Focus) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	delete(v.series, Pair{metricName, focus}.Canon())
+	v.gen++
+	clear(v.slots)
 }
 
 // --- ingest -----------------------------------------------------------------
@@ -96,38 +111,117 @@ func (v *View) DropSeries(metricName string, focus resource.Focus) {
 func (v *View) ApplySamples(batch []Sample) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	for _, sm := range batch {
-		s, ok := v.series[Pair{sm.Metric, sm.Focus}.Canon()]
-		if !ok {
-			continue // disabled while in flight
-		}
-		if sm.Time > s.lastT {
-			s.lastT = sm.Time
-		}
-		i, ok := slices.BinarySearch(s.procs, sm.Proc)
-		if !ok {
-			if s.procs == nil { // sized once, for every process the view knows
-				s.procs = make([]string, 0, max(len(v.procs), 1))
-				s.hists = make([]*metric.Histogram, 0, cap(s.procs))
-			}
-			// A lone reporter's histogram is the aggregate; a second splits it off.
-			if len(s.procs) == 1 {
-				s.hists[0] = s.agg.Clone()
-			}
-			ph := s.agg
-			if len(s.procs) > 0 {
-				ph = metric.NewHistogram(v.NumBins, v.BinWidth)
-				ph.Reserve(v.Horizon)
-			}
-			s.procs = slices.Insert(s.procs, i, sm.Proc)
-			s.hists = slices.Insert(s.hists, i, ph)
-		}
-		ph := s.hists[i]
-		s.agg.Add(sm.Time, sm.Delta)
-		if ph != s.agg {
-			ph.Add(sm.Time, sm.Delta)
+	for i := range batch {
+		sm := &batch[i]
+		if s, ok := v.series[Pair{sm.Metric, sm.Focus}.Canon()]; ok {
+			s.add(v.place(s, sm.Proc), sm.Time, sm.Delta)
 		}
 	}
+}
+
+// place returns proc's index in s.procs and s.hists, inserting the process
+// on its first sample. Caller holds v.mu.
+func (v *View) place(s *Series, proc string) int {
+	i, ok := slices.BinarySearch(s.procs, proc)
+	if ok {
+		return i
+	}
+	if s.procs == nil { // sized once, for every process the view knows
+		s.procs = make([]string, 0, max(len(v.procs), 1))
+		s.hists = make([]*metric.Histogram, 0, cap(s.procs))
+	}
+	// A lone reporter's histogram is the aggregate; a second splits it off.
+	if len(s.procs) == 1 {
+		s.hists[0] = s.agg.Clone()
+	}
+	ph := s.agg
+	if len(s.procs) > 0 {
+		ph = metric.NewHistogram(v.NumBins, v.BinWidth)
+		ph.Reserve(v.Horizon)
+	}
+	s.procs = slices.Insert(s.procs, i, proc)
+	s.hists = slices.Insert(s.hists, i, ph)
+	s.inserts++
+	return i
+}
+
+// add folds one sample into s's aggregate and the histogram at place.
+func (s *Series) add(place int, t sim.Time, delta float64) {
+	if t > s.lastT {
+		s.lastT = t
+	}
+	s.agg.Add(t, delta)
+	if ph := s.hists[place]; ph != s.agg {
+		ph.Add(t, delta)
+	}
+}
+
+// Dict is the dictionary of packed sample batches (IndexedBatch): a sample
+// names its metric, focus paths and process by five indexes into Strs.
+// Targets numbers, per sample position of the batches that share the Dict,
+// the canonical pair and process those name, in a Numbering that every Dict
+// of one archive read shares.
+type Dict struct {
+	Strs      []string
+	Targets   []int32
+	Numbering *Numbering
+}
+
+// Numbering numbers N targets: a View resolves each once.
+type Numbering struct{ N int }
+
+// IndexedBatch is a sample batch that names through a Dict: Walk hands each
+// of its samples to f.Add, in order.
+type IndexedBatch interface {
+	Dictionary() *Dict
+	Walk(f *IndexedFold)
+}
+
+// slot is what a target resolved to: a series and the process's place in
+// it, or no series.
+type slot struct {
+	s     *Series
+	place int32  // -1 until placed
+	stamp uint32 // s.inserts when placed, else View.gen when resolved
+}
+
+// ApplyIndexed folds an indexed batch exactly as ApplySamples folds the same
+// samples, but resolves each target of its Numbering through the strings once,
+// and again only when what it found moves: a series registered where there
+// was none, a process inserted into the series.
+func (v *View) ApplyIndexed(b IndexedBatch) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	d := b.Dictionary()
+	if d.Numbering != v.numbering {
+		v.numbering, v.slots = d.Numbering, make([]slot, d.Numbering.N)
+	}
+	v.fold = IndexedFold{v: v, d: d}
+	b.Walk(&v.fold)
+}
+
+// IndexedFold is a View's cursor over the batch ApplyIndexed folds.
+type IndexedFold struct {
+	v *View
+	d *Dict
+	i int
+}
+
+// Add folds the batch's next sample: its five indexes, time and delta.
+func (f *IndexedFold) Add(idx [5]uint64, t sim.Time, delta float64) {
+	v, strs, sl := f.v, f.d.Strs, &f.v.slots[f.d.Targets[f.i]]
+	f.i++
+	if sl.s == nil && sl.stamp != v.gen {
+		focus := resource.Focus{CodePath: strs[idx[1]], MachinePath: strs[idx[2]], SyncPath: strs[idx[3]]}
+		*sl = slot{s: v.series[Pair{strs[idx[0]], focus}.Canon()], place: -1, stamp: v.gen}
+	}
+	if sl.s == nil {
+		return
+	}
+	if sl.place < 0 || sl.stamp != sl.s.inserts {
+		sl.place, sl.stamp = int32(v.place(sl.s, strs[idx[4]])), sl.s.inserts
+	}
+	sl.s.add(int(sl.place), t, delta)
 }
 
 // ApplyUpdate folds one resource-update report into the view.

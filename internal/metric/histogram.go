@@ -70,10 +70,11 @@ func (h *Histogram) Add(t sim.Time, v float64) {
 	if t < 0 {
 		t = 0
 	}
-	for int(sim.Duration(t)/h.binWidth) >= h.numBins {
-		h.fold()
-	}
 	idx := int(sim.Duration(t) / h.binWidth)
+	for idx >= h.numBins {
+		h.fold()
+		idx = int(sim.Duration(t) / h.binWidth)
+	}
 	if v != 0 {
 		if idx < h.base || idx >= h.base+len(h.bins) {
 			h.grow(idx)
@@ -154,10 +155,12 @@ func (h *Histogram) Values() []float64 {
 	return vals
 }
 
-// Total returns the sum over all bins (the unstored ones hold zero).
+// Total returns the sum over all bins (the unstored ones hold zero). No bin
+// past lastBin ever received a delta, and adding its +0 would change no bit,
+// so the sum stops there.
 func (h *Histogram) Total() float64 {
 	s := 0.0
-	for _, v := range h.bins {
+	for _, v := range h.bins[:max(min(h.lastBin+1-h.base, len(h.bins)), 0)] {
 		s += v
 	}
 	return s

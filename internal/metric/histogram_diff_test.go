@@ -355,3 +355,53 @@ func TestHistogramFoldKeepsMass(t *testing.T) {
 		}
 	}
 }
+
+// Property: Total, which stops at the last bin written, is bit-equal to a
+// sum over the whole stored span, since no stored bin past it ever receives a
+// delta. The streams reserve a horizon or not, add zero and non-zero deltas
+// of both signs, fold, and grow the span downward with samples below it.
+func TestTotalStopsAtTheLastBinExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	folded, grewDown := false, false
+	for trial := 0; trial < 300; trial++ {
+		numBins := 1 + rng.Intn(64)
+		width := sim.Duration(1+rng.Intn(20)) * sim.Millisecond
+		h := NewHistogram(numBins, width)
+		span := int64(numBins) * int64(width)
+		if rng.Intn(2) == 0 {
+			h.Reserve(sim.Time(rng.Int63n(3 * span)))
+		}
+		now := rng.Int63n(span)
+		for i := 0; i < 200; i++ {
+			at := now
+			switch rng.Intn(8) {
+			case 0: // below what is stored
+				at = rng.Int63n(now + 1)
+			case 1: // folds ahead
+				now += span
+				at = now
+			default:
+				now += rng.Int63n(3 * int64(width))
+				at = now
+			}
+			v := rng.NormFloat64() * 1e3
+			if rng.Intn(4) == 0 {
+				v = 0
+			}
+			base, folds := h.base, h.folds
+			h.Add(sim.Time(at), v)
+			folded = folded || h.folds > folds
+			grewDown = grewDown || h.folds == folds && h.base < base && len(h.bins) > 0
+			whole := 0.0
+			for _, b := range h.bins {
+				whole += b
+			}
+			if !sameBits(h.Total(), whole) {
+				t.Fatalf("trial %d (bins %d, width %v) add %d: Total %v, the stored span sums to %v", trial, numBins, width, i, h.Total(), whole)
+			}
+		}
+	}
+	if !folded || !grewDown {
+		t.Fatalf("the streams folded %v and grew a span downward %v; want both", folded, grewDown)
+	}
+}

@@ -144,17 +144,21 @@ func (r *Reader) Varint() int64 {
 	return int64(u>>1) ^ -int64(u&1)
 }
 
-// Str reads a dictionary index and returns the string it names.
-func (r *Reader) Str() string {
+// Index reads a dictionary index; one past the dictionary fails the blob.
+func (r *Reader) Index() uint64 {
 	i := r.Uvarint()
 	if i >= r.dictLen {
 		r.Fail("dictionary index %d of %d", i, r.dictLen)
-		return ""
 	}
-	if r.Dict == nil {
-		return ""
+	return i
+}
+
+// Str reads a dictionary index and returns the string it names.
+func (r *Reader) Str() string {
+	if i := r.Index(); i < uint64(len(r.Dict)) {
+		return r.Dict[i]
 	}
-	return r.Dict[i]
+	return ""
 }
 
 // Open reads a blob's record count and dictionary, resolving the entries

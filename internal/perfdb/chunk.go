@@ -191,10 +191,11 @@ func grow[S ~[]E, E any](s S, n, limit int) S {
 
 // eventsChunk reverses chunkWriter.flush and visits the chunk's events in
 // order, resolving packed strings through the scan's table. A collecting scan
-// (keep) keeps each sample batch packed, checked record by record, in three
-// allocations per chunk: the batches' bytes, their PackedBatch records and
-// their dictionaries each go in one exact-size slab. Every other scan decodes
-// each batch into its scratch. Corrupt input yields an error, never a panic,
+// (keep) keeps each sample batch packed, checked record by record, in four
+// allocations per chunk: the batches' bytes, their PackedBatch records, one
+// copy of each distinct dictionary among them and those dictionaries'
+// headers each go in one exact-size slab. Every other scan decodes each batch
+// into its scratch. Corrupt input yields an error, never a panic,
 // and the same error either way.
 func (s *archiveScan) eventsChunk(data []byte, visit func(*session.Event)) error {
 	pos := 0
@@ -260,7 +261,7 @@ func (s *archiveScan) eventsChunk(data []byte, visit func(*session.Event)) error
 		}
 		kept, slab = make([]session.PackedBatch, per[flagSamples]), make([]byte, 0, size)
 	}
-	nKept, dicts := 0, s.dicts[:0]
+	nKept := 0
 	var rest []session.Event
 	switch data = data[pos:]; {
 	case nSection > 0: // the count is checked before anything is decoded for it
@@ -284,7 +285,7 @@ func (s *archiveScan) eventsChunk(data []byte, visit func(*session.Event)) error
 				nKept++
 				start := len(slab)
 				slab = append(slab, blobs[0]...)
-				dicts, err = s.up.KeepSamples(ev.Batch, slab[start:len(slab):len(slab)], dicts)
+				err = s.up.KeepSamples(ev.Batch, slab[start:len(slab):len(slab)], &s.dicts)
 			} else {
 				ev.Samples, err = s.up.UnpackSamplesInto(s.samples, blobs[0])
 				s.samples = ev.Samples
@@ -310,15 +311,7 @@ func (s *archiveScan) eventsChunk(data []byte, visit func(*session.Event)) error
 		}
 	}
 	if kept != nil {
-		// The kept batches' dictionaries leave the scratch for one slab of
-		// their exact size.
-		s.dicts = dicts
-		all := make([]string, len(dicts))
-		copy(all, dicts)
-		for i := range kept {
-			n := len(kept[i].Dict)
-			kept[i].Dict, all = all[:n:n], all[n:]
-		}
+		s.dicts.Seal(kept)
 	}
 	return nil
 }
@@ -554,8 +547,8 @@ type scanScratch struct {
 	payload []byte // the current frame's
 	blobs   [][]byte
 	samples []datasource.Sample
-	rest    []session.Event // the chunk's event section
-	dicts   []string        // a collecting scan's kept dictionaries, before their slab
+	rest    []session.Event   // the chunk's event section
+	dicts   session.KeptDicts // a collecting scan's kept dictionaries, before their slabs
 }
 
 // spare is the scratch the last scan left and the chunk buffers the last
@@ -576,9 +569,9 @@ func (s *archiveScan) release() {
 	if sc := &s.scanScratch; cap(sc.payload) <= 2*maxPendingPacked {
 		clear(sc.samples[:cap(sc.samples)])
 		clear(sc.rest[:cap(sc.rest)])
-		clear(sc.dicts[:cap(sc.dicts)])
+		sc.dicts.Reset()
 		spare.Lock()
-		spare.scanScratch = scanScratch{sc.payload[:0], sc.blobs[:0], sc.samples[:0], sc.rest[:0], sc.dicts[:0]}
+		spare.scanScratch = scanScratch{sc.payload[:0], sc.blobs[:0], sc.samples[:0], sc.rest[:0], sc.dicts}
 		spare.Unlock()
 	}
 	s.scanScratch = scanScratch{}

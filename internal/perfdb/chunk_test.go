@@ -83,9 +83,19 @@ func syntheticArchive(rng *rand.Rand, nEvents int) *session.Archive {
 // samples.
 func samplesOf(ev *session.Event) []datasource.Sample {
 	if ev.Batch != nil {
-		return ev.Batch.Unpack(nil)
+		return decoded(ev.Batch)
 	}
 	return ev.Samples
+}
+
+// decoded returns a kept batch decoded into Samples by the unpacker a live
+// listener uses.
+func decoded(b *session.PackedBatch) []datasource.Sample {
+	out, err := new(session.Unpacker).UnpackSamplesInto(nil, b.Data)
+	if err != nil {
+		panic(err) // the load checked it
+	}
+	return out
 }
 
 // materialised returns a with every kept batch decoded into Samples: the
@@ -95,7 +105,7 @@ func materialised(a *session.Archive) *session.Archive {
 	out.Events = slices.Clone(a.Events)
 	for i := range out.Events {
 		if ev := &out.Events[i]; ev.Batch != nil {
-			ev.Samples, ev.Batch = ev.Batch.Unpack(nil), nil
+			ev.Samples, ev.Batch = decoded(ev.Batch), nil
 		}
 	}
 	return &out

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pperf/internal/datasource"
 	"pperf/internal/packed"
 	"pperf/internal/session"
 	"pperf/internal/sim"
@@ -62,6 +63,12 @@ func FuzzChunkDecoder(f *testing.F) {
 	// A sample batch behind a good CRC whose record names dictionary entry 5
 	// of 1: the load refuses it, so no replay ever decodes it.
 	f.Add(badIndexArchive(f))
+	// One chunk whose batches repeat a dictionary, one of them over another
+	// sequence of its entries; and one whose two dictionaries have the same
+	// length but different entries.
+	p0, p1 := datasource.Sample{Metric: "m", Proc: "p0", Delta: 1}, datasource.Sample{Metric: "m", Proc: "p1", Delta: 2}
+	f.Add(batchesArchive(f, []datasource.Sample{p0, p1}, []datasource.Sample{p0, p1}, []datasource.Sample{p0, p1, p0}))
+	f.Add(batchesArchive(f, []datasource.Sample{p0}, []datasource.Sample{p1}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := readBothWays(t, data)
 		if err != nil {
@@ -99,6 +106,26 @@ func replayAll(a *session.Archive) {
 		rs.Sync()
 	}
 	rs.Drain()
+}
+
+// batchesArchive is an archive of one event chunk: an enable of metric m's
+// whole-program series, then the batches, each behind a read barrier.
+func batchesArchive(t testing.TB, batches ...[]datasource.Sample) []byte {
+	t.Helper()
+	a := &session.Archive{Header: session.Header{NumBins: 100, BinWidth: 50 * sim.Millisecond},
+		Events: []session.Event{{Kind: session.EvEnable, Metric: "m"}}}
+	for i, b := range batches {
+		for j := range b {
+			b[j].Time = sim.Time(sim.Duration(i+1) * 10 * sim.Millisecond)
+		}
+		a.Events = append(a.Events, session.Event{Kind: session.EvBarrier}, session.Event{Kind: session.EvSamples, Samples: b})
+	}
+	a.Header.NumEvents = len(a.Events)
+	var buf bytes.Buffer
+	if err := WriteArchive(&buf, a); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // badIndexArchive is a current archive whose one event chunk holds a sample

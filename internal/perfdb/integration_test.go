@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -439,8 +440,9 @@ var randomBarrier = sync.OnceValue(func() *cell {
 
 // Loading a recorded random-barrier run and replaying it once allocates what
 // the replay keeps: the event list at its declared size, each histogram at
-// the recorded end on its first sample. Either sizing lost costs more than
-// the margin.
+// the recorded end on its first sample, one copy of each distinct dictionary
+// per chunk. Either sizing lost, or a copy of a dictionary per batch, costs
+// more than the margin.
 func TestReplayByteBudget(t *testing.T) {
 	c := built(t, randomBarrier())
 	path := filepath.Join(t.TempDir(), "random-barrier.ppdb")
@@ -461,18 +463,89 @@ func TestReplayByteBudget(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	replay()
 	runtime.ReadMemStats(&after)
-	// 5.44 MB measured on linux/amd64 (12.30 MB before the loaded batches
-	// stayed packed, 16.52 MB before the two sizings).
-	const budget = 5_800_000
+	// 4.85 MB measured on linux/amd64 (5.44 MB before a chunk kept one copy
+	// of each distinct dictionary and a replay folded by index, 12.30 MB
+	// before the loaded batches stayed packed, 16.52 MB before the two
+	// sizings).
+	const budget = 5_200_000
 	if n := after.TotalAlloc - before.TotalAlloc; n > budget {
 		t.Errorf("loading and replaying a %d-byte random-barrier recording allocates %d bytes; want at most %d", len(c.files[0]), n, budget)
 	}
 }
 
-// LoadAny keeps a recording's sample batches packed, each chunk's in three
-// slabs — their bytes, their PackedBatch records, their dictionaries — so a
-// load allocates per chunk, not per batch, as decoding each batch into a
-// slice of its own did.
+// LoadAny keeps one copy of each distinct dictionary a chunk's sample batches
+// hold, however many batches repeat it, and numbers what every sample names
+// once for the whole read: a target is one canonical pair and one process.
+func TestLoadAnyKeepsOneCopyOfEachDictionaryPerChunk(t *testing.T) {
+	c := built(t, randomBarrier())
+	a, err := perfdb.ReadArchive(bytes.NewReader(c.files[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []int // where each 'E' chunk's events end
+	for data, n := c.files[0][len("PPDBA2"):], 0; len(data) > 0; data = data[9+binary.BigEndian.Uint32(data[1:5]):] {
+		if data[0] == 'E' {
+			events, _ := binary.Uvarint(data[9:])
+			n += int(events)
+			ends = append(ends, n)
+		}
+	}
+	batches, copies := 0, 0
+	var numbering *datasource.Numbering // the read's, shared by every batch
+	target := map[int32]string{}        // what each number names
+	for i, chunk := 0, 0; chunk < len(ends); chunk++ {
+		kept := map[string]*string{} // a dictionary's text → its one copy
+		for ; i < ends[chunk]; i++ {
+			b := a.Events[i].Batch
+			if b == nil {
+				continue
+			}
+			d := b.Dictionary()
+			if numbering == nil {
+				numbering = d.Numbering
+			}
+			if d.Numbering != numbering {
+				t.Fatalf("event %d: a second numbering in one read", i)
+			}
+			batches++
+			text := strings.Join(d.Strs, "\x00")
+			if len(d.Strs) == 0 {
+				continue
+			}
+			if first, ok := kept[text]; !ok {
+				kept[text], copies = &d.Strs[0], copies+1
+			} else if first != &d.Strs[0] {
+				t.Fatalf("chunk %d, event %d: a second copy of the dictionary %q", chunk, i, d.Strs)
+			}
+			samples, err := new(session.Unpacker).UnpackSamplesInto(nil, b.Data)
+			if err != nil || len(samples) != len(d.Targets) {
+				t.Fatalf("event %d: %d samples (%v), %d targets", i, len(samples), err, len(d.Targets))
+			}
+			for j, sm := range samples {
+				name := fmt.Sprint(datasource.Pair{Metric: sm.Metric, Focus: sm.Focus}.Canon(), sm.Proc)
+				if got, ok := target[d.Targets[j]]; ok && got != name {
+					t.Fatalf("event %d sample %d: target %d names %s, and %s before", i, j, d.Targets[j], name, got)
+				}
+				target[d.Targets[j]] = name
+			}
+		}
+	}
+	if numbering == nil || batches < 4*copies {
+		t.Fatalf("%d sample batches hold %d distinct dictionaries per chunk: too few repeats to tell", batches, copies)
+	}
+	names := map[string]bool{}
+	for _, name := range target {
+		names[name] = true
+	}
+	if n := numbering.N; len(target) != n || len(names) != n {
+		t.Errorf("the read numbers %d targets; its samples name %d numbers and %d targets", n, len(target), len(names))
+	}
+}
+
+// LoadAny keeps a recording's sample batches packed, each chunk's in two
+// slabs — their bytes, their PackedBatch records — and their dictionaries in
+// blocks the read keeps, which double, so a load allocates per chunk, not per
+// batch, as decoding each batch into a slice of its own did.
 func TestLoadAnyAllocatesPerChunkNotPerBatch(t *testing.T) {
 	c := built(t, randomBarrier())
 	path := filepath.Join(t.TempDir(), "random-barrier.ppdb")
@@ -501,5 +574,59 @@ func TestLoadAnyAllocatesPerChunkNotPerBatch(t *testing.T) {
 	}
 	if limit := 4*chunks + 64; allocs > float64(limit) {
 		t.Errorf("LoadAny of %d batches in %d chunks makes %.0f allocations; want at most %d", batches, chunks, allocs, limit)
+	}
+}
+
+// The store spells the run-record keys pperfmark writes (Result.facts) a
+// second time: admission reads program, impl, seed, procs, nodes, faults and
+// runtime into the index, and a stored run's view splits fault-log. A run
+// recorded under a fault plan straight into the store, and its archive added
+// back, must both be indexed and viewed as the run's Result says.
+func TestStoredRunRecordMatchesTheResult(t *testing.T) {
+	plan, err := faults.Parse("t=1s kill-node node1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := perfdb.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := st.NewRecorder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pperfmark.Run("random-barrier", pperfmark.RunOptions{Impl: mpi.MPICH, Seed: 7, Faults: plan, Record: rec})
+	if err != nil {
+		rec.Abort()
+		t.Fatal(err)
+	}
+	if len(res.FaultLog) == 0 {
+		t.Fatalf("the plan %v never fired", plan)
+	}
+	committed, _, err := st.Commit(rec, perfdb.AddMeta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := perfdb.LoadAny(st.RunPath(committed.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	added, err := st.AddArchive(a, perfdb.AddMeta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{res.Program, res.Impl.String(), fmt.Sprint(res.Seed), fmt.Sprint(res.Params.Procs),
+		fmt.Sprint(res.Session.Spec.NumNodes()), res.Faults.String(), res.RunTime.String()}
+	for _, m := range []perfdb.RunMeta{committed, added} {
+		if got := []string{m.Program, m.Impl, m.Seed, m.Procs, m.Nodes, m.Faults, m.Runtime}; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s is indexed as program, impl, seed, procs, nodes, faults, runtime %q; the run's Result says %q", m.ID, got, want)
+		}
+		rv, err := st.OpenRun(m.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rv.FaultLog(), res.FaultLog) {
+			t.Errorf("%s's view reads the fault log %q; the run's Result holds %q", m.ID, rv.FaultLog(), res.FaultLog)
+		}
 	}
 }

@@ -82,20 +82,21 @@ func TestInternedReadEqualsUnsharedRead(t *testing.T) {
 	}
 	archivesEquivalent(t, src, got)
 
-	// Every sample of the whole read that names a metric names it with the
-	// same bytes in memory.
+	// Every kept batch of the whole read resolves a name to the same bytes
+	// in memory.
 	where := map[string]*byte{}
-	for _, ev := range materialised(got).Events {
-		for _, sm := range ev.Samples {
-			for _, s := range []string{sm.Metric, sm.Proc, sm.Focus.CodePath, sm.Focus.MachinePath, sm.Focus.SyncPath} {
-				if s == "" {
-					continue
-				}
-				if p, ok := where[s]; ok && p != unsafe.StringData(s) {
-					t.Fatalf("%q decoded into two places", s)
-				}
-				where[s] = unsafe.StringData(s)
+	for _, ev := range got.Events {
+		if ev.Batch == nil {
+			continue
+		}
+		for _, s := range ev.Batch.Dictionary().Strs {
+			if s == "" {
+				continue
 			}
+			if p, ok := where[s]; ok && p != unsafe.StringData(s) {
+				t.Fatalf("%q decoded into two places", s)
+			}
+			where[s] = unsafe.StringData(s)
 		}
 	}
 	if len(where) == 0 {
@@ -275,7 +276,8 @@ func objectsAllocatedBy(fn func()) uint64 {
 // Reading a chunk costs no objects of its own: not a decoder, not a type
 // table, not a buffer. Verifying twice the chunks allocates about the same,
 // and collecting allocates, beyond what a shorter file costs, only its event
-// list and the three slabs each chunk keeps its sample batches in.
+// list, the two slabs each chunk keeps its sample batches in and the blocks,
+// doubling, that the read keeps their dictionaries in.
 func TestStreamingReadObjectBudget(t *testing.T) {
 	small := mixedFile(t, 4*DefaultFlushEvents)
 	large := mixedFile(t, 8*DefaultFlushEvents)

@@ -105,7 +105,9 @@ func (f fact) parse(t string) (err error) {
 	case *mpi.ImplKind:
 		*p, err = mpi.ParseImpl(t)
 	case *daemon.SpawnMethod: // the zero value, intercept, is left out
-		if *p = daemon.SpawnAttach; t != p.String() {
+		if m, ok := daemon.ParseSpawnMethod(t); ok && m != daemon.SpawnIntercept {
+			*p = m
+		} else {
 			err = errors.New("unknown spawn method")
 		}
 	case **faults.Plan:

@@ -238,7 +238,11 @@ func materialised(a *session.Archive) *session.Archive {
 	out.Events = slices.Clone(a.Events)
 	for i := range out.Events {
 		if ev := &out.Events[i]; ev.Batch != nil {
-			ev.Samples, ev.Batch = ev.Batch.Unpack(nil), nil
+			samples, err := new(session.Unpacker).UnpackSamplesInto(nil, ev.Batch.Data)
+			if err != nil {
+				panic(err) // the load checked it
+			}
+			ev.Samples, ev.Batch = samples, nil
 		}
 	}
 	return &out

@@ -133,13 +133,12 @@ type Event struct {
 // recorded stream — so the two build the same state by construction.
 // EvEnable and EvBarrier carry no View state: enables are answered from the
 // series registry (live) or the replay index, and barriers only pace replay.
-// A kept batch is decoded into a fresh slice here; ReplaySource, which
-// applies every one a loaded archive holds, decodes them into its scratch.
+// A kept batch folds by dictionary index, decoding no string.
 func (ev *Event) Apply(v *datasource.View) {
 	switch ev.Kind {
 	case EvSamples:
 		if ev.Batch != nil {
-			v.ApplySamples(ev.Batch.Unpack(nil))
+			v.ApplyIndexed(ev.Batch)
 			return
 		}
 		v.ApplySamples(ev.Samples)

@@ -126,7 +126,7 @@ func TestArchiveRoundTrip(t *testing.T) {
 	if a.Events[2].Batch == nil || a.Events[2].Samples != nil {
 		t.Fatalf("loaded sample event %+v, want its batch kept packed", a.Events[2])
 	}
-	if got := a.Events[2].Batch.Unpack(nil); got[0].Delta != 5 {
+	if got := decoded(t, a.Events[2].Batch); got[0].Delta != 5 {
 		t.Errorf("sample round-trip: %+v", got[0])
 	}
 	if a.Events[3].Shard.Daemon != "paradynd@node0" || a.Events[5].Update.Time != sim.Time(3*sim.Second) || a.Events[5].Update.Daemon != "paradynd@node1" || a.Events[6].N != 7 {
@@ -146,6 +146,16 @@ func TestEventSize(t *testing.T) {
 	}
 }
 
+// decoded returns a kept batch decoded into Samples.
+func decoded(t *testing.T, b *session.PackedBatch) []datasource.Sample {
+	t.Helper()
+	out, err := new(session.Unpacker).UnpackSamplesInto(nil, b.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestRecordCopiesSampleBatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.ppdb")
 	r, err := perfdb.NewStreamRecorder(path)
@@ -162,7 +172,7 @@ func TestRecordCopiesSampleBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Events[0].Batch.Unpack(nil)[0].Delta; got != 1 {
+	if got := decoded(t, a.Events[0].Batch)[0].Delta; got != 1 {
 		t.Errorf("recorded delta = %v; recorder aliased the caller's batch", got)
 	}
 }

@@ -70,7 +70,6 @@ func (p *Packer) PackSamples(out []byte, batch []datasource.Sample) []byte {
 // goroutine at a time.
 type Unpacker struct {
 	packed.Table
-	check []datasource.Sample // what KeepSamples decodes a batch into
 }
 
 const corruptBatch = "session: corrupt sample batch"
@@ -119,76 +118,180 @@ func unpackRecords(c *packed.Reader, out []datasource.Sample) {
 // PackedBatch is a sample batch kept in its packed form. An archive read
 // keeps every batch it loads as one (perfdb.ReadArchive), so a loaded archive
 // costs its packed bytes rather than a 104-byte Sample per sample; a replay
-// decodes each batch when it applies it (ReplaySource), and an archive writer
-// copies its bytes as they are. It is read-only once kept, so any number of
-// replays may decode it at once.
+// folds each batch by dictionary index when it applies it
+// (datasource.View.ApplyIndexed), and an archive writer copies its bytes as
+// they are. It is read-only once kept, so any number of replays may fold it
+// at once.
 type PackedBatch struct {
 	// Data is the batch as PackSamples wrote it, dictionary and all.
-	Data []byte
-	// Dict is its dictionary, resolved when the batch was kept.
-	Dict   []string
-	newest sim.Time // the newest sample time in it; 0 when it is empty
-	recs   int32    // where its records start in Data
-	n      int32    // its samples
+	Data   []byte
+	dict   *datasource.Dict // resolved and numbered when kept
+	newest sim.Time         // the newest sample time in it; 0 when it is empty
+	recs   int32            // where its records start in Data
+	n      int32            // its samples
 }
 
 // KeepSamples checks a packed sample batch the way UnpackSamplesInto decodes
-// it, with the same errors, and sets b to keep it packed: b.Data is data, and
-// b.Dict is its dictionary, resolved through u's table and appended to dicts,
-// which it returns. The caller keeps data and dicts unchanged for as long as
-// it keeps b.
-func (u *Unpacker) KeepSamples(b *PackedBatch, data []byte, dicts []string) ([]string, error) {
+// it, with the same errors, and sets b to keep it packed, with data as b.Data.
+// Its dictionary, resolved through u's table, and the numbers of the targets
+// its samples name go into kd, whose Seal points b at them. The caller keeps
+// data unchanged for as long as it keeps b.
+func (u *Unpacker) KeepSamples(b *PackedBatch, data []byte, kd *KeptDicts) error {
 	c, n := packed.Open(&u.Table, data, corruptBatch, 8)
-	recs := c.Pos
-	u.check = slices.Grow(u.check[:0], n)[:n]
-	unpackRecords(&c, u.check)
-	if err := c.Close(); err != nil {
-		return dicts, err
-	}
+	recs, start := c.Pos, len(kd.tuples)
+	var prevT int64
 	var newest sim.Time
-	for i := range u.check {
-		if t := u.check[i].Time; i == 0 || t > newest {
+	for i := 0; i < n && c.Err == nil; i++ {
+		var x [5]uint32
+		for k := range x {
+			x[k] = uint32(c.Index())
+		}
+		prevT += c.Varint()
+		c.Uvarint() // delta
+		c.Uvarint() // value
+		if t := sim.Time(prevT); i == 0 || t > newest {
 			newest = t
 		}
+		kd.tuples = append(kd.tuples, x)
 	}
-	start := len(dicts)
-	dicts = append(dicts, c.Dict...)
-	*b = PackedBatch{Data: data, Dict: dicts[start:len(dicts):len(dicts)], newest: newest, recs: int32(recs), n: int32(n)}
-	return dicts, nil
+	if err := c.Close(); err != nil {
+		kd.tuples = kd.tuples[:start]
+		return err
+	}
+	*b = PackedBatch{Data: data, newest: newest, recs: int32(recs), n: int32(n)}
+	kd.keep(c.Dict, start)
+	return nil
 }
 
-// Unpack decodes the batch into dst's backing array when it is large enough,
-// into a fresh slice otherwise. KeepSamples checked every record, so the walk
-// checks nothing and cannot fail: a replay decodes each batch once per replay,
-// and a what-if grid replays an archive many times.
-func (b *PackedBatch) Unpack(dst []datasource.Sample) []datasource.Sample {
-	out := sized(dst, int(b.n))
-	data, dict, pos := b.Data, b.Dict, int(b.recs)
+// KeptDicts gathers what the sample batches of one archive read keep
+// (KeepSamples): per chunk, one copy of each distinct dictionary and one Dict
+// per distinct sequence of index tuples over it, whose Targets number what
+// each sample names, a canonical pair and a process, once for the whole
+// read. Seal hands a chunk's Dicts out, Reset readies kd for the next read;
+// the zero value is ready to use.
+type KeptDicts struct {
+	strs   []string    // the chunk's distinct dictionaries
+	tuples [][5]uint32 // the shapes' index tuples, then the kept batch's
+	shapes []keptShape // the chunk's Dicts
+	of     []int32     // each kept batch's shape, in keep order
+	// The read's numbering, and the blocks its Dicts go in.
+	number    map[target]int32
+	numbering *datasource.Numbering
+	strBlock  block[string]
+	tgtBlock  block[int32]
+	dictBlock block[datasource.Dict]
+}
+
+// keptShape is a Dict being kept: its strs, and its tuples and targets.
+type keptShape struct {
+	from, to   int
+	start, end int
+	targets    []int32
+}
+
+// target is what a sample names: a series and a process.
+type target struct {
+	datasource.Pair
+	proc string
+}
+
+// block hands out slices of blocks that double, so a read allocates per
+// doubling of what it keeps, not per chunk.
+type block[T any] struct{ b []T }
+
+func (k *block[T]) take(n int) []T {
+	if cap(k.b)-len(k.b) < n {
+		k.b = make([]T, 0, max(n, 2*cap(k.b), 64))
+	}
+	k.b = k.b[:len(k.b)+n]
+	return k.b[len(k.b)-n : len(k.b) : len(k.b)]
+}
+
+// keep files the batch being kept: dict is its dictionary, the table's
+// scratch, which the next batch overwrites; kd.tuples[start:] its tuples.
+func (kd *KeptDicts) keep(dict []string, start int) {
+	seq := kd.tuples[start:]
+	sh := keptShape{from: len(kd.strs), to: len(kd.strs) + len(dict), start: start, end: len(kd.tuples)}
+	for j, o := range kd.shapes {
+		if !slices.Equal(kd.strs[o.from:o.to], dict) {
+			continue
+		}
+		if sh.from, sh.to = o.from, o.to; slices.Equal(kd.tuples[o.start:o.end], seq) {
+			kd.of, kd.tuples = append(kd.of, int32(j)), kd.tuples[:start]
+			return
+		}
+	}
+	if sh.from == len(kd.strs) {
+		kd.strs = append(kd.strs, dict...)
+	}
+	if kd.number == nil {
+		kd.number = map[target]int32{}
+	}
+	sh.targets = kd.tgtBlock.take(len(seq))
+	for i, x := range seq {
+		f := resource.Focus{CodePath: dict[x[1]], MachinePath: dict[x[2]], SyncPath: dict[x[3]]}
+		k := target{datasource.Pair{Metric: dict[x[0]], Focus: f}.Canon(), dict[x[4]]}
+		t, ok := kd.number[k]
+		if !ok {
+			t = int32(len(kd.number))
+			kd.number[k] = t
+		}
+		sh.targets[i] = t
+	}
+	kd.of, kd.shapes = append(kd.of, int32(len(kd.shapes))), append(kd.shapes, sh)
+}
+
+// Seal hands the chunk's Dicts out, points each of kept (the batches kept
+// since the last Seal, in order) at its own, and empties kd for the next
+// chunk.
+func (kd *KeptDicts) Seal(kept []PackedBatch) {
+	if kd.numbering == nil {
+		kd.numbering = new(datasource.Numbering)
+	}
+	kd.numbering.N = len(kd.number)
+	strs, dicts := kd.strBlock.take(len(kd.strs)), kd.dictBlock.take(len(kd.shapes))
+	copy(strs, kd.strs)
+	for j, sh := range kd.shapes {
+		dicts[j] = datasource.Dict{Strs: strs[sh.from:sh.to:sh.to], Targets: sh.targets, Numbering: kd.numbering}
+	}
+	for i := range kept {
+		kept[i].dict = &dicts[kd.of[i]]
+	}
+	clear(kd.strs)
+	clear(kd.shapes)
+	kd.strs, kd.tuples, kd.shapes, kd.of = kd.strs[:0], kd.tuples[:0], kd.shapes[:0], kd.of[:0]
+}
+
+// Reset empties kd for the next read, a chunk a failed read left included.
+func (kd *KeptDicts) Reset() {
+	clear(kd.strs)
+	clear(kd.shapes)
+	clear(kd.number)
+	*kd = KeptDicts{strs: kd.strs[:0], tuples: kd.tuples[:0], shapes: kd.shapes[:0], of: kd.of[:0], number: kd.number}
+}
+
+// Dictionary and Walk make a kept batch a datasource.IndexedBatch.
+func (b *PackedBatch) Dictionary() *datasource.Dict { return b.dict }
+
+// Walk hands each sample's indexes, time and delta to f. KeepSamples checked
+// every record, so the walk checks nothing and cannot fail: a what-if grid
+// replays an archive many times.
+func (b *PackedBatch) Walk(f *datasource.IndexedFold) {
+	data, pos := b.Data, int(b.recs)
+	var idx [5]uint64
 	var prevT int64
-	var prevDelta, prevValue, x uint64
-	for i := range out {
-		sm, f := &out[i], &out[i].Focus
-		x, pos = uvarint(data, pos)
-		sm.Metric = dict[x]
-		x, pos = uvarint(data, pos)
-		f.CodePath = dict[x]
-		x, pos = uvarint(data, pos)
-		f.MachinePath = dict[x]
-		x, pos = uvarint(data, pos)
-		f.SyncPath = dict[x]
-		x, pos = uvarint(data, pos)
-		sm.Proc = dict[x]
+	var prevDelta, x uint64
+	for range b.n {
+		for k := range idx {
+			idx[k], pos = uvarint(data, pos)
+		}
 		x, pos = uvarint(data, pos)
 		prevT += int64(x>>1) ^ -int64(x&1)
-		sm.Time = sim.Time(prevT)
 		x, pos = uvarint(data, pos)
 		prevDelta ^= x
-		sm.Delta = math.Float64frombits(prevDelta)
-		x, pos = uvarint(data, pos)
-		prevValue ^= x
-		sm.Value = math.Float64frombits(prevValue)
+		_, pos = uvarint(data, pos) // the value, which no series folds
+		f.Add(idx, sim.Time(prevT), math.Float64frombits(prevDelta))
 	}
-	return out
 }
 
 // uvarint reads the varint at data[pos] of a checked batch and returns the

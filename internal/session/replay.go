@@ -21,15 +21,13 @@ import (
 // by Drain.
 //
 // A replay writes nothing into its archive: a loaded archive's sample
-// batches stay packed (PackedBatch) and each replay decodes them into a
-// scratch slice of its own, so several replays of one archive may run at
-// once.
+// batches stay packed (PackedBatch) and each replay folds them by dictionary
+// index into its own View, so several replays of one archive may run at once.
 type ReplaySource struct {
 	*datasource.View
 
-	events  []Event
-	pos     int
-	samples []datasource.Sample // the kept batch being applied, reused
+	events []Event
+	pos    int
 
 	// enables indexes the recorded enable outcomes by canonical pair
 	// (first occurrence wins): "" means the live enable succeeded, any
@@ -45,39 +43,47 @@ var _ datasource.DataSource = (*ReplaySource)(nil)
 // up to its last complete read barrier, its tail dropped rather than
 // presented as end-of-run state.
 func NewReplaySource(a *Archive) *ReplaySource {
-	v := datasource.NewView()
-	v.NumBins = a.Header.NumBins
-	v.BinWidth = a.Header.BinWidth
-	events, _ := a.Replayable()
-	// The newest sample replay will apply is where every histogram ends:
-	// each reserves its bins up to it on its first sample. A kept batch
-	// knows its newest, and the scratch it is decoded into is sized for the
-	// largest.
-	largest := 0
-	for i := range events {
-		if b := events[i].Batch; b != nil {
-			v.Horizon, largest = max(v.Horizon, b.newest), max(largest, int(b.n))
-		}
-		for _, sm := range events[i].Samples {
-			v.Horizon = max(v.Horizon, sm.Time)
-		}
-	}
-	rs := &ReplaySource{View: v, events: events, samples: make([]datasource.Sample, 0, largest), enables: make(map[datasource.Pair]string)}
 	// The enable index is built from the FULL stream, trimmed or not: an
 	// enable outcome is metadata about what the live session requested, so
 	// a request that succeeded live still succeeds on a truncated replay —
-	// it just reads whatever complete windows survive.
+	// it just reads whatever complete windows survive. Only a pair whose
+	// recorded enable succeeded is ever registered, which sizes the View.
+	n, ok := 0, 0
+	for i := range a.Events {
+		if a.Events[i].Kind == EvEnable {
+			n++
+		}
+	}
+	enables := make(map[datasource.Pair]string, n)
 	for i := range a.Events {
 		ev := &a.Events[i]
 		if ev.Kind != EvEnable {
 			continue
 		}
 		k := datasource.Pair{Metric: ev.Metric, Focus: ev.Focus}.Canon()
-		if _, ok := rs.enables[k]; !ok {
-			rs.enables[k] = ev.Err
+		if _, seen := enables[k]; !seen {
+			enables[k] = ev.Err
+			if ev.Err == "" {
+				ok++
+			}
 		}
 	}
-	return rs
+	v := datasource.NewSizedView(ok)
+	v.NumBins = a.Header.NumBins
+	v.BinWidth = a.Header.BinWidth
+	events, _ := a.Replayable()
+	// The newest sample replay will apply is where every histogram ends:
+	// each reserves its bins up to it on its first sample. A kept batch
+	// knows its newest.
+	for i := range events {
+		if b := events[i].Batch; b != nil {
+			v.Horizon = max(v.Horizon, b.newest)
+		}
+		for _, sm := range events[i].Samples {
+			v.Horizon = max(v.Horizon, sm.Time)
+		}
+	}
+	return &ReplaySource{View: v, events: events, enables: enables}
 }
 
 // EnableMetric replays a metric enable. There are no daemons to
@@ -115,18 +121,8 @@ func (rs *ReplaySource) Sync() {
 		if ev.Kind == EvBarrier {
 			return
 		}
-		rs.apply(ev)
+		ev.Apply(rs.View)
 	}
-}
-
-// apply folds one event into the View, a kept batch through rs's scratch.
-func (rs *ReplaySource) apply(ev *Event) {
-	if ev.Kind == EvSamples && ev.Batch != nil {
-		rs.samples = ev.Batch.Unpack(rs.samples)
-		rs.View.ApplySamples(rs.samples)
-		return
-	}
-	ev.Apply(rs.View)
 }
 
 // Drain applies every remaining event — the tail recorded after the last
@@ -136,7 +132,7 @@ func (rs *ReplaySource) apply(ev *Event) {
 // after the replay clock finishes.
 func (rs *ReplaySource) Drain() {
 	for ; rs.pos < len(rs.events); rs.pos++ {
-		rs.apply(&rs.events[rs.pos])
+		rs.events[rs.pos].Apply(rs.View)
 	}
-	rs.events, rs.pos, rs.samples = nil, 0, nil
+	rs.events, rs.pos = nil, 0
 }
