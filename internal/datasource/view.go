@@ -46,7 +46,7 @@ type View struct {
 	Horizon sim.Time
 
 	// slots holds what each target of numbering resolved to, fold the
-	// cursor of ApplyIndexed, gen the series registered and dropped.
+	// cursor of ApplyIndexed; gen counts the series registered.
 	numbering *Numbering
 	slots     []slot
 	fold      IndexedFold
@@ -100,7 +100,6 @@ func (v *View) DropSeries(metricName string, focus resource.Focus) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	delete(v.series, Pair{metricName, focus}.Canon())
-	v.gen++
 	clear(v.slots)
 }
 

@@ -191,12 +191,11 @@ func grow[S ~[]E, E any](s S, n, limit int) S {
 
 // eventsChunk reverses chunkWriter.flush and visits the chunk's events in
 // order, resolving packed strings through the scan's table. A collecting scan
-// (keep) keeps each sample batch packed, checked record by record, in four
-// allocations per chunk: the batches' bytes, their PackedBatch records, one
-// copy of each distinct dictionary among them and those dictionaries'
-// headers each go in one exact-size slab. Every other scan decodes each batch
-// into its scratch. Corrupt input yields an error, never a panic,
-// and the same error either way.
+// (keep) keeps each sample batch packed, checked record by record, in two
+// exact-size slabs per chunk, the batches' bytes and their PackedBatch
+// records; their Dicts, one per distinct dictionary and layout in the read,
+// go in the doubling blocks of session.KeptDicts. Every other scan decodes each batch into its scratch.
+// Corrupt input yields an error, never a panic, and the same error either way.
 func (s *archiveScan) eventsChunk(data []byte, visit func(*session.Event)) error {
 	pos := 0
 	getU := func() (uint64, error) {
@@ -309,9 +308,6 @@ func (s *archiveScan) eventsChunk(data []byte, visit func(*session.Event)) error
 		if visit != nil {
 			visit(ev)
 		}
-	}
-	if kept != nil {
-		s.dicts.Seal(kept)
 	}
 	return nil
 }
@@ -548,7 +544,7 @@ type scanScratch struct {
 	blobs   [][]byte
 	samples []datasource.Sample
 	rest    []session.Event   // the chunk's event section
-	dicts   session.KeptDicts // a collecting scan's kept dictionaries, before their slabs
+	dicts   session.KeptDicts // the Dicts of a collecting scan's kept batches
 }
 
 // spare is the scratch the last scan left and the chunk buffers the last

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"pperf/internal/datasource"
 	"pperf/internal/packed"
@@ -531,5 +534,70 @@ func TestCorruptArchivesFailTheSameEverywhere(t *testing.T) {
 	}
 	if _, err := readBothWays(t, full); err != nil {
 		t.Errorf("the archive the cases were cut from: %v", err)
+	}
+}
+
+// oneChunkOfBatches is an archive whose one event chunk holds n one-sample
+// batches, batch i naming process p<i/2>: every dictionary has the same
+// length, no two neighbouring pairs of batches share one, and each batch
+// repeats its twin's dictionary and layout.
+func oneChunkOfBatches(t testing.TB, n int) []byte {
+	var buf bytes.Buffer
+	cw, err := newChunkWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cw.perChunk = n + 1
+	h := session.Header{NumBins: 100, BinWidth: 50 * sim.Millisecond}
+	if err := cw.writeHeader(chunkHeader, h, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := range n {
+		sm := datasource.Sample{Metric: "m", Proc: "p" + strconv.Itoa(i/2), Time: sim.Time(i), Delta: 1}
+		if err := cw.add(session.Event{Kind: session.EvSamples, Samples: []datasource.Sample{sm}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cw.close(h); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// A load shares a dictionary, or a whole layout, only between batches whose
+// content is equal, and finds it by hash: a chunk of many batches with
+// distinct dictionaries loads in time linear in its batches. Comparing each
+// batch with every earlier Dict makes 8 times the batches load about 50
+// times slower, well past the bound.
+func TestManyDistinctBatchesInOneChunkLoadInLinearTime(t *testing.T) {
+	load := func(data []byte) (*session.Archive, time.Duration) {
+		best := time.Duration(math.MaxInt64)
+		var a *session.Archive
+		for range 5 {
+			start := time.Now()
+			var err error
+			if a, err = ReadArchive(bytes.NewReader(data)); err != nil {
+				t.Fatal(err)
+			}
+			best = min(best, time.Since(start))
+		}
+		return a, best
+	}
+	const n = 1 << 14
+	_, small := load(oneChunkOfBatches(t, n/8))
+	a, large := load(oneChunkOfBatches(t, n))
+	if large > 24*small {
+		t.Errorf("%d batches load in %v, %d in %v: more than linear", n/8, small, n, large)
+	}
+	dicts := map[*datasource.Dict]bool{}
+	for i, ev := range a.Events {
+		d := ev.Batch.Dictionary()
+		if want := "p" + strconv.Itoa(i/2); !slices.Contains(d.Strs, want) || len(d.Targets) != 1 {
+			t.Fatalf("batch %d keeps dictionary %q, targets %v; want one naming %s", i, d.Strs, d.Targets, want)
+		}
+		dicts[d] = true
+	}
+	if len(a.Events) != n || len(dicts) != n/2 || a.Events[0].Batch.Dictionary().Numbering.N != n/2 {
+		t.Errorf("%d batches keep %d Dicts over %d targets; want %d, %d, %d", len(a.Events), len(dicts), a.Events[0].Batch.Dictionary().Numbering.N, n, n/2, n/2)
 	}
 }

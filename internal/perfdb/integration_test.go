@@ -463,75 +463,72 @@ func TestReplayByteBudget(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	replay()
 	runtime.ReadMemStats(&after)
-	// 4.85 MB measured on linux/amd64 (5.44 MB before a chunk kept one copy
+	// 4.80 MB measured on linux/amd64 (5.44 MB before a read kept one copy
 	// of each distinct dictionary and a replay folded by index, 12.30 MB
 	// before the loaded batches stayed packed, 16.52 MB before the two
 	// sizings).
-	const budget = 5_200_000
+	const budget = 5_000_000
 	if n := after.TotalAlloc - before.TotalAlloc; n > budget {
 		t.Errorf("loading and replaying a %d-byte random-barrier recording allocates %d bytes; want at most %d", len(c.files[0]), n, budget)
 	}
 }
 
-// LoadAny keeps one copy of each distinct dictionary a chunk's sample batches
-// hold, however many batches repeat it, and numbers what every sample names
+// LoadAny keeps one copy of each distinct dictionary the sample batches of a
+// read hold, however many batches repeat it, and one Dict per distinct
+// dictionary and sequence of index tuples; it numbers what every sample names
 // once for the whole read: a target is one canonical pair and one process.
-func TestLoadAnyKeepsOneCopyOfEachDictionaryPerChunk(t *testing.T) {
+func TestLoadAnyKeepsOneCopyOfEachDictionary(t *testing.T) {
 	c := built(t, randomBarrier())
 	a, err := perfdb.ReadArchive(bytes.NewReader(c.files[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ends []int // where each 'E' chunk's events end
-	for data, n := c.files[0][len("PPDBA2"):], 0; len(data) > 0; data = data[9+binary.BigEndian.Uint32(data[1:5]):] {
-		if data[0] == 'E' {
-			events, _ := binary.Uvarint(data[9:])
-			n += int(events)
-			ends = append(ends, n)
-		}
-	}
-	batches, copies := 0, 0
+	batches := 0
 	var numbering *datasource.Numbering // the read's, shared by every batch
-	target := map[int32]string{}        // what each number names
-	for i, chunk := 0, 0; chunk < len(ends); chunk++ {
-		kept := map[string]*string{} // a dictionary's text → its one copy
-		for ; i < ends[chunk]; i++ {
-			b := a.Events[i].Batch
-			if b == nil {
-				continue
-			}
-			d := b.Dictionary()
-			if numbering == nil {
-				numbering = d.Numbering
-			}
-			if d.Numbering != numbering {
-				t.Fatalf("event %d: a second numbering in one read", i)
-			}
-			batches++
-			text := strings.Join(d.Strs, "\x00")
-			if len(d.Strs) == 0 {
-				continue
-			}
-			if first, ok := kept[text]; !ok {
-				kept[text], copies = &d.Strs[0], copies+1
-			} else if first != &d.Strs[0] {
-				t.Fatalf("chunk %d, event %d: a second copy of the dictionary %q", chunk, i, d.Strs)
-			}
-			samples, err := new(session.Unpacker).UnpackSamplesInto(nil, b.Data)
-			if err != nil || len(samples) != len(d.Targets) {
-				t.Fatalf("event %d: %d samples (%v), %d targets", i, len(samples), err, len(d.Targets))
-			}
-			for j, sm := range samples {
-				name := fmt.Sprint(datasource.Pair{Metric: sm.Metric, Focus: sm.Focus}.Canon(), sm.Proc)
-				if got, ok := target[d.Targets[j]]; ok && got != name {
-					t.Fatalf("event %d sample %d: target %d names %s, and %s before", i, j, d.Targets[j], name, got)
-				}
-				target[d.Targets[j]] = name
-			}
+	copies := map[string]*string{}      // a dictionary's text → its one copy
+	dicts := map[string]*datasource.Dict{}
+	target := map[int32]string{} // what each number names
+	for i := range a.Events {
+		b := a.Events[i].Batch
+		if b == nil {
+			continue
 		}
+		d := b.Dictionary()
+		if numbering == nil {
+			numbering = d.Numbering
+		}
+		if d.Numbering != numbering {
+			t.Fatalf("event %d: a second numbering in one read", i)
+		}
+		batches++
+		if len(d.Strs) == 0 {
+			continue
+		}
+		text := strings.Join(d.Strs, "\x00")
+		if first, ok := copies[text]; !ok {
+			copies[text] = &d.Strs[0]
+		} else if first != &d.Strs[0] {
+			t.Fatalf("event %d: a second copy of the dictionary %q", i, d.Strs)
+		}
+		samples, err := new(session.Unpacker).UnpackSamplesInto(nil, b.Data)
+		if err != nil || len(samples) != len(d.Targets) {
+			t.Fatalf("event %d: %d samples (%v), %d targets", i, len(samples), err, len(d.Targets))
+		}
+		layout := text
+		for j, sm := range samples {
+			name := fmt.Sprint(datasource.Pair{Metric: sm.Metric, Focus: sm.Focus}.Canon(), sm.Proc)
+			if got, ok := target[d.Targets[j]]; ok && got != name {
+				t.Fatalf("event %d sample %d: target %d names %s, and %s before", i, j, d.Targets[j], name, got)
+			}
+			target[d.Targets[j]], layout = name, layout+"\x01"+name
+		}
+		if first, ok := dicts[layout]; ok && first != d {
+			t.Fatalf("event %d: a second Dict for one dictionary and layout", i)
+		}
+		dicts[layout] = d
 	}
-	if numbering == nil || batches < 4*copies {
-		t.Fatalf("%d sample batches hold %d distinct dictionaries per chunk: too few repeats to tell", batches, copies)
+	if numbering == nil || batches < 4*len(dicts) {
+		t.Fatalf("%d sample batches hold %d distinct dictionaries and layouts: too few repeats to tell", batches, len(dicts))
 	}
 	names := map[string]bool{}
 	for _, name := range target {

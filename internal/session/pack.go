@@ -2,6 +2,7 @@ package session
 
 import (
 	"encoding/binary"
+	"hash/maphash"
 	"math"
 	"slices"
 
@@ -81,7 +82,11 @@ const corruptBatch = "session: corrupt sample batch"
 // the strings, allocates nothing.
 func (u *Unpacker) UnpackSamplesInto(dst []datasource.Sample, data []byte) ([]datasource.Sample, error) {
 	c, n := packed.Open(&u.Table, data, corruptBatch, 8)
-	out := sized(dst, n)
+	out := dst
+	if cap(out) < n || out == nil {
+		out = make([]datasource.Sample, n)
+	}
+	out = out[:n]
 	unpackRecords(&c, out)
 	if err := c.Close(); err != nil {
 		return nil, err
@@ -89,13 +94,14 @@ func (u *Unpacker) UnpackSamplesInto(dst []datasource.Sample, data []byte) ([]da
 	return out, nil
 }
 
-// sized returns dst with length n when its backing array holds n, a fresh
-// slice otherwise.
-func sized(dst []datasource.Sample, n int) []datasource.Sample {
-	if cap(dst) < n || dst == nil {
-		return make([]datasource.Sample, n)
+// readRecord reads and checks one sample record: its five dictionary
+// indexes, its time's delta and the bits of its delta and value, each XOR
+// the previous sample's.
+func readRecord(c *packed.Reader) (idx [5]uint64, dt int64, delta, value uint64) {
+	for k := range idx {
+		idx[k] = c.Index()
 	}
-	return dst[:n]
+	return idx, c.Varint(), c.Uvarint(), c.Uvarint()
 }
 
 // unpackRecords decodes len(out) sample records from c into out, up to c's
@@ -103,14 +109,18 @@ func sized(dst []datasource.Sample, n int) []datasource.Sample {
 func unpackRecords(c *packed.Reader, out []datasource.Sample) {
 	var prevT int64
 	var prevDelta, prevValue uint64
-	for i := 0; i < len(out) && c.Err == nil; i++ {
-		sm, f := &out[i], &out[i].Focus
-		sm.Metric, f.CodePath, f.MachinePath, f.SyncPath, sm.Proc = c.Str(), c.Str(), c.Str(), c.Str(), c.Str()
-		prevT += c.Varint()
+	for i := range out {
+		idx, dt, delta, value := readRecord(c)
+		if c.Err != nil {
+			return
+		}
+		sm, f, d := &out[i], &out[i].Focus, c.Dict
+		sm.Metric, f.CodePath, f.MachinePath, f.SyncPath, sm.Proc = d[idx[0]], d[idx[1]], d[idx[2]], d[idx[3]], d[idx[4]]
+		prevT += dt
 		sm.Time = sim.Time(prevT)
-		prevDelta ^= c.Uvarint()
+		prevDelta ^= delta
 		sm.Delta = math.Float64frombits(prevDelta)
-		prevValue ^= c.Uvarint()
+		prevValue ^= value
 		sm.Value = math.Float64frombits(prevValue)
 	}
 }
@@ -132,61 +142,56 @@ type PackedBatch struct {
 }
 
 // KeepSamples checks a packed sample batch the way UnpackSamplesInto decodes
-// it, with the same errors, and sets b to keep it packed, with data as b.Data.
-// Its dictionary, resolved through u's table, and the numbers of the targets
-// its samples name go into kd, whose Seal points b at them. The caller keeps
-// data unchanged for as long as it keeps b.
+// it, with the same errors, and sets b to keep it packed, with data as b.Data
+// and its Dict from kd. The caller keeps data unchanged for as long as it
+// keeps b.
 func (u *Unpacker) KeepSamples(b *PackedBatch, data []byte, kd *KeptDicts) error {
 	c, n := packed.Open(&u.Table, data, corruptBatch, 8)
 	recs, start := c.Pos, len(kd.tuples)
 	var prevT int64
 	var newest sim.Time
 	for i := 0; i < n && c.Err == nil; i++ {
-		var x [5]uint32
-		for k := range x {
-			x[k] = uint32(c.Index())
-		}
-		prevT += c.Varint()
-		c.Uvarint() // delta
-		c.Uvarint() // value
+		idx, dt, _, _ := readRecord(&c)
+		prevT += dt
 		if t := sim.Time(prevT); i == 0 || t > newest {
 			newest = t
 		}
-		kd.tuples = append(kd.tuples, x)
+		kd.tuples = append(kd.tuples, idx)
 	}
 	if err := c.Close(); err != nil {
 		kd.tuples = kd.tuples[:start]
 		return err
 	}
-	*b = PackedBatch{Data: data, newest: newest, recs: int32(recs), n: int32(n)}
-	kd.keep(c.Dict, start)
+	_, head := binary.Uvarint(data) // the record count; the dictionary follows
+	*b = PackedBatch{Data: data, dict: kd.keep(c.Dict, data[head:recs], start), newest: newest, recs: int32(recs), n: int32(n)}
 	return nil
 }
 
-// KeptDicts gathers what the sample batches of one archive read keep
-// (KeepSamples): per chunk, one copy of each distinct dictionary and one Dict
-// per distinct sequence of index tuples over it, whose Targets number what
-// each sample names, a canonical pair and a process, once for the whole
-// read. Seal hands a chunk's Dicts out, Reset readies kd for the next read;
-// the zero value is ready to use.
+// KeptDicts holds the Dicts of the sample batches one archive read keeps
+// (KeepSamples): one copy of each distinct dictionary, and one Dict per
+// distinct sequence of index tuples over it, whose Targets number what each
+// sample names, a canonical pair and a process. Reset readies kd for the next
+// read; the zero value is ready to use.
 type KeptDicts struct {
-	strs   []string    // the chunk's distinct dictionaries
-	tuples [][5]uint32 // the shapes' index tuples, then the kept batch's
-	shapes []keptShape // the chunk's Dicts
-	of     []int32     // each kept batch's shape, in keep order
-	// The read's numbering, and the blocks its Dicts go in.
+	tuples [][5]uint64 // the shapes' index tuples, then the kept batch's
+	shapes []keptShape
+	// at finds a shape by its dictionary's hash and by its dictionary's and
+	// tuples' hash, so a batch costs two lookups, not a scan of the shapes.
+	at        map[uint64]int32
+	seed      maphash.Seed
 	number    map[target]int32
 	numbering *datasource.Numbering
+	// The blocks the Dicts go in, which double: a read allocates per
+	// doubling of what it keeps, not per batch.
 	strBlock  block[string]
 	tgtBlock  block[int32]
 	dictBlock block[datasource.Dict]
 }
 
-// keptShape is a Dict being kept: its strs, and its tuples and targets.
+// keptShape is a kept Dict and where its tuples are in KeptDicts.tuples.
 type keptShape struct {
-	from, to   int
+	d          *datasource.Dict
 	start, end int
-	targets    []int32
 }
 
 // target is what a sample names: a series and a process.
@@ -195,8 +200,6 @@ type target struct {
 	proc string
 }
 
-// block hands out slices of blocks that double, so a read allocates per
-// doubling of what it keeps, not per chunk.
 type block[T any] struct{ b []T }
 
 func (k *block[T]) take(n int) []T {
@@ -207,27 +210,39 @@ func (k *block[T]) take(n int) []T {
 	return k.b[len(k.b)-n : len(k.b) : len(k.b)]
 }
 
-// keep files the batch being kept: dict is its dictionary, the table's
-// scratch, which the next batch overwrites; kd.tuples[start:] its tuples.
-func (kd *KeptDicts) keep(dict []string, start int) {
-	seq := kd.tuples[start:]
-	sh := keptShape{from: len(kd.strs), to: len(kd.strs) + len(dict), start: start, end: len(kd.tuples)}
-	for j, o := range kd.shapes {
-		if !slices.Equal(kd.strs[o.from:o.to], dict) {
-			continue
+// keep returns the Dict of the batch being kept, whose dictionary is dict,
+// the table's scratch, packed as raw, and whose tuples are kd.tuples[start:].
+// A hash only finds a candidate: a Dict or a dictionary is shared when its
+// content is equal.
+func (kd *KeptDicts) keep(dict []string, raw []byte, start int) *datasource.Dict {
+	if kd.at == nil {
+		kd.at, kd.number, kd.seed = map[uint64]int32{}, map[target]int32{}, maphash.MakeSeed()
+	}
+	if kd.numbering == nil {
+		kd.numbering = new(datasource.Numbering)
+	}
+	const prime = 0x100000001b3
+	seq, hd := kd.tuples[start:], maphash.Bytes(kd.seed, raw)
+	hs := hd
+	for _, x := range seq {
+		for _, i := range x {
+			hs = (hs ^ i) * prime
 		}
-		if sh.from, sh.to = o.from, o.to; slices.Equal(kd.tuples[o.start:o.end], seq) {
-			kd.of, kd.tuples = append(kd.of, int32(j)), kd.tuples[:start]
-			return
-		}
 	}
-	if sh.from == len(kd.strs) {
-		kd.strs = append(kd.strs, dict...)
+	sameDict := func(j int32, ok bool) bool { return ok && slices.Equal(kd.shapes[j].d.Strs, dict) }
+	if j, ok := kd.at[hs]; sameDict(j, ok) && slices.Equal(kd.tuples[kd.shapes[j].start:kd.shapes[j].end], seq) {
+		kd.tuples = kd.tuples[:start]
+		return kd.shapes[j].d
 	}
-	if kd.number == nil {
-		kd.number = map[target]int32{}
+	j, d := int32(len(kd.shapes)), &kd.dictBlock.take(1)[0]
+	*d = datasource.Dict{Targets: kd.tgtBlock.take(len(seq)), Numbering: kd.numbering}
+	if o, ok := kd.at[hd]; sameDict(o, ok) {
+		d.Strs = kd.shapes[o].d.Strs
+	} else {
+		d.Strs, kd.at[hd] = kd.strBlock.take(len(dict)), j
+		copy(d.Strs, dict)
 	}
-	sh.targets = kd.tgtBlock.take(len(seq))
+	kd.at[hs], kd.shapes = j, append(kd.shapes, keptShape{d, start, len(kd.tuples)})
 	for i, x := range seq {
 		f := resource.Focus{CodePath: dict[x[1]], MachinePath: dict[x[2]], SyncPath: dict[x[3]]}
 		k := target{datasource.Pair{Metric: dict[x[0]], Focus: f}.Canon(), dict[x[4]]}
@@ -236,38 +251,18 @@ func (kd *KeptDicts) keep(dict []string, start int) {
 			t = int32(len(kd.number))
 			kd.number[k] = t
 		}
-		sh.targets[i] = t
-	}
-	kd.of, kd.shapes = append(kd.of, int32(len(kd.shapes))), append(kd.shapes, sh)
-}
-
-// Seal hands the chunk's Dicts out, points each of kept (the batches kept
-// since the last Seal, in order) at its own, and empties kd for the next
-// chunk.
-func (kd *KeptDicts) Seal(kept []PackedBatch) {
-	if kd.numbering == nil {
-		kd.numbering = new(datasource.Numbering)
+		d.Targets[i] = t
 	}
 	kd.numbering.N = len(kd.number)
-	strs, dicts := kd.strBlock.take(len(kd.strs)), kd.dictBlock.take(len(kd.shapes))
-	copy(strs, kd.strs)
-	for j, sh := range kd.shapes {
-		dicts[j] = datasource.Dict{Strs: strs[sh.from:sh.to:sh.to], Targets: sh.targets, Numbering: kd.numbering}
-	}
-	for i := range kept {
-		kept[i].dict = &dicts[kd.of[i]]
-	}
-	clear(kd.strs)
-	clear(kd.shapes)
-	kd.strs, kd.tuples, kd.shapes, kd.of = kd.strs[:0], kd.tuples[:0], kd.shapes[:0], kd.of[:0]
+	return d
 }
 
-// Reset empties kd for the next read, a chunk a failed read left included.
+// Reset empties kd for the next read, what a failed read left included.
 func (kd *KeptDicts) Reset() {
-	clear(kd.strs)
 	clear(kd.shapes)
+	clear(kd.at)
 	clear(kd.number)
-	*kd = KeptDicts{strs: kd.strs[:0], tuples: kd.tuples[:0], shapes: kd.shapes[:0], of: kd.of[:0], number: kd.number}
+	*kd = KeptDicts{tuples: kd.tuples[:0], shapes: kd.shapes[:0], at: kd.at, seed: kd.seed, number: kd.number}
 }
 
 // Dictionary and Walk make a kept batch a datasource.IndexedBatch.
