@@ -24,6 +24,10 @@ type archiveSink struct{ events []session.Event }
 
 func (a *archiveSink) Record(ev session.Event) {
 	ev.Samples = slices.Clone(ev.Samples) // the caller builds its next batch in it
+	if ev.Shard != nil {
+		sh := *ev.Shard // and its next shard in the same Shard
+		ev.Shard = &sh
+	}
 	a.events = append(a.events, ev)
 }
 func (*archiveSink) SetHistogram(int, sim.Duration) {}

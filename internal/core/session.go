@@ -373,6 +373,7 @@ func (s *Session) flushTrace() {
 		d.FlushTrace()
 	}
 	tl := s.FE.Timeline()
+	var sh trace.Shard // each stamp's, which Report keeps none of
 	for _, d := range s.daemons.All() {
 		if d.Crashed() {
 			continue
@@ -382,9 +383,8 @@ func (s *Session) flushTrace() {
 			proc, lost := rec.Proc(), st.LostSpans[rec.Proc()]
 			have := tl.Stats(proc)
 			if have.Dropped < rec.Dropped() || have.OutboxLost < lost {
-				s.FE.Report(session.Event{Kind: session.EvShard, Shard: trace.Shard{
-					Daemon: d.Name(), Proc: proc, Node: rec.Node(), Dropped: rec.Dropped(), OutboxLost: lost,
-				}})
+				sh = trace.Shard{Daemon: d.Name(), Proc: proc, Node: rec.Node(), Dropped: rec.Dropped(), OutboxLost: lost}
+				s.FE.Report(session.Event{Kind: session.EvShard, Shard: &sh})
 			}
 			if n := st.Undelivered[proc]; have.Undelivered < n {
 				s.FE.NoteUndelivered(proc, n)

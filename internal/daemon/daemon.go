@@ -31,6 +31,9 @@ type Daemon struct {
 	// shards and ships them through the report transport (see outbox.go).
 	tracer *trace.Tracer
 	pk     trace.Packer // the scratch drained rings are packed through
+	// shard is the one Shard every shipped shard is drained into: a
+	// Transport keeps none of it, and a queue keeps a copy (see send).
+	shard trace.Shard
 
 	// incarnation numbers successive daemons on the same node: the first
 	// is 1, each supervisor respawn increments it. Transports stamp it on

@@ -16,6 +16,7 @@ import (
 
 	"pperf/internal/datasource"
 	"pperf/internal/mdl"
+	"pperf/internal/packed"
 	"pperf/internal/session"
 	"pperf/internal/sim"
 	"pperf/internal/trace"
@@ -45,13 +46,13 @@ func (s *chanSink) Report(ev session.Event) error {
 		s.events = append(s.events, fmt.Sprintf("update:%d", ev.Update.Kind))
 	case session.EvShard:
 		s.events = append(s.events, fmt.Sprintf("shard:%d", ev.Shard.Len()))
-		s.shards = append(s.shards, ev.Shard)
+		s.shards = append(s.shards, *ev.Shard) // the caller owns ev.Shard
 	}
 	return nil
 }
 
 func mkShard(n int) session.Event {
-	return session.Event{Kind: session.EvShard, Shard: trace.Shard{Proc: "p{0}", Node: "node0", Spans: make([]trace.Span, n)}}
+	return session.Event{Kind: session.EvShard, Shard: &trace.Shard{Proc: "p{0}", Node: "node0", Spans: make([]trace.Span, n)}}
 }
 
 func mkSamples(metric string) session.Event {
@@ -100,6 +101,49 @@ func TestBulkQueueEvictionCountsSpans(t *testing.T) {
 	}
 	if queued := len(d.ctl.evs); queued != 0 {
 		t.Errorf("shards leaked into the report outbox: depth %d", queued)
+	}
+}
+
+// The daemon drains every shard into one scratch Shard, so a shard queued
+// while the bulk channel is down must be the queue's own copy: delivered
+// later, each carries the spans it was drained with and the OutboxLost of its
+// own track, and an evicted one is counted by its own spans.
+func TestQueuedShardsKeepTheirOwnSpans(t *testing.T) {
+	eng := sim.NewEngine(1)
+	sink := &chanSink{bulkDown: true}
+	d := New(eng, 0, "node0", mdl.StdLib(), sink, DefaultConfig())
+	d.bulk.limit = 2
+	tr := trace.New(&trace.Config{FlushWatermark: -1})
+	d.EnableTracing(tr)
+	drain := func(proc, what string, n int) {
+		for i := 0; i < n; i++ {
+			tr.Transport(proc, "node0", what, eng.Now())
+		}
+		d.flushTraceShards()
+	}
+	drain("p{0}", "a", 2)
+	drain("p{1}", "b", 3)
+	drain("p{0}", "c", 1) // past the bound: evicts p{0}'s two "a" spans
+	if st := d.Stats(); st.Bulk.Evicted != 1 || st.LostSpans["p{0}"] != 2 || st.LostSpans["p{1}"] != 0 {
+		t.Fatalf("bulk queue %+v, lost spans %v; want the 2-span shard of p{0} evicted", st.Bulk, st.LostSpans)
+	}
+
+	sink.bulkDown = false
+	d.flush(&d.bulk)
+	var got []string
+	for _, sh := range sink.shards {
+		spans, err := trace.UnpackShard(new(packed.Table), sh.Packed())
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := ""
+		for _, s := range spans.Spans {
+			names += s.Name
+		}
+		got = append(got, fmt.Sprintf("%s:%s lost=%d", sh.Proc, names, sh.OutboxLost))
+	}
+	if want := "[p{1}:bbb lost=0 p{0}:c lost=2]"; fmt.Sprint(got) != want {
+		t.Errorf("delivered %v, want %s", got, want)
 	}
 }
 

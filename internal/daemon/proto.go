@@ -22,9 +22,10 @@ import (
 // observed by the front end (after any retries the transport performs
 // internally); the daemon queues such reports and replays them on recovery.
 //
-// The caller owns ev.Samples — the rule session.Sink states for Record:
-// Report reads the batch before it returns and never keeps it, so a daemon
-// builds every batch it delivers in one reused backing array.
+// The caller owns ev.Samples and ev.Shard — the rule session.Sink states for
+// Record: Report reads the batch and the shard before it returns and keeps
+// neither, so a daemon builds every batch it delivers in one reused backing
+// array and drains every shard into one reused Shard.
 type Transport interface {
 	Report(ev session.Event) error
 }

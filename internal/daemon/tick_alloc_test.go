@@ -18,6 +18,7 @@ import (
 	"pperf/internal/perfdb"
 	"pperf/internal/resource"
 	"pperf/internal/sim"
+	"pperf/internal/trace"
 )
 
 // tickRig is one node running two ping-pong ranks under an in-process front
@@ -106,4 +107,28 @@ func TestSamplingTickAllocatesNothing(t *testing.T) {
 		}
 		t.Logf("one chunk of recorded ticks: %v allocs, %.2f a tick", n, n/ticksPerChunk)
 	})
+}
+
+// A shard ships through the daemon's one scratch Shard: over a healthy
+// in-process transport, a ship at the watermark costs the shard's packed
+// bytes — their one exact-size copy, which the front end's timeline keeps —
+// and no Shard of its own.
+func TestShippingAShardAllocatesNoShard(t *testing.T) {
+	eng := sim.NewEngine(1)
+	fe := frontend.New()
+	d := daemon.New(eng, 0, "node0", mdl.StdLib(), fe, daemon.DefaultConfig())
+	tr := trace.New(&trace.Config{RingCapacity: 8, FlushWatermark: 4})
+	d.EnableTracing(tr)
+	ship := func() {
+		for range 4 { // the fourth span reaches the watermark
+			tr.Transport("p{0}", "node0", "m", eng.Now())
+		}
+	}
+	ship() // the ring and the track grow once
+	if n := testing.AllocsPerRun(100, ship); n != 1 {
+		t.Errorf("shipping one 4-span shard: %v allocs, want 1 (its packed bytes)", n)
+	}
+	if st := fe.Timeline().Stats(); st.Shards != 102 {
+		t.Errorf("the front end ingested %d shards, want 102", st.Shards)
+	}
 }

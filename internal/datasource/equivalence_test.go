@@ -24,11 +24,16 @@ import (
 )
 
 // captureSink is a session.Sink that keeps the stream in memory. It copies
-// each batch: the caller owns ev.Samples and builds the next batch in it.
+// each batch and shard: the caller owns ev.Samples and ev.Shard and builds the
+// next batch and shard in them.
 type captureSink struct{ events []session.Event }
 
 func (c *captureSink) Record(ev session.Event) {
 	ev.Samples = slices.Clone(ev.Samples)
+	if ev.Shard != nil {
+		sh := *ev.Shard
+		ev.Shard = &sh
+	}
 	c.events = append(c.events, ev)
 }
 func (c *captureSink) SetHistogram(int, sim.Duration) {}
@@ -152,7 +157,7 @@ func TestLiveAndReplayBuildTheSameView(t *testing.T) {
 		update(10, "call edge", datasource.Update{Kind: datasource.UpCallEdge, Caller: "main", Callee: "MPI_Send"}),
 		samples(55, sample("msgs_sent", "p0", 50, 3), sample("msgs_sent", "p1", 50, 4),
 			sample("msg_bytes_sent", "p0", 50, 99)), // never enabled: skipped in both modes
-		report(60, "shard", session.Event{Kind: session.EvShard, Shard: shard}),
+		report(60, "shard", session.Event{Kind: session.EvShard, Shard: &shard}),
 		samples(150, sample("msgs_sent", "p0", 150, 5), sample("msgs_sent", "p1", 150, 6)),
 		update(210, "heartbeat node0", datasource.Update{Kind: datasource.UpHeartbeat, Daemon: d0}),
 		barrier(250, "barrier"),
@@ -275,7 +280,7 @@ func TestTimelineCreatedOnceUnderConcurrentShards(t *testing.T) {
 			defer wg.Done()
 			proc := fmt.Sprintf("p%d", w)
 			for i := 0; i < each; i++ {
-				v.ApplyShard(trace.Shard{Proc: proc, Node: "node0", Spans: []trace.Span{{Seq: uint64(w*each + i + 1), Proc: proc}}})
+				v.ApplyShard(&trace.Shard{Proc: proc, Node: "node0", Spans: []trace.Span{{Seq: uint64(w*each + i + 1), Proc: proc}}})
 				v.ApplyUndelivered(proc, int64(i))
 				v.EnableTrace()
 				_ = v.Timeline().Stats()

@@ -385,8 +385,10 @@ func (v *View) Timeline() *trace.Timeline {
 	return v.timeline
 }
 
-// ApplyShard merges one streamed trace shard into the timeline.
-func (v *View) ApplyShard(sh trace.Shard) { v.EnableTrace().Ingest(sh) }
+// ApplyShard merges one streamed trace shard into the timeline. The
+// timeline keeps the shard's packed bytes, never sh itself, so the caller may
+// reuse sh once ApplyShard returns.
+func (v *View) ApplyShard(sh *trace.Shard) { v.EnableTrace().Ingest(*sh) }
 
 // ApplyUndelivered folds proc's end-of-run undelivered-span count into the
 // timeline.

@@ -22,7 +22,7 @@ func samples(batch ...datasource.Sample) session.Event {
 func update(u datasource.Update) session.Event {
 	return session.Event{Kind: session.EvUpdate, Update: u}
 }
-func shard(sh trace.Shard) session.Event { return session.Event{Kind: session.EvShard, Shard: sh} }
+func shard(sh trace.Shard) session.Event { return session.Event{Kind: session.EvShard, Shard: &sh} }
 
 func TestSamplesAggregateAndPerProc(t *testing.T) {
 	fe := New()

@@ -25,6 +25,10 @@ type eventSink struct{ events []session.Event }
 
 func (s *eventSink) Record(ev session.Event) {
 	ev.Samples = slices.Clone(ev.Samples) // the caller builds its next batch in it
+	if ev.Shard != nil {
+		sh := *ev.Shard // and its next shard in the same Shard
+		ev.Shard = &sh
+	}
 	s.events = append(s.events, ev)
 }
 func (s *eventSink) SetHistogram(int, sim.Duration) {}

@@ -29,7 +29,8 @@ import (
 
 // captureSink is a session.Sink that keeps the stream in memory. Over TCP
 // it is fed from the listener's goroutines, hence the lock. It copies each
-// batch: the caller owns ev.Samples and builds the next batch in it.
+// batch and shard: the caller owns ev.Samples and ev.Shard and builds the
+// next batch and shard in them.
 type captureSink struct {
 	mu     sync.Mutex
 	events []session.Event
@@ -39,6 +40,10 @@ func (c *captureSink) Record(ev session.Event) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ev.Samples = slices.Clone(ev.Samples)
+	if ev.Shard != nil {
+		sh := *ev.Shard
+		ev.Shard = &sh
+	}
 	c.events = append(c.events, ev)
 }
 func (c *captureSink) SetHistogram(int, sim.Duration) {}
@@ -164,7 +169,7 @@ func TestReportStreamIdenticalAcrossTransports(t *testing.T) {
 		t.Errorf("%s recorded a different stream than in-process (%d vs %d events)", name, len(got), len(inProcess))
 		for i := 0; i < len(got) && i < len(inProcess); i++ {
 			if !reflect.DeepEqual(got[i], inProcess[i]) {
-				t.Errorf("first difference at event %d:\n%s: %+v\nin-process: %+v", i, name, got[i], inProcess[i])
+				t.Errorf("first difference at event %d:\n%s: %+v %+v\nin-process: %+v %+v", i, name, got[i], got[i].Shard, inProcess[i], inProcess[i].Shard)
 				break
 			}
 		}

@@ -66,9 +66,10 @@ type frame struct {
 // naming anyone but the envelope's daemon. Anything else must not reach the
 // front end — a forged verdict, barrier or gap would land in the analysis
 // state (and the archive) as if the front end had produced it, a forged
-// stamp would keep a dead daemon alive. A batch is unpacked into *samples,
-// the connection's scratch, which the returned event then names.
-func (f *frame) open(up *session.Unpacker, samples *[]datasource.Sample) (ev session.Event, ok bool) {
+// stamp would keep a dead daemon alive. A batch is unpacked into *samples
+// and a shard opened into *shard, the connection's scratch, which the
+// returned event then names.
+func (f *frame) open(up *session.Unpacker, samples *[]datasource.Sample, shard *trace.Shard) (ev session.Event, ok bool) {
 	if _, ok := daemon.ChannelOf(f.Kind); !ok || f.Daemon == "" || f.Seq == 0 {
 		return ev, false
 	}
@@ -88,8 +89,8 @@ func (f *frame) open(up *session.Unpacker, samples *[]datasource.Sample) (ev ses
 	case session.EvShard:
 		// Verified and kept as bytes (a copy: Packed is the connection's
 		// reused buffer); no span is materialised here.
-		ev.Shard, err = trace.OpenShard(&up.Table, f.Packed)
-		stamp = ev.Shard.Daemon
+		*shard, err = trace.OpenShard(&up.Table, f.Packed)
+		ev.Shard, stamp = shard, shard.Daemon
 	}
 	ev.Kind = f.Kind
 	return ev, err == nil && (stamp == "" || stamp == f.Daemon)
@@ -140,9 +141,11 @@ func (l *Listener) WireStats(ch string) wire.Stats {
 // serve applies one daemon connection's frames to the front end.
 func (l *Listener) serve(c *wire.ServerConn) {
 	var up session.Unpacker // this connection's string table
-	// samples is the connection's one batch: fe.Report is synchronous and
-	// keeps none of it (daemon.Transport), and the ack goes out after.
+	// samples and shard are the connection's one batch and one shard:
+	// fe.Report is synchronous and keeps neither (daemon.Transport), and the
+	// ack goes out after.
 	var samples []datasource.Sample
+	var shard trace.Shard
 	var f frame
 	for {
 		// gob leaves absent fields alone, so each frame decodes into a zeroed
@@ -152,7 +155,7 @@ func (l *Listener) serve(c *wire.ServerConn) {
 		if c.Read(&f) != nil {
 			return
 		}
-		ev, ok := f.open(&up, &samples)
+		ev, ok := f.open(&up, &samples, &shard)
 		if !ok {
 			// Not a daemon: drop the connection, the frame neither applied nor acked.
 			l.refused.Add(1)

@@ -445,6 +445,7 @@ func TestReportFrameReceiveCost(t *testing.T) {
 	type conn struct {
 		up      session.Unpacker
 		samples []datasource.Sample
+		shard   trace.Shard
 		f       frame
 	}
 	receive := func(dec *gob.Decoder, c *conn) {
@@ -452,7 +453,7 @@ func TestReportFrameReceiveCost(t *testing.T) {
 		if err := dec.Decode(&c.f); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := c.f.open(&c.up, &c.samples); !ok {
+		if _, ok := c.f.open(&c.up, &c.samples, &c.shard); !ok {
 			t.Fatal("a sealed frame was refused")
 		}
 	}
@@ -505,7 +506,7 @@ func FuzzFrameOpen(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, kind int, name string, seq uint64, packed []byte) {
 		fr := frame{Daemon: name, Seq: seq, Kind: session.EventKind(kind), Packed: packed}
-		ev, ok := fr.open(new(session.Unpacker), new([]datasource.Sample))
+		ev, ok := fr.open(new(session.Unpacker), new([]datasource.Sample), new(trace.Shard))
 		if !ok {
 			return
 		}

@@ -191,10 +191,12 @@ func grow[S ~[]E, E any](s S, n, limit int) S {
 
 // eventsChunk reverses chunkWriter.flush and visits the chunk's events in
 // order, resolving packed strings through the scan's table. A collecting scan
-// (keep) keeps each sample batch packed, checked record by record, in two
-// exact-size slabs per chunk, the batches' bytes and their PackedBatch
-// records; their Dicts, one per distinct dictionary and layout in the read,
-// go in the doubling blocks of session.KeptDicts. Every other scan decodes each batch into its scratch.
+// (keep) keeps each sample batch packed, checked record by record, and each
+// shard verified, in at most three exact-size slabs per chunk: the blobs'
+// bytes, the batches' PackedBatch records and the Shards. The batches' Dicts,
+// one per distinct dictionary and layout in the read, go in the doubling
+// blocks of session.KeptDicts. Every other scan decodes each batch into its
+// scratch, and a folding scan opens each shard into its own.
 // Corrupt input yields an error, never a panic, and the same error either way.
 func (s *archiveScan) eventsChunk(data []byte, visit func(*session.Event)) error {
 	pos := 0
@@ -247,20 +249,23 @@ func (s *archiveScan) eventsChunk(data []byte, visit func(*session.Event)) error
 	}
 	s.blobs = blobs
 	var kept []session.PackedBatch
+	var shards []trace.Shard
 	var slab []byte
-	if s.keep && per[flagSamples] > 0 {
-		size, b := 0, blobs
-		for _, f := range flags {
-			if f == flagSamples {
-				size += len(b[0])
-			}
-			if f != flagEvents {
-				b = b[1:]
-			}
+	if s.keep { // an empty slab allocates nothing
+		size := 0
+		for _, b := range blobs {
+			size += len(b)
 		}
-		kept, slab = make([]session.PackedBatch, per[flagSamples]), make([]byte, 0, size)
+		slab = make([]byte, 0, size)
+		kept, shards = make([]session.PackedBatch, per[flagSamples]), make([]trace.Shard, per[flagShard])
 	}
-	nKept := 0
+	// keepBlob copies the next blob into the slab, where it stays: the bytes
+	// a kept batch or shard holds, which nothing writes again.
+	keepBlob := func() []byte {
+		start := len(slab)
+		slab = append(slab, blobs[0]...)
+		return slab[start:len(slab):len(slab)]
+	}
 	var rest []session.Event
 	switch data = data[pos:]; {
 	case nSection > 0: // the count is checked before anything is decoded for it
@@ -279,12 +284,9 @@ func (s *archiveScan) eventsChunk(data []byte, visit func(*session.Event)) error
 		switch f {
 		case flagSamples:
 			*ev = session.Event{Kind: session.EvSamples}
-			if kept != nil {
-				ev.Batch = &kept[nKept]
-				nKept++
-				start := len(slab)
-				slab = append(slab, blobs[0]...)
-				err = s.up.KeepSamples(ev.Batch, slab[start:len(slab):len(slab)], &s.dicts)
+			if s.keep {
+				ev.Batch, kept = &kept[0], kept[1:]
+				err = s.up.KeepSamples(ev.Batch, keepBlob(), &s.dicts)
 			} else {
 				ev.Samples, err = s.up.UnpackSamplesInto(s.samples, blobs[0])
 				s.samples = ev.Samples
@@ -292,10 +294,15 @@ func (s *archiveScan) eventsChunk(data []byte, visit func(*session.Event)) error
 			blobs = blobs[1:]
 		case flagShard:
 			*ev = session.Event{Kind: session.EvShard}
-			if visit == nil {
+			switch {
+			case visit == nil:
 				err = trace.VerifyShard(blobs[0]) // nothing kept
-			} else {
-				ev.Shard, err = trace.OpenShard(&s.up.Table, blobs[0])
+			case s.keep:
+				ev.Shard, shards = &shards[0], shards[1:]
+				*ev.Shard, err = trace.KeepShard(&s.up.Table, keepBlob())
+			default: // a fold: the shard is the visit's until the next one
+				s.shard, err = trace.OpenShard(&s.up.Table, blobs[0])
+				ev.Shard = &s.shard
 			}
 			blobs = blobs[1:]
 		default:
@@ -534,8 +541,10 @@ type archiveScan struct {
 	keep bool
 	// ev is a field on purpose: a `var ev session.Event` declared inside the
 	// per-event loop and passed by pointer escapes once per event, which
-	// alone took store-cycle from 370 k mallocs to 393 k.
-	ev session.Event
+	// alone took store-cycle from 370 k mallocs to 393 k. shard is a folding
+	// scan's ev.Shard, for the same reason.
+	ev    session.Event
+	shard trace.Shard
 }
 
 // scanScratch is what a scan decodes one chunk into.

@@ -27,9 +27,9 @@ import (
 // randomShard generates a trace shard of n spans on one track: a small
 // vocabulary, times that mostly advance, the odd negative tag and backward
 // step.
-func randomShard(rng *rand.Rand, n int) trace.Shard {
+func randomShard(rng *rand.Rand, n int) *trace.Shard {
 	names := []string{"MPI_Send", "MPI_Recv", "compute", "msg"}
-	sh := trace.Shard{Daemon: "paradynd@node0", Proc: "app{0}", Node: "node0", Dropped: int64(rng.Intn(3))}
+	sh := &trace.Shard{Daemon: "paradynd@node0", Proc: "app{0}", Node: "node0", Dropped: int64(rng.Intn(3))}
 	at := sim.Time(rng.Intn(1e9))
 	for i := 0; i < n; i++ {
 		at += sim.Time(rng.Intn(50_000) - 5_000)
@@ -149,13 +149,17 @@ func archivesEquivalent(t *testing.T, want, got *session.Archive) {
 
 // spansForm returns sh with its spans materialised, whichever form it is in:
 // a read archive holds its shards packed, the tests build theirs from spans.
-func spansForm(t testing.TB, sh trace.Shard) trace.Shard {
+// A non-shard event's nil shard stays nil.
+func spansForm(t testing.TB, sh *trace.Shard) *trace.Shard {
 	t.Helper()
+	if sh == nil {
+		return nil
+	}
 	out, err := trace.UnpackShard(new(packed.Table), sh.Packed())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return &out
 }
 
 func TestChunkedArchiveRoundTrip(t *testing.T) {
@@ -599,5 +603,61 @@ func TestManyDistinctBatchesInOneChunkLoadInLinearTime(t *testing.T) {
 	}
 	if len(a.Events) != n || len(dicts) != n/2 || a.Events[0].Batch.Dictionary().Numbering.N != n/2 {
 		t.Errorf("%d batches keep %d Dicts over %d targets; want %d, %d, %d", len(a.Events), len(dicts), a.Events[0].Batch.Dictionary().Numbering.N, n, n/2, n/2)
+	}
+}
+
+// LoadAny keeps a traced recording's shards in per-chunk slabs: every shard
+// event holds a Shard of its own, equal to what OpenShard makes of its blob,
+// and the shards' bytes and headers cost allocations per chunk, not per
+// shard, as an OpenShard copy apiece did.
+func TestLoadAnyKeepsShardsInChunkSlabs(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	src := &session.Archive{Header: session.Header{Version: session.Version, NumBins: 100, BinWidth: 50 * sim.Millisecond}}
+	for i := 0; i < 4*DefaultFlushEvents; i++ {
+		if i%8 == 0 {
+			src.Events = append(src.Events, session.Event{Kind: session.EvSamples, Samples: randomBatch(rng, 4)})
+		} else {
+			src.Events = append(src.Events, session.Event{Kind: session.EvShard, Shard: randomShard(rng, 1+rng.Intn(8))})
+		}
+	}
+	src.Header.NumEvents = len(src.Events)
+	var buf bytes.Buffer
+	if err := WriteArchive(&buf, src); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "traced.ppdb")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var got *session.Archive
+	var err error
+	allocs := testing.AllocsPerRun(3, func() { got, err = LoadAny(path) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := eventsChunkByChunk(t, buf.Bytes()) // each shard opened from its blob
+	if len(want) != len(got.Events) {
+		t.Fatalf("loaded %d events, the chunks hold %d", len(got.Events), len(want))
+	}
+	seen, shards := map[*trace.Shard]bool{}, 0
+	for i, ev := range got.Events {
+		if ev.Kind != session.EvShard {
+			continue
+		}
+		shards++
+		if seen[ev.Shard] {
+			t.Fatalf("event %d shares its shard with an earlier event", i)
+		}
+		seen[ev.Shard] = true
+		if !reflect.DeepEqual(ev.Shard, want[i].Shard) {
+			t.Fatalf("event %d: loaded shard %+v, OpenShard of its blob %+v", i, ev.Shard, want[i].Shard)
+		}
+	}
+	chunks := len(got.Events) / DefaultFlushEvents
+	if shards < 16*chunks {
+		t.Fatalf("%d shards in %d chunks: too few per chunk to tell the two apart", shards, chunks)
+	}
+	if limit := 4*chunks + 64; allocs > float64(limit) {
+		t.Errorf("LoadAny of %d shards in %d chunks makes %.0f allocations; want at most %d", shards, chunks, allocs, limit)
 	}
 }

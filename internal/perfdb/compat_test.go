@@ -72,10 +72,10 @@ func compatArchive() *session.Archive {
 			sh.Spans = append(sh.Spans, send, edge)
 			seq += 3
 		}
-		add(session.Event{Kind: session.EvShard, Shard: sh})
-		add(session.Event{Kind: session.EvShard, Shard: trace.Shard{Daemon: "paradynd@node0", Proc: "app{1}", Node: "node0",
+		add(session.Event{Kind: session.EvShard, Shard: &sh})
+		add(session.Event{Kind: session.EvShard, Shard: &trace.Shard{Daemon: "paradynd@node0", Proc: "app{1}", Node: "node0",
 			Spans: []trace.Span{span(seq, trace.MPISpan, "app{1}", "MPI_Recv", at, at+ms(3))}}})
-		add(session.Event{Kind: session.EvShard, Shard: trace.Shard{Daemon: "paradynd@node0", Proc: "paradynd@node0", Node: "node0",
+		add(session.Event{Kind: session.EvShard, Shard: &trace.Shard{Daemon: "paradynd@node0", Proc: "paradynd@node0", Node: "node0",
 			Spans: []trace.Span{span(seq+1, trace.DaemonSample, "paradynd@node0", "sample", at, at)}}})
 		seq += 2
 		if tick%4 == 0 {
@@ -85,7 +85,7 @@ func compatArchive() *session.Archive {
 	add(
 		session.Event{Kind: session.EvStale, Update: datasource.Update{Daemon: "paradynd@node1", Time: ms(700)}},
 		session.Event{Kind: session.EvGap, Gap: datasource.Gap{Node: "node1", From: ms(650), To: ms(700)}},
-		session.Event{Kind: session.EvShard, Shard: trace.Shard{Daemon: "paradynd@node0", Proc: "app{1}", Node: "node0", Dropped: 3, OutboxLost: 2}},
+		session.Event{Kind: session.EvShard, Shard: &trace.Shard{Daemon: "paradynd@node0", Proc: "app{1}", Node: "node0", Dropped: 3, OutboxLost: 2}},
 		session.Event{Kind: session.EvUndelivered, Proc: "app{1}", N: 5},
 	)
 	a.Header.NumEvents = len(a.Events)

@@ -69,6 +69,19 @@ func FuzzChunkDecoder(f *testing.F) {
 	p0, p1 := datasource.Sample{Metric: "m", Proc: "p0", Delta: 1}, datasource.Sample{Metric: "m", Proc: "p1", Delta: 2}
 	f.Add(batchesArchive(f, []datasource.Sample{p0, p1}, []datasource.Sample{p0, p1}, []datasource.Sample{p0, p1, p0}))
 	f.Add(batchesArchive(f, []datasource.Sample{p0}, []datasource.Sample{p1}))
+	// One chunk that holds two shard events around a sample batch: a load
+	// keeps the three blobs in one slab and the two shards in another.
+	shards := &session.Archive{Header: session.Header{Version: session.Version, NumBins: 100, BinWidth: 50 * sim.Millisecond, NumEvents: 3},
+		Events: []session.Event{
+			{Kind: session.EvShard, Shard: randomShard(rng, 3)},
+			{Kind: session.EvSamples, Samples: []datasource.Sample{p0, p1}},
+			{Kind: session.EvShard, Shard: randomShard(rng, 2)},
+		}}
+	var three bytes.Buffer
+	if err := WriteArchive(&three, shards); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(three.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := readBothWays(t, data)
 		if err != nil {
@@ -86,6 +99,9 @@ func FuzzChunkDecoder(f *testing.F) {
 		for i := range a.Events {
 			if x, y := a.Events[i].Batch, b.Events[i].Batch; (x == nil) != (y == nil) || x != nil && !bytes.Equal(x.Data, y.Data) {
 				t.Fatalf("event %d: sample batch %+v re-encodes to %+v", i, x, y)
+			}
+			if x, y := a.Events[i].Shard, b.Events[i].Shard; (x == nil) != (y == nil) || x != nil && !bytes.Equal(x.Packed(), y.Packed()) {
+				t.Fatalf("event %d: shard %+v re-encodes to %+v", i, x, y)
 			}
 		}
 	})

@@ -43,7 +43,15 @@ func eventsChunkByChunk(t *testing.T, data []byte) []session.Event {
 	var out []session.Event
 	eachEventsChunk(data, func(payload []byte) {
 		s := new(archiveScan) // a fresh string table
-		if err := s.eventsChunk(payload, func(ev *session.Event) { out, s.samples = append(out, *ev), nil }); err != nil {
+		err := s.eventsChunk(payload, func(ev *session.Event) {
+			e := *ev
+			if e.Shard != nil { // the scan's own scratch, like s.samples
+				sh := *e.Shard
+				e.Shard = &sh
+			}
+			out, s.samples = append(out, e), nil
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
 	})

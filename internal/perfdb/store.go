@@ -298,6 +298,11 @@ type admission struct {
 	// src is the file, already on the store's filesystem; id is the
 	// reservation it was recorded under, or "" to take the next free ID.
 	src, id string
+	// hash and size are the file's content address and length when its
+	// stager already read them (a synced transfer is verified against its
+	// hash); "" makes admitLocked hash the file.
+	hash string
+	size int64
 	// What the archive says about itself — the only descriptive input.
 	header    session.Header
 	events    int
@@ -320,9 +325,12 @@ func (st *Store) admitLocked(in admission) (RunMeta, string, error) {
 		}
 		label, warning = "", fmt.Sprintf("%v; run stored unlabeled", err)
 	}
-	hash, size, err := fileSHA256(in.src)
-	if err != nil {
-		return RunMeta{}, "", err
+	var err error
+	hash, size := in.hash, in.size
+	if hash == "" {
+		if hash, size, err = fileSHA256(in.src); err != nil {
+			return RunMeta{}, "", err
+		}
 	}
 	id := in.id
 	if id == "" {

@@ -116,6 +116,10 @@ type syncResp struct {
 	Warning string    // opPushEnd: label collision note etc.
 }
 
+// Reset zeroes every field before a decode attempt (wire.Request.Resp) but
+// keeps Data's buffer, emptied, for gob to decode the next payload into.
+func (r *syncResp) Reset() { *r = syncResp{Data: r.Data[:0]} }
+
 // syncRun is what a list frame tells of one stored run: what Pull reads.
 type syncRun struct {
 	ID, Label, Verdict, Hash string
@@ -155,6 +159,10 @@ func DefaultSyncConfig() SyncConfig {
 type syncClient struct {
 	cfg  SyncConfig
 	conn *wire.Conn
+	// data is the payload buffer every response decodes into, so a pull
+	// allocates no buffer per chunk. Only the buffer is shared: each round
+	// trip answers with a response of its own.
+	data []byte
 }
 
 // dialSync connects and handshakes protocol versions. The sync channel
@@ -221,9 +229,10 @@ func (c *syncClient) stats() wire.Stats { return c.conn.Stats() }
 // roundTrip sends one frame and waits for its response through the wire
 // plane's retrying Exchange. A response that arrives with OK=false is a
 // protocol-level refusal, not a transport fault, and is returned as a
-// terminal error.
+// terminal error. The response's Data is the client's one payload buffer:
+// it is valid until the next round trip.
 func (c *syncClient) roundTrip(req syncReq) (*syncResp, error) {
-	var resp syncResp
+	resp := syncResp{Data: c.data[:0]}
 	r := wire.Request{
 		Req:   &req,
 		Stamp: func(seq uint64) { req.Seq = seq },
@@ -234,6 +243,7 @@ func (c *syncClient) roundTrip(req syncReq) (*syncResp, error) {
 		r.Fault = func(attempt int) error { return hook(opName(req.Op), req.Seq, attempt) }
 	}
 	err := c.conn.Exchange(r)
+	c.data = resp.Data // the buffer, grown if gob grew it
 	if err != nil {
 		return nil, err
 	}
@@ -503,7 +513,7 @@ func (p partial) write(offset int64, data []byte) (held int64, applied int, err 
 // check is discarded — resuming it would fail the same way forever. Content
 // another transfer stored meanwhile is a no-op returning that run.
 func (p partial) finish(am AddMeta) (m RunMeta, warning string, err error) {
-	got, _, err := fileSHA256(p.path)
+	got, size, err := fileSHA256(p.path)
 	if err != nil {
 		return m, "", fmt.Errorf("no complete transfer of %.12s: %w", p.hash, err)
 	}
@@ -516,7 +526,7 @@ func (p partial) finish(am AddMeta) (m RunMeta, warning string, err error) {
 		p.discard()
 		return m, "", fmt.Errorf("transfer is not a valid archive: %w", err)
 	}
-	in.onlyCopy = true
+	in.onlyCopy, in.hash, in.size = true, got, size // hashed once, here
 	err = p.st.withLock(func() error {
 		if existing, ok := p.st.findByHashLocked(p.hash); ok {
 			m, warning = existing, fmt.Sprintf("identical content already stored as %s", existing.ID)

@@ -106,7 +106,8 @@ func (k EventKind) String() string {
 //
 // Every workload builds thousands of Events, so the struct's size is a cost
 // everywhere (TestEventSize): a stale verdict rides in Update's Daemon and
-// Time rather than fields of its own, and a kept batch is one pointer.
+// Time rather than fields of its own, and a kept batch and a shard are one
+// pointer each.
 type Event struct {
 	Kind EventKind
 
@@ -120,7 +121,10 @@ type Event struct {
 	Focus  resource.Focus // EvEnable
 	Err    string         // EvEnable: daemon refusal message, "" = success
 
-	Shard trace.Shard // EvShard
+	// EvShard: the shard. Its sender owns it, as it owns Samples: a
+	// daemon ships every shard through one scratch Shard, a reader opens
+	// each into its own scratch or, collecting, into a per-chunk slab.
+	Shard *trace.Shard
 
 	Proc string // EvUndelivered
 	N    int64  // EvUndelivered
@@ -201,8 +205,10 @@ func (a *Archive) TruncationNote() string {
 // accept one.
 type Sink interface {
 	// Record captures one analysis-plane event, in arrival order. The
-	// caller keeps ownership of its sample slice's backing array; a shard's
-	// packed bytes, and a kept batch's, are nobody's to write.
+	// caller owns ev.Samples and ev.Shard: it may build its next batch in
+	// the same backing array and its next shard in the same Shard, so a
+	// sink that keeps the event copies both. A shard's packed bytes, and a
+	// kept batch's, are nobody's to write.
 	Record(ev Event)
 	// SetHistogram records the front end's histogram configuration so
 	// replay folds samples into identical bins.

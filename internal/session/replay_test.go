@@ -181,7 +181,7 @@ func TestReplayTimelinePresence(t *testing.T) {
 	}
 	rs = NewReplaySource(archiveOf(
 		barrierEv,
-		Event{Kind: EvShard, Shard: trace.Shard{Daemon: "paradynd@node0", Proc: "p0", Node: "node0"}},
+		Event{Kind: EvShard, Shard: &trace.Shard{Daemon: "paradynd@node0", Proc: "p0", Node: "node0"}},
 		Event{Kind: EvUndelivered, Proc: "p0", N: 2},
 	))
 	rs.Drain()

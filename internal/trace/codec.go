@@ -185,12 +185,23 @@ func VerifyShard(data []byte) error {
 // header fields resolved through t, the bytes in an exact-size copy (data may
 // be a reader's reused buffer), Spans left nil.
 func OpenShard(t *packed.Table, data []byte) (Shard, error) {
+	sh, err := KeepShard(t, data)
+	if err == nil {
+		sh.packed = append(make([]byte, 0, len(data)), data...)
+	}
+	return sh, err
+}
+
+// KeepShard is OpenShard without the copy: the shard's packed form is data
+// itself, which nothing may write again — an archive read's slab of a chunk's
+// blobs.
+func KeepShard(t *packed.Table, data []byte) (Shard, error) {
 	c, sh := ReadShard(t, data)
 	if err := c.verify(); err != nil {
 		return Shard{}, err
 	}
 	sh.first = c.first
-	sh.packed = append(make([]byte, 0, len(data)), data...)
+	sh.packed = data
 	return sh, nil
 }
 

@@ -193,7 +193,7 @@ func (s *shardStream) Record(ev session.Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if ev.Kind == session.EvShard {
-		s.shards = append(s.shards, ev.Shard)
+		s.shards = append(s.shards, *ev.Shard) // a copy: the caller owns ev.Shard
 	}
 }
 func (*shardStream) SetHistogram(int, sim.Duration) {}

@@ -107,7 +107,7 @@ func crossStack(t *testing.T, planText string, want int64) {
 	if err := tr.Report(hb); err != nil {
 		t.Fatalf("ctl send under plan: %v", err)
 	}
-	sh := session.Event{Kind: session.EvShard, Shard: trace.Shard{Proc: "p0", Node: "node0", Spans: []trace.Span{{Name: "compute"}}}}
+	sh := session.Event{Kind: session.EvShard, Shard: &trace.Shard{Proc: "p0", Node: "node0", Spans: []trace.Span{{Name: "compute"}}}}
 	if err := tr.Report(sh); err != nil {
 		t.Fatalf("bulk send under plan: %v", err)
 	}

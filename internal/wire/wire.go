@@ -307,8 +307,10 @@ type Request struct {
 	Req   any
 	Stamp func(seq uint64)
 	// Resp is the pointer the reply is decoded into. It is zeroed before
-	// every attempt: gob omits zero fields, so a retried decode into a
-	// dirty struct would otherwise merge stale state.
+	// every attempt — or, if it has a Reset method, reset by it, so it may
+	// keep a payload buffer for the decode — because gob omits zero fields,
+	// and a retried decode into a dirty struct would otherwise merge stale
+	// state.
 	Resp any
 	// Fault, when non-nil, is consulted before each attempt, ahead of the
 	// channel's Injection; a non-nil return fails that attempt as an
